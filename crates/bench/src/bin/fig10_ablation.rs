@@ -9,9 +9,9 @@
 //! [`hida_bench::variants::fig10`] helper. The design points run through the
 //! [`SweepRunner`]: a pooled, estimate-sharing sweep is compared against the
 //! sequential share-nothing loop (byte-identical per-point QoR enforced), and
-//! the wall-clock/speedup/cache-traffic summary is written to
-//! `BENCH_sweep.json` (override with `--sweep-json <path>`). `--jobs <n>` caps
-//! the sweep's total worker-thread budget.
+//! with `--sweep-json <path>` the wall-clock/speedup/cache-traffic summary is
+//! also written there as JSON. `--jobs <n>` caps the sweep's total
+//! worker-thread budget.
 //!
 //! `--cache-dir <dir>` backs the sweep's estimate cache with the persistent
 //! on-disk store: a second invocation pointed at the same directory reuses the
@@ -31,7 +31,7 @@ fn main() {
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    let json_path = value_of("--sweep-json").unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let json_path = value_of("--sweep-json");
     let jobs: usize = match value_of("--jobs") {
         Some(raw) => match raw.parse() {
             Ok(jobs) if jobs >= 1 => jobs,
@@ -131,9 +131,11 @@ fn main() {
     }
 
     comparison.print_summary();
-    match comparison.write_json(&json_path) {
-        Ok(()) => println!("sweep report written to {json_path}"),
-        Err(e) => eprintln!("error: could not write {json_path}: {e}"),
+    if let Some(json_path) = json_path {
+        match comparison.write_json(&json_path) {
+            Ok(()) => println!("sweep report written to {json_path}"),
+            Err(e) => eprintln!("error: could not write {json_path}: {e}"),
+        }
     }
     if !comparison.qor_identical() {
         std::process::exit(1);

@@ -10,7 +10,7 @@
 //! * [`SweepRunner`] — the harness that drives a list of design points
 //!   through the sweep engine ([`hida::SweepEngine`]), compares the pooled
 //!   shared-cache run against the sequential share-nothing loop, and emits
-//!   the `BENCH_sweep.json` perf-trajectory artifact.
+//!   the sweep report `fig10_ablation --sweep-json` writes.
 
 pub mod variants;
 

@@ -6,8 +6,8 @@
 //! today's baseline — a sequential, share-nothing loop — verifies that every
 //! design point's QoR, emitted C++ and printed IR are **byte-identical**
 //! across the two runs, and summarizes wall-clock, speedup and cross-
-//! compilation cache traffic as the `BENCH_sweep.json` perf-trajectory
-//! artifact CI records.
+//! compilation cache traffic as the JSON sweep report CI's `cache` and
+//! `persist` stages grep.
 
 use hida::ir::printer::print_op;
 use hida::sweep::json_escape;
@@ -41,7 +41,7 @@ impl SweepRunner {
     /// (builder style). Hand in a cache created with
     /// [`hida::SharedEstimateCache::with_store`] to persist estimates across
     /// bench *processes*: the comparison then reports the disk tier's traffic
-    /// in `BENCH_sweep.json`, and a warm re-run of the same binary serves its
+    /// in its JSON report, and a warm re-run of the same binary serves its
     /// estimates from the store. The sequential baseline arm never sees the
     /// cache — it stays the share-nothing loop the pooled results are
     /// verified against.
@@ -219,7 +219,7 @@ impl SweepComparison {
         }
     }
 
-    /// Renders the comparison as the `BENCH_sweep.json` artifact.
+    /// Renders the comparison as the JSON sweep report.
     pub fn to_json(&self) -> String {
         let budget = self.outcome.budget;
         let cache = self.outcome.shared_cache.unwrap_or_default();

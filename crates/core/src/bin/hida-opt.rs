@@ -1,41 +1,41 @@
-//! `hida-opt` — run a textual HIDA-OPT pass pipeline over a built-in workload.
+//! `hida-opt` — run textual HIDA-OPT pass pipelines over a workload.
 //!
 //! The CLI counterpart of `Pipeline::parse`: ablations are command-line strings
 //! instead of recompiled bench binaries.
 //!
 //! ```text
 //! hida-opt --list-passes
-//! hida-opt --list-workloads
 //! hida-opt --workload two_mm \
 //!     --pipeline "construct,fusion,lower,multi-producer-elim,tiling{factor=4},balance,parallelize"
 //! hida-opt --workload lenet --preset dnn
 //! hida-opt --workload resnet-18 --sweep variants.txt --jobs 8
+//! hida-opt --input examples/two_mm.hir --explore variants.txt
 //! ```
 //!
-//! Prints the normalized pipeline, per-pass `PassStatistics`, the resulting
-//! schedule (nodes, unroll factors, buffers) and the estimated QoR. With
-//! `--sweep <file>` (one pipeline string per line), every line becomes an
-//! independent design point of the workload: the points fan out over the
-//! sweep engine's pool and share per-node QoR estimates through the
-//! content-addressed cross-compilation cache, with `--jobs` as the total
-//! worker-thread budget.
+//! A single run goes through `Compiler::lower_func` and `Compiler::finish`,
+//! printing the normalized pipeline, per-pass statistics, the schedule and its
+//! QoR in between. `--sweep` and `--explore` share one driver: every line of
+//! the file is a design point for `SweepEngine::run` or `Explorer::explore`.
 
-use hida::sweep::{json_escape, JobBudget, SweepEngine, SweepOutcome, SweepPoint};
+use hida::report::Json;
+use hida::sweep::{isolated, SweepEngine, SweepPoint, SweepPointOutcome};
 use hida::{
-    EstimateStore, ExploreConfig, ExploreOutcome, Explorer, PersistentStoreStats, SharedCacheStats,
-    SharedEstimateCache, Workload,
+    json_fields, json_object, EstimateStore, ExploreConfig, ExploreOutcome, Explorer, Frontier,
+    PersistentStoreStats, SharedCacheStats, SharedEstimateCache, Workload,
 };
 use hida_dialects::analysis::ComputeProfile;
-use hida_estimator::dataflow::DataflowEstimator;
 use hida_estimator::device::FpgaDevice;
 use hida_frontend::nn::Model;
 use hida_frontend::polybench::PolybenchKernel;
-use hida_ir_core::fault::{self, FaultPlan};
+use hida_ir_core::fault::{self, CancelToken, FaultPlan};
 use hida_ir_core::pass::PassStatistics;
-use hida_ir_core::{AnalysisCacheStats, Context, OpId};
+use hida_ir_core::{Analysis, AnalysisCacheStats, Context};
 use hida_opt::registry::{registry, registry_listing};
 use hida_opt::{HidaOptions, Pipeline};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const USAGE: &str = "\
 usage: hida-opt [OPTIONS]
@@ -86,7 +86,7 @@ usage: hida-opt [OPTIONS]
   --deadline-ms <n>     per-point wall-clock deadline in milliseconds: a point
                         that exceeds it is cancelled at the next checkpoint
                         and reported as timed-out; under --sweep the run
-                        continues and the reclaimed workers widen later points
+                        continues with the remaining points
   --retries <n>         retry failed sweep/explore points up to <n> times with
                         degraded settings (1 worker, verification forced on,
                         shared cache bypassed); a point that never converges
@@ -115,12 +115,6 @@ usage: hida-opt [OPTIONS]
   --list-workloads      print the known workloads and exit
   --help                print this help and exit";
 
-/// A workload resolvable from the command line.
-enum CliWorkload {
-    Polybench(PolybenchKernel),
-    Model(Model),
-}
-
 /// Lowercased name with separators removed, so `two_mm`, `TwoMm` and `2mm`
 /// collapse onto comparable keys.
 fn normalize(name: &str) -> String {
@@ -139,19 +133,6 @@ fn kernel_aliases(kernel: PolybenchKernel) -> &'static [&'static str] {
     }
 }
 
-fn resolve_workload(name: &str) -> Option<CliWorkload> {
-    let key = normalize(name);
-    for kernel in PolybenchKernel::all() {
-        if normalize(kernel.name()) == key || kernel_aliases(kernel).contains(&key.as_str()) {
-            return Some(CliWorkload::Polybench(kernel));
-        }
-    }
-    Model::all()
-        .into_iter()
-        .find(|m| normalize(m.name()) == key)
-        .map(CliWorkload::Model)
-}
-
 fn workload_listing() -> String {
     let kernels: Vec<&str> = PolybenchKernel::all().iter().map(|k| k.name()).collect();
     let models: Vec<&str> = Model::all().iter().map(|m| m.name()).collect();
@@ -162,17 +143,21 @@ fn workload_listing() -> String {
     )
 }
 
-/// What the CLI was asked to compile: a built-in workload or a `.hir` file.
-enum CliSource {
-    Builtin(CliWorkload),
-    TextIr { name: String, text: String },
+/// What the CLI was asked to compile, resolved from `--workload` / `--input`.
+struct Source {
+    /// The name reported in JSON output: the raw `--workload` spelling (what
+    /// the user typed, kept byte-stable) or the `--input` file stem.
+    name: String,
+    workload: Workload,
+    /// The human-readable report line describing the workload.
+    line: String,
 }
 
 /// Resolves `--workload`/`--input` (exclusive) into a compile source.
 ///
 /// `--input` files are parsed here so syntax errors surface with line/column
 /// before any compilation machinery spins up.
-fn resolve_source(args: &Args) -> Result<CliSource, String> {
+fn resolve_source(args: &Args) -> Result<Source, String> {
     match (&args.input, &args.workload) {
         (Some(_), Some(_)) => Err("--input and --workload are exclusive".to_string()),
         (Some(path), None) => {
@@ -187,46 +172,43 @@ fn resolve_source(args: &Args) -> Result<CliSource, String> {
                 .and_then(|s| s.to_str())
                 .unwrap_or("input")
                 .to_string();
-            Ok(CliSource::TextIr { name, text })
+            Ok(Source {
+                line: format!("workload: {name} (textual IR)"),
+                workload: Workload::text_ir(name.clone(), text),
+                name,
+            })
         }
-        (None, Some(workload_name)) => resolve_workload(workload_name)
-            .map(CliSource::Builtin)
-            .ok_or_else(|| format!("unknown workload '{workload_name}'\n{}", workload_listing())),
+        (None, Some(name)) => {
+            let key = normalize(name);
+            let kernel = PolybenchKernel::all()
+                .into_iter()
+                .find(|&k| normalize(k.name()) == key || kernel_aliases(k).contains(&key.as_str()));
+            let model = Model::all()
+                .into_iter()
+                .find(|m| normalize(m.name()) == key);
+            let (workload, line) = match (kernel, model) {
+                (Some(kernel), _) => {
+                    let size = args.size.unwrap_or_else(|| kernel.default_size());
+                    (
+                        Workload::PolybenchSized(kernel, size),
+                        format!("workload: {} (PolyBench, size {size})", kernel.name()),
+                    )
+                }
+                (None, Some(model)) => (
+                    Workload::Model(model),
+                    format!("workload: {} (DNN model)", model.name()),
+                ),
+                (None, None) => {
+                    return Err(format!("unknown workload '{name}'\n{}", workload_listing()))
+                }
+            };
+            Ok(Source {
+                name: name.clone(),
+                workload,
+                line,
+            })
+        }
         (None, None) => Err("missing --workload or --input (try --list-workloads)".to_string()),
-    }
-}
-
-/// The name reported in JSON output: the raw `--workload` spelling (what the
-/// user typed, kept byte-stable) or the `--input` file stem.
-fn source_name(source: &CliSource, args: &Args) -> String {
-    match source {
-        CliSource::TextIr { name, .. } => name.clone(),
-        CliSource::Builtin(_) => args
-            .workload
-            .clone()
-            .expect("builtin source has --workload"),
-    }
-}
-
-/// Converts a resolved source into the compiler's `Workload` plus the
-/// human-readable report line describing it.
-fn source_workload(source: CliSource, args: &Args) -> (Workload, String) {
-    match source {
-        CliSource::Builtin(CliWorkload::Polybench(kernel)) => {
-            let size = args.size.unwrap_or_else(|| kernel.default_size());
-            (
-                Workload::PolybenchSized(kernel, size),
-                format!("workload: {} (PolyBench, size {size})", kernel.name()),
-            )
-        }
-        CliSource::Builtin(CliWorkload::Model(model)) => (
-            Workload::Model(model),
-            format!("workload: {} (DNN model)", model.name()),
-        ),
-        CliSource::TextIr { name, text } => {
-            let line = format!("workload: {name} (textual IR)");
-            (Workload::text_ir(name, text), line)
-        }
     }
 }
 
@@ -256,83 +238,53 @@ struct Args {
     help: bool,
 }
 
+/// Parses the integer value of `flag`.
+fn int_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("{flag}: '{raw}' is not an integer"))
+}
+
+/// Parses the integer value of `flag`, which must be at least 1.
+fn positive<T: FromStr + PartialOrd + From<u8>>(flag: &str, raw: &str) -> Result<T, String> {
+    let value: T = int_value(flag, raw)?;
+    if value < T::from(1) {
+        return Err(format!("{flag}: must be >= 1"));
+    }
+    Ok(value)
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
+                .ok_or_else(|| format!("{arg} requires a value"))
         };
         match arg.as_str() {
-            "--workload" => args.workload = Some(value_of("--workload")?),
-            "--input" => args.input = Some(value_of("--input")?),
-            "--emit-ir" => args.emit_ir = Some(value_of("--emit-ir")?),
-            "--pipeline" => args.pipeline = Some(value_of("--pipeline")?),
-            "--preset" => args.preset = Some(value_of("--preset")?),
-            "--sweep" => args.sweep = Some(value_of("--sweep")?),
-            "--explore" => args.explore = Some(value_of("--explore")?),
+            "--workload" => args.workload = Some(value()?),
+            "--input" => args.input = Some(value()?),
+            "--emit-ir" => args.emit_ir = Some(value()?),
+            "--pipeline" => args.pipeline = Some(value()?),
+            "--preset" => args.preset = Some(value()?),
+            "--sweep" => args.sweep = Some(value()?),
+            "--explore" => args.explore = Some(value()?),
             "--size" => {
-                let raw = value_of("--size")?;
-                let size: i64 = raw
-                    .parse()
-                    .map_err(|_| format!("--size: '{raw}' is not an integer"))?;
+                let size: i64 = int_value(arg, &value()?)?;
                 if size < 4 {
                     return Err(format!("--size: {size} must be >= 4"));
                 }
                 args.size = Some(size);
             }
-            "--jobs" => {
-                let raw = value_of("--jobs")?;
-                let jobs: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--jobs: '{raw}' is not an integer"))?;
-                if jobs < 1 {
-                    return Err("--jobs: must be >= 1".to_string());
-                }
-                args.jobs = Some(jobs);
-            }
-            "--device" => args.device = Some(value_of("--device")?),
-            "--cache-dir" => args.cache_dir = Some(value_of("--cache-dir")?),
-            "--cache-limit-mb" => {
-                let raw = value_of("--cache-limit-mb")?;
-                let mb: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--cache-limit-mb: '{raw}' is not an integer"))?;
-                if mb < 1 {
-                    return Err("--cache-limit-mb: must be >= 1".to_string());
-                }
-                args.cache_limit_mb = Some(mb);
-            }
-            "--deadline-ms" => {
-                let raw = value_of("--deadline-ms")?;
-                let ms: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--deadline-ms: '{raw}' is not an integer"))?;
-                if ms < 1 {
-                    return Err("--deadline-ms: must be >= 1".to_string());
-                }
-                args.deadline_ms = Some(ms);
-            }
-            "--retries" => {
-                let raw = value_of("--retries")?;
-                let retries: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--retries: '{raw}' is not an integer"))?;
-                args.retries = Some(retries);
-            }
-            "--run-budget-ms" => {
-                let raw = value_of("--run-budget-ms")?;
-                let ms: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--run-budget-ms: '{raw}' is not an integer"))?;
-                if ms < 1 {
-                    return Err("--run-budget-ms: must be >= 1".to_string());
-                }
-                args.run_budget_ms = Some(ms);
-            }
-            "--inject-faults" => args.inject_faults = Some(value_of("--inject-faults")?),
+            "--jobs" => args.jobs = Some(positive(arg, &value()?)?),
+            "--device" => args.device = Some(value()?),
+            "--cache-dir" => args.cache_dir = Some(value()?),
+            "--cache-limit-mb" => args.cache_limit_mb = Some(positive(arg, &value()?)?),
+            "--deadline-ms" => args.deadline_ms = Some(positive(arg, &value()?)?),
+            "--retries" => args.retries = Some(int_value(arg, &value()?)?),
+            "--run-budget-ms" => args.run_budget_ms = Some(positive(arg, &value()?)?),
+            "--inject-faults" => args.inject_faults = Some(value()?),
             "--no-verify" => args.no_verify = true,
             "--no-timing" => args.no_timing = true,
             "--stats-json" => args.stats_json = true,
@@ -359,75 +311,175 @@ fn preset_text(preset: &str) -> Result<String, String> {
     Ok(options.pipeline_text())
 }
 
-fn cache_json(cache: &AnalysisCacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"invalidations\":{},\"preserved\":{}}}",
-        cache.hits, cache.misses, cache.invalidations, cache.preserved
-    )
-}
+/// Set once from `--stats-json`: stdout then carries exactly one JSON object
+/// and the human-readable report moves to stderr, so
+/// `hida-opt --stats-json | jq .` works as documented.
+static REPORT_ON_STDERR: AtomicBool = AtomicBool::new(false);
 
-fn parallel_json(parallel: Option<&hida_ir_core::ParallelStats>) -> String {
-    match parallel {
-        Some(p) => format!(
-            "{{\"workers\":{},\"items\":{},\"steals\":{},\"imbalance\":{}}}",
-            p.workers,
-            p.items,
-            p.steals,
-            p.imbalance()
-        ),
-        None => "null".to_string(),
-    }
-}
-
-fn shared_cache_json(shared: &SharedCacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.3}}}",
-        shared.hits,
-        shared.misses,
-        shared.entries,
-        shared.hit_rate()
-    )
-}
-
-fn persistent_json(persistent: Option<&PersistentStoreStats>) -> String {
-    match persistent {
-        Some(p) => format!(
-            "{{\"hits\":{},\"misses\":{},\"writes\":{},\"evictions\":{},\"corrupt\":{},\
-             \"write_errors\":{},\"read_errors\":{}}}",
-            p.hits, p.misses, p.writes, p.evictions, p.corrupt, p.write_errors, p.read_errors
-        ),
-        None => "null".to_string(),
-    }
-}
-
-/// Parses `--inject-faults` into a seeded plan; empty plans (no armed faults)
-/// collapse to `None` so the zero-cost fast path stays active.
-fn parse_fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
-    match &args.inject_faults {
-        None => Ok(None),
-        Some(spec) => {
-            let plan = FaultPlan::parse(spec).map_err(|e| format!("--inject-faults: {e}"))?;
-            Ok(if plan.is_empty() { None } else { Some(plan) })
+/// Prints one line of the human-readable report.
+macro_rules! say {
+    ($($fmt:tt)*) => {
+        if REPORT_ON_STDERR.load(Ordering::Relaxed) {
+            eprintln!($($fmt)*)
+        } else {
+            println!($($fmt)*)
         }
-    }
-}
-
-/// Builds the shared estimate cache backed by `--cache-dir`, when set.
-fn build_cache(args: &Args) -> Result<Option<std::sync::Arc<SharedEstimateCache>>, String> {
-    let Some(dir) = &args.cache_dir else {
-        if args.cache_limit_mb.is_some() {
-            return Err("--cache-limit-mb requires --cache-dir".to_string());
-        }
-        return Ok(None);
     };
-    let mut store = EstimateStore::open(dir)
-        .map_err(|e| format!("--cache-dir: cannot open store at '{dir}': {e}"))?;
-    if let Some(mb) = args.cache_limit_mb {
-        store = store.with_limit_bytes(mb * 1024 * 1024);
+}
+
+fn analysis_cache_json(c: &AnalysisCacheStats) -> Json {
+    json_object! {
+        "hits": c.hits, "misses": c.misses, "invalidations": c.invalidations,
+        "preserved": c.preserved,
     }
-    Ok(Some(std::sync::Arc::new(SharedEstimateCache::with_store(
-        store,
-    ))))
+}
+
+fn shared_cache_json(c: &SharedCacheStats) -> Json {
+    json_object! {
+        "hits": c.hits, "misses": c.misses, "entries": c.entries,
+        "hit_rate": Json::Fixed(c.hit_rate(), 3),
+    }
+}
+
+fn persistent_json(p: &PersistentStoreStats) -> Json {
+    json_object! {
+        "hits": p.hits, "misses": p.misses, "writes": p.writes, "evictions": p.evictions,
+        "corrupt": p.corrupt, "write_errors": p.write_errors, "read_errors": p.read_errors,
+    }
+}
+
+fn pass_json(stat: &PassStatistics) -> Json {
+    json_object! {
+        "pass": stat.pass.as_str(),
+        "micros": stat.micros as u64,
+        "live_ops_before": stat.live_ops_before,
+        "live_ops_after": stat.live_ops_after,
+        "op_delta": stat.op_delta(),
+        "verified": stat.verified,
+        "failed": stat.failed,
+        "cache": analysis_cache_json(&stat.cache),
+        "parallel": Json::option(stat.parallel.as_ref(), |p| json_object! {
+            "workers": p.workers, "items": p.items, "steals": p.steals,
+            "imbalance": p.imbalance(),
+        }),
+        "options": Json::array(&stat.options, |o| json_object! {
+            "name": o.name.as_str(), "value": o.value.as_str(),
+        }),
+    }
+}
+
+/// The `--stats-json` document of a single compilation (schema:
+/// `docs/STATS_SCHEMA.md`). The estimator and cache sections are `null` when
+/// the pipeline died before estimation ran.
+fn single_json(
+    workload: &str,
+    pipeline_text: &str,
+    statistics: &[PassStatistics],
+    estimator_cache: Option<&AnalysisCacheStats>,
+    cache: Option<&SharedEstimateCache>,
+) -> Json {
+    let persistent = cache.and_then(|c| c.persistent_stats());
+    json_object! {
+        "workload": workload,
+        "pipeline": pipeline_text,
+        "passes": Json::array(statistics, pass_json),
+        "analysis_cache_totals": analysis_cache_json(&PassStatistics::aggregate_cache(statistics)),
+        "estimator_cache": Json::option(estimator_cache, analysis_cache_json),
+        "shared_cache": Json::option(cache, |c| shared_cache_json(&c.stats())),
+        "persistent_cache": Json::option(persistent.as_ref(), persistent_json),
+    }
+}
+
+/// Which batch driver `--sweep <file>` / `--explore <file>` selected. The mode
+/// decides whether a leading `explore{...}` line is accepted and whether the
+/// points go to [`SweepEngine::run`] or [`Explorer::explore`]; everything
+/// else — reading, point building, engine wiring, reporting — is shared.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Sweep,
+    Explore,
+}
+
+impl Mode {
+    /// `sweep` / `explore`: the flag, the report header and the JSON key.
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Sweep => "sweep",
+            Mode::Explore => "explore",
+        }
+    }
+}
+
+/// One point of a batch document. A sweep identifies its points by 0-based
+/// `index`, an exploration (which compiles a subset, out of file order) by
+/// `label`; every other key is shared.
+fn point_json(mode: Mode, index: usize, point: &SweepPointOutcome) -> Json {
+    let id = match mode {
+        Mode::Sweep => ("index", index.into()),
+        Mode::Explore => ("label", point.label.as_str().into()),
+    };
+    let mut fields = vec![id];
+    fields.extend(json_fields! {
+        "pipeline": point.pipeline.as_str(), "seconds": Json::Fixed(point.seconds, 6),
+    });
+    fields.extend(match &point.result {
+        Ok(result) => json_fields! {
+            "throughput": Json::Fixed(result.estimate.throughput(), 3),
+            "dsp": result.estimate.resources.dsp,
+            "bram_18k": result.estimate.resources.bram_18k,
+            "shared_cache": Json::option(result.shared_estimator_cache.as_ref(), shared_cache_json),
+        },
+        Err(e) => json_fields! {
+            "error": e.to_string().as_str(),
+            "reason": point.failure_reason().map_or("Failed", |r| r.name()),
+            "attempts": point.attempts,
+        },
+    });
+    Json::Object(fields)
+}
+
+/// The `--stats-json` document of a sweep or an exploration (schema:
+/// `docs/STATS_SCHEMA.md`): the exploration's is the sweep's extended with
+/// the search counters, `seeds`, `generations` and `frontier`.
+fn batch_json(mode: Mode, workload: &str, outcome: &ExploreOutcome) -> Json {
+    let mut body = json_fields! {
+        "pool_jobs": outcome.budget.pool_jobs, "point_jobs": outcome.budget.point_jobs,
+    };
+    if mode == Mode::Explore {
+        body.extend(json_fields! {
+            "num_candidates": outcome.num_candidates, "probed": outcome.probed,
+            "pruned": outcome.pruned, "compiled": outcome.points.len(),
+            "compiles_saved": outcome.compiles_saved(),
+        });
+    }
+    body.push(("wall_seconds", Json::Fixed(outcome.wall_seconds, 6)));
+    if mode == Mode::Explore {
+        body.extend(json_fields! {
+            "seeds": Json::array(&outcome.seeds, |s| s.as_str().into()),
+            "generations": Json::array(&outcome.generations, |g| json_object! {
+                "index": g.index, "proposed": g.proposed, "pruned": g.pruned,
+                "compiled": g.compiled, "failed": g.failed, "frontier_size": g.frontier_size,
+                "probe_hits": g.probe_hits, "probe_nodes": g.probe_nodes,
+            }),
+            "frontier": Json::array(outcome.frontier.points(), |p| json_object! {
+                "label": p.label.as_str(),
+                "pipeline": p.pipeline.as_str(),
+                "objectives": Json::array(&p.objectives, |&o| o.into()),
+                "throughput": Json::Fixed(p.throughput, 3),
+                "dsp": p.dsp, "bram_18k": p.bram_18k, "generation": p.generation,
+            }),
+        });
+    }
+    let points = outcome.points.iter().enumerate();
+    body.extend(json_fields! {
+        "points": Json::array(points, |(i, p)| point_json(mode, i, p)),
+        "shared_cache_totals": Json::option(outcome.shared_cache.as_ref(), shared_cache_json),
+        "persistent_cache": Json::option(outcome.persistent_cache.as_ref(), persistent_json),
+    });
+    Json::Object(vec![
+        ("workload", workload.into()),
+        (mode.name(), Json::Object(body)),
+    ])
 }
 
 /// Renders one pass's statistics without timing or cache/worker counters:
@@ -451,123 +503,6 @@ fn stable_stat(stat: &PassStatistics) -> String {
     out
 }
 
-/// Renders the per-pass statistics (and their aggregate analysis-cache
-/// counters, plus the QoR estimator's cache when estimation ran) as one
-/// machine-readable JSON object for the CI ablation matrix.
-fn stats_json(
-    workload: &str,
-    pipeline_text: &str,
-    statistics: &[PassStatistics],
-    estimator_cache: Option<&AnalysisCacheStats>,
-    shared: Option<&SharedCacheStats>,
-    persistent: Option<&PersistentStoreStats>,
-) -> String {
-    let totals = PassStatistics::aggregate_cache(statistics);
-    let passes: Vec<String> = statistics
-        .iter()
-        .map(|stat| {
-            let options: Vec<String> = stat
-                .options
-                .iter()
-                .map(|o| {
-                    format!(
-                        "{{\"name\":\"{}\",\"value\":\"{}\"}}",
-                        json_escape(&o.name),
-                        json_escape(&o.value)
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"pass\":\"{}\",\"micros\":{},\"live_ops_before\":{},\"live_ops_after\":{},\
-                 \"op_delta\":{},\"verified\":{},\"failed\":{},\"cache\":{},\"parallel\":{},\
-                 \"options\":[{}]}}",
-                json_escape(&stat.pass),
-                stat.micros,
-                stat.live_ops_before,
-                stat.live_ops_after,
-                stat.op_delta(),
-                stat.verified,
-                stat.failed,
-                cache_json(&stat.cache),
-                parallel_json(stat.parallel.as_ref()),
-                options.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workload\":\"{}\",\"pipeline\":\"{}\",\"passes\":[{}],\
-         \"analysis_cache_totals\":{},\"estimator_cache\":{},\
-         \"shared_cache\":{},\"persistent_cache\":{}}}",
-        json_escape(workload),
-        json_escape(pipeline_text),
-        passes.join(","),
-        cache_json(&totals),
-        estimator_cache.map_or_else(|| "null".to_string(), cache_json),
-        shared.map_or_else(|| "null".to_string(), shared_cache_json),
-        persistent_json(persistent),
-    )
-}
-
-/// Renders a sweep's per-point QoR and the aggregated cross-compilation cache
-/// counters as one machine-readable JSON object.
-fn sweep_json(workload: &str, outcome: &SweepOutcome) -> String {
-    let points: Vec<String> = outcome
-        .points
-        .iter()
-        .enumerate()
-        .map(|(index, point)| match &point.result {
-            Ok(result) => format!(
-                "{{\"index\":{index},\"pipeline\":\"{}\",\"seconds\":{:.6},\
-                 \"throughput\":{:.3},\"dsp\":{},\"bram_18k\":{},\"shared_cache\":{}}}",
-                json_escape(&point.pipeline),
-                point.seconds,
-                result.estimate.throughput(),
-                result.estimate.resources.dsp,
-                result.estimate.resources.bram_18k,
-                result
-                    .shared_estimator_cache
-                    .as_ref()
-                    .map_or_else(|| "null".to_string(), shared_cache_json),
-            ),
-            Err(e) => format!(
-                "{{\"index\":{index},\"pipeline\":\"{}\",\"seconds\":{:.6},\"error\":\"{}\",\
-                 \"reason\":\"{}\",\"attempts\":{}}}",
-                json_escape(&point.pipeline),
-                point.seconds,
-                json_escape(&e.to_string()),
-                point.failure_reason().map_or("Failed", |r| r.name()),
-                point.attempts,
-            ),
-        })
-        .collect();
-    format!(
-        "{{\"workload\":\"{}\",\"sweep\":{{\"pool_jobs\":{},\"point_jobs\":{},\
-         \"wall_seconds\":{:.6},\"points\":[{}],\"shared_cache_totals\":{},\
-         \"persistent_cache\":{}}}}}",
-        json_escape(workload),
-        outcome.budget.pool_jobs,
-        outcome.budget.point_jobs,
-        outcome.wall_seconds,
-        points.join(","),
-        outcome
-            .shared_cache
-            .as_ref()
-            .map_or_else(|| "null".to_string(), shared_cache_json),
-        persistent_json(outcome.persistent_cache.as_ref()),
-    )
-}
-
-/// The device the pipeline's last `parallelize` pass sized the design for.
-fn pipeline_device(pipeline: &Pipeline) -> Option<String> {
-    pipeline
-        .invocations()
-        .iter()
-        .rev()
-        .find(|i| i.name == "parallelize")
-        .and_then(|i| i.options.iter().find(|o| o.name == "device"))
-        .map(|o| o.value.clone())
-}
-
 fn resolve_device(name: &str) -> Result<FpgaDevice, String> {
     FpgaDevice::by_name(name).ok_or_else(|| {
         let known: Vec<String> = FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
@@ -575,84 +510,138 @@ fn resolve_device(name: &str) -> Result<FpgaDevice, String> {
     })
 }
 
-/// `--sweep` mode: every line of the sweep file is an independent pipeline
-/// variant of the workload, compiled through the sweep engine's pool with the
-/// cross-compilation estimate cache attached.
-fn run_sweep(args: &Args) -> Result<(), String> {
-    macro_rules! say {
-        ($($arg:tt)*) => {
-            if args.stats_json {
-                eprintln!($($arg)*)
-            } else {
-                println!($($arg)*)
-            }
-        };
-    }
-    if args.pipeline.is_some() || args.preset.is_some() {
-        return Err("--sweep is exclusive with --pipeline and --preset".to_string());
-    }
-    if args.emit_ir.is_some() {
-        return Err("--emit-ir applies to single compilations, not --sweep".to_string());
-    }
-    let source = resolve_source(args)?;
-    let path = args
-        .sweep
-        .as_deref()
-        .expect("caller checked --sweep is set");
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("--sweep: cannot read '{path}': {e}"))?;
-    let lines: Vec<&str> = text
-        .lines()
-        .map(str::trim)
-        .filter(|line| !line.is_empty() && !line.starts_with('#'))
-        .collect();
-    if lines.is_empty() {
-        return Err(format!("--sweep: '{path}' contains no pipeline variants"));
-    }
+/// What the command line fixes before any workload is looked at. Building it
+/// checks the flag values (and opens `--cache-dir`), so all of those errors
+/// come before the first line of report output.
+struct Wiring {
+    /// `--jobs`, defaulting to the machine's available parallelism.
+    jobs: usize,
+    /// `--device`, overriding every pipeline's own `parallelize` device.
+    device: Option<FpgaDevice>,
+    /// `--inject-faults`; a plan that arms nothing collapses to `None` so the
+    /// zero-cost fast path stays active.
+    plan: Option<FaultPlan>,
+    /// The shared estimate cache over `--cache-dir`'s persistent store.
+    cache: Option<Arc<SharedEstimateCache>>,
+}
 
-    let workload_name = source_name(&source, args);
-    let workload_name = workload_name.as_str();
-    let (workload, workload_line) = source_workload(source, args);
-    say!("{workload_line}");
-    let mut points = Vec::new();
-    for (index, line) in lines.iter().enumerate() {
-        // Validate early: a typo on line 7 should fail before compiling lines
-        // 1-6, with the line number in the message.
-        let parsed = Pipeline::parse(&registry(), line)
-            .map_err(|e| format!("sweep variant on line {}: {e}", index + 1))?;
-        let device_name = args
-            .device
-            .clone()
-            .or_else(|| pipeline_device(&parsed))
-            .unwrap_or_else(|| "vu9p-slr".to_string());
-        let options = HidaOptions {
-            device: resolve_device(&device_name)?,
-            ..HidaOptions::default()
-        };
-        points.push(
-            SweepPoint::new(format!("p{:02}", index + 1), workload.clone(), options)
-                .with_pipeline(*line),
-        );
-    }
-
-    let total_jobs = args.jobs.unwrap_or_else(hida_ir_core::default_jobs);
-    let budget = JobBudget::for_points(total_jobs, points.len());
-    say!("sweep: {} design points from {path}", points.len());
-    if !args.no_timing {
-        say!(
-            "jobs: {total_jobs} total -> {} concurrent points x {} each",
-            budget.pool_jobs,
-            budget.point_jobs
-        );
-    }
-    let plan = parse_fault_plan(args)?;
+fn wire(args: &Args) -> Result<Wiring, String> {
+    let plan = match &args.inject_faults {
+        Some(spec) => Some(FaultPlan::parse(spec).map_err(|e| format!("--inject-faults: {e}"))?)
+            .filter(|plan| !plan.is_empty()),
+        None => None,
+    };
     if plan.is_some() || args.deadline_ms.is_some() || args.run_budget_ms.is_some() {
         // Injected faults and deadline cancellations unwind by design; keep
         // the default panic hook from spamming stderr with their backtraces.
         fault::silence_expected_panics();
     }
+    let cache = match &args.cache_dir {
+        Some(dir) => {
+            let mut store = EstimateStore::open(dir)
+                .map_err(|e| format!("--cache-dir: cannot open store at '{dir}': {e}"))?;
+            if let Some(mb) = args.cache_limit_mb {
+                store = store.with_limit_bytes(mb * 1024 * 1024);
+            }
+            Some(Arc::new(SharedEstimateCache::with_store(store)))
+        }
+        None if args.cache_limit_mb.is_some() => {
+            return Err("--cache-limit-mb requires --cache-dir".to_string())
+        }
+        None => None,
+    };
+    Ok(Wiring {
+        jobs: args.jobs.unwrap_or_else(hida_ir_core::default_jobs),
+        device: args.device.as_deref().map(resolve_device).transpose()?,
+        plan,
+        cache,
+    })
+}
+
+/// One design point running `text` over `workload`. The text is parsed
+/// through the registry here, so a typo fails before anything compiles; QoR
+/// is estimated against `--device`, else the device the pipeline's last
+/// `parallelize` pass sized the design for, else vu9p-slr.
+fn build_point(
+    label: String,
+    workload: &Workload,
+    text: &str,
+    device: Option<&FpgaDevice>,
+) -> Result<(SweepPoint, Pipeline), String> {
+    let parsed = Pipeline::parse(&registry(), text).map_err(|e| e.to_string())?;
+    let sized_for = parsed
+        .invocations()
+        .iter()
+        .rev()
+        .find(|i| i.name == "parallelize")
+        .and_then(|i| i.options.iter().find(|o| o.name == "device"));
+    let device = match (device, sized_for) {
+        (Some(device), _) => device.clone(),
+        (None, Some(option)) => resolve_device(&option.value)?,
+        (None, None) => resolve_device("vu9p-slr")?,
+    };
+    let options = HidaOptions {
+        device,
+        ..HidaOptions::default()
+    };
+    let point = SweepPoint::new(label, workload.clone(), options).with_pipeline(text);
+    Ok((point, parsed))
+}
+
+/// `--sweep` / `--explore`: every pipeline line of the variants file is an
+/// independent design point of the workload. A sweep compiles them all
+/// through the sweep engine's pool; an exploration walks the knob lattice
+/// they span and compiles only the candidates whose surrogate QoR bound is
+/// not already dominated. Both share the cross-compilation estimate cache.
+fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
+    let flag = format!("--{}", mode.name());
+    if args.pipeline.is_some() || args.preset.is_some() {
+        return Err(format!("{flag} is exclusive with --pipeline and --preset"));
+    }
+    if args.emit_ir.is_some() {
+        return Err(format!(
+            "--emit-ir applies to single compilations, not {flag}"
+        ));
+    }
+    // Each generation's batch is a sweep run of its own, so a whole-run
+    // budget would restart with every generation.
+    if mode == Mode::Explore && args.run_budget_ms.is_some() {
+        return Err("--run-budget-ms applies to --sweep".to_string());
+    }
+    let wiring = wire(args)?;
+    let source = resolve_source(args)?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("{flag}: cannot read '{path}': {e}"))?;
+    let mut lines: Vec<(usize, &str)> = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .collect();
+    // An optional leading `explore{...}` line configures the search; every
+    // other line is a pipeline variant, exactly as under --sweep.
+    let config = match lines.first() {
+        Some((line_no, first)) if mode == Mode::Explore && first.starts_with("explore") => {
+            let config = ExploreConfig::parse(first)
+                .map_err(|e| format!("explore config on line {line_no}: {e}"))?;
+            lines.remove(0);
+            config
+        }
+        _ => ExploreConfig::default(),
+    };
+    if lines.is_empty() {
+        return Err(format!("{flag}: '{path}' contains no pipeline variants"));
+    }
+    let mut points = Vec::new();
+    for (index, (line_no, line)) in lines.iter().enumerate() {
+        let label = format!("p{:02}", index + 1);
+        let (point, _) = build_point(label, &source.workload, line, wiring.device.as_ref())
+            .map_err(|e| format!("{} variant on line {line_no}: {e}", mode.name()))?;
+        points.push(point);
+    }
+
     let mut engine = SweepEngine::new()
-        .with_budget(budget)
+        .with_total_jobs(wiring.jobs)
         .with_verification(!args.no_verify)
         .with_retries(args.retries.unwrap_or(0));
     if let Some(ms) = args.deadline_ms {
@@ -661,303 +650,66 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     if let Some(ms) = args.run_budget_ms {
         engine = engine.with_run_budget_ms(ms);
     }
-    if let Some(plan) = plan {
+    if let Some(plan) = wiring.plan {
         engine = engine.with_fault_plan(plan);
     }
-    if let Some(cache) = build_cache(args)? {
+    if let Some(cache) = wiring.cache {
         engine = engine.with_cache(cache);
     }
-    let outcome = engine.run(&points);
 
-    for (index, point) in outcome.points.iter().enumerate() {
-        say!("\npoint {:02}: {}", index + 1, point.pipeline);
-        match &point.result {
-            Ok(result) => {
-                say!(
-                    "  qor: throughput {:.3} samples/s, DSP {}, BRAM-18K {}, LUT {}",
-                    result.estimate.throughput(),
-                    result.estimate.resources.dsp,
-                    result.estimate.resources.bram_18k,
-                    result.estimate.resources.lut
-                );
-                if !args.no_timing {
-                    say!(
-                        "  time: {:.4}s, shared cache {}",
-                        point.seconds,
-                        result.shared_estimator_cache.unwrap_or_default()
-                    );
-                }
-            }
-            Err(e) => {
-                say!("  error: {e}");
-                if let Some(failure) = &point.failure {
-                    for attempt in &failure.attempts {
-                        say!("  {attempt}");
-                    }
-                }
-            }
-        }
-    }
-    if !args.no_timing {
-        if let Some(cache) = &outcome.shared_cache {
+    say!("{}", source.line);
+    match mode {
+        Mode::Sweep => say!("sweep: {} design points from {path}", points.len()),
+        Mode::Explore => {
+            let objectives: Vec<&str> = config.objectives.iter().map(|o| o.name()).collect();
+            say!("explore: {} candidate points from {path}", points.len());
+            let budget = config
+                .budget
+                .map_or("unbounded".to_string(), |b| b.to_string());
             say!(
-                "\nsweep wall-clock {:.4}s, cross-compilation estimate cache: {cache}",
-                outcome.wall_seconds
+                "objectives: {} (seed {}, budget {budget})",
+                objectives.join("+"),
+                config.seed
             );
         }
-        if let Some(persistent) = &outcome.persistent_cache {
-            say!("persistent estimate store: {persistent}");
-        }
     }
-    if args.stats_json {
-        println!("{}", sweep_json(workload_name, &outcome));
-    }
-    if !outcome.all_ok() {
-        let failed = outcome.failed_labels();
-        say!(
-            "\nFAILED: {} of {} sweep points ({})",
-            failed.len(),
-            outcome.points.len(),
-            failed.join(", ")
-        );
-        return Err(format!(
-            "{} of {} sweep points failed (see the report above)",
-            failed.len(),
-            outcome.points.len()
-        ));
-    }
-    Ok(())
-}
-
-/// Renders an exploration's generations, frontier, compiled points and the
-/// aggregated cache counters as one machine-readable JSON object — the
-/// `--sweep` schema extended with `frontier`, per-generation counters and
-/// `compiles_saved`.
-fn explore_json(workload: &str, outcome: &ExploreOutcome) -> String {
-    let generations: Vec<String> = outcome
-        .generations
-        .iter()
-        .map(|g| {
-            format!(
-                "{{\"index\":{},\"proposed\":{},\"pruned\":{},\"compiled\":{},\
-                 \"failed\":{},\"frontier_size\":{},\"probe_hits\":{},\"probe_nodes\":{}}}",
-                g.index,
-                g.proposed,
-                g.pruned,
-                g.compiled,
-                g.failed,
-                g.frontier_size,
-                g.probe_hits,
-                g.probe_nodes
-            )
-        })
-        .collect();
-    let frontier: Vec<String> = outcome
-        .frontier
-        .points()
-        .iter()
-        .map(|p| {
-            let objectives: Vec<String> = p.objectives.iter().map(i64::to_string).collect();
-            format!(
-                "{{\"label\":\"{}\",\"pipeline\":\"{}\",\"objectives\":[{}],\
-                 \"throughput\":{:.3},\"dsp\":{},\"bram_18k\":{},\"generation\":{}}}",
-                json_escape(&p.label),
-                json_escape(&p.pipeline),
-                objectives.join(","),
-                p.throughput,
-                p.dsp,
-                p.bram_18k,
-                p.generation
-            )
-        })
-        .collect();
-    let points: Vec<String> = outcome
-        .points
-        .iter()
-        .map(|point| match &point.result {
-            Ok(result) => format!(
-                "{{\"label\":\"{}\",\"pipeline\":\"{}\",\"seconds\":{:.6},\
-                 \"throughput\":{:.3},\"dsp\":{},\"bram_18k\":{},\"shared_cache\":{}}}",
-                json_escape(&point.label),
-                json_escape(&point.pipeline),
-                point.seconds,
-                result.estimate.throughput(),
-                result.estimate.resources.dsp,
-                result.estimate.resources.bram_18k,
-                result
-                    .shared_estimator_cache
-                    .as_ref()
-                    .map_or_else(|| "null".to_string(), shared_cache_json),
-            ),
-            Err(e) => format!(
-                "{{\"label\":\"{}\",\"pipeline\":\"{}\",\"seconds\":{:.6},\"error\":\"{}\",\
-                 \"reason\":\"{}\",\"attempts\":{}}}",
-                json_escape(&point.label),
-                json_escape(&point.pipeline),
-                point.seconds,
-                json_escape(&e.to_string()),
-                point.failure_reason().map_or("Failed", |r| r.name()),
-                point.attempts,
-            ),
-        })
-        .collect();
-    let seeds: Vec<String> = outcome
-        .seeds
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!(
-        "{{\"workload\":\"{}\",\"explore\":{{\"pool_jobs\":{},\"point_jobs\":{},\
-         \"adaptive\":{},\"num_candidates\":{},\"probed\":{},\"pruned\":{},\
-         \"compiled\":{},\"compiles_saved\":{},\"wall_seconds\":{:.6},\
-         \"seeds\":[{}],\"generations\":[{}],\"frontier\":[{}],\"points\":[{}],\
-         \"shared_cache_totals\":{},\"persistent_cache\":{}}}}}",
-        json_escape(workload),
-        outcome.budget.pool_jobs,
-        outcome.budget.point_jobs,
-        outcome.adaptive,
-        outcome.num_candidates,
-        outcome.probed,
-        outcome.pruned,
-        outcome.points.len(),
-        outcome.compiles_saved(),
-        outcome.wall_seconds,
-        seeds.join(","),
-        generations.join(","),
-        frontier.join(","),
-        points.join(","),
-        outcome
-            .shared_cache
-            .as_ref()
-            .map_or_else(|| "null".to_string(), shared_cache_json),
-        persistent_json(outcome.persistent_cache.as_ref()),
-    )
-}
-
-/// `--explore` mode: the sweep file's pipeline lines span a knob lattice and
-/// the Pareto-frontier explorer walks it generation by generation, compiling
-/// only candidates whose surrogate QoR bound is not already dominated.
-fn run_explore(args: &Args) -> Result<(), String> {
-    macro_rules! say {
-        ($($arg:tt)*) => {
-            if args.stats_json {
-                eprintln!($($arg)*)
-            } else {
-                println!($($arg)*)
-            }
-        };
-    }
-    if args.pipeline.is_some() || args.preset.is_some() {
-        return Err("--explore is exclusive with --pipeline and --preset".to_string());
-    }
-    if args.sweep.is_some() {
-        return Err("--explore is exclusive with --sweep".to_string());
-    }
-    if args.emit_ir.is_some() {
-        return Err("--emit-ir applies to single compilations, not --explore".to_string());
-    }
-    let source = resolve_source(args)?;
-    let path = args
-        .explore
-        .as_deref()
-        .expect("caller checked --explore is set");
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("--explore: cannot read '{path}': {e}"))?;
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, line)| (i + 1, line.trim()))
-        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
-        .collect();
-    // An optional leading `explore{...}` line configures the search; every
-    // other line is a pipeline variant, exactly as under --sweep.
-    let (config, variants) = match lines.split_first() {
-        Some(((line_no, first), rest)) if first.starts_with("explore") => {
-            let config = ExploreConfig::parse(first)
-                .map_err(|e| format!("explore config on line {line_no}: {e}"))?;
-            (config, rest)
-        }
-        _ => (ExploreConfig::default(), &lines[..]),
-    };
-    if variants.is_empty() {
-        return Err(format!("--explore: '{path}' contains no pipeline variants"));
-    }
-
-    let workload_name = source_name(&source, args);
-    let workload_name = workload_name.as_str();
-    let (workload, workload_line) = source_workload(source, args);
-    say!("{workload_line}");
-    let mut points = Vec::new();
-    for (index, (line_no, line)) in variants.iter().enumerate() {
-        let parsed = Pipeline::parse(&registry(), line)
-            .map_err(|e| format!("explore variant on line {line_no}: {e}"))?;
-        let device_name = args
-            .device
-            .clone()
-            .or_else(|| pipeline_device(&parsed))
-            .unwrap_or_else(|| "vu9p-slr".to_string());
-        let options = HidaOptions {
-            device: resolve_device(&device_name)?,
-            ..HidaOptions::default()
-        };
-        points.push(
-            SweepPoint::new(format!("p{:02}", index + 1), workload.clone(), options)
-                .with_pipeline(*line),
-        );
-    }
-
-    let total_jobs = args.jobs.unwrap_or_else(hida_ir_core::default_jobs);
-    let objectives: Vec<&str> = config.objectives.iter().map(|o| o.name()).collect();
-    say!("explore: {} candidate points from {path}", points.len());
-    say!(
-        "objectives: {} (seed {}, budget {})",
-        objectives.join("+"),
-        config.seed,
-        config
-            .budget
-            .map_or_else(|| "unbounded".to_string(), |b| b.to_string())
-    );
     if !args.no_timing {
-        say!("jobs: {total_jobs} total, adaptive per-point rebalancing");
-    }
-    if args.run_budget_ms.is_some() {
-        return Err("--run-budget-ms applies to --sweep".to_string());
-    }
-    let plan = parse_fault_plan(args)?;
-    if plan.is_some() || args.deadline_ms.is_some() {
-        fault::silence_expected_panics();
-    }
-    let mut explorer = Explorer::new(config)
-        .with_total_jobs(total_jobs)
-        .with_verification(!args.no_verify)
-        .with_retries(args.retries.unwrap_or(0));
-    if let Some(ms) = args.deadline_ms {
-        explorer = explorer.with_deadline_ms(ms);
-    }
-    if let Some(plan) = plan {
-        explorer = explorer.with_fault_plan(plan);
-    }
-    if let Some(cache) = build_cache(args)? {
-        explorer = explorer.with_cache(cache);
-    }
-    let outcome = explorer.explore(&points)?;
-
-    say!("seeds: {}", outcome.seeds.join(", "));
-    for g in &outcome.generations {
-        say!(
-            "generation {}: proposed {}, pruned by surrogate {}, compiled {}, failed {}, \
-             frontier {}",
-            g.index,
-            g.proposed,
-            g.pruned,
-            g.compiled,
-            g.failed,
-            g.frontier_size
-        );
+        say!("jobs: {} total per batch of points", wiring.jobs);
     }
 
-    for point in &outcome.points {
-        say!("\npoint {}: {}", point.label, point.pipeline);
+    let outcome = match mode {
+        Mode::Explore => Explorer::new(config).with_engine(engine).explore(&points)?,
+        // A sweep reports as the exploration that compiled every point; the
+        // search-only fields stay empty and are never printed.
+        Mode::Sweep => {
+            let sweep = engine.run(&points);
+            ExploreOutcome {
+                num_candidates: points.len(),
+                probed: points.len(),
+                pruned: 0,
+                frontier: Frontier::new(),
+                generations: Vec::new(),
+                seeds: Vec::new(),
+                points: sweep.points,
+                budget: sweep.budget,
+                wall_seconds: sweep.wall_seconds,
+                shared_cache: sweep.shared_cache,
+                persistent_cache: sweep.persistent_cache,
+            }
+        }
+    };
+
+    if mode == Mode::Explore {
+        say!("seeds: {}", outcome.seeds.join(", "));
+        for generation in &outcome.generations {
+            say!("{generation}");
+        }
+    }
+    for (index, point) in outcome.points.iter().enumerate() {
+        match mode {
+            Mode::Sweep => say!("\npoint {:02}: {}", index + 1, point.pipeline),
+            Mode::Explore => say!("\npoint {}: {}", point.label, point.pipeline),
+        }
         match &point.result {
             Ok(result) => {
                 say!(
@@ -978,37 +730,29 @@ fn run_explore(args: &Args) -> Result<(), String> {
             }
             Err(e) => {
                 say!("  error: {e}");
-                if let Some(failure) = &point.failure {
-                    for attempt in &failure.attempts {
-                        say!("  {attempt}");
-                    }
+                for attempt in point.failure.iter().flat_map(|f| &f.attempts) {
+                    say!("  {attempt}");
                 }
             }
         }
     }
-
-    say!("\n# Pareto frontier ({} points)", outcome.frontier.len());
-    for p in outcome.frontier.points() {
+    if mode == Mode::Explore {
+        say!("\n# Pareto frontier ({} points)", outcome.frontier.len());
+        for point in outcome.frontier.points() {
+            say!("  {point}");
+        }
         say!(
-            "  {}: throughput {:.3} samples/s, DSP {}, BRAM-18K {} (generation {})",
-            p.label,
-            p.throughput,
-            p.dsp,
-            p.bram_18k,
-            p.generation
+            "\nprobed {} of {} candidates: {} pruned by surrogate, {} compiled \
+             ({} compilations saved)",
+            outcome.probed,
+            outcome.num_candidates,
+            outcome.pruned,
+            outcome.points.len(),
+            outcome.compiles_saved()
         );
     }
-    say!(
-        "\nprobed {} of {} candidates: {} pruned by surrogate, {} compiled \
-         ({} compilations saved)",
-        outcome.probed,
-        outcome.num_candidates,
-        outcome.pruned,
-        outcome.points.len(),
-        outcome.compiles_saved()
-    );
     if !args.no_timing {
-        say!("exploration wall-clock {:.4}s", outcome.wall_seconds);
+        say!("\n{} wall-clock {:.4}s", mode.name(), outcome.wall_seconds);
         if let Some(cache) = &outcome.shared_cache {
             say!("cross-compilation estimate cache: {cache}");
         }
@@ -1017,96 +761,69 @@ fn run_explore(args: &Args) -> Result<(), String> {
         }
     }
     if args.stats_json {
-        println!("{}", explore_json(workload_name, &outcome));
+        println!("{}", batch_json(mode, &source.name, &outcome));
     }
-    if !outcome.all_ok() {
-        let failed = outcome.failed_labels();
+    let failed = outcome.failed_labels();
+    if !failed.is_empty() {
+        let (count, total) = (failed.len(), outcome.points.len());
+        let noun = match mode {
+            Mode::Sweep => "sweep",
+            Mode::Explore => "compiled",
+        };
         say!(
-            "\nFAILED: {} of {} compiled points ({})",
-            failed.len(),
-            outcome.points.len(),
+            "\nFAILED: {count} of {total} {noun} points ({})",
             failed.join(", ")
         );
         return Err(format!(
-            "{} of {} compiled points failed (see the report above)",
-            failed.len(),
-            outcome.points.len()
+            "{count} of {total} {noun} points failed (see the report above)"
         ));
     }
     Ok(())
 }
 
-fn run(args: Args) -> Result<(), String> {
-    if args.explore.is_some() {
-        return run_explore(&args);
-    }
-    if args.sweep.is_some() {
-        return run_sweep(&args);
-    }
-    // With --stats-json, stdout carries exactly one JSON object; the
-    // human-readable report moves to stderr so `hida-opt --stats-json | jq .`
-    // works as documented.
-    macro_rules! say {
-        ($($arg:tt)*) => {
-            if args.stats_json {
-                eprintln!($($arg)*)
-            } else {
-                println!($($arg)*)
-            }
-        };
-    }
+/// A single compilation: the workload through one pipeline, reported pass by
+/// pass, then the schedule and its QoR estimate.
+fn run_single(args: &Args) -> Result<(), String> {
     if args.retries.is_some() {
         return Err("--retries applies to --sweep and --explore".to_string());
     }
     if args.run_budget_ms.is_some() {
         return Err("--run-budget-ms applies to --sweep".to_string());
     }
-    let fault_plan = parse_fault_plan(&args)?;
-    if fault_plan.is_some() || args.deadline_ms.is_some() {
-        fault::silence_expected_panics();
-    }
-    let source = resolve_source(&args)?;
-    let workload_name = match &source {
-        CliSource::Builtin(_) => args
-            .workload
-            .clone()
-            .expect("builtin source has --workload"),
-        CliSource::TextIr { name, .. } => name.clone(),
-    };
-    let workload_name = workload_name.as_str();
     let pipeline_text = match (&args.pipeline, &args.preset) {
         (Some(_), Some(_)) => return Err("--pipeline and --preset are exclusive".to_string()),
         (Some(text), None) => text.clone(),
         (None, Some(preset)) => preset_text(preset)?,
         (None, None) => preset_text("default")?,
     };
-    let mut pipeline = Pipeline::parse(&registry(), &pipeline_text).map_err(|e| e.to_string())?;
-    if pipeline.is_empty() {
+    let wiring = wire(args)?;
+    let source = resolve_source(args)?;
+    let (point, parsed) = build_point(
+        source.name.clone(),
+        &source.workload,
+        &pipeline_text,
+        wiring.device.as_ref(),
+    )?;
+    if parsed.is_empty() {
         return Err("the pipeline is empty".to_string());
     }
-    // Estimate QoR against the device the design was actually sized for: the
-    // parallelize pass's device option, unless --device overrides it.
-    let device_name = args
-        .device
-        .clone()
-        .or_else(|| pipeline_device(&pipeline))
-        .unwrap_or_else(|| "vu9p-slr".to_string());
-    let device = resolve_device(&device_name)?;
-    if args.no_verify {
-        pipeline = pipeline.with_verification(false);
-    }
+    let pipeline_text = parsed.to_text();
+    let device = &point.options.device;
     // Per-node pass work (tiling, parallelize, profile) and QoR estimation run
-    // on this many workers; --jobs 1 is the reproducibility escape hatch.
-    let jobs = args.jobs.unwrap_or_else(hida_ir_core::default_jobs);
-    pipeline = pipeline.with_jobs(jobs);
+    // on --jobs workers (1 is the reproducibility escape hatch); with
+    // --cache-dir, estimation runs against the persistent store.
+    let mut compiler = point
+        .compiler()
+        .with_jobs(wiring.jobs)
+        .with_verification(!args.no_verify);
+    if let Some(cache) = &wiring.cache {
+        compiler = compiler.with_shared_estimates(cache.clone());
+    }
 
+    say!("{}", source.line);
     let mut ctx = Context::new();
-    // Build through the same `build_workload` path the sweep/explore compilers
-    // use, so `--emit-ir` output matches the library builders byte for byte.
-    let (workload, workload_line) = source_workload(source, &args);
-    say!("{workload_line}");
-    let (module, func): (OpId, OpId) =
-        hida::build_workload(&mut ctx, workload).map_err(|e| e.to_string())?;
+    let (module, func) =
+        hida::build_workload(&mut ctx, source.workload).map_err(|e| e.to_string())?;
     // --emit-ir captures the module as the pipeline will see it: the printed
     // text re-parses (with --input) to a structurally identical design.
     if let Some(path) = &args.emit_ir {
@@ -1115,151 +832,125 @@ fn run(args: Args) -> Result<(), String> {
             .map_err(|e| format!("--emit-ir: cannot write '{path}': {e}"))?;
         say!("emitted IR: {path}");
     }
-    say!("pipeline: {}", pipeline.to_text());
+    say!("pipeline: {pipeline_text}");
     if !args.no_timing {
-        say!("jobs: {jobs}");
+        say!("jobs: {}", wiring.jobs);
     }
-    let pipeline_text = pipeline.to_text();
 
-    // In single-run mode --deadline-ms and --inject-faults scope to the pass
-    // pipeline: a cancel token (and any armed faults) is installed for its
-    // duration, so a stuck or faulted pass surfaces as a structured error
-    // instead of a hang or an escaping panic.
-    let chaos_guard = if args.deadline_ms.is_some() || fault_plan.is_some() {
-        let token = match args.deadline_ms {
-            Some(ms) => fault::CancelToken::with_deadline_ms(ms),
-            None => fault::CancelToken::new(),
+    // The compilation is one fault domain, exactly like a one-point sweep:
+    // --deadline-ms bounds it, and --inject-faults assigns its faults to the
+    // workload as the run's only label.
+    let token = CancelToken::new().child(args.deadline_ms);
+    let faults = wiring.plan.as_ref().and_then(|plan| {
+        plan.assign(std::slice::from_ref(&source.name))
+            .remove(&source.name)
+            .map(|kind| plan.arm(kind))
+    });
+    let site = format!("workload '{}'", source.name);
+    isolated(&site, token, faults, || {
+        let lowered = compiler.lower_func(ctx, module, func);
+        let statistics = match &lowered {
+            Ok(design) => &design.pass_statistics,
+            Err(failure) => &failure.pass_statistics,
         };
-        let faults = fault_plan.as_ref().map(|plan| {
-            let labels = vec![workload_name.to_string()];
-            plan.assign(&labels)
-                .remove(workload_name)
-                .map(|kind| plan.arm(kind))
-                .unwrap_or_default()
-        });
-        Some(fault::install_point(token, faults))
-    } else {
-        None
-    };
-    let run_result = pipeline.run(&mut ctx, func);
-    drop(chaos_guard);
-
-    say!("\n# Per-pass statistics");
-    for stat in pipeline.statistics() {
-        if args.no_timing {
-            say!("{}", stable_stat(stat));
-        } else {
-            say!("{stat}");
+        say!("\n# Per-pass statistics");
+        for stat in statistics {
+            if args.no_timing {
+                say!("{}", stable_stat(stat));
+            } else {
+                say!("{stat}");
+            }
         }
-    }
-    if !args.no_timing {
-        let cache_totals = PassStatistics::aggregate_cache(pipeline.statistics());
-        say!("analysis cache totals: {cache_totals}");
-    }
-    // A failing pipeline still reports where (and after how long) it died —
-    // including the machine-readable statistics, with the estimator section
-    // nulled out because estimation never ran.
-    if let Err(e) = &run_result {
+        if !args.no_timing {
+            let cache_totals = PassStatistics::aggregate_cache(statistics);
+            say!("analysis cache totals: {cache_totals}");
+        }
+        // A failing pipeline still reports where (and after how long) it died
+        // — including the machine-readable statistics, with the estimator
+        // section nulled out because estimation never ran.
+        let lowered = match lowered {
+            Ok(design) => design,
+            Err(failure) => {
+                if args.stats_json {
+                    let stats = &failure.pass_statistics;
+                    println!(
+                        "{}",
+                        single_json(&source.name, &pipeline_text, stats, None, None)
+                    );
+                }
+                return Err(failure.error);
+            }
+        };
+
+        let (ctx, schedule) = (&lowered.ctx, lowered.schedule);
+        say!("\n# Schedule ({} nodes)", schedule.nodes(ctx).len());
+        for node in schedule.nodes(ctx) {
+            let rank = ComputeProfile::compute(ctx, node.id()).loop_dims.len();
+            say!(
+                "node {:<24} intensity {:<10} parallel factor {:<5} unroll {:?}",
+                node.name(ctx),
+                ctx.op(node.id()).attr_int("intensity").unwrap_or(0),
+                ctx.op(node.id()).attr_int("parallel_factor").unwrap_or(0),
+                hida_dialects::transforms::unroll_factors_of(ctx, node.id(), rank),
+            );
+        }
+        for buffer in schedule.internal_buffers(ctx) {
+            let partition = buffer.partition(ctx);
+            say!(
+                "buffer {:<22} depth {:<3} kind {:<9} partition {:?} ({} banks)",
+                buffer.name(ctx),
+                buffer.depth(ctx),
+                format!("{:?}", buffer.memory_kind(ctx)),
+                partition.factors,
+                partition.bank_count(),
+            );
+        }
+
+        let result = compiler.finish(lowered)?;
+        let (dataflow, sequential) = (&result.estimate, &result.estimate_sequential);
+        say!("\n# QoR estimate ({})", device.name);
+        say!(
+            "throughput: {:.3} samples/s (dataflow) vs {:.3} samples/s (sequential)",
+            dataflow.throughput(),
+            sequential.throughput()
+        );
+        say!(
+            "resources:  DSP {} / {}, BRAM-18K {} / {}, LUT {} / {}",
+            dataflow.resources.dsp,
+            device.dsp,
+            dataflow.resources.bram_18k,
+            device.bram_18k,
+            dataflow.resources.lut,
+            device.lut
+        );
+        say!("DSP efficiency: {:.1}%", 100.0 * dataflow.dsp_efficiency());
+        if !args.no_timing {
+            say!(
+                "estimator cache: {} (dataflow + sequential estimates share node estimates)",
+                result.estimator_cache
+            );
+            if let Some(cache) = &wiring.cache {
+                say!("shared estimate cache: {}", cache.stats());
+                if let Some(persistent) = cache.persistent_stats() {
+                    say!("persistent estimate store: {persistent}");
+                }
+            }
+        }
         if args.stats_json {
             println!(
                 "{}",
-                stats_json(
-                    workload_name,
+                single_json(
+                    &source.name,
                     &pipeline_text,
-                    pipeline.statistics(),
-                    None,
-                    None,
-                    None
+                    &result.pass_statistics,
+                    Some(&result.estimator_cache),
+                    wiring.cache.as_deref(),
                 )
             );
         }
-        return Err(e.to_string());
-    }
-    let schedule = run_result.map_err(|e| e.to_string())?;
-
-    say!("\n# Schedule ({} nodes)", schedule.nodes(&ctx).len());
-    for node in schedule.nodes(&ctx) {
-        // The parallelize pass preserved the node profiles; these queries are
-        // pure cache hits.
-        let rank = pipeline
-            .analyses_mut()
-            .get::<ComputeProfile>(&ctx, node.id())
-            .loop_dims
-            .len();
-        say!(
-            "node {:<24} intensity {:<10} parallel factor {:<5} unroll {:?}",
-            node.name(&ctx),
-            ctx.op(node.id()).attr_int("intensity").unwrap_or(0),
-            ctx.op(node.id()).attr_int("parallel_factor").unwrap_or(0),
-            hida_dialects::transforms::unroll_factors_of(&ctx, node.id(), rank),
-        );
-    }
-    for buffer in schedule.internal_buffers(&ctx) {
-        let partition = buffer.partition(&ctx);
-        say!(
-            "buffer {:<22} depth {:<3} kind {:<9} partition {:?} ({} banks)",
-            buffer.name(&ctx),
-            buffer.depth(&ctx),
-            format!("{:?}", buffer.memory_kind(&ctx)),
-            partition.factors,
-            partition.bank_count(),
-        );
-    }
-
-    // With --cache-dir, QoR estimation runs against the persistent store:
-    // node estimates written by earlier processes are reused, and this run's
-    // fresh estimates are written back for the next one.
-    let shared_cache = build_cache(&args)?;
-    let mut estimator = DataflowEstimator::new(device.clone()).with_jobs(jobs);
-    if let Some(cache) = &shared_cache {
-        estimator = estimator.with_shared_cache(cache.clone());
-    }
-    let dataflow = estimator.estimate_schedule(&ctx, schedule, true);
-    let sequential = estimator.estimate_schedule(&ctx, schedule, false);
-    say!("\n# QoR estimate ({})", device.name);
-    say!(
-        "throughput: {:.3} samples/s (dataflow) vs {:.3} samples/s (sequential)",
-        dataflow.throughput(),
-        sequential.throughput()
-    );
-    say!(
-        "resources:  DSP {} / {}, BRAM-18K {} / {}, LUT {} / {}",
-        dataflow.resources.dsp,
-        device.dsp,
-        dataflow.resources.bram_18k,
-        device.bram_18k,
-        dataflow.resources.lut,
-        device.lut
-    );
-    say!("DSP efficiency: {:.1}%", 100.0 * dataflow.dsp_efficiency());
-    if !args.no_timing {
-        say!(
-            "estimator cache: {} (dataflow + sequential estimates share node estimates)",
-            estimator.cache_stats()
-        );
-        if let Some(cache) = &shared_cache {
-            say!("shared estimate cache: {}", cache.stats());
-            if let Some(persistent) = cache.persistent_stats() {
-                say!("persistent estimate store: {persistent}");
-            }
-        }
-    }
-    if args.stats_json {
-        let shared_stats = shared_cache.as_ref().map(|c| c.stats());
-        let persistent_stats = shared_cache.as_ref().and_then(|c| c.persistent_stats());
-        println!(
-            "{}",
-            stats_json(
-                workload_name,
-                &pipeline_text,
-                pipeline.statistics(),
-                Some(&estimator.cache_stats()),
-                shared_stats.as_ref(),
-                persistent_stats.as_ref(),
-            )
-        );
-    }
-    Ok(())
+        Ok(())
+    })
+    .map_err(|e| e.to_string())
 }
 
 fn main() -> ExitCode {
@@ -1283,7 +974,14 @@ fn main() -> ExitCode {
         println!("{}", workload_listing());
         return ExitCode::SUCCESS;
     }
-    match run(args) {
+    REPORT_ON_STDERR.store(args.stats_json, Ordering::Relaxed);
+    let outcome = match (&args.explore, &args.sweep) {
+        (Some(_), Some(_)) => Err("--explore is exclusive with --sweep".to_string()),
+        (Some(path), None) => run_batch(&args, Mode::Explore, path),
+        (None, Some(path)) => run_batch(&args, Mode::Sweep, path),
+        (None, None) => run_single(&args),
+    };
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");

@@ -19,9 +19,9 @@
 //!   is dominated by a compiled frontier point is pruned without the full
 //!   compile; the bound is componentwise `<=` the true estimate, so pruning
 //!   never discards a Pareto-optimal design.
-//! * Compile batches run through the [`SweepEngine`], optionally under an
-//!   [`AdaptiveBudget`](crate::sweep::AdaptiveBudget) that re-splits
-//!   `point_jobs` as each generation's pool drains.
+//! * Compile batches run through the [`SweepEngine`] the explorer was given
+//!   ([`Explorer::with_engine`]): its job budget, verification, retries,
+//!   deadline, fault plan and estimate cache apply to every batch.
 //!
 //! Exploration order is deterministic for a fixed seed regardless of the job
 //! count: probes run sequentially against generation-start state, compile
@@ -30,7 +30,6 @@
 //! schedule-independent (CI diffs `--explore` output at jobs 1 vs 4).
 
 use crate::sweep::{JobBudget, SweepEngine, SweepPoint, SweepPointOutcome};
-use crate::Compiler;
 use hida_estimator::report::DesignEstimate;
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
@@ -120,6 +119,16 @@ pub struct FrontierPoint {
     pub bram_18k: i64,
     /// The exploration generation that compiled this point.
     pub generation: usize,
+}
+
+impl std::fmt::Display for FrontierPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: throughput {:.3} samples/s, DSP {}, BRAM-18K {} (generation {})",
+            self.label, self.throughput, self.dsp, self.bram_18k, self.generation
+        )
+    }
 }
 
 impl FrontierPoint {
@@ -534,6 +543,17 @@ pub struct GenerationStats {
     pub probe_nodes: usize,
 }
 
+impl std::fmt::Display for GenerationStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "generation {}: proposed {}, pruned by surrogate {}, compiled {}, failed {}, \
+             frontier {}",
+            self.index, self.proposed, self.pruned, self.compiled, self.failed, self.frontier_size
+        )
+    }
+}
+
 /// Everything an exploration run produced.
 #[derive(Debug)]
 pub struct ExploreOutcome {
@@ -552,10 +572,8 @@ pub struct ExploreOutcome {
     pub probed: usize,
     /// Candidates pruned by the surrogate.
     pub pruned: usize,
-    /// The nominal job budget compile batches ran under.
+    /// The job budget the last compile batch ran under.
     pub budget: JobBudget,
-    /// Whether per-point worker counts were re-split adaptively.
-    pub adaptive: bool,
     /// Wall-clock seconds for the whole exploration.
     pub wall_seconds: f64,
     /// Aggregate shared-cache traffic across all compile batches.
@@ -590,13 +608,7 @@ impl ExploreOutcome {
 #[derive(Debug, Clone)]
 pub struct Explorer {
     config: ExploreConfig,
-    total_jobs: Option<usize>,
-    verification: bool,
-    cache: Option<Arc<SharedEstimateCache>>,
-    adaptive: bool,
-    retries: usize,
-    deadline_ms: Option<u64>,
-    fault_plan: Option<hida_ir_core::FaultPlan>,
+    engine: SweepEngine,
 }
 
 impl Default for Explorer {
@@ -606,68 +618,31 @@ impl Default for Explorer {
 }
 
 impl Explorer {
-    /// Creates an explorer with the given knobs, adaptive budgeting on.
+    /// Creates an explorer with the given knobs over a default
+    /// [`SweepEngine`].
     pub fn new(config: ExploreConfig) -> Self {
         Explorer {
             config,
-            total_jobs: None,
-            verification: true,
-            cache: None,
-            adaptive: true,
-            retries: 0,
-            deadline_ms: None,
-            fault_plan: None,
+            engine: SweepEngine::new(),
         }
-    }
-
-    /// Retry budget per compiled point (builder style); see
-    /// [`SweepEngine::with_retries`] for the degradation ladder.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Per-point compile deadline in milliseconds (builder style); see
-    /// [`SweepEngine::with_deadline_ms`].
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Arms a deterministic fault-injection plan for the compile batches
-    /// (builder style); see [`SweepEngine::with_fault_plan`]. Probe lowerings
-    /// install no fault context, so injections only fire in real compiles.
-    pub fn with_fault_plan(mut self, plan: hida_ir_core::FaultPlan) -> Self {
-        self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
-        self
     }
 
     /// Total worker-thread budget for compile batches (builder style).
     /// Defaults to the machine's available parallelism.
     pub fn with_total_jobs(mut self, total_jobs: usize) -> Self {
-        self.total_jobs = Some(total_jobs.max(1));
+        self.engine = self.engine.with_total_jobs(total_jobs);
         self
     }
 
-    /// Enables or disables IR verification inside compilations (builder
-    /// style). Probe lowerings never verify — they exist to be cheap.
-    pub fn with_verification(mut self, enabled: bool) -> Self {
-        self.verification = enabled;
-        self
-    }
-
-    /// Uses an existing estimate cache (builder style) — e.g. one backed by a
-    /// persistent [`hida_estimator::store::EstimateStore`], so the surrogate
-    /// starts warm from earlier processes.
-    pub fn with_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Enables or disables adaptive per-point budget re-splitting inside
-    /// compile batches (builder style; on by default).
-    pub fn with_adaptive_budget(mut self, enabled: bool) -> Self {
-        self.adaptive = enabled;
+    /// Compiles every batch through `engine` (builder style), replacing the
+    /// default one — and any earlier [`Explorer::with_total_jobs`]. The
+    /// engine's cache (e.g. one backed by a persistent
+    /// [`hida_estimator::store::EstimateStore`]) also serves the surrogate
+    /// probes, so they start warm from earlier processes. Probe lowerings
+    /// never verify and install no fault context: they exist to be cheap,
+    /// and injections only fire in real compiles.
+    pub fn with_engine(mut self, engine: SweepEngine) -> Self {
+        self.engine = engine;
         self
     }
 
@@ -685,22 +660,12 @@ impl Explorer {
         let start = Instant::now();
         let lattice = KnobLattice::build(points)?;
         let cache = self
+            .engine
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()));
-        let total_jobs = self.total_jobs.unwrap_or_else(default_jobs);
-        let mut engine = SweepEngine::new()
-            .with_total_jobs(total_jobs)
-            .with_cache(cache.clone())
-            .with_verification(self.verification)
-            .with_adaptive_budget(self.adaptive)
-            .with_retries(self.retries);
-        if let Some(deadline_ms) = self.deadline_ms {
-            engine = engine.with_deadline_ms(deadline_ms);
-        }
-        if let Some(plan) = &self.fault_plan {
-            engine = engine.with_fault_plan(plan.clone());
-        }
+        let engine = self.engine.clone().with_cache(cache.clone());
+        let total_jobs = engine.total_jobs.unwrap_or_else(default_jobs);
         let budget_limit = self.config.budget.unwrap_or(usize::MAX);
 
         let seeds = lattice.seed_candidates(self.config.seed, self.config.extras);
@@ -710,7 +675,7 @@ impl Explorer {
         let mut outcomes: Vec<SweepPointOutcome> = Vec::new();
         let mut generations: Vec<GenerationStats> = Vec::new();
         let mut pruned_total = 0;
-        let mut nominal_budget = JobBudget::for_points(total_jobs, points.len());
+        let mut last_budget = JobBudget::for_points(total_jobs, points.len());
 
         let mut wave = seeds;
         while !wave.is_empty()
@@ -734,10 +699,7 @@ impl Explorer {
             for &idx in &wave {
                 visited[idx] = true;
                 let point = &points[idx];
-                let mut probe = Compiler::new(point.options.clone()).with_verification(false);
-                if let Some(text) = &point.pipeline {
-                    probe = probe.with_pipeline(text.clone());
-                }
+                let probe = point.compiler().with_verification(false);
                 // Probes are isolated like compiles: a panicking probe falls
                 // through to the real compile batch, where the failure is
                 // recorded as a structured point outcome.
@@ -786,7 +748,7 @@ impl Explorer {
                 let batch: Vec<SweepPoint> =
                     to_compile.iter().map(|&i| points[i].clone()).collect();
                 let batch_outcome = engine.run(&batch);
-                nominal_budget = batch_outcome.budget;
+                last_budget = batch_outcome.budget;
                 for outcome in batch_outcome.points {
                     match &outcome.result {
                         Ok(result) => {
@@ -838,8 +800,7 @@ impl Explorer {
             num_candidates: points.len(),
             probed: visited.iter().filter(|&&v| v).count(),
             pruned: pruned_total,
-            budget: nominal_budget,
-            adaptive: self.adaptive,
+            budget: last_budget,
             wall_seconds: start.elapsed().as_secs_f64(),
             persistent_cache: cache.persistent_stats(),
             shared_cache: Some(cache.stats()),

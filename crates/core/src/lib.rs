@@ -44,6 +44,7 @@
 //! ```
 
 pub mod explore;
+pub mod report;
 pub mod sweep;
 
 pub use hida_baselines as baselines;
@@ -74,8 +75,8 @@ pub use hida_ir_core::registry::{PassRegistry, PipelineError};
 pub use hida_ir_core::PassInvocation;
 pub use hida_opt::{registry, registry_listing, HidaOptions, ParallelMode, Pipeline};
 pub use sweep::{
-    classify_failure, AdaptiveBudget, FailureReason, JobBudget, PointAttempt, PointFailure,
-    SweepEngine, SweepOutcome, SweepPoint, SweepPointOutcome,
+    classify_failure, FailureReason, JobBudget, PointAttempt, PointFailure, SweepEngine,
+    SweepOutcome, SweepPoint, SweepPointOutcome,
 };
 
 use hida_dataflow_ir::structural::ScheduleOp;
@@ -123,22 +124,6 @@ impl Workload {
             Workload::TextIr { name, .. } => name.to_string(),
         }
     }
-
-    /// The widest per-point worker parallelism this workload can usefully
-    /// exploit: per-node pass work and estimation fan out over dataflow
-    /// nodes, so a deep DNN pipeline scales to ~its layer count while a
-    /// two-node PolyBench kernel saturates almost immediately. Used by
-    /// [`sweep::AdaptiveBudget`] to cap per-point thread claims.
-    ///
-    /// External IR gets the PolyBench width: the node count is unknown until
-    /// parse time, and hand-written kernels look like PolyBench, not DNNs.
-    pub fn node_parallel_width(&self) -> usize {
-        match self {
-            Workload::Model(Model::ResNet18) => 20,
-            Workload::Model(_) => 8,
-            Workload::Polybench(_) | Workload::PolybenchSized(..) | Workload::TextIr { .. } => 2,
-        }
-    }
 }
 
 /// Everything produced by one compilation run.
@@ -174,7 +159,8 @@ pub struct CompilationResult {
 }
 
 /// A workload lowered through the pass pipeline but not yet estimated or
-/// emitted — the output of [`Compiler::lower`].
+/// emitted — the output of [`Compiler::lower`] / [`Compiler::lower_func`] and
+/// the input of [`Compiler::finish`].
 #[derive(Debug)]
 pub struct LoweredDesign {
     /// The IR context holding the lowered design.
@@ -185,6 +171,29 @@ pub struct LoweredDesign {
     pub func: OpId,
     /// The optimized structural schedule.
     pub schedule: ScheduleOp,
+    /// Per-pass statistics of the pipeline run, in execution order.
+    pub pass_statistics: Vec<PassStatistics>,
+    /// Seconds the pass pipeline took — the first part of
+    /// [`CompilationResult::compile_seconds`].
+    pub lower_seconds: f64,
+}
+
+/// A pass pipeline that stopped early: the error, plus the statistics of every
+/// pass that ran (the last one marked `failed`) so a report can still say
+/// where, and after how long, the compilation died.
+#[derive(Debug)]
+pub struct LowerFailure {
+    /// What stopped the pipeline.
+    pub error: IrError,
+    /// Per-pass statistics up to and including the failing pass; empty when
+    /// the pipeline text itself did not parse.
+    pub pass_statistics: Vec<PassStatistics>,
+}
+
+impl From<LowerFailure> for IrError {
+    fn from(failure: LowerFailure) -> IrError {
+        failure.error
+    }
 }
 
 /// Builds `workload`'s IR into a fresh module inside `ctx`; returns the
@@ -349,14 +358,15 @@ impl Compiler {
         self.verification
     }
 
-    /// Compiles a workload end to end.
+    /// Compiles a workload end to end: front end, [`Compiler::lower_func`],
+    /// [`Compiler::finish`].
     ///
     /// # Errors
     /// Propagates front-end or optimization failures.
     pub fn compile(&self, workload: Workload) -> IrResult<CompilationResult> {
         let mut ctx = Context::new();
         let (module, func) = build_workload(&mut ctx, workload)?;
-        self.compile_func(ctx, module, func)
+        self.finish(self.lower_func(ctx, module, func)?)
     }
 
     /// Runs the front end and the pass pipeline only — no QoR estimation, no
@@ -370,49 +380,69 @@ impl Compiler {
     pub fn lower(&self, workload: Workload) -> IrResult<LoweredDesign> {
         let mut ctx = Context::new();
         let (module, func) = build_workload(&mut ctx, workload)?;
-        let mut pipeline = match &self.pipeline {
-            Some(text) => Pipeline::parse(&registry(), text)
-                .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?,
-            None => Pipeline::from_options(&self.options),
-        }
-        .with_jobs(self.jobs);
-        if !self.verification {
-            pipeline = pipeline.with_verification(false);
-        }
-        let schedule = pipeline.run(&mut ctx, func)?;
-        Ok(LoweredDesign {
-            ctx,
-            module,
-            func,
-            schedule,
-        })
+        Ok(self.lower_func(ctx, module, func)?)
     }
 
-    /// Compiles an already-constructed function (advanced use: custom front-ends).
+    /// Runs the pass pipeline over an already-constructed function — the one
+    /// place a compilation's pipeline is assembled (explicit text or the
+    /// options-derived flow, worker count, verification) and run. Custom
+    /// front-ends call this and then [`Compiler::finish`].
     ///
     /// # Errors
-    /// Propagates optimization failures and IR verification errors.
-    pub fn compile_func(
+    /// A [`LowerFailure`] carrying the optimization or inter-pass
+    /// verification error and the statistics of the passes that ran.
+    pub fn lower_func(
         &self,
         mut ctx: Context,
         module: OpId,
         func: OpId,
-    ) -> IrResult<CompilationResult> {
+    ) -> Result<LoweredDesign, LowerFailure> {
         let start = Instant::now();
         // Chaos-harness site: an armed stall sleeps here, at the very start of
         // the point's compilation, where a per-point deadline will catch it.
         hida_ir_core::fault::injected_stall("compile:start");
         let mut pipeline = match &self.pipeline {
-            Some(text) => Pipeline::parse(&registry(), text)
-                .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?,
+            Some(text) => Pipeline::parse(&registry(), text).map_err(|e| LowerFailure {
+                error: IrError::pass_failed("hida-pipeline", e.to_string()),
+                pass_statistics: Vec::new(),
+            })?,
             None => Pipeline::from_options(&self.options),
         }
-        .with_jobs(self.jobs);
-        if !self.verification {
-            pipeline = pipeline.with_verification(false);
+        .with_jobs(self.jobs)
+        .with_verification(self.verification);
+        let run = pipeline.run(&mut ctx, func);
+        let pass_statistics = pipeline.take_statistics();
+        match run {
+            Ok(schedule) => Ok(LoweredDesign {
+                ctx,
+                module,
+                func,
+                schedule,
+                pass_statistics,
+                lower_seconds: start.elapsed().as_secs_f64(),
+            }),
+            Err(error) => Err(LowerFailure {
+                error,
+                pass_statistics,
+            }),
         }
-        let schedule = pipeline.run(&mut ctx, func)?;
-        let pass_statistics = pipeline.statistics().to_vec();
+    }
+
+    /// Finishes a lowered design: the final whole-module verification, both
+    /// QoR estimates (dataflow and sequential) and HLS C++ emission.
+    ///
+    /// # Errors
+    /// Propagates IR verification errors and estimate-store degradation.
+    pub fn finish(&self, lowered: LoweredDesign) -> IrResult<CompilationResult> {
+        let start = Instant::now();
+        let LoweredDesign {
+            ctx,
+            module,
+            func,
+            schedule,
+            pass_statistics,
+            lower_seconds,
+        } = lowered;
         let analysis_cache = PassStatistics::aggregate_cache(&pass_statistics);
         if self.verification {
             hida_ir_core::verifier::verify(&ctx, module)
@@ -447,7 +477,6 @@ impl Compiler {
             .as_ref()
             .map(|_| estimator.shared_cache_stats());
         let hls_cpp = hida_emitter::emit_schedule(&ctx, schedule);
-        let compile_seconds = start.elapsed().as_secs_f64();
         Ok(CompilationResult {
             ctx,
             func,
@@ -455,7 +484,7 @@ impl Compiler {
             estimate,
             estimate_sequential,
             hls_cpp,
-            compile_seconds,
+            compile_seconds: lower_seconds + start.elapsed().as_secs_f64(),
             pass_statistics,
             analysis_cache,
             estimator_cache,

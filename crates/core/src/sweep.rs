@@ -26,7 +26,7 @@
 use crate::{CompilationResult, Compiler, HidaOptions, Workload};
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
-use hida_ir_core::fault::{self, CancelToken, FaultKind, FaultPlan};
+use hida_ir_core::fault::{self, CancelToken, FaultKind, FaultPlan, PointFaults};
 use hida_ir_core::par::{default_jobs, run_batch_isolated};
 use hida_ir_core::{IrError, IrResult, ParallelStats};
 use std::collections::BTreeMap;
@@ -35,26 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Minimal JSON string escaping for the workspace's hand-rolled report
-/// writers (`--stats-json`, `BENCH_sweep.json`; no JSON dependency without
-/// registry access): quotes, backslashes and control characters.
-pub fn json_escape(raw: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use crate::report::json_escape;
 
 /// One design point of a sweep: a workload plus the compiler configuration
 /// (options and, usually, an explicit pipeline-string variant) to build it
@@ -86,6 +67,16 @@ impl SweepPoint {
     pub fn with_pipeline(mut self, text: impl Into<String>) -> Self {
         self.pipeline = Some(text.into());
         self
+    }
+
+    /// The compiler this point describes — its options and, when set, its
+    /// explicit pipeline — with every other knob at its default.
+    pub fn compiler(&self) -> Compiler {
+        let compiler = Compiler::new(self.options.clone());
+        match &self.pipeline {
+            Some(text) => compiler.with_pipeline(text.clone()),
+            None => compiler,
+        }
     }
 
     /// The textual pipeline this point runs: the explicit variant, or the
@@ -156,90 +147,20 @@ impl JobBudget {
     }
 }
 
-/// A job budget that re-splits `point_jobs` *per design point* as the sweep's
-/// pending-point pool drains, subsuming the static [`JobBudget::for_points`]
-/// split.
-///
-/// A static split freezes `pool_jobs x point_jobs` before the first compile,
-/// so once fewer points remain than pool lanes, the surplus lanes idle while
-/// each straggler still runs with its original (small) `point_jobs`. The
-/// adaptive budget instead asks, at the moment a point starts compiling, how
-/// many points are still pending: the fewer there are, the more worker
-/// threads each one gets (`total_jobs / min(pending, pool_jobs)`), capped by
-/// the point's own useful width ([`crate::Workload::node_parallel_width`] —
-/// a big DNN point can use node-level parallelism that a two-node PolyBench
-/// point cannot).
-///
-/// Re-splitting never changes *results*: `point_jobs` only sets the worker
-/// count for per-node pass work and estimation, which is byte-identical at
-/// any job count (the PR 4 determinism guarantee CI enforces).
-#[derive(Debug)]
-pub struct AdaptiveBudget {
-    total_jobs: usize,
-    pool_jobs: usize,
-    pending: std::sync::atomic::AtomicUsize,
-    /// Worker threads handed back by cancelled/timed-out points; future
-    /// claims redistribute them (see [`AdaptiveBudget::reclaim`]).
-    reclaimed: std::sync::atomic::AtomicUsize,
-}
-
-impl AdaptiveBudget {
-    /// Creates an adaptive budget for `num_points` points over `total_jobs`
-    /// threads. The pool width is fixed (same choice as
-    /// [`JobBudget::for_points`]); only the per-point split adapts.
-    pub fn new(total_jobs: usize, num_points: usize) -> Self {
-        let total = total_jobs.max(1);
-        AdaptiveBudget {
-            total_jobs: total,
-            pool_jobs: JobBudget::for_points(total, num_points).pool_jobs,
-            pending: std::sync::atomic::AtomicUsize::new(num_points),
-            reclaimed: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Design points compiling concurrently (fixed for the whole sweep).
-    pub fn pool_jobs(&self) -> usize {
-        self.pool_jobs
-    }
-
-    /// The total thread budget being split.
-    pub fn total_jobs(&self) -> usize {
-        self.total_jobs
-    }
-
-    /// Points that have not yet claimed their worker split.
-    pub fn pending(&self) -> usize {
-        self.pending.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Claims the next point's worker-thread count: `total_jobs` divided by
-    /// the number of points that can still compete for threads (never more
-    /// than the pool width), capped at `width_cap` — the widest parallelism
-    /// the point's workload can actually exploit.
-    pub fn claim(&self, width_cap: usize) -> usize {
-        let before = self
-            .pending
-            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-        let competing = before.max(1).min(self.pool_jobs).max(1);
-        let available = self.total_jobs + self.reclaimed.load(std::sync::atomic::Ordering::SeqCst);
-        (available / competing).max(1).min(width_cap.max(1))
-    }
-
-    /// Hands back the worker threads of a cancelled (or timed-out) point so
-    /// subsequent claims can use the freed capacity. Purely a scheduling
-    /// lever: results stay byte-identical at any worker count.
-    pub fn reclaim(&self, width: usize) {
-        self.reclaimed
-            .fetch_add(width, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// The static split this budget started from (for reports).
-    pub fn nominal(&self) -> JobBudget {
-        JobBudget {
-            pool_jobs: self.pool_jobs,
-            point_jobs: (self.total_jobs / self.pool_jobs.max(1)).max(1),
-        }
-    }
+/// Runs `compile` as one fault domain: `token` (its deadline) and any armed
+/// `faults` are this thread's point context for the duration, and a panic or
+/// cancellation unwinding out of it comes back as the structured error for
+/// `site` instead of crossing into the caller. Every sweep/explore attempt
+/// runs through here, and so does `hida-opt`'s single compilation.
+pub fn isolated<T>(
+    site: &str,
+    token: CancelToken,
+    faults: Option<PointFaults>,
+    compile: impl FnOnce() -> IrResult<T>,
+) -> IrResult<T> {
+    let _guard = fault::install_point(token, faults);
+    catch_unwind(AssertUnwindSafe(compile))
+        .unwrap_or_else(|payload| Err(fault::error_from_panic(site, payload)))
 }
 
 /// Structured classification of why a design point failed, used by reports,
@@ -340,9 +261,9 @@ pub struct SweepPointOutcome {
     pub pipeline: String,
     /// Wall-clock seconds this point took (front-end through emission).
     pub seconds: f64,
-    /// Worker threads this point compiled with. Fixed by the budget for
-    /// static sweeps; chosen at claim time under an [`AdaptiveBudget`]
-    /// (timing detail — results are byte-identical at any value).
+    /// Worker threads this point compiled with: the budget's `point_jobs`,
+    /// or 1 for a retry (timing detail — results are byte-identical at any
+    /// value).
     pub point_jobs: usize,
     /// The compilation result, or the (final) error that stopped it.
     pub result: IrResult<CompilationResult>,
@@ -383,10 +304,6 @@ pub struct SweepOutcome {
     pub persistent_cache: Option<PersistentStoreStats>,
     /// Worker/steal counters of the sweep-level pool.
     pub pool: ParallelStats,
-    /// Whether per-point worker counts were re-split adaptively as the pool
-    /// drained (see [`AdaptiveBudget`]); `budget` then reports the nominal
-    /// static split the adaptive schedule started from.
-    pub adaptive: bool,
 }
 
 impl SweepOutcome {
@@ -437,11 +354,10 @@ impl SweepOutcome {
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     budget: Option<JobBudget>,
-    total_jobs: Option<usize>,
+    pub(crate) total_jobs: Option<usize>,
     share_estimates: bool,
-    cache: Option<Arc<SharedEstimateCache>>,
+    pub(crate) cache: Option<Arc<SharedEstimateCache>>,
     verification: bool,
-    adaptive: bool,
     retries: usize,
     deadline_ms: Option<u64>,
     run_budget_ms: Option<u64>,
@@ -464,7 +380,6 @@ impl SweepEngine {
             share_estimates: true,
             cache: None,
             verification: true,
-            adaptive: false,
             retries: 0,
             deadline_ms: None,
             run_budget_ms: None,
@@ -510,24 +425,8 @@ impl SweepEngine {
 
     /// Sets an explicit job budget (builder style). Without one, the budget
     /// is [`JobBudget::for_points`] of the machine's available parallelism.
-    /// An explicit budget disables adaptive re-splitting.
     pub fn with_budget(mut self, budget: JobBudget) -> Self {
         self.budget = Some(budget);
-        self.adaptive = false;
-        self
-    }
-
-    /// Enables per-point re-splitting of the worker budget as the pool drains
-    /// (builder style): each point claims its `point_jobs` from an
-    /// [`AdaptiveBudget`] when it starts compiling, capped by its workload's
-    /// [`Workload::node_parallel_width`]. Results are byte-identical to the
-    /// static split; only the thread schedule (and therefore wall clock)
-    /// changes.
-    pub fn with_adaptive_budget(mut self, enabled: bool) -> Self {
-        self.adaptive = enabled;
-        if enabled {
-            self.budget = None;
-        }
         self
     }
 
@@ -572,16 +471,9 @@ impl SweepEngine {
     /// order. Per-point failures are recorded, not propagated — one infeasible
     /// design point must not kill the other 99.
     pub fn run(&self, points: &[SweepPoint]) -> SweepOutcome {
-        let total_jobs = self.total_jobs.unwrap_or_else(default_jobs);
-        let adaptive = self
-            .adaptive
-            .then(|| AdaptiveBudget::new(total_jobs, points.len()));
-        let budget = match &adaptive {
-            Some(a) => a.nominal(),
-            None => self
-                .budget
-                .unwrap_or_else(|| JobBudget::for_points(total_jobs, points.len())),
-        };
+        let budget = self.budget.unwrap_or_else(|| {
+            JobBudget::for_points(self.total_jobs.unwrap_or_else(default_jobs), points.len())
+        });
         let cache = if self.share_estimates {
             Some(
                 self.cache
@@ -611,14 +503,7 @@ impl SweepEngine {
                 .as_ref()
                 .and_then(|map| map.get(&point.label))
                 .and_then(|&kind| self.fault_plan.as_ref().map(|plan| plan.arm(kind)));
-            self.run_point(
-                point,
-                &budget,
-                adaptive.as_ref(),
-                cache.as_ref(),
-                &run_token,
-                armed,
-            )
+            self.run_point(point, &budget, cache.as_ref(), &run_token, armed)
         });
         // `run_point` isolates every attempt itself, so a fault here means a
         // panic escaped *between* attempts; synthesize a failed outcome
@@ -668,7 +553,6 @@ impl SweepEngine {
             persistent_cache: cache.as_ref().and_then(|c| c.persistent_stats()),
             shared_cache: cache.map(|c| c.stats()),
             pool,
-            adaptive: adaptive.is_some(),
         }
     }
 
@@ -681,10 +565,9 @@ impl SweepEngine {
         &self,
         point: &SweepPoint,
         budget: &JobBudget,
-        adaptive: Option<&AdaptiveBudget>,
         cache: Option<&Arc<SharedEstimateCache>>,
         run_token: &CancelToken,
-        armed: Option<fault::PointFaults>,
+        armed: Option<PointFaults>,
     ) -> SweepPointOutcome {
         let point_start = Instant::now();
         let mut history: Vec<PointAttempt> = Vec::new();
@@ -697,24 +580,15 @@ impl SweepEngine {
             // crashed attempt may have exposed), shared cache bypassed (a
             // poisoned or degraded cache cannot re-fail the retry).
             let degraded = attempt > 0;
-            let point_jobs = if degraded {
-                1
-            } else {
-                match adaptive {
-                    Some(a) => a.claim(point.workload.node_parallel_width()),
-                    None => budget.point_jobs,
-                }
-            };
-            let mut compiler = Compiler::new(point.options.clone())
+            let point_jobs = if degraded { 1 } else { budget.point_jobs };
+            let mut compiler = point
+                .compiler()
                 .with_jobs(point_jobs)
-                .with_verification(if degraded { true } else { self.verification });
+                .with_verification(degraded || self.verification);
             if !degraded {
                 if let Some(cache) = cache {
                     compiler = compiler.with_shared_estimates(Arc::clone(cache));
                 }
-            }
-            if let Some(text) = &point.pipeline {
-                compiler = compiler.with_pipeline(text.clone());
             }
             // Transient plans fire on the first attempt only (so retries
             // recover); persistent plans re-arm every attempt.
@@ -726,19 +600,12 @@ impl SweepEngine {
                 }
                 _ => None,
             };
-            let token = run_token.child(self.deadline_ms);
-            let result = {
-                let _guard = fault::install_point(token, attempt_faults);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    compiler.compile(point.workload.clone())
-                })) {
-                    Ok(result) => result,
-                    Err(payload) => Err(fault::error_from_panic(
-                        &format!("sweep point '{}'", point.label),
-                        payload,
-                    )),
-                }
-            };
+            let result = isolated(
+                &format!("sweep point '{}'", point.label),
+                run_token.child(self.deadline_ms),
+                attempt_faults,
+                || compiler.compile(point.workload.clone()),
+            );
             match result {
                 Ok(compiled) => {
                     return SweepPointOutcome {
@@ -752,15 +619,9 @@ impl SweepEngine {
                     };
                 }
                 Err(error) => {
-                    let reason = classify_failure(&error);
-                    if reason == FailureReason::TimedOut {
-                        if let Some(a) = adaptive {
-                            a.reclaim(point_jobs);
-                        }
-                    }
                     history.push(PointAttempt {
                         attempt,
-                        reason,
+                        reason: classify_failure(&error),
                         detail: error.to_string(),
                         degraded,
                     });
@@ -958,42 +819,5 @@ mod tests {
         }
         // An empty sweep gets the sequential budget, not an 8-wide idle lane.
         assert_eq!(JobBudget::for_points(8, 0), JobBudget::sequential());
-    }
-
-    #[test]
-    fn adaptive_budget_widens_points_as_the_pool_drains() {
-        // 8 threads over 4 points: lanes start at the static 2-wide split,
-        // then widen claim by claim as fewer points remain pending, until the
-        // last straggler gets the whole budget.
-        let budget = AdaptiveBudget::new(8, 4);
-        assert_eq!(budget.pool_jobs(), 4);
-        assert_eq!(budget.nominal(), JobBudget::for_points(8, 4));
-        assert_eq!(budget.claim(usize::MAX), 2); // 4 pending: 8/4
-        assert_eq!(budget.claim(usize::MAX), 2); // 3 pending: 8/3
-        assert_eq!(budget.claim(usize::MAX), 4); // 2 pending: 8/2
-        assert_eq!(budget.claim(usize::MAX), 8); // last point: everything
-        assert_eq!(budget.pending(), 0);
-        // Claims past the pool never panic and never hand out zero.
-        assert!(budget.claim(usize::MAX) >= 1);
-    }
-
-    #[test]
-    fn reclaimed_jobs_widen_future_claims() {
-        let budget = AdaptiveBudget::new(8, 4);
-        assert_eq!(budget.claim(usize::MAX), 2); // 4 pending: 8/4
-        budget.reclaim(4); // a cancelled point hands back its threads
-        assert_eq!(budget.claim(usize::MAX), 4); // 3 pending: (8+4)/3
-    }
-
-    #[test]
-    fn adaptive_budget_respects_the_workload_width_cap() {
-        let budget = AdaptiveBudget::new(16, 1);
-        // A narrow PolyBench-style point cannot use 16 workers.
-        assert_eq!(budget.claim(2), 2);
-        let budget = AdaptiveBudget::new(16, 1);
-        assert_eq!(budget.claim(20), 16);
-        // Zero caps are clamped, not propagated.
-        let budget = AdaptiveBudget::new(4, 1);
-        assert_eq!(budget.claim(0), 1);
     }
 }

@@ -179,3 +179,71 @@ fn single_run_isolates_an_injected_pass_panic() {
         "the injected panic must not escape as a raw panic report:\n{stderr}"
     );
 }
+
+/// Runs a single `hida-opt` compilation with extra args, returning
+/// (exit-success, stdout, stderr).
+fn run_single(extra: &[&str]) -> (bool, String, String) {
+    let output = Command::new(BIN)
+        .args([
+            "--workload",
+            "two_mm",
+            "--size",
+            "32",
+            "--no-timing",
+            "--jobs",
+            "1",
+        ])
+        .args(extra)
+        .output()
+        .expect("run hida-opt");
+    (
+        output.status.success(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// A single run goes through the same compile path as a sweep point, so the
+/// faults armed past the pass pipeline reach it too: the plan that fails a
+/// one-line `--sweep` with `StoreDegraded` fails the single run the same way.
+#[test]
+fn single_run_reports_an_injected_store_read_fault_like_a_one_line_sweep() {
+    let spec = "seed=1,store-read=1";
+    let (ok, stdout, stderr) = run_single(&["--inject-faults", spec]);
+    assert!(!ok, "an injected store fault must fail the run:\n{stdout}");
+    assert!(
+        stderr.contains("estimate store degraded") && stderr.contains("injected EIO"),
+        "error must be the structured StoreDegraded one:\n{stderr}"
+    );
+    // The pass pipeline ran and was reported before estimation failed.
+    assert!(stdout.contains("# Schedule"), "missing schedule:\n{stdout}");
+    assert!(!stdout.contains("# QoR estimate"), "{stdout}");
+
+    let path = write_variants(
+        "chaos_one_line.txt",
+        HEALTHY_VARIANTS.lines().next().expect("a variant"),
+    );
+    let (ok, sweep) = run_sweep(&path, "1", &["--inject-faults", spec]);
+    assert!(!ok);
+    assert!(
+        sweep.contains("StoreDegraded") && sweep.contains("injected EIO"),
+        "the one-line sweep must fail the same way:\n{sweep}"
+    );
+}
+
+/// An injected stall sits at the start of the compilation, where the
+/// single run's `--deadline-ms` catches it at the first pass boundary.
+#[test]
+fn single_run_stall_hits_its_deadline() {
+    let (ok, stdout, stderr) = run_single(&[
+        "--inject-faults",
+        "seed=1,stall=1,stall-ms=300",
+        "--deadline-ms",
+        "50",
+    ]);
+    assert!(!ok, "a stalled run past its deadline must fail:\n{stdout}");
+    assert!(
+        stderr.contains("deadline of 50ms exceeded"),
+        "missing deadline error:\n{stderr}"
+    );
+}

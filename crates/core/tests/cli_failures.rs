@@ -139,3 +139,35 @@ construct,lower,tiling{factor=8},parallelize{max-factor=16,device=zu3eg}
         "--no-timing explore output must be byte-identical across job counts"
     );
 }
+
+/// Flag-exclusivity errors come before any report output: `--run-budget-ms`
+/// is a sweep flag, and an exploration given one must say so without first
+/// printing the workload/objectives header.
+#[test]
+fn explore_rejects_a_run_budget_before_printing_anything() {
+    let contents = format!("explore{{seed=3}}\n{MIXED_VARIANTS}");
+    let path = write_variants("explore_run_budget.txt", &contents);
+    let output = Command::new(BIN)
+        .args([
+            "--workload",
+            "two_mm",
+            "--no-timing",
+            "--run-budget-ms",
+            "5",
+        ])
+        .arg("--explore")
+        .arg(&path)
+        .output()
+        .expect("run hida-opt --explore");
+    assert!(!output.status.success());
+    assert!(
+        String::from_utf8_lossy(&output.stderr).contains("--run-budget-ms applies to --sweep"),
+        "missing error in:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "the error must come before any report output:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}

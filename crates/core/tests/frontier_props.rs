@@ -2,9 +2,15 @@
 //! partial order, incremental insert/prune matches a brute-force
 //! non-dominated filter, a non-dominated insert is never dropped, and the
 //! frontier of a point set is invariant under permutation of the insertion
-//! order.
+//! order. One end-to-end case holds the explorer to the same standard on the
+//! reduced Fig. 10 grid: full frontier coverage with at least one compile
+//! pruned.
 
 use hida::explore::{dominates, Frontier, FrontierPoint};
+use hida::{
+    ExploreConfig, Explorer, HidaOptions, JobBudget, Model, Objective, SweepEngine, SweepPoint,
+    Workload,
+};
 use proptest::prelude::*;
 
 /// Brute-force reference: the non-dominated subset of `vectors`, as a sorted,
@@ -95,5 +101,74 @@ proptest! {
         let original = build_frontier(&vectors);
         let permuted = build_frontier(&shuffled);
         prop_assert_eq!(original.vectors(), permuted.vectors());
+    }
+}
+
+/// The explorer against the exhaustive sweep of the reduced Fig. 10 grid
+/// (ResNet-18, parallel factor x tile size): it must recover every point of
+/// the exhaustive Pareto frontier while compiling strictly fewer candidates,
+/// and agree exactly on the QoR of every point both arms compiled. The arms
+/// use separate fresh estimate caches — sharing one would let the explorer's
+/// probes hit the exhaustive arm's results and fake the savings.
+#[test]
+fn explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles() {
+    let mut points = Vec::new();
+    for pf in [1, 8, 64, 256] {
+        for tile in [2, 8, 32] {
+            let pipeline = format!(
+                "construct,fusion,lower,multi-producer-elim,\
+                 tiling{{factor={tile},external-threshold-bytes=65536}},\
+                 balance{{external-threshold-bytes=65536}},\
+                 parallelize{{max-factor={pf},mode=IA+CA,device=vu9p-slr}}"
+            );
+            points.push(
+                SweepPoint::new(
+                    format!("pf{pf}-tile{tile}"),
+                    Workload::Model(Model::ResNet18),
+                    HidaOptions::dnn(),
+                )
+                .with_pipeline(pipeline),
+            );
+        }
+    }
+    let objectives = [Objective::Throughput, Objective::Dsp, Objective::Bram];
+
+    let exhaustive = SweepEngine::new()
+        .with_budget(JobBudget::for_points(4, points.len()))
+        .run(&points);
+    assert!(exhaustive.all_ok(), "{:?}", exhaustive.failed_labels());
+    let vector_of = |label: &str| -> Vec<i64> {
+        let point = exhaustive.points.iter().find(|p| p.label == label).unwrap();
+        let estimate = &point.result.as_ref().unwrap().estimate;
+        objectives.iter().map(|o| o.value(estimate)).collect()
+    };
+    let mut reference = Frontier::new();
+    for point in &points {
+        reference.insert(FrontierPoint::from_vector(
+            point.label.clone(),
+            vector_of(&point.label),
+        ));
+    }
+
+    let explored = Explorer::new(ExploreConfig::default())
+        .with_total_jobs(4)
+        .explore(&points)
+        .unwrap();
+    assert!(explored.all_ok(), "{:?}", explored.failed_labels());
+    assert_eq!(
+        explored.frontier.vectors(),
+        reference.vectors(),
+        "the explorer must recover the whole exhaustive frontier"
+    );
+    assert!(
+        explored.pruned >= 1 && explored.points.len() < points.len(),
+        "surrogate pruning never fired: {} of {} compiled",
+        explored.points.len(),
+        points.len()
+    );
+    for point in &explored.points {
+        let estimate = &point.result.as_ref().unwrap().estimate;
+        let vector: Vec<i64> = objectives.iter().map(|o| o.value(estimate)).collect();
+        assert_eq!(vector, vector_of(&point.label), "{}", point.label);
     }
 }

@@ -674,6 +674,12 @@ impl Pipeline {
         self.manager.statistics()
     }
 
+    /// Moves the statistics of the most recent [`Pipeline::run`] out of the
+    /// pipeline — a failed run's too, its last record marked `failed`.
+    pub fn take_statistics(&mut self) -> Vec<PassStatistics> {
+        self.manager.take_statistics()
+    }
+
     /// The analysis cache shared by the pipeline's passes.
     pub fn analyses(&self) -> &AnalysisManager {
         self.manager.analyses()

@@ -461,17 +461,6 @@ impl AnalysisManager {
         self.totals.invalidations += dropped;
     }
 
-    /// Drops the cached `A` for `root`, if present. Transforms use this for
-    /// fine-grained invalidation: a pass that preserves an analysis *except*
-    /// for specific roots it rewired drops exactly those entries and keeps its
-    /// preservation declaration honest.
-    pub fn invalidate<A: Analysis>(&mut self, root: OpId) {
-        if self.entries.remove(&(TypeId::of::<A>(), root)).is_some() {
-            self.window.invalidations += 1;
-            self.totals.invalidations += 1;
-        }
-    }
-
     /// Drops every analysis cached for `root`, regardless of type.
     pub fn invalidate_root(&mut self, root: OpId) {
         let before = self.entries.len();

@@ -189,23 +189,9 @@ impl Context {
         &self.blocks[id.index()]
     }
 
-    /// Returns a mutable reference to the block payload for `id`.
-    /// Counts as a mutation (see [`Context::op_mut`]).
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        self.bump_generation();
-        &mut self.blocks[id.index()]
-    }
-
     /// Returns the region payload for `id`.
     pub fn region(&self, id: RegionId) -> &Region {
         &self.regions[id.index()]
-    }
-
-    /// Returns a mutable reference to the region payload for `id`.
-    /// Counts as a mutation (see [`Context::op_mut`]).
-    pub fn region_mut(&mut self, id: RegionId) -> &mut Region {
-        self.bump_generation();
-        &mut self.regions[id.index()]
     }
 
     /// Returns the value payload for `id`.

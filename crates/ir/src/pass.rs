@@ -376,6 +376,12 @@ impl PassManager {
         &self.statistics
     }
 
+    /// Moves the statistics of the most recent run out of the manager — a
+    /// failed run's too, its last record marked `failed`.
+    pub fn take_statistics(&mut self) -> Vec<PassStatistics> {
+        std::mem::take(&mut self.statistics)
+    }
+
     /// The analysis cache shared by the registered passes.
     pub fn analyses(&self) -> &AnalysisManager {
         &self.analyses

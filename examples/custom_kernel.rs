@@ -55,9 +55,11 @@ fn main() {
         device: FpgaDevice::zu3eg(),
         ..HidaOptions::polybench()
     });
-    let result = compiler
-        .compile_func(ctx, module, func)
-        .expect("compilation");
+    let lowered = compiler
+        .lower_func(ctx, module, func)
+        .map_err(|failure| failure.error)
+        .expect("pass pipeline");
+    let result = compiler.finish(lowered).expect("estimation + emission");
 
     println!("== Custom two-stage kernel ==");
     println!(
