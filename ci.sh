@@ -205,15 +205,18 @@ run_persist() {
 }
 
 # The design-space explorer must recover the exhaustive frontier of the
-# reduced fig10 grid with strictly fewer compilations, and its --no-timing
-# report must be byte-identical across job counts for a fixed seed.
+# reduced fig10 grid with strictly fewer compilations — the same exploration
+# at any job count, pruning included — and its --no-timing report must be
+# byte-identical across job counts for a fixed seed.
 run_dse() {
   echo "==> [dse] explorer vs exhaustive fig10 reduced grid (frontier coverage 1.0, >= 1 compile pruned)"
   cargo test -q -p hida --test frontier_props \
     explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles
+  cargo test -q -p hida --test frontier_props \
+    exploration_with_pruning_is_identical_at_any_job_count
 
-  echo "==> [dse] hida-opt --explore: --jobs 1 vs --jobs 4 must be byte-identical"
-  local explore_variants explore1 explore4
+  echo "==> [dse] hida-opt --explore: --jobs 1 vs --jobs 2 vs --jobs 4 must be byte-identical"
+  local explore_variants explore1 explore2 explore4
   explore_variants=$(mktemp /tmp/explore_variants.XXXXXX.txt)
   cat > "${explore_variants}" <<'EOF'
 explore{seed=7,extras=1}
@@ -226,8 +229,15 @@ construct,lower,tiling{factor=8},parallelize{max-factor=16,device=zu3eg}
 EOF
   explore1=$(cargo run --release -q -p hida --bin hida-opt -- \
     --workload two_mm --explore "${explore_variants}" --jobs 1 --no-timing)
+  explore2=$(cargo run --release -q -p hida --bin hida-opt -- \
+    --workload two_mm --explore "${explore_variants}" --jobs 2 --no-timing)
   explore4=$(cargo run --release -q -p hida --bin hida-opt -- \
     --workload two_mm --explore "${explore_variants}" --jobs 4 --no-timing)
+  if [[ "${explore1}" != "${explore2}" ]]; then
+    echo "--explore outputs diverged between --jobs 1 and --jobs 2"
+    diff <(echo "${explore1}") <(echo "${explore2}") || true
+    exit 1
+  fi
   if [[ "${explore1}" != "${explore4}" ]]; then
     echo "--explore outputs diverged between --jobs 1 and --jobs 4"
     diff <(echo "${explore1}") <(echo "${explore4}") || true
@@ -261,7 +271,7 @@ run_fuzz() {
 # planned points with structured reasons, surviving points must be
 # byte-identical to a fault-free run at any job count, transient faults must
 # converge under --retries, and a stalled point must hit --deadline-ms
-# instead of hanging the sweep (60s hard guard).
+# instead of hanging the sweep or the exploration (60s hard guard).
 run_chaos() {
   echo "==> [chaos] seeded fault plan over a 4-point TwoMm sweep"
   local variants clean chaos1 chaos4 status
@@ -364,6 +374,28 @@ EOF
   fi
   if ! echo "${timed}" | grep -q 'TimedOut'; then
     echo "the stalled point is missing its TimedOut reason"
+    echo "${timed}"
+    exit 1
+  fi
+
+  echo "==> [chaos] --explore lowers under the same deadline: a stalled candidate times out (60s no-hang guard)"
+  set +e
+  timed=$(timeout 60 cargo run --release -q -p hida --bin hida-opt -- \
+    --workload two_mm --explore "${variants}" --jobs 2 --no-timing \
+    --inject-faults "seed=5,stall=1,stall-ms=400" --deadline-ms 50 2> /dev/null)
+  status=$?
+  set -e
+  if [[ ${status} -eq 124 ]]; then
+    echo "the stalled exploration hung past the 60s guard"
+    exit 1
+  fi
+  if [[ ${status} -eq 0 ]]; then
+    echo "the timed-out candidate did not fail the exploration"
+    exit 1
+  fi
+  if ! echo "${timed}" | grep -q '^FAILED: 1 of 4 compiled points' \
+    || ! echo "${timed}" | grep -q 'TimedOut'; then
+    echo "expected exactly the stalled candidate to time out"
     echo "${timed}"
     exit 1
   fi

@@ -603,7 +603,7 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
             "--emit-ir applies to single compilations, not {flag}"
         ));
     }
-    // Each generation's batch is a sweep run of its own, so a whole-run
+    // Each generation starts a run-level token of its own, so a whole-run
     // budget would restart with every generation.
     if mode == Mode::Explore && args.run_budget_ms.is_some() {
         return Err("--run-budget-ms applies to --sweep".to_string());
@@ -673,6 +673,8 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
             );
         }
     }
+    // One budget per batch: a sweep is one batch, an exploration two per
+    // generation (the wave's lowerings, then the survivors' finishes).
     if !args.no_timing {
         say!("jobs: {} total per batch of points", wiring.jobs);
     }

@@ -11,30 +11,40 @@
 //!   becomes an axis, and candidate proposal is generation-based neighborhood
 //!   expansion — a breadth-first closure over lattice edges seeded at the
 //!   corners and centroid.
-//! * Surrogate pre-scoring: before compiling a candidate, the explorer
-//!   lowers it (front end + pass pipeline only) and bounds its QoR with
+//! * Surrogate pruning between the two halves of a compilation. A candidate
+//!   is lowered once (front end + pass pipeline) and its QoR bounded with
 //!   [`hida_estimator::surrogate::design_bound`] — exact per-node estimates
 //!   served from the [`SharedEstimateCache`] (including the persistent
 //!   store), optimistic bounds for unknown nodes. A candidate whose *bound*
-//!   is dominated by a compiled frontier point is pruned without the full
-//!   compile; the bound is componentwise `<=` the true estimate, so pruning
-//!   never discards a Pareto-optimal design.
-//! * Compile batches run through the [`SweepEngine`] the explorer was given
-//!   ([`Explorer::with_engine`]): its job budget, verification, retries,
-//!   deadline, fault plan and estimate cache apply to every batch.
+//!   is dominated by a compiled frontier point is dropped there; the bound is
+//!   componentwise `<=` the true estimate, so pruning never discards a
+//!   Pareto-optimal design. A survivor is finished (final verify, both
+//!   estimates, emission) from that same lowered design.
+//! * Both halves run on the pool of the [`SweepEngine`] the explorer was
+//!   given ([`Explorer::with_engine`]), as that engine's own first attempt at
+//!   the point: its job budget, verification, retries, deadline, fault plan
+//!   and estimate cache apply, and a candidate either half fails falls to the
+//!   engine's retry ladder like any sweep point.
 //!
-//! Exploration order is deterministic for a fixed seed regardless of the job
-//! count: probes run sequentially against generation-start state, compile
-//! batches are order-preserving, and the cache key set published by a
-//! generation is a pure function of which points compiled — all
-//! schedule-independent (CI diffs `--explore` output at jobs 1 vs 4).
+//! A generation is two pooled stages with a barrier between them. **Stage A**
+//! lowers and bounds the whole wave: workers only *peek* the cache and only
+//! read the frontier, so every verdict is a function of generation-start
+//! state and a worker can drop a pruned design on the spot. **Stage B**
+//! finishes the survivors and is the only writer: estimates publish to the
+//! cache as they are computed, and results fold into the frontier in wave
+//! order once the stage is over. Exploration is therefore deterministic for
+//! a fixed seed regardless of the job count: the cache key set a generation
+//! publishes is a pure function of which candidates survived, no verdict
+//! reads it before the next generation's stage A, and within stage B a
+//! lookup can only change who computes an estimate, never its value (CI
+//! diffs `--explore` output at jobs 1, 2 and 4).
 
-use crate::sweep::{JobBudget, SweepEngine, SweepPoint, SweepPointOutcome};
+use crate::sweep::{JobBudget, LoweredPoint, SweepEngine, SweepPoint, SweepPointOutcome};
 use hida_estimator::report::DesignEstimate;
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
 use hida_estimator::surrogate::{design_bound, DesignBound};
-use hida_ir_core::par::default_jobs;
+use hida_ir_core::par::run_batch_isolated;
 use hida_ir_core::parse_pipeline;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -572,7 +582,7 @@ pub struct ExploreOutcome {
     pub probed: usize,
     /// Candidates pruned by the surrogate.
     pub pruned: usize,
-    /// The job budget the last compile batch ran under.
+    /// The job budget the last generation's finish stage ran under.
     pub budget: JobBudget,
     /// Wall-clock seconds for the whole exploration.
     pub wall_seconds: f64,
@@ -634,13 +644,13 @@ impl Explorer {
         self
     }
 
-    /// Compiles every batch through `engine` (builder style), replacing the
-    /// default one — and any earlier [`Explorer::with_total_jobs`]. The
-    /// engine's cache (e.g. one backed by a persistent
-    /// [`hida_estimator::store::EstimateStore`]) also serves the surrogate
-    /// probes, so they start warm from earlier processes. Probe lowerings
-    /// never verify and install no fault context: they exist to be cheap,
-    /// and injections only fire in real compiles.
+    /// Compiles every candidate through `engine` (builder style), replacing
+    /// the default one — and any earlier [`Explorer::with_total_jobs`]. Its
+    /// job budget, verification, retries, deadline and fault plan apply to
+    /// both halves of every candidate's compilation, and its cache (e.g. one
+    /// backed by a persistent [`hida_estimator::store::EstimateStore`]) also
+    /// serves the surrogate bounds, so they start warm from earlier
+    /// processes.
     pub fn with_engine(mut self, engine: SweepEngine) -> Self {
         self.engine = engine;
         self
@@ -665,7 +675,6 @@ impl Explorer {
             .clone()
             .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()));
         let engine = self.engine.clone().with_cache(cache.clone());
-        let total_jobs = engine.total_jobs.unwrap_or_else(default_jobs);
         let budget_limit = self.config.budget.unwrap_or(usize::MAX);
 
         let seeds = lattice.seed_candidates(self.config.seed, self.config.extras);
@@ -675,7 +684,7 @@ impl Explorer {
         let mut outcomes: Vec<SweepPointOutcome> = Vec::new();
         let mut generations: Vec<GenerationStats> = Vec::new();
         let mut pruned_total = 0;
-        let mut last_budget = JobBudget::for_points(total_jobs, points.len());
+        let mut last_budget = engine.budget_for(points.len());
 
         let mut wave = seeds;
         while !wave.is_empty()
@@ -683,8 +692,6 @@ impl Explorer {
             && outcomes.len() < budget_limit
         {
             let generation = generations.len();
-            // Probe phase: sequential and on this thread, so pruning
-            // decisions depend only on generation-start state.
             let mut stats = GenerationStats {
                 index: generation,
                 proposed: wave.len(),
@@ -695,61 +702,58 @@ impl Explorer {
                 probe_hits: 0,
                 probe_nodes: 0,
             };
-            let mut to_compile: Vec<usize> = Vec::new();
-            for &idx in &wave {
-                visited[idx] = true;
-                let point = &points[idx];
-                let probe = point.compiler().with_verification(false);
-                // Probes are isolated like compiles: a panicking probe falls
-                // through to the real compile batch, where the failure is
-                // recorded as a structured point outcome.
-                let lowered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    probe.lower(point.workload.clone())
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(hida_ir_core::fault::error_from_panic(
-                        &format!("probe '{}'", point.label),
-                        payload,
-                    ))
-                });
-                match lowered {
-                    Ok(design) => {
-                        let bound = design_bound(
-                            &design.ctx,
-                            design.schedule,
-                            &point.options.device,
-                            Some(&cache),
-                        );
-                        stats.probe_hits += bound.probe_hits;
-                        stats.probe_nodes += bound.nodes;
-                        let vector: Vec<i64> = self
-                            .config
-                            .objectives
-                            .iter()
-                            .map(|o| o.bound_value(&bound))
-                            .collect();
-                        if frontier.would_prune(&vector) {
-                            stats.pruned += 1;
-                            pruned_total += 1;
-                        } else {
-                            to_compile.push(idx);
-                        }
-                    }
-                    // A candidate that fails to lower goes to the real
-                    // compile so the failure is recorded and reported.
-                    Err(_) => to_compile.push(idx),
+            let wave_points: Vec<&SweepPoint> = wave.iter().map(|&idx| &points[idx]).collect();
+            let batch = engine.batch(wave_points.iter().copied());
+
+            // Stage A, pooled: lower every candidate of the wave and bound
+            // its QoR. Nothing publishes to the cache and the frontier is
+            // only read, so each verdict depends on generation-start state
+            // alone and the worker can drop a pruned design on the spot.
+            let budget = engine.budget_for(wave.len());
+            let (lowered, _) = run_batch_isolated(budget.pool_jobs, &wave_points, |&point| {
+                let lowered = engine.lower_point(&batch, point, budget.point_jobs);
+                // A candidate that fails to lower goes on to stage B, where
+                // the failure is retried or recorded.
+                let Some(design) = lowered.design() else {
+                    return (Some(lowered), 0, 0);
+                };
+                let bound = design_bound(
+                    &design.ctx,
+                    design.schedule,
+                    &point.options.device,
+                    Some(&cache),
+                );
+                let vector: Vec<i64> = self
+                    .config
+                    .objectives
+                    .iter()
+                    .map(|o| o.bound_value(&bound))
+                    .collect();
+                let survivor = (!frontier.would_prune(&vector)).then_some(lowered);
+                (survivor, bound.probe_hits, bound.nodes)
+            });
+
+            // Barrier: every verdict is in before the first finish publishes.
+            let mut survivors = Vec::new();
+            for (result, &point) in lowered.into_iter().zip(&wave_points) {
+                let (survivor, hits, nodes) = result
+                    .unwrap_or_else(|fault| (Some(LoweredPoint::escaped(point, fault)), 0, 0));
+                stats.probe_hits += hits;
+                stats.probe_nodes += nodes;
+                match survivor {
+                    Some(lowered) => survivors.push(lowered),
+                    None => stats.pruned += 1,
                 }
             }
+            pruned_total += stats.pruned;
+            survivors.truncate(budget_limit.saturating_sub(outcomes.len()));
 
-            // Compile phase: a batch through the sweep engine (barrier).
-            let room = budget_limit.saturating_sub(outcomes.len());
-            to_compile.truncate(room);
-            if !to_compile.is_empty() {
-                let batch: Vec<SweepPoint> =
-                    to_compile.iter().map(|&i| points[i].clone()).collect();
-                let batch_outcome = engine.run(&batch);
-                last_budget = batch_outcome.budget;
-                for outcome in batch_outcome.points {
+            // Stage B, pooled: finish the survivors from the designs stage A
+            // lowered; results fold into the frontier in wave order.
+            if !survivors.is_empty() {
+                let (finished, budget) = engine.finish_all(&batch, survivors);
+                last_budget = budget;
+                for outcome in finished {
                     match &outcome.result {
                         Ok(result) => {
                             stats.compiled += 1;
@@ -780,6 +784,9 @@ impl Explorer {
             // of everything probed this generation — pruned points expand
             // too, so the closure reaches every connected candidate and
             // pruning alone provides the savings.
+            for &idx in &wave {
+                visited[idx] = true;
+            }
             let mut next: BTreeSet<usize> = BTreeSet::new();
             for &idx in &wave {
                 for n in lattice.neighbors(idx) {

@@ -370,10 +370,12 @@ impl Compiler {
     }
 
     /// Runs the front end and the pass pipeline only — no QoR estimation, no
-    /// emission. This is the cheap "probe" half of a compilation the
-    /// design-space explorer scores candidates with: the returned design
-    /// holds the optimized structural schedule, ready for
-    /// [`hida_estimator::surrogate::design_bound`].
+    /// emission: the first half of [`Compiler::compile`]. The returned design
+    /// holds the optimized structural schedule; [`Compiler::finish`] takes it
+    /// the rest of the way, and
+    /// [`hida_estimator::surrogate::design_bound`] can bound its QoR first —
+    /// which is how the design-space explorer decides, between the two
+    /// halves, whether a candidate is worth finishing.
     ///
     /// # Errors
     /// Propagates front-end or optimization failures.

@@ -23,17 +23,17 @@
 //!   results are **byte-identical** to a sequential, share-nothing loop — the
 //!   determinism CI enforces.
 
-use crate::{CompilationResult, Compiler, HidaOptions, Workload};
+use crate::{CompilationResult, Compiler, HidaOptions, LoweredDesign, Workload};
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
-use hida_ir_core::fault::{self, CancelToken, FaultKind, FaultPlan, PointFaults};
+use hida_ir_core::fault::{self, CancelToken, FaultPlan, PointFaults, WorkerFault};
 use hida_ir_core::par::{default_jobs, run_batch_isolated};
 use hida_ir_core::{IrError, IrResult, ParallelStats};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 pub use crate::report::json_escape;
 
@@ -77,6 +77,12 @@ impl SweepPoint {
             Some(text) => compiler.with_pipeline(text.clone()),
             None => compiler,
         }
+    }
+
+    /// The fault-isolation site of this point's attempts, as failure reports
+    /// name it.
+    fn site(&self) -> String {
+        format!("sweep point '{}'", self.label)
     }
 
     /// The textual pipeline this point runs: the explicit variant, or the
@@ -259,7 +265,10 @@ pub struct SweepPointOutcome {
     pub label: String,
     /// The textual pipeline the point ran.
     pub pipeline: String,
-    /// Wall-clock seconds this point took (front-end through emission).
+    /// Wall-clock seconds this point's own compilation took, front end
+    /// through emission and including retries. For an explored point that is
+    /// its lowering plus its finish — not the wait at the barrier between the
+    /// explorer's two stages.
     pub seconds: f64,
     /// Worker threads this point compiled with: the budget's `point_jobs`,
     /// or 1 for a retry (timing detail — results are byte-identical at any
@@ -354,7 +363,7 @@ impl SweepOutcome {
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     budget: Option<JobBudget>,
-    pub(crate) total_jobs: Option<usize>,
+    total_jobs: Option<usize>,
     share_estimates: bool,
     pub(crate) cache: Option<Arc<SharedEstimateCache>>,
     verification: bool,
@@ -471,179 +480,278 @@ impl SweepEngine {
     /// order. Per-point failures are recorded, not propagated — one infeasible
     /// design point must not kill the other 99.
     pub fn run(&self, points: &[SweepPoint]) -> SweepOutcome {
-        let budget = self.budget.unwrap_or_else(|| {
-            JobBudget::for_points(self.total_jobs.unwrap_or_else(default_jobs), points.len())
-        });
-        let cache = if self.share_estimates {
-            Some(
-                self.cache
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(SharedEstimateCache::new())),
-            )
-        } else {
-            None
-        };
-        // The run-level token carries the whole-run wall-clock budget; every
-        // point attempt gets a child token chaining its own deadline below it.
-        let run_token = match self.run_budget_ms {
-            Some(budget_ms) => CancelToken::with_deadline_ms(budget_ms),
-            None => CancelToken::new(),
-        };
-        // Fault assignment is a seeded shuffle of the *labels*, computed once
-        // before any point runs — which points are afflicted is independent
-        // of job count and thread scheduling.
-        let assignments: Option<BTreeMap<String, FaultKind>> =
-            self.fault_plan.as_ref().map(|plan| {
-                let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-                plan.assign(&labels)
-            });
+        let budget = self.budget_for(points.len());
+        let batch = self.batch(points.iter());
         let start = Instant::now();
         let (results, pool) = run_batch_isolated(budget.pool_jobs, points, |point| {
-            let armed = assignments
-                .as_ref()
-                .and_then(|map| map.get(&point.label))
-                .and_then(|&kind| self.fault_plan.as_ref().map(|plan| plan.arm(kind)));
-            self.run_point(point, &budget, cache.as_ref(), &run_token, armed)
+            let lowered = self.lower_point(&batch, point, budget.point_jobs);
+            self.finish_point(&batch, lowered, budget.point_jobs)
         });
-        // `run_point` isolates every attempt itself, so a fault here means a
-        // panic escaped *between* attempts; synthesize a failed outcome
-        // rather than aborting the other points.
-        let outcomes: Vec<SweepPointOutcome> = results
-            .into_iter()
-            .zip(points)
-            .map(|(result, point)| match result {
-                Ok(outcome) => outcome,
-                Err(worker_fault) => {
-                    let site = format!("sweep point '{}'", point.label);
-                    let error = if worker_fault.cancelled {
-                        IrError::Cancelled {
-                            site,
-                            detail: worker_fault.message.clone(),
-                        }
-                    } else {
-                        IrError::WorkerPanic {
-                            site,
-                            message: worker_fault.message.clone(),
-                        }
-                    };
-                    let reason = classify_failure(&error);
-                    SweepPointOutcome {
-                        label: point.label.clone(),
-                        pipeline: point.pipeline_text(),
-                        seconds: 0.0,
-                        point_jobs: 1,
-                        attempts: 1,
-                        failure: Some(PointFailure {
-                            attempts: vec![PointAttempt {
-                                attempt: 0,
-                                reason,
-                                detail: worker_fault.message,
-                                degraded: false,
-                            }],
-                        }),
-                        result: Err(error),
-                    }
-                }
-            })
-            .collect();
         SweepOutcome {
-            points: outcomes,
+            points: self.collect(&batch, results, points.iter()),
             budget,
             wall_seconds: start.elapsed().as_secs_f64(),
-            persistent_cache: cache.as_ref().and_then(|c| c.persistent_stats()),
-            shared_cache: cache.map(|c| c.stats()),
+            persistent_cache: batch.cache.as_ref().and_then(|c| c.persistent_stats()),
+            shared_cache: batch.cache.map(|c| c.stats()),
             pool,
         }
     }
 
-    /// Compiles one point, retrying under the degradation ladder. Every
-    /// attempt runs under its own cancellation token (per-point deadline
-    /// chained below the run budget) and an installed fault context, with the
-    /// whole compilation wrapped in `catch_unwind` — panics, cancellations
-    /// and store degradations all land as structured [`PointAttempt`]s.
-    fn run_point(
+    /// The budget a batch of `num_points` runs under: the explicit one, or
+    /// the engine's thread total split over the points.
+    pub(crate) fn budget_for(&self, num_points: usize) -> JobBudget {
+        self.budget.unwrap_or_else(|| {
+            JobBudget::for_points(self.total_jobs.unwrap_or_else(default_jobs), num_points)
+        })
+    }
+
+    /// Sets up what the given points share while they compile.
+    pub(crate) fn batch<'p>(&self, points: impl Iterator<Item = &'p SweepPoint>) -> Batch {
+        Batch {
+            cache: self.share_estimates.then(|| {
+                self.cache
+                    .clone()
+                    .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()))
+            }),
+            run_token: self
+                .run_budget_ms
+                .map_or_else(CancelToken::new, CancelToken::with_deadline_ms),
+            // Fault assignment is a seeded shuffle of the *labels*, computed
+            // once before any point runs — which points are afflicted is
+            // independent of job count and thread scheduling.
+            armed: self.fault_plan.as_ref().map_or_else(BTreeMap::new, |plan| {
+                let labels: Vec<String> = points.map(|p| p.label.clone()).collect();
+                let assigned = plan.assign(&labels).into_iter();
+                assigned
+                    .map(|(label, kind)| (label, plan.arm(kind)))
+                    .collect()
+            }),
+        }
+    }
+
+    /// The pool's per-point results as outcomes, in point order. Both halves
+    /// isolate every attempt themselves, so a fault here means a panic
+    /// escaped *between* attempts; the point takes it as its first failed
+    /// attempt rather than aborting the others.
+    pub(crate) fn collect<'p>(
         &self,
+        batch: &Batch,
+        results: Vec<Result<SweepPointOutcome, WorkerFault>>,
+        points: impl Iterator<Item = &'p SweepPoint>,
+    ) -> Vec<SweepPointOutcome> {
+        results
+            .into_iter()
+            .zip(points)
+            .map(|(result, point)| {
+                result.unwrap_or_else(|fault| {
+                    self.finish_point(batch, LoweredPoint::escaped(point, fault), 1)
+                })
+            })
+            .collect()
+    }
+
+    /// Finishes points parked after their lower half, through the pool and in
+    /// the order given: the second stage of an explorer generation. Returns
+    /// the outcomes and the budget the stage ran under.
+    pub(crate) fn finish_all(
+        &self,
+        batch: &Batch,
+        lowered: Vec<LoweredPoint<'_>>,
+    ) -> (Vec<SweepPointOutcome>, JobBudget) {
+        let budget = self.budget_for(lowered.len());
+        let points: Vec<&SweepPoint> = lowered.iter().map(|l| l.point).collect();
+        // The pool lends its items out; finishing consumes the design.
+        let parked: Vec<Mutex<Option<LoweredPoint<'_>>>> =
+            lowered.into_iter().map(|l| Mutex::new(Some(l))).collect();
+        let (results, _) = run_batch_isolated(budget.pool_jobs, &parked, |slot| {
+            let lowered = fault::lock_recover(slot)
+                .take()
+                .expect("the pool runs every item once");
+            self.finish_point(batch, lowered, budget.point_jobs)
+        });
+        (self.collect(batch, results, points.into_iter()), budget)
+    }
+
+    /// The compiler of one attempt at `point`. Retries are `degraded`, the
+    /// degradation ladder: one worker thread (no pool interleaving),
+    /// verification forced on (catch IR corruption a crashed attempt may have
+    /// exposed), shared cache bypassed (a poisoned or degraded cache cannot
+    /// re-fail the retry).
+    fn attempt_compiler(
+        &self,
+        batch: &Batch,
         point: &SweepPoint,
-        budget: &JobBudget,
-        cache: Option<&Arc<SharedEstimateCache>>,
-        run_token: &CancelToken,
-        armed: Option<PointFaults>,
+        point_jobs: usize,
+        degraded: bool,
+    ) -> Compiler {
+        let compiler = point
+            .compiler()
+            .with_jobs(if degraded { 1 } else { point_jobs })
+            .with_verification(degraded || self.verification);
+        match &batch.cache {
+            Some(cache) if !degraded => compiler.with_shared_estimates(Arc::clone(cache)),
+            _ => compiler,
+        }
+    }
+
+    /// The lower half of a point's first attempt: front end and pass
+    /// pipeline, under the point's deadline and armed faults.
+    pub(crate) fn lower_point<'p>(
+        &self,
+        batch: &Batch,
+        point: &'p SweepPoint,
+        point_jobs: usize,
+    ) -> LoweredPoint<'p> {
+        let start = Instant::now();
+        let faults = batch.armed.get(&point.label).cloned();
+        let compiler = self.attempt_compiler(batch, point, point_jobs, false);
+        let lowered = isolated(
+            &point.site(),
+            batch.run_token.child(self.deadline_ms),
+            faults.clone(),
+            || compiler.lower(point.workload.clone()),
+        );
+        LoweredPoint {
+            point,
+            faults,
+            lowered: lowered.map(|design| (compiler, design)),
+            lower_time: start.elapsed(),
+        }
+    }
+
+    /// Takes a point from its lower half to an outcome: the finish half of
+    /// the first attempt (final verify, both estimates, emission, on the
+    /// design that attempt lowered) and, if either half failed, the retries —
+    /// each a full recompile under the degradation ladder. Every attempt runs
+    /// under its own cancellation token (per-point deadline chained below the
+    /// run budget) and an installed fault context inside [`isolated`] —
+    /// panics, cancellations and store degradations all land as structured
+    /// [`PointAttempt`]s.
+    pub(crate) fn finish_point(
+        &self,
+        batch: &Batch,
+        lowered: LoweredPoint<'_>,
+        point_jobs: usize,
     ) -> SweepPointOutcome {
-        let point_start = Instant::now();
+        let LoweredPoint {
+            point,
+            faults,
+            lowered,
+            lower_time,
+        } = lowered;
+        let start = Instant::now();
+        let site = point.site();
+        let transient = self.fault_plan.as_ref().is_some_and(|p| p.transient);
+        let outcome = |point_jobs, attempts, failure, result| SweepPointOutcome {
+            label: point.label.clone(),
+            pipeline: point.pipeline_text(),
+            seconds: (lower_time + start.elapsed()).as_secs_f64(),
+            point_jobs,
+            attempts,
+            failure,
+            result,
+        };
+        let mut first_half = Some(lowered);
         let mut history: Vec<PointAttempt> = Vec::new();
         let mut last_error = None;
         let mut attempts = 0;
         for attempt in 0..=self.retries {
             attempts = attempt + 1;
-            // Degradation ladder for retries: one worker thread (no pool
-            // interleaving), verification forced on (catch IR corruption a
-            // crashed attempt may have exposed), shared cache bypassed (a
-            // poisoned or degraded cache cannot re-fail the retry).
-            let degraded = attempt > 0;
-            let point_jobs = if degraded { 1 } else { budget.point_jobs };
-            let mut compiler = point
-                .compiler()
-                .with_jobs(point_jobs)
-                .with_verification(degraded || self.verification);
-            if !degraded {
-                if let Some(cache) = cache {
-                    compiler = compiler.with_shared_estimates(Arc::clone(cache));
-                }
-            }
             // Transient plans fire on the first attempt only (so retries
-            // recover); persistent plans re-arm every attempt.
-            let attempt_faults = match &armed {
-                Some(faults)
-                    if attempt == 0 || !self.fault_plan.as_ref().is_some_and(|p| p.transient) =>
-                {
-                    Some(faults.clone())
+            // recover); persistent plans re-arm every attempt. The finish
+            // half re-installs what the lower half had: the sites of the two
+            // halves are disjoint, so each still fires once per attempt.
+            let attempt_faults = faults.clone().filter(|_| attempt == 0 || !transient);
+            let result = match first_half.take() {
+                // The deadline clock resumes where the lower half stopped it.
+                Some(lowered) => lowered.and_then(|(compiler, design)| {
+                    let compiler = compiler.with_jobs(point_jobs);
+                    isolated(
+                        &site,
+                        batch.run_token.child_after(self.deadline_ms, lower_time),
+                        attempt_faults,
+                        || compiler.finish(design),
+                    )
+                }),
+                None => {
+                    let compiler = self.attempt_compiler(batch, point, point_jobs, true);
+                    isolated(
+                        &site,
+                        batch.run_token.child(self.deadline_ms),
+                        attempt_faults,
+                        || compiler.compile(point.workload.clone()),
+                    )
                 }
-                _ => None,
             };
-            let result = isolated(
-                &format!("sweep point '{}'", point.label),
-                run_token.child(self.deadline_ms),
-                attempt_faults,
-                || compiler.compile(point.workload.clone()),
-            );
             match result {
                 Ok(compiled) => {
-                    return SweepPointOutcome {
-                        label: point.label.clone(),
-                        pipeline: point.pipeline_text(),
-                        seconds: point_start.elapsed().as_secs_f64(),
-                        point_jobs,
-                        attempts,
-                        failure: None,
-                        result: Ok(compiled),
-                    };
+                    let jobs = if attempt == 0 { point_jobs } else { 1 };
+                    return outcome(jobs, attempts, None, Ok(compiled));
                 }
                 Err(error) => {
                     history.push(PointAttempt {
                         attempt,
                         reason: classify_failure(&error),
                         detail: error.to_string(),
-                        degraded,
+                        degraded: attempt > 0,
                     });
                     last_error = Some(error);
                     // A run-budget cancellation dooms every further attempt;
                     // stop retrying instead of burning checkpoints.
-                    if run_token.is_cancelled() {
+                    if batch.run_token.is_cancelled() {
                         break;
                     }
                 }
             }
         }
-        SweepPointOutcome {
-            label: point.label.clone(),
-            pipeline: point.pipeline_text(),
-            seconds: point_start.elapsed().as_secs_f64(),
-            point_jobs: 1,
-            attempts,
-            failure: Some(PointFailure { attempts: history }),
-            result: Err(last_error.unwrap_or_else(|| {
-                IrError::pass_failed("sweep", "point failed without an attempt record")
-            })),
+        let error = last_error.unwrap_or_else(|| {
+            IrError::pass_failed("sweep", "point failed without an attempt record")
+        });
+        let failure = PointFailure { attempts: history };
+        outcome(1, attempts, Some(failure), Err(error))
+    }
+}
+
+/// What the points of one batch share while they compile: the estimate
+/// cache, the run-level token carrying the whole-run budget (every attempt
+/// gets a child token chaining its own deadline below it), and the faults
+/// the plan arms, by the label of the point they afflict.
+pub(crate) struct Batch {
+    cache: Option<Arc<SharedEstimateCache>>,
+    run_token: CancelToken,
+    armed: BTreeMap<String, PointFaults>,
+}
+
+/// A point between the two halves of its first attempt: through the pass
+/// pipeline (or failed in it), not yet estimated or emitted.
+pub(crate) struct LoweredPoint<'p> {
+    point: &'p SweepPoint,
+    faults: Option<PointFaults>,
+    lowered: IrResult<(Compiler, LoweredDesign)>,
+    lower_time: Duration,
+}
+
+impl<'p> LoweredPoint<'p> {
+    /// The lowered design, unless the lower half failed.
+    pub(crate) fn design(&self) -> Option<&LoweredDesign> {
+        self.lowered.as_ref().ok().map(|(_, design)| design)
+    }
+
+    /// A point whose pool worker unwound outside any attempt: the fault
+    /// stands in for its first attempt.
+    pub(crate) fn escaped(point: &'p SweepPoint, fault: WorkerFault) -> Self {
+        let (site, message) = (point.site(), fault.message);
+        let error = if fault.cancelled {
+            let detail = message;
+            IrError::Cancelled { site, detail }
+        } else {
+            IrError::WorkerPanic { site, message }
+        };
+        LoweredPoint {
+            point,
+            faults: None,
+            lowered: Err(error),
+            lower_time: Duration::ZERO,
         }
     }
 }

@@ -30,6 +30,15 @@ fn write_variants(name: &str, contents: &str) -> PathBuf {
 /// Runs `hida-opt --sweep` over `path` with extra args, returning
 /// (exit-success, stdout).
 fn run_sweep(path: &PathBuf, jobs: &str, extra: &[&str]) -> (bool, String) {
+    run_batch("--sweep", path, jobs, extra)
+}
+
+/// The same for `hida-opt --explore`.
+fn run_explore(path: &PathBuf, jobs: &str, extra: &[&str]) -> (bool, String) {
+    run_batch("--explore", path, jobs, extra)
+}
+
+fn run_batch(mode: &str, path: &PathBuf, jobs: &str, extra: &[&str]) -> (bool, String) {
     let output = Command::new(BIN)
         .args([
             "--workload",
@@ -40,11 +49,11 @@ fn run_sweep(path: &PathBuf, jobs: &str, extra: &[&str]) -> (bool, String) {
             "--jobs",
             jobs,
         ])
-        .arg("--sweep")
+        .arg(mode)
         .arg(path)
         .args(extra)
         .output()
-        .expect("run hida-opt --sweep");
+        .expect("run hida-opt on a variants file");
     (
         output.status.success(),
         String::from_utf8_lossy(&output.stdout).into_owned(),
@@ -148,6 +157,145 @@ fn transient_faults_recover_under_retries() {
         "a transient fault must converge under --retries 1:\n{stdout}"
     );
     assert!(!stdout.contains("FAILED"), "no point may fail:\n{stdout}");
+}
+
+/// A 3x2 grid (parallel factor x tile size). Its four corners and the
+/// centroid seed generation 0; the sixth candidate is generation 1.
+const EXPLORE_VARIANTS: &str = "\
+construct,lower,tiling{factor=2},parallelize{max-factor=1,device=zu3eg}
+construct,lower,tiling{factor=2},parallelize{max-factor=4,device=zu3eg}
+construct,lower,tiling{factor=2},parallelize{max-factor=16,device=zu3eg}
+construct,lower,tiling{factor=8},parallelize{max-factor=1,device=zu3eg}
+construct,lower,tiling{factor=8},parallelize{max-factor=4,device=zu3eg}
+construct,lower,tiling{factor=8},parallelize{max-factor=16,device=zu3eg}
+";
+
+/// The labels of an exploration's waves, read off its report: the `seeds:`
+/// line is generation 0, and on the 3x2 grid everything else is generation 1.
+fn explore_waves(stdout: &str) -> Vec<Vec<String>> {
+    let seeds: Vec<String> = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("seeds: "))
+        .expect("an exploration report names its seeds")
+        .split(", ")
+        .map(str::to_string)
+        .collect();
+    let generations = stdout
+        .lines()
+        .filter(|l| l.starts_with("generation "))
+        .count();
+    assert_eq!(
+        generations, 2,
+        "the 3x2 grid explores in two waves:\n{stdout}"
+    );
+    let rest = (1..=6)
+        .map(|i| format!("p{i:02}"))
+        .filter(|label| !seeds.contains(label))
+        .collect();
+    vec![seeds, rest]
+}
+
+/// [`point_blocks`] of an exploration report, whose point headers already
+/// carry the label (`point p05: ...`).
+fn explored_blocks(stdout: &str) -> BTreeMap<String, String> {
+    point_blocks(stdout)
+        .into_iter()
+        .map(|(key, body)| (key[1..].to_string(), body))
+        .collect()
+}
+
+/// Every candidate's lowering runs under the point's fault context and
+/// deadline — the explorer has no other compile path. A stall armed on one
+/// candidate of each wave times exactly those out, and the candidates that
+/// sat lowered at the barrier while it slept (eight deadlines long) still
+/// finish: their clock does not count the wait.
+#[test]
+fn explored_stall_times_out_the_afflicted_candidates_only() {
+    let path = write_variants("chaos_explore_deadline.txt", EXPLORE_VARIANTS);
+    let spec = "seed=5,stall=1,stall-ms=400";
+    let (ok, stdout) = run_explore(
+        &path,
+        "2",
+        &["--inject-faults", spec, "--deadline-ms", "50"],
+    );
+    assert!(!ok, "timed-out candidates must fail the run:\n{stdout}");
+    let plan = FaultPlan::parse(spec).expect("valid fault spec");
+    let mut expected: Vec<String> = explore_waves(&stdout)
+        .iter()
+        .flat_map(|wave| plan.assign(wave).into_keys())
+        .collect();
+    expected.sort();
+    let blocks = explored_blocks(&stdout);
+    let mut timed_out: Vec<String> = blocks
+        .iter()
+        .filter(|(_, body)| body.contains("error:"))
+        .map(|(label, _)| label.clone())
+        .collect();
+    timed_out.sort();
+    assert_eq!(timed_out, expected, "{stdout}");
+    for label in &expected {
+        let body = &blocks[label];
+        assert!(
+            body.contains("TimedOut") && body.contains("deadline of 50ms exceeded"),
+            "{label} must time out at its deadline:\n{body}"
+        );
+    }
+    assert_eq!(blocks.len(), 6, "every candidate is reported:\n{stdout}");
+}
+
+/// A transient pass panic hits candidates in their pooled lowering; one retry
+/// under the degradation ladder converges to the fault-free report.
+#[test]
+fn explored_transient_faults_recover_under_retries() {
+    let path = write_variants("chaos_explore_retries.txt", EXPLORE_VARIANTS);
+    let (ok, clean) = run_explore(&path, "1", &[]);
+    assert!(ok, "the fault-free exploration must pass:\n{clean}");
+    for jobs in ["1", "4"] {
+        let (ok, stdout) = run_explore(
+            &path,
+            jobs,
+            &[
+                "--inject-faults",
+                "seed=3,pass-panic=1,transient",
+                "--retries",
+                "1",
+            ],
+        );
+        assert!(ok, "--retries 1 must absorb a transient fault:\n{stdout}");
+        assert_eq!(stdout, clean, "--jobs {jobs}");
+    }
+}
+
+/// Without retries the same panic fails exactly the candidates the plan
+/// assigns in each wave, identically at any job count.
+#[test]
+fn explored_faults_fail_exactly_the_assigned_candidates_at_any_job_count() {
+    let path = write_variants("chaos_explore_panic.txt", EXPLORE_VARIANTS);
+    let spec = "seed=3,pass-panic=1";
+    let (ok, chaos1) = run_explore(&path, "1", &["--inject-faults", spec, "--retries", "0"]);
+    assert!(!ok);
+    let (ok, chaos4) = run_explore(&path, "4", &["--inject-faults", spec, "--retries", "0"]);
+    assert!(!ok);
+    assert_eq!(chaos1, chaos4);
+
+    // The summary lists failures in exploration order: wave by wave, and
+    // within a wave in file order.
+    let plan = FaultPlan::parse(spec).expect("valid fault spec");
+    let expected: Vec<String> = explore_waves(&chaos1)
+        .iter()
+        .flat_map(|wave| {
+            let assigned = plan.assign(wave);
+            wave.iter()
+                .filter(move |l| assigned.contains_key(*l))
+                .cloned()
+        })
+        .collect();
+    let summary = format!("FAILED: 2 of 6 compiled points ({})", expected.join(", "));
+    assert!(
+        chaos1.contains(&summary),
+        "missing '{summary}' in:\n{chaos1}"
+    );
+    assert!(chaos1.contains("Panicked"), "{chaos1}");
 }
 
 #[test]

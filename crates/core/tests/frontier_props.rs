@@ -2,16 +2,18 @@
 //! partial order, incremental insert/prune matches a brute-force
 //! non-dominated filter, a non-dominated insert is never dropped, and the
 //! frontier of a point set is invariant under permutation of the insertion
-//! order. One end-to-end case holds the explorer to the same standard on the
+//! order. End-to-end cases hold the explorer to the same standard on the
 //! reduced Fig. 10 grid: full frontier coverage with at least one compile
-//! pruned.
+//! pruned, the same exploration at any job count, and injected faults dealt
+//! wave by wave.
 
-use hida::explore::{dominates, Frontier, FrontierPoint};
+use hida::explore::{dominates, Frontier, FrontierPoint, KnobLattice};
 use hida::{
-    ExploreConfig, Explorer, HidaOptions, JobBudget, Model, Objective, SweepEngine, SweepPoint,
-    Workload,
+    ExploreConfig, ExploreOutcome, Explorer, FailureReason, FaultPlan, HidaOptions, JobBudget,
+    Model, Objective, SweepEngine, SweepPoint, Workload,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Brute-force reference: the non-dominated subset of `vectors`, as a sorted,
 /// deduplicated-by-identity multiset of vectors (ties are kept, exact
@@ -104,14 +106,8 @@ proptest! {
     }
 }
 
-/// The explorer against the exhaustive sweep of the reduced Fig. 10 grid
-/// (ResNet-18, parallel factor x tile size): it must recover every point of
-/// the exhaustive Pareto frontier while compiling strictly fewer candidates,
-/// and agree exactly on the QoR of every point both arms compiled. The arms
-/// use separate fresh estimate caches — sharing one would let the explorer's
-/// probes hit the exhaustive arm's results and fake the savings.
-#[test]
-fn explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles() {
+/// The reduced Fig. 10 grid: ResNet-18, parallel factor x tile size.
+fn reduced_fig10_grid() -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for pf in [1, 8, 64, 256] {
         for tile in [2, 8, 32] {
@@ -131,6 +127,18 @@ fn explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles() {
             );
         }
     }
+    points
+}
+
+/// The explorer against the exhaustive sweep of the reduced Fig. 10 grid
+/// (ResNet-18, parallel factor x tile size): it must recover every point of
+/// the exhaustive Pareto frontier while compiling strictly fewer candidates,
+/// and agree exactly on the QoR of every point both arms compiled. The arms
+/// use separate fresh estimate caches — sharing one would let the explorer's
+/// probes hit the exhaustive arm's results and fake the savings.
+#[test]
+fn explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles() {
+    let points = reduced_fig10_grid();
     let objectives = [Objective::Throughput, Objective::Dsp, Objective::Bram];
 
     let exhaustive = SweepEngine::new()
@@ -170,5 +178,101 @@ fn explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles() {
         let estimate = &point.result.as_ref().unwrap().estimate;
         let vector: Vec<i64> = objectives.iter().map(|o| o.value(estimate)).collect();
         assert_eq!(vector, vector_of(&point.label), "{}", point.label);
+    }
+}
+
+/// Determinism where pruning actually happens. A generation lowers its whole
+/// wave through the pool, waits, then finishes the survivors through the pool
+/// from those same designs; every pruning verdict is taken against
+/// generation-start state, so nothing the schedule decides can show: the
+/// frontier, every generation counter (pruned, probe hits, probe nodes) and
+/// the order of the compiled points are equal at 1, 2 and 4 jobs — and a
+/// design finished from a pooled lowering against the shared cache is the
+/// design a share-nothing compile of the point produces.
+#[test]
+fn exploration_with_pruning_is_identical_at_any_job_count() {
+    let points = reduced_fig10_grid();
+    let explore = |jobs: usize| {
+        let outcome = Explorer::new(ExploreConfig::default())
+            .with_total_jobs(jobs)
+            .explore(&points)
+            .unwrap();
+        assert!(outcome.all_ok(), "{:?}", outcome.failed_labels());
+        outcome
+    };
+    let labels = |o: &ExploreOutcome| o.points.iter().map(|p| p.label.clone()).collect::<Vec<_>>();
+
+    let sequential = explore(1);
+    assert!(sequential.pruned >= 1, "the grid must exercise pruning");
+    for jobs in [2, 4] {
+        let pooled = explore(jobs);
+        assert_eq!(pooled.frontier.vectors(), sequential.frontier.vectors());
+        assert_eq!(pooled.generations, sequential.generations, "jobs {jobs}");
+        assert_eq!(labels(&pooled), labels(&sequential), "jobs {jobs}");
+        assert_eq!(pooled.pruned, sequential.pruned);
+    }
+
+    for explored in &sequential.points {
+        let point = points.iter().find(|p| p.label == explored.label).unwrap();
+        let alone = point.compiler().compile(point.workload.clone()).unwrap();
+        let result = explored.result.as_ref().unwrap();
+        assert_eq!(result.hls_cpp, alone.hls_cpp, "{}", point.label);
+        assert_eq!(result.estimate, alone.estimate, "{}", point.label);
+        assert_eq!(
+            result.estimate_sequential, alone.estimate_sequential,
+            "{}",
+            point.label
+        );
+    }
+}
+
+/// Faults are dealt over each generation's whole wave, before anything is
+/// known about pruning, and fire inside the pooled lowering: a pass panic
+/// fails exactly the candidates the plan assigns wave by wave — the waves
+/// being a property of the lattice alone — at any job count, and leaves the
+/// other candidates' exploration standing.
+#[test]
+fn injected_faults_are_dealt_per_wave_and_fire_in_the_pooled_lowering() {
+    hida_ir_core::fault::silence_expected_panics();
+    let points = reduced_fig10_grid();
+    let plan = FaultPlan::parse("seed=11,pass-panic=1").unwrap();
+
+    let lattice = KnobLattice::build(&points).unwrap();
+    let mut visited = vec![false; points.len()];
+    let mut wave = lattice.seed_candidates(0, 0);
+    let mut expected = BTreeSet::new();
+    while !wave.is_empty() {
+        let labels: Vec<String> = wave.iter().map(|&i| points[i].label.clone()).collect();
+        expected.extend(plan.assign(&labels).into_keys());
+        for &i in &wave {
+            visited[i] = true;
+        }
+        let next: BTreeSet<usize> = wave
+            .iter()
+            .flat_map(|&i| lattice.neighbors(i))
+            .filter(|&n| !visited[n])
+            .collect();
+        wave = next.into_iter().collect();
+    }
+    assert!(expected.len() >= 2, "one afflicted candidate per wave");
+
+    for jobs in [1, 4] {
+        let engine = SweepEngine::new()
+            .with_total_jobs(jobs)
+            .with_fault_plan(plan.clone());
+        let outcome = Explorer::new(ExploreConfig::default())
+            .with_engine(engine)
+            .explore(&points)
+            .unwrap();
+        let failed: BTreeSet<String> = outcome
+            .failed_labels()
+            .into_iter()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(failed, expected, "jobs {jobs}");
+        for point in outcome.points.iter().filter(|p| p.result.is_err()) {
+            assert_eq!(point.failure_reason(), Some(FailureReason::Panicked));
+        }
+        assert!(!outcome.frontier.is_empty());
     }
 }

@@ -139,10 +139,21 @@ impl CancelToken {
     /// per-child deadline passes, or when [`CancelToken::cancel`] is called
     /// on the child itself.
     pub fn child(&self, deadline_ms: Option<u64>) -> Self {
+        self.child_after(deadline_ms, Duration::ZERO)
+    }
+
+    /// A [`child`](CancelToken::child) for work that resumes with `spent` of
+    /// its `deadline_ms` budget already used: the clock it runs on does not
+    /// count the time the work sat parked in between, and an expiry still
+    /// reports the whole budget.
+    pub fn child_after(&self, deadline_ms: Option<u64>, spent: Duration) -> Self {
         CancelToken {
             inner: Arc::new(TokenInner {
                 cancelled: AtomicBool::new(false),
-                deadline: deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
+                deadline: deadline_ms.map(|ms| {
+                    let left = Duration::from_millis(ms).saturating_sub(spent);
+                    (Instant::now() + left, ms)
+                }),
                 parent: Some(self.inner.clone()),
             }),
         }
@@ -645,6 +656,15 @@ mod tests {
         run.cancel();
         assert!(child.is_cancelled(), "parent cancellation reaches children");
         assert!(child.reason().contains("run budget"));
+
+        // A resumed child has only what is left of its budget, and reports
+        // the whole of it.
+        let fresh = CancelToken::new();
+        let resumed = fresh.child_after(Some(60_000), Duration::from_secs(1));
+        assert!(!resumed.is_cancelled());
+        let spent = fresh.child_after(Some(50), Duration::from_millis(50));
+        assert!(spent.is_cancelled());
+        assert_eq!(spent.reason(), "deadline of 50ms exceeded");
     }
 
     #[test]

@@ -154,13 +154,14 @@ where
     let executed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
 
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for me in 0..workers {
             let queues = &queues;
             let slots = &slots;
             let steals = &steals;
             let executed = &executed;
             let isolated = &isolated;
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 // Own queue first (front), then steal from the back of the
                 // other queues; queues only ever shrink, so one full empty
                 // scan means the batch is drained.
@@ -178,7 +179,19 @@ where
                 let result = isolated(&items[index]);
                 *lock_recover(&slots[index]) = Some(result);
                 executed[me].fetch_add(1, Ordering::Relaxed);
-            });
+            }));
+        }
+        // The scope's own implicit join only waits for the closures to
+        // return, not for the OS threads to exit. A batch started right
+        // after this one would then spawn while these workers still hold
+        // their allocator arenas, and the allocator would create new arenas
+        // instead of reusing those (measured: twice the arenas and a quarter
+        // more resident memory on an exploration, which runs its batches
+        // back to back). An explicit join waits for the thread itself.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 
