@@ -141,8 +141,9 @@ run_cache() {
 
 # The persistent estimate store must carry estimates across *processes*: a
 # second fig10 run pointed at the same --cache-dir reports nonzero persistent
-# hits and byte-identical QoR, and a corrupted entry degrades to misses
-# without failing the run.
+# hits and byte-identical QoR, a cold run leaves exactly one segment file and
+# a warm run adds none, and a corrupted segment degrades to misses without
+# failing the run.
 run_persist() {
   echo "==> [persist] fig10 twice, two processes sharing one --cache-dir"
   local cache_dir cold_json warm_json cold_txt warm_txt
@@ -160,6 +161,14 @@ run_persist() {
     cat "${cold_json}"
     exit 1
   fi
+  # The write path's regression guard, free of timing: one batch, one file.
+  local cold_files
+  cold_files=$(find "${cache_dir}" -mindepth 1 | sort)
+  if [[ $(echo "${cold_files}" | wc -l) -ne 1 || "${cold_files}" != *.seg || ! -f "${cold_files}" ]]; then
+    echo "a cold run must leave exactly one segment file in the store, found:"
+    echo "${cold_files}"
+    exit 1
+  fi
 
   cargo run --release -q -p hida-bench --bin fig10_ablation -- \
     --jobs 2 --cache-dir "${cache_dir}" --cache-limit-mb 64 \
@@ -167,6 +176,11 @@ run_persist() {
   if ! grep -qE '"persistent_cache": \{"hits": [1-9]' "${warm_json}"; then
     echo "warm run reported no persistent store hits (no cross-process reuse)"
     cat "${warm_json}"
+    exit 1
+  fi
+  if [[ "$(find "${cache_dir}" -mindepth 1 | sort)" != "${cold_files}" ]]; then
+    echo "a warm run must not write under the store directory, found:"
+    find "${cache_dir}" -mindepth 1
     exit 1
   fi
 
@@ -177,20 +191,15 @@ run_persist() {
     exit 1
   fi
 
-  echo "==> [persist] a corrupted store entry must degrade to misses, not fail the run"
-  local entry corrupt_json
-  entry=$(find "${cache_dir}" -name '*.est' | sort | head -n 1)
-  if [[ -z "${entry}" ]]; then
-    echo "no store entries found under ${cache_dir}"
-    exit 1
-  fi
-  printf 'vandalized' > "${entry}"
+  echo "==> [persist] a corrupted store segment must degrade to misses, not fail the run"
+  local corrupt_json
+  printf 'vandalized' > "${cold_files}"
   corrupt_json=$(mktemp /tmp/fig10_sweep_corrupt.XXXXXX.json)
   cargo run --release -q -p hida-bench --bin fig10_ablation -- \
     --jobs 2 --cache-dir "${cache_dir}" --cache-limit-mb 64 \
     --sweep-json "${corrupt_json}" > /dev/null
   if ! grep -qE '"corrupt": [1-9]' "${corrupt_json}"; then
-    echo "corrupted entry was not detected"
+    echo "corrupted segment was not detected"
     cat "${corrupt_json}"
     exit 1
   fi
@@ -343,6 +352,33 @@ EOF
     echo "surviving points diverged from the fault-free run"
     exit 1
   fi
+
+  echo "==> [chaos] store faults over a --cache-dir: same counters at --jobs 1 and 4, one segment each"
+  local jobs store_dir counters first_counters=""
+  for jobs in 1 4; do
+    store_dir=$(mktemp -d /tmp/hida_chaos_store.XXXXXX)
+    set +e
+    counters=$(cargo run --release -q -p hida --bin hida-opt -- \
+      --workload two_mm --sweep "${variants}" --jobs "${jobs}" --no-timing --stats-json \
+      --cache-dir "${store_dir}" --inject-faults "seed=7,short-write=1,store-read=1" \
+      2> /dev/null | grep -o '"persistent_cache":{[^}]*}')
+    set -e
+    if ! echo "${counters}" | grep -q '"writes":[1-9][0-9]*,.*"write_errors":1,"read_errors":1'; then
+      echo "store faults at --jobs ${jobs} were not counted as expected: ${counters}"
+      exit 1
+    fi
+    if [[ -n "${first_counters}" && "${counters}" != "${first_counters}" ]]; then
+      echo "store counters diverged between --jobs 1 and --jobs 4: ${first_counters} vs ${counters}"
+      exit 1
+    fi
+    first_counters="${counters}"
+    if [[ $(find "${store_dir}" -mindepth 1 | wc -l) -ne 1 ]]; then
+      echo "the chaos sweep must leave exactly one segment file:"
+      find "${store_dir}" -mindepth 1
+      exit 1
+    fi
+    rm -rf "${store_dir}"
+  done
 
   echo "==> [chaos] a transient fault must converge under --retries 1"
   set +e

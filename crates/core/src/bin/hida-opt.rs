@@ -79,10 +79,13 @@ usage: hida-opt [OPTIONS]
   --cache-dir <path>    persist per-node QoR estimates in a content-addressed
                         store under <path> (created if missing): this run
                         reuses estimates written by earlier processes sharing
-                        the directory, and writes its own back; corrupt or
-                        stale entries read as misses, never as errors
-  --cache-limit-mb <n>  size budget for --cache-dir in megabytes; writes past
-                        the budget evict least-recently-used entries
+                        the directory, and publishes its own as one segment
+                        file when it ends; a run that computes nothing new
+                        writes nothing; corrupt or stale segments read as
+                        misses, never as errors
+  --cache-limit-mb <n>  size budget for --cache-dir in megabytes; a publish
+                        past the budget evicts whole segments, oldest
+                        published first (reads refresh nothing)
   --deadline-ms <n>     per-point wall-clock deadline in milliseconds: a point
                         that exceeds it is cancelled at the next checkpoint
                         and reported as timed-out; under --sweep the run
@@ -908,7 +911,12 @@ fn run_single(args: &Args) -> Result<(), String> {
             );
         }
 
-        let result = compiler.finish(lowered)?;
+        let result = compiler.finish(lowered);
+        // One segment per run, on disk before the store's counters are read.
+        if let Some(cache) = &wiring.cache {
+            cache.flush();
+        }
+        let result = result?;
         let (dataflow, sequential) = (&result.estimate, &result.estimate_sequential);
         say!("\n# QoR estimate ({})", device.name);
         say!(

@@ -799,6 +799,8 @@ impl Explorer {
             wave = next.into_iter().collect();
         }
 
+        // One segment per exploration, on disk before the counters are read.
+        cache.flush();
         Ok(ExploreOutcome {
             points: outcomes,
             frontier,

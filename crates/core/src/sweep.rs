@@ -487,6 +487,11 @@ impl SweepEngine {
             let lowered = self.lower_point(&batch, point, budget.point_jobs);
             self.finish_point(&batch, lowered, budget.point_jobs)
         });
+        // One segment per sweep, on disk before the counters are read and
+        // before the caller has the outcome.
+        if let Some(cache) = &batch.cache {
+            cache.flush();
+        }
         SweepOutcome {
             points: self.collect(&batch, results, points.iter()),
             budget,

@@ -4,7 +4,7 @@
 //! deterministically under `--deadline-ms`, and recover transient faults
 //! under `--retries`.
 
-use hida::FaultPlan;
+use hida::{FaultKind, FaultPlan};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
@@ -157,6 +157,67 @@ fn transient_faults_recover_under_retries() {
         "a transient fault must converge under --retries 1:\n{stdout}"
     );
     assert!(!stdout.contains("FAILED"), "no point may fail:\n{stdout}");
+}
+
+/// A store directory under the test tmpdir that does not exist yet.
+fn fresh_store_dir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&dir);
+    dir
+}
+
+/// The `"persistent_cache"` object of a `--stats-json` document.
+fn persistent_counters(json: &str) -> &str {
+    let start = json
+        .find("\"persistent_cache\":{")
+        .unwrap_or_else(|| panic!("no persistent_cache in:\n{json}"));
+    let end = start + json[start..].find('}').expect("object end");
+    &json[start..=end]
+}
+
+/// The store's own fault sites under a real `--cache-dir`: the read fault
+/// fails exactly the planned point, the short write is a counted non-fatal
+/// degradation, the surviving points' estimates are still published — as one
+/// segment — and report and counters are the same at any job count.
+#[test]
+fn store_faults_over_a_cache_dir_keep_their_failed_set_and_counters_at_any_job_count() {
+    let path = write_variants("chaos_store.txt", HEALTHY_VARIANTS);
+    let spec = "seed=7,short-write=1,store-read=1";
+    let plan = FaultPlan::parse(spec).expect("valid fault spec");
+    let labels: Vec<String> = (1..=4).map(|i| format!("p{i:02}")).collect();
+    let assigned = plan.assign(&labels);
+    assert_eq!(assigned.len(), 2, "one fault of each kind");
+    let fatal: Vec<&str> = assigned
+        .iter()
+        .filter(|(_, kind)| **kind == FaultKind::StoreRead)
+        .map(|(label, _)| label.as_str())
+        .collect();
+    let summary = format!("FAILED: 1 of 4 sweep points ({})", fatal.join(", "));
+
+    let mut runs = Vec::new();
+    for jobs in ["1", "4"] {
+        let dir = fresh_store_dir(&format!("chaos_store_{jobs}"));
+        let dir_arg = dir.to_str().expect("utf-8 tmpdir");
+        let faults = ["--inject-faults", spec, "--cache-dir", dir_arg];
+        // Cold: three surviving points, two estimates each, one segment.
+        let (ok, json) = run_sweep(&path, jobs, &[&faults[..], &["--stats-json"]].concat());
+        assert!(!ok, "the store-read fault must fail the sweep:\n{json}");
+        assert_eq!(
+            persistent_counters(&json),
+            "\"persistent_cache\":{\"hits\":0,\"misses\":6,\"writes\":6,\"evictions\":0,\
+             \"corrupt\":0,\"write_errors\":1,\"read_errors\":1}",
+        );
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        // Warm, same plan: the same point fails and no file is added.
+        let (ok, report) = run_sweep(&path, jobs, &faults);
+        assert!(!ok);
+        assert!(report.contains(&summary), "missing '{summary}':\n{report}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+        runs.push(report);
+    }
+    assert_eq!(runs[0], runs[1], "--jobs 1 vs --jobs 4");
 }
 
 /// A 3x2 grid (parallel factor x tile size). Its four corners and the

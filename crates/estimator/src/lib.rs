@@ -20,8 +20,9 @@
 //!   design-space sweep re-estimates only the nodes whose tiling or parallel
 //!   factors actually changed,
 //! * [`store`] — a persistent, disk-backed tier under the shared cache
-//!   ([`EstimateStore`]): content-addressed entry files with atomic writes,
-//!   corruption tolerance and size-budgeted eviction, so *separate processes*
+//!   ([`EstimateStore`]): one content-named segment file per batch, published
+//!   atomically, read once per open, with corruption tolerance and
+//!   size-budgeted eviction, so *separate processes*
 //!   (CLI runs, bench invocations, CI steps) share estimate work too.
 //!
 //! Per-node estimates are memoized through the shared analysis-cache machinery

@@ -24,13 +24,16 @@
 //!
 //! With [`SharedEstimateCache::with_store`], the cache additionally layers a
 //! persistent, content-addressed [`EstimateStore`] underneath: in-memory
-//! misses read through to disk, and freshly computed estimates are written
-//! back — so *separate processes* (consecutive CLI runs, bench invocations,
-//! CI steps) pointed at the same directory share estimate work too. The disk
-//! tier keeps its own hit/miss counters
-//! ([`SharedEstimateCache::persistent_stats`]); the in-memory counters count
-//! a disk hit as a cache hit, because the caller was served without
-//! computing.
+//! misses read through to the store's index of its directory, and freshly
+//! computed estimates are queued on the store — so *separate processes*
+//! (consecutive CLI runs, bench invocations, CI steps) pointed at the same
+//! directory share estimate work too. Neither direction touches the file
+//! system per estimate: whoever drives a batch of compilations calls
+//! [`SharedEstimateCache::flush`] once when the batch ends, which publishes
+//! the queue as one segment file, and reads
+//! [`SharedEstimateCache::persistent_stats`] only after that, so `writes`
+//! counts what is on disk. The in-memory counters count a store hit as a
+//! cache hit, because the caller was served without computing.
 //!
 //! [`DataflowEstimator`]: crate::dataflow::DataflowEstimator
 //! [`DataflowEstimator::with_shared_cache`]: crate::dataflow::DataflowEstimator::with_shared_cache
@@ -128,6 +131,16 @@ impl SharedEstimateCache {
         self.store.as_ref()
     }
 
+    /// Publishes every estimate queued on the persistent store since the last
+    /// flush as one segment (see [`EstimateStore::flush`]); a no-op without a
+    /// store. Batch drivers call this when the batch ends, before they read
+    /// [`persistent_stats`](Self::persistent_stats).
+    pub fn flush(&self) {
+        if let Some(store) = &self.store {
+            store.flush();
+        }
+    }
+
     /// Traffic/maintenance counters of the persistent tier (`None` without an
     /// attached store).
     pub fn persistent_stats(&self) -> Option<PersistentStoreStats> {
@@ -136,8 +149,8 @@ impl SharedEstimateCache {
 
     /// Looks up the estimate cached under `key`, counting a hit or a miss.
     /// With a persistent store attached, an in-memory miss reads through to
-    /// disk; a disk hit is promoted into the in-memory map (and counted as a
-    /// hit — the caller was served without computing).
+    /// the store's index; a store hit is promoted into the in-memory map (and
+    /// counted as a hit — the caller was served without computing).
     pub fn lookup(&self, key: Fingerprint) -> Option<NodeEstimate> {
         {
             let entries = lock_recover(&self.entries);
@@ -146,8 +159,8 @@ impl SharedEstimateCache {
                 return Some(estimate.clone());
             }
         }
-        // Read through to the persistent tier outside the map lock: disk IO
-        // must not serialize concurrent in-memory lookups.
+        // Read through to the persistent tier outside the map lock: the
+        // store has a lock of its own.
         if let Some(estimate) = self.store.as_ref().and_then(|store| store.load(key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             lock_recover(&self.entries)
@@ -163,7 +176,7 @@ impl SharedEstimateCache {
     /// without computing anything on a miss — the surrogate query the
     /// design-space explorer uses to pre-score candidate points before
     /// deciding whether to compile them. With a persistent store attached, an
-    /// in-memory miss still reads through to disk (and promotes the entry),
+    /// in-memory miss still reads through to it (and promotes the entry),
     /// so estimates written by earlier processes feed the surrogate too. The
     /// main hit/miss counters stay untouched: a probe is a question about the
     /// cache, not a request served by it.
@@ -184,7 +197,7 @@ impl SharedEstimateCache {
     /// Publishes a freshly computed estimate. The first publisher wins; a
     /// concurrent duplicate is dropped (both computed the same pure function,
     /// so the values are identical anyway). With a persistent store attached,
-    /// a first publish is also written back to disk.
+    /// a first publish is also queued for the next [`flush`](Self::flush).
     pub fn publish(&self, key: Fingerprint, estimate: NodeEstimate) {
         let inserted = {
             let mut entries = lock_recover(&self.entries);

@@ -9,51 +9,77 @@
 //!
 //! # Layout
 //!
-//! Entries live in a sharded directory tree under the store root:
+//! The store is a flat directory of *segments*, one per flushed batch:
 //!
 //! ```text
 //! <dir>/
-//!   ab/                          # first two hex digits of the key
-//!     ab12...cd34.est            # one entry per combined fingerprint
+//!   5f0c...9a21.seg              # entries of one batch, back to back
+//!   c47e...03bd.seg              # named by the 128-bit hash of its bytes
 //! ```
 //!
-//! The key is the same combined 128-bit fingerprint the in-memory cache uses
-//! ([`estimate_key`](crate::shared_cache::estimate_key)): the structural
-//! fingerprint of the node subtree folded with the full device description —
-//! so an entry written by one process is valid in any other process compiling
-//! the same structure for the same device, and for no other combination.
+//! Entries are keyed by the same combined 128-bit fingerprint the in-memory
+//! cache uses ([`estimate_key`](crate::shared_cache::estimate_key)): the
+//! structural fingerprint of the node subtree folded with the full device
+//! description — so an entry written by one process is valid in any other
+//! process compiling the same structure for the same device, and for no
+//! other combination. A segment holds its batch in key order and its *name*
+//! is the [`StableHasher`] digest of its content: publishing the same batch
+//! twice (two processes running the same cold sweep, at any `--jobs`) lands
+//! on one file, and no process id, counter or clock can make two different
+//! batches collide.
 //!
 //! # Entry format
 //!
-//! Every entry file is self-describing and self-checking:
+//! Every entry is self-describing and self-checking, so a segment needs no
+//! header or index of its own — it is decoded front to back:
 //!
 //! ```text
 //! magic "HIDAESTM" (8 bytes)
-//! format version   (u32 LE)     # bumping STORE_VERSION invalidates old files
-//! key.hi, key.lo   (u64 LE x2)  # must match the file's own name
+//! format version   (u32 LE)     # bumping STORE_VERSION invalidates old entries
+//! key.hi, key.lo   (u64 LE x2)
 //! payload length   (u32 LE)
 //! payload          (encoded NodeEstimate, little-endian fields)
 //! checksum         (u64 LE, StableHasher over the payload)
 //! ```
 //!
+//! # What each call costs
+//!
+//! * [`EstimateStore::open`] — one `read_dir` and one whole-file read per
+//!   segment; every entry is decoded into an in-memory index (first
+//!   publisher wins, segments in path order, so the index is deterministic).
+//! * [`EstimateStore::load`] — a lookup in that index. No system call.
+//! * [`EstimateStore::save`] — encodes the entry onto an in-memory pending
+//!   buffer and indexes it (read-your-writes). No system call.
+//! * [`EstimateStore::flush`] — sorts the pending entries by key and
+//!   publishes them as **one** segment: tempfile create/write/close +
+//!   `rename`. The batch drivers call it once, when the batch ends; `Drop` is
+//!   the backstop.
+//!
+//! What a handle sees of the directory is fixed at `open`: segments another
+//! handle publishes later become visible at the next `open`.
+//!
 //! # Guarantees
 //!
-//! * **Atomicity** — entries are written to a temporary file in the store
+//! * **Atomicity** — a segment is written to a temporary file in the store
 //!   root and published with an atomic `rename`, so a concurrent reader (or a
-//!   crash mid-write) can never observe a torn entry.
-//! * **Corruption tolerance** — any anomaly on read (short file, bad magic,
-//!   version mismatch, key mismatch, checksum mismatch, undecodable payload)
-//!   is a *miss*, never an error or a panic. Corrupt files are deleted
-//!   best-effort so they stop costing read attempts.
-//! * **Bounded size** — with [`EstimateStore::with_limit_bytes`], writes that
-//!   push the store past the budget trigger LRU-ish eviction: entries are
-//!   removed oldest-modification-time first until the store fits (reads touch
-//!   the entry's mtime best-effort, so recently used entries survive).
+//!   crash mid-write) never observes a torn segment under a `.seg` name.
+//! * **Corruption tolerance** — any anomaly met at `open` (bad magic, version
+//!   mismatch, checksum mismatch, undecodable payload, trailing garbage, an
+//!   empty or unreadable file) is a *miss*, never an error, a panic or a
+//!   wrong value: the segment is counted `corrupt` and deleted best-effort,
+//!   the whole entries in front of the damage are served and queued for this
+//!   handle's next `flush`, and what the damage took is recomputed and saved
+//!   by the batch — so that flush puts all of it back in one clean segment.
+//! * **Bounded size** — with [`EstimateStore::with_limit_bytes`], every
+//!   `flush` that publishes evicts whole segments, oldest-published first
+//!   (the one just published last), until the directory fits the budget
+//!   again. Reads never write: a warm run leaves the directory untouched.
 
 use crate::latency::NodeEstimate;
 use crate::resource::Resources;
 use hida_ir_core::fingerprint::{Fingerprint, StableHasher};
 use hida_ir_core::lock_recover;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -64,37 +90,39 @@ use std::time::SystemTime;
 
 /// Bump to invalidate every previously written entry (e.g. when the
 /// [`NodeEstimate`] encoding or the estimator's cost model changes in a way
-/// the structural fingerprint cannot see). Old-version files read as misses.
+/// the structural fingerprint cannot see). Old-version entries read as misses.
 pub const STORE_VERSION: u32 = 1;
 
-/// File magic identifying a store entry.
+/// Magic identifying a store entry.
 const MAGIC: [u8; 8] = *b"HIDAESTM";
 
 /// Fixed entry size before the variable-length payload: magic + version +
 /// key + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 4;
 
-/// Entry file extension.
-const ENTRY_EXT: &str = "est";
+/// Segment file extension.
+const SEGMENT_EXT: &str = "seg";
 
 /// Traffic and maintenance counters of one [`EstimateStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistentStoreStats {
-    /// Entries served from disk.
+    /// Lookups served from the store's index.
     pub hits: u64,
-    /// Lookups that found no (valid) entry on disk.
+    /// Lookups that found no entry.
     pub misses: u64,
-    /// Entries written (tempfile + rename publishes).
+    /// Entries in the segments this handle published (tempfile + rename).
     pub writes: u64,
-    /// Entries removed to stay under the size budget.
+    /// Segments removed to stay under the size budget.
     pub evictions: u64,
-    /// Malformed entries encountered (each also counted as a miss).
+    /// Segments rejected at `open` (not entirely whole valid entries); the
+    /// entries they lost are ordinary misses afterwards.
     pub corrupt: u64,
-    /// Write-path I/O failures (tempfile or rename) swallowed as non-fatal
-    /// degradations: the estimate is simply not persisted.
+    /// Entries of segments whose publish failed (tempfile or rename),
+    /// swallowed as non-fatal degradations: the estimates are simply not
+    /// persisted.
     pub write_errors: u64,
-    /// Read-path I/O failures other than a plain missing entry (EIO,
-    /// permission), each also counted as a miss.
+    /// Segments `open` could not read for a reason other than having been
+    /// evicted meanwhile (EIO, permission).
     pub read_errors: u64,
 }
 
@@ -131,276 +159,260 @@ impl fmt::Display for PersistentStoreStats {
 
 /// A disk-backed, content-addressed store of serialized [`NodeEstimate`]s,
 /// keyed by the combined node-plus-device fingerprint. Safe to share between
-/// concurrent processes pointed at the same directory: writes are atomic
-/// renames and every read re-validates the entry it finds.
+/// concurrent processes pointed at the same directory: segments are published
+/// by atomic rename and every entry is re-validated when `open` reads it.
+/// A handle serves what the directory held when it was opened plus what it
+/// saved itself; another handle's publishes are seen by the next `open`.
 #[derive(Debug)]
 pub struct EstimateStore {
     dir: PathBuf,
     limit_bytes: Option<u64>,
-    /// Running estimate of the store's on-disk size; corrected to the exact
-    /// total on every eviction sweep.
-    approx_bytes: AtomicU64,
-    /// Serializes eviction sweeps (concurrent sweeps would double-count).
-    evict_lock: Mutex<()>,
-    tmp_counter: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    evictions: AtomicU64,
-    corrupt: AtomicU64,
-    write_errors: AtomicU64,
-    read_errors: AtomicU64,
+    state: Mutex<State>,
+}
+
+/// What a handle serves and what it still owes the directory.
+#[derive(Debug, Default)]
+struct State {
+    /// Every entry read at `open` plus every one saved since.
+    index: HashMap<Fingerprint, NodeEstimate>,
+    /// The encoded entries the next `flush` publishes: everything saved
+    /// since the last one, plus what `open` salvaged from corrupt segments.
+    pending: Vec<(Fingerprint, Vec<u8>)>,
+    stats: PersistentStoreStats,
 }
 
 impl EstimateStore {
     /// Opens (creating if necessary) the store rooted at `dir` with no size
-    /// budget.
+    /// budget and reads every segment in it into the handle's index.
     ///
     /// # Errors
-    /// Propagates the failure to create or scan the root directory; a store
-    /// that cannot even be opened is a configuration error, unlike the
-    /// per-entry anomalies which all degrade to misses.
+    /// Propagates the failure to create the root directory; a store that
+    /// cannot even be opened is a configuration error, unlike the
+    /// per-segment anomalies which all degrade to misses.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<EstimateStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let store = EstimateStore {
+        let mut state = State::default();
+        for path in segment_paths(&dir) {
+            let bytes = match fs::read(&path) {
+                Ok(bytes) => bytes,
+                // Evicted by another process since the directory was listed.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(_) => {
+                    state.stats.read_errors += 1;
+                    continue;
+                }
+            };
+            let mut entries = Entries(&bytes);
+            for (key, estimate) in entries.by_ref() {
+                state.index.entry(key).or_insert(estimate);
+            }
+            // Anything but whole valid entries end to end (an empty file is
+            // what a crash between rename and write-back leaves): count the
+            // segment, delete it, and queue its valid prefix so the next
+            // flush puts those entries back in a clean segment (self-healing).
+            if bytes.is_empty() || !entries.0.is_empty() {
+                state.stats.corrupt += 1;
+                let _ = fs::remove_file(&path);
+                let whole = Entries(&bytes).map(|(key, e)| (key, encode_entry(key, &e)));
+                state.pending.extend(whole);
+            }
+        }
+        Ok(EstimateStore {
             dir,
             limit_bytes: None,
-            approx_bytes: AtomicU64::new(0),
-            evict_lock: Mutex::new(()),
-            tmp_counter: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            read_errors: AtomicU64::new(0),
-        };
-        store.approx_bytes.store(
-            store.scan_entries().iter().map(|e| e.bytes).sum(),
-            Ordering::Relaxed,
-        );
-        Ok(store)
+            state: Mutex::new(state),
+        })
     }
 
-    /// Sets the size budget in bytes (builder style). Writes that push the
-    /// store past the budget evict oldest-mtime entries until it fits again.
+    /// Sets the size budget in bytes (builder style). A `flush` that pushes
+    /// the directory past the budget evicts oldest-published segments until
+    /// it fits again.
     pub fn with_limit_bytes(mut self, limit: u64) -> Self {
         self.limit_bytes = Some(limit);
         self
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured size budget, if any.
-    pub fn limit_bytes(&self) -> Option<u64> {
-        self.limit_bytes
-    }
-
-    /// The on-disk path an entry for `key` lives at (whether or not it
-    /// currently exists).
-    pub fn entry_path(&self, key: Fingerprint) -> PathBuf {
-        let name = key.to_string();
-        self.dir
-            .join(&name[..2])
-            .join(format!("{name}.{ENTRY_EXT}"))
-    }
-
-    /// Loads the estimate stored under `key`. Every anomaly — missing file,
-    /// torn or malformed entry, version or checksum mismatch — is a miss;
-    /// this method never fails.
+    /// The estimate stored under `key`: an index lookup, no file system
+    /// access. This method never fails.
     pub fn load(&self, key: Fingerprint) -> Option<NodeEstimate> {
-        let path = self.entry_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                // A missing entry is the expected cold-cache miss; any other
-                // failure (EIO, permission) is a counted read degradation —
-                // still served as a miss, never an error.
-                if e.kind() != io::ErrorKind::NotFound {
-                    self.read_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_entry(&bytes, key) {
-            Some(estimate) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // LRU-ish: refresh the mtime so eviction prefers entries that
-                // have not been used recently. Best-effort only.
-                if let Ok(file) = fs::File::options().write(true).open(&path) {
-                    let _ = file.set_modified(SystemTime::now());
-                }
-                Some(estimate)
-            }
-            None => {
-                // The file exists but is not a valid entry: count it, delete
-                // it best-effort (self-healing), and treat it as a miss.
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
-                None
-            }
+        let state = &mut *lock_recover(&self.state);
+        let found = state.index.get(&key).cloned();
+        match found {
+            Some(_) => state.stats.hits += 1,
+            None => state.stats.misses += 1,
+        }
+        found
+    }
+
+    /// Queues `estimate` under `key` for the next [`flush`](Self::flush) and
+    /// serves it from this handle at once. A key the handle already holds is
+    /// left untouched (first publisher wins, matching the in-memory cache).
+    pub fn save(&self, key: Fingerprint, estimate: &NodeEstimate) {
+        let state = &mut *lock_recover(&self.state);
+        if let Entry::Vacant(slot) = state.index.entry(key) {
+            slot.insert(estimate.clone());
+            state.pending.push((key, encode_entry(key, estimate)));
         }
     }
 
-    /// Persists `estimate` under `key` with an atomic tempfile + rename
-    /// publish. An existing entry is left untouched (first publisher wins,
-    /// matching the in-memory cache); IO failures are swallowed — the store
-    /// is an optimization, never a correctness dependency.
-    pub fn save(&self, key: Fingerprint, estimate: &NodeEstimate) {
-        let path = self.entry_path(key);
-        if path.exists() {
+    /// Publishes everything saved since the last flush as one segment, in
+    /// key order (the same batch is the same bytes whatever order the workers
+    /// saved it in), with an atomic tempfile + rename, then enforces the size
+    /// budget. IO failures are swallowed and counted — the store is an
+    /// optimization, never a correctness dependency. Nothing pending, nothing
+    /// done.
+    pub fn flush(&self) {
+        // Held to the end: a handle publishes and evicts one batch at a time.
+        let mut state = lock_recover(&self.state);
+        if state.pending.is_empty() {
             return;
         }
-        let bytes = encode_entry(key, estimate);
-        match self.write_atomic(&path, &bytes) {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-                let total = self
-                    .approx_bytes
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed)
-                    + bytes.len() as u64;
-                if let Some(limit) = self.limit_bytes {
-                    if total > limit {
-                        self.enforce_budget(limit);
-                    }
-                }
-            }
-            // ENOSPC, permission, read-only filesystem: a counted, non-fatal
-            // degradation. The sweep continues; the entry is simply not
-            // persisted.
-            Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut pending = std::mem::take(&mut state.pending);
+        pending.sort_by_key(|(key, _)| *key);
+        let entries = pending.len() as u64;
+        let bytes: Vec<u8> = pending.into_iter().flat_map(|(_, entry)| entry).collect();
+        // A failed publish (ENOSPC, permission, read-only filesystem) is a
+        // counted, non-fatal degradation, and is not retried.
+        let Ok(published) = self.publish(&bytes) else {
+            state.stats.write_errors += entries;
+            return;
+        };
+        state.stats.writes += entries;
+        if let Some(limit) = self.limit_bytes {
+            state.stats.evictions += self.enforce_budget(limit, &published);
         }
     }
 
     /// Counts an *injected* read fault (chaos testing) in the same counter a
     /// real EIO would land in.
     pub fn note_injected_read_error(&self) {
-        self.read_errors.fetch_add(1, Ordering::Relaxed);
+        lock_recover(&self.state).stats.read_errors += 1;
     }
 
     /// Counts an *injected* short write (chaos testing) in the same counter a
     /// real write failure would land in.
     pub fn note_injected_write_error(&self) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
+        lock_recover(&self.state).stats.write_errors += 1;
     }
 
     /// Lifetime counters of this store handle.
     pub fn stats(&self) -> PersistentStoreStats {
-        PersistentStoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            read_errors: self.read_errors.load(Ordering::Relaxed),
-        }
+        lock_recover(&self.state).stats
     }
 
-    /// Exact on-disk size of every entry currently in the store, in bytes
-    /// (rescans the directory).
+    /// Exact on-disk size of every segment currently in the store, in bytes.
+    /// Flushes first, so it covers what this handle saved.
     pub fn disk_bytes(&self) -> u64 {
-        self.scan_entries().iter().map(|e| e.bytes).sum()
+        self.flush();
+        self.segment_sizes().iter().map(|s| s.2).sum()
     }
 
-    /// Number of entries currently on disk (rescans the directory).
+    /// Number of whole valid entries currently on disk (flushes, then reads
+    /// every segment).
     pub fn disk_entries(&self) -> usize {
-        self.scan_entries().len()
+        self.flush();
+        segment_paths(&self.dir)
+            .iter()
+            .filter_map(|path| fs::read(path).ok())
+            .map(|bytes| Entries(&bytes).count())
+            .sum()
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if let Some(shard) = path.parent() {
-            fs::create_dir_all(shard)?;
-        }
-        // The temporary lives in the store root: same filesystem as the final
-        // shard path, so the rename is atomic, and the name is unique per
-        // (process, handle, write) so concurrent writers never collide.
+    /// Writes `bytes` as the segment named by their hash; returns its path.
+    fn publish(&self, bytes: &[u8]) -> io::Result<PathBuf> {
+        let mut hasher = StableHasher::new();
+        hasher.write_bytes(bytes);
+        let path = self.dir.join(format!("{}.{SEGMENT_EXT}", hasher.finish()));
+        // The temporary lives in the store root: same filesystem as the
+        // segment, so the rename is atomic, and the name is unique per
+        // (process, write) so concurrent writers never collide.
+        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, bytes)?;
-        match fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
+        fs::write(&tmp, bytes)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .inspect_err(|_| {
                 let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+            })?;
+        Ok(path)
     }
 
-    /// Removes oldest-mtime entries until the store fits `limit`. Concurrent
-    /// processes may race individual deletions; every outcome of that race
-    /// still leaves the store under budget, and a deleted entry is simply a
-    /// future miss.
-    fn enforce_budget(&self, limit: u64) {
-        let _guard = lock_recover(&self.evict_lock);
-        let mut entries = self.scan_entries();
+    /// Removes oldest-published segments until the store fits `limit` and
+    /// returns how many; `newest`, the one just published, goes last whatever
+    /// the clock's granularity says. Concurrent processes may race individual
+    /// deletions; every outcome of that race still leaves the store under
+    /// budget, and a deleted segment is simply future misses.
+    fn enforce_budget(&self, limit: u64, newest: &Path) -> u64 {
+        let mut segments = self.segment_sizes();
         // Oldest first; paths tie-break so the order is total.
-        entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.path.cmp(&b.path)));
-        let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
-        for entry in entries {
+        segments.sort_by(|a, b| (a.1 == newest, a).cmp(&(b.1 == newest, b)));
+        let mut total: u64 = segments.iter().map(|s| s.2).sum();
+        let mut evicted = 0;
+        for (_, path, bytes) in segments {
             if total <= limit {
                 break;
             }
-            if fs::remove_file(&entry.path).is_ok() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                total = total.saturating_sub(entry.bytes);
+            if fs::remove_file(&path).is_ok() {
+                evicted += 1;
+                total = total.saturating_sub(bytes);
             }
         }
-        self.approx_bytes.store(total, Ordering::Relaxed);
+        evicted
     }
 
-    /// Every entry file currently in the store (stale temporaries and foreign
-    /// files are ignored).
-    fn scan_entries(&self) -> Vec<DiskEntry> {
-        let mut entries = Vec::new();
-        let Ok(shards) = fs::read_dir(&self.dir) else {
-            return entries;
-        };
-        for shard in shards.flatten() {
-            let shard_path = shard.path();
-            if !shard_path.is_dir() {
-                continue;
-            }
-            let Ok(files) = fs::read_dir(&shard_path) else {
-                continue;
-            };
-            for file in files.flatten() {
-                let path = file.path();
-                if path.extension().and_then(|e| e.to_str()) != Some(ENTRY_EXT) {
-                    continue;
-                }
-                let Ok(meta) = file.metadata() else { continue };
-                entries.push(DiskEntry {
-                    bytes: meta.len(),
-                    mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-                    path,
-                });
-            }
-        }
-        entries
+    /// Publication time, path and size of every segment file.
+    fn segment_sizes(&self) -> Vec<(SystemTime, PathBuf, u64)> {
+        segment_paths(&self.dir)
+            .into_iter()
+            .filter_map(|path| {
+                let meta = fs::metadata(&path).ok().filter(|m| m.is_file())?;
+                let published = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                Some((published, path, meta.len()))
+            })
+            .collect()
     }
 }
 
-/// One entry file as seen by an eviction sweep.
-struct DiskEntry {
-    bytes: u64,
-    mtime: SystemTime,
-    path: PathBuf,
+/// Every `*.seg` path in `dir`, in path order (stale temporaries, entry trees
+/// of older builds and foreign files are ignored).
+fn segment_paths(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some(SEGMENT_EXT))
+        .collect();
+    paths.sort();
+    paths
 }
 
-/// Encodes a complete entry file for `estimate` under `key`: header, payload
+impl Drop for EstimateStore {
+    /// The backstop for callers that never reach a batch driver's flush.
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// The whole valid entries at the front of a segment's bytes, in order;
+/// `.0` is what has not been decoded (yet, or at all).
+struct Entries<'a>(&'a [u8]);
+
+impl Iterator for Entries<'_> {
+    type Item = (Fingerprint, NodeEstimate);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (key, estimate, rest) = decode_prefix(self.0)?;
+        self.0 = rest;
+        Some((key, estimate))
+    }
+}
+
+/// Encodes a complete entry for `estimate` under `key`: header, payload
 /// and checksum (see the module docs for the layout).
 pub fn encode_entry(key: Fingerprint, estimate: &NodeEstimate) -> Vec<u8> {
     let payload = encode_estimate(estimate);
@@ -415,10 +427,18 @@ pub fn encode_entry(key: Fingerprint, estimate: &NodeEstimate) -> Vec<u8> {
     out
 }
 
-/// Decodes an entry file, validating magic, version, key, length and
-/// checksum. Any deviation returns `None` — a corrupt entry must read as a
-/// miss, never as an error.
+/// Decodes one entry, validating magic, version, key, length and checksum.
+/// Any deviation returns `None` — a corrupt entry must read as a miss, never
+/// as an error.
 pub fn decode_entry(bytes: &[u8], key: Fingerprint) -> Option<NodeEstimate> {
+    let (found, estimate, rest) = decode_prefix(bytes)?;
+    // A foreign key, or trailing bytes this version never wrote.
+    (found == key && rest.is_empty()).then_some(estimate)
+}
+
+/// Decodes the entry at the front of `bytes`, returning its key, its estimate
+/// and the bytes that follow it; `None` unless a whole valid entry is there.
+fn decode_prefix(bytes: &[u8]) -> Option<(Fingerprint, NodeEstimate, &[u8])> {
     if bytes.len() < HEADER_LEN + 8 || bytes[..8] != MAGIC {
         return None;
     }
@@ -426,20 +446,17 @@ pub fn decode_entry(bytes: &[u8], key: Fingerprint) -> Option<NodeEstimate> {
     if r.u32()? != STORE_VERSION {
         return None;
     }
-    if (Fingerprint {
+    let key = Fingerprint {
         hi: r.u64()?,
         lo: r.u64()?,
-    }) != key
-    {
-        return None;
-    }
+    };
     let payload_len = r.u32()? as usize;
     let payload = r.bytes(payload_len)?;
     let stored_checksum = u64::from_le_bytes(r.bytes(8)?.try_into().ok()?);
-    if checksum(payload) != stored_checksum || !r.is_empty() {
-        return None; // Bit rot, or trailing bytes this version never wrote.
+    if checksum(payload) != stored_checksum {
+        return None; // Bit rot.
     }
-    decode_estimate(payload)
+    Some((key, decode_estimate(payload)?, r.bytes))
 }
 
 /// Checksum of an entry payload: both lanes of the workspace's stable hasher
@@ -556,6 +573,13 @@ mod tests {
         }
     }
 
+    fn named(name: &str) -> NodeEstimate {
+        NodeEstimate {
+            name: name.to_string(),
+            ..sample_estimate()
+        }
+    }
+
     fn temp_store_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -567,6 +591,16 @@ mod tests {
         dir
     }
 
+    /// Names of everything in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn save_load_round_trip_and_stats() {
         let dir = temp_store_dir("roundtrip");
@@ -574,17 +608,28 @@ mod tests {
         let key = Fingerprint { hi: 0xabcd, lo: 42 };
         assert!(store.load(key).is_none());
         store.save(key, &sample_estimate());
-        let loaded = store.load(key).expect("entry persists");
-        assert_eq!(loaded, sample_estimate());
+        // Read-your-writes: served from this handle before anything is on disk.
+        assert_eq!(store.load(key).expect("saved entry"), sample_estimate());
+        assert!(listing(&dir).is_empty());
         let stats = store.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.writes, 1);
-        assert_eq!(stats.corrupt, 0);
-        // A second handle on the same directory sees the entry: this is the
-        // cross-process path (same code, different process in CI).
-        let other = EstimateStore::open(&dir).unwrap();
-        assert_eq!(other.load(key).unwrap(), sample_estimate());
+        assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 0));
+
+        // Visibility is per open: a handle opened before the flush does not
+        // see the entry, one opened after it does — the cross-process path
+        // (same code, different process in CI).
+        let early = EstimateStore::open(&dir).unwrap();
+        store.flush();
+        assert_eq!(store.stats().writes, 1);
+        assert_eq!(store.stats().corrupt, 0);
+        assert!(early.load(key).is_none());
+        let late = EstimateStore::open(&dir).unwrap();
+        assert_eq!(late.load(key).unwrap(), sample_estimate());
+
+        // One batch, one file; flushing again with nothing pending adds none.
+        store.flush();
+        let names = listing(&dir);
+        assert_eq!(names.len(), 1, "{names:?}");
+        assert!(names[0].ends_with(".seg") && names[0].len() == 32 + 4);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -594,29 +639,140 @@ mod tests {
         let store = EstimateStore::open(&dir).unwrap();
         let key = Fingerprint { hi: 1, lo: 1 };
         store.save(key, &sample_estimate());
-        let mut second = sample_estimate();
-        second.latency_cycles = 1;
-        store.save(key, &second);
+        store.save(key, &named("second"));
         assert_eq!(store.load(key).unwrap(), sample_estimate());
+        store.flush();
         assert_eq!(store.stats().writes, 1);
+        assert_eq!(store.disk_entries(), 1);
+
+        // The same key in two segments with different payloads: the segment
+        // first in path order wins, on every open.
+        fs::write(dir.join("0.seg"), encode_entry(key, &named("zero"))).unwrap();
+        fs::write(dir.join("z.seg"), encode_entry(key, &named("zed"))).unwrap();
+        for _ in 0..3 {
+            let reopened = EstimateStore::open(&dir).unwrap();
+            assert_eq!(reopened.load(key).unwrap(), named("zero"));
+            assert_eq!(reopened.stats().corrupt, 0);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_entry_is_a_miss_and_self_heals() {
         let dir = temp_store_dir("corrupt");
-        let store = EstimateStore::open(&dir).unwrap();
         let key = Fingerprint { hi: 2, lo: 2 };
+        let store = EstimateStore::open(&dir).unwrap();
         store.save(key, &sample_estimate());
-        fs::write(store.entry_path(key), b"not an entry").unwrap();
-        assert!(store.load(key).is_none());
+        store.flush();
+        let segment = dir.join(&listing(&dir)[0]);
+        fs::write(&segment, b"not an entry").unwrap();
+
+        let reopened = EstimateStore::open(&dir).unwrap();
+        assert!(reopened.load(key).is_none());
+        let stats = reopened.stats();
+        assert_eq!((stats.corrupt, stats.misses, stats.read_errors), (1, 1, 0));
+        // Self-healed: the bad file is gone, so the next open is a plain
+        // cold one and a re-save publishes the entry again.
+        assert!(!segment.exists());
+        let healed = EstimateStore::open(&dir).unwrap();
+        assert!(healed.load(key).is_none());
+        assert_eq!(healed.stats().corrupt, 0);
+        healed.save(key, &sample_estimate());
+        drop(healed); // `Drop` is the flush of last resort.
+        let warm = EstimateStore::open(&dir).unwrap();
+        assert_eq!(warm.load(key).unwrap(), sample_estimate());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cut_segment_keeps_exactly_the_entries_before_the_cut() {
+        let dir = temp_store_dir("cut");
+        let entries: Vec<(Fingerprint, NodeEstimate)> = ["a", "", "a longer node name"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                (
+                    Fingerprint {
+                        hi: 4,
+                        lo: i as u64,
+                    },
+                    named(name),
+                )
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for (key, estimate) in &entries {
+            bytes.extend_from_slice(&encode_entry(*key, estimate));
+            ends.push(bytes.len());
+        }
+        fs::create_dir_all(&dir).unwrap();
+        let segment = dir.join("cut.seg");
+        for cut in 0..=bytes.len() {
+            fs::write(&segment, &bytes[..cut]).unwrap();
+            let store = EstimateStore::open(&dir).unwrap();
+            for ((key, estimate), &end) in entries.iter().zip(&ends) {
+                let expected = (end <= cut).then(|| estimate.clone());
+                assert_eq!(
+                    store.load(*key),
+                    expected,
+                    "cut {cut}, entry ending at {end}"
+                );
+            }
+            // Whole entries end to end is the only healthy shape; everything
+            // else is counted once and deleted.
+            let healthy = ends.contains(&cut);
+            assert_eq!(store.stats().corrupt, u64::from(!healthy), "cut {cut}");
+            assert_eq!(segment.exists(), healthy, "cut {cut}");
+            // The handle's flush puts the salvaged prefix back on disk as a
+            // clean segment: the next open finds the same entries, no damage.
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(store.disk_entries(), whole, "cut {cut}");
+            assert_eq!(store.stats().writes, if healthy { 0 } else { whole as u64 });
+            drop(store);
+            let healed = EstimateStore::open(&dir).unwrap();
+            assert_eq!(healed.stats().corrupt, 0, "cut {cut}");
+            for (key, _) in &entries[..whole] {
+                assert!(healed.load(*key).is_some(), "cut {cut}");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+            fs::create_dir_all(&dir).unwrap();
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn directory_anomalies_are_counted_or_ignored_never_errors() {
+        let dir = temp_store_dir("anomalies");
+        let key = Fingerprint { hi: 8, lo: 8 };
+        fs::create_dir_all(&dir).unwrap();
+        // Trailing garbage behind a whole entry: the entry is kept.
+        let mut garbage = encode_entry(key, &sample_estimate());
+        garbage.extend_from_slice(b"tail");
+        fs::write(dir.join("garbage.seg"), garbage).unwrap();
+        // A zero-length segment, a directory with a segment's name, a stale
+        // temporary of a crashed writer and the entry tree of an older build.
+        fs::write(dir.join("empty.seg"), b"").unwrap();
+        fs::create_dir_all(dir.join("x.seg")).unwrap();
+        fs::write(dir.join(".tmp-1-0"), b"half a segm").unwrap();
+        fs::create_dir_all(dir.join("ab")).unwrap();
+        fs::write(dir.join("ab").join("ab12.est"), b"old layout").unwrap();
+
+        let store = EstimateStore::open(&dir).expect("anomalies never fail an open");
+        assert_eq!(store.load(key).unwrap(), sample_estimate());
         let stats = store.stats();
-        assert_eq!(stats.corrupt, 1);
-        assert_eq!(stats.misses, 1);
-        // Self-healed: the bad file is gone, so the next read is a plain miss.
-        assert!(!store.entry_path(key).exists());
-        assert!(store.load(key).is_none());
-        assert_eq!(store.stats().corrupt, 1);
+        assert_eq!((stats.corrupt, stats.read_errors), (2, 1), "{stats:?}");
+        // The two corrupt segments are gone; what is not a segment file is
+        // left alone.
+        assert_eq!(listing(&dir), [".tmp-1-0", "ab", "x.seg"]);
+        // The entry in front of the garbage goes back to disk with the
+        // handle's next flush, in a segment of its own.
+        assert_eq!(store.disk_entries(), 1);
+        assert_eq!(store.stats().writes, 1);
+        assert_eq!(listing(&dir).len(), 4);
+        let healed = EstimateStore::open(&dir).unwrap();
+        assert_eq!(healed.load(key).unwrap(), sample_estimate());
+        assert_eq!(healed.stats().corrupt, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -656,16 +812,25 @@ mod tests {
         let store = EstimateStore::open(&dir)
             .unwrap()
             .with_limit_bytes(3 * one_entry);
+        // Ten one-entry batches: the budget holds three segments.
         for i in 0..10 {
             store.save(Fingerprint { hi: 9, lo: i }, &sample_estimate());
+            store.flush();
+            assert!(store.disk_bytes() <= 3 * one_entry);
         }
-        assert!(
-            store.disk_bytes() <= 3 * one_entry,
-            "{}",
-            store.disk_bytes()
-        );
-        assert!(store.stats().evictions >= 7, "{:?}", store.stats());
-        assert!(store.disk_entries() >= 1);
+        assert_eq!(store.stats().writes, 10);
+        assert_eq!(store.stats().evictions, 7, "{:?}", store.stats());
+        assert_eq!(store.disk_entries(), 3);
+        // One batch larger than the whole budget: published, then evicted
+        // with everything older — the budget is on the directory, always.
+        for i in 10..14 {
+            store.save(Fingerprint { hi: 9, lo: i }, &sample_estimate());
+        }
+        assert_eq!(store.disk_bytes(), 0);
+        assert_eq!(store.stats().writes, 14);
+        assert_eq!(store.stats().evictions, 11, "{:?}", store.stats());
+        // Evicted entries are still served by the handle that saved them.
+        assert!(store.load(Fingerprint { hi: 9, lo: 0 }).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -673,26 +838,25 @@ mod tests {
     fn unwritable_store_degrades_to_counted_write_errors() {
         let dir = temp_store_dir("readonly");
         let store = EstimateStore::open(&dir).unwrap();
-        let key = Fingerprint { hi: 3, lo: 3 };
-        // Plant a regular file where the entry's shard *directory* must go:
-        // `create_dir_all` fails with NotADirectory regardless of privileges
+        // Replace the store directory by a regular file: creating the
+        // temporary fails with NotADirectory regardless of privileges
         // (unlike chmod-based read-only dirs, which root bypasses).
-        let shard = store.entry_path(key).parent().unwrap().to_path_buf();
-        fs::write(&shard, b"not a directory").unwrap();
-        store.save(key, &sample_estimate());
-        store.save(key, &sample_estimate());
+        fs::remove_dir_all(&dir).unwrap();
+        fs::write(&dir, b"not a directory").unwrap();
+        let keys = [Fingerprint { hi: 3, lo: 3 }, Fingerprint { hi: 3, lo: 4 }];
+        for key in keys {
+            store.save(key, &sample_estimate());
+        }
+        store.flush();
         let stats = store.stats();
         assert_eq!(stats.writes, 0);
         assert_eq!(stats.write_errors, 2, "{stats:?}");
-        // The store stays fully usable for other shards (the shard is the
-        // leading two hex digits, i.e. the top bits of `hi`).
-        let other = Fingerprint {
-            hi: 0xf300_0000_0000_0000,
-            lo: 9,
-        };
-        store.save(other, &sample_estimate());
-        assert_eq!(store.load(other).unwrap(), sample_estimate());
-        let _ = fs::remove_dir_all(&dir);
+        // The failed batch is not retried, and the handle keeps serving it.
+        store.flush();
+        assert_eq!(store.stats().write_errors, 2);
+        assert_eq!(store.load(keys[1]).unwrap(), sample_estimate());
+        assert_eq!(store.disk_bytes(), 0);
+        let _ = fs::remove_file(&dir);
     }
 
     #[test]
@@ -703,13 +867,14 @@ mod tests {
         // Cold miss: no read error.
         assert!(store.load(key).is_none());
         assert_eq!(store.stats().read_errors, 0);
-        // Plant a directory where the entry file should be: fs::read fails
-        // with something other than NotFound.
-        fs::create_dir_all(store.entry_path(key)).unwrap();
+        // A directory where a segment file should be: fs::read fails with
+        // something other than NotFound.
+        fs::create_dir_all(dir.join("x.seg")).unwrap();
+        let store = EstimateStore::open(&dir).unwrap();
         assert!(store.load(key).is_none());
         let stats = store.stats();
         assert_eq!(stats.read_errors, 1, "{stats:?}");
-        assert_eq!(stats.misses, 2);
+        assert_eq!((stats.misses, stats.corrupt), (1, 0));
         // Injected-fault bookkeeping lands in the same counters.
         store.note_injected_read_error();
         store.note_injected_write_error();
@@ -727,9 +892,13 @@ mod tests {
         let dir = temp_store_dir("reopen");
         let store = EstimateStore::open(&dir).unwrap();
         store.save(Fingerprint { hi: 5, lo: 5 }, &sample_estimate());
+        store.save(Fingerprint { hi: 5, lo: 6 }, &sample_estimate());
         let expected = store.disk_bytes();
+        let one_entry = encode_entry(Fingerprint { hi: 0, lo: 0 }, &sample_estimate()).len() as u64;
+        assert_eq!(expected, 2 * one_entry);
         let reopened = EstimateStore::open(&dir).unwrap();
-        assert_eq!(reopened.approx_bytes.load(Ordering::Relaxed), expected);
+        assert_eq!(reopened.disk_bytes(), expected);
+        assert_eq!(reopened.disk_entries(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

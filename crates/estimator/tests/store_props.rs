@@ -1,7 +1,8 @@
 //! Property tests for the persistent estimate store: exact round-trips of the
 //! on-disk entry encoding over arbitrary estimates, rejection (never a panic,
-//! never a wrong value) of version-mismatched and truncated entry files, and
-//! the size budget staying enforced across arbitrary write sequences.
+//! never a wrong value) of version-mismatched and truncated entries, handles
+//! sharing a directory leaving the union of their batches, and the size
+//! budget staying enforced across arbitrary batch sequences.
 
 use hida_estimator::store::{decode_entry, encode_entry, EstimateStore, STORE_VERSION};
 use hida_estimator::{NodeEstimate, Resources};
@@ -92,8 +93,9 @@ proptest! {
         prop_assert_eq!(decode_entry(&bytes[..len], key), None);
     }
 
-    /// A version-mismatched file on disk degrades to a counted miss and is
-    /// self-healed: the slot becomes writable again and the fresh entry loads.
+    /// A version-mismatched segment on disk degrades to a counted miss and is
+    /// self-healed: the segment is deleted at `open`, the fresh entry is
+    /// re-published and loads in the next handle.
     #[test]
     fn stale_version_on_disk_degrades_to_miss_then_heals(
         raw_key in (0_u64..u64::MAX, 0_u64..u64::MAX),
@@ -102,27 +104,72 @@ proptest! {
         let key = Fingerprint { hi: raw_key.0, lo: raw_key.1 };
         let estimate = estimate_from(&[0], &words);
         let dir = temp_store_dir("version");
-        let store = EstimateStore::open(&dir).expect("open store");
+        std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = encode_entry(key, &estimate);
         bytes[8..12].copy_from_slice(&(STORE_VERSION + 1).to_le_bytes());
-        let path = store.entry_path(key);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
+        let stale = dir.join("stale.seg");
+        std::fs::write(&stale, &bytes).unwrap();
 
+        let store = EstimateStore::open(&dir).expect("open store");
         prop_assert_eq!(store.load(key), None);
         let stats = store.stats();
         prop_assert_eq!((stats.corrupt, stats.misses), (1, 1));
+        prop_assert!(!stale.exists());
         store.save(key, &estimate);
-        prop_assert_eq!(store.load(key), Some(estimate));
+        store.flush();
+        let healed = EstimateStore::open(&dir).expect("open store");
+        prop_assert_eq!(healed.stats().corrupt, 0);
+        prop_assert_eq!(healed.load(key), Some(estimate));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// After every save under a size budget the store fits the budget, each
-    /// eviction accounts for exactly one earlier write, and every surviving
-    /// entry still decodes to the estimate it was saved with.
+    /// Two handles flushing into one directory leave the union of their
+    /// batches, whatever the overlap; the same batch, saved in any order (as
+    /// the workers of two pooled sweeps would), collapses onto the file its
+    /// twin already published.
+    #[test]
+    fn handles_sharing_a_directory_leave_the_union_of_their_batches(
+        left in prop::collection::vec(0_u64..12, 0..10),
+        right in prop::collection::vec(0_u64..12, 0..10),
+        words in prop::collection::vec(WORD_RANGE, 9..10),
+    ) {
+        let dir = temp_store_dir("union");
+        let estimate_of = |lo: u64| estimate_from(&[(lo % 6) as usize], &words);
+        let save_all = |store: &EstimateStore, keys: &[u64]| {
+            for &lo in keys {
+                store.save(Fingerprint { hi: 0xab, lo }, &estimate_of(lo));
+            }
+        };
+        let a = EstimateStore::open(&dir).expect("open store");
+        let b = EstimateStore::open(&dir).expect("open store");
+        let twin = EstimateStore::open(&dir).expect("open store");
+        save_all(&a, &left);
+        save_all(&b, &right);
+        let reversed: Vec<u64> = left.iter().rev().copied().collect();
+        save_all(&twin, &reversed);
+        a.flush();
+        let after_a = a.disk_bytes();
+        twin.flush();
+        prop_assert_eq!(twin.disk_bytes(), after_a, "an identical batch adds no file");
+        b.flush();
+
+        let merged = EstimateStore::open(&dir).expect("open store");
+        for lo in 0..12 {
+            let expected = (left.contains(&lo) || right.contains(&lo)).then(|| estimate_of(lo));
+            prop_assert_eq!(merged.load(Fingerprint { hi: 0xab, lo }), expected);
+        }
+        prop_assert_eq!(merged.stats().corrupt, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After every flush under a size budget the directory fits the budget —
+    /// whatever the batch sizes, a single batch larger than the whole budget
+    /// included — each eviction accounts for exactly one published segment,
+    /// and every surviving entry still decodes to the estimate it was saved
+    /// with.
     #[test]
     fn eviction_keeps_the_store_under_budget(
-        num_entries in 1_usize..24,
+        batches in prop::collection::vec(1_usize..10, 1..10),
         limit_entries in 1_u64..8,
         words in prop::collection::vec(WORD_RANGE, 9..10),
     ) {
@@ -133,28 +180,43 @@ proptest! {
         let store = EstimateStore::open(&dir)
             .expect("open store")
             .with_limit_bytes(limit);
-        for i in 0..num_entries {
+        let mut saved = 0_u64;
+        for (round, &batch) in batches.iter().enumerate() {
             // Same-length estimates: keys differ, payload size does not, so
             // `limit` is an exact entry-count budget.
-            let key = Fingerprint { hi: 0x10 + i as u64, lo: i as u64 };
-            store.save(key, &base);
+            for _ in 0..batch {
+                store.save(Fingerprint { hi: 0x10, lo: saved }, &base);
+                saved += 1;
+            }
+            store.flush();
             prop_assert!(
                 store.disk_bytes() <= limit,
-                "store exceeds budget after save {}: {} > {}",
-                i,
+                "store exceeds budget after flush {}: {} > {}",
+                round,
                 store.disk_bytes(),
                 limit
             );
-        }
-        let stats = store.stats();
-        prop_assert_eq!(stats.writes, num_entries as u64);
-        prop_assert_eq!(stats.evictions, num_entries as u64 - store.disk_entries() as u64);
-        for i in 0..num_entries {
-            let key = Fingerprint { hi: 0x10 + i as u64, lo: i as u64 };
-            if store.entry_path(key).exists() {
-                prop_assert_eq!(store.load(key), Some(base.clone()));
+            // Eviction is oldest first: a batch that fits the budget is
+            // never the one that goes, however coarse the file clock.
+            if batch as u64 * entry_bytes <= limit {
+                let reopened = EstimateStore::open(&dir).expect("open store");
+                prop_assert!(reopened.load(Fingerprint { hi: 0x10, lo: saved - 1 }).is_some());
             }
         }
+        let stats = store.stats();
+        prop_assert_eq!(stats.writes, saved);
+        let survivors = EstimateStore::open(&dir).expect("open store");
+        let on_disk = std::fs::read_dir(&dir).unwrap().count() as u64;
+        prop_assert_eq!(stats.evictions, batches.len() as u64 - on_disk);
+        let mut served = 0;
+        for lo in 0..saved {
+            if let Some(estimate) = survivors.load(Fingerprint { hi: 0x10, lo }) {
+                prop_assert_eq!(&estimate, &base);
+                served += 1;
+            }
+        }
+        prop_assert_eq!(served, survivors.disk_entries());
+        prop_assert_eq!(survivors.stats().corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
