@@ -444,8 +444,9 @@ EOF
 
 # The repo's benchmark (benchmark/, BENCHMARK.json) must keep building against
 # the compiler and pass its own output checks: one-second windows over all
-# six workloads, every one reporting `failed 0`. The numbers mean nothing at
-# this window length; this stage only keeps the harness alive.
+# six workloads, every one reporting `failed 0`. Times mean nothing at this
+# window length, but allocation counts repeat exactly: `allocs_per_op` of the
+# workloads listed in ci-alloc-ceilings.txt must stay under its ceilings.
 run_bench_smoke() {
   echo "==> [bench-smoke] benchmark/smoke.sh: every workload must report failed 0"
   bash benchmark/smoke.sh > /dev/null
@@ -457,6 +458,19 @@ run_bench_smoke() {
       exit 1
     fi
   done
+
+  echo "==> [bench-smoke] allocs_per_op must not exceed ci-alloc-ceilings.txt"
+  local ceiling allocs
+  while read -r workload ceiling; do
+    allocs=$(grep -o '"allocs_per_op": {"value": [0-9.]*' \
+      "benchmark/out/smoke/result-${workload}.json" | grep -o '[0-9.]*$')
+    if ! awk -v allocs="${allocs}" -v ceiling="${ceiling}" \
+      'BEGIN { exit !(allocs != "" && allocs + 0 <= ceiling + 0) }'; then
+      echo "${workload}: allocs_per_op ${allocs:-missing} exceeds the ceiling ${ceiling}"
+      exit 1
+    fi
+    echo "    ${workload}: ${allocs} <= ${ceiling}"
+  done < <(grep -v '^#' ci-alloc-ceilings.txt)
 }
 
 stage="${1:-all}"

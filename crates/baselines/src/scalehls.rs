@@ -12,7 +12,6 @@
 //!   (ZFNet, YOLO).
 
 use hida_dataflow_ir::structural::ScheduleOp;
-use hida_estimator::device::FpgaDevice;
 use hida_frontend::nn::Model;
 use hida_ir_core::{AnalysisManager, Context, IrResult, OpId};
 use hida_opt::{construct, lower, parallelize, ParallelMode};
@@ -27,12 +26,7 @@ pub fn supports(model: Model) -> bool {
 ///
 /// # Errors
 /// Propagates pass failures from the shared pass implementations.
-pub fn compile(
-    ctx: &mut Context,
-    func: OpId,
-    device: &FpgaDevice,
-    max_parallel_factor: i64,
-) -> IrResult<ScheduleOp> {
+pub fn compile(ctx: &mut Context, func: OpId, max_parallel_factor: i64) -> IrResult<ScheduleOp> {
     construct::construct_functional_dataflow(ctx, func)?;
     // No task fusion, no multi-producer elimination, no balancing, no tiling.
     let mut analyses = AnalysisManager::new();
@@ -44,7 +38,6 @@ pub fn compile(
         schedule,
         max_parallel_factor,
         ParallelMode::IaOnly,
-        device,
     )?;
     Ok(schedule)
 }
@@ -54,6 +47,7 @@ mod tests {
     use super::*;
     use hida_dialects::hls::MemoryKind;
     use hida_estimator::dataflow::DataflowEstimator;
+    use hida_estimator::device::FpgaDevice;
     use hida_frontend::nn::build_model;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
     use hida_opt::{HidaOptimizer, HidaOptions};
@@ -63,7 +57,7 @@ mod tests {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
         let func = build_model(&mut ctx, module, Model::LeNet);
-        let schedule = compile(&mut ctx, func, &FpgaDevice::pynq_z2(), 16).unwrap();
+        let schedule = compile(&mut ctx, func, 16).unwrap();
         let external = schedule
             .internal_buffers(&ctx)
             .iter()
@@ -82,7 +76,7 @@ mod tests {
         let mut ctx_scale = Context::new();
         let module = ctx_scale.create_module("m");
         let func = build_kernel(&mut ctx_scale, module, PolybenchKernel::Mvt, 64);
-        let scale_schedule = compile(&mut ctx_scale, func, &device, 16).unwrap();
+        let scale_schedule = compile(&mut ctx_scale, func, 16).unwrap();
         let scale = estimator.estimate_schedule(&ctx_scale, scale_schedule, true);
 
         let mut ctx_hida = Context::new();

@@ -25,8 +25,7 @@ fn main() {
         let mut ctx = Context::new();
         let module = ctx.create_module("scalehls");
         let func = hida::frontend::nn::build_model(&mut ctx, module, model);
-        let schedule =
-            hida::baselines::scalehls::compile(&mut ctx, func, &device, 64).expect("scalehls");
+        let schedule = hida::baselines::scalehls::compile(&mut ctx, func, 64).expect("scalehls");
         let scale = estimator.estimate_schedule(&ctx, schedule, true);
 
         let hida_bram = hida_result.estimate.resources.bram_18k.max(1);

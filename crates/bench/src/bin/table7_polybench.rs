@@ -38,7 +38,7 @@ fn main() {
         let module = ctx.create_module("scalehls");
         let func = hida::frontend::polybench::build_kernel(&mut ctx, module, kernel, n);
         let scale_schedule =
-            hida::baselines::scalehls::compile(&mut ctx, func, &device, 16).expect("scalehls");
+            hida::baselines::scalehls::compile(&mut ctx, func, 16).expect("scalehls");
         let scale_est = estimator.estimate_schedule(&ctx, scale_schedule, true);
 
         // SOFF-style baseline.

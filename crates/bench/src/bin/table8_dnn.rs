@@ -39,7 +39,7 @@ fn main() {
             let module = ctx.create_module("scalehls");
             let func = hida::frontend::nn::build_model(&mut ctx, module, model);
             let schedule =
-                hida::baselines::scalehls::compile(&mut ctx, func, &device, 64).expect("scalehls");
+                hida::baselines::scalehls::compile(&mut ctx, func, 64).expect("scalehls");
             Some(estimator.estimate_schedule(&ctx, schedule, true))
         } else {
             None

@@ -178,19 +178,21 @@ impl DataflowEstimator {
             .borrow()
             .cached_any::<NodeEstimate>(ctx, op)
             .is_some();
-        if locally_cached || self.shared.is_none() {
-            return self
-                .analyses
+        let estimate = if locally_cached || self.shared.is_none() {
+            self.analyses
                 .borrow_mut()
                 .get_with(ctx, op, "node-estimate", |ctx, op| {
                     estimate_body(ctx, op, &self.device)
-                });
-        }
-        let (estimate, was_hit) = self.shared_lookup_or_compute(ctx, op);
-        self.record_shared_traffic(was_hit, 1);
-        self.analyses
-            .borrow_mut()
-            .get_with(ctx, op, "node-estimate", move |_, _| estimate)
+                })
+        } else {
+            let (estimate, was_hit) = self.shared_lookup_or_compute(ctx, op);
+            self.record_shared_traffic(was_hit, 1);
+            self.analyses
+                .borrow_mut()
+                .get_with(ctx, op, "node-estimate", move |_, _| estimate)
+        };
+        // The caller owns its `DesignEstimate`; this is the one copy per query.
+        NodeEstimate::clone(&estimate)
     }
 
     /// Consults the attached shared cache for `op`'s estimate, computing and
@@ -254,7 +256,7 @@ impl DataflowEstimator {
         }
     }
 
-    fn graph(&self, ctx: &Context, schedule: ScheduleOp) -> DataflowGraph {
+    fn graph(&self, ctx: &Context, schedule: ScheduleOp) -> Arc<DataflowGraph> {
         self.analyses
             .borrow_mut()
             .get::<DataflowGraph>(ctx, schedule.id())

@@ -19,15 +19,15 @@
 use crate::ParallelMode;
 use hida_dataflow_ir::graph::{DataflowEdge, DataflowGraph};
 use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
-use hida_dialects::analysis::ComputeProfile;
+use hida_dialects::analysis::{ComputeProfile, ProfileLoopDim};
 use hida_dialects::hls::{ArrayPartition, PartitionFashion};
 use hida_dialects::transforms;
-use hida_estimator::device::FpgaDevice;
 use hida_ir_core::{
     Analysis, AnalysisManager, AnalysisSnapshot, Context, IrError, IrResult, NodeScope, OpId,
     ValueId,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A connection between two nodes through a shared buffer, with the loop alignment
 /// maps of §6.5 step (1).
@@ -54,8 +54,8 @@ pub struct Connection {
 pub struct NodeInfo {
     /// The node.
     pub node: NodeOp,
-    /// Its compute profile.
-    pub profile: ComputeProfile,
+    /// Its compute profile, shared with the analysis cache.
+    pub profile: Arc<ComputeProfile>,
     /// Number of distinct nodes it shares buffers with.
     pub connections: usize,
 }
@@ -73,13 +73,11 @@ fn connection_for_edge(
     let source_access = edge
         .producer
         .arg_for(ctx, edge.buffer)
-        .and_then(|arg| source_profile.access_of(arg))
-        .cloned()?;
+        .and_then(|arg| source_profile.access_of(arg))?;
     let target_access = edge
         .consumer
         .arg_for(ctx, edge.buffer)
-        .and_then(|arg| target_profile.access_of(arg))
-        .cloned()?;
+        .and_then(|arg| target_profile.access_of(arg))?;
     let num_source_loops = source_profile.loop_dims.len();
     let num_target_loops = target_profile.loop_dims.len();
     let mut s_to_t_perm = vec![None; num_target_loops];
@@ -120,7 +118,7 @@ pub fn analyze_connections(
     schedule: ScheduleOp,
 ) -> Vec<Connection> {
     let graph = analyses.get::<DataflowGraph>(ctx, schedule.id());
-    let mut profiles: HashMap<NodeOp, ComputeProfile> = HashMap::new();
+    let mut profiles: HashMap<NodeOp, Arc<ComputeProfile>> = HashMap::new();
     for node in &graph.nodes {
         profiles.insert(*node, analyses.get::<ComputeProfile>(ctx, node.id()));
     }
@@ -273,95 +271,165 @@ fn next_pow2(x: i64) -> i64 {
 /// `constraints_list` holds one constraint vector per already-parallelized connected
 /// node: for each loop dimension, the factor the neighbour's parallelization implies
 /// (or `None` when the dimension is unconstrained).
+///
+/// Among the factor vectors whose product fits `parallel_factor` and whose every
+/// factor is mutually divisible with its constraints (Algorithm 4 lines 13-18), the
+/// one with the smallest `Score` wins; ties go to the lexicographically smallest
+/// vector. The search is a branch-and-bound over the per-dimension candidates.
 pub fn select_unroll_factors(
     profile: &ComputeProfile,
     parallel_factor: i64,
     constraints_list: &[Vec<Option<i64>>],
 ) -> Vec<i64> {
     let rank = profile.loop_dims.len();
-    if rank == 0 {
-        return Vec::new();
+    if parallel_factor < 1 {
+        // Not even the all-ones vector fits the budget.
+        return vec![1; rank];
     }
-    // Candidate factors per dimension: powers of two up to min(trip, budget);
-    // reduction dimensions are not unrolled.
-    let mut candidates: Vec<Vec<i64>> = Vec::with_capacity(rank);
-    for dim in &profile.loop_dims {
-        if dim.reduction {
-            candidates.push(vec![1]);
-            continue;
-        }
-        let cap = next_pow2(dim.trip.max(1)).min(next_pow2(parallel_factor));
-        let mut options = Vec::new();
-        let mut f = 1;
-        while f <= cap {
-            options.push(f);
-            f *= 2;
-        }
-        candidates.push(options);
-    }
-
-    // Exhaustive enumeration with product pruning (the DSE loop of Algorithm 4).
-    let mut best: Option<(Score, Vec<i64>)> = None;
-    let mut current = vec![1_i64; rank];
-    enumerate(
-        &candidates,
+    let candidates: Vec<Vec<Candidate>> = profile
+        .loop_dims
+        .iter()
+        .enumerate()
+        .map(|(dim, loop_dim)| {
+            dimension_candidates(dim, loop_dim, parallel_factor, constraints_list)
+        })
+        .collect();
+    let mut search = Search {
+        candidates: &candidates,
+        budget: parallel_factor,
+        current: vec![1; rank],
+        best: None,
+        best_factors: vec![1; rank],
+    };
+    search.descend(
         0,
         1,
-        parallel_factor,
-        &mut current,
-        &mut |factors| {
-            if !is_valid(factors, parallel_factor, constraints_list) {
-                return;
-            }
-            let score = score_factors(profile, factors, constraints_list);
-            if best.as_ref().map(|(b, _)| score < *b).unwrap_or(true) {
-                best = Some((score, factors.to_vec()));
-            }
+        Score {
+            latency: 1.0,
+            mismatches: 0.0,
+            max_factor: 1.0,
+            inner_preference: 0.0,
         },
     );
-    best.map(|(_, f)| f).unwrap_or_else(|| vec![1; rank])
+    search.best_factors
 }
 
-fn enumerate(
-    candidates: &[Vec<i64>],
+/// One unroll factor a loop dimension may take, with that dimension's term of
+/// every [`Score`] field precomputed.
+struct Candidate {
+    factor: i64,
+    /// `ceil(trip / factor)`: the dimension's term of the latency product.
+    iterations: f64,
+    /// Constraint vectors imposing a different factor on this dimension.
+    mismatches: f64,
+    /// `-(dim + 1) * log2(factor)`: prefers large factors on inner dimensions.
+    inner_preference: f64,
+}
+
+/// Candidate factors of one dimension in ascending order: the powers of two up
+/// to min(trip, budget) that are mutually divisible with every constraint on
+/// the dimension; reduction dimensions are not unrolled. Factor 1 divides
+/// everything, so the list is never empty.
+fn dimension_candidates(
     dim: usize,
-    product: i64,
-    cap: i64,
-    current: &mut Vec<i64>,
-    visit: &mut dyn FnMut(&[i64]),
-) {
-    if dim == candidates.len() {
-        visit(current);
-        return;
-    }
-    for &f in &candidates[dim] {
-        if product * f > cap {
-            break;
+    loop_dim: &ProfileLoopDim,
+    parallel_factor: i64,
+    constraints_list: &[Vec<Option<i64>>],
+) -> Vec<Candidate> {
+    let trip = loop_dim.trip.max(1);
+    let cap = if loop_dim.reduction {
+        1
+    } else {
+        next_pow2(trip).min(next_pow2(parallel_factor))
+    };
+    let imposed = || {
+        constraints_list
+            .iter()
+            .filter_map(move |constraints| constraints.get(dim).copied().flatten())
+    };
+    let mut options = Vec::new();
+    let mut factor = 1;
+    while factor <= cap {
+        let divisible = imposed().all(|c| {
+            let c = c.max(1);
+            c % factor == 0 || factor % c == 0
+        });
+        if divisible {
+            options.push(Candidate {
+                factor,
+                iterations: ((trip + factor - 1) / factor) as f64,
+                mismatches: imposed().filter(|&c| c != factor).count() as f64,
+                inner_preference: -((dim + 1) as f64) * (factor as f64).log2(),
+            });
         }
-        current[dim] = f;
-        enumerate(candidates, dim + 1, product * f, cap, current, visit);
+        factor *= 2;
     }
-    current[dim] = 1;
+    options
 }
 
-/// Validity per Algorithm 4 lines 13-18: every factor must be mutually divisible with
-/// its constraint, and the total parallelism must not exceed the parallel factor.
-fn is_valid(factors: &[i64], parallel_factor: i64, constraints_list: &[Vec<Option<i64>>]) -> bool {
-    let product: i64 = factors.iter().product();
-    if product > parallel_factor {
-        return false;
-    }
-    for constraints in constraints_list {
-        for (&factor, constraint) in factors.iter().zip(constraints) {
-            if let Some(c) = constraint {
-                let c = (*c).max(1);
-                if c % factor != 0 && factor % c != 0 {
-                    return false;
+/// The depth-first search state of [`select_unroll_factors`].
+struct Search<'a> {
+    candidates: &'a [Vec<Candidate>],
+    budget: i64,
+    current: Vec<i64>,
+    best: Option<Score>,
+    best_factors: Vec<i64>,
+}
+
+impl Search<'_> {
+    /// Fixes dimension `dim` and everything after it. `product` and `partial`
+    /// are the parallelism and the score of the dimensions fixed so far; every
+    /// score field accumulates in dimension order.
+    fn descend(&mut self, dim: usize, product: i64, partial: Score) {
+        if dim == self.candidates.len() {
+            let better = match &self.best {
+                None => true,
+                Some(best) => {
+                    partial < *best || (partial == *best && self.current < self.best_factors)
                 }
+            };
+            if better {
+                self.best = Some(partial);
+                self.best_factors.copy_from_slice(&self.current);
             }
+            return;
+        }
+        // Largest factor first: the first leaf already spends the whole budget.
+        let candidates = self.candidates;
+        for candidate in candidates[dim].iter().rev() {
+            let product = product * candidate.factor;
+            if product > self.budget {
+                continue;
+            }
+            let score = Score {
+                latency: partial.latency * candidate.iterations,
+                mismatches: partial.mismatches + candidate.mismatches,
+                max_factor: partial.max_factor.max(candidate.factor as f64),
+                inner_preference: partial.inner_preference + candidate.inner_preference,
+            };
+            let incumbent = self.best.map_or(f64::INFINITY, |best| best.latency);
+            if self.latency_bound(dim + 1, self.budget / product, score.latency) > incumbent {
+                continue;
+            }
+            self.current[dim] = candidate.factor;
+            self.descend(dim + 1, product, score);
         }
     }
-    true
+
+    /// A lower bound on the latency of every leaf below a node whose fixed
+    /// dimensions multiply to `latency`: each dimension from `dim` on takes the
+    /// largest factor the remaining budget `room` admits on its own (a
+    /// dimension nothing fits has no leaf at all). Folded in dimension order
+    /// like the leaf's product, and `f64` multiplication is monotonic, so no
+    /// leaf below can compute a smaller value.
+    fn latency_bound(&self, dim: usize, room: i64, latency: f64) -> f64 {
+        self.candidates[dim..]
+            .iter()
+            .fold(latency, |bound, options| {
+                let reachable = options.iter().rev().find(|c| c.factor <= room);
+                bound * reachable.map_or(f64::INFINITY, |c| c.iterations)
+            })
+    }
 }
 
 /// Ordering key: lower is better.
@@ -377,42 +445,6 @@ struct Score {
     inner_preference: f64,
 }
 
-fn score_factors(
-    profile: &ComputeProfile,
-    factors: &[i64],
-    constraints_list: &[Vec<Option<i64>>],
-) -> Score {
-    let total_iterations: f64 = profile
-        .loop_dims
-        .iter()
-        .zip(factors)
-        .map(|(d, &f)| ((d.trip.max(1) + f - 1) / f) as f64)
-        .product();
-    let mut mismatches = 0.0;
-    for constraints in constraints_list {
-        for (&factor, constraint) in factors.iter().zip(constraints) {
-            if let Some(c) = constraint {
-                if *c != factor {
-                    mismatches += 1.0;
-                }
-            }
-        }
-    }
-    let max_factor = factors.iter().copied().max().unwrap_or(1) as f64;
-    // Prefer placing larger factors on later (inner) dimensions.
-    let inner_preference: f64 = factors
-        .iter()
-        .enumerate()
-        .map(|(i, &f)| -((i + 1) as f64) * (f as f64).log2())
-        .sum();
-    Score {
-        latency: total_iterations,
-        mismatches,
-        max_factor,
-        inner_preference,
-    }
-}
-
 /// Runs the full parallelization (steps 1-4 plus array partitioning) over a schedule.
 ///
 /// # Errors
@@ -423,7 +455,6 @@ pub fn parallelize_schedule(
     schedule: ScheduleOp,
     max_parallel_factor: i64,
     mode: ParallelMode,
-    _device: &FpgaDevice,
 ) -> IrResult<()> {
     let connections = analyze_connections(ctx, analyses, schedule);
     let infos = analyze_nodes(ctx, analyses, schedule);
@@ -433,7 +464,6 @@ pub fn parallelize_schedule(
     for info in &infos {
         let constraints_list = if mode.connection_aware() {
             constraints_for(
-                ctx,
                 info.node,
                 info.profile.loop_dims.len(),
                 &connections,
@@ -600,7 +630,7 @@ pub fn plan_node_parallelization(
                     .or_insert_with(|| transforms::unroll_factors_of(ctx, peer.id(), rank));
             }
         }
-        constraints_for(ctx, node, my_profile.loop_dims.len(), &connections, &chosen)
+        constraints_for(node, my_profile.loop_dims.len(), &connections, &chosen)
     } else {
         Vec::new()
     };
@@ -646,7 +676,6 @@ pub fn naive_factors(profile: &ComputeProfile, max_parallel_factor: i64) -> Vec<
 /// Builds the constraint vectors for `info` from the connections to nodes that were
 /// already parallelized (Algorithm 4 lines 2-8).
 fn constraints_for(
-    _ctx: &Context,
     node: NodeOp,
     rank: usize,
     connections: &[Connection],
@@ -698,44 +727,75 @@ pub fn assign_array_partitions(
     schedule: ScheduleOp,
     chosen: &HashMap<NodeOp, Vec<i64>>,
 ) {
-    let buffers = schedule.internal_buffers(ctx);
-    for buffer in buffers {
-        let value = buffer.value(ctx);
-        let rank = buffer.shape(ctx).len();
-        if rank == 0 {
+    /// What the nodes touching one buffer require of each of its dimensions.
+    struct Requirement {
+        buffer: BufferOp,
+        shape: Vec<i64>,
+        factors: Vec<i64>,
+        strided: Vec<bool>,
+    }
+    // One accumulator per partitionable buffer, in `internal_buffers` order.
+    let mut requirements: Vec<Requirement> = Vec::new();
+    let mut slot_of: HashMap<ValueId, usize> = HashMap::new();
+    for buffer in schedule.internal_buffers(ctx) {
+        let shape = buffer.shape(ctx);
+        if shape.is_empty() {
             continue;
         }
-        let mut factors = vec![1_i64; rank];
-        let mut strided = vec![false; rank];
-        for node in schedule.nodes(ctx) {
-            let unroll = match chosen.get(&node) {
-                Some(u) => u.clone(),
-                None => continue,
+        slot_of.insert(buffer.value(ctx), requirements.len());
+        requirements.push(Requirement {
+            buffer,
+            factors: vec![1; shape.len()],
+            strided: vec![false; shape.len()],
+            shape,
+        });
+    }
+
+    // One pass over the nodes, one profile fetch each; `max` and `or` commute,
+    // so folding node by node equals folding buffer by buffer.
+    for node in schedule.nodes(ctx) {
+        let Some(unroll) = chosen.get(&node) else {
+            continue;
+        };
+        let profile = analyses.get::<ComputeProfile>(ctx, node.id());
+        let operands = &ctx.op(node.id()).operands;
+        let args = &ctx.block(node.body(ctx)).args;
+        for (index, operand) in operands.iter().enumerate() {
+            // `NodeOp::arg_for`'s rule: a buffer passed twice is accessed
+            // through the argument of its first operand position.
+            if operands[..index].contains(operand) {
+                continue;
+            }
+            let Some(&slot) = slot_of.get(operand) else {
+                continue;
             };
-            let profile = analyses.get::<ComputeProfile>(ctx, node.id());
-            let access = node
-                .arg_for(ctx, value)
-                .and_then(|arg| profile.access_of(arg).cloned());
-            if let Some(access) = access {
-                for (dim, pattern) in access.pattern.dims.iter().enumerate() {
-                    if let Some((loop_idx, stride)) = pattern {
-                        let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
-                        let requirement = next_pow2(u * stride.abs().max(1));
-                        if dim < rank {
-                            factors[dim] = factors[dim].max(requirement);
-                            if stride.abs() > 1 {
-                                strided[dim] = true;
-                            }
+            let Some(access) = args.get(index).and_then(|&arg| profile.access_of(arg)) else {
+                continue;
+            };
+            let Requirement {
+                factors, strided, ..
+            } = &mut requirements[slot];
+            for (dim, pattern) in access.pattern.dims.iter().enumerate() {
+                if let Some((loop_idx, stride)) = pattern {
+                    let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
+                    let requirement = next_pow2(u * stride.abs().max(1));
+                    if dim < factors.len() {
+                        factors[dim] = factors[dim].max(requirement);
+                        if stride.abs() > 1 {
+                            strided[dim] = true;
                         }
                     }
                 }
             }
         }
+    }
+
+    for requirement in requirements {
         // Clamp to the dimension size and build the partition directive.
-        let shape = buffer.shape(ctx);
-        let fashions: Vec<PartitionFashion> = factors
+        let fashions: Vec<PartitionFashion> = requirement
+            .factors
             .iter()
-            .zip(&strided)
+            .zip(&requirement.strided)
             .map(|(&f, &s)| {
                 if f <= 1 {
                     PartitionFashion::None
@@ -746,12 +806,15 @@ pub fn assign_array_partitions(
                 }
             })
             .collect();
-        let factors: Vec<i64> = factors
+        let factors: Vec<i64> = requirement
+            .factors
             .iter()
-            .zip(&shape)
+            .zip(&requirement.shape)
             .map(|(&f, &s)| f.clamp(1, s.max(1)))
             .collect();
-        buffer.set_partition(&mut *ctx, &ArrayPartition { fashions, factors });
+        requirement
+            .buffer
+            .set_partition(&mut *ctx, &ArrayPartition { fashions, factors });
     }
 }
 
@@ -842,15 +905,7 @@ mod tests {
     #[test]
     fn ia_ca_unroll_factors_align_with_connections() {
         let (mut ctx, schedule, mut analyses) = listing1_schedule();
-        parallelize_schedule(
-            &mut ctx,
-            &mut analyses,
-            schedule,
-            32,
-            ParallelMode::IaCa,
-            &FpgaDevice::pynq_z2(),
-        )
-        .unwrap();
+        parallelize_schedule(&mut ctx, &mut analyses, schedule, 32, ParallelMode::IaCa).unwrap();
         let node0 = node_by_name(&ctx, schedule, "task0");
         let node2 = node_by_name(&ctx, schedule, "task2");
         let f0 = transforms::unroll_factors_of(&ctx, node0.id(), 2);
@@ -870,15 +925,7 @@ mod tests {
     fn array_partitions_shrink_with_ia_ca_as_in_table6() {
         let total_banks = |mode: ParallelMode| -> i64 {
             let (mut ctx, schedule, mut analyses) = listing1_schedule();
-            parallelize_schedule(
-                &mut ctx,
-                &mut analyses,
-                schedule,
-                32,
-                mode,
-                &FpgaDevice::pynq_z2(),
-            )
-            .unwrap();
+            parallelize_schedule(&mut ctx, &mut analyses, schedule, 32, mode).unwrap();
             schedule
                 .internal_buffers(&ctx)
                 .iter()
@@ -941,6 +988,291 @@ mod tests {
         let factors = select_unroll_factors(&with_reduction, 8, &[]);
         assert_eq!(factors[1], 1);
         assert_eq!(factors[0], 8);
+    }
+
+    /// The exhaustive search `select_unroll_factors` replaced, kept verbatim as
+    /// the oracle of the differential test below.
+    mod reference {
+        use super::super::{next_pow2, Score};
+        use hida_dialects::analysis::ComputeProfile;
+
+        pub fn select_unroll_factors(
+            profile: &ComputeProfile,
+            parallel_factor: i64,
+            constraints_list: &[Vec<Option<i64>>],
+        ) -> Vec<i64> {
+            let rank = profile.loop_dims.len();
+            if rank == 0 {
+                return Vec::new();
+            }
+            // Candidate factors per dimension: powers of two up to min(trip, budget);
+            // reduction dimensions are not unrolled.
+            let mut candidates: Vec<Vec<i64>> = Vec::with_capacity(rank);
+            for dim in &profile.loop_dims {
+                if dim.reduction {
+                    candidates.push(vec![1]);
+                    continue;
+                }
+                let cap = next_pow2(dim.trip.max(1)).min(next_pow2(parallel_factor));
+                let mut options = Vec::new();
+                let mut f = 1;
+                while f <= cap {
+                    options.push(f);
+                    f *= 2;
+                }
+                candidates.push(options);
+            }
+
+            // Exhaustive enumeration with product pruning (the DSE loop of Algorithm 4).
+            let mut best: Option<(Score, Vec<i64>)> = None;
+            let mut current = vec![1_i64; rank];
+            enumerate(
+                &candidates,
+                0,
+                1,
+                parallel_factor,
+                &mut current,
+                &mut |factors| {
+                    if !is_valid(factors, parallel_factor, constraints_list) {
+                        return;
+                    }
+                    let score = score_factors(profile, factors, constraints_list);
+                    if best.as_ref().map(|(b, _)| score < *b).unwrap_or(true) {
+                        best = Some((score, factors.to_vec()));
+                    }
+                },
+            );
+            best.map(|(_, f)| f).unwrap_or_else(|| vec![1; rank])
+        }
+
+        fn enumerate(
+            candidates: &[Vec<i64>],
+            dim: usize,
+            product: i64,
+            cap: i64,
+            current: &mut Vec<i64>,
+            visit: &mut dyn FnMut(&[i64]),
+        ) {
+            if dim == candidates.len() {
+                visit(current);
+                return;
+            }
+            for &f in &candidates[dim] {
+                if product * f > cap {
+                    break;
+                }
+                current[dim] = f;
+                enumerate(candidates, dim + 1, product * f, cap, current, visit);
+            }
+            current[dim] = 1;
+        }
+
+        /// Validity per Algorithm 4 lines 13-18: every factor must be mutually divisible
+        /// with its constraint, and the total parallelism must not exceed the parallel
+        /// factor.
+        fn is_valid(
+            factors: &[i64],
+            parallel_factor: i64,
+            constraints_list: &[Vec<Option<i64>>],
+        ) -> bool {
+            let product: i64 = factors.iter().product();
+            if product > parallel_factor {
+                return false;
+            }
+            for constraints in constraints_list {
+                for (&factor, constraint) in factors.iter().zip(constraints) {
+                    if let Some(c) = constraint {
+                        let c = (*c).max(1);
+                        if c % factor != 0 && factor % c != 0 {
+                            return false;
+                        }
+                    }
+                }
+            }
+            true
+        }
+
+        fn score_factors(
+            profile: &ComputeProfile,
+            factors: &[i64],
+            constraints_list: &[Vec<Option<i64>>],
+        ) -> Score {
+            let total_iterations: f64 = profile
+                .loop_dims
+                .iter()
+                .zip(factors)
+                .map(|(d, &f)| ((d.trip.max(1) + f - 1) / f) as f64)
+                .product();
+            let mut mismatches = 0.0;
+            for constraints in constraints_list {
+                for (&factor, constraint) in factors.iter().zip(constraints) {
+                    if let Some(c) = constraint {
+                        if *c != factor {
+                            mismatches += 1.0;
+                        }
+                    }
+                }
+            }
+            let max_factor = factors.iter().copied().max().unwrap_or(1) as f64;
+            // Prefer placing larger factors on later (inner) dimensions.
+            let inner_preference: f64 = factors
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| -((i + 1) as f64) * (f as f64).log2())
+                .sum();
+            Score {
+                latency: total_iterations,
+                mismatches,
+                max_factor,
+                inner_preference,
+            }
+        }
+    }
+
+    #[test]
+    fn branch_and_bound_agrees_with_the_exhaustive_search() {
+        use hida_dialects::analysis::ProfileLoopDim;
+        const TRIPS: [i64; 14] = [1, 2, 3, 5, 7, 8, 12, 16, 28, 56, 64, 100, 224, 1000];
+        const BUDGETS: [i64; 12] = [1, 2, 3, 4, 6, 8, 16, 32, 48, 64, 128, 256];
+        const POWERS: [i64; 7] = [1, 2, 4, 8, 16, 32, 64];
+        // Fixed seed: every run checks the same cases.
+        let mut rng = proptest::TestRng::default_rng();
+        let pick = |rng: &mut proptest::TestRng, options: &[i64]| {
+            options[rng.below(options.len() as u64) as usize]
+        };
+        for case in 0..100_000 {
+            let rank = 1 + rng.below(7) as usize;
+            let profile = ComputeProfile {
+                loop_dims: (0..rank)
+                    .map(|d| ProfileLoopDim {
+                        name: format!("d{d}"),
+                        trip: pick(&mut rng, &TRIPS),
+                        reduction: rng.below(3) == 0,
+                    })
+                    .collect(),
+                ..ComputeProfile::default()
+            };
+            let budget = pick(&mut rng, &BUDGETS);
+            let constraints_list: Vec<Vec<Option<i64>>> = (0..rng.below(4))
+                .map(|_| {
+                    (0..rank)
+                        .map(|_| match rng.below(3) {
+                            0 => None,
+                            1 => Some(pick(&mut rng, &POWERS)),
+                            _ => Some(1 + rng.below(40) as i64),
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                select_unroll_factors(&profile, budget, &constraints_list),
+                reference::select_unroll_factors(&profile, budget, &constraints_list),
+                "case {case}: trips {:?}, budget {budget}, constraints {constraints_list:?}",
+                profile
+                    .loop_dims
+                    .iter()
+                    .map(|d| (d.trip, d.reduction))
+                    .collect::<Vec<_>>(),
+            );
+        }
+    }
+
+    /// A schedule exercising the corners of `assign_array_partitions`:
+    /// `A` is passed to `n0` as two operands, `S` has rank 0, `n1` is absent
+    /// from `chosen`, and `n2` reads `B` at stride 2.
+    #[test]
+    fn array_partition_corner_cases() {
+        use hida_dataflow_ir::structural::{build_buffer, build_node, build_schedule};
+        use hida_dialects::analysis::MemEffect;
+        use hida_dialects::loops::build_loop_nest;
+        use hida_dialects::memory::{build_apply, build_load, build_store};
+        use hida_ir_core::{OpBuilder, Type};
+
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let (schedule, body) = build_schedule(&mut OpBuilder::at_end_of(&mut ctx, func), "top");
+        let buffer = |ctx: &mut Context, shape: Vec<i64>, name: &str| {
+            let mut b = OpBuilder::at_block_end(ctx, body);
+            build_buffer(&mut b, Type::memref(shape, Type::f32()), 2, name)
+        };
+        let (a_buf, a) = buffer(&mut ctx, vec![64, 16], "A");
+        let (s_buf, s) = buffer(&mut ctx, vec![], "S");
+        let (b_buf, b) = buffer(&mut ctx, vec![16, 16], "B");
+        // A node over `operands` whose body is an empty 16x16 (i, j) loop nest.
+        let node = |ctx: &mut Context, name: &str, operands: &[(ValueId, MemEffect)]| {
+            let (node, args) = build_node(ctx, body, name, operands);
+            let node_body = node.body(ctx);
+            let (_, ivs, inner) = build_loop_nest(ctx, node_body, &[(0, 16, "i"), (0, 16, "j")]);
+            (node, args, ivs, inner)
+        };
+
+        // n0: A[4i][j] = A[2i][j], reading through operand 0 and writing through
+        // operand 1 — only the first operand's access may count.
+        let (n0, args, ivs, inner) = node(
+            &mut ctx,
+            "n0",
+            &[(a, MemEffect::Read), (a, MemEffect::Write)],
+        );
+        let mut bld = OpBuilder::at_block_end(&mut ctx, inner);
+        let i2 = build_apply(&mut bld, ivs[0], 2, 0);
+        let i4 = build_apply(&mut bld, ivs[0], 4, 0);
+        let value = build_load(&mut bld, args[0], &[i2, ivs[1]]);
+        build_store(&mut bld, value, args[1], &[i4, ivs[1]]);
+
+        // n1: B[i][j] = A[i][j]; S[] = A[i][j] — not in `chosen`.
+        let (_, args, ivs, inner) = node(
+            &mut ctx,
+            "n1",
+            &[
+                (a, MemEffect::Read),
+                (b, MemEffect::Write),
+                (s, MemEffect::Write),
+            ],
+        );
+        let mut bld = OpBuilder::at_block_end(&mut ctx, inner);
+        let value = build_load(&mut bld, args[0], &[ivs[0], ivs[1]]);
+        build_store(&mut bld, value, args[1], &[ivs[0], ivs[1]]);
+        build_store(&mut bld, value, args[2], &[]);
+
+        // n2: S[] = B[i][2j].
+        let (n2, args, ivs, inner) = node(
+            &mut ctx,
+            "n2",
+            &[(b, MemEffect::Read), (s, MemEffect::Write)],
+        );
+        let mut bld = OpBuilder::at_block_end(&mut ctx, inner);
+        let j2 = build_apply(&mut bld, ivs[1], 2, 0);
+        let value = build_load(&mut bld, args[0], &[ivs[0], j2]);
+        build_store(&mut bld, value, args[1], &[]);
+
+        let chosen: HashMap<NodeOp, Vec<i64>> =
+            [(n0, vec![2, 4]), (n2, vec![1, 8])].into_iter().collect();
+        assign_array_partitions(&mut ctx, &mut AnalysisManager::new(), schedule, &chosen);
+
+        use PartitionFashion::{Block, Cyclic, None as Unpartitioned};
+        // First-operand rule: 2 (unroll) x 2 (stride) on dim 0, not 2 x 4.
+        assert_eq!(
+            partition_of(&ctx, a_buf),
+            ArrayPartition {
+                fashions: vec![Block, Cyclic],
+                factors: vec![4, 4],
+            }
+        );
+        // Only n2 counts for B: stride 2 makes dim 1 a block partition of
+        // 8 x 2 banks; n1's unit-stride write is skipped with n1.
+        assert_eq!(
+            partition_of(&ctx, b_buf),
+            ArrayPartition {
+                fashions: vec![Unpartitioned, Block],
+                factors: vec![1, 16],
+            }
+        );
+        // Rank-0 buffers are never given a directive.
+        assert!(!ctx
+            .op(s_buf.id())
+            .attributes
+            .contains_key(hida_dialects::hls::ATTR_PARTITION_FASHIONS));
     }
 
     #[test]

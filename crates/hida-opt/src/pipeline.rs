@@ -456,7 +456,6 @@ impl Pass for ParallelizePass {
             schedule,
             self.max_parallel_factor,
             self.mode,
-            &self.device,
         )
     }
 

@@ -105,7 +105,6 @@ fn run_hand_rolled(ctx: &mut Context, func: OpId, options: &HidaOptions) -> Sche
         schedule,
         options.max_parallel_factor,
         options.mode,
-        &options.device,
     )
     .unwrap();
     schedule

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// value and to compare it against a recomputation for the debug-mode
 /// preservation check. The `Sync` bound is what lets an [`AnalysisSnapshot`]
 /// share cached results with worker threads during parallel pass execution.
-pub trait Analysis: Any + Send + Sync + Clone + PartialEq {
+pub trait Analysis: Any + Send + Sync + PartialEq {
     /// Stable human-readable analysis name used in diagnostics.
     const NAME: &'static str;
 
@@ -141,9 +141,6 @@ impl PreservedAnalyses {
 /// against the cached value; `false` means a preservation declaration lied.
 type ConsistencyCheck = fn(&Context, OpId, &dyn Any) -> bool;
 
-/// Clones a type-erased cache entry into an `Arc` for a snapshot.
-type ShareFn = fn(&(dyn Any + Send + Sync)) -> Arc<dyn Any + Send + Sync>;
-
 fn check_entry<A: Analysis>(ctx: &Context, root: OpId, cached: &dyn Any) -> bool {
     cached
         .downcast_ref::<A>()
@@ -151,45 +148,18 @@ fn check_entry<A: Analysis>(ctx: &Context, root: OpId, cached: &dyn Any) -> bool
         .unwrap_or(false)
 }
 
-fn share_entry<A: Any + Send + Sync + Clone>(
-    cached: &(dyn Any + Send + Sync),
-) -> Arc<dyn Any + Send + Sync> {
-    Arc::new(
-        cached
-            .downcast_ref::<A>()
-            .expect("analysis cache entry has its recorded type")
-            .clone(),
-    )
-}
+/// A type-erased analysis result, shared between the live cache, every
+/// snapshot taken of it and every caller that queried it.
+type SharedValue = Arc<dyn Any + Send + Sync>;
 
-/// The per-type metadata a cache entry is created with: diagnostic name, the
-/// optional debug-mode consistency check, and the snapshot clone function.
-struct EntrySpec {
-    name: &'static str,
-    check: Option<ConsistencyCheck>,
-    share: ShareFn,
-}
-
-impl EntrySpec {
-    fn of<A: Analysis>() -> Self {
-        EntrySpec {
-            name: A::NAME,
-            check: Some(check_entry::<A>),
-            share: share_entry::<A>,
-        }
-    }
-
-    fn unchecked<A: Any + Send + Sync + Clone>(name: &'static str) -> Self {
-        EntrySpec {
-            name,
-            check: None,
-            share: share_entry::<A>,
-        }
-    }
+fn downcast_shared<A: Any + Send + Sync>(value: &SharedValue) -> Arc<A> {
+    Arc::clone(value)
+        .downcast::<A>()
+        .expect("analysis cache entry has the queried type")
 }
 
 struct CacheEntry {
-    value: Box<dyn Any + Send + Sync>,
+    value: SharedValue,
     /// [`Context::id`] of the context the entry was computed against, so one
     /// manager can never serve results across unrelated contexts.
     ctx_id: u64,
@@ -202,8 +172,6 @@ struct CacheEntry {
     analysis: &'static str,
     /// Debug-mode recompute-and-compare; absent for closure-computed entries.
     check: Option<ConsistencyCheck>,
-    /// Clones the value into an `Arc` for [`AnalysisSnapshot`]s.
-    share: ShareFn,
 }
 
 /// A frozen, `Sync` view of every analysis that was valid at one
@@ -211,12 +179,14 @@ struct CacheEntry {
 /// profiles, dataflow graphs) from the snapshot instead of re-walking the IR
 /// or contending on the mutable [`AnalysisManager`].
 ///
-/// The snapshot owns clones of the cached values (behind `Arc`s), so it stays
-/// coherent even while the pass that took it mutates the IR and invalidates
-/// the live cache. Staleness is therefore the *taker's* contract: a snapshot
-/// is meant to live for one parallel batch, between two merges.
+/// The snapshot shares the cached values with the live cache (one `Arc`
+/// clone per entry, no deep copy), and a cached value is never mutated in
+/// place, so it stays coherent even while the pass that took it mutates the
+/// IR and invalidates the live cache. Staleness is therefore the *taker's*
+/// contract: a snapshot is meant to live for one parallel batch, between two
+/// merges.
 pub struct AnalysisSnapshot {
-    entries: HashMap<(TypeId, OpId), Arc<dyn Any + Send + Sync>>,
+    entries: HashMap<(TypeId, OpId), SharedValue>,
     ctx_id: u64,
     generation: u64,
 }
@@ -289,16 +259,19 @@ impl fmt::Debug for AnalysisSnapshot {
 /// OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
 ///
 /// let mut analyses = AnalysisManager::new();
-/// // The first query computes; the second is served from the cache.
-/// assert_eq!(analyses.get::<OpCount>(&ctx, module), OpCount(1));
-/// assert_eq!(analyses.get::<OpCount>(&ctx, module), OpCount(1));
+/// // The first query computes; the second is served from the cache and hands
+/// // out the same shared value.
+/// let first = analyses.get::<OpCount>(&ctx, module);
+/// let second = analyses.get::<OpCount>(&ctx, module);
+/// assert_eq!(*first, OpCount(1));
+/// assert!(std::sync::Arc::ptr_eq(&first, &second));
 /// assert_eq!(analyses.stats().hits, 1);
 ///
 /// // Mutations bump the context generation; the stale entry is recomputed
 /// // lazily on the next query.
 /// OpBuilder::at_end_of(&mut ctx, module).create_func("g", vec![], vec![]);
 /// assert!(analyses.cached::<OpCount>(&ctx, module).is_none());
-/// assert_eq!(analyses.get::<OpCount>(&ctx, module), OpCount(2));
+/// assert_eq!(*analyses.get::<OpCount>(&ctx, module), OpCount(2));
 /// ```
 pub struct AnalysisManager {
     entries: HashMap<(TypeId, OpId), CacheEntry>,
@@ -356,41 +329,35 @@ impl AnalysisManager {
     }
 
     /// Returns `A` for the IR rooted at `root`, recomputing only when no entry
-    /// exists or the cached one is stale.
-    pub fn get<A: Analysis>(&mut self, ctx: &Context, root: OpId) -> A {
-        self.query(
+    /// exists or the cached one is stale. The result is shared with the cache
+    /// (a pointer copy, never a deep clone).
+    pub fn get<A: Analysis>(&mut self, ctx: &Context, root: OpId) -> Arc<A> {
+        downcast_shared(self.query(
             ctx,
             root,
             TypeId::of::<A>(),
-            EntrySpec::of::<A>(),
-            |c, r| Box::new(A::compute(c, r)),
-        )
-        .downcast_ref::<A>()
-        .expect("analysis cache entry has the queried type")
-        .clone()
+            A::NAME,
+            Some(check_entry::<A>),
+            |c, r| Arc::new(A::compute(c, r)),
+        ))
     }
 
     /// Like [`AnalysisManager::get`] but with a caller-provided compute
     /// function, for analyses parameterized by external state (e.g. a target
     /// device). Entries are still keyed by `(type, root)` and invalidated by
     /// generation, but skip the debug-mode recomputation check.
-    pub fn get_with<A: Any + Send + Sync + Clone>(
+    pub fn get_with<A: Any + Send + Sync>(
         &mut self,
         ctx: &Context,
         root: OpId,
         name: &'static str,
         compute: impl FnOnce(&Context, OpId) -> A,
-    ) -> A {
-        self.query(
-            ctx,
-            root,
-            TypeId::of::<A>(),
-            EntrySpec::unchecked::<A>(name),
-            |c, r| Box::new(compute(c, r)),
+    ) -> Arc<A> {
+        downcast_shared(
+            self.query(ctx, root, TypeId::of::<A>(), name, None, |c, r| {
+                Arc::new(compute(c, r))
+            }),
         )
-        .downcast_ref::<A>()
-        .expect("analysis cache entry has the queried type")
-        .clone()
     }
 
     /// Installs an externally computed `A` for `root`, e.g. a result a worker
@@ -403,8 +370,9 @@ impl AnalysisManager {
             ctx,
             root,
             TypeId::of::<A>(),
-            EntrySpec::of::<A>(),
-            move |_, _| Box::new(value),
+            A::NAME,
+            Some(check_entry::<A>),
+            move |_, _| Arc::new(value),
         );
     }
 
@@ -428,14 +396,14 @@ impl AnalysisManager {
     /// Freezes every entry that is valid for `ctx` right now (including the
     /// ones kept alive by the active pass scope's preservation declaration)
     /// into a `Sync` [`AnalysisSnapshot`] for read-only sharing with worker
-    /// threads.
+    /// threads. Costs one pointer copy per entry.
     pub fn snapshot(&self, ctx: &Context) -> AnalysisSnapshot {
-        let mut entries: HashMap<(TypeId, OpId), Arc<dyn Any + Send + Sync>> = HashMap::new();
-        for (&(type_id, root), entry) in &self.entries {
-            if self.entry_valid(type_id, root, entry, ctx) {
-                entries.insert((type_id, root), (entry.share)(entry.value.as_ref()));
-            }
-        }
+        let entries = self
+            .entries
+            .iter()
+            .filter(|(&(type_id, root), entry)| self.entry_valid(type_id, root, entry, ctx))
+            .map(|(&key, entry)| (key, Arc::clone(&entry.value)))
+            .collect();
         AnalysisSnapshot {
             entries,
             ctx_id: ctx.id(),
@@ -529,7 +497,7 @@ impl AnalysisManager {
             }
             if self.check_preserved && lie.is_none() {
                 if let Some(check) = entry.check {
-                    if !check(ctx, root, entry.value.as_ref()) {
+                    if !check(ctx, root, &*entry.value) {
                         lie = Some((
                             scope.as_ref().map(|s| s.pass.clone()).unwrap_or_default(),
                             entry.analysis,
@@ -602,9 +570,10 @@ impl AnalysisManager {
         ctx: &Context,
         root: OpId,
         type_id: TypeId,
-        spec: EntrySpec,
-        compute: impl FnOnce(&Context, OpId) -> Box<dyn Any + Send + Sync>,
-    ) -> &dyn Any {
+        name: &'static str,
+        check: Option<ConsistencyCheck>,
+        compute: impl FnOnce(&Context, OpId) -> SharedValue,
+    ) -> &SharedValue {
         let key = (type_id, root);
         let valid = self
             .entries
@@ -614,7 +583,7 @@ impl AnalysisManager {
         if valid {
             self.window.hits += 1;
             self.totals.hits += 1;
-            return self.entries[&key].value.as_ref();
+            return &self.entries[&key].value;
         }
         if self.entries.contains_key(&key) {
             self.window.invalidations += 1;
@@ -630,12 +599,11 @@ impl AnalysisManager {
                 ctx_id: ctx.id(),
                 generation: ctx.generation(),
                 epoch: ctx.op_epoch(root),
-                analysis: spec.name,
-                check: spec.check,
-                share: spec.share,
+                analysis: name,
+                check,
             },
         );
-        self.entries[&key].value.as_ref()
+        &self.entries[&key].value
     }
 }
 
@@ -672,8 +640,8 @@ mod tests {
         let module = module_with_constants(&mut ctx, 3);
         let mut am = AnalysisManager::new();
 
-        assert_eq!(am.get::<ConstantCount>(&ctx, module), ConstantCount(3));
-        assert_eq!(am.get::<ConstantCount>(&ctx, module), ConstantCount(3));
+        assert_eq!(*am.get::<ConstantCount>(&ctx, module), ConstantCount(3));
+        assert_eq!(*am.get::<ConstantCount>(&ctx, module), ConstantCount(3));
         assert_eq!(am.stats().hits, 1);
         assert_eq!(am.stats().misses, 1);
         assert!(am.cached::<ConstantCount>(&ctx, module).is_some());
@@ -683,14 +651,14 @@ mod tests {
         let mut b = OpBuilder::at_block_end(&mut ctx, body);
         b.create_constant_int(9, Type::i32());
         assert!(am.cached::<ConstantCount>(&ctx, module).is_none());
-        assert_eq!(am.get::<ConstantCount>(&ctx, module), ConstantCount(4));
+        assert_eq!(*am.get::<ConstantCount>(&ctx, module), ConstantCount(4));
         assert_eq!(am.stats().misses, 2);
         assert_eq!(am.stats().invalidations, 1);
 
         // erase_op invalidates as well.
         let consts = ctx.collect_ops(module, "arith.constant");
         ctx.erase_op(consts[0]);
-        assert_eq!(am.get::<ConstantCount>(&ctx, module), ConstantCount(3));
+        assert_eq!(*am.get::<ConstantCount>(&ctx, module), ConstantCount(3));
         assert_eq!(am.stats().misses, 3);
     }
 
@@ -704,8 +672,8 @@ mod tests {
         // distinguishes the two. The cache must not serve A's result for B.
         assert_eq!(module_a, module_b);
         let mut am = AnalysisManager::new();
-        assert_eq!(am.get::<ConstantCount>(&ctx_a, module_a), ConstantCount(2));
-        assert_eq!(am.get::<ConstantCount>(&ctx_b, module_b), ConstantCount(5));
+        assert_eq!(*am.get::<ConstantCount>(&ctx_a, module_a), ConstantCount(2));
+        assert_eq!(*am.get::<ConstantCount>(&ctx_b, module_b), ConstantCount(5));
         assert_eq!(am.stats().hits, 0);
     }
 
@@ -716,11 +684,11 @@ mod tests {
         let mut am = AnalysisManager::new();
         let mut computed = 0;
         for _ in 0..3 {
-            let v: i64 = am.get_with(&ctx, module, "answer", |_, _| {
+            let v = am.get_with(&ctx, module, "answer", |_, _| {
                 computed += 1;
                 42_i64
             });
-            assert_eq!(v, 42);
+            assert_eq!(*v, 42);
         }
         assert_eq!(computed, 1);
         assert_eq!(am.stats().hits, 2);
@@ -743,7 +711,7 @@ mod tests {
         let func = ctx.find_in_body(module, "func.func").unwrap();
         ctx.op_mut(func).set_attr("annotated", 1_i64);
         assert!(ctx.generation() > 0);
-        assert_eq!(am.get::<ConstantCount>(&ctx, module), ConstantCount(2));
+        assert_eq!(*am.get::<ConstantCount>(&ctx, module), ConstantCount(2));
         let (stats, lie) = am.end_pass(&ctx);
         assert!(lie.is_none());
         assert_eq!(stats.hits, 1);
@@ -833,12 +801,17 @@ mod tests {
         let module = module_with_constants(&mut ctx, 3);
         let func = ctx.find_in_body(module, "func.func").unwrap();
         let mut am = AnalysisManager::new();
-        am.get::<ConstantCount>(&ctx, module);
+        let live = am.get::<ConstantCount>(&ctx, module);
         am.get::<ConstantCount>(&ctx, func);
 
         let snapshot = am.snapshot(&ctx);
         assert_sync(&snapshot);
         assert_eq!(snapshot.len(), 2);
+        // The snapshot shares the live cache's value instead of copying it.
+        assert!(std::ptr::eq(
+            snapshot.get::<ConstantCount>(module).unwrap(),
+            &*live
+        ));
         assert_eq!(snapshot.generation(), ctx.generation());
         assert_eq!(snapshot.context_id(), ctx.id());
         assert_eq!(

@@ -236,7 +236,6 @@ mod tests {
                     schedule,
                     32,
                     ParallelMode::IaCa,
-                    &hida_estimator::device::FpgaDevice::pynq_z2(),
                 )
                 .unwrap();
             }

@@ -35,8 +35,8 @@ fn main() {
     let mut ctx = Context::new();
     let module = ctx.create_module("scalehls");
     let func = hida::frontend::nn::build_model(&mut ctx, module, Model::ResNet18);
-    let schedule = hida::baselines::scalehls::compile(&mut ctx, func, &device, 64)
-        .expect("scalehls compilation");
+    let schedule =
+        hida::baselines::scalehls::compile(&mut ctx, func, 64).expect("scalehls compilation");
     let scale = DataflowEstimator::new(device).estimate_schedule(&ctx, schedule, true);
     println!("throughput     : {:.2} images/s", scale.throughput());
     println!("DSP efficiency : {:.1}%", 100.0 * scale.dsp_efficiency());

@@ -78,7 +78,7 @@ fn hida_beats_the_scalehls_baseline_on_resnet18() {
     let mut ctx = Context::new();
     let module = ctx.create_module("scalehls");
     let func = hida::frontend::nn::build_model(&mut ctx, module, Model::ResNet18);
-    let schedule = hida::baselines::scalehls::compile(&mut ctx, func, &device, 64).unwrap();
+    let schedule = hida::baselines::scalehls::compile(&mut ctx, func, 64).unwrap();
     let scale = DataflowEstimator::new(device).estimate_schedule(&ctx, schedule, true);
 
     assert!(

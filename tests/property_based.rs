@@ -126,15 +126,7 @@ fn optimization_modes_preserve_interpreter_results() {
         let mut analyses = hida_ir_core::AnalysisManager::new();
         let schedule = lower::lower_to_structural(&mut ctx, &mut analyses, l1.func).unwrap();
         if let Some(mode) = mode {
-            parallelize::parallelize_schedule(
-                &mut ctx,
-                &mut analyses,
-                schedule,
-                32,
-                mode,
-                &hida::FpgaDevice::pynq_z2(),
-            )
-            .unwrap();
+            parallelize::parallelize_schedule(&mut ctx, &mut analyses, schedule, 32, mode).unwrap();
         }
         let mut memory = Memory::new();
         interpret_schedule(&ctx, schedule, &mut memory);
