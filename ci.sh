@@ -89,13 +89,43 @@ EOF
     exit 1
   fi
 
-  # The duplicated variant must hit the cross-compilation cache.
-  local sweep_stats
+  # The sweep shares pipeline prefixes between its points; a run of one line
+  # alone is a process of its own and shares nothing. Both must report the
+  # same QoR for the line.
+  echo "==> [determinism] every line of the sweep alone (--pipeline) must report the sweep's QoR for it"
+  local line index=0 alone_qor sweep_qor
+  while read -r line; do
+    index=$((index + 1))
+    alone_qor=$(cargo run --release -q -p hida --bin hida-opt -- \
+      --workload two_mm --pipeline "${line}" --no-timing | awk '
+        /^throughput:/ { throughput = $2 }
+        /^resources:/ { printf "  qor: throughput %s samples/s, DSP %s, BRAM-18K %s, LUT %s\n", throughput, $3, $7, $11 }')
+    sweep_qor=$(echo "${sweep1}" | grep '^  qor: ' | sed -n "${index}p")
+    if [[ -z "${alone_qor}" || "${alone_qor}" != "${sweep_qor}" ]]; then
+      echo "line ${index} compiled alone diverged from the sweep: ${line}"
+      echo "alone: ${alone_qor}"
+      echo "sweep: ${sweep_qor}"
+      exit 1
+    fi
+  done < "${sweep_variants}"
+
+  # The duplicated variant must hit the cross-compilation cache, and the
+  # prefix-sharing counters must not depend on the job count.
+  local sweep_stats sweep_stats4 prefix1 prefix4
   sweep_stats=$(cargo run --release -q -p hida --bin hida-opt -- \
     --workload two_mm --sweep "${sweep_variants}" --jobs 1 --stats-json 2> /dev/null)
   if ! echo "${sweep_stats}" | grep -qE '"shared_cache_totals":\{"hits":[1-9]'; then
     echo "hida-opt --sweep reported no cross-compilation cache hits"
     echo "${sweep_stats}"
+    exit 1
+  fi
+  sweep_stats4=$(cargo run --release -q -p hida --bin hida-opt -- \
+    --workload two_mm --sweep "${sweep_variants}" --jobs 4 --stats-json 2> /dev/null)
+  prefix1=$(echo "${sweep_stats}" | grep -o '"prefix":{[^}]*}')
+  prefix4=$(echo "${sweep_stats4}" | grep -o '"prefix":{[^}]*}')
+  if [[ "${prefix1}" != '"prefix":{"passes_run":10,"passes_reused":14,"checkpoints":3}' \
+    || "${prefix4}" != "${prefix1}" ]]; then
+    echo "prefix-sharing counters are wrong or depend on --jobs: ${prefix1} vs ${prefix4}"
     exit 1
   fi
   rm -f "${sweep_variants}"

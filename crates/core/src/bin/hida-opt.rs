@@ -56,9 +56,11 @@ usage: hida-opt [OPTIONS]
                         default | polybench | dnn
   --sweep <file>        run every non-empty, non-# line of <file> as an
                         independent pipeline variant of the workload: the
-                        design points compile concurrently on the sweep pool
-                        and share per-node QoR estimates through the
-                        content-addressed cross-compilation cache
+                        design points compile concurrently on the sweep pool,
+                        run the passes their lines have in common once, and
+                        share per-node QoR estimates through the
+                        content-addressed cross-compilation cache; each point
+                        reports what it would report compiled alone
   --explore <file>      guided design-space exploration over the same sweep
                         grammar: pipeline lines span a knob lattice, and a
                         Pareto-frontier explorer compiles only candidates
@@ -106,9 +108,10 @@ usage: hida-opt [OPTIONS]
                         labels, never on --jobs
   --no-verify           skip inter-pass IR verification
   --no-timing           omit timing and machine/state-dependent counters
-                        (pass micros, jobs, cache traffic, wall-clock) so the
-                        report is byte-stable across runs and job counts —
-                        what CI diffs for determinism
+                        (pass micros, jobs, cache traffic, wall-clock) and the
+                        end-of-run summary lines so the report is byte-stable
+                        across runs and job counts — what CI diffs for
+                        determinism
   --stats-json          emit per-pass statistics (timing, op deltas, analysis
                         + estimator cache hits/misses; under --sweep, the
                         per-point QoR and aggregated cross-compilation cache
@@ -478,6 +481,11 @@ fn batch_json(mode: Mode, workload: &str, outcome: &ExploreOutcome) -> Json {
         "points": Json::array(points, |(i, p)| point_json(mode, i, p)),
         "shared_cache_totals": Json::option(outcome.shared_cache.as_ref(), shared_cache_json),
         "persistent_cache": Json::option(outcome.persistent_cache.as_ref(), persistent_json),
+        "prefix": json_object! {
+            "passes_run": outcome.prefix.passes_run,
+            "passes_reused": outcome.prefix.passes_reused,
+            "checkpoints": outcome.prefix.checkpoints,
+        },
     });
     Json::Object(vec![
         ("workload", workload.into()),
@@ -606,8 +614,7 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
             "--emit-ir applies to single compilations, not {flag}"
         ));
     }
-    // Each generation starts a run-level token of its own, so a whole-run
-    // budget would restart with every generation.
+    // An exploration is bounded by its `explore{budget=N}` compile count.
     if mode == Mode::Explore && args.run_budget_ms.is_some() {
         return Err("--run-budget-ms applies to --sweep".to_string());
     }
@@ -700,6 +707,7 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
                 wall_seconds: sweep.wall_seconds,
                 shared_cache: sweep.shared_cache,
                 persistent_cache: sweep.persistent_cache,
+                prefix: sweep.prefix,
             }
         }
     };
@@ -764,6 +772,12 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
         if let Some(persistent) = &outcome.persistent_cache {
             say!("persistent estimate store: {persistent}");
         }
+        say!(
+            "prefix tree: {} passes run, {} reused, {} checkpoints",
+            outcome.prefix.passes_run,
+            outcome.prefix.passes_reused,
+            outcome.prefix.checkpoints
+        );
     }
     if args.stats_json {
         println!("{}", batch_json(mode, &source.name, &outcome));

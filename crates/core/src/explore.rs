@@ -24,7 +24,10 @@
 //!   given ([`Explorer::with_engine`]), as that engine's own first attempt at
 //!   the point: its job budget, verification, retries, deadline, fault plan
 //!   and estimate cache apply, and a candidate either half fails falls to the
-//!   engine's retry ladder like any sweep point.
+//!   engine's retry ladder like any sweep point. One run of that engine
+//!   spans the exploration: its whole-run budget covers all generations, and
+//!   candidates lower from the checkpoints of one prefix tree, whichever
+//!   generation filled them.
 //!
 //! A generation is two pooled stages with a barrier between them. **Stage A**
 //! lowers and bounds the whole wave: workers only *peek* the cache and only
@@ -39,6 +42,7 @@
 //! lookup can only change who computes an estimate, never its value (CI
 //! diffs `--explore` output at jobs 1, 2 and 4).
 
+use crate::prefix::PrefixStats;
 use crate::sweep::{JobBudget, LoweredPoint, SweepEngine, SweepPoint, SweepPointOutcome};
 use hida_estimator::report::DesignEstimate;
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
@@ -590,6 +594,9 @@ pub struct ExploreOutcome {
     pub shared_cache: Option<SharedCacheStats>,
     /// Persistent-store traffic, when the cache has a disk tier.
     pub persistent_cache: Option<PersistentStoreStats>,
+    /// What sharing pipeline prefixes between the candidates saved, over
+    /// all generations.
+    pub prefix: PrefixStats,
 }
 
 impl ExploreOutcome {
@@ -675,6 +682,10 @@ impl Explorer {
             .clone()
             .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()));
         let engine = self.engine.clone().with_cache(cache.clone());
+        // One run for all generations: the engine's whole-run budget covers
+        // the whole exploration, and a generation starts from the
+        // checkpoints the ones before it lowered.
+        let run = engine.start(points);
         let budget_limit = self.config.budget.unwrap_or(usize::MAX);
 
         let seeds = lattice.seed_candidates(self.config.seed, self.config.extras);
@@ -703,15 +714,16 @@ impl Explorer {
                 probe_nodes: 0,
             };
             let wave_points: Vec<&SweepPoint> = wave.iter().map(|&idx| &points[idx]).collect();
-            let batch = engine.batch(wave_points.iter().copied());
+            let armed = engine.arm(wave_points.iter().copied());
 
             // Stage A, pooled: lower every candidate of the wave and bound
             // its QoR. Nothing publishes to the cache and the frontier is
             // only read, so each verdict depends on generation-start state
             // alone and the worker can drop a pruned design on the spot.
             let budget = engine.budget_for(wave.len());
-            let (lowered, _) = run_batch_isolated(budget.pool_jobs, &wave_points, |&point| {
-                let lowered = engine.lower_point(&batch, point, budget.point_jobs);
+            let (lowered, _) = run_batch_isolated(budget.pool_jobs, &wave, |&idx| {
+                let point = &points[idx];
+                let lowered = engine.lower_point(&run, &armed, idx);
                 // A candidate that fails to lower goes on to stage B, where
                 // the failure is retried or recorded.
                 let Some(design) = lowered.design() else {
@@ -751,7 +763,7 @@ impl Explorer {
             // Stage B, pooled: finish the survivors from the designs stage A
             // lowered; results fold into the frontier in wave order.
             if !survivors.is_empty() {
-                let (finished, budget) = engine.finish_all(&batch, survivors);
+                let (finished, budget) = engine.finish_all(&run, survivors);
                 last_budget = budget;
                 for outcome in finished {
                     match &outcome.result {
@@ -813,6 +825,7 @@ impl Explorer {
             wall_seconds: start.elapsed().as_secs_f64(),
             persistent_cache: cache.persistent_stats(),
             shared_cache: Some(cache.stats()),
+            prefix: run.prefix(),
         })
     }
 }
@@ -972,6 +985,39 @@ mod tests {
         let labels =
             |o: &ExploreOutcome| o.points.iter().map(|p| p.label.clone()).collect::<Vec<_>>();
         assert_eq!(labels(&parallel), labels(&outcome));
+    }
+
+    /// The engine's whole-run budget is the exploration's: it does not start
+    /// over with each generation.
+    #[test]
+    fn an_engine_s_run_budget_spans_all_generations() {
+        hida_ir_core::fault::silence_expected_panics();
+        let points = grid_points();
+        // One seed of generation 0 sleeps three budgets long.
+        let plan = crate::FaultPlan::parse("seed=5,stall=1,stall-ms=450").unwrap();
+        let engine = SweepEngine::new()
+            .with_total_jobs(1)
+            .with_run_budget_ms(150)
+            .with_fault_plan(plan);
+        let outcome = Explorer::new(ExploreConfig::default())
+            .with_engine(engine)
+            .explore(&points)
+            .unwrap();
+        assert!(outcome.generations.len() >= 2, "{:?}", outcome.generations);
+        let first = &outcome.generations[0];
+        let later = &outcome.points[first.compiled + first.failed..];
+        assert!(!later.is_empty());
+        for point in later {
+            assert_eq!(
+                point.failure_reason(),
+                Some(crate::FailureReason::TimedOut),
+                "{}: {:?}",
+                point.label,
+                point.result.as_ref().map(|_| "compiled")
+            );
+            let detail = &point.failure.as_ref().unwrap().attempts[0].detail;
+            assert!(detail.contains("(run budget)"), "{detail}");
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! ```
 
 pub mod explore;
+mod prefix;
 pub mod report;
 pub mod sweep;
 
@@ -73,7 +74,8 @@ pub use hida_ir_core::fault::{CancelToken, FaultKind, FaultPlan, PointFaults, Wo
 pub use hida_ir_core::pass::{PassOption, PassStatistics, PipelineState};
 pub use hida_ir_core::registry::{PassRegistry, PipelineError};
 pub use hida_ir_core::PassInvocation;
-pub use hida_opt::{registry, registry_listing, HidaOptions, ParallelMode, Pipeline};
+pub use hida_opt::{registry, registry_listing, Checkpoint, HidaOptions, ParallelMode, Pipeline};
+pub use prefix::PrefixStats;
 pub use sweep::{
     classify_failure, FailureReason, JobBudget, PointAttempt, PointFailure, SweepEngine,
     SweepOutcome, SweepPoint, SweepPointOutcome,
@@ -82,6 +84,7 @@ pub use sweep::{
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_estimator::dataflow::DataflowEstimator;
 use hida_ir_core::{Context, IrError, IrResult, OpId};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,7 +93,7 @@ use std::time::Instant;
 ///
 /// `Clone` is cheap for every variant (`TextIr` holds its text behind an
 /// `Arc`), so the sweep and explore engines clone freely per design point.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// A neural network from the PyTorch-style model zoo.
     Model(Model),
@@ -193,6 +196,39 @@ pub struct LowerFailure {
 impl From<LowerFailure> for IrError {
     fn from(failure: LowerFailure) -> IrError {
         failure.error
+    }
+}
+
+/// Runs `pipeline` from where `checkpoint` stands to its end — the one place
+/// a compilation's passes run. [`Compiler::lower_func`] resumes the empty
+/// checkpoint over the function it was given; a sweep or exploration point
+/// resumes a fork of the deepest checkpoint its run shares with other points
+/// (see `docs/ARCHITECTURE.md`, "The prefix tree"). `start` is when the
+/// caller began this lowering: what came before the resume counts into
+/// [`LoweredDesign::lower_seconds`].
+pub(crate) fn resume(
+    pipeline: &Pipeline,
+    mut checkpoint: Checkpoint,
+    start: Instant,
+) -> Result<LoweredDesign, LowerFailure> {
+    let run = pipeline
+        .resume(&mut checkpoint, pipeline.len())
+        .and_then(|()| checkpoint.schedule());
+    let (module, func) = (checkpoint.module, checkpoint.func);
+    let (ctx, pass_statistics) = checkpoint.into_parts();
+    match run {
+        Ok(schedule) => Ok(LoweredDesign {
+            ctx,
+            module,
+            func,
+            schedule,
+            pass_statistics,
+            lower_seconds: start.elapsed().as_secs_f64(),
+        }),
+        Err(error) => Err(LowerFailure {
+            error,
+            pass_statistics,
+        }),
     }
 }
 
@@ -358,15 +394,13 @@ impl Compiler {
         self.verification
     }
 
-    /// Compiles a workload end to end: front end, [`Compiler::lower_func`],
+    /// Compiles a workload end to end: [`Compiler::lower`], then
     /// [`Compiler::finish`].
     ///
     /// # Errors
     /// Propagates front-end or optimization failures.
     pub fn compile(&self, workload: Workload) -> IrResult<CompilationResult> {
-        let mut ctx = Context::new();
-        let (module, func) = build_workload(&mut ctx, workload)?;
-        self.finish(self.lower_func(ctx, module, func)?)
+        self.finish(self.lower(workload)?)
     }
 
     /// Runs the front end and the pass pipeline only — no QoR estimation, no
@@ -385,17 +419,18 @@ impl Compiler {
         Ok(self.lower_func(ctx, module, func)?)
     }
 
-    /// Runs the pass pipeline over an already-constructed function — the one
-    /// place a compilation's pipeline is assembled (explicit text or the
-    /// options-derived flow, worker count, verification) and run. Custom
-    /// front-ends call this and then [`Compiler::finish`].
+    /// Runs the pass pipeline over an already-constructed function: assembles
+    /// the compilation's pipeline (explicit text or the options-derived flow,
+    /// worker count, verification) and resumes the empty [`Checkpoint`] over
+    /// `func` with it. Custom front-ends call this and then
+    /// [`Compiler::finish`].
     ///
     /// # Errors
     /// A [`LowerFailure`] carrying the optimization or inter-pass
     /// verification error and the statistics of the passes that ran.
     pub fn lower_func(
         &self,
-        mut ctx: Context,
+        ctx: Context,
         module: OpId,
         func: OpId,
     ) -> Result<LoweredDesign, LowerFailure> {
@@ -403,31 +438,43 @@ impl Compiler {
         // Chaos-harness site: an armed stall sleeps here, at the very start of
         // the point's compilation, where a per-point deadline will catch it.
         hida_ir_core::fault::injected_stall("compile:start");
-        let mut pipeline = match &self.pipeline {
-            Some(text) => Pipeline::parse(&registry(), text).map_err(|e| LowerFailure {
-                error: IrError::pass_failed("hida-pipeline", e.to_string()),
-                pass_statistics: Vec::new(),
-            })?,
-            None => Pipeline::from_options(&self.options),
-        }
-        .with_jobs(self.jobs)
-        .with_verification(self.verification);
-        let run = pipeline.run(&mut ctx, func);
-        let pass_statistics = pipeline.take_statistics();
-        match run {
-            Ok(schedule) => Ok(LoweredDesign {
-                ctx,
-                module,
-                func,
-                schedule,
-                pass_statistics,
-                lower_seconds: start.elapsed().as_secs_f64(),
-            }),
-            Err(error) => Err(LowerFailure {
-                error,
-                pass_statistics,
-            }),
-        }
+        let (pipeline, _) = self.assemble(&registry())?;
+        resume(&pipeline, Checkpoint::new(ctx, module, func), start)
+    }
+
+    /// Assembles this compilation's pipeline — the explicit text or the
+    /// options-derived flow, with the worker count and verification — the one
+    /// place that is done. The flag says whether the pipeline came out of
+    /// `registry`: its [`Pipeline::invocations`] then determine its passes,
+    /// so two such pipelines run equal passes wherever their invocation lists
+    /// agree. It is false for the direct fallback of
+    /// [`Pipeline::from_options`] (a device outside the catalog is carried by
+    /// name only).
+    ///
+    /// # Errors
+    /// An explicit text that does not parse through the registry.
+    pub(crate) fn assemble(
+        &self,
+        registry: &PassRegistry,
+    ) -> Result<(Pipeline, bool), LowerFailure> {
+        let text = match &self.pipeline {
+            Some(text) => Cow::Borrowed(text.as_str()),
+            None => Cow::Owned(self.options.pipeline_text()),
+        };
+        let (pipeline, from_registry) = match Pipeline::parse(registry, &text) {
+            Ok(pipeline) => (pipeline, true),
+            Err(e) if self.pipeline.is_some() => {
+                return Err(LowerFailure {
+                    error: IrError::pass_failed("hida-pipeline", e.to_string()),
+                    pass_statistics: Vec::new(),
+                })
+            }
+            Err(_) => (Pipeline::from_options(&self.options), false),
+        };
+        let pipeline = pipeline
+            .with_jobs(self.jobs)
+            .with_verification(self.verification);
+        Ok((pipeline, from_registry))
     }
 
     /// Finishes a lowered design: the final whole-module verification, both

@@ -1,15 +1,25 @@
-//! Sweep-level parallel compilation with cross-compilation estimate sharing.
+//! Sweep-level parallel compilation with cross-compilation sharing.
 //!
-//! HIDA's evaluation is a design-space sweep: dozens of *independent*
-//! [`Compiler`] invocations — pipeline-string variants of one workload —
-//! whose wall-clock sum, not any single compile, is what users wait for.
-//! This module makes the whole sweep the unit of optimization:
+//! HIDA's evaluation is a design-space sweep: dozens of [`Compiler`]
+//! invocations — pipeline-string variants of one workload — whose wall-clock
+//! sum, not any single compile, is what users wait for. This module makes the
+//! whole sweep the unit of optimization:
 //!
 //! * [`SweepEngine`] fans [`SweepPoint`]s out over the same work-stealing pool
 //!   ([`hida_ir_core::par::run_batch`]) the passes use for per-node work.
-//!   Each design point compiles in its own [`Context`](hida_ir_core::Context)
-//!   (share-nothing), so the only coordination is the result slot per point —
-//!   results come back in declaration order regardless of scheduling.
+//!   Each design point ends up with a [`Context`](hida_ir_core::Context) of
+//!   its own, so the only coordination past lowering is the result slot per
+//!   point — results come back in declaration order regardless of scheduling.
+//! * The points are variants of each other, identical above the pass they
+//!   differ in, and a run lowers each distinct pipeline prefix once: a prefix
+//!   tree planned from every point's `(workload, normalized pass
+//!   invocations)` holds a checkpoint wherever the set of points sharing a
+//!   prefix shrinks, and a point forks the deepest checkpoint on its path and
+//!   runs only its own suffix (`docs/ARCHITECTURE.md`, "The prefix tree";
+//!   [`SweepOutcome::prefix`] counts what that saved). What does *not* share
+//!   is the fault domain: a point with armed faults, every retry, and every
+//!   point whose shared prefix could not be lowered compile share-nothing,
+//!   front end to emission.
 //! * A [`JobBudget`] composes the two parallelism levels: `pool_jobs` design
 //!   points run concurrently, each with `point_jobs` worker threads for its
 //!   per-node pass work, and `pool_jobs * point_jobs` never exceeds the
@@ -19,10 +29,13 @@
 //!   per-node QoR estimates are keyed by structural fingerprint and device,
 //!   so the 100th ResNet-18 design point re-estimates only the nodes whose
 //!   tiling or parallel factors actually changed. The per-node model is a
-//!   pure function of exactly the fingerprinted inputs, which is why sweep
-//!   results are **byte-identical** to a sequential, share-nothing loop — the
-//!   determinism CI enforces.
+//!   pure function of exactly the fingerprinted inputs.
+//!
+//! Neither kind of sharing shows in the results: every point is
+//! **byte-identical** to a sequential, share-nothing compile of that point
+//! alone — the determinism CI enforces.
 
+use crate::prefix::{PrefixStats, PrefixTree};
 use crate::{CompilationResult, Compiler, HidaOptions, LoweredDesign, Workload};
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
@@ -313,6 +326,8 @@ pub struct SweepOutcome {
     pub persistent_cache: Option<PersistentStoreStats>,
     /// Worker/steal counters of the sweep-level pool.
     pub pool: ParallelStats,
+    /// What sharing pipeline prefixes between the points saved.
+    pub prefix: PrefixStats,
 }
 
 impl SweepOutcome {
@@ -415,7 +430,8 @@ impl SweepEngine {
     }
 
     /// Sets a whole-run wall-clock budget in milliseconds (builder style):
-    /// one deadline shared by every point, chained above the per-point
+    /// one deadline shared by every point — of a sweep, or of all generations
+    /// of an exploration handed this engine — chained above the per-point
     /// deadlines. Points that have not finished when it expires stop at their
     /// next checkpoint with a `TimedOut` outcome.
     pub fn with_run_budget_ms(mut self, budget_ms: u64) -> Self {
@@ -480,25 +496,28 @@ impl SweepEngine {
     /// order. Per-point failures are recorded, not propagated — one infeasible
     /// design point must not kill the other 99.
     pub fn run(&self, points: &[SweepPoint]) -> SweepOutcome {
-        let budget = self.budget_for(points.len());
-        let batch = self.batch(points.iter());
         let start = Instant::now();
-        let (results, pool) = run_batch_isolated(budget.pool_jobs, points, |point| {
-            let lowered = self.lower_point(&batch, point, budget.point_jobs);
-            self.finish_point(&batch, lowered, budget.point_jobs)
+        let budget = self.budget_for(points.len());
+        let run = self.start(points);
+        let armed = self.arm(points.iter());
+        let indices: Vec<usize> = (0..points.len()).collect();
+        let (results, pool) = run_batch_isolated(budget.pool_jobs, &indices, |&index| {
+            let lowered = self.lower_point(&run, &armed, index);
+            self.finish_point(&run, lowered, budget.point_jobs)
         });
         // One segment per sweep, on disk before the counters are read and
         // before the caller has the outcome.
-        if let Some(cache) = &batch.cache {
+        if let Some(cache) = &run.cache {
             cache.flush();
         }
         SweepOutcome {
-            points: self.collect(&batch, results, points.iter()),
+            points: self.collect(&run, results, points.iter()),
             budget,
             wall_seconds: start.elapsed().as_secs_f64(),
-            persistent_cache: batch.cache.as_ref().and_then(|c| c.persistent_stats()),
-            shared_cache: batch.cache.map(|c| c.stats()),
+            persistent_cache: run.cache.as_ref().and_then(|c| c.persistent_stats()),
+            shared_cache: run.cache.as_ref().map(|c| c.stats()),
             pool,
+            prefix: run.prefix(),
         }
     }
 
@@ -510,28 +529,44 @@ impl SweepEngine {
         })
     }
 
-    /// Sets up what the given points share while they compile.
-    pub(crate) fn batch<'p>(&self, points: impl Iterator<Item = &'p SweepPoint>) -> Batch {
-        Batch {
-            cache: self.share_estimates.then(|| {
-                self.cache
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()))
+    /// Sets up what one whole run over `points` shares — a sweep, or every
+    /// generation of an exploration: the estimate cache, the token carrying
+    /// the whole-run budget (its clock starts here), and the prefix tree of
+    /// the points' first attempts, which lower with the worker count the
+    /// budget over all of `points` gives a point.
+    pub(crate) fn start<'p>(&self, points: &'p [SweepPoint]) -> Run<'p> {
+        let cache = self.share_estimates.then(|| {
+            self.cache
+                .clone()
+                .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()))
+        });
+        let lower_jobs = self.budget_for(points.len()).point_jobs;
+        Run {
+            points,
+            tree: PrefixTree::plan(points, |point| {
+                self.attempt_compiler(cache.as_ref(), point, lower_jobs, false)
             }),
-            run_token: self
+            cache,
+            lower_jobs,
+            token: self
                 .run_budget_ms
                 .map_or_else(CancelToken::new, CancelToken::with_deadline_ms),
-            // Fault assignment is a seeded shuffle of the *labels*, computed
-            // once before any point runs — which points are afflicted is
-            // independent of job count and thread scheduling.
-            armed: self.fault_plan.as_ref().map_or_else(BTreeMap::new, |plan| {
-                let labels: Vec<String> = points.map(|p| p.label.clone()).collect();
-                let assigned = plan.assign(&labels).into_iter();
-                assigned
-                    .map(|(label, kind)| (label, plan.arm(kind)))
-                    .collect()
-            }),
         }
+    }
+
+    /// The faults the plan arms among the points of one wave — a sweep, or
+    /// one generation of an exploration — by the label of the point they
+    /// afflict. The assignment is a seeded shuffle of the *labels*, computed
+    /// once before any point runs — which points are afflicted is independent
+    /// of job count and thread scheduling.
+    pub(crate) fn arm<'p>(&self, wave: impl Iterator<Item = &'p SweepPoint>) -> Armed {
+        self.fault_plan.as_ref().map_or_else(BTreeMap::new, |plan| {
+            let labels: Vec<String> = wave.map(|p| p.label.clone()).collect();
+            let assigned = plan.assign(&labels).into_iter();
+            assigned
+                .map(|(label, kind)| (label, plan.arm(kind)))
+                .collect()
+        })
     }
 
     /// The pool's per-point results as outcomes, in point order. Both halves
@@ -540,7 +575,7 @@ impl SweepEngine {
     /// attempt rather than aborting the others.
     pub(crate) fn collect<'p>(
         &self,
-        batch: &Batch,
+        run: &Run<'_>,
         results: Vec<Result<SweepPointOutcome, WorkerFault>>,
         points: impl Iterator<Item = &'p SweepPoint>,
     ) -> Vec<SweepPointOutcome> {
@@ -549,7 +584,7 @@ impl SweepEngine {
             .zip(points)
             .map(|(result, point)| {
                 result.unwrap_or_else(|fault| {
-                    self.finish_point(batch, LoweredPoint::escaped(point, fault), 1)
+                    self.finish_point(run, LoweredPoint::escaped(point, fault), 1)
                 })
             })
             .collect()
@@ -560,7 +595,7 @@ impl SweepEngine {
     /// the outcomes and the budget the stage ran under.
     pub(crate) fn finish_all(
         &self,
-        batch: &Batch,
+        run: &Run<'_>,
         lowered: Vec<LoweredPoint<'_>>,
     ) -> (Vec<SweepPointOutcome>, JobBudget) {
         let budget = self.budget_for(lowered.len());
@@ -572,9 +607,9 @@ impl SweepEngine {
             let lowered = fault::lock_recover(slot)
                 .take()
                 .expect("the pool runs every item once");
-            self.finish_point(batch, lowered, budget.point_jobs)
+            self.finish_point(run, lowered, budget.point_jobs)
         });
-        (self.collect(batch, results, points.into_iter()), budget)
+        (self.collect(run, results, points.into_iter()), budget)
     }
 
     /// The compiler of one attempt at `point`. Retries are `degraded`, the
@@ -584,7 +619,7 @@ impl SweepEngine {
     /// re-fail the retry).
     fn attempt_compiler(
         &self,
-        batch: &Batch,
+        cache: Option<&Arc<SharedEstimateCache>>,
         point: &SweepPoint,
         point_jobs: usize,
         degraded: bool,
@@ -593,28 +628,42 @@ impl SweepEngine {
             .compiler()
             .with_jobs(if degraded { 1 } else { point_jobs })
             .with_verification(degraded || self.verification);
-        match &batch.cache {
+        match cache {
             Some(cache) if !degraded => compiler.with_shared_estimates(Arc::clone(cache)),
             _ => compiler,
         }
     }
 
-    /// The lower half of a point's first attempt: front end and pass
-    /// pipeline, under the point's deadline and armed faults.
+    /// The lower half of the first attempt at point `index` of the run: front
+    /// end and pass pipeline, under the point's deadline and armed faults. A
+    /// point with armed faults is a fault domain of its own from the first
+    /// instruction — it neither lowers a shared checkpoint (its panic or stall
+    /// would be everyone's) nor starts from one (its faults fire where they
+    /// always did); the others share prefixes through the run's tree.
     pub(crate) fn lower_point<'p>(
         &self,
-        batch: &Batch,
-        point: &'p SweepPoint,
-        point_jobs: usize,
+        run: &Run<'p>,
+        armed: &Armed,
+        index: usize,
     ) -> LoweredPoint<'p> {
+        let point = &run.points[index];
         let start = Instant::now();
-        let faults = batch.armed.get(&point.label).cloned();
-        let compiler = self.attempt_compiler(batch, point, point_jobs, false);
+        let faults = armed.get(&point.label).cloned();
+        let compiler = self.attempt_compiler(run.cache.as_ref(), point, run.lower_jobs, false);
         let lowered = isolated(
             &point.site(),
-            batch.run_token.child(self.deadline_ms),
+            run.token.child(self.deadline_ms),
             faults.clone(),
-            || compiler.lower(point.workload.clone()),
+            || {
+                let shared = match faults {
+                    None => run.tree.lower(index, &point.workload),
+                    Some(_) => None,
+                };
+                match shared {
+                    Some(lowered) => Ok(lowered?),
+                    None => compiler.lower(point.workload.clone()),
+                }
+            },
         );
         LoweredPoint {
             point,
@@ -627,14 +676,14 @@ impl SweepEngine {
     /// Takes a point from its lower half to an outcome: the finish half of
     /// the first attempt (final verify, both estimates, emission, on the
     /// design that attempt lowered) and, if either half failed, the retries —
-    /// each a full recompile under the degradation ladder. Every attempt runs
-    /// under its own cancellation token (per-point deadline chained below the
-    /// run budget) and an installed fault context inside [`isolated`] —
-    /// panics, cancellations and store degradations all land as structured
-    /// [`PointAttempt`]s.
+    /// each a full share-nothing recompile under the degradation ladder. Every
+    /// attempt runs under its own cancellation token (per-point deadline
+    /// chained below the run budget) and an installed fault context inside
+    /// [`isolated`] — panics, cancellations and store degradations all land as
+    /// structured [`PointAttempt`]s.
     pub(crate) fn finish_point(
         &self,
-        batch: &Batch,
+        run: &Run<'_>,
         lowered: LoweredPoint<'_>,
         point_jobs: usize,
     ) -> SweepPointOutcome {
@@ -673,16 +722,17 @@ impl SweepEngine {
                     let compiler = compiler.with_jobs(point_jobs);
                     isolated(
                         &site,
-                        batch.run_token.child_after(self.deadline_ms, lower_time),
+                        run.token.child_after(self.deadline_ms, lower_time),
                         attempt_faults,
                         || compiler.finish(design),
                     )
                 }),
                 None => {
-                    let compiler = self.attempt_compiler(batch, point, point_jobs, true);
+                    let compiler =
+                        self.attempt_compiler(run.cache.as_ref(), point, point_jobs, true);
                     isolated(
                         &site,
-                        batch.run_token.child(self.deadline_ms),
+                        run.token.child(self.deadline_ms),
                         attempt_faults,
                         || compiler.compile(point.workload.clone()),
                     )
@@ -703,7 +753,7 @@ impl SweepEngine {
                     last_error = Some(error);
                     // A run-budget cancellation dooms every further attempt;
                     // stop retrying instead of burning checkpoints.
-                    if batch.run_token.is_cancelled() {
+                    if run.token.is_cancelled() {
                         break;
                     }
                 }
@@ -717,15 +767,29 @@ impl SweepEngine {
     }
 }
 
-/// What the points of one batch share while they compile: the estimate
-/// cache, the run-level token carrying the whole-run budget (every attempt
-/// gets a child token chaining its own deadline below it), and the faults
-/// the plan arms, by the label of the point they afflict.
-pub(crate) struct Batch {
+/// What one whole run shares — a sweep, or every generation of an
+/// exploration: the points, the estimate cache, the run-level token carrying
+/// the whole-run budget (every attempt gets a child token chaining its own
+/// deadline below it), and the prefix tree the first attempts lower through,
+/// with the worker count they lower with.
+pub(crate) struct Run<'p> {
+    points: &'p [SweepPoint],
     cache: Option<Arc<SharedEstimateCache>>,
-    run_token: CancelToken,
-    armed: BTreeMap<String, PointFaults>,
+    token: CancelToken,
+    tree: PrefixTree,
+    lower_jobs: usize,
 }
+
+impl Run<'_> {
+    /// What sharing pipeline prefixes has saved the run so far.
+    pub(crate) fn prefix(&self) -> PrefixStats {
+        self.tree.stats()
+    }
+}
+
+/// The faults armed among the points of one wave, by the label of the point
+/// they afflict ([`SweepEngine::arm`]).
+pub(crate) type Armed = BTreeMap<String, PointFaults>;
 
 /// A point between the two halves of its first attempt: through the pass
 /// pipeline (or failed in it), not yet estimated or emitted.
@@ -764,7 +828,7 @@ impl<'p> LoweredPoint<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolybenchKernel;
+    use crate::{PassStatistics, PolybenchKernel};
 
     fn small_points(n: usize) -> Vec<SweepPoint> {
         (0..n)
@@ -843,8 +907,28 @@ mod tests {
             if let (Ok(x), Ok(y)) = (&chaos.result, &baseline.result) {
                 assert_eq!(x.estimate, y.estimate);
                 assert_eq!(x.hls_cpp, y.hls_cpp);
+                assert_eq!(
+                    PassStatistics::without_micros(&x.pass_statistics),
+                    PassStatistics::without_micros(&y.pass_statistics)
+                );
             }
         }
+        // The four points are one group — five shared passes, then their own
+        // `parallelize` — and the afflicted one stays out of it: it neither
+        // lowers the group's checkpoint nor starts from it.
+        let shared_by_three = PrefixStats {
+            passes_run: 5 + 3,
+            passes_reused: 2 * 5,
+            checkpoints: 1,
+        };
+        assert_eq!(sequential.prefix, shared_by_three);
+        assert_eq!(parallel.prefix, shared_by_three);
+        let shared_by_four = PrefixStats {
+            passes_run: 5 + 4,
+            passes_reused: 3 * 5,
+            checkpoints: 1,
+        };
+        assert_eq!(clean.prefix, shared_by_four);
     }
 
     #[test]
@@ -865,6 +949,96 @@ mod tests {
             .expect("the afflicted point must have retried");
         assert!(retried.failure.is_none());
         assert!(retried.result.is_ok());
+        // The retry compiled share-nothing: only the other two went through
+        // the group's checkpoint.
+        assert_eq!(outcome.prefix.passes_run, 5 + 2);
+        assert_eq!(outcome.prefix.passes_reused, 5);
+        let alone = points
+            .iter()
+            .find(|p| p.label == retried.label)
+            .map(|p| p.compiler().compile(p.workload.clone()).unwrap())
+            .unwrap();
+        let result = retried.result.as_ref().unwrap();
+        assert_eq!(result.hls_cpp, alone.hls_cpp);
+        assert_eq!(result.estimate, alone.estimate);
+    }
+
+    /// `construct,tiling,parallelize` has no `lower`: tiling, the second pass
+    /// of the prefix all four points share, fails.
+    #[test]
+    fn a_failing_shared_prefix_fails_every_point_of_its_group_on_its_own() {
+        let points: Vec<SweepPoint> = [2, 4, 8, 16]
+            .iter()
+            .map(|pf| {
+                SweepPoint::new(
+                    format!("pf{pf}"),
+                    Workload::PolybenchSized(PolybenchKernel::TwoMm, 32),
+                    HidaOptions::polybench(),
+                )
+                .with_pipeline(format!(
+                    "construct,tiling{{factor=4}},parallelize{{max-factor={pf},device=zu3eg}}"
+                ))
+            })
+            .collect();
+        for jobs in [1, 4] {
+            let outcome = SweepEngine::new().with_total_jobs(jobs).run(&points);
+            assert_eq!(outcome.failed_labels(), ["pf2", "pf4", "pf8", "pf16"]);
+            for (point, spec) in outcome.points.iter().zip(&points) {
+                // Exactly what the point reports compiled alone: one
+                // attempt, stopped by the pass that failed it.
+                let alone = spec.compiler().compile(spec.workload.clone());
+                let error = point.result.as_ref().unwrap_err();
+                assert!(
+                    matches!(error, IrError::PassFailed { pass, .. } if pass == "hida-tiling"),
+                    "{error}"
+                );
+                assert_eq!(error, &alone.unwrap_err());
+                assert_eq!(point.attempts, 1);
+                let attempts = &point.failure.as_ref().unwrap().attempts;
+                assert_eq!(attempts.len(), 1);
+                assert_eq!(attempts[0].reason, FailureReason::Failed);
+            }
+            // The failed checkpoint was lowered once (two passes), never
+            // served, and every point then compiled share-nothing.
+            let failed_once = PrefixStats {
+                passes_run: 2,
+                passes_reused: 0,
+                checkpoints: 0,
+            };
+            assert_eq!(outcome.prefix, failed_once, "--jobs {jobs}");
+        }
+    }
+
+    /// Two engines over one run: the first point comes with a deadline that
+    /// has already passed, so the group's checkpoint — which it is the first
+    /// to ask for — is cancelled at its first pass boundary.
+    #[test]
+    fn a_leader_cancelled_mid_prefix_does_not_fail_its_followers() {
+        let points = small_points(3);
+        let engine = SweepEngine::new().with_budget(JobBudget::sequential());
+        let run = engine.start(&points);
+        let unarmed = Armed::new();
+
+        let hasty = engine.clone().with_deadline_ms(0);
+        let leader = hasty.finish_point(&run, hasty.lower_point(&run, &unarmed, 0), 1);
+        assert_eq!(leader.failure_reason(), Some(FailureReason::TimedOut));
+        let detail = &leader.failure.as_ref().unwrap().attempts[0].detail;
+        assert!(detail.contains("deadline of 0ms exceeded"), "{detail}");
+
+        for (index, point) in points.iter().enumerate().skip(1) {
+            let follower = engine.finish_point(&run, engine.lower_point(&run, &unarmed, index), 1);
+            let result = follower.result.expect("a follower compiles on its own");
+            let alone = point.compiler().compile(point.workload.clone()).unwrap();
+            assert_eq!(result.hls_cpp, alone.hls_cpp);
+            assert_eq!(result.estimate, alone.estimate);
+            assert_eq!(
+                PassStatistics::without_micros(&result.pass_statistics),
+                PassStatistics::without_micros(&alone.pass_statistics)
+            );
+        }
+        // The cancelled checkpoint is never served: nobody reused a pass.
+        assert_eq!(run.prefix().checkpoints, 0);
+        assert_eq!(run.prefix().passes_reused, 0);
     }
 
     #[test]

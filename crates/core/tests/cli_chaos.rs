@@ -456,3 +456,91 @@ fn single_run_stall_hits_its_deadline() {
         "missing deadline error:\n{stderr}"
     );
 }
+
+/// `construct,tiling,parallelize` has no `lower`: the prefix all four lines
+/// share fails in its second pass. Each point reports that failure as its
+/// own — once, from its own share-nothing compile — at any job count.
+#[test]
+fn a_failing_shared_prefix_is_reported_once_per_point() {
+    let variants: String = [2, 4, 8, 16]
+        .iter()
+        .map(|pf| {
+            format!("construct,tiling{{factor=4}},parallelize{{max-factor={pf},device=zu3eg}}\n")
+        })
+        .collect();
+    let path = write_variants("chaos_shared_prefix.txt", &variants);
+    let (ok, jobs1) = run_sweep(&path, "1", &[]);
+    assert!(!ok);
+    let (ok, jobs4) = run_sweep(&path, "4", &[]);
+    assert!(!ok);
+    assert_eq!(jobs1, jobs4, "--jobs 1 vs --jobs 4");
+    assert!(
+        jobs1.contains("FAILED: 4 of 4 sweep points (p01, p02, p03, p04)"),
+        "{jobs1}"
+    );
+    let blocks = point_blocks(&jobs1);
+    assert_eq!(blocks.len(), 4);
+    for (label, body) in &blocks {
+        assert_eq!(
+            body.matches("error: pass 'hida-tiling' failed").count(),
+            1,
+            "{label}:\n{body}"
+        );
+        assert_eq!(
+            body.matches("attempt 0: Failed").count(),
+            1,
+            "{label}:\n{body}"
+        );
+        assert!(!body.contains("attempt 1"), "{label}:\n{body}");
+    }
+}
+
+/// The `"prefix"` member of a batch `--stats-json` document, which follows
+/// `"persistent_cache"` and closes the mode's object.
+fn prefix_counters(json: &str) -> &str {
+    let start = json
+        .find("\"persistent_cache\":null,\"prefix\":{")
+        .unwrap_or_else(|| panic!("no prefix member after persistent_cache in:\n{json}"));
+    let end = start + json[start..].find('}').expect("object end");
+    assert!(json[end..].starts_with("}}}"), "{json}");
+    &json[start + "\"persistent_cache\":null,".len()..=end]
+}
+
+/// The healthy grid is two passes shared by all four lines, a tile size
+/// shared by two each, and a `parallelize` of its own per line: eight of its
+/// sixteen passes run, behind three checkpoints. A point with armed faults
+/// stays out of the tree. Either way the counters do not depend on `--jobs`.
+#[test]
+fn prefix_counters_are_reported_and_repeat_at_any_job_count() {
+    let path = write_variants("chaos_prefix_counters.txt", HEALTHY_VARIANTS);
+    let explore = write_variants("chaos_prefix_counters_explore.txt", EXPLORE_VARIANTS);
+    for jobs in ["1", "2", "4"] {
+        let (ok, json) = run_sweep(&path, jobs, &["--stats-json"]);
+        assert!(ok, "{json}");
+        assert_eq!(
+            prefix_counters(&json),
+            "\"prefix\":{\"passes_run\":8,\"passes_reused\":8,\"checkpoints\":3}",
+            "--jobs {jobs}"
+        );
+        // Two of the four armed (one of each tile size): the other two still
+        // lower every checkpoint on their paths, and share `construct,lower`.
+        let faults = ["--inject-faults", "seed=7,pass-panic=1,store-read=1"];
+        let (ok, json) = run_sweep(&path, jobs, &[&faults[..], &["--stats-json"]].concat());
+        assert!(!ok);
+        assert_eq!(
+            prefix_counters(&json),
+            "\"prefix\":{\"passes_run\":6,\"passes_reused\":2,\"checkpoints\":3}",
+            "--jobs {jobs}, two points armed"
+        );
+        // All six candidates of the 3x2 grid are probed, over two
+        // generations sharing one tree: `construct,lower`, two tile sizes,
+        // six `parallelize`.
+        let (ok, json) = run_explore(&explore, jobs, &["--stats-json"]);
+        assert!(ok, "{json}");
+        assert_eq!(
+            prefix_counters(&json),
+            "\"prefix\":{\"passes_run\":10,\"passes_reused\":14,\"checkpoints\":3}",
+            "--explore --jobs {jobs}"
+        );
+    }
+}

@@ -65,7 +65,7 @@ pub mod structural_opt;
 pub mod tiling;
 
 pub use pipeline::{
-    BalancePass, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
+    BalancePass, Checkpoint, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
     ParallelizePass, Pipeline, ProfilePass, TilingPass,
 };
 pub use registry::{registry, registry_listing};

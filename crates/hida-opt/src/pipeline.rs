@@ -50,7 +50,7 @@ use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::device::FpgaDevice;
 use hida_ir_core::analysis::{AnalysisManager, AnalysisSnapshot, PreservedAnalyses};
-use hida_ir_core::pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState};
+use hida_ir_core::pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState};
 use hida_ir_core::registry::{PassRegistry, PipelineError};
 use hida_ir_core::{
     parse_pipeline, print_pipeline, Analysis, Context, IrError, IrResult, NodeScope, OpId,
@@ -64,6 +64,17 @@ fn schedule_from(state: &PipelineState, pass: &str) -> IrResult<ScheduleOp> {
         IrError::pass_failed(
             pass,
             "no ScheduleOp in pipeline state — run hida-lower-structural first",
+        )
+    })
+}
+
+/// The schedule a finished run left in its slots.
+fn produced_schedule(state: &PipelineState) -> IrResult<ScheduleOp> {
+    state.get::<ScheduleOp>().copied().ok_or_else(|| {
+        IrError::pass_failed(
+            "hida-pipeline",
+            "pipeline finished without producing a ScheduleOp \
+             (does it include hida-lower-structural?)",
         )
     })
 }
@@ -492,6 +503,69 @@ impl Pass for ParallelizePass {
     }
 }
 
+/// A pipeline run stopped between two passes: the IR as the passes run so far
+/// left it, and the run's state ([`RunState`]: typed slots, analysis cache,
+/// one statistics record per pass run). [`Pipeline::resume`] continues it;
+/// [`Checkpoint::fork`] copies it first, so several pipelines that share a
+/// pass prefix can each continue from the one run of that prefix. A fresh
+/// checkpoint ([`Checkpoint::new`]) is where every run starts.
+#[derive(Debug)]
+pub struct Checkpoint {
+    /// The IR, as the passes run so far left it.
+    pub ctx: Context,
+    /// The module op.
+    pub module: OpId,
+    /// The function the pipeline runs on.
+    pub func: OpId,
+    run: RunState,
+}
+
+impl Checkpoint {
+    /// The empty checkpoint over a freshly built function: no pass run yet.
+    pub fn new(ctx: Context, module: OpId, func: OpId) -> Self {
+        Checkpoint {
+            ctx,
+            module,
+            func,
+            run: RunState::default(),
+        }
+    }
+
+    /// Number of passes run so far — where [`Pipeline::resume`] continues.
+    pub fn passes_done(&self) -> usize {
+        self.run.statistics.len()
+    }
+
+    /// An independent copy to continue from: the context cloned (every
+    /// entity id stays valid in the clone), slots and statistics copied, the
+    /// analysis cache carried over under the clone's identity — so the passes
+    /// still to come produce the IR, statistics and cache counters they would
+    /// have produced on the original.
+    pub fn fork(&self) -> Checkpoint {
+        let ctx = self.ctx.clone();
+        Checkpoint {
+            run: self.run.fork(&self.ctx, &ctx),
+            ctx,
+            module: self.module,
+            func: self.func,
+        }
+    }
+
+    /// The structural schedule the passes run so far produced.
+    ///
+    /// # Errors
+    /// Fails when none of them deposited one.
+    pub fn schedule(&self) -> IrResult<ScheduleOp> {
+        produced_schedule(&self.run.slots)
+    }
+
+    /// Takes the checkpoint apart into its context and the statistics of the
+    /// passes run — a failed run's too, its last record marked `failed`.
+    pub fn into_parts(self) -> (Context, Vec<PassStatistics>) {
+        (self.ctx, self.run.statistics)
+    }
+}
+
 /// A declarative HIDA-OPT pipeline: an ordered pass list executed by the shared
 /// [`PassManager`], producing a structural [`ScheduleOp`] plus per-pass statistics.
 ///
@@ -668,23 +742,18 @@ impl Pipeline {
         self.manager.pass_names()
     }
 
-    /// Per-pass statistics of the most recent [`Pipeline::run`].
+    /// Per-pass statistics of the most recent [`Pipeline::run`] — a failed
+    /// run's too, its last record marked `failed`.
     pub fn statistics(&self) -> &[PassStatistics] {
         self.manager.statistics()
     }
 
-    /// Moves the statistics of the most recent [`Pipeline::run`] out of the
-    /// pipeline — a failed run's too, its last record marked `failed`.
-    pub fn take_statistics(&mut self) -> Vec<PassStatistics> {
-        self.manager.take_statistics()
-    }
-
-    /// The analysis cache shared by the pipeline's passes.
+    /// The analysis cache of [`Pipeline::run`].
     pub fn analyses(&self) -> &AnalysisManager {
         self.manager.analyses()
     }
 
-    /// Mutable access to the analysis cache, so post-run reporting reuses the
+    /// Mutable access to that cache, so post-run reporting reuses the
     /// profiles the passes left behind instead of recomputing them.
     pub fn analyses_mut(&mut self) -> &mut AnalysisManager {
         self.manager.analyses_mut()
@@ -697,14 +766,28 @@ impl Pipeline {
     /// Propagates pass failures and inter-pass verification failures, and fails
     /// when the executed passes produced no schedule.
     pub fn run(&mut self, ctx: &mut Context, func: OpId) -> IrResult<ScheduleOp> {
-        let state = self.manager.run(ctx, func)?;
-        state.get::<ScheduleOp>().copied().ok_or_else(|| {
-            IrError::pass_failed(
-                "hida-pipeline",
-                "pipeline finished without producing a ScheduleOp \
-                 (does it include hida-lower-structural?)",
-            )
-        })
+        produced_schedule(&self.manager.run(ctx, func)?)
+    }
+
+    /// Continues `checkpoint` with this pipeline's passes, from the first one
+    /// it has not run up to (excluding) pass `upto`; the statistics are
+    /// appended to the checkpoint's. The passes the checkpoint has already
+    /// run must be this pipeline's first ones — run by this pipeline or by
+    /// one whose [`Pipeline::invocations`] start with the same registry-built
+    /// prefix.
+    ///
+    /// # Errors
+    /// Propagates pass failures and inter-pass verification failures; the
+    /// checkpoint then holds the failed run's statistics and nothing to
+    /// continue from.
+    pub fn resume(&self, checkpoint: &mut Checkpoint, upto: usize) -> IrResult<()> {
+        let range = checkpoint.passes_done()..upto;
+        self.manager.run_range(
+            &mut checkpoint.ctx,
+            checkpoint.func,
+            range,
+            &mut checkpoint.run,
+        )
     }
 }
 
@@ -851,6 +934,61 @@ mod tests {
         let construct_stat = &pipeline.statistics()[0];
         assert_eq!(construct_stat.pass, "hida-construct-dataflow");
         assert!(construct_stat.op_delta() > 0);
+    }
+
+    #[test]
+    fn resuming_a_forked_checkpoint_equals_running_the_whole_pipeline() {
+        let text = "construct,fusion,lower,multi-producer-elim,tiling{factor=4},balance,\
+                    parallelize{max-factor=16,mode=IA+CA,device=zu3eg}";
+        let registry = crate::registry::registry();
+        let mut ctx = Context::new();
+        let (module, func) = twomm_func(&mut ctx);
+        let mut whole = Pipeline::parse(&registry, text).unwrap();
+        let schedule = whole.run(&mut ctx, func).unwrap();
+        let expected_ir = hida_ir_core::printer::print_op(&ctx, module);
+
+        // Stop after every prefix, including the empty and the full one, and
+        // let a second pipeline — parsed on its own — finish a fork.
+        for stop in 0..=whole.len() {
+            let mut ctx = Context::new();
+            let (module, func) = twomm_func(&mut ctx);
+            let mut prefix = Checkpoint::new(ctx, module, func);
+            let first = Pipeline::parse(&registry, text).unwrap();
+            first.resume(&mut prefix, stop).unwrap();
+            assert_eq!(prefix.passes_done(), stop);
+
+            let second = Pipeline::parse(&registry, text).unwrap();
+            let mut forked = prefix.fork();
+            second.resume(&mut forked, second.len()).unwrap();
+            assert_eq!(forked.schedule().unwrap(), schedule, "stop {stop}");
+            assert_eq!(
+                hida_ir_core::printer::print_op(&forked.ctx, forked.module),
+                expected_ir,
+                "stop {stop}"
+            );
+            let (_, statistics) = forked.into_parts();
+            assert_eq!(
+                PassStatistics::without_micros(&statistics),
+                PassStatistics::without_micros(whole.statistics()),
+                "stop {stop}: statistics and analysis-cache counters"
+            );
+            // The prefix itself still stands where it stopped.
+            assert_eq!(prefix.passes_done(), stop);
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_without_lowering_has_no_schedule() {
+        let mut ctx = Context::new();
+        let (module, func) = twomm_func(&mut ctx);
+        let mut checkpoint = Checkpoint::new(ctx, module, func);
+        let pipeline = Pipeline::parse(&crate::registry::registry(), "construct").unwrap();
+        pipeline.resume(&mut checkpoint, 1).unwrap();
+        let message = checkpoint.schedule().unwrap_err().to_string();
+        assert!(
+            message.contains("without producing a ScheduleOp"),
+            "{message}"
+        );
     }
 
     #[test]

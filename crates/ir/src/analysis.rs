@@ -411,6 +411,38 @@ impl AnalysisManager {
         }
     }
 
+    /// The cache a run over `fork` — a clone of `original` as it stands now —
+    /// starts from: every entry valid for `original` carried over under the
+    /// clone's identity, with the lifetime counters. Entity ids, epochs and
+    /// the generation are the same in both contexts, so the copy answers
+    /// queries about `fork` exactly as `self` would have answered them about
+    /// `original` — same values, same hits and misses. Values are shared
+    /// with `self` (one pointer copy per entry). Taken between passes: no
+    /// pass scope carries over.
+    pub fn fork(&self, original: &Context, fork: &Context) -> AnalysisManager {
+        debug_assert_eq!(original.generation(), fork.generation());
+        let entries = self
+            .entries
+            .iter()
+            .filter(|(&(type_id, root), entry)| self.entry_valid(type_id, root, entry, original))
+            .map(|(&key, entry)| {
+                let entry = CacheEntry {
+                    value: Arc::clone(&entry.value),
+                    ctx_id: fork.id(),
+                    ..*entry
+                };
+                (key, entry)
+            })
+            .collect();
+        AnalysisManager {
+            entries,
+            scope: None,
+            window: AnalysisCacheStats::default(),
+            totals: self.totals.clone(),
+            check_preserved: self.check_preserved,
+        }
+    }
+
     /// Silently drops entries belonging to any context other than `ctx`: they
     /// can never be valid again and would otherwise linger (and be reported as
     /// phantom invalidations) when one pass manager is reused across compiles.
@@ -878,6 +910,43 @@ mod tests {
             am.cached_any::<ConstantCount>(&ctx, module),
             Some(&ConstantCount(2))
         );
+    }
+
+    #[test]
+    fn a_fork_answers_for_the_cloned_context_what_the_original_would() {
+        let mut ctx = Context::new();
+        let module = module_with_constants(&mut ctx, 2);
+        let func = ctx.find_in_body(module, "func.func").unwrap();
+        let mut am = AnalysisManager::new();
+        let live = am.get::<ConstantCount>(&ctx, module);
+        am.get::<ConstantCount>(&ctx, func);
+        // A stale entry does not travel: only what is valid for the original.
+        let consts = ctx.collect_ops(module, "arith.constant");
+        ctx.erase_op(consts[0]);
+        am.get::<ConstantCount>(&ctx, func);
+
+        let clone = ctx.clone();
+        let mut forked = am.fork(&ctx, &clone);
+        assert_eq!(forked.len(), 1);
+        assert_eq!(forked.stats(), am.stats());
+        // The clone's query hits, on the very value the original holds...
+        let hit = forked.get::<ConstantCount>(&clone, func);
+        assert!(std::ptr::eq(
+            &*hit,
+            am.cached::<ConstantCount>(&ctx, func).unwrap()
+        ));
+        assert_eq!(forked.stats().hits, am.stats().hits + 1);
+        // ...the dropped one misses without counting an invalidation, as it
+        // would on the original after the pass boundary dropped it...
+        assert_eq!(
+            *forked.get::<ConstantCount>(&clone, module),
+            ConstantCount(1)
+        );
+        assert_eq!(forked.stats().invalidations, am.stats().invalidations);
+        assert_eq!(*live, ConstantCount(2));
+        // ...and neither cache answers for the other's context.
+        assert!(forked.cached::<ConstantCount>(&ctx, func).is_none());
+        assert!(am.cached::<ConstantCount>(&clone, func).is_none());
     }
 
     #[test]

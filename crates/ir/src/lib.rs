@@ -79,7 +79,7 @@ pub use parse::{
     parse_module, parse_module_into, parse_pipeline, print_pipeline, IrParseError, PassInvocation,
     PipelineParseError,
 };
-pub use pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState};
+pub use pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState};
 pub use registry::{OptionSpec, PassRegistry, PassSpec, PipelineError};
 pub use rewrite::{apply_patterns_greedily, RewritePattern};
 pub use storage::{EntityMap, EntitySet};

@@ -36,7 +36,7 @@ use std::error::Error;
 use std::fmt;
 
 /// One parsed pass invocation: a pass name plus its textual options.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PassInvocation {
     /// Pass name as written in the pipeline text (e.g. `"tiling"`).
     pub name: String,

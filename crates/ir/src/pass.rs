@@ -24,17 +24,32 @@ use crate::verifier::verify;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
+
+/// A stored slot value: any `Clone` type, so a whole [`PipelineState`] can be
+/// copied when a run forks.
+trait Slot: Any + Send + Sync {
+    fn clone_slot(&self) -> Box<dyn Slot>;
+}
+
+impl<T: Any + Clone + Send + Sync> Slot for T {
+    fn clone_slot(&self) -> Box<dyn Slot> {
+        Box::new(self.clone())
+    }
+}
 
 /// Typed cross-pass state: at most one value per Rust type.
 ///
 /// The slot map lets structurally-typed results (schedules, analyses, caches) flow
 /// from producing passes to consuming passes without widening the [`Pass`] trait
-/// for every new artifact kind.
+/// for every new artifact kind. Values are `Clone + Send + Sync`: a state is
+/// copied whenever a run forks from a checkpoint, and checkpoints are shared
+/// between the threads of a sweep.
 #[derive(Default)]
 pub struct PipelineState {
-    slots: HashMap<TypeId, Box<dyn Any>>,
+    slots: HashMap<TypeId, Box<dyn Slot>>,
 }
 
 impl PipelineState {
@@ -44,48 +59,27 @@ impl PipelineState {
     }
 
     /// Stores `value`, returning the previously stored value of the same type.
-    pub fn insert<T: Any>(&mut self, value: T) -> Option<T> {
-        self.slots
-            .insert(TypeId::of::<T>(), Box::new(value))
-            .and_then(|old| old.downcast::<T>().ok())
-            .map(|b| *b)
+    pub fn insert<T: Any + Clone + Send + Sync>(&mut self, value: T) -> Option<T> {
+        let old: Box<dyn Any> = self.slots.insert(TypeId::of::<T>(), Box::new(value))?;
+        old.downcast::<T>().ok().map(|b| *b)
     }
 
     /// Borrows the stored value of type `T`, if any.
     pub fn get<T: Any>(&self) -> Option<&T> {
-        self.slots
-            .get(&TypeId::of::<T>())
-            .and_then(|b| b.downcast_ref::<T>())
+        let slot: &dyn Any = &**self.slots.get(&TypeId::of::<T>())?;
+        slot.downcast_ref::<T>()
     }
+}
 
-    /// Mutably borrows the stored value of type `T`, if any.
-    pub fn get_mut<T: Any>(&mut self) -> Option<&mut T> {
-        self.slots
-            .get_mut(&TypeId::of::<T>())
-            .and_then(|b| b.downcast_mut::<T>())
-    }
-
-    /// Removes and returns the stored value of type `T`, if any.
-    pub fn take<T: Any>(&mut self) -> Option<T> {
-        self.slots
-            .remove(&TypeId::of::<T>())
-            .and_then(|b| b.downcast::<T>().ok())
-            .map(|b| *b)
-    }
-
-    /// True when a value of type `T` is stored.
-    pub fn contains<T: Any>(&self) -> bool {
-        self.slots.contains_key(&TypeId::of::<T>())
-    }
-
-    /// Number of stored slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no slots are stored.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+impl Clone for PipelineState {
+    fn clone(&self) -> Self {
+        PipelineState {
+            slots: self
+                .slots
+                .iter()
+                .map(|(&id, slot)| (id, (**slot).clone_slot()))
+                .collect(),
+        }
     }
 }
 
@@ -99,7 +93,7 @@ impl fmt::Debug for PipelineState {
 
 /// One configured option of a pass instance (`name = value`), recorded into the
 /// pass's [`PassStatistics`] so pipeline reports show the exact configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PassOption {
     /// Option name (e.g. `"tile-size"`).
     pub name: String,
@@ -261,6 +255,17 @@ impl PassStatistics {
         self.live_ops_after as i64 - self.live_ops_before as i64
     }
 
+    /// The records of a pass sequence with `micros` zeroed: everything a run
+    /// records except how long it took — what two runs of the same passes
+    /// over the same IR agree on, whether or not they shared a prefix.
+    pub fn without_micros(statistics: &[PassStatistics]) -> Vec<PassStatistics> {
+        let zeroed = |s: &PassStatistics| PassStatistics {
+            micros: 0,
+            ..s.clone()
+        };
+        statistics.iter().map(zeroed).collect()
+    }
+
     /// Sums the analysis-cache counters of a pass sequence (pipeline reports,
     /// `--stats-json`, `CompilationResult::analysis_cache`).
     pub fn aggregate_cache(statistics: &[PassStatistics]) -> AnalysisCacheStats {
@@ -300,15 +305,49 @@ impl fmt::Display for PassStatistics {
     }
 }
 
-/// Runs a sequence of passes with optional inter-pass verification. Owns the
-/// [`AnalysisManager`] threaded through every pass, so cached analyses survive
-/// from pass to pass and per-pass cache traffic lands in [`PassStatistics`].
+/// What a run of a pass list carries from pass to pass besides the IR itself:
+/// the typed slots the passes hand each other, the analysis cache, and one
+/// statistics record per pass run so far. Together with the [`Context`] it is
+/// everything a run needs to stop between two passes and continue later — or,
+/// [forked](RunState::fork), to continue several times.
+#[derive(Debug, Default)]
+pub struct RunState {
+    /// Typed artifacts deposited by the passes run so far.
+    pub slots: PipelineState,
+    /// The analysis cache threaded through every pass.
+    pub analyses: AnalysisManager,
+    /// One record per pass run so far, in execution order; a failed run's
+    /// last record is marked `failed`.
+    pub statistics: Vec<PassStatistics>,
+}
+
+impl RunState {
+    /// The state a run over `fork` — a clone of `original` as it stands now —
+    /// continues from: the slots and statistics copied, the analysis cache
+    /// carried over under the clone's identity
+    /// ([`AnalysisManager::fork`]), so the passes still to come behave, hit
+    /// and miss exactly as they would have on `original`.
+    pub fn fork(&self, original: &Context, fork: &Context) -> RunState {
+        RunState {
+            slots: self.slots.clone(),
+            analyses: self.analyses.fork(original, fork),
+            statistics: self.statistics.clone(),
+        }
+    }
+}
+
+/// Runs a sequence of passes with optional inter-pass verification. The
+/// passes run over a [`RunState`]: its [`AnalysisManager`] is threaded
+/// through every pass, so cached analyses survive from pass to pass and
+/// per-pass cache traffic lands in [`PassStatistics`]. [`PassManager::run`]
+/// keeps the state of its most recent run; [`PassManager::run_range`] runs
+/// part of the list over a state the caller holds.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
-    statistics: Vec<PassStatistics>,
-    analyses: AnalysisManager,
     jobs: usize,
+    /// Analyses and statistics of the most recent [`PassManager::run`].
+    last: RunState,
 }
 
 impl Default for PassManager {
@@ -324,9 +363,8 @@ impl PassManager {
         PassManager {
             passes: Vec::new(),
             verify_each: true,
-            statistics: Vec::new(),
-            analyses: AnalysisManager::new(),
             jobs: 1,
+            last: RunState::default(),
         }
     }
 
@@ -371,60 +409,67 @@ impl PassManager {
         self.passes.iter().map(|p| p.name().to_string()).collect()
     }
 
-    /// Statistics of the most recent [`PassManager::run`] invocation.
-    pub fn statistics(&self) -> &[PassStatistics] {
-        &self.statistics
-    }
-
-    /// Moves the statistics of the most recent run out of the manager — a
+    /// Statistics of the most recent [`PassManager::run`] invocation — a
     /// failed run's too, its last record marked `failed`.
-    pub fn take_statistics(&mut self) -> Vec<PassStatistics> {
-        std::mem::take(&mut self.statistics)
+    pub fn statistics(&self) -> &[PassStatistics] {
+        &self.last.statistics
     }
 
-    /// The analysis cache shared by the registered passes.
+    /// The analysis cache of [`PassManager::run`].
     pub fn analyses(&self) -> &AnalysisManager {
-        &self.analyses
+        &self.last.analyses
     }
 
-    /// Mutable access to the analysis cache, e.g. for post-pipeline reporting
-    /// that wants to reuse results the passes left behind.
+    /// Mutable access to that cache, e.g. for post-pipeline reporting that
+    /// wants to reuse results the passes left behind.
     pub fn analyses_mut(&mut self) -> &mut AnalysisManager {
-        &mut self.analyses
+        &mut self.last.analyses
     }
 
-    /// Runs all registered passes in order over the IR rooted at `root`, returning
-    /// the final pipeline state so callers can extract produced artifacts.
+    /// Runs all registered passes in order over the IR rooted at `root` — the
+    /// whole range from empty slots — returning the final pipeline state so
+    /// callers can extract produced artifacts. The manager's own analysis
+    /// cache is kept from run to run.
     ///
     /// # Errors
     /// Propagates the first pass failure or inter-pass verification failure.
     pub fn run(&mut self, ctx: &mut Context, root: OpId) -> IrResult<PipelineState> {
-        let mut state = PipelineState::new();
-        self.run_with_state(ctx, root, &mut state)?;
-        Ok(state)
+        let mut run = std::mem::take(&mut self.last);
+        run.slots = PipelineState::new();
+        run.statistics.clear();
+        // Entries from other contexts (a reused manager across compiles) can
+        // never be valid here; drop them before any counters are recorded.
+        run.analyses.retain_context(ctx);
+        let result = self.run_range(ctx, root, 0..self.passes.len(), &mut run);
+        let slots = std::mem::take(&mut run.slots);
+        self.last = run;
+        result.map(|()| slots)
     }
 
-    /// Runs all registered passes over `root` with a caller-provided state, which
-    /// may be pre-seeded with artifacts and inspected afterwards.
+    /// Runs the passes at `range` of the list over `run`, a state the caller
+    /// holds — a fresh one, or one an earlier call (of this manager or of one
+    /// with an equal pass prefix) left off at `range.start` — and appends
+    /// their statistics to it.
     ///
     /// # Errors
     /// Propagates the first pass failure or inter-pass verification failure.
-    pub fn run_with_state(
-        &mut self,
+    pub fn run_range(
+        &self,
         ctx: &mut Context,
         root: OpId,
-        state: &mut PipelineState,
+        range: Range<usize>,
+        run: &mut RunState,
     ) -> IrResult<()> {
-        self.statistics.clear();
-        // Entries from other contexts (a reused manager across compiles) can
-        // never be valid here; drop them before any counters are recorded.
-        self.analyses.retain_context(ctx);
-        for pass in &self.passes {
+        let RunState {
+            slots: state,
+            analyses,
+            statistics,
+        } = run;
+        for pass in &self.passes[range] {
             let name = pass.name().to_string();
             let options = pass.options();
             let live_ops_before = ctx.num_live_ops();
-            self.analyses
-                .begin_pass(ctx, &name, pass.preserved_analyses());
+            analyses.begin_pass(ctx, &name, pass.preserved_analyses());
             let start = Instant::now();
             // With more than one job, a pass that declares independent
             // per-node roots executes them on the work-stealing pool;
@@ -438,7 +483,7 @@ impl PassManager {
                 Err(e) => (Err(e), None),
                 Ok(()) => {
                     let waves = if self.jobs > 1 {
-                        pass.parallelizable_roots(ctx, root, state, &mut self.analyses)
+                        pass.parallelizable_roots(ctx, root, state, analyses)
                     } else {
                         None
                     };
@@ -456,7 +501,7 @@ impl PassManager {
                                     ctx,
                                     root,
                                     state,
-                                    &mut self.analyses,
+                                    analyses,
                                     self.jobs,
                                     waves,
                                 )
@@ -472,7 +517,7 @@ impl PassManager {
                         None => {
                             let caught = catch_unwind(AssertUnwindSafe(|| {
                                 fault::injected_pass_panic(&name);
-                                pass.run(ctx, root, state, &mut self.analyses)
+                                pass.run(ctx, root, state, analyses)
                             }));
                             match caught {
                                 Ok(result) => (result, None),
@@ -512,26 +557,26 @@ impl PassManager {
                 options: options.clone(),
             };
             if let Err(error) = result {
-                let cache = self.analyses.abort_pass(ctx);
-                self.statistics.push(record(false, true, cache));
+                let cache = analyses.abort_pass(ctx);
+                statistics.push(record(false, true, cache));
                 return Err(error);
             }
-            let (cache, lie) = self.analyses.end_pass(ctx);
+            let (cache, lie) = analyses.end_pass(ctx);
             if let Some(lie) = lie {
-                self.statistics.push(record(false, true, cache));
+                statistics.push(record(false, true, cache));
                 return Err(IrError::pass_failed(&name, lie.to_string()));
             }
             let verified = self.verify_each && pass.verify_after();
             if verified {
                 if let Err(e) = verify(ctx, root) {
-                    self.statistics.push(record(false, true, cache));
+                    statistics.push(record(false, true, cache));
                     return Err(IrError::pass_failed(
                         &name,
                         format!("post-pass verification: {e}"),
                     ));
                 }
             }
-            self.statistics.push(record(verified, false, cache));
+            statistics.push(record(verified, false, cache));
         }
         Ok(())
     }
@@ -680,7 +725,7 @@ mod tests {
         }
     }
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct ErasedCount(usize);
 
     fn module_with_constants(ctx: &mut Context, n: usize) -> OpId {
@@ -785,18 +830,18 @@ mod tests {
     #[test]
     fn pipeline_state_slots_are_typed() {
         let mut state = PipelineState::new();
-        assert!(state.is_empty());
+        assert_eq!(state.get::<i64>(), None);
         assert_eq!(state.insert(3_i64), None);
         assert_eq!(state.insert("hello"), None);
-        assert_eq!(state.len(), 2);
         assert_eq!(state.get::<i64>(), Some(&3));
-        assert!(state.contains::<&str>());
-        assert!(!state.contains::<f64>());
-        // Replacing returns the old value; taking empties the slot.
+        assert_eq!(state.get::<&str>(), Some(&"hello"));
+        assert_eq!(state.get::<f64>(), None);
+        // Replacing returns the old value; a copy has slots of its own.
+        let copy = state.clone();
         assert_eq!(state.insert(4_i64), Some(3));
-        *state.get_mut::<i64>().unwrap() += 1;
-        assert_eq!(state.take::<i64>(), Some(5));
-        assert!(!state.contains::<i64>());
+        assert_eq!(state.get::<i64>(), Some(&4));
+        assert_eq!(copy.get::<i64>(), Some(&3));
+        assert_eq!(copy.get::<&str>(), Some(&"hello"));
     }
 
     #[test]
@@ -941,6 +986,90 @@ mod tests {
         assert_eq!(stats[1].cache.invalidations, 1);
         assert_eq!(stats[2].cache.misses, 1);
         assert_eq!(stats[2].cache.hits, 0);
+    }
+
+    /// The preservation pipeline of the two tests above, which both hits and
+    /// invalidates the cache.
+    fn query_annotate_erase_query() -> PassManager {
+        let mut pm = PassManager::new();
+        pm.add_pass(Box::new(QueryCountPass));
+        pm.add_pass(Box::new(AnnotatePass));
+        pm.add_pass(Box::new(QueryCountPass));
+        pm.add_pass(Box::new(EraseConstantsPass));
+        pm.add_pass(Box::new(QueryCountPass));
+        pm
+    }
+
+    #[test]
+    fn a_run_stopped_at_any_pass_and_resumed_on_a_fork_equals_the_whole_run() {
+        let mut whole_ctx = Context::new();
+        let whole_module = module_with_constants(&mut whole_ctx, 3);
+        let mut whole = query_annotate_erase_query();
+        let whole_state = whole.run(&mut whole_ctx, whole_module).unwrap();
+        let expected = PassStatistics::without_micros(whole.statistics());
+        assert_eq!(
+            expected[2].cache.hits, 1,
+            "the pipeline exercises the cache"
+        );
+        assert_eq!(expected[4].cache.misses, 1);
+
+        for stop in 0..=5 {
+            let mut ctx = Context::new();
+            let module = module_with_constants(&mut ctx, 3);
+            let first = query_annotate_erase_query();
+            let mut run = RunState::default();
+            first
+                .run_range(&mut ctx, module, 0..stop, &mut run)
+                .unwrap();
+            assert_eq!(run.statistics.len(), stop);
+
+            // Two continuations from the same stop, by a manager of their
+            // own: neither sees the other, both see what the prefix cached.
+            for _ in 0..2 {
+                let mut forked_ctx = ctx.clone();
+                let mut forked = run.fork(&ctx, &forked_ctx);
+                let second = query_annotate_erase_query();
+                second
+                    .run_range(&mut forked_ctx, module, stop..5, &mut forked)
+                    .unwrap();
+                assert_eq!(
+                    PassStatistics::without_micros(&forked.statistics),
+                    expected,
+                    "stop {stop}"
+                );
+                assert_eq!(
+                    forked.slots.get::<ErasedCount>(),
+                    whole_state.get::<ErasedCount>()
+                );
+                assert_eq!(
+                    crate::printer::print_op(&forked_ctx, module),
+                    crate::printer::print_op(&whole_ctx, whole_module)
+                );
+            }
+            // The original is untouched by its forks.
+            assert_eq!(run.statistics.len(), stop);
+            assert_eq!(
+                ctx.collect_ops(module, "arith.constant").len(),
+                if stop > 3 { 0 } else { 3 }
+            );
+        }
+    }
+
+    #[test]
+    fn run_range_appends_to_the_statistics_it_is_given() {
+        let mut ctx = Context::new();
+        let module = module_with_constants(&mut ctx, 2);
+        let mut pm = PassManager::new();
+        pm.add_pass(Box::new(EraseConstantsPass));
+        pm.add_pass(Box::new(CountConstantsPass { expected: 99 }));
+        let mut run = RunState::default();
+        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        assert!(pm.run_range(&mut ctx, module, 1..2, &mut run).is_err());
+        let passes: Vec<&str> = run.statistics.iter().map(|s| s.pass.as_str()).collect();
+        assert_eq!(passes, ["erase-constants", "count-constants"]);
+        assert!(run.statistics[1].failed);
+        // `run` keeps no record of ranges run over a caller's state.
+        assert!(pm.statistics().is_empty());
     }
 
     /// A parallelizable test pass: annotates every `func.func` below the root
