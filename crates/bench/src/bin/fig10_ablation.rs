@@ -10,8 +10,8 @@
 //! [`SweepRunner`]: a pooled, estimate-sharing sweep is compared against the
 //! sequential share-nothing loop (byte-identical per-point QoR enforced), and
 //! with `--sweep-json <path>` the wall-clock/speedup/cache-traffic summary is
-//! also written there as JSON. `--jobs <n>` caps the sweep's total
-//! worker-thread budget.
+//! also written there as JSON. `--jobs <n>` caps how many points compile
+//! at a time.
 //!
 //! `--cache-dir <dir>` backs the sweep's estimate cache with the persistent
 //! on-disk store: a second invocation pointed at the same directory reuses the

@@ -14,8 +14,7 @@ use hida_bench::{print_throughput_table, Row, SweepRunner};
 
 fn main() {
     let device = FpgaDevice::vu9p_slr();
-    let jobs = hida::ir::default_jobs();
-    let estimator = DataflowEstimator::new(device.clone()).with_jobs(jobs);
+    let estimator = DataflowEstimator::new(device.clone());
     let mut throughput_rows = Vec::new();
     let mut efficiency_rows = Vec::new();
 
@@ -25,7 +24,7 @@ fn main() {
         SweepRunner::new("table8-dnn").points(models.iter().map(|&model| {
             SweepPoint::new(model.name(), Workload::Model(model), HidaOptions::dnn())
         }));
-    let outcome = runner.run(jobs);
+    let outcome = runner.run(hida::ir::default_jobs());
 
     println!("# Table 8 — DNN models on one VU9P SLR");
     for (model, point) in models.iter().zip(&outcome.points) {

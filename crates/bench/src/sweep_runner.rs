@@ -12,7 +12,7 @@
 use hida::ir::printer::print_op;
 use hida::sweep::json_escape;
 use hida::{
-    CompilationResult, JobBudget, SharedEstimateCache, SweepEngine, SweepOutcome, SweepPoint,
+    CompilationResult, SharedEstimateCache, SweepEngine, SweepOutcome, SweepPoint,
     SweepPointOutcome,
 };
 use std::fmt::Write as _;
@@ -77,11 +77,10 @@ impl SweepRunner {
         self.points.is_empty()
     }
 
-    /// Runs the sweep pooled with estimate sharing, splitting `total_jobs`
-    /// threads over the points ([`JobBudget::for_points`]).
+    /// Runs the sweep pooled with estimate sharing, up to `total_jobs` points
+    /// at a time.
     pub fn run(&self, total_jobs: usize) -> SweepOutcome {
-        let mut engine =
-            SweepEngine::new().with_budget(JobBudget::for_points(total_jobs, self.points.len()));
+        let mut engine = SweepEngine::new().with_total_jobs(total_jobs);
         if let Some(cache) = &self.cache {
             engine = engine.with_cache(cache.clone());
         }
@@ -90,28 +89,19 @@ impl SweepRunner {
 
     /// Runs the sweep twice and verifies per-point byte-identity of the
     /// results. The baseline arm is the pre-sweep bench loop: points one
-    /// after another, share-nothing, with the *same* `total_jobs` thread
-    /// budget spent on per-point (node-level) parallelism — so the recorded
-    /// speedup isolates what sweep-level pooling and the cross-compilation
-    /// cache add, rather than re-counting per-point threads that already
-    /// existed.
+    /// after another on one thread, without the estimate cache — so the
+    /// recorded speedup is what sweep-level pooling and the cross-compilation
+    /// cache add.
     pub fn compare(&self, total_jobs: usize) -> SweepComparison {
-        let baseline_budget = JobBudget {
-            pool_jobs: 1,
-            point_jobs: total_jobs.max(1),
-        };
+        let baseline = SweepEngine::new()
+            .with_total_jobs(1)
+            .with_shared_estimates(false);
         // Untimed warm-up: pay the one-off process costs (lazy allocations,
         // cold code paths) before either timed arm, so neither is biased.
         if let Some(first) = self.points.first() {
-            SweepEngine::new()
-                .with_budget(baseline_budget)
-                .with_shared_estimates(false)
-                .run(std::slice::from_ref(first));
+            baseline.run(std::slice::from_ref(first));
         }
-        let sequential = SweepEngine::new()
-            .with_budget(baseline_budget)
-            .with_shared_estimates(false)
-            .run(&self.points);
+        let sequential = baseline.run(&self.points);
         let parallel = self.run(total_jobs);
         let mut mismatches = Vec::new();
         for (seq, par) in sequential.points.iter().zip(&parallel.points) {
@@ -192,9 +182,8 @@ impl SweepComparison {
             self.outcome.points.len()
         );
         println!(
-            "budget: {} concurrent points x {} jobs each (machine parallelism {})",
+            "budget: {} concurrent points (machine parallelism {})",
             budget.pool_jobs,
-            budget.point_jobs,
             hida::ir::default_jobs()
         );
         println!(
@@ -232,7 +221,6 @@ impl SweepComparison {
             hida::ir::default_jobs()
         );
         let _ = writeln!(out, "  \"pool_jobs\": {},", budget.pool_jobs);
-        let _ = writeln!(out, "  \"point_jobs\": {},", budget.point_jobs);
         let _ = writeln!(out, "  \"num_points\": {},", self.outcome.points.len());
         let _ = writeln!(
             out,

@@ -70,11 +70,10 @@ usage: hida-opt [OPTIONS]
                         extras=N,max-generations=N}. Exploration order is
                         deterministic for a fixed seed at any --jobs
   --size <n>            PolyBench problem size (default: the kernel's own)
-  --jobs <n>            worker threads for per-node pass work and QoR
-                        estimation; under --sweep, the total budget split
-                        between concurrent points and per-point workers
-                        (default: available parallelism; 1 = fully
-                        sequential, bitwise-reproducible execution)
+  --jobs <n>            concurrent design points of a --sweep/--explore
+                        (default: available parallelism; 1 = one point at a
+                        time, in file order); a single compile is
+                        single-threaded
   --device <name>       device for QoR estimation: pynq-z2 | zu3eg | vu9p-slr
                         (default: the pipeline's parallelize device, else
                         vu9p-slr)
@@ -93,8 +92,8 @@ usage: hida-opt [OPTIONS]
                         and reported as timed-out; under --sweep the run
                         continues with the remaining points
   --retries <n>         retry failed sweep/explore points up to <n> times with
-                        degraded settings (1 worker, verification forced on,
-                        shared cache bypassed); a point that never converges
+                        degraded settings (verification forced on, shared
+                        cache bypassed); a point that never converges
                         reports its full attempt history
   --run-budget-ms <n>   whole-run wall-clock budget under --sweep: when it
                         expires, in-flight points are cancelled at their next
@@ -364,10 +363,6 @@ fn pass_json(stat: &PassStatistics) -> Json {
         "verified": stat.verified,
         "failed": stat.failed,
         "cache": analysis_cache_json(&stat.cache),
-        "parallel": Json::option(stat.parallel.as_ref(), |p| json_object! {
-            "workers": p.workers, "items": p.items, "steals": p.steals,
-            "imbalance": p.imbalance(),
-        }),
         "options": Json::array(&stat.options, |o| json_object! {
             "name": o.name.as_str(), "value": o.value.as_str(),
         }),
@@ -448,9 +443,7 @@ fn point_json(mode: Mode, index: usize, point: &SweepPointOutcome) -> Json {
 /// `docs/STATS_SCHEMA.md`): the exploration's is the sweep's extended with
 /// the search counters, `seeds`, `generations` and `frontier`.
 fn batch_json(mode: Mode, workload: &str, outcome: &ExploreOutcome) -> Json {
-    let mut body = json_fields! {
-        "pool_jobs": outcome.budget.pool_jobs, "point_jobs": outcome.budget.point_jobs,
-    };
+    let mut body = json_fields! { "pool_jobs": outcome.budget.pool_jobs };
     if mode == Mode::Explore {
         body.extend(json_fields! {
             "num_candidates": outcome.num_candidates, "probed": outcome.probed,
@@ -493,9 +486,9 @@ fn batch_json(mode: Mode, workload: &str, outcome: &ExploreOutcome) -> Json {
     ])
 }
 
-/// Renders one pass's statistics without timing or cache/worker counters:
-/// only fields that are byte-stable across runs and job counts survive, so
-/// `--no-timing` output can be diffed directly.
+/// Renders one pass's statistics without timing or cache counters: only
+/// fields that are byte-stable across runs survive, so `--no-timing` output
+/// can be diffed directly.
 fn stable_stat(stat: &PassStatistics) -> String {
     let mut out = format!(
         "{}: ops {} -> {} ({:+})",
@@ -525,7 +518,8 @@ fn resolve_device(name: &str) -> Result<FpgaDevice, String> {
 /// checks the flag values (and opens `--cache-dir`), so all of those errors
 /// come before the first line of report output.
 struct Wiring {
-    /// `--jobs`, defaulting to the machine's available parallelism.
+    /// `--jobs`, defaulting to the machine's available parallelism: the
+    /// thread total of a batch. A single compilation does not read it.
     jobs: usize,
     /// `--device`, overriding every pipeline's own `parallelize` device.
     device: Option<FpgaDevice>,
@@ -734,9 +728,8 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
                 );
                 if !args.no_timing {
                     say!(
-                        "  time: {:.4}s, jobs {}, shared cache {}",
+                        "  time: {:.4}s, shared cache {}",
                         point.seconds,
-                        point.point_jobs,
                         result.shared_estimator_cache.unwrap_or_default()
                     );
                 }
@@ -828,13 +821,8 @@ fn run_single(args: &Args) -> Result<(), String> {
     }
     let pipeline_text = parsed.to_text();
     let device = &point.options.device;
-    // Per-node pass work (tiling, parallelize, profile) and QoR estimation run
-    // on --jobs workers (1 is the reproducibility escape hatch); with
-    // --cache-dir, estimation runs against the persistent store.
-    let mut compiler = point
-        .compiler()
-        .with_jobs(wiring.jobs)
-        .with_verification(!args.no_verify);
+    // With --cache-dir, estimation runs against the persistent store.
+    let mut compiler = point.compiler().with_verification(!args.no_verify);
     if let Some(cache) = &wiring.cache {
         compiler = compiler.with_shared_estimates(cache.clone());
     }
@@ -852,9 +840,6 @@ fn run_single(args: &Args) -> Result<(), String> {
         say!("emitted IR: {path}");
     }
     say!("pipeline: {pipeline_text}");
-    if !args.no_timing {
-        say!("jobs: {}", wiring.jobs);
-    }
 
     // The compilation is one fault domain, exactly like a one-point sweep:
     // --deadline-ms bounds it, and --inject-faults assigns its faults to the

@@ -949,9 +949,7 @@ mod tests {
     fn explorer_covers_the_exhaustive_frontier_deterministically() {
         let points = grid_points();
         // Exhaustive reference frontier.
-        let exhaustive = SweepEngine::new()
-            .with_budget(JobBudget::sequential())
-            .run(&points);
+        let exhaustive = SweepEngine::new().with_total_jobs(1).run(&points);
         assert!(exhaustive.all_ok());
         let mut reference = Frontier::new();
         for p in &exhaustive.points {

@@ -25,23 +25,10 @@
 //! assert!(result.estimate.throughput() > 0.0);
 //! ```
 //!
-//! Per-node optimization and estimation can run on worker threads with
-//! [`Compiler::with_jobs`]; the merge order is deterministic, so any job count
-//! produces byte-identical results (see `docs/ARCHITECTURE.md`):
-//!
-//! ```
-//! use hida::{Compiler, Workload};
-//!
-//! let sequential = Compiler::polybench_defaults()
-//!     .compile(Workload::Polybench(hida::PolybenchKernel::TwoMm))
-//!     .unwrap();
-//! let parallel = Compiler::polybench_defaults()
-//!     .with_jobs(4)
-//!     .compile(Workload::Polybench(hida::PolybenchKernel::TwoMm))
-//!     .unwrap();
-//! assert_eq!(sequential.estimate, parallel.estimate);
-//! assert_eq!(sequential.hls_cpp, parallel.hls_cpp);
-//! ```
+//! One compilation runs on the calling thread. Many of them — the points of
+//! a design-space sweep — run side by side on a [`SweepEngine`]'s pool, and
+//! any pool width produces byte-identical results (see
+//! `docs/ARCHITECTURE.md`).
 
 pub mod explore;
 mod prefix;
@@ -284,9 +271,6 @@ pub struct Compiler {
     options: HidaOptions,
     /// Explicit textual pipeline overriding the options-derived flow, when set.
     pipeline: Option<String>,
-    /// Worker threads for per-node pass work and QoR estimation (1 = fully
-    /// sequential).
-    jobs: usize,
     /// Cross-compilation estimate cache shared with other compilations of the
     /// same sweep, when attached.
     shared_estimates: Option<Arc<SharedEstimateCache>>,
@@ -302,13 +286,11 @@ impl Default for Compiler {
 }
 
 impl Compiler {
-    /// Creates a compiler with explicit options and sequential (one-job)
-    /// execution.
+    /// Creates a compiler with explicit options.
     pub fn new(options: HidaOptions) -> Self {
         Compiler {
             options,
             pipeline: None,
-            jobs: 1,
             shared_estimates: None,
             verification: true,
         }
@@ -350,18 +332,17 @@ impl Compiler {
         self.pipeline.as_deref()
     }
 
-    /// Sets the worker-thread count for per-node pass work (tiling,
-    /// parallelization, profiling) and per-node QoR estimation. `1` — the
-    /// default — is the bitwise-reproducibility escape hatch; any other value
-    /// produces byte-identical results faster on multi-node designs.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// Ignores `jobs`: a compilation runs on the calling thread. Kept only
+    /// because `benchmark/src/run.rs:132` and `:147` (frozen) call it.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
     }
 
-    /// The configured worker-thread count.
+    /// Always 1. Kept only because `benchmark/src/run.rs:553` (frozen) calls it.
+    #[doc(hidden)]
     pub fn jobs(&self) -> usize {
-        self.jobs
+        1
     }
 
     /// Attaches a cross-compilation estimate cache (builder style): per-node
@@ -443,8 +424,8 @@ impl Compiler {
     }
 
     /// Assembles this compilation's pipeline — the explicit text or the
-    /// options-derived flow, with the worker count and verification — the one
-    /// place that is done. The flag says whether the pipeline came out of
+    /// options-derived flow, with the verification setting — the one place
+    /// that is done. The flag says whether the pipeline came out of
     /// `registry`: its [`Pipeline::invocations`] then determine its passes,
     /// so two such pipelines run equal passes wherever their invocation lists
     /// agree. It is false for the direct fallback of
@@ -471,10 +452,7 @@ impl Compiler {
             }
             Err(_) => (Pipeline::from_options(&self.options), false),
         };
-        let pipeline = pipeline
-            .with_jobs(self.jobs)
-            .with_verification(self.verification);
-        Ok((pipeline, from_registry))
+        Ok((pipeline.with_verification(self.verification), from_registry))
     }
 
     /// Finishes a lowered design: the final whole-module verification, both
@@ -506,8 +484,7 @@ impl Compiler {
             }
             return Err(e);
         }
-        let mut estimator =
-            DataflowEstimator::new(self.options.device.clone()).with_jobs(self.jobs);
+        let mut estimator = DataflowEstimator::new(self.options.device.clone());
         if let Some(cache) = &self.shared_estimates {
             estimator = estimator.with_shared_cache(cache.clone());
         }

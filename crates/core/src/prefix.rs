@@ -80,8 +80,8 @@ fn front_end(workload: &Workload) -> IrResult<Checkpoint> {
 
 impl PrefixTree {
     /// Plans the tree of `points`, each assembled by the compiler
-    /// `compiler_of` gives it (all of one worker count and verification
-    /// setting: the passes of a shared prefix run under them once).
+    /// `compiler_of` gives it (all of one verification setting: the passes
+    /// of a shared prefix run under it once).
     pub(crate) fn plan(
         points: &[SweepPoint],
         compiler_of: impl Fn(&SweepPoint) -> Compiler,

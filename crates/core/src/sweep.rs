@@ -5,11 +5,13 @@
 //! sum, not any single compile, is what users wait for. This module makes the
 //! whole sweep the unit of optimization:
 //!
-//! * [`SweepEngine`] fans [`SweepPoint`]s out over the same work-stealing pool
-//!   ([`hida_ir_core::par::run_batch`]) the passes use for per-node work.
-//!   Each design point ends up with a [`Context`](hida_ir_core::Context) of
-//!   its own, so the only coordination past lowering is the result slot per
-//!   point — results come back in declaration order regardless of scheduling.
+//! * [`SweepEngine`] fans [`SweepPoint`]s out over a work-stealing pool
+//!   ([`hida_ir_core::par::run_batch_isolated`]) — the one level of the
+//!   compiler that starts threads; each point compiles on the worker that
+//!   picked it up. Each design point ends up with a
+//!   [`Context`](hida_ir_core::Context) of its own, so the only coordination
+//!   past lowering is the result slot per point — results come back in
+//!   declaration order regardless of scheduling.
 //! * The points are variants of each other, identical above the pass they
 //!   differ in, and a run lowers each distinct pipeline prefix once: a prefix
 //!   tree planned from every point's `(workload, normalized pass
@@ -20,11 +22,9 @@
 //!   is the fault domain: a point with armed faults, every retry, and every
 //!   point whose shared prefix could not be lowered compile share-nothing,
 //!   front end to emission.
-//! * A [`JobBudget`] composes the two parallelism levels: `pool_jobs` design
-//!   points run concurrently, each with `point_jobs` worker threads for its
-//!   per-node pass work, and `pool_jobs * point_jobs` never exceeds the
-//!   budgeted total — point-level and node-level parallelism compose without
-//!   oversubscribing the machine.
+//! * A [`JobBudget`] is the pool's width: as many design points compile
+//!   concurrently as the thread total allows, never more than there are
+//!   points.
 //! * A content-addressed [`SharedEstimateCache`] is handed to every point:
 //!   per-node QoR estimates are keyed by structural fingerprint and device,
 //!   so the 100th ResNet-18 design point re-estimates only the nodes whose
@@ -107,62 +107,32 @@ impl SweepPoint {
     }
 }
 
-/// How a sweep's worker-thread budget is split between concurrent design
-/// points (`pool_jobs`) and per-node parallelism inside each point
-/// (`point_jobs`).
+/// How many of a batch's design points compile concurrently. A point itself
+/// compiles on one thread, so this is every thread a batch occupies.
 ///
 /// ```
 /// use hida::JobBudget;
 ///
-/// // 8 threads over 12 points: 8 concurrent points, sequential inside.
-/// assert_eq!(JobBudget::for_points(8, 12), JobBudget { pool_jobs: 8, point_jobs: 1 });
-/// // 8 threads over 2 points: 2 concurrent points, 4 workers each.
-/// assert_eq!(JobBudget::for_points(8, 2), JobBudget { pool_jobs: 2, point_jobs: 4 });
-/// assert_eq!(JobBudget::for_points(8, 2).total(), 8);
+/// // 8 threads over 12 points: 8 at a time.
+/// assert_eq!(JobBudget::for_points(8, 12), JobBudget { pool_jobs: 8 });
+/// // 8 threads over 2 points: both at once; the other 6 threads stay idle.
+/// assert_eq!(JobBudget::for_points(8, 2), JobBudget { pool_jobs: 2 });
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobBudget {
     /// Design points compiling concurrently.
     pub pool_jobs: usize,
-    /// Worker threads inside each design point (per-node pass work and QoR
-    /// estimation).
-    pub point_jobs: usize,
 }
 
 impl JobBudget {
-    /// The fully sequential budget: one point at a time, no worker threads —
-    /// the bitwise-reproducibility escape hatch and the deterministic-order
-    /// setting for cache-accounting tests.
-    pub fn sequential() -> Self {
-        JobBudget {
-            pool_jobs: 1,
-            point_jobs: 1,
-        }
-    }
-
-    /// Splits `total_jobs` threads over `num_points` design points. Point-
-    /// level parallelism is preferred (independent compilations scale
-    /// perfectly); leftover capacity becomes per-point worker threads. The
-    /// product `pool_jobs * point_jobs` never exceeds `total_jobs`; a budget
-    /// smaller than the point count degrades to `pool_jobs = budget,
-    /// point_jobs = 1` (never oversubscribed, never a zeroed lane), and an
-    /// empty sweep collapses to the sequential budget instead of handing the
-    /// whole thread budget to a lane that will never run.
+    /// The pool width for `num_points` design points under `total_jobs`
+    /// threads: the smaller of the two, and never zero — a zero thread total
+    /// and an empty batch both compile one point at a time on the calling
+    /// thread.
     pub fn for_points(total_jobs: usize, num_points: usize) -> Self {
-        if num_points == 0 {
-            return JobBudget::sequential();
-        }
-        let total = total_jobs.max(1);
-        let pool = total.min(num_points);
         JobBudget {
-            pool_jobs: pool,
-            point_jobs: (total / pool).max(1),
+            pool_jobs: total_jobs.min(num_points).max(1),
         }
-    }
-
-    /// The maximum number of threads the budget can occupy at once.
-    pub fn total(&self) -> usize {
-        self.pool_jobs * self.point_jobs
     }
 }
 
@@ -235,7 +205,7 @@ pub struct PointAttempt {
     /// The rendered error.
     pub detail: String,
     /// Whether the attempt ran under the degradation ladder (retries run with
-    /// `jobs = 1`, verification on, and the shared cache bypassed).
+    /// verification on and the shared cache bypassed).
     pub degraded: bool,
 }
 
@@ -283,10 +253,6 @@ pub struct SweepPointOutcome {
     /// its lowering plus its finish — not the wait at the barrier between the
     /// explorer's two stages.
     pub seconds: f64,
-    /// Worker threads this point compiled with: the budget's `point_jobs`,
-    /// or 1 for a retry (timing detail — results are byte-identical at any
-    /// value).
-    pub point_jobs: usize,
     /// The compilation result, or the (final) error that stopped it.
     pub result: IrResult<CompilationResult>,
     /// Number of attempts made (1 without retries; up to `retries + 1`).
@@ -347,7 +313,7 @@ impl SweepOutcome {
     }
 
     /// Sum of the per-point wall-clock times (the time a sequential loop
-    /// would have spent compiling, under the same per-point configuration).
+    /// would have spent compiling).
     pub fn point_seconds_total(&self) -> f64 {
         self.points.iter().map(|p| p.seconds).sum()
     }
@@ -377,7 +343,6 @@ impl SweepOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
-    budget: Option<JobBudget>,
     total_jobs: Option<usize>,
     share_estimates: bool,
     pub(crate) cache: Option<Arc<SharedEstimateCache>>,
@@ -395,11 +360,10 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// Creates an engine with the default budget (the machine's available
-    /// parallelism, split when the sweep runs) and estimate sharing enabled.
+    /// Creates an engine with the default thread total (the machine's
+    /// available parallelism) and estimate sharing enabled.
     pub fn new() -> Self {
         SweepEngine {
-            budget: None,
             total_jobs: None,
             share_estimates: true,
             cache: None,
@@ -413,17 +377,17 @@ impl SweepEngine {
 
     /// Sets the retry budget per point (builder style). A failed or timed-out
     /// point re-compiles up to `retries` more times under the degradation
-    /// ladder — `jobs = 1`, verification forced on, shared cache bypassed —
-    /// so transient faults converge to a clean result and persistent ones to
-    /// a structured [`PointFailure`] carrying the full attempt history.
+    /// ladder — verification forced on, shared cache bypassed — so transient
+    /// faults converge to a clean result and persistent ones to a structured
+    /// [`PointFailure`] carrying the full attempt history.
     pub fn with_retries(mut self, retries: usize) -> Self {
         self.retries = retries;
         self
     }
 
     /// Sets a per-point deadline in milliseconds (builder style). Work stops
-    /// at the next cancellation checkpoint (pass boundary, wave boundary, or
-    /// estimator node loop) and the point reports a `TimedOut` outcome.
+    /// at the next cancellation checkpoint (pass boundary or estimator node
+    /// loop) and the point reports a `TimedOut` outcome.
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self
@@ -448,17 +412,10 @@ impl SweepEngine {
         self
     }
 
-    /// Sets an explicit job budget (builder style). Without one, the budget
-    /// is [`JobBudget::for_points`] of the machine's available parallelism.
-    pub fn with_budget(mut self, budget: JobBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Splits `total_jobs` threads over the sweep's points when it runs
-    /// (builder style); shorthand for a deferred [`JobBudget::for_points`].
+    /// Sets the thread total (builder style): every batch runs
+    /// [`JobBudget::for_points`] of it and the batch's size wide. `1` compiles
+    /// the points in declaration order on the calling thread.
     pub fn with_total_jobs(mut self, total_jobs: usize) -> Self {
-        self.budget = None;
         self.total_jobs = Some(total_jobs.max(1));
         self
     }
@@ -503,7 +460,7 @@ impl SweepEngine {
         let indices: Vec<usize> = (0..points.len()).collect();
         let (results, pool) = run_batch_isolated(budget.pool_jobs, &indices, |&index| {
             let lowered = self.lower_point(&run, &armed, index);
-            self.finish_point(&run, lowered, budget.point_jobs)
+            self.finish_point(&run, lowered)
         });
         // One segment per sweep, on disk before the counters are read and
         // before the caller has the outcome.
@@ -521,33 +478,27 @@ impl SweepEngine {
         }
     }
 
-    /// The budget a batch of `num_points` runs under: the explicit one, or
-    /// the engine's thread total split over the points.
+    /// The budget a batch of `num_points` runs under.
     pub(crate) fn budget_for(&self, num_points: usize) -> JobBudget {
-        self.budget.unwrap_or_else(|| {
-            JobBudget::for_points(self.total_jobs.unwrap_or_else(default_jobs), num_points)
-        })
+        JobBudget::for_points(self.total_jobs.unwrap_or_else(default_jobs), num_points)
     }
 
     /// Sets up what one whole run over `points` shares — a sweep, or every
     /// generation of an exploration: the estimate cache, the token carrying
     /// the whole-run budget (its clock starts here), and the prefix tree of
-    /// the points' first attempts, which lower with the worker count the
-    /// budget over all of `points` gives a point.
+    /// the points' first attempts.
     pub(crate) fn start<'p>(&self, points: &'p [SweepPoint]) -> Run<'p> {
         let cache = self.share_estimates.then(|| {
             self.cache
                 .clone()
                 .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()))
         });
-        let lower_jobs = self.budget_for(points.len()).point_jobs;
         Run {
             points,
             tree: PrefixTree::plan(points, |point| {
-                self.attempt_compiler(cache.as_ref(), point, lower_jobs, false)
+                self.attempt_compiler(cache.as_ref(), point, false)
             }),
             cache,
-            lower_jobs,
             token: self
                 .run_budget_ms
                 .map_or_else(CancelToken::new, CancelToken::with_deadline_ms),
@@ -584,7 +535,7 @@ impl SweepEngine {
             .zip(points)
             .map(|(result, point)| {
                 result.unwrap_or_else(|fault| {
-                    self.finish_point(run, LoweredPoint::escaped(point, fault), 1)
+                    self.finish_point(run, LoweredPoint::escaped(point, fault))
                 })
             })
             .collect()
@@ -607,26 +558,23 @@ impl SweepEngine {
             let lowered = fault::lock_recover(slot)
                 .take()
                 .expect("the pool runs every item once");
-            self.finish_point(run, lowered, budget.point_jobs)
+            self.finish_point(run, lowered)
         });
         (self.collect(run, results, points.into_iter()), budget)
     }
 
     /// The compiler of one attempt at `point`. Retries are `degraded`, the
-    /// degradation ladder: one worker thread (no pool interleaving),
-    /// verification forced on (catch IR corruption a crashed attempt may have
-    /// exposed), shared cache bypassed (a poisoned or degraded cache cannot
-    /// re-fail the retry).
+    /// degradation ladder: verification forced on (catch IR corruption a
+    /// crashed attempt may have exposed), shared cache bypassed (a poisoned
+    /// or degraded cache cannot re-fail the retry).
     fn attempt_compiler(
         &self,
         cache: Option<&Arc<SharedEstimateCache>>,
         point: &SweepPoint,
-        point_jobs: usize,
         degraded: bool,
     ) -> Compiler {
         let compiler = point
             .compiler()
-            .with_jobs(if degraded { 1 } else { point_jobs })
             .with_verification(degraded || self.verification);
         match cache {
             Some(cache) if !degraded => compiler.with_shared_estimates(Arc::clone(cache)),
@@ -649,7 +597,7 @@ impl SweepEngine {
         let point = &run.points[index];
         let start = Instant::now();
         let faults = armed.get(&point.label).cloned();
-        let compiler = self.attempt_compiler(run.cache.as_ref(), point, run.lower_jobs, false);
+        let compiler = self.attempt_compiler(run.cache.as_ref(), point, false);
         let lowered = isolated(
             &point.site(),
             run.token.child(self.deadline_ms),
@@ -685,7 +633,6 @@ impl SweepEngine {
         &self,
         run: &Run<'_>,
         lowered: LoweredPoint<'_>,
-        point_jobs: usize,
     ) -> SweepPointOutcome {
         let LoweredPoint {
             point,
@@ -696,11 +643,10 @@ impl SweepEngine {
         let start = Instant::now();
         let site = point.site();
         let transient = self.fault_plan.as_ref().is_some_and(|p| p.transient);
-        let outcome = |point_jobs, attempts, failure, result| SweepPointOutcome {
+        let outcome = |attempts, failure, result| SweepPointOutcome {
             label: point.label.clone(),
             pipeline: point.pipeline_text(),
             seconds: (lower_time + start.elapsed()).as_secs_f64(),
-            point_jobs,
             attempts,
             failure,
             result,
@@ -719,7 +665,6 @@ impl SweepEngine {
             let result = match first_half.take() {
                 // The deadline clock resumes where the lower half stopped it.
                 Some(lowered) => lowered.and_then(|(compiler, design)| {
-                    let compiler = compiler.with_jobs(point_jobs);
                     isolated(
                         &site,
                         run.token.child_after(self.deadline_ms, lower_time),
@@ -728,8 +673,7 @@ impl SweepEngine {
                     )
                 }),
                 None => {
-                    let compiler =
-                        self.attempt_compiler(run.cache.as_ref(), point, point_jobs, true);
+                    let compiler = self.attempt_compiler(run.cache.as_ref(), point, true);
                     isolated(
                         &site,
                         run.token.child(self.deadline_ms),
@@ -739,10 +683,7 @@ impl SweepEngine {
                 }
             };
             match result {
-                Ok(compiled) => {
-                    let jobs = if attempt == 0 { point_jobs } else { 1 };
-                    return outcome(jobs, attempts, None, Ok(compiled));
-                }
+                Ok(compiled) => return outcome(attempts, None, Ok(compiled)),
                 Err(error) => {
                     history.push(PointAttempt {
                         attempt,
@@ -763,21 +704,19 @@ impl SweepEngine {
             IrError::pass_failed("sweep", "point failed without an attempt record")
         });
         let failure = PointFailure { attempts: history };
-        outcome(1, attempts, Some(failure), Err(error))
+        outcome(attempts, Some(failure), Err(error))
     }
 }
 
 /// What one whole run shares — a sweep, or every generation of an
 /// exploration: the points, the estimate cache, the run-level token carrying
 /// the whole-run budget (every attempt gets a child token chaining its own
-/// deadline below it), and the prefix tree the first attempts lower through,
-/// with the worker count they lower with.
+/// deadline below it), and the prefix tree the first attempts lower through.
 pub(crate) struct Run<'p> {
     points: &'p [SweepPoint],
     cache: Option<Arc<SharedEstimateCache>>,
     token: CancelToken,
     tree: PrefixTree,
-    lower_jobs: usize,
 }
 
 impl Run<'_> {
@@ -938,10 +877,26 @@ mod tests {
         let plan = FaultPlan::parse("seed=3,pass-panic=1,transient").unwrap();
         let outcome = SweepEngine::new()
             .with_total_jobs(1)
+            .with_verification(false)
             .with_fault_plan(plan)
             .with_retries(1)
             .run(&points);
         assert!(outcome.all_ok(), "failed: {:?}", outcome.failed_labels());
+        // The degradation ladder: a retry verifies although the engine was
+        // told not to, and stays off the cache the first attempts share.
+        for point in &outcome.points {
+            let degraded = point.attempts == 2;
+            let result = point.result.as_ref().unwrap();
+            for stat in &result.pass_statistics {
+                assert_eq!(stat.verified, degraded, "{}: {stat}", point.label);
+            }
+            assert_eq!(
+                result.shared_estimator_cache.is_none(),
+                degraded,
+                "{}",
+                point.label
+            );
+        }
         let retried = outcome
             .points
             .iter()
@@ -1015,18 +970,18 @@ mod tests {
     #[test]
     fn a_leader_cancelled_mid_prefix_does_not_fail_its_followers() {
         let points = small_points(3);
-        let engine = SweepEngine::new().with_budget(JobBudget::sequential());
+        let engine = SweepEngine::new().with_total_jobs(1);
         let run = engine.start(&points);
         let unarmed = Armed::new();
 
         let hasty = engine.clone().with_deadline_ms(0);
-        let leader = hasty.finish_point(&run, hasty.lower_point(&run, &unarmed, 0), 1);
+        let leader = hasty.finish_point(&run, hasty.lower_point(&run, &unarmed, 0));
         assert_eq!(leader.failure_reason(), Some(FailureReason::TimedOut));
         let detail = &leader.failure.as_ref().unwrap().attempts[0].detail;
         assert!(detail.contains("deadline of 0ms exceeded"), "{detail}");
 
         for (index, point) in points.iter().enumerate().skip(1) {
-            let follower = engine.finish_point(&run, engine.lower_point(&run, &unarmed, index), 1);
+            let follower = engine.finish_point(&run, engine.lower_point(&run, &unarmed, index));
             let result = follower.result.expect("a follower compiles on its own");
             let alone = point.compiler().compile(point.workload.clone()).unwrap();
             assert_eq!(result.hls_cpp, alone.hls_cpp);
@@ -1073,38 +1028,46 @@ mod tests {
     }
 
     #[test]
+    fn the_pool_is_no_wider_than_the_batch_and_its_width_changes_no_point() {
+        let points = small_points(2);
+        let sequential = SweepEngine::new().with_total_jobs(1).run(&points);
+        let pooled = SweepEngine::new().with_total_jobs(8).run(&points);
+        assert_eq!(sequential.budget.pool_jobs, 1);
+        assert_eq!(pooled.budget.pool_jobs, 2);
+        for (a, b) in sequential.points.iter().zip(&pooled.points) {
+            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+            assert_eq!(a.hls_cpp, b.hls_cpp);
+            assert_eq!(a.estimate, b.estimate);
+            assert_eq!(a.estimate_sequential, b.estimate_sequential);
+            assert_eq!(
+                PassStatistics::without_micros(&a.pass_statistics),
+                PassStatistics::without_micros(&b.pass_statistics)
+            );
+        }
+    }
+
+    #[test]
     fn for_points_handles_degenerate_budgets() {
+        let sequential = JobBudget { pool_jobs: 1 };
         // Zero budget clamps to one thread.
-        assert_eq!(JobBudget::for_points(0, 12), JobBudget::sequential());
-        // One thread is always the sequential split.
-        assert_eq!(JobBudget::for_points(1, 12), JobBudget::sequential());
-        // Budget smaller than the point count: one lane per thread, 1-wide.
-        let small = JobBudget::for_points(3, 12);
-        assert_eq!(
-            small,
-            JobBudget {
-                pool_jobs: 3,
-                point_jobs: 1
-            }
-        );
-        assert!(small.total() <= 3);
-        // Non-divisible budget never oversubscribes.
-        let uneven = JobBudget::for_points(7, 3);
-        assert_eq!(uneven.pool_jobs, 3);
-        assert_eq!(uneven.point_jobs, 2);
-        assert!(uneven.total() <= 7);
-        // No lane is ever zeroed.
+        assert_eq!(JobBudget::for_points(0, 12), sequential);
+        // One thread is always the sequential budget.
+        assert_eq!(JobBudget::for_points(1, 12), sequential);
+        // Budget smaller than the point count: one point per thread.
+        assert_eq!(JobBudget::for_points(3, 12), JobBudget { pool_jobs: 3 });
+        // More threads than points: the pool is as wide as the batch.
+        assert_eq!(JobBudget::for_points(7, 3), JobBudget { pool_jobs: 3 });
+        // Never zero, never over the total.
         for total in 0..10 {
             for points in 0..10 {
                 let b = JobBudget::for_points(total, points);
                 assert!(
-                    b.pool_jobs >= 1 && b.point_jobs >= 1,
+                    (1..=total.max(1)).contains(&b.pool_jobs),
                     "{total}/{points}: {b:?}"
                 );
-                assert!(b.total() <= total.max(1), "{total}/{points}: {b:?}");
             }
         }
         // An empty sweep gets the sequential budget, not an 8-wide idle lane.
-        assert_eq!(JobBudget::for_points(8, 0), JobBudget::sequential());
+        assert_eq!(JobBudget::for_points(8, 0), sequential);
     }
 }

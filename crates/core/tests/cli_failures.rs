@@ -171,3 +171,37 @@ fn explore_rejects_a_run_budget_before_printing_anything() {
         String::from_utf8_lossy(&output.stdout)
     );
 }
+
+/// `--jobs` is the width of a batch's pool. A single compilation accepts the
+/// flag (scripts pass it unconditionally) and ignores the value: its report
+/// is the same at any width and, timing lines included, never mentions jobs.
+/// `--jobs 0` is rejected in every mode.
+#[test]
+fn a_single_run_accepts_and_ignores_jobs_and_zero_is_rejected() {
+    let run = |extra: &[&str]| {
+        let output = Command::new(BIN)
+            .args(["--workload", "two_mm", "--size", "32"])
+            .args(extra)
+            .output()
+            .expect("run hida-opt");
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.success(), stdout, stderr)
+    };
+    let (ok, no_flag, _) = run(&["--no-timing"]);
+    assert!(ok);
+    for jobs in ["1", "4"] {
+        let (ok, report, stderr) = run(&["--no-timing", "--jobs", jobs]);
+        assert!(ok, "--jobs {jobs}: {stderr}");
+        assert_eq!(report, no_flag, "--jobs {jobs}");
+    }
+    let (ok, timed, _) = run(&["--jobs", "4"]);
+    assert!(ok);
+    assert!(timed.contains(" us, "), "{timed}");
+    assert!(!timed.contains("jobs"), "{timed}");
+
+    let (ok, stdout, stderr) = run(&["--jobs", "0"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("--jobs: must be >= 1"), "{stderr}");
+}

@@ -10,7 +10,7 @@
 //! shuffle, no scheduling input) while the sweep runs at a sampled job
 //! count, every passing case also re-proves schedule independence.
 
-use hida::sweep::{JobBudget, SweepEngine, SweepPoint};
+use hida::sweep::{SweepEngine, SweepPoint};
 use hida::{FailureReason, FaultKind, FaultPlan, HidaOptions, PolybenchKernel, Workload};
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ proptest! {
         // to the sweep's point order, so this matches failed_labels' order.
         let expected: Vec<&str> = assignment.keys().map(String::as_str).collect();
 
-        let mut engine = SweepEngine::new().with_budget(JobBudget::for_points(jobs, n));
+        let mut engine = SweepEngine::new().with_total_jobs(jobs);
         if !plan.is_empty() {
             engine = engine.with_fault_plan(plan.clone());
         }
@@ -105,7 +105,7 @@ proptest! {
         prop_assert!(plan.is_empty());
         let points = points(n);
         let outcome = SweepEngine::new()
-            .with_budget(JobBudget::for_points(jobs, n))
+            .with_total_jobs(jobs)
             .with_fault_plan(plan)
             .run(&points);
         prop_assert!(outcome.all_ok());

@@ -9,8 +9,8 @@
 
 use hida::explore::{dominates, Frontier, FrontierPoint, KnobLattice};
 use hida::{
-    ExploreConfig, ExploreOutcome, Explorer, FailureReason, FaultPlan, HidaOptions, JobBudget,
-    Model, Objective, SweepEngine, SweepPoint, Workload,
+    ExploreConfig, ExploreOutcome, Explorer, FailureReason, FaultPlan, HidaOptions, Model,
+    Objective, SweepEngine, SweepPoint, Workload,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -141,9 +141,7 @@ fn explorer_covers_the_reduced_fig10_frontier_with_fewer_compiles() {
     let points = reduced_fig10_grid();
     let objectives = [Objective::Throughput, Objective::Dsp, Objective::Bram];
 
-    let exhaustive = SweepEngine::new()
-        .with_budget(JobBudget::for_points(4, points.len()))
-        .run(&points);
+    let exhaustive = SweepEngine::new().with_total_jobs(4).run(&points);
     assert!(exhaustive.all_ok(), "{:?}", exhaustive.failed_labels());
     let vector_of = |label: &str| -> Vec<i64> {
         let point = exhaustive.points.iter().find(|p| p.label == label).unwrap();

@@ -7,8 +7,8 @@
 
 use hida::ir::printer::print_op;
 use hida::{
-    CompilationResult, EstimateStore, ExploreConfig, Explorer, HidaOptions, JobBudget,
-    PolybenchKernel, SharedEstimateCache, SweepEngine, SweepOutcome, SweepPoint, Workload,
+    CompilationResult, EstimateStore, ExploreConfig, Explorer, HidaOptions, PolybenchKernel,
+    SharedEstimateCache, SweepEngine, SweepOutcome, SweepPoint, Workload,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -55,7 +55,7 @@ fn cache_over(dir: &Path) -> Arc<SharedEstimateCache> {
 /// One sequential sweep over `points()` with a fresh handle over `dir`.
 fn run_with_store(dir: &Path) -> SweepOutcome {
     SweepEngine::new()
-        .with_budget(JobBudget::sequential())
+        .with_total_jobs(1)
         .with_cache(cache_over(dir))
         .run(&points())
 }
@@ -193,14 +193,14 @@ fn corrupted_store_degrades_to_misses_with_identical_results() {
 /// worker and pooled.
 #[test]
 fn store_directory_replaced_by_a_file_costs_only_counted_write_errors() {
-    for budget in [JobBudget::sequential(), JobBudget::for_points(4, 2)] {
-        let plain = SweepEngine::new().with_budget(budget).run(&points());
+    for jobs in [1, 4] {
+        let plain = SweepEngine::new().with_total_jobs(jobs).run(&points());
         let dir = temp_store_dir("replaced");
         let cache = cache_over(&dir);
         std::fs::remove_dir(&dir).expect("open created an empty store directory");
         std::fs::write(&dir, b"not a directory").unwrap();
         let outcome = SweepEngine::new()
-            .with_budget(budget)
+            .with_total_jobs(jobs)
             .with_cache(cache)
             .run(&points());
         assert!(outcome.all_ok(), "an unwritable store never fails the run");
@@ -209,7 +209,7 @@ fn store_directory_replaced_by_a_file_costs_only_counted_write_errors() {
         assert_eq!((stats.writes, stats.hits), (0, 0), "{stats:?}");
         // Pooled, two points may both miss a key only one of them saves.
         assert!(stats.write_errors <= stats.misses, "{stats:?}");
-        if budget == JobBudget::sequential() {
+        if jobs == 1 {
             assert_eq!(stats.write_errors, stats.misses, "{stats:?}");
         }
         assert!(dir.is_file(), "nothing was published, nothing repaired");
@@ -233,7 +233,7 @@ fn batch_drivers_publish_their_segment_before_they_return() {
     let dir = temp_store_dir("flush_order");
     let cache = cache_over(&dir);
     let engine = SweepEngine::new()
-        .with_budget(JobBudget::sequential())
+        .with_total_jobs(1)
         .with_cache(cache.clone());
     let sweep = engine.run(&points());
     let stats = sweep.persistent_cache.expect("store attached");
@@ -252,7 +252,7 @@ fn batch_drivers_publish_their_segment_before_they_return() {
     let explored = Explorer::new(ExploreConfig::default())
         .with_engine(
             SweepEngine::new()
-                .with_budget(JobBudget::sequential())
+                .with_total_jobs(1)
                 .with_cache(explore_cache.clone()),
         )
         .explore(&points())

@@ -7,9 +7,8 @@
 //! pairs of its grid, counted here by brute force.
 
 use hida::{
-    CompilationResult, ExploreConfig, Explorer, FpgaDevice, HidaOptions, JobBudget, Model,
-    PassInvocation, PassStatistics, Pipeline, PolybenchKernel, PrefixStats, SweepEngine,
-    SweepPoint, Workload,
+    CompilationResult, ExploreConfig, Explorer, FpgaDevice, HidaOptions, Model, PassInvocation,
+    PassStatistics, Pipeline, PolybenchKernel, PrefixStats, SweepEngine, SweepPoint, Workload,
 };
 use hida_ir_core::IrResult;
 use proptest::prelude::*;
@@ -66,9 +65,6 @@ fn random_pipeline(rng: &mut Rng) -> String {
         passes.push("fusion".to_string());
     }
     passes.push("lower".to_string());
-    if rng.one_in(4) {
-        passes.push("profile".to_string());
-    }
     if !rng.one_in(3) {
         passes.push("multi-producer-elim".to_string());
     }
@@ -232,8 +228,7 @@ proptest! {
             .collect();
         let expected = expected_stats(&paths(&points));
         for jobs in [1, 2, 4] {
-            let budget = JobBudget { pool_jobs: jobs, point_jobs: 1 };
-            let outcome = SweepEngine::new().with_budget(budget).run(&points);
+            let outcome = SweepEngine::new().with_total_jobs(jobs).run(&points);
             for (point, alone) in outcome.points.iter().zip(&alone) {
                 let label = format!("seed {seed}, --jobs {jobs}, {}: {}", point.label, point.pipeline);
                 assert_same(&label, &point.result, alone);

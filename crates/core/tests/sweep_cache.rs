@@ -56,9 +56,7 @@ fn second_point_of_a_two_point_sweep_hits_the_shared_cache() {
         SweepPoint::new("first", two_mm(32), HidaOptions::polybench()),
         SweepPoint::new("second", two_mm(32), HidaOptions::polybench()),
     ];
-    let outcome = SweepEngine::new()
-        .with_budget(JobBudget::sequential())
-        .run(&points);
+    let outcome = SweepEngine::new().with_total_jobs(1).run(&points);
     assert!(outcome.all_ok());
 
     let first = outcome.points[0].result.as_ref().unwrap();
@@ -86,12 +84,7 @@ fn second_point_of_a_two_point_sweep_hits_the_shared_cache() {
 #[test]
 fn pooled_sweep_matches_isolated_runs_point_by_point() {
     let points = variant_points();
-    let outcome = SweepEngine::new()
-        .with_budget(JobBudget {
-            pool_jobs: 3,
-            point_jobs: 1,
-        })
-        .run(&points);
+    let outcome = SweepEngine::new().with_total_jobs(3).run(&points);
     assert!(outcome.all_ok());
     assert_eq!(outcome.points.len(), points.len());
     for (point, spec) in outcome.points.iter().zip(&points) {
@@ -110,15 +103,8 @@ fn pooled_sweep_matches_isolated_runs_point_by_point() {
 #[test]
 fn pooled_and_sequential_sweeps_are_byte_identical() {
     let points = variant_points();
-    let sequential = SweepEngine::new()
-        .with_budget(JobBudget::sequential())
-        .run(&points);
-    let pooled = SweepEngine::new()
-        .with_budget(JobBudget {
-            pool_jobs: 3,
-            point_jobs: 2,
-        })
-        .run(&points);
+    let sequential = SweepEngine::new().with_total_jobs(1).run(&points);
+    let pooled = SweepEngine::new().with_total_jobs(3).run(&points);
     for (a, b) in sequential.points.iter().zip(&pooled.points) {
         assert_identical(
             a.result.as_ref().unwrap(),
@@ -136,7 +122,7 @@ fn sharing_can_be_disabled_for_a_share_nothing_baseline() {
     ];
     let outcome = SweepEngine::new()
         .with_shared_estimates(false)
-        .with_budget(JobBudget::sequential())
+        .with_total_jobs(1)
         .run(&points);
     assert!(outcome.shared_cache.is_none());
     for point in &outcome.points {
@@ -152,12 +138,10 @@ fn sharing_can_be_disabled_for_a_share_nothing_baseline() {
 #[test]
 fn verification_toggle_reaches_every_point_and_changes_nothing() {
     let points = vec![SweepPoint::new("p", two_mm(32), HidaOptions::polybench())];
-    let verified = SweepEngine::new()
-        .with_budget(JobBudget::sequential())
-        .run(&points);
+    let verified = SweepEngine::new().with_total_jobs(1).run(&points);
     let unverified = SweepEngine::new()
         .with_verification(false)
-        .with_budget(JobBudget::sequential())
+        .with_total_jobs(1)
         .run(&points);
     // Skipping verification trades safety for time only — same results.
     assert_identical(
@@ -183,9 +167,7 @@ fn infeasible_points_fail_without_killing_the_sweep() {
         SweepPoint::new("bad", two_mm(32), HidaOptions::polybench())
             .with_pipeline("construct,,lower"),
     ];
-    let outcome = SweepEngine::new()
-        .with_budget(JobBudget::sequential())
-        .run(&points);
+    let outcome = SweepEngine::new().with_total_jobs(1).run(&points);
     assert!(!outcome.all_ok());
     assert!(outcome.points[0].result.is_ok());
     assert!(outcome.points[1].result.is_err());
@@ -193,15 +175,14 @@ fn infeasible_points_fail_without_killing_the_sweep() {
 
 #[test]
 fn job_budget_composition_never_oversubscribes() {
-    assert_eq!(JobBudget::sequential().total(), 1);
     for total in 1..20 {
         for num_points in 1..30 {
             let budget = JobBudget::for_points(total, num_points);
-            assert!(budget.total() <= total.max(1), "{budget:?} over {total}");
-            assert!(budget.pool_jobs >= 1 && budget.point_jobs >= 1);
+            assert!(budget.pool_jobs <= total.max(1), "{budget:?} over {total}");
+            assert!(budget.pool_jobs >= 1);
             assert!(budget.pool_jobs <= num_points.max(1));
         }
     }
     // Degenerate inputs clamp instead of panicking.
-    assert_eq!(JobBudget::for_points(0, 0).total(), 1);
+    assert_eq!(JobBudget::for_points(0, 0).pool_jobs, 1);
 }

@@ -6,17 +6,9 @@
 //! node touches. This module provides the mechanics of applying those decisions to
 //! either explicit loop bands or named linalg layers.
 
-//! Every mutating entry point has a *planned* twin (`plan_unroll_factors`,
-//! `plan_tile_sizes`) that records the identical attribute writes into a
-//! [`NodeScope`] instead of mutating the [`Context`] directly. The planned
-//! variants are what the parallel pass manager's worker threads call: the
-//! recorded edits merge back on the main thread, and because both twins write
-//! the same attributes with the same values, `--jobs 1` and `--jobs N` produce
-//! byte-identical IR.
-
 use crate::linalg;
 use crate::loops::{self, ForOp};
-use hida_ir_core::{Attribute, Context, IrError, IrResult, NodeScope, OpId};
+use hida_ir_core::{Attribute, Context, IrError, IrResult, OpId};
 
 /// Attribute key holding per-dimension unroll factors on named layers and nodes.
 pub const ATTR_UNROLL_FACTORS: &str = "unroll_factors";
@@ -80,38 +72,6 @@ pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) -> IrR
     Ok(())
 }
 
-/// The planned twin of [`apply_unroll_factors`]: records the identical
-/// attribute writes (per-loop unroll/pipeline directives, layer and op
-/// annotations) into `scope` for the main-thread merge of a parallel pass.
-///
-/// # Errors
-/// Propagates scope violations (an edit escaping the worker's node region).
-pub fn plan_unroll_factors(scope: &mut NodeScope<'_>, op: OpId, factors: &[i64]) -> IrResult<()> {
-    let ctx = scope.ctx();
-    let top = loops::top_level_loops(ctx, op);
-    if let Some(&outer) = top.first() {
-        let band = loops::loop_band(ctx, outer.id());
-        if band.len() == factors.len() {
-            for (loop_op, &factor) in band.iter().zip(factors) {
-                let clamped = factor.clamp(1, loop_op.trip_count(ctx).max(1));
-                scope.set_attr(loop_op.id(), "unroll_factor", clamped.max(1))?;
-            }
-            if let Some(inner) = band.last() {
-                scope.set_attr(inner.id(), ATTR_PIPELINE, Attribute::Unit)?;
-                scope.set_attr(inner.id(), "pipeline_ii", 1_i64)?;
-            }
-        }
-    }
-    for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
-        if nested != op && linalg::LinalgOp::from_op(ctx, nested).is_some() {
-            scope.set_attr(nested, ATTR_UNROLL_FACTORS, factors.to_vec())?;
-        }
-    }
-    scope.set_attr(op, ATTR_UNROLL_FACTORS, factors.to_vec())?;
-    scope.set_attr(op, ATTR_PIPELINE, Attribute::Unit)?;
-    Ok(())
-}
-
 /// Reads the unroll factors recorded on `op` (node, layer or loop-band owner),
 /// defaulting to all-1 factors of the given rank.
 pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
@@ -129,11 +89,6 @@ pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
     vec![1; rank]
 }
 
-/// Total parallelism implied by a set of unroll factors (their product).
-pub fn total_parallelism(factors: &[i64]) -> i64 {
-    factors.iter().map(|&f| f.max(1)).product::<i64>().max(1)
-}
-
 /// Records per-dimension tile sizes on `op` and on every named layer in its body.
 pub fn apply_tile_sizes(ctx: &mut Context, op: OpId, tile_sizes: &[i64]) {
     ctx.op_mut(op)
@@ -146,25 +101,8 @@ pub fn apply_tile_sizes(ctx: &mut Context, op: OpId, tile_sizes: &[i64]) {
     }
 }
 
-/// The planned twin of [`apply_tile_sizes`]: records the identical attribute
-/// writes into `scope` for the main-thread merge of a parallel pass.
-///
-/// # Errors
-/// Propagates scope violations (an edit escaping the worker's node region).
-pub fn plan_tile_sizes(scope: &mut NodeScope<'_>, op: OpId, tile_sizes: &[i64]) -> IrResult<()> {
-    let ctx = scope.ctx();
-    scope.set_attr(op, ATTR_TILE_SIZES, tile_sizes.to_vec())?;
-    for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
-        if nested != op && linalg::LinalgOp::from_op(ctx, nested).is_some() {
-            scope.set_attr(nested, ATTR_TILE_SIZES, tile_sizes.to_vec())?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads the tile sizes recorded on `op`, defaulting to the full extents
-/// (i.e. "one tile covers everything") of the given rank.
-pub fn tile_sizes_of(ctx: &Context, op: OpId, _rank: usize) -> Option<Vec<i64>> {
+/// Reads the tile sizes recorded on `op`; `None` when it was never tiled.
+pub fn tile_sizes_of(ctx: &Context, op: OpId) -> Option<Vec<i64>> {
     ctx.op(op)
         .attr_int_array(ATTR_TILE_SIZES)
         .map(|v| v.to_vec())
@@ -248,44 +186,15 @@ mod tests {
         );
     }
 
-    /// The planned twins must write exactly what the direct application writes:
-    /// this is the parity the parallel pass manager relies on for `--jobs N`
-    /// output to match `--jobs 1`.
-    #[test]
-    fn planned_transforms_match_direct_application() {
-        let build = || {
-            let mut ctx = Context::new();
-            let (func, _) = loop_func(&mut ctx);
-            (ctx, func)
-        };
-        let (mut direct_ctx, direct_func) = build();
-        apply_unroll_factors(&mut direct_ctx, direct_func, &[2, 4]).unwrap();
-        apply_tile_sizes(&mut direct_ctx, direct_func, &[8, 4]);
-
-        let (mut planned_ctx, planned_func) = build();
-        let mut scope = NodeScope::new(&planned_ctx, planned_func);
-        plan_unroll_factors(&mut scope, planned_func, &[2, 4]).unwrap();
-        plan_tile_sizes(&mut scope, planned_func, &[8, 4]).unwrap();
-        let edits = scope.into_edits();
-        planned_ctx.apply_attr_edits(edits);
-
-        assert_eq!(
-            hida_ir_core::printer::print_op(&direct_ctx, direct_func),
-            hida_ir_core::printer::print_op(&planned_ctx, planned_func)
-        );
-    }
-
     #[test]
     fn tile_sizes_round_trip_and_parallelism_product() {
         let mut ctx = Context::new();
         let (func, _) = loop_func(&mut ctx);
-        assert_eq!(tile_sizes_of(&ctx, func, 2), None);
+        assert_eq!(tile_sizes_of(&ctx, func), None);
         apply_tile_sizes(&mut ctx, func, &[8, 4]);
         assert_eq!(
             ctx.op(func).attr_int_array(ATTR_TILE_SIZES),
             Some(&[8_i64, 4][..])
         );
-        assert_eq!(total_parallelism(&[4, 8, 1]), 32);
-        assert_eq!(total_parallelism(&[]), 1);
     }
 }

@@ -17,7 +17,6 @@ use crate::shared_cache::{
 use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_ir_core::analysis::{AnalysisCacheStats, AnalysisManager};
-use hida_ir_core::par::run_batch;
 use hida_ir_core::Fingerprint;
 use hida_ir_core::{Context, OpId, ParallelStats};
 use std::cell::RefCell;
@@ -36,12 +35,8 @@ use std::sync::Arc;
 ///
 /// The interior cache makes the estimator `Send` but **not `Sync`**: share-
 /// nothing parallel sweeps should give each worker its own [`Clone`] (clones
-/// start with a cold cache and the same device). Independently of that,
-/// [`DataflowEstimator::with_jobs`] parallelizes *within* one estimation: the
-/// per-node half of a schedule estimate (the expensive part) fans out to a
-/// work-stealing pool over the shared read-only IR, and the computed estimates
-/// seed the memoization cache before the (sequential) schedule-level timing
-/// model reads them back.
+/// start with a cold cache and the same device). One estimation runs on the
+/// calling thread.
 ///
 /// For design-space sweeps, [`DataflowEstimator::with_shared_cache`] attaches
 /// a content-addressed [`SharedEstimateCache`]: local misses consult the
@@ -52,8 +47,6 @@ use std::sync::Arc;
 pub struct DataflowEstimator {
     device: FpgaDevice,
     analyses: RefCell<AnalysisManager>,
-    jobs: usize,
-    parallel: RefCell<ParallelStats>,
     /// Cross-compilation estimate cache, when one is attached, plus the
     /// precomputed fingerprint of this estimator's full device description
     /// (part of every cache key).
@@ -66,7 +59,7 @@ impl Clone for DataflowEstimator {
     fn clone(&self) -> Self {
         // The per-context cache is an implementation detail; clones start with
         // a cold local cache but keep sharing the cross-compilation cache.
-        let mut clone = DataflowEstimator::new(self.device.clone()).with_jobs(self.jobs);
+        let mut clone = DataflowEstimator::new(self.device.clone());
         clone.shared = self.shared.clone();
         clone
     }
@@ -77,37 +70,27 @@ impl fmt::Debug for DataflowEstimator {
         f.debug_struct("DataflowEstimator")
             .field("device", &self.device)
             .field("cache", &self.analyses.borrow().stats())
-            .field("jobs", &self.jobs)
             .field("shared", &self.shared.as_ref().map(|(c, _)| c.stats()))
             .finish()
     }
 }
 
 impl DataflowEstimator {
-    /// Creates a sequential (one-job) estimator for the given device.
+    /// Creates an estimator for the given device.
     pub fn new(device: FpgaDevice) -> Self {
         DataflowEstimator {
             device,
             analyses: RefCell::new(AnalysisManager::new()),
-            jobs: 1,
-            parallel: RefCell::new(ParallelStats::default()),
             shared: None,
             shared_traffic: RefCell::new(SharedCacheStats::default()),
         }
     }
 
-    /// Sets the worker-thread count for per-node estimation inside
-    /// [`DataflowEstimator::estimate_schedule`]. `1` (the default) keeps the
-    /// estimator fully sequential; estimates are identical either way because
-    /// each node's model is a pure function of the IR and the device.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// Ignores `jobs`: an estimation runs on the calling thread. Kept only
+    /// because `benchmark/src/layers.rs:237` (frozen) calls it.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Attaches a cross-compilation [`SharedEstimateCache`]: when the local
@@ -138,10 +121,11 @@ impl DataflowEstimator {
         stats
     }
 
-    /// Accumulated worker/steal counters of the parallel per-node estimation
-    /// batches this estimator ran (all-zero when sequential).
+    /// All-zero: the estimator runs no batch. Kept only because
+    /// `benchmark/src/layers.rs:283` (frozen) calls it.
+    #[doc(hidden)]
     pub fn parallel_stats(&self) -> ParallelStats {
-        self.parallel.borrow().clone()
+        ParallelStats::default()
     }
 
     /// The target device.
@@ -152,11 +136,6 @@ impl DataflowEstimator {
     /// Cache traffic of the estimator's internal analysis manager.
     pub fn cache_stats(&self) -> AnalysisCacheStats {
         self.analyses.borrow().stats().clone()
-    }
-
-    /// Drops every memoized estimate.
-    pub fn clear_cache(&self) {
-        self.analyses.borrow_mut().invalidate_all();
     }
 
     /// Estimates one node of a schedule (memoized per IR generation).
@@ -199,7 +178,17 @@ impl DataflowEstimator {
     /// publishing it on a miss. Returns the estimate and whether it was a hit.
     fn shared_lookup_or_compute(&self, ctx: &Context, op: OpId) -> (NodeEstimate, bool) {
         let (cache, device_key) = self.shared.as_ref().expect("caller checked a cache exists");
-        shared_lookup_or_compute(cache, *device_key, ctx, op, &self.device)
+        let key = estimate_key(ctx, op, *device_key);
+        if let Some(mut estimate) = cache.lookup(key) {
+            // The key deliberately ignores name attributes (so structurally
+            // repeated nodes share an entry); the display name is re-derived from
+            // the local IR, exactly as `estimate_body` would have.
+            estimate.name = crate::latency::node_name(ctx, op);
+            return (estimate, true);
+        }
+        let estimate = estimate_body(ctx, op, &self.device);
+        cache.publish(key, estimate.clone());
+        (estimate, false)
     }
 
     /// Folds `count` lookups (hits when `hit`, misses otherwise) into this
@@ -210,49 +199,6 @@ impl DataflowEstimator {
             traffic.hits += count;
         } else {
             traffic.misses += count;
-        }
-    }
-
-    /// The parallel half of a schedule estimate: computes every *missing*
-    /// per-node estimate on the work-stealing pool (read-only over the shared
-    /// IR) and seeds the memoization cache, so the subsequent sequential
-    /// queries are pure hits. A no-op under one job or when at most one node
-    /// needs computing.
-    fn warm_node_estimates(&self, ctx: &Context, nodes: &[hida_dataflow_ir::structural::NodeOp]) {
-        if self.jobs <= 1 {
-            return;
-        }
-        let missing: Vec<OpId> = nodes
-            .iter()
-            .map(|n| n.id())
-            .filter(|&op| {
-                self.analyses
-                    .borrow()
-                    .cached_any::<NodeEstimate>(ctx, op)
-                    .is_none()
-            })
-            .collect();
-        if missing.len() <= 1 {
-            return;
-        }
-        let device = &self.device;
-        let shared = self.shared.clone();
-        let (estimates, stats) = run_batch(self.jobs, &missing, |&op| match &shared {
-            // Workers publish computed estimates immediately, so duplicate
-            // nodes later in the same batch already hit the shared cache.
-            Some((cache, device_key)) => {
-                let (estimate, hit) = shared_lookup_or_compute(cache, *device_key, ctx, op, device);
-                (estimate, Some(hit))
-            }
-            None => (estimate_body(ctx, op, device), None),
-        });
-        self.parallel.borrow_mut().accumulate(&stats);
-        let mut analyses = self.analyses.borrow_mut();
-        for (&op, (estimate, shared_hit)) in missing.iter().zip(estimates) {
-            if let Some(hit) = shared_hit {
-                self.record_shared_traffic(hit, 1);
-            }
-            analyses.get_with(ctx, op, "node-estimate", move |_, _| estimate);
         }
     }
 
@@ -273,7 +219,6 @@ impl DataflowEstimator {
         dataflow_enabled: bool,
     ) -> DesignEstimate {
         let nodes = schedule.nodes(ctx);
-        self.warm_node_estimates(ctx, &nodes);
         let node_estimates: Vec<NodeEstimate> = nodes
             .iter()
             .map(|&n| {
@@ -423,29 +368,6 @@ impl DataflowEstimator {
         let latency = path_latency.values().copied().max().unwrap_or(1).max(1);
         (interval, latency)
     }
-}
-
-/// Shared-cache lookup with compute-and-publish on miss; a free function so
-/// worker threads can run it without touching the estimator's `RefCell`s.
-/// Returns the estimate and whether it was served from the cache.
-fn shared_lookup_or_compute(
-    cache: &SharedEstimateCache,
-    device_key: Fingerprint,
-    ctx: &Context,
-    op: OpId,
-    device: &FpgaDevice,
-) -> (NodeEstimate, bool) {
-    let key = estimate_key(ctx, op, device_key);
-    if let Some(mut estimate) = cache.lookup(key) {
-        // The key deliberately ignores name attributes (so structurally
-        // repeated nodes share an entry); the display name is re-derived from
-        // the local IR, exactly as `estimate_body` would have.
-        estimate.name = crate::latency::node_name(ctx, op);
-        return (estimate, true);
-    }
-    let estimate = estimate_body(ctx, op, device);
-    cache.publish(key, estimate.clone());
-    (estimate, false)
 }
 
 fn schedule_name(ctx: &Context, op: OpId) -> String {
@@ -630,8 +552,6 @@ mod tests {
         assert!(est.cache_stats().misses > after_repeats.misses);
         assert!(third.node_estimates[0].latency_cycles >= first.node_estimates[0].latency_cycles);
 
-        est.clear_cache();
-        assert!(est.cache_stats().invalidations > 0);
         // A clone starts with a cold cache but the same device.
         let cloned = est.clone();
         assert_eq!(cloned.cache_stats(), AnalysisCacheStats::default());

@@ -276,7 +276,7 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
     let mut ii: i64 = 1;
     let mut external_bytes: i64 = 0;
     let mut has_external = false;
-    let tile_sizes = transforms::tile_sizes_of(ctx, op, rank);
+    let tile_sizes = transforms::tile_sizes_of(ctx, op);
     for access in &profile.accesses {
         let info = buffer_info(ctx, access.buffer);
         if info.kind == MemoryKind::External {

@@ -25,11 +25,8 @@
 //!   size-budgeted eviction, so *separate processes*
 //!   (CLI runs, bench invocations, CI steps) share estimate work too.
 //!
-//! Per-node estimates are memoized through the shared analysis-cache machinery
-//! and — via [`DataflowEstimator::with_jobs`](dataflow::DataflowEstimator::with_jobs)
-//! — computed on a work-stealing thread pool: the per-node half of a schedule
-//! estimate is a pure function of the IR and the device, so parallel and
-//! sequential estimation are bit-identical.
+//! Per-node estimates are memoized through the shared analysis-cache
+//! machinery; an estimation runs on the calling thread.
 
 pub mod dataflow;
 pub mod device;

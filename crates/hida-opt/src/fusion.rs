@@ -22,7 +22,7 @@ use hida_ir_core::{AnalysisManager, Context, IrResult, OpId};
 
 /// A profitable task-fusion pattern: decides whether `task` should be fused with the
 /// adjacent `next` task. `Send + Sync` because pattern sets live inside pass
-/// instances, which the parallel pass manager shares with worker threads.
+/// instances, which a sweep shares between the threads compiling its points.
 pub trait FusionPattern: Send + Sync {
     /// Pattern name for diagnostics.
     fn name(&self) -> &str;

@@ -66,7 +66,7 @@ pub mod tiling;
 
 pub use pipeline::{
     BalancePass, Checkpoint, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
-    ParallelizePass, Pipeline, ProfilePass, TilingPass,
+    ParallelizePass, Pipeline, TilingPass,
 };
 pub use registry::{registry, registry_listing};
 

@@ -22,10 +22,7 @@ use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
 use hida_dialects::analysis::{ComputeProfile, ProfileLoopDim};
 use hida_dialects::hls::{ArrayPartition, PartitionFashion};
 use hida_dialects::transforms;
-use hida_ir_core::{
-    Analysis, AnalysisManager, AnalysisSnapshot, Context, IrError, IrResult, NodeScope, OpId,
-    ValueId,
-};
+use hida_ir_core::{AnalysisManager, Context, IrResult, ValueId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -61,8 +58,7 @@ pub struct NodeInfo {
 }
 
 /// Derives the loop alignment maps of one dataflow edge from the two endpoint
-/// profiles; shared by the cache-backed [`analyze_connections`] and the
-/// snapshot-backed worker path so both compute bit-identical constraints.
+/// profiles.
 fn connection_for_edge(
     ctx: &Context,
     edge: &DataflowEdge,
@@ -136,25 +132,6 @@ pub fn analyze_connections(
         .collect()
 }
 
-/// The parallelization processing order (step 2), as a comparator over
-/// `(connection count, intensity)` keys: connections descending, intensity as
-/// descending tie-breaker. The single source of truth shared by the
-/// cache-backed [`analyze_nodes`] sort and the per-worker planning path —
-/// both apply it as a *stable* sort over the deterministic `schedule.nodes`
-/// order, so they always agree.
-fn processing_order(a: (usize, i64), b: (usize, i64)) -> std::cmp::Ordering {
-    b.0.cmp(&a.0).then(b.1.cmp(&a.1))
-}
-
-fn sort_infos(infos: &mut [NodeInfo]) {
-    infos.sort_by(|a, b| {
-        processing_order(
-            (a.connections, a.profile.intensity),
-            (b.connections, b.profile.intensity),
-        )
-    });
-}
-
 /// Builds the per-node analysis records and returns them sorted in parallelization
 /// order (step 2: connection count descending, intensity as tie-breaker).
 pub fn analyze_nodes(
@@ -172,25 +149,13 @@ pub fn analyze_nodes(
             connections: graph.connection_count(node),
         })
         .collect();
-    sort_infos(&mut infos);
+    // A stable sort over the deterministic `schedule.nodes` order.
+    infos.sort_by(|a, b| {
+        b.connections
+            .cmp(&a.connections)
+            .then(b.profile.intensity.cmp(&a.profile.intensity))
+    });
     infos
-}
-
-/// Snapshot-backed profile lookup for worker threads: borrows the frozen
-/// entry when present, computes over the shared read-only context only when
-/// the snapshot is cold. Returning `Cow` keeps the hot path clone-free — on
-/// an *n*-node schedule every worker consults up to *n* profiles, and cloning
-/// them per work item would make the parallel pass quadratic in schedule
-/// size.
-fn profile_from_snapshot<'s>(
-    ctx: &Context,
-    snapshot: &'s AnalysisSnapshot,
-    node: NodeOp,
-) -> std::borrow::Cow<'s, ComputeProfile> {
-    match snapshot.get::<ComputeProfile>(node.id()) {
-        Some(profile) => std::borrow::Cow::Borrowed(profile),
-        None => std::borrow::Cow::Owned(ComputeProfile::compute(ctx, node.id())),
-    }
 }
 
 /// The intensity measure used for parallel-factor budgeting: the count of the
@@ -200,27 +165,9 @@ pub fn budget_intensity(profile: &ComputeProfile) -> i64 {
     profile.macs.max(profile.total_iterations()).max(1)
 }
 
-/// The budget formula of step 3 for one node: scale the maximum parallel
-/// factor by the node's share of the peak intensity (rounded to a power of
-/// two), or grant the maximum uniformly without intensity awareness. The
-/// single source of truth shared by [`node_parallel_factors`] and the
-/// per-worker planning path.
-fn parallel_factor_for(
-    budget_intensity: i64,
-    max_intensity: i64,
-    max_parallel_factor: i64,
-    intensity_aware: bool,
-) -> i64 {
-    if intensity_aware {
-        let scaled =
-            max_parallel_factor as f64 * budget_intensity as f64 / max_intensity.max(1) as f64;
-        round_pow2(scaled).clamp(1, max_parallel_factor)
-    } else {
-        max_parallel_factor
-    }
-}
-
-/// Step 3: parallel factor per node, proportional to intensity when intensity-aware.
+/// Step 3: parallel factor per node — the maximum scaled by the node's share
+/// of the peak intensity (rounded to a power of two) when intensity-aware, the
+/// maximum for every node otherwise.
 pub fn node_parallel_factors(
     infos: &[NodeInfo],
     max_parallel_factor: i64,
@@ -234,12 +181,13 @@ pub fn node_parallel_factors(
     infos
         .iter()
         .map(|info| {
-            let factor = parallel_factor_for(
-                budget_intensity(&info.profile),
-                max_intensity,
-                max_parallel_factor,
-                intensity_aware,
-            );
+            let factor = if intensity_aware {
+                let scaled = max_parallel_factor as f64 * budget_intensity(&info.profile) as f64
+                    / max_intensity.max(1) as f64;
+                round_pow2(scaled).clamp(1, max_parallel_factor)
+            } else {
+                max_parallel_factor
+            };
             (info.node, factor)
         })
         .collect()
@@ -489,181 +437,6 @@ pub fn parallelize_schedule(
 
     assign_array_partitions(ctx, analyses, schedule, &chosen);
     Ok(())
-}
-
-/// Computes the dependency waves for parallel execution of the parallelizer:
-/// wave 0 holds the nodes that depend on nothing, wave *k* the nodes whose
-/// constraints come only from connected nodes in waves < *k*. Within the
-/// sequential Algorithm 4 order, a node's constraints come exactly from the
-/// *connected* nodes processed before it, so two nodes in the same wave are
-/// never connected and their per-node DSEs are independent. Warms the dataflow
-/// graph and node profiles in `analyses` so the pass snapshot is complete.
-///
-/// Without connection awareness (IA-only / Naive) every node is independent
-/// and a single wave is returned.
-pub fn parallel_waves(
-    ctx: &Context,
-    analyses: &mut AnalysisManager,
-    schedule: ScheduleOp,
-    mode: ParallelMode,
-) -> Vec<Vec<OpId>> {
-    let infos = analyze_nodes(ctx, analyses, schedule);
-    if !mode.connection_aware() {
-        return vec![infos.into_iter().map(|i| i.node.id()).collect()];
-    }
-    let connections = analyze_connections(ctx, analyses, schedule);
-    let order: HashMap<NodeOp, usize> = infos
-        .iter()
-        .enumerate()
-        .map(|(i, info)| (info.node, i))
-        .collect();
-    let mut wave_of = vec![0_usize; infos.len()];
-    for (i, info) in infos.iter().enumerate() {
-        for connection in &connections {
-            let peer = if connection.source == info.node {
-                connection.target
-            } else if connection.target == info.node {
-                connection.source
-            } else {
-                continue;
-            };
-            if let Some(&j) = order.get(&peer) {
-                if j < i {
-                    wave_of[i] = wave_of[i].max(wave_of[j] + 1);
-                }
-            }
-        }
-    }
-    let num_waves = wave_of.iter().copied().max().unwrap_or(0) + 1;
-    let mut waves = vec![Vec::new(); num_waves];
-    for (i, info) in infos.iter().enumerate() {
-        waves[wave_of[i]].push(info.node.id());
-    }
-    waves
-}
-
-/// The worker-thread half of parallelization: reruns steps 1-4 *for one node*
-/// over the frozen snapshot. Budgets and the processing order are recomputed
-/// from the same frozen inputs every sequential run sees, constraints are read
-/// from the unroll factors earlier waves already merged into the shared
-/// context, and the chosen factors are recorded as scoped edits.
-///
-/// # Errors
-/// Fails when the scope root is not a node inside a schedule, and propagates
-/// scope violations.
-pub fn plan_node_parallelization(
-    scope: &mut NodeScope<'_>,
-    snapshot: &AnalysisSnapshot,
-    max_parallel_factor: i64,
-    mode: ParallelMode,
-) -> IrResult<()> {
-    let ctx = scope.ctx();
-    let node = NodeOp::try_from_op(ctx, scope.root())
-        .ok_or_else(|| IrError::verification(format!("op {} is not a hida.node", scope.root())))?;
-    let schedule = ctx
-        .parent_op(node.id())
-        .and_then(|op| ScheduleOp::try_from_op(ctx, op))
-        .ok_or_else(|| {
-            IrError::verification(format!("node {} is not inside a hida.schedule", node.id()))
-        })?;
-    let graph = match snapshot.get::<DataflowGraph>(schedule.id()) {
-        Some(graph) => std::borrow::Cow::Borrowed(graph),
-        None => std::borrow::Cow::Owned(DataflowGraph::compute(ctx, schedule.id())),
-    };
-
-    // Processing order and budgets from scalar keys only — profiles stay
-    // borrowed from the snapshot, so this prologue is cheap even though every
-    // work item runs it over the whole schedule.
-    let mut keyed: Vec<(NodeOp, usize, i64, i64)> = schedule
-        .nodes(ctx)
-        .into_iter()
-        .map(|n| {
-            let profile = profile_from_snapshot(ctx, snapshot, n);
-            (
-                n,
-                graph.connection_count(n),
-                profile.intensity,
-                budget_intensity(&profile),
-            )
-        })
-        .collect();
-    keyed.sort_by(|a, b| processing_order((a.1, a.2), (b.1, b.2)));
-    let order: HashMap<NodeOp, usize> = keyed.iter().enumerate().map(|(i, k)| (k.0, i)).collect();
-    let my_index = *order.get(&node).ok_or_else(|| {
-        IrError::verification(format!("node {} is not part of its schedule", node.id()))
-    })?;
-    let my_connections = keyed[my_index].1;
-    let max_intensity = keyed.iter().map(|k| k.3).max().unwrap_or(1);
-    let budget = parallel_factor_for(
-        keyed[my_index].3,
-        max_intensity,
-        max_parallel_factor,
-        mode.intensity_aware(),
-    );
-    let my_profile = profile_from_snapshot(ctx, snapshot, node);
-
-    let constraints_list = if mode.connection_aware() {
-        // Alignment maps of the edges touching this node, and the factors the
-        // *earlier* endpoint of each already had merged into the context.
-        let mut connections = Vec::new();
-        let mut chosen: HashMap<NodeOp, Vec<i64>> = HashMap::new();
-        for edge in graph.edges.iter() {
-            let peer = if edge.producer == node {
-                edge.consumer
-            } else if edge.consumer == node {
-                edge.producer
-            } else {
-                continue;
-            };
-            if let Some(connection) = connection_for_edge(
-                ctx,
-                edge,
-                &profile_from_snapshot(ctx, snapshot, edge.producer),
-                &profile_from_snapshot(ctx, snapshot, edge.consumer),
-            ) {
-                connections.push(connection);
-            }
-            if order.get(&peer).map(|&j| j < my_index).unwrap_or(false) {
-                let rank = profile_from_snapshot(ctx, snapshot, peer).loop_dims.len();
-                chosen
-                    .entry(peer)
-                    .or_insert_with(|| transforms::unroll_factors_of(ctx, peer.id(), rank));
-            }
-        }
-        constraints_for(node, my_profile.loop_dims.len(), &connections, &chosen)
-    } else {
-        Vec::new()
-    };
-
-    let factors = if mode == ParallelMode::Naive {
-        naive_factors(&my_profile, max_parallel_factor)
-    } else {
-        select_unroll_factors(&my_profile, budget, &constraints_list)
-    };
-    transforms::plan_unroll_factors(scope, node.id(), &factors)?;
-    scope.set_attr(node.id(), "parallel_factor", budget)?;
-    scope.set_attr(node.id(), "intensity", my_profile.intensity)?;
-    scope.set_attr(node.id(), "connections", my_connections as i64)?;
-    Ok(())
-}
-
-/// The main-thread epilogue of parallel parallelization: reconstructs every
-/// node's chosen factors from the merged unroll annotations and assigns array
-/// partitions exactly like the sequential path.
-pub fn finish_parallelization(
-    ctx: &mut Context,
-    analyses: &mut AnalysisManager,
-    schedule: ScheduleOp,
-) {
-    let mut chosen: HashMap<NodeOp, Vec<i64>> = HashMap::new();
-    for node in schedule.nodes(ctx) {
-        let rank = analyses
-            .get::<ComputeProfile>(ctx, node.id())
-            .loop_dims
-            .len();
-        chosen.insert(node, transforms::unroll_factors_of(ctx, node.id(), rank));
-    }
-    assign_array_partitions(ctx, analyses, schedule, &chosen);
 }
 
 /// The naive strategy of the Figure 11 ablation: apply the maximum parallel factor to

@@ -29,19 +29,10 @@
 //! | [`BalancePass`] (`hida-balance-data-paths`) | `enable_balancing` |
 //! | [`ParallelizePass`] (`hida-parallelize`) | always |
 //!
-//! [`ProfilePass`] (`hida-profile-nodes`, registry name `profile`) is not part
-//! of the default flow but can be spliced in after lowering to warm per-node
-//! profiles — in parallel under `--jobs N`.
-//!
-//! # Parallel execution
-//!
-//! Tiling, parallelization and profiling declare their per-node work through
-//! [`Pass::parallelizable_roots`]: with [`Pipeline::with_jobs`] `> 1` the pass
-//! manager freezes the analysis cache into a snapshot, fans the declared nodes
-//! out to a work-stealing pool, and merges the scoped attribute edits back in
-//! declaration order — so `--jobs 1` and `--jobs N` produce byte-identical IR.
-//! Fusion and lowering restructure the IR across node boundaries and stay
-//! sequential.
+//! A pipeline runs on the thread that calls it, one pass after the other;
+//! Algorithm 4 itself is a sequential walk in which each node reads the
+//! factors of the connected nodes visited before it. Concurrency lives one
+//! level up, where a sweep compiles independent design points side by side.
 
 use crate::{construct, fusion, lower, parallelize, structural_opt, tiling};
 use crate::{HidaOptions, ParallelMode};
@@ -49,12 +40,11 @@ use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::device::FpgaDevice;
-use hida_ir_core::analysis::{AnalysisManager, AnalysisSnapshot, PreservedAnalyses};
+use hida_ir_core::analysis::{AnalysisManager, PreservedAnalyses};
 use hida_ir_core::pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState};
 use hida_ir_core::registry::{PassRegistry, PipelineError};
 use hida_ir_core::{
-    parse_pipeline, print_pipeline, Analysis, Context, IrError, IrResult, NodeScope, OpId,
-    PassInvocation,
+    parse_pipeline, print_pipeline, Context, IrError, IrResult, OpId, PassInvocation,
 };
 
 /// Retrieves the schedule deposited by [`LowerPass`], failing with a diagnostic
@@ -182,95 +172,6 @@ impl Pass for LowerPass {
     }
 }
 
-/// Per-node profiling (`hida-profile-nodes`): warms the [`ComputeProfile`] of
-/// every schedule node so later passes consume pure cache hits. Analysis-only —
-/// it mutates nothing and preserves everything — and embarrassingly parallel:
-/// under `--jobs N` each worker profiles its nodes over the shared read-only
-/// context and *publishes* the results into the live analysis cache at merge
-/// time. Useful right after lowering in pipelines that skip tiling (whose
-/// sequential warm-up would otherwise be the first profile consumer).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ProfilePass;
-
-impl ProfilePass {
-    fn schedule_nodes(ctx: &Context, state: &PipelineState) -> Option<Vec<OpId>> {
-        let schedule = *state.get::<ScheduleOp>()?;
-        Some(schedule.nodes(ctx).into_iter().map(|n| n.id()).collect())
-    }
-}
-
-impl Pass for ProfilePass {
-    fn name(&self) -> &str {
-        "hida-profile-nodes"
-    }
-
-    fn verify_after(&self) -> bool {
-        // Analysis-only: nothing to re-verify.
-        false
-    }
-
-    fn preserved_analyses(&self) -> PreservedAnalyses {
-        PreservedAnalyses::all()
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let nodes = Self::schedule_nodes(ctx, state).ok_or_else(|| {
-            IrError::pass_failed(
-                self.name(),
-                "no ScheduleOp in pipeline state — run hida-lower-structural first",
-            )
-        })?;
-        for node in nodes {
-            analyses.get::<ComputeProfile>(ctx, node);
-        }
-        Ok(())
-    }
-
-    fn parallelizable_roots(
-        &self,
-        ctx: &Context,
-        _root: OpId,
-        state: &PipelineState,
-        _analyses: &mut AnalysisManager,
-    ) -> Option<Vec<Vec<OpId>>> {
-        // Deliberately does NOT warm the cache: profiling the nodes is the
-        // parallel work itself.
-        Self::schedule_nodes(ctx, state).map(|nodes| vec![nodes])
-    }
-
-    fn run_on_root(&self, scope: &mut NodeScope<'_>, snapshot: &AnalysisSnapshot) -> IrResult<()> {
-        let node = scope.root();
-        if snapshot.get::<ComputeProfile>(node).is_none() {
-            let profile = ComputeProfile::compute(scope.ctx(), node);
-            scope.publish(node, profile)?;
-        }
-        Ok(())
-    }
-
-    fn finish_parallel(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        _analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        // Parallel mode only needs the state sanity check the sequential path
-        // performs implicitly.
-        Self::schedule_nodes(ctx, state).map(|_| ()).ok_or_else(|| {
-            IrError::pass_failed(
-                self.name(),
-                "no ScheduleOp in pipeline state — run hida-lower-structural first",
-            )
-        })
-    }
-}
-
 /// Multi-producer elimination (Algorithm 3) as a pipeline pass.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MultiProducerEliminationPass;
@@ -342,40 +243,6 @@ impl Pass for TilingPass {
             self.tile_size,
             self.external_threshold_bytes,
         );
-        Ok(())
-    }
-
-    fn parallelizable_roots(
-        &self,
-        ctx: &Context,
-        _root: OpId,
-        state: &PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> Option<Vec<Vec<OpId>>> {
-        let schedule = *state.get::<ScheduleOp>()?;
-        // Warm the per-node profiles exactly like the sequential path queries
-        // them, so the workers' snapshot is complete; one wave, since tile
-        // decisions are independent per node.
-        let nodes: Vec<OpId> = schedule.nodes(ctx).into_iter().map(|n| n.id()).collect();
-        for &node in &nodes {
-            analyses.get::<ComputeProfile>(ctx, node);
-        }
-        Some(vec![nodes])
-    }
-
-    fn run_on_root(&self, scope: &mut NodeScope<'_>, snapshot: &AnalysisSnapshot) -> IrResult<()> {
-        tiling::plan_node_tiling(scope, snapshot, self.tile_size)
-    }
-
-    fn finish_parallel(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        _analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = schedule_from(state, self.name())?;
-        tiling::spill_large_buffers(ctx, schedule, self.tile_size, self.external_threshold_bytes);
         Ok(())
     }
 }
@@ -468,38 +335,6 @@ impl Pass for ParallelizePass {
             self.max_parallel_factor,
             self.mode,
         )
-    }
-
-    fn parallelizable_roots(
-        &self,
-        ctx: &Context,
-        _root: OpId,
-        state: &PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> Option<Vec<Vec<OpId>>> {
-        let schedule = *state.get::<ScheduleOp>()?;
-        // One wave per dependency level of the connection graph: constraints
-        // only flow from nodes earlier in the Algorithm 4 processing order, so
-        // same-wave nodes are never connected. Warms graph + profiles.
-        Some(parallelize::parallel_waves(
-            ctx, analyses, schedule, self.mode,
-        ))
-    }
-
-    fn run_on_root(&self, scope: &mut NodeScope<'_>, snapshot: &AnalysisSnapshot) -> IrResult<()> {
-        parallelize::plan_node_parallelization(scope, snapshot, self.max_parallel_factor, self.mode)
-    }
-
-    fn finish_parallel(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = schedule_from(state, self.name())?;
-        parallelize::finish_parallelization(ctx, analyses, schedule);
-        Ok(())
     }
 }
 
@@ -610,16 +445,13 @@ impl Pipeline {
     ///
     /// let pipeline = Pipeline::parse(
     ///     &registry(),
-    ///     "construct,lower,profile,parallelize{max-factor=8,device=zu3eg}",
+    ///     "construct,lower,parallelize{max-factor=8,device=zu3eg}",
     /// )
     /// .expect("a well-formed pipeline");
-    /// assert_eq!(pipeline.len(), 4);
-    /// // The text round-trips through the normalized invocations...
+    /// assert_eq!(pipeline.len(), 3);
+    /// // The text round-trips through the normalized invocations.
     /// let reparsed = Pipeline::parse(&registry(), &pipeline.to_text()).unwrap();
     /// assert_eq!(reparsed.to_text(), pipeline.to_text());
-    /// // ...and per-node pass work can fan out to worker threads.
-    /// let pipeline = pipeline.with_jobs(4);
-    /// assert_eq!(pipeline.jobs(), 4);
     /// ```
     ///
     /// # Errors
@@ -713,18 +545,11 @@ impl Pipeline {
         self
     }
 
-    /// Sets the worker-thread count for passes that declare per-node work
-    /// (tiling, parallelization, profiling). `1` — the default — is the
-    /// bitwise-reproducibility escape hatch: everything runs sequentially, and
-    /// parallel runs are required to produce the identical IR.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.manager = std::mem::take(&mut self.manager).with_jobs(jobs);
+    /// Ignores `jobs`: a pipeline runs on the calling thread. Kept only because
+    /// `benchmark/src/layers.rs:218` (frozen) calls it.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.manager.jobs()
     }
 
     /// Number of registered passes.

@@ -11,7 +11,6 @@
 //! | `construct` | `hida-construct-dataflow` | — |
 //! | `fusion` | `hida-task-fusion` | `patterns` |
 //! | `lower` | `hida-lower-structural` | — |
-//! | `profile` | `hida-profile-nodes` | — |
 //! | `multi-producer-elim` | `hida-eliminate-multi-producers` | — |
 //! | `tiling` | `hida-tiling` | `factor`/`tile-size`, `external-threshold-bytes` |
 //! | `balance` | `hida-balance-data-paths` | `external-threshold-bytes` |
@@ -23,7 +22,7 @@
 use crate::fusion::{ConvPoolFusion, ElementwiseFusion, FusionPattern};
 use crate::pipeline::{
     BalancePass, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
-    ParallelizePass, ProfilePass, TilingPass,
+    ParallelizePass, TilingPass,
 };
 use crate::ParallelMode;
 use hida_estimator::device::FpgaDevice;
@@ -166,17 +165,6 @@ pub fn registry() -> PassRegistry {
             },
         )
         .with_alias("hida-lower-structural"),
-    );
-    registry.register(
-        PassSpec::new(
-            "profile",
-            "per-node compute profiling: warm the analysis cache (parallel under --jobs N)",
-            |options| {
-                OptionReader::new(options, &[])?;
-                Ok(Box::new(ProfilePass))
-            },
-        )
-        .with_alias("hida-profile-nodes"),
     );
     registry.register(
         PassSpec::new(
@@ -346,14 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn all_eight_passes_are_registered_in_flow_order() {
+    fn all_seven_passes_are_registered_in_flow_order() {
         assert_eq!(
             registry().pass_names(),
             vec![
                 "construct",
                 "fusion",
                 "lower",
-                "profile",
                 "multi-producer-elim",
                 "tiling",
                 "balance",
@@ -369,7 +356,6 @@ mod tests {
             ("hida-construct-dataflow", "construct"),
             ("hida-task-fusion", "fusion"),
             ("hida-lower-structural", "lower"),
-            ("hida-profile-nodes", "profile"),
             ("hida-eliminate-multi-producers", "multi-producer-elim"),
             ("hida-tiling", "tiling"),
             ("hida-balance-data-paths", "balance"),

@@ -16,14 +16,12 @@ use hida_dataflow_ir::structural::{build_buffer, ScheduleOp};
 use hida_dialects::analysis::{ComputeProfile, MemEffect};
 use hida_dialects::hls::MemoryKind;
 use hida_dialects::transforms;
-use hida_ir_core::{
-    Analysis, AnalysisManager, AnalysisSnapshot, Context, IrResult, NodeScope, OpBuilder, Type,
-};
+use hida_ir_core::{AnalysisManager, Context, OpBuilder, Type};
 
 /// Per-dimension tile sizes for a node: spatial dimensions are clamped to the
 /// square tile, reduction dimensions keep their full trip. `None` when the node
 /// has no loop structure to tile.
-pub fn tile_sizes_for(profile: &ComputeProfile, tile_size: i64) -> Option<Vec<i64>> {
+fn tile_sizes_for(profile: &ComputeProfile, tile_size: i64) -> Option<Vec<i64>> {
     if profile.loop_dims.is_empty() {
         return None;
     }
@@ -66,37 +64,11 @@ pub fn apply_tiling(
     spill_large_buffers(ctx, schedule, tile_size, external_threshold_bytes);
 }
 
-/// The worker-thread half of tiling: computes one node's tile sizes from the
-/// frozen profile (falling back to a direct recomputation over the shared
-/// read-only context when the snapshot is cold) and records the annotation
-/// edits into the scope. Buffer spilling stays on the main thread —
-/// [`spill_large_buffers`] — because it creates ops across node boundaries.
-///
-/// # Errors
-/// Propagates scope violations.
-pub fn plan_node_tiling(
-    scope: &mut NodeScope<'_>,
-    snapshot: &AnalysisSnapshot,
-    tile_size: i64,
-) -> IrResult<()> {
-    let node = scope.root();
-    let tile_size = tile_size.max(1);
-    let profile = match snapshot.get::<ComputeProfile>(node) {
-        Some(profile) => profile.clone(),
-        None => ComputeProfile::compute(scope.ctx(), node),
-    };
-    if let Some(tiles) = tile_sizes_for(&profile, tile_size) {
-        transforms::plan_tile_sizes(scope, node, &tiles)?;
-    }
-    Ok(())
-}
-
 /// Spills every inter-node buffer whose ping-pong footprint exceeds the
 /// threshold to external memory, adding a tile-sized local buffer to each node
 /// touching it (the "Tile Load / Tile Comp. / Tile Store" structure of
-/// Figure 3). Sequential by design: it inserts buffer ops into the schedule
-/// body and rewires node operands.
-pub fn spill_large_buffers(
+/// Figure 3).
+fn spill_large_buffers(
     ctx: &mut Context,
     schedule: ScheduleOp,
     tile_size: i64,
@@ -167,7 +139,7 @@ mod tests {
             if profile.loop_dims.is_empty() {
                 continue;
             }
-            let tiles = transforms::tile_sizes_of(&ctx, node.id(), profile.loop_dims.len());
+            let tiles = transforms::tile_sizes_of(&ctx, node.id());
             let tiles = tiles.expect("tile sizes must be recorded");
             for (tile, dim) in tiles.iter().zip(&profile.loop_dims) {
                 assert!(*tile <= dim.trip.max(1));

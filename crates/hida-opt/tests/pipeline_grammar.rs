@@ -17,14 +17,24 @@ fn parse_err(text: &str) -> PipelineError {
 
 #[test]
 fn bad_pass_name_reports_the_registered_passes() {
-    let err = parse_err("construct,lowerr");
-    match &err {
-        PipelineError::UnknownPass { name, known } => {
-            assert_eq!(name, "lowerr");
-            assert_eq!(known.len(), 8);
-            assert!(known.contains(&"lower".to_string()));
+    // A typo, and `profile`: the registry holds the paper's seven passes, not
+    // the node-profiling warm-up that used to sit beside them.
+    for (text, unknown) in [
+        ("construct,lowerr", "lowerr"),
+        ("construct,lower,profile,parallelize", "profile"),
+    ] {
+        let err = parse_err(text);
+        match &err {
+            PipelineError::UnknownPass { name, known } => {
+                assert_eq!(name, unknown);
+                assert_eq!(known.len(), 7);
+                assert!(known.contains(&"lower".to_string()));
+            }
+            other => panic!("expected UnknownPass, got {other}"),
         }
-        other => panic!("expected UnknownPass, got {other}"),
+        assert!(err
+            .to_string()
+            .starts_with(&format!("unknown pass '{unknown}'")));
     }
 }
 

@@ -35,8 +35,9 @@ use std::sync::Arc;
 /// Implementations live next to the data they analyze (dialect crates implement
 /// it for their result types); the manager only needs a way to (re)compute the
 /// value and to compare it against a recomputation for the debug-mode
-/// preservation check. The `Sync` bound is what lets an [`AnalysisSnapshot`]
-/// share cached results with worker threads during parallel pass execution.
+/// preservation check. The `Send + Sync` bounds are what let the forks of one
+/// cache ([`AnalysisManager::fork`]) share its values between the threads of a
+/// sweep.
 pub trait Analysis: Any + Send + Sync + PartialEq {
     /// Stable human-readable analysis name used in diagnostics.
     const NAME: &'static str;
@@ -122,11 +123,6 @@ impl PreservedAnalyses {
         self.preserves_id(TypeId::of::<A>())
     }
 
-    /// True when every analysis is preserved.
-    pub fn is_all(&self) -> bool {
-        self.all
-    }
-
     /// Names of the explicitly preserved analyses.
     pub fn names(&self) -> Vec<&'static str> {
         self.types.iter().map(|(_, n)| *n).collect()
@@ -149,7 +145,7 @@ fn check_entry<A: Analysis>(ctx: &Context, root: OpId, cached: &dyn Any) -> bool
 }
 
 /// A type-erased analysis result, shared between the live cache, every
-/// snapshot taken of it and every caller that queried it.
+/// fork of it and every caller that queried it.
 type SharedValue = Arc<dyn Any + Send + Sync>;
 
 fn downcast_shared<A: Any + Send + Sync>(value: &SharedValue) -> Arc<A> {
@@ -172,67 +168,6 @@ struct CacheEntry {
     analysis: &'static str,
     /// Debug-mode recompute-and-compare; absent for closure-computed entries.
     check: Option<ConsistencyCheck>,
-}
-
-/// A frozen, `Sync` view of every analysis that was valid at one
-/// [`Context::generation`]: worker threads read structural facts (compute
-/// profiles, dataflow graphs) from the snapshot instead of re-walking the IR
-/// or contending on the mutable [`AnalysisManager`].
-///
-/// The snapshot shares the cached values with the live cache (one `Arc`
-/// clone per entry, no deep copy), and a cached value is never mutated in
-/// place, so it stays coherent even while the pass that took it mutates the
-/// IR and invalidates the live cache. Staleness is therefore the *taker's*
-/// contract: a snapshot is meant to live for one parallel batch, between two
-/// merges.
-pub struct AnalysisSnapshot {
-    entries: HashMap<(TypeId, OpId), SharedValue>,
-    ctx_id: u64,
-    generation: u64,
-}
-
-impl AnalysisSnapshot {
-    /// The cached `A` for `root` at freeze time, if one was valid then.
-    pub fn get<A: Analysis>(&self, root: OpId) -> Option<&A> {
-        self.get_any::<A>(root)
-    }
-
-    /// Like [`AnalysisSnapshot::get`] but for closure-computed entries
-    /// ([`AnalysisManager::get_with`]) that do not implement [`Analysis`].
-    pub fn get_any<A: Any + Send + Sync>(&self, root: OpId) -> Option<&A> {
-        self.entries
-            .get(&(TypeId::of::<A>(), root))
-            .and_then(|value| value.as_ref().downcast_ref::<A>())
-    }
-
-    /// The [`Context::id`] the snapshot was taken against.
-    pub fn context_id(&self) -> u64 {
-        self.ctx_id
-    }
-
-    /// The [`Context::generation`] the snapshot was taken at.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of frozen entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing was frozen.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl fmt::Debug for AnalysisSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnalysisSnapshot")
-            .field("entries", &self.entries.len())
-            .field("generation", &self.generation)
-            .finish()
-    }
 }
 
 /// Typed analysis cache with generation-based invalidation; owned by the
@@ -360,22 +295,6 @@ impl AnalysisManager {
         )
     }
 
-    /// Installs an externally computed `A` for `root`, e.g. a result a worker
-    /// thread produced over an [`AnalysisSnapshot`] during parallel pass
-    /// execution. Counts like a regular computing query (a miss, plus an
-    /// invalidation when it replaces a stale entry); when a *valid* entry
-    /// already exists it is kept and the install counts as a hit.
-    pub fn install<A: Analysis>(&mut self, ctx: &Context, root: OpId, value: A) {
-        self.query(
-            ctx,
-            root,
-            TypeId::of::<A>(),
-            A::NAME,
-            Some(check_entry::<A>),
-            move |_, _| Arc::new(value),
-        );
-    }
-
     /// Returns the cached `A` for `root` when present *and* still valid,
     /// without computing anything.
     pub fn cached<A: Analysis>(&self, ctx: &Context, root: OpId) -> Option<&A> {
@@ -391,24 +310,6 @@ impl AnalysisManager {
             return None;
         }
         entry.value.downcast_ref::<A>()
-    }
-
-    /// Freezes every entry that is valid for `ctx` right now (including the
-    /// ones kept alive by the active pass scope's preservation declaration)
-    /// into a `Sync` [`AnalysisSnapshot`] for read-only sharing with worker
-    /// threads. Costs one pointer copy per entry.
-    pub fn snapshot(&self, ctx: &Context) -> AnalysisSnapshot {
-        let entries = self
-            .entries
-            .iter()
-            .filter(|(&(type_id, root), entry)| self.entry_valid(type_id, root, entry, ctx))
-            .map(|(&key, entry)| (key, Arc::clone(&entry.value)))
-            .collect();
-        AnalysisSnapshot {
-            entries,
-            ctx_id: ctx.id(),
-            generation: ctx.generation(),
-        }
     }
 
     /// The cache a run over `fork` — a clone of `original` as it stands now —
@@ -815,101 +716,13 @@ mod tests {
     fn preserved_analyses_set_semantics() {
         let none = PreservedAnalyses::none();
         assert!(!none.preserves::<ConstantCount>());
-        assert!(!none.is_all());
         let all = PreservedAnalyses::all();
         assert!(all.preserves::<ConstantCount>());
-        assert!(all.is_all());
         let some = PreservedAnalyses::none()
             .preserve::<ConstantCount>()
             .preserve::<ConstantCount>();
         assert!(some.preserves::<ConstantCount>());
         assert_eq!(some.names(), vec!["constant-count"]);
-    }
-
-    #[test]
-    fn snapshots_freeze_only_valid_entries_and_are_sync() {
-        fn assert_sync<T: Sync + Send>(_: &T) {}
-        let mut ctx = Context::new();
-        let module = module_with_constants(&mut ctx, 3);
-        let func = ctx.find_in_body(module, "func.func").unwrap();
-        let mut am = AnalysisManager::new();
-        let live = am.get::<ConstantCount>(&ctx, module);
-        am.get::<ConstantCount>(&ctx, func);
-
-        let snapshot = am.snapshot(&ctx);
-        assert_sync(&snapshot);
-        assert_eq!(snapshot.len(), 2);
-        // The snapshot shares the live cache's value instead of copying it.
-        assert!(std::ptr::eq(
-            snapshot.get::<ConstantCount>(module).unwrap(),
-            &*live
-        ));
-        assert_eq!(snapshot.generation(), ctx.generation());
-        assert_eq!(snapshot.context_id(), ctx.id());
-        assert_eq!(
-            snapshot.get::<ConstantCount>(module),
-            Some(&ConstantCount(3))
-        );
-
-        // Mutate: a freshly taken snapshot drops the stale entries, while the
-        // old snapshot still serves its frozen (pre-mutation) values.
-        let consts = ctx.collect_ops(module, "arith.constant");
-        ctx.erase_op(consts[0]);
-        let stale = am.snapshot(&ctx);
-        assert!(stale.is_empty());
-        assert_eq!(
-            snapshot.get::<ConstantCount>(module),
-            Some(&ConstantCount(3))
-        );
-    }
-
-    #[test]
-    fn snapshots_respect_the_active_preservation_scope() {
-        let mut ctx = Context::new();
-        let module = module_with_constants(&mut ctx, 2);
-        let mut am = AnalysisManager::new();
-        am.get::<ConstantCount>(&ctx, module);
-        am.begin_pass(
-            &ctx,
-            "annotate",
-            PreservedAnalyses::none().preserve::<ConstantCount>(),
-        );
-        // The pass mutates (attribute-only), bumping the generation; the
-        // preserved entry must still be frozen into the snapshot.
-        let func = ctx.find_in_body(module, "func.func").unwrap();
-        ctx.op_mut(func).set_attr("annotated", 1_i64);
-        let snapshot = am.snapshot(&ctx);
-        assert_eq!(
-            snapshot.get::<ConstantCount>(module),
-            Some(&ConstantCount(2))
-        );
-        am.end_pass(&ctx);
-    }
-
-    #[test]
-    fn install_adds_entries_and_keeps_valid_ones() {
-        let mut ctx = Context::new();
-        let module = module_with_constants(&mut ctx, 2);
-        let mut am = AnalysisManager::new();
-        // Installing where nothing is cached counts as a computed result.
-        am.install(&ctx, module, ConstantCount(2));
-        assert_eq!(am.stats().misses, 1);
-        assert_eq!(
-            am.cached::<ConstantCount>(&ctx, module),
-            Some(&ConstantCount(2))
-        );
-        // Installing over a valid entry keeps it and counts a hit.
-        am.install(&ctx, module, ConstantCount(99));
-        assert_eq!(am.stats().hits, 1);
-        assert_eq!(
-            am.cached::<ConstantCount>(&ctx, module),
-            Some(&ConstantCount(2))
-        );
-        // cached_any sees the same entry without the Analysis bound.
-        assert_eq!(
-            am.cached_any::<ConstantCount>(&ctx, module),
-            Some(&ConstantCount(2))
-        );
     }
 
     #[test]

@@ -431,12 +431,6 @@ impl Context {
         self.insert_op(block, pos + 1, op);
     }
 
-    /// Moves `op` to the end of `block`.
-    pub fn move_op_to_end(&mut self, op: OpId, block: BlockId) {
-        self.detach_op(op);
-        self.append_op(block, op);
-    }
-
     // ------------------------------------------------------------------
     // Operands and uses
     // ------------------------------------------------------------------
@@ -791,21 +785,6 @@ impl Context {
         (id, results)
     }
 
-    /// Applies a batch of recorded attribute edits (the merge step of parallel
-    /// per-node pass execution, see [`crate::par`]) with a **single** generation
-    /// bump: the whole merge is one logical mutation, so analyses preserved
-    /// across it stay one integer comparison away from validity.
-    pub fn apply_attr_edits(&mut self, edits: impl IntoIterator<Item = crate::par::AttrEdit>) {
-        let mut bumped = false;
-        for edit in edits {
-            if !bumped {
-                self.bump_generation();
-                bumped = true;
-            }
-            self.ops[edit.op.index()].set_attr(edit.key, edit.value);
-        }
-    }
-
     /// Validates that the entity ids stored in the context are internally consistent;
     /// used by tests and the verifier.
     pub fn check_parent_links(&self) -> IrResult<()> {
@@ -898,8 +877,6 @@ mod tests {
         ctx.detach_op(c0_op);
         assert_eq!(ctx.block(body).ops, vec![c1_op]);
         assert!(ctx.op(c0_op).parent_block.is_none());
-        ctx.move_op_to_end(c0_op, body);
-        assert_eq!(ctx.block(body).ops, vec![c1_op, c0_op]);
     }
 
     #[test]

@@ -470,10 +470,10 @@ thread_local! {
 /// Installs `token` (and optionally armed `faults`) as this thread's active
 /// point context until the returned guard drops. Guards nest: dropping
 /// restores the previous context. The compilation layers (pass manager,
-/// estimator, compiler) consult the context at their checkpoint sites; pool
-/// worker threads do not inherit it, so checkpoints and injections fire on
-/// the point's coordinating thread — which is exactly what keeps outcomes
-/// independent of the job count.
+/// estimator, compiler) consult the context at their checkpoint sites. A
+/// point compiles start to finish on the thread that installed its guard, so
+/// which checkpoints and injections it meets does not depend on the job
+/// count.
 pub fn install_point(token: CancelToken, faults: Option<PointFaults>) -> PointGuard {
     let faults = faults.unwrap_or_default();
     let ctx = PointCtx {

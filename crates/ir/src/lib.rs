@@ -15,10 +15,8 @@
 //! * a [pattern rewriting](rewrite) driver and a [pass manager](pass),
 //! * a cached [analysis manager](analysis) with generation-based invalidation
 //!   and per-pass preservation declarations,
-//! * a [parallel execution layer](par): a std-only work-stealing pool, scoped
-//!   per-node mutation recording, and `Sync` [analysis
-//!   snapshots](analysis::AnalysisSnapshot) that let passes run independent
-//!   per-node work on worker threads with deterministic merges.
+//! * a std-only work-stealing [pool](par) on which a sweep compiles its design
+//!   points concurrently (a single compilation starts no thread).
 //!
 //! # Example
 //!
@@ -56,9 +54,7 @@ pub mod types;
 pub mod verifier;
 pub mod walk;
 
-pub use analysis::{
-    Analysis, AnalysisCacheStats, AnalysisManager, AnalysisSnapshot, PreservedAnalyses,
-};
+pub use analysis::{Analysis, AnalysisCacheStats, AnalysisManager, PreservedAnalyses};
 pub use attributes::{AttrMap, Attribute};
 pub use builder::OpBuilder;
 pub use context::Context;
@@ -74,7 +70,7 @@ pub use fingerprint::{
 pub use ids::{BlockId, OpId, RegionId, ValueId};
 pub use intern::{InternTable, Symbol};
 pub use operation::{OpName, Operation};
-pub use par::{default_jobs, AttrEdit, NodeScope, ParallelStats};
+pub use par::{default_jobs, ParallelStats};
 pub use parse::{
     parse_module, parse_module_into, parse_pipeline, print_pipeline, IrParseError, PassInvocation,
     PipelineParseError,

@@ -205,25 +205,9 @@ impl Operation {
         self.attributes.insert(key, value.into());
     }
 
-    /// Removes the attribute stored under `key`, returning it if present.
-    pub fn remove_attr(&mut self, key: &str) -> Option<Attribute> {
-        self.attributes.remove(key)
-    }
-
     /// Returns true if this operation's name equals `name`.
     pub fn is(&self, name: &str) -> bool {
         self.name.as_str() == name
-    }
-
-    /// Returns true if this operation's name equals the interned `name` — a
-    /// single integer compare, the hot-loop variant of [`Operation::is`].
-    pub fn is_sym(&self, name: Symbol) -> bool {
-        self.name.symbol() == name
-    }
-
-    /// Returns true if this operation belongs to the given dialect namespace.
-    pub fn in_dialect(&self, dialect: &str) -> bool {
-        self.name.dialect() == dialect
     }
 }
 
@@ -269,13 +253,6 @@ mod tests {
         assert!(op.has_flag("pipeline"));
         assert!(!op.has_flag("unroll"));
         assert!(op.is("affine.for"));
-        assert!(op.is_sym(Symbol::intern("affine.for")));
-        assert!(!op.is_sym(Symbol::intern("affine.if")));
-        assert!(op.in_dialect("affine"));
-        assert!(!op.in_dialect("hida"));
-
-        assert!(op.remove_attr("pipeline").is_some());
-        assert!(!op.has_flag("pipeline"));
     }
 
     #[test]

@@ -1,43 +1,30 @@
-//! Work-stealing parallel execution of per-node pass work.
+//! The work-stealing pool behind a sweep or an exploration.
 //!
-//! HIDA's dataflow nodes are hierarchical and independent enough to be
-//! optimized intensively per node, so the hottest passes (tiling,
-//! parallelization, per-node profiling and estimation) decompose into one work
-//! item per `hida.node`. This module provides the std-only machinery the
-//! [`PassManager`](crate::pass::PassManager) uses to run those items on worker
-//! threads:
+//! Threads exist at exactly one level of the compiler: the design points of a
+//! batch (`hida::sweep`, `hida::explore`) are compiled concurrently, one work
+//! item per point. A single compilation — every pass, every estimate — runs
+//! on the thread that asked for it. This module is the std-only machinery of
+//! that one level:
 //!
-//! * [`run_batch`] — a scoped work-stealing executor: items are partitioned
-//!   into contiguous per-worker queues, idle workers steal from the back of
-//!   their neighbours' queues, and results come back *in item order* so the
-//!   merge is deterministic regardless of thread scheduling.
-//! * [`NodeScope`] — the facade a worker mutates the IR through. Workers share
-//!   the [`Context`] read-only; every write is recorded as an [`AttrEdit`]
-//!   against an op inside the worker's declared node subtree and applied later
-//!   on the main thread by [`Context::apply_attr_edits`] with a single
-//!   generation bump.
-//! * [`ParallelStats`] — worker-count / steal / imbalance counters recorded
-//!   into [`PassStatistics`](crate::pass::PassStatistics).
+//! * [`run_batch_isolated`] — a scoped work-stealing executor: items are
+//!   partitioned into contiguous per-worker queues, idle workers steal from
+//!   the back of their neighbours' queues, and results come back *in item
+//!   order* so what a batch returns is independent of thread scheduling.
+//! * [`ParallelStats`] — the worker-count / steal / imbalance counters of a
+//!   batch, reported as a sweep's `pool`.
+//! * [`default_jobs`] — the pool width used when the caller names none.
 //!
 //! The executor never touches the pass registry or any global state; the only
 //! shared mutable state is the per-worker queues and the result slots, both
 //! behind `std::sync` primitives.
 //!
-//! **Fault isolation.** Worker items run under `catch_unwind`: an unwinding
-//! item becomes a per-item [`WorkerFault`] (carrying the panic payload
-//! message) instead of aborting the scope, and the internal locks are
-//! poison-tolerant, so one panicked item can neither take down the batch nor
-//! wedge the queues for its siblings. [`run_batch_isolated`] surfaces the
-//! per-item `Result`s; [`run_batch`] keeps the infallible signature for
-//! callers whose work cannot unwind (re-raising the first fault on the
-//! calling thread otherwise).
+//! **Fault isolation.** Items run under `catch_unwind`: an unwinding item
+//! becomes a per-item [`WorkerFault`] (carrying the panic payload message)
+//! instead of aborting the scope, and the internal locks are poison-tolerant,
+//! so one panicked item can neither take down the batch nor wedge the queues
+//! for its siblings.
 
-use crate::analysis::{Analysis, AnalysisManager};
-use crate::attributes::Attribute;
-use crate::context::Context;
-use crate::error::{IrError, IrResult};
-use crate::fault::{fault_from_panic, lock_recover, CancelUnwind, WorkerFault};
-use crate::ids::OpId;
+use crate::fault::{fault_from_panic, lock_recover, WorkerFault};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,9 +39,9 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Counters describing one parallel batch (or, accumulated, all batches a pass
-/// executed). `max_worker_items` / `min_worker_items` expose the load imbalance
-/// the work-stealing had to correct.
+/// Counters describing one parallel batch (or, accumulated, all batches of a
+/// run). `max_worker_items` / `min_worker_items` expose the load imbalance the
+/// work-stealing had to correct.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Number of worker threads used (1 = inline execution).
@@ -111,9 +98,9 @@ impl std::fmt::Display for ParallelStats {
 ///
 /// Every item runs under `catch_unwind`: an unwinding item yields
 /// `Err(WorkerFault)` in its slot (panic payload message preserved,
-/// cooperative [`CancelUnwind`]s flagged as `cancelled`) and its worker moves
-/// on to the next item. The queue and slot locks recover from poison, so a
-/// panicked sibling never wedges the batch.
+/// cooperative [cancellation unwinds](crate::fault::CancelUnwind) flagged as
+/// `cancelled`) and its worker moves on to the next item. The queue and slot
+/// locks recover from poison, so a panicked sibling never wedges the batch.
 pub fn run_batch_isolated<T, R, F>(
     jobs: usize,
     items: &[T],
@@ -214,12 +201,10 @@ where
     (results, stats)
 }
 
-/// Infallible wrapper over [`run_batch_isolated`] for work that cannot
-/// unwind: returns the plain results in item order. If an item *did* fault,
-/// the first fault is re-raised on the calling thread (cooperative
-/// cancellations as a [`CancelUnwind`], genuine panics as a panic with the
-/// original message), so the failure propagates to the caller's own
-/// isolation layer instead of silently dropping items.
+/// [`run_batch_isolated`] with the first fault re-raised as a panic on the
+/// calling thread. Nothing in the workspace calls it; it stays because
+/// `benchmark/src/run.rs:855` (frozen) times an empty batch through it.
+#[doc(hidden)]
 pub fn run_batch<T, R, F>(jobs: usize, items: &[T], work: F) -> (Vec<R>, ParallelStats)
 where
     T: Sync,
@@ -227,165 +212,31 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let (results, stats) = run_batch_isolated(jobs, items, work);
-    let results = results
-        .into_iter()
-        .map(|result| match result {
-            Ok(value) => value,
-            Err(fault) if fault.cancelled => std::panic::panic_any(CancelUnwind {
-                site: "run_batch".to_string(),
-                detail: fault.message,
-            }),
-            Err(fault) => panic!("{}", fault.message),
-        })
-        .collect();
-    (results, stats)
-}
-
-/// One recorded attribute write: the only mutation workers may produce.
-/// Applied in batch by [`Context::apply_attr_edits`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttrEdit {
-    /// The op to annotate.
-    pub op: OpId,
-    /// Attribute key.
-    pub key: String,
-    /// Attribute value.
-    pub value: Attribute,
-}
-
-/// A deferred analysis installation produced by a worker thread: applied to
-/// the live [`AnalysisManager`] on the main thread during the merge, so
-/// results computed over a snapshot (e.g. per-node profiles) are not thrown
-/// away.
-pub type PublishFn = Box<dyn FnOnce(&mut AnalysisManager, &Context) + Send>;
-
-/// The scoped [`Context`] facade a worker thread sees while processing one
-/// declared root: reads go straight to the shared context, writes are recorded
-/// as [`AttrEdit`]s and rejected unless they target an op inside the worker's
-/// node subtree. This is what makes concurrent per-node pass work safe — two
-/// workers can never race on the same op because their subtrees are disjoint
-/// by construction (each declared root is processed by exactly one worker).
-pub struct NodeScope<'c> {
-    ctx: &'c Context,
-    root: OpId,
-    edits: Vec<AttrEdit>,
-    published: Vec<PublishFn>,
-}
-
-impl<'c> NodeScope<'c> {
-    /// Creates a scope rooted at `root` (typically one `hida.node`).
-    pub fn new(ctx: &'c Context, root: OpId) -> Self {
-        NodeScope {
-            ctx,
-            root,
-            edits: Vec::new(),
-            published: Vec::new(),
-        }
-    }
-
-    /// The shared, read-only context.
-    pub fn ctx(&self) -> &'c Context {
-        self.ctx
-    }
-
-    /// The root op this scope is allowed to mutate (including everything
-    /// nested below it).
-    pub fn root(&self) -> OpId {
-        self.root
-    }
-
-    /// Records an attribute write on `op`.
-    ///
-    /// # Errors
-    /// Fails when `op` is not the scope's root or nested below it — the edit
-    /// would escape the worker's disjoint region.
-    pub fn set_attr(
-        &mut self,
-        op: OpId,
-        key: impl Into<String>,
-        value: impl Into<Attribute>,
-    ) -> IrResult<()> {
-        if !self.ctx.is_ancestor(self.root, op) {
-            return Err(IrError::verification(format!(
-                "scoped edit on op {op} escapes the worker's node region rooted at {}",
-                self.root
-            )));
-        }
-        self.edits.push(AttrEdit {
-            op,
-            key: key.into(),
-            value: value.into(),
-        });
-        Ok(())
-    }
-
-    /// Records an analysis result computed by this worker for installation
-    /// into the live [`AnalysisManager`] at merge time (e.g. a per-node
-    /// [`Analysis`] the snapshot did not hold yet).
-    ///
-    /// Published values install *before* the wave's attribute edits apply, so
-    /// they must be computed from the frozen pre-merge state only. A value
-    /// outlives the merge's generation bump only when the pass's
-    /// [`preserved_analyses`](crate::pass::Pass::preserved_analyses)
-    /// declaration covers it — publishing something the wave's own edits
-    /// change is a preservation lie (caught by the debug-mode check), not a
-    /// cache update.
-    ///
-    /// # Errors
-    /// Fails when `root` lies outside the scope's node region.
-    pub fn publish<A: Analysis>(&mut self, root: OpId, value: A) -> IrResult<()> {
-        if !self.ctx.is_ancestor(self.root, root) {
-            return Err(IrError::verification(format!(
-                "published analysis for op {root} escapes the worker's node region rooted at {}",
-                self.root
-            )));
-        }
-        self.published.push(Box::new(move |analyses, ctx| {
-            analyses.install(ctx, root, value)
-        }));
-        Ok(())
-    }
-
-    /// Number of recorded edits.
-    pub fn num_edits(&self) -> usize {
-        self.edits.len()
-    }
-
-    /// Consumes the scope, returning the recorded attribute edits and deferred
-    /// analysis installations for the main-thread merge.
-    pub fn into_parts(self) -> (Vec<AttrEdit>, Vec<PublishFn>) {
-        (self.edits, self.published)
-    }
-
-    /// Consumes the scope, returning only the recorded edits (test/diagnostic
-    /// helper; [`NodeScope::into_parts`] is the merge entry point).
-    pub fn into_edits(self) -> Vec<AttrEdit> {
-        self.edits
-    }
+    let reraise = |fault: WorkerFault| -> R { panic!("{}", fault.message) };
+    let results = results.into_iter().map(|r| r.unwrap_or_else(reraise));
+    (results.collect(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::OpBuilder;
+    use crate::context::Context;
+    use crate::fault::CancelUnwind;
 
-    /// The whole point of the snapshot/scope design: the shared context must
-    /// be readable from worker threads, and per-worker scopes must be movable
-    /// into them.
+    /// Checkpoints hold a `Context` that every worker forking them reads.
     #[test]
     fn context_and_stats_are_sync() {
         fn assert_sync<T: Sync>() {}
-        fn assert_send<T: Send>() {}
         assert_sync::<Context>();
         assert_sync::<ParallelStats>();
-        assert_send::<NodeScope<'_>>();
     }
 
     #[test]
     fn run_batch_returns_results_in_item_order() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 2, 4, 7] {
-            let (results, stats) = run_batch(jobs, &items, |&x| x * x);
+            let (results, stats) = run_batch_isolated(jobs, &items, |&x| x * x);
+            let results: Vec<u64> = results.into_iter().map(Result::unwrap).collect();
             assert_eq!(results, items.iter().map(|x| x * x).collect::<Vec<_>>());
             assert_eq!(stats.items, 100);
             assert!(stats.workers <= jobs.max(1));
@@ -397,8 +248,8 @@ mod tests {
     #[test]
     fn run_batch_inline_mode_reports_one_worker_and_no_steals() {
         let items = vec![1, 2, 3];
-        let (results, stats) = run_batch(1, &items, |&x| x + 1);
-        assert_eq!(results, vec![2, 3, 4]);
+        let (results, stats) = run_batch_isolated(1, &items, |&x| x + 1);
+        assert_eq!(results, vec![Ok(2), Ok(3), Ok(4)]);
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.imbalance(), 0);
@@ -407,8 +258,8 @@ mod tests {
     #[test]
     fn run_batch_with_more_jobs_than_items_caps_workers() {
         let items = vec![10, 20];
-        let (results, stats) = run_batch(16, &items, |&x| x / 10);
-        assert_eq!(results, vec![1, 2]);
+        let (results, stats) = run_batch_isolated(16, &items, |&x| x / 10);
+        assert_eq!(results, vec![Ok(1), Ok(2)]);
         assert!(stats.workers <= 2);
     }
 
@@ -418,7 +269,7 @@ mod tests {
         // other workers must steal. (Spinning on an atomic keeps the heavy items
         // genuinely slow without sleeping.)
         let items: Vec<u64> = (0..64).map(|i| if i < 32 { 200_000 } else { 1 }).collect();
-        let (results, stats) = run_batch(4, &items, |&spin| {
+        let (results, stats) = run_batch_isolated(4, &items, |&spin| {
             let mut acc = 0_u64;
             for i in 0..spin {
                 acc = acc.wrapping_add(std::hint::black_box(i));
@@ -522,55 +373,5 @@ mod tests {
         let rendered = total.to_string();
         assert!(rendered.contains("4 workers"));
         assert!(rendered.contains("2 steals"));
-    }
-
-    #[test]
-    fn node_scope_records_edits_inside_the_region_and_rejects_escapes() {
-        let mut ctx = Context::new();
-        let module = ctx.create_module("m");
-        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
-        let other = OpBuilder::at_end_of(&mut ctx, module).create_func("g", vec![], vec![]);
-        let body = ctx.body_block(func);
-        let (inner, _) = ctx.build_op(body, "test.inner", vec![], vec![], vec![]);
-
-        let mut scope = NodeScope::new(&ctx, func);
-        assert_eq!(scope.root(), func);
-        scope.set_attr(func, "a", 1_i64).unwrap();
-        scope.set_attr(inner, "b", "deep").unwrap();
-        // A sibling function is outside the scope's region.
-        let err = scope.set_attr(other, "c", 3_i64).unwrap_err();
-        assert!(err.to_string().contains("escapes"));
-        assert_eq!(scope.num_edits(), 2);
-
-        let edits = scope.into_edits();
-        ctx.apply_attr_edits(edits);
-        assert_eq!(ctx.op(func).attr_int("a"), Some(1));
-        assert_eq!(ctx.op(inner).attr_str("b"), Some("deep"));
-    }
-
-    #[test]
-    fn apply_attr_edits_bumps_the_generation_once() {
-        let mut ctx = Context::new();
-        let module = ctx.create_module("m");
-        let before = ctx.generation();
-        let edits = vec![
-            AttrEdit {
-                op: module,
-                key: "x".into(),
-                value: Attribute::Int(1),
-            },
-            AttrEdit {
-                op: module,
-                key: "y".into(),
-                value: Attribute::Int(2),
-            },
-        ];
-        ctx.apply_attr_edits(edits);
-        assert_eq!(ctx.generation(), before + 1);
-        assert_eq!(ctx.op(module).attr_int("x"), Some(1));
-        assert_eq!(ctx.op(module).attr_int("y"), Some(2));
-        // An empty merge is free.
-        ctx.apply_attr_edits(Vec::new());
-        assert_eq!(ctx.generation(), before + 1);
     }
 }

@@ -14,12 +14,12 @@
 // map is touched a handful of times per pass, never inside an IR walk.
 #![allow(clippy::disallowed_types)]
 
-use crate::analysis::{AnalysisCacheStats, AnalysisManager, AnalysisSnapshot, PreservedAnalyses};
+use crate::analysis::{AnalysisCacheStats, AnalysisManager, PreservedAnalyses};
 use crate::context::Context;
 use crate::error::{IrError, IrResult};
 use crate::fault;
 use crate::ids::OpId;
-use crate::par::{run_batch_isolated, NodeScope, ParallelStats};
+use crate::par::ParallelStats;
 use crate::verifier::verify;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -119,9 +119,9 @@ impl fmt::Display for PassOption {
 
 /// A transformation or analysis applied to the IR rooted at a module op.
 ///
-/// Passes are `Send + Sync` so the [`PassManager`] can share one instance with
-/// the worker threads that execute its declared per-node work items (see
-/// [`Pass::parallelizable_roots`]).
+/// Passes are `Send + Sync` so one configured pipeline can be shared by the
+/// design points a sweep compiles concurrently; a pass itself runs on the
+/// thread that called the [`PassManager`].
 pub trait Pass: Send + Sync {
     /// Unique, human-readable pass name (e.g. `"hida-task-fusion"`).
     fn name(&self) -> &str;
@@ -160,68 +160,6 @@ pub trait Pass: Send + Sync {
         state: &mut PipelineState,
         analyses: &mut AnalysisManager,
     ) -> IrResult<()>;
-
-    /// Declares the independent per-node work items of this pass, as *waves*
-    /// of mutually independent roots: every root of a wave is handed to
-    /// [`Pass::run_on_root`] on a worker thread, all of a wave's results merge
-    /// back before the next wave starts, and [`Pass::finish_parallel`] runs
-    /// once at the end. Most parallelizable passes return a single wave;
-    /// passes whose per-node decisions depend on earlier nodes' decisions
-    /// (e.g. connection-aware parallelization) return one wave per dependency
-    /// level.
-    ///
-    /// Returning `None` (the default) keeps the pass sequential —
-    /// [`Pass::run`] executes as usual. The pass manager only consults this
-    /// hook when its configured job count is greater than one, so
-    /// `--jobs 1` always takes the sequential path; a parallelizable pass must
-    /// therefore produce **identical IR** through both paths. This hook may
-    /// warm `analyses` so the snapshot handed to the workers is complete.
-    fn parallelizable_roots(
-        &self,
-        ctx: &Context,
-        root: OpId,
-        state: &PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> Option<Vec<Vec<OpId>>> {
-        let _ = (ctx, root, state, analyses);
-        None
-    }
-
-    /// Processes one declared root on a worker thread. The IR is shared
-    /// read-only through the scope; every mutation is recorded as a scoped
-    /// attribute edit (rejected when it escapes the root's subtree) and
-    /// applied on the main thread with a single generation bump per wave.
-    /// Structural facts come from the frozen `snapshot` instead of the live
-    /// analysis manager.
-    ///
-    /// # Errors
-    /// A failing root aborts the pass (and the pipeline), discarding the whole
-    /// wave's edits.
-    fn run_on_root(&self, scope: &mut NodeScope<'_>, snapshot: &AnalysisSnapshot) -> IrResult<()> {
-        let _ = (scope, snapshot);
-        Err(IrError::pass_failed(
-            self.name(),
-            "pass declared parallelizable roots but does not implement run_on_root",
-        ))
-    }
-
-    /// Sequential epilogue after all waves merged: work that genuinely needs
-    /// `&mut Context` across node boundaries (e.g. tiling's buffer spilling,
-    /// parallelization's array partitioning) lives here. Runs on the main
-    /// thread with the same signature as [`Pass::run`].
-    ///
-    /// # Errors
-    /// Propagated exactly like a [`Pass::run`] failure.
-    fn finish_parallel(
-        &self,
-        ctx: &mut Context,
-        root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let _ = (ctx, root, state, analyses);
-        Ok(())
-    }
 }
 
 /// Timing and size statistics recorded for each executed pass.
@@ -242,8 +180,9 @@ pub struct PassStatistics {
     pub failed: bool,
     /// Analysis cache traffic attributed to this pass.
     pub cache: AnalysisCacheStats,
-    /// Worker/steal/imbalance counters when the pass executed its declared
-    /// roots on the thread pool; `None` for sequential execution.
+    /// Always `None`: a pass runs on the calling thread. Kept only because
+    /// `benchmark/src/layers.rs:278` (frozen) reads it.
+    #[doc(hidden)]
     pub parallel: Option<ParallelStats>,
     /// The pass instance's configured options.
     pub options: Vec<PassOption>,
@@ -290,9 +229,6 @@ impl fmt::Display for PassStatistics {
         )?;
         if self.cache.total_queries() > 0 || self.cache.preserved > 0 {
             write!(f, ", analyses {}", self.cache)?;
-        }
-        if let Some(parallel) = &self.parallel {
-            write!(f, ", parallel {parallel}")?;
         }
         if !self.options.is_empty() {
             let rendered: Vec<String> = self.options.iter().map(|o| o.to_string()).collect();
@@ -345,7 +281,6 @@ impl RunState {
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
-    jobs: usize,
     /// Analyses and statistics of the most recent [`PassManager::run`].
     last: RunState,
 }
@@ -357,13 +292,11 @@ impl Default for PassManager {
 }
 
 impl PassManager {
-    /// Creates an empty pass manager with inter-pass verification enabled and
-    /// sequential execution (one job).
+    /// Creates an empty pass manager with inter-pass verification enabled.
     pub fn new() -> Self {
         PassManager {
             passes: Vec::new(),
             verify_each: true,
-            jobs: 1,
             last: RunState::default(),
         }
     }
@@ -372,20 +305,6 @@ impl PassManager {
     pub fn with_verification(mut self, verify_each: bool) -> Self {
         self.verify_each = verify_each;
         self
-    }
-
-    /// Sets the worker-thread count for passes that declare
-    /// [`Pass::parallelizable_roots`]. `1` (the default) is the
-    /// bitwise-reproducibility escape hatch: every pass runs its sequential
-    /// [`Pass::run`] path on the calling thread.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Appends a pass to the pipeline.
@@ -471,64 +390,22 @@ impl PassManager {
             let live_ops_before = ctx.num_live_ops();
             analyses.begin_pass(ctx, &name, pass.preserved_analyses());
             let start = Instant::now();
-            // With more than one job, a pass that declares independent
-            // per-node roots executes them on the work-stealing pool;
-            // everything else (and everything under --jobs 1) takes the
-            // sequential path.
             // Pass boundaries are cancellation checkpoints: a deadline or an
             // explicit cancel stops the pipeline here, before the next pass
             // starts, with a deterministic `Cancelled` error.
             let site = format!("pass '{name}'");
-            let (result, parallel) = match fault::checkpoint(&site) {
-                Err(e) => (Err(e), None),
-                Ok(()) => {
-                    let waves = if self.jobs > 1 {
-                        pass.parallelizable_roots(ctx, root, state, analyses)
-                    } else {
-                        None
-                    };
-                    // The pass body runs under `catch_unwind`, so a panicking
-                    // pass (injected or real) becomes a structured
-                    // `WorkerPanic` failure instead of aborting the process.
-                    // The injection hook fires *inside* the caught region to
-                    // exercise exactly this machinery.
-                    match waves {
-                        Some(waves) => {
-                            let caught = catch_unwind(AssertUnwindSafe(|| {
-                                fault::injected_pass_panic(&name);
-                                run_parallel_waves(
-                                    pass.as_ref(),
-                                    ctx,
-                                    root,
-                                    state,
-                                    analyses,
-                                    self.jobs,
-                                    waves,
-                                )
-                            }));
-                            match caught {
-                                Ok(Ok(stats)) => (Ok(()), Some(stats)),
-                                Ok(Err(e)) => (Err(e), None),
-                                Err(payload) => {
-                                    (Err(fault::error_from_panic(&site, payload)), None)
-                                }
-                            }
-                        }
-                        None => {
-                            let caught = catch_unwind(AssertUnwindSafe(|| {
-                                fault::injected_pass_panic(&name);
-                                pass.run(ctx, root, state, analyses)
-                            }));
-                            match caught {
-                                Ok(result) => (result, None),
-                                Err(payload) => {
-                                    (Err(fault::error_from_panic(&site, payload)), None)
-                                }
-                            }
-                        }
-                    }
-                }
-            };
+            let result = fault::checkpoint(&site).and_then(|()| {
+                // The pass body runs under `catch_unwind`, so a panicking
+                // pass (injected or real) becomes a structured `WorkerPanic`
+                // failure instead of aborting the process. The injection
+                // hook fires *inside* the caught region to exercise exactly
+                // this machinery.
+                catch_unwind(AssertUnwindSafe(|| {
+                    fault::injected_pass_panic(&name);
+                    pass.run(ctx, root, state, analyses)
+                }))
+                .unwrap_or_else(|payload| Err(fault::error_from_panic(&site, payload)))
+            });
             let result = result.map_err(|e| {
                 match e {
                     // Don't re-wrap errors the pass already attributed to itself.
@@ -553,7 +430,7 @@ impl PassManager {
                 verified,
                 failed,
                 cache,
-                parallel: parallel.clone(),
+                parallel: None,
                 options: options.clone(),
             };
             if let Err(error) = result {
@@ -580,86 +457,6 @@ impl PassManager {
         }
         Ok(())
     }
-}
-
-/// Executes a pass's declared root waves on the work-stealing pool.
-///
-/// Per wave: freeze the analysis cache into a snapshot, run every root through
-/// [`Pass::run_on_root`] on the workers, then merge deterministically on the
-/// main thread — scoped attribute edits are applied **in declared root order**
-/// with one generation bump, and published analyses are installed afterwards.
-/// Because the merge order is the declaration order (never the completion
-/// order), the resulting IR is independent of thread scheduling, which is what
-/// makes `--jobs 1` and `--jobs N` byte-identical.
-fn run_parallel_waves(
-    pass: &dyn Pass,
-    ctx: &mut Context,
-    root: OpId,
-    state: &mut PipelineState,
-    analyses: &mut AnalysisManager,
-    jobs: usize,
-    waves: Vec<Vec<OpId>>,
-) -> IrResult<ParallelStats> {
-    let mut totals = ParallelStats::default();
-    for wave in waves {
-        if wave.is_empty() {
-            continue;
-        }
-        debug_assert!(
-            {
-                let mut sorted = wave.clone();
-                sorted.sort();
-                sorted.dedup();
-                sorted.len() == wave.len()
-            },
-            "declared roots within a wave must be distinct"
-        );
-        // Wave boundaries are cancellation checkpoints too: a deadline hit
-        // mid-pass stops before the next wave is dispatched.
-        fault::checkpoint(&format!("pass '{}' wave", pass.name()))?;
-        let snapshot = analyses.snapshot(ctx);
-        let shared: &Context = ctx;
-        let (results, stats) = run_batch_isolated(jobs, &wave, |&node| {
-            let mut scope = NodeScope::new(shared, node);
-            pass.run_on_root(&mut scope, &snapshot)
-                .map(|()| scope.into_parts())
-        });
-        totals.accumulate(&stats);
-        let mut edits = Vec::new();
-        let mut published = Vec::new();
-        for result in results {
-            // A panicked root aborts the pass (discarding the wave) with a
-            // structured error, same as a root returning `Err`.
-            let (node_edits, node_published) = result.map_err(|worker_fault| {
-                let site = format!("pass '{}' worker", pass.name());
-                if worker_fault.cancelled {
-                    IrError::Cancelled {
-                        site,
-                        detail: worker_fault.message,
-                    }
-                } else {
-                    IrError::WorkerPanic {
-                        site,
-                        message: worker_fault.message,
-                    }
-                }
-            })??;
-            edits.extend(node_edits);
-            published.extend(node_published);
-        }
-        // Published analyses were computed against the *pre-merge* IR, so they
-        // install before the edits apply — their generation stamp then matches
-        // their computation basis. They survive the subsequent bump only when
-        // the pass's preservation declaration covers them (and the debug-mode
-        // lie detector re-verifies that at pass exit); publishing a value the
-        // wave's own edits change is a preservation lie, not a cache update.
-        for publish in published {
-            publish(analyses, ctx);
-        }
-        ctx.apply_attr_edits(edits);
-    }
-    pass.finish_parallel(ctx, root, state, analyses)?;
-    Ok(totals)
 }
 
 #[cfg(test)]
@@ -859,13 +656,7 @@ mod tests {
                 invalidations: 0,
                 preserved: 2,
             },
-            parallel: Some(ParallelStats {
-                workers: 4,
-                items: 6,
-                steals: 1,
-                max_worker_items: 2,
-                min_worker_items: 1,
-            }),
+            parallel: None,
             options: vec![PassOption::new("tile-size", 8)],
         };
         let rendered = stats.to_string();
@@ -873,7 +664,6 @@ mod tests {
         assert!(rendered.contains("10 -> 14 (+4)"));
         assert!(rendered.contains("tile-size=8"));
         assert!(rendered.contains("3 hit / 1 miss"));
-        assert!(rendered.contains("parallel 4 workers / 6 items / 1 steals"));
         assert!(!rendered.contains("FAILED"));
         assert_eq!(stats.op_delta(), 4);
     }
@@ -1070,210 +860,6 @@ mod tests {
         assert!(run.statistics[1].failed);
         // `run` keeps no record of ranges run over a caller's state.
         assert!(pm.statistics().is_empty());
-    }
-
-    /// A parallelizable test pass: annotates every `func.func` below the root
-    /// with its body-op count. The sequential and per-root paths are written
-    /// independently (as real passes do it) and must agree.
-    struct AnnotateFuncsPass;
-
-    impl AnnotateFuncsPass {
-        fn funcs(ctx: &Context, root: OpId) -> Vec<OpId> {
-            ctx.collect_ops(root, "func.func")
-        }
-    }
-
-    impl Pass for AnnotateFuncsPass {
-        fn name(&self) -> &str {
-            "annotate-funcs"
-        }
-        fn verify_after(&self) -> bool {
-            false
-        }
-        fn run(
-            &self,
-            ctx: &mut Context,
-            root: OpId,
-            _state: &mut PipelineState,
-            _analyses: &mut AnalysisManager,
-        ) -> IrResult<()> {
-            for func in Self::funcs(ctx, root) {
-                let n = ctx.body_ops(func).len() as i64;
-                ctx.op_mut(func).set_attr("body_ops", n);
-            }
-            Ok(())
-        }
-        fn parallelizable_roots(
-            &self,
-            ctx: &Context,
-            root: OpId,
-            _state: &PipelineState,
-            _analyses: &mut AnalysisManager,
-        ) -> Option<Vec<Vec<OpId>>> {
-            Some(vec![Self::funcs(ctx, root)])
-        }
-        fn run_on_root(
-            &self,
-            scope: &mut NodeScope<'_>,
-            _snapshot: &AnalysisSnapshot,
-        ) -> IrResult<()> {
-            let func = scope.root();
-            let n = scope.ctx().body_ops(func).len() as i64;
-            scope.set_attr(func, "body_ops", n)
-        }
-    }
-
-    fn module_with_funcs(ctx: &mut Context, funcs: usize) -> OpId {
-        let module = ctx.create_module("m");
-        for i in 0..funcs {
-            let func =
-                OpBuilder::at_end_of(ctx, module).create_func(&format!("f{i}"), vec![], vec![]);
-            let mut b = OpBuilder::at_end_of(ctx, func);
-            for k in 0..=i {
-                b.create_constant_int(k as i64, Type::i32());
-            }
-        }
-        module
-    }
-
-    #[test]
-    fn parallel_roots_produce_identical_ir_to_sequential_run() {
-        let run_with_jobs = |jobs: usize| -> (String, Option<ParallelStats>) {
-            let mut ctx = Context::new();
-            let module = module_with_funcs(&mut ctx, 8);
-            let mut pm = PassManager::new().with_jobs(jobs);
-            assert_eq!(pm.jobs(), jobs);
-            pm.add_pass(Box::new(AnnotateFuncsPass));
-            pm.run(&mut ctx, module).unwrap();
-            let parallel = pm.statistics()[0].parallel.clone();
-            (crate::printer::print_op(&ctx, module), parallel)
-        };
-        let (sequential_ir, sequential_stats) = run_with_jobs(1);
-        let (parallel_ir, parallel_stats) = run_with_jobs(4);
-        assert_eq!(sequential_ir, parallel_ir);
-        // --jobs 1 takes the sequential path and records no parallel stats.
-        assert!(sequential_stats.is_none());
-        let stats = parallel_stats.expect("parallel execution records stats");
-        assert_eq!(stats.items, 8);
-        assert!(stats.workers > 1 && stats.workers <= 4);
-        assert!(stats.max_worker_items >= stats.min_worker_items);
-    }
-
-    #[test]
-    fn failing_worker_aborts_the_pass_and_discards_the_wave() {
-        /// Fails on every func with an odd body size; even funcs record edits
-        /// that must be discarded because the wave aborts.
-        struct FailOddPass;
-        impl Pass for FailOddPass {
-            fn name(&self) -> &str {
-                "fail-odd"
-            }
-            fn run(
-                &self,
-                _ctx: &mut Context,
-                _root: OpId,
-                _state: &mut PipelineState,
-                _analyses: &mut AnalysisManager,
-            ) -> IrResult<()> {
-                unreachable!("parallel path is taken under jobs > 1")
-            }
-            fn parallelizable_roots(
-                &self,
-                ctx: &Context,
-                root: OpId,
-                _state: &PipelineState,
-                _analyses: &mut AnalysisManager,
-            ) -> Option<Vec<Vec<OpId>>> {
-                Some(vec![ctx.collect_ops(root, "func.func")])
-            }
-            fn run_on_root(
-                &self,
-                scope: &mut NodeScope<'_>,
-                _snapshot: &AnalysisSnapshot,
-            ) -> IrResult<()> {
-                let func = scope.root();
-                if scope.ctx().body_ops(func).len() % 2 == 1 {
-                    return Err(IrError::verification("odd func"));
-                }
-                scope.set_attr(func, "even", 1_i64)
-            }
-        }
-        let mut ctx = Context::new();
-        let module = module_with_funcs(&mut ctx, 4);
-        let mut pm = PassManager::new().with_jobs(4);
-        pm.add_pass(Box::new(FailOddPass));
-        let err = pm.run(&mut ctx, module).unwrap_err();
-        assert!(err.to_string().contains("fail-odd"));
-        assert!(pm.statistics().last().unwrap().failed);
-        // No edit of the aborted wave reached the IR.
-        for func in ctx.collect_ops(module, "func.func") {
-            assert_eq!(ctx.op(func).attr_int("even"), None);
-        }
-    }
-
-    #[test]
-    fn workers_read_the_snapshot_and_publish_computed_analyses() {
-        /// Reads `ConstantCount` from the snapshot when present, computes and
-        /// publishes it otherwise.
-        struct SnapshotCountPass;
-        impl Pass for SnapshotCountPass {
-            fn name(&self) -> &str {
-                "snapshot-count"
-            }
-            fn verify_after(&self) -> bool {
-                false
-            }
-            fn preserved_analyses(&self) -> PreservedAnalyses {
-                PreservedAnalyses::all()
-            }
-            fn run(
-                &self,
-                _ctx: &mut Context,
-                _root: OpId,
-                _state: &mut PipelineState,
-                _analyses: &mut AnalysisManager,
-            ) -> IrResult<()> {
-                Ok(())
-            }
-            fn parallelizable_roots(
-                &self,
-                ctx: &Context,
-                root: OpId,
-                _state: &PipelineState,
-                _analyses: &mut AnalysisManager,
-            ) -> Option<Vec<Vec<OpId>>> {
-                Some(vec![ctx.collect_ops(root, "func.func")])
-            }
-            fn run_on_root(
-                &self,
-                scope: &mut NodeScope<'_>,
-                snapshot: &AnalysisSnapshot,
-            ) -> IrResult<()> {
-                let func = scope.root();
-                if snapshot.get::<ConstantCount>(func).is_none() {
-                    let computed = ConstantCount::compute(scope.ctx(), func);
-                    scope.publish(func, computed)?;
-                }
-                Ok(())
-            }
-        }
-        use crate::analysis::Analysis;
-        let mut ctx = Context::new();
-        let module = module_with_funcs(&mut ctx, 3);
-        let funcs = ctx.collect_ops(module, "func.func");
-        let mut pm = PassManager::new().with_jobs(4);
-        // Pre-warm one func so the snapshot holds it; the workers must publish
-        // the other two.
-        pm.analyses_mut().get::<ConstantCount>(&ctx, funcs[0]);
-        pm.add_pass(Box::new(SnapshotCountPass));
-        pm.run(&mut ctx, module).unwrap();
-        for (i, &func) in funcs.iter().enumerate() {
-            assert_eq!(
-                pm.analyses().cached::<ConstantCount>(&ctx, func),
-                Some(&ConstantCount(i + 1)),
-                "func {i} must be cached after the parallel pass"
-            );
-        }
     }
 
     #[test]

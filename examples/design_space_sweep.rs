@@ -54,11 +54,10 @@ fn main() {
     }
     if let Some(cache) = &outcome.shared_cache {
         println!(
-            "\n{} points in {:.3}s ({} concurrent x {} jobs), estimate cache {cache}",
+            "\n{} points in {:.3}s ({} concurrent), estimate cache {cache}",
             outcome.points.len(),
             outcome.wall_seconds,
-            outcome.budget.pool_jobs,
-            outcome.budget.point_jobs
+            outcome.budget.pool_jobs
         );
     }
     println!("\nIA+CA keeps resources proportional to the budget; Naive over-provisions");
