@@ -464,7 +464,8 @@ EOF
 # the compiler and pass its own output checks: one-second windows over all
 # six workloads, every one reporting `failed 0`. Times mean nothing at this
 # window length, but allocation counts repeat exactly: `allocs_per_op` of the
-# workloads listed in ci-alloc-ceilings.txt must stay under its ceilings.
+# workloads listed in ci-alloc-ceilings.txt must stay under its ceilings, and
+# `dnn-single` must read the same under two seeds.
 run_bench_smoke() {
   echo "==> [bench-smoke] benchmark/smoke.sh: every workload must report failed 0"
   bash benchmark/smoke.sh > /dev/null
@@ -489,6 +490,25 @@ run_bench_smoke() {
     fi
     echo "    ${workload}: ${allocs} <= ${ceiling}"
   done < <(grep -v '^#' ci-alloc-ceilings.txt)
+
+  # "Repeats exactly" is what makes the ceilings a gate rather than a guess:
+  # a lone compile must allocate the same whatever order the harness's seed
+  # puts its subjects in (a randomly keyed map on the compile path breaks it
+  # in the fourth decimal).
+  echo "==> [bench-smoke] dnn-single under two seeds: allocs_per_op equal to the last digit"
+  local seed previous=""
+  for seed in 1 2; do
+    bash benchmark/run.sh --workload dnn-single --seed "${seed}" --seconds 1 --trace 0 \
+      --out benchmark/out/smoke-seeds > /dev/null
+    allocs=$(grep -o '"allocs_per_op": {"value": [0-9.]*' \
+      benchmark/out/smoke-seeds/result-dnn-single.json | grep -o '[0-9.]*$')
+    echo "    seed ${seed}: ${allocs}"
+    if [[ -z "${allocs}" || ( -n "${previous}" && "${allocs}" != "${previous}" ) ]]; then
+      echo "dnn-single allocs_per_op differs between seeds: ${previous} vs ${allocs:-missing}"
+      exit 1
+    fi
+    previous="${allocs}"
+  done
 }
 
 stage="${1:-all}"

@@ -12,14 +12,17 @@
 //!   expansion — a breadth-first closure over lattice edges seeded at the
 //!   corners and centroid.
 //! * Surrogate pruning between the two halves of a compilation. A candidate
-//!   is lowered once (front end + pass pipeline) and its QoR bounded with
-//!   [`hida_estimator::surrogate::design_bound`] — exact per-node estimates
-//!   served from the [`SharedEstimateCache`] (including the persistent
-//!   store), optimistic bounds for unknown nodes. A candidate whose *bound*
-//!   is dominated by a compiled frontier point is dropped there; the bound is
-//!   componentwise `<=` the true estimate, so pruning never discards a
-//!   Pareto-optimal design. A survivor is finished (final verify, both
-//!   estimates, emission) from that same lowered design.
+//!   is lowered once (front end + pass pipeline) and its QoR bounded by the
+//!   design's own estimator
+//!   ([`hida_estimator::dataflow::DataflowEstimator::bound`]) — per-node
+//!   estimates served from the [`SharedEstimateCache`] (including the
+//!   persistent store) or computed, the design-level factors left out. A
+//!   candidate whose *bound* is dominated by a compiled frontier point is
+//!   dropped there; the bound is componentwise `<=` the true estimate, so
+//!   pruning never discards a Pareto-optimal design. A survivor is finished
+//!   (final verify, both estimates, emission) from that same lowered design
+//!   by that same estimator: what the bound keyed, profiled and estimated is
+//!   not done again.
 //! * Both halves run on the pool of the [`SweepEngine`] the explorer was
 //!   given ([`Explorer::with_engine`]), as that engine's own first attempt at
 //!   the point: its job budget, verification, retries, deadline, fault plan
@@ -47,7 +50,7 @@ use crate::sweep::{JobBudget, LoweredPoint, SweepEngine, SweepPoint, SweepPointO
 use hida_estimator::report::DesignEstimate;
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
-use hida_estimator::surrogate::{design_bound, DesignBound};
+use hida_estimator::surrogate::DesignBound;
 use hida_ir_core::par::run_batch_isolated;
 use hida_ir_core::parse_pipeline;
 use std::collections::BTreeSet;
@@ -722,19 +725,12 @@ impl Explorer {
             // alone and the worker can drop a pruned design on the spot.
             let budget = engine.budget_for(wave.len());
             let (lowered, _) = run_batch_isolated(budget.pool_jobs, &wave, |&idx| {
-                let point = &points[idx];
                 let lowered = engine.lower_point(&run, &armed, idx);
                 // A candidate that fails to lower goes on to stage B, where
                 // the failure is retried or recorded.
-                let Some(design) = lowered.design() else {
+                let Some(bound) = lowered.bound() else {
                     return (Some(lowered), 0, 0);
                 };
-                let bound = design_bound(
-                    &design.ctx,
-                    design.schedule,
-                    &point.options.device,
-                    Some(&cache),
-                );
                 let vector: Vec<i64> = self
                     .config
                     .objectives

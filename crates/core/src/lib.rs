@@ -139,8 +139,10 @@ pub struct CompilationResult {
     /// Aggregate analysis-cache counters over the whole pipeline: how often the
     /// optimizer reused a cached profile/graph instead of re-walking the IR.
     pub analysis_cache: AnalysisCacheStats,
-    /// Analysis-cache counters of the QoR estimator (the dataflow and
-    /// sequential estimates share per-node results).
+    /// What the QoR estimator added to the counters of the design's analysis
+    /// cache: hits on the profiles and the graph the pass pipeline left in it
+    /// and on the node results the dataflow and sequential estimates share,
+    /// one miss per node estimated.
     pub estimator_cache: AnalysisCacheStats,
     /// This compilation's traffic against the cross-compilation estimate
     /// cache, when one was attached with [`Compiler::with_shared_estimates`]
@@ -163,6 +165,11 @@ pub struct LoweredDesign {
     pub schedule: ScheduleOp,
     /// Per-pass statistics of the pipeline run, in execution order.
     pub pass_statistics: Vec<PassStatistics>,
+    /// The analysis cache the passes ran with. Every compute profile and
+    /// graph the last pass preserved is still valid in it:
+    /// [`Compiler::finish`] estimates and emits from here instead of
+    /// deriving the design a second and a third time.
+    pub analyses: AnalysisManager,
     /// Seconds the pass pipeline took — the first part of
     /// [`CompilationResult::compile_seconds`].
     pub lower_seconds: f64,
@@ -202,7 +209,7 @@ pub(crate) fn resume(
         .resume(&mut checkpoint, pipeline.len())
         .and_then(|()| checkpoint.schedule());
     let (module, func) = (checkpoint.module, checkpoint.func);
-    let (ctx, pass_statistics) = checkpoint.into_parts();
+    let (ctx, analyses, pass_statistics) = checkpoint.into_parts();
     match run {
         Ok(schedule) => Ok(LoweredDesign {
             ctx,
@@ -210,6 +217,7 @@ pub(crate) fn resume(
             func,
             schedule,
             pass_statistics,
+            analyses,
             lower_seconds: start.elapsed().as_secs_f64(),
         }),
         Err(error) => Err(LowerFailure {
@@ -389,8 +397,8 @@ impl Compiler {
     /// holds the optimized structural schedule; [`Compiler::finish`] takes it
     /// the rest of the way, and
     /// [`hida_estimator::surrogate::design_bound`] can bound its QoR first —
-    /// which is how the design-space explorer decides, between the two
-    /// halves, whether a candidate is worth finishing.
+    /// the question the design-space explorer asks between the two halves to
+    /// decide whether a candidate is worth finishing.
     ///
     /// # Errors
     /// Propagates front-end or optimization failures.
@@ -456,11 +464,38 @@ impl Compiler {
     }
 
     /// Finishes a lowered design: the final whole-module verification, both
-    /// QoR estimates (dataflow and sequential) and HLS C++ emission.
+    /// QoR estimates (dataflow and sequential) and HLS C++ emission, all three
+    /// reading the design's one analysis cache (see `docs/ARCHITECTURE.md`,
+    /// "The finish half").
     ///
     /// # Errors
     /// Propagates IR verification errors and estimate-store degradation.
-    pub fn finish(&self, lowered: LoweredDesign) -> IrResult<CompilationResult> {
+    pub fn finish(&self, mut lowered: LoweredDesign) -> IrResult<CompilationResult> {
+        let estimator = self.estimator(&mut lowered);
+        self.finish_with(lowered, &estimator)
+    }
+
+    /// The one estimator of `lowered`'s design: for this compiler's device,
+    /// attached to its estimate cache, over the design's analysis cache —
+    /// which it takes along, leaving the design an empty one.
+    pub(crate) fn estimator(&self, lowered: &mut LoweredDesign) -> DataflowEstimator {
+        let analyses = std::mem::take(&mut lowered.analyses);
+        let estimator = DataflowEstimator::over(self.options.device.clone(), analyses);
+        match &self.shared_estimates {
+            Some(cache) => estimator.with_shared_cache(cache.clone()),
+            None => estimator,
+        }
+    }
+
+    /// [`Compiler::finish`] with the design's estimator — the one
+    /// [`Compiler::estimator`] made of it, which may have
+    /// [bounded](DataflowEstimator::bound) the design since: what it keyed,
+    /// profiled and estimated then is not done again.
+    pub(crate) fn finish_with(
+        &self,
+        lowered: LoweredDesign,
+        estimator: &DataflowEstimator,
+    ) -> IrResult<CompilationResult> {
         let start = Instant::now();
         let LoweredDesign {
             ctx,
@@ -469,6 +504,7 @@ impl Compiler {
             schedule,
             pass_statistics,
             lower_seconds,
+            ..
         } = lowered;
         let analysis_cache = PassStatistics::aggregate_cache(&pass_statistics);
         if self.verification {
@@ -484,10 +520,6 @@ impl Compiler {
             }
             return Err(e);
         }
-        let mut estimator = DataflowEstimator::new(self.options.device.clone());
-        if let Some(cache) = &self.shared_estimates {
-            estimator = estimator.with_shared_cache(cache.clone());
-        }
         let estimate = estimator.estimate_schedule(&ctx, schedule, true);
         let estimate_sequential = estimator.estimate_schedule(&ctx, schedule, false);
         // Chaos-harness site: an armed short write drops one store publish —
@@ -502,7 +534,7 @@ impl Compiler {
             .shared_estimates
             .as_ref()
             .map(|_| estimator.shared_cache_stats());
-        let hls_cpp = hida_emitter::emit_schedule(&ctx, schedule);
+        let hls_cpp = hida_emitter::emit_schedule_with(&ctx, schedule, &mut estimator.analyses());
         Ok(CompilationResult {
             ctx,
             func,
@@ -631,11 +663,18 @@ mod tests {
             .find(|s| s.pass == "hida-parallelize")
             .unwrap();
         assert!(parallelize.cache.hits >= 1, "{:?}", parallelize.cache);
-        // The sequential estimate reused the dataflow estimate's node results.
-        assert!(
-            result.estimator_cache.hits >= 1,
-            "{:?}",
-            result.estimator_cache
+        // The finish half reads the same cache: of its two nodes the dataflow
+        // estimate finds the profiles and the schedule's graph (3 hits) and
+        // computes only the estimates and the buffer totals (3 misses), all
+        // of which the sequential estimate then finds (3 hits).
+        assert_eq!(
+            result.estimator_cache,
+            AnalysisCacheStats {
+                hits: 6,
+                misses: 3,
+                invalidations: 0,
+                preserved: 0,
+            }
         );
         assert!(result.pass_statistics.iter().all(|s| !s.failed));
     }

@@ -37,8 +37,10 @@
 
 use crate::prefix::{PrefixStats, PrefixTree};
 use crate::{CompilationResult, Compiler, HidaOptions, LoweredDesign, Workload};
+use hida_estimator::dataflow::DataflowEstimator;
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
+use hida_estimator::surrogate::DesignBound;
 use hida_ir_core::fault::{self, CancelToken, FaultPlan, PointFaults, WorkerFault};
 use hida_ir_core::par::{default_jobs, run_batch_isolated};
 use hida_ir_core::{IrError, IrResult, ParallelStats};
@@ -616,7 +618,10 @@ impl SweepEngine {
         LoweredPoint {
             point,
             faults,
-            lowered: lowered.map(|design| (compiler, design)),
+            lowered: lowered.map(|mut design| {
+                let estimator = compiler.estimator(&mut design);
+                (compiler, design, estimator)
+            }),
             lower_time: start.elapsed(),
         }
     }
@@ -664,12 +669,12 @@ impl SweepEngine {
             let attempt_faults = faults.clone().filter(|_| attempt == 0 || !transient);
             let result = match first_half.take() {
                 // The deadline clock resumes where the lower half stopped it.
-                Some(lowered) => lowered.and_then(|(compiler, design)| {
+                Some(lowered) => lowered.and_then(|(compiler, design, estimator)| {
                     isolated(
                         &site,
                         run.token.child_after(self.deadline_ms, lower_time),
                         attempt_faults,
-                        || compiler.finish(design),
+                        || compiler.finish_with(design, &estimator),
                     )
                 }),
                 None => {
@@ -731,18 +736,23 @@ impl Run<'_> {
 pub(crate) type Armed = BTreeMap<String, PointFaults>;
 
 /// A point between the two halves of its first attempt: through the pass
-/// pipeline (or failed in it), not yet estimated or emitted.
+/// pipeline (or failed in it), not yet estimated or emitted — the design's
+/// estimator ([`Compiler::estimator`]) parked beside it.
 pub(crate) struct LoweredPoint<'p> {
     point: &'p SweepPoint,
     faults: Option<PointFaults>,
-    lowered: IrResult<(Compiler, LoweredDesign)>,
+    lowered: IrResult<(Compiler, LoweredDesign, DataflowEstimator)>,
     lower_time: Duration,
 }
 
 impl<'p> LoweredPoint<'p> {
-    /// The lowered design, unless the lower half failed.
-    pub(crate) fn design(&self) -> Option<&LoweredDesign> {
-        self.lowered.as_ref().ok().map(|(_, design)| design)
+    /// The optimistic QoR bound of the lowered design (`None` when the lower
+    /// half failed), from the estimator the finish half goes on with:
+    /// whatever the bound keys, profiles and estimates stays with the point
+    /// and is not done again.
+    pub(crate) fn bound(&self) -> Option<DesignBound> {
+        let (_, design, estimator) = self.lowered.as_ref().ok()?;
+        Some(estimator.bound(&design.ctx, design.schedule))
     }
 
     /// A point whose pool worker unwound outside any attempt: the fault
@@ -994,6 +1004,41 @@ mod tests {
         // The cancelled checkpoint is never served: nobody reused a pass.
         assert_eq!(run.prefix().checkpoints, 0);
         assert_eq!(run.prefix().passes_reused, 0);
+    }
+
+    /// What the explorer does to a survivor: the bound keys, profiles and
+    /// estimates every node once, and the finish that follows adds no miss to
+    /// the design's cache — while the shared cache sees the traffic of a
+    /// plainly swept point.
+    #[test]
+    fn finishing_a_bounded_point_estimates_nothing_again() {
+        let points = small_points(2);
+        let engine = SweepEngine::new().with_total_jobs(1);
+        let swept = engine.run(&points);
+
+        let run = engine.start(&points);
+        for (index, swept) in swept.points.iter().enumerate() {
+            let lowered = engine.lower_point(&run, &Armed::new(), index);
+            let bound = lowered.bound().expect("the point lowers");
+            // Every node is estimated now, and nothing counted or published.
+            let (_, _, estimator) = lowered.lowered.as_ref().unwrap();
+            let bounded = estimator.cache_stats();
+            assert_eq!(bounded.misses, bound.nodes as u64 + 1);
+            assert_eq!(estimator.shared_cache_stats().misses, 0);
+
+            let swept = swept.result.as_ref().unwrap();
+            let finished = engine.finish_point(&run, lowered).result.unwrap();
+            assert_eq!(finished.estimator_cache.misses, bounded.misses);
+            assert_eq!(finished.estimate, swept.estimate);
+            assert_eq!(finished.estimate_sequential, swept.estimate_sequential);
+            assert_eq!(finished.hls_cpp, swept.hls_cpp);
+            assert_eq!(
+                finished.shared_estimator_cache,
+                swept.shared_estimator_cache
+            );
+            assert_eq!(bound.interval_lb, finished.estimate.interval_cycles);
+            assert_eq!(bound.resources, finished.estimate.resources);
+        }
     }
 
     #[test]

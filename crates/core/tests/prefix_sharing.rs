@@ -2,9 +2,11 @@
 //! over seeded random grids, every point of a pooled sweep — whatever it
 //! shares with the others — equals `SweepPoint::compiler().compile(..)` of
 //! that point alone in emitted C++, both estimates, per-pass statistics (all
-//! but `micros`) and analysis-cache counters, at any job count; and the
-//! passes the run executed are exactly the distinct `(workload, pass prefix)`
-//! pairs of its grid, counted here by brute force.
+//! but `micros`) and analysis-cache counters, at any job count; the finish
+//! half of a forked point, which estimates and emits out of the forked
+//! cache, hits and misses in it exactly as the point alone does in its own;
+//! and the passes the run executed are exactly the distinct `(workload, pass
+//! prefix)` pairs of its grid, counted here by brute force.
 
 use hida::{
     CompilationResult, ExploreConfig, Explorer, FpgaDevice, HidaOptions, Model, PassInvocation,
@@ -234,6 +236,16 @@ proptest! {
                 assert_same(&label, &point.result, alone);
             }
             prop_assert_eq!(outcome.prefix, expected, "seed {}, --jobs {}", seed, jobs);
+        }
+        // Without the estimate cache (whose hits, at jobs > 1, depend on who
+        // publishes first) the finish half's own counters are the point's too.
+        let unshared = SweepEngine::new().with_total_jobs(2).with_shared_estimates(false);
+        for (point, alone) in unshared.run(&points).points.iter().zip(&alone) {
+            let label = format!("seed {seed}, unshared, {}: {}", point.label, point.pipeline);
+            assert_same(&label, &point.result, alone);
+            if let (Ok(got), Ok(alone)) = (&point.result, alone) {
+                prop_assert_eq!(&got.estimator_cache, &alone.estimator_cache, "{}", label);
+            }
         }
     }
 }

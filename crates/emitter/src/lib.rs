@@ -12,224 +12,252 @@
 //! * a top function instantiating the nodes inside a `#pragma HLS dataflow` region.
 //!
 //! Downstream, AMD Vitis HLS would turn this C++ into RTL; this reproduction stops at
-//! the generated source (see DESIGN.md for the substitution rationale).
+//! the generated source.
+//!
+//! Every name, type, dimension and indent is written straight into the one
+//! output `String`; a node's loop nest comes from its [`ComputeProfile`], read
+//! from the [`AnalysisManager`] the caller lends ([`emit_schedule_with`]) —
+//! in a compilation, the one the pass pipeline filled.
 
 use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
-use hida_dialects::analysis::profile_body;
-use hida_dialects::hls::{MemoryKind, PartitionFashion};
+use hida_dialects::analysis::{profile_body, ComputeProfile};
+use hida_dialects::hls::{self, MemoryKind, PartitionFashion};
 use hida_dialects::transforms;
-use hida_ir_core::{Context, OpId};
+use hida_ir_core::analysis::AnalysisManager;
+use hida_ir_core::{Attribute, Context, OpId, Type, ValueId};
 use std::fmt::Write as _;
 
-/// Emits the complete HLS C++ source for a schedule.
-pub fn emit_schedule(ctx: &Context, schedule: ScheduleOp) -> String {
-    let mut out = String::new();
-    let name = ctx
-        .op(schedule.id())
-        .attr_str("schedule_name")
-        .unwrap_or("design")
-        .replace('-', "_");
-    writeln!(
-        out,
-        "// Generated by the HIDA reproduction HLS C++ emitter."
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "#include <ap_int.h>\n#include <hls_stream.h>\n#include <cstring>\n"
-    )
-    .unwrap();
+const BANNER: &str = "// Generated by the HIDA reproduction HLS C++ emitter.\n";
 
+/// Emits the complete HLS C++ source for a schedule, deriving every node's
+/// compute profile itself.
+pub fn emit_schedule(ctx: &Context, schedule: ScheduleOp) -> String {
+    emit_schedule_with(ctx, schedule, &mut AnalysisManager::new())
+}
+
+/// Emits the complete HLS C++ source for a schedule, reading the nodes'
+/// compute profiles from `analyses` (and leaving there what it had to
+/// compute).
+pub fn emit_schedule_with(
+    ctx: &Context,
+    schedule: ScheduleOp,
+    analyses: &mut AnalysisManager,
+) -> String {
+    let mut out = String::from(BANNER);
+    out.push_str("#include <ap_int.h>\n#include <hls_stream.h>\n#include <cstring>\n\n");
     let nodes = schedule.nodes(ctx);
-    for node in &nodes {
-        emit_node_function(ctx, *node, &mut out);
+    for &node in &nodes {
+        let profile = analyses.get::<ComputeProfile>(ctx, node.id());
+        emit_node_function(ctx, node, &profile, &mut out);
     }
-    emit_top_function(ctx, schedule, &name, &nodes, &mut out);
+    emit_top_function(ctx, schedule, &nodes, &mut out);
     out
 }
 
-fn cpp_type(bits: u32, is_float: bool) -> String {
-    if is_float {
-        if bits <= 32 {
-            "float".to_string()
-        } else {
-            "double".to_string()
+/// Writes `name` as a C++ identifier — the one place a name of the IR (a
+/// schedule's, a node's, a buffer's, a function's) becomes one.
+fn push_name(out: &mut String, name: &str) {
+    out.extend(name.chars().map(|c| match c {
+        '-' | '+' | '.' | ' ' => '_',
+        other => other,
+    }));
+}
+
+/// Writes the name `op` carries in `attr`, or what `fallback` makes up for an
+/// op without one.
+fn push_op_name(
+    out: &mut String,
+    ctx: &Context,
+    op: OpId,
+    attr: &str,
+    fallback: impl FnOnce() -> String,
+) {
+    match ctx.op(op).attr_str(attr) {
+        Some(name) => push_name(out, name),
+        None => push_name(out, &fallback()),
+    }
+}
+
+fn push_node_name(out: &mut String, ctx: &Context, node: NodeOp) {
+    push_op_name(out, ctx, node.id(), "node_name", || node.name(ctx));
+}
+
+/// Writes the C++ element type of `ty`: at least a byte wide.
+fn push_cpp_type(out: &mut String, ty: &Type) {
+    let bits = ty.elem_bit_width().max(8);
+    match ty.elem_type() {
+        Type::Float(_) if bits <= 32 => out.push_str("float"),
+        Type::Float(_) => out.push_str("double"),
+        _ => write!(out, "ap_int<{bits}>").unwrap(),
+    }
+}
+
+/// Writes `<element type> <name><dims>`, the shape as C array dimensions.
+fn push_declarator(out: &mut String, ty: &Type, name: impl FnOnce(&mut String)) {
+    push_cpp_type(out, ty);
+    out.push(' ');
+    name(out);
+    for dim in ty.shape().unwrap_or_default() {
+        write!(out, "[{dim}]").unwrap();
+    }
+}
+
+fn push_indent(out: &mut String, depth: usize) {
+    out.extend(std::iter::repeat_n("  ", depth));
+}
+
+fn emit_node_function(ctx: &Context, node: NodeOp, profile: &ComputeProfile, out: &mut String) {
+    out.push_str("void ");
+    push_node_name(out, ctx, node);
+    out.push('(');
+    for (i, &operand) in ctx.op(node.id()).operands.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
-    } else {
-        format!("ap_int<{}>", bits.max(1))
+        push_declarator(out, ctx.value_type(operand), |out| {
+            write!(out, "arg{i}").unwrap()
+        });
     }
-}
-
-fn sanitize(name: &str) -> String {
-    name.replace(['-', '+', '.', ' '], "_")
-}
-
-fn emit_node_function(ctx: &Context, node: NodeOp, out: &mut String) {
-    let name = sanitize(&node.name(ctx));
-    let operands = node.operands(ctx);
-    let effects = node.effects(ctx);
-    let mut params = Vec::new();
-    for (i, operand) in operands.iter().enumerate() {
-        let ty = ctx.value_type(*operand);
-        let bits = ty.elem_bit_width().max(8);
-        let is_float = matches!(ty.elem_type(), hida_ir_core::Type::Float(_));
-        let dims: String = ty
-            .shape()
-            .map(|s| s.iter().map(|d| format!("[{d}]")).collect())
-            .unwrap_or_default();
-        params.push(format!("{} arg{i}{dims}", cpp_type(bits, is_float)));
-        let _ = &effects;
-    }
-    writeln!(out, "void {name}({}) {{", params.join(", ")).unwrap();
-    writeln!(out, "#pragma HLS inline off").unwrap();
+    out.push_str(") {\n#pragma HLS inline off\n");
 
     // Loop nest skeleton from the node's profile and unroll factors.
-    let profile = profile_body(ctx, node.id());
-    let unroll = transforms::unroll_factors_of(ctx, node.id(), profile.loop_dims.len());
-    for (i, dim) in profile.loop_dims.iter().enumerate() {
-        let indent = "  ".repeat(i + 1);
-        writeln!(
-            out,
-            "{indent}for (int {n} = 0; {n} < {trip}; ++{n}) {{",
-            n = format!("i{i}"),
-            trip = dim.trip
-        )
-        .unwrap();
+    let depth = profile.loop_dims.len();
+    let unroll = transforms::unroll_factors_of(ctx, node.id(), depth);
+    emit_loop_heads(profile, out, |i, out| {
         let factor = unroll.get(i).copied().unwrap_or(1);
         if factor > 1 {
-            writeln!(out, "{indent}#pragma HLS unroll factor={factor}").unwrap();
+            push_indent(out, i + 1);
+            writeln!(out, "#pragma HLS unroll factor={factor}").unwrap();
         }
-        if i + 1 == profile.loop_dims.len() {
-            writeln!(out, "{indent}#pragma HLS pipeline II=1").unwrap();
+        if i + 1 == depth {
+            push_indent(out, i + 1);
+            out.push_str("#pragma HLS pipeline II=1\n");
         }
-    }
-    let body_indent = "  ".repeat(profile.loop_dims.len() + 1);
-    writeln!(
-        out,
-        "{body_indent}// compute body ({} MACs per frame)",
-        profile.macs
-    )
-    .unwrap();
-    for (i, _) in profile.loop_dims.iter().enumerate().rev() {
-        writeln!(out, "{}}}", "  ".repeat(i + 1)).unwrap();
-    }
-    writeln!(out, "}}\n").unwrap();
+    });
+    push_indent(out, depth + 1);
+    writeln!(out, "// compute body ({} MACs per frame)", profile.macs).unwrap();
+    emit_loop_tails(depth, out);
+    out.push_str("}\n\n");
 }
 
-fn emit_top_function(
-    ctx: &Context,
-    schedule: ScheduleOp,
-    name: &str,
-    nodes: &[NodeOp],
+/// One `for` line per loop dimension, outermost first, each followed by what
+/// `directives` writes for it.
+fn emit_loop_heads(
+    profile: &ComputeProfile,
     out: &mut String,
+    mut directives: impl FnMut(usize, &mut String),
 ) {
-    writeln!(out, "void {name}_top() {{").unwrap();
-    writeln!(out, "#pragma HLS dataflow").unwrap();
+    for (i, dim) in profile.loop_dims.iter().enumerate() {
+        push_indent(out, i + 1);
+        writeln!(out, "for (int i{i} = 0; i{i} < {}; ++i{i}) {{", dim.trip).unwrap();
+        directives(i, out);
+    }
+}
+
+/// The closing braces of `depth` nested loops, innermost first.
+fn emit_loop_tails(depth: usize, out: &mut String) {
+    for i in (0..depth).rev() {
+        push_indent(out, i + 1);
+        out.push_str("}\n");
+    }
+}
+
+fn emit_top_function(ctx: &Context, schedule: ScheduleOp, nodes: &[NodeOp], out: &mut String) {
+    out.push_str("void ");
+    push_op_name(out, ctx, schedule.id(), "schedule_name", || {
+        "design".to_string()
+    });
+    out.push_str("_top() {\n#pragma HLS dataflow\n");
 
     // Buffer declarations.
     for buffer in schedule.internal_buffers(ctx) {
         emit_buffer(ctx, buffer, out);
     }
     // Node instantiations.
-    for node in nodes {
-        let args: Vec<String> = node
-            .operands(ctx)
-            .iter()
-            .map(|&operand| buffer_cpp_name(ctx, operand))
-            .collect();
-        writeln!(out, "  {}({});", sanitize(&node.name(ctx)), args.join(", ")).unwrap();
+    for &node in nodes {
+        out.push_str("  ");
+        push_node_name(out, ctx, node);
+        out.push('(');
+        for (i, &operand) in ctx.op(node.id()).operands.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_value_name(out, ctx, operand);
+        }
+        out.push_str(");\n");
     }
-    writeln!(out, "}}").unwrap();
+    out.push_str("}\n");
 }
 
-fn buffer_cpp_name(ctx: &Context, value: hida_ir_core::ValueId) -> String {
+fn push_buffer_name(out: &mut String, ctx: &Context, buffer: BufferOp) {
+    push_op_name(out, ctx, buffer.id(), "buffer_name", || buffer.name(ctx));
+}
+
+fn push_value_name(out: &mut String, ctx: &Context, value: ValueId) {
     match ctx.value(value).defining_op() {
-        Some(op) => {
-            if let Some(buf) = BufferOp::try_from_op(ctx, op) {
-                sanitize(&buf.name(ctx))
-            } else {
-                format!("v{}", value.index())
-            }
-        }
-        None => format!("arg{}", value.index()),
+        Some(op) => match BufferOp::try_from_op(ctx, op) {
+            Some(buffer) => push_buffer_name(out, ctx, buffer),
+            None => write!(out, "v{}", value.index()).unwrap(),
+        },
+        None => write!(out, "arg{}", value.index()).unwrap(),
     }
 }
 
 fn emit_buffer(ctx: &Context, buffer: BufferOp, out: &mut String) {
-    let name = sanitize(&buffer.name(ctx));
-    let ty = ctx.value_type(buffer.value(ctx));
-    let bits = ty.elem_bit_width().max(8);
-    let is_float = matches!(ty.elem_type(), hida_ir_core::Type::Float(_));
-    let dims: String = buffer.shape(ctx).iter().map(|d| format!("[{d}]")).collect();
-    match buffer.memory_kind(ctx) {
-        MemoryKind::External => {
-            writeln!(
-                out,
-                "  // {name}: soft FIFO in external memory (AXI master)"
-            )
-            .unwrap();
-            writeln!(out, "  static {} {name}{dims};", cpp_type(bits, is_float)).unwrap();
-            writeln!(out, "#pragma HLS interface m_axi port={name} bundle=gmem").unwrap();
+    let name = |out: &mut String| push_buffer_name(out, ctx, buffer);
+    let declare = |out: &mut String| {
+        out.push_str("  static ");
+        push_declarator(out, ctx.value_type(buffer.value(ctx)), name);
+        out.push_str(";\n");
+    };
+    if buffer.memory_kind(ctx) == MemoryKind::External {
+        out.push_str("  // ");
+        name(out);
+        out.push_str(": soft FIFO in external memory (AXI master)\n");
+        declare(out);
+        out.push_str("#pragma HLS interface m_axi port=");
+        name(out);
+        out.push_str(" bundle=gmem\n");
+        return;
+    }
+    declare(out);
+    // A dimension is partitioned when the directive names both a fashion
+    // and a factor above one for it.
+    let op = ctx.op(buffer.id());
+    let fashions = op
+        .attributes
+        .get(hls::ATTR_PARTITION_FASHIONS)
+        .and_then(Attribute::as_str_array)
+        .unwrap_or_default();
+    let factors = op
+        .attr_int_array(hls::ATTR_PARTITION_FACTORS)
+        .unwrap_or_default();
+    for (dim, (fashion, &factor)) in fashions.iter().zip(factors).enumerate() {
+        let fashion = PartitionFashion::parse(fashion);
+        if factor > 1 && fashion != PartitionFashion::None {
+            out.push_str("#pragma HLS array_partition variable=");
+            name(out);
+            writeln!(out, " {} factor={factor} dim={}", fashion.as_str(), dim + 1).unwrap();
         }
-        _ => {
-            writeln!(out, "  static {} {name}{dims};", cpp_type(bits, is_float)).unwrap();
-            let partition = buffer.partition(ctx);
-            for (dim, (fashion, factor)) in partition
-                .fashions
-                .iter()
-                .zip(&partition.factors)
-                .enumerate()
-            {
-                if *factor > 1 && *fashion != PartitionFashion::None {
-                    writeln!(
-                        out,
-                        "#pragma HLS array_partition variable={name} {} factor={factor} dim={}",
-                        fashion.as_str(),
-                        dim + 1
-                    )
-                    .unwrap();
-                }
-            }
-            if buffer.is_ping_pong(ctx) {
-                writeln!(
-                    out,
-                    "#pragma HLS stream variable={name} depth={}",
-                    buffer.depth(ctx)
-                )
-                .unwrap();
-            }
-        }
+    }
+    let depth = buffer.depth(ctx);
+    if depth >= 2 {
+        out.push_str("#pragma HLS stream variable=");
+        name(out);
+        writeln!(out, " depth={depth}").unwrap();
     }
 }
 
 /// Emits the function-level C++ (no dataflow region) for baseline designs.
 pub fn emit_function(ctx: &Context, func: OpId) -> String {
-    let mut out = String::new();
-    let name = ctx
-        .op(func)
-        .attr_str("sym_name")
-        .unwrap_or("kernel")
-        .replace('-', "_");
-    writeln!(
-        out,
-        "// Generated by the HIDA reproduction HLS C++ emitter."
-    )
-    .unwrap();
-    writeln!(out, "void {name}() {{").unwrap();
+    let mut out = String::from(BANNER);
+    out.push_str("void ");
+    push_op_name(&mut out, ctx, func, "sym_name", || "kernel".to_string());
+    out.push_str("() {\n");
     let profile = profile_body(ctx, func);
-    for (i, dim) in profile.loop_dims.iter().enumerate() {
-        let indent = "  ".repeat(i + 1);
-        writeln!(
-            out,
-            "{indent}for (int i{i} = 0; i{i} < {}; ++i{i}) {{",
-            dim.trip
-        )
-        .unwrap();
-    }
-    for (i, _) in profile.loop_dims.iter().enumerate().rev() {
-        writeln!(out, "{}}}", "  ".repeat(i + 1)).unwrap();
-    }
-    writeln!(out, "}}").unwrap();
+    emit_loop_heads(&profile, &mut out, |_, _| {});
+    emit_loop_tails(profile.loop_dims.len(), &mut out);
+    out.push_str("}\n");
     out
 }
 
@@ -285,9 +313,46 @@ mod tests {
 
     #[test]
     fn cpp_type_mapping() {
-        assert_eq!(cpp_type(8, false), "ap_int<8>");
-        assert_eq!(cpp_type(32, true), "float");
-        assert_eq!(cpp_type(64, true), "double");
-        assert_eq!(sanitize("conv1+relu2"), "conv1_relu2");
+        let cpp_type = |ty: Type| {
+            let mut out = String::new();
+            push_cpp_type(&mut out, &ty);
+            out
+        };
+        assert_eq!(cpp_type(Type::i8()), "ap_int<8>");
+        assert_eq!(cpp_type(Type::i1()), "ap_int<8>");
+        assert_eq!(cpp_type(Type::memref(vec![4], Type::f32())), "float");
+        assert_eq!(cpp_type(Type::Float(64)), "double");
+    }
+
+    /// The schedule's, the nodes' and the buffers' names all become C++
+    /// identifiers through one writer: none of them keeps a `.`, `+`, `-` or
+    /// space, wherever it is emitted.
+    #[test]
+    fn every_emitted_name_is_an_identifier() {
+        use hida_dataflow_ir::structural::{build_buffer, build_node, build_schedule};
+        use hida_dialects::analysis::MemEffect;
+        use hida_ir_core::OpBuilder;
+
+        let mut name = String::new();
+        push_name(&mut name, "conv1+relu2 a-b.c");
+        assert_eq!(name, "conv1_relu2_a_b_c");
+
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let (schedule, body) = build_schedule(&mut OpBuilder::at_end_of(&mut ctx, func), "a.b-c");
+        let (_, buffer) = build_buffer(
+            &mut OpBuilder::at_block_end(&mut ctx, body),
+            Type::memref(vec![8], Type::i8()),
+            2,
+            "act.0+skip",
+        );
+        build_node(&mut ctx, body, "conv 1.x", &[(buffer, MemEffect::Write)]);
+        let cpp = emit_schedule(&ctx, schedule);
+        assert!(cpp.contains("void a_b_c_top() {"), "{cpp}");
+        assert!(cpp.contains("void conv_1_x(ap_int<8> arg0[8]) {"), "{cpp}");
+        assert!(cpp.contains("  static ap_int<8> act_0_skip[8];"), "{cpp}");
+        assert!(cpp.contains("variable=act_0_skip depth=2"), "{cpp}");
+        assert!(cpp.contains("  conv_1_x(act_0_skip);"), "{cpp}");
     }
 }

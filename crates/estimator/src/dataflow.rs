@@ -8,30 +8,35 @@
 //! sequential execution and the interval equals the sum of node latencies.
 
 use crate::device::FpgaDevice;
-use crate::latency::{buffer_info, estimate_body, NodeEstimate};
+use crate::latency::{buffer_info, estimate_profile, node_name, NodeEstimate};
 use crate::report::DesignEstimate;
 use crate::resource::Resources;
 use crate::shared_cache::{
     device_fingerprint, estimate_key, SharedCacheStats, SharedEstimateCache,
 };
 use hida_dataflow_ir::graph::DataflowGraph;
-use hida_dataflow_ir::structural::ScheduleOp;
+use hida_dataflow_ir::structural::{NodeOp, ScheduleOp};
+use hida_dialects::analysis::ComputeProfile;
 use hida_ir_core::analysis::{AnalysisCacheStats, AnalysisManager};
 use hida_ir_core::Fingerprint;
 use hida_ir_core::{Context, OpId, ParallelStats};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Estimates complete designs (schedules or plain functions) on a target device.
 ///
-/// Per-node estimates and the schedule's dataflow graph are memoized through an
-/// internal [`AnalysisManager`]: repeated estimations of an unchanged design
-/// (e.g. the dataflow and sequential variants of the same schedule, or QoR
-/// queries inside a design-space sweep iteration) recompute nothing. The cache
-/// is keyed by context identity and mutation generation, so estimating a design
-/// after an IR edit transparently recomputes exactly the stale nodes.
+/// Everything the estimator derives from the IR goes through one
+/// [`AnalysisManager`]: compute profiles, the schedule's dataflow graph, its
+/// buffer totals and the per-node estimates themselves. Repeated estimations
+/// of an unchanged design (the dataflow and sequential variants of one
+/// schedule, a [bound](DataflowEstimator::bound) and then the estimate)
+/// recompute nothing, and an estimator built [over](DataflowEstimator::over)
+/// the manager the pass pipeline ran with starts from the profiles and the
+/// graph the passes left in it. The cache is keyed by context identity and
+/// mutation generation, so estimating a design after an IR edit
+/// transparently recomputes exactly the stale nodes.
 ///
 /// The interior cache makes the estimator `Send` but **not `Sync`**: share-
 /// nothing parallel sweeps should give each worker its own [`Clone`] (clones
@@ -46,13 +51,18 @@ use std::sync::Arc;
 /// compilations.
 pub struct DataflowEstimator {
     device: FpgaDevice,
+    /// Fingerprint of the full device description: half of every cache key.
+    device_key: Fingerprint,
     analyses: RefCell<AnalysisManager>,
-    /// Cross-compilation estimate cache, when one is attached, plus the
-    /// precomputed fingerprint of this estimator's full device description
-    /// (part of every cache key).
-    shared: Option<(Arc<SharedEstimateCache>, Fingerprint)>,
+    /// What `analyses` had counted before this estimator got it.
+    baseline: AnalysisCacheStats,
+    /// Cross-compilation estimate cache, when one is attached.
+    shared: Option<Arc<SharedEstimateCache>>,
     /// This estimator's own traffic against the shared cache.
     shared_traffic: RefCell<SharedCacheStats>,
+    /// Nodes a [bound](DataflowEstimator::bound) keyed and estimated without
+    /// counting or publishing; the next `estimate_schedule` settles them.
+    probed: RefCell<Vec<(OpId, Fingerprint)>>,
 }
 
 impl Clone for DataflowEstimator {
@@ -69,20 +79,37 @@ impl fmt::Debug for DataflowEstimator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DataflowEstimator")
             .field("device", &self.device)
-            .field("cache", &self.analyses.borrow().stats())
-            .field("shared", &self.shared.as_ref().map(|(c, _)| c.stats()))
+            .field("cache", &self.cache_stats())
+            .field("shared", &self.shared.as_ref().map(|c| c.stats()))
             .finish()
     }
 }
 
+/// Resources and number of the buffers a schedule declares: the same for its
+/// dataflow estimate, its sequential estimate and its bound.
+struct BufferTotals {
+    resources: Resources,
+    count: i64,
+}
+
 impl DataflowEstimator {
-    /// Creates an estimator for the given device.
+    /// Creates an estimator for the given device, with an empty cache.
     pub fn new(device: FpgaDevice) -> Self {
+        DataflowEstimator::over(device, AnalysisManager::new())
+    }
+
+    /// Creates an estimator that reads and memoizes through `analyses`. Handed
+    /// the cache a design's pass pipeline ran with, it finds every profile
+    /// and graph the last pass preserved instead of re-deriving them.
+    pub fn over(device: FpgaDevice, analyses: AnalysisManager) -> Self {
         DataflowEstimator {
+            device_key: device_fingerprint(&device),
             device,
-            analyses: RefCell::new(AnalysisManager::new()),
+            baseline: analyses.stats().clone(),
+            analyses: RefCell::new(analyses),
             shared: None,
             shared_traffic: RefCell::new(SharedCacheStats::default()),
+            probed: RefCell::new(Vec::new()),
         }
     }
 
@@ -100,13 +127,13 @@ impl DataflowEstimator {
     /// design-space sweep. Estimates are unchanged by sharing — the cache key
     /// captures every input of the per-node model.
     pub fn with_shared_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
-        self.shared = Some((cache, device_fingerprint(&self.device)));
+        self.shared = Some(cache);
         self
     }
 
     /// The attached cross-compilation cache, if any.
     pub fn shared_cache(&self) -> Option<&Arc<SharedEstimateCache>> {
-        self.shared.as_ref().map(|(cache, _)| cache)
+        self.shared.as_ref()
     }
 
     /// This estimator's own hit/miss traffic against the attached shared
@@ -115,7 +142,7 @@ impl DataflowEstimator {
     /// estimator instead.
     pub fn shared_cache_stats(&self) -> SharedCacheStats {
         let mut stats = *self.shared_traffic.borrow();
-        if let Some((cache, _)) = &self.shared {
+        if let Some(cache) = &self.shared {
             stats.entries = cache.len() as u64;
         }
         stats
@@ -133,79 +160,169 @@ impl DataflowEstimator {
         &self.device
     }
 
-    /// Cache traffic of the estimator's internal analysis manager.
+    /// Cache traffic this estimator caused on its analysis manager: what the
+    /// manager has counted since the estimator got it.
     pub fn cache_stats(&self) -> AnalysisCacheStats {
-        self.analyses.borrow().stats().clone()
+        self.analyses.borrow().stats().since(&self.baseline)
+    }
+
+    /// The analysis manager, lent to whoever reads the design next (the
+    /// emitter takes its compute profiles from it).
+    pub fn analyses(&self) -> RefMut<'_, AnalysisManager> {
+        self.analyses.borrow_mut()
     }
 
     /// Estimates one node of a schedule (memoized per IR generation).
-    pub fn estimate_node(
-        &self,
-        ctx: &Context,
-        node: hida_dataflow_ir::structural::NodeOp,
-    ) -> NodeEstimate {
-        self.body_estimate(ctx, node.id())
+    pub fn estimate_node(&self, ctx: &Context, node: NodeOp) -> NodeEstimate {
+        NodeEstimate::clone(&self.body_estimate(ctx, node.id()))
     }
 
-    /// Memoized [`estimate_body`]: the device is fixed per estimator, so the
-    /// (type, op) cache key is unambiguous within one instance. With a shared
-    /// cache attached, local misses consult it by content fingerprint before
-    /// computing.
-    fn body_estimate(&self, ctx: &Context, op: OpId) -> NodeEstimate {
-        let locally_cached = self
+    /// The memoized estimate of `op`'s body, or what `on_miss` makes of it,
+    /// memoized. The device is fixed per estimator, so the (type, op) cache
+    /// key is unambiguous within one instance. `on_miss` reads this same
+    /// manager (the node's profile), so it runs before the manager is
+    /// borrowed for the result.
+    fn memoized(
+        &self,
+        ctx: &Context,
+        op: OpId,
+        on_miss: impl FnOnce() -> NodeEstimate,
+    ) -> Arc<NodeEstimate> {
+        let valid = self
             .analyses
             .borrow()
             .cached_any::<NodeEstimate>(ctx, op)
             .is_some();
-        let estimate = if locally_cached || self.shared.is_none() {
-            self.analyses
-                .borrow_mut()
-                .get_with(ctx, op, "node-estimate", |ctx, op| {
-                    estimate_body(ctx, op, &self.device)
-                })
-        } else {
-            let (estimate, was_hit) = self.shared_lookup_or_compute(ctx, op);
-            self.record_shared_traffic(was_hit, 1);
-            self.analyses
-                .borrow_mut()
-                .get_with(ctx, op, "node-estimate", move |_, _| estimate)
-        };
-        // The caller owns its `DesignEstimate`; this is the one copy per query.
-        NodeEstimate::clone(&estimate)
+        let estimate = (!valid).then(on_miss);
+        let mut analyses = self.analyses.borrow_mut();
+        analyses.get_with(ctx, op, "node-estimate", |_, _| {
+            estimate.expect("an entry that is not valid was just computed")
+        })
     }
 
-    /// Consults the attached shared cache for `op`'s estimate, computing and
-    /// publishing it on a miss. Returns the estimate and whether it was a hit.
-    fn shared_lookup_or_compute(&self, ctx: &Context, op: OpId) -> (NodeEstimate, bool) {
-        let (cache, device_key) = self.shared.as_ref().expect("caller checked a cache exists");
-        let key = estimate_key(ctx, op, *device_key);
-        if let Some(mut estimate) = cache.lookup(key) {
-            // The key deliberately ignores name attributes (so structurally
-            // repeated nodes share an entry); the display name is re-derived from
-            // the local IR, exactly as `estimate_body` would have.
-            estimate.name = crate::latency::node_name(ctx, op);
-            return (estimate, true);
+    /// Runs the per-node model over `op`'s cached compute profile.
+    fn compute(&self, ctx: &Context, op: OpId) -> NodeEstimate {
+        let profile = self.analyses.borrow_mut().get::<ComputeProfile>(ctx, op);
+        estimate_profile(ctx, op, &profile, &self.device)
+    }
+
+    /// An estimate served under a content key: the key deliberately ignores
+    /// name attributes (so structurally repeated nodes share an entry); the
+    /// display name is re-derived from the local IR, exactly as the per-node
+    /// model would have set it.
+    fn renamed(ctx: &Context, op: OpId, mut estimate: NodeEstimate) -> NodeEstimate {
+        estimate.name = node_name(ctx, op);
+        estimate
+    }
+
+    /// The estimate of `op`'s body. With a shared cache attached, local
+    /// misses consult it by content fingerprint before computing, and
+    /// publish what they compute.
+    fn body_estimate(&self, ctx: &Context, op: OpId) -> Arc<NodeEstimate> {
+        self.memoized(ctx, op, || {
+            let Some(cache) = &self.shared else {
+                return self.compute(ctx, op);
+            };
+            let key = estimate_key(ctx, op, self.device_key);
+            let served = cache.lookup(key);
+            self.record_shared_traffic(served.is_some());
+            served.map_or_else(
+                || {
+                    let estimate = self.compute(ctx, op);
+                    cache.publish(key, estimate.clone());
+                    estimate
+                },
+                |estimate| Self::renamed(ctx, op, estimate),
+            )
+        })
+    }
+
+    /// The estimate of `op`'s body for a bound: `cache` is only peeked —
+    /// nothing is counted and nothing published, so a bound leaves no trace
+    /// another design point could see — and the node is remembered for the
+    /// next `estimate_schedule` to settle.
+    pub(crate) fn probe(
+        &self,
+        ctx: &Context,
+        op: OpId,
+        cache: Option<&SharedEstimateCache>,
+        probe_hits: &mut usize,
+    ) -> Arc<NodeEstimate> {
+        self.memoized(ctx, op, || {
+            let served = cache.and_then(|cache| {
+                let key = estimate_key(ctx, op, self.device_key);
+                self.probed.borrow_mut().push((op, key));
+                cache.peek(key)
+            });
+            match served {
+                Some(estimate) => {
+                    *probe_hits += 1;
+                    Self::renamed(ctx, op, estimate)
+                }
+                None => self.compute(ctx, op),
+            }
+        })
+    }
+
+    /// Does for every probed node what `body_estimate` would have done on its
+    /// local miss — the counted lookup, and the publish when that misses —
+    /// with the key and the estimate the probe left behind.
+    fn settle_probed(&self, ctx: &Context) {
+        let probed = std::mem::take(&mut *self.probed.borrow_mut());
+        let Some(cache) = &self.shared else { return };
+        for (op, key) in probed {
+            let analyses = self.analyses.borrow();
+            // The IR changed since the bound: the node is estimated afresh.
+            let Some(estimate) = analyses.cached_any::<NodeEstimate>(ctx, op) else {
+                continue;
+            };
+            let hit = cache.lookup(key).is_some();
+            if !hit {
+                cache.publish(key, estimate.clone());
+            }
+            self.record_shared_traffic(hit);
         }
-        let estimate = estimate_body(ctx, op, &self.device);
-        cache.publish(key, estimate.clone());
-        (estimate, false)
     }
 
-    /// Folds `count` lookups (hits when `hit`, misses otherwise) into this
-    /// estimator's local view of the shared-cache traffic.
-    fn record_shared_traffic(&self, hit: bool, count: u64) {
+    /// Folds one lookup into this estimator's local view of the shared-cache
+    /// traffic.
+    fn record_shared_traffic(&self, hit: bool) {
         let mut traffic = self.shared_traffic.borrow_mut();
         if hit {
-            traffic.hits += count;
+            traffic.hits += 1;
         } else {
-            traffic.misses += count;
+            traffic.misses += 1;
         }
     }
 
-    fn graph(&self, ctx: &Context, schedule: ScheduleOp) -> Arc<DataflowGraph> {
+    pub(crate) fn graph(&self, ctx: &Context, schedule: ScheduleOp) -> Arc<DataflowGraph> {
         self.analyses
             .borrow_mut()
             .get::<DataflowGraph>(ctx, schedule.id())
+    }
+
+    /// Buffer resources of `schedule`: every buffer declared in it, and the
+    /// `memref.alloc`s nested anywhere inside (baseline flows keep full
+    /// intermediate arrays on chip this way).
+    pub(crate) fn buffer_totals(&self, ctx: &Context, schedule: ScheduleOp) -> (Resources, i64) {
+        let mut analyses = self.analyses.borrow_mut();
+        let totals = analyses.get_with(ctx, schedule.id(), "buffer-totals", |ctx, op| {
+            let buffers = schedule.internal_buffers(ctx).into_iter();
+            let allocs = ctx.collect_ops(op, hida_dialects::memory::ALLOC);
+            let values = buffers
+                .map(|buffer| buffer.value(ctx))
+                .chain(allocs.into_iter().map(|alloc| ctx.op(alloc).results[0]));
+            let mut totals = BufferTotals {
+                resources: Resources::zero(),
+                count: 0,
+            };
+            for value in values {
+                totals.resources += buffer_info(ctx, value).resources();
+                totals.count += 1;
+            }
+            totals
+        });
+        (totals.resources, totals.count)
     }
 
     /// Estimates a structural dataflow schedule.
@@ -218,6 +335,7 @@ impl DataflowEstimator {
         schedule: ScheduleOp,
         dataflow_enabled: bool,
     ) -> DesignEstimate {
+        self.settle_probed(ctx);
         let nodes = schedule.nodes(ctx);
         let node_estimates: Vec<NodeEstimate> = nodes
             .iter()
@@ -226,27 +344,13 @@ impl DataflowEstimator {
                 // so a hit deadline unwinds cooperatively and is classified at
                 // the nearest isolation layer (pass manager or sweep engine).
                 hida_ir_core::fault::checkpoint_or_unwind("estimator/node-loop");
-                self.body_estimate(ctx, n.id())
+                // The caller owns its `DesignEstimate`; this is the one copy
+                // per query.
+                NodeEstimate::clone(&self.body_estimate(ctx, n.id()))
             })
             .collect();
 
-        // Buffer resources: every buffer declared in the schedule.
-        let mut buffer_res = Resources::zero();
-        let mut buffer_count = 0_i64;
-        for buf in schedule.internal_buffers(ctx) {
-            let info = buffer_info(ctx, buf.value(ctx));
-            buffer_res += info.resources();
-            buffer_count += 1;
-        }
-        // memref.allocs nested anywhere inside the schedule (baseline flows keep
-        // full intermediate arrays on chip this way).
-        for op in ctx.collect_ops(schedule.id(), hida_dialects::memory::ALLOC) {
-            let value = ctx.op(op).results[0];
-            let info = buffer_info(ctx, value);
-            buffer_res += info.resources();
-            buffer_count += 1;
-        }
-
+        let (buffer_res, buffer_count) = self.buffer_totals(ctx, schedule);
         let compute_res: Resources = node_estimates.iter().map(|e| e.resources).sum();
         let total_res = compute_res + buffer_res;
         let total_macs: i64 = node_estimates.iter().map(|e| e.macs).sum();
@@ -284,7 +388,7 @@ impl DataflowEstimator {
     /// Estimates a plain function body (no dataflow structure), e.g. the Vitis-only
     /// baseline or a single fused task.
     pub fn estimate_function(&self, ctx: &Context, func: OpId) -> DesignEstimate {
-        let est = self.body_estimate(ctx, func);
+        let est = NodeEstimate::clone(&self.body_estimate(ctx, func));
         let mut buffer_res = Resources::zero();
         let mut buffer_count = 0;
         for op in ctx.collect_ops(func, hida_dialects::memory::ALLOC) {
@@ -313,29 +417,16 @@ impl DataflowEstimator {
         }
     }
 
-    /// Computes the pipeline interval and end-to-end latency of a dataflow schedule,
-    /// accounting for unbalanced-path stalls.
-    fn pipeline_timing(
-        &self,
+    /// Stall factors from unbalanced reconvergent paths: the producer of a
+    /// short path cannot issue a new frame until the long path drains, unless
+    /// the buffer on the short edge holds enough in-flight frames. Purely
+    /// topological — path-depth imbalance against buffer depth, no timing —
+    /// so a bound charges them exactly as the estimate does.
+    pub(crate) fn stall_factors(
         ctx: &Context,
-        schedule: ScheduleOp,
-        nodes: &[hida_dataflow_ir::structural::NodeOp],
-        estimates: &[NodeEstimate],
-    ) -> (i64, i64) {
-        if nodes.is_empty() {
-            return (1, 1);
-        }
-        let latency_of: HashMap<_, i64> = nodes
-            .iter()
-            .zip(estimates)
-            .map(|(&n, e)| (n, e.latency_cycles))
-            .collect();
-
-        let graph = self.graph(ctx, schedule);
-
-        // Stall factors from unbalanced reconvergent paths: the producer of a short
-        // path cannot issue a new frame until the long path drains, unless the buffer
-        // on the short edge holds enough in-flight frames.
+        graph: &DataflowGraph,
+        nodes: &[NodeOp],
+    ) -> HashMap<NodeOp, i64> {
         let mut stall: HashMap<_, i64> = nodes.iter().map(|&n| (n, 1_i64)).collect();
         for (edge, imbalance) in graph.unbalanced_edges() {
             let required_depth = imbalance as i64 + 1;
@@ -346,7 +437,28 @@ impl DataflowEstimator {
                 *entry = (*entry).max(factor);
             }
         }
+        stall
+    }
 
+    /// Computes the pipeline interval and end-to-end latency of a dataflow schedule,
+    /// accounting for unbalanced-path stalls.
+    fn pipeline_timing(
+        &self,
+        ctx: &Context,
+        schedule: ScheduleOp,
+        nodes: &[NodeOp],
+        estimates: &[NodeEstimate],
+    ) -> (i64, i64) {
+        if nodes.is_empty() {
+            return (1, 1);
+        }
+        let latency_of: HashMap<_, i64> = nodes
+            .iter()
+            .zip(estimates)
+            .map(|(&n, e)| (n, e.latency_cycles))
+            .collect();
+        let graph = self.graph(ctx, schedule);
+        let stall = Self::stall_factors(ctx, &graph, nodes);
         let interval = nodes
             .iter()
             .map(|n| latency_of[n] * stall[n])

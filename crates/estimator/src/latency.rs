@@ -78,54 +78,38 @@ pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo {
         }
     }
 
-    let ty = ctx.value_type(value).clone();
-    let shape = ty.shape().map(|s| s.to_vec()).unwrap_or_default();
+    let ty = ctx.value_type(value);
+    let shape = ty.shape().map(<[i64]>::to_vec).unwrap_or_default();
+    let rank = shape.len();
     let elements = ty.num_elements().unwrap_or(1);
     let bits = ty.elem_bit_width().max(1);
-    let rank = shape.len();
 
-    if let Some(def) = ctx.value(value).defining_op() {
-        if let Some(buf) = BufferOp::try_from_op(ctx, def) {
-            return BufferInfo {
-                elements: buf.num_elements(ctx),
-                bits: buf.elem_bits(ctx).max(1),
-                partition_factors: buf.partition(ctx).factors,
-                depth: buf.depth(ctx),
-                kind: buf.memory_kind(ctx),
-                shape: buf.shape(ctx),
-            };
-        }
-        let op = ctx.op(def);
-        if op.is(hida_dialects::memory::ALLOC) {
-            let partition = hls::get_array_partition(ctx, def, rank);
-            return BufferInfo {
-                elements,
-                bits,
-                partition_factors: partition.factors,
-                depth: 1,
-                kind: hls::get_memory_kind(ctx, def),
-                shape,
-            };
-        }
-        if op.is(hida_dataflow_ir::op_names::PACK) || op.is(hida_dataflow_ir::op_names::PORT) {
-            return BufferInfo {
-                elements,
-                bits,
-                partition_factors: vec![1; rank.max(1)],
-                depth: 1,
-                kind: MemoryKind::External,
-                shape,
-            };
-        }
-    }
-    // Unknown definition (e.g. function argument): assume an external interface.
-    BufferInfo {
-        elements,
-        bits,
-        partition_factors: vec![1; rank.max(1)],
-        depth: 1,
-        kind: MemoryKind::External,
-        shape,
+    let def = ctx.value(value).defining_op();
+    let buffer = def.and_then(|def| BufferOp::try_from_op(ctx, def));
+    let on_chip =
+        def.filter(|&def| buffer.is_some() || ctx.op(def).is(hida_dialects::memory::ALLOC));
+    match on_chip {
+        Some(def) => BufferInfo {
+            elements,
+            bits,
+            partition_factors: ctx
+                .op(def)
+                .attr_int_array(hls::ATTR_PARTITION_FACTORS)
+                .map_or_else(|| vec![1; rank], <[i64]>::to_vec),
+            depth: buffer.map_or(1, |buffer| buffer.depth(ctx)),
+            kind: hls::get_memory_kind(ctx, def),
+            shape,
+        },
+        // A `hida.pack`/`hida.port` handle, or an unknown definition (e.g. a
+        // function argument): an external interface.
+        None => BufferInfo {
+            elements,
+            bits,
+            partition_factors: vec![1; rank.max(1)],
+            depth: 1,
+            kind: MemoryKind::External,
+            shape,
+        },
     }
 }
 
@@ -154,42 +138,10 @@ pub fn estimate_body(ctx: &Context, op: OpId, device: &FpgaDevice) -> NodeEstima
     estimate_profile(ctx, op, &profile, device)
 }
 
-/// An optimistic per-node QoR bound: `latency_lb` never exceeds the latency
-/// [`estimate_body`] would report for the same IR, while `resources` *equals*
-/// the exact model's answer (the resource half is pure profile arithmetic
-/// with no timing analysis). The design-space explorer prunes a candidate
-/// only when a compiled frontier point dominates this bound — which is then
-/// guaranteed to dominate the true estimate too, so pruning can never drop a
-/// Pareto-optimal design.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeBound {
-    /// Lower bound on [`NodeEstimate::latency_cycles`].
-    pub latency_lb: i64,
-    /// Exactly [`NodeEstimate::resources`] (cheap, timing-free arithmetic).
-    pub resources: Resources,
-}
-
-/// Computes the optimistic bound for `op`'s body. The entire per-node model
-/// is pure arithmetic over `BodyShape` — trip counts, the port-limited II,
-/// pipeline depth, and the burst-efficiency transfer term are all exact given
-/// the lowered IR — so `latency_lb` *equals* `estimate_body`'s latency
-/// (`tests::optimistic_bound_never_exceeds_the_exact_model` pins it). The
-/// bound's slack is entirely design-level: the dataflow estimator multiplies
-/// node latencies by unbalanced-path stall factors and an oversubscription
-/// penalty, both `>= 1`, which a per-node bound cannot see. The true design
-/// interval is therefore always `>=` the largest `latency_lb`.
-pub fn optimistic_body_bound(ctx: &Context, op: OpId, device: &FpgaDevice) -> NodeBound {
-    let estimate = estimate_body(ctx, op, device);
-    NodeBound {
-        latency_lb: estimate.latency_cycles,
-        resources: estimate.resources,
-    }
-}
-
-/// Pure-IR quantities feeding both the exact node model and the optimistic
-/// bound: unroll structure, trip counts, port-limited II, pipeline depth,
-/// external traffic and the resource-model inputs. Everything here is exact
-/// arithmetic over the profile and the IR attributes — no estimation.
+/// Pure-IR quantities feeding the node model: unroll structure, trip counts,
+/// port-limited II, pipeline depth, external traffic and the resource-model
+/// inputs. Everything here is exact arithmetic over the profile and the IR
+/// attributes — no estimation.
 struct BodyShape {
     total_unroll: i64,
     pipelined: bool,
@@ -210,8 +162,7 @@ struct BodyShape {
     addr_dsp: i64,
 }
 
-/// The exact resource vector for a body shape — shared verbatim by
-/// [`estimate_profile`] and [`optimistic_body_bound`].
+/// The exact resource vector for a body shape.
 fn shape_resources(profile: &ComputeProfile, shape: &BodyShape) -> Resources {
     compute_resources(
         profile
@@ -409,8 +360,8 @@ pub fn estimate_profile(
 }
 
 /// Display name of a node/task/function body, as recorded in its estimate.
-/// `pub(crate)` so the shared estimate cache can re-derive the local name
-/// when serving a structurally identical node from another compilation.
+/// `pub(crate)` so the estimator can re-derive the local name when the shared
+/// cache serves a structurally identical node from another compilation.
 pub(crate) fn node_name(ctx: &Context, op: OpId) -> String {
     ctx.op(op)
         .attr_str("node_name")
@@ -521,27 +472,6 @@ mod tests {
         assert_eq!(info.banks(), 4);
         assert_eq!(info.kind, MemoryKind::Bram);
         assert!(info.resources().bram_18k > 0);
-    }
-
-    #[test]
-    fn optimistic_bound_never_exceeds_the_exact_model() {
-        for device in [FpgaDevice::zu3eg(), FpgaDevice::vu9p_slr()] {
-            for (partition, unroll) in [(1, 1), (1, 8), (4, 1), (8, 8), (16, 4), (16, 16)] {
-                let mut ctx = Context::new();
-                let func = vector_add(&mut ctx, partition, unroll);
-                let exact = estimate_body(&ctx, func, &device);
-                let bound = optimistic_body_bound(&ctx, func, &device);
-                assert!(
-                    bound.latency_lb <= exact.latency_cycles,
-                    "bound {} exceeds exact {} (partition={partition}, unroll={unroll}, {})",
-                    bound.latency_lb,
-                    exact.latency_cycles,
-                    device.name,
-                );
-                assert!(bound.latency_lb >= 1);
-                assert_eq!(bound.resources, exact.resources);
-            }
-        }
     }
 
     #[test]

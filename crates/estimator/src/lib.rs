@@ -4,7 +4,7 @@
 //! resource utilization back from synthesis reports; its design-space exploration is
 //! driven by the analytic QoR estimator inherited from ScaleHLS. Because this
 //! reproduction cannot run Vitis HLS or place-and-route a bitstream, the same
-//! analytic estimator serves both purposes here (see DESIGN.md, substitution table):
+//! analytic estimator serves both purposes here:
 //!
 //! * [`device`] — catalogs of the FPGA platforms used in the paper's evaluation
 //!   (PYNQ-Z2, ZU3EG, one VU9P SLR),
@@ -25,8 +25,10 @@
 //!   size-budgeted eviction, so *separate processes*
 //!   (CLI runs, bench invocations, CI steps) share estimate work too.
 //!
-//! Per-node estimates are memoized through the shared analysis-cache
-//! machinery; an estimation runs on the calling thread.
+//! An estimator reads compute profiles and the dataflow graph from, and
+//! memoizes per-node estimates in, one analysis cache — in a compilation the
+//! one the pass pipeline ran with ([`DataflowEstimator::over`]); an
+//! estimation runs on the calling thread.
 
 pub mod dataflow;
 pub mod device;

@@ -269,7 +269,7 @@ const NAME_ATTRS: [&str; 3] = ["node_name", "task_name", "sym_name"];
 pub fn estimate_fingerprint(ctx: &Context, op: OpId) -> Fingerprint {
     let keep = |key: &str| !NAME_ATTRS.contains(&key);
     structural_fingerprint_filtered(ctx, op, keep, |hasher, value| {
-        hasher.write_str(&ctx.value_type(value).to_string());
+        hasher.write_display(ctx.value_type(value));
         let info = buffer_info(ctx, value);
         hasher.write_i64(info.elements);
         hasher.write_u64(u64::from(info.bits));
@@ -278,7 +278,7 @@ pub fn estimate_fingerprint(ctx: &Context, op: OpId) -> Fingerprint {
             hasher.write_i64(factor);
         }
         hasher.write_i64(info.depth);
-        hasher.write_str(&format!("{:?}", info.kind));
+        hasher.write_display(&format_args!("{:?}", info.kind));
         hasher.write_u64(info.shape.len() as u64);
         for &dim in &info.shape {
             hasher.write_i64(dim);

@@ -6,7 +6,7 @@
 //! assembled without running the design-level timing model: per-node results
 //! already known to the [`SharedEstimateCache`] (in memory or in the
 //! persistent store) are served via [`SharedEstimateCache::peek`], and
-//! unknown nodes fall back to [`optimistic_body_bound`] — both give the
+//! unknown nodes are computed by the per-node model — both give the
 //! **exact** per-node latency and resources, since the per-node model is pure
 //! arithmetic over the lowered IR. What the bound cannot see are the
 //! design-level stall and oversubscription factors, which are always `>= 1`.
@@ -22,14 +22,12 @@
 //!
 //! [`estimate_schedule`]: crate::DataflowEstimator::estimate_schedule
 
+use crate::dataflow::DataflowEstimator;
 use crate::device::FpgaDevice;
-use crate::latency::{buffer_info, optimistic_body_bound};
 use crate::resource::Resources;
-use crate::shared_cache::{device_fingerprint, estimate_key, SharedEstimateCache};
-use hida_dataflow_ir::graph::DataflowGraph;
+use crate::shared_cache::SharedEstimateCache;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_ir_core::Context;
-use std::collections::HashMap;
 
 /// Optimistic bound on a whole design's QoR vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,83 +46,68 @@ pub struct DesignBound {
     /// Number of dataflow nodes inspected.
     pub nodes: usize,
     /// How many of those nodes were served exactly from the shared cache /
-    /// persistent store (the rest used the optimistic per-node bound).
+    /// persistent store (the rest were computed by the per-node model).
     pub probe_hits: usize,
 }
 
-/// Computes the optimistic QoR bound of `schedule` without running the timing
-/// model. When `cache` is given, each node is first probed (via
-/// [`SharedEstimateCache::peek`] — a non-counting read that falls through to
-/// the persistent store) and a hit contributes its **exact** latency and
-/// resources; misses contribute [`optimistic_body_bound`]. Exact latencies
-/// keep the bound sound because a node's latency is itself `<=` the design
-/// interval.
+/// Computes the optimistic QoR bound of `schedule` without running the
+/// design-level timing model: [`DataflowEstimator::bound`] of a fresh
+/// estimator for `device`, probing `cache` when one is given.
 pub fn design_bound(
     ctx: &Context,
     schedule: ScheduleOp,
     device: &FpgaDevice,
     cache: Option<&SharedEstimateCache>,
 ) -> DesignBound {
-    let device_key = device_fingerprint(device);
-    let nodes = schedule.nodes(ctx);
-    let mut latencies: Vec<i64> = Vec::with_capacity(nodes.len());
-    let mut compute_res = Resources::zero();
-    let mut probe_hits = 0_usize;
-    for node in &nodes {
-        let op = node.id();
-        match cache.and_then(|c| c.peek(estimate_key(ctx, op, device_key))) {
-            Some(exact) => {
-                probe_hits += 1;
-                latencies.push(exact.latency_cycles);
-                compute_res += exact.resources;
-            }
-            None => {
-                let bound = optimistic_body_bound(ctx, op, device);
-                latencies.push(bound.latency_lb);
-                compute_res += bound.resources;
-            }
+    DataflowEstimator::new(device.clone()).bound_probing(ctx, schedule, cache)
+}
+
+impl DataflowEstimator {
+    /// The optimistic QoR bound of `schedule`, probing the attached shared
+    /// cache. Each node is first probed (via [`SharedEstimateCache::peek`] —
+    /// a non-counting read that falls through to the persistent store) and a
+    /// hit contributes its estimate; a miss is computed by the per-node
+    /// model, which is exact too. Nothing is counted or published until this
+    /// estimator's next [`estimate_schedule`](Self::estimate_schedule), which
+    /// then finds every node keyed, profiled and estimated: a candidate that
+    /// is bounded and dropped leaves no trace, one that is bounded and
+    /// finished pays for its nodes once.
+    pub fn bound(&self, ctx: &Context, schedule: ScheduleOp) -> DesignBound {
+        self.bound_probing(ctx, schedule, self.shared_cache().map(|cache| &**cache))
+    }
+
+    fn bound_probing(
+        &self,
+        ctx: &Context,
+        schedule: ScheduleOp,
+        cache: Option<&SharedEstimateCache>,
+    ) -> DesignBound {
+        let nodes = schedule.nodes(ctx);
+        let mut probe_hits = 0_usize;
+        let mut compute_res = Resources::zero();
+        let mut latencies: Vec<i64> = Vec::with_capacity(nodes.len());
+        for node in &nodes {
+            let estimate = self.probe(ctx, node.id(), cache, &mut probe_hits);
+            latencies.push(estimate.latency_cycles);
+            compute_res += estimate.resources;
         }
-    }
-
-    // Unbalanced-path stall factors, exactly as the dataflow estimator's
-    // pipeline timing charges them: the imbalance is a path-depth count and
-    // the buffer depth is IR arithmetic, so no timing estimate is involved
-    // and the factors are exact. Multiplying exact (`>= 1`) factors into the
-    // per-node latency bounds keeps `interval_lb` a sound lower bound — only
-    // the over-subscription scaling remains unmodeled.
-    let graph = DataflowGraph::from_schedule(ctx, schedule);
-    let mut stall: HashMap<_, i64> = nodes.iter().map(|&n| (n, 1_i64)).collect();
-    for (edge, imbalance) in graph.unbalanced_edges() {
-        let required_depth = imbalance as i64 + 1;
-        let actual_depth = buffer_info(ctx, edge.buffer).depth.max(1);
-        if actual_depth < required_depth {
-            let factor = (required_depth + actual_depth - 1) / actual_depth;
-            let entry = stall.entry(edge.producer).or_insert(1);
-            *entry = (*entry).max(factor);
+        // Exact (`>= 1`) factors multiplied into per-node latencies keep
+        // `interval_lb` a sound lower bound — only the over-subscription
+        // scaling remains unmodeled.
+        let stall = Self::stall_factors(ctx, &self.graph(ctx, schedule), &nodes);
+        let interval_lb = nodes
+            .iter()
+            .zip(&latencies)
+            .map(|(n, &lat)| lat * stall[n])
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        DesignBound {
+            interval_lb,
+            resources: compute_res + self.buffer_totals(ctx, schedule).0,
+            nodes: nodes.len(),
+            probe_hits,
         }
-    }
-    let interval_lb = nodes
-        .iter()
-        .zip(&latencies)
-        .map(|(n, &lat)| lat * stall[n])
-        .max()
-        .unwrap_or(1)
-        .max(1);
-
-    // Buffer resources are exact: the same loops `estimate_schedule` runs.
-    let mut buffer_res = Resources::zero();
-    for buf in schedule.internal_buffers(ctx) {
-        buffer_res += buffer_info(ctx, buf.value(ctx)).resources();
-    }
-    for op in ctx.collect_ops(schedule.id(), hida_dialects::memory::ALLOC) {
-        buffer_res += buffer_info(ctx, ctx.op(op).results[0]).resources();
-    }
-
-    DesignBound {
-        interval_lb,
-        resources: compute_res + buffer_res,
-        nodes: nodes.len(),
-        probe_hits,
     }
 }
 

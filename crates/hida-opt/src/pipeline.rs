@@ -394,10 +394,13 @@ impl Checkpoint {
         produced_schedule(&self.run.slots)
     }
 
-    /// Takes the checkpoint apart into its context and the statistics of the
-    /// passes run — a failed run's too, its last record marked `failed`.
-    pub fn into_parts(self) -> (Context, Vec<PassStatistics>) {
-        (self.ctx, self.run.statistics)
+    /// Takes the checkpoint apart into its context, the analysis cache the
+    /// passes left — what the last pass preserved is still valid for the
+    /// context, and whoever estimates or emits the design next reads it from
+    /// there — and the statistics of the passes run — a failed run's too, its
+    /// last record marked `failed`.
+    pub fn into_parts(self) -> (Context, AnalysisManager, Vec<PassStatistics>) {
+        (self.ctx, self.run.analyses, self.run.statistics)
     }
 }
 
@@ -791,7 +794,7 @@ mod tests {
                 expected_ir,
                 "stop {stop}"
             );
-            let (_, statistics) = forked.into_parts();
+            let (_, _, statistics) = forked.into_parts();
             assert_eq!(
                 PassStatistics::without_micros(&statistics),
                 PassStatistics::without_micros(whole.statistics()),

@@ -26,8 +26,10 @@ use crate::context::Context;
 use crate::error::IrError;
 use crate::ids::OpId;
 use std::any::{Any, TypeId};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// A cacheable analysis over the IR rooted at one operation.
@@ -74,6 +76,16 @@ impl AnalysisCacheStats {
         self.misses += other.misses;
         self.invalidations += other.invalidations;
         self.preserved += other.preserved;
+    }
+
+    /// The traffic since `earlier`, an older reading of the same counters.
+    pub fn since(&self, earlier: &AnalysisCacheStats) -> AnalysisCacheStats {
+        AnalysisCacheStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            invalidations: self.invalidations - earlier.invalidations,
+            preserved: self.preserved - earlier.preserved,
+        }
     }
 }
 
@@ -154,6 +166,14 @@ fn downcast_shared<A: Any + Send + Sync>(value: &SharedValue) -> Arc<A> {
         .expect("analysis cache entry has the queried type")
 }
 
+/// The cache proper. Keys are the program's own type and op ids, never outside
+/// input, so the hasher is keyed with constants: pass exits remove entries,
+/// whether a removal leaves a tombstone depends on where the hash put the
+/// key, and whether the next insert then rehashes in place or grows the table
+/// depends on the tombstones — under per-map random keys the allocation count
+/// of one compile differed from run to run once the cache outlived lowering.
+type Entries = HashMap<(TypeId, OpId), CacheEntry, BuildHasherDefault<DefaultHasher>>;
+
 struct CacheEntry {
     value: SharedValue,
     /// [`Context::id`] of the context the entry was computed against, so one
@@ -209,7 +229,7 @@ struct CacheEntry {
 /// assert_eq!(*analyses.get::<OpCount>(&ctx, module), OpCount(2));
 /// ```
 pub struct AnalysisManager {
-    entries: HashMap<(TypeId, OpId), CacheEntry>,
+    entries: Entries,
     /// Scope of the currently running pass, when one is active.
     scope: Option<PassScope>,
     /// Counters since the last [`AnalysisManager::end_pass`] (or forever, when
@@ -248,7 +268,7 @@ impl AnalysisManager {
     /// Creates an empty manager.
     pub fn new() -> Self {
         AnalysisManager {
-            entries: HashMap::new(),
+            entries: Entries::default(),
             scope: None,
             window: AnalysisCacheStats::default(),
             totals: AnalysisCacheStats::default(),

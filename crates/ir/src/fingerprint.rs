@@ -34,7 +34,8 @@ use crate::attributes::Attribute;
 use crate::context::Context;
 use crate::ids::{OpId, ValueId};
 use crate::storage::EntityMap;
-use std::fmt;
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
 
 /// A 128-bit content hash of an op subtree. Two lanes of 64 bits are mixed
 /// independently, making accidental collisions vanishingly unlikely even over
@@ -73,6 +74,8 @@ fn mix(mut x: u64) -> u64 {
 pub struct StableHasher {
     a: u64,
     b: u64,
+    /// Where [`StableHasher::write_display`] renders; kept for its capacity.
+    text: String,
 }
 
 impl Default for StableHasher {
@@ -87,6 +90,7 @@ impl StableHasher {
         StableHasher {
             a: 0x9E37_79B9_7F4A_7C15,
             b: 0xC2B2_AE3D_27D4_EB4F,
+            text: String::new(),
         }
     }
 
@@ -114,6 +118,16 @@ impl StableHasher {
     /// Absorbs a length-prefixed UTF-8 string.
     pub fn write_str(&mut self, text: &str) {
         self.write_bytes(text.as_bytes());
+    }
+
+    /// Absorbs what [`StableHasher::write_str`] absorbs for
+    /// `value.to_string()`, without a `String` per call.
+    pub fn write_display(&mut self, value: &dyn fmt::Display) {
+        let mut text = std::mem::take(&mut self.text);
+        text.clear();
+        write!(text, "{value}").expect("formatting into a String cannot fail");
+        self.write_str(&text);
+        self.text = text;
     }
 
     /// Finishes the digest.
@@ -154,7 +168,7 @@ impl StableHasher {
 /// ```
 pub fn structural_fingerprint(ctx: &Context, root: OpId) -> Fingerprint {
     structural_fingerprint_with(ctx, root, |hasher, value| {
-        hasher.write_str(&ctx.value_type(value).to_string());
+        hasher.write_display(ctx.value_type(value));
     })
 }
 
@@ -181,48 +195,80 @@ pub fn structural_fingerprint_filtered(
     keep_attr: impl Fn(&str) -> bool,
     external: impl FnMut(&mut StableHasher, ValueId),
 ) -> Fingerprint {
-    let mut walker = Walker {
-        ctx,
-        hasher: StableHasher::new(),
-        locals: EntityMap::new(),
-        externals: EntityMap::new(),
-        keep_attr,
-        external,
-    };
-    walker.hash_op(root);
-    walker.hasher.finish()
+    // A sweep fingerprints every node of every design point; the tables are
+    // this thread's, grown once to the largest value arena it has seen. An
+    // `external` callback that fingerprints in turn finds them lent out and
+    // walks with tables of its own.
+    thread_local!(static SCRATCH: RefCell<Scratch> = RefCell::default());
+    SCRATCH.with(|scratch| {
+        let mut own = Scratch::default();
+        let mut lent = scratch.try_borrow_mut();
+        let scratch = lent.as_deref_mut().unwrap_or(&mut own);
+        // Emptied before the walk, not after it: a walk that unwound (a
+        // cancelled or panicking sweep point) leaves nothing behind.
+        scratch.reset();
+        let mut walker = Walker {
+            ctx,
+            hasher: StableHasher::new(),
+            scratch,
+            keep_attr,
+            external,
+        };
+        walker.hash_op(root);
+        walker.hasher.finish()
+    })
+}
+
+/// The walker's value tables, dense over the value arena: probes are indexed
+/// loads, not hash lookups.
+#[derive(Default)]
+struct Scratch {
+    /// Values defined inside the subtree -> local ordinal (walk order).
+    locals: EntityMap<ValueId, u64>,
+    /// Values defined outside the subtree -> external ordinal (first-use order).
+    externals: EntityMap<ValueId, u64>,
+    /// Every value in either table, so that emptying them costs what the last
+    /// walk touched rather than the arena.
+    touched: Vec<ValueId>,
+}
+
+impl Scratch {
+    fn reset(&mut self) {
+        for value in self.touched.drain(..) {
+            self.locals.remove(value);
+            self.externals.remove(value);
+        }
+    }
 }
 
 struct Walker<'c, K, F> {
     ctx: &'c Context,
     hasher: StableHasher,
-    /// Values defined inside the subtree -> local ordinal (walk order).
-    /// Dense over the value arena: probes are indexed loads, not hash lookups.
-    locals: EntityMap<ValueId, u64>,
-    /// Values defined outside the subtree -> external ordinal (first-use order).
-    externals: EntityMap<ValueId, u64>,
+    scratch: &'c mut Scratch,
     keep_attr: K,
     external: F,
 }
 
 impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F> {
     fn define_local(&mut self, value: ValueId) {
-        let ordinal = self.locals.len() as u64;
-        self.locals.insert(value, ordinal);
+        let ordinal = self.scratch.locals.len() as u64;
+        self.scratch.locals.insert(value, ordinal);
+        self.scratch.touched.push(value);
     }
 
     fn hash_value_use(&mut self, value: ValueId) {
-        if let Some(&ordinal) = self.locals.get(value) {
+        if let Some(&ordinal) = self.scratch.locals.get(value) {
             self.hasher.write_u64(0);
             self.hasher.write_u64(ordinal);
             return;
         }
         self.hasher.write_u64(1);
-        match self.externals.get(value) {
+        match self.scratch.externals.get(value) {
             Some(&ordinal) => self.hasher.write_u64(ordinal),
             None => {
-                let ordinal = self.externals.len() as u64;
-                self.externals.insert(value, ordinal);
+                let ordinal = self.scratch.externals.len() as u64;
+                self.scratch.externals.insert(value, ordinal);
+                self.scratch.touched.push(value);
                 self.hasher.write_u64(ordinal);
                 (self.external)(&mut self.hasher, value);
             }
@@ -318,7 +364,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
             }
             Attribute::TypeAttr(t) => {
                 h.write_u64(9);
-                h.write_str(&t.to_string());
+                h.write_display(t);
             }
         }
     }
@@ -355,7 +401,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
 
         self.hasher.write_u64(data.results.len() as u64);
         for &result in &data.results {
-            self.hasher.write_str(&ctx.value_type(result).to_string());
+            self.hasher.write_display(ctx.value_type(result));
             self.define_local(result);
         }
 
@@ -367,7 +413,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
                 let args = &ctx.block(block).args;
                 self.hasher.write_u64(args.len() as u64);
                 for &arg in args {
-                    self.hasher.write_str(&ctx.value_type(arg).to_string());
+                    self.hasher.write_display(ctx.value_type(arg));
                     self.define_local(arg);
                 }
                 let ops = &ctx.block(block).ops;
