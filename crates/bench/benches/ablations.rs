@@ -1,7 +1,8 @@
-//! Ablation benches for the design choices called out in DESIGN.md §6:
-//! task fusion on/off, structural balancing on/off, and the IA/CA parallelization
-//! modes of Figure 11, all measured on a mid-size workload so relative effects are
-//! visible in the criterion report.
+//! Ablation benches for the design choices `docs/ARCHITECTURE.md` walks through
+//! ("Compilation walkthrough: workload → QoR report"): task fusion on/off,
+//! structural balancing on/off, and the IA/CA parallelization modes of Figure 11,
+//! all measured on a mid-size workload so relative effects are visible in the
+//! criterion report.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hida::{Compiler, HidaOptions, Model, ParallelMode, PolybenchKernel, Workload};
@@ -80,7 +81,7 @@ fn bench_ablations(c: &mut Criterion) {
     }
     group.finish();
 
-    // One-shot printed comparison used by EXPERIMENTS.md.
+    // One-shot printed comparison of the two modes.
     let iaca = throughput_with(
         HidaOptions {
             mode: ParallelMode::IaCa,

@@ -1,6 +1,7 @@
 //! Shared helpers for the benchmark harnesses that regenerate every table and figure
-//! of the paper's evaluation (see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded results).
+//! of the paper's evaluation (see `docs/ARCHITECTURE.md` for the compiler they
+//! drive and README.md, "Regenerating the paper's evaluation", for the
+//! experiment index).
 //!
 //! Beyond table printing, this crate hosts the pieces every bench binary now
 //! shares instead of re-implementing:

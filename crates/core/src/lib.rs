@@ -58,7 +58,7 @@ pub use hida_ir_core::analysis::{
     Analysis, AnalysisCacheStats, AnalysisManager, PreservedAnalyses,
 };
 pub use hida_ir_core::fault::{CancelToken, FaultKind, FaultPlan, PointFaults, WorkerFault};
-pub use hida_ir_core::pass::{PassOption, PassStatistics, PipelineState};
+pub use hida_ir_core::pass::{PassOption, PassStatistics, PipelineState, Verified};
 pub use hida_ir_core::registry::{PassRegistry, PipelineError};
 pub use hida_ir_core::PassInvocation;
 pub use hida_opt::{registry, registry_listing, Checkpoint, HidaOptions, ParallelMode, Pipeline};
@@ -170,6 +170,11 @@ pub struct LoweredDesign {
     /// [`Compiler::finish`] estimates and emits from here instead of
     /// deriving the design a second and a third time.
     pub analyses: AnalysisManager,
+    /// The last pass's post-pass verification, when it ran and passed. While
+    /// it [holds](Verified::holds_for) for `ctx` — no mutation since —
+    /// [`Compiler::finish`] does not walk that subtree a second time; clear
+    /// it to have the whole module verified again.
+    pub verified: Option<Verified>,
     /// Seconds the pass pipeline took — the first part of
     /// [`CompilationResult::compile_seconds`].
     pub lower_seconds: f64,
@@ -208,7 +213,7 @@ pub(crate) fn resume(
     let run = pipeline
         .resume(&mut checkpoint, pipeline.len())
         .and_then(|()| checkpoint.schedule());
-    let (module, func) = (checkpoint.module, checkpoint.func);
+    let (module, func, verified) = (checkpoint.module, checkpoint.func, checkpoint.verified());
     let (ctx, analyses, pass_statistics) = checkpoint.into_parts();
     match run {
         Ok(schedule) => Ok(LoweredDesign {
@@ -218,6 +223,7 @@ pub(crate) fn resume(
             schedule,
             pass_statistics,
             analyses,
+            verified,
             lower_seconds: start.elapsed().as_secs_f64(),
         }),
         Err(error) => Err(LowerFailure {
@@ -466,7 +472,9 @@ impl Compiler {
     /// Finishes a lowered design: the final whole-module verification, both
     /// QoR estimates (dataflow and sequential) and HLS C++ emission, all three
     /// reading the design's one analysis cache (see `docs/ARCHITECTURE.md`,
-    /// "The finish half").
+    /// "The finish half"). The verification leaves out the subtree the last
+    /// pass's own verification walked, as long as
+    /// [`LoweredDesign::verified`] still holds for the context.
     ///
     /// # Errors
     /// Propagates IR verification errors and estimate-store degradation.
@@ -503,12 +511,14 @@ impl Compiler {
             func,
             schedule,
             pass_statistics,
+            verified,
             lower_seconds,
             ..
         } = lowered;
         let analysis_cache = PassStatistics::aggregate_cache(&pass_statistics);
         if self.verification {
-            hida_ir_core::verifier::verify(&ctx, module)
+            let verified = verified.filter(|v| v.holds_for(&ctx)).map(|v| v.root());
+            hida_ir_core::verifier::verify_except(&ctx, module, verified)
                 .map_err(|e| IrError::pass_failed("hida-pipeline", e.to_string()))?;
         }
         // Chaos-harness site: an armed store-read fault surfaces as the

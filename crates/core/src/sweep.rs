@@ -683,7 +683,13 @@ impl SweepEngine {
                         &site,
                         run.token.child(self.deadline_ms),
                         attempt_faults,
-                        || compiler.compile(point.workload.clone()),
+                        || {
+                            // A retry trusts nothing of the attempt before
+                            // it: its final verification walks everything.
+                            let mut design = compiler.lower(point.workload.clone())?;
+                            design.verified = None;
+                            compiler.finish(design)
+                        },
                     )
                 }
             };

@@ -82,3 +82,46 @@ fn finish_computes_no_profile_and_no_graph() {
         assert_eq!(lent, compiled.hls_cpp, "{name}");
     }
 }
+
+/// The final verification leaves out what the last pass's own verification
+/// walked — by the record the pass manager made of it, which any mutation of
+/// the context outdates: IR broken between the two halves is still rejected.
+#[test]
+fn finish_trusts_the_last_pass_verification_only_while_nothing_was_mutated() {
+    let compiler = Compiler::polybench_defaults();
+    let workload = Workload::PolybenchSized(PolybenchKernel::TwoMm, 16);
+
+    // The record names the function the passes ran on and holds for the
+    // design's context: this is what `finish` skips by.
+    let lowered = compiler.lower(workload.clone()).unwrap();
+    let verified = lowered.verified.expect("the last pass verified");
+    assert_eq!(verified.root(), lowered.func);
+    assert!(verified.holds_for(&lowered.ctx));
+    assert!(lowered.pass_statistics.last().unwrap().verified);
+    compiler
+        .finish(lowered)
+        .expect("an untouched design finishes");
+
+    // No record without verification, and `finish` then verifies nothing.
+    let unverified = compiler.clone().with_verification(false);
+    assert_eq!(unverified.lower(workload.clone()).unwrap().verified, None);
+
+    // Break the IR inside the verified subtree: a node's first nested op now
+    // uses a value defined after it.
+    let mut lowered = compiler.lower(workload).unwrap();
+    let ctx = &mut lowered.ctx;
+    let node = lowered.schedule.nodes(ctx)[0].id();
+    let first = ctx.body_ops(node)[0];
+    let last = *ctx.body_ops(node).last().unwrap();
+    let late = ctx.add_result(last, hida::ir::Type::Index);
+    ctx.add_operand(first, late);
+    assert!(!verified_still_holds(&lowered));
+    let error = compiler
+        .finish(lowered)
+        .expect_err("broken IR must not finish");
+    assert!(error.to_string().contains("not visible"), "{error}");
+}
+
+fn verified_still_holds(lowered: &hida::LoweredDesign) -> bool {
+    lowered.verified.is_some_and(|v| v.holds_for(&lowered.ctx))
+}

@@ -138,13 +138,13 @@ pub fn set_array_partition(ctx: &mut Context, buffer_op: OpId, partition: &Array
             partition
                 .fashions
                 .iter()
-                .map(|f| f.as_str().to_string())
+                .map(|f| f.as_str().into())
                 .collect(),
         ),
     );
     op.set_attr(
         ATTR_PARTITION_FACTORS,
-        Attribute::IntArray(partition.factors.clone()),
+        Attribute::from(partition.factors.as_slice()),
     );
 }
 

@@ -477,7 +477,9 @@ pub fn build_layer(
         Type::tensor(out_shape, elem)
     };
     let mut attrs = layer.to_attrs();
-    attrs.push(("layer_name", Attribute::Str(name.to_string())));
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
+    attrs.push(("layer_name", Attribute::Str(name.clone())));
     let (_, results) = builder.create(layer.op_name(), inputs.to_vec(), vec![result_ty], attrs);
     builder.context().set_name_hint(results[0], name);
     results[0]

@@ -22,6 +22,8 @@ pub fn build_for(
     name: &str,
 ) -> (OpId, ValueId, hida_ir_core::BlockId) {
     assert!(step > 0, "loop step must be positive");
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
     let (op, body, _) = builder.create_with_body(
         FOR,
         vec![],
@@ -30,7 +32,7 @@ pub fn build_for(
             ("lower_bound", Attribute::Int(lower)),
             ("upper_bound", Attribute::Int(upper)),
             ("step", Attribute::Int(step)),
-            ("loop_name", Attribute::Str(name.to_string())),
+            ("loop_name", Attribute::Str(name.clone())),
         ],
         false,
     );
@@ -224,10 +226,12 @@ pub fn create_detached_for(
     name: &str,
 ) -> (OpId, ValueId) {
     let mut op = Operation::new(FOR);
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
     op.set_attr("lower_bound", lower);
     op.set_attr("upper_bound", upper);
     op.set_attr("step", step);
-    op.set_attr("loop_name", name);
+    op.set_attr("loop_name", Attribute::Str(name.clone()));
     let id = ctx.create_op(op);
     let region = ctx.create_region(id);
     let body = ctx.create_block(region);

@@ -25,11 +25,13 @@ pub const APPLY: &str = "affine.apply";
 /// Allocates a memref buffer of the given type. Returns the buffer value.
 pub fn build_alloc(builder: &mut OpBuilder<'_>, ty: Type, name: &str) -> ValueId {
     assert!(ty.is_memref(), "memref.alloc requires a memref type");
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
     let (_, results) = builder.create(
         ALLOC,
         vec![],
         vec![ty],
-        vec![("name", Attribute::Str(name.to_string()))],
+        vec![("name", Attribute::Str(name.clone()))],
     );
     let v = results[0];
     builder.context().set_name_hint(v, name);

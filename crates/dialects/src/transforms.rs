@@ -60,14 +60,15 @@ pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) -> IrR
             pipeline_innermost(ctx, &band, 1);
         }
     }
+    // One array, shared by every op that records it.
+    let recorded = Attribute::from(factors);
     for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
         if nested != op && linalg::LinalgOp::from_op(ctx, nested).is_some() {
             ctx.op_mut(nested)
-                .set_attr(ATTR_UNROLL_FACTORS, factors.to_vec());
+                .set_attr(ATTR_UNROLL_FACTORS, recorded.clone());
         }
     }
-    ctx.op_mut(op)
-        .set_attr(ATTR_UNROLL_FACTORS, factors.to_vec());
+    ctx.op_mut(op).set_attr(ATTR_UNROLL_FACTORS, recorded);
     ctx.op_mut(op).set_attr(ATTR_PIPELINE, Attribute::Unit);
     Ok(())
 }
@@ -91,12 +92,13 @@ pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
 
 /// Records per-dimension tile sizes on `op` and on every named layer in its body.
 pub fn apply_tile_sizes(ctx: &mut Context, op: OpId, tile_sizes: &[i64]) {
-    ctx.op_mut(op)
-        .set_attr(ATTR_TILE_SIZES, tile_sizes.to_vec());
+    // One array, shared by every op that records it.
+    let recorded = Attribute::from(tile_sizes);
+    ctx.op_mut(op).set_attr(ATTR_TILE_SIZES, recorded.clone());
     for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
         if nested != op && linalg::LinalgOp::from_op(ctx, nested).is_some() {
             ctx.op_mut(nested)
-                .set_attr(ATTR_TILE_SIZES, tile_sizes.to_vec());
+                .set_attr(ATTR_TILE_SIZES, recorded.clone());
         }
     }
 }

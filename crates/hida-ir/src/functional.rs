@@ -97,7 +97,7 @@ pub fn build_task(
         op_names::TASK,
         vec![],
         result_types,
-        vec![("task_name", Attribute::Str(name.to_string()))],
+        vec![("task_name", Attribute::from(name))],
         false,
     );
     (TaskOp(op), body, results)
@@ -197,7 +197,7 @@ pub fn unwrap_op(ctx: &mut Context, wrapper: OpId) {
     let mut yielded: Vec<ValueId> = Vec::new();
     for &op in &body_ops {
         if ctx.op(op).is(op_names::YIELD) {
-            yielded = ctx.op(op).operands.clone();
+            yielded = ctx.op(op).operands.to_vec();
         }
     }
     let results = ctx.op(wrapper).results.clone();

@@ -84,15 +84,17 @@ pub fn build_port(
     burst_length: i64,
     name: &str,
 ) -> (PortOp, ValueId) {
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
     let (op, results) = builder.create(
         op_names::PORT,
         vec![],
         vec![ty],
         vec![
-            ("port_kind", Attribute::Str(kind.as_str().to_string())),
+            ("port_kind", Attribute::from(kind.as_str())),
             ("latency", Attribute::Int(latency.max(0))),
             ("burst_length", Attribute::Int(burst_length.max(1))),
-            ("port_name", Attribute::Str(name.to_string())),
+            ("port_name", Attribute::Str(name.clone())),
         ],
     );
     builder.context().set_name_hint(results[0], name);
@@ -106,7 +108,7 @@ pub fn build_bundle(builder: &mut OpBuilder<'_>, ports: &[ValueId], name: &str) 
             op_names::BUNDLE,
             ports.to_vec(),
             vec![],
-            vec![("bundle_name", Attribute::Str(name.to_string()))],
+            vec![("bundle_name", Attribute::from(name))],
         )
         .0
 }
@@ -126,7 +128,7 @@ pub fn build_pack(
         vec![ty],
         vec![
             ("offset_bytes", Attribute::Int(offset_bytes.max(0))),
-            ("pack_name", Attribute::Str(name.to_string())),
+            ("pack_name", Attribute::from(name)),
         ],
     );
     results[0]

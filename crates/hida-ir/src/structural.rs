@@ -139,13 +139,15 @@ pub fn build_buffer(
     name: &str,
 ) -> (BufferOp, ValueId) {
     assert!(ty.is_memref(), "hida.buffer requires a memref type");
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
     let (op, results) = builder.create(
         op_names::BUFFER,
         vec![],
         vec![ty],
         vec![
             ("depth", Attribute::Int(depth.max(1))),
-            ("buffer_name", Attribute::Str(name.to_string())),
+            ("buffer_name", Attribute::Str(name.clone())),
         ],
     );
     builder.context().set_name_hint(results[0], name);
@@ -188,11 +190,13 @@ pub fn build_stream(
     name: &str,
 ) -> (StreamOp, ValueId) {
     let ty = Type::stream(elem, depth.max(1));
+    // The attribute and the name hint share one string.
+    let name: std::sync::Arc<str> = name.into();
     let (op, results) = builder.create(
         op_names::STREAM,
         vec![],
         vec![ty],
-        vec![("stream_name", Attribute::Str(name.to_string()))],
+        vec![("stream_name", Attribute::Str(name.clone()))],
     );
     builder.context().set_name_hint(results[0], name);
     (StreamOp(op), results[0])
@@ -237,7 +241,7 @@ impl NodeOp {
 
     /// Buffer/stream operands of the node.
     pub fn operands(self, ctx: &Context) -> Vec<ValueId> {
-        ctx.op(self.0).operands.clone()
+        ctx.op(self.0).operands.to_vec()
     }
 
     /// Per-operand memory effects.
@@ -272,7 +276,7 @@ impl NodeOp {
 
     /// Block arguments of the node body (one per operand).
     pub fn body_args(self, ctx: &Context) -> Vec<ValueId> {
-        ctx.block(self.body(ctx)).args.clone()
+        ctx.block(self.body(ctx)).args.to_vec()
     }
 
     /// The body block argument corresponding to operand `value`, if present.
@@ -284,14 +288,17 @@ impl NodeOp {
     /// Appends a new operand with the given effect and returns the matching body arg.
     pub fn add_operand(self, ctx: &mut Context, value: ValueId, effect: MemEffect) -> ValueId {
         ctx.add_operand(self.0, value);
-        let mut effects: Vec<String> = ctx
+        let effects = ctx
             .op(self.0)
             .attributes
             .get("effects")
             .and_then(Attribute::as_str_array)
-            .map(|v| v.to_vec())
             .unwrap_or_default();
-        effects.push(effect_to_str(effect).to_string());
+        let effects = effects
+            .iter()
+            .cloned()
+            .chain(std::iter::once(effect_to_str(effect).into()))
+            .collect();
         ctx.op_mut(self.0)
             .set_attr("effects", Attribute::StrArray(effects));
         let ty = ctx.value_type(value).clone();
@@ -302,13 +309,10 @@ impl NodeOp {
 
     /// Overwrites the effect of the operand at `index`.
     pub fn set_effect(self, ctx: &mut Context, index: usize, effect: MemEffect) {
-        let mut effects: Vec<String> = self
-            .effects(ctx)
-            .iter()
-            .map(|e| effect_to_str(*e).to_string())
-            .collect();
+        let mut effects = self.effects(ctx);
         if index < effects.len() {
-            effects[index] = effect_to_str(effect).to_string();
+            effects[index] = effect;
+            let effects = effects.iter().map(|e| effect_to_str(*e).into()).collect();
             ctx.op_mut(self.0)
                 .set_attr("effects", Attribute::StrArray(effects));
         }
@@ -338,7 +342,7 @@ pub fn build_node(
         Attribute::StrArray(
             operands
                 .iter()
-                .map(|(_, e)| effect_to_str(*e).to_string())
+                .map(|(_, e)| effect_to_str(*e).into())
                 .collect(),
         ),
     );
@@ -402,7 +406,7 @@ impl ScheduleOp {
     /// schedule ("external buffers" of Alg. 3): the schedule's block arguments plus
     /// any live-in values.
     pub fn external_buffers(self, ctx: &Context) -> Vec<ValueId> {
-        let mut out: Vec<ValueId> = ctx.block(self.body(ctx)).args.clone();
+        let mut out: Vec<ValueId> = ctx.block(self.body(ctx)).args.to_vec();
         for v in ctx.live_ins(self.0) {
             if !out.contains(&v) {
                 out.push(v);
@@ -434,7 +438,7 @@ pub fn build_schedule(builder: &mut OpBuilder<'_>, name: &str) -> (ScheduleOp, B
         op_names::SCHEDULE,
         vec![],
         vec![],
-        vec![("schedule_name", Attribute::Str(name.to_string()))],
+        vec![("schedule_name", Attribute::from(name))],
         true,
     );
     (ScheduleOp(op), body)

@@ -197,7 +197,7 @@ fn lower_task_to_node(
     buffer_of: &HashMap<ValueId, ValueId>,
 ) -> IrResult<NodeOp> {
     let profile = analyses.get::<ComputeProfile>(ctx, task);
-    let results: Vec<ValueId> = ctx.op(task).results.clone();
+    let results = ctx.op(task).results.clone();
     let yielded = yielded_values(ctx, task);
 
     // Decide the node operands: every live-in buffer plus one buffer per task result.
@@ -292,7 +292,7 @@ fn yielded_values(ctx: &Context, task: OpId) -> Vec<ValueId> {
     ctx.body_ops(task)
         .into_iter()
         .find(|&o| ctx.op(o).is(hida_ops::YIELD))
-        .map(|y| ctx.op(y).operands.clone())
+        .map(|y| ctx.op(y).operands.to_vec())
         .unwrap_or_default()
 }
 

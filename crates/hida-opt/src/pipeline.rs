@@ -41,7 +41,9 @@ use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::device::FpgaDevice;
 use hida_ir_core::analysis::{AnalysisManager, PreservedAnalyses};
-use hida_ir_core::pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState};
+use hida_ir_core::pass::{
+    Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState, Verified,
+};
 use hida_ir_core::registry::{PassRegistry, PipelineError};
 use hida_ir_core::{
     parse_pipeline, print_pipeline, Context, IrError, IrResult, OpId, PassInvocation,
@@ -392,6 +394,13 @@ impl Checkpoint {
     /// Fails when none of them deposited one.
     pub fn schedule(&self) -> IrResult<ScheduleOp> {
         produced_schedule(&self.run.slots)
+    }
+
+    /// The post-pass verification of the last pass run, when it ran and
+    /// passed ([`RunState::verified`]): the subtree a final whole-module
+    /// verification need not walk again while the record holds.
+    pub fn verified(&self) -> Option<Verified> {
+        self.run.verified
     }
 
     /// Takes the checkpoint apart into its context, the analysis cache the

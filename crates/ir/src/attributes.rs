@@ -6,13 +6,24 @@
 //! sorted vector with interned [`Symbol`] keys, iterated in key-string order so
 //! printing and fingerprinting are deterministic.
 //!
+//! An attribute value is immutable: strings and arrays sit behind an [`Arc`],
+//! so copying an attribute — with its op, with its whole
+//! [`Context`](crate::Context) — copies a handle, and
+//! [`Operation::set_attr`](crate::Operation::set_attr) *replaces* the value
+//! under a key; it never writes into a payload another holder shares.
+//!
 //! [`Operation`]: crate::Operation
 
 use crate::intern::Symbol;
 use crate::types::Type;
 use std::fmt;
+use std::sync::Arc;
 
 /// A compile-time constant attached to an operation under a string key.
+///
+/// Build the array variants straight from what is at hand — a slice, an
+/// array literal, an exact-size iterator (`Arc<[T]>` collects one without an
+/// intermediate `Vec`) — or through the `From` impls below.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Attribute {
     /// Unit attribute — presence alone carries meaning (e.g. `pipeline`).
@@ -24,15 +35,15 @@ pub enum Attribute {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string (symbol names, fashion names, ...).
-    Str(String),
+    Str(Arc<str>),
     /// Homogeneous list of integers (factors, shapes, maps).
-    IntArray(Vec<i64>),
+    IntArray(Arc<[i64]>),
     /// Homogeneous list of floats (scaling maps).
-    FloatArray(Vec<f64>),
+    FloatArray(Arc<[f64]>),
     /// List of strings (partition fashions per dimension, argument names).
-    StrArray(Vec<String>),
+    StrArray(Arc<[Arc<str>]>),
     /// Nested attribute list.
-    Array(Vec<Attribute>),
+    Array(Arc<[Attribute]>),
     /// A type used as an attribute value (e.g. function signatures).
     TypeAttr(Type),
 }
@@ -80,26 +91,10 @@ impl Attribute {
         }
     }
 
-    /// Returns the float-array payload if this is an [`Attribute::FloatArray`].
-    pub fn as_float_array(&self) -> Option<&[f64]> {
-        match self {
-            Attribute::FloatArray(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Returns the string-array payload if this is an [`Attribute::StrArray`].
-    pub fn as_str_array(&self) -> Option<&[String]> {
+    pub fn as_str_array(&self) -> Option<&[Arc<str>]> {
         match self {
             Attribute::StrArray(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns the type payload if this is an [`Attribute::TypeAttr`].
-    pub fn as_type(&self) -> Option<&Type> {
-        match self {
-            Attribute::TypeAttr(t) => Some(t),
             _ => None,
         }
     }
@@ -125,25 +120,43 @@ impl From<f64> for Attribute {
 
 impl From<&str> for Attribute {
     fn from(v: &str) -> Self {
-        Attribute::Str(v.to_string())
+        Attribute::Str(v.into())
     }
 }
 
 impl From<String> for Attribute {
     fn from(v: String) -> Self {
-        Attribute::Str(v)
+        Attribute::Str(v.into())
+    }
+}
+
+impl From<&[i64]> for Attribute {
+    fn from(v: &[i64]) -> Self {
+        Attribute::IntArray(v.into())
+    }
+}
+
+impl<const N: usize> From<[i64; N]> for Attribute {
+    fn from(v: [i64; N]) -> Self {
+        Attribute::IntArray(v.into())
     }
 }
 
 impl From<Vec<i64>> for Attribute {
     fn from(v: Vec<i64>) -> Self {
-        Attribute::IntArray(v)
+        Attribute::IntArray(v.into())
+    }
+}
+
+impl From<&[f64]> for Attribute {
+    fn from(v: &[f64]) -> Self {
+        Attribute::FloatArray(v.into())
     }
 }
 
 impl From<Vec<f64>> for Attribute {
     fn from(v: Vec<f64>) -> Self {
-        Attribute::FloatArray(v)
+        Attribute::FloatArray(v.into())
     }
 }
 
@@ -158,11 +171,14 @@ impl From<Type> for Attribute {
 /// is process-execution-dependent — see [`crate::intern`]).
 ///
 /// Operations carry a handful of attributes, so a sorted vector beats a tree
-/// or hash map on every axis that matters here: lookups are a binary search
-/// over integer-tagged entries, cloning is one `memcpy`-ish `Vec` clone (hot
-/// in [`Context::clone_op`](crate::Context::clone_op) and whole-context
-/// clones), and iteration is allocation-free and already in the canonical
-/// order the printer and the fingerprint walk need.
+/// or hash map on every axis that matters here: lookups are a linear scan
+/// over a dense key array, and iteration is allocation-free and already in
+/// the canonical order the printer and the fingerprint walk need. A clone
+/// (hot in [`Context::clone_op`](crate::Context::clone_op) and whole-context
+/// clones) allocates the two vectors — none for an op without attributes —
+/// and copies every [`Attribute`] as a handle: scalars by value, strings,
+/// arrays and aggregate types by bumping the reference count of the
+/// immutable payload both maps then share.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttrMap {
     /// Keys sorted by string, parallel to `values`. Kept separate from the
@@ -252,17 +268,6 @@ impl AttrMap {
                 self.values.insert(at, value);
                 None
             }
-        }
-    }
-
-    /// Removes the attribute stored under `key`, returning it if present.
-    pub fn remove(&mut self, key: &str) -> Option<Attribute> {
-        match self.position(key) {
-            Some(at) => {
-                self.keys.remove(at);
-                Some(self.values.remove(at))
-            }
-            None => None,
         }
     }
 
@@ -362,7 +367,7 @@ mod tests {
         assert_eq!(Attribute::Unit.as_bool(), Some(true));
         assert_eq!(Attribute::Str("bram".into()).as_str(), Some("bram"));
         assert_eq!(
-            Attribute::IntArray(vec![4, 4]).as_int_array(),
+            Attribute::from([4, 4]).as_int_array(),
             Some(&[4_i64, 4][..])
         );
         assert_eq!(Attribute::Int(3).as_str(), None);
@@ -375,7 +380,11 @@ mod tests {
         assert_eq!(Attribute::from("cyclic"), Attribute::Str("cyclic".into()));
         assert_eq!(
             Attribute::from(vec![1_i64, 2]),
-            Attribute::IntArray(vec![1, 2])
+            Attribute::IntArray([1, 2].into())
+        );
+        assert_eq!(
+            Attribute::from([1_i64, 2]),
+            Attribute::from(&[1_i64, 2][..])
         );
         assert_eq!(Attribute::from(Type::i8()), Attribute::TypeAttr(Type::i8()));
     }
@@ -385,18 +394,15 @@ mod tests {
         assert_eq!(Attribute::Float(1.0).to_string(), "1.0");
         assert_eq!(Attribute::Float(-3.0).to_string(), "-3.0");
         assert_eq!(Attribute::Float(0.5).to_string(), "0.5");
-        assert_eq!(
-            Attribute::FloatArray(vec![1.0, 0.25]).to_string(),
-            "[1.0, 0.25]"
-        );
+        assert_eq!(Attribute::from(vec![1.0, 0.25]).to_string(), "[1.0, 0.25]");
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(Attribute::Int(5).to_string(), "5");
-        assert_eq!(Attribute::IntArray(vec![1, 2, 3]).to_string(), "[1, 2, 3]");
+        assert_eq!(Attribute::from([1, 2, 3]).to_string(), "[1, 2, 3]");
         assert_eq!(
-            Attribute::StrArray(vec!["cyclic".into(), "block".into()]).to_string(),
+            Attribute::StrArray(["cyclic".into(), "block".into()].into()).to_string(),
             "[\"cyclic\", \"block\"]"
         );
         assert_eq!(Attribute::Str("x".into()).to_string(), "\"x\"");

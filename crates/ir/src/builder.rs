@@ -76,7 +76,7 @@ impl<'a> OpBuilder<'a> {
         attrs: Vec<(&str, Attribute)>,
     ) -> (OpId, Vec<ValueId>) {
         let mut op = Operation::new(name);
-        op.operands = operands;
+        op.operands = operands.into();
         for (k, v) in attrs {
             op.set_attr(k, v);
         }
@@ -120,7 +120,7 @@ impl<'a> OpBuilder<'a> {
             vec![],
             vec![],
             vec![
-                ("sym_name", Attribute::Str(name.to_string())),
+                ("sym_name", Attribute::from(name)),
                 (
                     "result_types",
                     Attribute::Array(result_types.into_iter().map(Attribute::TypeAttr).collect()),

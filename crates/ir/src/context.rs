@@ -18,8 +18,9 @@ use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::op_names;
 use crate::operation::{OpName, Operation};
-use crate::storage::{EntityMap, EntitySet};
+use crate::storage::{EntityMap, EntitySet, IdList};
 use crate::types::Type;
+use std::sync::Arc;
 
 /// Arena owner of the IR. See the [module documentation](self) for an overview.
 #[derive(Debug)]
@@ -43,7 +44,7 @@ pub struct Context {
     /// by comparing epochs (see [`Context::op_epoch`]).
     op_epochs: Vec<u32>,
     /// Use list: value -> operations currently using it as an operand.
-    uses: EntityMap<ValueId, Vec<OpId>>,
+    uses: EntityMap<ValueId, IdList<OpId>>,
     /// Process-unique context identity, so caches keyed by (context, op) can
     /// never confuse entities of two different contexts.
     id: u64,
@@ -77,12 +78,28 @@ impl Default for Context {
 }
 
 impl Clone for Context {
-    /// Clones the whole IR. All entity ids remain valid in the clone (the
-    /// arenas are flat `Vec`s, so this is a handful of memcpy-style clones —
-    /// no per-entity rebuilding), and the clone observes the same generation,
-    /// so fingerprints and printed IR of the clone are byte-identical to the
-    /// original. Only the context *identity* is fresh: caches keyed by
-    /// `(context id, entity)` must not confuse the copy with the original.
+    /// Clones the whole IR. All entity ids remain valid in the clone, and the
+    /// clone observes the same generation, so fingerprints and printed IR of
+    /// the clone are byte-identical to the original. Only the context
+    /// *identity* is fresh: caches keyed by `(context id, entity)` must not
+    /// confuse the copy with the original.
+    ///
+    /// What is **copied**: the arenas, the liveness bitmaps, the free list,
+    /// the epochs and the use table — one heap block each — plus, per entity,
+    /// only what does not fit in place: a block's op list, the two vectors of
+    /// a non-empty [`AttrMap`](crate::AttrMap), and the few id lists longer
+    /// than [`IdList::INLINE`] (operands, results, regions, block arguments,
+    /// region blocks and use lists of up to three ids are part of their
+    /// entity). What is **shared**: every leaf payload — the shape and
+    /// element type of an aggregate [`Type`], the string or array of an
+    /// [`Attribute`], a value's name hint — is an immutable value behind an
+    /// `Arc`, and the clone takes a reference to it. Sharing is safe because
+    /// no API mutates a payload in place: `set_attr` and `set_name_hint`
+    /// install a new value in the one context they are called on, so the
+    /// original and the clone can be edited — on different threads, a
+    /// checkpoint is forked by every sweep worker — without either seeing
+    /// the other. `docs/ARCHITECTURE.md`, "What a fork copies", has the
+    /// counts.
     fn clone(&self) -> Self {
         Context {
             ops: self.ops.clone(),
@@ -306,7 +323,7 @@ impl Context {
         self.bump_generation();
         let id = RegionId::from_index(self.regions.len());
         self.regions.push(Region {
-            blocks: Vec::new(),
+            blocks: IdList::new(),
             parent_op: Some(parent),
         });
         self.live_regions.insert(id);
@@ -319,7 +336,7 @@ impl Context {
         self.bump_generation();
         let id = BlockId::from_index(self.blocks.len());
         self.blocks.push(Block {
-            args: Vec::new(),
+            args: IdList::new(),
             ops: Vec::new(),
             parent_region: Some(region),
         });
@@ -358,8 +375,9 @@ impl Context {
         vid
     }
 
-    /// Sets the printer name hint of a value.
-    pub fn set_name_hint(&mut self, value: ValueId, hint: impl Into<String>) {
+    /// Sets the printer name hint of a value (replacing, never editing, the
+    /// string a clone of this context may share).
+    pub fn set_name_hint(&mut self, value: ValueId, hint: impl Into<Arc<str>>) {
         self.values[value.index()].name_hint = Some(hint.into());
     }
 
@@ -458,7 +476,7 @@ impl Context {
     pub fn clear_operands(&mut self, op: OpId) {
         self.bump_generation();
         let operands = std::mem::take(&mut self.ops[op.index()].operands);
-        for v in operands {
+        for &v in &operands {
             self.remove_use(v, op);
         }
     }
@@ -641,16 +659,27 @@ impl Context {
     /// Collects the live-in values of `op`: values used (transitively, at any depth)
     /// inside `op`'s regions but defined outside of them. Order is first-use order.
     pub fn live_ins(&self, op: OpId) -> Vec<ValueId> {
+        self.live_ins_where(op, |_, _| true)
+    }
+
+    /// [`Context::live_ins`] that looks at the ops nested in an op below `op`
+    /// only where `descend` says so (the op's own operands always count).
+    pub fn live_ins_where(
+        &self,
+        op: OpId,
+        mut descend: impl FnMut(&Context, OpId) -> bool,
+    ) -> Vec<ValueId> {
         let mut seen = Vec::new();
-        crate::walk::walk_ops_preorder(self, op, &mut |ctx, inner| {
+        crate::walk::walk_ops_pruned(self, op, &mut |ctx, inner| {
             if inner == op {
-                return;
+                return true;
             }
             for &operand in &ctx.op(inner).operands {
                 if ctx.is_live_in(op, operand) && !seen.contains(&operand) {
                     seen.push(operand);
                 }
             }
+            descend(ctx, inner)
         });
         seen
     }
@@ -674,9 +703,9 @@ impl Context {
         self.detach_op(op);
         // Recursively erase nested ops first.
         let regions = self.ops[op.index()].regions.clone();
-        for region in regions {
+        for &region in &regions {
             let blocks = self.regions[region.index()].blocks.clone();
-            for block in blocks {
+            for &block in &blocks {
                 let ops = self.blocks[block.index()].ops.clone();
                 for nested in ops {
                     self.erase_op(nested);
@@ -715,15 +744,15 @@ impl Context {
         let name = src.name;
         let isolated = src.isolated;
         let attributes = src.attributes.clone();
-        let operands: Vec<ValueId> = src.operands.iter().map(|&v| mapping.lookup(v)).collect();
+        let operands: IdList<ValueId> = src.operands.iter().map(|&v| mapping.lookup(v)).collect();
         let src_results = src.results.clone();
         let src_regions = src.regions.clone();
         let new_id = self.create_op(Operation {
             name,
             operands,
-            results: Vec::new(),
+            results: IdList::new(),
             attributes,
-            regions: Vec::new(),
+            regions: IdList::new(),
             parent_block: None,
             isolated,
         });
@@ -737,13 +766,13 @@ impl Context {
             mapping.map(res, new_res);
         }
         // Regions.
-        for region in src_regions {
+        for &region in &src_regions {
             let new_region = self.create_region(new_id);
             let blocks = self.regions[region.index()].blocks.clone();
-            for block in blocks {
+            for &block in &blocks {
                 let new_block = self.create_block(new_region);
                 let args = self.blocks[block.index()].args.clone();
-                for arg in args {
+                for &arg in &args {
                     let ty = self.values[arg.index()].ty.clone();
                     let new_arg = self.add_block_arg(new_block, ty);
                     mapping.map(arg, new_arg);
@@ -772,7 +801,7 @@ impl Context {
         attrs: Vec<(&str, Attribute)>,
     ) -> (OpId, Vec<ValueId>) {
         let mut op = Operation::new(name);
-        op.operands = operands;
+        op.operands = operands.into();
         for (k, v) in attrs {
             op.set_attr(k, v);
         }

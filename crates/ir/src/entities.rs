@@ -6,7 +6,9 @@
 
 use crate::ids::ValueId;
 use crate::ids::{BlockId, OpId, RegionId};
+use crate::storage::IdList;
 use crate::types::Type;
+use std::sync::Arc;
 
 /// Where an SSA value comes from: an operation result or a block argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,7 +37,9 @@ pub struct Value {
     /// Static type of the value.
     pub ty: Type,
     /// Optional human-readable name hint used by the printer (e.g. `%buffer`).
-    pub name_hint: Option<String>,
+    /// Immutable once set ([`Context::set_name_hint`](crate::Context::set_name_hint)
+    /// replaces it), so every clone of the value shares the one string.
+    pub name_hint: Option<Arc<str>>,
 }
 
 impl Value {
@@ -60,7 +64,7 @@ impl Value {
 #[derive(Debug, Clone, Default)]
 pub struct Block {
     /// Block arguments (entry values of the block).
-    pub args: Vec<ValueId>,
+    pub args: IdList<ValueId>,
     /// Operations in program order.
     pub ops: Vec<OpId>,
     /// Region containing this block, if attached.
@@ -84,7 +88,7 @@ impl Block {
 #[derive(Debug, Clone, Default)]
 pub struct Region {
     /// Blocks in the region; the first block is the entry block.
-    pub blocks: Vec<BlockId>,
+    pub blocks: IdList<BlockId>,
     /// Operation owning this region, if attached.
     pub parent_op: Option<OpId>,
 }
@@ -128,7 +132,7 @@ mod tests {
     #[test]
     fn block_position_and_terminator() {
         let block = Block {
-            args: vec![],
+            args: IdList::new(),
             ops: vec![
                 OpId::from_index(0),
                 OpId::from_index(5),
@@ -145,7 +149,7 @@ mod tests {
     #[test]
     fn region_entry_block() {
         let region = Region {
-            blocks: vec![BlockId::from_index(2), BlockId::from_index(3)],
+            blocks: vec![BlockId::from_index(2), BlockId::from_index(3)].into(),
             parent_op: None,
         };
         assert_eq!(region.entry(), Some(BlockId::from_index(2)));

@@ -301,21 +301,21 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
             Attribute::IntArray(v) => {
                 h.write_u64(if v.is_empty() { 8 } else { 5 });
                 h.write_u64(v.len() as u64);
-                for x in v {
+                for x in v.iter() {
                     h.write_i64(*x);
                 }
             }
             Attribute::FloatArray(v) => {
                 h.write_u64(if v.is_empty() { 8 } else { 6 });
                 h.write_u64(v.len() as u64);
-                for x in v {
+                for x in v.iter() {
                     h.write_u64(x.to_bits());
                 }
             }
             Attribute::StrArray(v) => {
                 h.write_u64(if v.is_empty() { 8 } else { 7 });
                 h.write_u64(v.len() as u64);
-                for s in v {
+                for s in v.iter() {
                     h.write_str(s);
                 }
             }
@@ -327,7 +327,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
             {
                 h.write_u64(5);
                 h.write_u64(v.len() as u64);
-                for a in v {
+                for a in v.iter() {
                     if let Attribute::Int(x) = a {
                         h.write_i64(*x);
                     }
@@ -338,7 +338,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
             {
                 h.write_u64(6);
                 h.write_u64(v.len() as u64);
-                for a in v {
+                for a in v.iter() {
                     if let Attribute::Float(x) = a {
                         h.write_u64(x.to_bits());
                     }
@@ -349,7 +349,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
             {
                 h.write_u64(7);
                 h.write_u64(v.len() as u64);
-                for a in v {
+                for a in v.iter() {
                     if let Attribute::Str(s) = a {
                         h.write_str(s);
                     }
@@ -358,7 +358,7 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
             Attribute::Array(v) => {
                 self.hasher.write_u64(8);
                 self.hasher.write_u64(v.len() as u64);
-                for nested in v {
+                for nested in v.iter() {
                     self.hash_attr(nested);
                 }
             }

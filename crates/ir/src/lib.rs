@@ -75,10 +75,10 @@ pub use parse::{
     parse_module, parse_module_into, parse_pipeline, print_pipeline, IrParseError, PassInvocation,
     PipelineParseError,
 };
-pub use pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState};
+pub use pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState, Verified};
 pub use registry::{OptionSpec, PassRegistry, PassSpec, PipelineError};
 pub use rewrite::{apply_patterns_greedily, RewritePattern};
-pub use storage::{EntityMap, EntitySet};
+pub use storage::{EntityMap, EntitySet, IdList};
 pub use types::Type;
 pub use walk::{walk_ops_postorder, walk_ops_preorder, WalkOrder};
 

@@ -7,6 +7,7 @@
 use crate::attributes::{AttrMap, Attribute};
 use crate::ids::{BlockId, RegionId, ValueId};
 use crate::intern::Symbol;
+use crate::storage::IdList;
 use std::fmt;
 
 /// Fully-qualified name of an operation, e.g. `"hida.node"` or `"affine.for"`.
@@ -40,17 +41,6 @@ impl OpName {
     #[inline]
     pub fn as_str(&self) -> &'static str {
         self.text
-    }
-
-    /// Returns the interned symbol behind this name.
-    pub fn symbol(&self) -> Symbol {
-        self.sym
-    }
-
-    /// Returns the dialect namespace prefix (the part before the first `.`).
-    pub fn dialect(&self) -> &str {
-        let text = self.as_str();
-        text.split('.').next().unwrap_or(text)
     }
 
     /// Returns the bare operation name (the part after the first `.`).
@@ -140,14 +130,14 @@ pub struct Operation {
     /// Fully-qualified operation name (interned, copyable).
     pub name: OpName,
     /// SSA operands consumed by this operation, in order.
-    pub operands: Vec<ValueId>,
+    pub operands: IdList<ValueId>,
     /// SSA results produced by this operation, in order.
-    pub results: Vec<ValueId>,
+    pub results: IdList<ValueId>,
     /// Named compile-time attributes (interned keys, key-string iteration
     /// order for deterministic printing).
     pub attributes: AttrMap,
     /// Nested regions owned by this operation.
-    pub regions: Vec<RegionId>,
+    pub regions: IdList<RegionId>,
     /// Block containing this operation, if attached.
     pub parent_block: Option<BlockId>,
     /// Whether the operation's regions are isolated from the enclosing context.
@@ -163,10 +153,10 @@ impl Operation {
     pub fn new(name: impl Into<OpName>) -> Self {
         Operation {
             name: name.into(),
-            operands: Vec::new(),
-            results: Vec::new(),
+            operands: IdList::new(),
+            results: IdList::new(),
             attributes: AttrMap::new(),
-            regions: Vec::new(),
+            regions: IdList::new(),
             parent_block: None,
             isolated: false,
         }
@@ -218,13 +208,10 @@ mod tests {
     #[test]
     fn op_name_splits_dialect_and_op() {
         let n = OpName::new("hida.node");
-        assert_eq!(n.dialect(), "hida");
         assert_eq!(n.op(), "node");
         assert_eq!(n.as_str(), "hida.node");
         assert_eq!(n, "hida.node");
-        let bare = OpName::new("module");
-        assert_eq!(bare.dialect(), "module");
-        assert_eq!(bare.op(), "module");
+        assert_eq!(OpName::new("module").op(), "module");
     }
 
     #[test]
@@ -234,7 +221,7 @@ mod tests {
         let copied = a; // Copy, no clone needed
         assert_eq!(copied, a);
         assert!(b < a, "ordering must follow the string, not intern order");
-        assert_eq!(a.symbol(), OpName::new("zeta.op").symbol());
+        assert_eq!(a, OpName::new("zeta.op"));
     }
 
     #[test]

@@ -450,13 +450,14 @@ impl<'a> ModuleParser<'a, '_> {
     }
 
     /// Consumes the remainder of a double-quoted string (the opening quote is
-    /// already consumed). Strings carry no escape sequences.
-    fn quoted_rest(&mut self, open_at: usize) -> Result<String, IrParseError> {
+    /// already consumed) and returns it as a slice of the input. Strings carry
+    /// no escape sequences.
+    fn quoted_rest(&mut self, open_at: usize) -> Result<&'a str, IrParseError> {
         let start = self.pos;
         loop {
             match self.peek() {
                 Some('"') => {
-                    let s = self.text[start..self.pos].to_string();
+                    let s = &self.text[start..self.pos];
                     self.bump();
                     return Ok(s);
                 }
@@ -593,9 +594,9 @@ impl<'a> ModuleParser<'a, '_> {
         }
         self.end_line()?;
 
-        let mut op = Operation::new(name.as_str());
-        op.operands = operands;
-        op.isolated = ISOLATED_OPS.contains(&name.as_str());
+        let mut op = Operation::new(name);
+        op.operands = operands.into();
+        op.isolated = ISOLATED_OPS.contains(&name);
         for (key, value) in attrs {
             op.set_attr(key, value);
         }
@@ -688,7 +689,7 @@ impl<'a> ModuleParser<'a, '_> {
             Some('"') => {
                 let at = self.pos;
                 self.bump();
-                Ok(Attribute::Str(self.quoted_rest(at)?))
+                Ok(Attribute::Str(self.quoted_rest(at)?.into()))
             }
             Some('[') => {
                 self.bump();
@@ -856,16 +857,19 @@ impl<'a> ModuleParser<'a, '_> {
 /// `[]` maps to the generic `Array` (the printer's only source of empty
 /// lists, e.g. a no-result function's `result_types`), homogeneous leaves map
 /// to `IntArray`/`FloatArray`/`StrArray`, and anything else stays `Array`.
+///
+/// Each variant is collected from `items` in one exact-size pass, so its
+/// payload is allocated once, at its final size.
 fn classify_array(items: Vec<Attribute>) -> Attribute {
     if items.is_empty() {
-        return Attribute::Array(items);
+        return Attribute::Array(items.into());
     }
     if items.iter().all(|a| matches!(a, Attribute::Int(_))) {
         return Attribute::IntArray(
             items
-                .into_iter()
+                .iter()
                 .map(|a| match a {
-                    Attribute::Int(v) => v,
+                    Attribute::Int(v) => *v,
                     _ => unreachable!(),
                 })
                 .collect(),
@@ -874,9 +878,9 @@ fn classify_array(items: Vec<Attribute>) -> Attribute {
     if items.iter().all(|a| matches!(a, Attribute::Float(_))) {
         return Attribute::FloatArray(
             items
-                .into_iter()
+                .iter()
                 .map(|a| match a {
-                    Attribute::Float(v) => v,
+                    Attribute::Float(v) => *v,
                     _ => unreachable!(),
                 })
                 .collect(),
@@ -893,7 +897,7 @@ fn classify_array(items: Vec<Attribute>) -> Attribute {
                 .collect(),
         );
     }
-    Attribute::Array(items)
+    Attribute::Array(items.into())
 }
 
 #[cfg(test)]
@@ -1041,19 +1045,16 @@ mod module_tests {
             vec![
                 ("flag", Attribute::Unit),
                 ("fast", Attribute::Bool(true)),
-                ("factors", Attribute::IntArray(vec![2, 4])),
-                ("scales", Attribute::FloatArray(vec![0.5, 2.0])),
+                ("factors", Attribute::from([2, 4])),
+                ("scales", Attribute::from(vec![0.5, 2.0])),
                 (
                     "fashions",
-                    Attribute::StrArray(vec!["cyclic".into(), "block".into()]),
+                    Attribute::StrArray(["cyclic".into(), "block".into()].into()),
                 ),
                 ("elem", Attribute::TypeAttr(Type::stream(Type::i1(), 3))),
                 (
                     "nested",
-                    Attribute::Array(vec![
-                        Attribute::IntArray(vec![1, 2]),
-                        Attribute::Str("x".into()),
-                    ]),
+                    Attribute::Array([Attribute::from([1, 2]), Attribute::Str("x".into())].into()),
                 ),
             ],
         );

@@ -241,6 +241,40 @@ impl fmt::Display for PassStatistics {
     }
 }
 
+/// Where the IR last passed verification: the subtree below `root`, in one
+/// context, at one mutation generation. The record
+/// [holds](Verified::holds_for) exactly as long as that context has not been
+/// mutated since — then walking the subtree again would find what the walk
+/// that made the record found, and
+/// [`verify_except`](crate::verifier::verify_except) may leave it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verified {
+    context: u64,
+    root: OpId,
+    generation: u64,
+}
+
+impl Verified {
+    fn at(ctx: &Context, root: OpId) -> Self {
+        Verified {
+            context: ctx.id(),
+            root,
+            generation: ctx.generation(),
+        }
+    }
+
+    /// The op whose subtree was verified.
+    pub fn root(&self) -> OpId {
+        self.root
+    }
+
+    /// True when `ctx` is the context the record was made in and no mutation
+    /// has bumped its generation since.
+    pub fn holds_for(&self, ctx: &Context) -> bool {
+        self.context == ctx.id() && self.generation == ctx.generation()
+    }
+}
+
 /// What a run of a pass list carries from pass to pass besides the IR itself:
 /// the typed slots the passes hand each other, the analysis cache, and one
 /// statistics record per pass run so far. Together with the [`Context`] it is
@@ -255,6 +289,11 @@ pub struct RunState {
     /// One record per pass run so far, in execution order; a failed run's
     /// last record is marked `failed`.
     pub statistics: Vec<PassStatistics>,
+    /// The post-pass verification of the *last* pass run, when it ran and
+    /// passed: `None` after a pass that opted out of
+    /// [`Pass::verify_after`], with inter-pass verification off, and after a
+    /// failed run.
+    pub verified: Option<Verified>,
 }
 
 impl RunState {
@@ -268,6 +307,12 @@ impl RunState {
             slots: self.slots.clone(),
             analyses: self.analyses.fork(original, fork),
             statistics: self.statistics.clone(),
+            // A clone is at its original's generation: what held there holds
+            // here, under the clone's identity.
+            verified: self
+                .verified
+                .filter(|verified| verified.holds_for(original))
+                .map(|verified| Verified::at(fork, verified.root)),
         }
     }
 }
@@ -356,6 +401,7 @@ impl PassManager {
         let mut run = std::mem::take(&mut self.last);
         run.slots = PipelineState::new();
         run.statistics.clear();
+        run.verified = None;
         // Entries from other contexts (a reused manager across compiles) can
         // never be valid here; drop them before any counters are recorded.
         run.analyses.retain_context(ctx);
@@ -383,8 +429,10 @@ impl PassManager {
             slots: state,
             analyses,
             statistics,
+            verified: last_verified,
         } = run;
         for pass in &self.passes[range] {
+            *last_verified = None;
             let name = pass.name().to_string();
             let options = pass.options();
             let live_ops_before = ctx.num_live_ops();
@@ -452,6 +500,7 @@ impl PassManager {
                         format!("post-pass verification: {e}"),
                     ));
                 }
+                *last_verified = Some(Verified::at(ctx, root));
             }
             statistics.push(record(verified, false, cache));
         }
@@ -557,6 +606,44 @@ mod tests {
         assert_eq!(pm.statistics()[0].op_delta(), 0);
         // The erase pass deposited its artifact into the pipeline state.
         assert_eq!(state.get::<ErasedCount>(), Some(&ErasedCount(3)));
+    }
+
+    #[test]
+    fn the_run_state_records_the_last_pass_verification_and_nothing_older() {
+        let mut ctx = Context::new();
+        let module = module_with_constants(&mut ctx, 3);
+        let mut pm = PassManager::new();
+        pm.add_pass(Box::new(EraseConstantsPass));
+        pm.add_pass(Box::new(CountConstantsPass { expected: 0 }));
+
+        // After the verifying pass the record names the root and holds…
+        let mut run = RunState::default();
+        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        let verified = run.verified.expect("erase-constants verifies after itself");
+        assert_eq!(verified.root(), module);
+        assert!(verified.holds_for(&ctx));
+
+        // …a fork carries it over under the clone's identity…
+        let fork = ctx.clone();
+        let forked = run.fork(&ctx, &fork).verified.expect("forked with the run");
+        assert!(forked.holds_for(&fork) && !forked.holds_for(&ctx));
+        assert!(!verified.holds_for(&fork));
+
+        // …any mutation outdates it, and a last pass that opts out of
+        // `verify_after` leaves none behind, untouched IR or not.
+        pm.run_range(&mut ctx, module, 1..2, &mut run).unwrap();
+        assert_eq!(run.verified, None);
+        ctx.op_mut(module).set_attr("touched", true);
+        assert!(!verified.holds_for(&ctx));
+
+        // With inter-pass verification off there is never one.
+        let mut ctx = Context::new();
+        let module = module_with_constants(&mut ctx, 3);
+        let mut pm = PassManager::new().with_verification(false);
+        pm.add_pass(Box::new(EraseConstantsPass));
+        let mut run = RunState::default();
+        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        assert_eq!(run.verified, None);
     }
 
     #[test]

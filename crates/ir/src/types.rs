@@ -4,8 +4,24 @@
 //! signless integers, floats), aggregates with static shapes (`tensor`, `memref`),
 //! hardware stream channels, and the single-use `token` type used by HIDA's elastic
 //! node execution (Section 6.4.2 of the paper).
+//!
+//! A type is an immutable value. Scalars are stored in place; what an
+//! aggregate owns — shape and element type — sits in one shared block behind
+//! an [`Arc`], as MLIR's uniqued types do: cloning a type (into every value of
+//! a cloned [`Context`](crate::Context), into a cloned op's results) is a
+//! counter increment, and nothing can change a type another holder still sees,
+//! because nothing here hands out a `&mut` to the shared part.
 
 use std::fmt;
+use std::sync::Arc;
+
+/// Shape and element type of a tensor or memref: the part of the type that
+/// lives once, however many values carry it.
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Shaped {
+    shape: Vec<i64>,
+    elem: Type,
+}
 
 /// An element or aggregate type carried by SSA values.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,24 +32,17 @@ pub enum Type {
     Int(u32),
     /// IEEE float of the given bit width (`f16`, `f32`, `f64`).
     Float(u32),
-    /// Immutable tensor value with a static shape (Functional dataflow semantics).
-    Tensor {
-        /// Static dimension sizes.
-        shape: Vec<i64>,
-        /// Element type.
-        elem: Box<Type>,
-    },
-    /// Mutable memory reference with a static shape (Structural dataflow semantics).
-    MemRef {
-        /// Static dimension sizes.
-        shape: Vec<i64>,
-        /// Element type.
-        elem: Box<Type>,
-    },
+    /// Immutable tensor value with a static shape (Functional dataflow
+    /// semantics); build one with [`Type::tensor`], read it with
+    /// [`Type::shape`] and [`Type::elem_type`].
+    Tensor(Arc<Shaped>),
+    /// Mutable memory reference with a static shape (Structural dataflow
+    /// semantics); build one with [`Type::memref`].
+    MemRef(Arc<Shaped>),
     /// FIFO stream channel holding `depth` in-flight elements.
     Stream {
         /// Element type of the channel.
-        elem: Box<Type>,
+        elem: Arc<Type>,
         /// Number of entries the channel can buffer.
         depth: i64,
     },
@@ -52,11 +61,6 @@ impl Type {
     /// Returns the `i8` type.
     pub fn i8() -> Type {
         Type::Int(8)
-    }
-
-    /// Returns the `i16` type.
-    pub fn i16() -> Type {
-        Type::Int(16)
     }
 
     /// Returns the `i32` type.
@@ -79,48 +83,38 @@ impl Type {
         Type::Float(64)
     }
 
-    /// Returns the `f16` type.
-    pub fn f16() -> Type {
-        Type::Float(16)
-    }
-
     /// Creates a tensor type with a static shape.
     pub fn tensor(shape: impl Into<Vec<i64>>, elem: Type) -> Type {
-        Type::Tensor {
+        Type::Tensor(Arc::new(Shaped {
             shape: shape.into(),
-            elem: Box::new(elem),
-        }
+            elem,
+        }))
     }
 
     /// Creates a memref type with a static shape.
     pub fn memref(shape: impl Into<Vec<i64>>, elem: Type) -> Type {
-        Type::MemRef {
+        Type::MemRef(Arc::new(Shaped {
             shape: shape.into(),
-            elem: Box::new(elem),
-        }
+            elem,
+        }))
     }
 
     /// Creates a stream channel type.
     pub fn stream(elem: Type, depth: i64) -> Type {
         Type::Stream {
-            elem: Box::new(elem),
+            elem: Arc::new(elem),
             depth,
         }
     }
 
-    /// Returns true for integer or float scalar types (including `index`).
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, Type::Index | Type::Int(_) | Type::Float(_))
-    }
-
     /// Returns true for tensor types.
     pub fn is_tensor(&self) -> bool {
-        matches!(self, Type::Tensor { .. })
+        matches!(self, Type::Tensor(_))
     }
 
     /// Returns true for memref types.
     pub fn is_memref(&self) -> bool {
-        matches!(self, Type::MemRef { .. })
+        matches!(self, Type::MemRef(_))
     }
 
     /// Returns true for stream channel types.
@@ -131,7 +125,7 @@ impl Type {
     /// Returns the shape of a tensor or memref type, if any.
     pub fn shape(&self) -> Option<&[i64]> {
         match self {
-            Type::Tensor { shape, .. } | Type::MemRef { shape, .. } => Some(shape),
+            Type::Tensor(shaped) | Type::MemRef(shaped) => Some(&shaped.shape),
             _ => None,
         }
     }
@@ -139,9 +133,8 @@ impl Type {
     /// Returns the element type of an aggregate or stream type, or `self` for scalars.
     pub fn elem_type(&self) -> &Type {
         match self {
-            Type::Tensor { elem, .. } | Type::MemRef { elem, .. } | Type::Stream { elem, .. } => {
-                elem
-            }
+            Type::Tensor(shaped) | Type::MemRef(shaped) => &shaped.elem,
+            Type::Stream { elem, .. } => elem,
             other => other,
         }
     }
@@ -152,7 +145,7 @@ impl Type {
     /// static property of the type.
     pub fn num_elements(&self) -> Option<i64> {
         match self {
-            Type::Tensor { shape, .. } | Type::MemRef { shape, .. } => Some(shape.iter().product()),
+            Type::Tensor(shaped) | Type::MemRef(shaped) => Some(shaped.shape.iter().product()),
             Type::Index | Type::Int(_) | Type::Float(_) => Some(1),
             _ => None,
         }
@@ -168,13 +161,11 @@ impl Type {
     }
 
     /// Converts a tensor type into the memref type with the same shape and element
-    /// type. Non-tensor types are returned unchanged.
+    /// type — the same shared block, not a copy of it. Non-tensor types are
+    /// returned unchanged.
     pub fn tensor_to_memref(&self) -> Type {
         match self {
-            Type::Tensor { shape, elem } => Type::MemRef {
-                shape: shape.clone(),
-                elem: elem.clone(),
-            },
+            Type::Tensor(shaped) => Type::MemRef(Arc::clone(shaped)),
             other => other.clone(),
         }
     }
@@ -186,19 +177,13 @@ impl fmt::Display for Type {
             Type::Index => write!(f, "index"),
             Type::Int(w) => write!(f, "i{w}"),
             Type::Float(w) => write!(f, "f{w}"),
-            Type::Tensor { shape, elem } => {
-                write!(f, "tensor<")?;
-                for d in shape {
+            Type::Tensor(shaped) | Type::MemRef(shaped) => {
+                let keyword = if self.is_tensor() { "tensor" } else { "memref" };
+                write!(f, "{keyword}<")?;
+                for d in &shaped.shape {
                     write!(f, "{d}x")?;
                 }
-                write!(f, "{elem}>")
-            }
-            Type::MemRef { shape, elem } => {
-                write!(f, "memref<")?;
-                for d in shape {
-                    write!(f, "{d}x")?;
-                }
-                write!(f, "{elem}>")
+                write!(f, "{}>", shaped.elem)
             }
             Type::Stream { elem, depth } => write!(f, "stream<{elem}, {depth}>"),
             Type::Token => write!(f, "token"),
@@ -215,8 +200,20 @@ mod tests {
     fn scalar_constructors() {
         assert_eq!(Type::i8(), Type::Int(8));
         assert_eq!(Type::f32(), Type::Float(32));
-        assert!(Type::Index.is_scalar());
-        assert!(!Type::tensor(vec![2, 2], Type::f32()).is_scalar());
+    }
+
+    #[test]
+    fn a_cloned_aggregate_shares_its_block() {
+        let t = Type::tensor(vec![4, 8], Type::i8());
+        let copy = t.clone();
+        let (Type::Tensor(a), Type::Tensor(b)) = (&t, &copy) else {
+            panic!("tensor() builds a tensor");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        let Type::MemRef(m) = t.tensor_to_memref() else {
+            panic!("tensor_to_memref() builds a memref");
+        };
+        assert!(Arc::ptr_eq(a, &m));
     }
 
     #[test]

@@ -14,16 +14,30 @@ use crate::context::Context;
 use crate::entities::ValueDef;
 use crate::error::{IrError, IrResult};
 use crate::ids::{OpId, ValueId};
-use crate::walk::walk_ops_preorder;
+use crate::walk::walk_ops_pruned;
 
 /// Verifies `root` and everything nested below it.
 pub fn verify(ctx: &Context, root: OpId) -> IrResult<()> {
+    verify_except(ctx, root, None)
+}
+
+/// [`verify`] minus the subtree of `verified`, for a caller that holds the
+/// proof — a [`Verified`](crate::pass::Verified) record that still
+/// [holds](crate::pass::Verified::holds_for) — that this very subtree passed
+/// `verify` and nothing has been mutated since. The parent links of the
+/// whole context, `root` itself and everything `root` holds outside that
+/// subtree are checked as `verify` checks them.
+pub fn verify_except(ctx: &Context, root: OpId, verified: Option<OpId>) -> IrResult<()> {
     ctx.check_parent_links()?;
     let mut errors: Vec<String> = Vec::new();
-    walk_ops_preorder(ctx, root, &mut |ctx, op| {
-        if let Err(e) = verify_op(ctx, op) {
+    walk_ops_pruned(ctx, root, &mut |ctx, op| {
+        if Some(op) == verified {
+            return false;
+        }
+        if let Err(e) = verify_op(ctx, op, verified) {
             errors.push(e.to_string());
         }
+        true
     });
     if errors.is_empty() {
         Ok(())
@@ -32,7 +46,7 @@ pub fn verify(ctx: &Context, root: OpId) -> IrResult<()> {
     }
 }
 
-fn verify_op(ctx: &Context, op: OpId) -> IrResult<()> {
+fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> IrResult<()> {
     let operation = ctx.op(op);
     // Result back-links.
     for (i, &res) in operation.results.iter().enumerate() {
@@ -58,7 +72,12 @@ fn verify_op(ctx: &Context, op: OpId) -> IrResult<()> {
     // Isolation: no live-in SSA values may be referenced inside an isolated op,
     // other than through its own block arguments and operands.
     if operation.isolated && !operation.regions.is_empty() {
-        let live_ins = ctx.live_ins(op);
+        // Not looking below `verified` when that is an isolated op: having
+        // passed verification it uses nothing defined outside itself, so
+        // nothing below it is a live-in of an op around it.
+        let live_ins = ctx.live_ins_where(op, |ctx, inner| {
+            !(Some(inner) == verified && ctx.op(inner).isolated)
+        });
         if !live_ins.is_empty() {
             return Err(IrError::verification(format!(
                 "isolated op '{}' ({op}) references {} value(s) defined outside its region",
@@ -163,6 +182,31 @@ mod tests {
         ctx.op_mut(task).isolated = true;
         let err = verify(&ctx, module).unwrap_err();
         assert!(err.to_string().contains("isolated"));
+    }
+
+    #[test]
+    fn verify_except_checks_everything_but_the_named_subtree() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let trusted = OpBuilder::at_end_of(&mut ctx, module).create_func("trusted", vec![], vec![]);
+        let other = OpBuilder::at_end_of(&mut ctx, module).create_func("other", vec![], vec![]);
+        let break_func = |ctx: &mut Context, func: OpId| {
+            let mut b = OpBuilder::at_end_of(ctx, func);
+            let c = b.create_constant_int(2, Type::i32());
+            let (neg, _) = b.create("arith.negi", vec![c], vec![Type::i32()], vec![]);
+            ctx.move_op_after(ctx.value(c).defining_op().unwrap(), neg);
+        };
+
+        // Broken IR below the subtree the caller vouches for is not looked at…
+        break_func(&mut ctx, trusted);
+        assert!(verify(&ctx, module).is_err());
+        assert!(verify_except(&ctx, module, Some(trusted)).is_ok());
+        assert!(verify_except(&ctx, module, Some(other)).is_err());
+
+        // …broken IR anywhere else under the root still is.
+        break_func(&mut ctx, other);
+        let err = verify_except(&ctx, module, Some(trusted)).unwrap_err();
+        assert!(err.to_string().contains("not visible"));
     }
 
     #[test]

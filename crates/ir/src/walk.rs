@@ -41,6 +41,21 @@ pub fn walk_ops(
     }
 }
 
+/// Pre-order walk that `visit` can prune: the ops nested in an op are walked
+/// only when `visit` returned true for it.
+pub fn walk_ops_pruned(ctx: &Context, root: OpId, visit: &mut dyn FnMut(&Context, OpId) -> bool) {
+    if !visit(ctx, root) {
+        return;
+    }
+    for &region in &ctx.op(root).regions {
+        for &block in &ctx.region(region).blocks {
+            for &op in &ctx.block(block).ops {
+                walk_ops_pruned(ctx, op, visit);
+            }
+        }
+    }
+}
+
 /// Pre-order walk: parents before children.
 pub fn walk_ops_preorder(ctx: &Context, root: OpId, visit: &mut dyn FnMut(&Context, OpId)) {
     walk_ops(ctx, root, WalkOrder::PreOrder, visit);

@@ -64,7 +64,7 @@ fn rand_attr(g: &mut Gen, depth: usize) -> Attribute {
         // Dyadic rationals print and re-parse exactly; shifted to exercise
         // both integral-looking and fractional values.
         3 => Attribute::Float((g.next() % 4096) as f64 / 8.0 - 200.0),
-        4 => Attribute::Str(format!("s{} v{}", g.below(100), g.below(100))),
+        4 => Attribute::from(format!("s{} v{}", g.below(100), g.below(100))),
         5 => Attribute::TypeAttr(rand_type(g, 1)),
         6 => Attribute::IntArray((0..g.below(4)).map(|_| g.next() as i64).collect()),
         7 => Attribute::FloatArray(
@@ -72,7 +72,7 @@ fn rand_attr(g: &mut Gen, depth: usize) -> Attribute {
                 .map(|_| (g.next() % 64) as f64 / 4.0)
                 .collect(),
         ),
-        8 => Attribute::StrArray((0..g.below(4)).map(|i| format!("e{i}")).collect()),
+        8 => Attribute::StrArray((0..g.below(4)).map(|i| format!("e{i}").into()).collect()),
         _ => Attribute::Array((0..g.below(3)).map(|_| rand_attr(g, 0)).collect()),
     }
 }
@@ -178,7 +178,7 @@ fn builder_module(seed: u64) -> (Context, hida_ir_core::OpId) {
         };
         if let Some(p) = prev {
             let mut op = Operation::new("test.pair");
-            op.operands = vec![p, v];
+            op.operands = vec![p, v].into();
             let id = b.context().create_op(op);
             let body = b.context().body_block(func);
             b.context().append_op(body, id);

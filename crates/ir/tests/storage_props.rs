@@ -1,6 +1,8 @@
-//! Property tests for the dense side-table containers and the intern table:
-//! parity with the `std` hash containers they replaced, plus whole-context
-//! clone fidelity and free-list slot reuse through the public `Context` API.
+//! Property tests for the dense side-table containers, the inline id list and
+//! the intern table: parity with the `std` containers they replaced, plus
+//! whole-context clone fidelity — a clone and its original share payloads and
+//! never show each other's edits — and free-list slot reuse through the
+//! public `Context` API.
 
 // The std hash containers ARE the reference model here, so the crate-wide
 // dense-table lint does not apply.
@@ -8,8 +10,9 @@
 
 use hida_ir_core::fingerprint::structural_fingerprint;
 use hida_ir_core::printer::print_op;
-use hida_ir_core::storage::{EntityMap, EntitySet};
-use hida_ir_core::{Context, OpBuilder, Symbol, Type, ValueId};
+use hida_ir_core::storage::{EntityMap, EntitySet, IdList};
+use hida_ir_core::walk::collect_preorder;
+use hida_ir_core::{Attribute, Context, OpBuilder, OpId, Symbol, Type, ValueId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -63,6 +66,118 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    /// `IdList` behaves exactly like `Vec` under a random interleaving of
+    /// push / insert / remove / retain — across the inline capacity in
+    /// both directions — in content, order, equality and what its
+    /// constructors build.
+    #[test]
+    fn id_list_matches_vec_model(
+        ops in prop::collection::vec((0_u8..10, 0_usize..64, 0_usize..1000), 1..64),
+    ) {
+        let id = ValueId::from_index;
+        let mut list: IdList<ValueId> = IdList::new();
+        let mut model: Vec<ValueId> = Vec::new();
+        for (kind, at, value) in ops {
+            match kind {
+                0..=3 => {
+                    list.push(id(value));
+                    model.push(id(value));
+                }
+                4 | 5 => {
+                    let at = at % (model.len() + 1);
+                    list.insert(at, id(value));
+                    model.insert(at, id(value));
+                }
+                6 | 7 if !model.is_empty() => {
+                    let at = at % model.len();
+                    prop_assert_eq!(list.remove(at), model.remove(at));
+                }
+                8 => {
+                    let modulus = at % 3 + 2;
+                    list.retain(|v| v.index() % modulus != 0);
+                    model.retain(|v| v.index() % modulus != 0);
+                }
+                9 if at % 8 == 0 => {
+                    list = IdList::default();
+                    model.clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(&list[..], &model[..]);
+            prop_assert_eq!(list.len(), model.len());
+            prop_assert_eq!(list.is_empty(), model.is_empty());
+            prop_assert_eq!(list.first(), model.first());
+            prop_assert!(list == model);
+            let walked: Vec<ValueId> = (&list).into_iter().copied().collect();
+            prop_assert_eq!(&walked, &model);
+            // Every way of building a list of these ids builds an equal one.
+            let built = [
+                list.clone(),
+                IdList::from(model.clone()),
+                IdList::from(model.as_slice()),
+                model.iter().copied().collect(),
+            ];
+            prop_assert!(built.iter().all(|other| *other == list));
+        }
+        // Unequal lists compare unequal, whichever side of the capacity.
+        let mut other = list.clone();
+        other.push(id(7));
+        prop_assert!(other != list);
+    }
+
+    /// A clone shares every payload with its original, and neither ever sees
+    /// the other's edits: random `set_attr` / `set_name_hint` / operand edits
+    /// / op erasure on one side leave the printed IR and the structural
+    /// fingerprint of the other side exactly as they were.
+    #[test]
+    fn edits_on_one_side_of_a_clone_never_show_on_the_other(
+        edit_original in 0_u8..2,
+        edits in prop::collection::vec((0_u8..8, 0_usize..64, 0_usize..64), 1..24),
+    ) {
+        let mut original = Context::new();
+        let module = sample_module(&mut original);
+        let mut clone = original.clone();
+        let (edited, untouched) = if edit_original == 1 {
+            (&mut original, &clone)
+        } else {
+            (&mut clone, &original)
+        };
+        let printed = print_op(untouched, module);
+        let fingerprint = structural_fingerprint(untouched, module);
+
+        for (kind, pick_op, pick_value) in edits {
+            let ops: Vec<OpId> = collect_preorder(edited, module);
+            let values: Vec<ValueId> = (0..edited.arena_sizes().3)
+                .map(ValueId::from_index)
+                .filter(|&v| edited.is_value_alive(v))
+                .collect();
+            if values.is_empty() {
+                break; // everything but the module was erased
+            }
+            let op = ops[pick_op % ops.len()];
+            let value = values[pick_value % values.len()];
+            match kind {
+                0 => edited.op_mut(op).set_attr("task_name", format!("edited{pick_value}")),
+                1 => edited.op_mut(op).set_attr("factors", vec![pick_value as i64; pick_op % 5]),
+                2 => edited.op_mut(op).set_attr(
+                    "fashions",
+                    Attribute::StrArray(["block".into(), "none".into()].into()),
+                ),
+                3 => edited.op_mut(op).set_attr("elem", Type::memref(vec![pick_value as i64], Type::i8())),
+                4 => edited.set_name_hint(value, format!("renamed{pick_op}")),
+                5 => edited.add_operand(op, value),
+                6 if !edited.op(op).operands.is_empty() => {
+                    let at = pick_value % edited.op(op).operands.len();
+                    edited.set_operand(op, at, value);
+                }
+                7 if op != module => edited.erase_op(op),
+                _ => {}
+            }
+            prop_assert_eq!(&print_op(untouched, module), &printed);
+            prop_assert_eq!(structural_fingerprint(untouched, module), fingerprint);
+        }
+    }
+
     /// Interning is a pure function from string to symbol: duplicates map to
     /// the same symbol (HashMap-model parity) and every symbol resolves back
     /// to exactly the interned text.
@@ -92,7 +207,8 @@ proptest! {
     }
 }
 
-/// Builds a small two-task module exercising attrs, regions and use lists.
+/// Builds a small two-task module exercising attrs of every shared payload
+/// kind, name hints, regions and use lists.
 fn sample_module(ctx: &mut Context) -> hida_ir_core::OpId {
     let module = ctx.create_module("clone_me");
     let func = OpBuilder::at_end_of(ctx, module).create_func("f", vec![], vec![]);
@@ -104,11 +220,22 @@ fn sample_module(ctx: &mut Context) -> hida_ir_core::OpId {
         "hida.task",
         vec![sums[0]],
         vec![Type::tensor(vec![8, 8], Type::f32())],
-        vec![("task_name", "t0".into()), ("factor", 4_i64.into())],
+        vec![
+            ("task_name", "t0".into()),
+            ("factor", 4_i64.into()),
+            ("factors", Attribute::from([2, 4])),
+            ("scales", Attribute::from(vec![0.5, 2.0])),
+            (
+                "fashions",
+                Attribute::StrArray(["cyclic".into(), "block".into()].into()),
+            ),
+            ("elem", Type::stream(Type::i1(), 3).into()),
+        ],
         false,
     );
     OpBuilder::at_block_end(ctx, body).create("builtin.yield", vec![], vec![], vec![]);
-    let _ = task;
+    ctx.set_name_hint(c0, "lhs");
+    ctx.set_name_hint(ctx.op(task).results[0], "tile");
     module
 }
 
