@@ -6,6 +6,7 @@
 //! requested per-node unroll factors exactly as a human would write unroll pragmas,
 //! partitioning the touched arrays accordingly, and estimating the result.
 
+use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::transforms;
@@ -15,7 +16,6 @@ use hida_estimator::report::DesignEstimate;
 use hida_frontend::nn::{build_model, Model};
 use hida_ir_core::{AnalysisManager, Context, IrResult};
 use hida_opt::{construct, fusion, lower, parallelize};
-use std::collections::HashMap;
 
 /// One manually chosen configuration of the LeNet accelerator (the Table 1 factors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,7 +136,8 @@ fn apply_manual_factors(
         "manual-factors",
         hida_ir_core::PreservedAnalyses::none().preserve::<ComputeProfile>(),
     );
-    let nodes = schedule.nodes(ctx);
+    // Held across the attribute edits below, which change nothing it records.
+    let graph = analyses.get::<DataflowGraph>(ctx, schedule.id());
     // (kpf, cpf) per convolution task in network order; the fully-connected tail is
     // left with a modest unroll.
     let conv_factors = [
@@ -145,10 +146,14 @@ fn apply_manual_factors(
         (config.kpf3, config.cpf3),
     ];
     let mut conv_index = 0_usize;
-    let mut chosen: HashMap<hida_dataflow_ir::structural::NodeOp, Vec<i64>> = HashMap::new();
-    for node in &nodes {
+    // Profiles and chosen factors by node position.
+    let mut profiles = Vec::with_capacity(graph.nodes().len());
+    let mut chosen: Vec<Option<Vec<i64>>> = Vec::with_capacity(graph.nodes().len());
+    for node in graph.nodes() {
         let profile = analyses.get::<ComputeProfile>(ctx, node.id());
+        profiles.push(profile.clone());
         if profile.loop_dims.is_empty() {
+            chosen.push(None);
             continue;
         }
         let is_conv = profile.loop_dims.len() >= 5;
@@ -175,9 +180,9 @@ fn apply_manual_factors(
                 .collect()
         };
         transforms::apply_unroll_factors(ctx, node.id(), &factors)?;
-        chosen.insert(*node, factors);
+        chosen.push(Some(factors));
     }
-    parallelize::assign_array_partitions(ctx, analyses, schedule, &chosen);
+    parallelize::assign_array_partitions(ctx, schedule, &graph, &profiles, &chosen);
     let (_, lie) = analyses.end_pass(ctx);
     if let Some(error) = lie {
         return Err(error);

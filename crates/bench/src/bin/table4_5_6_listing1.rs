@@ -68,7 +68,8 @@ fn main() {
     let (ctx, schedule) = listing1_schedule(&mut pipeline);
     // Reuse the analysis cache the pipeline's passes populated: the node
     // profiles behind the connection maps were already computed during lowering.
-    let connections = parallelize::analyze_connections(&ctx, pipeline.analyses_mut(), schedule);
+    let (graph, profiles) = parallelize::schedule_profiles(&ctx, pipeline.analyses_mut(), schedule);
+    let connections = parallelize::analyze_connections(&graph, &profiles);
     println!("# Table 4 — node connections of Listing 1");
     println!("source -> target | S-to-T perm | T-to-S perm | S-to-T scale | T-to-S scale");
     for c in &connections {

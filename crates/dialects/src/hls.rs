@@ -7,6 +7,7 @@
 //! the paper reports the partition factors and bank counts chosen for Listing 1.
 
 use hida_ir_core::{Attribute, Context, OpId};
+use std::sync::{Arc, OnceLock};
 
 /// How one dimension of a buffer is split into banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,6 +31,21 @@ impl PartitionFashion {
             PartitionFashion::Block => "block",
             PartitionFashion::Complete => "complete",
         }
+    }
+
+    /// The canonical string as an attribute payload. There are four of them in
+    /// the process, one per fashion: every partition directive of every
+    /// context shares them instead of allocating a string per dimension.
+    fn shared_str(self) -> Arc<str> {
+        static SHARED: OnceLock<[Arc<str>; 4]> = OnceLock::new();
+        const ALL: [PartitionFashion; 4] = [
+            PartitionFashion::None,
+            PartitionFashion::Cyclic,
+            PartitionFashion::Block,
+            PartitionFashion::Complete,
+        ];
+        let shared = SHARED.get_or_init(|| ALL.map(|fashion| fashion.as_str().into()));
+        Arc::clone(&shared[self as usize])
     }
 
     /// Parses the canonical string form (unknown strings map to `None`).
@@ -131,21 +147,58 @@ pub const ATTR_MEMORY_KIND: &str = "memory_kind";
 /// Attaches an array-partition directive to a buffer-producing operation
 /// (`memref.alloc` or `hida.buffer`).
 pub fn set_array_partition(ctx: &mut Context, buffer_op: OpId, partition: &ArrayPartition) {
-    let op = ctx.op_mut(buffer_op);
-    op.set_attr(
-        ATTR_PARTITION_FASHIONS,
-        Attribute::StrArray(
-            partition
-                .fashions
-                .iter()
-                .map(|f| f.as_str().into())
-                .collect(),
-        ),
-    );
-    op.set_attr(
-        ATTR_PARTITION_FACTORS,
-        Attribute::from(partition.factors.as_slice()),
-    );
+    let (fashions, factors) = directive_attributes(&partition.fashions, &partition.factors);
+    ctx.set_attr(buffer_op, ATTR_PARTITION_FASHIONS, fashions);
+    ctx.set_attr(buffer_op, ATTR_PARTITION_FACTORS, factors);
+}
+
+/// The `(partition_fashions, partition_factors)` attribute pair of a directive.
+fn directive_attributes(fashions: &[PartitionFashion], factors: &[i64]) -> (Attribute, Attribute) {
+    let fashions = fashions
+        .iter()
+        .map(|fashion| fashion.shared_str())
+        .collect();
+    (Attribute::StrArray(fashions), Attribute::from(factors))
+}
+
+/// Writes the array-partition directives of many buffers. Most buffers of a
+/// design are partitioned like some other (unpartitioned, or by a
+/// neighbour's unroll factors), so the writer keeps the attribute pair of
+/// every distinct directive it has written and hands equal directives the
+/// same two payloads instead of allocating them again.
+#[derive(Debug, Default)]
+pub struct PartitionWriter {
+    /// `(partition_fashions, partition_factors)` of each distinct directive.
+    written: Vec<(Attribute, Attribute)>,
+}
+
+impl PartitionWriter {
+    /// [`set_array_partition`] from the two per-dimension lists of a
+    /// directive, for a caller that keeps them in arrays of its own.
+    pub fn write(
+        &mut self,
+        ctx: &mut Context,
+        buffer_op: OpId,
+        fashions: &[PartitionFashion],
+        factors: &[i64],
+    ) {
+        let same = |(written_fashions, written_factors): &(Attribute, Attribute)| {
+            written_factors.as_int_array() == Some(factors)
+                && written_fashions.as_str_array().is_some_and(|written| {
+                    written
+                        .iter()
+                        .map(|s| &**s)
+                        .eq(fashions.iter().map(|f| f.as_str()))
+                })
+        };
+        let at = self.written.iter().position(same).unwrap_or_else(|| {
+            self.written.push(directive_attributes(fashions, factors));
+            self.written.len() - 1
+        });
+        let (fashions, factors) = self.written[at].clone();
+        ctx.set_attr(buffer_op, ATTR_PARTITION_FASHIONS, fashions);
+        ctx.set_attr(buffer_op, ATTR_PARTITION_FACTORS, factors);
+    }
 }
 
 /// Reads the array-partition directive of a buffer-producing operation, defaulting to
@@ -167,8 +220,7 @@ pub fn get_array_partition(ctx: &Context, buffer_op: OpId, rank: usize) -> Array
 
 /// Sets the memory placement of a buffer-producing operation.
 pub fn set_memory_kind(ctx: &mut Context, buffer_op: OpId, kind: MemoryKind) {
-    ctx.op_mut(buffer_op)
-        .set_attr(ATTR_MEMORY_KIND, kind.as_str());
+    ctx.set_attr(buffer_op, ATTR_MEMORY_KIND, kind.as_str());
 }
 
 /// Reads the memory placement of a buffer-producing operation (defaults to BRAM).
@@ -181,7 +233,7 @@ pub fn get_memory_kind(ctx: &Context, buffer_op: OpId) -> MemoryKind {
 
 /// Sets the tiling factors of a buffer-producing operation.
 pub fn set_tile_factors(ctx: &mut Context, buffer_op: OpId, factors: Vec<i64>) {
-    ctx.op_mut(buffer_op).set_attr(ATTR_TILE_FACTORS, factors);
+    ctx.set_attr(buffer_op, ATTR_TILE_FACTORS, factors);
 }
 
 /// Reads the tiling factors of a buffer-producing operation (defaults to all-1).

@@ -147,7 +147,7 @@ impl ForOp {
 
     /// Sets the unroll factor directive on the loop.
     pub fn set_unroll_factor(self, ctx: &mut Context, factor: i64) {
-        ctx.op_mut(self.0).set_attr("unroll_factor", factor.max(1));
+        ctx.set_attr(self.0, "unroll_factor", factor.max(1));
     }
 
     /// Returns true when the loop carries a pipeline directive.
@@ -157,8 +157,8 @@ impl ForOp {
 
     /// Annotates the loop with a pipeline directive and target initiation interval.
     pub fn set_pipeline(self, ctx: &mut Context, ii: i64) {
-        ctx.op_mut(self.0).set_attr("pipeline", Attribute::Unit);
-        ctx.op_mut(self.0).set_attr("pipeline_ii", ii.max(1));
+        ctx.set_attr(self.0, "pipeline", Attribute::Unit);
+        ctx.set_attr(self.0, "pipeline_ii", ii.max(1));
     }
 
     /// Target initiation interval of a pipelined loop (1 when unset).

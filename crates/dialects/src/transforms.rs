@@ -52,9 +52,8 @@ pub fn pipeline_innermost(ctx: &mut Context, band: &[ForOp], ii: i64) {
 /// # Errors
 /// Returns an error when an explicit band exists and the factor count mismatches.
 pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) -> IrResult<()> {
-    let top = loops::top_level_loops(ctx, op);
-    if let Some(&outer) = top.first() {
-        let band = loops::loop_band(ctx, outer.id());
+    if let Some(outer) = first_top_level_loop(ctx, op) {
+        let band = loops::loop_band(ctx, outer);
         if band.len() == factors.len() {
             apply_unroll_to_band(ctx, &band, factors)?;
             pipeline_innermost(ctx, &band, 1);
@@ -62,15 +61,36 @@ pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) -> IrR
     }
     // One array, shared by every op that records it.
     let recorded = Attribute::from(factors);
-    for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
-        if nested != op && linalg::LinalgOp::from_op(ctx, nested).is_some() {
-            ctx.op_mut(nested)
-                .set_attr(ATTR_UNROLL_FACTORS, recorded.clone());
+    record_on_layers(ctx, op, ATTR_UNROLL_FACTORS, &recorded);
+    ctx.set_attr(op, ATTR_UNROLL_FACTORS, recorded);
+    ctx.set_attr(op, ATTR_PIPELINE, Attribute::Unit);
+    Ok(())
+}
+
+/// The first `affine.for` directly nested in the body of `op`.
+fn first_top_level_loop(ctx: &Context, op: OpId) -> Option<OpId> {
+    let region = *ctx.op(op).regions.first()?;
+    let body = ctx.block(ctx.entry_block(region));
+    body.ops.iter().copied().find(|&o| ctx.op(o).is(loops::FOR))
+}
+
+/// Records `value` under `key` on every named layer nested at any depth
+/// below `op`. Walks by index, holding no borrow of the structure it walks:
+/// writing an attribute changes none of it.
+fn record_on_layers(ctx: &mut Context, op: OpId, key: &str, value: &Attribute) {
+    for region in 0..ctx.op(op).regions.len() {
+        let region = ctx.op(op).regions[region];
+        for block in 0..ctx.region(region).blocks.len() {
+            let block = ctx.region(region).blocks[block];
+            for nested in 0..ctx.block(block).ops.len() {
+                let nested = ctx.block(block).ops[nested];
+                if linalg::LinalgOp::from_op(ctx, nested).is_some() {
+                    ctx.set_attr(nested, key, value.clone());
+                }
+                record_on_layers(ctx, nested, key, value);
+            }
         }
     }
-    ctx.op_mut(op).set_attr(ATTR_UNROLL_FACTORS, recorded);
-    ctx.op_mut(op).set_attr(ATTR_PIPELINE, Attribute::Unit);
-    Ok(())
 }
 
 /// Reads the unroll factors recorded on `op` (node, layer or loop-band owner),
@@ -80,9 +100,8 @@ pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
         return factors.to_vec();
     }
     // Fall back to per-loop directives of the primary band.
-    let top = loops::top_level_loops(ctx, op);
-    if let Some(&outer) = top.first() {
-        let band = loops::loop_band(ctx, outer.id());
+    if let Some(outer) = first_top_level_loop(ctx, op) {
+        let band = loops::loop_band(ctx, outer);
         if !band.is_empty() {
             return band.iter().map(|l| l.unroll_factor(ctx)).collect();
         }
@@ -94,13 +113,8 @@ pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
 pub fn apply_tile_sizes(ctx: &mut Context, op: OpId, tile_sizes: &[i64]) {
     // One array, shared by every op that records it.
     let recorded = Attribute::from(tile_sizes);
-    ctx.op_mut(op).set_attr(ATTR_TILE_SIZES, recorded.clone());
-    for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
-        if nested != op && linalg::LinalgOp::from_op(ctx, nested).is_some() {
-            ctx.op_mut(nested)
-                .set_attr(ATTR_TILE_SIZES, recorded.clone());
-        }
-    }
+    record_on_layers(ctx, op, ATTR_TILE_SIZES, &recorded);
+    ctx.set_attr(op, ATTR_TILE_SIZES, recorded);
 }
 
 /// Reads the tile sizes recorded on `op`; `None` when it was never tiled.

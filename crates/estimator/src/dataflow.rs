@@ -21,7 +21,6 @@ use hida_ir_core::analysis::{AnalysisCacheStats, AnalysisManager};
 use hida_ir_core::Fingerprint;
 use hida_ir_core::{Context, OpId, ParallelStats};
 use std::cell::{RefCell, RefMut};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -356,7 +355,7 @@ impl DataflowEstimator {
         let total_macs: i64 = node_estimates.iter().map(|e| e.macs).sum();
 
         let (mut interval, mut latency) = if dataflow_enabled {
-            self.pipeline_timing(ctx, schedule, &nodes, &node_estimates)
+            self.pipeline_timing(ctx, schedule, &node_estimates)
         } else {
             let total: i64 = node_estimates.iter().map(|e| e.latency_cycles).sum();
             (total.max(1), total.max(1))
@@ -417,67 +416,60 @@ impl DataflowEstimator {
         }
     }
 
-    /// Stall factors from unbalanced reconvergent paths: the producer of a
-    /// short path cannot issue a new frame until the long path drains, unless
-    /// the buffer on the short edge holds enough in-flight frames. Purely
-    /// topological — path-depth imbalance against buffer depth, no timing —
-    /// so a bound charges them exactly as the estimate does.
-    pub(crate) fn stall_factors(
-        ctx: &Context,
-        graph: &DataflowGraph,
-        nodes: &[NodeOp],
-    ) -> HashMap<NodeOp, i64> {
-        let mut stall: HashMap<_, i64> = nodes.iter().map(|&n| (n, 1_i64)).collect();
+    /// Stall factors from unbalanced reconvergent paths, by node position:
+    /// the producer of a short path cannot issue a new frame until the long
+    /// path drains, unless the buffer on the short edge holds enough
+    /// in-flight frames. Purely topological — path-depth imbalance against
+    /// buffer depth, no timing — so a bound charges them exactly as the
+    /// estimate does.
+    pub(crate) fn stall_factors(ctx: &Context, graph: &DataflowGraph) -> Vec<i64> {
+        let mut stall = vec![1_i64; graph.nodes().len()];
         for (edge, imbalance) in graph.unbalanced_edges() {
             let required_depth = imbalance as i64 + 1;
             let actual_depth = buffer_info(ctx, edge.buffer).depth.max(1);
             if actual_depth < required_depth {
                 let factor = (required_depth + actual_depth - 1) / actual_depth;
-                let entry = stall.entry(edge.producer).or_insert(1);
-                *entry = (*entry).max(factor);
+                let producer = graph.position(edge.producer).expect("an edge joins nodes");
+                stall[producer] = stall[producer].max(factor);
             }
         }
         stall
     }
 
     /// Computes the pipeline interval and end-to-end latency of a dataflow schedule,
-    /// accounting for unbalanced-path stalls.
+    /// accounting for unbalanced-path stalls. `estimates` go by node position.
     fn pipeline_timing(
         &self,
         ctx: &Context,
         schedule: ScheduleOp,
-        nodes: &[NodeOp],
         estimates: &[NodeEstimate],
     ) -> (i64, i64) {
-        if nodes.is_empty() {
+        if estimates.is_empty() {
             return (1, 1);
         }
-        let latency_of: HashMap<_, i64> = nodes
-            .iter()
-            .zip(estimates)
-            .map(|(&n, e)| (n, e.latency_cycles))
-            .collect();
         let graph = self.graph(ctx, schedule);
-        let stall = Self::stall_factors(ctx, &graph, nodes);
-        let interval = nodes
+        let stall = Self::stall_factors(ctx, &graph);
+        let interval = estimates
             .iter()
-            .map(|n| latency_of[n] * stall[n])
+            .zip(&stall)
+            .map(|(estimate, stall)| estimate.latency_cycles * stall)
             .max()
             .unwrap_or(1)
             .max(1);
 
         // End-to-end latency: longest-latency path through the dataflow graph.
-        let mut path_latency: HashMap<_, i64> = HashMap::new();
-        for &node in nodes {
+        // Predecessors come first in program order, so theirs is known.
+        let mut path_latency: Vec<i64> = Vec::with_capacity(estimates.len());
+        for (&node, estimate) in graph.nodes().iter().zip(estimates) {
             let best_pred = graph
                 .predecessors(node)
                 .iter()
-                .filter_map(|p| path_latency.get(p).copied())
+                .filter_map(|&pred| graph.position(pred).map(|at| path_latency[at]))
                 .max()
                 .unwrap_or(0);
-            path_latency.insert(node, best_pred + latency_of[&node]);
+            path_latency.push(best_pred + estimate.latency_cycles);
         }
-        let latency = path_latency.values().copied().max().unwrap_or(1).max(1);
+        let latency = path_latency.iter().copied().max().unwrap_or(1).max(1);
         (interval, latency)
     }
 }

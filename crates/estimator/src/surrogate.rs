@@ -94,11 +94,11 @@ impl DataflowEstimator {
         // Exact (`>= 1`) factors multiplied into per-node latencies keep
         // `interval_lb` a sound lower bound — only the over-subscription
         // scaling remains unmodeled.
-        let stall = Self::stall_factors(ctx, &self.graph(ctx, schedule), &nodes);
-        let interval_lb = nodes
+        let stall = Self::stall_factors(ctx, &self.graph(ctx, schedule));
+        let interval_lb = latencies
             .iter()
-            .zip(&latencies)
-            .map(|(n, &lat)| lat * stall[n])
+            .zip(&stall)
+            .map(|(latency, stall)| latency * stall)
             .max()
             .unwrap_or(1)
             .max(1);

@@ -75,7 +75,7 @@ impl TaskOp {
 
     /// Sets the task name.
     pub fn set_name(self, ctx: &mut Context, name: &str) {
-        ctx.op_mut(self.0).set_attr("task_name", name);
+        ctx.set_attr(self.0, "task_name", name);
     }
 }
 

@@ -36,7 +36,7 @@ fn effect_to_str(effect: MemEffect) -> &'static str {
     }
 }
 
-fn effect_from_str(s: &str) -> MemEffect {
+pub(crate) fn effect_from_str(s: &str) -> MemEffect {
     match s {
         "read" => MemEffect::Read,
         "write" => MemEffect::Write,
@@ -76,7 +76,7 @@ impl BufferOp {
 
     /// Sets the number of ping-pong stages.
     pub fn set_depth(self, ctx: &mut Context, depth: i64) {
-        ctx.op_mut(self.0).set_attr("depth", depth.max(1));
+        ctx.set_attr(self.0, "depth", depth.max(1));
     }
 
     /// Returns true when the buffer has ping-pong (>= 2 stage) semantics.
@@ -231,7 +231,7 @@ impl NodeOp {
 
     /// Sets the node name.
     pub fn set_name(self, ctx: &mut Context, name: &str) {
-        ctx.op_mut(self.0).set_attr("node_name", name);
+        ctx.set_attr(self.0, "node_name", name);
     }
 
     /// The node's body block.
@@ -279,12 +279,6 @@ impl NodeOp {
         ctx.block(self.body(ctx)).args.to_vec()
     }
 
-    /// The body block argument corresponding to operand `value`, if present.
-    pub fn arg_for(self, ctx: &Context, value: ValueId) -> Option<ValueId> {
-        let idx = ctx.op(self.0).operands.iter().position(|&o| o == value)?;
-        ctx.block(self.body(ctx)).args.get(idx).copied()
-    }
-
     /// Appends a new operand with the given effect and returns the matching body arg.
     pub fn add_operand(self, ctx: &mut Context, value: ValueId, effect: MemEffect) -> ValueId {
         ctx.add_operand(self.0, value);
@@ -299,8 +293,7 @@ impl NodeOp {
             .cloned()
             .chain(std::iter::once(effect_to_str(effect).into()))
             .collect();
-        ctx.op_mut(self.0)
-            .set_attr("effects", Attribute::StrArray(effects));
+        ctx.set_attr(self.0, "effects", Attribute::StrArray(effects));
         let ty = ctx.value_type(value).clone();
         let body = self.body(ctx);
 
@@ -313,8 +306,7 @@ impl NodeOp {
         if index < effects.len() {
             effects[index] = effect;
             let effects = effects.iter().map(|e| effect_to_str(*e).into()).collect();
-            ctx.op_mut(self.0)
-                .set_attr("effects", Attribute::StrArray(effects));
+            ctx.set_attr(self.0, "effects", Attribute::StrArray(effects));
         }
     }
 
@@ -515,7 +507,6 @@ mod tests {
         assert!(node.reads(&ctx, a));
         assert!(!node.writes(&ctx, a));
         assert!(node.writes(&ctx, bval));
-        assert_eq!(node.arg_for(&ctx, a), Some(args[0]));
         assert_eq!(node.effect_on(&ctx, bval), Some(MemEffect::Write));
         assert_eq!(
             ctx.value_type(args[0]),
@@ -551,7 +542,7 @@ mod tests {
             vec![MemEffect::ReadWrite, MemEffect::Write]
         );
         assert_eq!(node.body_args(&ctx).len(), 2);
-        assert_eq!(node.arg_for(&ctx, c), Some(new_arg));
+        assert_eq!(node.body_args(&ctx)[1], new_arg);
 
         node.set_effect(&mut ctx, 0, MemEffect::Read);
         assert_eq!(node.effect_on(&ctx, a), Some(MemEffect::Read));

@@ -345,8 +345,7 @@ fn rewrite_layers_to_destination_passing(ctx: &mut Context, node: NodeOp) {
         if let Some(dest) = dest {
             // Append the destination as the final operand and mark the op.
             ctx.add_operand(op, dest);
-            ctx.op_mut(op)
-                .set_attr("dest_passing", Attribute::Bool(true));
+            ctx.set_attr(op, "dest_passing", Attribute::Bool(true));
             // Internal consumers of the tensor result now read the destination buffer.
             ctx.replace_all_uses(result, dest);
         }
@@ -386,9 +385,9 @@ mod tests {
         );
         // The tmp buffer is written by node0 and read by node1.
         let graph = hida_dataflow_ir::graph::DataflowGraph::from_schedule(&ctx, schedule);
-        assert_eq!(graph.edges.len(), 1);
-        assert_eq!(graph.edges[0].producer, nodes[0]);
-        assert_eq!(graph.edges[0].consumer, nodes[1]);
+        assert_eq!(graph.edges().len(), 1);
+        assert_eq!(graph.edges()[0].producer, nodes[0]);
+        assert_eq!(graph.edges()[0].consumer, nodes[1]);
         // Node bodies are isolated: loops reference only block arguments.
         for node in nodes {
             assert!(ctx.live_ins(node.id()).is_empty());
@@ -466,7 +465,7 @@ mod tests {
         let graph = hida_dataflow_ir::graph::DataflowGraph::from_schedule(&ctx, schedule);
         let mut consumers_per_buffer: std::collections::HashMap<ValueId, usize> =
             std::collections::HashMap::new();
-        for e in &graph.edges {
+        for e in graph.edges() {
             *consumers_per_buffer.entry(e.buffer).or_default() += 1;
         }
         assert!(consumers_per_buffer.values().any(|&c| c >= 2));

@@ -20,10 +20,9 @@ use crate::ParallelMode;
 use hida_dataflow_ir::graph::{DataflowEdge, DataflowGraph};
 use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
 use hida_dialects::analysis::{ComputeProfile, ProfileLoopDim};
-use hida_dialects::hls::{ArrayPartition, PartitionFashion};
+use hida_dialects::hls::{self, ArrayPartition, PartitionFashion};
 use hida_dialects::transforms;
 use hida_ir_core::{AnalysisManager, Context, IrResult, ValueId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A connection between two nodes through a shared buffer, with the loop alignment
@@ -51,28 +50,45 @@ pub struct Connection {
 pub struct NodeInfo {
     /// The node.
     pub node: NodeOp,
+    /// Its position in the schedule ([`DataflowGraph::position`]): the index
+    /// of its entry in every per-node table of Algorithm 4.
+    pub position: usize,
     /// Its compute profile, shared with the analysis cache.
     pub profile: Arc<ComputeProfile>,
     /// Number of distinct nodes it shares buffers with.
     pub connections: usize,
 }
 
+/// The dataflow graph of `schedule` and the compute profile of every node of
+/// it, by node position — each fetched through the analysis cache, once.
+pub fn schedule_profiles(
+    ctx: &Context,
+    analyses: &mut AnalysisManager,
+    schedule: ScheduleOp,
+) -> (Arc<DataflowGraph>, Vec<Arc<ComputeProfile>>) {
+    let graph = analyses.get::<DataflowGraph>(ctx, schedule.id());
+    let profiles = graph
+        .nodes()
+        .iter()
+        .map(|node| analyses.get::<ComputeProfile>(ctx, node.id()))
+        .collect();
+    (graph, profiles)
+}
+
 /// Derives the loop alignment maps of one dataflow edge from the two endpoint
 /// profiles.
 fn connection_for_edge(
-    ctx: &Context,
+    graph: &DataflowGraph,
     edge: &DataflowEdge,
     source_profile: &ComputeProfile,
     target_profile: &ComputeProfile,
 ) -> Option<Connection> {
     // The profiles record accesses against the node's block arguments.
-    let source_access = edge
-        .producer
-        .arg_for(ctx, edge.buffer)
+    let source_access = graph
+        .arg_for(edge.producer, edge.buffer)
         .and_then(|arg| source_profile.access_of(arg))?;
-    let target_access = edge
-        .consumer
-        .arg_for(ctx, edge.buffer)
+    let target_access = graph
+        .arg_for(edge.consumer, edge.buffer)
         .and_then(|arg| target_profile.access_of(arg))?;
     let num_source_loops = source_profile.loop_dims.len();
     let num_target_loops = target_profile.loop_dims.len();
@@ -106,50 +122,39 @@ fn connection_for_edge(
     })
 }
 
-/// Analyzes every producer→consumer connection of a schedule. The dataflow
-/// graph and every node profile are fetched through the analysis cache.
+/// Analyzes every producer→consumer connection of a schedule, in edge order;
+/// `profiles` holds the node profiles by node position.
 pub fn analyze_connections(
-    ctx: &Context,
-    analyses: &mut AnalysisManager,
-    schedule: ScheduleOp,
+    graph: &DataflowGraph,
+    profiles: &[Arc<ComputeProfile>],
 ) -> Vec<Connection> {
-    let graph = analyses.get::<DataflowGraph>(ctx, schedule.id());
-    let mut profiles: HashMap<NodeOp, Arc<ComputeProfile>> = HashMap::new();
-    for node in &graph.nodes {
-        profiles.insert(*node, analyses.get::<ComputeProfile>(ctx, node.id()));
-    }
+    let profile_of = |node| &*profiles[graph.position(node).expect("an edge joins nodes")];
     graph
-        .edges
+        .edges()
         .iter()
         .filter_map(|edge| {
-            connection_for_edge(
-                ctx,
-                edge,
-                &profiles[&edge.producer],
-                &profiles[&edge.consumer],
-            )
+            let (source, target) = (profile_of(edge.producer), profile_of(edge.consumer));
+            connection_for_edge(graph, edge, source, target)
         })
         .collect()
 }
 
 /// Builds the per-node analysis records and returns them sorted in parallelization
 /// order (step 2: connection count descending, intensity as tie-breaker).
-pub fn analyze_nodes(
-    ctx: &Context,
-    analyses: &mut AnalysisManager,
-    schedule: ScheduleOp,
-) -> Vec<NodeInfo> {
-    let graph = analyses.get::<DataflowGraph>(ctx, schedule.id());
-    let mut infos: Vec<NodeInfo> = schedule
-        .nodes(ctx)
-        .into_iter()
-        .map(|node| NodeInfo {
+pub fn analyze_nodes(graph: &DataflowGraph, profiles: &[Arc<ComputeProfile>]) -> Vec<NodeInfo> {
+    let mut infos: Vec<NodeInfo> = graph
+        .nodes()
+        .iter()
+        .zip(profiles)
+        .enumerate()
+        .map(|(position, (&node, profile))| NodeInfo {
             node,
-            profile: analyses.get::<ComputeProfile>(ctx, node.id()),
+            position,
+            profile: Arc::clone(profile),
             connections: graph.connection_count(node),
         })
         .collect();
-    // A stable sort over the deterministic `schedule.nodes` order.
+    // A stable sort over the deterministic program order.
     infos.sort_by(|a, b| {
         b.connections
             .cmp(&a.connections)
@@ -165,14 +170,14 @@ pub fn budget_intensity(profile: &ComputeProfile) -> i64 {
     profile.macs.max(profile.total_iterations()).max(1)
 }
 
-/// Step 3: parallel factor per node — the maximum scaled by the node's share
-/// of the peak intensity (rounded to a power of two) when intensity-aware, the
-/// maximum for every node otherwise.
+/// Step 3: parallel factor per node, in the order of `infos` — the maximum
+/// scaled by the node's share of the peak intensity (rounded to a power of two)
+/// when intensity-aware, the maximum for every node otherwise.
 pub fn node_parallel_factors(
     infos: &[NodeInfo],
     max_parallel_factor: i64,
     intensity_aware: bool,
-) -> HashMap<NodeOp, i64> {
+) -> Vec<i64> {
     let max_intensity = infos
         .iter()
         .map(|i| budget_intensity(&i.profile))
@@ -181,14 +186,13 @@ pub fn node_parallel_factors(
     infos
         .iter()
         .map(|info| {
-            let factor = if intensity_aware {
+            if intensity_aware {
                 let scaled = max_parallel_factor as f64 * budget_intensity(&info.profile) as f64
                     / max_intensity.max(1) as f64;
                 round_pow2(scaled).clamp(1, max_parallel_factor)
             } else {
                 max_parallel_factor
-            };
-            (info.node, factor)
+            }
         })
         .collect()
 }
@@ -404,17 +408,20 @@ pub fn parallelize_schedule(
     max_parallel_factor: i64,
     mode: ParallelMode,
 ) -> IrResult<()> {
-    let connections = analyze_connections(ctx, analyses, schedule);
-    let infos = analyze_nodes(ctx, analyses, schedule);
+    let (graph, profiles) = schedule_profiles(ctx, analyses, schedule);
+    let connections = analyze_connections(&graph, &profiles);
+    let incident = IncidentConnections::group(&graph, &connections);
+    let infos = analyze_nodes(&graph, &profiles);
     let budgets = node_parallel_factors(&infos, max_parallel_factor, mode.intensity_aware());
 
-    let mut chosen: HashMap<NodeOp, Vec<i64>> = HashMap::new();
-    for info in &infos {
+    // The unroll factors chosen so far, by node position.
+    let mut chosen: Vec<Option<Vec<i64>>> = vec![None; profiles.len()];
+    for (info, &budget) in infos.iter().zip(&budgets) {
         let constraints_list = if mode.connection_aware() {
             constraints_for(
-                info.node,
-                info.profile.loop_dims.len(),
-                &connections,
+                info,
+                incident.of(info.position).map(|at| &connections[at]),
+                &graph,
                 &chosen,
             )
         } else {
@@ -423,19 +430,16 @@ pub fn parallelize_schedule(
         let factors = if mode == ParallelMode::Naive {
             naive_factors(&info.profile, max_parallel_factor)
         } else {
-            select_unroll_factors(&info.profile, budgets[&info.node], &constraints_list)
+            select_unroll_factors(&info.profile, budget, &constraints_list)
         };
         transforms::apply_unroll_factors(ctx, info.node.id(), &factors)?;
-        ctx.op_mut(info.node.id())
-            .set_attr("parallel_factor", budgets[&info.node]);
-        ctx.op_mut(info.node.id())
-            .set_attr("intensity", info.profile.intensity);
-        ctx.op_mut(info.node.id())
-            .set_attr("connections", info.connections as i64);
-        chosen.insert(info.node, factors);
+        ctx.set_attr(info.node.id(), "parallel_factor", budget);
+        ctx.set_attr(info.node.id(), "intensity", info.profile.intensity);
+        ctx.set_attr(info.node.id(), "connections", info.connections as i64);
+        chosen[info.position] = Some(factors);
     }
 
-    assign_array_partitions(ctx, analyses, schedule, &chosen);
+    assign_array_partitions(ctx, schedule, &graph, &profiles, &chosen);
     Ok(())
 }
 
@@ -446,19 +450,63 @@ pub fn naive_factors(profile: &ComputeProfile, max_parallel_factor: i64) -> Vec<
     select_unroll_factors(profile, max_parallel_factor, &[])
 }
 
-/// Builds the constraint vectors for `info` from the connections to nodes that were
+/// For every node, by position, the indices of the connections it is an
+/// endpoint of, ascending — grouped once, so Algorithm 4 reads a node's
+/// connections instead of scanning all of them for every node.
+struct IncidentConnections {
+    /// `connections[starts[p]..starts[p + 1]]` belong to the node at `p`.
+    starts: Vec<u32>,
+    connections: Vec<u32>,
+}
+
+impl IncidentConnections {
+    fn group(graph: &DataflowGraph, connections: &[Connection]) -> Self {
+        let position = |node| graph.position(node).expect("a connection joins nodes");
+        let ends = |c: &Connection| [c.source, c.target].map(position);
+        let mut starts = vec![0_u32; graph.nodes().len() + 1];
+        for connection in connections {
+            for end in ends(connection) {
+                starts[end + 1] += 1;
+            }
+        }
+        for position in 0..graph.nodes().len() {
+            starts[position + 1] += starts[position];
+        }
+        let mut grouped = vec![0_u32; 2 * connections.len()];
+        let mut next = starts.clone();
+        for (index, connection) in connections.iter().enumerate() {
+            for end in ends(connection) {
+                grouped[next[end] as usize] = index as u32;
+                next[end] += 1;
+            }
+        }
+        IncidentConnections {
+            starts,
+            connections: grouped,
+        }
+    }
+
+    fn of(&self, position: usize) -> impl Iterator<Item = usize> + '_ {
+        let group = self.starts[position] as usize..self.starts[position + 1] as usize;
+        self.connections[group].iter().map(|&at| at as usize)
+    }
+}
+
+/// Builds the constraint vectors for `info` from its connections to nodes that were
 /// already parallelized (Algorithm 4 lines 2-8).
-fn constraints_for(
-    node: NodeOp,
-    rank: usize,
-    connections: &[Connection],
-    chosen: &HashMap<NodeOp, Vec<i64>>,
+fn constraints_for<'a>(
+    info: &NodeInfo,
+    connections: impl Iterator<Item = &'a Connection>,
+    graph: &DataflowGraph,
+    chosen: &[Option<Vec<i64>>],
 ) -> Vec<Vec<Option<i64>>> {
+    let (node, rank) = (info.node, info.profile.loop_dims.len());
+    let chosen_of = |peer| graph.position(peer).and_then(|at| chosen[at].as_ref());
     let mut list = Vec::new();
     for connection in connections {
         // Peer already parallelized, `node` is the other endpoint.
         if connection.target == node {
-            if let Some(peer_factors) = chosen.get(&connection.source) {
+            if let Some(peer_factors) = chosen_of(connection.source) {
                 let mut constraints = vec![None; rank];
                 for (source_loop, &target_loop) in connection.t_to_s_perm.iter().enumerate() {
                     if let (Some(target_loop), Some(scale)) =
@@ -473,7 +521,7 @@ fn constraints_for(
                 list.push(constraints);
             }
         } else if connection.source == node {
-            if let Some(peer_factors) = chosen.get(&connection.target) {
+            if let Some(peer_factors) = chosen_of(connection.target) {
                 let mut constraints = vec![None; rank];
                 for (target_loop, &source_loop) in connection.s_to_t_perm.iter().enumerate() {
                     if let (Some(source_loop), Some(scale)) =
@@ -493,69 +541,72 @@ fn constraints_for(
 }
 
 /// Assigns array partitions to every internal buffer of the schedule from the chosen
-/// unroll factors and the access strides of the nodes touching it.
+/// unroll factors and the access strides of the nodes touching it. `profiles` and
+/// `chosen` go by node position in `graph`; a node without an entry in `chosen`
+/// asks nothing of its buffers.
 pub fn assign_array_partitions(
     ctx: &mut Context,
-    analyses: &mut AnalysisManager,
     schedule: ScheduleOp,
-    chosen: &HashMap<NodeOp, Vec<i64>>,
+    graph: &DataflowGraph,
+    profiles: &[Arc<ComputeProfile>],
+    chosen: &[Option<Vec<i64>>],
 ) {
-    /// What the nodes touching one buffer require of each of its dimensions.
-    struct Requirement {
+    /// The dimensions of one partitionable buffer in the flat arrays below.
+    struct Run {
         buffer: BufferOp,
-        shape: Vec<i64>,
-        factors: Vec<i64>,
-        strided: Vec<bool>,
+        start: usize,
+        rank: usize,
     }
-    // One accumulator per partitionable buffer, in `internal_buffers` order.
-    let mut requirements: Vec<Requirement> = Vec::new();
-    let mut slot_of: HashMap<ValueId, usize> = HashMap::new();
-    for buffer in schedule.internal_buffers(ctx) {
-        let shape = buffer.shape(ctx);
-        if shape.is_empty() {
+    const NO_RUN: u32 = u32::MAX;
+    // What the nodes touching a buffer require of each of its dimensions, all
+    // buffers back to back in `internal_buffers` order: the factor, and
+    // `Cyclic` until a strided access makes the dimension `Block`.
+    let buffers = schedule.internal_buffers(ctx);
+    let mut runs: Vec<Run> = Vec::with_capacity(buffers.len());
+    // Room for four dimensions a buffer: feature maps have three, weights four.
+    let mut factors: Vec<i64> = Vec::with_capacity(4 * buffers.len());
+    let mut run_of_slot = vec![NO_RUN; graph.buffers().len()];
+    for buffer in buffers {
+        let value = buffer.value(ctx);
+        let rank = ctx.value_type(value).shape().map_or(0, <[i64]>::len);
+        if rank == 0 {
             continue;
         }
-        slot_of.insert(buffer.value(ctx), requirements.len());
-        requirements.push(Requirement {
+        if let Some(slot) = graph.buffer_slot(value) {
+            run_of_slot[slot] = runs.len() as u32;
+        }
+        runs.push(Run {
             buffer,
-            factors: vec![1; shape.len()],
-            strided: vec![false; shape.len()],
-            shape,
+            start: factors.len(),
+            rank,
         });
+        factors.resize(factors.len() + rank, 1);
     }
+    let mut fashions = vec![PartitionFashion::Cyclic; factors.len()];
 
-    // One pass over the nodes, one profile fetch each; `max` and `or` commute,
-    // so folding node by node equals folding buffer by buffer.
-    for node in schedule.nodes(ctx) {
-        let Some(unroll) = chosen.get(&node) else {
+    // One pass over the nodes; `max` and `or` commute, so folding node by
+    // node equals folding buffer by buffer.
+    for (position, &node) in graph.nodes().iter().enumerate() {
+        let Some(unroll) = chosen.get(position).and_then(Option::as_ref) else {
             continue;
         };
-        let profile = analyses.get::<ComputeProfile>(ctx, node.id());
-        let operands = &ctx.op(node.id()).operands;
-        let args = &ctx.block(node.body(ctx)).args;
-        for (index, operand) in operands.iter().enumerate() {
-            // `NodeOp::arg_for`'s rule: a buffer passed twice is accessed
-            // through the argument of its first operand position.
-            if operands[..index].contains(operand) {
-                continue;
-            }
-            let Some(&slot) = slot_of.get(operand) else {
+        for port in graph.ports(node) {
+            let run = match run_of_slot[port.slot] {
+                NO_RUN => continue,
+                run => &runs[run as usize],
+            };
+            let Some(access) = port.arg.and_then(|arg| profiles[position].access_of(arg)) else {
                 continue;
             };
-            let Some(access) = args.get(index).and_then(|&arg| profile.access_of(arg)) else {
-                continue;
-            };
-            let Requirement {
-                factors, strided, ..
-            } = &mut requirements[slot];
             for (dim, pattern) in access.pattern.dims.iter().enumerate() {
                 if let Some((loop_idx, stride)) = pattern {
                     let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
                     let requirement = next_pow2(u * stride.abs().max(1));
-                    if dim < factors.len() {
+                    if dim < run.rank {
+                        let dim = run.start + dim;
                         factors[dim] = factors[dim].max(requirement);
                         if stride.abs() > 1 {
-                            strided[dim] = true;
+                            fashions[dim] = PartitionFashion::Block;
                         }
                     }
                 }
@@ -563,31 +614,24 @@ pub fn assign_array_partitions(
         }
     }
 
-    for requirement in requirements {
-        // Clamp to the dimension size and build the partition directive.
-        let fashions: Vec<PartitionFashion> = requirement
-            .factors
-            .iter()
-            .zip(&requirement.strided)
-            .map(|(&f, &s)| {
-                if f <= 1 {
-                    PartitionFashion::None
-                } else if s {
-                    PartitionFashion::Block
-                } else {
-                    PartitionFashion::Cyclic
-                }
-            })
-            .collect();
-        let factors: Vec<i64> = requirement
-            .factors
-            .iter()
-            .zip(&requirement.shape)
-            .map(|(&f, &s)| f.clamp(1, s.max(1)))
-            .collect();
-        requirement
-            .buffer
-            .set_partition(&mut *ctx, &ArrayPartition { fashions, factors });
+    let mut writer = hls::PartitionWriter::default();
+    for run in &runs {
+        let dims = run.start..run.start + run.rank;
+        // An unpartitioned dimension has no fashion; the factor is clamped
+        // to the dimension size only after the fashion is settled.
+        let shape = ctx.value_type(run.buffer.value(ctx)).shape();
+        for (dim, &size) in dims.clone().zip(shape.unwrap_or_default()) {
+            if factors[dim] <= 1 {
+                fashions[dim] = PartitionFashion::None;
+            }
+            factors[dim] = factors[dim].clamp(1, size.max(1));
+        }
+        writer.write(
+            ctx,
+            run.buffer.id(),
+            &fashions[dims.clone()],
+            &factors[dims],
+        );
     }
 }
 
@@ -626,7 +670,8 @@ mod tests {
     #[test]
     fn connections_reproduce_table4_maps() {
         let (ctx, schedule, mut analyses) = listing1_schedule();
-        let connections = analyze_connections(&ctx, &mut analyses, schedule);
+        let (graph, profiles) = schedule_profiles(&ctx, &mut analyses, schedule);
+        let connections = analyze_connections(&graph, &profiles);
         assert_eq!(connections.len(), 2, "A and B each connect two nodes");
 
         // The Node0 -> Node2 connection through array A.
@@ -656,23 +701,26 @@ mod tests {
     #[test]
     fn node_ordering_and_parallel_factors_match_table5() {
         let (ctx, schedule, mut analyses) = listing1_schedule();
-        let infos = analyze_nodes(&ctx, &mut analyses, schedule);
+        let (graph, profiles) = schedule_profiles(&ctx, &mut analyses, schedule);
+        let infos = analyze_nodes(&graph, &profiles);
         // Node2 (two connections, highest intensity) is parallelized first.
         assert!(infos[0].node.name(&ctx).contains("task2"));
         assert_eq!(infos[0].connections, 2);
+        assert_eq!(graph.nodes()[infos[0].position], infos[0].node);
 
         // Intensity-aware parallel factors with a maximum of 32 (Table 5):
         // Node2 -> 32, Node0 -> 4, Node1 -> 2.
         let budgets = node_parallel_factors(&infos, 32, true);
-        let node0 = node_by_name(&ctx, schedule, "task0");
-        let node1 = node_by_name(&ctx, schedule, "task1");
-        let node2 = node_by_name(&ctx, schedule, "task2");
-        assert_eq!(budgets[&node2], 32);
-        assert!(budgets[&node0] <= 8 && budgets[&node0] >= 2);
-        assert!(budgets[&node1] <= budgets[&node0]);
+        let budget_of = |name_part: &str| {
+            let node = node_by_name(&ctx, schedule, name_part);
+            budgets[infos.iter().position(|info| info.node == node).unwrap()]
+        };
+        assert_eq!(budget_of("task2"), 32);
+        assert!(budget_of("task0") <= 8 && budget_of("task0") >= 2);
+        assert!(budget_of("task1") <= budget_of("task0"));
         // Without intensity awareness every node receives the maximum.
         let uniform = node_parallel_factors(&infos, 32, false);
-        assert!(uniform.values().all(|&f| f == 32));
+        assert!(uniform.iter().all(|&f| f == 32));
     }
 
     #[test]
@@ -994,7 +1042,7 @@ mod tests {
         build_store(&mut bld, value, args[1], &[i4, ivs[1]]);
 
         // n1: B[i][j] = A[i][j]; S[] = A[i][j] — not in `chosen`.
-        let (_, args, ivs, inner) = node(
+        let (n1, args, ivs, inner) = node(
             &mut ctx,
             "n1",
             &[
@@ -1019,9 +1067,10 @@ mod tests {
         let value = build_load(&mut bld, args[0], &[ivs[0], j2]);
         build_store(&mut bld, value, args[1], &[]);
 
-        let chosen: HashMap<NodeOp, Vec<i64>> =
-            [(n0, vec![2, 4]), (n2, vec![1, 8])].into_iter().collect();
-        assign_array_partitions(&mut ctx, &mut AnalysisManager::new(), schedule, &chosen);
+        let (graph, profiles) = schedule_profiles(&ctx, &mut AnalysisManager::new(), schedule);
+        assert_eq!(graph.nodes(), [n0, n1, n2]);
+        let chosen = [Some(vec![2, 4]), None, Some(vec![1, 8])];
+        assign_array_partitions(&mut ctx, schedule, &graph, &profiles, &chosen);
 
         use PartitionFashion::{Block, Cyclic, None as Unpartitioned};
         // First-operand rule: 2 (unroll) x 2 (stride) on dim 0, not 2 x 4.

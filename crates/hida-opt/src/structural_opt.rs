@@ -59,7 +59,7 @@ fn duplicate_buffer_for(
     let clone = ctx.clone_op(buffer.id(), &mut mapping);
     ctx.move_op_after(clone, buffer.id());
     let new_name = format!("{}_dup", buffer.name(ctx));
-    ctx.op_mut(clone).set_attr("buffer_name", new_name);
+    ctx.set_attr(clone, "buffer_name", new_name);
     let new_value = ctx.op(clone).results[0];
 
     let reads_original = producer.reads(ctx, original);

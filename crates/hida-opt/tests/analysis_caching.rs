@@ -42,10 +42,10 @@ fn default_pipeline_reuses_profiles_across_passes() {
     assert!(tiling.cache.hits >= 1, "{:?}", tiling.cache);
     assert_eq!(tiling.cache.misses, 0, "{:?}", tiling.cache);
 
-    // Parallelization queries every node profile three times (connections,
-    // sorting, partitioning) and must never recompute one.
+    // Parallelization queries every node profile once — 2mm has two nodes —
+    // and must never recompute one.
     let parallelize = stat_of(&pipeline, "hida-parallelize");
-    assert!(parallelize.cache.hits >= 4, "{:?}", parallelize.cache);
+    assert!(parallelize.cache.hits >= 2, "{:?}", parallelize.cache);
     // At most the dataflow graph is computed fresh (and not even that when
     // balancing left the IR untouched); node profiles are never recomputed.
     assert!(parallelize.cache.misses <= 1, "{:?}", parallelize.cache);

@@ -662,7 +662,7 @@ mod tests {
             PreservedAnalyses::none().preserve::<ConstantCount>(),
         );
         let func = ctx.find_in_body(module, "func.func").unwrap();
-        ctx.op_mut(func).set_attr("annotated", 1_i64);
+        ctx.set_attr(func, "annotated", 1_i64);
         assert!(ctx.generation() > 0);
         assert_eq!(*am.get::<ConstantCount>(&ctx, module), ConstantCount(2));
         let (stats, lie) = am.end_pass(&ctx);

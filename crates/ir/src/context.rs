@@ -48,11 +48,15 @@ pub struct Context {
     /// Process-unique context identity, so caches keyed by (context, op) can
     /// never confuse entities of two different contexts.
     id: u64,
-    /// Monotonically increasing mutation counter: every structural change (op
-    /// creation/erasure/movement, operand or attribute edits) bumps it, letting
-    /// the [`AnalysisManager`](crate::analysis::AnalysisManager) detect stale
+    /// Monotonically increasing mutation counter: every mutator but
+    /// [`Context::set_name_hint`] bumps it, letting the
+    /// [`AnalysisManager`](crate::analysis::AnalysisManager) detect stale
     /// cached analyses with one integer comparison.
     generation: u64,
+    /// The part of `generation` that attribute edits do not move: bumped by
+    /// every mutator that bumps `generation` except [`Context::set_attr`].
+    /// See [`Context::structure`].
+    structure: u64,
 }
 
 static NEXT_CONTEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -73,16 +77,17 @@ impl Default for Context {
             uses: EntityMap::new(),
             id: NEXT_CONTEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             generation: 0,
+            structure: 0,
         }
     }
 }
 
 impl Clone for Context {
     /// Clones the whole IR. All entity ids remain valid in the clone, and the
-    /// clone observes the same generation, so fingerprints and printed IR of
-    /// the clone are byte-identical to the original. Only the context
-    /// *identity* is fresh: caches keyed by `(context id, entity)` must not
-    /// confuse the copy with the original.
+    /// clone observes the same generation and structure counter, so
+    /// fingerprints and printed IR of the clone are byte-identical to the
+    /// original. Only the context *identity* is fresh: caches keyed by
+    /// `(context id, entity)` must not confuse the copy with the original.
     ///
     /// What is **copied**: the arenas, the liveness bitmaps, the free list,
     /// the epochs and the use table — one heap block each — plus, per entity,
@@ -115,6 +120,7 @@ impl Clone for Context {
             uses: self.uses.clone(),
             id: NEXT_CONTEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             generation: self.generation,
+            structure: self.structure,
         }
     }
 }
@@ -166,18 +172,41 @@ impl Context {
         self.id
     }
 
-    /// The current mutation generation. Bumped by every structural mutation
-    /// (op creation, erasure, movement, operand edits) and by handing out
-    /// mutable entity references ([`Context::op_mut`] and friends, which may
-    /// edit analysis-relevant attributes). Cached analyses stamped with an
-    /// older generation are stale.
+    /// The current mutation generation: moved by every change to the IR that
+    /// anything but the printer's value names can observe. Every `&mut self`
+    /// entry point of the context that changes something bumps it — op,
+    /// region, block and value creation, attachment and movement, operand
+    /// edits, erasure, cloning, [`Context::set_attr`], and
+    /// [`Context::op_mut`], which hands out the whole payload —
+    /// [`Context::set_name_hint`] alone does not. Cached analyses stamped with
+    /// an older generation are stale, and anything that reads attributes (a
+    /// future attribute or dialect verifier included) must key on this
+    /// counter, not on [`Context::structure`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
+    /// The structure counter: moved by every mutator that moves
+    /// [`Context::generation`] **except** [`Context::set_attr`]. Two readings
+    /// that agree mean no op, region, block or value was created, attached,
+    /// moved or erased, no operand list, result list, region list, parent
+    /// link or `isolated` flag was written in between — attributes (and name
+    /// hints) are all that can differ. That is exactly what
+    /// [`verifier`](crate::verifier) reads, so the pass manager does not walk
+    /// the IR again after a pass that left this counter where the last
+    /// verification found it (see [`Verified`](crate::pass::Verified)).
+    /// [`Context::op_mut`] counts as a structural mutation: the
+    /// [`Operation`] it hands out has public `operands`, `regions`,
+    /// `parent_block` and `isolated` fields.
+    pub fn structure(&self) -> u64 {
+        self.structure
+    }
+
+    /// Every mutator but `set_attr` and `set_name_hint`.
     #[inline]
     fn bump_generation(&mut self) {
         self.generation += 1;
+        self.structure += 1;
     }
 
     // ------------------------------------------------------------------
@@ -194,11 +223,20 @@ impl Context {
 
     /// Returns a mutable reference to the operation payload for `id`.
     ///
-    /// Counts as a mutation: attribute edits through this handle can change
-    /// analysis results, so the generation is bumped conservatively.
+    /// Counts as a structural mutation — both counters move — because every
+    /// field of the payload can be written through the handle. To set an
+    /// attribute use [`Context::set_attr`], which moves the generation only.
     pub fn op_mut(&mut self, id: OpId) -> &mut Operation {
         self.bump_generation();
         &mut self.ops[id.index()]
+    }
+
+    /// Sets (or replaces) the attribute stored under `key` on `op`. The one
+    /// attribute-only mutator: it bumps [`Context::generation`] and leaves
+    /// [`Context::structure`] where it is.
+    pub fn set_attr(&mut self, op: OpId, key: impl AsRef<str>, value: impl Into<Attribute>) {
+        self.generation += 1;
+        self.ops[op.index()].set_attr(key, value);
     }
 
     /// Returns the block payload for `id`.
@@ -376,7 +414,8 @@ impl Context {
     }
 
     /// Sets the printer name hint of a value (replacing, never editing, the
-    /// string a clone of this context may share).
+    /// string a clone of this context may share). Moves neither counter:
+    /// only the printer reads a name hint.
     pub fn set_name_hint(&mut self, value: ValueId, hint: impl Into<Arc<str>>) {
         self.values[value.index()].name_hint = Some(hint.into());
     }
@@ -857,6 +896,125 @@ mod tests {
         let c0 = b.create_constant_int(0, Type::i32());
         let c1 = b.create_constant_int(1, Type::i32());
         (module, func, c0, c1)
+    }
+
+    /// What the mutators below are pointed at: `simple_module` plus a user
+    /// of `c0` and an op attached nowhere.
+    struct Fixture {
+        func: OpId,
+        region: RegionId,
+        body: BlockId,
+        c0: ValueId,
+        c1: ValueId,
+        c0_op: OpId,
+        c1_op: OpId,
+        user: OpId,
+        loose: OpId,
+    }
+
+    fn fixture(ctx: &mut Context) -> Fixture {
+        let (_, func, c0, c1) = simple_module(ctx);
+        let body = ctx.body_block(func);
+        let (user, _) = ctx.build_op(body, "test.use", vec![c0], vec![], vec![]);
+        Fixture {
+            func,
+            region: ctx.op(func).regions[0],
+            body,
+            c0,
+            c1,
+            c0_op: ctx.value(c0).defining_op().unwrap(),
+            c1_op: ctx.value(c1).defining_op().unwrap(),
+            user,
+            loose: ctx.create_op(Operation::new("test.loose")),
+        }
+    }
+
+    type Mutator = fn(&mut Context, &Fixture);
+
+    /// Every `pub fn (&mut self, ..)` of `Context`: one call each, doing
+    /// something to the fixture.
+    const MUTATORS: [(&str, Mutator); 22] = [
+        ("op_mut", |ctx, f| {
+            ctx.op_mut(f.func);
+        }),
+        ("set_attr", |ctx, f| ctx.set_attr(f.func, "k", 1_i64)),
+        ("create_op", |ctx, _| {
+            ctx.create_op(Operation::new("test.op"));
+        }),
+        ("create_region", |ctx, f| {
+            ctx.create_region(f.func);
+        }),
+        ("create_block", |ctx, f| {
+            ctx.create_block(f.region);
+        }),
+        ("add_result", |ctx, f| {
+            ctx.add_result(f.func, Type::i32());
+        }),
+        ("add_block_arg", |ctx, f| {
+            ctx.add_block_arg(f.body, Type::i32());
+        }),
+        ("set_name_hint", |ctx, f| ctx.set_name_hint(f.c0, "zero")),
+        ("create_module", |ctx, _| {
+            ctx.create_module("other");
+        }),
+        ("append_op", |ctx, f| ctx.append_op(f.body, f.loose)),
+        ("insert_op", |ctx, f| ctx.insert_op(f.body, 0, f.loose)),
+        ("detach_op", |ctx, f| ctx.detach_op(f.c0_op)),
+        ("move_op_before", |ctx, f| {
+            ctx.move_op_before(f.c1_op, f.c0_op)
+        }),
+        ("move_op_after", |ctx, f| {
+            ctx.move_op_after(f.c0_op, f.c1_op)
+        }),
+        ("add_operand", |ctx, f| ctx.add_operand(f.user, f.c1)),
+        ("set_operand", |ctx, f| ctx.set_operand(f.user, 0, f.c1)),
+        ("clear_operands", |ctx, f| ctx.clear_operands(f.user)),
+        ("replace_all_uses", |ctx, f| {
+            ctx.replace_all_uses(f.c0, f.c1)
+        }),
+        ("replace_uses_in_op", |ctx, f| {
+            ctx.replace_uses_in_op(f.user, f.c0, f.c1)
+        }),
+        ("erase_op", |ctx, f| ctx.erase_op(f.user)),
+        ("clone_op", |ctx, f| {
+            ctx.clone_op(f.user, &mut ValueMapping::new());
+        }),
+        ("build_op", |ctx, f| {
+            ctx.build_op(f.body, "test.op", vec![], vec![], vec![]);
+        }),
+    ];
+
+    #[test]
+    fn every_mutator_moves_the_structure_counter_but_set_attr_and_set_name_hint() {
+        for (name, mutate) in MUTATORS {
+            let mut ctx = Context::new();
+            let fixture = fixture(&mut ctx);
+            let before = (ctx.generation(), ctx.structure());
+            mutate(&mut ctx, &fixture);
+            let moved = (ctx.generation() != before.0, ctx.structure() != before.1);
+            let expected = match name {
+                "set_name_hint" => (false, false),
+                "set_attr" => (true, false),
+                _ => (true, true),
+            };
+            assert_eq!(moved, expected, "{name}: (generation, structure) moved");
+        }
+
+        // The table is complete: every `pub fn` of `impl Context` taking
+        // `&mut self` is in it, so a new mutator cannot be forgotten.
+        let source = include_str!("context.rs");
+        let start = source.find("\nimpl Context {").expect("impl Context");
+        let end = source.find("\n#[cfg(test)]").expect("test module");
+        for declaration in source[start..end].split("pub fn ").skip(1) {
+            let signature = declaration.split('{').next().unwrap();
+            if signature.contains("&mut self") {
+                let name = signature.split(['(', '<']).next().unwrap();
+                assert!(
+                    MUTATORS.iter().any(|(listed, _)| *listed == name),
+                    "Context::{name} takes `&mut self` and is not in MUTATORS"
+                );
+            }
+        }
     }
 
     #[test]

@@ -516,8 +516,9 @@ fn with_point<R>(f: impl FnOnce(&PointCtx) -> R) -> Option<R> {
 
 /// Cancellation checkpoint for fallible contexts (pass boundaries): returns
 /// [`IrError::Cancelled`] when the active token is cancelled. A no-op (one
-/// relaxed load) when no guard is installed.
-pub fn checkpoint(site: &str) -> IrResult<()> {
+/// relaxed load) when no guard is installed; `site` is asked for the error's
+/// site only when there is an error.
+pub fn checkpoint<S: Into<String>>(site: impl FnOnce() -> S) -> IrResult<()> {
     match with_point(|ctx| {
         if ctx.token.is_cancelled() {
             Some(ctx.token.reason())
@@ -526,7 +527,7 @@ pub fn checkpoint(site: &str) -> IrResult<()> {
         }
     }) {
         Some(Some(detail)) => Err(IrError::Cancelled {
-            site: site.to_string(),
+            site: site().into(),
             detail,
         }),
         _ => Ok(()),
@@ -709,15 +710,15 @@ mod tests {
 
     #[test]
     fn checkpoints_are_inert_without_a_guard_and_fire_with_one() {
-        assert!(checkpoint("nowhere").is_ok());
+        assert!(checkpoint(|| "nowhere").is_ok());
         checkpoint_or_unwind("nowhere");
         assert!(!injected_short_write());
 
         let token = CancelToken::new();
         let guard = install_point(token.clone(), None);
-        assert!(checkpoint("armed").is_ok());
+        assert!(checkpoint(|| "armed").is_ok());
         token.cancel();
-        let err = checkpoint("pass 'lower'").unwrap_err();
+        let err = checkpoint(|| "pass 'lower'").unwrap_err();
         assert!(matches!(err, IrError::Cancelled { .. }), "{err}");
         assert!(err.to_string().contains("pass 'lower'"), "{err}");
         let unwind = std::panic::catch_unwind(|| checkpoint_or_unwind("estimator"))
@@ -725,7 +726,10 @@ mod tests {
         let fault = fault_from_panic(unwind);
         assert!(fault.cancelled);
         drop(guard);
-        assert!(checkpoint("after-drop").is_ok(), "guard restores on drop");
+        assert!(
+            checkpoint(|| "after-drop").is_ok(),
+            "guard restores on drop"
+        );
     }
 
     #[test]

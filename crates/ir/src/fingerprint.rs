@@ -478,7 +478,7 @@ mod tests {
         // An extra attribute on the root changes it too.
         let mut c = Context::new();
         let fc = build_func(&mut c, 7);
-        c.op_mut(fc).set_attr("parallel_factor", 4_i64);
+        c.set_attr(fc, "parallel_factor", 4_i64);
         assert_ne!(
             structural_fingerprint(&a, fa),
             structural_fingerprint(&c, fc)

@@ -173,7 +173,9 @@ pub struct PassStatistics {
     pub live_ops_before: usize,
     /// Number of live ops after the pass.
     pub live_ops_after: usize,
-    /// Whether post-pass verification ran for this pass.
+    /// Whether the IR this pass left was verified: by a walk, or — after a
+    /// pass that changed no structure — by the [`Verified`] record of the
+    /// pass before it.
     pub verified: bool,
     /// True when this pass aborted the pipeline (its own failure or a post-pass
     /// verification failure); always the last record of a failing run.
@@ -242,16 +244,22 @@ impl fmt::Display for PassStatistics {
 }
 
 /// Where the IR last passed verification: the subtree below `root`, in one
-/// context, at one mutation generation. The record
-/// [holds](Verified::holds_for) exactly as long as that context has not been
-/// mutated since — then walking the subtree again would find what the walk
-/// that made the record found, and
-/// [`verify_except`](crate::verifier::verify_except) may leave it out.
+/// context, at one reading of its [structure counter](Context::structure).
+/// The record [holds](Verified::holds_for) exactly as long as nothing but
+/// attributes (and name hints) of that context has been written since.
+/// [`verifier`](crate::verifier) reads parent links, result back-links,
+/// operand visibility — operand lists, value definitions, liveness, op
+/// order — and the `isolated` flag, and no attribute: while the record
+/// holds, walking the subtree again would find what the walk that made the
+/// record found. [`PassManager::run_range`] then does not walk after a pass,
+/// and [`verify_except`](crate::verifier::verify_except) may leave the
+/// subtree out. A verifier that reads attributes must not skip by this
+/// record; it keys on [`Context::generation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verified {
     context: u64,
     root: OpId,
-    generation: u64,
+    structure: u64,
 }
 
 impl Verified {
@@ -259,7 +267,7 @@ impl Verified {
         Verified {
             context: ctx.id(),
             root,
-            generation: ctx.generation(),
+            structure: ctx.structure(),
         }
     }
 
@@ -268,10 +276,11 @@ impl Verified {
         self.root
     }
 
-    /// True when `ctx` is the context the record was made in and no mutation
-    /// has bumped its generation since.
+    /// True when `ctx` is the context the record was made in and no
+    /// structural mutation has moved its [structure
+    /// counter](Context::structure) since.
     pub fn holds_for(&self, ctx: &Context) -> bool {
-        self.context == ctx.id() && self.generation == ctx.generation()
+        self.context == ctx.id() && self.structure == ctx.structure()
     }
 }
 
@@ -289,10 +298,11 @@ pub struct RunState {
     /// One record per pass run so far, in execution order; a failed run's
     /// last record is marked `failed`.
     pub statistics: Vec<PassStatistics>,
-    /// The post-pass verification of the *last* pass run, when it ran and
-    /// passed: `None` after a pass that opted out of
+    /// The post-pass verification of the *last* pass run, when that pass was
+    /// verified — by a walk, or by the record of the pass before it still
+    /// holding: `None` after a pass that opted out of
     /// [`Pass::verify_after`], with inter-pass verification off, and after a
-    /// failed run.
+    /// failed run, so the next pass finds nothing to trust.
     pub verified: Option<Verified>,
 }
 
@@ -307,8 +317,8 @@ impl RunState {
             slots: self.slots.clone(),
             analyses: self.analyses.fork(original, fork),
             statistics: self.statistics.clone(),
-            // A clone is at its original's generation: what held there holds
-            // here, under the clone's identity.
+            // A clone is at its original's structure counter: what held there
+            // holds here, under the clone's identity.
             verified: self
                 .verified
                 .filter(|verified| verified.holds_for(original))
@@ -432,46 +442,49 @@ impl PassManager {
             verified: last_verified,
         } = run;
         for pass in &self.passes[range] {
-            *last_verified = None;
-            let name = pass.name().to_string();
-            let options = pass.options();
+            // The previous pass's record; trusted below only if this pass is
+            // verified too, and gone whatever this pass turns out to be.
+            let trusted = last_verified.take();
+            let name = pass.name();
             let live_ops_before = ctx.num_live_ops();
-            analyses.begin_pass(ctx, &name, pass.preserved_analyses());
+            analyses.begin_pass(ctx, name, pass.preserved_analyses());
             let start = Instant::now();
+            // Built only for the error of a cancelled or panicking pass.
+            let site = || format!("pass '{name}'");
             // Pass boundaries are cancellation checkpoints: a deadline or an
             // explicit cancel stops the pipeline here, before the next pass
             // starts, with a deterministic `Cancelled` error.
-            let site = format!("pass '{name}'");
-            let result = fault::checkpoint(&site).and_then(|()| {
+            let result = fault::checkpoint(site).and_then(|()| {
                 // The pass body runs under `catch_unwind`, so a panicking
                 // pass (injected or real) becomes a structured `WorkerPanic`
                 // failure instead of aborting the process. The injection
                 // hook fires *inside* the caught region to exercise exactly
                 // this machinery.
                 catch_unwind(AssertUnwindSafe(|| {
-                    fault::injected_pass_panic(&name);
+                    fault::injected_pass_panic(name);
                     pass.run(ctx, root, state, analyses)
                 }))
-                .unwrap_or_else(|payload| Err(fault::error_from_panic(&site, payload)))
+                .unwrap_or_else(|payload| Err(fault::error_from_panic(&site(), payload)))
             });
             let result = result.map_err(|e| {
                 match e {
                     // Don't re-wrap errors the pass already attributed to itself.
-                    IrError::PassFailed { pass: ref p, .. } if p == &name => e,
+                    IrError::PassFailed { pass: ref p, .. } if p == name => e,
                     // Structured fault and cancellation errors keep their
                     // variant so callers can classify the failure; wrapping
                     // would collapse them into a generic `PassFailed`.
                     e @ (IrError::Cancelled { .. }
                     | IrError::WorkerPanic { .. }
                     | IrError::StoreDegraded(_)) => e,
-                    other => IrError::pass_failed(&name, other.to_string()),
+                    other => IrError::pass_failed(name, other.to_string()),
                 }
             });
             let micros = start.elapsed().as_micros();
             // Even a failing pass leaves a statistics record, so pipeline
-            // reports show where and after how long a run died.
+            // reports show where and after how long a run died. One record
+            // per pass: it owns the only copies of the name and the options.
             let record = |verified: bool, failed: bool, cache: AnalysisCacheStats| PassStatistics {
-                pass: name.clone(),
+                pass: name.to_string(),
                 micros,
                 live_ops_before,
                 live_ops_after: ctx.num_live_ops(),
@@ -479,7 +492,7 @@ impl PassManager {
                 failed,
                 cache,
                 parallel: None,
-                options: options.clone(),
+                options: pass.options(),
             };
             if let Err(error) = result {
                 let cache = analyses.abort_pass(ctx);
@@ -489,16 +502,21 @@ impl PassManager {
             let (cache, lie) = analyses.end_pass(ctx);
             if let Some(lie) = lie {
                 statistics.push(record(false, true, cache));
-                return Err(IrError::pass_failed(&name, lie.to_string()));
+                return Err(IrError::pass_failed(name, lie.to_string()));
             }
             let verified = self.verify_each && pass.verify_after();
             if verified {
-                if let Err(e) = verify(ctx, root) {
-                    statistics.push(record(false, true, cache));
-                    return Err(IrError::pass_failed(
-                        &name,
-                        format!("post-pass verification: {e}"),
-                    ));
+                // A pass that wrote attributes only left the IR where the
+                // walk behind `trusted` found it: verified, by that record.
+                let already_walked = trusted.is_some_and(|v| v.root == root && v.holds_for(ctx));
+                if !already_walked {
+                    if let Err(e) = verify(ctx, root) {
+                        statistics.push(record(false, true, cache));
+                        return Err(IrError::pass_failed(
+                            name,
+                            format!("post-pass verification: {e}"),
+                        ));
+                    }
                 }
                 *last_verified = Some(Verified::at(ctx, root));
             }
@@ -629,11 +647,14 @@ mod tests {
         assert!(forked.holds_for(&fork) && !forked.holds_for(&ctx));
         assert!(!verified.holds_for(&fork));
 
-        // …any mutation outdates it, and a last pass that opts out of
-        // `verify_after` leaves none behind, untouched IR or not.
+        // …a last pass that opts out of `verify_after` leaves none behind,
+        // untouched IR or not; an attribute edit leaves the old one holding,
+        // any structural mutation outdates it.
         pm.run_range(&mut ctx, module, 1..2, &mut run).unwrap();
         assert_eq!(run.verified, None);
-        ctx.op_mut(module).set_attr("touched", true);
+        ctx.set_attr(module, "touched", true);
+        assert!(verified.holds_for(&ctx));
+        ctx.op_mut(module).isolated = true;
         assert!(!verified.holds_for(&ctx));
 
         // With inter-pass verification off there is never one.
@@ -644,6 +665,212 @@ mod tests {
         let mut run = RunState::default();
         pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
         assert_eq!(run.verified, None);
+    }
+
+    /// A pass over the first constant of the module, configured by what it
+    /// does to it.
+    struct EditPass {
+        name: &'static str,
+        edit: fn(&mut Context, OpId),
+        verify_after: bool,
+    }
+
+    impl EditPass {
+        fn boxed(name: &'static str, edit: fn(&mut Context, OpId)) -> Box<dyn Pass> {
+            Box::new(EditPass {
+                name,
+                edit,
+                verify_after: true,
+            })
+        }
+    }
+
+    impl Pass for EditPass {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn verify_after(&self) -> bool {
+            self.verify_after
+        }
+        fn run(
+            &self,
+            ctx: &mut Context,
+            root: OpId,
+            _state: &mut PipelineState,
+            _analyses: &mut AnalysisManager,
+        ) -> IrResult<()> {
+            let constant = ctx.collect_ops(root, "arith.constant")[0];
+            (self.edit)(ctx, constant);
+            Ok(())
+        }
+    }
+
+    fn annotate(ctx: &mut Context, constant: OpId) {
+        ctx.set_attr(constant, "annotated", true);
+    }
+
+    /// Appends to the first constant an operand defined after it: invalid IR.
+    fn use_before_def(ctx: &mut Context, constant: OpId) {
+        let block = ctx.op(constant).parent_block.unwrap();
+        let (_, late) = ctx.build_op(block, "arith.constant", vec![], vec![Type::i32()], vec![]);
+        ctx.add_operand(constant, late[0]);
+    }
+
+    /// Runs `pass` alone over `run` and returns the record the run held
+    /// before it and the one it holds after.
+    fn records_around(
+        pass: Box<dyn Pass>,
+        ctx: &mut Context,
+        module: OpId,
+        run: &mut RunState,
+    ) -> (Option<Verified>, IrResult<Option<Verified>>) {
+        let before = run.verified;
+        let mut pm = PassManager::new();
+        pm.add_pass(pass);
+        let result = pm.run_range(ctx, module, 0..1, run);
+        (before, result.map(|()| run.verified))
+    }
+
+    /// A context whose module passed a walking verification, and the run
+    /// state holding the record of it.
+    fn verified_module(constants: usize) -> (Context, OpId, RunState) {
+        let mut ctx = Context::new();
+        let module = module_with_constants(&mut ctx, constants);
+        let mut run = RunState::default();
+        let noop = EditPass::boxed("noop", |_, _| ());
+        let (_, after) = records_around(noop, &mut ctx, module, &mut run);
+        assert!(after.unwrap().is_some());
+        (ctx, module, run)
+    }
+
+    #[test]
+    fn an_attribute_only_pass_is_verified_by_the_record_of_the_pass_before_it() {
+        let (mut ctx, module, mut run) = verified_module(2);
+        let structure = ctx.structure();
+        let (before, after) = records_around(
+            EditPass::boxed("annotate", annotate),
+            &mut ctx,
+            module,
+            &mut run,
+        );
+        // No walk: the structure counter did not move, so the re-stamped
+        // record is the one the earlier walk made, and it still holds.
+        assert_eq!(ctx.structure(), structure);
+        assert_eq!(after.unwrap(), before);
+        assert!(run.verified.unwrap().holds_for(&ctx));
+        assert!(run.statistics.last().unwrap().verified);
+
+        // A pass that also moves a use before its def moves the counter, is
+        // walked, and is rejected as it always was.
+        let (_, after) = records_around(
+            EditPass::boxed("annotate-and-break", |ctx, constant| {
+                annotate(ctx, constant);
+                use_before_def(ctx, constant);
+            }),
+            &mut ctx,
+            module,
+            &mut run,
+        );
+        let error = after.unwrap_err().to_string();
+        assert!(
+            error.contains("annotate-and-break") && error.contains("post-pass verification"),
+            "{error}"
+        );
+        assert!(error.contains("not visible"), "{error}");
+        assert_eq!(run.verified, None);
+        let failed = run.statistics.last().unwrap();
+        assert!(failed.failed && !failed.verified);
+    }
+
+    #[test]
+    fn a_structural_pass_is_walked_whatever_record_precedes_it() {
+        type Edit = fn(&mut Context, OpId);
+        let edits: [(&'static str, Edit); 3] = [
+            ("erase", |ctx, constant| ctx.erase_op(constant)),
+            ("add-operand", |ctx, constant| {
+                let first = ctx.op(constant).results[0];
+                let other = ctx.collect_ops(ctx.parent_op(constant).unwrap(), "arith.constant")[1];
+                ctx.add_operand(other, first);
+            }),
+            ("flip-isolated", |ctx, constant| {
+                ctx.op_mut(constant).isolated = true;
+            }),
+        ];
+        for (name, edit) in edits {
+            let (mut ctx, module, mut run) = verified_module(2);
+            let (before, after) =
+                records_around(EditPass::boxed(name, edit), &mut ctx, module, &mut run);
+            let (before, after) = (before.unwrap(), after.unwrap().unwrap());
+            assert_ne!(after, before, "{name}: a new record, by a new walk");
+            assert!(!before.holds_for(&ctx) && after.holds_for(&ctx), "{name}");
+        }
+        // The same walk rejects what the skip would have let through.
+        let (mut ctx, module, mut run) = verified_module(2);
+        let broken = EditPass::boxed("break", use_before_def);
+        assert!(records_around(broken, &mut ctx, module, &mut run)
+            .1
+            .is_err());
+    }
+
+    #[test]
+    fn a_pass_that_is_not_verified_leaves_no_record_for_the_next_to_trust() {
+        // `verify_after() == false`: the record is gone although nothing changed…
+        let (mut ctx, module, mut run) = verified_module(2);
+        let unverified = Box::new(EditPass {
+            name: "break-unverified",
+            edit: use_before_def,
+            verify_after: false,
+        });
+        let (_, after) = records_around(unverified, &mut ctx, module, &mut run);
+        assert_eq!(after.unwrap(), None);
+        // …so the attribute-only pass after it walks, and finds the break.
+        let (before, after) = records_around(
+            EditPass::boxed("annotate", annotate),
+            &mut ctx,
+            module,
+            &mut run,
+        );
+        assert_eq!(before, None);
+        assert!(after.unwrap_err().to_string().contains("not visible"));
+
+        // Verification off: no record, before or after.
+        let (mut ctx, module, mut run) = verified_module(2);
+        let mut pm = PassManager::new().with_verification(false);
+        pm.add_pass(EditPass::boxed("annotate", annotate));
+        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        assert_eq!(run.verified, None);
+        assert!(!run.statistics.last().unwrap().verified);
+
+        // A record for another root is not trusted either.
+        let (mut ctx, module, mut run) = verified_module(2);
+        let func = ctx.find_in_body(module, "func.func").unwrap();
+        let (before, after) = records_around(
+            EditPass::boxed("annotate", annotate),
+            &mut ctx,
+            func,
+            &mut run,
+        );
+        assert_eq!(before.unwrap().root(), module);
+        assert_eq!(after.unwrap().unwrap().root(), func);
+    }
+
+    #[test]
+    fn a_fork_re_issues_the_record_so_its_attribute_only_pass_is_not_walked() {
+        let (mut ctx, module, run) = verified_module(2);
+        let mut fork = ctx.clone();
+        let mut forked = run.fork(&ctx, &fork);
+        let record = forked.verified.expect("re-issued");
+        assert!(record.holds_for(&fork) && !record.holds_for(&ctx));
+        let (before, after) = records_around(
+            EditPass::boxed("annotate", annotate),
+            &mut fork,
+            module,
+            &mut forked,
+        );
+        assert_eq!(after.unwrap(), before);
+        // A record that no longer holds for the original is not carried over.
+        ctx.op_mut(module).isolated = true;
+        assert_eq!(run.fork(&ctx, &ctx.clone()).verified, None);
     }
 
     #[test]
@@ -826,7 +1053,7 @@ mod tests {
             _state: &mut PipelineState,
             _analyses: &mut AnalysisManager,
         ) -> IrResult<()> {
-            ctx.op_mut(root).set_attr("annotated", 1_i64);
+            ctx.set_attr(root, "annotated", 1_i64);
             Ok(())
         }
     }

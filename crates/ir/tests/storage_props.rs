@@ -157,13 +157,12 @@ proptest! {
             let op = ops[pick_op % ops.len()];
             let value = values[pick_value % values.len()];
             match kind {
-                0 => edited.op_mut(op).set_attr("task_name", format!("edited{pick_value}")),
-                1 => edited.op_mut(op).set_attr("factors", vec![pick_value as i64; pick_op % 5]),
-                2 => edited.op_mut(op).set_attr(
-                    "fashions",
+                0 => edited.set_attr(op, "task_name", format!("edited{pick_value}")),
+                1 => edited.set_attr(op, "factors", vec![pick_value as i64; pick_op % 5]),
+                2 => edited.set_attr(op, "fashions",
                     Attribute::StrArray(["block".into(), "none".into()].into()),
                 ),
-                3 => edited.op_mut(op).set_attr("elem", Type::memref(vec![pick_value as i64], Type::i8())),
+                3 => edited.set_attr(op, "elem", Type::memref(vec![pick_value as i64], Type::i8())),
                 4 => edited.set_name_hint(value, format!("renamed{pick_op}")),
                 5 => edited.add_operand(op, value),
                 6 if !edited.op(op).operands.is_empty() => {

@@ -8,11 +8,10 @@
 //! reconvergent paths, and the sequential behaviour when dataflow is disabled).
 
 use hida_dataflow_ir::graph::DataflowGraph;
-use hida_dataflow_ir::structural::{NodeOp, ScheduleOp};
+use hida_dataflow_ir::structural::ScheduleOp;
 use hida_estimator::dataflow::DataflowEstimator;
 use hida_estimator::latency::buffer_info;
 use hida_ir_core::Context;
-use std::collections::HashMap;
 
 /// Result of a timed pipeline simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +37,11 @@ pub fn simulate_pipeline(
     frames: usize,
     dataflow: bool,
 ) -> PipelineTrace {
+    // Every per-node table below goes by node position.
     let nodes = schedule.nodes(ctx);
-    let latencies: HashMap<NodeOp, i64> = nodes
+    let latencies: Vec<i64> = nodes
         .iter()
-        .map(|&n| (n, estimator.estimate_node(ctx, n).latency_cycles.max(1)))
+        .map(|&n| estimator.estimate_node(ctx, n).latency_cycles.max(1))
         .collect();
     if nodes.is_empty() || frames == 0 {
         return PipelineTrace {
@@ -52,7 +52,7 @@ pub fn simulate_pipeline(
     }
 
     if !dataflow {
-        let per_frame: i64 = latencies.values().sum();
+        let per_frame: i64 = latencies.iter().sum();
         let completion: Vec<i64> = (1..=frames as i64).map(|k| k * per_frame).collect();
         return PipelineTrace {
             steady_interval: per_frame,
@@ -62,31 +62,32 @@ pub fn simulate_pipeline(
     }
 
     let graph = DataflowGraph::from_schedule(ctx, schedule);
+    let position = |node| graph.position(node).expect("an edge joins nodes");
     // finish[node][frame] = cycle when the node finished that frame.
-    let mut finish: HashMap<NodeOp, Vec<i64>> = nodes.iter().map(|&n| (n, Vec::new())).collect();
+    let mut finish: Vec<Vec<i64>> = vec![Vec::with_capacity(frames); nodes.len()];
     // Buffer depth between producer/consumer pairs.
-    let edge_depth: Vec<(NodeOp, NodeOp, i64)> = graph
-        .edges
+    let edge_depth: Vec<(usize, usize, i64)> = graph
+        .edges()
         .iter()
         .map(|e| {
             (
-                e.producer,
-                e.consumer,
+                position(e.producer),
+                position(e.consumer),
                 buffer_info(ctx, e.buffer).depth.max(1),
             )
         })
         .collect();
 
     for frame in 0..frames {
-        for &node in &nodes {
+        for (node, &latency) in latencies.iter().enumerate() {
             let mut start: i64 = 0;
             // (a) The node itself is busy until it finished the previous frame.
             if frame > 0 {
-                start = start.max(finish[&node][frame - 1]);
+                start = start.max(finish[node][frame - 1]);
             }
             // (b) Producers must have delivered this frame.
-            for pred in graph.predecessors(node) {
-                start = start.max(finish[&pred][frame]);
+            for &pred in graph.predecessors(nodes[node]) {
+                start = start.max(finish[position(pred)][frame]);
             }
             // (c) Back-pressure: a producer may run at most `depth` frames ahead of
             // each consumer on the connecting buffer.
@@ -94,17 +95,16 @@ pub fn simulate_pipeline(
                 if producer == node {
                     let lag = frame as i64 - depth;
                     if lag >= 0 {
-                        start = start.max(finish[&consumer][lag as usize]);
+                        start = start.max(finish[consumer][lag as usize]);
                     }
                 }
             }
-            let done = start + latencies[&node];
-            finish.get_mut(&node).unwrap().push(done);
+            finish[node].push(start + latency);
         }
     }
 
     let completion: Vec<i64> = (0..frames)
-        .map(|frame| nodes.iter().map(|n| finish[n][frame]).max().unwrap())
+        .map(|frame| finish.iter().map(|done| done[frame]).max().unwrap())
         .collect();
     let steady_interval = if frames >= 3 {
         completion[frames - 1] - completion[frames - 2]
