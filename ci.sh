@@ -161,7 +161,8 @@ run_cache() {
 # second fig10 run pointed at the same --cache-dir reports nonzero persistent
 # hits and byte-identical QoR, a cold run leaves exactly one segment file and
 # a warm run adds none, and a corrupted segment degrades to misses without
-# failing the run.
+# failing the run. The cold run starts over a directory a store-format-1
+# build left behind: that segment is what a corrupt one is.
 run_persist() {
   echo "==> [persist] fig10 twice, two processes sharing one --cache-dir"
   local cache_dir cold_json warm_json cold_txt warm_txt
@@ -171,11 +172,19 @@ run_persist() {
   cold_txt=$(mktemp /tmp/fig10_cold.XXXXXX.txt)
   warm_txt=$(mktemp /tmp/fig10_warm.XXXXXX.txt)
 
+  cp crates/estimator/tests/fixtures/v1/*.seg "${cache_dir}/"
   cargo run --release -q -p hida-bench --bin fig10_ablation -- \
     --jobs 2 --cache-dir "${cache_dir}" --cache-limit-mb 64 \
     --sweep-json "${cold_json}" > "${cold_txt}"
   if ! grep -qE '"persistent_cache": \{"hits": 0, "misses": [1-9][0-9]*, "writes": [1-9]' "${cold_json}"; then
     echo "cold run did not populate the persistent store"
+    cat "${cold_json}"
+    exit 1
+  fi
+  # The format-1 segment served nothing (hits 0 above), was counted and
+  # removed (one file below), and changed no result.
+  if ! grep -q '"corrupt": 1,' "${cold_json}" || ! grep -q '"qor_identical": true' "${cold_json}"; then
+    echo "the store-format-1 segment was not counted corrupt, or changed sweep results"
     cat "${cold_json}"
     exit 1
   fi

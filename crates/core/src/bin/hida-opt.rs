@@ -59,7 +59,9 @@ usage: hida-opt [OPTIONS]
                         design points compile concurrently on the sweep pool,
                         run the passes their lines have in common once, and
                         share per-node QoR estimates through the
-                        content-addressed cross-compilation cache; each point
+                        cross-compilation cache, keyed by what the node model
+                        reads (its inputs and the device), so nodes the model
+                        cannot tell apart are evaluated once; each point
                         reports what it would report compiled alone
   --explore <file>      guided design-space exploration over the same sweep
                         grammar: pipeline lines span a knob lattice, and a
@@ -77,13 +79,14 @@ usage: hida-opt [OPTIONS]
   --device <name>       device for QoR estimation: pynq-z2 | zu3eg | vu9p-slr
                         (default: the pipeline's parallelize device, else
                         vu9p-slr)
-  --cache-dir <path>    persist per-node QoR estimates in a content-addressed
-                        store under <path> (created if missing): this run
+  --cache-dir <path>    persist per-node QoR estimates, under the same keys,
+                        in a store under <path> (created if missing): this run
                         reuses estimates written by earlier processes sharing
                         the directory, and publishes its own as one segment
                         file when it ends; a run that computes nothing new
-                        writes nothing; corrupt or stale segments read as
-                        misses, never as errors
+                        writes nothing; corrupt segments and segments of an
+                        older store format are removed and read as misses,
+                        never as errors
   --cache-limit-mb <n>  size budget for --cache-dir in megabytes; a publish
                         past the budget evicts whole segments, oldest
                         published first (reads refresh nothing)

@@ -361,9 +361,8 @@ impl Compiler {
 
     /// Attaches a cross-compilation estimate cache (builder style): per-node
     /// QoR estimates are shared with every other compilation holding a clone
-    /// of the same `Arc`, keyed by content fingerprint and device, so a
-    /// design-space sweep re-estimates only the nodes that actually changed
-    /// between design points. Results are byte-identical with or without the
+    /// of the same `Arc`, keyed by the node model's inputs and the device, so
+    /// a design-space sweep evaluates each distinct set of inputs once. Results are byte-identical with or without the
     /// cache; [`CompilationResult::shared_estimator_cache`] reports the
     /// traffic.
     pub fn with_shared_estimates(mut self, cache: Arc<SharedEstimateCache>) -> Self {

@@ -26,10 +26,10 @@
 //!   concurrently as the thread total allows, never more than there are
 //!   points.
 //! * A content-addressed [`SharedEstimateCache`] is handed to every point:
-//!   per-node QoR estimates are keyed by structural fingerprint and device,
-//!   so the 100th ResNet-18 design point re-estimates only the nodes whose
-//!   tiling or parallel factors actually changed. The per-node model is a
-//!   pure function of exactly the fingerprinted inputs.
+//!   per-node QoR estimates are keyed by the node model's inputs and the
+//!   device, so the 100th ResNet-18 design point evaluates only inputs no
+//!   earlier node had. The per-node model is handed exactly the hashed
+//!   inputs and nothing else.
 //!
 //! Neither kind of sharing shows in the results: every point is
 //! **byte-identical** to a sequential, share-nothing compile of that point

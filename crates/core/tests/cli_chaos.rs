@@ -200,12 +200,13 @@ fn store_faults_over_a_cache_dir_keep_their_failed_set_and_counters_at_any_job_c
         let dir = fresh_store_dir(&format!("chaos_store_{jobs}"));
         let dir_arg = dir.to_str().expect("utf-8 tmpdir");
         let faults = ["--inject-faults", spec, "--cache-dir", dir_arg];
-        // Cold: three surviving points, two estimates each, one segment.
+        // Cold: three surviving points, one entry each (2mm's two products
+        // put the same numbers into the node model), one segment.
         let (ok, json) = run_sweep(&path, jobs, &[&faults[..], &["--stats-json"]].concat());
         assert!(!ok, "the store-read fault must fail the sweep:\n{json}");
         assert_eq!(
             persistent_counters(&json),
-            "\"persistent_cache\":{\"hits\":0,\"misses\":6,\"writes\":6,\"evictions\":0,\
+            "\"persistent_cache\":{\"hits\":0,\"misses\":3,\"writes\":3,\"evictions\":0,\
              \"corrupt\":0,\"write_errors\":1,\"read_errors\":1}",
         );
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);

@@ -5,6 +5,7 @@
 //! and carries its bounds and step as compile-time attributes — exactly the
 //! "structured control flow" representation HIDA analyses and transforms.
 
+use hida_ir_core::walk::walk_ops_pruned;
 use hida_ir_core::{Attribute, Context, OpBuilder, OpId, Operation, Type, ValueId};
 
 /// Operation name of the affine loop.
@@ -196,16 +197,30 @@ pub fn loop_band(ctx: &Context, outer: OpId) -> Vec<ForOp> {
 /// Returns the `affine.for` ops directly nested in the body of `op` (not inside other
 /// loops), in program order.
 pub fn top_level_loops(ctx: &Context, op: OpId) -> Vec<ForOp> {
-    ctx.body_ops(op)
-        .into_iter()
-        .filter(|&o| ctx.op(o).is(FOR))
-        .map(ForOp)
+    if ctx.op(op).regions.is_empty() {
+        return Vec::new();
+    }
+    let body = &ctx.block(ctx.body_block(op)).ops;
+    body.iter()
+        .filter(|&&o| ctx.op(o).is(FOR))
+        .map(|&o| ForOp(o))
         .collect()
 }
 
 /// Returns every `affine.for` nested anywhere below `op` (pre-order).
 pub fn all_loops(ctx: &Context, op: OpId) -> Vec<ForOp> {
     ctx.collect_ops(op, FOR).into_iter().map(ForOp).collect()
+}
+
+/// True when some `affine.for` nested anywhere below `op` satisfies `pred`;
+/// the walk stops at the first that does and builds nothing.
+pub fn any_loop(ctx: &Context, op: OpId, mut pred: impl FnMut(ForOp) -> bool) -> bool {
+    let mut found = false;
+    walk_ops_pruned(ctx, op, &mut |ctx, nested| {
+        found = found || (nested != op && ctx.op(nested).is(FOR) && pred(ForOp(nested)));
+        !found
+    });
+    found
 }
 
 /// Total iteration count of a loop band (product of trip counts).

@@ -9,6 +9,7 @@
 use crate::linalg;
 use crate::loops::{self, ForOp};
 use hida_ir_core::{Attribute, Context, IrError, IrResult, OpId};
+use std::borrow::Cow;
 
 /// Attribute key holding per-dimension unroll factors on named layers and nodes.
 pub const ATTR_UNROLL_FACTORS: &str = "unroll_factors";
@@ -94,10 +95,11 @@ fn record_on_layers(ctx: &mut Context, op: OpId, key: &str, value: &Attribute) {
 }
 
 /// Reads the unroll factors recorded on `op` (node, layer or loop-band owner),
-/// defaulting to all-1 factors of the given rank.
-pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
+/// defaulting to all-1 factors of the given rank. Recorded factors are lent
+/// from the attribute; only the fallbacks are built.
+pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Cow<'_, [i64]> {
     if let Some(factors) = ctx.op(op).attr_int_array(ATTR_UNROLL_FACTORS) {
-        return factors.to_vec();
+        return Cow::Borrowed(factors);
     }
     // Fall back to per-loop directives of the primary band.
     if let Some(outer) = first_top_level_loop(ctx, op) {
@@ -106,7 +108,7 @@ pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
             return band.iter().map(|l| l.unroll_factor(ctx)).collect();
         }
     }
-    vec![1; rank]
+    Cow::Owned(vec![1; rank])
 }
 
 /// Records per-dimension tile sizes on `op` and on every named layer in its body.
@@ -118,10 +120,8 @@ pub fn apply_tile_sizes(ctx: &mut Context, op: OpId, tile_sizes: &[i64]) {
 }
 
 /// Reads the tile sizes recorded on `op`; `None` when it was never tiled.
-pub fn tile_sizes_of(ctx: &Context, op: OpId) -> Option<Vec<i64>> {
-    ctx.op(op)
-        .attr_int_array(ATTR_TILE_SIZES)
-        .map(|v| v.to_vec())
+pub fn tile_sizes_of(ctx: &Context, op: OpId) -> Option<&[i64]> {
+    ctx.op(op).attr_int_array(ATTR_TILE_SIZES)
 }
 
 #[cfg(test)]

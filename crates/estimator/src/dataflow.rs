@@ -8,12 +8,12 @@
 //! sequential execution and the interval equals the sum of node latencies.
 
 use crate::device::FpgaDevice;
-use crate::latency::{buffer_info, estimate_profile, node_name, NodeEstimate};
+use crate::latency::{
+    buffer_depth, buffer_info, evaluate, gather, named, NodeEstimate, NodeModelInputs,
+};
 use crate::report::DesignEstimate;
 use crate::resource::Resources;
-use crate::shared_cache::{
-    device_fingerprint, estimate_key, SharedCacheStats, SharedEstimateCache,
-};
+use crate::shared_cache::{device_fingerprint, inputs_key, SharedCacheStats, SharedEstimateCache};
 use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::{NodeOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
@@ -44,10 +44,9 @@ use std::sync::Arc;
 ///
 /// For design-space sweeps, [`DataflowEstimator::with_shared_cache`] attaches
 /// a content-addressed [`SharedEstimateCache`]: local misses consult the
-/// shared cache under the node's [structural
-/// fingerprint](crate::shared_cache::estimate_fingerprint) before computing,
-/// so structurally identical nodes are estimated once *across* independent
-/// compilations.
+/// shared cache under the [key](crate::shared_cache::inputs_key) of the
+/// node's model inputs before evaluating them, so nodes the model cannot
+/// tell apart are evaluated once *across* independent compilations.
 pub struct DataflowEstimator {
     device: FpgaDevice,
     /// Fingerprint of the full device description: half of every cache key.
@@ -120,11 +119,11 @@ impl DataflowEstimator {
     }
 
     /// Attaches a cross-compilation [`SharedEstimateCache`]: when the local
-    /// per-context memoization misses, the node's content fingerprint is
-    /// looked up in (and computed results are published to) the shared cache,
-    /// so structurally identical nodes are estimated only once across a whole
-    /// design-space sweep. Estimates are unchanged by sharing — the cache key
-    /// captures every input of the per-node model.
+    /// per-context memoization misses, the key of the node's model inputs is
+    /// looked up in (and evaluated results are published to) the shared
+    /// cache, so equal inputs are evaluated only once across a whole
+    /// design-space sweep. Estimates are unchanged by sharing — the key is
+    /// every input of the per-node model.
     pub fn with_shared_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
         self.shared = Some(cache);
         self
@@ -199,40 +198,31 @@ impl DataflowEstimator {
         })
     }
 
-    /// Runs the per-node model over `op`'s cached compute profile.
-    fn compute(&self, ctx: &Context, op: OpId) -> NodeEstimate {
+    /// The node model's inputs, gathered from `op`'s cached compute profile.
+    fn inputs(&self, ctx: &Context, op: OpId) -> NodeModelInputs {
         let profile = self.analyses.borrow_mut().get::<ComputeProfile>(ctx, op);
-        estimate_profile(ctx, op, &profile, &self.device)
+        gather(ctx, op, &profile)
     }
 
-    /// An estimate served under a content key: the key deliberately ignores
-    /// name attributes (so structurally repeated nodes share an entry); the
-    /// display name is re-derived from the local IR, exactly as the per-node
-    /// model would have set it.
-    fn renamed(ctx: &Context, op: OpId, mut estimate: NodeEstimate) -> NodeEstimate {
-        estimate.name = node_name(ctx, op);
-        estimate
-    }
-
-    /// The estimate of `op`'s body. With a shared cache attached, local
-    /// misses consult it by content fingerprint before computing, and
-    /// publish what they compute.
+    /// The estimate of `op`'s body: gather, then evaluate. With a shared
+    /// cache attached the gathered inputs are keyed and looked up in between,
+    /// and what a miss evaluates is published — without a name, which is no
+    /// input of the key: every estimate leaves here under `op`'s own.
     fn body_estimate(&self, ctx: &Context, op: OpId) -> Arc<NodeEstimate> {
         self.memoized(ctx, op, || {
+            let inputs = self.inputs(ctx, op);
             let Some(cache) = &self.shared else {
-                return self.compute(ctx, op);
+                return named(ctx, op, evaluate(&inputs, &self.device));
             };
-            let key = estimate_key(ctx, op, self.device_key);
+            let key = inputs_key(&inputs, self.device_key);
             let served = cache.lookup(key);
             self.record_shared_traffic(served.is_some());
-            served.map_or_else(
-                || {
-                    let estimate = self.compute(ctx, op);
-                    cache.publish(key, estimate.clone());
-                    estimate
-                },
-                |estimate| Self::renamed(ctx, op, estimate),
-            )
+            let estimate = served.unwrap_or_else(|| {
+                let estimate = evaluate(&inputs, &self.device);
+                cache.publish(key, estimate.clone());
+                estimate
+            });
+            named(ctx, op, estimate)
         })
     }
 
@@ -248,18 +238,15 @@ impl DataflowEstimator {
         probe_hits: &mut usize,
     ) -> Arc<NodeEstimate> {
         self.memoized(ctx, op, || {
+            let inputs = self.inputs(ctx, op);
             let served = cache.and_then(|cache| {
-                let key = estimate_key(ctx, op, self.device_key);
+                let key = inputs_key(&inputs, self.device_key);
                 self.probed.borrow_mut().push((op, key));
                 cache.peek(key)
             });
-            match served {
-                Some(estimate) => {
-                    *probe_hits += 1;
-                    Self::renamed(ctx, op, estimate)
-                }
-                None => self.compute(ctx, op),
-            }
+            *probe_hits += usize::from(served.is_some());
+            let estimate = served.unwrap_or_else(|| evaluate(&inputs, &self.device));
+            named(ctx, op, estimate)
         })
     }
 
@@ -277,7 +264,11 @@ impl DataflowEstimator {
             };
             let hit = cache.lookup(key).is_some();
             if !hit {
-                cache.publish(key, estimate.clone());
+                let unnamed = NodeEstimate {
+                    name: String::new(),
+                    ..*estimate
+                };
+                cache.publish(key, unnamed);
             }
             self.record_shared_traffic(hit);
         }
@@ -426,7 +417,7 @@ impl DataflowEstimator {
         let mut stall = vec![1_i64; graph.nodes().len()];
         for (edge, imbalance) in graph.unbalanced_edges() {
             let required_depth = imbalance as i64 + 1;
-            let actual_depth = buffer_info(ctx, edge.buffer).depth.max(1);
+            let actual_depth = buffer_depth(ctx, edge.buffer).max(1);
             if actual_depth < required_depth {
                 let factor = (required_depth + actual_depth - 1) / actual_depth;
                 let producer = graph.position(edge.producer).expect("an edge joins nodes");
@@ -707,6 +698,38 @@ mod tests {
         let cloned = est_c.clone();
         assert!(cloned.shared_cache().is_some());
         assert_eq!(cloned.shared_cache_stats().hits, 0);
+    }
+
+    #[test]
+    fn estimate_keys_ignore_contexts_numbering_and_names() {
+        use crate::shared_cache::estimate_key;
+        let device = device_fingerprint(&FpgaDevice::zu3eg());
+        let mut ctx_a = Context::new();
+        let schedule_a = two_node_schedule(&mut ctx_a, 1024, 2048);
+        // Another context, every id shifted, every node renamed.
+        let mut ctx_b = Context::new();
+        ctx_b.create_module("junk");
+        let schedule_b = two_node_schedule(&mut ctx_b, 1024, 2048);
+        for node in schedule_b.nodes(&ctx_b) {
+            ctx_b.set_attr(node.id(), "node_name", "renamed");
+        }
+        let keys = |ctx: &Context, schedule: ScheduleOp| -> Vec<Fingerprint> {
+            let nodes = schedule.nodes(ctx);
+            nodes
+                .iter()
+                .map(|n| estimate_key(ctx, n.id(), device))
+                .collect()
+        };
+        let (a, b) = (keys(&ctx_a, schedule_a), keys(&ctx_b, schedule_b));
+        assert_eq!(a, b);
+        assert_ne!(a[0], a[1], "1024 iterations are not 2048");
+        // What the estimator looks up is what `estimate_key` says.
+        let cache = Arc::new(SharedEstimateCache::new());
+        DataflowEstimator::new(FpgaDevice::zu3eg())
+            .with_shared_cache(cache.clone())
+            .estimate_schedule(&ctx_b, schedule_b, true);
+        assert!(a.iter().all(|&key| cache.peek(key).is_some()));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -11,30 +11,41 @@ use crate::resource::{buffer_resources, compute_resources, Resources};
 use hida_dataflow_ir::structural::{BufferOp, NodeOp};
 use hida_dialects::analysis::{profile_body, ComputeProfile};
 use hida_dialects::hls::{self, MemoryKind};
-use hida_dialects::transforms;
+use hida_dialects::{loops, transforms};
 use hida_ir_core::{Context, OpId, ValueId};
 
-/// Physical description of a buffer as seen by one node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferInfo {
+/// Physical description of a buffer as seen by one node. A view: the shape
+/// is the type's and the partition factors are the attribute's, so resolving
+/// a buffer builds nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BufferInfo<'a> {
     /// Elements per ping-pong stage.
     pub elements: i64,
     /// Element bit width.
     pub bits: u32,
-    /// Per-dimension partition factors.
-    pub partition_factors: Vec<i64>,
+    /// Per-dimension partition factors; `None` when the buffer was never
+    /// partitioned (or is external): every factor is 1.
+    pub partition_factors: Option<&'a [i64]>,
     /// Ping-pong depth.
     pub depth: i64,
     /// Physical placement.
     pub kind: MemoryKind,
     /// Buffer shape.
-    pub shape: Vec<i64>,
+    pub shape: &'a [i64],
 }
 
-impl BufferInfo {
+impl BufferInfo<'_> {
+    /// Partition factor of dimension `dim` (1 when none was recorded).
+    pub fn partition_factor(&self, dim: usize) -> i64 {
+        self.partition_factors
+            .and_then(|factors| factors.get(dim))
+            .map_or(1, |&factor| factor.max(1))
+    }
+
     /// Total partition banks.
     pub fn banks(&self) -> i64 {
         self.partition_factors
+            .unwrap_or_default()
             .iter()
             .map(|&f| f.max(1))
             .product::<i64>()
@@ -53,63 +64,59 @@ impl BufferInfo {
     }
 }
 
+/// The value a buffer-like SSA value stands for: a node body argument
+/// resolves to the node operand it mirrors, anything else is itself.
+fn resolve_buffer(ctx: &Context, value: ValueId) -> ValueId {
+    let Some(block) = ctx.value(value).owner_block() else {
+        return value;
+    };
+    let owner = ctx
+        .block(block)
+        .parent_region
+        .and_then(|r| ctx.region(r).parent_op)
+        .and_then(|owner| NodeOp::try_from_op(ctx, owner));
+    let Some(node) = owner else { return value };
+    let idx = ctx
+        .block(block)
+        .args
+        .iter()
+        .position(|&a| a == value)
+        .unwrap_or(0);
+    match ctx.op(node.id()).operands.get(idx) {
+        Some(&operand) => resolve_buffer(ctx, operand),
+        None => value,
+    }
+}
+
+/// Ping-pong depth of the buffer behind `value` (1 for anything that is not
+/// a `hida.buffer`): the `depth` field of [`buffer_info`], alone.
+pub fn buffer_depth(ctx: &Context, value: ValueId) -> i64 {
+    ctx.value(resolve_buffer(ctx, value))
+        .defining_op()
+        .and_then(|def| BufferOp::try_from_op(ctx, def))
+        .map_or(1, |buffer| buffer.depth(ctx))
+}
+
 /// Resolves the physical description of a buffer-like SSA value: a `hida.buffer`
 /// result, a `memref.alloc` result, a `hida.pack`/`hida.port` handle (external), or a
 /// node body argument (resolved through the node operand it mirrors).
-pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo {
-    // Body argument of a node: map to the corresponding operand.
-    if let Some(block) = ctx.value(value).owner_block() {
-        let owner = ctx
-            .block(block)
-            .parent_region
-            .and_then(|r| ctx.region(r).parent_op);
-        if let Some(owner_op) = owner {
-            if let Some(node) = NodeOp::try_from_op(ctx, owner_op) {
-                let idx = ctx
-                    .block(block)
-                    .args
-                    .iter()
-                    .position(|&a| a == value)
-                    .unwrap_or(0);
-                if let Some(&operand) = ctx.op(node.id()).operands.get(idx) {
-                    return buffer_info(ctx, operand);
-                }
-            }
-        }
-    }
-
+pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo<'_> {
+    let value = resolve_buffer(ctx, value);
     let ty = ctx.value_type(value);
-    let shape = ty.shape().map(<[i64]>::to_vec).unwrap_or_default();
-    let rank = shape.len();
-    let elements = ty.num_elements().unwrap_or(1);
-    let bits = ty.elem_bit_width().max(1);
-
     let def = ctx.value(value).defining_op();
     let buffer = def.and_then(|def| BufferOp::try_from_op(ctx, def));
     let on_chip =
         def.filter(|&def| buffer.is_some() || ctx.op(def).is(hida_dialects::memory::ALLOC));
-    match on_chip {
-        Some(def) => BufferInfo {
-            elements,
-            bits,
-            partition_factors: ctx
-                .op(def)
-                .attr_int_array(hls::ATTR_PARTITION_FACTORS)
-                .map_or_else(|| vec![1; rank], <[i64]>::to_vec),
-            depth: buffer.map_or(1, |buffer| buffer.depth(ctx)),
-            kind: hls::get_memory_kind(ctx, def),
-            shape,
-        },
-        // A `hida.pack`/`hida.port` handle, or an unknown definition (e.g. a
-        // function argument): an external interface.
-        None => BufferInfo {
-            elements,
-            bits,
-            partition_factors: vec![1; rank.max(1)],
-            depth: 1,
-            kind: MemoryKind::External,
-            shape,
-        },
+    // Off chip: a `hida.pack`/`hida.port` handle, or an unknown definition
+    // (e.g. a function argument) — an external interface.
+    BufferInfo {
+        elements: ty.num_elements().unwrap_or(1),
+        bits: ty.elem_bit_width().max(1),
+        partition_factors: on_chip
+            .and_then(|def| ctx.op(def).attr_int_array(hls::ATTR_PARTITION_FACTORS)),
+        depth: buffer.map_or(1, |buffer| buffer.depth(ctx)),
+        kind: on_chip.map_or(MemoryKind::External, |def| hls::get_memory_kind(ctx, def)),
+        shape: ty.shape().unwrap_or_default(),
     }
 }
 
@@ -138,57 +145,59 @@ pub fn estimate_body(ctx: &Context, op: OpId, device: &FpgaDevice) -> NodeEstima
     estimate_profile(ctx, op, &profile, device)
 }
 
-/// Pure-IR quantities feeding the node model: unroll structure, trip counts,
-/// port-limited II, pipeline depth, external traffic and the resource-model
-/// inputs. Everything here is exact arithmetic over the profile and the IR
-/// attributes — no estimation.
-struct BodyShape {
-    total_unroll: i64,
-    pipelined: bool,
-    is_float: bool,
-    bits: u32,
+/// Everything the node model reads, as one value: [`gather`] fills it from
+/// the IR and [`evaluate`] reads nothing else, so two bodies with equal inputs
+/// have equal estimates (names aside) whatever IR the inputs came from —
+/// which is what lets [`estimate_key`](crate::shared_cache::estimate_key)
+/// hash these fields instead of the IR. All exact arithmetic over the profile
+/// and the IR attributes; no estimation happens before `evaluate`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeModelInputs {
+    /// Parallel lanes: the product of the unroll factors.
+    pub total_unroll: i64,
+    /// The body (or a loop in it) is pipelined.
+    pub pipelined: bool,
+    /// Floating-point datapath (explicit loop nests) rather than int8 layers.
+    pub is_float: bool,
+    /// Element bit width of the datapath.
+    pub bits: u32,
     /// Trip count after unrolling (secondary loop nests folded in).
-    trip_total: i64,
+    pub trip_total: i64,
     /// Initiation interval limited by on-chip memory ports.
-    ii: i64,
+    pub ii: i64,
     /// Bytes moved to/from external memory per frame.
-    external_bytes: i64,
-    has_external: bool,
+    pub external_bytes: i64,
+    /// The body touches external memory.
+    pub has_external: bool,
     /// Smallest tile dimension, when the body was tiled.
-    min_tile: Option<i64>,
+    pub min_tile: Option<i64>,
     /// Pipeline depth from operator latency and the unroll reduction tree.
-    depth: i64,
+    pub depth: i64,
     /// Address-generation DSP overhead for fine-grained external access.
-    addr_dsp: i64,
+    pub addr_dsp: i64,
+    /// Multiply-accumulate operations per frame.
+    pub macs: i64,
+    /// Multiplications per innermost iteration.
+    pub muls_per_iter: i64,
+    /// Additions/comparisons per innermost iteration.
+    pub adds_per_iter: i64,
+    /// Divisions/square roots per innermost iteration.
+    pub divs_per_iter: i64,
+    /// Memory operations per innermost iteration.
+    pub mem_per_iter: i64,
 }
 
-/// The exact resource vector for a body shape.
-fn shape_resources(profile: &ComputeProfile, shape: &BodyShape) -> Resources {
-    compute_resources(
-        profile
-            .muls_per_iter
-            .max(if profile.macs > 0 { 1 } else { 0 }),
-        profile.adds_per_iter.max(1),
-        profile.divs_per_iter,
-        profile.mem_per_iter.max(2),
-        shape.is_float,
-        shape.bits,
-        shape.total_unroll,
-        shape.addr_dsp,
-    )
-}
-
-fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
+/// Reads the node model's inputs off `op`'s body and its compute profile.
+/// Builds nothing for a body that records its unroll factors (every
+/// parallelized node does): shapes, partition factors, unroll factors and
+/// tile sizes are read where the IR keeps them.
+pub fn gather(ctx: &Context, op: OpId, profile: &ComputeProfile) -> NodeModelInputs {
     let rank = profile.loop_dims.len();
     let unroll = transforms::unroll_factors_of(ctx, op, rank);
-    let unroll: Vec<i64> = (0..rank)
-        .map(|i| unroll.get(i).copied().unwrap_or(1).max(1))
-        .collect();
-    let total_unroll: i64 = unroll.iter().product::<i64>().max(1);
+    let unroll_of = |loop_idx: usize| unroll.get(loop_idx).copied().unwrap_or(1).max(1);
+    let total_unroll: i64 = (0..rank).map(unroll_of).product::<i64>().max(1);
     let pipelined = ctx.op(op).has_flag(transforms::ATTR_PIPELINE)
-        || hida_dialects::loops::all_loops(ctx, op)
-            .iter()
-            .any(|l| l.is_pipelined(ctx));
+        || loops::any_loop(ctx, op, |l| l.is_pipelined(ctx));
 
     let is_float = false_or_float(profile);
     let bits = element_bits(profile, ctx);
@@ -201,27 +210,24 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
         .iter()
         .enumerate()
         .map(|(i, d)| {
-            let u = unroll.get(i).copied().unwrap_or(1).max(1);
+            let u = unroll_of(i);
             (d.trip + u - 1) / u
         })
         .product::<i64>()
         .max(1);
-    let total_unrolled_work = {
-        let top = hida_dialects::loops::top_level_loops(ctx, op);
-        if top.len() > 1 {
-            let total: i64 = top
-                .iter()
-                .map(|&outer| {
-                    let band = hida_dialects::loops::loop_band(ctx, outer.id());
-                    hida_dialects::loops::band_trip_count(ctx, &band)
-                })
-                .sum();
-            (total / total_unroll.max(1)).max(primary_trip)
-        } else {
-            primary_trip
-        }
+    let top = loops::top_level_loops(ctx, op);
+    let trip_total = if top.len() > 1 {
+        let total: i64 = top
+            .iter()
+            .map(|&outer| {
+                let band = loops::loop_band(ctx, outer.id());
+                loops::band_trip_count(ctx, &band)
+            })
+            .sum();
+        (total / total_unroll.max(1)).max(primary_trip)
+    } else {
+        primary_trip
     };
-    let trip_total = total_unrolled_work;
 
     // Initiation interval limited by memory ports of each accessed on-chip buffer.
     let mut ii: i64 = 1;
@@ -233,7 +239,7 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
         if info.kind == MemoryKind::External {
             has_external = true;
             // One frame moves the (tiled) working set once.
-            let moved_elements = match &tile_sizes {
+            let moved_elements = match tile_sizes {
                 Some(tiles) => tiles
                     .iter()
                     .zip(info.shape.iter())
@@ -252,15 +258,9 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
         let mut served: i64 = 1;
         for (dim_idx, dim_access) in access.pattern.dims.iter().enumerate() {
             if let Some((loop_idx, _stride)) = dim_access {
-                let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
+                let u = unroll_of(*loop_idx);
                 required *= u;
-                let factor = info
-                    .partition_factors
-                    .get(dim_idx)
-                    .copied()
-                    .unwrap_or(1)
-                    .max(1);
-                served *= factor.min(u);
+                served *= info.partition_factor(dim_idx).min(u);
             }
         }
         // Two ports per bank (true dual-port BRAM).
@@ -278,7 +278,7 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
         depth += 18;
     }
 
-    let min_tile = tile_sizes.as_ref().and_then(|t| t.iter().copied().min());
+    let min_tile = tile_sizes.and_then(|t| t.iter().copied().min());
 
     // Address-generation DSP overhead for fine-grained external access.
     let addr_dsp = if has_external {
@@ -292,7 +292,7 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
         0
     };
 
-    BodyShape {
+    NodeModelInputs {
         total_unroll,
         pipelined,
         is_float,
@@ -304,26 +304,28 @@ fn body_shape(ctx: &Context, op: OpId, profile: &ComputeProfile) -> BodyShape {
         min_tile,
         depth,
         addr_dsp,
+        macs: profile.macs,
+        muls_per_iter: profile.muls_per_iter,
+        adds_per_iter: profile.adds_per_iter,
+        divs_per_iter: profile.divs_per_iter,
+        mem_per_iter: profile.mem_per_iter,
     }
 }
 
-/// Estimates a node given an already-extracted compute profile.
-pub fn estimate_profile(
-    ctx: &Context,
-    op: OpId,
-    profile: &ComputeProfile,
-    device: &FpgaDevice,
-) -> NodeEstimate {
-    let shape = body_shape(ctx, op, profile);
-    let compute_latency = if shape.pipelined {
-        shape.ii * (shape.trip_total - 1) + shape.depth
+/// The node model proper: closed-form arithmetic over `inputs` and the
+/// device. It is handed no [`Context`], so an estimate cannot depend on
+/// anything [`gather`] did not put in `inputs`. The `name` is left empty —
+/// it is the one field of a [`NodeEstimate`] that is not an estimate.
+pub fn evaluate(inputs: &NodeModelInputs, device: &FpgaDevice) -> NodeEstimate {
+    let compute_latency = if inputs.pipelined {
+        inputs.ii * (inputs.trip_total - 1) + inputs.depth
     } else {
-        shape.trip_total * shape.depth.max(2)
+        inputs.trip_total * inputs.depth.max(2)
     };
 
     // External memory transfer, overlapped with compute (tile load/store hiding).
-    let transfer_latency = if shape.has_external {
-        let min_tile = shape.min_tile.unwrap_or(i64::MAX);
+    let transfer_latency = if inputs.has_external {
+        let min_tile = inputs.min_tile.unwrap_or(i64::MAX);
         // Short bursts waste bandwidth.
         let burst_efficiency = if min_tile >= 32 {
             1.0
@@ -336,33 +338,60 @@ pub fn estimate_profile(
         } else {
             0.2
         };
-        let cycles = shape.external_bytes as f64 / (device.axi_bytes_per_cycle * burst_efficiency);
+        let cycles = inputs.external_bytes as f64 / (device.axi_bytes_per_cycle * burst_efficiency);
         device.axi_latency + cycles.ceil() as i64
     } else {
         0
     };
     let latency = compute_latency.max(transfer_latency)
-        + if shape.has_external {
+        + if inputs.has_external {
             device.axi_latency
         } else {
             0
         };
 
     NodeEstimate {
-        name: node_name(ctx, op),
+        name: String::new(),
         latency_cycles: latency.max(1),
-        ii: shape.ii.max(1),
-        resources: shape_resources(profile, &shape),
-        macs: profile.macs,
-        external_bytes: shape.external_bytes,
-        parallelism: shape.total_unroll,
+        ii: inputs.ii.max(1),
+        resources: compute_resources(
+            inputs
+                .muls_per_iter
+                .max(if inputs.macs > 0 { 1 } else { 0 }),
+            inputs.adds_per_iter.max(1),
+            inputs.divs_per_iter,
+            inputs.mem_per_iter.max(2),
+            inputs.is_float,
+            inputs.bits,
+            inputs.total_unroll,
+            inputs.addr_dsp,
+        ),
+        macs: inputs.macs,
+        external_bytes: inputs.external_bytes,
+        parallelism: inputs.total_unroll,
     }
 }
 
+/// Estimates a node given an already-extracted compute profile.
+pub fn estimate_profile(
+    ctx: &Context,
+    op: OpId,
+    profile: &ComputeProfile,
+    device: &FpgaDevice,
+) -> NodeEstimate {
+    named(ctx, op, evaluate(&gather(ctx, op, profile), device))
+}
+
+/// `estimate` under the display name of `op`: what [`evaluate`] leaves out,
+/// and what a shared cache entry — published by a body with equal inputs,
+/// possibly under another name — must have replaced.
+pub(crate) fn named(ctx: &Context, op: OpId, mut estimate: NodeEstimate) -> NodeEstimate {
+    estimate.name = node_name(ctx, op);
+    estimate
+}
+
 /// Display name of a node/task/function body, as recorded in its estimate.
-/// `pub(crate)` so the estimator can re-derive the local name when the shared
-/// cache serves a structurally identical node from another compilation.
-pub(crate) fn node_name(ctx: &Context, op: OpId) -> String {
+fn node_name(ctx: &Context, op: OpId) -> String {
     ctx.op(op)
         .attr_str("node_name")
         .or_else(|| ctx.op(op).attr_str("task_name"))

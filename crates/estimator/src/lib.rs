@@ -16,9 +16,8 @@
 //! * [`report`] — the [`DesignEstimate`] summary (throughput,
 //!   DSP efficiency, utilization) reported by every benchmark harness,
 //! * [`shared_cache`] — a content-addressed [`SharedEstimateCache`] shared
-//!   *across* compilations, keyed by structural node fingerprints, so a
-//!   design-space sweep re-estimates only the nodes whose tiling or parallel
-//!   factors actually changed,
+//!   *across* compilations, keyed by the node model's inputs, so a
+//!   design-space sweep evaluates each distinct set of inputs once,
 //! * [`store`] — a persistent, disk-backed tier under the shared cache
 //!   ([`EstimateStore`]): one content-named segment file per batch, published
 //!   atomically, read once per open, with corruption tolerance and
@@ -44,6 +43,6 @@ pub use device::FpgaDevice;
 pub use latency::NodeEstimate;
 pub use report::DesignEstimate;
 pub use resource::Resources;
-pub use shared_cache::{estimate_fingerprint, SharedCacheStats, SharedEstimateCache};
+pub use shared_cache::{SharedCacheStats, SharedEstimateCache};
 pub use store::{EstimateStore, PersistentStoreStats, STORE_VERSION};
 pub use surrogate::{design_bound, DesignBound};

@@ -1,22 +1,23 @@
 //! Content-addressed estimate cache shared *across* compilations.
 //!
 //! A design-space sweep compiles dozens of variants of one workload, and most
-//! node bodies are structurally identical across design points — only the
-//! nodes whose tiling or parallel factors actually changed differ. The
-//! per-compilation memoization inside [`DataflowEstimator`] cannot see that:
-//! it is keyed by context identity and mutation generation, both of which are
-//! fresh for every design point.
+//! node bodies put the same numbers into the node model across design points
+//! — only the nodes whose tiling or parallel factors actually changed differ.
+//! The per-compilation memoization inside [`DataflowEstimator`] cannot see
+//! that: it is keyed by context identity and mutation generation, both of
+//! which are fresh for every design point.
 //!
 //! [`SharedEstimateCache`] closes the gap. It is a `Sync` map from a
-//! [`Fingerprint`] to [`NodeEstimate`], where the key combines the [content
-//! hash](estimate_fingerprint) of a node subtree *plus* the physical
-//! description of every buffer the node accesses with the [full device
-//! description](device_fingerprint) — every field, not just the device name,
-//! so sweeping device parameters (clock, bandwidth) under one name can never
-//! alias. Because [`crate::latency::estimate_body`] is a pure function of
-//! exactly those inputs, a cache hit returns bit-for-bit the estimate a
-//! recomputation would produce — sharing is an invisible optimization, never
-//! a QoR change.
+//! [`Fingerprint`] to [`NodeEstimate`], where the key ([`inputs_key`]) hashes
+//! the [`NodeModelInputs`] a body was [gathered](crate::latency::gather) into
+//! with the [full device description](device_fingerprint) — every field, not
+//! just the device name, so sweeping device parameters (clock, bandwidth)
+//! under one name can never alias. [`crate::latency::evaluate`] takes those
+//! two values and no [`Context`], so the key is the model's whole preimage by
+//! signature: a cache hit returns bit-for-bit the estimate a recomputation
+//! would produce — sharing is an invisible optimization, never a QoR change —
+//! and two bodies share an entry exactly when the model cannot tell them
+//! apart, whatever IR their inputs were read from.
 //!
 //! Estimators attach to a cache with
 //! [`DataflowEstimator::with_shared_cache`]; a sweep engine creates one cache
@@ -39,9 +40,10 @@
 //! [`DataflowEstimator::with_shared_cache`]: crate::dataflow::DataflowEstimator::with_shared_cache
 
 use crate::device::FpgaDevice;
-use crate::latency::{buffer_info, NodeEstimate};
+use crate::latency::{gather, NodeEstimate, NodeModelInputs};
 use crate::store::{EstimateStore, PersistentStoreStats};
-use hida_ir_core::fingerprint::{structural_fingerprint_filtered, Fingerprint, StableHasher};
+use hida_dialects::analysis::profile_body;
+use hida_ir_core::fingerprint::{Fingerprint, StableHasher};
 use hida_ir_core::{lock_recover, Context, OpId};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,7 +58,7 @@ pub struct SharedCacheStats {
     pub hits: u64,
     /// Estimates that had to be computed (and were then published).
     pub misses: u64,
-    /// Distinct `(fingerprint, device)` entries currently stored.
+    /// Entries currently stored: distinct node model inputs per device.
     pub entries: u64,
 }
 
@@ -92,8 +94,8 @@ impl fmt::Display for SharedCacheStats {
     }
 }
 
-/// A `Sync` node-estimate cache keyed by the combined node-plus-device
-/// [`Fingerprint`] (see [`estimate_key`]), designed to be shared (behind an
+/// A `Sync` node-estimate cache keyed by the combined inputs-plus-device
+/// [`Fingerprint`] (see [`inputs_key`]), designed to be shared (behind an
 /// `Arc`) by every compilation of a design-space sweep.
 ///
 /// All internal locking recovers from mutex poison ([`lock_recover`]): a
@@ -216,7 +218,7 @@ impl SharedEstimateCache {
         }
     }
 
-    /// Number of cached node-per-device entries.
+    /// Number of cached inputs-per-device entries.
     pub fn len(&self) -> usize {
         lock_recover(&self.entries).len()
     }
@@ -245,77 +247,92 @@ impl fmt::Debug for SharedEstimateCache {
     }
 }
 
-/// Presentation-only attributes excluded from the estimate key. They feed
-/// only the `name` field of a [`NodeEstimate`], which
-/// [`crate::dataflow::DataflowEstimator`] re-derives from the local IR when
-/// serving a shared hit — so ResNet's structurally repeated basic blocks (and
-/// their twins in other design points) share one cache entry despite their
-/// distinct names.
-const NAME_ATTRS: [&str; 3] = ["node_name", "task_name", "sym_name"];
-
-/// The content key under which a node (or function) body's estimate may be
-/// shared across compilations: the structural fingerprint of the subtree
-/// rooted at `op` — ignoring the name attributes (`node_name`, `task_name`,
-/// `sym_name`) — with every
-/// external value folded in as the physical description of the buffer behind
-/// it.
-///
-/// This captures *all* inputs of [`crate::latency::estimate_body`] except the
-/// device (folded into the full cache key by [`estimate_key`]) and the
-/// display name: loop structure, unroll / tile / pipeline annotations and
-/// access patterns live inside the subtree, while buffer shapes, partition
-/// factors, depths and placements are resolved through [`buffer_info`]
-/// exactly like the estimator itself resolves them.
-pub fn estimate_fingerprint(ctx: &Context, op: OpId) -> Fingerprint {
-    let keep = |key: &str| !NAME_ATTRS.contains(&key);
-    structural_fingerprint_filtered(ctx, op, keep, |hasher, value| {
-        hasher.write_display(ctx.value_type(value));
-        let info = buffer_info(ctx, value);
-        hasher.write_i64(info.elements);
-        hasher.write_u64(u64::from(info.bits));
-        hasher.write_u64(info.partition_factors.len() as u64);
-        for &factor in &info.partition_factors {
-            hasher.write_i64(factor);
-        }
-        hasher.write_i64(info.depth);
-        hasher.write_display(&format_args!("{:?}", info.kind));
-        hasher.write_u64(info.shape.len() as u64);
-        for &dim in &info.shape {
-            hasher.write_i64(dim);
-        }
-    })
-}
-
 /// Content hash of the *entire* device description — every field, not just
 /// the name — so device catalogs or sweeps that vary clock/bandwidth/latency
 /// parameters under one name can never alias in the cache. Computed once per
-/// estimator and combined with each node's fingerprint by [`estimate_key`].
+/// estimator and folded into each node's key by [`inputs_key`].
 pub fn device_fingerprint(device: &FpgaDevice) -> Fingerprint {
+    // Destructured without `..`, like the inputs in `inputs_key`.
+    let FpgaDevice {
+        name,
+        dsp,
+        bram_18k,
+        uram,
+        lut,
+        ff,
+        clock_mhz,
+        axi_latency,
+        axi_bytes_per_cycle,
+        axi_burst,
+    } = device;
     let mut hasher = StableHasher::new();
-    hasher.write_str(&device.name);
-    hasher.write_i64(device.dsp);
-    hasher.write_i64(device.bram_18k);
-    hasher.write_i64(device.uram);
-    hasher.write_i64(device.lut);
-    hasher.write_i64(device.ff);
-    hasher.write_u64(device.clock_mhz.to_bits());
-    hasher.write_i64(device.axi_latency);
-    hasher.write_u64(device.axi_bytes_per_cycle.to_bits());
-    hasher.write_i64(device.axi_burst);
+    hasher.write_str(name);
+    hasher.write_i64(*dsp);
+    hasher.write_i64(*bram_18k);
+    hasher.write_i64(*uram);
+    hasher.write_i64(*lut);
+    hasher.write_i64(*ff);
+    hasher.write_u64(clock_mhz.to_bits());
+    hasher.write_i64(*axi_latency);
+    hasher.write_u64(axi_bytes_per_cycle.to_bits());
+    hasher.write_i64(*axi_burst);
     hasher.finish()
 }
 
-/// The full cache key of one node's estimate: [`estimate_fingerprint`] of the
-/// node combined with a precomputed [`device_fingerprint`]. A plain
-/// `Fingerprint` again, so lookups are a single allocation-free map probe.
-pub fn estimate_key(ctx: &Context, op: OpId, device: Fingerprint) -> Fingerprint {
-    let node = estimate_fingerprint(ctx, op);
+/// The cache key of one node model evaluation: every field of `inputs`
+/// folded with a precomputed [`device_fingerprint`] — the whole preimage of
+/// [`evaluate`](crate::latency::evaluate), which is handed nothing else.
+/// Seventeen words and the device's two; a plain `Fingerprint` again, so a
+/// lookup is one allocation-free map probe.
+pub fn inputs_key(inputs: &NodeModelInputs, device: Fingerprint) -> Fingerprint {
+    // Destructured without `..`: a field added to the inputs and not hashed
+    // here does not compile.
+    let NodeModelInputs {
+        total_unroll,
+        pipelined,
+        is_float,
+        bits,
+        trip_total,
+        ii,
+        external_bytes,
+        has_external,
+        min_tile,
+        depth,
+        addr_dsp,
+        macs,
+        muls_per_iter,
+        adds_per_iter,
+        divs_per_iter,
+        mem_per_iter,
+    } = *inputs;
     let mut hasher = StableHasher::new();
-    hasher.write_u64(node.hi);
-    hasher.write_u64(node.lo);
+    hasher.write_i64(total_unroll);
+    hasher.write_u64(u64::from(pipelined));
+    hasher.write_u64(u64::from(is_float));
+    hasher.write_u64(u64::from(bits));
+    hasher.write_i64(trip_total);
+    hasher.write_i64(ii);
+    hasher.write_i64(external_bytes);
+    hasher.write_u64(u64::from(has_external));
+    hasher.write_u64(u64::from(min_tile.is_some()));
+    hasher.write_i64(min_tile.unwrap_or(0));
+    hasher.write_i64(depth);
+    hasher.write_i64(addr_dsp);
+    hasher.write_i64(macs);
+    hasher.write_i64(muls_per_iter);
+    hasher.write_i64(adds_per_iter);
+    hasher.write_i64(divs_per_iter);
+    hasher.write_i64(mem_per_iter);
     hasher.write_u64(device.hi);
     hasher.write_u64(device.lo);
     hasher.finish()
+}
+
+/// The key `op`'s body is estimated under: [`inputs_key`] of what
+/// [`gather`] reads off it. Profiles the body afresh; an estimator keys the
+/// inputs it gathered from its cached profile instead.
+pub fn estimate_key(ctx: &Context, op: OpId, device: Fingerprint) -> Fingerprint {
+    inputs_key(&gather(ctx, op, &profile_body(ctx, op)), device)
 }
 
 #[cfg(test)]
@@ -415,6 +432,149 @@ mod tests {
             device_fingerprint(&stock),
             device_fingerprint(&FpgaDevice::zu3eg())
         );
+    }
+
+    #[test]
+    fn every_field_of_the_inputs_and_of_the_device_moves_the_key() {
+        let base = NodeModelInputs {
+            total_unroll: 4,
+            pipelined: false,
+            is_float: false,
+            bits: 8,
+            trip_total: 100,
+            ii: 1,
+            external_bytes: 64,
+            has_external: false,
+            min_tile: Some(8),
+            depth: 6,
+            addr_dsp: 1,
+            macs: 1000,
+            muls_per_iter: 1,
+            adds_per_iter: 2,
+            divs_per_iter: 0,
+            mem_per_iter: 3,
+        };
+        let one_field_off = [
+            NodeModelInputs {
+                total_unroll: 5,
+                ..base
+            },
+            NodeModelInputs {
+                pipelined: true,
+                ..base
+            },
+            NodeModelInputs {
+                is_float: true,
+                ..base
+            },
+            NodeModelInputs { bits: 9, ..base },
+            NodeModelInputs {
+                trip_total: 101,
+                ..base
+            },
+            NodeModelInputs { ii: 2, ..base },
+            NodeModelInputs {
+                external_bytes: 65,
+                ..base
+            },
+            NodeModelInputs {
+                has_external: true,
+                ..base
+            },
+            NodeModelInputs {
+                min_tile: Some(9),
+                ..base
+            },
+            NodeModelInputs {
+                min_tile: None,
+                ..base
+            },
+            NodeModelInputs { depth: 7, ..base },
+            NodeModelInputs {
+                addr_dsp: 2,
+                ..base
+            },
+            NodeModelInputs { macs: 1001, ..base },
+            NodeModelInputs {
+                muls_per_iter: 2,
+                ..base
+            },
+            NodeModelInputs {
+                adds_per_iter: 3,
+                ..base
+            },
+            NodeModelInputs {
+                divs_per_iter: 1,
+                ..base
+            },
+            NodeModelInputs {
+                mem_per_iter: 4,
+                ..base
+            },
+        ];
+        let device = device_fingerprint(&FpgaDevice::zu3eg());
+        let mut keys = std::collections::BTreeSet::from([inputs_key(&base, device)]);
+        for inputs in &one_field_off {
+            assert!(keys.insert(inputs_key(inputs, device)), "{inputs:?}");
+        }
+        // Tiled by nothing is not tiled by zero.
+        let untiled = NodeModelInputs {
+            min_tile: None,
+            ..base
+        };
+        let zero_tile = NodeModelInputs {
+            min_tile: Some(0),
+            ..base
+        };
+        assert_ne!(inputs_key(&untiled, device), inputs_key(&zero_tile, device));
+
+        let stock = FpgaDevice::zu3eg();
+        let one_parameter_off = [
+            FpgaDevice {
+                name: "zu3eg-b".into(),
+                ..stock.clone()
+            },
+            FpgaDevice {
+                dsp: stock.dsp + 1,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                bram_18k: stock.bram_18k + 1,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                uram: stock.uram + 1,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                lut: stock.lut + 1,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                ff: stock.ff + 1,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                clock_mhz: stock.clock_mhz + 1.0,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                axi_latency: stock.axi_latency + 1,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                axi_bytes_per_cycle: stock.axi_bytes_per_cycle * 2.0,
+                ..stock.clone()
+            },
+            FpgaDevice {
+                axi_burst: stock.axi_burst + 1,
+                ..stock.clone()
+            },
+        ];
+        for device in &one_parameter_off {
+            let key = inputs_key(&base, device_fingerprint(device));
+            assert!(keys.insert(key), "{device:?}");
+        }
     }
 
     #[test]

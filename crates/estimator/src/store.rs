@@ -18,11 +18,12 @@
 //! ```
 //!
 //! Entries are keyed by the same combined 128-bit fingerprint the in-memory
-//! cache uses ([`estimate_key`](crate::shared_cache::estimate_key)): the
-//! structural fingerprint of the node subtree folded with the full device
-//! description — so an entry written by one process is valid in any other
-//! process compiling the same structure for the same device, and for no
-//! other combination. A segment holds its batch in key order and its *name*
+//! cache uses ([`inputs_key`](crate::shared_cache::inputs_key)): the node
+//! model's inputs folded with the full device description — so an entry
+//! written by one process is valid in any other process whose node puts the
+//! same numbers into the model for the same device, and for no other
+//! combination. Entries carry no display name: the estimator serves each
+//! under the name of the node that asked. A segment holds its batch in key order and its *name*
 //! is the [`StableHasher`] digest of its content: publishing the same batch
 //! twice (two processes running the same cold sweep, at any `--jobs`) lands
 //! on one file, and no process id, counter or clock can make two different
@@ -89,9 +90,11 @@ use std::sync::Mutex;
 use std::time::SystemTime;
 
 /// Bump to invalidate every previously written entry (e.g. when the
-/// [`NodeEstimate`] encoding or the estimator's cost model changes in a way
-/// the structural fingerprint cannot see). Old-version entries read as misses.
-pub const STORE_VERSION: u32 = 1;
+/// [`NodeEstimate`] encoding, the key's preimage or the estimator's cost
+/// model changes). A segment of another version is a corrupt one: counted,
+/// removed, served as nothing. Version 1 keyed a structural fingerprint of
+/// the node's IR; version 2 keys the node model's inputs.
+pub const STORE_VERSION: u32 = 2;
 
 /// Magic identifying a store entry.
 const MAGIC: [u8; 8] = *b"HIDAESTM";

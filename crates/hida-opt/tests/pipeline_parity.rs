@@ -52,7 +52,8 @@ fn snapshot(ctx: &Context, schedule: ScheduleOp) -> ScheduleSnapshot {
                 .len();
             NodeSnapshot {
                 name: node.name(ctx),
-                unroll: hida_dialects::transforms::unroll_factors_of(ctx, node.id(), rank),
+                unroll: hida_dialects::transforms::unroll_factors_of(ctx, node.id(), rank)
+                    .into_owned(),
                 parallel_factor: ctx.op(node.id()).attr_int("parallel_factor").unwrap_or(0),
             }
         })

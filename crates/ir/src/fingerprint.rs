@@ -25,10 +25,10 @@
 //! the same ops.
 //!
 //! External values carry no structure of their own beyond their type, but a
-//! caller often knows more — the QoR estimator, for example, resolves a node
-//! operand to the physical buffer behind it. [`structural_fingerprint_with`]
-//! accepts a callback that folds such caller-known facts about each external
-//! value into the hash at its first use.
+//! caller often knows more — a node operand, for example, stands for a
+//! physical buffer. [`structural_fingerprint_with`] accepts a callback that
+//! folds such caller-known facts about each external value into the hash at
+//! its first use.
 
 use crate::attributes::Attribute;
 use crate::context::Context;

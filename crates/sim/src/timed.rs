@@ -10,7 +10,7 @@
 use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_estimator::dataflow::DataflowEstimator;
-use hida_estimator::latency::buffer_info;
+use hida_estimator::latency::buffer_depth;
 use hida_ir_core::Context;
 
 /// Result of a timed pipeline simulation.
@@ -73,7 +73,7 @@ pub fn simulate_pipeline(
             (
                 position(e.producer),
                 position(e.consumer),
-                buffer_info(ctx, e.buffer).depth.max(1),
+                buffer_depth(ctx, e.buffer).max(1),
             )
         })
         .collect();
