@@ -72,14 +72,14 @@ pub fn build_binary(
     lhs: ValueId,
     rhs: ValueId,
 ) -> ValueId {
-    let ty = builder.context().value_type(lhs).clone();
+    let ty = *builder.context().value_type(lhs);
     let (_, results) = builder.create(name, vec![lhs, rhs], vec![ty], vec![]);
     results[0]
 }
 
 /// Builds a fused multiply-accumulate `acc + a * b`.
 pub fn build_mac(builder: &mut OpBuilder<'_>, a: ValueId, b: ValueId, acc: ValueId) -> ValueId {
-    let ty = builder.context().value_type(acc).clone();
+    let ty = *builder.context().value_type(acc);
     let (_, results) = builder.create(MAC, vec![a, b, acc], vec![ty], vec![]);
     results[0]
 }

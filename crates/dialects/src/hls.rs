@@ -7,7 +7,6 @@
 //! the paper reports the partition factors and bank counts chosen for Listing 1.
 
 use hida_ir_core::{Attribute, Context, OpId};
-use std::sync::{Arc, OnceLock};
 
 /// How one dimension of a buffer is split into banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,21 +30,6 @@ impl PartitionFashion {
             PartitionFashion::Block => "block",
             PartitionFashion::Complete => "complete",
         }
-    }
-
-    /// The canonical string as an attribute payload. There are four of them in
-    /// the process, one per fashion: every partition directive of every
-    /// context shares them instead of allocating a string per dimension.
-    fn shared_str(self) -> Arc<str> {
-        static SHARED: OnceLock<[Arc<str>; 4]> = OnceLock::new();
-        const ALL: [PartitionFashion; 4] = [
-            PartitionFashion::None,
-            PartitionFashion::Cyclic,
-            PartitionFashion::Block,
-            PartitionFashion::Complete,
-        ];
-        let shared = SHARED.get_or_init(|| ALL.map(|fashion| fashion.as_str().into()));
-        Arc::clone(&shared[self as usize])
     }
 
     /// Parses the canonical string form (unknown strings map to `None`).
@@ -147,58 +131,25 @@ pub const ATTR_MEMORY_KIND: &str = "memory_kind";
 /// Attaches an array-partition directive to a buffer-producing operation
 /// (`memref.alloc` or `hida.buffer`).
 pub fn set_array_partition(ctx: &mut Context, buffer_op: OpId, partition: &ArrayPartition) {
-    let (fashions, factors) = directive_attributes(&partition.fashions, &partition.factors);
-    ctx.set_attr(buffer_op, ATTR_PARTITION_FASHIONS, fashions);
+    write_array_partition(ctx, buffer_op, &partition.fashions, &partition.factors);
+}
+
+/// [`set_array_partition`] from the two per-dimension lists of a directive,
+/// for a caller that keeps them in arrays of its own. Both payloads are
+/// interned, so a directive already written anywhere allocates nothing.
+pub fn write_array_partition(
+    ctx: &mut Context,
+    buffer_op: OpId,
+    fashions: &[PartitionFashion],
+    factors: &[i64],
+) {
+    let fashions = fashions.iter().map(|f| f.as_str().into()).collect();
+    ctx.set_attr(
+        buffer_op,
+        ATTR_PARTITION_FASHIONS,
+        Attribute::StrArray(fashions),
+    );
     ctx.set_attr(buffer_op, ATTR_PARTITION_FACTORS, factors);
-}
-
-/// The `(partition_fashions, partition_factors)` attribute pair of a directive.
-fn directive_attributes(fashions: &[PartitionFashion], factors: &[i64]) -> (Attribute, Attribute) {
-    let fashions = fashions
-        .iter()
-        .map(|fashion| fashion.shared_str())
-        .collect();
-    (Attribute::StrArray(fashions), Attribute::from(factors))
-}
-
-/// Writes the array-partition directives of many buffers. Most buffers of a
-/// design are partitioned like some other (unpartitioned, or by a
-/// neighbour's unroll factors), so the writer keeps the attribute pair of
-/// every distinct directive it has written and hands equal directives the
-/// same two payloads instead of allocating them again.
-#[derive(Debug, Default)]
-pub struct PartitionWriter {
-    /// `(partition_fashions, partition_factors)` of each distinct directive.
-    written: Vec<(Attribute, Attribute)>,
-}
-
-impl PartitionWriter {
-    /// [`set_array_partition`] from the two per-dimension lists of a
-    /// directive, for a caller that keeps them in arrays of its own.
-    pub fn write(
-        &mut self,
-        ctx: &mut Context,
-        buffer_op: OpId,
-        fashions: &[PartitionFashion],
-        factors: &[i64],
-    ) {
-        let same = |(written_fashions, written_factors): &(Attribute, Attribute)| {
-            written_factors.as_int_array() == Some(factors)
-                && written_fashions.as_str_array().is_some_and(|written| {
-                    written
-                        .iter()
-                        .map(|s| &**s)
-                        .eq(fashions.iter().map(|f| f.as_str()))
-                })
-        };
-        let at = self.written.iter().position(same).unwrap_or_else(|| {
-            self.written.push(directive_attributes(fashions, factors));
-            self.written.len() - 1
-        });
-        let (fashions, factors) = self.written[at].clone();
-        ctx.set_attr(buffer_op, ATTR_PARTITION_FASHIONS, fashions);
-        ctx.set_attr(buffer_op, ATTR_PARTITION_FACTORS, factors);
-    }
 }
 
 /// Reads the array-partition directive of a buffer-producing operation, defaulting to
@@ -206,8 +157,7 @@ impl PartitionWriter {
 pub fn get_array_partition(ctx: &Context, buffer_op: OpId, rank: usize) -> ArrayPartition {
     let op = ctx.op(buffer_op);
     let fashions = op
-        .attributes
-        .get(ATTR_PARTITION_FASHIONS)
+        .attr(ATTR_PARTITION_FASHIONS)
         .and_then(Attribute::as_str_array)
         .map(|v| v.iter().map(|s| PartitionFashion::parse(s)).collect())
         .unwrap_or_else(|| vec![PartitionFashion::None; rank]);

@@ -464,12 +464,12 @@ pub fn build_layer(
     name: &str,
 ) -> ValueId {
     assert!(!inputs.is_empty(), "a layer needs at least one input");
-    let input_ty = builder.context().value_type(inputs[0]).clone();
+    let input_ty = *builder.context().value_type(inputs[0]);
     let input_shape = input_ty
         .shape()
         .expect("layer input must be a shaped type")
         .to_vec();
-    let elem = input_ty.elem_type().clone();
+    let elem = *input_ty.elem_type();
     let out_shape = layer.output_shape(&input_shape);
     let result_ty = if input_ty.is_memref() {
         Type::memref(out_shape, elem)
@@ -477,9 +477,7 @@ pub fn build_layer(
         Type::tensor(out_shape, elem)
     };
     let mut attrs = layer.to_attrs();
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
-    attrs.push(("layer_name", Attribute::Str(name.clone())));
+    attrs.push(("layer_name", Attribute::from(name)));
     let (_, results) = builder.create(layer.op_name(), inputs.to_vec(), vec![result_ty], attrs);
     builder.context().set_name_hint(results[0], name);
     results[0]

@@ -23,8 +23,6 @@ pub fn build_for(
     name: &str,
 ) -> (OpId, ValueId, hida_ir_core::BlockId) {
     assert!(step > 0, "loop step must be positive");
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
     let (op, body, _) = builder.create_with_body(
         FOR,
         vec![],
@@ -33,7 +31,7 @@ pub fn build_for(
             ("lower_bound", Attribute::Int(lower)),
             ("upper_bound", Attribute::Int(upper)),
             ("step", Attribute::Int(step)),
-            ("loop_name", Attribute::Str(name.clone())),
+            ("loop_name", Attribute::from(name)),
         ],
         false,
     );
@@ -240,14 +238,11 @@ pub fn create_detached_for(
     step: i64,
     name: &str,
 ) -> (OpId, ValueId) {
-    let mut op = Operation::new(FOR);
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
-    op.set_attr("lower_bound", lower);
-    op.set_attr("upper_bound", upper);
-    op.set_attr("step", step);
-    op.set_attr("loop_name", Attribute::Str(name.clone()));
-    let id = ctx.create_op(op);
+    let id = ctx.create_op(Operation::new(FOR));
+    ctx.set_attr(id, "lower_bound", lower);
+    ctx.set_attr(id, "upper_bound", upper);
+    ctx.set_attr(id, "step", step);
+    ctx.set_attr(id, "loop_name", name);
     let region = ctx.create_region(id);
     let body = ctx.create_block(region);
     let iv = ctx.add_block_arg(body, Type::Index);

@@ -25,13 +25,11 @@ pub const APPLY: &str = "affine.apply";
 /// Allocates a memref buffer of the given type. Returns the buffer value.
 pub fn build_alloc(builder: &mut OpBuilder<'_>, ty: Type, name: &str) -> ValueId {
     assert!(ty.is_memref(), "memref.alloc requires a memref type");
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
     let (_, results) = builder.create(
         ALLOC,
         vec![],
         vec![ty],
-        vec![("name", Attribute::Str(name.clone()))],
+        vec![("name", Attribute::from(name))],
     );
     let v = results[0];
     builder.context().set_name_hint(v, name);
@@ -54,7 +52,7 @@ pub fn build_apply(builder: &mut OpBuilder<'_>, iv: ValueId, stride: i64, offset
 
 /// Builds `affine.load %memref[indices...]`. Returns the loaded element value.
 pub fn build_load(builder: &mut OpBuilder<'_>, memref: ValueId, indices: &[ValueId]) -> ValueId {
-    let elem = builder.context().value_type(memref).elem_type().clone();
+    let elem = *builder.context().value_type(memref).elem_type();
     let mut operands = vec![memref];
     operands.extend_from_slice(indices);
     let (_, results) = builder.create(LOAD, operands, vec![elem], vec![]);

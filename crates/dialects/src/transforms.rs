@@ -86,7 +86,7 @@ fn record_on_layers(ctx: &mut Context, op: OpId, key: &str, value: &Attribute) {
             for nested in 0..ctx.block(block).ops.len() {
                 let nested = ctx.block(block).ops[nested];
                 if linalg::LinalgOp::from_op(ctx, nested).is_some() {
-                    ctx.set_attr(nested, key, value.clone());
+                    ctx.set_attr(nested, key, *value);
                 }
                 record_on_layers(ctx, nested, key, value);
             }

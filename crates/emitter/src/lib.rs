@@ -55,8 +55,13 @@ pub fn emit_schedule_with(
 }
 
 /// Writes `name` as a C++ identifier — the one place a name of the IR (a
-/// schedule's, a node's, a buffer's, a function's) becomes one.
+/// schedule's, a node's, a buffer's, a function's) becomes one. A name that
+/// starts with a digit (PolyBench's `2mm`) gains a leading `k`: not `_`,
+/// which at global scope would make a reserved identifier of `_2mm_top`.
 fn push_name(out: &mut String, name: &str) {
+    if name.starts_with(|c: char| c.is_ascii_digit()) {
+        out.push('k');
+    }
     out.extend(name.chars().map(|c| match c {
         '-' | '+' | '.' | ' ' => '_',
         other => other,
@@ -225,8 +230,7 @@ fn emit_buffer(ctx: &Context, buffer: BufferOp, out: &mut String) {
     // and a factor above one for it.
     let op = ctx.op(buffer.id());
     let fashions = op
-        .attributes
-        .get(hls::ATTR_PARTITION_FASHIONS)
+        .attr(hls::ATTR_PARTITION_FASHIONS)
         .and_then(Attribute::as_str_array)
         .unwrap_or_default();
     let factors = op
@@ -286,7 +290,7 @@ mod tests {
         assert!(cpp.contains("#pragma HLS pipeline II=1"));
         assert!(cpp.contains("#pragma HLS unroll factor="));
         assert!(cpp.contains("#pragma HLS array_partition"));
-        assert!(cpp.contains("void 2mm_top()") || cpp.contains("_top()"));
+        assert!(cpp.contains("void k2mm_top()"), "{cpp}");
         // One function per node plus the top.
         let node_count = schedule.nodes(&ctx).len();
         assert_eq!(cpp.matches("#pragma HLS inline off").count(), node_count);
@@ -326,7 +330,7 @@ mod tests {
 
     /// The schedule's, the nodes' and the buffers' names all become C++
     /// identifiers through one writer: none of them keeps a `.`, `+`, `-` or
-    /// space, wherever it is emitted.
+    /// space or starts with a digit, wherever it is emitted.
     #[test]
     fn every_emitted_name_is_an_identifier() {
         use hida_dataflow_ir::structural::{build_buffer, build_node, build_schedule};
@@ -336,6 +340,9 @@ mod tests {
         let mut name = String::new();
         push_name(&mut name, "conv1+relu2 a-b.c");
         assert_eq!(name, "conv1_relu2_a_b_c");
+        name.clear();
+        push_name(&mut name, "3mm-v2");
+        assert_eq!(name, "k3mm_v2");
 
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
@@ -348,11 +355,14 @@ mod tests {
             "act.0+skip",
         );
         build_node(&mut ctx, body, "conv 1.x", &[(buffer, MemEffect::Write)]);
+        build_node(&mut ctx, body, "1x1.conv", &[(buffer, MemEffect::Read)]);
         let cpp = emit_schedule(&ctx, schedule);
         assert!(cpp.contains("void a_b_c_top() {"), "{cpp}");
         assert!(cpp.contains("void conv_1_x(ap_int<8> arg0[8]) {"), "{cpp}");
+        assert!(cpp.contains("void k1x1_conv(ap_int<8> arg0[8]) {"), "{cpp}");
         assert!(cpp.contains("  static ap_int<8> act_0_skip[8];"), "{cpp}");
         assert!(cpp.contains("variable=act_0_skip depth=2"), "{cpp}");
         assert!(cpp.contains("  conv_1_x(act_0_skip);"), "{cpp}");
+        assert!(cpp.contains("  k1x1_conv(act_0_skip);"), "{cpp}");
     }
 }

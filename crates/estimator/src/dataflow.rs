@@ -170,41 +170,27 @@ impl DataflowEstimator {
         NodeEstimate::clone(&self.body_estimate(ctx, node.id()))
     }
 
-    /// The memoized estimate of `op`'s body, or what `on_miss` makes of it,
-    /// memoized. The device is fixed per estimator, so the (type, op) cache
-    /// key is unambiguous within one instance. `on_miss` reads this same
-    /// manager (the node's profile), so it runs before the manager is
-    /// borrowed for the result.
-    fn memoized(
-        &self,
-        ctx: &Context,
-        op: OpId,
-        on_miss: impl FnOnce() -> NodeEstimate,
-    ) -> Arc<NodeEstimate> {
-        let valid = self
-            .analyses
-            .borrow()
-            .cached_any::<NodeEstimate>(ctx, op)
-            .is_some();
-        let estimate = (!valid).then(on_miss);
-        let mut analyses = self.analyses.borrow_mut();
-        analyses.get_with(ctx, op, "node-estimate", |_, _| {
-            estimate.expect("an entry that is not valid was just computed")
-        })
-    }
-
     /// The node model's inputs, gathered from `op`'s cached compute profile.
     fn inputs(&self, ctx: &Context, op: OpId) -> NodeModelInputs {
         let profile = self.analyses.borrow_mut().get::<ComputeProfile>(ctx, op);
         gather(ctx, op, &profile)
     }
 
-    /// The estimate of `op`'s body: gather, then evaluate. With a shared
-    /// cache attached the gathered inputs are keyed and looked up in between,
-    /// and what a miss evaluates is published — without a name, which is no
-    /// input of the key: every estimate leaves here under `op`'s own.
+    /// The estimate of `op`'s body, memoized per IR generation in the
+    /// analysis manager (the device is fixed per estimator, so the (type,
+    /// op) key is unambiguous within one instance): gather, then evaluate.
+    /// With a shared cache attached the gathered inputs are keyed and looked
+    /// up in between, and what a miss evaluates is published — without a
+    /// name, which is no input of the key: every estimate leaves here under
+    /// `op`'s own. A miss reads this same manager (the node's profile), so
+    /// it is computed before the manager is borrowed for the result.
     fn body_estimate(&self, ctx: &Context, op: OpId) -> Arc<NodeEstimate> {
-        self.memoized(ctx, op, || {
+        let valid = self
+            .analyses
+            .borrow()
+            .cached_any::<NodeEstimate>(ctx, op)
+            .is_some();
+        let estimate = (!valid).then(|| {
             let inputs = self.inputs(ctx, op);
             let Some(cache) = &self.shared else {
                 return named(ctx, op, evaluate(&inputs, &self.device));
@@ -218,7 +204,12 @@ impl DataflowEstimator {
                 estimate
             });
             named(ctx, op, estimate)
-        })
+        });
+        self.analyses
+            .borrow_mut()
+            .get_with(ctx, op, "node-estimate", |_, _| {
+                estimate.expect("an entry that is not valid was just computed")
+            })
     }
 
     /// Folds one lookup into this estimator's local view of the shared-cache
@@ -450,7 +441,7 @@ mod tests {
         let ty = Type::memref(vec![n0_elems.max(n1_elems)], Type::f32());
         let mk = |ctx: &mut Context, name: &str| {
             let mut b = OpBuilder::at_block_end(ctx, body);
-            build_buffer(&mut b, ty.clone(), 2, name).1
+            build_buffer(&mut b, ty, 2, name).1
         };
         let b_in: ValueId = mk(ctx, "in");
         let b_mid = mk(ctx, "mid");
@@ -517,7 +508,7 @@ mod tests {
             let ty = Type::memref(vec![1024], Type::f32());
             let mk = |ctx: &mut Context, name: &str, d: i64| {
                 let mut b = OpBuilder::at_block_end(ctx, body);
-                build_buffer(&mut b, ty.clone(), d, name).1
+                build_buffer(&mut b, ty, d, name).1
             };
             let b_in = mk(&mut ctx, "in", 2);
             let b_mid = mk(&mut ctx, "mid", 2);

@@ -69,7 +69,7 @@ mod tests {
         let ty = Type::memref(vec![n0.max(n1)], Type::f32());
         let mk = |ctx: &mut Context, name: &str| {
             let mut b = OpBuilder::at_block_end(ctx, body);
-            build_buffer(&mut b, ty.clone(), 2, name).1
+            build_buffer(&mut b, ty, 2, name).1
         };
         let b_in = mk(ctx, "in");
         let b_mid = mk(ctx, "mid");

@@ -144,15 +144,11 @@ pub fn wrap_ops(ctx: &mut Context, ops: &[OpId], wrapper_name: &str, name_attr: 
             }
         }
     }
-    let result_types: Vec<Type> = escaping
-        .iter()
-        .map(|&v| ctx.value_type(v).clone())
-        .collect();
+    let result_types: Vec<Type> = escaping.iter().map(|&v| *ctx.value_type(v)).collect();
 
     // Create the wrapper op with a body.
-    let mut wrapper_op = hida_ir_core::Operation::new(wrapper_name);
-    wrapper_op.set_attr("task_name", name_attr);
-    let wrapper = ctx.create_op(wrapper_op);
+    let wrapper = ctx.create_op(hida_ir_core::Operation::new(wrapper_name));
+    ctx.set_attr(wrapper, "task_name", name_attr);
     let wrapper_results: Vec<ValueId> = result_types
         .into_iter()
         .map(|ty| ctx.add_result(wrapper, ty))

@@ -130,10 +130,7 @@ impl DataflowGraph {
             let node = graph.nodes.len() as u32;
             graph.nodes.push(NodeOp(op));
             graph.position[op.index()] = node;
-            let effects = operation
-                .attributes
-                .get("effects")
-                .and_then(Attribute::as_str_array);
+            let effects = operation.attr("effects").and_then(Attribute::as_str_array);
             let args = entry_block(ctx, op).map_or(&[][..], |block| &block.args);
             let operands = &operation.operands;
             let first_port = graph.ports.len();
@@ -391,7 +388,7 @@ mod tests {
         let ty = Type::memref(vec![16], Type::f32());
         let mk_buf = |ctx: &mut Context, name: &str| {
             let mut b = OpBuilder::at_block_end(ctx, body);
-            build_buffer(&mut b, ty.clone(), 2, name).1
+            build_buffer(&mut b, ty, 2, name).1
         };
         let buf0 = mk_buf(ctx, "buf0");
         let buf1 = mk_buf(ctx, "buf1");
@@ -501,15 +498,8 @@ mod tests {
         let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
         let (schedule, body) = build_schedule(&mut OpBuilder::at_end_of(&mut ctx, func), "s");
         let ty = Type::memref(vec![16], Type::f32());
-        let [a, b, c] = ["a", "b", "c"].map(|name| {
-            build_buffer(
-                &mut OpBuilder::at_block_end(&mut ctx, body),
-                ty.clone(),
-                2,
-                name,
-            )
-            .1
-        });
+        let [a, b, c] = ["a", "b", "c"]
+            .map(|name| build_buffer(&mut OpBuilder::at_block_end(&mut ctx, body), ty, 2, name).1);
         let written = [a, b, c].map(|buffer| (buffer, MemEffect::Write));
         let (n0, _) = build_node(&mut ctx, body, "n0", &written);
         let (n1, n1_args) = build_node(

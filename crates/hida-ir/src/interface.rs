@@ -84,8 +84,6 @@ pub fn build_port(
     burst_length: i64,
     name: &str,
 ) -> (PortOp, ValueId) {
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
     let (op, results) = builder.create(
         op_names::PORT,
         vec![],
@@ -94,7 +92,7 @@ pub fn build_port(
             ("port_kind", Attribute::from(kind.as_str())),
             ("latency", Attribute::Int(latency.max(0))),
             ("burst_length", Attribute::Int(burst_length.max(1))),
-            ("port_name", Attribute::Str(name.clone())),
+            ("port_name", Attribute::from(name)),
         ],
     );
     builder.context().set_name_hint(results[0], name);

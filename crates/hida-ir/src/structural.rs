@@ -139,15 +139,13 @@ pub fn build_buffer(
     name: &str,
 ) -> (BufferOp, ValueId) {
     assert!(ty.is_memref(), "hida.buffer requires a memref type");
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
     let (op, results) = builder.create(
         op_names::BUFFER,
         vec![],
         vec![ty],
         vec![
             ("depth", Attribute::Int(depth.max(1))),
-            ("buffer_name", Attribute::Str(name.clone())),
+            ("buffer_name", Attribute::from(name)),
         ],
     );
     builder.context().set_name_hint(results[0], name);
@@ -175,10 +173,7 @@ impl StreamOp {
 
     /// Number of in-flight entries buffered by the channel.
     pub fn depth(self, ctx: &Context) -> i64 {
-        match ctx.value_type(self.value(ctx)) {
-            Type::Stream { depth, .. } => *depth,
-            _ => 1,
-        }
+        ctx.value_type(self.value(ctx)).stream_depth().unwrap_or(1)
     }
 }
 
@@ -190,13 +185,11 @@ pub fn build_stream(
     name: &str,
 ) -> (StreamOp, ValueId) {
     let ty = Type::stream(elem, depth.max(1));
-    // The attribute and the name hint share one string.
-    let name: std::sync::Arc<str> = name.into();
     let (op, results) = builder.create(
         op_names::STREAM,
         vec![],
         vec![ty],
-        vec![("stream_name", Attribute::Str(name.clone()))],
+        vec![("stream_name", Attribute::from(name))],
     );
     builder.context().set_name_hint(results[0], name);
     (StreamOp(op), results[0])
@@ -247,8 +240,7 @@ impl NodeOp {
     /// Per-operand memory effects.
     pub fn effects(self, ctx: &Context) -> Vec<MemEffect> {
         ctx.op(self.0)
-            .attributes
-            .get("effects")
+            .attr("effects")
             .and_then(Attribute::as_str_array)
             .map(|v| v.iter().map(|s| effect_from_str(s)).collect())
             .unwrap_or_else(|| vec![MemEffect::ReadWrite; ctx.op(self.0).operands.len()])
@@ -284,17 +276,16 @@ impl NodeOp {
         ctx.add_operand(self.0, value);
         let effects = ctx
             .op(self.0)
-            .attributes
-            .get("effects")
+            .attr("effects")
             .and_then(Attribute::as_str_array)
             .unwrap_or_default();
         let effects = effects
             .iter()
-            .cloned()
+            .copied()
             .chain(std::iter::once(effect_to_str(effect).into()))
             .collect();
         ctx.set_attr(self.0, "effects", Attribute::StrArray(effects));
-        let ty = ctx.value_type(value).clone();
+        let ty = *ctx.value_type(value);
         let body = self.body(ctx);
 
         ctx.add_block_arg(body, ty)
@@ -328,8 +319,10 @@ pub fn build_node(
     let mut op = hida_ir_core::Operation::new(op_names::NODE);
     op.operands = operands.iter().map(|(v, _)| *v).collect();
     op.isolated = true;
-    op.set_attr("node_name", name);
-    op.set_attr(
+    let id = ctx.create_op(op);
+    ctx.set_attr(id, "node_name", name);
+    ctx.set_attr(
+        id,
         "effects",
         Attribute::StrArray(
             operands
@@ -338,13 +331,12 @@ pub fn build_node(
                 .collect(),
         ),
     );
-    let id = ctx.create_op(op);
     // Register operand uses explicitly (create_op already did) and attach region.
     let region = ctx.create_region(id);
     let body = ctx.create_block(region);
     let mut args = Vec::new();
     for (v, _) in operands {
-        let ty = ctx.value_type(*v).clone();
+        let ty = *ctx.value_type(*v);
         let arg = ctx.add_block_arg(body, ty);
         args.push(arg);
     }

@@ -85,7 +85,7 @@ pub fn lower_to_structural(
         }
         let value = ctx.op(alloc).results[0];
         let name = ctx.op(alloc).attr_str("name").unwrap_or("buf").to_string();
-        let ty = ctx.value_type(value).clone();
+        let ty = *ctx.value_type(value);
         let buffer = make_buffer(ctx, ty, &name, &mut buffer_counter);
         buffer_of.insert(value, buffer);
     }
@@ -95,7 +95,7 @@ pub fn lower_to_structural(
             continue;
         }
         let value = ctx.op(input).results[0];
-        let ty = ctx.value_type(value).clone();
+        let ty = *ctx.value_type(value);
         let buffer = make_buffer(ctx, ty, "input", &mut buffer_counter);
         let buffer_op = ctx.value(buffer).defining_op().unwrap();
         hida_dialects::hls::set_memory_kind(
@@ -108,7 +108,7 @@ pub fn lower_to_structural(
     // (3) Task results (inter-task tensors).
     for &task in &task_groups {
         for (i, &result) in ctx.op(task).results.clone().iter().enumerate() {
-            let ty = ctx.value_type(result).clone();
+            let ty = *ctx.value_type(result);
             if !ty.is_tensor() && !ty.is_memref() {
                 continue;
             }
@@ -316,8 +316,8 @@ fn rewrite_layers_to_destination_passing(ctx: &mut Context, node: NodeOp) {
     let layer_ops: Vec<OpId> = ctx
         .block(body)
         .ops
-        .clone()
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&o| linalg::is_linalg_op_name(ctx.op(o).name.as_str()))
         .collect();
     for op in layer_ops {

@@ -614,7 +614,6 @@ pub fn assign_array_partitions(
         }
     }
 
-    let mut writer = hls::PartitionWriter::default();
     for run in &runs {
         let dims = run.start..run.start + run.rank;
         // An unpartitioned dimension has no fashion; the factor is clamped
@@ -626,7 +625,7 @@ pub fn assign_array_partitions(
             }
             factors[dim] = factors[dim].clamp(1, size.max(1));
         }
-        writer.write(
+        hls::write_array_partition(
             ctx,
             run.buffer.id(),
             &fashions[dims.clone()],
@@ -1093,7 +1092,7 @@ mod tests {
         // Rank-0 buffers are never given a directive.
         assert!(!ctx
             .op(s_buf.id())
-            .attributes
+            .attributes()
             .contains_key(hida_dialects::hls::ATTR_PARTITION_FASHIONS));
     }
 

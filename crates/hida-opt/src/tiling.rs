@@ -84,7 +84,7 @@ fn spill_large_buffers(
         }
         buffer.set_memory_kind(ctx, MemoryKind::External);
         let value = buffer.value(ctx);
-        let elem = ctx.value_type(value).elem_type().clone();
+        let elem = *ctx.value_type(value).elem_type();
         let shape = buffer.shape(ctx);
         let tile_shape: Vec<i64> = shape.iter().map(|&d| d.min(tile_size).max(1)).collect();
         let tile_ty = Type::memref(tile_shape, elem);
@@ -101,7 +101,7 @@ fn spill_large_buffers(
             let pos = ctx.block(body).position_of(buffer.id()).unwrap_or(0);
             let local = {
                 let mut b = OpBuilder::at_block_index(ctx, body, pos + 1);
-                build_buffer(&mut b, tile_ty.clone(), 2, &tile_name).1
+                build_buffer(&mut b, tile_ty, 2, &tile_name).1
             };
             node.add_operand(ctx, local, MemEffect::ReadWrite);
         }

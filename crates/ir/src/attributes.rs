@@ -2,29 +2,32 @@
 //!
 //! Attributes model values that are "known and fixed at compile time" (paper §3.1):
 //! parallel factors, partition fashions, tile sizes, memory placements, symbol names
-//! and so on. They are stored in an [`AttrMap`] on each [`Operation`] — a small
-//! sorted vector with interned [`Symbol`] keys, iterated in key-string order so
-//! printing and fingerprinting are deterministic.
+//! and so on.
 //!
-//! An attribute value is immutable: strings and arrays sit behind an [`Arc`],
-//! so copying an attribute — with its op, with its whole
-//! [`Context`](crate::Context) — copies a handle, and
-//! [`Operation::set_attr`](crate::Operation::set_attr) *replaces* the value
-//! under a key; it never writes into a payload another holder shares.
+//! An [`Attribute`] is `Copy`: scalars sit in place, and a string, array or
+//! type payload is an [`Interned`] handle — uniqued process-wide, immutable
+//! and never freed (see [`crate::intern`]). Building one from a payload
+//! already seen is a table probe and no allocation; copying one is copying
+//! 16 bytes; the accessors hand out `&'static` data.
 //!
-//! [`Operation`]: crate::Operation
+//! An op's attributes live in its [`Context`](crate::Context)'s attribute
+//! arena, one run of `(key, value)` pairs per op sorted by the key
+//! **string** (not by where the key was interned), so printing and
+//! fingerprinting iterate them in a deterministic order. [`Attrs`] is the
+//! read view of one run; [`Context::set_attr`](crate::Context::set_attr) is
+//! the writer, and it *replaces* the value under a key — a clone of the
+//! context that shares nothing with this one keeps its own.
 
-use crate::intern::Symbol;
+use crate::intern::{Intern, Interned, Interner, KeyHasher, Symbol};
 use crate::types::Type;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
 
 /// A compile-time constant attached to an operation under a string key.
 ///
-/// Build the array variants straight from what is at hand — a slice, an
-/// array literal, an exact-size iterator (`Arc<[T]>` collects one without an
-/// intermediate `Vec`) — or through the `From` impls below.
-#[derive(Debug, Clone, PartialEq)]
+/// Build the payload variants through the `From` impls below or from an
+/// [`Interned`] handle (`[1, 2].into()`, `"cyclic".into()`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Attribute {
     /// Unit attribute — presence alone carries meaning (e.g. `pipeline`).
     Unit,
@@ -35,15 +38,15 @@ pub enum Attribute {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string (symbol names, fashion names, ...).
-    Str(Arc<str>),
+    Str(Symbol),
     /// Homogeneous list of integers (factors, shapes, maps).
-    IntArray(Arc<[i64]>),
+    IntArray(Interned<[i64]>),
     /// Homogeneous list of floats (scaling maps).
-    FloatArray(Arc<[f64]>),
+    FloatArray(Interned<[f64]>),
     /// List of strings (partition fashions per dimension, argument names).
-    StrArray(Arc<[Arc<str>]>),
+    StrArray(Interned<[Symbol]>),
     /// Nested attribute list.
-    Array(Arc<[Attribute]>),
+    Array(Interned<[Attribute]>),
     /// A type used as an attribute value (e.g. function signatures).
     TypeAttr(Type),
 }
@@ -76,27 +79,73 @@ impl Attribute {
     }
 
     /// Returns the string payload if this is an [`Attribute::Str`].
-    pub fn as_str(&self) -> Option<&str> {
+    pub fn as_str(&self) -> Option<&'static str> {
         match self {
-            Attribute::Str(s) => Some(s),
+            Attribute::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
 
     /// Returns the integer-array payload if this is an [`Attribute::IntArray`].
-    pub fn as_int_array(&self) -> Option<&[i64]> {
+    pub fn as_int_array(&self) -> Option<&'static [i64]> {
         match self {
-            Attribute::IntArray(v) => Some(v),
+            Attribute::IntArray(v) => Some(v.get()),
             _ => None,
         }
     }
 
     /// Returns the string-array payload if this is an [`Attribute::StrArray`].
-    pub fn as_str_array(&self) -> Option<&[Arc<str>]> {
+    pub fn as_str_array(&self) -> Option<&'static [Symbol]> {
         match self {
-            Attribute::StrArray(v) => Some(v),
+            Attribute::StrArray(v) => Some(v.get()),
             _ => None,
         }
+    }
+
+    /// True when `self` and `other` are one value: what `==` says, except
+    /// that floats compare by bit pattern (the identity an attribute list is
+    /// interned under).
+    fn same(&self, other: &Attribute) -> bool {
+        match (self, other) {
+            (Attribute::Float(a), Attribute::Float(b)) => a.to_bits() == b.to_bits(),
+            (Attribute::FloatArray(a), Attribute::FloatArray(b)) => a.ptr_eq(*b),
+            (Attribute::Array(a), Attribute::Array(b)) => a.ptr_eq(*b),
+            _ => self == other,
+        }
+    }
+}
+
+impl Intern for [Attribute] {
+    fn table() -> &'static Interner<[Attribute]> {
+        static TABLE: Interner<[Attribute]> = Interner::new();
+        &TABLE
+    }
+
+    fn hash_key(&self, state: &mut KeyHasher) {
+        state.write_usize(self.len());
+        for attr in self {
+            std::mem::discriminant(attr).hash(state);
+            match attr {
+                Attribute::Unit => {}
+                Attribute::Bool(v) => v.hash(state),
+                Attribute::Int(v) => v.hash(state),
+                Attribute::Float(v) => v.to_bits().hash(state),
+                Attribute::Str(v) => v.hash(state),
+                Attribute::IntArray(v) => v.hash(state),
+                Attribute::FloatArray(v) => v.get().as_ptr().hash(state),
+                Attribute::StrArray(v) => v.hash(state),
+                Attribute::Array(v) => v.get().as_ptr().hash(state),
+                Attribute::TypeAttr(v) => v.hash(state),
+            }
+        }
+    }
+
+    fn same(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.same(b))
+    }
+
+    fn leak(&self) -> &'static [Attribute] {
+        Box::leak(Box::from(self))
     }
 }
 
@@ -166,124 +215,53 @@ impl From<Type> for Attribute {
     }
 }
 
-/// The named attributes of one operation: a small vector of `(interned key,
-/// value)` pairs kept sorted by the key **string** (not the symbol id, which
-/// is process-execution-dependent — see [`crate::intern`]).
-///
-/// Operations carry a handful of attributes, so a sorted vector beats a tree
-/// or hash map on every axis that matters here: lookups are a linear scan
-/// over a dense key array, and iteration is allocation-free and already in
-/// the canonical order the printer and the fingerprint walk need. A clone
-/// (hot in [`Context::clone_op`](crate::Context::clone_op) and whole-context
-/// clones) allocates the two vectors — none for an op without attributes —
-/// and copies every [`Attribute`] as a handle: scalars by value, strings,
-/// arrays and aggregate types by bumping the reference count of the
-/// immutable payload both maps then share.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AttrMap {
-    /// Keys sorted by string, parallel to `values`. Kept separate from the
-    /// (much larger) `Attribute` payloads so a key probe scans a dense array
-    /// of small entries — the same cache-tightness a `BTreeMap` node's packed
-    /// key slab gave the old representation.
-    keys: Vec<AttrKey>,
-    /// Attribute payloads, parallel to `keys`.
-    values: Vec<Attribute>,
+/// The named attributes of one operation, as its context stores them: a run
+/// of `(key, value)` pairs sorted by key string. `Copy`; lookups are a
+/// linear scan (an op carries a handful of attributes, and `str ==`
+/// short-circuits on length), iteration is allocation-free and already in
+/// the order the printer and the fingerprint walk need.
+#[derive(Debug, Clone, Copy)]
+pub struct Attrs<'a> {
+    run: &'a [(Symbol, Attribute)],
 }
 
-/// One attribute key: the interned symbol plus its cached resolution, so
-/// string-keyed lookups (`get("depth")` in the estimator's hot loops) are
-/// plain `&str` comparisons — no per-probe symbol resolution — while
-/// symbol-keyed lookups compare 4-byte ids.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct AttrKey {
-    sym: Symbol,
-    text: &'static str,
-}
-
-impl AttrMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> Attrs<'a> {
+    pub(crate) fn new(run: &'a [(Symbol, Attribute)]) -> Self {
+        Attrs { run }
     }
 
     /// Number of attributes.
-    pub fn len(&self) -> usize {
-        self.keys.len()
+    pub fn len(self) -> usize {
+        self.run.len()
     }
 
     /// True when no attribute is set.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Index of `key`, if present. Operations carry a handful of attributes,
-    /// so a linear scan beats binary search here: the key array is one or two
-    /// cache lines, and `str ==` short-circuits on length before touching any
-    /// bytes (most attribute keys differ in length).
-    #[inline]
-    fn position(&self, key: &str) -> Option<usize> {
-        self.keys.iter().position(|k| k.text == key)
-    }
-
-    /// Insertion point that keeps `keys` sorted by string.
-    fn insertion_point(&self, key: &str) -> usize {
-        self.keys.partition_point(|k| k.text < key)
+    pub fn is_empty(self) -> bool {
+        self.run.is_empty()
     }
 
     /// Returns the attribute stored under `key`.
-    pub fn get(&self, key: &str) -> Option<&Attribute> {
-        self.position(key).map(|at| &self.values[at])
-    }
-
-    /// Returns the attribute stored under an already-interned key: a linear
-    /// scan comparing symbol ids — the path for hot, fixed keys.
-    pub fn get_sym(&self, key: Symbol) -> Option<&Attribute> {
-        self.keys
+    #[inline]
+    pub fn get(self, key: &str) -> Option<&'a Attribute> {
+        self.run
             .iter()
-            .position(|k| k.sym == key)
-            .map(|at| &self.values[at])
+            .find(|(k, _)| k.as_str() == key)
+            .map(|(_, value)| value)
     }
 
     /// True when an attribute is stored under `key`.
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.position(key).is_some()
-    }
-
-    /// Inserts (or replaces) `value` under `key`, returning the previous
-    /// value if one was set.
-    pub fn insert(&mut self, key: impl AsRef<str>, value: Attribute) -> Option<Attribute> {
-        let key = key.as_ref();
-        match self.position(key) {
-            Some(at) => Some(std::mem::replace(&mut self.values[at], value)),
-            None => {
-                let at = self.insertion_point(key);
-                let sym = Symbol::intern(key);
-                self.keys.insert(
-                    at,
-                    AttrKey {
-                        sym,
-                        text: sym.as_str(),
-                    },
-                );
-                self.values.insert(at, value);
-                None
-            }
-        }
+    pub fn contains_key(self, key: &str) -> bool {
+        self.get(key).is_some()
     }
 
     /// Iterates `(key, value)` pairs in key-string order, allocation-free.
-    /// Keys come out pre-resolved so walk-shaped consumers (printer,
-    /// fingerprint) never touch the intern table.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Attribute)> {
-        self.keys
-            .iter()
-            .zip(self.values.iter())
-            .map(|(k, v)| (k.text, v))
+    pub fn iter(self) -> impl Iterator<Item = (&'static str, &'a Attribute)> {
+        self.run.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Iterates the keys in key-string order.
-    pub fn keys(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.keys.iter().map(|k| k.text)
+    pub fn keys(self) -> impl Iterator<Item = &'static str> + 'a {
+        self.run.iter().map(|(k, _)| k.as_str())
     }
 }
 
@@ -358,6 +336,21 @@ impl fmt::Display for Attribute {
 mod tests {
     use super::*;
 
+    // What makes a `Context` flat: an attribute and a type are plain
+    // values, safe to copy into and read from any thread.
+    const _: fn() = || {
+        fn copy_send_sync<T: Copy + Send + Sync>() {}
+        fn copy<T: Copy>() {}
+        copy_send_sync::<Attribute>();
+        copy::<Type>();
+    };
+
+    #[test]
+    fn an_attribute_is_two_words() {
+        assert_eq!(std::mem::size_of::<Symbol>(), 8);
+        assert_eq!(std::mem::size_of::<Attribute>(), 16);
+    }
+
     #[test]
     fn accessors_return_expected_payloads() {
         assert_eq!(Attribute::Int(3).as_int(), Some(3));
@@ -387,6 +380,26 @@ mod tests {
             Attribute::from(&[1_i64, 2][..])
         );
         assert_eq!(Attribute::from(Type::i8()), Attribute::TypeAttr(Type::i8()));
+    }
+
+    #[test]
+    fn attribute_lists_intern_by_identity() {
+        let list = |float: f64| -> Interned<[Attribute]> {
+            [
+                Attribute::Float(float),
+                Attribute::from("x"),
+                Attribute::from([1, 2]),
+            ]
+            .into()
+        };
+        assert!(list(1.5).ptr_eq(list(1.5)));
+        assert!(!list(0.0).ptr_eq(list(-0.0)));
+        assert_eq!(list(0.0), list(-0.0), "equal as floats, two payloads");
+        let nested = |inner: Interned<[Attribute]>| -> Interned<[Attribute]> {
+            [Attribute::Array(inner), Attribute::TypeAttr(Type::i8())].into()
+        };
+        assert!(nested(list(2.0)).ptr_eq(nested(list(2.0))));
+        assert!(!nested(list(0.0)).ptr_eq(nested(list(-0.0))));
     }
 
     #[test]

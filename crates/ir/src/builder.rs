@@ -7,6 +7,7 @@
 use crate::attributes::Attribute;
 use crate::context::Context;
 use crate::ids::{BlockId, OpId, ValueId};
+use crate::intern::Symbol;
 use crate::op_names;
 use crate::operation::{OpName, Operation};
 use crate::types::Type;
@@ -77,10 +78,10 @@ impl<'a> OpBuilder<'a> {
     ) -> (OpId, Vec<ValueId>) {
         let mut op = Operation::new(name);
         op.operands = operands.into();
-        for (k, v) in attrs {
-            op.set_attr(k, v);
-        }
         let id = self.ctx.create_op(op);
+        for (k, v) in attrs {
+            self.ctx.put_attr(id, Symbol::intern(k), v);
+        }
         let results: Vec<ValueId> = result_types
             .into_iter()
             .map(|ty| self.ctx.add_result(id, ty))

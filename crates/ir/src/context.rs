@@ -11,16 +11,23 @@
 //! operation slots go onto a free list and are recycled by the next
 //! [`Context::create_op`], keeping long rewrite pipelines from growing the op
 //! arena without bound.
+//!
+//! The attributes of every op share one more arena: each op owns a run of
+//! `(key, value)` pairs in it, sorted by key string. A new key is inserted
+//! into the run in place when the run ends the arena, and otherwise the run
+//! moves to the end first (its old slots become dead and are reclaimed once
+//! they outnumber the live ones), so adding attributes allocates only when
+//! the arena itself grows.
 
-use crate::attributes::Attribute;
+use crate::attributes::{Attribute, Attrs};
 use crate::entities::{Block, Region, Value, ValueDef};
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
+use crate::intern::Symbol;
 use crate::op_names;
-use crate::operation::{OpName, Operation};
+use crate::operation::{AttrSpan, OpName, OpRef, Operation};
 use crate::storage::{EntityMap, EntitySet, IdList};
 use crate::types::Type;
-use std::sync::Arc;
 
 /// Arena owner of the IR. See the [module documentation](self) for an overview.
 #[derive(Debug)]
@@ -29,6 +36,11 @@ pub struct Context {
     blocks: Vec<Block>,
     regions: Vec<Region>,
     values: Vec<Value>,
+    /// Every op's attributes: one run per op (see [`Operation`]'s span),
+    /// sorted by key string within the run.
+    attrs: Vec<(Symbol, Attribute)>,
+    /// Slots of `attrs` no op's run covers any more.
+    dead_attrs: usize,
     /// Live operations (erased ops keep their arena slot but leave this set).
     live_ops: EntitySet<OpId>,
     /// Live blocks (blocks nested in erased ops leave this set).
@@ -68,6 +80,8 @@ impl Default for Context {
             blocks: Vec::new(),
             regions: Vec::new(),
             values: Vec::new(),
+            attrs: Vec::new(),
+            dead_attrs: 0,
             live_ops: EntitySet::new(),
             live_blocks: EntitySet::new(),
             live_regions: EntitySet::new(),
@@ -89,28 +103,41 @@ impl Clone for Context {
     /// original. Only the context *identity* is fresh: caches keyed by
     /// `(context id, entity)` must not confuse the copy with the original.
     ///
-    /// What is **copied**: the arenas, the liveness bitmaps, the free list,
-    /// the epochs and the use table — one heap block each — plus, per entity,
-    /// only what does not fit in place: a block's op list, the two vectors of
-    /// a non-empty [`AttrMap`](crate::AttrMap), and the few id lists longer
-    /// than [`IdList::INLINE`] (operands, results, regions, block arguments,
-    /// region blocks and use lists of up to three ids are part of their
-    /// entity). What is **shared**: every leaf payload — the shape and
+    /// What is **copied**: the arenas — ops, blocks, regions, values and
+    /// the one attribute arena — the liveness bitmaps, the free list, the
+    /// epochs and the use table, one heap block each, plus, per entity, only
+    /// the id lists longer than [`IdList::INLINE`] (an op's operands, results
+    /// and regions, a block's arguments and ops, a region's blocks and a
+    /// value's users of up to three ids are part of their entity). Values
+    /// and attributes are `Copy`, so their arenas are copied as they are
+    /// (attribute runs packed, below). Every payload they point at — the shape and
     /// element type of an aggregate [`Type`], the string or array of an
-    /// [`Attribute`], a value's name hint — is an immutable value behind an
-    /// `Arc`, and the clone takes a reference to it. Sharing is safe because
-    /// no API mutates a payload in place: `set_attr` and `set_name_hint`
-    /// install a new value in the one context they are called on, so the
-    /// original and the clone can be edited — on different threads, a
-    /// checkpoint is forked by every sweep worker — without either seeing
-    /// the other. `docs/ARCHITECTURE.md`, "What a fork copies", has the
-    /// counts.
+    /// [`Attribute`], a value's name hint — is interned (uniqued, immutable
+    /// and never freed, see [`crate::intern`]), so the clone copies the
+    /// handle and touches no reference count, and dropping it frees the
+    /// blocks above and nothing else. The original and the clone can be
+    /// edited — on different threads, a checkpoint is forked by every sweep
+    /// worker — without either seeing the other: `set_attr` and
+    /// `set_name_hint` install another handle in the one context they are
+    /// called on. The clone's attribute arena is the original's runs packed
+    /// in op order, with room for twice as many entries again: every run a
+    /// forked design point edits can move to the end once and double there
+    /// without growing it. `docs/ARCHITECTURE.md`, "What a fork copies", has
+    /// the counts.
     fn clone(&self) -> Self {
+        let mut ops = self.ops.clone();
+        let attrs = pack_attrs(
+            &mut ops,
+            &self.attrs,
+            3 * (self.attrs.len() - self.dead_attrs),
+        );
         Context {
-            ops: self.ops.clone(),
+            ops,
             blocks: self.blocks.clone(),
             regions: self.regions.clone(),
             values: self.values.clone(),
+            attrs,
+            dead_attrs: 0,
             live_ops: self.live_ops.clone(),
             live_blocks: self.live_blocks.clone(),
             live_regions: self.live_regions.clone(),
@@ -123,6 +150,22 @@ impl Clone for Context {
             structure: self.structure,
         }
     }
+}
+
+/// The runs of `ops` copied out of `attrs` back to back, in op order, into
+/// an arena of `capacity`; each op's span is pointed at its new run.
+fn pack_attrs(
+    ops: &mut [Operation],
+    attrs: &[(Symbol, Attribute)],
+    capacity: usize,
+) -> Vec<(Symbol, Attribute)> {
+    let mut packed = Vec::with_capacity(capacity);
+    for op in ops {
+        let run = op.attrs.range();
+        op.attrs.start = packed.len() as u32;
+        packed.extend_from_slice(&attrs[run]);
+    }
+    packed
 }
 
 /// A mapping from old values to new values used while cloning IR.
@@ -213,12 +256,14 @@ impl Context {
     // Accessors
     // ------------------------------------------------------------------
 
-    /// Returns the operation payload for `id`.
+    /// Returns the operation `id`: its payload and its attributes.
     ///
     /// # Panics
     /// Panics if the id does not belong to this context.
-    pub fn op(&self, id: OpId) -> &Operation {
-        &self.ops[id.index()]
+    #[inline]
+    pub fn op(&self, id: OpId) -> OpRef<'_> {
+        let op = &self.ops[id.index()];
+        OpRef::new(op, Attrs::new(&self.attrs[op.attrs.range()]))
     }
 
     /// Returns a mutable reference to the operation payload for `id`.
@@ -236,7 +281,41 @@ impl Context {
     /// [`Context::structure`] where it is.
     pub fn set_attr(&mut self, op: OpId, key: impl AsRef<str>, value: impl Into<Attribute>) {
         self.generation += 1;
-        self.ops[op.index()].set_attr(key, value);
+        self.put_attr(op, Symbol::intern(key.as_ref()), value.into());
+    }
+
+    /// [`Context::set_attr`] without the generation bump: for the creators
+    /// in this crate, right after the [`Context::create_op`] that moved it.
+    pub(crate) fn put_attr(&mut self, op: OpId, key: Symbol, value: Attribute) {
+        let span = self.ops[op.index()].attrs;
+        let run = &mut self.attrs[span.range()];
+        if let Some((_, old)) = run.iter_mut().find(|(k, _)| k.ptr_eq(key)) {
+            *old = value;
+            return;
+        }
+        let at = run.partition_point(|(k, _)| k.as_str() < key.as_str());
+        let mut start = span.start as usize;
+        if span.range().end != self.attrs.len() {
+            // Only the last run can grow in place: move this one there.
+            start = self.attrs.len();
+            self.attrs.extend_from_within(span.range());
+            self.dead_attrs += span.len as usize;
+        }
+        self.attrs.insert(start + at, (key, value));
+        self.ops[op.index()].attrs = AttrSpan {
+            start: start as u32,
+            len: span.len + 1,
+        };
+        if 2 * self.dead_attrs > self.attrs.len() {
+            self.compact_attrs();
+        }
+    }
+
+    /// Rewrites the attribute arena with the runs only, in op order.
+    fn compact_attrs(&mut self) {
+        let live = self.attrs.len() - self.dead_attrs;
+        self.attrs = pack_attrs(&mut self.ops, &self.attrs, live);
+        self.dead_attrs = 0;
     }
 
     /// Returns the block payload for `id`.
@@ -346,10 +425,19 @@ impl Context {
         for &operand in &op.operands {
             self.uses.get_or_default(operand).push(id);
         }
+        // The erased op's attributes stay readable until its slot is reused.
+        let op = Operation {
+            attrs: AttrSpan {
+                start: self.attrs.len() as u32,
+                len: 0,
+            },
+            ..op
+        };
         if id.index() == self.ops.len() {
             self.ops.push(op);
             self.op_epochs.push(0);
         } else {
+            self.dead_attrs += self.ops[id.index()].attrs.len as usize;
             self.ops[id.index()] = op;
         }
         self.live_ops.insert(id);
@@ -375,7 +463,7 @@ impl Context {
         let id = BlockId::from_index(self.blocks.len());
         self.blocks.push(Block {
             args: IdList::new(),
-            ops: Vec::new(),
+            ops: IdList::new(),
             parent_region: Some(region),
         });
         self.live_blocks.insert(id);
@@ -413,19 +501,18 @@ impl Context {
         vid
     }
 
-    /// Sets the printer name hint of a value (replacing, never editing, the
-    /// string a clone of this context may share). Moves neither counter:
-    /// only the printer reads a name hint.
-    pub fn set_name_hint(&mut self, value: ValueId, hint: impl Into<Arc<str>>) {
-        self.values[value.index()].name_hint = Some(hint.into());
+    /// Sets the printer name hint of a value (interning it). Moves neither
+    /// counter: only the printer reads a name hint.
+    pub fn set_name_hint(&mut self, value: ValueId, hint: impl AsRef<str>) {
+        self.values[value.index()].name_hint = Some(Symbol::intern(hint.as_ref()));
     }
 
     /// Convenience: creates a `builtin.module` op with one region and one entry block.
     pub fn create_module(&mut self, name: &str) -> OpId {
         let mut op = Operation::new(op_names::MODULE);
         op.isolated = true;
-        op.set_attr("sym_name", name);
         let id = self.create_op(op);
+        self.put_attr(id, Symbol::intern("sym_name"), name.into());
         let region = self.create_region(id);
         self.create_block(region);
         id
@@ -596,7 +683,16 @@ impl Context {
 
     /// Returns true if `ancestor` is `op` itself or a (transitive) parent of `op`.
     pub fn is_ancestor(&self, ancestor: OpId, op: OpId) -> bool {
-        ancestor == op || self.ancestors(op).contains(&ancestor)
+        let mut cur = op;
+        loop {
+            if cur == ancestor {
+                return true;
+            }
+            match self.parent_op(cur) {
+                Some(parent) => cur = parent,
+                None => return false,
+            }
+        }
     }
 
     /// Returns the entry block of region `region`.
@@ -625,7 +721,7 @@ impl Context {
             return Vec::new();
         }
         let block = self.body_block(op);
-        self.blocks[block.index()].ops.clone()
+        self.blocks[block.index()].ops.to_vec()
     }
 
     /// Finds the first op with the given name directly nested in `op`'s body.
@@ -746,10 +842,10 @@ impl Context {
             let blocks = self.regions[region.index()].blocks.clone();
             for &block in &blocks {
                 let ops = self.blocks[block.index()].ops.clone();
-                for nested in ops {
+                for &nested in &ops {
                     self.erase_op(nested);
                 }
-                self.blocks[block.index()].ops.clear();
+                self.blocks[block.index()].ops = IdList::new();
                 for index in 0..self.blocks[block.index()].args.len() {
                     let arg = self.blocks[block.index()].args[index];
                     self.live_values.remove(arg);
@@ -780,28 +876,22 @@ impl Context {
     /// the movement helpers.
     pub fn clone_op(&mut self, op: OpId, mapping: &mut ValueMapping) -> OpId {
         let src = &self.ops[op.index()];
-        let name = src.name;
-        let isolated = src.isolated;
-        let attributes = src.attributes.clone();
-        let operands: IdList<ValueId> = src.operands.iter().map(|&v| mapping.lookup(v)).collect();
+        let mut copy = Operation::new(src.name);
+        copy.isolated = src.isolated;
+        copy.operands = src.operands.iter().map(|&v| mapping.lookup(v)).collect();
+        let src_attrs = src.attrs;
         let src_results = src.results.clone();
         let src_regions = src.regions.clone();
-        let new_id = self.create_op(Operation {
-            name,
-            operands,
-            results: IdList::new(),
-            attributes,
-            regions: IdList::new(),
-            parent_block: None,
-            isolated,
-        });
+        let new_id = self.create_op(copy);
+        // Attributes: the source's run, copied onto the new op's empty run,
+        // which `create_op` left at the end of the arena.
+        self.attrs.extend_from_within(src_attrs.range());
+        self.ops[new_id.index()].attrs.len = src_attrs.len;
         // Results.
         for &res in &src_results {
-            let ty = self.values[res.index()].ty.clone();
+            let Value { ty, name_hint, .. } = self.values[res.index()];
             let new_res = self.add_result(new_id, ty);
-            if let Some(hint) = self.values[res.index()].name_hint.clone() {
-                self.set_name_hint(new_res, hint);
-            }
+            self.values[new_res.index()].name_hint = name_hint;
             mapping.map(res, new_res);
         }
         // Regions.
@@ -812,12 +902,12 @@ impl Context {
                 let new_block = self.create_block(new_region);
                 let args = self.blocks[block.index()].args.clone();
                 for &arg in &args {
-                    let ty = self.values[arg.index()].ty.clone();
+                    let ty = self.values[arg.index()].ty;
                     let new_arg = self.add_block_arg(new_block, ty);
                     mapping.map(arg, new_arg);
                 }
                 let ops = self.blocks[block.index()].ops.clone();
-                for nested in ops {
+                for &nested in &ops {
                     let cloned = self.clone_op(nested, mapping);
                     self.append_op(new_block, cloned);
                 }
@@ -841,10 +931,10 @@ impl Context {
     ) -> (OpId, Vec<ValueId>) {
         let mut op = Operation::new(name);
         op.operands = operands.into();
-        for (k, v) in attrs {
-            op.set_attr(k, v);
-        }
         let id = self.create_op(op);
+        for (k, v) in attrs {
+            self.put_attr(id, Symbol::intern(k), v);
+        }
         let results: Vec<ValueId> = result_types
             .into_iter()
             .map(|ty| self.add_result(id, ty))

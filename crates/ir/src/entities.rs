@@ -6,9 +6,9 @@
 
 use crate::ids::ValueId;
 use crate::ids::{BlockId, OpId, RegionId};
+use crate::intern::Symbol;
 use crate::storage::IdList;
 use crate::types::Type;
-use std::sync::Arc;
 
 /// Where an SSA value comes from: an operation result or a block argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,17 +29,17 @@ pub enum ValueDef {
     },
 }
 
-/// An SSA value: a definition site plus a static type.
-#[derive(Debug, Clone)]
+/// An SSA value: a definition site plus a static type. `Copy`: the type
+/// and the name hint are interned handles.
+#[derive(Debug, Clone, Copy)]
 pub struct Value {
     /// Definition site of the value.
     pub def: ValueDef,
     /// Static type of the value.
     pub ty: Type,
-    /// Optional human-readable name hint used by the printer (e.g. `%buffer`).
-    /// Immutable once set ([`Context::set_name_hint`](crate::Context::set_name_hint)
-    /// replaces it), so every clone of the value shares the one string.
-    pub name_hint: Option<Arc<str>>,
+    /// Optional human-readable name hint used by the printer (e.g. `%buffer`),
+    /// set with [`Context::set_name_hint`](crate::Context::set_name_hint).
+    pub name_hint: Option<Symbol>,
 }
 
 impl Value {
@@ -66,7 +66,7 @@ pub struct Block {
     /// Block arguments (entry values of the block).
     pub args: IdList<ValueId>,
     /// Operations in program order.
-    pub ops: Vec<OpId>,
+    pub ops: IdList<OpId>,
     /// Region containing this block, if attached.
     pub parent_region: Option<RegionId>,
 }
@@ -137,7 +137,8 @@ mod tests {
                 OpId::from_index(0),
                 OpId::from_index(5),
                 OpId::from_index(9),
-            ],
+            ]
+            .into(),
             parent_region: None,
         };
         assert_eq!(block.position_of(OpId::from_index(5)), Some(1));

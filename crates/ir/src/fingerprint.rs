@@ -377,17 +377,16 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
         self.hasher.write_str(data.name.as_str());
         self.hasher.write_u64(data.isolated as u64);
 
-        // Attribute iteration is in key-string order (the AttrMap invariant),
-        // so the serialization is canonical. Counting first and hashing second
-        // keeps the walk allocation-free; keys arrive pre-resolved so the byte
-        // stream is independent of symbol ids.
+        // Attribute iteration is in key-string order (each op's run in the
+        // attribute arena is kept sorted), so the serialization is canonical.
+        // Counting first and hashing second keeps the walk allocation-free.
         let kept = data
-            .attributes
+            .attributes()
             .iter()
             .filter(|(key, _)| (self.keep_attr)(key))
             .count();
         self.hasher.write_u64(kept as u64);
-        for (key, value) in data.attributes.iter() {
+        for (key, value) in data.attributes().iter() {
             if (self.keep_attr)(key) {
                 self.hasher.write_str(key);
                 self.hash_attr(value);

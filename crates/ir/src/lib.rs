@@ -6,7 +6,10 @@
 //!
 //! * an arena-based [`Context`] owning operations, blocks, regions and values,
 //! * a generic [`Operation`] carrying operands, results, attributes and nested
-//!   regions (enabling arbitrary design hierarchy, exactly like MLIR regions),
+//!   regions (enabling arbitrary design hierarchy, exactly like MLIR regions);
+//!   the attributes of every op share one arena of the context,
+//! * process-wide [interning](intern) of every payload the IR shares, so
+//!   [`Type`] and [`Attribute`] are `Copy` and a context clones flat,
 //! * a structural [`Type`] system (integers, floats, index, tensor, memref, stream),
 //! * named [`Attribute`]s with compile-time-known values,
 //! * an [`OpBuilder`] with insertion points,
@@ -55,7 +58,7 @@ pub mod verifier;
 pub mod walk;
 
 pub use analysis::{Analysis, AnalysisCacheStats, AnalysisManager, PreservedAnalyses};
-pub use attributes::{AttrMap, Attribute};
+pub use attributes::{Attribute, Attrs};
 pub use builder::OpBuilder;
 pub use context::Context;
 pub use entities::{Block, Region, Value, ValueDef};
@@ -68,8 +71,8 @@ pub use fingerprint::{
     Fingerprint, StableHasher,
 };
 pub use ids::{BlockId, OpId, RegionId, ValueId};
-pub use intern::{InternTable, Symbol};
-pub use operation::{OpName, Operation};
+pub use intern::{Interned, Symbol};
+pub use operation::{OpName, OpRef, Operation};
 pub use par::{default_jobs, ParallelStats};
 pub use parse::{
     parse_module, parse_module_into, parse_pipeline, print_pipeline, IrParseError, PassInvocation,

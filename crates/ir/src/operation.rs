@@ -2,79 +2,44 @@
 //!
 //! Each operation accepts typed operands, produces typed results, carries named
 //! attributes, and may own nested regions. Operations are stored in and identified
-//! through the [`Context`](crate::Context); this module defines their payload.
+//! through the [`Context`](crate::Context); this module defines their payload and
+//! [`OpRef`], the view [`Context::op`](crate::Context::op) hands out — the payload
+//! together with the op's attributes, which live in the context's attribute arena.
 
-use crate::attributes::{AttrMap, Attribute};
+use crate::attributes::{Attribute, Attrs};
 use crate::ids::{BlockId, RegionId, ValueId};
 use crate::intern::Symbol;
 use crate::storage::IdList;
 use std::fmt;
+use std::ops::{Deref, Range};
 
 /// Fully-qualified name of an operation, e.g. `"hida.node"` or `"affine.for"`.
 ///
 /// Names use the MLIR convention `dialect.op`. The type is a copyable wrapper
-/// over an interned [`Symbol`], so name comparisons are single integer
-/// compares and creating an operation with a known name allocates nothing.
-/// The resolved string is cached alongside the symbol, so `as_str` (the
-/// workhorse of `Operation::is` and every name `match`) is a field read, not
-/// an intern-table resolution. Ordering (`Ord`) follows the resolved string,
-/// never the symbol id, so name-sorted output stays deterministic across
-/// processes.
-#[derive(Clone, Copy)]
-pub struct OpName {
-    sym: Symbol,
-    text: &'static str,
-}
+/// over an interned [`Symbol`], so name comparisons are pointer compares,
+/// `as_str` is one load, and creating an operation with a known name
+/// allocates nothing. Ordering (`Ord`) follows the string, so name-sorted
+/// output stays deterministic across processes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct OpName(Symbol);
 
 impl OpName {
     /// Creates (interning on first sight) an operation name from its
     /// fully-qualified string form.
     pub fn new(name: impl AsRef<str>) -> Self {
-        let sym = Symbol::intern(name.as_ref());
-        OpName {
-            sym,
-            text: sym.as_str(),
-        }
+        OpName(Symbol::intern(name.as_ref()))
     }
 
     /// Returns the fully-qualified name (`dialect.op`).
     #[inline]
     pub fn as_str(&self) -> &'static str {
-        self.text
+        self.0.as_str()
     }
 }
 
 impl fmt::Debug for OpName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "OpName({:?})", self.as_str())
-    }
-}
-
-impl PartialEq for OpName {
-    fn eq(&self, other: &Self) -> bool {
-        self.sym == other.sym
-    }
-}
-
-impl Eq for OpName {}
-
-impl std::hash::Hash for OpName {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.sym.hash(state);
-    }
-}
-
-impl PartialOrd for OpName {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OpName {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Symbol ids are first-intern-ordered (nondeterministic under
-        // threaded interning); the string is the canonical order.
-        self.as_str().cmp(other.as_str())
     }
 }
 
@@ -92,10 +57,7 @@ impl From<String> for OpName {
 
 impl From<Symbol> for OpName {
     fn from(sym: Symbol) -> Self {
-        OpName {
-            sym,
-            text: sym.as_str(),
-        }
+        OpName(sym)
     }
 }
 
@@ -111,11 +73,29 @@ impl PartialEq<&str> for OpName {
     }
 }
 
-/// An operation: operands, results, attributes and nested regions.
+/// Where an op's attributes sit in its context's attribute arena: the run
+/// `start..start + len`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AttrSpan {
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+}
+
+impl AttrSpan {
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// An operation: operands, results and nested regions, plus where its
+/// attributes sit in the owning context.
 ///
 /// The fields are public because the [`Context`](crate::Context) mediates all
 /// structural mutation (use lists, parent links); passes read these fields directly
-/// and mutate through context APIs.
+/// and mutate through context APIs. Attributes are read through the
+/// [`OpRef`] that [`Context::op`](crate::Context::op) returns and written with
+/// [`Context::set_attr`](crate::Context::set_attr); a detached operation has
+/// none until it is created.
 #[derive(Debug, Clone)]
 pub struct Operation {
     /// Fully-qualified operation name (interned, copyable).
@@ -124,9 +104,6 @@ pub struct Operation {
     pub operands: IdList<ValueId>,
     /// SSA results produced by this operation, in order.
     pub results: IdList<ValueId>,
-    /// Named compile-time attributes (interned keys, key-string iteration
-    /// order for deterministic printing).
-    pub attributes: AttrMap,
     /// Nested regions owned by this operation.
     pub regions: IdList<RegionId>,
     /// Block containing this operation, if attached.
@@ -137,6 +114,8 @@ pub struct Operation {
     /// ops (`schedule`/`node`) and functions are isolated (true), so values defined
     /// outside must be passed in as arguments (paper §5.2).
     pub isolated: bool,
+    /// This op's run in the context's attribute arena.
+    pub(crate) attrs: AttrSpan,
 }
 
 impl Operation {
@@ -146,44 +125,11 @@ impl Operation {
             name: name.into(),
             operands: IdList::new(),
             results: IdList::new(),
-            attributes: AttrMap::new(),
             regions: IdList::new(),
             parent_block: None,
             isolated: false,
+            attrs: AttrSpan::default(),
         }
-    }
-
-    /// Returns the attribute stored under `key`, if present.
-    pub fn attr(&self, key: &str) -> Option<&Attribute> {
-        self.attributes.get(key)
-    }
-
-    /// Returns the integer attribute stored under `key`, if present.
-    pub fn attr_int(&self, key: &str) -> Option<i64> {
-        self.attributes.get(key).and_then(Attribute::as_int)
-    }
-
-    /// Returns the string attribute stored under `key`, if present.
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        self.attributes.get(key).and_then(Attribute::as_str)
-    }
-
-    /// Returns the integer-array attribute stored under `key`, if present.
-    pub fn attr_int_array(&self, key: &str) -> Option<&[i64]> {
-        self.attributes.get(key).and_then(Attribute::as_int_array)
-    }
-
-    /// Returns true when a unit/bool attribute under `key` is present and truthy.
-    pub fn has_flag(&self, key: &str) -> bool {
-        self.attributes
-            .get(key)
-            .and_then(Attribute::as_bool)
-            .unwrap_or(false)
-    }
-
-    /// Sets (or replaces) the attribute stored under `key`.
-    pub fn set_attr(&mut self, key: impl AsRef<str>, value: impl Into<Attribute>) {
-        self.attributes.insert(key, value.into());
     }
 
     /// Returns true if this operation's name equals `name`.
@@ -192,9 +138,77 @@ impl Operation {
     }
 }
 
+/// An operation as its context sees it: the [`Operation`] payload (which it
+/// derefs to) and the op's attributes. `Copy`, borrowed from the context.
+#[derive(Clone, Copy)]
+pub struct OpRef<'a> {
+    op: &'a Operation,
+    attrs: Attrs<'a>,
+}
+
+impl<'a> OpRef<'a> {
+    pub(crate) fn new(op: &'a Operation, attrs: Attrs<'a>) -> Self {
+        OpRef { op, attrs }
+    }
+
+    /// The payload, borrowed for as long as the context is.
+    pub fn payload(self) -> &'a Operation {
+        self.op
+    }
+
+    /// The named attributes, in key-string order.
+    pub fn attributes(self) -> Attrs<'a> {
+        self.attrs
+    }
+
+    /// Returns the attribute stored under `key`, if present.
+    pub fn attr(self, key: &str) -> Option<&'a Attribute> {
+        self.attrs.get(key)
+    }
+
+    /// Returns the integer attribute stored under `key`, if present.
+    pub fn attr_int(self, key: &str) -> Option<i64> {
+        self.attr(key).and_then(Attribute::as_int)
+    }
+
+    /// Returns the string attribute stored under `key`, if present.
+    pub fn attr_str(self, key: &str) -> Option<&'static str> {
+        self.attr(key).and_then(Attribute::as_str)
+    }
+
+    /// Returns the integer-array attribute stored under `key`, if present.
+    pub fn attr_int_array(self, key: &str) -> Option<&'static [i64]> {
+        self.attr(key).and_then(Attribute::as_int_array)
+    }
+
+    /// Returns true when a unit/bool attribute under `key` is present and truthy.
+    pub fn has_flag(self, key: &str) -> bool {
+        self.attr(key).and_then(Attribute::as_bool).unwrap_or(false)
+    }
+}
+
+impl Deref for OpRef<'_> {
+    type Target = Operation;
+
+    #[inline]
+    fn deref(&self) -> &Operation {
+        self.op
+    }
+}
+
+impl fmt::Debug for OpRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OpRef")
+            .field("op", self.op)
+            .field("attributes", &self.attrs)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Context;
 
     #[test]
     fn op_name_is_copyable_and_string_ordered() {
@@ -211,13 +225,15 @@ mod tests {
 
     #[test]
     fn attribute_accessors() {
-        let mut op = Operation::new("affine.for");
-        op.set_attr("lower_bound", 0_i64);
-        op.set_attr("upper_bound", 16_i64);
-        op.set_attr("fashion", "cyclic");
-        op.set_attr("factors", vec![4_i64, 4]);
-        op.set_attr("pipeline", Attribute::Unit);
+        let mut ctx = Context::new();
+        let op = ctx.create_op(Operation::new("affine.for"));
+        ctx.set_attr(op, "lower_bound", 0_i64);
+        ctx.set_attr(op, "upper_bound", 16_i64);
+        ctx.set_attr(op, "fashion", "cyclic");
+        ctx.set_attr(op, "factors", vec![4_i64, 4]);
+        ctx.set_attr(op, "pipeline", Attribute::Unit);
 
+        let op = ctx.op(op);
         assert_eq!(op.attr_int("lower_bound"), Some(0));
         assert_eq!(op.attr_int("upper_bound"), Some(16));
         assert_eq!(op.attr_str("fashion"), Some("cyclic"));
@@ -229,11 +245,12 @@ mod tests {
 
     #[test]
     fn attributes_iterate_in_key_string_order() {
-        let mut op = Operation::new("test.op");
-        op.set_attr("zeta", 1_i64);
-        op.set_attr("alpha", 2_i64);
-        op.set_attr("mid", 3_i64);
-        let keys: Vec<&str> = op.attributes.keys().collect();
+        let mut ctx = Context::new();
+        let op = ctx.create_op(Operation::new("test.op"));
+        ctx.set_attr(op, "zeta", 1_i64);
+        ctx.set_attr(op, "alpha", 2_i64);
+        ctx.set_attr(op, "mid", 3_i64);
+        let keys: Vec<&str> = ctx.op(op).attributes().keys().collect();
         assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
     }
 
@@ -245,5 +262,8 @@ mod tests {
         assert!(op.operands.is_empty());
         assert!(op.results.is_empty());
         assert!(op.regions.is_empty());
+        let mut ctx = Context::new();
+        let id = ctx.create_op(op);
+        assert!(ctx.op(id).attributes().is_empty());
     }
 }

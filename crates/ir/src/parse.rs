@@ -28,6 +28,7 @@
 use crate::attributes::Attribute;
 use crate::context::Context;
 use crate::ids::{BlockId, OpId, ValueId};
+use crate::intern::Symbol;
 use crate::operation::Operation;
 use crate::pass::PassOption;
 use crate::types::Type;
@@ -597,10 +598,10 @@ impl<'a> ModuleParser<'a, '_> {
         let mut op = Operation::new(name);
         op.operands = operands.into();
         op.isolated = ISOLATED_OPS.contains(&name);
-        for (key, value) in attrs {
-            op.set_attr(key, value);
-        }
         let id = self.ctx.create_op(op);
+        for (key, value) in attrs {
+            self.ctx.put_attr(id, Symbol::intern(&key), value);
+        }
         for ((raw, at), ty) in result_names.into_iter().zip(result_types) {
             let vid = self.ctx.add_result(id, ty);
             self.define_value(raw, at, vid)?;
@@ -714,6 +715,9 @@ impl<'a> ModuleParser<'a, '_> {
                     "unit" => Ok(Attribute::Unit),
                     "true" => Ok(Attribute::Bool(true)),
                     "false" => Ok(Attribute::Bool(false)),
+                    // How `Display` spells the non-finite floats.
+                    "NaN" => Ok(Attribute::Float(f64::NAN)),
+                    "inf" => Ok(Attribute::Float(f64::INFINITY)),
                     _ => self
                         .parse_type_from_word(&word, at)
                         .map(Attribute::TypeAttr),
@@ -729,6 +733,10 @@ impl<'a> ModuleParser<'a, '_> {
         let start = self.pos;
         if self.peek() == Some('-') {
             self.bump();
+            if self.text[self.pos..].starts_with("inf") {
+                self.pos += "inf".len();
+                return Ok(Attribute::Float(f64::NEG_INFINITY));
+            }
         }
         let mut saw_digit = false;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
@@ -1194,6 +1202,40 @@ mod module_tests {
         assert_eq!(tys[4], &Type::memref(vec![16], Type::f32()));
         assert_eq!(tys[5], &Type::stream(Type::i1(), 3));
         assert_eq!(tys[6], &Type::Token);
+    }
+
+    /// Float payloads are interned by bit pattern, and the printed form
+    /// keeps every bit a round trip can see: `-0.0` stays negative, the
+    /// non-finite values parse back, and the parsed arrays are the very
+    /// payloads the printed ones were.
+    #[test]
+    fn float_payloads_survive_a_round_trip_bit_for_bit() {
+        let mut ctx = Context::new();
+        let root = ctx.create_op(Operation::new("test.floats"));
+        let signed = Attribute::from(vec![0.0, -0.0]);
+        let non_finite = Attribute::from(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        ctx.set_attr(root, "signed", signed);
+        ctx.set_attr(root, "non_finite", non_finite);
+        ctx.set_attr(root, "zero", -0.0);
+        ctx.set_attr(root, "nan", f64::NAN);
+        let text = crate::printer::print_op(&ctx, root);
+        assert!(
+            text.contains("[0.0, -0.0]") && text.contains("[NaN, inf, -inf]"),
+            "{text}"
+        );
+
+        let (parsed, parsed_root) = parse_module(&text).unwrap();
+        let attr = |key| *parsed.op(parsed_root).attr(key).unwrap();
+        let same_payload = |a: Attribute, b: Attribute| match (a, b) {
+            (Attribute::FloatArray(a), Attribute::FloatArray(b)) => a.ptr_eq(b),
+            _ => false,
+        };
+        assert!(same_payload(attr("signed"), signed));
+        assert!(same_payload(attr("non_finite"), non_finite));
+        let bits = |a: Attribute| a.as_float().unwrap().to_bits();
+        assert_eq!(bits(attr("zero")), (-0.0_f64).to_bits());
+        assert_eq!(bits(attr("nan")), f64::NAN.to_bits());
+        assert_eq!(crate::printer::print_op(&parsed, parsed_root), text);
     }
 
     #[test]

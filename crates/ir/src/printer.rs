@@ -68,9 +68,9 @@ impl<'a> Printer<'a> {
             .collect();
         write!(line, "({})", operands.join(", ")).unwrap();
 
-        if !operation.attributes.is_empty() {
+        if !operation.attributes().is_empty() {
             let attrs: Vec<String> = operation
-                .attributes
+                .attributes()
                 .iter()
                 .map(|(k, v)| format!("{k} = {v}"))
                 .collect();

@@ -92,7 +92,7 @@ mod tests {
                 _ => return false,
             };
             let value = ctx.op(def).attr_int("value").unwrap_or(0);
-            let ty = ctx.value_type(ctx.op(op).results[0]).clone();
+            let ty = *ctx.value_type(ctx.op(op).results[0]);
             let result = ctx.op(op).results[0];
             let mut b = OpBuilder::before(ctx, op);
             let (_, folded) = b.create(

@@ -14,10 +14,10 @@
 //! arena itself is still growing (e.g. the use list during IR construction).
 //!
 //! The id lists an entity owns — an op's operands, results and regions, a
-//! block's arguments, a region's blocks, a value's users — are one to three
-//! ids long almost everywhere, and a `Vec` pays one heap block for each of
-//! them, again on every clone of the [`Context`](crate::Context) and once
-//! more when the clone is dropped. [`IdList`] keeps up to
+//! block's arguments and ops, a region's blocks, a value's users — are one
+//! to three ids long almost everywhere, and a `Vec` pays one heap block for
+//! each of them, again on every clone of the [`Context`](crate::Context) and
+//! once more when the clone is dropped. [`IdList`] keeps up to
 //! [`IdList::INLINE`] ids in place and only a longer list on the heap.
 
 use crate::ids::{BlockId, OpId, RegionId, ValueId};

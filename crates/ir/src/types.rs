@@ -5,26 +5,35 @@
 //! hardware stream channels, and the single-use `token` type used by HIDA's elastic
 //! node execution (Section 6.4.2 of the paper).
 //!
-//! A type is an immutable value. Scalars are stored in place; what an
-//! aggregate owns — shape and element type — sits in one shared block behind
-//! an [`Arc`], as MLIR's uniqued types do: cloning a type (into every value of
-//! a cloned [`Context`](crate::Context), into a cloned op's results) is a
-//! counter increment, and nothing can change a type another holder still sees,
-//! because nothing here hands out a `&mut` to the shared part.
+//! A type is a 16-byte `Copy` value. Scalars are stored in place; what an
+//! aggregate owns — shape and element type, or a stream's element type and
+//! depth — is one [`Interned`] payload, uniqued process-wide the way MLIR
+//! uniques its types: equal aggregates are one pointer, a value's type is
+//! copied with the value, and nothing can change a type another holder still
+//! sees (see [`crate::intern`]). Types still compare, hash, order and print
+//! by content.
 
+use crate::intern::{intern_by_content, Interned};
 use std::fmt;
-use std::sync::Arc;
 
 /// Shape and element type of a tensor or memref: the part of the type that
-/// lives once, however many values carry it.
-#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// is interned once, however many values carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Shaped {
-    shape: Vec<i64>,
+    shape: Interned<[i64]>,
     elem: Type,
 }
 
+/// Element type and depth of a stream channel: the part of the type that
+/// is interned once, however many values carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Channel {
+    elem: Type,
+    depth: i64,
+}
+
 /// An element or aggregate type carried by SSA values.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Type {
     /// Platform-sized index type used for loop induction variables.
     Index,
@@ -35,22 +44,20 @@ pub enum Type {
     /// Immutable tensor value with a static shape (Functional dataflow
     /// semantics); build one with [`Type::tensor`], read it with
     /// [`Type::shape`] and [`Type::elem_type`].
-    Tensor(Arc<Shaped>),
+    Tensor(Interned<Shaped>),
     /// Mutable memory reference with a static shape (Structural dataflow
     /// semantics); build one with [`Type::memref`].
-    MemRef(Arc<Shaped>),
-    /// FIFO stream channel holding `depth` in-flight elements.
-    Stream {
-        /// Element type of the channel.
-        elem: Arc<Type>,
-        /// Number of entries the channel can buffer.
-        depth: i64,
-    },
+    MemRef(Interned<Shaped>),
+    /// FIFO stream channel; build one with [`Type::stream`], read it with
+    /// [`Type::elem_type`] and [`Type::stream_depth`].
+    Stream(Interned<Channel>),
     /// Single-bit synchronization token (HIDA elastic execution).
     Token,
     /// Absence of a value (used by ops with no results in generic positions).
     None,
 }
+
+intern_by_content!(Shaped, Channel);
 
 impl Type {
     /// Returns the `i1` boolean type.
@@ -84,27 +91,25 @@ impl Type {
     }
 
     /// Creates a tensor type with a static shape.
-    pub fn tensor(shape: impl Into<Vec<i64>>, elem: Type) -> Type {
-        Type::Tensor(Arc::new(Shaped {
-            shape: shape.into(),
-            elem,
-        }))
+    pub fn tensor(shape: impl AsRef<[i64]>, elem: Type) -> Type {
+        Type::Tensor(Type::shaped(shape.as_ref(), elem))
     }
 
     /// Creates a memref type with a static shape.
-    pub fn memref(shape: impl Into<Vec<i64>>, elem: Type) -> Type {
-        Type::MemRef(Arc::new(Shaped {
+    pub fn memref(shape: impl AsRef<[i64]>, elem: Type) -> Type {
+        Type::MemRef(Type::shaped(shape.as_ref(), elem))
+    }
+
+    fn shaped(shape: &[i64], elem: Type) -> Interned<Shaped> {
+        Interned::new(&Shaped {
             shape: shape.into(),
             elem,
-        }))
+        })
     }
 
     /// Creates a stream channel type.
     pub fn stream(elem: Type, depth: i64) -> Type {
-        Type::Stream {
-            elem: Arc::new(elem),
-            depth,
-        }
+        Type::Stream(Interned::new(&Channel { elem, depth }))
     }
 
     /// Returns true for tensor types.
@@ -119,13 +124,21 @@ impl Type {
 
     /// Returns true for stream channel types.
     pub fn is_stream(&self) -> bool {
-        matches!(self, Type::Stream { .. })
+        matches!(self, Type::Stream(_))
+    }
+
+    /// Returns the number of entries a stream channel buffers, if this is one.
+    pub fn stream_depth(&self) -> Option<i64> {
+        match self {
+            Type::Stream(channel) => Some(channel.depth),
+            _ => None,
+        }
     }
 
     /// Returns the shape of a tensor or memref type, if any.
-    pub fn shape(&self) -> Option<&[i64]> {
+    pub fn shape(&self) -> Option<&'static [i64]> {
         match self {
-            Type::Tensor(shaped) | Type::MemRef(shaped) => Some(&shaped.shape),
+            Type::Tensor(shaped) | Type::MemRef(shaped) => Some(shaped.get().shape.get()),
             _ => None,
         }
     }
@@ -133,8 +146,8 @@ impl Type {
     /// Returns the element type of an aggregate or stream type, or `self` for scalars.
     pub fn elem_type(&self) -> &Type {
         match self {
-            Type::Tensor(shaped) | Type::MemRef(shaped) => &shaped.elem,
-            Type::Stream { elem, .. } => elem,
+            Type::Tensor(shaped) | Type::MemRef(shaped) => &shaped.get().elem,
+            Type::Stream(channel) => &channel.get().elem,
             other => other,
         }
     }
@@ -161,12 +174,11 @@ impl Type {
     }
 
     /// Converts a tensor type into the memref type with the same shape and element
-    /// type — the same shared block, not a copy of it. Non-tensor types are
-    /// returned unchanged.
+    /// type — the same interned payload. Non-tensor types are returned unchanged.
     pub fn tensor_to_memref(&self) -> Type {
-        match self {
-            Type::Tensor(shaped) => Type::MemRef(Arc::clone(shaped)),
-            other => other.clone(),
+        match *self {
+            Type::Tensor(shaped) => Type::MemRef(shaped),
+            other => other,
         }
     }
 }
@@ -180,12 +192,12 @@ impl fmt::Display for Type {
             Type::Tensor(shaped) | Type::MemRef(shaped) => {
                 let keyword = if self.is_tensor() { "tensor" } else { "memref" };
                 write!(f, "{keyword}<")?;
-                for d in &shaped.shape {
+                for d in shaped.shape.iter() {
                     write!(f, "{d}x")?;
                 }
                 write!(f, "{}>", shaped.elem)
             }
-            Type::Stream { elem, depth } => write!(f, "stream<{elem}, {depth}>"),
+            Type::Stream(channel) => write!(f, "stream<{}, {}>", channel.elem, channel.depth),
             Type::Token => write!(f, "token"),
             Type::None => write!(f, "none"),
         }
@@ -205,15 +217,19 @@ mod tests {
     #[test]
     fn a_cloned_aggregate_shares_its_block() {
         let t = Type::tensor(vec![4, 8], Type::i8());
-        let copy = t.clone();
-        let (Type::Tensor(a), Type::Tensor(b)) = (&t, &copy) else {
+        let (Type::Tensor(a), Type::Tensor(b)) = (t, Type::tensor([4, 8], Type::i8())) else {
             panic!("tensor() builds a tensor");
         };
-        assert!(Arc::ptr_eq(a, b));
+        assert!(a.ptr_eq(b), "equal aggregates are one payload");
         let Type::MemRef(m) = t.tensor_to_memref() else {
             panic!("tensor_to_memref() builds a memref");
         };
-        assert!(Arc::ptr_eq(a, &m));
+        assert!(a.ptr_eq(m));
+        let (Type::Stream(x), Type::Stream(y)) = (Type::stream(t, 2), Type::stream(t, 2)) else {
+            panic!("stream() builds a stream");
+        };
+        assert!(x.ptr_eq(y));
+        assert_eq!(std::mem::size_of::<Type>(), 16);
     }
 
     #[test]
@@ -230,10 +246,21 @@ mod tests {
     }
 
     #[test]
+    fn types_order_by_content() {
+        let small = Type::memref([2, 9], Type::i8());
+        let large = Type::memref([16], Type::i8());
+        assert!(small < large, "shape [2, 9] sorts before [16]");
+        assert!(Type::memref([4], Type::i8()) < Type::memref([4], Type::i32()));
+        assert!(Type::tensor([64], Type::f32()) < Type::memref([1], Type::f32()));
+    }
+
+    #[test]
     fn stream_and_token_types() {
         let s = Type::stream(Type::i1(), 3);
         assert!(s.is_stream());
         assert_eq!(s.elem_type(), &Type::Int(1));
+        assert_eq!(s.stream_depth(), Some(3));
+        assert_eq!(Type::i1().stream_depth(), None);
         assert_eq!(s.num_elements(), None);
         assert_eq!(Type::Token.num_elements(), None);
     }

@@ -104,9 +104,7 @@ fn emit_ops(ctx: &mut Context, g: &mut Gen, block: hida_ir_core::BlockId, depth:
         };
         let mut op = Operation::new(name);
         op.isolated = isolated;
-        for k in 0..g.below(4) {
-            op.set_attr(format!("k{k}"), rand_attr(g, 1));
-        }
+        let attrs: Vec<Attribute> = (0..g.below(4)).map(|_| rand_attr(g, 1)).collect();
         // Operands: reference values already defined in this block.
         let scope: Vec<_> = ctx
             .block(block)
@@ -117,7 +115,7 @@ fn emit_ops(ctx: &mut Context, g: &mut Gen, block: hida_ir_core::BlockId, depth:
                 ctx.block(block)
                     .ops
                     .iter()
-                    .flat_map(|&o| ctx.op(o).results.iter().copied()),
+                    .flat_map(|&o| ctx.op(o).payload().results.iter().copied()),
             )
             .collect();
         if !scope.is_empty() {
@@ -127,6 +125,9 @@ fn emit_ops(ctx: &mut Context, g: &mut Gen, block: hida_ir_core::BlockId, depth:
             }
         }
         let id = ctx.create_op(op);
+        for (k, attr) in attrs.into_iter().enumerate() {
+            ctx.set_attr(id, format!("k{k}"), attr);
+        }
         for _ in 0..g.below(3) {
             let ty = rand_type(g, 1);
             let vid = ctx.add_result(id, ty);

@@ -31,7 +31,7 @@ void task1(float arg0[96][96], float arg1[96][96], float arg2[96][96]) {
   }
 }
 
-void 2mm_top() {
+void k2mm_top() {
 #pragma HLS dataflow
   static float A[96][96];
 #pragma HLS array_partition variable=A cyclic factor=4 dim=1
