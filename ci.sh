@@ -26,13 +26,21 @@ run_build() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 }
 
-# Unit, integration, doc and bench-harness tests.
+# Unit, integration and doc tests, and every evaluation binary once.
 run_test() {
   echo "==> [test] cargo test -q"
   cargo test -q
 
-  echo "==> [test] cargo test --benches -q -- --test (bench smoke run, 1 iteration each)"
-  cargo test --benches -q -- --test
+  echo "==> [test] every crates/bench binary at its default grid (release, must exit 0)"
+  local bin
+  for bin in crates/bench/src/bin/*.rs; do
+    bin=$(basename "${bin}" .rs)
+    echo "    -> ${bin}"
+    if ! cargo run --release -q -p hida-bench --bin "${bin}" > /dev/null; then
+      echo "${bin} exited nonzero"
+      exit 1
+    fi
+  done
 
   echo "==> [test] cargo test --doc (build + run the documentation examples)"
   cargo test --doc -q
@@ -119,8 +127,20 @@ EOF
   rm -f "${sweep_variants}"
 }
 
+# The reduced Fig. 10 grid as a `--sweep` variants file: ResNet-18 at
+# parallel factor {1, 8, 64, 256} x tile size {2, 8, 32}, spelled as
+# `hida_bench::variants::fig10` spells it.
+fig10_grid() {
+  local pf tile
+  for pf in 1 8 64 256; do
+    for tile in 2 8 32; do
+      echo "construct,fusion,lower,multi-producer-elim,tiling{factor=${tile},external-threshold-bytes=65536},balance{external-threshold-bytes=65536},parallelize{max-factor=${pf},mode=IA+CA,device=vu9p-slr}"
+    done
+  done
+}
+
 # In-process caches must actually fire: the per-pass analysis cache and the
-# cross-compilation estimate cache of a pooled sweep.
+# cross-compilation estimate cache of a sweep.
 run_cache() {
   echo "==> [cache] analysis cache effectiveness (same ablation twice; both runs must report hits)"
   local attempt out
@@ -134,58 +154,68 @@ run_cache() {
     fi
   done
 
-  echo "==> [cache] sweep smoke: reduced-grid fig10 (pooled vs sequential loop)"
-  local sweep_json
-  sweep_json=$(mktemp /tmp/fig10_sweep.XXXXXX.json)
-  cargo run --release -q -p hida-bench --bin fig10_ablation -- \
-    --jobs 4 --sweep-json "${sweep_json}" > /dev/null
-  if ! grep -q '"qor_identical": true' "${sweep_json}"; then
-    echo "pooled sweep QoR diverged from the sequential loop"
-    cat "${sweep_json}"
-    exit 1
-  fi
-  # Cross-point cache hits are asserted on a pool-of-1 engine run: with points
+  # Cross-point cache hits are asserted on a pool of one: with points
   # compiling strictly in order the hit count is deterministic (concurrent
   # points may legitimately race compute-before-publish on a shared entry).
-  cargo run --release -q -p hida-bench --bin fig10_ablation -- \
-    --jobs 1 --sweep-json "${sweep_json}" > /dev/null
-  if ! grep -qE '"shared_cache": \{"hits": [1-9]' "${sweep_json}"; then
+  echo "==> [cache] reduced fig10 grid, hida-opt --sweep --jobs 1: estimate cache hits"
+  local variants stats
+  variants=$(mktemp /tmp/fig10_variants.XXXXXX.txt)
+  fig10_grid > "${variants}"
+  stats=$(cargo run --release -q -p hida --bin hida-opt -- \
+    --workload resnet18 --sweep "${variants}" --jobs 1 --stats-json 2> /dev/null)
+  if ! echo "${stats}" | grep -qE '"shared_cache_totals":\{"hits":[1-9]'; then
     echo "no cross-compilation estimate cache hits reported"
-    cat "${sweep_json}"
+    echo "${stats}"
     exit 1
   fi
-  rm -f "${sweep_json}"
+  rm -f "${variants}"
 }
 
 # The persistent estimate store must carry estimates across *processes*: a
-# second fig10 run pointed at the same --cache-dir reports nonzero persistent
-# hits and byte-identical QoR, a cold run leaves exactly one segment file and
-# a warm run adds none, and a corrupted segment degrades to misses without
-# failing the run. The cold run starts over a directory a store-format-1
-# build left behind: that segment is what a corrupt one is.
+# second `hida-opt --sweep` of the reduced fig10 grid pointed at the same
+# --cache-dir reports nonzero persistent hits, a cold run leaves exactly one
+# segment file and a warm run adds none, a corrupted segment degrades to
+# misses without failing the run, and every run over the store reports the
+# QoR of a run without one. The cold run starts over a directory a
+# store-format-1 build left behind: that segment is what a corrupt one is.
 run_persist() {
-  echo "==> [persist] fig10 twice, two processes sharing one --cache-dir"
-  local cache_dir cold_json warm_json cold_txt warm_txt
+  echo "==> [persist] reduced fig10 grid twice, two hida-opt processes sharing one --cache-dir"
+  local cache_dir variants clean json report counters
   cache_dir=$(mktemp -d /tmp/hida_ci_store.XXXXXX)
-  cold_json=$(mktemp /tmp/fig10_sweep_cold.XXXXXX.json)
-  warm_json=$(mktemp /tmp/fig10_sweep_warm.XXXXXX.json)
-  cold_txt=$(mktemp /tmp/fig10_cold.XXXXXX.txt)
-  warm_txt=$(mktemp /tmp/fig10_warm.XXXXXX.txt)
+  variants=$(mktemp /tmp/fig10_variants.XXXXXX.txt)
+  json=$(mktemp /tmp/fig10_store_json.XXXXXX.txt)
+  report=$(mktemp /tmp/fig10_store_report.XXXXXX.txt)
+  fig10_grid > "${variants}"
+  clean=$(cargo run --release -q -p hida --bin hida-opt -- \
+    --workload resnet18 --sweep "${variants}" --jobs 2 --no-timing)
+
+  # One run over the store: exit 0, the store-less run's QoR, and its
+  # persistent_cache counters in ${counters}.
+  sweep_over_store() {
+    if ! cargo run --release -q -p hida --bin hida-opt -- \
+      --workload resnet18 --sweep "${variants}" --jobs 2 --no-timing --stats-json \
+      --cache-dir "${cache_dir}" --cache-limit-mb 64 > "${json}" 2> "${report}"; then
+      echo "the $1 run over the store failed"
+      cat "${report}"
+      exit 1
+    fi
+    if ! diff <(grep 'qor:' "${report}") <(echo "${clean}" | grep 'qor:'); then
+      echo "QoR of the $1 run over the store diverged from the run without a store"
+      exit 1
+    fi
+    counters=$(grep -o '"persistent_cache":{[^}]*}' "${json}")
+  }
 
   cp crates/estimator/tests/fixtures/v1/*.seg "${cache_dir}/"
-  cargo run --release -q -p hida-bench --bin fig10_ablation -- \
-    --jobs 2 --cache-dir "${cache_dir}" --cache-limit-mb 64 \
-    --sweep-json "${cold_json}" > "${cold_txt}"
-  if ! grep -qE '"persistent_cache": \{"hits": 0, "misses": [1-9][0-9]*, "writes": [1-9]' "${cold_json}"; then
-    echo "cold run did not populate the persistent store"
-    cat "${cold_json}"
+  sweep_over_store cold
+  if ! echo "${counters}" | grep -qE '"hits":0,"misses":[1-9][0-9]*,"writes":[1-9]'; then
+    echo "cold run did not populate the persistent store: ${counters}"
     exit 1
   fi
   # The format-1 segment served nothing (hits 0 above), was counted and
-  # removed (one file below), and changed no result.
-  if ! grep -q '"corrupt": 1,' "${cold_json}" || ! grep -q '"qor_identical": true' "${cold_json}"; then
-    echo "the store-format-1 segment was not counted corrupt, or changed sweep results"
-    cat "${cold_json}"
+  # removed (one file below), and changed no result (the QoR diff).
+  if ! echo "${counters}" | grep -q '"corrupt":1,'; then
+    echo "the store-format-1 segment was not counted corrupt: ${counters}"
     exit 1
   fi
   # The write path's regression guard, free of timing: one batch, one file.
@@ -197,12 +227,9 @@ run_persist() {
     exit 1
   fi
 
-  cargo run --release -q -p hida-bench --bin fig10_ablation -- \
-    --jobs 2 --cache-dir "${cache_dir}" --cache-limit-mb 64 \
-    --sweep-json "${warm_json}" > "${warm_txt}"
-  if ! grep -qE '"persistent_cache": \{"hits": [1-9]' "${warm_json}"; then
-    echo "warm run reported no persistent store hits (no cross-process reuse)"
-    cat "${warm_json}"
+  sweep_over_store warm
+  if ! echo "${counters}" | grep -qE '"hits":[1-9]'; then
+    echo "warm run reported no persistent store hits (no cross-process reuse): ${counters}"
     exit 1
   fi
   if [[ "$(find "${cache_dir}" -mindepth 1 | sort)" != "${cold_files}" ]]; then
@@ -211,33 +238,16 @@ run_persist() {
     exit 1
   fi
 
-  # The per-point QoR table (parallel_factor, tile, dsp, bram, throughput
-  # lines) must be byte-identical between the cold and warm process.
-  if ! diff <(grep -E '^[0-9]+, ' "${cold_txt}") <(grep -E '^[0-9]+, ' "${warm_txt}"); then
-    echo "warm-process QoR diverged from the cold process"
-    exit 1
-  fi
-
   echo "==> [persist] a corrupted store segment must degrade to misses, not fail the run"
-  local corrupt_json
   printf 'vandalized' > "${cold_files}"
-  corrupt_json=$(mktemp /tmp/fig10_sweep_corrupt.XXXXXX.json)
-  cargo run --release -q -p hida-bench --bin fig10_ablation -- \
-    --jobs 2 --cache-dir "${cache_dir}" --cache-limit-mb 64 \
-    --sweep-json "${corrupt_json}" > /dev/null
-  if ! grep -qE '"corrupt": [1-9]' "${corrupt_json}"; then
-    echo "corrupted segment was not detected"
-    cat "${corrupt_json}"
-    exit 1
-  fi
-  if ! grep -q '"qor_identical": true' "${corrupt_json}"; then
-    echo "corrupted store changed sweep results"
-    cat "${corrupt_json}"
+  sweep_over_store corrupted
+  if ! echo "${counters}" | grep -qE '"corrupt":[1-9]'; then
+    echo "corrupted segment was not detected: ${counters}"
     exit 1
   fi
 
   rm -rf "${cache_dir}"
-  rm -f "${cold_json}" "${warm_json}" "${cold_txt}" "${warm_txt}" "${corrupt_json}"
+  rm -f "${variants}" "${json}" "${report}"
 }
 
 # The design-space explorer — a sweep plus its Pareto frontier — must report

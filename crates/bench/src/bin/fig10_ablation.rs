@@ -6,75 +6,19 @@
 //!
 //! Every ablation variant is a *pipeline string* handed to the pass registry —
 //! the same text the `hida-opt` CLI accepts — built by the shared
-//! [`hida_bench::variants::fig10`] helper. The design points run through the
-//! [`SweepRunner`]: a pooled, estimate-sharing sweep is compared against the
-//! sequential share-nothing loop (byte-identical per-point QoR enforced), and
-//! with `--sweep-json <path>` the wall-clock/speedup/cache-traffic summary is
-//! also written there as JSON. `--jobs <n>` caps how many points compile
-//! at a time.
-//!
-//! `--cache-dir <dir>` backs the sweep's estimate cache with the persistent
-//! on-disk store: a second invocation pointed at the same directory reuses the
-//! first run's per-node estimates (`"persistent_cache"` in the JSON report
-//! shows the disk tier's hits/misses), which is how CI proves cross-process
-//! reuse. `--cache-limit-mb <n>` caps the store's size.
+//! [`hida_bench::variants::fig10`] helper, and the design points run through
+//! one [`SweepEngine`]. The same grid as a variants file is
+//! `hida-opt --workload resnet18 --sweep <file>`, which adds the pool width,
+//! `--stats-json` and the persistent estimate store (`--cache-dir`).
 
-use hida::{EstimateStore, HidaOptions, Model, SharedEstimateCache, SweepPoint, Workload};
-use hida_bench::{variants, SweepRunner};
-use std::sync::Arc;
+use hida::{HidaOptions, Model, SweepEngine, SweepPoint, Workload};
+use hida_bench::variants;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let json_path = value_of("--sweep-json");
-    let jobs: usize = match value_of("--jobs") {
-        Some(raw) => match raw.parse() {
-            Ok(jobs) if jobs >= 1 => jobs,
-            _ => {
-                eprintln!("error: --jobs: '{raw}' is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None if args.iter().any(|a| a == "--jobs") => {
-            eprintln!("error: --jobs requires a value");
-            std::process::exit(2);
-        }
-        None => hida::ir::default_jobs(),
-    };
-    let cache_dir = value_of("--cache-dir");
-    let cache_limit_mb: Option<u64> = match value_of("--cache-limit-mb") {
-        Some(raw) => match raw.parse() {
-            Ok(mb) if mb >= 1 => Some(mb),
-            _ => {
-                eprintln!("error: --cache-limit-mb: '{raw}' is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    if cache_limit_mb.is_some() && cache_dir.is_none() {
-        eprintln!("error: --cache-limit-mb requires --cache-dir");
+    let full = hida_bench::full_grid_requested(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    let cache = cache_dir.map(|dir| {
-        let mut store = match EstimateStore::open(&dir) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("error: --cache-dir {dir}: {e}");
-                std::process::exit(2);
-            }
-        };
-        if let Some(mb) = cache_limit_mb {
-            store = store.with_limit_bytes(mb * 1024 * 1024);
-        }
-        Arc::new(SharedEstimateCache::with_store(store))
     });
-
     let parallel_factors: Vec<i64> = if full {
         vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
     } else {
@@ -85,44 +29,37 @@ fn main() {
     } else {
         vec![2, 8, 32]
     };
-
-    let mut runner = SweepRunner::new(if full { "fig10-full" } else { "fig10-reduced" });
-    if let Some(cache) = cache {
-        runner = runner.with_cache(cache);
-    }
-    for &pf in &parallel_factors {
-        for &tile in &tile_sizes {
-            runner = runner.point(
-                SweepPoint::new(
-                    format!("pf{pf}-tile{tile}"),
-                    Workload::Model(Model::ResNet18),
-                    HidaOptions::dnn(),
-                )
-                .with_pipeline(variants::fig10(pf, tile)),
-            );
-        }
-    }
+    let grid: Vec<(i64, i64)> = parallel_factors
+        .iter()
+        .flat_map(|&pf| tile_sizes.iter().map(move |&tile| (pf, tile)))
+        .collect();
+    let points: Vec<SweepPoint> = grid
+        .iter()
+        .map(|&(pf, tile)| {
+            SweepPoint::new(
+                format!("pf{pf}-tile{tile}"),
+                Workload::Model(Model::ResNet18),
+                HidaOptions::dnn(),
+            )
+            .with_pipeline(variants::fig10(pf, tile))
+        })
+        .collect();
 
     println!("# Figure 10 — ResNet-18 parallel factor x tile size ablation (VU9P SLR)");
     println!("# variant pipeline: {}", variants::fig10(256, 32));
-    let comparison = runner.compare(jobs);
+    let outcome = SweepEngine::new().run(&points);
 
     println!("parallel_factor, tile_size, dsp, bram_18k, throughput_samples_per_s");
     let mut last_statistics = &Vec::new();
-    let mut index = 0;
-    for &pf in &parallel_factors {
-        for &tile in &tile_sizes {
-            let point = &comparison.outcome.points[index];
-            index += 1;
-            let result = point.result.as_ref().expect("resnet compilation");
-            println!(
-                "{pf}, {tile}, {}, {}, {:.3}",
-                result.estimate.resources.dsp,
-                result.estimate.resources.bram_18k,
-                result.estimate.throughput()
-            );
-            last_statistics = &result.pass_statistics;
-        }
+    for (&(pf, tile), point) in grid.iter().zip(&outcome.points) {
+        let Ok(result) = &point.result else { continue };
+        println!(
+            "{pf}, {tile}, {}, {}, {:.3}",
+            result.estimate.resources.dsp,
+            result.estimate.resources.bram_18k,
+            result.estimate.throughput()
+        );
+        last_statistics = &result.pass_statistics;
     }
 
     println!("\n# Per-pass compile-time breakdown (last design point)");
@@ -130,14 +67,8 @@ fn main() {
         println!("{stat}");
     }
 
-    comparison.print_summary();
-    if let Some(json_path) = json_path {
-        match comparison.write_json(&json_path) {
-            Ok(()) => println!("sweep report written to {json_path}"),
-            Err(e) => eprintln!("error: could not write {json_path}: {e}"),
-        }
-    }
-    if !comparison.qor_identical() {
+    hida_bench::print_sweep_summary(&outcome);
+    if hida_bench::report_failures(&outcome) {
         std::process::exit(1);
     }
 }

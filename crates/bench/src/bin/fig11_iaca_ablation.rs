@@ -7,15 +7,18 @@
 //! The ablation axis is a *pipeline string* built by the shared
 //! [`hida_bench::variants::fig11`] helper: each variant is the full DNN flow
 //! with the strategy carried in the `parallelize{mode=...}` pass option. The
-//! design points fan out through the [`SweepRunner`] pool with cross-
-//! compilation estimate sharing; per-point results are identical to the old
-//! sequential loop by construction (the fig10 harness and CI enforce it).
+//! design points fan out through one [`SweepEngine`] with cross-compilation
+//! estimate sharing; every point equals its compile alone
+//! (`crates/core/tests/prefix_sharing.rs`, `sweep_cache.rs`).
 
-use hida::{Compiler, HidaOptions, Model, ParallelMode, SweepPoint, Workload};
-use hida_bench::{variants, SweepRunner};
+use hida::{Compiler, HidaOptions, Model, ParallelMode, SweepEngine, SweepPoint, Workload};
+use hida_bench::variants;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = hida_bench::full_grid_requested(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let parallel_factors: Vec<i64> = if full {
         vec![1, 2, 4, 8, 16, 32, 64, 128, 256]
     } else {
@@ -27,47 +30,36 @@ fn main() {
         ParallelMode::CaOnly,
         ParallelMode::Naive,
     ];
-
-    let mut runner = SweepRunner::new(if full { "fig11-full" } else { "fig11-reduced" });
-    for &mode in &modes {
-        for &pf in &parallel_factors {
-            runner = runner.point(
-                SweepPoint::new(
-                    format!("{}-pf{pf}", mode.label()),
-                    Workload::Model(Model::ResNet18),
-                    HidaOptions::dnn(),
-                )
-                .with_pipeline(variants::fig11(mode, pf)),
-            );
-        }
-    }
-    let outcome = runner.run(hida::ir::default_jobs());
+    let grid: Vec<(ParallelMode, i64)> = modes
+        .iter()
+        .flat_map(|&mode| parallel_factors.iter().map(move |&pf| (mode, pf)))
+        .collect();
+    let points: Vec<SweepPoint> = grid
+        .iter()
+        .map(|&(mode, pf)| {
+            SweepPoint::new(
+                format!("{}-pf{pf}", mode.label()),
+                Workload::Model(Model::ResNet18),
+                HidaOptions::dnn(),
+            )
+            .with_pipeline(variants::fig11(mode, pf))
+        })
+        .collect();
+    let outcome = SweepEngine::new().run(&points);
 
     println!("# Figure 11 — ResNet-18 IA/CA ablation (VU9P SLR)");
     println!("mode, parallel_factor, dsp, bram_18k, throughput_samples_per_s");
-    let mut index = 0;
-    for &mode in &modes {
-        for &pf in &parallel_factors {
-            let point = &outcome.points[index];
-            index += 1;
-            let result = point.result.as_ref().expect("resnet compilation");
-            println!(
-                "{}, {pf}, {}, {}, {:.3}",
-                mode.label(),
-                result.estimate.resources.dsp,
-                result.estimate.resources.bram_18k,
-                result.estimate.throughput()
-            );
-        }
-    }
-    if let Some(cache) = &outcome.shared_cache {
+    for (&(mode, pf), point) in grid.iter().zip(&outcome.points) {
+        let Ok(result) = &point.result else { continue };
         println!(
-            "\n# Sweep: {} points in {:.3}s ({} concurrent), estimate cache {cache}",
-            outcome.points.len(),
-            outcome.wall_seconds,
-            outcome.budget.pool_jobs
+            "{}, {pf}, {}, {}, {:.3}",
+            mode.label(),
+            result.estimate.resources.dsp,
+            result.estimate.resources.bram_18k,
+            result.estimate.throughput()
         );
     }
+    hida_bench::print_sweep_summary(&outcome);
 
     // The mode is plain pass configuration inside the pipeline string.
     let sample = variants::fig11(ParallelMode::CaOnly, 256);
@@ -78,5 +70,9 @@ fn main() {
         .expect("lenet compilation");
     for stat in &result.pass_statistics {
         println!("{stat}");
+    }
+
+    if hida_bench::report_failures(&outcome) {
+        std::process::exit(1);
     }
 }

@@ -10,7 +10,10 @@ use hida::baselines::manual::{lenet_design_point, LenetConfig};
 use hida::{Compiler, FpgaDevice, Model, Workload};
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = hida_bench::full_grid_requested(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let device = FpgaDevice::pynq_z2();
 
     let space = LenetConfig::search_space();

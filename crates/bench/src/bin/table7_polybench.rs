@@ -1,14 +1,14 @@
 //! Regenerates Table 7: PolyBench C++ kernels compiled with HIDA vs the ScaleHLS,
 //! SOFF and Vitis-only baselines on the ZU3EG device.
 //!
-//! The independent HIDA compilations (one per kernel) fan out through the
-//! [`SweepRunner`] pool with cross-compilation estimate sharing; the analytic
+//! The independent HIDA compilations (one per kernel) fan out through one
+//! [`SweepEngine`] with cross-compilation estimate sharing; the analytic
 //! baselines then run sequentially against the same estimator.
 
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;
-use hida::{FpgaDevice, HidaOptions, PolybenchKernel, SweepPoint, Workload};
-use hida_bench::{print_throughput_table, Row, SweepRunner};
+use hida::{FpgaDevice, HidaOptions, PolybenchKernel, SweepEngine, SweepPoint, Workload};
+use hida_bench::{print_throughput_table, Row};
 
 fn main() {
     let device = FpgaDevice::zu3eg();
@@ -17,20 +17,23 @@ fn main() {
 
     // All HIDA design points at once: one per kernel, pooled.
     let kernels = PolybenchKernel::all();
-    let runner = SweepRunner::new("table7-polybench").points(kernels.iter().map(|&kernel| {
-        SweepPoint::new(
-            kernel.name(),
-            Workload::PolybenchSized(kernel, kernel.default_size()),
-            HidaOptions::polybench(),
-        )
-    }));
-    let outcome = runner.run(hida::ir::default_jobs());
+    let points: Vec<SweepPoint> = kernels
+        .iter()
+        .map(|&kernel| {
+            SweepPoint::new(
+                kernel.name(),
+                Workload::PolybenchSized(kernel, kernel.default_size()),
+                HidaOptions::polybench(),
+            )
+        })
+        .collect();
+    let outcome = SweepEngine::new().run(&points);
 
     println!("# Table 7 — PolyBench kernels on ZU3EG (throughput in samples/s)");
     for (kernel, point) in kernels.iter().zip(&outcome.points) {
         let kernel = *kernel;
         let n = kernel.default_size();
-        let result = point.result.as_ref().expect("hida compilation");
+        let Ok(result) = &point.result else { continue };
         let hida_est = &result.estimate;
 
         // ScaleHLS-style baseline.
@@ -76,12 +79,8 @@ fn main() {
         });
     }
     print_throughput_table("Table 7 summary", &rows);
-    if let Some(cache) = &outcome.shared_cache {
-        println!(
-            "\nsweep: {} kernels in {:.3}s ({} concurrent), estimate cache {cache}",
-            outcome.points.len(),
-            outcome.wall_seconds,
-            outcome.budget.pool_jobs
-        );
+    hida_bench::print_sweep_summary(&outcome);
+    if hida_bench::report_failures(&outcome) {
+        std::process::exit(1);
     }
 }

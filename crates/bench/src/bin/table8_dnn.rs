@@ -1,16 +1,16 @@
 //! Regenerates Table 8: DNN models compiled with HIDA vs DNNBuilder and ScaleHLS on
 //! one VU9P SLR, reporting throughput and DSP efficiency.
 //!
-//! The independent HIDA compilations (one per model) fan out through the
-//! [`SweepRunner`] pool; layers repeated across models (and within them) share
+//! The independent HIDA compilations (one per model) fan out through one
+//! [`SweepEngine`]; layers repeated across models (and within them) share
 //! their QoR estimates through the cross-compilation cache. Per-point results
-//! are identical to the old sequential loop — the merge order is
-//! deterministic and the estimate cache is content-addressed.
+//! equal each model compiled alone — the merge order is deterministic and the
+//! estimate cache is content-addressed.
 
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;
-use hida::{FpgaDevice, HidaOptions, Model, SweepPoint, Workload};
-use hida_bench::{print_throughput_table, Row, SweepRunner};
+use hida::{FpgaDevice, HidaOptions, Model, SweepEngine, SweepPoint, Workload};
+use hida_bench::{print_throughput_table, Row};
 
 fn main() {
     let device = FpgaDevice::vu9p_slr();
@@ -20,16 +20,16 @@ fn main() {
 
     // All HIDA design points at once: one per model, pooled.
     let models = Model::table8();
-    let runner =
-        SweepRunner::new("table8-dnn").points(models.iter().map(|&model| {
-            SweepPoint::new(model.name(), Workload::Model(model), HidaOptions::dnn())
-        }));
-    let outcome = runner.run(hida::ir::default_jobs());
+    let points: Vec<SweepPoint> = models
+        .iter()
+        .map(|&model| SweepPoint::new(model.name(), Workload::Model(model), HidaOptions::dnn()))
+        .collect();
+    let outcome = SweepEngine::new().run(&points);
 
     println!("# Table 8 — DNN models on one VU9P SLR");
     for (model, point) in models.iter().zip(&outcome.points) {
         let model = *model;
-        let result = point.result.as_ref().expect("hida compilation");
+        let Ok(result) = &point.result else { continue };
         let hida_est = &result.estimate;
 
         // ScaleHLS baseline (only for the models it supports).
@@ -94,12 +94,8 @@ fn main() {
     }
     print_throughput_table("Table 8 throughput (samples/s)", &throughput_rows);
     print_throughput_table("Table 8 DSP efficiency", &efficiency_rows);
-    if let Some(cache) = &outcome.shared_cache {
-        println!(
-            "\nsweep: {} models in {:.3}s ({} concurrent), estimate cache {cache}",
-            outcome.points.len(),
-            outcome.wall_seconds,
-            outcome.budget.pool_jobs
-        );
+    hida_bench::print_sweep_summary(&outcome);
+    if hida_bench::report_failures(&outcome) {
+        std::process::exit(1);
     }
 }

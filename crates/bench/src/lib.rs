@@ -1,22 +1,62 @@
-//! Shared helpers for the benchmark harnesses that regenerate every table and figure
-//! of the paper's evaluation (see `docs/ARCHITECTURE.md` for the compiler they
+//! Shared helpers for the binaries that regenerate every table and figure of
+//! the paper's evaluation (see `docs/ARCHITECTURE.md` for the compiler they
 //! drive and README.md, "Regenerating the paper's evaluation", for the
 //! experiment index).
 //!
-//! Beyond table printing, this crate hosts the pieces every bench binary now
-//! shares instead of re-implementing:
-//!
-//! * [`variants`] — the pipeline-string builders behind the figure/table
-//!   ablations (one source of truth for the swept flows),
-//! * [`SweepRunner`] — the harness that drives a list of design points
-//!   through the sweep engine ([`hida::SweepEngine`]), compares the pooled
-//!   shared-cache run against the sequential share-nothing loop, and emits
-//!   the sweep report `fig10_ablation --sweep-json` writes.
+//! The sweep-shaped binaries hand their design points to
+//! [`hida::SweepEngine`] themselves; this crate holds what they share beyond
+//! that: the pipeline-string builders behind the figure ablations
+//! ([`variants`]), the command line of the figure binaries
+//! ([`full_grid_requested`]), the sweep summary and the report of failed
+//! points ([`print_sweep_summary`], [`report_failures`]) and the table
+//! printer.
+
+use hida::{classify_failure, SweepOutcome};
 
 pub mod variants;
 
-mod sweep_runner;
-pub use sweep_runner::{SweepComparison, SweepRunner};
+/// Reads a figure binary's arguments: `--full` (the paper's whole grid) is
+/// the only one it takes. Anything else is an error, so a typo such as
+/// `--ful` cannot silently run the reduced grid.
+///
+/// # Errors
+/// Names the first argument that is not `--full`.
+pub fn full_grid_requested(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut full = false;
+    for arg in args {
+        if arg != "--full" {
+            return Err(format!(
+                "unknown argument '{arg}' (the only option is --full)"
+            ));
+        }
+        full = true;
+    }
+    Ok(full)
+}
+
+/// Prints the closing summary of a sweep: points, wall-clock, pool width and
+/// the traffic of the estimate cache its points shared.
+pub fn print_sweep_summary(outcome: &SweepOutcome) {
+    println!(
+        "\n# Sweep: {} points in {:.3}s ({} concurrent), estimate cache {}",
+        outcome.points.len(),
+        outcome.wall_seconds,
+        outcome.budget.pool_jobs,
+        outcome.shared_cache.unwrap_or_default()
+    );
+}
+
+/// Prints `label: error (reason)` to stderr for every point of `outcome`
+/// that failed, and returns whether any did. A binary prints the rows of the
+/// points that compiled, then exits 1 when this returns `true`.
+pub fn report_failures(outcome: &SweepOutcome) -> bool {
+    for point in &outcome.points {
+        if let Err(error) = &point.result {
+            eprintln!("{}: {error} ({})", point.label, classify_failure(error));
+        }
+    }
+    !outcome.all_ok()
+}
 
 /// One row of a printed comparison table.
 #[derive(Debug, Clone)]
@@ -83,12 +123,41 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hida::{HidaOptions, PolybenchKernel, SweepEngine, SweepPoint, Workload};
 
     #[test]
     fn geomean_of_equal_values_is_the_value() {
         assert!((geomean(&[4.0, 4.0, 4.0]) - 4.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn only_full_is_accepted() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(full_grid_requested(args(&[])), Ok(false));
+        assert_eq!(full_grid_requested(args(&["--full"])), Ok(true));
+        let typo = full_grid_requested(args(&["--ful"])).unwrap_err();
+        assert!(typo.contains("'--ful'"), "{typo}");
+        assert!(full_grid_requested(args(&["--full", "--jobs"])).is_err());
+    }
+
+    #[test]
+    fn failed_points_are_reported() {
+        let point = |label: &str| {
+            SweepPoint::new(
+                label,
+                Workload::PolybenchSized(PolybenchKernel::TwoMm, 16),
+                HidaOptions::polybench(),
+            )
+        };
+        let good = SweepEngine::new().with_total_jobs(1).run(&[point("good")]);
+        assert!(!report_failures(&good));
+        let bad = point("bad").with_pipeline("construct,,lower");
+        let mixed = SweepEngine::new()
+            .with_total_jobs(1)
+            .run(&[point("good"), bad]);
+        assert!(report_failures(&mixed));
     }
 
     #[test]

@@ -223,8 +223,8 @@ pub struct SweepOutcome {
     pub budget: JobBudget,
     /// Wall-clock seconds for the whole sweep.
     pub wall_seconds: f64,
-    /// Aggregate traffic of the cross-compilation estimate cache (`None` when
-    /// sharing was disabled).
+    /// Aggregate traffic of the cross-compilation estimate cache every point
+    /// of the run shared (`Some` for every run).
     pub shared_cache: Option<SharedCacheStats>,
     /// Traffic of the persistent estimate-store tier (`None` unless the
     /// engine's cache was created with
@@ -261,7 +261,7 @@ impl SweepOutcome {
 }
 
 /// Runs a list of independent design points through the compiler, pooled and
-/// (by default) sharing per-node estimates across points.
+/// sharing per-node estimates across points.
 ///
 /// ```no_run
 /// use hida::{HidaOptions, PolybenchKernel, SweepEngine, SweepPoint, Workload};
@@ -285,7 +285,6 @@ impl SweepOutcome {
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     total_jobs: Option<usize>,
-    share_estimates: bool,
     cache: Option<Arc<SharedEstimateCache>>,
     verification: bool,
     deadline_ms: Option<u64>,
@@ -301,11 +300,10 @@ impl Default for SweepEngine {
 
 impl SweepEngine {
     /// Creates an engine with the default thread total (the machine's
-    /// available parallelism) and estimate sharing enabled.
+    /// available parallelism) and a fresh estimate cache per run.
     pub fn new() -> Self {
         SweepEngine {
             total_jobs: None,
-            share_estimates: true,
             cache: None,
             verification: true,
             deadline_ms: None,
@@ -349,14 +347,6 @@ impl SweepEngine {
         self
     }
 
-    /// Enables or disables the cross-compilation estimate cache (builder
-    /// style). Disabled, every point is a fully isolated compilation — the
-    /// share-nothing baseline the cache's results are verified against.
-    pub fn with_shared_estimates(mut self, enabled: bool) -> Self {
-        self.share_estimates = enabled;
-        self
-    }
-
     /// Reuses an existing cache instead of creating a fresh one per run, so
     /// consecutive sweeps (e.g. CLI invocations in one process) keep sharing.
     /// Hand in a cache created with [`SharedEstimateCache::with_store`] to
@@ -365,7 +355,6 @@ impl SweepEngine {
     /// disk tier's traffic.
     pub fn with_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
         self.cache = Some(cache);
-        self.share_estimates = true;
         self
     }
 
@@ -399,15 +388,13 @@ impl SweepEngine {
             .collect();
         // One segment per sweep, on disk before the counters are read and
         // before the caller has the outcome.
-        if let Some(cache) = &run.cache {
-            cache.flush();
-        }
+        run.cache.flush();
         SweepOutcome {
             points: outcomes,
             budget,
             wall_seconds: start.elapsed().as_secs_f64(),
-            persistent_cache: run.cache.as_ref().and_then(|c| c.persistent_stats()),
-            shared_cache: run.cache.as_ref().map(|c| c.stats()),
+            persistent_cache: run.cache.persistent_stats(),
+            shared_cache: Some(run.cache.stats()),
             pool,
             prefix: run.tree.stats(),
         }
@@ -425,11 +412,10 @@ impl SweepEngine {
     /// computed before any point runs — which points are afflicted is
     /// independent of job count and thread scheduling.
     fn start<'p>(&self, points: &'p [SweepPoint]) -> Run<'p> {
-        let cache = self.share_estimates.then(|| {
-            self.cache
-                .clone()
-                .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()))
-        });
+        let cache = self
+            .cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()));
         let armed = self.fault_plan.as_ref().map_or_else(BTreeMap::new, |plan| {
             let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
             let assigned = plan.assign(&labels).into_iter();
@@ -439,7 +425,7 @@ impl SweepEngine {
         });
         Run {
             points,
-            tree: PrefixTree::plan(points, |point| self.point_compiler(cache.as_ref(), point)),
+            tree: PrefixTree::plan(points, |point| self.point_compiler(&cache, point)),
             cache,
             token: self
                 .run_budget_ms
@@ -450,16 +436,11 @@ impl SweepEngine {
 
     /// The compiler of `point` under this engine: its verification setting
     /// and the run's estimate cache.
-    fn point_compiler(
-        &self,
-        cache: Option<&Arc<SharedEstimateCache>>,
-        point: &SweepPoint,
-    ) -> Compiler {
-        let compiler = point.compiler().with_verification(self.verification);
-        match cache {
-            Some(cache) => compiler.with_shared_estimates(Arc::clone(cache)),
-            None => compiler,
-        }
+    fn point_compiler(&self, cache: &Arc<SharedEstimateCache>, point: &SweepPoint) -> Compiler {
+        point
+            .compiler()
+            .with_verification(self.verification)
+            .with_shared_estimates(Arc::clone(cache))
     }
 
     /// Takes point `index` of the run to an outcome in one attempt: one
@@ -471,7 +452,7 @@ impl SweepEngine {
         let point = &run.points[index];
         let start = Instant::now();
         let armed = run.armed.get(&point.label);
-        let compiler = self.point_compiler(run.cache.as_ref(), point);
+        let compiler = self.point_compiler(&run.cache, point);
         let token = run.token.child(self.deadline_ms);
         let result = isolated(&point.site(), token, armed.cloned(), || {
             // A point with armed faults is a fault domain of its own from the
@@ -525,7 +506,7 @@ fn escaped(point: &SweepPoint, fault: WorkerFault) -> SweepPointOutcome {
 /// they afflict.
 struct Run<'p> {
     points: &'p [SweepPoint],
-    cache: Option<Arc<SharedEstimateCache>>,
+    cache: Arc<SharedEstimateCache>,
     token: CancelToken,
     tree: PrefixTree,
     armed: BTreeMap<String, PointFaults>,

@@ -5,8 +5,8 @@
 
 use hida::ir::printer::print_op;
 use hida::{
-    CompilationResult, Compiler, HidaOptions, JobBudget, PolybenchKernel, SweepEngine, SweepPoint,
-    Workload,
+    CompilationResult, Compiler, HidaOptions, JobBudget, Model, PolybenchKernel, SweepEngine,
+    SweepPoint, Workload,
 };
 
 fn two_mm(size: i64) -> Workload {
@@ -83,23 +83,48 @@ fn second_point_of_a_two_point_sweep_hits_the_shared_cache() {
     }
 }
 
+/// The reduced Fig. 10 grid on ResNet-18 — parallel factor {1, 256} x tile
+/// size {2, 32} — in the pipeline strings `hida_bench::variants::fig10`
+/// builds.
+fn fig10_points() -> Vec<SweepPoint> {
+    let mut points = Vec::new();
+    for pf in [1, 256] {
+        for tile in [2, 32] {
+            let pipeline = format!(
+                "construct,fusion,lower,multi-producer-elim,\
+                 tiling{{factor={tile},external-threshold-bytes=65536}},\
+                 balance{{external-threshold-bytes=65536}},\
+                 parallelize{{max-factor={pf},mode=IA+CA,device=vu9p-slr}}"
+            );
+            points.push(
+                SweepPoint::new(
+                    format!("pf{pf}-tile{tile}"),
+                    Workload::Model(Model::ResNet18),
+                    HidaOptions::dnn(),
+                )
+                .with_pipeline(pipeline),
+            );
+        }
+    }
+    points
+}
+
 #[test]
 fn pooled_sweep_matches_isolated_runs_point_by_point() {
-    let points = variant_points();
-    let outcome = SweepEngine::new().with_total_jobs(3).run(&points);
-    assert!(outcome.all_ok());
-    assert_eq!(outcome.points.len(), points.len());
-    for (point, spec) in outcome.points.iter().zip(&points) {
-        assert_eq!(point.label, spec.label);
-        let isolated = Compiler::new(spec.options.clone())
-            .compile(spec.workload.clone())
-            .unwrap();
-        assert_identical(point.result.as_ref().unwrap(), &isolated, &point.label);
+    for points in [variant_points(), fig10_points()] {
+        let outcome = SweepEngine::new().with_total_jobs(3).run(&points);
+        assert!(outcome.all_ok(), "{:?}", outcome.failed_labels());
+        assert_eq!(outcome.points.len(), points.len());
+        for (point, spec) in outcome.points.iter().zip(&points) {
+            assert_eq!(point.label, spec.label);
+            let isolated = spec.compiler().compile(spec.workload.clone()).unwrap();
+            assert_identical(point.result.as_ref().unwrap(), &isolated, &point.label);
+        }
+        // Points share estimates whichever worker got there first: 2mm's
+        // duplicated pf8 variant, ResNet-18's repeated layers.
+        let totals = outcome.shared_cache.unwrap();
+        assert!(totals.hits > 0, "{totals:?}");
     }
-    // The duplicated pf8 variant shares estimates whichever worker got there
-    // first.
-    let totals = outcome.shared_cache.unwrap();
-    assert!(totals.hits > 0, "{totals:?}");
 }
 
 #[test]
@@ -113,27 +138,6 @@ fn pooled_and_sequential_sweeps_are_byte_identical() {
             b.result.as_ref().unwrap(),
             &a.label,
         );
-    }
-}
-
-#[test]
-fn sharing_can_be_disabled_for_a_share_nothing_baseline() {
-    let points = vec![
-        SweepPoint::new("first", two_mm(32), HidaOptions::polybench()),
-        SweepPoint::new("second", two_mm(32), HidaOptions::polybench()),
-    ];
-    let outcome = SweepEngine::new()
-        .with_shared_estimates(false)
-        .with_total_jobs(1)
-        .run(&points);
-    assert!(outcome.shared_cache.is_none());
-    for point in &outcome.points {
-        assert!(point
-            .result
-            .as_ref()
-            .unwrap()
-            .shared_estimator_cache
-            .is_none());
     }
 }
 

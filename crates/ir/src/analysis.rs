@@ -102,8 +102,7 @@ impl fmt::Display for AnalysisCacheStats {
 /// The set of analyses a pass declares untouched by its mutations.
 #[derive(Debug, Clone, Default)]
 pub struct PreservedAnalyses {
-    all: bool,
-    types: Vec<(TypeId, &'static str)>,
+    types: Vec<TypeId>,
 }
 
 impl PreservedAnalyses {
@@ -112,36 +111,17 @@ impl PreservedAnalyses {
         PreservedAnalyses::default()
     }
 
-    /// Every analysis is preserved — for analysis-only passes that do not
-    /// mutate the IR at all.
-    pub fn all() -> Self {
-        PreservedAnalyses {
-            all: true,
-            types: Vec::new(),
-        }
-    }
-
     /// Marks analysis `A` as preserved (builder style).
     pub fn preserve<A: Analysis>(mut self) -> Self {
         let id = TypeId::of::<A>();
-        if !self.types.iter().any(|(t, _)| *t == id) {
-            self.types.push((id, A::NAME));
+        if !self.types.contains(&id) {
+            self.types.push(id);
         }
         self
     }
 
-    /// True when `A` is in the preserved set.
-    pub fn preserves<A: Analysis>(&self) -> bool {
-        self.preserves_id(TypeId::of::<A>())
-    }
-
-    /// Names of the explicitly preserved analyses.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.types.iter().map(|(_, n)| *n).collect()
-    }
-
     fn preserves_id(&self, id: TypeId) -> bool {
-        self.all || self.types.iter().any(|(t, _)| *t == id)
+        self.types.contains(&id)
     }
 }
 
@@ -726,15 +706,13 @@ mod tests {
 
     #[test]
     fn preserved_analyses_set_semantics() {
-        let none = PreservedAnalyses::none();
-        assert!(!none.preserves::<ConstantCount>());
-        let all = PreservedAnalyses::all();
-        assert!(all.preserves::<ConstantCount>());
+        let id = TypeId::of::<ConstantCount>();
+        assert!(!PreservedAnalyses::none().preserves_id(id));
         let some = PreservedAnalyses::none()
             .preserve::<ConstantCount>()
             .preserve::<ConstantCount>();
-        assert!(some.preserves::<ConstantCount>());
-        assert_eq!(some.names(), vec!["constant-count"]);
+        assert!(some.preserves_id(id));
+        assert_eq!(some.types, [id]);
     }
 
     #[test]
