@@ -50,7 +50,7 @@ mod tests {
     use hida_estimator::device::FpgaDevice;
     use hida_frontend::nn::build_model;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
-    use hida_opt::{HidaOptimizer, HidaOptions};
+    use hida_opt::{HidaOptions, Pipeline};
 
     #[test]
     fn scalehls_keeps_all_intermediates_on_chip() {
@@ -82,7 +82,7 @@ mod tests {
         let mut ctx_hida = Context::new();
         let module = ctx_hida.create_module("m");
         let func = build_kernel(&mut ctx_hida, module, PolybenchKernel::Mvt, 64);
-        let hida_schedule = HidaOptimizer::new(HidaOptions::polybench())
+        let hida_schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx_hida, func)
             .unwrap();
         let hida = estimator.estimate_schedule(&ctx_hida, hida_schedule, true);

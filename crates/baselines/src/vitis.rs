@@ -31,7 +31,7 @@ pub fn estimate(ctx: &mut Context, func: OpId, device: &FpgaDevice) -> DesignEst
 mod tests {
     use super::*;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
-    use hida_opt::{HidaOptimizer, HidaOptions};
+    use hida_opt::{HidaOptions, Pipeline};
 
     #[test]
     fn vitis_pipelines_innermost_loops_only() {
@@ -60,7 +60,7 @@ mod tests {
         let mut ctx_h = Context::new();
         let module = ctx_h.create_module("m");
         let func_h = build_kernel(&mut ctx_h, module, PolybenchKernel::TwoMm, 64);
-        let schedule = HidaOptimizer::new(HidaOptions::polybench())
+        let schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx_h, func_h)
             .unwrap();
         let hida = DataflowEstimator::new(device).estimate_schedule(&ctx_h, schedule, true);

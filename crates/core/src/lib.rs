@@ -58,9 +58,11 @@ pub use hida_ir_core::analysis::{
 };
 pub use hida_ir_core::fault::{CancelToken, FaultKind, FaultPlan, PointFaults, WorkerFault};
 pub use hida_ir_core::pass::{PassOption, PassStatistics, PipelineState, Verified};
-pub use hida_ir_core::registry::{PassRegistry, PipelineError};
 pub use hida_ir_core::PassInvocation;
-pub use hida_opt::{registry, registry_listing, Checkpoint, HidaOptions, ParallelMode, Pipeline};
+pub use hida_opt::{
+    registry, registry_listing, Checkpoint, HidaOptions, ParallelMode, Pipeline, PipelineError,
+    Registry,
+};
 pub use prefix::PrefixStats;
 pub use sweep::{
     classify_failure, FailureReason, JobBudget, SweepEngine, SweepOutcome, SweepPoint,
@@ -411,13 +413,13 @@ impl Compiler {
 
     /// Runs the pass pipeline over an already-constructed function: assembles
     /// the compilation's pipeline (explicit text or the options-derived flow,
-    /// worker count, verification) and resumes the empty [`Checkpoint`] over
-    /// `func` with it. Custom front-ends call this and then
-    /// [`Compiler::finish`].
+    /// verification) and resumes the empty [`Checkpoint`] over `func` with
+    /// it. Custom front-ends call this and then [`Compiler::finish`].
     ///
     /// # Errors
-    /// A [`LowerFailure`] carrying the optimization or inter-pass
-    /// verification error and the statistics of the passes that ran.
+    /// A [`LowerFailure`] carrying the pipeline text's rejection (no pass
+    /// statistics), or the optimization or inter-pass verification error
+    /// and the statistics of the passes that ran.
     pub fn lower_func(
         &self,
         ctx: Context,
@@ -428,40 +430,32 @@ impl Compiler {
         // Chaos-harness site: an armed stall sleeps here, at the very start of
         // the point's compilation, where a per-point deadline will catch it.
         hida_ir_core::fault::injected_stall("compile:start");
-        let (pipeline, _) = self.assemble(&registry())?;
+        let pipeline = self.assemble()?;
         resume(&pipeline, Checkpoint::new(ctx, module, func), start)
     }
 
-    /// Assembles this compilation's pipeline — the explicit text or the
-    /// options-derived flow, with the verification setting — the one place
-    /// that is done. The flag says whether the pipeline came out of
-    /// `registry`: its [`Pipeline::invocations`] then determine its passes,
-    /// so two such pipelines run equal passes wherever their invocation lists
-    /// agree. It is false for the direct fallback of
-    /// [`Pipeline::from_options`] (a device outside the catalog is carried by
-    /// name only).
+    /// Assembles this compilation's pipeline — the explicit text or the text
+    /// of the options ([`HidaOptions::pipeline_text`]), parsed through the
+    /// pass table, with the verification setting — the one place that is
+    /// done. Its [`Pipeline::invocations`] determine its passes, so two
+    /// pipelines run equal passes wherever their invocation lists agree.
     ///
     /// # Errors
-    /// An explicit text that does not parse through the registry.
-    pub(crate) fn assemble(
-        &self,
-        registry: &PassRegistry,
-    ) -> Result<(Pipeline, bool), LowerFailure> {
+    /// A text the table rejects, as a `hida-pipeline` failure with the
+    /// table's message: malformed syntax, an unknown pass, a knob below 1, a
+    /// device outside the catalog.
+    pub(crate) fn assemble(&self) -> Result<Pipeline, LowerFailure> {
         let text = match &self.pipeline {
             Some(text) => Cow::Borrowed(text.as_str()),
             None => Cow::Owned(self.options.pipeline_text()),
         };
-        let (pipeline, from_registry) = match Pipeline::parse(registry, &text) {
-            Ok(pipeline) => (pipeline, true),
-            Err(e) if self.pipeline.is_some() => {
-                return Err(LowerFailure {
-                    error: IrError::pass_failed("hida-pipeline", e.to_string()),
-                    pass_statistics: Vec::new(),
-                })
-            }
-            Err(_) => (Pipeline::from_options(&self.options), false),
-        };
-        Ok((pipeline.with_verification(self.verification), from_registry))
+        match Pipeline::parse(&registry(), &text) {
+            Ok(pipeline) => Ok(pipeline.with_verification(self.verification)),
+            Err(e) => Err(LowerFailure {
+                error: IrError::pass_failed("hida-pipeline", e.to_string()),
+                pass_statistics: Vec::new(),
+            }),
+        }
     }
 
     /// Finishes a lowered design: the final whole-module verification, both
@@ -648,6 +642,65 @@ mod tests {
             }
         );
         assert!(result.pass_statistics.iter().all(|s| !s.failed));
+    }
+
+    #[test]
+    fn options_the_pass_table_rejects_fail_the_compilation() {
+        let custom_board = FpgaDevice {
+            name: "custom-board".to_string(),
+            ..FpgaDevice::zu3eg()
+        };
+        let cases = [
+            (
+                HidaOptions {
+                    max_parallel_factor: 0,
+                    ..HidaOptions::polybench()
+                },
+                "invalid options for pass 'parallelize': option 'max-factor': 0 must be >= 1",
+            ),
+            (
+                HidaOptions {
+                    max_parallel_factor: -4,
+                    ..HidaOptions::polybench()
+                },
+                "invalid options for pass 'parallelize': option 'max-factor': -4 must be >= 1",
+            ),
+            (
+                HidaOptions {
+                    tile_size: Some(0),
+                    ..HidaOptions::polybench()
+                },
+                "invalid options for pass 'tiling': option 'factor': 0 must be >= 1",
+            ),
+            (
+                HidaOptions {
+                    external_threshold_bytes: 0,
+                    ..HidaOptions::polybench()
+                },
+                "invalid options for pass 'balance': \
+                 option 'external-threshold-bytes': 0 must be >= 1",
+            ),
+            (
+                HidaOptions {
+                    device: custom_board,
+                    ..HidaOptions::polybench()
+                },
+                "invalid options for pass 'parallelize': option 'device': \
+                 unknown device 'custom-board' (known: pynq-z2, zu3eg, vu9p-slr)",
+            ),
+        ];
+        for (options, reason) in cases {
+            let err = Compiler::new(options)
+                .compile(Workload::PolybenchSized(PolybenchKernel::TwoMm, 16))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                IrError::PassFailed {
+                    pass: "hida-pipeline".into(),
+                    reason: reason.into(),
+                }
+            );
+        }
     }
 
     #[test]

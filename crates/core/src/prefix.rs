@@ -16,7 +16,7 @@
 use crate::sweep::SweepPoint;
 use crate::{build_workload, resume, Compiler, LowerFailure, LoweredDesign, Workload};
 use hida_ir_core::{Context, IrResult, PassInvocation};
-use hida_opt::{registry, Checkpoint, Pipeline};
+use hida_opt::{Checkpoint, Pipeline};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -62,8 +62,8 @@ struct Planned {
 pub(crate) struct PrefixTree {
     nodes: Vec<Node>,
     /// Per point, in declaration order; `None` for a point off the tree —
-    /// one whose passes its pipeline text does not determine (it does not
-    /// parse through the registry, or names a device outside the catalog).
+    /// one whose pipeline text the pass table rejects, which then fails
+    /// alone as it would in any run.
     planned: Vec<Option<Planned>>,
     passes_run: AtomicUsize,
     /// Pass records of the points lowered on the tree, run or reused.
@@ -86,13 +86,9 @@ impl PrefixTree {
         points: &[SweepPoint],
         compiler_of: impl Fn(&SweepPoint) -> Compiler,
     ) -> PrefixTree {
-        let registry = registry();
         let pipelines: Vec<Option<Pipeline>> = points
             .iter()
-            .map(|point| match compiler_of(point).assemble(&registry) {
-                Ok((pipeline, true)) => Some(pipeline),
-                _ => None,
-            })
+            .map(|point| compiler_of(point).assemble().ok())
             .collect();
 
         let mut nodes: Vec<Node> = Vec::new();

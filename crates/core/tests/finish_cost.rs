@@ -3,13 +3,14 @@
 //! over the forked analysis cache, attached to a shared estimate cache. A
 //! count, so the ceiling holds on any machine: reading the node model's
 //! inputs off the IR and keying them builds nothing, a cache entry carries
-//! no string, and what is left is the per-node results a caller owns.
+//! no string, and what is left is the per-node results a caller owns. And
+//! what every compile pays before its first pass: parsing its pipeline.
 
 use hida::dialects::analysis::ComputeProfile;
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::estimator::latency::gather;
 use hida::estimator::shared_cache::{device_fingerprint, inputs_key};
-use hida::{Compiler, HidaOptions, Model, SharedEstimateCache, Workload};
+use hida::{Compiler, HidaOptions, Model, Pipeline, SharedEstimateCache, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -96,4 +97,26 @@ fn estimating_a_forked_resnet18_stays_under_the_allocation_ceiling() {
     let allocs = ALLOCS.get() - before;
     assert_ne!(keys, 0);
     assert_eq!(allocs, 0, "gather + key of 20 nodes");
+}
+
+/// 71 today: the parsed invocations, the seven boxed passes and the options
+/// each reports. Measured x 1.1. Looking the passes up costs nothing (the
+/// table is a `static`; a registry of boxed factories made 100 calls more).
+const PARSE_ALLOCATION_CEILING: u64 = 78;
+
+#[test]
+fn assembling_the_dnn_pipeline_stays_under_the_allocation_ceiling() {
+    let text = HidaOptions::dnn().pipeline_text();
+    let before = ALLOCS.get();
+    let registry = hida::registry();
+    assert_eq!(ALLOCS.get() - before, 0, "the pass table is static");
+
+    let before = ALLOCS.get();
+    let pipeline = Pipeline::parse(&registry, &text).expect("the preset parses");
+    let allocs = ALLOCS.get() - before;
+    assert_eq!(pipeline.len(), 7);
+    assert!(
+        allocs <= PARSE_ALLOCATION_CEILING,
+        "parsing the dnn preset made {allocs} allocator calls, ceiling {PARSE_ALLOCATION_CEILING}"
+    );
 }

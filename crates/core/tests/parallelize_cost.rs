@@ -11,7 +11,7 @@
 //! after the first one has run the same point.
 
 use hida::frontend::nn::build_model;
-use hida::ir::{AnalysisManager, Context, PassManager, RunState};
+use hida::ir::{parse_pipeline, AnalysisManager, Context, PassManager, RunState};
 use hida::{HidaOptions, Model};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,7 +63,8 @@ fn parallelizing_a_forked_resnet18_stays_under_the_allocation_ceiling() {
     // test's own: a debug build re-computes every analysis a pass declared
     // preserved to check the declaration, which is not what is counted here.
     let mut passes = PassManager::new();
-    for (_, pass) in hida::registry().build(&options.pipeline_text()).unwrap() {
+    for invocation in parse_pipeline(&options.pipeline_text()).unwrap() {
+        let (_, pass) = hida::registry().create(&invocation).unwrap();
         passes.add_pass(pass);
     }
     let parallelize = passes.len() - 1;

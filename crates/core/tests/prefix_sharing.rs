@@ -92,7 +92,7 @@ fn random_pipeline(rng: &mut Rng) -> String {
 
 /// A grid of `n` points over one or two workloads: random flows, repeated
 /// lines, options-derived flows, now and then a line that does not parse and
-/// a device the pipeline text cannot carry.
+/// a device the pass table rejects.
 fn random_grid(seed: u64, n: usize) -> Vec<SweepPoint> {
     let mut rng = Rng(seed);
     let kinds = [rng.below(3), rng.below(3)];
@@ -122,8 +122,8 @@ fn random_grid(seed: u64, n: usize) -> Vec<SweepPoint> {
                 ..point
             },
             3 => point.with_pipeline(rng.pick(&["construct,,lower", "construct,no-such-pass"])),
-            // A device outside the catalog: `from_options` falls back to
-            // direct assembly, and the text names the device but not its size.
+            // A device outside the catalog: the pass table rejects its
+            // name, so the point fails, in the sweep as alone.
             4 => SweepPoint {
                 options: HidaOptions {
                     device: FpgaDevice {

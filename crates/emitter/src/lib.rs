@@ -270,13 +270,13 @@ mod tests {
     use super::*;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
     use hida_ir_core::Context;
-    use hida_opt::{HidaOptimizer, HidaOptions};
+    use hida_opt::{HidaOptions, Pipeline};
 
     fn optimized_schedule() -> (Context, ScheduleOp) {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
         let func = build_kernel(&mut ctx, module, PolybenchKernel::TwoMm, 32);
-        let schedule = HidaOptimizer::new(HidaOptions::polybench())
+        let schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx, func)
             .unwrap();
         (ctx, schedule)

@@ -622,7 +622,7 @@ mod tests {
     fn single_walk_agrees_with_the_per_pair_construction() {
         use hida_frontend::nn::{build_model, Model};
         use hida_frontend::polybench::{build_kernel, PolybenchKernel};
-        use hida_opt::{registry, HidaOptimizer, HidaOptions, Pipeline};
+        use hida_opt::{registry, HidaOptions, Pipeline};
 
         // The six Table 8 models at three tile sizes.
         for model in Model::table8() {
@@ -634,7 +634,9 @@ mod tests {
                     tile_size: Some(tile),
                     ..HidaOptions::dnn()
                 };
-                let schedule = HidaOptimizer::new(options).run(&mut ctx, func).unwrap();
+                let schedule = Pipeline::from_options(&options)
+                    .run(&mut ctx, func)
+                    .unwrap();
                 let subject = format!("{} tile {tile}", model.name());
                 assert_matches_reference(&ctx, schedule.id(), &subject);
             }
@@ -644,8 +646,9 @@ mod tests {
             let mut ctx = Context::new();
             let module = ctx.create_module("m");
             let func = build_kernel(&mut ctx, module, kernel, 32);
-            let optimizer = HidaOptimizer::new(HidaOptions::polybench());
-            let schedule = optimizer.run(&mut ctx, func).unwrap();
+            let schedule = Pipeline::from_options(&HidaOptions::polybench())
+                .run(&mut ctx, func)
+                .unwrap();
             assert_matches_reference(&ctx, schedule.id(), kernel.name());
         }
         // Both textual examples.
@@ -659,8 +662,9 @@ mod tests {
             let func = ctx
                 .find_in_body(module, hida_ir_core::op_names::FUNC)
                 .unwrap();
-            let optimizer = HidaOptimizer::new(HidaOptions::polybench());
-            let schedule = optimizer.run(&mut ctx, func).unwrap();
+            let schedule = Pipeline::from_options(&HidaOptions::polybench())
+                .run(&mut ctx, func)
+                .unwrap();
             assert_matches_reference(&ctx, schedule.id(), example);
         }
         // 1 000 fuzzed functions under fuzzed pipelines, fixed seeds.

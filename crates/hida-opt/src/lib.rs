@@ -19,12 +19,13 @@
 //! # Pass-pipeline architecture
 //!
 //! The steps are not hard-wired: each is wrapped as a named
-//! [`Pass`](hida_ir_core::Pass) in the [`pipeline`] module, and the standard flow
-//! is assembled *declaratively* by [`Pipeline::from_options`] — boolean options
-//! become pipeline membership, scalar knobs become pass-instance options — and
+//! [`Pass`](hida_ir_core::Pass) in the [`pipeline`] module, a [`Pipeline`] is
+//! parsed from text — the standard flow from the text of its
+//! [`HidaOptions`] ([`Pipeline::from_options`]: boolean options become
+//! pipeline membership, scalar knobs become pass-instance options) — and
 //! executed by the shared [`PassManager`](hida_ir_core::PassManager), which
 //! verifies the IR between passes and records per-pass
-//! [`PassStatistics`] (wall-clock time, op deltas,
+//! [`PassStatistics`](hida_ir_core::PassStatistics) (wall-clock time, op deltas,
 //! configured options). The structural `ScheduleOp` produced by lowering flows to
 //! later passes through the typed
 //! [`PipelineState`](hida_ir_core::PipelineState) slot map.
@@ -40,20 +41,18 @@
 //! pure cache hits. Per-pass hit/miss counters land in the recorded
 //! statistics.
 //!
-//! [`HidaOptimizer`] is a thin driver over that machinery: it builds the pipeline
-//! from its [`HidaOptions`] and runs it.
+//! # Textual pipelines and the pass table
 //!
-//! # Textual pipelines and the pass registry
-//!
-//! Every pass is also registered by name in the [`registry`](mod@registry) module, with its
-//! knobs as named options, so ablations and custom flows are plain *strings*:
+//! The seven passes are a static table in the [`registry`](mod@registry)
+//! module — canonical name, `hida-*` alias, description, documented options —
+//! so ablations and custom flows are plain *strings*:
 //! `Pipeline::parse(&registry(), "construct,lower,parallelize{max-factor=8}")`.
-//! [`Pipeline::from_options`] renders its options as text
-//! ([`HidaOptions::pipeline_text`]) and parses it back through the registry —
-//! one construction path for everything the syntax can express (a direct
-//! fallback covers non-catalog devices) — and [`Pipeline::to_text`] round-trips
-//! every registry-built pipeline. The `hida-opt` CLI binary exposes the same
-//! surface from the command line (`--pipeline`, `--list-passes`).
+//! Parsing is the one way a pipeline is built: [`Pipeline::from_options`]
+//! renders its options as text ([`HidaOptions::pipeline_text`]) and parses it
+//! back, so an option the table rejects is rejected whichever way it came,
+//! and [`Pipeline::to_text`] round-trips every pipeline. The `hida-opt` CLI
+//! binary exposes the same surface from the command line (`--pipeline`,
+//! `--list-passes`).
 
 pub mod construct;
 pub mod fusion;
@@ -68,12 +67,9 @@ pub use pipeline::{
     BalancePass, Checkpoint, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
     ParallelizePass, Pipeline, TilingPass,
 };
-pub use registry::{registry, registry_listing};
+pub use registry::{registry, registry_listing, PipelineError, Registry};
 
-use hida_dataflow_ir::structural::ScheduleOp;
 use hida_estimator::device::FpgaDevice;
-use hida_ir_core::pass::PassStatistics;
-use hida_ir_core::{Context, IrResult, OpId};
 
 /// Parallelization strategy, used by the Figure 11 ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,7 +135,9 @@ pub struct HidaOptions {
     /// Buffers larger than this many bytes are spilled to external memory
     /// (soft FIFO) when tiling is enabled.
     pub external_threshold_bytes: i64,
-    /// Target device (drives resource-constrained parallel factor generation).
+    /// Target device: what a compilation estimates QoR against. Its name is
+    /// also the `device` option of the `parallelize` invocation, so it must
+    /// be in `FpgaDevice::catalog()`; Algorithm 4 itself does not read it.
     pub device: FpgaDevice,
 }
 
@@ -183,8 +181,8 @@ impl HidaOptions {
     /// source of truth for the standard HIDA-OPT flow. Boolean toggles become
     /// pipeline membership, scalar knobs become pass options.
     ///
-    /// The target device is carried *by name*, so it must be one of the catalog
-    /// devices resolvable through `FpgaDevice::by_name`.
+    /// The target device is carried *by name*; the pass table accepts only
+    /// the catalog devices resolvable through `FpgaDevice::by_name`.
     pub fn pipeline_text(&self) -> String {
         let mut passes = vec!["construct".to_string()];
         if self.enable_fusion {
@@ -216,66 +214,21 @@ impl HidaOptions {
     }
 }
 
-/// End-to-end HIDA-OPT driver.
-#[derive(Debug, Clone)]
-pub struct HidaOptimizer {
-    options: HidaOptions,
-}
-
-impl HidaOptimizer {
-    /// Creates an optimizer with the given options.
-    pub fn new(options: HidaOptions) -> Self {
-        HidaOptimizer { options }
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &HidaOptions {
-        &self.options
-    }
-
-    /// Runs the full HIDA-OPT pipeline on `func` (a function produced by one of the
-    /// front-ends) and returns the resulting structural schedule.
-    ///
-    /// The pipeline is assembled declaratively with [`Pipeline::from_options`] and
-    /// executed through the [`PassManager`](hida_ir_core::PassManager); use
-    /// [`HidaOptimizer::run_with_statistics`] to also obtain per-pass statistics.
-    ///
-    /// # Errors
-    /// Propagates pass failures (malformed IR, impossible constraints).
-    pub fn run(&self, ctx: &mut Context, func: OpId) -> IrResult<ScheduleOp> {
-        self.run_with_statistics(ctx, func)
-            .map(|(schedule, _)| schedule)
-    }
-
-    /// Runs the pipeline like [`HidaOptimizer::run`], additionally returning the
-    /// statistics recorded for every executed pass.
-    ///
-    /// # Errors
-    /// Propagates pass failures (malformed IR, impossible constraints).
-    pub fn run_with_statistics(
-        &self,
-        ctx: &mut Context,
-        func: OpId,
-    ) -> IrResult<(ScheduleOp, Vec<PassStatistics>)> {
-        let mut pipeline = Pipeline::from_options(&self.options);
-        let schedule = pipeline.run(ctx, func)?;
-        Ok((schedule, pipeline.statistics().to_vec()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hida_estimator::dataflow::DataflowEstimator;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
+    use hida_ir_core::Context;
 
     #[test]
     fn end_to_end_pipeline_produces_a_parallelized_schedule() {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
         let func = build_kernel(&mut ctx, module, PolybenchKernel::TwoMm, 32);
-        let optimizer = HidaOptimizer::new(HidaOptions::polybench());
-        let schedule = optimizer.run(&mut ctx, func).unwrap();
+        let schedule = Pipeline::from_options(&HidaOptions::polybench())
+            .run(&mut ctx, func)
+            .unwrap();
         hida_ir_core::verifier::verify(&ctx, module).unwrap();
 
         let nodes = schedule.nodes(&ctx);

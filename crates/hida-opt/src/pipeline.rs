@@ -1,17 +1,18 @@
 //! The HIDA-OPT pass pipeline.
 //!
 //! Every step of the optimizer (paper §6) is wrapped as a named
-//! [`Pass`] so the whole flow becomes *data*: a [`Pipeline`]
-//! assembled by [`Pipeline::from_options`] and executed by the shared
-//! [`PassManager`]. Option toggles map to pipeline membership (fusion, balancing
-//! and tiling passes are simply absent when disabled) while scalar knobs become
-//! pass-instance options, visible in the recorded
+//! [`Pass`] so the whole flow becomes *data*: a [`Pipeline`] parsed from
+//! text through the pass table ([`mod@crate::registry`]) and executed by the
+//! shared [`PassManager`]. [`Pipeline::from_options`] renders
+//! [`HidaOptions`] as that text: option toggles map to pipeline membership
+//! (fusion, balancing and tiling passes are simply absent when disabled) while
+//! scalar knobs become pass-instance options, visible in the recorded
 //! [`PassStatistics`].
 //!
 //! The structural [`ScheduleOp`] produced by [`LowerPass`] flows to the later
 //! structural passes through the typed [`PipelineState`] slot map, so a custom
-//! pipeline can splice in extra passes between lowering and parallelization
-//! without any signature changes. Compute profiles and dataflow graphs flow
+//! pipeline can put any of the structural passes between lowering and
+//! parallelization. Compute profiles and dataflow graphs flow
 //! through the pass manager's `AnalysisManager` instead: each pass fetches
 //! them from the cache and declares which analyses its mutations preserve, so
 //! a profile computed once (e.g. while lowering a task to a node) is reused by
@@ -34,6 +35,7 @@
 //! factors of the connected nodes visited before it. Concurrency lives one
 //! level up, where a sweep compiles independent design points side by side.
 
+use crate::registry::{PipelineError, Registry};
 use crate::{construct, fusion, lower, parallelize, structural_opt, tiling};
 use crate::{HidaOptions, ParallelMode};
 use hida_dataflow_ir::graph::DataflowGraph;
@@ -44,7 +46,6 @@ use hida_ir_core::analysis::{AnalysisManager, PreservedAnalyses};
 use hida_ir_core::pass::{
     Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState, Verified,
 };
-use hida_ir_core::registry::{PassRegistry, PipelineError};
 use hida_ir_core::{
     parse_pipeline, print_pipeline, Context, IrError, IrResult, OpId, PassInvocation,
 };
@@ -96,21 +97,9 @@ pub struct FusionPass {
     patterns: Vec<Box<dyn fusion::FusionPattern>>,
 }
 
-impl Default for FusionPass {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FusionPass {
-    /// Fusion with the default profitable patterns.
-    pub fn new() -> Self {
-        FusionPass {
-            patterns: fusion::default_fusion_patterns(),
-        }
-    }
-
-    /// Fusion with an explicit pattern set.
+    /// Fusion with an explicit pattern set (the table's default is
+    /// [`fusion::default_fusion_patterns`]).
     pub fn with_patterns(patterns: Vec<Box<dyn fusion::FusionPattern>>) -> Self {
         FusionPass { patterns }
     }
@@ -296,7 +285,10 @@ pub struct ParallelizePass {
     pub max_parallel_factor: i64,
     /// Parallelization strategy (IA/CA ablation axis).
     pub mode: ParallelMode,
-    /// Target device for resource-constrained factor generation.
+    /// The device the invocation names. Algorithm 4 does not read it: the
+    /// name is recorded in the pass's options, so the printed pipeline
+    /// carries it, and `hida-opt` estimates QoR against it when `--device`
+    /// is absent. A compilation estimates against `HidaOptions::device`.
     pub device: FpgaDevice,
 }
 
@@ -416,35 +408,20 @@ impl Checkpoint {
 /// A declarative HIDA-OPT pipeline: an ordered pass list executed by the shared
 /// [`PassManager`], producing a structural [`ScheduleOp`] plus per-pass statistics.
 ///
-/// Pipelines are constructible three ways, all converging on the same pass set:
-/// programmatically ([`Pipeline::add_pass`]), from text
-/// ([`Pipeline::parse`], grammar `name{key=value,...},name,...`), and from
-/// [`HidaOptions`] ([`Pipeline::from_options`], which renders the options as
-/// text and parses them through the registry). Every pipeline remembers its
-/// textual form: [`Pipeline::to_text`] prints a string that re-parses to the
-/// identical configuration.
+/// Every pipeline is parsed from text ([`Pipeline::parse`], grammar
+/// `name{key=value,...},name,...`) through the pass table; [`HidaOptions`]
+/// become text first ([`Pipeline::from_options`]). Every pipeline remembers
+/// its textual form: [`Pipeline::to_text`] prints a string that re-parses to
+/// the identical configuration.
 pub struct Pipeline {
     manager: PassManager,
     invocations: Vec<PassInvocation>,
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Slots, analyses and statistics of the most recent [`Pipeline::run`].
+    last: RunState,
 }
 
 impl Pipeline {
-    /// An empty pipeline with inter-pass verification enabled.
-    pub fn new() -> Self {
-        Pipeline {
-            manager: PassManager::new(),
-            invocations: Vec::new(),
-        }
-    }
-
-    /// Parses a textual pipeline through a pass registry (normally
-    /// [`crate::registry::registry`]).
+    /// Parses a textual pipeline through the pass table ([`crate::registry()`]).
     ///
     /// The stored invocations are *normalized*: canonical pass names, alias
     /// option names resolved and defaults filled in, so
@@ -469,20 +446,23 @@ impl Pipeline {
     /// # Errors
     /// Returns structured [`PipelineError`]s: parse errors with position and
     /// expected token, unknown pass names, and per-pass option failures.
-    pub fn parse(registry: &PassRegistry, text: &str) -> Result<Pipeline, PipelineError> {
-        let mut pipeline = Pipeline::new();
+    pub fn parse(registry: &Registry, text: &str) -> Result<Pipeline, PipelineError> {
+        let mut manager = PassManager::new();
+        let mut invocations = Vec::new();
         for invocation in parse_pipeline(text)? {
             let (normalized, pass) = registry.create(&invocation)?;
-            pipeline.invocations.push(normalized);
-            pipeline.manager.add_pass(pass);
+            invocations.push(normalized);
+            manager.add_pass(pass);
         }
-        Ok(pipeline)
+        Ok(Pipeline {
+            manager,
+            invocations,
+            last: RunState::default(),
+        })
     }
 
     /// Prints the pipeline in the textual syntax; the inverse of
-    /// [`Pipeline::parse`] for registry-built pipelines. Passes appended through
-    /// [`Pipeline::add_pass`] are rendered under their instance name, which the
-    /// standard registry also resolves (as an alias).
+    /// [`Pipeline::parse`].
     pub fn to_text(&self) -> String {
         print_pipeline(&self.invocations)
     }
@@ -492,68 +472,25 @@ impl Pipeline {
         &self.invocations
     }
 
-    /// Assembles the standard HIDA-OPT pipeline from compilation options.
+    /// The standard HIDA-OPT pipeline of `options`: their text
+    /// ([`HidaOptions::pipeline_text`]) parsed through the pass table, so
+    /// option-built and string-built pipelines cannot drift apart. Boolean
+    /// options control pipeline membership; scalar options configure the
+    /// individual pass instances.
     ///
-    /// The primary construction path is textual: the options are rendered as
-    /// pipeline text ([`HidaOptions::pipeline_text`]) and parsed through the
-    /// pass registry, so option-built and string-built pipelines can never
-    /// drift apart. Boolean options control pipeline membership; scalar options
-    /// configure the individual pass instances.
-    ///
-    /// Options the textual syntax cannot represent — a custom [`FpgaDevice`]
-    /// outside the catalog, or knob values the registry factories reject — fall
-    /// back to direct pass construction with the exact same flow, preserving
-    /// the seed API contract that any `HidaOptions` value compiles. Such a
-    /// pipeline's [`Pipeline::to_text`] still prints, but its `device=` option
-    /// only re-parses when the device name is in the catalog.
+    /// # Panics
+    /// When the table rejects the options — a knob below 1, or a device
+    /// outside `FpgaDevice::catalog()` — with the [`PipelineError`] message
+    /// that `Pipeline::parse` of the same text returns. A `Compiler` reports
+    /// the same options as a failed compilation instead.
     pub fn from_options(options: &HidaOptions) -> Self {
         Pipeline::parse(&crate::registry::registry(), &options.pipeline_text())
-            .unwrap_or_else(|_| Pipeline::from_options_direct(options))
-    }
-
-    /// Direct (non-textual) assembly of the standard flow; the fallback for
-    /// option values the registry cannot express.
-    fn from_options_direct(options: &HidaOptions) -> Self {
-        let mut pipeline = Pipeline::new();
-        pipeline.add_pass(ConstructPass);
-        if options.enable_fusion {
-            pipeline.add_pass(FusionPass::new());
-        }
-        pipeline.add_pass(LowerPass);
-        if options.enable_balancing {
-            pipeline.add_pass(MultiProducerEliminationPass);
-        }
-        if let Some(tile_size) = options.tile_size {
-            pipeline.add_pass(TilingPass {
-                tile_size,
-                external_threshold_bytes: options.external_threshold_bytes,
-            });
-        }
-        if options.enable_balancing {
-            pipeline.add_pass(BalancePass {
-                external_threshold_bytes: options.external_threshold_bytes,
-            });
-        }
-        pipeline.add_pass(ParallelizePass {
-            max_parallel_factor: options.max_parallel_factor,
-            mode: options.mode,
-            device: options.device.clone(),
-        });
-        pipeline
-    }
-
-    /// Appends a pass (builder style, for custom pipelines). The invocation is
-    /// recorded under the instance's own name and reported options.
-    pub fn add_pass(&mut self, pass: impl Pass + 'static) -> &mut Self {
-        self.invocations
-            .push(PassInvocation::with_options(pass.name(), pass.options()));
-        self.manager.add_pass(Box::new(pass));
-        self
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Enables or disables inter-pass verification.
     pub fn with_verification(mut self, verify_each: bool) -> Self {
-        self.manager = std::mem::take(&mut self.manager).with_verification(verify_each);
+        self.manager = self.manager.with_verification(verify_each);
         self
     }
 
@@ -564,7 +501,7 @@ impl Pipeline {
         self
     }
 
-    /// Number of registered passes.
+    /// Number of passes.
     pub fn len(&self) -> usize {
         self.manager.len()
     }
@@ -574,7 +511,7 @@ impl Pipeline {
         self.manager.is_empty()
     }
 
-    /// Names of the registered passes, in execution order.
+    /// Names of the pass instances, in execution order.
     pub fn pass_names(&self) -> Vec<String> {
         self.manager.pass_names()
     }
@@ -582,36 +519,39 @@ impl Pipeline {
     /// Per-pass statistics of the most recent [`Pipeline::run`] — a failed
     /// run's too, its last record marked `failed`.
     pub fn statistics(&self) -> &[PassStatistics] {
-        self.manager.statistics()
+        &self.last.statistics
     }
 
-    /// The analysis cache of [`Pipeline::run`].
+    /// The analysis cache of the most recent [`Pipeline::run`].
     pub fn analyses(&self) -> &AnalysisManager {
-        self.manager.analyses()
+        &self.last.analyses
     }
 
     /// Mutable access to that cache, so post-run reporting reuses the
     /// profiles the passes left behind instead of recomputing them.
     pub fn analyses_mut(&mut self) -> &mut AnalysisManager {
-        self.manager.analyses_mut()
+        &mut self.last.analyses
     }
 
-    /// Executes the pipeline on `func` through the [`PassManager`] and returns the
-    /// structural schedule extracted from the pipeline state.
+    /// Executes every pass on `func` from a fresh [`RunState`], keeps that
+    /// state for [`Pipeline::statistics`] and [`Pipeline::analyses`], and
+    /// returns the structural schedule the passes produced.
     ///
     /// # Errors
     /// Propagates pass failures and inter-pass verification failures, and fails
     /// when the executed passes produced no schedule.
     pub fn run(&mut self, ctx: &mut Context, func: OpId) -> IrResult<ScheduleOp> {
-        produced_schedule(&self.manager.run(ctx, func)?)
+        self.last = RunState::default();
+        self.manager
+            .run_range(ctx, func, 0..self.manager.len(), &mut self.last)?;
+        produced_schedule(&self.last.slots)
     }
 
     /// Continues `checkpoint` with this pipeline's passes, from the first one
     /// it has not run up to (excluding) pass `upto`; the statistics are
     /// appended to the checkpoint's. The passes the checkpoint has already
     /// run must be this pipeline's first ones — run by this pipeline or by
-    /// one whose [`Pipeline::invocations`] start with the same registry-built
-    /// prefix.
+    /// one whose [`Pipeline::invocations`] start with the same prefix.
     ///
     /// # Errors
     /// Propagates pass failures and inter-pass verification failures; the
@@ -702,40 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn from_options_accepts_non_catalog_devices_via_the_direct_fallback() {
+    #[should_panic(expected = "invalid options for pass 'parallelize': \
+                               option 'device': unknown device 'custom-board'")]
+    fn from_options_panics_on_a_non_catalog_device() {
         let mut device = hida_estimator::device::FpgaDevice::vu9p_slr();
         device.name = "custom-board".to_string();
-        device.dsp = 9000;
-        let options = HidaOptions {
+        let _ = Pipeline::from_options(&HidaOptions {
             device,
             ..HidaOptions::default()
-        };
-        // The textual path cannot carry a non-catalog device; the fallback must
-        // still produce the full flow with the custom device wired through.
-        let pipeline = Pipeline::from_options(&options);
-        assert_eq!(pipeline.len(), 7);
-        assert!(pipeline.to_text().contains("device=custom-board"));
-
-        let mut ctx = Context::new();
-        let (module, func) = twomm_func(&mut ctx);
-        let mut pipeline = Pipeline::from_options(&options);
-        pipeline.run(&mut ctx, func).unwrap();
-        hida_ir_core::verifier::verify(&ctx, module).unwrap();
-    }
-
-    #[test]
-    fn hand_added_passes_render_under_their_instance_names() {
-        let mut pipeline = Pipeline::new();
-        pipeline.add_pass(ConstructPass);
-        pipeline.add_pass(LowerPass);
-        assert_eq!(
-            pipeline.to_text(),
-            "hida-construct-dataflow,hida-lower-structural"
-        );
-        // The standard registry resolves instance names as aliases, so even a
-        // hand-assembled pipeline's text parses back to an equivalent flow.
-        let reparsed = Pipeline::parse(&crate::registry::registry(), &pipeline.to_text()).unwrap();
-        assert_eq!(reparsed.pass_names(), pipeline.pass_names());
+        });
     }
 
     #[test]
@@ -832,9 +747,11 @@ mod tests {
     fn structural_passes_fail_without_lowering() {
         let mut ctx = Context::new();
         let (_module, func) = twomm_func(&mut ctx);
-        let mut pipeline = Pipeline::new();
-        pipeline.add_pass(ConstructPass);
-        pipeline.add_pass(MultiProducerEliminationPass);
+        let mut pipeline = Pipeline::parse(
+            &crate::registry::registry(),
+            "construct,multi-producer-elim",
+        )
+        .unwrap();
         let err = pipeline.run(&mut ctx, func).unwrap_err();
         let message = err.to_string();
         assert!(message.contains("hida-lower-structural"));

@@ -1,6 +1,6 @@
-//! The HIDA-OPT pass registry: every optimizer pass registered by name, with its
-//! knobs as named options, so pipelines can be assembled from text
-//! (`construct,fusion,lower,...`) instead of compiled-in `add_pass` sequences.
+//! The HIDA-OPT pass registry: a static table of the seven optimizer passes,
+//! with their knobs as named options, so pipelines are assembled from text
+//! (`construct,fusion,lower,...`).
 //!
 //! Each pass resolves under a short canonical name *and* its long `hida-*`
 //! instance name (the one recorded in `PassStatistics`), so a pipeline printed
@@ -16,8 +16,9 @@
 //! | `balance` | `hida-balance-data-paths` | `external-threshold-bytes` |
 //! | `parallelize` | `hida-parallelize` | `max-factor`/`max-parallel-factor`, `mode`, `device` |
 //!
-//! [`registry`] builds the registry; [`registry_listing`] renders it for the
-//! `hida-opt --list-passes` CLI surface.
+//! [`PASSES`] is the table; [`Registry::create`] turns one parsed invocation
+//! into its pass; [`registry_listing`] renders the table for the `hida-opt
+//! --list-passes` CLI surface.
 
 use crate::fusion::{ConvPoolFusion, ElementwiseFusion, FusionPattern};
 use crate::pipeline::{
@@ -26,294 +27,351 @@ use crate::pipeline::{
 };
 use crate::ParallelMode;
 use hida_estimator::device::FpgaDevice;
-use hida_ir_core::registry::{PassRegistry, PassSpec};
-use hida_ir_core::PassOption;
-use std::fmt::Write as _;
+use hida_ir_core::{Pass, PassInvocation, PassOption, PipelineParseError};
+use std::error::Error;
+use std::fmt::{self, Write as _};
 
-/// Default tile size when `tiling` is invoked without a `factor`.
-const DEFAULT_TILE_SIZE: i64 = 8;
-/// Default external-memory spill threshold in bytes (64 KiB, the
-/// `HidaOptions::default()` value).
-const DEFAULT_EXTERNAL_THRESHOLD_BYTES: i64 = 64 * 1024;
-/// Default per-node parallel factor cap.
-const DEFAULT_MAX_PARALLEL_FACTOR: i64 = 32;
-/// Default target device name.
-const DEFAULT_DEVICE: &str = "vu9p-slr";
-
-/// Typed access to parsed pass options with unknown-name rejection. Each entry
-/// of `known` lists the aliases of one logical option; the last occurrence of
-/// any alias wins.
-struct OptionReader<'a> {
-    options: &'a [PassOption],
+/// One documented option of a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OptionDoc {
+    /// Option name as written in pipeline text.
+    pub name: &'static str,
+    /// A second spelling of the same option, when it has one.
+    pub alias: Option<&'static str>,
+    /// One-line human-readable description.
+    pub description: &'static str,
+    /// The value an invocation that omits the option gets.
+    pub default: &'static str,
 }
 
-impl<'a> OptionReader<'a> {
-    fn new(options: &'a [PassOption], known: &[&[&str]]) -> Result<Self, String> {
-        for option in options {
-            if !known
-                .iter()
-                .any(|aliases| aliases.contains(&option.name.as_str()))
-            {
-                let names: Vec<&str> = known.iter().map(|aliases| aliases[0]).collect();
-                return Err(format!(
-                    "unknown option '{}' (accepted: {})",
-                    option.name,
-                    if names.is_empty() {
-                        "none".to_string()
-                    } else {
-                        names.join(", ")
-                    }
-                ));
+impl OptionDoc {
+    fn accepts(&self, name: &str) -> bool {
+        self.name == name || self.alias == Some(name)
+    }
+}
+
+/// One pass of the table: its names and its documentation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassInfo {
+    /// Canonical pass name.
+    pub name: &'static str,
+    /// The pass instance's own `hida-*` name, accepted as a second spelling.
+    pub alias: &'static str,
+    /// One-line description.
+    pub description: &'static str,
+    /// Documented options.
+    pub options: &'static [OptionDoc],
+}
+
+const EXTERNAL_THRESHOLD_DEFAULT: &str = "65536";
+
+/// The seven HIDA-OPT passes, in flow order.
+pub static PASSES: [PassInfo; 7] = [
+    PassInfo {
+        name: "construct",
+        alias: "hida-construct-dataflow",
+        description: "functional dataflow construction: wrap regions into hida.dispatch/hida.task (Algorithm 1)",
+        options: &[],
+    },
+    PassInfo {
+        name: "fusion",
+        alias: "hida-task-fusion",
+        description: "pattern- and criticality-driven task fusion (Algorithm 2)",
+        options: &[OptionDoc {
+            name: "patterns",
+            alias: None,
+            description: "'+'-separated fusion pattern names",
+            default: "elementwise-fusion+conv-pool-fusion",
+        }],
+    },
+    PassInfo {
+        name: "lower",
+        alias: "hida-lower-structural",
+        description: "structural dataflow construction: lower to hida.schedule/node/buffer (paper \u{a7}6.3)",
+        options: &[],
+    },
+    PassInfo {
+        name: "multi-producer-elim",
+        alias: "hida-eliminate-multi-producers",
+        description: "multi-producer elimination via buffer duplication / producer fusion (Algorithm 3)",
+        options: &[],
+    },
+    PassInfo {
+        name: "tiling",
+        alias: "hida-tiling",
+        description: "loop tiling plus external-memory spilling of oversized buffers (paper \u{a7}7.2)",
+        options: &[
+            OptionDoc {
+                name: "factor",
+                alias: Some("tile-size"),
+                description: "square spatial tile size (alias: tile-size)",
+                default: "8",
+            },
+            OptionDoc {
+                name: "external-threshold-bytes",
+                alias: None,
+                description: "buffers above this many bytes spill to external memory",
+                default: EXTERNAL_THRESHOLD_DEFAULT,
+            },
+        ],
+    },
+    PassInfo {
+        name: "balance",
+        alias: "hida-balance-data-paths",
+        description: "data-path balancing: buffer deepening and soft FIFOs with token flow (paper \u{a7}6.4.2)",
+        options: &[OptionDoc {
+            name: "external-threshold-bytes",
+            alias: None,
+            description: "deepened buffers above this many bytes become soft FIFOs",
+            default: EXTERNAL_THRESHOLD_DEFAULT,
+        }],
+    },
+    PassInfo {
+        name: "parallelize",
+        alias: "hida-parallelize",
+        description: "intensity- and connection-aware parallelization plus array partitioning (Algorithm 4)",
+        options: &[
+            OptionDoc {
+                name: "max-factor",
+                alias: Some("max-parallel-factor"),
+                description: "maximum parallel factor per node (alias: max-parallel-factor)",
+                default: "32",
+            },
+            OptionDoc {
+                name: "mode",
+                alias: None,
+                description: "parallelization strategy: IA+CA, IA, CA or Naive",
+                default: "IA+CA",
+            },
+            OptionDoc {
+                name: "device",
+                alias: None,
+                description: "catalog device: pynq-z2, zu3eg or vu9p-slr",
+                default: "vu9p-slr",
+            },
+        ],
+    },
+];
+
+/// Error raised while turning pipeline text into runnable passes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PipelineError {
+    /// The pipeline text itself was malformed.
+    Parse(PipelineParseError),
+    /// A pass name did not resolve in the table.
+    UnknownPass {
+        /// The unresolved name.
+        name: String,
+        /// Canonical names of all passes, in flow order.
+        known: Vec<String>,
+    },
+    /// A pass rejected its options.
+    InvalidOption {
+        /// Canonical name of the pass.
+        pass: String,
+        /// Human-readable reason.
+        reason: String,
+    },
+}
+
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::Parse(e) => write!(f, "{e}"),
+            PipelineError::UnknownPass { name, known } => write!(
+                f,
+                "unknown pass '{name}' (registered passes: {})",
+                known.join(", ")
+            ),
+            PipelineError::InvalidOption { pass, reason } => {
+                write!(f, "invalid options for pass '{pass}': {reason}")
             }
         }
-        Ok(OptionReader { options })
+    }
+}
+
+impl Error for PipelineError {}
+
+impl From<PipelineParseError> for PipelineError {
+    fn from(e: PipelineParseError) -> Self {
+        PipelineError::Parse(e)
+    }
+}
+
+/// The options one invocation gave its pass, checked against the pass's
+/// documented options. A value is the last occurrence under either spelling,
+/// else the table's default.
+struct Options<'a> {
+    docs: &'static [OptionDoc],
+    given: &'a [PassOption],
+}
+
+impl<'a> Options<'a> {
+    fn new(info: &PassInfo, given: &'a [PassOption]) -> Result<Self, String> {
+        if let Some(unknown) = given
+            .iter()
+            .find(|option| !info.options.iter().any(|doc| doc.accepts(&option.name)))
+        {
+            let names: Vec<&str> = info.options.iter().map(|doc| doc.name).collect();
+            return Err(format!(
+                "unknown option '{}' (accepted: {})",
+                unknown.name,
+                if names.is_empty() {
+                    "none".to_string()
+                } else {
+                    names.join(", ")
+                }
+            ));
+        }
+        Ok(Options {
+            docs: info.options,
+            given,
+        })
     }
 
-    /// Raw value of the last occurrence of any alias.
-    fn get(&self, aliases: &[&str]) -> Option<&'a str> {
-        self.options
+    fn value(&self, name: &str) -> &'a str {
+        let doc = self
+            .docs
+            .iter()
+            .find(|doc| doc.name == name)
+            .expect("the pass documents the option it reads");
+        self.given
             .iter()
             .rev()
-            .find(|o| aliases.contains(&o.name.as_str()))
-            .map(|o| o.value.as_str())
+            .find(|option| doc.accepts(&option.name))
+            .map_or(doc.default, |option| option.value.as_str())
     }
 
-    /// Integer-valued option with a default.
-    fn int(&self, aliases: &[&str], default: i64) -> Result<i64, String> {
-        match self.get(aliases) {
-            Some(value) => value
-                .parse()
-                .map_err(|_| format!("option '{}': '{value}' is not an integer", aliases[0])),
-            None => Ok(default),
+    fn positive_int(&self, name: &str) -> Result<i64, String> {
+        let value = self.value(name);
+        let parsed: i64 = value
+            .parse()
+            .map_err(|_| format!("option '{name}': '{value}' is not an integer"))?;
+        if parsed < 1 {
+            return Err(format!("option '{name}': {parsed} must be >= 1"));
         }
-    }
-
-    /// Positive-integer-valued option with a default.
-    fn positive_int(&self, aliases: &[&str], default: i64) -> Result<i64, String> {
-        let value = self.int(aliases, default)?;
-        if value < 1 {
-            return Err(format!("option '{}': {value} must be >= 1", aliases[0]));
-        }
-        Ok(value)
+        Ok(parsed)
     }
 }
 
 /// Resolves one fusion pattern name (as printed by `FusionPass`'s `patterns`
 /// option) into a pattern instance.
-fn fusion_pattern_by_name(name: &str) -> Option<Box<dyn FusionPattern>> {
+fn fusion_pattern_by_name(name: &str) -> Result<Box<dyn FusionPattern>, String> {
     match name {
-        "elementwise-fusion" => Some(Box::new(ElementwiseFusion)),
-        "conv-pool-fusion" => Some(Box::new(ConvPoolFusion)),
-        _ => None,
+        "elementwise-fusion" => Ok(Box::new(ElementwiseFusion)),
+        "conv-pool-fusion" => Ok(Box::new(ConvPoolFusion)),
+        _ => Err(format!(
+            "option 'patterns': unknown fusion pattern '{name}' \
+             (known: elementwise-fusion, conv-pool-fusion)"
+        )),
     }
 }
 
-/// Builds the registry holding all eight HIDA-OPT passes.
-pub fn registry() -> PassRegistry {
-    let mut registry = PassRegistry::new();
-    registry.register(
-        PassSpec::new(
-            "construct",
-            "functional dataflow construction: wrap regions into hida.dispatch/hida.task (Algorithm 1)",
-            |options| {
-                OptionReader::new(options, &[])?;
-                Ok(Box::new(ConstructPass))
-            },
-        )
-        .with_alias("hida-construct-dataflow"),
-    );
-    registry.register(
-        PassSpec::new(
-            "fusion",
-            "pattern- and criticality-driven task fusion (Algorithm 2)",
-            |options| {
-                let reader = OptionReader::new(options, &[&["patterns"]])?;
-                let pass = match reader.get(&["patterns"]) {
-                    Some(list) => {
-                        let patterns = list
-                            .split('+')
-                            .map(|name| {
-                                fusion_pattern_by_name(name).ok_or_else(|| {
-                                    format!(
-                                        "option 'patterns': unknown fusion pattern '{name}' \
-                                         (known: elementwise-fusion, conv-pool-fusion)"
-                                    )
-                                })
-                            })
-                            .collect::<Result<Vec<_>, String>>()?;
-                        FusionPass::with_patterns(patterns)
-                    }
-                    None => FusionPass::new(),
-                };
-                Ok(Box::new(pass))
-            },
-        )
-        .with_alias("hida-task-fusion")
-        .with_option(
-            "patterns",
-            "'+'-separated fusion pattern names",
-            Some("elementwise-fusion+conv-pool-fusion"),
-        ),
-    );
-    registry.register(
-        PassSpec::new(
-            "lower",
-            "structural dataflow construction: lower to hida.schedule/node/buffer (paper \u{a7}6.3)",
-            |options| {
-                OptionReader::new(options, &[])?;
-                Ok(Box::new(LowerPass))
-            },
-        )
-        .with_alias("hida-lower-structural"),
-    );
-    registry.register(
-        PassSpec::new(
-            "multi-producer-elim",
-            "multi-producer elimination via buffer duplication / producer fusion (Algorithm 3)",
-            |options| {
-                OptionReader::new(options, &[])?;
-                Ok(Box::new(MultiProducerEliminationPass))
-            },
-        )
-        .with_alias("hida-eliminate-multi-producers"),
-    );
-    registry.register(
-        PassSpec::new(
-            "tiling",
-            "loop tiling plus external-memory spilling of oversized buffers (paper \u{a7}7.2)",
-            |options| {
-                let reader = OptionReader::new(
-                    options,
-                    &[&["factor", "tile-size"], &["external-threshold-bytes"]],
-                )?;
-                Ok(Box::new(TilingPass {
-                    tile_size: reader.positive_int(&["factor", "tile-size"], DEFAULT_TILE_SIZE)?,
-                    external_threshold_bytes: reader.positive_int(
-                        &["external-threshold-bytes"],
-                        DEFAULT_EXTERNAL_THRESHOLD_BYTES,
-                    )?,
-                }))
-            },
-        )
-        .with_alias("hida-tiling")
-        .with_option(
-            "factor",
-            "square spatial tile size (alias: tile-size)",
-            Some("8"),
-        )
-        .with_option(
-            "external-threshold-bytes",
-            "buffers above this many bytes spill to external memory",
-            Some("65536"),
-        ),
-    );
-    registry.register(
-        PassSpec::new(
-            "balance",
-            "data-path balancing: buffer deepening and soft FIFOs with token flow (paper \u{a7}6.4.2)",
-            |options| {
-                let reader = OptionReader::new(options, &[&["external-threshold-bytes"]])?;
-                Ok(Box::new(BalancePass {
-                    external_threshold_bytes: reader.positive_int(
-                        &["external-threshold-bytes"],
-                        DEFAULT_EXTERNAL_THRESHOLD_BYTES,
-                    )?,
-                }))
-            },
-        )
-        .with_alias("hida-balance-data-paths")
-        .with_option(
-            "external-threshold-bytes",
-            "deepened buffers above this many bytes become soft FIFOs",
-            Some("65536"),
-        ),
-    );
-    registry.register(
-        PassSpec::new(
-            "parallelize",
-            "intensity- and connection-aware parallelization plus array partitioning (Algorithm 4)",
-            |options| {
-                let reader = OptionReader::new(
-                    options,
-                    &[
-                        &["max-factor", "max-parallel-factor"],
-                        &["mode"],
-                        &["device"],
-                    ],
-                )?;
-                let mode = match reader.get(&["mode"]) {
-                    Some(label) => ParallelMode::from_label(label).ok_or_else(|| {
-                        format!(
-                            "option 'mode': unknown mode '{label}' \
-                             (known: IA+CA, IA, CA, Naive)"
-                        )
-                    })?,
-                    None => ParallelMode::IaCa,
-                };
-                let device_name = reader.get(&["device"]).unwrap_or(DEFAULT_DEVICE);
-                let device = FpgaDevice::by_name(device_name).ok_or_else(|| {
-                    let known: Vec<String> =
-                        FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
-                    format!(
-                        "option 'device': unknown device '{device_name}' (known: {})",
-                        known.join(", ")
-                    )
-                })?;
-                Ok(Box::new(ParallelizePass {
-                    max_parallel_factor: reader.positive_int(
-                        &["max-factor", "max-parallel-factor"],
-                        DEFAULT_MAX_PARALLEL_FACTOR,
-                    )?,
-                    mode,
-                    device,
-                }))
-            },
-        )
-        .with_alias("hida-parallelize")
-        .with_option(
-            "max-factor",
-            "maximum parallel factor per node (alias: max-parallel-factor)",
-            Some("32"),
-        )
-        .with_option(
-            "mode",
-            "parallelization strategy: IA+CA, IA, CA or Naive",
-            Some("IA+CA"),
-        )
-        .with_option(
-            "device",
-            "catalog device: pynq-z2, zu3eg or vu9p-slr",
-            Some("vu9p-slr"),
-        ),
-    );
-    registry
+/// The pass `info` names, configured by `options`.
+fn build(info: &PassInfo, options: &Options<'_>) -> Result<Box<dyn Pass>, String> {
+    Ok(match info.name {
+        "construct" => Box::new(ConstructPass),
+        "fusion" => Box::new(FusionPass::with_patterns(
+            options
+                .value("patterns")
+                .split('+')
+                .map(fusion_pattern_by_name)
+                .collect::<Result<_, _>>()?,
+        )),
+        "lower" => Box::new(LowerPass),
+        "multi-producer-elim" => Box::new(MultiProducerEliminationPass),
+        "tiling" => Box::new(TilingPass {
+            tile_size: options.positive_int("factor")?,
+            external_threshold_bytes: options.positive_int("external-threshold-bytes")?,
+        }),
+        "balance" => Box::new(BalancePass {
+            external_threshold_bytes: options.positive_int("external-threshold-bytes")?,
+        }),
+        "parallelize" => {
+            let label = options.value("mode");
+            let mode = ParallelMode::from_label(label).ok_or_else(|| {
+                format!("option 'mode': unknown mode '{label}' (known: IA+CA, IA, CA, Naive)")
+            })?;
+            let name = options.value("device");
+            let device = FpgaDevice::by_name(name).ok_or_else(|| {
+                let known: Vec<String> =
+                    FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
+                format!(
+                    "option 'device': unknown device '{name}' (known: {})",
+                    known.join(", ")
+                )
+            })?;
+            Box::new(ParallelizePass {
+                max_parallel_factor: options.positive_int("max-factor")?,
+                mode,
+                device,
+            })
+        }
+        other => unreachable!("pass '{other}' has a table entry but no constructor"),
+    })
 }
 
-/// Renders the registry for `hida-opt --list-passes`: one block per pass with
-/// its canonical name, aliases, description and option table.
+/// The pass table as a value: what [`crate::Pipeline::parse`] resolves pass
+/// names through. Holds nothing; every method reads [`PASSES`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Registry;
+
+impl Registry {
+    /// Resolves a canonical name or alias to its table entry.
+    fn get(&self, name: &str) -> Option<&'static PassInfo> {
+        PASSES
+            .iter()
+            .find(|info| info.name == name || info.alias == name)
+    }
+
+    /// Instantiates one invocation, returning the pass together with its
+    /// *normalized* invocation: the canonical pass name and the options the
+    /// created instance reports (defaults filled in, aliases resolved), so
+    /// printed pipelines re-parse to the identical configuration.
+    ///
+    /// # Errors
+    /// [`PipelineError::UnknownPass`] for unresolved names,
+    /// [`PipelineError::InvalidOption`] for rejected options.
+    pub fn create(
+        &self,
+        invocation: &PassInvocation,
+    ) -> Result<(PassInvocation, Box<dyn Pass>), PipelineError> {
+        let info = self
+            .get(&invocation.name)
+            .ok_or_else(|| PipelineError::UnknownPass {
+                name: invocation.name.clone(),
+                known: PASSES.iter().map(|info| info.name.to_string()).collect(),
+            })?;
+        let pass = Options::new(info, &invocation.options)
+            .and_then(|options| build(info, &options))
+            .map_err(|reason| PipelineError::InvalidOption {
+                pass: info.name.to_string(),
+                reason,
+            })?;
+        let normalized = PassInvocation::with_options(info.name, pass.options());
+        Ok((normalized, pass))
+    }
+}
+
+/// The table of the seven HIDA-OPT passes. Allocates nothing.
+pub fn registry() -> Registry {
+    Registry
+}
+
+/// Renders the table for `hida-opt --list-passes`: one block per pass with
+/// its canonical name, alias, description and option table.
 pub fn registry_listing() -> String {
-    let registry = registry();
     let mut out = String::from("Registered passes:\n");
-    for spec in registry.specs() {
-        let aliases = if spec.aliases().is_empty() {
-            String::new()
-        } else {
-            format!(" ({})", spec.aliases().join(", "))
-        };
-        let _ = writeln!(out, "  {}{aliases}", spec.name());
-        let _ = writeln!(out, "      {}", spec.description());
-        if !spec.options().is_empty() {
+    for info in &PASSES {
+        let _ = writeln!(out, "  {} ({})", info.name, info.alias);
+        let _ = writeln!(out, "      {}", info.description);
+        if !info.options.is_empty() {
             let _ = writeln!(out, "      options:");
-            for option in spec.options() {
-                let default = option
-                    .default
-                    .as_ref()
-                    .map(|d| format!(" [default: {d}]"))
-                    .unwrap_or_default();
+            for option in info.options {
                 let _ = writeln!(
                     out,
-                    "        {:<26} {}{default}",
-                    option.name, option.description
+                    "        {:<26} {} [default: {}]",
+                    option.name, option.description, option.default
                 );
             }
         }
@@ -324,10 +382,32 @@ pub fn registry_listing() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hida_ir_core::PassInvocation;
+    use hida_ir_core::parse_pipeline;
+
+    const FLOW: [&str; 7] = [
+        "construct",
+        "fusion",
+        "lower",
+        "multi-producer-elim",
+        "tiling",
+        "balance",
+        "parallelize",
+    ];
+
+    /// Every invocation of `text`, created through the table.
+    fn build_all(text: &str) -> Result<Vec<PassInvocation>, PipelineError> {
+        parse_pipeline(text)?
+            .iter()
+            .map(|invocation| {
+                registry()
+                    .create(invocation)
+                    .map(|(normalized, _)| normalized)
+            })
+            .collect()
+    }
 
     fn create_err(text: &str) -> String {
-        match registry().build(text) {
+        match build_all(text) {
             Ok(_) => panic!("expected '{text}' to fail"),
             Err(e) => e.to_string(),
         }
@@ -335,23 +415,29 @@ mod tests {
 
     #[test]
     fn all_seven_passes_are_registered_in_flow_order() {
-        assert_eq!(
-            registry().pass_names(),
-            vec![
-                "construct",
-                "fusion",
-                "lower",
-                "multi-producer-elim",
-                "tiling",
-                "balance",
-                "parallelize",
-            ]
-        );
+        let names: Vec<&str> = PASSES.iter().map(|p| p.name).collect();
+        assert_eq!(names, FLOW);
+    }
+
+    #[test]
+    fn registry_resolves_names_and_aliases() {
+        // Both spellings of every pass resolve to the same entry and build
+        // the pass whose instance name is the alias.
+        for info in &PASSES {
+            for spelling in [info.name, info.alias] {
+                assert_eq!(registry().get(spelling), Some(info), "{spelling}");
+                let (normalized, pass) = registry()
+                    .create(&PassInvocation::new(spelling))
+                    .unwrap_or_else(|e| panic!("{spelling}: {e}"));
+                assert_eq!(normalized.name, info.name);
+                assert_eq!(pass.name(), info.alias);
+            }
+        }
+        assert_eq!(registry().get("nonsense"), None);
     }
 
     #[test]
     fn long_pass_names_resolve_as_aliases() {
-        let registry = registry();
         for (long, short) in [
             ("hida-construct-dataflow", "construct"),
             ("hida-task-fusion", "fusion"),
@@ -361,14 +447,30 @@ mod tests {
             ("hida-balance-data-paths", "balance"),
             ("hida-parallelize", "parallelize"),
         ] {
-            assert_eq!(registry.get(long).unwrap().name(), short, "{long}");
+            assert_eq!(registry().get(long).unwrap().name, short, "{long}");
         }
     }
 
     #[test]
+    fn create_normalizes_to_canonical_name_and_reported_options() {
+        // No options given: the instance reports the table's defaults.
+        let (normalized, _) = registry()
+            .create(&PassInvocation::new("hida-parallelize"))
+            .unwrap();
+        assert_eq!(normalized.name, "parallelize");
+        assert_eq!(
+            normalized.options,
+            vec![
+                PassOption::new("max-parallel-factor", 32),
+                PassOption::new("mode", "IA+CA"),
+                PassOption::new("device", "vu9p-slr"),
+            ]
+        );
+    }
+
+    #[test]
     fn created_instances_normalize_aliases_and_fill_defaults() {
-        let registry = registry();
-        let (normalized, pass) = registry
+        let (normalized, pass) = registry()
             .create(&PassInvocation::with_options(
                 "hida-tiling",
                 vec![PassOption::new("factor", 4)],
@@ -387,9 +489,16 @@ mod tests {
     }
 
     #[test]
+    fn build_parses_and_instantiates() {
+        // The last occurrence of an option wins, under either spelling.
+        let built = build_all("tiling{factor=7},tiling,tiling{factor=3,tile-size=5}").unwrap();
+        let tile_sizes: Vec<&str> = built.iter().map(|i| i.options[0].value.as_str()).collect();
+        assert_eq!(tile_sizes, ["7", "8", "5"]);
+    }
+
+    #[test]
     fn parallelize_options_parse_modes_and_devices() {
-        let registry = registry();
-        let (normalized, _) = registry
+        let (normalized, _) = registry()
             .create(&PassInvocation::with_options(
                 "parallelize",
                 vec![
@@ -411,18 +520,65 @@ mod tests {
 
     #[test]
     fn factories_reject_bad_options() {
-        assert!(create_err("construct{x=1}").contains("unknown option 'x'"));
+        assert!(create_err("construct{x=1}").contains("unknown option 'x' (accepted: none)"));
+        assert!(
+            create_err("tiling{volume=2}").contains("(accepted: factor, external-threshold-bytes)")
+        );
         assert!(create_err("tiling{factor=zero}").contains("is not an integer"));
         assert!(create_err("tiling{factor=0}").contains("must be >= 1"));
+        assert!(create_err("parallelize{max-factor=-4}").contains("must be >= 1"));
         assert!(create_err("parallelize{mode=fast}").contains("unknown mode 'fast'"));
         assert!(create_err("parallelize{device=u250}").contains("unknown device 'u250'"));
         assert!(create_err("fusion{patterns=magic}").contains("unknown fusion pattern 'magic'"));
     }
 
     #[test]
+    fn factory_failures_become_invalid_option_errors() {
+        let err =
+            build_all("hida-balance-data-paths{external-threshold-bytes=banana}").unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::InvalidOption {
+                pass: "balance".into(),
+                reason: "option 'external-threshold-bytes': 'banana' is not an integer".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn unknown_pass_reports_the_known_names() {
+        let err = build_all("construct,frobnicate").unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::UnknownPass {
+                name: "frobnicate".into(),
+                known: FLOW.map(String::from).to_vec(),
+            }
+        );
+        assert!(err.to_string().contains(
+            "registered passes: construct, fusion, lower, multi-producer-elim, tiling, \
+             balance, parallelize"
+        ));
+    }
+
+    #[test]
+    fn parse_errors_pass_through_build() {
+        for text in [
+            "construct,",
+            "tiling{factor=}",
+            "construct,,lower",
+            "tiling{factor~4}",
+        ] {
+            assert!(
+                matches!(build_all(text), Err(PipelineError::Parse(_))),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
     fn fusion_pattern_subsets_are_constructible() {
-        let registry = registry();
-        let (normalized, _) = registry
+        let (normalized, _) = registry()
             .create(&PassInvocation::with_options(
                 "fusion",
                 vec![PassOption::new("patterns", "conv-pool-fusion")],
@@ -432,13 +588,18 @@ mod tests {
             normalized.options,
             vec![PassOption::new("patterns", "conv-pool-fusion")]
         );
+        // Without the option, the table's default is the default pattern set.
+        let (normalized, _) = registry().create(&PassInvocation::new("fusion")).unwrap();
+        let patterns = crate::fusion::default_fusion_patterns();
+        let defaults: Vec<&str> = patterns.iter().map(|p| p.name()).collect();
+        assert_eq!(normalized.options[0].value, defaults.join("+"));
     }
 
     #[test]
     fn listing_mentions_every_pass_and_option_default() {
         let listing = registry_listing();
-        for name in registry().pass_names() {
-            assert!(listing.contains(&name), "listing missing {name}");
+        for info in &PASSES {
+            assert!(listing.contains(info.name), "listing missing {}", info.name);
         }
         assert!(listing.contains("[default: 8]"));
         assert!(listing.contains("hida-parallelize"));

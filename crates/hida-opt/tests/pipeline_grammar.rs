@@ -3,9 +3,8 @@
 //! property-based `parse(print(p)) == p` round-trip over randomly composed
 //! pipelines.
 
-use hida_ir_core::registry::PipelineError;
 use hida_ir_core::{parse_pipeline, print_pipeline, PassInvocation, PassOption};
-use hida_opt::{registry, Pipeline};
+use hida_opt::{registry, Pipeline, PipelineError};
 use proptest::prelude::*;
 
 fn parse_err(text: &str) -> PipelineError {

@@ -1,5 +1,5 @@
 //! The pipeline-driven optimizer must produce the same schedule and QoR as the
-//! hand-rolled pass sequence it replaced (the pre-pipeline `HidaOptimizer::run`).
+//! hand-rolled pass sequence it replaced (the optimizer's pre-pipeline driver).
 //!
 //! The reference below replays that exact sequence by calling the pass-module free
 //! functions directly. Two subjects are compared against it: the
@@ -16,7 +16,7 @@ use hida_frontend::nn::{build_model, Model};
 use hida_frontend::polybench::{build_kernel, PolybenchKernel};
 use hida_ir_core::{Context, OpId};
 use hida_opt::{construct, fusion, lower, parallelize, structural_opt, tiling};
-use hida_opt::{registry, HidaOptimizer, HidaOptions, Pipeline};
+use hida_opt::{registry, HidaOptions, Pipeline};
 
 /// One comparable snapshot of an optimized schedule.
 #[derive(Debug, PartialEq)]
@@ -139,9 +139,8 @@ fn assert_parity(workload: TestWorkload, options: HidaOptions) {
     // Subject: the pipeline-driven optimizer.
     let mut ctx = Context::new();
     let func = build(&mut ctx, &workload);
-    let (schedule, statistics) = HidaOptimizer::new(options.clone())
-        .run_with_statistics(&mut ctx, func)
-        .unwrap();
+    let mut pipeline = Pipeline::from_options(&options);
+    let schedule = pipeline.run(&mut ctx, func).unwrap();
     let pipe_snapshot = snapshot(&ctx, schedule);
     let pipe_estimate = estimate(&ctx, schedule, &options);
 
@@ -155,7 +154,7 @@ fn assert_parity(workload: TestWorkload, options: HidaOptions) {
         pipe_estimate.resources, ref_estimate.resources,
         "resource QoR diverged"
     );
-    assert!(!statistics.is_empty());
+    assert!(!pipeline.statistics().is_empty());
 
     // Second subject: the registry-built flow, parsed from the textual pipeline
     // and round-tripped once through to_text.

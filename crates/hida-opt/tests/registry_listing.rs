@@ -6,7 +6,8 @@
 //! `cargo run -p hida --bin hida-opt -- --list-passes > \
 //!  crates/hida-opt/tests/snapshots/registry_listing.snap` and review the diff.
 
-use hida_opt::{registry, registry_listing};
+use hida_opt::registry::PASSES;
+use hida_opt::registry_listing;
 
 const SNAPSHOT: &str = include_str!("snapshots/registry_listing.snap");
 
@@ -30,22 +31,22 @@ fn listing_matches_the_snapshot() {
 #[test]
 fn snapshot_covers_every_registered_pass_and_option() {
     // Guards against a stale snapshot that still matches structurally: every
-    // canonical name, alias and option of the live registry must appear.
-    for spec in registry().specs().iter() {
+    // canonical name, alias, option and default of the table must appear.
+    for pass in &PASSES {
+        assert!(SNAPSHOT.contains(pass.name), "missing pass {}", pass.name);
         assert!(
-            SNAPSHOT.contains(spec.name()),
-            "missing pass {}",
-            spec.name()
+            SNAPSHOT.contains(pass.alias),
+            "missing alias {}",
+            pass.alias
         );
-        for alias in spec.aliases() {
-            assert!(SNAPSHOT.contains(alias.as_str()), "missing alias {alias}");
-        }
-        for option in spec.options() {
+        for option in pass.options {
             assert!(
-                SNAPSHOT.contains(option.name.as_str()),
+                SNAPSHOT.contains(option.name),
                 "missing option {}",
                 option.name
             );
+            let default = format!("[default: {}]", option.default);
+            assert!(SNAPSHOT.contains(&default), "missing {default}");
         }
     }
 }

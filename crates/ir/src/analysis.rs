@@ -344,16 +344,6 @@ impl AnalysisManager {
         }
     }
 
-    /// Silently drops entries belonging to any context other than `ctx`: they
-    /// can never be valid again and would otherwise linger (and be reported as
-    /// phantom invalidations) when one pass manager is reused across compiles.
-    /// Entries of `ctx` itself are kept — rerunning a pipeline over unchanged
-    /// IR legitimately hits them.
-    pub fn retain_context(&mut self, ctx: &Context) {
-        let id = ctx.id();
-        self.entries.retain(|_, entry| entry.ctx_id == id);
-    }
-
     /// Drops every analysis cached for `root`, regardless of type.
     pub fn invalidate_root(&mut self, root: OpId) {
         let before = self.entries.len();

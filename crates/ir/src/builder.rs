@@ -150,11 +150,6 @@ impl<'a> OpBuilder<'a> {
     pub fn create_return(&mut self, operands: Vec<ValueId>) -> OpId {
         self.create(op_names::RETURN, operands, vec![], vec![]).0
     }
-
-    /// Creates a generic `builtin.yield` terminator.
-    pub fn create_yield(&mut self, operands: Vec<ValueId>) -> OpId {
-        self.create(op_names::YIELD, operands, vec![], vec![]).0
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +224,7 @@ mod tests {
         let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
         let mut b = OpBuilder::at_end_of(&mut ctx, func);
         let c = b.create_constant_float(0.5, Type::f32());
-        let y = b.create_yield(vec![c]);
+        let (y, _) = b.create(op_names::YIELD, vec![c], vec![], vec![]);
         assert_eq!(ctx.value_type(c), &Type::f32());
         assert_eq!(ctx.op(y).operands, vec![c]);
     }

@@ -15,7 +15,8 @@
 //! * an [`OpBuilder`] with insertion points,
 //! * a textual [printer], a structural [verifier],
 //! * pre/post-order [walkers](walk), use-def chains and replace-all-uses,
-//! * a [pattern rewriting](rewrite) driver and a [pass manager](pass),
+//! * a [pass manager](pass) and the textual pipeline grammar it is
+//!   configured with ([`parse_pipeline`]),
 //! * a cached [analysis manager](analysis) with generation-based invalidation
 //!   and per-pass preservation declarations,
 //! * a std-only work-stealing [pool](par) on which a sweep compiles its design
@@ -50,8 +51,6 @@ pub mod par;
 pub mod parse;
 pub mod pass;
 pub mod printer;
-pub mod registry;
-pub mod rewrite;
 pub mod storage;
 pub mod types;
 pub mod verifier;
@@ -79,8 +78,6 @@ pub use parse::{
     PipelineParseError,
 };
 pub use pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState, Verified};
-pub use registry::{OptionSpec, PassRegistry, PassSpec, PipelineError};
-pub use rewrite::{apply_patterns_greedily, RewritePattern};
 pub use storage::{EntityMap, EntitySet, IdList};
 pub use types::Type;
 pub use walk::{walk_ops_postorder, walk_ops_preorder, WalkOrder};

@@ -2,8 +2,9 @@
 //!
 //! HIDA-OPT is organised as a pipeline of passes over the IR (Functional dataflow
 //! construction, task fusion, lowering, structural optimization, parallelization,
-//! ...). The [`PassManager`] runs passes in order, verifies the IR between passes,
-//! and records per-pass [`PassStatistics`].
+//! ...). The [`PassManager`] runs a range of its passes in order over a
+//! [`RunState`], verifies the IR between passes, and records per-pass
+//! [`PassStatistics`] into the state.
 //!
 //! Passes communicate through a [`PipelineState`]: a typed, heterogeneous slot map
 //! keyed by `TypeId`. A lowering pass can deposit the structural handle it produced
@@ -328,16 +329,13 @@ impl RunState {
 }
 
 /// Runs a sequence of passes with optional inter-pass verification. The
-/// passes run over a [`RunState`]: its [`AnalysisManager`] is threaded
-/// through every pass, so cached analyses survive from pass to pass and
-/// per-pass cache traffic lands in [`PassStatistics`]. [`PassManager::run`]
-/// keeps the state of its most recent run; [`PassManager::run_range`] runs
-/// part of the list over a state the caller holds.
+/// passes run over a [`RunState`] the caller holds
+/// ([`PassManager::run_range`]): its [`AnalysisManager`] is threaded through
+/// every pass, so cached analyses survive from pass to pass and per-pass
+/// cache traffic lands in [`PassStatistics`].
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
-    /// Analyses and statistics of the most recent [`PassManager::run`].
-    last: RunState,
 }
 
 impl Default for PassManager {
@@ -352,7 +350,6 @@ impl PassManager {
         PassManager {
             passes: Vec::new(),
             verify_each: true,
-            last: RunState::default(),
         }
     }
 
@@ -381,44 +378,6 @@ impl PassManager {
     /// Names of the registered passes, in execution order.
     pub fn pass_names(&self) -> Vec<String> {
         self.passes.iter().map(|p| p.name().to_string()).collect()
-    }
-
-    /// Statistics of the most recent [`PassManager::run`] invocation — a
-    /// failed run's too, its last record marked `failed`.
-    pub fn statistics(&self) -> &[PassStatistics] {
-        &self.last.statistics
-    }
-
-    /// The analysis cache of [`PassManager::run`].
-    pub fn analyses(&self) -> &AnalysisManager {
-        &self.last.analyses
-    }
-
-    /// Mutable access to that cache, e.g. for post-pipeline reporting that
-    /// wants to reuse results the passes left behind.
-    pub fn analyses_mut(&mut self) -> &mut AnalysisManager {
-        &mut self.last.analyses
-    }
-
-    /// Runs all registered passes in order over the IR rooted at `root` — the
-    /// whole range from empty slots — returning the final pipeline state so
-    /// callers can extract produced artifacts. The manager's own analysis
-    /// cache is kept from run to run.
-    ///
-    /// # Errors
-    /// Propagates the first pass failure or inter-pass verification failure.
-    pub fn run(&mut self, ctx: &mut Context, root: OpId) -> IrResult<PipelineState> {
-        let mut run = std::mem::take(&mut self.last);
-        run.slots = PipelineState::new();
-        run.statistics.clear();
-        run.verified = None;
-        // Entries from other contexts (a reused manager across compiles) can
-        // never be valid here; drop them before any counters are recorded.
-        run.analyses.retain_context(ctx);
-        let result = self.run_range(ctx, root, 0..self.passes.len(), &mut run);
-        let slots = std::mem::take(&mut run.slots);
-        self.last = run;
-        result.map(|()| slots)
     }
 
     /// Runs the passes at `range` of the list over `run`, a state the caller
@@ -590,6 +549,14 @@ mod tests {
     #[derive(Debug, Clone, PartialEq)]
     struct ErasedCount(usize);
 
+    /// Runs every pass of `pm` over a fresh state, the way a pipeline run
+    /// does, and returns the outcome with the state it left.
+    fn run_all(pm: &PassManager, ctx: &mut Context, root: OpId) -> (IrResult<()>, RunState) {
+        let mut run = RunState::default();
+        let result = pm.run_range(ctx, root, 0..pm.len(), &mut run);
+        (result, run)
+    }
+
     fn module_with_constants(ctx: &mut Context, n: usize) -> OpId {
         let module = ctx.create_module("m");
         let func = OpBuilder::at_end_of(ctx, module).create_func("f", vec![], vec![]);
@@ -614,14 +581,16 @@ mod tests {
             pm.pass_names(),
             vec!["count-constants", "erase-constants", "count-constants"]
         );
-        let state = pm.run(&mut ctx, module).unwrap();
-        assert_eq!(pm.statistics().len(), 3);
-        assert_eq!(pm.statistics()[0].pass, "count-constants");
-        assert!(pm.statistics()[1].live_ops_after < pm.statistics()[1].live_ops_before);
-        assert_eq!(pm.statistics()[1].op_delta(), -3);
-        assert_eq!(pm.statistics()[0].op_delta(), 0);
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        result.unwrap();
+        let stats = &run.statistics;
+        assert_eq!(stats.len(), 3);
+        assert_eq!(stats[0].pass, "count-constants");
+        assert!(stats[1].live_ops_after < stats[1].live_ops_before);
+        assert_eq!(stats[1].op_delta(), -3);
+        assert_eq!(stats[0].op_delta(), 0);
         // The erase pass deposited its artifact into the pipeline state.
-        assert_eq!(state.get::<ErasedCount>(), Some(&ErasedCount(3)));
+        assert_eq!(run.slots.get::<ErasedCount>(), Some(&ErasedCount(3)));
     }
 
     #[test]
@@ -878,7 +847,7 @@ mod tests {
         let mut pm = PassManager::new();
         pm.add_pass(Box::new(CountConstantsPass { expected: 99 }));
         pm.add_pass(Box::new(EraseConstantsPass));
-        let err = pm.run(&mut ctx, module).unwrap_err();
+        let err = run_all(&pm, &mut ctx, module).0.unwrap_err();
         assert!(matches!(err, IrError::PassFailed { .. }));
         // The failing pipeline never reached the erase pass.
         assert_eq!(ctx.collect_ops(module, "arith.constant").len(), 2);
@@ -912,15 +881,16 @@ mod tests {
         let module = module_with_constants(&mut ctx, 1);
         let mut pm = PassManager::new();
         pm.add_pass(Box::new(BreakIrPass));
-        assert!(pm.run(&mut ctx, module).is_err());
+        assert!(run_all(&pm, &mut ctx, module).0.is_err());
 
         // With verification disabled, the same pipeline "succeeds".
         let mut ctx2 = Context::new();
         let module2 = module_with_constants(&mut ctx2, 1);
         let mut pm2 = PassManager::new().with_verification(false);
         pm2.add_pass(Box::new(BreakIrPass));
-        assert!(pm2.run(&mut ctx2, module2).is_ok());
-        assert!(!pm2.statistics()[0].verified);
+        let (result, run) = run_all(&pm2, &mut ctx2, module2);
+        assert!(result.is_ok());
+        assert!(!run.statistics[0].verified);
     }
 
     #[test]
@@ -930,10 +900,11 @@ mod tests {
         let mut pm = PassManager::new();
         pm.add_pass(Box::new(CountConstantsPass { expected: 1 }));
         pm.add_pass(Box::new(EraseConstantsPass));
-        pm.run(&mut ctx, module).unwrap();
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        result.unwrap();
         // The analysis pass opted out of verification, the transform did not.
-        assert!(!pm.statistics()[0].verified);
-        assert!(pm.statistics()[1].verified);
+        assert!(!run.statistics[0].verified);
+        assert!(run.statistics[1].verified);
     }
 
     #[test]
@@ -988,12 +959,13 @@ mod tests {
         pm.add_pass(Box::new(EraseConstantsPass));
         pm.add_pass(Box::new(CountConstantsPass { expected: 99 }));
         pm.add_pass(Box::new(EraseConstantsPass));
-        assert!(pm.run(&mut ctx, module).is_err());
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        assert!(result.is_err());
         // The aborting pass leaves a (failed) record; the never-run third pass
         // does not.
-        assert_eq!(pm.statistics().len(), 2);
-        assert!(!pm.statistics()[0].failed);
-        let aborted = &pm.statistics()[1];
+        assert_eq!(run.statistics.len(), 2);
+        assert!(!run.statistics[0].failed);
+        let aborted = &run.statistics[1];
         assert_eq!(aborted.pass, "count-constants");
         assert!(aborted.failed);
         assert!(!aborted.verified);
@@ -1064,8 +1036,9 @@ mod tests {
         pm.add_pass(Box::new(QueryCountPass));
         pm.add_pass(Box::new(AnnotatePass));
         pm.add_pass(Box::new(QueryCountPass));
-        pm.run(&mut ctx, module).unwrap();
-        let stats = pm.statistics();
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        result.unwrap();
+        let stats = &run.statistics;
         assert_eq!(stats[0].cache.misses, 1);
         assert_eq!(stats[1].cache.preserved, 1, "annotate kept the entry alive");
         assert_eq!(
@@ -1083,8 +1056,9 @@ mod tests {
         pm.add_pass(Box::new(QueryCountPass));
         pm.add_pass(Box::new(EraseConstantsPass)); // preserves nothing
         pm.add_pass(Box::new(QueryCountPass));
-        pm.run(&mut ctx, module).unwrap();
-        let stats = pm.statistics();
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        result.unwrap();
+        let stats = &run.statistics;
         assert_eq!(stats[1].cache.invalidations, 1);
         assert_eq!(stats[2].cache.misses, 1);
         assert_eq!(stats[2].cache.hits, 0);
@@ -1106,9 +1080,10 @@ mod tests {
     fn a_run_stopped_at_any_pass_and_resumed_on_a_fork_equals_the_whole_run() {
         let mut whole_ctx = Context::new();
         let whole_module = module_with_constants(&mut whole_ctx, 3);
-        let mut whole = query_annotate_erase_query();
-        let whole_state = whole.run(&mut whole_ctx, whole_module).unwrap();
-        let expected = PassStatistics::without_micros(whole.statistics());
+        let whole = query_annotate_erase_query();
+        let (result, whole_run) = run_all(&whole, &mut whole_ctx, whole_module);
+        result.unwrap();
+        let expected = PassStatistics::without_micros(&whole_run.statistics);
         assert_eq!(
             expected[2].cache.hits, 1,
             "the pipeline exercises the cache"
@@ -1141,7 +1116,7 @@ mod tests {
                 );
                 assert_eq!(
                     forked.slots.get::<ErasedCount>(),
-                    whole_state.get::<ErasedCount>()
+                    whole_run.slots.get::<ErasedCount>()
                 );
                 assert_eq!(
                     crate::printer::print_op(&forked_ctx, module),
@@ -1170,8 +1145,6 @@ mod tests {
         let passes: Vec<&str> = run.statistics.iter().map(|s| s.pass.as_str()).collect();
         assert_eq!(passes, ["erase-constants", "count-constants"]);
         assert!(run.statistics[1].failed);
-        // `run` keeps no record of ranges run over a caller's state.
-        assert!(pm.statistics().is_empty());
     }
 
     #[test]
@@ -1197,7 +1170,8 @@ mod tests {
         let mut pm = PassManager::new();
         pm.add_pass(Box::new(PanicPass));
         pm.add_pass(Box::new(CountConstantsPass { expected: 1 }));
-        let err = pm.run(&mut ctx, module).unwrap_err();
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        let err = result.unwrap_err();
         match &err {
             IrError::WorkerPanic { site, message } => {
                 assert_eq!(site, "pass 'panic-pass'");
@@ -1206,8 +1180,8 @@ mod tests {
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
         // The panicking pass left a failed record; the second pass never ran.
-        assert_eq!(pm.statistics().len(), 1);
-        assert!(pm.statistics()[0].failed);
+        assert_eq!(run.statistics.len(), 1);
+        assert!(run.statistics[0].failed);
     }
 
     #[test]
@@ -1223,7 +1197,7 @@ mod tests {
         let module = module_with_constants(&mut ctx, 1);
         let mut pm = PassManager::new();
         pm.add_pass(Box::new(CountConstantsPass { expected: 1 }));
-        let err = pm.run(&mut ctx, module).unwrap_err();
+        let err = run_all(&pm, &mut ctx, module).0.unwrap_err();
         assert!(
             matches!(&err, IrError::WorkerPanic { message, .. } if message.contains("injected")),
             "expected an injected WorkerPanic, got {err:?}"
@@ -1239,7 +1213,7 @@ mod tests {
         let module = module_with_constants(&mut ctx, 2);
         let mut pm = PassManager::new();
         pm.add_pass(Box::new(EraseConstantsPass));
-        let err = pm.run(&mut ctx, module).unwrap_err();
+        let err = run_all(&pm, &mut ctx, module).0.unwrap_err();
         assert!(
             matches!(&err, IrError::Cancelled { .. }),
             "expected Cancelled, got {err:?}"
@@ -1278,11 +1252,11 @@ mod tests {
         let mut pm = PassManager::new().with_verification(false);
         pm.add_pass(Box::new(QueryCountPass));
         pm.add_pass(Box::new(LyingPass));
-        let err = pm.run(&mut ctx, module).unwrap_err();
-        let message = err.to_string();
+        let (result, run) = run_all(&pm, &mut ctx, module);
+        let message = result.unwrap_err().to_string();
         assert!(message.contains("liar"), "{message}");
         assert!(message.contains("constant-count"), "{message}");
         // The lying pass still left a failed statistics record.
-        assert!(pm.statistics().last().unwrap().failed);
+        assert!(run.statistics.last().unwrap().failed);
     }
 }

@@ -80,23 +80,6 @@ pub fn collect_postorder(ctx: &Context, root: OpId) -> Vec<OpId> {
     out
 }
 
-/// Collects every op below `root` (pre-order, excluding `root`) that satisfies the
-/// predicate. Mirrors `postorder_walk(m, has_region())`-style filtered walks in the
-/// paper's pseudo-code.
-pub fn collect_matching(
-    ctx: &Context,
-    root: OpId,
-    mut pred: impl FnMut(&Context, OpId) -> bool,
-) -> Vec<OpId> {
-    let mut out = Vec::new();
-    walk_ops_preorder(ctx, root, &mut |ctx, op| {
-        if op != root && pred(ctx, op) {
-            out.push(op);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,18 +123,5 @@ mod tests {
         assert!(pos(inner) < pos(outer));
         assert!(pos(outer) < pos(func));
         assert!(pos(func) < pos(module));
-    }
-
-    #[test]
-    fn collect_matching_filters_by_predicate() {
-        let mut ctx = Context::new();
-        let (module, _, outer, inner) = nested_module(&mut ctx);
-        let with_regions = collect_matching(&ctx, module, |ctx, op| !ctx.op(op).regions.is_empty());
-        assert!(with_regions.contains(&outer));
-        assert!(with_regions.contains(&inner));
-        assert!(!with_regions.contains(&module));
-
-        let constants = collect_matching(&ctx, module, |ctx, op| ctx.op(op).is("arith.constant"));
-        assert_eq!(constants.len(), 1);
     }
 }

@@ -123,13 +123,13 @@ mod tests {
     use super::*;
     use hida_estimator::device::FpgaDevice;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
-    use hida_opt::{HidaOptimizer, HidaOptions};
+    use hida_opt::{HidaOptions, Pipeline};
 
     fn optimized(kernel: PolybenchKernel) -> (Context, ScheduleOp) {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
         let func = build_kernel(&mut ctx, module, kernel, 32);
-        let schedule = HidaOptimizer::new(HidaOptions::polybench())
+        let schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx, func)
             .unwrap();
         (ctx, schedule)
