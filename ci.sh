@@ -471,7 +471,37 @@ EOF
     echo "${timed}"
     exit 1
   fi
-  rm -f "${variants}"
+
+  # A deadline is an error returned at a checkpoint, never an unwind: with no
+  # injected faults nothing may panic, whichever points run out of time. A
+  # TwoMm point can finish inside 1 ms, so the reduced Fig. 10 grid on
+  # ResNet-18 runs too: its points run out of time at pass boundaries and
+  # where `finish` starts.
+  echo "==> [chaos] a 1 ms deadline times points out without a single panic"
+  local grid stderr_file workload sweep_file
+  grid=$(mktemp /tmp/hida_chaos_grid.XXXXXX.txt)
+  fig10_grid > "${grid}"
+  stderr_file=$(mktemp /tmp/hida_chaos_stderr.XXXXXX.txt)
+  for workload in two_mm resnet18; do
+    sweep_file="${variants}"
+    [[ "${workload}" == resnet18 ]] && sweep_file="${grid}"
+    set +e
+    timeout 60 cargo run --release -q -p hida --bin hida-opt -- \
+      --workload "${workload}" --sweep "${sweep_file}" --jobs 2 --no-timing \
+      --deadline-ms 1 > /dev/null 2> "${stderr_file}"
+    status=$?
+    set -e
+    if [[ ${status} -eq 124 ]]; then
+      echo "the 1 ms deadline sweep on ${workload} hung past the 60s guard"
+      exit 1
+    fi
+    if grep -q 'panicked' "${stderr_file}"; then
+      echo "a deadline on ${workload} unwound instead of returning an error:"
+      cat "${stderr_file}"
+      exit 1
+    fi
+  done
+  rm -f "${variants}" "${grid}" "${stderr_file}"
 
   echo "==> [chaos] hida-fuzz --chaos (60 cases: every injected fault must be isolated)"
   cargo run --release -q -p hida-fuzz -- \

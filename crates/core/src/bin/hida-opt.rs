@@ -94,7 +94,8 @@ usage: hida-opt [OPTIONS]
                         published first (reads refresh nothing)
   --deadline-ms <n>     per-point wall-clock deadline in milliseconds: a point
                         that exceeds it is cancelled at the next checkpoint
-                        and reported as timed-out; under --sweep the run
+                        (a pass boundary, or the start of estimation) and
+                        reported as timed-out; under --sweep the run
                         continues with the remaining points
   --run-budget-ms <n>   whole-run wall-clock budget of a --sweep/--explore:
                         when it expires, in-flight points are cancelled at
@@ -534,9 +535,10 @@ fn wire(args: &Args) -> Result<Wiring, String> {
             .filter(|plan| !plan.is_empty()),
         None => None,
     };
-    if plan.is_some() || args.deadline_ms.is_some() || args.run_budget_ms.is_some() {
-        // Injected faults and deadline cancellations unwind by design; keep
-        // the default panic hook from spamming stderr with their backtraces.
+    if plan.is_some() {
+        // Injected pass panics unwind by design; keep the default panic hook
+        // from spamming stderr with their backtraces. (A deadline is an
+        // error, not an unwind.)
         fault::silence_expected_panics();
     }
     let cache = match &args.cache_dir {

@@ -56,7 +56,7 @@ pub use hida_frontend::polybench::PolybenchKernel;
 pub use hida_ir_core::analysis::{
     Analysis, AnalysisCacheStats, AnalysisManager, PreservedAnalyses,
 };
-pub use hida_ir_core::fault::{CancelToken, FaultKind, FaultPlan, PointFaults, WorkerFault};
+pub use hida_ir_core::fault::{CancelToken, FaultKind, FaultPlan, PointFaults};
 pub use hida_ir_core::pass::{PassOption, PassStatistics, PipelineState, Verified};
 pub use hida_ir_core::PassInvocation;
 pub use hida_opt::{
@@ -465,9 +465,15 @@ impl Compiler {
     /// pass's own verification walked, as long as
     /// [`LoweredDesign::verified`] still holds for the context.
     ///
+    /// Its start is a cancellation checkpoint, like every pass boundary: a
+    /// deadline that ran out after the last pass stops the design here,
+    /// before it is estimated.
+    ///
     /// # Errors
-    /// Propagates IR verification errors.
+    /// [`IrError::Cancelled`] at `finish` when the thread's point token has
+    /// expired; IR verification errors.
     pub fn finish(&self, lowered: LoweredDesign) -> IrResult<CompilationResult> {
+        hida_ir_core::fault::checkpoint(|| "finish")?;
         let start = Instant::now();
         let LoweredDesign {
             ctx,
@@ -701,6 +707,27 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// A deadline that runs out after the last pass stops the design where
+    /// `finish` starts, as an error rather than an unwind.
+    #[test]
+    fn an_expired_token_stops_finish_before_estimation() {
+        let compiler = Compiler::polybench_defaults();
+        let lowered = compiler
+            .lower(Workload::PolybenchSized(PolybenchKernel::TwoMm, 16))
+            .unwrap();
+        let _guard = hida_ir_core::fault::install_point(CancelToken::with_deadline_ms(0), None);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let err = compiler.finish(lowered).unwrap_err();
+        assert_eq!(
+            err,
+            IrError::Cancelled {
+                site: "finish".into(),
+                detail: "deadline of 0ms exceeded".into(),
+            }
+        );
+        assert_eq!(classify_failure(&err), FailureReason::TimedOut);
     }
 
     #[test]

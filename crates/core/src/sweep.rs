@@ -6,7 +6,7 @@
 //! whole sweep the unit of optimization:
 //!
 //! * [`SweepEngine`] fans [`SweepPoint`]s out over a work-stealing pool
-//!   ([`hida_ir_core::par::run_batch_isolated`]) — the one level of the
+//!   ([`hida_ir_core::par::run_batch`]) — the one level of the
 //!   compiler that starts threads; each point compiles on the worker that
 //!   picked it up. Each design point ends up with a
 //!   [`Context`](hida_ir_core::Context) of its own, so the only coordination
@@ -24,7 +24,11 @@
 //!   emission.
 //! * Each point is one attempt under one fault domain ([`isolated`]): a
 //!   panic, a per-point deadline or the whole-run budget fails that point
-//!   with a structured [`FailureReason`], and the others compile on.
+//!   with a structured [`FailureReason`], and the others compile on. The
+//!   pool itself catches nothing — everything a point does that can fail
+//!   runs inside its `isolated` call — and a deadline is not an unwind: it
+//!   is an [`IrError::Cancelled`] from the first checkpoint (a pass boundary
+//!   or the start of [`Compiler::finish`]) after it passes.
 //! * A [`JobBudget`] is the pool's width: as many design points compile
 //!   concurrently as the thread total allows, never more than there are
 //!   points.
@@ -42,8 +46,8 @@ use crate::prefix::{PrefixStats, PrefixTree};
 use crate::{CompilationResult, Compiler, HidaOptions, Workload};
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
-use hida_ir_core::fault::{self, CancelToken, FaultPlan, PointFaults, WorkerFault};
-use hida_ir_core::par::{default_jobs, run_batch_isolated};
+use hida_ir_core::fault::{self, CancelToken, FaultPlan, PointFaults};
+use hida_ir_core::par::{default_jobs, run_batch};
 use hida_ir_core::{IrError, IrResult, ParallelStats};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -139,9 +143,10 @@ impl JobBudget {
 }
 
 /// Runs `compile` as one fault domain: `token` (its deadline) and any armed
-/// `faults` are this thread's point context for the duration, and a panic or
-/// cancellation unwinding out of it comes back as the structured error for
-/// `site` instead of crossing into the caller. Every sweep point runs through
+/// `faults` are this thread's point context for the duration, and a panic
+/// unwinding out of it comes back as the [`IrError::WorkerPanic`] of `site`
+/// instead of crossing into the caller (an expired token is already an
+/// error: `compile`'s checkpoints return it). Every sweep point runs through
 /// here, and so does `hida-opt`'s single compilation.
 pub fn isolated<T>(
     site: &str,
@@ -313,8 +318,8 @@ impl SweepEngine {
     }
 
     /// Sets a per-point deadline in milliseconds (builder style). Work stops
-    /// at the next cancellation checkpoint (pass boundary or estimator node
-    /// loop) and the point reports a `TimedOut` outcome.
+    /// at the next cancellation checkpoint (a pass boundary, or the start of
+    /// [`Compiler::finish`]) and the point reports a `TimedOut` outcome.
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self
@@ -375,17 +380,9 @@ impl SweepEngine {
         let budget = self.budget_for(points.len());
         let run = self.start(points);
         let indices: Vec<usize> = (0..points.len()).collect();
-        let (results, pool) = run_batch_isolated(budget.pool_jobs, &indices, |&index| {
+        let (outcomes, pool) = run_batch(budget.pool_jobs, &indices, |&index| {
             self.run_point(&run, index)
         });
-        // Every point isolates its compilation, so a fault here escaped
-        // around it; it becomes that point's error rather than aborting the
-        // others.
-        let outcomes = results
-            .into_iter()
-            .zip(points)
-            .map(|(result, point)| result.unwrap_or_else(|fault| escaped(point, fault)))
-            .collect();
         // One segment per sweep, on disk before the counters are read and
         // before the caller has the outcome.
         run.cache.flush();
@@ -446,15 +443,15 @@ impl SweepEngine {
     /// Takes point `index` of the run to an outcome in one attempt: one
     /// fault domain from front end to emission — one [`isolated`] call under
     /// one cancellation token (the per-point deadline chained below the run
-    /// budget) and the point's armed faults, so panics and cancellations land
-    /// as structured errors.
+    /// budget) and the point's armed faults, holding all of the point's work
+    /// that can fail, so panics and cancellations land as structured errors.
     fn run_point(&self, run: &Run<'_>, index: usize) -> SweepPointOutcome {
         let point = &run.points[index];
         let start = Instant::now();
         let armed = run.armed.get(&point.label);
-        let compiler = self.point_compiler(&run.cache, point);
         let token = run.token.child(self.deadline_ms);
         let result = isolated(&point.site(), token, armed.cloned(), || {
+            let compiler = self.point_compiler(&run.cache, point);
             // A point with armed faults is a fault domain of its own from the
             // first instruction — it neither lowers a shared checkpoint (its
             // panic or stall would be everyone's) nor starts from one (its
@@ -476,26 +473,6 @@ impl SweepEngine {
             seconds: start.elapsed().as_secs_f64(),
             result,
         }
-    }
-}
-
-/// The outcome of `point` when its pool worker unwound outside the point's
-/// own fault domain: the fault is the point's error.
-fn escaped(point: &SweepPoint, fault: WorkerFault) -> SweepPointOutcome {
-    let (site, message) = (point.site(), fault.message);
-    let error = if fault.cancelled {
-        IrError::Cancelled {
-            site,
-            detail: message,
-        }
-    } else {
-        IrError::WorkerPanic { site, message }
-    };
-    SweepPointOutcome {
-        label: point.label.clone(),
-        pipeline: point.pipeline_text(),
-        seconds: 0.0,
-        result: Err(error),
     }
 }
 
@@ -553,6 +530,38 @@ mod tests {
             FailureReason::Failed
         );
         assert_eq!(FailureReason::Panicked.to_string(), "Panicked");
+    }
+
+    /// The point's fault domain is the only catch outside a pass body: a
+    /// panic anywhere else in the point becomes its `WorkerPanic`, and an
+    /// expired token is the `Cancelled` its checkpoint returned.
+    #[test]
+    fn isolated_catches_panics_and_passes_cancellations_through() {
+        hida_ir_core::fault::silence_expected_panics();
+        let site = "sweep point 'p'";
+        let panicked: IrResult<()> = isolated(site, CancelToken::new(), None, || {
+            panic!("injected fault: outside any pass")
+        });
+        assert_eq!(
+            panicked,
+            Err(IrError::WorkerPanic {
+                site: site.to_string(),
+                message: "injected fault: outside any pass".to_string(),
+            })
+        );
+
+        let expired = CancelToken::with_deadline_ms(0);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let cancelled = isolated(site, expired, None, || fault::checkpoint(|| "finish"));
+        assert_eq!(
+            cancelled,
+            Err(IrError::Cancelled {
+                site: "finish".to_string(),
+                detail: "deadline of 0ms exceeded".to_string(),
+            })
+        );
+        // The guard went with the call.
+        assert!(fault::checkpoint(|| "after").is_ok());
     }
 
     #[test]

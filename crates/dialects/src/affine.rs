@@ -124,30 +124,6 @@ impl AffineExpr {
             _ => None,
         }
     }
-
-    /// Lists the dimension variables referenced by the expression.
-    pub fn referenced_dims(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        fn walk(expr: &AffineExpr, out: &mut Vec<usize>) {
-            match expr {
-                AffineExpr::Dim(d) => {
-                    if !out.contains(d) {
-                        out.push(*d);
-                    }
-                }
-                AffineExpr::Const(_) => {}
-                AffineExpr::Add(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                AffineExpr::Mul(a, _) | AffineExpr::FloorDiv(a, _) | AffineExpr::Mod(a, _) => {
-                    walk(a, out)
-                }
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
 }
 
 impl fmt::Display for AffineExpr {
@@ -252,14 +228,12 @@ mod tests {
         let e = AffineExpr::dim(0).times(2).plus_const(3);
         assert_eq!(e.eval(&[5]), 13);
         assert_eq!(e.as_strided_dim(), Some((0, 2, 3)));
-        assert_eq!(e.referenced_dims(), vec![0]);
     }
 
     #[test]
     fn strided_dim_rejects_multi_dim_and_semi_affine() {
         let multi = AffineExpr::dim(0).plus(AffineExpr::dim(1));
         assert_eq!(multi.as_strided_dim(), None);
-        assert_eq!(multi.referenced_dims(), vec![0, 1]);
         let semi = AffineExpr::dim(0).floor_div(4);
         assert_eq!(semi.as_strided_dim(), None);
         let constant = AffineExpr::constant(7);

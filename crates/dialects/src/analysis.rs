@@ -119,24 +119,6 @@ impl ComputeProfile {
             .max(1)
     }
 
-    /// Buffers read (but not only written) by the node.
-    pub fn read_buffers(&self) -> Vec<ValueId> {
-        self.accesses
-            .iter()
-            .filter(|a| a.effect.reads())
-            .map(|a| a.buffer)
-            .collect()
-    }
-
-    /// Buffers written by the node.
-    pub fn written_buffers(&self) -> Vec<ValueId> {
-        self.accesses
-            .iter()
-            .filter(|a| a.effect.writes())
-            .map(|a| a.buffer)
-            .collect()
-    }
-
     /// Returns the access record for `buffer`, if the node touches it.
     pub fn access_of(&self, buffer: ValueId) -> Option<&BufferAccess> {
         self.accesses.iter().find(|a| a.buffer == buffer)
@@ -503,9 +485,6 @@ mod tests {
         let c_access = p.access_of(c).unwrap();
         assert_eq!(c_access.effect, MemEffect::ReadWrite);
         assert_eq!(c_access.pattern.dims, vec![Some((0, 1)), Some((1, 1))]);
-        assert!(p.written_buffers().contains(&c));
-        assert!(p.read_buffers().contains(&a));
-        assert!(!p.written_buffers().contains(&a));
     }
 
     #[test]

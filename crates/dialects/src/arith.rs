@@ -5,7 +5,7 @@
 //! FPGA. This module names the arithmetic ops used by the front-ends and provides the
 //! per-op cost classes used by `hida-estimator`.
 
-use hida_ir_core::{Context, OpBuilder, OpId, Type, ValueId};
+use hida_ir_core::{OpBuilder, ValueId};
 
 /// Integer addition.
 pub const ADDI: &str = "arith.addi";
@@ -60,11 +60,6 @@ pub fn classify(op_name: &str) -> OpClass {
     }
 }
 
-/// Classifies an operation already in the IR.
-pub fn classify_op(ctx: &Context, op: OpId) -> OpClass {
-    classify(ctx.op(op).name.as_str())
-}
-
 /// Builds a binary arithmetic op with the result type of the left operand.
 pub fn build_binary(
     builder: &mut OpBuilder<'_>,
@@ -77,35 +72,10 @@ pub fn build_binary(
     results[0]
 }
 
-/// Builds a fused multiply-accumulate `acc + a * b`.
-pub fn build_mac(builder: &mut OpBuilder<'_>, a: ValueId, b: ValueId, acc: ValueId) -> ValueId {
-    let ty = *builder.context().value_type(acc);
-    let (_, results) = builder.create(MAC, vec![a, b, acc], vec![ty], vec![]);
-    results[0]
-}
-
-/// Returns the addition op name for the given element type.
-pub fn add_for(ty: &Type) -> &'static str {
-    if matches!(ty, Type::Float(_)) {
-        ADDF
-    } else {
-        ADDI
-    }
-}
-
-/// Returns the multiplication op name for the given element type.
-pub fn mul_for(ty: &Type) -> &'static str {
-    if matches!(ty, Type::Float(_)) {
-        MULF
-    } else {
-        MULI
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hida_ir_core::Context;
+    use hida_ir_core::{Context, Type};
 
     #[test]
     fn classification_buckets_ops_correctly() {
@@ -129,21 +99,10 @@ mod tests {
         let x = b.create_constant_float(1.0, Type::f32());
         let y = b.create_constant_float(2.0, Type::f32());
         let sum = build_binary(&mut b, ADDF, x, y);
+        let product = build_binary(&mut b, MULF, x, sum);
         assert_eq!(ctx.value_type(sum), &Type::f32());
-        let mac = {
-            let mut b = OpBuilder::at_end_of(&mut ctx, func);
-            build_mac(&mut b, x, y, sum)
-        };
-        assert_eq!(ctx.value_type(mac), &Type::f32());
-        let mac_op = ctx.value(mac).defining_op().unwrap();
-        assert_eq!(classify_op(&ctx, mac_op), OpClass::MulLike);
-    }
-
-    #[test]
-    fn typed_helpers_select_int_or_float_ops() {
-        assert_eq!(add_for(&Type::f32()), ADDF);
-        assert_eq!(add_for(&Type::i8()), ADDI);
-        assert_eq!(mul_for(&Type::f64()), MULF);
-        assert_eq!(mul_for(&Type::Index), MULI);
+        assert_eq!(ctx.value_type(product), &Type::f32());
+        let mul_op = ctx.value(product).defining_op().unwrap();
+        assert_eq!(classify(ctx.op(mul_op).name.as_str()), OpClass::MulLike);
     }
 }

@@ -121,10 +121,6 @@ impl ArrayPartition {
 pub const ATTR_PARTITION_FASHIONS: &str = "partition_fashions";
 /// Attribute key holding the partition factors.
 pub const ATTR_PARTITION_FACTORS: &str = "partition_factors";
-/// Attribute key holding the tiling factors of a buffer.
-pub const ATTR_TILE_FACTORS: &str = "tile_factors";
-/// Attribute key holding the vectorization factors of a buffer.
-pub const ATTR_VECTOR_FACTORS: &str = "vector_factors";
 /// Attribute key holding the memory placement.
 pub const ATTR_MEMORY_KIND: &str = "memory_kind";
 
@@ -179,19 +175,6 @@ pub fn get_memory_kind(ctx: &Context, buffer_op: OpId) -> MemoryKind {
         .attr_str(ATTR_MEMORY_KIND)
         .map(MemoryKind::parse)
         .unwrap_or(MemoryKind::Bram)
-}
-
-/// Sets the tiling factors of a buffer-producing operation.
-pub fn set_tile_factors(ctx: &mut Context, buffer_op: OpId, factors: Vec<i64>) {
-    ctx.set_attr(buffer_op, ATTR_TILE_FACTORS, factors);
-}
-
-/// Reads the tiling factors of a buffer-producing operation (defaults to all-1).
-pub fn get_tile_factors(ctx: &Context, buffer_op: OpId, rank: usize) -> Vec<i64> {
-    ctx.op(buffer_op)
-        .attr_int_array(ATTR_TILE_FACTORS)
-        .map(|v| v.to_vec())
-        .unwrap_or_else(|| vec![1; rank])
 }
 
 #[cfg(test)]
@@ -258,15 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_kind_and_tile_factors_round_trip() {
+    fn memory_kind_round_trips() {
         let mut ctx = Context::new();
         let buf = buffer_op(&mut ctx);
         assert_eq!(get_memory_kind(&ctx, buf), MemoryKind::Bram);
         set_memory_kind(&mut ctx, buf, MemoryKind::External);
         assert_eq!(get_memory_kind(&ctx, buf), MemoryKind::External);
-
-        assert_eq!(get_tile_factors(&ctx, buf, 2), vec![1, 1]);
-        set_tile_factors(&mut ctx, buf, vec![8, 8]);
-        assert_eq!(get_tile_factors(&ctx, buf, 2), vec![8, 8]);
     }
 }

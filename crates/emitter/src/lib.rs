@@ -20,7 +20,7 @@
 //! in a compilation, the one the pass pipeline filled.
 
 use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
-use hida_dialects::analysis::{profile_body, ComputeProfile};
+use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::hls::{self, MemoryKind, PartitionFashion};
 use hida_dialects::transforms;
 use hida_ir_core::analysis::AnalysisManager;
@@ -252,19 +252,6 @@ fn emit_buffer(ctx: &Context, buffer: BufferOp, out: &mut String) {
     }
 }
 
-/// Emits the function-level C++ (no dataflow region) for baseline designs.
-pub fn emit_function(ctx: &Context, func: OpId) -> String {
-    let mut out = String::from(BANNER);
-    out.push_str("void ");
-    push_op_name(&mut out, ctx, func, "sym_name", || "kernel".to_string());
-    out.push_str("() {\n");
-    let profile = profile_body(ctx, func);
-    emit_loop_heads(&profile, &mut out, |_, _| {});
-    emit_loop_tails(profile.loop_dims.len(), &mut out);
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,8 +297,12 @@ mod tests {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
         let func = build_kernel(&mut ctx, module, PolybenchKernel::Gesummv, 16);
-        let cpp = emit_function(&ctx, func);
-        assert!(cpp.contains("void gesummv()"));
+        let schedule = Pipeline::from_options(&HidaOptions::polybench())
+            .run(&mut ctx, func)
+            .unwrap();
+        let cpp = emit_schedule(&ctx, schedule);
+        assert!(cpp.contains("void gesummv_top()"), "{cpp}");
+        assert!(cpp.contains("for ("), "{cpp}");
         assert_eq!(cpp.matches('{').count(), cpp.matches('}').count());
     }
 

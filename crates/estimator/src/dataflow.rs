@@ -266,15 +266,9 @@ impl DataflowEstimator {
         let nodes = schedule.nodes(ctx);
         let node_estimates: Vec<NodeEstimate> = nodes
             .iter()
-            .map(|&n| {
-                // Per-node cancellation checkpoint: estimation is infallible,
-                // so a hit deadline unwinds cooperatively and is classified at
-                // the nearest isolation layer (pass manager or sweep engine).
-                hida_ir_core::fault::checkpoint_or_unwind("estimator/node-loop");
-                // The caller owns its `DesignEstimate`; this is the one copy
-                // per query.
-                NodeEstimate::clone(&self.body_estimate(ctx, n.id()))
-            })
+            // The caller owns its `DesignEstimate`; this is the one copy per
+            // query.
+            .map(|&n| NodeEstimate::clone(&self.body_estimate(ctx, n.id())))
             .collect();
 
         let (buffer_res, buffer_count) = self.buffer_totals(ctx, schedule);

@@ -9,7 +9,7 @@
 use crate::device::FpgaDevice;
 use crate::resource::{buffer_resources, compute_resources, Resources};
 use hida_dataflow_ir::structural::{BufferOp, NodeOp};
-use hida_dialects::analysis::{profile_body, ComputeProfile};
+use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::hls::{self, MemoryKind};
 use hida_dialects::{loops, transforms};
 use hida_ir_core::{Context, OpId, ValueId};
@@ -98,7 +98,7 @@ pub fn buffer_depth(ctx: &Context, value: ValueId) -> i64 {
 }
 
 /// Resolves the physical description of a buffer-like SSA value: a `hida.buffer`
-/// result, a `memref.alloc` result, a `hida.pack`/`hida.port` handle (external), or a
+/// result, a `memref.alloc` result, any other value (an external interface), or a
 /// node body argument (resolved through the node operand it mirrors).
 pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo<'_> {
     let value = resolve_buffer(ctx, value);
@@ -107,8 +107,8 @@ pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo<'_> {
     let buffer = def.and_then(|def| BufferOp::try_from_op(ctx, def));
     let on_chip =
         def.filter(|&def| buffer.is_some() || ctx.op(def).is(hida_dialects::memory::ALLOC));
-    // Off chip: a `hida.pack`/`hida.port` handle, or an unknown definition
-    // (e.g. a function argument) — an external interface.
+    // Off chip: any other definition (e.g. a function argument) — an
+    // external interface.
     BufferInfo {
         elements: ty.num_elements().unwrap_or(1),
         bits: ty.elem_bit_width().max(1),
@@ -137,12 +137,6 @@ pub struct NodeEstimate {
     pub external_bytes: i64,
     /// Total parallel lanes instantiated (product of unroll factors).
     pub parallelism: i64,
-}
-
-/// Estimates the body of `op` (a `hida.node`, `hida.task`, or function).
-pub fn estimate_body(ctx: &Context, op: OpId, device: &FpgaDevice) -> NodeEstimate {
-    let profile = profile_body(ctx, op);
-    estimate_profile(ctx, op, &profile, device)
 }
 
 /// Everything the node model reads, as one value: [`gather`] fills it from
@@ -418,6 +412,7 @@ fn element_bits(profile: &ComputeProfile, ctx: &Context) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hida_dialects::analysis::profile_body;
     use hida_dialects::arith;
     use hida_dialects::loops::build_loop_nest;
     use hida_dialects::memory::{build_alloc, build_load, build_store};
@@ -456,7 +451,7 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx = Context::new();
         let func = vector_add(&mut ctx, 8, 8);
-        let est = estimate_body(&ctx, func, &device);
+        let est = estimate_profile(&ctx, func, &profile_body(&ctx, func), &device);
         assert_eq!(est.ii, 1);
         assert_eq!(est.parallelism, 8);
         // 1024/8 = 128 pipeline iterations.
@@ -468,10 +463,10 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx_bad = Context::new();
         let bad = vector_add(&mut ctx_bad, 1, 8);
-        let bad_est = estimate_body(&ctx_bad, bad, &device);
+        let bad_est = estimate_profile(&ctx_bad, bad, &profile_body(&ctx_bad, bad), &device);
         let mut ctx_good = Context::new();
         let good = vector_add(&mut ctx_good, 8, 8);
-        let good_est = estimate_body(&ctx_good, good, &device);
+        let good_est = estimate_profile(&ctx_good, good, &profile_body(&ctx_good, good), &device);
         assert!(bad_est.ii > good_est.ii);
         assert!(bad_est.latency_cycles > good_est.latency_cycles);
     }
@@ -481,10 +476,10 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx1 = Context::new();
         let f1 = vector_add(&mut ctx1, 1, 1);
-        let e1 = estimate_body(&ctx1, f1, &device);
+        let e1 = estimate_profile(&ctx1, f1, &profile_body(&ctx1, f1), &device);
         let mut ctx2 = Context::new();
         let f2 = vector_add(&mut ctx2, 16, 16);
-        let e2 = estimate_body(&ctx2, f2, &device);
+        let e2 = estimate_profile(&ctx2, f2, &profile_body(&ctx2, f2), &device);
         assert!(e2.latency_cycles < e1.latency_cycles);
         assert!(e2.resources.dsp >= e1.resources.dsp);
         assert!(e2.resources.lut > e1.resources.lut);
@@ -521,7 +516,7 @@ mod tests {
         let x = build_load(&mut bld, a, &[ivs[0], ivs[1]]);
         let prod = arith::build_binary(&mut bld, arith::MULF, x, x);
         build_store(&mut bld, prod, c, &[ivs[0], ivs[1]]);
-        let est = estimate_body(&ctx, func, &device);
+        let est = estimate_profile(&ctx, func, &profile_body(&ctx, func), &device);
         assert_eq!(est.macs, 64 * 64);
         assert!(est.latency_cycles > 0);
     }

@@ -78,16 +78,6 @@ impl Model {
             Model::Mlp => vec![784],
         }
     }
-
-    /// True when the model graph contains residual shortcut paths.
-    pub fn has_shortcuts(&self) -> bool {
-        matches!(self, Model::ResNet18)
-    }
-
-    /// True when the model uses depthwise convolutions.
-    pub fn has_depthwise(&self) -> bool {
-        matches!(self, Model::MobileNetV1)
-    }
 }
 
 /// Incremental builder used by the model definitions below.
@@ -351,16 +341,15 @@ fn build_mlp(ctx: &mut Context, module: OpId) -> OpId {
     g.finish()
 }
 
-/// Total multiply-accumulate operations per inference of a model (computed from the
-/// layer profiles; useful for DSP-efficiency reporting).
-pub fn model_macs(ctx: &Context, func: OpId) -> i64 {
-    hida_dialects::analysis::profile_body(ctx, func).macs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hida_dialects::linalg;
+
+    /// Multiply-accumulates per inference, from the layer profiles.
+    fn model_macs(ctx: &Context, func: OpId) -> i64 {
+        hida_dialects::analysis::profile_body(ctx, func).macs
+    }
 
     fn build(model: Model) -> (Context, OpId) {
         let mut ctx = Context::new();
@@ -395,7 +384,6 @@ mod tests {
             macs > 1_500_000_000 && macs < 2_300_000_000,
             "resnet-18 macs = {macs}"
         );
-        assert!(Model::ResNet18.has_shortcuts());
     }
 
     #[test]
@@ -411,7 +399,6 @@ mod tests {
             macs > 400_000_000 && macs < 800_000_000,
             "mobilenet macs = {macs}"
         );
-        assert!(Model::MobileNetV1.has_depthwise());
     }
 
     #[test]

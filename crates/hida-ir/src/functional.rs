@@ -6,7 +6,7 @@
 //! hierarchies without indirection, which keeps task fusion and splitting cheap.
 
 use crate::op_names;
-use hida_ir_core::{Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId};
+use hida_ir_core::{BlockId, Context, OpBuilder, OpId, Type, ValueId};
 
 /// Typed view over a `hida.dispatch` operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,30 +77,6 @@ impl TaskOp {
     pub fn set_name(self, ctx: &mut Context, name: &str) {
         ctx.set_attr(self.0, "task_name", name);
     }
-}
-
-/// Creates an empty `hida.dispatch` at the builder's insertion point. Returns the op
-/// and its body block.
-pub fn build_dispatch(builder: &mut OpBuilder<'_>) -> (DispatchOp, BlockId) {
-    let (op, body, _) = builder.create_with_body(op_names::DISPATCH, vec![], vec![], vec![], false);
-    (DispatchOp(op), body)
-}
-
-/// Creates an empty `hida.task` with the given result types at the builder's
-/// insertion point. Returns the op, its body block and its result values.
-pub fn build_task(
-    builder: &mut OpBuilder<'_>,
-    result_types: Vec<Type>,
-    name: &str,
-) -> (TaskOp, BlockId, Vec<ValueId>) {
-    let (op, body, results) = builder.create_with_body(
-        op_names::TASK,
-        vec![],
-        result_types,
-        vec![("task_name", Attribute::from(name))],
-        false,
-    );
-    (TaskOp(op), body, results)
 }
 
 /// Appends a `hida.yield` terminator to `block`.
@@ -228,17 +204,23 @@ mod tests {
     fn dispatch_and_task_views() {
         let mut ctx = Context::new();
         let func = test_func(&mut ctx);
-        let (dispatch, dispatch_body) = {
-            let mut b = OpBuilder::at_end_of(&mut ctx, func);
-            build_dispatch(&mut b)
-        };
-        let (task, _, results) = {
-            let mut b = OpBuilder::at_block_end(&mut ctx, dispatch_body);
-            build_task(&mut b, vec![Type::tensor(vec![4], Type::f32())], "t0")
-        };
+        // Wrapped the way the construct pass wraps compute units: each into
+        // a task, then the tasks into a dispatch.
+        let mut b = OpBuilder::at_end_of(&mut ctx, func);
+        let value = b.create_constant_int(1, Type::i32());
+        b.create_return(vec![value]);
+        let op = ctx.value(value).defining_op().unwrap();
+        let task = wrap_ops(&mut ctx, &[op], op_names::TASK, "t0");
+        let task = TaskOp::try_from_op(&ctx, task).unwrap();
+        let dispatch = wrap_ops(&mut ctx, &[task.id()], op_names::DISPATCH, "d0");
+        let dispatch = DispatchOp::try_from_op(&ctx, dispatch).unwrap();
         assert_eq!(dispatch.tasks(&ctx), vec![task]);
         assert_eq!(task.name(&ctx), "t0");
-        assert_eq!(results.len(), 1);
+        assert_eq!(
+            ctx.op(task.id()).results.len(),
+            1,
+            "the returned value escapes"
+        );
         assert!(DispatchOp::try_from_op(&ctx, task.id()).is_none());
         assert!(TaskOp::try_from_op(&ctx, dispatch.id()).is_none());
         task.set_name(&mut ctx, "renamed");

@@ -10,9 +10,8 @@
 //!   operations with *isolated* regions and explicit per-argument memory effects,
 //!   plus `hida.buffer` (ping-pong, partition and layout attributes) and
 //!   `hida.stream` channels. This level drives scheduling and parallelization.
-//! * **Module interface** ([`interface`]) — `hida.port`, `hida.bundle`, `hida.pack`
-//!   and token values modelling external-memory interfaces and the elastic token
-//!   flow of §6.4.2.
+//! * **Elastic tokens** ([`interface`]) — `hida.token_push` / `hida.token_pop`
+//!   over token streams: the elastic token flow of §6.4.2.
 //! * **Dataflow graph views** ([`graph`]) — producer/consumer adjacency derived from
 //!   shared buffers, used by multi-producer elimination and data-path balancing.
 
@@ -41,12 +40,6 @@ pub mod op_names {
     pub const BUFFER: &str = "hida.buffer";
     /// Structural dataflow: a FIFO stream channel.
     pub const STREAM: &str = "hida.stream";
-    /// Module interface: a memory or stream port.
-    pub const PORT: &str = "hida.port";
-    /// Module interface: a named bundle of ports.
-    pub const BUNDLE: &str = "hida.bundle";
-    /// Module interface: packs an external memory block into a port.
-    pub const PACK: &str = "hida.pack";
     /// Elastic execution: produce a synchronization token.
     pub const TOKEN_PUSH: &str = "hida.token_push";
     /// Elastic execution: wait for a synchronization token.

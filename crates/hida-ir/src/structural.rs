@@ -115,11 +115,6 @@ impl BufferOp {
         hls::get_array_partition(ctx, self.0, self.shape(ctx).len())
     }
 
-    /// Sets the array-partition directive of this buffer.
-    pub fn set_partition(self, ctx: &mut Context, partition: &hls::ArrayPartition) {
-        hls::set_array_partition(ctx, self.0, partition);
-    }
-
     /// Memory placement (BRAM / URAM / LUTRAM / external).
     pub fn memory_kind(self, ctx: &Context) -> hls::MemoryKind {
         hls::get_memory_kind(ctx, self.0)
@@ -406,14 +401,6 @@ impl ScheduleOp {
             .filter(|n| n.writes(ctx, buffer))
             .collect()
     }
-
-    /// Nodes reading from `buffer`, in program order.
-    pub fn consumers_of(self, ctx: &Context, buffer: ValueId) -> Vec<NodeOp> {
-        self.nodes(ctx)
-            .into_iter()
-            .filter(|n| n.reads(ctx, buffer))
-            .collect()
-    }
 }
 
 /// Creates an empty `hida.schedule` at the builder's insertion point.
@@ -458,7 +445,7 @@ mod tests {
         assert!(!buf.is_ping_pong(&ctx));
 
         let p = hls::ArrayPartition::cyclic(vec![4, 4]);
-        buf.set_partition(&mut ctx, &p);
+        hls::set_array_partition(&mut ctx, buf.0, &p);
         assert_eq!(buf.partition(&ctx), p);
         assert_eq!(buf.memory_kind(&ctx), hls::MemoryKind::Bram);
         buf.set_memory_kind(&mut ctx, hls::MemoryKind::External);
@@ -509,7 +496,6 @@ mod tests {
         assert_eq!(schedule.nodes(&ctx).len(), 1);
         assert_eq!(schedule.internal_buffers(&ctx).len(), 2);
         assert_eq!(schedule.producers_of(&ctx, bval), vec![node]);
-        assert_eq!(schedule.consumers_of(&ctx, a), vec![node]);
         assert!(schedule.producers_of(&ctx, a).is_empty());
         assert_eq!(buf_a.value(&ctx), a);
     }

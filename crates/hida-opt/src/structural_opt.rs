@@ -16,7 +16,7 @@ use hida_dataflow_ir::interface::{build_token_pop, build_token_push};
 use hida_dataflow_ir::structural::{build_node, build_stream, BufferOp, NodeOp, ScheduleOp};
 use hida_dialects::analysis::MemEffect;
 use hida_dialects::hls::MemoryKind;
-use hida_ir_core::{AnalysisManager, Context, IrResult, OpBuilder, OpId, Type, ValueId};
+use hida_ir_core::{AnalysisManager, Context, IrResult, OpBuilder, Type, ValueId};
 
 /// Eliminates buffers with multiple producer nodes (Algorithm 3).
 ///
@@ -211,22 +211,21 @@ fn insert_token_flow(
     token
 }
 
-/// Convenience wrapper returning the op ids of all copy nodes introduced by
-/// multi-producer elimination (used by tests and reports).
-pub fn copy_nodes(ctx: &Context, schedule: ScheduleOp) -> Vec<OpId> {
-    schedule
-        .nodes(ctx)
-        .into_iter()
-        .filter(|n| n.name(ctx).starts_with("copy_"))
-        .map(|n| n.id())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hida_dataflow_ir::structural::{build_buffer, build_schedule};
-    use hida_ir_core::Type;
+    use hida_ir_core::{OpId, Type};
+
+    /// The copy nodes multi-producer elimination introduced.
+    fn copy_nodes(ctx: &Context, schedule: ScheduleOp) -> Vec<OpId> {
+        schedule
+            .nodes(ctx)
+            .into_iter()
+            .filter(|n| n.name(ctx).starts_with("copy_"))
+            .map(|n| n.id())
+            .collect()
+    }
 
     fn schedule_fixture(ctx: &mut Context) -> (OpId, ScheduleOp, hida_ir_core::BlockId) {
         let module = ctx.create_module("m");

@@ -32,7 +32,7 @@ pub enum IrError {
         /// The panic payload message.
         message: String,
     },
-    /// Work was cancelled at a checkpoint (deadline or explicit cancel).
+    /// Work was cancelled at a checkpoint: a deadline on its token passed.
     Cancelled {
         /// The checkpoint site that observed the cancellation.
         site: String,

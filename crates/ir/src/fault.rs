@@ -2,19 +2,22 @@
 //!
 //! A sweep (and an exploration, which is one) compiles many independent
 //! design points; one bad point must never take down the process, hang a
-//! worker forever, or poison a shared cache. This module provides the
-//! substrate all layers share:
+//! worker forever, or poison a shared cache. A point is one fault domain
+//! (`hida::sweep::isolated`), and stopping it is one `Result`. This module
+//! provides the substrate all layers share:
 //!
-//! * [`CancelToken`] — an atomic cancellation flag with an optional deadline
-//!   and an optional parent (the whole-run budget). Each point runs under one
-//!   child token, front end to emission. Work stops at the next
-//!   *checkpoint* (pass boundaries, estimator node loops, sweep-point entry),
-//!   so cancellation is cooperative and outcomes are deterministic: a
-//!   cancelled point reports a structured `TimedOut`; it never publishes
-//!   partial state (cache publishes are whole values or nothing).
-//! * [`WorkerFault`] — what an unwinding worker item becomes inside
-//!   [`run_batch_isolated`](crate::par::run_batch_isolated): the panic payload
-//!   message plus whether the unwind was a cooperative [`CancelUnwind`].
+//! * [`CancelToken`] — a deadline chain: an optional deadline and an optional
+//!   parent (the whole-run budget). Each point runs under one child token,
+//!   front end to emission. Work stops at the next [`checkpoint`] — every
+//!   pass boundary, and the start of `Compiler::finish` — with an
+//!   [`IrError::Cancelled`], so cancellation is cooperative and outcomes are
+//!   deterministic: a cancelled point reports a structured `TimedOut`; it
+//!   never publishes partial state (cache publishes are whole values or
+//!   nothing). Nothing unwinds to cancel.
+//! * [`error_from_panic`] — what a caught panic becomes: an
+//!   [`IrError::WorkerPanic`] carrying the payload's message. Two layers
+//!   catch: the pass manager around each pass body, and the point's own
+//!   fault domain around everything else.
 //! * [`FaultPlan`] — seeded (splitmix64, like the fuzzer) deterministic fault
 //!   injection: pass panics and artificial worker stalls, assigned to named
 //!   points by a label shuffle that is independent of job count and
@@ -34,9 +37,8 @@ use crate::error::{IrError, IrResult};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -59,7 +61,6 @@ pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 #[derive(Debug)]
 struct TokenInner {
-    cancelled: AtomicBool,
     /// Deadline instant plus the configured millisecond budget (kept for
     /// deterministic messages: the instant itself is machine state, the
     /// budget is what the user asked for).
@@ -67,44 +68,10 @@ struct TokenInner {
     parent: Option<Arc<TokenInner>>,
 }
 
-impl TokenInner {
-    fn is_cancelled(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some((at, _)) = self.deadline {
-            if Instant::now() >= at {
-                return true;
-            }
-        }
-        match &self.parent {
-            Some(parent) => parent.is_cancelled(),
-            None => false,
-        }
-    }
-
-    /// A deterministic, machine-independent description of *why* the token
-    /// is cancelled (used verbatim in `TimedOut` reports, so it must not
-    /// contain wall-clock readings).
-    fn reason(&self) -> String {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return "cancelled".to_string();
-        }
-        if let Some((at, ms)) = self.deadline {
-            if Instant::now() >= at {
-                return format!("deadline of {ms}ms exceeded");
-            }
-        }
-        match &self.parent {
-            Some(parent) => format!("{} (run budget)", parent.reason()),
-            None => "cancelled".to_string(),
-        }
-    }
-}
-
-/// A shareable cancellation token: an atomic flag, an optional deadline, and
-/// an optional parent token (a whole-run budget chained above per-point
-/// deadlines). Cloning shares the same underlying state.
+/// A shareable deadline chain: an optional deadline, and an optional parent
+/// token (a whole-run budget chained above per-point deadlines). The token
+/// expires when any deadline on the chain has passed. Cloning shares the
+/// same underlying state.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -117,134 +84,68 @@ impl Default for CancelToken {
 }
 
 impl CancelToken {
-    /// A token that never cancels until [`CancelToken::cancel`] is called.
+    fn chain(deadline_ms: Option<u64>, parent: Option<Arc<TokenInner>>) -> Self {
+        let deadline = deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
+        CancelToken {
+            inner: Arc::new(TokenInner { deadline, parent }),
+        }
+    }
+
+    /// A token that never expires.
     pub fn new() -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                parent: None,
-            }),
-        }
+        CancelToken::chain(None, None)
     }
 
-    /// A token that cancels `budget_ms` milliseconds from now.
+    /// A token that expires `budget_ms` milliseconds from now.
     pub fn with_deadline_ms(budget_ms: u64) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some((Instant::now() + Duration::from_millis(budget_ms), budget_ms)),
-                parent: None,
-            }),
-        }
+        CancelToken::chain(Some(budget_ms), None)
     }
 
-    /// A child token: cancels when this token cancels, when the optional
-    /// per-child deadline passes, or when [`CancelToken::cancel`] is called
-    /// on the child itself.
+    /// A child token: expires when this token expires or when the optional
+    /// per-child deadline passes.
     pub fn child(&self, deadline_ms: Option<u64>) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: deadline_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
-                parent: Some(self.inner.clone()),
-            }),
-        }
+        CancelToken::chain(deadline_ms, Some(self.inner.clone()))
     }
 
-    /// Flags the token (and every child) as cancelled.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// True when the flag is set, the deadline has passed, or an ancestor is
-    /// cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.is_cancelled()
-    }
-
-    /// The deterministic cancellation reason: an explicit `cancel()` reports
-    /// `"cancelled"`, an expired deadline reports the configured budget
-    /// (`"deadline of {ms}ms exceeded"`) — never the wall-clock overshoot, so
-    /// the message is machine-independent.
-    pub fn reason(&self) -> String {
-        self.inner.reason()
-    }
-}
-
-/// The panic payload of a cooperative cancellation unwind: raised by
-/// [`checkpoint_or_unwind`] in infallible contexts (the estimator's node
-/// loops), caught and classified back into [`IrError::Cancelled`] by the
-/// nearest `catch_unwind` layer (pass body, pool worker, sweep point).
-#[derive(Debug, Clone)]
-pub struct CancelUnwind {
-    /// The checkpoint site that observed the cancellation.
-    pub site: String,
-    /// The token's deterministic reason.
-    pub detail: String,
-}
-
-/// What one unwinding worker item becomes under isolation: the panic payload
-/// message, and whether the unwind was a cooperative cancellation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerFault {
-    /// The panic payload message (or the cancellation detail).
-    pub message: String,
-    /// True when the unwind was a [`CancelUnwind`], not a genuine panic.
-    pub cancelled: bool,
-}
-
-impl fmt::Display for WorkerFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.cancelled {
-            write!(f, "worker cancelled: {}", self.message)
-        } else {
-            write!(f, "worker panicked: {}", self.message)
+    /// Why the token has expired, or `None` while no deadline on its chain
+    /// has passed. The reason names the configured budget
+    /// (`"deadline of {ms}ms exceeded"`, plus `" (run budget)"` when the
+    /// deadline is an ancestor's) — never the wall-clock overshoot, so the
+    /// message is machine-independent. Reads the clock at most once, and not
+    /// at all for a chain without deadlines.
+    pub fn expired(&self) -> Option<String> {
+        let mut now = None;
+        let mut token = &*self.inner;
+        let mut suffix = "";
+        loop {
+            if let Some((at, ms)) = token.deadline {
+                if *now.get_or_insert_with(Instant::now) >= at {
+                    return Some(format!("deadline of {ms}ms exceeded{suffix}"));
+                }
+            }
+            token = token.parent.as_deref()?;
+            suffix = " (run budget)";
         }
     }
 }
 
-/// Extracts a human-readable message from a panic payload (`&str` and
-/// `String` payloads verbatim, everything else a placeholder).
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(c) = payload.downcast_ref::<CancelUnwind>() {
-        c.detail.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
+/// The message of a panic payload: the `&str` or `String` that `panic!`
+/// raises, `None` for any other payload.
+fn payload_message(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
 }
 
-/// Classifies a caught panic payload into a [`WorkerFault`].
-pub fn fault_from_panic(payload: Box<dyn Any + Send>) -> WorkerFault {
-    match payload.downcast::<CancelUnwind>() {
-        Ok(cancel) => WorkerFault {
-            message: format!("{} at {}", cancel.detail, cancel.site),
-            cancelled: true,
-        },
-        Err(other) => WorkerFault {
-            message: panic_message(&*other),
-            cancelled: false,
-        },
-    }
-}
-
-/// Classifies a caught panic payload into a structured [`IrError`]:
-/// cooperative cancellation unwinds become [`IrError::Cancelled`], genuine
-/// panics become [`IrError::WorkerPanic`] at `site`.
+/// Classifies a caught panic payload into a structured
+/// [`IrError::WorkerPanic`] at `site`, keeping the payload's message.
 pub fn error_from_panic(site: &str, payload: Box<dyn Any + Send>) -> IrError {
-    match payload.downcast::<CancelUnwind>() {
-        Ok(cancel) => IrError::Cancelled {
-            site: cancel.site,
-            detail: cancel.detail,
-        },
-        Err(other) => IrError::WorkerPanic {
-            site: site.to_string(),
-            message: panic_message(&*other),
-        },
+    IrError::WorkerPanic {
+        site: site.to_string(),
+        message: payload_message(&*payload)
+            .unwrap_or("<non-string panic payload>")
+            .to_string(),
     }
 }
 
@@ -463,41 +364,17 @@ fn with_point<R>(f: impl FnOnce(&PointCtx) -> R) -> Option<R> {
     POINT.with(|p| p.borrow().as_ref().map(f))
 }
 
-/// Cancellation checkpoint for fallible contexts (pass boundaries): returns
-/// [`IrError::Cancelled`] when the active token is cancelled. A no-op (one
-/// relaxed load) when no guard is installed; `site` is asked for the error's
-/// site only when there is an error.
+/// Cancellation checkpoint (every pass boundary, and the start of
+/// `Compiler::finish`): returns [`IrError::Cancelled`] when the active token
+/// has expired. A no-op (one relaxed load) when no guard is installed;
+/// `site` is asked for the error's site only when there is an error.
 pub fn checkpoint<S: Into<String>>(site: impl FnOnce() -> S) -> IrResult<()> {
-    match with_point(|ctx| {
-        if ctx.token.is_cancelled() {
-            Some(ctx.token.reason())
-        } else {
-            None
-        }
-    }) {
-        Some(Some(detail)) => Err(IrError::Cancelled {
+    match with_point(|ctx| ctx.token.expired()).flatten() {
+        Some(detail) => Err(IrError::Cancelled {
             site: site().into(),
             detail,
         }),
-        _ => Ok(()),
-    }
-}
-
-/// Cancellation checkpoint for infallible contexts (the estimator's node
-/// loops): unwinds with a [`CancelUnwind`] payload, which the nearest
-/// isolation layer classifies back into [`IrError::Cancelled`].
-pub fn checkpoint_or_unwind(site: &str) {
-    if let Some(Some(detail)) = with_point(|ctx| {
-        if ctx.token.is_cancelled() {
-            Some(ctx.token.reason())
-        } else {
-            None
-        }
-    }) {
-        std::panic::panic_any(CancelUnwind {
-            site: site.to_string(),
-            detail,
-        });
+        None => Ok(()),
     }
 }
 
@@ -520,30 +397,20 @@ pub fn injected_stall(_site: &str) {
 }
 
 /// Installs a process-wide panic hook that silences the default report for
-/// *expected* structured unwinds — cooperative [`CancelUnwind`]s and
-/// `injected fault:` panics — while deferring everything else to the
-/// previous hook. Used by the CLI so chaos runs don't spray backtraces for
-/// faults that are isolated by design. Idempotent.
+/// the *expected* unwinds — `injected fault:` panics — while deferring
+/// everything else to the previous hook. Used by the CLI so chaos runs don't
+/// spray backtraces for faults that are isolated by design. Idempotent.
 pub fn silence_expected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CancelUnwind>().is_some() {
-                return;
+            let expected = payload_message(info.payload())
+                .is_some_and(|message| message.starts_with("injected fault:"));
+            if !expected {
+                previous(info);
             }
-            let message = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| info.payload().downcast_ref::<String>().cloned());
-            if let Some(message) = &message {
-                if message.starts_with("injected fault:") {
-                    return;
-                }
-            }
-            previous(info);
         }));
     });
 }
@@ -571,22 +438,27 @@ mod tests {
     #[test]
     fn cancel_token_flag_deadline_and_parent() {
         let token = CancelToken::new();
-        assert!(!token.is_cancelled());
-        token.cancel();
-        assert!(token.is_cancelled());
-        assert_eq!(token.reason(), "cancelled");
+        assert_eq!(token.expired(), None);
+        assert_eq!(token.child(None).expired(), None);
 
         let expired = CancelToken::with_deadline_ms(0);
         std::thread::sleep(Duration::from_millis(2));
-        assert!(expired.is_cancelled());
-        assert_eq!(expired.reason(), "deadline of 0ms exceeded");
+        assert_eq!(
+            expired.expired().as_deref(),
+            Some("deadline of 0ms exceeded")
+        );
 
-        let run = CancelToken::new();
-        let child = run.child(None);
-        assert!(!child.is_cancelled());
-        run.cancel();
-        assert!(child.is_cancelled(), "parent cancellation reaches children");
-        assert!(child.reason().contains("run budget"));
+        let run = CancelToken::with_deadline_ms(0);
+        let child = run.child(Some(60_000));
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(
+            child.expired().as_deref(),
+            Some("deadline of 0ms exceeded (run budget)"),
+            "a parent's deadline reaches its children"
+        );
+        let own = CancelToken::new().child(Some(0));
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(own.expired().as_deref(), Some("deadline of 0ms exceeded"));
     }
 
     #[test]
@@ -644,25 +516,24 @@ mod tests {
     #[test]
     fn checkpoints_are_inert_without_a_guard_and_fire_with_one() {
         assert!(checkpoint(|| "nowhere").is_ok());
-        checkpoint_or_unwind("nowhere");
         injected_pass_panic("nowhere");
 
-        let token = CancelToken::new();
-        let guard = install_point(token.clone(), None);
+        let live = install_point(CancelToken::new(), None);
         assert!(checkpoint(|| "armed").is_ok());
-        token.cancel();
+        let expired = install_point(CancelToken::with_deadline_ms(0), None);
+        std::thread::sleep(Duration::from_millis(2));
         let err = checkpoint(|| "pass 'lower'").unwrap_err();
-        assert!(matches!(err, IrError::Cancelled { .. }), "{err}");
-        assert!(err.to_string().contains("pass 'lower'"), "{err}");
-        let unwind = std::panic::catch_unwind(|| checkpoint_or_unwind("estimator"))
-            .expect_err("cancelled checkpoint must unwind");
-        let fault = fault_from_panic(unwind);
-        assert!(fault.cancelled);
-        drop(guard);
-        assert!(
-            checkpoint(|| "after-drop").is_ok(),
-            "guard restores on drop"
+        assert_eq!(
+            err,
+            IrError::Cancelled {
+                site: "pass 'lower'".to_string(),
+                detail: "deadline of 0ms exceeded".to_string(),
+            }
         );
+        drop(expired);
+        assert!(checkpoint(|| "restored").is_ok(), "guard restores on drop");
+        drop(live);
+        assert!(checkpoint(|| "after-drop").is_ok());
     }
 
     #[test]
@@ -674,9 +545,13 @@ mod tests {
         let _guard = install_point(CancelToken::new(), Some(faults));
         let panic = std::panic::catch_unwind(|| injected_pass_panic("construct"))
             .expect_err("armed pass panic fires");
-        let fault = fault_from_panic(panic);
-        assert!(!fault.cancelled);
-        assert_eq!(fault.message, "injected fault: pass panic at 'construct'");
+        assert_eq!(
+            error_from_panic("pass 'construct'", panic),
+            IrError::WorkerPanic {
+                site: "pass 'construct'".to_string(),
+                message: "injected fault: pass panic at 'construct'".to_string(),
+            }
+        );
         // Second probe: already fired.
         injected_pass_panic("construct");
 
@@ -696,14 +571,12 @@ mod tests {
             }
             other => panic!("expected WorkerPanic, got {other}"),
         }
-        let cancel = std::panic::catch_unwind(|| {
-            std::panic::panic_any(CancelUnwind {
-                site: "estimator".to_string(),
-                detail: "deadline of 5ms exceeded".to_string(),
-            })
-        })
-        .unwrap_err();
-        let err = error_from_panic("ignored", cancel);
-        assert!(matches!(err, IrError::Cancelled { .. }), "{err}");
+        let payload = std::panic::catch_unwind(|| std::panic::panic_any(7_u32)).unwrap_err();
+        let err = error_from_panic("pass 'lower'", payload);
+        assert!(
+            matches!(&err, IrError::WorkerPanic { message, .. }
+                if message == "<non-string panic payload>"),
+            "{err}"
+        );
     }
 }

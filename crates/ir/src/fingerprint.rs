@@ -1,16 +1,12 @@
-//! Content-addressed structural fingerprints of IR subtrees.
+//! Structural fingerprints of IR subtrees, and the stable hasher behind them.
 //!
-//! A design-space sweep compiles dozens of variants of the same workload, and
-//! most of the resulting `hida.node` bodies are structurally identical across
-//! design points — only the nodes whose tiling or parallel factors actually
-//! changed differ. To share work *across* compilations (each with its own
-//! [`Context`], op numbering and mutation history), caches need a key that
-//! identifies a subtree by its content rather than by its identity.
-//!
-//! [`structural_fingerprint`] produces exactly that: a 128-bit hash of the op
-//! subtree rooted at an operation, covering operation names, attributes,
-//! types, the *shape* of the operand/result wiring and the nested region
-//! structure. The hash is computed from a canonical serialization that never
+//! [`structural_fingerprint`] is a 128-bit hash of the op subtree rooted at
+//! an operation, covering operation names, attributes, types, the *shape* of
+//! the operand/result wiring and the nested region structure. It is the
+//! identity check of a round trip: a module printed and re-parsed, rebuilt
+//! in a fresh context or cloned must fingerprint exactly as the original
+//! (the `.hir` parser's tests, the fuzzer and the storage properties compare
+//! them). The hash is computed from a canonical serialization that never
 //! touches [`OpId`]/[`crate::ValueId`] indices or the context id, so it is
 //! invariant under
 //!
@@ -20,21 +16,18 @@
 //!
 //! SSA values are encoded positionally: values defined inside the subtree get
 //! sequential local ordinals in walk order, values flowing in from outside get
-//! sequential external ordinals in first-use order. Two subtrees therefore
-//! collide only when they are wired identically, not merely when they contain
-//! the same ops.
+//! sequential external ordinals in first-use order and contribute their type.
+//! Two subtrees therefore collide only when they are wired identically, not
+//! merely when they contain the same ops.
 //!
-//! External values carry no structure of their own beyond their type, but a
-//! caller often knows more — a node operand, for example, stands for a
-//! physical buffer. [`structural_fingerprint_with`] accepts a callback that
-//! folds such caller-known facts about each external value into the hash at
-//! its first use.
+//! [`StableHasher`] is the process- and platform-independent hasher the
+//! fingerprint is built on; the estimate cache and store key their entries
+//! with it.
 
 use crate::attributes::Attribute;
 use crate::context::Context;
 use crate::ids::{OpId, ValueId};
 use crate::storage::EntityMap;
-use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 
 /// A 128-bit content hash of an op subtree. Two lanes of 64 bits are mixed
@@ -142,8 +135,7 @@ impl StableHasher {
 /// Hashes the structural content of the subtree rooted at `root`.
 ///
 /// External values (operands defined outside the subtree) contribute their
-/// first-use ordinal and their type; use [`structural_fingerprint_with`] to
-/// fold caller-known facts about them into the hash instead.
+/// first-use ordinal and their type.
 ///
 /// # Example
 ///
@@ -167,110 +159,45 @@ impl StableHasher {
 /// );
 /// ```
 pub fn structural_fingerprint(ctx: &Context, root: OpId) -> Fingerprint {
-    structural_fingerprint_with(ctx, root, |hasher, value| {
-        hasher.write_display(ctx.value_type(value));
-    })
+    let mut walker = Walker {
+        ctx,
+        hasher: StableHasher::new(),
+        locals: EntityMap::new(),
+        externals: EntityMap::new(),
+    };
+    walker.hash_op(root);
+    walker.hasher.finish()
 }
 
-/// Like [`structural_fingerprint`], but `external` is invoked once per distinct
-/// external value (at its first use, in use order) to fold caller-known facts
-/// about it — e.g. the physical description of the buffer behind a node
-/// operand — into the hash. The callback fully replaces the default type-only
-/// encoding of external values.
-pub fn structural_fingerprint_with(
-    ctx: &Context,
-    root: OpId,
-    external: impl FnMut(&mut StableHasher, ValueId),
-) -> Fingerprint {
-    structural_fingerprint_filtered(ctx, root, |_| true, external)
-}
-
-/// Like [`structural_fingerprint_with`], but attributes for which
-/// `keep_attr` returns `false` are excluded from the hash. Callers use this
-/// to ignore presentation-only attributes (names, labels) that do not affect
-/// the semantics a cache keyed by the fingerprint reproduces.
-pub fn structural_fingerprint_filtered(
-    ctx: &Context,
-    root: OpId,
-    keep_attr: impl Fn(&str) -> bool,
-    external: impl FnMut(&mut StableHasher, ValueId),
-) -> Fingerprint {
-    // A sweep fingerprints every node of every design point; the tables are
-    // this thread's, grown once to the largest value arena it has seen. An
-    // `external` callback that fingerprints in turn finds them lent out and
-    // walks with tables of its own.
-    thread_local!(static SCRATCH: RefCell<Scratch> = RefCell::default());
-    SCRATCH.with(|scratch| {
-        let mut own = Scratch::default();
-        let mut lent = scratch.try_borrow_mut();
-        let scratch = lent.as_deref_mut().unwrap_or(&mut own);
-        // Emptied before the walk, not after it: a walk that unwound (a
-        // cancelled or panicking sweep point) leaves nothing behind.
-        scratch.reset();
-        let mut walker = Walker {
-            ctx,
-            hasher: StableHasher::new(),
-            scratch,
-            keep_attr,
-            external,
-        };
-        walker.hash_op(root);
-        walker.hasher.finish()
-    })
-}
-
-/// The walker's value tables, dense over the value arena: probes are indexed
-/// loads, not hash lookups.
-#[derive(Default)]
-struct Scratch {
+struct Walker<'c> {
+    ctx: &'c Context,
+    hasher: StableHasher,
     /// Values defined inside the subtree -> local ordinal (walk order).
     locals: EntityMap<ValueId, u64>,
     /// Values defined outside the subtree -> external ordinal (first-use order).
     externals: EntityMap<ValueId, u64>,
-    /// Every value in either table, so that emptying them costs what the last
-    /// walk touched rather than the arena.
-    touched: Vec<ValueId>,
 }
 
-impl Scratch {
-    fn reset(&mut self) {
-        for value in self.touched.drain(..) {
-            self.locals.remove(value);
-            self.externals.remove(value);
-        }
-    }
-}
-
-struct Walker<'c, K, F> {
-    ctx: &'c Context,
-    hasher: StableHasher,
-    scratch: &'c mut Scratch,
-    keep_attr: K,
-    external: F,
-}
-
-impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F> {
+impl Walker<'_> {
     fn define_local(&mut self, value: ValueId) {
-        let ordinal = self.scratch.locals.len() as u64;
-        self.scratch.locals.insert(value, ordinal);
-        self.scratch.touched.push(value);
+        let ordinal = self.locals.len() as u64;
+        self.locals.insert(value, ordinal);
     }
 
     fn hash_value_use(&mut self, value: ValueId) {
-        if let Some(&ordinal) = self.scratch.locals.get(value) {
+        if let Some(&ordinal) = self.locals.get(value) {
             self.hasher.write_u64(0);
             self.hasher.write_u64(ordinal);
             return;
         }
         self.hasher.write_u64(1);
-        match self.scratch.externals.get(value) {
+        match self.externals.get(value) {
             Some(&ordinal) => self.hasher.write_u64(ordinal),
             None => {
-                let ordinal = self.scratch.externals.len() as u64;
-                self.scratch.externals.insert(value, ordinal);
-                self.scratch.touched.push(value);
+                let ordinal = self.externals.len() as u64;
+                self.externals.insert(value, ordinal);
                 self.hasher.write_u64(ordinal);
-                (self.external)(&mut self.hasher, value);
+                self.hasher.write_display(self.ctx.value_type(value));
             }
         }
     }
@@ -379,18 +306,11 @@ impl<K: Fn(&str) -> bool, F: FnMut(&mut StableHasher, ValueId)> Walker<'_, K, F>
 
         // Attribute iteration is in key-string order (each op's run in the
         // attribute arena is kept sorted), so the serialization is canonical.
-        // Counting first and hashing second keeps the walk allocation-free.
-        let kept = data
-            .attributes()
-            .iter()
-            .filter(|(key, _)| (self.keep_attr)(key))
-            .count();
-        self.hasher.write_u64(kept as u64);
-        for (key, value) in data.attributes().iter() {
-            if (self.keep_attr)(key) {
-                self.hasher.write_str(key);
-                self.hash_attr(value);
-            }
+        let attributes = data.attributes();
+        self.hasher.write_u64(attributes.len() as u64);
+        for (key, value) in attributes.iter() {
+            self.hasher.write_str(key);
+            self.hash_attr(value);
         }
 
         self.hasher.write_u64(data.operands.len() as u64);
@@ -511,6 +431,9 @@ mod tests {
         );
     }
 
+    /// Values flowing into the subtree hash by first-use ordinal, not by
+    /// identity: which outer values feed it matters only through the order
+    /// they are first used in and their types.
     #[test]
     fn external_values_are_numbered_by_first_use() {
         let mut ctx = Context::new();
@@ -529,14 +452,29 @@ mod tests {
         let inner = ctx.create_block(region);
         ctx.build_op(inner, "arith.addi", vec![c0, c1], vec![Type::i32()], vec![]);
 
-        // Fingerprinting just the wrapper treats c0/c1 as externals; the
-        // callback must fire exactly once per distinct external value.
-        let mut seen = Vec::new();
-        structural_fingerprint_with(&ctx, wrapper, |h, v| {
-            h.write_str(&ctx.value_type(v).to_string());
-            seen.push(v);
-        });
-        assert_eq!(seen, vec![c0, c1]);
+        // Fingerprinting just the wrapper treats c0/c1 as externals.
+        let wrapped = |ctx: &mut Context, operands: Vec<ValueId>| {
+            let (wrapper, _) = ctx.build_op(body, "hida.task", vec![], vec![], vec![]);
+            let region = ctx.create_region(wrapper);
+            let inner = ctx.create_block(region);
+            ctx.build_op(inner, "arith.addi", operands, vec![Type::i32()], vec![]);
+            structural_fingerprint(ctx, wrapper)
+        };
+        let first = structural_fingerprint(&ctx, wrapper);
+        // Other values in the same first-use order: the same hash.
+        let (d0, d1) = {
+            let mut b = OpBuilder::at_block_end(&mut ctx, body);
+            (
+                b.create_constant_int(5, Type::i32()),
+                b.create_constant_int(6, Type::i32()),
+            )
+        };
+        assert_eq!(wrapped(&mut ctx, vec![d0, d1]), first);
+        // The same value used twice is one external, not two.
+        assert_ne!(wrapped(&mut ctx, vec![c0, c0]), first);
+        // An external of another type changes the hash.
+        let wide = OpBuilder::at_block_end(&mut ctx, body).create_constant_int(0, Type::i64());
+        assert_ne!(wrapped(&mut ctx, vec![wide, c1]), first);
     }
 
     #[test]

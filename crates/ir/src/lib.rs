@@ -62,13 +62,8 @@ pub use builder::OpBuilder;
 pub use context::Context;
 pub use entities::{Block, Region, Value, ValueDef};
 pub use error::{IrError, IrResult};
-pub use fault::{
-    lock_recover, CancelToken, CancelUnwind, FaultKind, FaultPlan, PointFaults, WorkerFault,
-};
-pub use fingerprint::{
-    structural_fingerprint, structural_fingerprint_filtered, structural_fingerprint_with,
-    Fingerprint, StableHasher,
-};
+pub use fault::{lock_recover, CancelToken, FaultKind, FaultPlan, PointFaults};
+pub use fingerprint::{structural_fingerprint, Fingerprint, StableHasher};
 pub use ids::{BlockId, OpId, RegionId, ValueId};
 pub use intern::{Interned, Symbol};
 pub use operation::{OpName, OpRef, Operation};
@@ -97,6 +92,4 @@ pub mod op_names {
     pub const YIELD: &str = "builtin.yield";
     /// Integer/float constant operation (attribute `value`).
     pub const CONSTANT: &str = "arith.constant";
-    /// Unrealized placeholder op used in tests.
-    pub const UNREALIZED: &str = "builtin.unrealized";
 }

@@ -6,10 +6,10 @@
 //! every estimate — runs on the thread that asked for it. This module is the
 //! std-only machinery of that one level:
 //!
-//! * [`run_batch_isolated`] — a scoped work-stealing executor: items are
-//!   partitioned into contiguous per-worker queues, idle workers steal from
-//!   the back of their neighbours' queues, and results come back *in item
-//!   order* so what a batch returns is independent of thread scheduling.
+//! * [`run_batch`] — a scoped work-stealing executor: items are partitioned
+//!   into contiguous per-worker queues, idle workers steal from the back of
+//!   their neighbours' queues, and results come back *in item order* so what
+//!   a batch returns is independent of thread scheduling.
 //! * [`ParallelStats`] — the worker-count / steal / imbalance counters of a
 //!   batch, reported as a sweep's `pool`.
 //! * [`default_jobs`] — the pool width used when the caller names none.
@@ -18,15 +18,14 @@
 //! shared mutable state is the per-worker queues and the result slots, both
 //! behind `std::sync` primitives.
 //!
-//! **Fault isolation.** Items run under `catch_unwind`: an unwinding item
-//! becomes a per-item [`WorkerFault`] (carrying the panic payload message)
-//! instead of aborting the scope, and the internal locks are poison-tolerant,
-//! so one panicked item can neither take down the batch nor wedge the queues
-//! for its siblings.
+//! **Faults.** The pool runs items; it does not isolate them. A sweep point
+//! is its own fault domain (`hida::sweep::isolated` turns a panic or an
+//! expired deadline into the point's error), so an item that reaches the
+//! pool returns. One that panics anyway is a bug: its siblings run to the
+//! end, and the panic resumes on the caller after the join.
 
-use crate::fault::{fault_from_panic, lock_recover, WorkerFault};
+use crate::fault::lock_recover;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -78,7 +77,7 @@ impl std::fmt::Display for ParallelStats {
 }
 
 /// Runs `work` over every item of `items` on up to `jobs` workers, returning
-/// per-item `Result`s **in item order** plus the batch's execution counters.
+/// the results **in item order** plus the batch's execution counters.
 ///
 /// Items are partitioned into contiguous chunks, one queue per worker; a worker
 /// that drains its own queue steals from the back of the fullest neighbour.
@@ -86,26 +85,19 @@ impl std::fmt::Display for ParallelStats {
 /// thread — the bitwise-reproducibility escape hatch — but because results are
 /// always collected by item index, the output is identical either way.
 ///
-/// Every item runs under `catch_unwind`: an unwinding item yields
-/// `Err(WorkerFault)` in its slot (panic payload message preserved,
-/// cooperative [cancellation unwinds](crate::fault::CancelUnwind) flagged as
-/// `cancelled`) and its worker moves on to the next item. The queue and slot
-/// locks recover from poison, so a panicked sibling never wedges the batch.
-pub fn run_batch_isolated<T, R, F>(
-    jobs: usize,
-    items: &[T],
-    work: F,
-) -> (Vec<Result<R, WorkerFault>>, ParallelStats)
+/// # Panics
+/// When an item panics: inline, at once; on the pool, after every worker
+/// has joined, with the payload of the first worker (by index) that
+/// panicked.
+pub fn run_batch<T, R, F>(jobs: usize, items: &[T], work: F) -> (Vec<R>, ParallelStats)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let isolated =
-        |item: &T| catch_unwind(AssertUnwindSafe(|| work(item))).map_err(fault_from_panic);
     let workers = jobs.min(items.len()).max(1);
     if workers == 1 {
-        let results = items.iter().map(isolated).collect();
+        let results = items.iter().map(work).collect();
         let stats = ParallelStats {
             workers: 1,
             items: items.len() as u64,
@@ -125,8 +117,7 @@ where
             Mutex::new((start..end).collect())
         })
         .collect();
-    let slots: Vec<Mutex<Option<Result<R, WorkerFault>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let steals = AtomicU64::new(0);
     let executed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
 
@@ -137,7 +128,7 @@ where
             let slots = &slots;
             let steals = &steals;
             let executed = &executed;
-            let isolated = &isolated;
+            let work = &work;
             handles.push(scope.spawn(move || loop {
                 // Own queue first (front), then steal from the back of the
                 // other queues; queues only ever shrink, so one full empty
@@ -153,7 +144,7 @@ where
                     }
                 }
                 let Some(index) = next else { break };
-                let result = isolated(&items[index]);
+                let result = work(&items[index]);
                 *lock_recover(&slots[index]) = Some(result);
                 executed[me].fetch_add(1, Ordering::Relaxed);
             }));
@@ -165,20 +156,24 @@ where
         // instead of reusing those (measured: twice the arenas and a quarter
         // more resident memory on PR 13's generational explorer, which ran
         // its batches back to back). An explicit join waits for the thread
-        // itself.
+        // itself — every one of them, before a panic resumes.
+        let mut first_panic = None;
         for handle in handles {
             if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
+                first_panic.get_or_insert(payload);
             }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
 
-    let results: Vec<Result<R, WorkerFault>> = slots
+    let results: Vec<R> = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .expect("every batch item produces a result or a fault")
+                .expect("every batch item produces a result")
         })
         .collect();
     let counts: Vec<u64> = executed.iter().map(|c| c.load(Ordering::Relaxed)).collect();
@@ -192,27 +187,13 @@ where
     (results, stats)
 }
 
-/// [`run_batch_isolated`] with the first fault re-raised as a panic on the
-/// calling thread. Nothing in the workspace calls it; it stays because
-/// `benchmark/src/run.rs:855` (frozen) times an empty batch through it.
-#[doc(hidden)]
-pub fn run_batch<T, R, F>(jobs: usize, items: &[T], work: F) -> (Vec<R>, ParallelStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, stats) = run_batch_isolated(jobs, items, work);
-    let reraise = |fault: WorkerFault| -> R { panic!("{}", fault.message) };
-    let results = results.into_iter().map(|r| r.unwrap_or_else(reraise));
-    (results.collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::Context;
-    use crate::fault::CancelUnwind;
+    use crate::fault::error_from_panic;
+    use crate::IrError;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Checkpoints hold a `Context` that every worker forking them reads.
     #[test]
@@ -226,8 +207,7 @@ mod tests {
     fn run_batch_returns_results_in_item_order() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 2, 4, 7] {
-            let (results, stats) = run_batch_isolated(jobs, &items, |&x| x * x);
-            let results: Vec<u64> = results.into_iter().map(Result::unwrap).collect();
+            let (results, stats) = run_batch(jobs, &items, |&x| x * x);
             assert_eq!(results, items.iter().map(|x| x * x).collect::<Vec<_>>());
             assert_eq!(stats.items, 100);
             assert!(stats.workers <= jobs.max(1));
@@ -239,8 +219,8 @@ mod tests {
     #[test]
     fn run_batch_inline_mode_reports_one_worker_and_no_steals() {
         let items = vec![1, 2, 3];
-        let (results, stats) = run_batch_isolated(1, &items, |&x| x + 1);
-        assert_eq!(results, vec![Ok(2), Ok(3), Ok(4)]);
+        let (results, stats) = run_batch(1, &items, |&x| x + 1);
+        assert_eq!(results, vec![2, 3, 4]);
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.imbalance(), 0);
@@ -249,8 +229,8 @@ mod tests {
     #[test]
     fn run_batch_with_more_jobs_than_items_caps_workers() {
         let items = vec![10, 20];
-        let (results, stats) = run_batch_isolated(16, &items, |&x| x / 10);
-        assert_eq!(results, vec![Ok(1), Ok(2)]);
+        let (results, stats) = run_batch(16, &items, |&x| x / 10);
+        assert_eq!(results, vec![1, 2]);
         assert!(stats.workers <= 2);
     }
 
@@ -260,7 +240,7 @@ mod tests {
         // other workers must steal. (Spinning on an atomic keeps the heavy items
         // genuinely slow without sleeping.)
         let items: Vec<u64> = (0..64).map(|i| if i < 32 { 200_000 } else { 1 }).collect();
-        let (results, stats) = run_batch_isolated(4, &items, |&spin| {
+        let (results, stats) = run_batch(4, &items, |&spin| {
             let mut acc = 0_u64;
             for i in 0..spin {
                 acc = acc.wrapping_add(std::hint::black_box(i));
@@ -276,67 +256,24 @@ mod tests {
     }
 
     #[test]
-    fn panicked_items_become_faults_and_siblings_survive() {
-        crate::fault::silence_expected_panics();
-        let items: Vec<u64> = (0..20).collect();
-        for jobs in [1, 4] {
-            let (results, stats) = run_batch_isolated(jobs, &items, |&x| {
-                if x % 7 == 3 {
-                    panic!("injected fault: boom at {x}");
-                }
-                x * 2
-            });
-            assert_eq!(stats.items, 20);
-            for (i, result) in results.iter().enumerate() {
-                let x = i as u64;
-                match result {
-                    Ok(v) => {
-                        assert_ne!(x % 7, 3);
-                        assert_eq!(*v, x * 2);
-                    }
-                    Err(fault) => {
-                        assert_eq!(x % 7, 3);
-                        assert!(fault.message.contains(&format!("boom at {x}")));
-                        assert!(!fault.cancelled);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cancel_unwinds_are_flagged_as_cancelled_faults() {
-        crate::fault::silence_expected_panics();
-        let items = vec![0_u64, 1];
-        let (results, _) = run_batch_isolated(1, &items, |&x| {
-            if x == 1 {
-                std::panic::panic_any(CancelUnwind {
-                    site: "test".to_string(),
-                    detail: "deadline of 5ms exceeded".to_string(),
-                });
-            }
-            x
-        });
-        assert!(results[0].is_ok());
-        let fault = results[1].as_ref().unwrap_err();
-        assert!(fault.cancelled);
-        assert!(fault.message.contains("deadline of 5ms exceeded"));
-    }
-
-    #[test]
     fn run_batch_reraises_the_first_fault_on_the_caller() {
         crate::fault::silence_expected_panics();
         let items = vec![1_u64, 2, 3];
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_batch(2, &items, |&x| {
-                if x == 2 {
-                    panic!("injected fault: re-raise me");
-                }
-                x
-            })
-        }));
-        let payload = caught.expect_err("the fault must propagate");
-        let fault = fault_from_panic(payload);
-        assert!(fault.message.contains("re-raise me"));
+        for jobs in [1, 2] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_batch(jobs, &items, |&x| {
+                    if x == 2 {
+                        panic!("injected fault: re-raise me");
+                    }
+                    x
+                })
+            }));
+            let payload = caught.expect_err("the fault must propagate");
+            assert!(
+                matches!(error_from_panic("batch", payload),
+                    IrError::WorkerPanic { message, .. } if message.contains("re-raise me")),
+                "--jobs {jobs}"
+            );
+        }
     }
 }

@@ -54,11 +54,6 @@ pub struct PipelineState {
 }
 
 impl PipelineState {
-    /// Creates an empty state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Stores `value`, returning the previously stored value of the same type.
     pub fn insert<T: Any + Clone + Send + Sync>(&mut self, value: T) -> Option<T> {
         let old: Box<dyn Any> = self.slots.insert(TypeId::of::<T>(), Box::new(value))?;
@@ -410,9 +405,9 @@ impl PassManager {
             let start = Instant::now();
             // Built only for the error of a cancelled or panicking pass.
             let site = || format!("pass '{name}'");
-            // Pass boundaries are cancellation checkpoints: a deadline or an
-            // explicit cancel stops the pipeline here, before the next pass
-            // starts, with a deterministic `Cancelled` error.
+            // Pass boundaries are cancellation checkpoints: an expired
+            // deadline stops the pipeline here, before the next pass starts,
+            // with a deterministic `Cancelled` error.
             let result = fault::checkpoint(site).and_then(|()| {
                 // The pass body runs under `catch_unwind`, so a panicking
                 // pass (injected or real) becomes a structured `WorkerPanic`
@@ -909,7 +904,7 @@ mod tests {
 
     #[test]
     fn pipeline_state_slots_are_typed() {
-        let mut state = PipelineState::new();
+        let mut state = PipelineState::default();
         assert_eq!(state.get::<i64>(), None);
         assert_eq!(state.insert(3_i64), None);
         assert_eq!(state.insert("hello"), None);
@@ -1206,8 +1201,8 @@ mod tests {
 
     #[test]
     fn cancelled_token_stops_the_pipeline_at_a_pass_boundary() {
-        let token = crate::fault::CancelToken::new();
-        token.cancel();
+        let token = crate::fault::CancelToken::with_deadline_ms(0);
+        std::thread::sleep(std::time::Duration::from_millis(2));
         let _guard = crate::fault::install_point(token, None);
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
