@@ -836,7 +836,10 @@ fn run_single(args: &Args) -> Result<(), String> {
         let (ctx, schedule) = (&lowered.ctx, lowered.schedule);
         say!("\n# Schedule ({} nodes)", schedule.nodes(ctx).len());
         for node in schedule.nodes(ctx) {
-            let rank = ComputeProfile::compute(ctx, node.id()).loop_dims.len();
+            let rank = match lowered.analyses.cached::<ComputeProfile>(ctx, node.id()) {
+                Some(profile) => profile.loop_dims.len(),
+                None => ComputeProfile::compute(ctx, node.id()).loop_dims.len(),
+            };
             say!(
                 "node {:<24} intensity {:<10} parallel factor {:<5} unroll {:?}",
                 node.name(ctx),

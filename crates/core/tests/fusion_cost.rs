@@ -1,0 +1,140 @@
+//! Task fusion and the `lower` pass after it are the front half of every DNN
+//! compile, and the compute profile both of them query is the analysis they
+//! call most. What one ResNet-18 run of each costs is counted here: pattern
+//! checks, and allocator calls with the verification after each pass. Counts,
+//! so the ceilings hold on any machine: the pattern phase checks each pair of
+//! adjacent tasks once and again only after a merge changed it, a check
+//! borrows the tasks' bodies instead of copying them, and a profile walks its
+//! body once and builds each layer's virtual loop nest once. The allocator
+//! calls are counted on a second compile, after the first one has interned
+//! what the passes write.
+
+use hida::dataflow_ir::functional::TaskOp;
+use hida::frontend::nn::build_model;
+use hida::ir::{AnalysisManager, Context, PassManager, RunState};
+use hida::opt::fusion::{default_fusion_patterns, FusionPattern};
+use hida::opt::pipeline::{ConstructPass, FusionPass, LowerPass};
+use hida::Model;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+thread_local! {
+    // Per thread, so the tests of this binary can run side by side; no
+    // destructor, so the allocator may touch it for as long as the thread
+    // allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// plain thread-local cell that allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract for `alloc` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// 628 when the pattern phase rescanned from the first pair after every
+/// merge; one sweep makes 122.
+const MATCHES_CEILING: u64 = 150;
+/// 3 696 before the sweep and the one-walk profile, 1 277 after.
+const FUSION_ALLOCATION_CEILING: u64 = 1_500;
+/// 2 445 while a profile built each layer's loop nest two or three times
+/// and named every loop dimension, 1 109 after.
+const LOWER_ALLOCATION_CEILING: u64 = 1_300;
+
+/// A pattern that counts its checks and answers as the wrapped one does.
+struct CountingPattern {
+    inner: Box<dyn FusionPattern>,
+    calls: Arc<AtomicU64>,
+}
+
+impl FusionPattern for CountingPattern {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn matches(&self, ctx: &hida::ir::Context, task: TaskOp, next: TaskOp) -> bool {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.matches(ctx, task, next)
+    }
+}
+
+/// Allocator calls of `construct`, `fusion` and `lower` (each with its
+/// verification) over a fresh ResNet-18, and the pattern checks of `fusion`.
+fn compile_resnet18() -> [u64; 4] {
+    let calls = Arc::new(AtomicU64::new(0));
+    let patterns = default_fusion_patterns()
+        .into_iter()
+        .map(|inner| {
+            Box::new(CountingPattern {
+                inner,
+                calls: Arc::clone(&calls),
+            }) as Box<dyn FusionPattern>
+        })
+        .collect();
+    let mut passes = PassManager::new();
+    passes.add_pass(Box::new(ConstructPass));
+    passes.add_pass(Box::new(FusionPass::with_patterns(patterns)));
+    passes.add_pass(Box::new(LowerPass));
+    // A debug build re-computes every analysis a pass declared preserved to
+    // check the declaration, which is not what is counted here.
+    let mut state = RunState {
+        analyses: AnalysisManager::new().with_consistency_checks(false),
+        ..RunState::default()
+    };
+
+    let mut ctx = Context::new();
+    let module = ctx.create_module("resnet18");
+    let func = build_model(&mut ctx, module, Model::ResNet18);
+    let mut allocs = [0; 3];
+    for (pass, count) in allocs.iter_mut().enumerate() {
+        let before = ALLOCS.get();
+        passes
+            .run_range(&mut ctx, func, pass..pass + 1, &mut state)
+            .expect("ResNet-18 lowers");
+        *count = ALLOCS.get() - before;
+    }
+    assert!(state.statistics.iter().all(|record| !record.failed));
+    hida::ir::verifier::verify(&ctx, module).expect("and the IR is valid");
+    [
+        allocs[0],
+        allocs[1],
+        allocs[2],
+        calls.load(Ordering::Relaxed),
+    ]
+}
+
+#[test]
+fn fusing_and_lowering_resnet18_stay_under_their_ceilings() {
+    let [_, _, _, warm_matches] = compile_resnet18();
+    let [_, fusion, lower, matches] = compile_resnet18();
+    assert_eq!(matches, warm_matches, "pattern checks are deterministic");
+    assert!(
+        matches <= MATCHES_CEILING,
+        "fusion of ResNet-18 made {matches} pattern checks, ceiling {MATCHES_CEILING}"
+    );
+    assert!(
+        fusion <= FUSION_ALLOCATION_CEILING,
+        "fusion + its verification of ResNet-18 made {fusion} allocator calls, \
+         ceiling {FUSION_ALLOCATION_CEILING}"
+    );
+    assert!(
+        lower <= LOWER_ALLOCATION_CEILING,
+        "lower + its verification of ResNet-18 made {lower} allocator calls, \
+         ceiling {LOWER_ALLOCATION_CEILING}"
+    );
+}

@@ -8,9 +8,10 @@
 //! layer (PyTorch front-end).
 
 use crate::arith::{classify, OpClass};
-use crate::linalg::LinalgOp;
+use crate::linalg::{LayerProfile, LinalgOp};
 use crate::loops::{self, ForOp};
 use crate::memory;
+use hida_ir_core::walk::walk_ops_preorder;
 use hida_ir_core::{Context, OpId, ValueId};
 
 /// Memory effect of a node on one buffer (paper §5.2: nodes carry explicit I/O
@@ -78,8 +79,6 @@ pub struct BufferAccess {
 /// One loop dimension of a node's (virtual) loop nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileLoopDim {
-    /// Dimension name.
-    pub name: String,
     /// Trip count.
     pub trip: i64,
     /// Whether the dimension is a reduction dimension.
@@ -167,57 +166,37 @@ impl hida_ir_core::analysis::Analysis for ComputeProfile {
 pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
     let mut profile = ComputeProfile::default();
 
-    // Named layers anywhere in the body.
-    let mut dominant: Option<(i64, OpId, LinalgOp)> = None;
-    for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
+    // Named layers anywhere in the body, each profiled once.
+    let mut layers: Vec<(OpId, LayerProfile)> = Vec::new();
+    let mut dominant: Option<(i64, usize)> = None;
+    walk_ops_preorder(ctx, op, &mut |ctx, nested| {
         if nested == op {
-            continue;
+            return;
         }
-        if let Some(layer) = LinalgOp::from_op(ctx, nested) {
-            let input_shape = input_shape_of(ctx, nested);
-            let lp = layer.profile(&input_shape);
-            let work = 2 * lp.macs + lp.other_ops;
-            profile.intensity += work;
-            profile.macs += lp.macs;
-            profile.weight_params += lp.weight_params;
-            if dominant.as_ref().map(|(w, _, _)| work > *w).unwrap_or(true) {
-                dominant = Some((work, nested, layer));
-            }
+        let Some(layer) = LinalgOp::from_op(ctx, nested) else {
+            return;
+        };
+        let lp = layer.profile(input_shape_of(ctx, nested));
+        let work = 2 * lp.macs + lp.other_ops;
+        profile.intensity += work;
+        profile.macs += lp.macs;
+        profile.weight_params += lp.weight_params;
+        if dominant.is_none_or(|(w, _)| work > w) {
+            dominant = Some((work, layers.len()));
         }
-    }
+        layers.push((nested, lp));
+    });
 
-    if let Some((_, dominant_op, layer)) = dominant {
-        let input_shape = input_shape_of(ctx, dominant_op);
-        let lp = layer.profile(&input_shape);
-        profile.loop_dims = lp
-            .loop_dims
-            .iter()
-            .map(|d| ProfileLoopDim {
-                name: d.name.clone(),
-                trip: d.trip,
-                reduction: d.reduction,
-            })
-            .collect();
+    if let Some((_, dominant)) = dominant {
+        // Record accesses for every named layer (patterns only for the dominant one).
+        for (i, (nested, lp)) in layers.iter().enumerate() {
+            record_linalg_accesses(ctx, *nested, lp, i == dominant, &mut profile);
+        }
+        let lp = &mut layers[dominant].1;
+        profile.loop_dims = std::mem::take(&mut lp.loop_dims);
         profile.muls_per_iter = if lp.macs > 0 { 1 } else { 0 };
         profile.adds_per_iter = 1;
         profile.mem_per_iter = 2;
-        // Record accesses for every named layer (patterns only for the dominant one).
-        for nested in hida_ir_core::walk::collect_preorder(ctx, op) {
-            if nested == op {
-                continue;
-            }
-            if let Some(l) = LinalgOp::from_op(ctx, nested) {
-                let shape = input_shape_of(ctx, nested);
-                let lp_nested = l.profile(&shape);
-                record_linalg_accesses(
-                    ctx,
-                    nested,
-                    &lp_nested,
-                    nested == dominant_op,
-                    &mut profile,
-                );
-            }
-        }
         return profile;
     }
 
@@ -239,7 +218,6 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
     profile.loop_dims = band
         .iter()
         .map(|l| ProfileLoopDim {
-            name: l.name(ctx),
             trip: l.trip_count(ctx),
             reduction: false,
         })
@@ -271,51 +249,47 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
     profile
 }
 
-fn input_shape_of(ctx: &Context, op: OpId) -> Vec<i64> {
+fn input_shape_of(ctx: &Context, op: OpId) -> &'static [i64] {
     ctx.op(op)
         .operands
         .first()
-        .and_then(|&v| ctx.value_type(v).shape().map(|s| s.to_vec()))
+        .and_then(|&v| ctx.value_type(v).shape())
         .unwrap_or_default()
 }
 
 fn record_linalg_accesses(
     ctx: &Context,
     op: OpId,
-    lp: &crate::linalg::LayerProfile,
+    lp: &LayerProfile,
     use_patterns: bool,
     profile: &mut ComputeProfile,
 ) {
-    let operands = ctx.op(op).operands.clone();
+    let operation = ctx.op(op).payload();
+    let operands = &operation.operands;
     // Inputs: tensor operands that are shaped values. In destination-passing style
     // (structural level), the final operand is the output buffer.
-    let has_result = !ctx.op(op).results.is_empty();
+    let has_result = !operation.results.is_empty();
     let num_inputs = if has_result {
         operands.len()
     } else {
         operands.len().saturating_sub(1)
     };
     for (i, &operand) in operands.iter().take(num_inputs).enumerate() {
-        if ctx.value_type(operand).shape().is_none() {
+        let Some(shape) = ctx.value_type(operand).shape() else {
             continue;
-        }
-        let rank = ctx
-            .value_type(operand)
-            .shape()
-            .map(|s| s.len())
-            .unwrap_or(0);
+        };
         let pattern = if use_patterns && i < lp.input_accesses.len() {
             AccessPattern {
                 dims: lp.input_accesses[i].clone(),
             }
         } else {
-            AccessPattern::unknown(rank)
+            AccessPattern::unknown(shape.len())
         };
         profile.record_access(operand, MemEffect::Read, pattern);
     }
     // Output: either the op result (tensor level) or the last operand (memref level).
     let output = if has_result {
-        Some(ctx.op(op).results[0])
+        Some(operation.results[0])
     } else {
         operands.last().copied()
     };
@@ -464,8 +438,10 @@ mod tests {
         let (func, a, b, c) = listing1_node2(&mut ctx);
         let p = profile_body(&ctx, func);
 
-        assert_eq!(p.loop_dims.len(), 3);
-        assert_eq!(p.loop_dims[0].name, "i");
+        // i, j, k: 16 iterations each. C is indexed by i and j, so only k
+        // reduces.
+        let dims: Vec<(i64, bool)> = p.loop_dims.iter().map(|d| (d.trip, d.reduction)).collect();
+        assert_eq!(dims, vec![(16, false), (16, false), (16, true)]);
         assert_eq!(p.total_iterations(), 16 * 16 * 16);
         // Intensity of Node2 in Table 5 is 4096 = 16^3 MACs; our intensity counts
         // every scalar op (2 arith + 4 mem per iteration) so it must exceed that.

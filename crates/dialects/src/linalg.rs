@@ -11,6 +11,7 @@
 //! estimator) so that the SSA graph contains only the activation tensors that flow
 //! through the dataflow architecture.
 
+use crate::analysis::ProfileLoopDim;
 use hida_ir_core::{Attribute, Context, OpBuilder, OpId, Type, ValueId};
 
 /// Convolution layer op name.
@@ -103,24 +104,11 @@ pub enum LinalgOp {
     Flatten,
 }
 
-/// A loop dimension of a layer's virtual loop nest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopDim {
-    /// Short dimension name (`k`, `c`, `h`, `w`, `r`, `s`, `o`, `i`, ...).
-    pub name: String,
-    /// Trip count of the dimension.
-    pub trip: i64,
-    /// Whether the dimension is a reduction (accumulating) dimension.
-    pub reduction: bool,
-}
-
-impl LoopDim {
-    fn new(name: &str, trip: i64, reduction: bool) -> Self {
-        LoopDim {
-            name: name.to_string(),
-            trip: trip.max(1),
-            reduction,
-        }
+/// A loop dimension of a layer's virtual loop nest; trip counts below 1 count as 1.
+fn dim(trip: i64, reduction: bool) -> ProfileLoopDim {
+    ProfileLoopDim {
+        trip: trip.max(1),
+        reduction,
     }
 }
 
@@ -132,7 +120,7 @@ pub type DimAccess = Option<(usize, i64)>;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Virtual loop dimensions, outermost first.
-    pub loop_dims: Vec<LoopDim>,
+    pub loop_dims: Vec<ProfileLoopDim>,
     /// Per input operand: how each of its aggregate dimensions is indexed.
     pub input_accesses: Vec<Vec<DimAccess>>,
     /// How each result dimension is indexed.
@@ -221,14 +209,13 @@ impl LinalgOp {
                 stride,
                 ..
             } => {
-                // Loops: k (out ch), c (in ch, red), h, w, r (red), s (red).
                 let loop_dims = vec![
-                    LoopDim::new("k", *out_channels, false),
-                    LoopDim::new("c", *in_channels, true),
-                    LoopDim::new("h", output_shape[1], false),
-                    LoopDim::new("w", output_shape[2], false),
-                    LoopDim::new("r", *kernel, true),
-                    LoopDim::new("s", *kernel, true),
+                    dim(*out_channels, false),   // k: out channels
+                    dim(*in_channels, true),     // c: in channels
+                    dim(output_shape[1], false), // h
+                    dim(output_shape[2], false), // w
+                    dim(*kernel, true),          // r
+                    dim(*kernel, true),          // s
                 ];
                 LayerProfile {
                     loop_dims,
@@ -258,11 +245,11 @@ impl LinalgOp {
                 ..
             } => {
                 let loop_dims = vec![
-                    LoopDim::new("c", *channels, false),
-                    LoopDim::new("h", output_shape[1], false),
-                    LoopDim::new("w", output_shape[2], false),
-                    LoopDim::new("r", *kernel, true),
-                    LoopDim::new("s", *kernel, true),
+                    dim(*channels, false),       // c
+                    dim(output_shape[1], false), // h
+                    dim(output_shape[2], false), // w
+                    dim(*kernel, true),          // r
+                    dim(*kernel, true),          // s
                 ];
                 LayerProfile {
                     loop_dims,
@@ -283,8 +270,8 @@ impl LinalgOp {
                 out_features,
             } => {
                 let loop_dims = vec![
-                    LoopDim::new("o", *out_features, false),
-                    LoopDim::new("i", *in_features, true),
+                    dim(*out_features, false), // o
+                    dim(*in_features, true),   // i
                 ];
                 LayerProfile {
                     loop_dims,
@@ -298,11 +285,11 @@ impl LinalgOp {
             }
             LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => {
                 let loop_dims = vec![
-                    LoopDim::new("c", input_shape[0], false),
-                    LoopDim::new("h", output_shape[1], false),
-                    LoopDim::new("w", output_shape[2], false),
-                    LoopDim::new("r", *kernel, true),
-                    LoopDim::new("s", *kernel, true),
+                    dim(input_shape[0], false),  // c
+                    dim(output_shape[1], false), // h
+                    dim(output_shape[2], false), // w
+                    dim(*kernel, true),          // r
+                    dim(*kernel, true),          // s
                 ];
                 let window_ops =
                     input_shape[0] * output_shape[1] * output_shape[2] * kernel * kernel;
@@ -323,8 +310,7 @@ impl LinalgOp {
             LinalgOp::Relu => {
                 let loop_dims = input_shape
                     .iter()
-                    .enumerate()
-                    .map(|(i, &d)| LoopDim::new(&format!("d{i}"), d, false))
+                    .map(|&d| dim(d, false))
                     .collect::<Vec<_>>();
                 let access: Vec<DimAccess> = (0..input_shape.len()).map(|i| Some((i, 1))).collect();
                 LayerProfile {
@@ -340,8 +326,7 @@ impl LinalgOp {
             LinalgOp::Add => {
                 let loop_dims = input_shape
                     .iter()
-                    .enumerate()
-                    .map(|(i, &d)| LoopDim::new(&format!("d{i}"), d, false))
+                    .map(|&d| dim(d, false))
                     .collect::<Vec<_>>();
                 let access: Vec<DimAccess> = (0..input_shape.len()).map(|i| Some((i, 1))).collect();
                 LayerProfile {
@@ -355,7 +340,7 @@ impl LinalgOp {
                 }
             }
             LinalgOp::Flatten => LayerProfile {
-                loop_dims: vec![LoopDim::new("n", input_shape.iter().product(), false)],
+                loop_dims: vec![dim(input_shape.iter().product(), false)],
                 input_accesses: vec![vec![None; input_shape.len()]],
                 result_access: vec![Some((0, 1))],
                 macs: 0,

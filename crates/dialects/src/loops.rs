@@ -96,14 +96,6 @@ impl ForOp {
         ctx.op(self.0).attr_int("step").unwrap_or(1).max(1)
     }
 
-    /// Human-readable loop name (defaults to the empty string).
-    pub fn name(self, ctx: &Context) -> String {
-        ctx.op(self.0)
-            .attr_str("loop_name")
-            .unwrap_or("")
-            .to_string()
-    }
-
     /// Number of iterations executed by the loop.
     pub fn trip_count(self, ctx: &Context) -> i64 {
         let range = self.upper_bound(ctx) - self.lower_bound(ctx);
@@ -251,7 +243,7 @@ mod tests {
         assert_eq!(f.step(&ctx), 1);
         assert_eq!(f.trip_count(&ctx), 16);
         assert_eq!(f.induction_var(&ctx), iv);
-        assert_eq!(f.name(&ctx), "i");
+        assert_eq!(ctx.op(op).attr_str("loop_name"), Some("i"));
         assert_eq!(ctx.value_type(iv), &Type::Index);
         assert!(f.is_innermost(&ctx));
     }

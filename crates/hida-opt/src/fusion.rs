@@ -3,10 +3,11 @@
 //! Two mechanisms reduce the number of dataflow tasks while balancing their
 //! workloads:
 //!
-//! 1. **Pattern-driven fusion** — a worklist repeatedly merges adjacent tasks that
-//!    match a profitable pattern (element-wise consumers like ReLU/Add/Flatten fuse
-//!    into their producer, pooling fuses into the preceding convolution), until no
-//!    pattern matches.
+//! 1. **Pattern-driven fusion** — one sweep over the adjacent task pairs merges each
+//!    pair that matches a profitable pattern (element-wise consumers like
+//!    ReLU/Add/Flatten fuse into their producer, pooling fuses into the preceding
+//!    convolution); after a merge the sweep steps back one pair, the only earlier
+//!    pair the merge can make match, so no pattern matches when it ends.
 //! 2. **Criticality-driven fusion** — the two least-critical (lowest-intensity)
 //!    adjacent tasks are merged while doing so does not create a new critical task,
 //!    re-balancing the dataflow.
@@ -28,6 +29,9 @@ pub trait FusionPattern: Send + Sync {
     fn name(&self) -> &str;
 
     /// Returns true when fusing `task` with `next` is profitable.
+    ///
+    /// Reads only the ops in the two tasks' bodies: the pattern phase checks a
+    /// pair again only when a merge has changed one of its two tasks.
     fn matches(&self, ctx: &Context, task: TaskOp, next: TaskOp) -> bool;
 }
 
@@ -43,7 +47,7 @@ impl FusionPattern for ElementwiseFusion {
         // The consumer task must consist purely of element-wise layers; otherwise we
         // would keep gluing heavy compute tasks together through their activations.
         let mut has_elementwise = false;
-        for &op in &ctx.body_ops(next.id()) {
+        for &op in body(ctx, next) {
             let name = ctx.op(op).name.as_str();
             if name == linalg::RELU || name == linalg::FLATTEN || name == linalg::ADD {
                 has_elementwise = true;
@@ -65,14 +69,14 @@ impl FusionPattern for ConvPoolFusion {
     }
 
     fn matches(&self, ctx: &Context, task: TaskOp, next: TaskOp) -> bool {
-        let task_has_conv = ctx.body_ops(task.id()).iter().any(|&op| {
+        let task_has_conv = body(ctx, task).iter().any(|&op| {
             let name = ctx.op(op).name.as_str();
             name == linalg::CONV2D || name == linalg::DEPTHWISE_CONV2D
         });
         // The pooling task must contain only pooling / element-wise layers: fusing a
         // pool that already leads another convolution would chain heavy tasks.
         let mut next_has_pool = false;
-        for &op in &ctx.body_ops(next.id()) {
+        for &op in body(ctx, next) {
             let name = ctx.op(op).name.as_str();
             if name == linalg::MAXPOOL2D || name == linalg::AVGPOOL2D {
                 next_has_pool = true;
@@ -86,6 +90,11 @@ impl FusionPattern for ConvPoolFusion {
         }
         task_has_conv && next_has_pool
     }
+}
+
+/// The ops directly in `task`'s body, borrowed from the context.
+fn body(ctx: &Context, task: TaskOp) -> &[OpId] {
+    &ctx.block(ctx.body_block(task.id())).ops
 }
 
 /// The default profitable fusion patterns used by HIDA.
@@ -151,36 +160,42 @@ pub fn fuse_tasks(
         if !ctx.is_alive(dispatch) {
             continue;
         }
-        fuse_dispatch(ctx, analyses, DispatchOp(dispatch), patterns);
+        fuse_patterns(ctx, analyses, DispatchOp(dispatch), patterns);
+        fuse_least_critical(ctx, analyses, DispatchOp(dispatch));
     }
     canonicalize(ctx, analyses, root);
     Ok(())
 }
 
-fn fuse_dispatch(
+/// Pattern-driven fusion: one sweep over the adjacent task pairs, with the task
+/// list kept in step with the IR. A merge at pair `i` changes only pairs `i - 1`
+/// and `i`; every pair before `i - 1` is unchanged and already failed to match,
+/// so the sweep resumes at `i - 1`.
+fn fuse_patterns(
     ctx: &mut Context,
     analyses: &mut AnalysisManager,
     dispatch: DispatchOp,
     patterns: &[Box<dyn FusionPattern>],
 ) {
-    // Pattern-driven worklist: fuse adjacent tasks until no pattern matches.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let tasks = dispatch.tasks(ctx);
-        for window in tasks.windows(2) {
-            let (a, b) = (window[0], window[1]);
-            if patterns.iter().any(|p| p.matches(ctx, a, b)) {
-                let merged = fuse_two_tasks(ctx, a, b);
-                invalidate_consumers(ctx, analyses, merged);
-                changed = true;
-                break;
-            }
+    let mut tasks = dispatch.tasks(ctx);
+    let mut i = 0;
+    while i + 1 < tasks.len() {
+        let (a, b) = (tasks[i], tasks[i + 1]);
+        if patterns.iter().any(|p| p.matches(ctx, a, b)) {
+            let merged = fuse_two_tasks(ctx, a, b);
+            invalidate_consumers(ctx, analyses, merged);
+            tasks[i] = merged;
+            tasks.remove(i + 1);
+            i = i.saturating_sub(1);
+        } else {
+            i += 1;
         }
     }
+}
 
-    // Criticality-driven re-balancing: repeatedly fuse the two least-critical
-    // adjacent tasks while the result stays below the critical task's intensity.
+/// Criticality-driven re-balancing: repeatedly fuse the two least-critical
+/// adjacent tasks while the result stays below the critical task's intensity.
+fn fuse_least_critical(ctx: &mut Context, analyses: &mut AnalysisManager, dispatch: DispatchOp) {
     loop {
         let tasks = dispatch.tasks(ctx);
         if tasks.len() < 3 {
@@ -361,6 +376,111 @@ mod tests {
         let dispatch = DispatchOp(ctx.collect_ops(func, hida_ops::DISPATCH)[0]);
         // Three equally heavy matmuls: criticality fusion must not collapse them.
         assert_eq!(dispatch.tasks(&ctx).len(), 3);
+    }
+
+    /// The pattern phase before it became one sweep: after every merge it
+    /// re-reads the dispatch's tasks and rescans from the first pair. The
+    /// oracle the sweep must agree with.
+    fn fuse_patterns_rescanning(
+        ctx: &mut Context,
+        analyses: &mut AnalysisManager,
+        dispatch: DispatchOp,
+        patterns: &[Box<dyn FusionPattern>],
+    ) {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            let tasks = dispatch.tasks(ctx);
+            for window in tasks.windows(2) {
+                let (a, b) = (window[0], window[1]);
+                if patterns.iter().any(|p| p.matches(ctx, a, b)) {
+                    let merged = fuse_two_tasks(ctx, a, b);
+                    invalidate_consumers(ctx, analyses, merged);
+                    changed = true;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// [`fuse_tasks`] with [`fuse_patterns_rescanning`] as its pattern phase.
+    fn fuse_tasks_rescanning(ctx: &mut Context, root: OpId, patterns: &[Box<dyn FusionPattern>]) {
+        let analyses = &mut AnalysisManager::new();
+        let dispatches: Vec<OpId> = hida_ir_core::walk::collect_preorder(ctx, root)
+            .into_iter()
+            .filter(|&op| ctx.is_alive(op) && ctx.op(op).is(hida_ops::DISPATCH))
+            .collect();
+        for dispatch in dispatches {
+            if !ctx.is_alive(dispatch) {
+                continue;
+            }
+            fuse_patterns_rescanning(ctx, analyses, DispatchOp(dispatch), patterns);
+            fuse_least_critical(ctx, analyses, DispatchOp(dispatch));
+        }
+        canonicalize(ctx, analyses, root);
+    }
+
+    #[test]
+    fn the_sweep_fuses_exactly_as_the_rescanning_loop() {
+        let mut subjects: Vec<(String, Context, OpId)> = Vec::new();
+        for model in Model::all() {
+            let mut ctx = Context::new();
+            let module = ctx.create_module(model.name());
+            build_model(&mut ctx, module, model);
+            subjects.push((model.name().to_string(), ctx, module));
+        }
+        for kernel in PolybenchKernel::all() {
+            let mut ctx = Context::new();
+            let module = ctx.create_module(kernel.name());
+            build_kernel(&mut ctx, module, kernel, kernel.default_size());
+            subjects.push((kernel.name().to_string(), ctx, module));
+        }
+        for (name, text) in [
+            ("two_mm.hir", include_str!("../../../examples/two_mm.hir")),
+            (
+                "attention.hir",
+                include_str!("../../../examples/attention.hir"),
+            ),
+        ] {
+            let (ctx, module) = hida_ir_core::parse_module(text).unwrap();
+            subjects.push((name.to_string(), ctx, module));
+        }
+        assert_eq!(subjects.len(), 7 + 11 + 2);
+
+        for (name, mut ctx, module) in subjects {
+            let func = ctx
+                .find_in_body(module, hida_ir_core::op_names::FUNC)
+                .unwrap();
+            construct_functional_dataflow(&mut ctx, func).unwrap();
+            // The default patterns never make a pair match by merging the
+            // pair after it; `AbsorbMerged` does, so the step back is checked.
+            let absorbing: Vec<Box<dyn FusionPattern>> =
+                vec![Box::new(ElementwiseFusion), Box::new(AbsorbMerged)];
+            for patterns in [default_fusion_patterns(), absorbing] {
+                let (mut swept, mut rescanned) = (ctx.clone(), ctx.clone());
+                fuse_tasks(&mut swept, &mut AnalysisManager::new(), func, &patterns).unwrap();
+                fuse_tasks_rescanning(&mut rescanned, func, &patterns);
+                assert_eq!(
+                    hida_ir_core::printer::print_op(&swept, module),
+                    hida_ir_core::printer::print_op(&rescanned, module),
+                    "{name}: the sweep and the rescanning loop fused differently"
+                );
+            }
+        }
+    }
+
+    /// Fuses any task into its predecessor once its body holds more than one
+    /// op and a terminator, as a merged single-layer task's does.
+    struct AbsorbMerged;
+
+    impl FusionPattern for AbsorbMerged {
+        fn name(&self) -> &str {
+            "absorb-merged"
+        }
+
+        fn matches(&self, ctx: &Context, _task: TaskOp, next: TaskOp) -> bool {
+            body(ctx, next).len() > 2
+        }
     }
 
     #[test]

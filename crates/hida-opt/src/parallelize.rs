@@ -769,12 +769,10 @@ mod tests {
         let profile = ComputeProfile {
             loop_dims: vec![
                 ProfileLoopDim {
-                    name: "i".into(),
                     trip: 32,
                     reduction: false,
                 },
                 ProfileLoopDim {
-                    name: "k".into(),
                     trip: 16,
                     reduction: false,
                 },
@@ -793,12 +791,10 @@ mod tests {
         let with_reduction = ComputeProfile {
             loop_dims: vec![
                 ProfileLoopDim {
-                    name: "i".into(),
                     trip: 16,
                     reduction: false,
                 },
                 ProfileLoopDim {
-                    name: "k".into(),
                     trip: 16,
                     reduction: true,
                 },
@@ -964,8 +960,7 @@ mod tests {
             let rank = 1 + rng.below(7) as usize;
             let profile = ComputeProfile {
                 loop_dims: (0..rank)
-                    .map(|d| ProfileLoopDim {
-                        name: format!("d{d}"),
+                    .map(|_| ProfileLoopDim {
                         trip: pick(&mut rng, &TRIPS),
                         reduction: rng.below(3) == 0,
                     })

@@ -83,7 +83,6 @@ proptest! {
                 .iter()
                 .enumerate()
                 .map(|(i, &t)| ProfileLoopDim {
-                    name: format!("d{i}"),
                     trip: t,
                     reduction: (reduction_mask >> i) & 1 == 1,
                 })
