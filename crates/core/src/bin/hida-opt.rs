@@ -365,7 +365,7 @@ fn persistent_json(p: &PersistentStoreStats) -> Json {
 
 fn pass_json(stat: &PassStatistics) -> Json {
     json_object! {
-        "pass": stat.pass.as_str(),
+        "pass": stat.pass,
         "micros": stat.micros as u64,
         "live_ops_before": stat.live_ops_before,
         "live_ops_after": stat.live_ops_after,

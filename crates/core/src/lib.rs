@@ -57,7 +57,7 @@ pub use hida_ir_core::analysis::{
     Analysis, AnalysisCacheStats, AnalysisManager, PreservedAnalyses,
 };
 pub use hida_ir_core::fault::{CancelToken, FaultKind, FaultPlan, PointFaults};
-pub use hida_ir_core::pass::{PassOption, PassStatistics, PipelineState, Verified};
+pub use hida_ir_core::pass::{PassOption, PassStatistics, Verified};
 pub use hida_ir_core::PassInvocation;
 pub use hida_opt::{
     registry, registry_listing, Checkpoint, HidaOptions, ParallelMode, Pipeline, PipelineError,
@@ -564,11 +564,7 @@ mod tests {
             .compile(Workload::PolybenchSized(PolybenchKernel::TwoMm, 32))
             .unwrap();
         let expected = Pipeline::from_options(&HidaOptions::polybench()).pass_names();
-        let recorded: Vec<String> = result
-            .pass_statistics
-            .iter()
-            .map(|s| s.pass.clone())
-            .collect();
+        let recorded: Vec<&str> = result.pass_statistics.iter().map(|s| s.pass).collect();
         assert!(!recorded.is_empty());
         assert_eq!(recorded, expected);
         // Statistics are genuinely per-pass: every record carries op counts, and the
@@ -585,11 +581,7 @@ mod tests {
             .with_pipeline("construct,lower,parallelize{max-factor=16,device=zu3eg}")
             .compile(Workload::PolybenchSized(PolybenchKernel::TwoMm, 32))
             .unwrap();
-        let recorded: Vec<String> = result
-            .pass_statistics
-            .iter()
-            .map(|s| s.pass.clone())
-            .collect();
+        let recorded: Vec<&str> = result.pass_statistics.iter().map(|s| s.pass).collect();
         assert_eq!(
             recorded,
             vec![

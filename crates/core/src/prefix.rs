@@ -9,7 +9,7 @@
 //! fill lazily: the first point to need one lowers it (forking the nearest
 //! slot above, or building the front end), the others wait for it, and each
 //! point then forks the deepest slot on its path and runs only the passes
-//! below it. A fork's passes see the IR, pipeline state and analysis cache a
+//! below it. A fork's passes see the IR, statistics and analysis cache a
 //! share-nothing run would have produced, so results are byte-identical and
 //! statistics equal up to `micros`.
 

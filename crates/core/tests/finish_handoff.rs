@@ -84,7 +84,7 @@ fn finish_computes_no_profile_and_no_graph() {
 }
 
 /// The final verification leaves out what the last pass's own verification
-/// walked — by the record the pass manager made of it, which any mutation of
+/// walked — by the record the pass runner made of it, which any mutation of
 /// the context outdates: IR broken between the two halves is still rejected.
 #[test]
 fn finish_trusts_the_last_pass_verification_only_while_nothing_was_mutated() {

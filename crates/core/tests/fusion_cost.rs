@@ -11,9 +11,9 @@
 
 use hida::dataflow_ir::functional::TaskOp;
 use hida::frontend::nn::build_model;
-use hida::ir::{AnalysisManager, Context, PassManager, RunState};
+use hida::ir::{run_passes, AnalysisManager, Context, Pass, RunState};
 use hida::opt::fusion::{default_fusion_patterns, FusionPattern};
-use hida::opt::pipeline::{ConstructPass, FusionPass, LowerPass};
+use hida::opt::HidaPass;
 use hida::Model;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,10 +86,11 @@ fn compile_resnet18() -> [u64; 4] {
             }) as Box<dyn FusionPattern>
         })
         .collect();
-    let mut passes = PassManager::new();
-    passes.add_pass(Box::new(ConstructPass));
-    passes.add_pass(Box::new(FusionPass::with_patterns(patterns)));
-    passes.add_pass(Box::new(LowerPass));
+    let passes: [Box<dyn Pass>; 3] = [
+        Box::new(HidaPass::Construct),
+        Box::new(HidaPass::Fusion { patterns }),
+        Box::new(HidaPass::Lower),
+    ];
     // A debug build re-computes every analysis a pass declared preserved to
     // check the declaration, which is not what is counted here.
     let mut state = RunState {
@@ -101,11 +102,9 @@ fn compile_resnet18() -> [u64; 4] {
     let module = ctx.create_module("resnet18");
     let func = build_model(&mut ctx, module, Model::ResNet18);
     let mut allocs = [0; 3];
-    for (pass, count) in allocs.iter_mut().enumerate() {
+    for (pass, count) in passes.chunks(1).zip(&mut allocs) {
         let before = ALLOCS.get();
-        passes
-            .run_range(&mut ctx, func, pass..pass + 1, &mut state)
-            .expect("ResNet-18 lowers");
+        run_passes(pass, true, &mut ctx, func, &mut state).expect("ResNet-18 lowers");
         *count = ALLOCS.get() - before;
     }
     assert!(state.statistics.iter().all(|record| !record.failed));

@@ -5,13 +5,13 @@
 //! sweep point meets it. A count, so the ceiling holds on any machine: the
 //! pass builds the schedule's dataflow graph once into a handful of flat
 //! arrays, keeps Algorithm 4's books in vectors by node position, and writes
-//! attributes only, which the pass manager verifies by the record `balance`'s
+//! attributes only, which the runner verifies by the record `balance`'s
 //! walk left instead of walking again. An attribute write allocates nothing
 //! once its payload has been interned: the count is taken on a second fork,
 //! after the first one has run the same point.
 
 use hida::frontend::nn::build_model;
-use hida::ir::{parse_pipeline, AnalysisManager, Context, PassManager, RunState};
+use hida::ir::{parse_pipeline, run_passes, AnalysisManager, Context, Pass, RunState};
 use hida::{HidaOptions, Model};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,13 +62,13 @@ fn parallelizing_a_forked_resnet18_stays_under_the_allocation_ceiling() {
     // The pipeline as `Pipeline::parse` builds it, over a run state of this
     // test's own: a debug build re-computes every analysis a pass declared
     // preserved to check the declaration, which is not what is counted here.
-    let mut passes = PassManager::new();
+    let mut passes: Vec<Box<dyn Pass>> = Vec::new();
     for invocation in parse_pipeline(&options.pipeline_text()).unwrap() {
         let (_, pass) = hida::registry().create(&invocation).unwrap();
-        passes.add_pass(pass);
+        passes.push(Box::new(pass));
     }
     let parallelize = passes.len() - 1;
-    assert_eq!(passes.pass_names()[parallelize], "hida-parallelize");
+    assert_eq!(passes[parallelize].name(), "hida-parallelize");
     let mut shared = RunState {
         analyses: AnalysisManager::new().with_consistency_checks(false),
         ..RunState::default()
@@ -77,8 +77,7 @@ fn parallelizing_a_forked_resnet18_stays_under_the_allocation_ceiling() {
     let mut ctx = Context::new();
     let module = ctx.create_module("resnet18");
     let func = build_model(&mut ctx, module, Model::ResNet18);
-    passes
-        .run_range(&mut ctx, func, 0..parallelize, &mut shared)
+    run_passes(&passes[..parallelize], true, &mut ctx, func, &mut shared)
         .expect("ResNet-18 lowers");
     assert!(shared.verified.is_some(), "balance was verified by a walk");
 
@@ -86,16 +85,20 @@ fn parallelizing_a_forked_resnet18_stays_under_the_allocation_ceiling() {
     // once to intern what the point writes, then counted.
     let mut warm_ctx = ctx.clone();
     let mut warm = shared.fork(&ctx, &warm_ctx);
-    passes
-        .run_range(&mut warm_ctx, func, parallelize..passes.len(), &mut warm)
+    run_passes(&passes[parallelize..], true, &mut warm_ctx, func, &mut warm)
         .expect("parallelize runs");
     let mut point_ctx = ctx.clone();
     let mut point = shared.fork(&ctx, &point_ctx);
     let issued = point.verified.expect("re-issued under the fork's id");
     let before = ALLOCS.get();
-    passes
-        .run_range(&mut point_ctx, func, parallelize..passes.len(), &mut point)
-        .expect("parallelize runs");
+    run_passes(
+        &passes[parallelize..],
+        true,
+        &mut point_ctx,
+        func,
+        &mut point,
+    )
+    .expect("parallelize runs");
     let allocs = ALLOCS.get() - before;
 
     // Verified without a walk: the record is still the one the fork was

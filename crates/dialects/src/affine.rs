@@ -169,33 +169,6 @@ impl AffineMap {
     pub fn eval(&self, dims: &[i64]) -> Vec<i64> {
         self.results.iter().map(|e| e.eval(dims)).collect()
     }
-
-    /// The partition map of a cyclically partitioned dimension with `factor` banks:
-    /// `d -> (d mod factor, d floordiv factor)` (bank, intra-bank offset).
-    pub fn cyclic_partition(factor: i64) -> Self {
-        AffineMap {
-            num_dims: 1,
-            results: vec![
-                AffineExpr::dim(0).modulo(factor.max(1)),
-                AffineExpr::dim(0).floor_div(factor.max(1)),
-            ],
-        }
-    }
-
-    /// The partition map of a block-partitioned dimension of size `dim_size` with
-    /// `factor` banks: `d -> (d floordiv block, d mod block)` where
-    /// `block = ceil(dim_size / factor)`.
-    pub fn block_partition(dim_size: i64, factor: i64) -> Self {
-        let factor = factor.max(1);
-        let block = (dim_size + factor - 1) / factor;
-        AffineMap {
-            num_dims: 1,
-            results: vec![
-                AffineExpr::dim(0).floor_div(block.max(1)),
-                AffineExpr::dim(0).modulo(block.max(1)),
-            ],
-        }
-    }
 }
 
 impl fmt::Display for AffineMap {
@@ -255,25 +228,6 @@ mod tests {
         let m = AffineMap::identity(3);
         assert_eq!(m.eval(&[4, 5, 6]), vec![4, 5, 6]);
         assert_eq!(m.to_string(), "(d0, d1, d2) -> (d0, d1, d2)");
-    }
-
-    #[test]
-    fn cyclic_partition_distributes_consecutive_elements_across_banks() {
-        let m = AffineMap::cyclic_partition(4);
-        // Elements 0..8 with 4 banks: banks cycle 0,1,2,3,0,1,2,3.
-        let banks: Vec<i64> = (0..8).map(|i| m.eval(&[i])[0]).collect();
-        assert_eq!(banks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        let offsets: Vec<i64> = (0..8).map(|i| m.eval(&[i])[1]).collect();
-        assert_eq!(offsets, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn block_partition_keeps_contiguous_elements_in_one_bank() {
-        let m = AffineMap::block_partition(16, 4);
-        let banks: Vec<i64> = (0..16).map(|i| m.eval(&[i])[0]).collect();
-        assert_eq!(banks[0..4], [0, 0, 0, 0]);
-        assert_eq!(banks[4..8], [1, 1, 1, 1]);
-        assert_eq!(banks[12..16], [3, 3, 3, 3]);
     }
 
     #[test]

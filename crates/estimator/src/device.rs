@@ -93,21 +93,6 @@ impl FpgaDevice {
     pub fn by_name(name: &str) -> Option<FpgaDevice> {
         FpgaDevice::catalog().into_iter().find(|d| d.name == name)
     }
-
-    /// Clock period in nanoseconds.
-    pub fn clock_period_ns(&self) -> f64 {
-        1_000.0 / self.clock_mhz
-    }
-
-    /// Converts a cycle count into seconds at this device's clock.
-    pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
-        cycles / (self.clock_mhz * 1.0e6)
-    }
-
-    /// Total on-chip memory capacity in bits (BRAM + URAM).
-    pub fn on_chip_bits(&self) -> i64 {
-        self.bram_18k * 18 * 1024 + self.uram * 288 * 1024
-    }
 }
 
 #[cfg(test)]
@@ -124,22 +109,6 @@ mod tests {
         assert!(pynq.bram_18k < vu9p.bram_18k);
         assert!(vu9p.uram > 0);
         assert_eq!(pynq.uram, 0);
-    }
-
-    #[test]
-    fn clock_conversions() {
-        let vu9p = FpgaDevice::vu9p_slr();
-        assert!((vu9p.clock_period_ns() - 5.0).abs() < 1e-9);
-        // 200 MHz: 2e8 cycles per second.
-        assert!((vu9p.cycles_to_seconds(2.0e8) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn on_chip_capacity_includes_uram() {
-        let zu3 = FpgaDevice::zu3eg();
-        assert_eq!(zu3.on_chip_bits(), 432 * 18 * 1024);
-        let vu9p = FpgaDevice::vu9p_slr();
-        assert!(vu9p.on_chip_bits() > zu3.on_chip_bits());
     }
 
     #[test]

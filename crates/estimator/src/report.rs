@@ -48,11 +48,6 @@ impl DesignEstimate {
             / (self.resources.dsp as f64 * self.clock_mhz * 1.0e6)
     }
 
-    /// End-to-end latency in seconds.
-    pub fn latency_seconds(&self) -> f64 {
-        self.latency_cycles as f64 / (self.clock_mhz * 1.0e6)
-    }
-
     /// Throughput ratio `self / other` (how many times faster this design is).
     pub fn speedup_over(&self, other: &DesignEstimate) -> f64 {
         self.throughput() / other.throughput().max(f64::MIN_POSITIVE)
@@ -78,11 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn throughput_and_latency_follow_clock() {
+    fn throughput_follows_clock() {
         let d = estimate(200_000, 100, 1_000_000);
         // 200 MHz / 200k cycles = 1000 samples/s.
         assert!((d.throughput() - 1000.0).abs() < 1e-6);
-        assert!((d.latency_seconds() - 0.002).abs() < 1e-9);
     }
 
     #[test]

@@ -556,7 +556,7 @@ pub fn run_case_chaos(seed: u64) -> Result<CaseReport, CaseFailure> {
     };
     match outcome {
         Err(_) => Err(fail(
-            "chaos: injected pass panic escaped the pass manager".to_string(),
+            "chaos: injected pass panic escaped the pass runner".to_string(),
         )),
         Ok(Ok(_)) => Err(fail(
             "chaos: armed a pass panic but the pipeline succeeded (vacuous injection)".to_string(),

@@ -8,7 +8,7 @@
 //! (see `hida_fuzz::run_case` for the checks). With `--chaos`, roughly half
 //! the seeds additionally arm an injected pass panic and the oracle flips:
 //! the armed pipeline must fail with a structured error naming the injected
-//! fault, with no panic escaping the pass manager. On failure the offending
+//! fault, with no panic escaping the pass runner. On failure the offending
 //! module is dumped as `DIR/fuzz-<seed>.hir` — replayable with
 //! `hida-opt --input` — and the process exits non-zero.
 

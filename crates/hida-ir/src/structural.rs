@@ -286,16 +286,6 @@ impl NodeOp {
         ctx.add_block_arg(body, ty)
     }
 
-    /// Overwrites the effect of the operand at `index`.
-    pub fn set_effect(self, ctx: &mut Context, index: usize, effect: MemEffect) {
-        let mut effects = self.effects(ctx);
-        if index < effects.len() {
-            effects[index] = effect;
-            let effects = effects.iter().map(|e| effect_to_str(*e).into()).collect();
-            ctx.set_attr(self.0, "effects", Attribute::StrArray(effects));
-        }
-    }
-
     /// Replaces the operand at `index` with `new_value` (same effect, same body arg).
     pub fn replace_operand(self, ctx: &mut Context, index: usize, new_value: ValueId) {
         ctx.set_operand(self.0, index, new_value);
@@ -501,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn node_add_operand_and_set_effect() {
+    fn node_add_operand() {
         let mut ctx = Context::new();
         let (_, body) = schedule_fixture(&mut ctx);
         let (_, a) = {
@@ -521,9 +511,6 @@ mod tests {
         );
         assert_eq!(node.body_args(&ctx).len(), 2);
         assert_eq!(node.body_args(&ctx)[1], new_arg);
-
-        node.set_effect(&mut ctx, 0, MemEffect::Read);
-        assert_eq!(node.effect_on(&ctx, a), Some(MemEffect::Read));
     }
 
     #[test]

@@ -18,22 +18,22 @@
 //!
 //! # Pass-pipeline architecture
 //!
-//! The steps are not hard-wired: each is wrapped as a named
-//! [`Pass`](hida_ir_core::Pass) in the [`pipeline`] module, a [`Pipeline`] is
-//! parsed from text — the standard flow from the text of its
-//! [`HidaOptions`] ([`Pipeline::from_options`]: boolean options become
-//! pipeline membership, scalar knobs become pass-instance options) — and
-//! executed by the shared [`PassManager`](hida_ir_core::PassManager), which
-//! verifies the IR between passes and records per-pass
+//! The steps are not hard-wired: each is one variant of
+//! [`HidaPass`], a [`Pass`](hida_ir_core::Pass). A [`Pipeline`] is parsed
+//! from text — the standard flow from the text of its [`HidaOptions`]
+//! ([`Pipeline::from_options`]: boolean options become pipeline membership,
+//! scalar knobs become pass-instance options) — and run by
+//! [`run_passes`](hida_ir_core::run_passes), which verifies the IR between
+//! passes and records per-pass
 //! [`PassStatistics`](hida_ir_core::PassStatistics) (wall-clock time, op deltas,
-//! configured options). The structural `ScheduleOp` produced by lowering flows to
-//! later passes through the typed
-//! [`PipelineState`](hida_ir_core::PipelineState) slot map.
+//! configured options). Passes hand each other the IR and nothing else: the
+//! structural `ScheduleOp` lowering appends to the function body is where
+//! later passes find it.
 //!
 //! Structural facts the passes keep re-asking for — compute profiles of
 //! task/node bodies, the dataflow graph of a schedule — are fetched through the
-//! [`AnalysisManager`](hida_ir_core::analysis::AnalysisManager) the pass
-//! manager threads through every pass: results are cached per (analysis, root
+//! [`AnalysisManager`](hida_ir_core::analysis::AnalysisManager) the runner
+//! threads through every pass: results are cached per (analysis, root
 //! op) and invalidated by the context's mutation generation, and each pass
 //! declares the analyses its edits provably keep intact
 //! ([`Pass::preserved_analyses`](hida_ir_core::Pass::preserved_analyses)), so
@@ -63,10 +63,7 @@ pub mod registry;
 pub mod structural_opt;
 pub mod tiling;
 
-pub use pipeline::{
-    BalancePass, Checkpoint, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
-    ParallelizePass, Pipeline, TilingPass,
-};
+pub use pipeline::{Checkpoint, HidaPass, Pipeline};
 pub use registry::{registry, registry_listing, PipelineError, Registry};
 
 use hida_estimator::device::FpgaDevice;

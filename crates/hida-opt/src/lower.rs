@@ -52,7 +52,7 @@ pub fn lower_to_structural(
     };
     if task_groups.is_empty() {
         return Err(IrError::pass_failed(
-            "hida-lower",
+            "hida-lower-structural",
             "function contains no compute operations to lower",
         ));
     }

@@ -1,40 +1,41 @@
 //! The HIDA-OPT pass pipeline.
 //!
-//! Every step of the optimizer (paper §6) is wrapped as a named
-//! [`Pass`] so the whole flow becomes *data*: a [`Pipeline`] parsed from
-//! text through the pass table ([`mod@crate::registry`]) and executed by the
-//! shared [`PassManager`]. [`Pipeline::from_options`] renders
-//! [`HidaOptions`] as that text: option toggles map to pipeline membership
-//! (fusion, balancing and tiling passes are simply absent when disabled) while
-//! scalar knobs become pass-instance options, visible in the recorded
-//! [`PassStatistics`].
+//! Every step of the optimizer (paper §6) is one variant of [`HidaPass`], a
+//! [`Pass`], so the whole flow becomes *data*: a [`Pipeline`] parsed from
+//! text through the pass table ([`mod@crate::registry`]) and run by
+//! [`run_passes`]. [`Pipeline::from_options`] renders [`HidaOptions`] as that
+//! text: option toggles map to pipeline membership (fusion, balancing and
+//! tiling passes are simply absent when disabled) while scalar knobs become
+//! pass-instance options, visible in the recorded [`PassStatistics`].
 //!
-//! The structural [`ScheduleOp`] produced by [`LowerPass`] flows to the later
-//! structural passes through the typed [`PipelineState`] slot map, so a custom
-//! pipeline can put any of the structural passes between lowering and
-//! parallelization. Compute profiles and dataflow graphs flow
-//! through the pass manager's `AnalysisManager` instead: each pass fetches
-//! them from the cache and declares which analyses its mutations preserve, so
-//! a profile computed once (e.g. while lowering a task to a node) is reused by
-//! every later pass until the IR underneath it actually changes.
+//! Passes hand each other the IR and nothing else. Lowering appends the
+//! structural [`ScheduleOp`] to the function body, and every later
+//! structural pass finds it there, so a custom pipeline can put any of the
+//! structural passes between lowering and parallelization. Compute profiles
+//! and dataflow graphs flow through the run's `AnalysisManager`: each pass
+//! fetches them from the cache and declares which analyses its mutations
+//! preserve, so a profile computed once (e.g. while lowering a task to a
+//! node) is reused by every later pass until the IR underneath it actually
+//! changes.
 //!
 //! The default pipeline assembled from [`HidaOptions`] is:
 //!
 //! | pass | gated by |
 //! |------|----------|
-//! | [`ConstructPass`] (`hida-construct-dataflow`) | always |
-//! | [`FusionPass`] (`hida-task-fusion`) | `enable_fusion` |
-//! | [`LowerPass`] (`hida-lower-structural`) | always |
-//! | [`MultiProducerEliminationPass`] (`hida-eliminate-multi-producers`) | `enable_balancing` |
-//! | [`TilingPass`] (`hida-tiling`) | `tile_size.is_some()` |
-//! | [`BalancePass`] (`hida-balance-data-paths`) | `enable_balancing` |
-//! | [`ParallelizePass`] (`hida-parallelize`) | always |
+//! | [`HidaPass::Construct`] (`hida-construct-dataflow`) | always |
+//! | [`HidaPass::Fusion`] (`hida-task-fusion`) | `enable_fusion` |
+//! | [`HidaPass::Lower`] (`hida-lower-structural`) | always |
+//! | [`HidaPass::MultiProducerElim`] (`hida-eliminate-multi-producers`) | `enable_balancing` |
+//! | [`HidaPass::Tiling`] (`hida-tiling`) | `tile_size.is_some()` |
+//! | [`HidaPass::Balance`] (`hida-balance-data-paths`) | `enable_balancing` |
+//! | [`HidaPass::Parallelize`] (`hida-parallelize`) | always |
 //!
 //! A pipeline runs on the thread that calls it, one pass after the other;
 //! Algorithm 4 itself is a sequential walk in which each node reads the
 //! factors of the connected nodes visited before it. Concurrency lives one
 //! level up, where a sweep compiles independent design points side by side.
 
+use crate::fusion::FusionPattern;
 use crate::registry::{PipelineError, Registry};
 use crate::{construct, fusion, lower, parallelize, structural_opt, tiling};
 use crate::{HidaOptions, ParallelMode};
@@ -43,27 +44,24 @@ use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::device::FpgaDevice;
 use hida_ir_core::analysis::{AnalysisManager, PreservedAnalyses};
-use hida_ir_core::pass::{
-    Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState, Verified,
-};
+use hida_ir_core::pass::{run_passes, Pass, PassOption, PassStatistics, RunState, Verified};
 use hida_ir_core::{
     parse_pipeline, print_pipeline, Context, IrError, IrResult, OpId, PassInvocation,
 };
 
-/// Retrieves the schedule deposited by [`LowerPass`], failing with a diagnostic
-/// naming the requesting pass when lowering has not run yet.
-fn schedule_from(state: &PipelineState, pass: &str) -> IrResult<ScheduleOp> {
-    state.get::<ScheduleOp>().copied().ok_or_else(|| {
-        IrError::pass_failed(
-            pass,
-            "no ScheduleOp in pipeline state — run hida-lower-structural first",
-        )
-    })
+/// The schedule lowering built in `func`: the last `hida.schedule` of its
+/// body, where [`lower::lower_to_structural`] appends it.
+fn schedule_in(ctx: &Context, func: OpId) -> Option<ScheduleOp> {
+    ctx.block(ctx.body_block(func))
+        .ops
+        .iter()
+        .rev()
+        .find_map(|&op| ScheduleOp::try_from_op(ctx, op))
 }
 
-/// The schedule a finished run left in its slots.
-fn produced_schedule(state: &PipelineState) -> IrResult<ScheduleOp> {
-    state.get::<ScheduleOp>().copied().ok_or_else(|| {
+/// The schedule a finished run left in `func`.
+fn produced_schedule(ctx: &Context, func: OpId) -> IrResult<ScheduleOp> {
+    schedule_in(ctx, func).ok_or_else(|| {
         IrError::pass_failed(
             "hida-pipeline",
             "pipeline finished without producing a ScheduleOp \
@@ -72,269 +70,197 @@ fn produced_schedule(state: &PipelineState) -> IrResult<ScheduleOp> {
     })
 }
 
-/// Functional dataflow construction (Algorithm 1) as a pipeline pass.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ConstructPass;
-
-impl Pass for ConstructPass {
-    fn name(&self) -> &str {
-        "hida-construct-dataflow"
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        root: OpId,
-        _state: &mut PipelineState,
-        _analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        construct::construct_functional_dataflow(ctx, root)
-    }
-}
-
-/// Task fusion (Algorithm 2) as a pipeline pass, configurable with a pattern set.
-pub struct FusionPass {
-    patterns: Vec<Box<dyn fusion::FusionPattern>>,
-}
-
-impl FusionPass {
-    /// Fusion with an explicit pattern set (the table's default is
+/// One configured HIDA-OPT pass (paper §6), as the pass table
+/// ([`mod@crate::registry`]) builds it from an invocation.
+pub enum HidaPass {
+    /// Functional dataflow construction (Algorithm 1).
+    Construct,
+    /// Task fusion (Algorithm 2) with a pattern set (the table's default is
     /// [`fusion::default_fusion_patterns`]).
-    pub fn with_patterns(patterns: Vec<Box<dyn fusion::FusionPattern>>) -> Self {
-        FusionPass { patterns }
+    Fusion {
+        /// The patterns of the pattern phase, in the order they are tried.
+        patterns: Vec<Box<dyn FusionPattern>>,
+    },
+    /// Structural dataflow construction (§6.3): lowers the functional
+    /// dataflow to a `hida.schedule` appended to the function body, where
+    /// the structural passes below find it.
+    Lower,
+    /// Multi-producer elimination (Algorithm 3).
+    MultiProducerElim,
+    /// Loop tiling and external-memory spilling.
+    Tiling {
+        /// Square spatial tile size applied to large layers.
+        tile_size: i64,
+        /// Buffers larger than this many bytes are spilled to external memory.
+        external_threshold_bytes: i64,
+    },
+    /// Data-path balancing (§6.4.2).
+    Balance {
+        /// Buffers whose deepened footprint exceeds this become soft FIFOs.
+        external_threshold_bytes: i64,
+    },
+    /// Intensity- and connection-aware parallelization (Algorithm 4); the
+    /// [`ParallelMode`] ablation axis is plain pass configuration.
+    Parallelize {
+        /// Maximum parallel factor granted to any single node.
+        max_parallel_factor: i64,
+        /// Parallelization strategy (IA/CA ablation axis).
+        mode: ParallelMode,
+        /// The device the invocation names. Algorithm 4 does not read it:
+        /// the name is recorded in the pass's options, so the printed
+        /// pipeline carries it, and `hida-opt` estimates QoR against it when
+        /// `--device` is absent. A compilation estimates against
+        /// `HidaOptions::device`.
+        device: FpgaDevice,
+    },
+}
+
+impl HidaPass {
+    /// The schedule a structural pass works on, or a diagnostic naming the
+    /// pass when lowering has not run yet.
+    fn schedule(&self, ctx: &Context, func: OpId) -> IrResult<ScheduleOp> {
+        schedule_in(ctx, func).ok_or_else(|| {
+            IrError::pass_failed(
+                self.name(),
+                "no hida.schedule in the function — run hida-lower-structural first",
+            )
+        })
     }
 }
 
-impl Pass for FusionPass {
-    fn name(&self) -> &str {
-        "hida-task-fusion"
+impl Pass for HidaPass {
+    fn name(&self) -> &'static str {
+        match self {
+            HidaPass::Construct => "hida-construct-dataflow",
+            HidaPass::Fusion { .. } => "hida-task-fusion",
+            HidaPass::Lower => "hida-lower-structural",
+            HidaPass::MultiProducerElim => "hida-eliminate-multi-producers",
+            HidaPass::Tiling { .. } => "hida-tiling",
+            HidaPass::Balance { .. } => "hida-balance-data-paths",
+            HidaPass::Parallelize { .. } => "hida-parallelize",
+        }
     }
 
     fn options(&self) -> Vec<PassOption> {
-        let names: Vec<&str> = self.patterns.iter().map(|p| p.name()).collect();
-        vec![PassOption::new("patterns", names.join("+"))]
+        match self {
+            HidaPass::Construct | HidaPass::Lower | HidaPass::MultiProducerElim => Vec::new(),
+            HidaPass::Fusion { patterns } => {
+                let names: Vec<&str> = patterns.iter().map(|p| p.name()).collect();
+                vec![PassOption::new("patterns", names.join("+"))]
+            }
+            HidaPass::Tiling {
+                tile_size,
+                external_threshold_bytes,
+            } => vec![
+                PassOption::new("tile-size", tile_size),
+                PassOption::new("external-threshold-bytes", external_threshold_bytes),
+            ],
+            HidaPass::Balance {
+                external_threshold_bytes,
+            } => vec![PassOption::new(
+                "external-threshold-bytes",
+                external_threshold_bytes,
+            )],
+            HidaPass::Parallelize {
+                max_parallel_factor,
+                mode,
+                device,
+            } => vec![
+                PassOption::new("max-parallel-factor", max_parallel_factor),
+                PassOption::new("mode", mode.label()),
+                PassOption::new("device", &device.name),
+            ],
+        }
     }
 
     fn preserved_analyses(&self) -> PreservedAnalyses {
-        // Fusing two tasks erases them (their cache entries die with them) and
-        // moves their bodies into a fresh task; every surviving task's body is
-        // untouched, so its cached profile stays exact.
-        PreservedAnalyses::none().preserve::<ComputeProfile>()
+        match self {
+            HidaPass::Construct => PreservedAnalyses::none(),
+            // Fusing two tasks erases them (their cache entries die with them)
+            // and moves their bodies into a fresh task; every surviving task's
+            // body is untouched, so its cached profile stays exact.
+            HidaPass::Fusion { .. } => PreservedAnalyses::none().preserve::<ComputeProfile>(),
+            // Lowering clones task bodies into fresh nodes and erases the
+            // functional ops afterwards: live roots keep their exact profiles
+            // (which is what lets lowering consume the profiles fusion cached).
+            HidaPass::Lower => PreservedAnalyses::none().preserve::<ComputeProfile>(),
+            // Buffer duplication only rewires node operands; fused producer
+            // nodes are erased (dropping their entries). Node body profiles
+            // survive. The dataflow graph does change (new buffers/copy
+            // nodes), so it is not declared.
+            HidaPass::MultiProducerElim => PreservedAnalyses::none().preserve::<ComputeProfile>(),
+            // Tiling annotates nodes with tile sizes and adds tile-local
+            // buffers; node bodies and hence their profiles are untouched.
+            HidaPass::Tiling { .. } => PreservedAnalyses::none().preserve::<ComputeProfile>(),
+            // Deepening buffers edits attributes; soft FIFOs insert token
+            // push/pop ops, which carry no arithmetic or memory-access
+            // semantics the profile counts. The dataflow graph gains token
+            // edges, so only the profile is declared.
+            HidaPass::Balance { .. } => PreservedAnalyses::none().preserve::<ComputeProfile>(),
+            // Parallelization records unroll factors, budgets and partitions
+            // as attributes only; neither node bodies nor the schedule's
+            // producer/consumer topology change.
+            HidaPass::Parallelize { .. } => PreservedAnalyses::none()
+                .preserve::<ComputeProfile>()
+                .preserve::<DataflowGraph>(),
+        }
     }
 
-    fn run(
-        &self,
-        ctx: &mut Context,
-        root: OpId,
-        _state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        fusion::fuse_tasks(ctx, analyses, root, &self.patterns)
-    }
-}
-
-/// Structural dataflow construction (§6.3): lowers the functional dataflow to a
-/// `hida.schedule` and deposits the [`ScheduleOp`] into the pipeline state.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LowerPass;
-
-impl Pass for LowerPass {
-    fn name(&self) -> &str {
-        "hida-lower-structural"
-    }
-
-    fn preserved_analyses(&self) -> PreservedAnalyses {
-        // Lowering clones task bodies into fresh nodes and erases the
-        // functional ops afterwards: live roots keep their exact profiles
-        // (which is what lets lowering consume the profiles fusion cached).
-        PreservedAnalyses::none().preserve::<ComputeProfile>()
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = lower::lower_to_structural(ctx, analyses, root)?;
-        state.insert(schedule);
-        Ok(())
-    }
-}
-
-/// Multi-producer elimination (Algorithm 3) as a pipeline pass.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MultiProducerEliminationPass;
-
-impl Pass for MultiProducerEliminationPass {
-    fn name(&self) -> &str {
-        "hida-eliminate-multi-producers"
-    }
-
-    fn preserved_analyses(&self) -> PreservedAnalyses {
-        // Buffer duplication only rewires node operands; fused producer nodes
-        // are erased (dropping their entries). Node body profiles survive. The
-        // dataflow graph does change (new buffers/copy nodes), so it is not
-        // declared.
-        PreservedAnalyses::none().preserve::<ComputeProfile>()
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        _analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = schedule_from(state, self.name())?;
-        structural_opt::eliminate_multi_producers(ctx, schedule)
-    }
-}
-
-/// Loop tiling and external-memory spilling as a pipeline pass.
-#[derive(Debug, Clone, Copy)]
-pub struct TilingPass {
-    /// Square spatial tile size applied to large layers.
-    pub tile_size: i64,
-    /// Buffers larger than this many bytes are spilled to external memory.
-    pub external_threshold_bytes: i64,
-}
-
-impl Pass for TilingPass {
-    fn name(&self) -> &str {
-        "hida-tiling"
-    }
-
-    fn options(&self) -> Vec<PassOption> {
-        vec![
-            PassOption::new("tile-size", self.tile_size),
-            PassOption::new("external-threshold-bytes", self.external_threshold_bytes),
-        ]
-    }
-
-    fn preserved_analyses(&self) -> PreservedAnalyses {
-        // Tiling annotates nodes with tile sizes and adds tile-local buffers;
-        // node bodies and hence their profiles are untouched.
-        PreservedAnalyses::none().preserve::<ComputeProfile>()
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = schedule_from(state, self.name())?;
-        tiling::apply_tiling(
-            ctx,
-            analyses,
-            schedule,
-            self.tile_size,
-            self.external_threshold_bytes,
-        );
-        Ok(())
-    }
-}
-
-/// Data-path balancing (§6.4.2) as a pipeline pass.
-#[derive(Debug, Clone, Copy)]
-pub struct BalancePass {
-    /// Buffers whose deepened footprint exceeds this become soft FIFOs.
-    pub external_threshold_bytes: i64,
-}
-
-impl Pass for BalancePass {
-    fn name(&self) -> &str {
-        "hida-balance-data-paths"
-    }
-
-    fn options(&self) -> Vec<PassOption> {
-        vec![PassOption::new(
-            "external-threshold-bytes",
-            self.external_threshold_bytes,
-        )]
-    }
-
-    fn preserved_analyses(&self) -> PreservedAnalyses {
-        // Deepening buffers edits attributes; soft FIFOs insert token push/pop
-        // ops, which carry no arithmetic or memory-access semantics the
-        // profile counts. The dataflow graph gains token edges, so only the
-        // profile is declared.
-        PreservedAnalyses::none().preserve::<ComputeProfile>()
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = schedule_from(state, self.name())?;
-        structural_opt::balance_data_paths(ctx, analyses, schedule, self.external_threshold_bytes)
-    }
-}
-
-/// Intensity- and connection-aware parallelization (Algorithm 4) as a pipeline
-/// pass; the [`ParallelMode`] ablation axis is plain pass configuration.
-#[derive(Debug, Clone)]
-pub struct ParallelizePass {
-    /// Maximum parallel factor granted to any single node.
-    pub max_parallel_factor: i64,
-    /// Parallelization strategy (IA/CA ablation axis).
-    pub mode: ParallelMode,
-    /// The device the invocation names. Algorithm 4 does not read it: the
-    /// name is recorded in the pass's options, so the printed pipeline
-    /// carries it, and `hida-opt` estimates QoR against it when `--device`
-    /// is absent. A compilation estimates against `HidaOptions::device`.
-    pub device: FpgaDevice,
-}
-
-impl Pass for ParallelizePass {
-    fn name(&self) -> &str {
-        "hida-parallelize"
-    }
-
-    fn options(&self) -> Vec<PassOption> {
-        vec![
-            PassOption::new("max-parallel-factor", self.max_parallel_factor),
-            PassOption::new("mode", self.mode.label()),
-            PassOption::new("device", &self.device.name),
-        ]
-    }
-
-    fn preserved_analyses(&self) -> PreservedAnalyses {
-        // Parallelization records unroll factors, budgets and partitions as
-        // attributes only; neither node bodies nor the schedule's
-        // producer/consumer topology change.
-        PreservedAnalyses::none()
-            .preserve::<ComputeProfile>()
-            .preserve::<DataflowGraph>()
-    }
-
-    fn run(
-        &self,
-        ctx: &mut Context,
-        _root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()> {
-        let schedule = schedule_from(state, self.name())?;
-        parallelize::parallelize_schedule(
-            ctx,
-            analyses,
-            schedule,
-            self.max_parallel_factor,
-            self.mode,
-        )
+    fn run(&self, ctx: &mut Context, root: OpId, analyses: &mut AnalysisManager) -> IrResult<()> {
+        match self {
+            HidaPass::Construct => construct::construct_functional_dataflow(ctx, root),
+            HidaPass::Fusion { patterns } => fusion::fuse_tasks(ctx, analyses, root, patterns),
+            HidaPass::Lower => lower::lower_to_structural(ctx, analyses, root).map(drop),
+            HidaPass::MultiProducerElim => {
+                let schedule = self.schedule(ctx, root)?;
+                structural_opt::eliminate_multi_producers(ctx, schedule)
+            }
+            HidaPass::Tiling {
+                tile_size,
+                external_threshold_bytes,
+            } => {
+                let schedule = self.schedule(ctx, root)?;
+                tiling::apply_tiling(
+                    ctx,
+                    analyses,
+                    schedule,
+                    *tile_size,
+                    *external_threshold_bytes,
+                );
+                Ok(())
+            }
+            HidaPass::Balance {
+                external_threshold_bytes,
+            } => {
+                let schedule = self.schedule(ctx, root)?;
+                structural_opt::balance_data_paths(
+                    ctx,
+                    analyses,
+                    schedule,
+                    *external_threshold_bytes,
+                )
+            }
+            HidaPass::Parallelize {
+                max_parallel_factor,
+                mode,
+                ..
+            } => {
+                let schedule = self.schedule(ctx, root)?;
+                parallelize::parallelize_schedule(
+                    ctx,
+                    analyses,
+                    schedule,
+                    *max_parallel_factor,
+                    *mode,
+                )
+            }
+        }
     }
 }
 
 /// A pipeline run stopped between two passes: the IR as the passes run so far
-/// left it, and the run's state ([`RunState`]: typed slots, analysis cache,
-/// one statistics record per pass run). [`Pipeline::resume`] continues it;
+/// left it, and the run's state ([`RunState`]: analysis cache, one
+/// statistics record per pass run). [`Pipeline::resume`] continues it;
 /// [`Checkpoint::fork`] copies it first, so several pipelines that share a
 /// pass prefix can each continue from the one run of that prefix. A fresh
 /// checkpoint ([`Checkpoint::new`]) is where every run starts.
@@ -366,7 +292,7 @@ impl Checkpoint {
     }
 
     /// An independent copy to continue from: the context cloned (every
-    /// entity id stays valid in the clone), slots and statistics copied, the
+    /// entity id stays valid in the clone), statistics copied, the
     /// analysis cache carried over under the clone's identity — so the passes
     /// still to come produce the IR, statistics and cache counters they would
     /// have produced on the original.
@@ -383,9 +309,9 @@ impl Checkpoint {
     /// The structural schedule the passes run so far produced.
     ///
     /// # Errors
-    /// Fails when none of them deposited one.
+    /// Fails when none of them lowered the function.
     pub fn schedule(&self) -> IrResult<ScheduleOp> {
-        produced_schedule(&self.run.slots)
+        produced_schedule(&self.ctx, self.func)
     }
 
     /// The post-pass verification of the last pass run, when it ran and
@@ -405,8 +331,9 @@ impl Checkpoint {
     }
 }
 
-/// A declarative HIDA-OPT pipeline: an ordered pass list executed by the shared
-/// [`PassManager`], producing a structural [`ScheduleOp`] plus per-pass statistics.
+/// A declarative HIDA-OPT pipeline: an ordered pass list run by
+/// [`run_passes`], producing a structural [`ScheduleOp`] plus per-pass
+/// statistics.
 ///
 /// Every pipeline is parsed from text ([`Pipeline::parse`], grammar
 /// `name{key=value,...},name,...`) through the pass table; [`HidaOptions`]
@@ -414,9 +341,10 @@ impl Checkpoint {
 /// its textual form: [`Pipeline::to_text`] prints a string that re-parses to
 /// the identical configuration.
 pub struct Pipeline {
-    manager: PassManager,
+    passes: Vec<Box<dyn Pass>>,
+    verify_each: bool,
     invocations: Vec<PassInvocation>,
-    /// Slots, analyses and statistics of the most recent [`Pipeline::run`].
+    /// Analyses and statistics of the most recent [`Pipeline::run`].
     last: RunState,
 }
 
@@ -447,15 +375,16 @@ impl Pipeline {
     /// Returns structured [`PipelineError`]s: parse errors with position and
     /// expected token, unknown pass names, and per-pass option failures.
     pub fn parse(registry: &Registry, text: &str) -> Result<Pipeline, PipelineError> {
-        let mut manager = PassManager::new();
+        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
         let mut invocations = Vec::new();
         for invocation in parse_pipeline(text)? {
             let (normalized, pass) = registry.create(&invocation)?;
             invocations.push(normalized);
-            manager.add_pass(pass);
+            passes.push(Box::new(pass));
         }
         Ok(Pipeline {
-            manager,
+            passes,
+            verify_each: true,
             invocations,
             last: RunState::default(),
         })
@@ -488,9 +417,9 @@ impl Pipeline {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Enables or disables inter-pass verification.
+    /// Enables or disables inter-pass verification (on by default).
     pub fn with_verification(mut self, verify_each: bool) -> Self {
-        self.manager = self.manager.with_verification(verify_each);
+        self.verify_each = verify_each;
         self
     }
 
@@ -503,17 +432,17 @@ impl Pipeline {
 
     /// Number of passes.
     pub fn len(&self) -> usize {
-        self.manager.len()
+        self.passes.len()
     }
 
     /// True when the pipeline has no passes.
     pub fn is_empty(&self) -> bool {
-        self.manager.is_empty()
+        self.passes.is_empty()
     }
 
     /// Names of the pass instances, in execution order.
-    pub fn pass_names(&self) -> Vec<String> {
-        self.manager.pass_names()
+    pub fn pass_names(&self) -> Vec<&'static str> {
+        self.passes.iter().map(|pass| pass.name()).collect()
     }
 
     /// Per-pass statistics of the most recent [`Pipeline::run`] — a failed
@@ -542,9 +471,8 @@ impl Pipeline {
     /// when the executed passes produced no schedule.
     pub fn run(&mut self, ctx: &mut Context, func: OpId) -> IrResult<ScheduleOp> {
         self.last = RunState::default();
-        self.manager
-            .run_range(ctx, func, 0..self.manager.len(), &mut self.last)?;
-        produced_schedule(&self.last.slots)
+        run_passes(&self.passes, self.verify_each, ctx, func, &mut self.last)?;
+        produced_schedule(ctx, func)
     }
 
     /// Continues `checkpoint` with this pipeline's passes, from the first one
@@ -558,11 +486,11 @@ impl Pipeline {
     /// checkpoint then holds the failed run's statistics and nothing to
     /// continue from.
     pub fn resume(&self, checkpoint: &mut Checkpoint, upto: usize) -> IrResult<()> {
-        let range = checkpoint.passes_done()..upto;
-        self.manager.run_range(
+        run_passes(
+            &self.passes[checkpoint.passes_done()..upto],
+            self.verify_each,
             &mut checkpoint.ctx,
             checkpoint.func,
-            range,
             &mut checkpoint.run,
         )
     }
@@ -757,6 +685,66 @@ mod tests {
         assert!(message.contains("hida-lower-structural"));
         // The manager must not re-wrap the pass's own attribution.
         assert_eq!(message.matches("failed:").count(), 1, "{message}");
+    }
+
+    #[test]
+    fn a_structural_pass_before_lowering_fails_and_names_itself() {
+        for (text, pass) in [
+            ("construct,parallelize", "hida-parallelize"),
+            ("construct,tiling", "hida-tiling"),
+        ] {
+            let mut ctx = Context::new();
+            let (_module, func) = twomm_func(&mut ctx);
+            let mut pipeline = Pipeline::parse(&crate::registry::registry(), text).unwrap();
+            let message = pipeline.run(&mut ctx, func).unwrap_err().to_string();
+            assert_eq!(
+                message,
+                format!(
+                    "pass '{pass}' failed: no hida.schedule in the function — \
+                     run hida-lower-structural first"
+                ),
+                "{text}"
+            );
+            let last = pipeline.statistics().last().unwrap();
+            assert!(last.pass == pass && last.failed, "{text}");
+        }
+    }
+
+    #[test]
+    fn lowering_names_itself_once_when_there_is_nothing_to_lower() {
+        let mut ctx = Context::new();
+        let (_module, func) = twomm_func(&mut ctx);
+        let mut pipeline =
+            Pipeline::parse(&crate::registry::registry(), "construct,lower,lower").unwrap();
+        let message = pipeline.run(&mut ctx, func).unwrap_err().to_string();
+        assert_eq!(
+            message,
+            "pass 'hida-lower-structural' failed: \
+             function contains no compute operations to lower"
+        );
+        assert!(pipeline.statistics()[2].failed);
+    }
+
+    #[test]
+    fn every_structural_pass_finds_the_schedule_lowering_appended() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = build_kernel(&mut ctx, module, PolybenchKernel::TwoMm, 96);
+        let mut pipeline = Pipeline::parse(
+            &crate::registry::registry(),
+            "construct,lower,tiling,tiling,parallelize",
+        )
+        .unwrap();
+        let schedule = pipeline.run(&mut ctx, func).unwrap();
+        assert_eq!(schedule_in(&ctx, func), Some(schedule));
+        assert_eq!(schedule.nodes(&ctx).len(), 2);
+        // Both tilings tile the one schedule: each adds its tile buffers.
+        let live_ops: Vec<usize> = pipeline
+            .statistics()
+            .iter()
+            .map(|s| s.live_ops_after)
+            .collect();
+        assert_eq!(live_ops, [31, 28, 34, 40, 40]);
     }
 
     #[test]

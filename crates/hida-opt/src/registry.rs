@@ -21,10 +21,7 @@
 //! --list-passes` CLI surface.
 
 use crate::fusion::{ConvPoolFusion, ElementwiseFusion, FusionPattern};
-use crate::pipeline::{
-    BalancePass, ConstructPass, FusionPass, LowerPass, MultiProducerEliminationPass,
-    ParallelizePass, TilingPass,
-};
+use crate::pipeline::HidaPass;
 use crate::ParallelMode;
 use hida_estimator::device::FpgaDevice;
 use hida_ir_core::{Pass, PassInvocation, PassOption, PipelineParseError};
@@ -254,8 +251,8 @@ impl<'a> Options<'a> {
     }
 }
 
-/// Resolves one fusion pattern name (as printed by `FusionPass`'s `patterns`
-/// option) into a pattern instance.
+/// Resolves one fusion pattern name (as printed by the fusion pass's
+/// `patterns` option) into a pattern instance.
 fn fusion_pattern_by_name(name: &str) -> Result<Box<dyn FusionPattern>, String> {
     match name {
         "elementwise-fusion" => Ok(Box::new(ElementwiseFusion)),
@@ -268,25 +265,25 @@ fn fusion_pattern_by_name(name: &str) -> Result<Box<dyn FusionPattern>, String> 
 }
 
 /// The pass `info` names, configured by `options`.
-fn build(info: &PassInfo, options: &Options<'_>) -> Result<Box<dyn Pass>, String> {
+fn build(info: &PassInfo, options: &Options<'_>) -> Result<HidaPass, String> {
     Ok(match info.name {
-        "construct" => Box::new(ConstructPass),
-        "fusion" => Box::new(FusionPass::with_patterns(
-            options
+        "construct" => HidaPass::Construct,
+        "fusion" => HidaPass::Fusion {
+            patterns: options
                 .value("patterns")
                 .split('+')
                 .map(fusion_pattern_by_name)
                 .collect::<Result<_, _>>()?,
-        )),
-        "lower" => Box::new(LowerPass),
-        "multi-producer-elim" => Box::new(MultiProducerEliminationPass),
-        "tiling" => Box::new(TilingPass {
+        },
+        "lower" => HidaPass::Lower,
+        "multi-producer-elim" => HidaPass::MultiProducerElim,
+        "tiling" => HidaPass::Tiling {
             tile_size: options.positive_int("factor")?,
             external_threshold_bytes: options.positive_int("external-threshold-bytes")?,
-        }),
-        "balance" => Box::new(BalancePass {
+        },
+        "balance" => HidaPass::Balance {
             external_threshold_bytes: options.positive_int("external-threshold-bytes")?,
-        }),
+        },
         "parallelize" => {
             let label = options.value("mode");
             let mode = ParallelMode::from_label(label).ok_or_else(|| {
@@ -301,11 +298,11 @@ fn build(info: &PassInfo, options: &Options<'_>) -> Result<Box<dyn Pass>, String
                     known.join(", ")
                 )
             })?;
-            Box::new(ParallelizePass {
+            HidaPass::Parallelize {
                 max_parallel_factor: options.positive_int("max-factor")?,
                 mode,
                 device,
-            })
+            }
         }
         other => unreachable!("pass '{other}' has a table entry but no constructor"),
     })
@@ -335,7 +332,7 @@ impl Registry {
     pub fn create(
         &self,
         invocation: &PassInvocation,
-    ) -> Result<(PassInvocation, Box<dyn Pass>), PipelineError> {
+    ) -> Result<(PassInvocation, HidaPass), PipelineError> {
         let info = self
             .get(&invocation.name)
             .ok_or_else(|| PipelineError::UnknownPass {

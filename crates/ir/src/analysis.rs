@@ -13,7 +13,7 @@
 //! annotates nodes and adds buffers, leaving every cached compute profile
 //! intact) declare it through
 //! [`Pass::preserved_analyses`](crate::pass::Pass::preserved_analyses); the
-//! [`PassManager`](crate::pass::PassManager) then keeps the declared analyses
+//! [runner](crate::pass::run_passes) then keeps the declared analyses
 //! alive across the pass's generation bumps instead of discarding them. In debug
 //! builds a consistency check recomputes each preserved entry at pass exit and
 //! fails the pipeline when the declaration was a lie.
@@ -171,7 +171,7 @@ struct CacheEntry {
 }
 
 /// Typed analysis cache with generation-based invalidation; owned by the
-/// [`PassManager`](crate::pass::PassManager) and threaded through every pass.
+/// [`RunState`](crate::pass::RunState) and threaded through every pass.
 ///
 /// # Example
 ///
@@ -223,7 +223,7 @@ pub struct AnalysisManager {
 }
 
 struct PassScope {
-    pass: String,
+    pass: &'static str,
     preserved: PreservedAnalyses,
     ctx_id: u64,
     start_generation: u64,
@@ -371,10 +371,10 @@ impl AnalysisManager {
     /// Opens a pass scope: queries until the matching
     /// [`AnalysisManager::end_pass`] treat the declared `preserved` analyses as
     /// valid across generation bumps made by this pass.
-    pub fn begin_pass(&mut self, ctx: &Context, pass: &str, preserved: PreservedAnalyses) {
+    pub fn begin_pass(&mut self, ctx: &Context, pass: &'static str, preserved: PreservedAnalyses) {
         self.window = AnalysisCacheStats::default();
         self.scope = Some(PassScope {
-            pass: pass.to_string(),
+            pass,
             preserved,
             ctx_id: ctx.id(),
             start_generation: ctx.generation(),
@@ -391,7 +391,7 @@ impl AnalysisManager {
         let scope = self.scope.take();
         let generation = ctx.generation();
         let ctx_id = ctx.id();
-        let mut lie: Option<(String, &'static str, OpId)> = None;
+        let mut lie: Option<(&'static str, &'static str, OpId)> = None;
         self.entries.retain(|&(type_id, root), entry| {
             let root_intact = ctx.is_alive(root) && ctx.op_epoch(root) == entry.epoch;
             if entry.ctx_id == ctx_id && entry.generation == generation && root_intact {
@@ -413,11 +413,7 @@ impl AnalysisManager {
             if self.check_preserved && lie.is_none() {
                 if let Some(check) = entry.check {
                     if !check(ctx, root, &*entry.value) {
-                        lie = Some((
-                            scope.as_ref().map(|s| s.pass.clone()).unwrap_or_default(),
-                            entry.analysis,
-                            root,
-                        ));
+                        lie = Some((scope.as_ref().map_or("", |s| s.pass), entry.analysis, root));
                     }
                 }
             }

@@ -235,7 +235,7 @@ impl Context {
     /// moved or erased, no operand list, result list, region list, parent
     /// link or `isolated` flag was written in between — attributes (and name
     /// hints) are all that can differ. That is exactly what
-    /// [`verifier`](crate::verifier) reads, so the pass manager does not walk
+    /// [`verifier`](crate::verifier) reads, so the pass runner does not walk
     /// the IR again after a pass that left this counter where the last
     /// verification found it (see [`Verified`](crate::pass::Verified)).
     /// [`Context::op_mut`] counts as a structural mutation: the

@@ -16,13 +16,13 @@
 //!   nothing). Nothing unwinds to cancel.
 //! * [`error_from_panic`] — what a caught panic becomes: an
 //!   [`IrError::WorkerPanic`] carrying the payload's message. Two layers
-//!   catch: the pass manager around each pass body, and the point's own
+//!   catch: the pass runner around each pass body, and the point's own
 //!   fault domain around everything else.
 //! * [`FaultPlan`] — seeded (splitmix64, like the fuzzer) deterministic fault
 //!   injection: pass panics and artificial worker stalls, assigned to named
 //!   points by a label shuffle that is independent of job count and
 //!   scheduling. Both drive real recovery paths: a pass panic unwinds through
-//!   the pass manager's `catch_unwind`, a stall under a deadline meets the
+//!   the pass runner's `catch_unwind`, a stall under a deadline meets the
 //!   cancellation checkpoints.
 //! * A thread-local *point guard* ([`install_point`]) carrying the active
 //!   token and armed faults through the compilation layers without plumbing
@@ -321,7 +321,7 @@ thread_local! {
 
 /// Installs `token` (and optionally armed `faults`) as this thread's active
 /// point context until the returned guard drops. Guards nest: dropping
-/// restores the previous context. The compilation layers (pass manager,
+/// restores the previous context. The compilation layers (pass runner,
 /// estimator, compiler) consult the context at their checkpoint sites. A
 /// point compiles start to finish on the thread that installed its guard, so
 /// which checkpoints and injections it meets does not depend on the job
@@ -379,7 +379,7 @@ pub fn checkpoint<S: Into<String>>(site: impl FnOnce() -> S) -> IrResult<()> {
 }
 
 /// Injection site: panics once per guard when a pass panic is armed.
-/// Placed inside the pass manager's isolated pass-body region, so the panic
+/// Placed inside the pass runner's isolated pass-body region, so the panic
 /// exercises the real catch-and-classify machinery end to end.
 pub fn injected_pass_panic(pass: &str) {
     let fire = with_point(|ctx| ctx.pass_panic.replace(false)).unwrap_or(false);

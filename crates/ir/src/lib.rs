@@ -15,8 +15,8 @@
 //! * an [`OpBuilder`] with insertion points,
 //! * a textual [printer], a structural [verifier],
 //! * pre/post-order [walkers](walk), use-def chains and replace-all-uses,
-//! * a [pass manager](pass) and the textual pipeline grammar it is
-//!   configured with ([`parse_pipeline`]),
+//! * a [pass runner](pass) and the textual pipeline grammar its pass lists
+//!   are written in ([`parse_pipeline`]),
 //! * a cached [analysis manager](analysis) with generation-based invalidation
 //!   and per-pass preservation declarations,
 //! * a std-only work-stealing [pool](par) on which a sweep compiles its design
@@ -72,7 +72,7 @@ pub use parse::{
     parse_module, parse_module_into, parse_pipeline, print_pipeline, IrParseError, PassInvocation,
     PipelineParseError,
 };
-pub use pass::{Pass, PassManager, PassOption, PassStatistics, PipelineState, RunState, Verified};
+pub use pass::{run_passes, Pass, PassOption, PassStatistics, RunState, Verified};
 pub use storage::{EntityMap, EntitySet, IdList};
 pub use types::Type;
 pub use walk::{walk_ops_postorder, walk_ops_preorder, WalkOrder};

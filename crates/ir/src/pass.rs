@@ -1,19 +1,14 @@
-//! Pass abstraction and pass manager.
+//! The pass abstraction and the runner that applies a pass list.
 //!
 //! HIDA-OPT is organised as a pipeline of passes over the IR (Functional dataflow
 //! construction, task fusion, lowering, structural optimization, parallelization,
-//! ...). The [`PassManager`] runs a range of its passes in order over a
-//! [`RunState`], verifies the IR between passes, and records per-pass
-//! [`PassStatistics`] into the state.
+//! ...). [`run_passes`] runs a slice of them in order over a [`RunState`],
+//! verifies the IR between passes, and records per-pass [`PassStatistics`]
+//! into the state.
 //!
-//! Passes communicate through a [`PipelineState`]: a typed, heterogeneous slot map
-//! keyed by `TypeId`. A lowering pass can deposit the structural handle it produced
-//! (e.g. a `ScheduleOp`) and every later pass retrieves it by type, which keeps the
-//! `Pass` trait itself independent of any particular dialect crate.
-
-// `PipelineState` slots are keyed by `TypeId`, which has no dense index; the
-// map is touched a handful of times per pass, never inside an IR walk.
-#![allow(clippy::disallowed_types)]
+//! A pass hands the next one the IR and nothing else: what a later pass
+//! needs from an earlier one (the `hida.schedule` lowering builds) is found
+//! in the IR, and structural facts come from the [`AnalysisManager`].
 
 use crate::analysis::{AnalysisCacheStats, AnalysisManager, PreservedAnalyses};
 use crate::context::Context;
@@ -21,71 +16,10 @@ use crate::error::{IrError, IrResult};
 use crate::fault;
 use crate::ids::OpId;
 use crate::par::ParallelStats;
-use crate::verifier::verify;
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use crate::verifier;
 use std::fmt;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-/// A stored slot value: any `Clone` type, so a whole [`PipelineState`] can be
-/// copied when a run forks.
-trait Slot: Any + Send + Sync {
-    fn clone_slot(&self) -> Box<dyn Slot>;
-}
-
-impl<T: Any + Clone + Send + Sync> Slot for T {
-    fn clone_slot(&self) -> Box<dyn Slot> {
-        Box::new(self.clone())
-    }
-}
-
-/// Typed cross-pass state: at most one value per Rust type.
-///
-/// The slot map lets structurally-typed results (schedules, analyses, caches) flow
-/// from producing passes to consuming passes without widening the [`Pass`] trait
-/// for every new artifact kind. Values are `Clone + Send + Sync`: a state is
-/// copied whenever a run forks from a checkpoint, and checkpoints are shared
-/// between the threads of a sweep.
-#[derive(Default)]
-pub struct PipelineState {
-    slots: HashMap<TypeId, Box<dyn Slot>>,
-}
-
-impl PipelineState {
-    /// Stores `value`, returning the previously stored value of the same type.
-    pub fn insert<T: Any + Clone + Send + Sync>(&mut self, value: T) -> Option<T> {
-        let old: Box<dyn Any> = self.slots.insert(TypeId::of::<T>(), Box::new(value))?;
-        old.downcast::<T>().ok().map(|b| *b)
-    }
-
-    /// Borrows the stored value of type `T`, if any.
-    pub fn get<T: Any>(&self) -> Option<&T> {
-        let slot: &dyn Any = &**self.slots.get(&TypeId::of::<T>())?;
-        slot.downcast_ref::<T>()
-    }
-}
-
-impl Clone for PipelineState {
-    fn clone(&self) -> Self {
-        PipelineState {
-            slots: self
-                .slots
-                .iter()
-                .map(|(&id, slot)| (id, (**slot).clone_slot()))
-                .collect(),
-        }
-    }
-}
-
-impl fmt::Debug for PipelineState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PipelineState")
-            .field("slots", &self.slots.len())
-            .finish()
-    }
-}
 
 /// One configured option of a pass instance (`name = value`), recorded into the
 /// pass's [`PassStatistics`] so pipeline reports show the exact configuration.
@@ -113,28 +47,21 @@ impl fmt::Display for PassOption {
     }
 }
 
-/// A transformation or analysis applied to the IR rooted at a module op.
+/// A transformation or analysis applied to the IR rooted at an op.
 ///
 /// Passes are `Send + Sync` so one configured pipeline can be shared by the
 /// design points a sweep compiles concurrently; a pass itself runs on the
-/// thread that called the [`PassManager`].
+/// thread that called [`run_passes`].
 pub trait Pass: Send + Sync {
     /// Unique, human-readable pass name (e.g. `"hida-task-fusion"`).
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// The instance's configured options, recorded into its statistics.
     fn options(&self) -> Vec<PassOption> {
         Vec::new()
     }
 
-    /// Whether the IR should be re-verified after this pass. The pass manager's
-    /// global verification toggle must also be enabled; analysis-only passes can
-    /// return `false` to skip the redundant walk.
-    fn verify_after(&self) -> bool {
-        true
-    }
-
-    /// The analyses this pass provably does not invalidate. The pass manager
+    /// The analyses this pass provably does not invalidate. The runner
     /// keeps the declared entries alive across the pass's generation bumps
     /// (and, in debug builds, verifies the declaration by recomputation at pass
     /// exit). The conservative default invalidates everything.
@@ -142,27 +69,21 @@ pub trait Pass: Send + Sync {
         PreservedAnalyses::none()
     }
 
-    /// Runs the pass over the IR rooted at `root`. Cross-pass artifacts are
-    /// exchanged through `state`; structural facts (profiles, graphs) are
-    /// fetched through `analyses` so repeated queries hit the cache.
+    /// Runs the pass over the IR rooted at `root`. Structural facts
+    /// (profiles, graphs) are fetched through `analyses` so repeated queries
+    /// hit the cache.
     ///
     /// # Errors
-    /// Returns an error when the pass cannot complete; the pass manager aborts the
+    /// Returns an error when the pass cannot complete; the runner aborts the
     /// pipeline in that case.
-    fn run(
-        &self,
-        ctx: &mut Context,
-        root: OpId,
-        state: &mut PipelineState,
-        analyses: &mut AnalysisManager,
-    ) -> IrResult<()>;
+    fn run(&self, ctx: &mut Context, root: OpId, analyses: &mut AnalysisManager) -> IrResult<()>;
 }
 
 /// Timing and size statistics recorded for each executed pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassStatistics {
     /// Name of the executed pass.
-    pub pass: String,
+    pub pass: &'static str,
     /// Wall-clock duration in microseconds (excluding post-pass verification).
     pub micros: u128,
     /// Number of live ops before the pass.
@@ -243,11 +164,11 @@ impl fmt::Display for PassStatistics {
 /// context, at one reading of its [structure counter](Context::structure).
 /// The record [holds](Verified::holds_for) exactly as long as nothing but
 /// attributes (and name hints) of that context has been written since.
-/// [`verifier`](crate::verifier) reads parent links, result back-links,
+/// [`verifier`] reads parent links, result back-links,
 /// operand visibility — operand lists, value definitions, liveness, op
 /// order — and the `isolated` flag, and no attribute: while the record
 /// holds, walking the subtree again would find what the walk that made the
-/// record found. [`PassManager::run_range`] then does not walk after a pass,
+/// record found. [`run_passes`] then does not walk after a pass,
 /// and [`verify_except`](crate::verifier::verify_except) may leave the
 /// subtree out. A verifier that reads attributes must not skip by this
 /// record; it keys on [`Context::generation`].
@@ -281,14 +202,12 @@ impl Verified {
 }
 
 /// What a run of a pass list carries from pass to pass besides the IR itself:
-/// the typed slots the passes hand each other, the analysis cache, and one
-/// statistics record per pass run so far. Together with the [`Context`] it is
-/// everything a run needs to stop between two passes and continue later — or,
-/// [forked](RunState::fork), to continue several times.
+/// the analysis cache and one statistics record per pass run so far.
+/// Together with the [`Context`] it is everything a run needs to stop between
+/// two passes and continue later — or, [forked](RunState::fork), to continue
+/// several times.
 #[derive(Debug, Default)]
 pub struct RunState {
-    /// Typed artifacts deposited by the passes run so far.
-    pub slots: PipelineState,
     /// The analysis cache threaded through every pass.
     pub analyses: AnalysisManager,
     /// One record per pass run so far, in execution order; a failed run's
@@ -296,21 +215,19 @@ pub struct RunState {
     pub statistics: Vec<PassStatistics>,
     /// The post-pass verification of the *last* pass run, when that pass was
     /// verified — by a walk, or by the record of the pass before it still
-    /// holding: `None` after a pass that opted out of
-    /// [`Pass::verify_after`], with inter-pass verification off, and after a
-    /// failed run, so the next pass finds nothing to trust.
+    /// holding: `None` with inter-pass verification off and after a failed
+    /// run, so the next pass finds nothing to trust.
     pub verified: Option<Verified>,
 }
 
 impl RunState {
     /// The state a run over `fork` — a clone of `original` as it stands now —
-    /// continues from: the slots and statistics copied, the analysis cache
-    /// carried over under the clone's identity
-    /// ([`AnalysisManager::fork`]), so the passes still to come behave, hit
-    /// and miss exactly as they would have on `original`.
+    /// continues from: the statistics copied, the analysis cache carried over
+    /// under the clone's identity ([`AnalysisManager::fork`]), so the passes
+    /// still to come behave, hit and miss exactly as they would have on
+    /// `original`.
     pub fn fork(&self, original: &Context, fork: &Context) -> RunState {
         RunState {
-            slots: self.slots.clone(),
             analyses: self.analyses.fork(original, fork),
             statistics: self.statistics.clone(),
             // A clone is at its original's structure counter: what held there
@@ -323,159 +240,106 @@ impl RunState {
     }
 }
 
-/// Runs a sequence of passes with optional inter-pass verification. The
-/// passes run over a [`RunState`] the caller holds
-/// ([`PassManager::run_range`]): its [`AnalysisManager`] is threaded through
-/// every pass, so cached analyses survive from pass to pass and per-pass
-/// cache traffic lands in [`PassStatistics`].
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    verify_each: bool,
-}
-
-impl Default for PassManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PassManager {
-    /// Creates an empty pass manager with inter-pass verification enabled.
-    pub fn new() -> Self {
-        PassManager {
-            passes: Vec::new(),
-            verify_each: true,
+/// Runs `passes` in order over `run`, a state the caller holds — a fresh one,
+/// or one an earlier call left off where `passes` begins — and appends their
+/// statistics to it. Its [`AnalysisManager`] is threaded through every pass,
+/// so cached analyses survive from pass to pass and per-pass cache traffic
+/// lands in [`PassStatistics`]. With `verify`, the IR below `root` is
+/// verified after every pass.
+///
+/// # Errors
+/// Propagates the first pass failure or inter-pass verification failure.
+pub fn run_passes(
+    passes: &[Box<dyn Pass>],
+    verify: bool,
+    ctx: &mut Context,
+    root: OpId,
+    run: &mut RunState,
+) -> IrResult<()> {
+    let RunState {
+        analyses,
+        statistics,
+        verified: last_verified,
+    } = run;
+    for pass in passes {
+        // The previous pass's record; trusted below only if this pass is
+        // verified too, and gone whatever this pass turns out to be.
+        let trusted = last_verified.take();
+        let name = pass.name();
+        let live_ops_before = ctx.num_live_ops();
+        analyses.begin_pass(ctx, name, pass.preserved_analyses());
+        let start = Instant::now();
+        // Built only for the error of a cancelled or panicking pass.
+        let site = || format!("pass '{name}'");
+        // Pass boundaries are cancellation checkpoints: an expired
+        // deadline stops the pipeline here, before the next pass starts,
+        // with a deterministic `Cancelled` error.
+        let result = fault::checkpoint(site).and_then(|()| {
+            // The pass body runs under `catch_unwind`, so a panicking
+            // pass (injected or real) becomes a structured `WorkerPanic`
+            // failure instead of aborting the process. The injection
+            // hook fires *inside* the caught region to exercise exactly
+            // this machinery.
+            catch_unwind(AssertUnwindSafe(|| {
+                fault::injected_pass_panic(name);
+                pass.run(ctx, root, analyses)
+            }))
+            .unwrap_or_else(|payload| Err(fault::error_from_panic(&site(), payload)))
+        });
+        let result = result.map_err(|e| {
+            match e {
+                // Don't re-wrap errors the pass already attributed to itself.
+                IrError::PassFailed { pass: ref p, .. } if p == name => e,
+                // Structured fault and cancellation errors keep their
+                // variant so callers can classify the failure; wrapping
+                // would collapse them into a generic `PassFailed`.
+                e @ (IrError::Cancelled { .. } | IrError::WorkerPanic { .. }) => e,
+                other => IrError::pass_failed(name, other.to_string()),
+            }
+        });
+        let micros = start.elapsed().as_micros();
+        // Even a failing pass leaves a statistics record, so pipeline
+        // reports show where and after how long a run died. One record per
+        // pass: it owns the only copy of the options.
+        let record = |verified: bool, failed: bool, cache: AnalysisCacheStats| PassStatistics {
+            pass: name,
+            micros,
+            live_ops_before,
+            live_ops_after: ctx.num_live_ops(),
+            verified,
+            failed,
+            cache,
+            parallel: None,
+            options: pass.options(),
+        };
+        if let Err(error) = result {
+            let cache = analyses.abort_pass(ctx);
+            statistics.push(record(false, true, cache));
+            return Err(error);
         }
-    }
-
-    /// Enables or disables verification after each pass.
-    pub fn with_verification(mut self, verify_each: bool) -> Self {
-        self.verify_each = verify_each;
-        self
-    }
-
-    /// Appends a pass to the pipeline.
-    pub fn add_pass(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Number of registered passes.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// Returns true when no passes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// Names of the registered passes, in execution order.
-    pub fn pass_names(&self) -> Vec<String> {
-        self.passes.iter().map(|p| p.name().to_string()).collect()
-    }
-
-    /// Runs the passes at `range` of the list over `run`, a state the caller
-    /// holds — a fresh one, or one an earlier call (of this manager or of one
-    /// with an equal pass prefix) left off at `range.start` — and appends
-    /// their statistics to it.
-    ///
-    /// # Errors
-    /// Propagates the first pass failure or inter-pass verification failure.
-    pub fn run_range(
-        &self,
-        ctx: &mut Context,
-        root: OpId,
-        range: Range<usize>,
-        run: &mut RunState,
-    ) -> IrResult<()> {
-        let RunState {
-            slots: state,
-            analyses,
-            statistics,
-            verified: last_verified,
-        } = run;
-        for pass in &self.passes[range] {
-            // The previous pass's record; trusted below only if this pass is
-            // verified too, and gone whatever this pass turns out to be.
-            let trusted = last_verified.take();
-            let name = pass.name();
-            let live_ops_before = ctx.num_live_ops();
-            analyses.begin_pass(ctx, name, pass.preserved_analyses());
-            let start = Instant::now();
-            // Built only for the error of a cancelled or panicking pass.
-            let site = || format!("pass '{name}'");
-            // Pass boundaries are cancellation checkpoints: an expired
-            // deadline stops the pipeline here, before the next pass starts,
-            // with a deterministic `Cancelled` error.
-            let result = fault::checkpoint(site).and_then(|()| {
-                // The pass body runs under `catch_unwind`, so a panicking
-                // pass (injected or real) becomes a structured `WorkerPanic`
-                // failure instead of aborting the process. The injection
-                // hook fires *inside* the caught region to exercise exactly
-                // this machinery.
-                catch_unwind(AssertUnwindSafe(|| {
-                    fault::injected_pass_panic(name);
-                    pass.run(ctx, root, state, analyses)
-                }))
-                .unwrap_or_else(|payload| Err(fault::error_from_panic(&site(), payload)))
-            });
-            let result = result.map_err(|e| {
-                match e {
-                    // Don't re-wrap errors the pass already attributed to itself.
-                    IrError::PassFailed { pass: ref p, .. } if p == name => e,
-                    // Structured fault and cancellation errors keep their
-                    // variant so callers can classify the failure; wrapping
-                    // would collapse them into a generic `PassFailed`.
-                    e @ (IrError::Cancelled { .. } | IrError::WorkerPanic { .. }) => e,
-                    other => IrError::pass_failed(name, other.to_string()),
-                }
-            });
-            let micros = start.elapsed().as_micros();
-            // Even a failing pass leaves a statistics record, so pipeline
-            // reports show where and after how long a run died. One record
-            // per pass: it owns the only copies of the name and the options.
-            let record = |verified: bool, failed: bool, cache: AnalysisCacheStats| PassStatistics {
-                pass: name.to_string(),
-                micros,
-                live_ops_before,
-                live_ops_after: ctx.num_live_ops(),
-                verified,
-                failed,
-                cache,
-                parallel: None,
-                options: pass.options(),
-            };
-            if let Err(error) = result {
-                let cache = analyses.abort_pass(ctx);
-                statistics.push(record(false, true, cache));
-                return Err(error);
-            }
-            let (cache, lie) = analyses.end_pass(ctx);
-            if let Some(lie) = lie {
-                statistics.push(record(false, true, cache));
-                return Err(IrError::pass_failed(name, lie.to_string()));
-            }
-            let verified = self.verify_each && pass.verify_after();
-            if verified {
-                // A pass that wrote attributes only left the IR where the
-                // walk behind `trusted` found it: verified, by that record.
-                let already_walked = trusted.is_some_and(|v| v.root == root && v.holds_for(ctx));
-                if !already_walked {
-                    if let Err(e) = verify(ctx, root) {
-                        statistics.push(record(false, true, cache));
-                        return Err(IrError::pass_failed(
-                            name,
-                            format!("post-pass verification: {e}"),
-                        ));
-                    }
-                }
-                *last_verified = Some(Verified::at(ctx, root));
-            }
-            statistics.push(record(verified, false, cache));
+        let (cache, lie) = analyses.end_pass(ctx);
+        if let Some(lie) = lie {
+            statistics.push(record(false, true, cache));
+            return Err(IrError::pass_failed(name, lie.to_string()));
         }
-        Ok(())
+        if verify {
+            // A pass that wrote attributes only left the IR where the walk
+            // behind `trusted` found it: verified, by that record.
+            let already_walked = trusted.is_some_and(|v| v.root == root && v.holds_for(ctx));
+            if !already_walked {
+                if let Err(e) = verifier::verify(ctx, root) {
+                    statistics.push(record(false, true, cache));
+                    return Err(IrError::pass_failed(
+                        name,
+                        format!("post-pass verification: {e}"),
+                    ));
+                }
+            }
+            *last_verified = Some(Verified::at(ctx, root));
+        }
+        statistics.push(record(verify, false, cache));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -489,21 +353,16 @@ mod tests {
     }
 
     impl Pass for CountConstantsPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "count-constants"
         }
         fn options(&self) -> Vec<PassOption> {
             vec![PassOption::new("expected", self.expected)]
         }
-        fn verify_after(&self) -> bool {
-            // Analysis-only: nothing to re-verify.
-            false
-        }
         fn run(
             &self,
             ctx: &mut Context,
             root: OpId,
-            _state: &mut PipelineState,
             _analyses: &mut AnalysisManager,
         ) -> IrResult<()> {
             let n = ctx.collect_ops(root, "arith.constant").len();
@@ -521,34 +380,32 @@ mod tests {
     struct EraseConstantsPass;
 
     impl Pass for EraseConstantsPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "erase-constants"
         }
         fn run(
             &self,
             ctx: &mut Context,
             root: OpId,
-            state: &mut PipelineState,
             _analyses: &mut AnalysisManager,
         ) -> IrResult<()> {
-            let mut erased = 0_usize;
             for op in ctx.collect_ops(root, "arith.constant") {
                 ctx.erase_op(op);
-                erased += 1;
             }
-            state.insert(ErasedCount(erased));
             Ok(())
         }
     }
 
-    #[derive(Debug, Clone, PartialEq)]
-    struct ErasedCount(usize);
-
-    /// Runs every pass of `pm` over a fresh state, the way a pipeline run
-    /// does, and returns the outcome with the state it left.
-    fn run_all(pm: &PassManager, ctx: &mut Context, root: OpId) -> (IrResult<()>, RunState) {
+    /// Runs every pass of `passes` over a fresh state with inter-pass
+    /// verification, the way a pipeline run does, and returns the outcome
+    /// with the state it left.
+    fn run_all(
+        passes: &[Box<dyn Pass>],
+        ctx: &mut Context,
+        root: OpId,
+    ) -> (IrResult<()>, RunState) {
         let mut run = RunState::default();
-        let result = pm.run_range(ctx, root, 0..pm.len(), &mut run);
+        let result = run_passes(passes, true, ctx, root, &mut run);
         (result, run)
     }
 
@@ -566,39 +423,39 @@ mod tests {
     fn pipeline_runs_passes_in_order_and_records_statistics() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(CountConstantsPass { expected: 3 }));
-        pm.add_pass(Box::new(EraseConstantsPass));
-        pm.add_pass(Box::new(CountConstantsPass { expected: 0 }));
-        assert_eq!(pm.len(), 3);
-        assert!(!pm.is_empty());
-        assert_eq!(
-            pm.pass_names(),
-            vec!["count-constants", "erase-constants", "count-constants"]
-        );
-        let (result, run) = run_all(&pm, &mut ctx, module);
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(CountConstantsPass { expected: 3 }),
+            Box::new(EraseConstantsPass),
+            Box::new(CountConstantsPass { expected: 0 }),
+        ];
+        let (result, run) = run_all(&passes, &mut ctx, module);
         result.unwrap();
         let stats = &run.statistics;
         assert_eq!(stats.len(), 3);
-        assert_eq!(stats[0].pass, "count-constants");
+        let names: Vec<&str> = stats.iter().map(|s| s.pass).collect();
+        assert_eq!(
+            names,
+            ["count-constants", "erase-constants", "count-constants"]
+        );
         assert!(stats[1].live_ops_after < stats[1].live_ops_before);
         assert_eq!(stats[1].op_delta(), -3);
         assert_eq!(stats[0].op_delta(), 0);
-        // The erase pass deposited its artifact into the pipeline state.
-        assert_eq!(run.slots.get::<ErasedCount>(), Some(&ErasedCount(3)));
+        // The erase pass's work is in the IR, where the pass after it found it.
+        assert!(ctx.collect_ops(module, "arith.constant").is_empty());
     }
 
     #[test]
     fn the_run_state_records_the_last_pass_verification_and_nothing_older() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(EraseConstantsPass));
-        pm.add_pass(Box::new(CountConstantsPass { expected: 0 }));
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(EraseConstantsPass),
+            Box::new(CountConstantsPass { expected: 0 }),
+        ];
 
         // After the verifying pass the record names the root and holds…
         let mut run = RunState::default();
-        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        run_passes(&passes[..1], true, &mut ctx, module, &mut run).unwrap();
         let verified = run.verified.expect("erase-constants verifies after itself");
         assert_eq!(verified.root(), module);
         assert!(verified.holds_for(&ctx));
@@ -609,10 +466,10 @@ mod tests {
         assert!(forked.holds_for(&fork) && !forked.holds_for(&ctx));
         assert!(!verified.holds_for(&fork));
 
-        // …a last pass that opts out of `verify_after` leaves none behind,
-        // untouched IR or not; an attribute edit leaves the old one holding,
-        // any structural mutation outdates it.
-        pm.run_range(&mut ctx, module, 1..2, &mut run).unwrap();
+        // …a last pass run without verification leaves none behind, untouched
+        // IR or not; an attribute edit leaves the old one holding, any
+        // structural mutation outdates it.
+        run_passes(&passes[1..], false, &mut ctx, module, &mut run).unwrap();
         assert_eq!(run.verified, None);
         ctx.set_attr(module, "touched", true);
         assert!(verified.holds_for(&ctx));
@@ -622,10 +479,8 @@ mod tests {
         // With inter-pass verification off there is never one.
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let mut pm = PassManager::new().with_verification(false);
-        pm.add_pass(Box::new(EraseConstantsPass));
         let mut run = RunState::default();
-        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        run_passes(&passes[..1], false, &mut ctx, module, &mut run).unwrap();
         assert_eq!(run.verified, None);
     }
 
@@ -634,31 +489,22 @@ mod tests {
     struct EditPass {
         name: &'static str,
         edit: fn(&mut Context, OpId),
-        verify_after: bool,
     }
 
     impl EditPass {
         fn boxed(name: &'static str, edit: fn(&mut Context, OpId)) -> Box<dyn Pass> {
-            Box::new(EditPass {
-                name,
-                edit,
-                verify_after: true,
-            })
+            Box::new(EditPass { name, edit })
         }
     }
 
     impl Pass for EditPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             self.name
-        }
-        fn verify_after(&self) -> bool {
-            self.verify_after
         }
         fn run(
             &self,
             ctx: &mut Context,
             root: OpId,
-            _state: &mut PipelineState,
             _analyses: &mut AnalysisManager,
         ) -> IrResult<()> {
             let constant = ctx.collect_ops(root, "arith.constant")[0];
@@ -678,18 +524,17 @@ mod tests {
         ctx.add_operand(constant, late[0]);
     }
 
-    /// Runs `pass` alone over `run` and returns the record the run held
-    /// before it and the one it holds after.
+    /// Runs `pass` alone over `run`, verified when `verify`, and returns the
+    /// record the run held before it and the one it holds after.
     fn records_around(
         pass: Box<dyn Pass>,
+        verify: bool,
         ctx: &mut Context,
         module: OpId,
         run: &mut RunState,
     ) -> (Option<Verified>, IrResult<Option<Verified>>) {
         let before = run.verified;
-        let mut pm = PassManager::new();
-        pm.add_pass(pass);
-        let result = pm.run_range(ctx, module, 0..1, run);
+        let result = run_passes(&[pass], verify, ctx, module, run);
         (before, result.map(|()| run.verified))
     }
 
@@ -700,7 +545,7 @@ mod tests {
         let module = module_with_constants(&mut ctx, constants);
         let mut run = RunState::default();
         let noop = EditPass::boxed("noop", |_, _| ());
-        let (_, after) = records_around(noop, &mut ctx, module, &mut run);
+        let (_, after) = records_around(noop, true, &mut ctx, module, &mut run);
         assert!(after.unwrap().is_some());
         (ctx, module, run)
     }
@@ -711,6 +556,7 @@ mod tests {
         let structure = ctx.structure();
         let (before, after) = records_around(
             EditPass::boxed("annotate", annotate),
+            true,
             &mut ctx,
             module,
             &mut run,
@@ -729,6 +575,7 @@ mod tests {
                 annotate(ctx, constant);
                 use_before_def(ctx, constant);
             }),
+            true,
             &mut ctx,
             module,
             &mut run,
@@ -760,8 +607,13 @@ mod tests {
         ];
         for (name, edit) in edits {
             let (mut ctx, module, mut run) = verified_module(2);
-            let (before, after) =
-                records_around(EditPass::boxed(name, edit), &mut ctx, module, &mut run);
+            let (before, after) = records_around(
+                EditPass::boxed(name, edit),
+                true,
+                &mut ctx,
+                module,
+                &mut run,
+            );
             let (before, after) = (before.unwrap(), after.unwrap().unwrap());
             assert_ne!(after, before, "{name}: a new record, by a new walk");
             assert!(!before.holds_for(&ctx) && after.holds_for(&ctx), "{name}");
@@ -769,25 +621,23 @@ mod tests {
         // The same walk rejects what the skip would have let through.
         let (mut ctx, module, mut run) = verified_module(2);
         let broken = EditPass::boxed("break", use_before_def);
-        assert!(records_around(broken, &mut ctx, module, &mut run)
+        assert!(records_around(broken, true, &mut ctx, module, &mut run)
             .1
             .is_err());
     }
 
     #[test]
     fn a_pass_that_is_not_verified_leaves_no_record_for_the_next_to_trust() {
-        // `verify_after() == false`: the record is gone although nothing changed…
+        // Run without verification: the record is gone although nothing
+        // changed…
         let (mut ctx, module, mut run) = verified_module(2);
-        let unverified = Box::new(EditPass {
-            name: "break-unverified",
-            edit: use_before_def,
-            verify_after: false,
-        });
-        let (_, after) = records_around(unverified, &mut ctx, module, &mut run);
+        let unverified = EditPass::boxed("break-unverified", use_before_def);
+        let (_, after) = records_around(unverified, false, &mut ctx, module, &mut run);
         assert_eq!(after.unwrap(), None);
         // …so the attribute-only pass after it walks, and finds the break.
         let (before, after) = records_around(
             EditPass::boxed("annotate", annotate),
+            true,
             &mut ctx,
             module,
             &mut run,
@@ -797,9 +647,8 @@ mod tests {
 
         // Verification off: no record, before or after.
         let (mut ctx, module, mut run) = verified_module(2);
-        let mut pm = PassManager::new().with_verification(false);
-        pm.add_pass(EditPass::boxed("annotate", annotate));
-        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
+        let annotate_pass = EditPass::boxed("annotate", annotate);
+        run_passes(&[annotate_pass], false, &mut ctx, module, &mut run).unwrap();
         assert_eq!(run.verified, None);
         assert!(!run.statistics.last().unwrap().verified);
 
@@ -808,6 +657,7 @@ mod tests {
         let func = ctx.find_in_body(module, "func.func").unwrap();
         let (before, after) = records_around(
             EditPass::boxed("annotate", annotate),
+            true,
             &mut ctx,
             func,
             &mut run,
@@ -825,6 +675,7 @@ mod tests {
         assert!(record.holds_for(&fork) && !record.holds_for(&ctx));
         let (before, after) = records_around(
             EditPass::boxed("annotate", annotate),
+            true,
             &mut fork,
             module,
             &mut forked,
@@ -839,10 +690,11 @@ mod tests {
     fn pipeline_aborts_on_pass_failure() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(CountConstantsPass { expected: 99 }));
-        pm.add_pass(Box::new(EraseConstantsPass));
-        let err = run_all(&pm, &mut ctx, module).0.unwrap_err();
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(CountConstantsPass { expected: 99 }),
+            Box::new(EraseConstantsPass),
+        ];
+        let err = run_all(&passes, &mut ctx, module).0.unwrap_err();
         assert!(matches!(err, IrError::PassFailed { .. }));
         // The failing pipeline never reached the erase pass.
         assert_eq!(ctx.collect_ops(module, "arith.constant").len(), 2);
@@ -852,14 +704,13 @@ mod tests {
     fn inter_pass_verification_catches_broken_ir() {
         struct BreakIrPass;
         impl Pass for BreakIrPass {
-            fn name(&self) -> &str {
+            fn name(&self) -> &'static str {
                 "break-ir"
             }
             fn run(
                 &self,
                 ctx: &mut Context,
                 root: OpId,
-                _state: &mut PipelineState,
                 _analyses: &mut AnalysisManager,
             ) -> IrResult<()> {
                 // Erase a constant that still has users, leaving a dangling operand.
@@ -872,57 +723,24 @@ mod tests {
                 Ok(())
             }
         }
+        let passes: Vec<Box<dyn Pass>> = vec![Box::new(BreakIrPass)];
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 1);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(BreakIrPass));
-        assert!(run_all(&pm, &mut ctx, module).0.is_err());
+        assert!(run_all(&passes, &mut ctx, module).0.is_err());
 
         // With verification disabled, the same pipeline "succeeds".
         let mut ctx2 = Context::new();
         let module2 = module_with_constants(&mut ctx2, 1);
-        let mut pm2 = PassManager::new().with_verification(false);
-        pm2.add_pass(Box::new(BreakIrPass));
-        let (result, run) = run_all(&pm2, &mut ctx2, module2);
+        let mut run = RunState::default();
+        let result = run_passes(&passes, false, &mut ctx2, module2, &mut run);
         assert!(result.is_ok());
         assert!(!run.statistics[0].verified);
     }
 
     #[test]
-    fn per_pass_verification_toggle_is_respected() {
-        let mut ctx = Context::new();
-        let module = module_with_constants(&mut ctx, 1);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(CountConstantsPass { expected: 1 }));
-        pm.add_pass(Box::new(EraseConstantsPass));
-        let (result, run) = run_all(&pm, &mut ctx, module);
-        result.unwrap();
-        // The analysis pass opted out of verification, the transform did not.
-        assert!(!run.statistics[0].verified);
-        assert!(run.statistics[1].verified);
-    }
-
-    #[test]
-    fn pipeline_state_slots_are_typed() {
-        let mut state = PipelineState::default();
-        assert_eq!(state.get::<i64>(), None);
-        assert_eq!(state.insert(3_i64), None);
-        assert_eq!(state.insert("hello"), None);
-        assert_eq!(state.get::<i64>(), Some(&3));
-        assert_eq!(state.get::<&str>(), Some(&"hello"));
-        assert_eq!(state.get::<f64>(), None);
-        // Replacing returns the old value; a copy has slots of its own.
-        let copy = state.clone();
-        assert_eq!(state.insert(4_i64), Some(3));
-        assert_eq!(state.get::<i64>(), Some(&4));
-        assert_eq!(copy.get::<i64>(), Some(&3));
-        assert_eq!(copy.get::<&str>(), Some(&"hello"));
-    }
-
-    #[test]
     fn statistics_and_options_render_for_reports() {
         let stats = PassStatistics {
-            pass: "hida-tiling".into(),
+            pass: "hida-tiling",
             micros: 120,
             live_ops_before: 10,
             live_ops_after: 14,
@@ -950,11 +768,12 @@ mod tests {
     fn failing_pass_still_records_statistics() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(EraseConstantsPass));
-        pm.add_pass(Box::new(CountConstantsPass { expected: 99 }));
-        pm.add_pass(Box::new(EraseConstantsPass));
-        let (result, run) = run_all(&pm, &mut ctx, module);
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(EraseConstantsPass),
+            Box::new(CountConstantsPass { expected: 99 }),
+            Box::new(EraseConstantsPass),
+        ];
+        let (result, run) = run_all(&passes, &mut ctx, module);
         assert!(result.is_err());
         // The aborting pass leaves a (failed) record; the never-run third pass
         // does not.
@@ -982,17 +801,13 @@ mod tests {
     struct QueryCountPass;
 
     impl Pass for QueryCountPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "query-count"
-        }
-        fn verify_after(&self) -> bool {
-            false
         }
         fn run(
             &self,
             ctx: &mut Context,
             root: OpId,
-            _state: &mut PipelineState,
             analyses: &mut AnalysisManager,
         ) -> IrResult<()> {
             analyses.get::<ConstantCount>(ctx, root);
@@ -1005,7 +820,7 @@ mod tests {
     struct AnnotatePass;
 
     impl Pass for AnnotatePass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "annotate"
         }
         fn preserved_analyses(&self) -> PreservedAnalyses {
@@ -1015,7 +830,6 @@ mod tests {
             &self,
             ctx: &mut Context,
             root: OpId,
-            _state: &mut PipelineState,
             _analyses: &mut AnalysisManager,
         ) -> IrResult<()> {
             ctx.set_attr(root, "annotated", 1_i64);
@@ -1027,11 +841,12 @@ mod tests {
     fn declared_preservation_keeps_analyses_alive_across_a_mutating_pass() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(QueryCountPass));
-        pm.add_pass(Box::new(AnnotatePass));
-        pm.add_pass(Box::new(QueryCountPass));
-        let (result, run) = run_all(&pm, &mut ctx, module);
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(QueryCountPass),
+            Box::new(AnnotatePass),
+            Box::new(QueryCountPass),
+        ];
+        let (result, run) = run_all(&passes, &mut ctx, module);
         result.unwrap();
         let stats = &run.statistics;
         assert_eq!(stats[0].cache.misses, 1);
@@ -1047,11 +862,12 @@ mod tests {
     fn undeclared_mutation_forces_recomputation() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(QueryCountPass));
-        pm.add_pass(Box::new(EraseConstantsPass)); // preserves nothing
-        pm.add_pass(Box::new(QueryCountPass));
-        let (result, run) = run_all(&pm, &mut ctx, module);
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(QueryCountPass),
+            Box::new(EraseConstantsPass), // preserves nothing
+            Box::new(QueryCountPass),
+        ];
+        let (result, run) = run_all(&passes, &mut ctx, module);
         result.unwrap();
         let stats = &run.statistics;
         assert_eq!(stats[1].cache.invalidations, 1);
@@ -1061,14 +877,14 @@ mod tests {
 
     /// The preservation pipeline of the two tests above, which both hits and
     /// invalidates the cache.
-    fn query_annotate_erase_query() -> PassManager {
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(QueryCountPass));
-        pm.add_pass(Box::new(AnnotatePass));
-        pm.add_pass(Box::new(QueryCountPass));
-        pm.add_pass(Box::new(EraseConstantsPass));
-        pm.add_pass(Box::new(QueryCountPass));
-        pm
+    fn query_annotate_erase_query() -> Vec<Box<dyn Pass>> {
+        vec![
+            Box::new(QueryCountPass),
+            Box::new(AnnotatePass),
+            Box::new(QueryCountPass),
+            Box::new(EraseConstantsPass),
+            Box::new(QueryCountPass),
+        ]
     }
 
     #[test]
@@ -1090,28 +906,20 @@ mod tests {
             let module = module_with_constants(&mut ctx, 3);
             let first = query_annotate_erase_query();
             let mut run = RunState::default();
-            first
-                .run_range(&mut ctx, module, 0..stop, &mut run)
-                .unwrap();
+            run_passes(&first[..stop], true, &mut ctx, module, &mut run).unwrap();
             assert_eq!(run.statistics.len(), stop);
 
-            // Two continuations from the same stop, by a manager of their
+            // Two continuations from the same stop, by a pass list of their
             // own: neither sees the other, both see what the prefix cached.
             for _ in 0..2 {
                 let mut forked_ctx = ctx.clone();
                 let mut forked = run.fork(&ctx, &forked_ctx);
                 let second = query_annotate_erase_query();
-                second
-                    .run_range(&mut forked_ctx, module, stop..5, &mut forked)
-                    .unwrap();
+                run_passes(&second[stop..], true, &mut forked_ctx, module, &mut forked).unwrap();
                 assert_eq!(
                     PassStatistics::without_micros(&forked.statistics),
                     expected,
                     "stop {stop}"
-                );
-                assert_eq!(
-                    forked.slots.get::<ErasedCount>(),
-                    whole_run.slots.get::<ErasedCount>()
                 );
                 assert_eq!(
                     crate::printer::print_op(&forked_ctx, module),
@@ -1131,13 +939,14 @@ mod tests {
     fn run_range_appends_to_the_statistics_it_is_given() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(EraseConstantsPass));
-        pm.add_pass(Box::new(CountConstantsPass { expected: 99 }));
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(EraseConstantsPass),
+            Box::new(CountConstantsPass { expected: 99 }),
+        ];
         let mut run = RunState::default();
-        pm.run_range(&mut ctx, module, 0..1, &mut run).unwrap();
-        assert!(pm.run_range(&mut ctx, module, 1..2, &mut run).is_err());
-        let passes: Vec<&str> = run.statistics.iter().map(|s| s.pass.as_str()).collect();
+        run_passes(&passes[..1], true, &mut ctx, module, &mut run).unwrap();
+        assert!(run_passes(&passes[1..], true, &mut ctx, module, &mut run).is_err());
+        let passes: Vec<&str> = run.statistics.iter().map(|s| s.pass).collect();
         assert_eq!(passes, ["erase-constants", "count-constants"]);
         assert!(run.statistics[1].failed);
     }
@@ -1147,14 +956,13 @@ mod tests {
         crate::fault::silence_expected_panics();
         struct PanicPass;
         impl Pass for PanicPass {
-            fn name(&self) -> &str {
+            fn name(&self) -> &'static str {
                 "panic-pass"
             }
             fn run(
                 &self,
                 _ctx: &mut Context,
                 _root: OpId,
-                _state: &mut PipelineState,
                 _analyses: &mut AnalysisManager,
             ) -> IrResult<()> {
                 panic!("injected fault: deliberate unwind");
@@ -1162,10 +970,11 @@ mod tests {
         }
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 1);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(PanicPass));
-        pm.add_pass(Box::new(CountConstantsPass { expected: 1 }));
-        let (result, run) = run_all(&pm, &mut ctx, module);
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(PanicPass),
+            Box::new(CountConstantsPass { expected: 1 }),
+        ];
+        let (result, run) = run_all(&passes, &mut ctx, module);
         let err = result.unwrap_err();
         match &err {
             IrError::WorkerPanic { site, message } => {
@@ -1190,9 +999,8 @@ mod tests {
         let _guard = crate::fault::install_point(token, Some(faults));
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 1);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(CountConstantsPass { expected: 1 }));
-        let err = run_all(&pm, &mut ctx, module).0.unwrap_err();
+        let passes: Vec<Box<dyn Pass>> = vec![Box::new(CountConstantsPass { expected: 1 })];
+        let err = run_all(&passes, &mut ctx, module).0.unwrap_err();
         assert!(
             matches!(&err, IrError::WorkerPanic { message, .. } if message.contains("injected")),
             "expected an injected WorkerPanic, got {err:?}"
@@ -1206,9 +1014,8 @@ mod tests {
         let _guard = crate::fault::install_point(token, None);
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(EraseConstantsPass));
-        let err = run_all(&pm, &mut ctx, module).0.unwrap_err();
+        let passes: Vec<Box<dyn Pass>> = vec![Box::new(EraseConstantsPass)];
+        let err = run_all(&passes, &mut ctx, module).0.unwrap_err();
         assert!(
             matches!(&err, IrError::Cancelled { .. }),
             "expected Cancelled, got {err:?}"
@@ -1223,7 +1030,7 @@ mod tests {
         /// Erases a constant while claiming the count is preserved.
         struct LyingPass;
         impl Pass for LyingPass {
-            fn name(&self) -> &str {
+            fn name(&self) -> &'static str {
                 "liar"
             }
             fn preserved_analyses(&self) -> PreservedAnalyses {
@@ -1233,7 +1040,6 @@ mod tests {
                 &self,
                 ctx: &mut Context,
                 root: OpId,
-                _state: &mut PipelineState,
                 _analyses: &mut AnalysisManager,
             ) -> IrResult<()> {
                 let consts = ctx.collect_ops(root, "arith.constant");
@@ -1244,10 +1050,9 @@ mod tests {
         }
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let mut pm = PassManager::new().with_verification(false);
-        pm.add_pass(Box::new(QueryCountPass));
-        pm.add_pass(Box::new(LyingPass));
-        let (result, run) = run_all(&pm, &mut ctx, module);
+        let passes: Vec<Box<dyn Pass>> = vec![Box::new(QueryCountPass), Box::new(LyingPass)];
+        let mut run = RunState::default();
+        let result = run_passes(&passes, false, &mut ctx, module, &mut run);
         let message = result.unwrap_err().to_string();
         assert!(message.contains("liar"), "{message}");
         assert!(message.contains("constant-count"), "{message}");
