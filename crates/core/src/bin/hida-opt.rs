@@ -53,6 +53,8 @@ usage: hida-opt [OPTIONS]
   --emit-ir <file>      write the workload module as textual IR before the
                         pipeline runs (single compilations only); the output
                         re-parses with --input to the same design
+  --emit-cpp <file>     write the HLS C++ the compilation emits to <file>
+                        (single compilations only)
   --pipeline <text>     textual pass pipeline, e.g.
                         \"construct,fusion,lower,tiling{factor=4},parallelize\"
   --preset <name>       pipeline preset when --pipeline is omitted:
@@ -234,6 +236,7 @@ struct Args {
     workload: Option<String>,
     input: Option<String>,
     emit_ir: Option<String>,
+    emit_cpp: Option<String>,
     pipeline: Option<String>,
     preset: Option<String>,
     sweep: Option<String>,
@@ -282,6 +285,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workload" => args.workload = Some(value()?),
             "--input" => args.input = Some(value()?),
             "--emit-ir" => args.emit_ir = Some(value()?),
+            "--emit-cpp" => args.emit_cpp = Some(value()?),
             "--pipeline" => args.pipeline = Some(value()?),
             "--preset" => args.preset = Some(value()?),
             "--sweep" => args.sweep = Some(value()?),
@@ -602,10 +606,12 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
     if args.pipeline.is_some() || args.preset.is_some() {
         return Err(format!("{flag} is exclusive with --pipeline and --preset"));
     }
-    if args.emit_ir.is_some() {
-        return Err(format!(
-            "--emit-ir applies to single compilations, not {flag}"
-        ));
+    for (emits, given) in [("--emit-ir", &args.emit_ir), ("--emit-cpp", &args.emit_cpp)] {
+        if given.is_some() {
+            return Err(format!(
+                "{emits} applies to single compilations, not {flag}"
+            ));
+        }
     }
     let wiring = wire(args)?;
     let source = resolve_source(args)?;
@@ -744,7 +750,8 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
 }
 
 /// A single compilation: the workload through one pipeline, reported pass by
-/// pass, then the schedule and its QoR estimate.
+/// pass, then the schedule and its QoR estimate; with `--emit-cpp`, the HLS
+/// C++ it emitted goes to a file.
 fn run_single(args: &Args) -> Result<(), String> {
     if args.run_budget_ms.is_some() {
         return Err("--run-budget-ms applies to --sweep and --explore".to_string());
@@ -798,7 +805,7 @@ fn run_single(args: &Args) -> Result<(), String> {
             .map(|kind| plan.arm(kind))
     });
     let site = format!("workload '{}'", source.name);
-    isolated(&site, token, faults, || {
+    let cpp = isolated(&site, token, faults, || {
         let lowered = compiler.lower_func(ctx, module, func);
         let statistics = match &lowered {
             Ok(design) => &design.pass_statistics,
@@ -907,9 +914,14 @@ fn run_single(args: &Args) -> Result<(), String> {
                 )
             );
         }
-        Ok(())
+        Ok(result.hls_cpp)
     })
-    .map_err(|e| e.to_string())
+    .map_err(|e| e.to_string())?;
+    if let Some(path) = &args.emit_cpp {
+        std::fs::write(path, cpp).map_err(|e| format!("--emit-cpp: cannot write '{path}': {e}"))?;
+        say!("emitted C++: {path}");
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -14,20 +14,45 @@
 //! Downstream, AMD Vitis HLS would turn this C++ into RTL; this reproduction stops at
 //! the generated source.
 //!
-//! Every name, type, dimension and indent is written straight into the one
-//! output `String`; a node's loop nest comes from its [`ComputeProfile`], read
-//! from the [`AnalysisManager`] the caller lends ([`emit_schedule_with`]) —
-//! in a compilation, the one the pass pipeline filled.
+//! A node's loop nest comes from its [`ComputeProfile`], read from the
+//! [`AnalysisManager`] the caller lends ([`emit_schedule_with`]) — in a
+//! compilation, the one the pass pipeline filled.
+//!
+//! # How it writes
+//!
+//! Emission copies bytes; nothing goes through `core::fmt`.
+//!
+//! * Every line is one `put!` of pieces: text, numbers (trip counts,
+//!   dimensions, factors, value indexes, written digit by digit), indents
+//!   and a type's C++ spelling.
+//! * Names go through a table filled by one walk over the schedule body: each
+//!   node's and buffer's C++ identifier is written once (`push_name` copies
+//!   the runs between the characters it replaces), and every use after that —
+//!   a buffer's comment, declarator and pragmas, a node's function and its
+//!   call, a call's operands — copies it from the table.
+//! * The output and the table are written into buffers that belong to the
+//!   thread and keep their capacity from one emission to the next. What
+//!   leaves is one `String` of exactly the output's length: on a thread that
+//!   has emitted a design as large before, that copy is the emitter's one
+//!   allocation (computing a compute profile the cache lacks is not the
+//!   emitter's).
 
-use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
+use hida_dataflow_ir::op_names;
+use hida_dataflow_ir::structural::{BufferOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::hls::{self, MemoryKind, PartitionFashion};
 use hida_dialects::transforms;
 use hida_ir_core::analysis::AnalysisManager;
 use hida_ir_core::{Attribute, Context, OpId, Type, ValueId};
-use std::fmt::Write as _;
+use std::cell::Cell;
 
 const BANNER: &str = "// Generated by the HIDA reproduction HLS C++ emitter.\n";
+
+thread_local! {
+    /// This thread's output buffer and name table, kept with their capacity
+    /// between emissions and taken out for the length of one.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
 
 /// Emits the complete HLS C++ source for a schedule, deriving every node's
 /// compute profile itself.
@@ -43,15 +68,198 @@ pub fn emit_schedule_with(
     schedule: ScheduleOp,
     analyses: &mut AnalysisManager,
 ) -> String {
-    let mut out = String::from(BANNER);
-    out.push_str("#include <ap_int.h>\n#include <hls_stream.h>\n#include <cstring>\n\n");
-    let nodes = schedule.nodes(ctx);
-    for &node in &nodes {
-        let profile = analyses.get::<ComputeProfile>(ctx, node.id());
-        emit_node_function(ctx, node, &profile, &mut out);
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        scratch.emit(ctx, schedule, analyses);
+        let cpp = scratch.out.as_str().to_owned();
+        cell.set(scratch);
+        cpp
+    })
+}
+
+/// What an emission writes into.
+#[derive(Default)]
+struct Scratch {
+    out: String,
+    names: Names,
+}
+
+impl Scratch {
+    fn emit(&mut self, ctx: &Context, schedule: ScheduleOp, analyses: &mut AnalysisManager) {
+        let Scratch { out, names } = self;
+        names.fill(ctx, schedule);
+        out.clear();
+        out.push_str(BANNER);
+        out.push_str("#include <ap_int.h>\n#include <hls_stream.h>\n#include <cstring>\n\n");
+        for named in names.nodes() {
+            let profile = analyses.get::<ComputeProfile>(ctx, named.op);
+            emit_node_function(ctx, named.op, names.name(named), &profile, out);
+        }
+        emit_top_function(ctx, schedule, names, out);
     }
-    emit_top_function(ctx, schedule, &nodes, &mut out);
-    out
+}
+
+/// The C++ identifiers of one schedule's nodes and buffers.
+#[derive(Default)]
+struct Names {
+    /// The identifiers, back to back.
+    text: String,
+    /// The nodes and buffers of the schedule body, in program order.
+    ops: Vec<Named>,
+    /// Each buffer with its position in `ops`, ordered by op id: what a
+    /// node call's operands resolve through.
+    buffers: Vec<(OpId, u32)>,
+}
+
+/// A node or a buffer and where its identifier lies in [`Names::text`].
+struct Named {
+    op: OpId,
+    is_node: bool,
+    start: u32,
+    end: u32,
+}
+
+impl Names {
+    /// Walks the schedule body once, writing the identifier of each node and
+    /// buffer.
+    fn fill(&mut self, ctx: &Context, schedule: ScheduleOp) {
+        self.text.clear();
+        self.ops.clear();
+        self.buffers.clear();
+        for &op in ctx.block(schedule.body(ctx)).ops.iter() {
+            let start = self.text.len() as u32;
+            let is_node = match ctx.op(op).name.as_str() {
+                op_names::NODE => {
+                    push_op_name(&mut self.text, ctx, op, "node_name", "node");
+                    true
+                }
+                op_names::BUFFER => {
+                    self.buffers.push((op, self.ops.len() as u32));
+                    push_buffer_name(&mut self.text, ctx, op);
+                    false
+                }
+                _ => continue,
+            };
+            let end = self.text.len() as u32;
+            self.ops.push(Named {
+                op,
+                is_node,
+                start,
+                end,
+            });
+        }
+        self.buffers.sort_unstable();
+    }
+
+    fn name(&self, named: &Named) -> &str {
+        &self.text[named.start as usize..named.end as usize]
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = &Named> {
+        self.ops.iter().filter(|named| named.is_node)
+    }
+
+    fn buffers_in_order(&self) -> impl Iterator<Item = &Named> {
+        self.ops.iter().filter(|named| !named.is_node)
+    }
+
+    /// The identifier of buffer `op`, when it is one of this schedule's.
+    fn buffer(&self, op: OpId) -> Option<&str> {
+        let at = self
+            .buffers
+            .binary_search_by_key(&op, |&(buffer, _)| buffer)
+            .ok()?;
+        Some(self.name(&self.ops[self.buffers[at].1 as usize]))
+    }
+}
+
+/// Writes each piece after the other into `out`: see [`Piece`].
+macro_rules! put {
+    ($out:expr, $($piece:expr),+ $(,)?) => {{
+        let out: &mut String = $out;
+        $(Piece::put($piece, out);)+
+    }};
+}
+
+/// Something the emitter writes: text as it is, a number in decimal (as
+/// `{n}` would format it, without `core::fmt`), an indent, or a type's
+/// parts.
+trait Piece {
+    fn put(self, out: &mut String);
+}
+
+impl Piece for &str {
+    fn put(self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Piece for i64 {
+    fn put(self, out: &mut String) {
+        if self < 0 {
+            out.push('-');
+        }
+        let mut n = self.unsigned_abs();
+        let mut digits = [0_u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        for &digit in &digits[at..] {
+            out.push(char::from(digit));
+        }
+    }
+}
+
+impl Piece for usize {
+    fn put(self, out: &mut String) {
+        (self as i64).put(out);
+    }
+}
+
+/// Two spaces per level.
+struct Indent(usize);
+
+impl Piece for Indent {
+    fn put(self, out: &mut String) {
+        const SPACES: &str = "                                ";
+        let mut width = 2 * self.0;
+        while width > SPACES.len() {
+            out.push_str(SPACES);
+            width -= SPACES.len();
+        }
+        out.push_str(&SPACES[..width]);
+    }
+}
+
+/// The C++ element type of a type: at least a byte wide.
+struct CppType<'a>(&'a Type);
+
+impl Piece for CppType<'_> {
+    fn put(self, out: &mut String) {
+        let bits = self.0.elem_bit_width().max(8);
+        match self.0.elem_type() {
+            Type::Float(_) if bits <= 32 => out.push_str("float"),
+            Type::Float(_) => out.push_str("double"),
+            _ => put!(out, "ap_int<", i64::from(bits), ">"),
+        }
+    }
+}
+
+/// The shape of a type as C array dimensions.
+struct Dims<'a>(&'a Type);
+
+impl Piece for Dims<'_> {
+    fn put(self, out: &mut String) {
+        for &dim in self.0.shape().unwrap_or_default() {
+            put!(out, "[", dim, "]");
+        }
+    }
 }
 
 /// Writes `name` as a C++ identifier — the one place a name of the IR (a
@@ -62,166 +270,119 @@ fn push_name(out: &mut String, name: &str) {
     if name.starts_with(|c: char| c.is_ascii_digit()) {
         out.push('k');
     }
-    out.extend(name.chars().map(|c| match c {
-        '-' | '+' | '.' | ' ' => '_',
-        other => other,
-    }));
+    // The replaced characters are ASCII, so every split is a char boundary.
+    let mut rest = name;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'-' | b'+' | b'.' | b' '))
+    {
+        put!(out, &rest[..at], "_");
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
-/// Writes the name `op` carries in `attr`, or what `fallback` makes up for an
+/// Writes the name `op` carries in `attr`, or `<fallback><op index>` for an
 /// op without one.
-fn push_op_name(
-    out: &mut String,
-    ctx: &Context,
-    op: OpId,
-    attr: &str,
-    fallback: impl FnOnce() -> String,
-) {
+fn push_op_name(out: &mut String, ctx: &Context, op: OpId, attr: &str, fallback: &str) {
     match ctx.op(op).attr_str(attr) {
         Some(name) => push_name(out, name),
-        None => push_name(out, &fallback()),
+        None => put!(out, fallback, op.index()),
     }
 }
 
-fn push_node_name(out: &mut String, ctx: &Context, node: NodeOp) {
-    push_op_name(out, ctx, node.id(), "node_name", || node.name(ctx));
+fn push_buffer_name(out: &mut String, ctx: &Context, buffer: OpId) {
+    push_op_name(out, ctx, buffer, "buffer_name", "buf");
 }
 
-/// Writes the C++ element type of `ty`: at least a byte wide.
-fn push_cpp_type(out: &mut String, ty: &Type) {
-    let bits = ty.elem_bit_width().max(8);
-    match ty.elem_type() {
-        Type::Float(_) if bits <= 32 => out.push_str("float"),
-        Type::Float(_) => out.push_str("double"),
-        _ => write!(out, "ap_int<{bits}>").unwrap(),
-    }
-}
-
-/// Writes `<element type> <name><dims>`, the shape as C array dimensions.
-fn push_declarator(out: &mut String, ty: &Type, name: impl FnOnce(&mut String)) {
-    push_cpp_type(out, ty);
-    out.push(' ');
-    name(out);
-    for dim in ty.shape().unwrap_or_default() {
-        write!(out, "[{dim}]").unwrap();
-    }
-}
-
-fn push_indent(out: &mut String, depth: usize) {
-    out.extend(std::iter::repeat_n("  ", depth));
-}
-
-fn emit_node_function(ctx: &Context, node: NodeOp, profile: &ComputeProfile, out: &mut String) {
-    out.push_str("void ");
-    push_node_name(out, ctx, node);
-    out.push('(');
-    for (i, &operand) in ctx.op(node.id()).operands.iter().enumerate() {
+/// A node's function: its arguments, then the loop nest skeleton from its
+/// profile and unroll factors.
+fn emit_node_function(
+    ctx: &Context,
+    node: OpId,
+    name: &str,
+    profile: &ComputeProfile,
+    out: &mut String,
+) {
+    put!(out, "void ", name, "(");
+    for (i, &operand) in ctx.op(node).operands.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        push_declarator(out, ctx.value_type(operand), |out| {
-            write!(out, "arg{i}").unwrap()
-        });
+        let ty = ctx.value_type(operand);
+        put!(out, CppType(ty), " arg", i, Dims(ty));
     }
     out.push_str(") {\n#pragma HLS inline off\n");
 
-    // Loop nest skeleton from the node's profile and unroll factors.
     let depth = profile.loop_dims.len();
-    let unroll = transforms::unroll_factors_of(ctx, node.id(), depth);
-    emit_loop_heads(profile, out, |i, out| {
+    let unroll = transforms::unroll_factors_of(ctx, node, depth);
+    for (i, dim) in profile.loop_dims.iter().enumerate() {
+        let indent = || Indent(i + 1);
+        put!(out, indent(), "for (int i", i, " = 0; i", i);
+        put!(out, " < ", dim.trip, "; ++i", i, ") {\n");
         let factor = unroll.get(i).copied().unwrap_or(1);
         if factor > 1 {
-            push_indent(out, i + 1);
-            writeln!(out, "#pragma HLS unroll factor={factor}").unwrap();
+            put!(out, indent(), "#pragma HLS unroll factor=", factor, "\n");
         }
         if i + 1 == depth {
-            push_indent(out, i + 1);
-            out.push_str("#pragma HLS pipeline II=1\n");
+            put!(out, indent(), "#pragma HLS pipeline II=1\n");
         }
-    });
-    push_indent(out, depth + 1);
-    writeln!(out, "// compute body ({} MACs per frame)", profile.macs).unwrap();
-    emit_loop_tails(depth, out);
+    }
+    put!(out, Indent(depth + 1), "// compute body (", profile.macs);
+    out.push_str(" MACs per frame)\n");
+    for i in (0..depth).rev() {
+        put!(out, Indent(i + 1), "}\n");
+    }
     out.push_str("}\n\n");
 }
 
-/// One `for` line per loop dimension, outermost first, each followed by what
-/// `directives` writes for it.
-fn emit_loop_heads(
-    profile: &ComputeProfile,
-    out: &mut String,
-    mut directives: impl FnMut(usize, &mut String),
-) {
-    for (i, dim) in profile.loop_dims.iter().enumerate() {
-        push_indent(out, i + 1);
-        writeln!(out, "for (int i{i} = 0; i{i} < {}; ++i{i}) {{", dim.trip).unwrap();
-        directives(i, out);
-    }
-}
-
-/// The closing braces of `depth` nested loops, innermost first.
-fn emit_loop_tails(depth: usize, out: &mut String) {
-    for i in (0..depth).rev() {
-        push_indent(out, i + 1);
-        out.push_str("}\n");
-    }
-}
-
-fn emit_top_function(ctx: &Context, schedule: ScheduleOp, nodes: &[NodeOp], out: &mut String) {
+fn emit_top_function(ctx: &Context, schedule: ScheduleOp, names: &Names, out: &mut String) {
     out.push_str("void ");
-    push_op_name(out, ctx, schedule.id(), "schedule_name", || {
-        "design".to_string()
-    });
+    match ctx.op(schedule.id()).attr_str("schedule_name") {
+        Some(name) => push_name(out, name),
+        None => out.push_str("design"),
+    }
     out.push_str("_top() {\n#pragma HLS dataflow\n");
 
     // Buffer declarations.
-    for buffer in schedule.internal_buffers(ctx) {
-        emit_buffer(ctx, buffer, out);
+    for named in names.buffers_in_order() {
+        emit_buffer(ctx, BufferOp(named.op), names.name(named), out);
     }
     // Node instantiations.
-    for &node in nodes {
-        out.push_str("  ");
-        push_node_name(out, ctx, node);
-        out.push('(');
-        for (i, &operand) in ctx.op(node.id()).operands.iter().enumerate() {
+    for named in names.nodes() {
+        put!(out, "  ", names.name(named), "(");
+        for (i, &operand) in ctx.op(named.op).operands.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            push_value_name(out, ctx, operand);
+            push_value_name(out, ctx, names, operand);
         }
         out.push_str(");\n");
     }
     out.push_str("}\n");
 }
 
-fn push_buffer_name(out: &mut String, ctx: &Context, buffer: BufferOp) {
-    push_op_name(out, ctx, buffer.id(), "buffer_name", || buffer.name(ctx));
-}
-
-fn push_value_name(out: &mut String, ctx: &Context, value: ValueId) {
+fn push_value_name(out: &mut String, ctx: &Context, names: &Names, value: ValueId) {
     match ctx.value(value).defining_op() {
-        Some(op) => match BufferOp::try_from_op(ctx, op) {
-            Some(buffer) => push_buffer_name(out, ctx, buffer),
-            None => write!(out, "v{}", value.index()).unwrap(),
+        Some(op) => match names.buffer(op) {
+            Some(name) => out.push_str(name),
+            // A buffer from outside the schedule.
+            None if ctx.op(op).is(op_names::BUFFER) => push_buffer_name(out, ctx, op),
+            None => put!(out, "v", value.index()),
         },
-        None => write!(out, "arg{}", value.index()).unwrap(),
+        None => put!(out, "arg", value.index()),
     }
 }
 
-fn emit_buffer(ctx: &Context, buffer: BufferOp, out: &mut String) {
-    let name = |out: &mut String| push_buffer_name(out, ctx, buffer);
-    let declare = |out: &mut String| {
-        out.push_str("  static ");
-        push_declarator(out, ctx.value_type(buffer.value(ctx)), name);
-        out.push_str(";\n");
-    };
+fn emit_buffer(ctx: &Context, buffer: BufferOp, name: &str, out: &mut String) {
+    let ty = ctx.value_type(buffer.value(ctx));
+    let declare =
+        |out: &mut String| put!(out, "  static ", CppType(ty), " ", name, Dims(ty), ";\n");
     if buffer.memory_kind(ctx) == MemoryKind::External {
-        out.push_str("  // ");
-        name(out);
+        put!(out, "  // ", name);
         out.push_str(": soft FIFO in external memory (AXI master)\n");
         declare(out);
-        out.push_str("#pragma HLS interface m_axi port=");
-        name(out);
+        put!(out, "#pragma HLS interface m_axi port=", name);
         out.push_str(" bundle=gmem\n");
         return;
     }
@@ -239,16 +400,15 @@ fn emit_buffer(ctx: &Context, buffer: BufferOp, out: &mut String) {
     for (dim, (fashion, &factor)) in fashions.iter().zip(factors).enumerate() {
         let fashion = PartitionFashion::parse(fashion);
         if factor > 1 && fashion != PartitionFashion::None {
-            out.push_str("#pragma HLS array_partition variable=");
-            name(out);
-            writeln!(out, " {} factor={factor} dim={}", fashion.as_str(), dim + 1).unwrap();
+            put!(out, "#pragma HLS array_partition variable=", name);
+            put!(out, " ", fashion.as_str(), " factor=", factor);
+            put!(out, " dim=", dim + 1, "\n");
         }
     }
     let depth = buffer.depth(ctx);
     if depth >= 2 {
-        out.push_str("#pragma HLS stream variable=");
-        name(out);
-        writeln!(out, " depth={depth}").unwrap();
+        put!(out, "#pragma HLS stream variable=", name);
+        put!(out, " depth=", depth, "\n");
     }
 }
 
@@ -259,14 +419,61 @@ mod tests {
     use hida_ir_core::Context;
     use hida_opt::{HidaOptions, Pipeline};
 
-    fn optimized_schedule() -> (Context, ScheduleOp) {
+    fn optimized(kernel: PolybenchKernel, size: i64) -> (Context, ScheduleOp) {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
-        let func = build_kernel(&mut ctx, module, PolybenchKernel::TwoMm, 32);
+        let func = build_kernel(&mut ctx, module, kernel, size);
         let schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx, func)
             .unwrap();
         (ctx, schedule)
+    }
+
+    fn optimized_schedule() -> (Context, ScheduleOp) {
+        optimized(PolybenchKernel::TwoMm, 32)
+    }
+
+    /// What `emit_schedule` gives on a thread that has emitted nothing.
+    fn emitted_on_a_fresh_thread(ctx: &Context, schedule: ScheduleOp) -> String {
+        std::thread::scope(|s| s.spawn(|| emit_schedule(ctx, schedule)).join().unwrap())
+    }
+
+    /// The thread's buffer and name table carry nothing from one emission
+    /// into the next: a large and a small design emitted in turn on one
+    /// thread each read what a fresh thread emits for them.
+    #[test]
+    fn alternating_designs_on_one_thread_emit_what_a_fresh_thread_does() {
+        let (large_ctx, large) = optimized(PolybenchKernel::ThreeMm, 64);
+        let (small_ctx, small) = optimized(PolybenchKernel::Gesummv, 16);
+        let want_large = emitted_on_a_fresh_thread(&large_ctx, large);
+        let want_small = emitted_on_a_fresh_thread(&small_ctx, small);
+        assert!(want_large.len() > want_small.len());
+        for _ in 0..3 {
+            assert_eq!(emit_schedule(&large_ctx, large), want_large);
+            assert_eq!(emit_schedule(&small_ctx, small), want_small);
+        }
+    }
+
+    /// Each thread writes into its own buffer: one design emitted on two
+    /// threads at once reads the same on both, every time.
+    #[test]
+    fn one_design_on_two_threads_at_once_emits_what_a_fresh_thread_does() {
+        let (ctx, schedule) = optimized(PolybenchKernel::ThreeMm, 64);
+        let want = emitted_on_a_fresh_thread(&ctx, schedule);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..50).all(|_| emit_schedule(&ctx, schedule) == want)
+                    })
+                })
+                .collect();
+            for worker in workers {
+                assert!(worker.join().unwrap());
+            }
+        });
     }
 
     #[test]
@@ -310,7 +517,7 @@ mod tests {
     fn cpp_type_mapping() {
         let cpp_type = |ty: Type| {
             let mut out = String::new();
-            push_cpp_type(&mut out, &ty);
+            put!(&mut out, CppType(&ty));
             out
         };
         assert_eq!(cpp_type(Type::i8()), "ap_int<8>");
