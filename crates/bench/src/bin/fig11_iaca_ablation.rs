@@ -7,8 +7,8 @@
 //! The ablation axis is a *pipeline string* built by the shared
 //! [`hida_bench::variants::fig11`] helper: each variant is the full DNN flow
 //! with the strategy carried in the `parallelize{mode=...}` pass option. The
-//! design points fan out through one [`SweepEngine`] with cross-compilation
-//! estimate sharing; every point equals its compile alone
+//! design points fan out through one [`SweepEngine`], which lowers the
+//! passes they share once; every point equals its compile alone
 //! (`crates/core/tests/prefix_sharing.rs`, `sweep_cache.rs`).
 
 use hida::{Compiler, HidaOptions, Model, ParallelMode, SweepEngine, SweepPoint, Workload};

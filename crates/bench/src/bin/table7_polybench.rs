@@ -2,8 +2,8 @@
 //! SOFF and Vitis-only baselines on the ZU3EG device.
 //!
 //! The independent HIDA compilations (one per kernel) fan out through one
-//! [`SweepEngine`] with cross-compilation estimate sharing; the analytic
-//! baselines then run sequentially against the same estimator.
+//! [`SweepEngine`]; the analytic baselines then run sequentially against the
+//! same estimator.
 
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;

@@ -2,10 +2,9 @@
 //! one VU9P SLR, reporting throughput and DSP efficiency.
 //!
 //! The independent HIDA compilations (one per model) fan out through one
-//! [`SweepEngine`]; layers repeated across models (and within them) share
-//! their QoR estimates through the cross-compilation cache. Per-point results
-//! equal each model compiled alone — the merge order is deterministic and the
-//! estimate cache is content-addressed.
+//! [`SweepEngine`]. Per-point results equal each model compiled alone — each
+//! model compiles in a context of its own, and the results come back in
+//! declaration order.
 
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;

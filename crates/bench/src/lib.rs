@@ -34,15 +34,13 @@ pub fn full_grid_requested(args: impl IntoIterator<Item = String>) -> Result<boo
     Ok(full)
 }
 
-/// Prints the closing summary of a sweep: points, wall-clock, pool width and
-/// the traffic of the estimate cache its points shared.
+/// Prints the closing summary of a sweep: points, wall-clock and pool width.
 pub fn print_sweep_summary(outcome: &SweepOutcome) {
     println!(
-        "\n# Sweep: {} points in {:.3}s ({} concurrent), estimate cache {}",
+        "\n# Sweep: {} points in {:.3}s ({} concurrent)",
         outcome.points.len(),
         outcome.wall_seconds,
-        outcome.budget.pool_jobs,
-        outcome.shared_cache.unwrap_or_default()
+        outcome.budget.pool_jobs
     );
 }
 

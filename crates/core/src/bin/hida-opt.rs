@@ -24,7 +24,7 @@ use hida::sweep::{
 };
 use hida::{
     json_fields, json_object, EstimateStore, ExploreConfig, Explorer, Frontier, Objective,
-    PersistentStoreStats, SharedCacheStats, SharedEstimateCache, Workload,
+    PersistentStoreStats, SharedEstimateCache, Workload,
 };
 use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::device::FpgaDevice;
@@ -61,13 +61,10 @@ usage: hida-opt [OPTIONS]
                         default | polybench | dnn
   --sweep <file>        run every non-empty, non-# line of <file> as an
                         independent pipeline variant of the workload: the
-                        design points compile concurrently on the sweep pool,
-                        run the passes their lines have in common once, and
-                        share per-node QoR estimates through the
-                        cross-compilation cache, keyed by what the node model
-                        reads (its inputs and the device), so nodes the model
-                        cannot tell apart are evaluated once; each point
-                        reports what it would report compiled alone
+                        design points compile concurrently on the sweep pool
+                        and run the passes their lines have in common once;
+                        each point reports what it would report compiled
+                        alone
   --explore <file>      --sweep over the same file, then the Pareto frontier
                         of the compiled points: the report and --stats-json
                         are the sweep's plus the frontier. An optional first
@@ -83,10 +80,11 @@ usage: hida-opt [OPTIONS]
   --device <name>       device for QoR estimation: pynq-z2 | zu3eg | vu9p-slr
                         (default: the pipeline's parallelize device, else
                         vu9p-slr)
-  --cache-dir <path>    persist per-node QoR estimates, under the same keys,
-                        in a store under <path> (created if missing): this run
-                        reuses estimates written by earlier processes sharing
-                        the directory, and publishes its own as one segment
+  --cache-dir <path>    persist per-node QoR estimates in a store under <path>
+                        (created if missing), keyed by what the node model
+                        reads (its inputs and the device): this run reuses
+                        estimates written by earlier processes sharing the
+                        directory, and publishes its own as one segment
                         file when it ends; a run that computes nothing new
                         writes nothing; corrupt segments and segments of an
                         older store format are removed and read as misses,
@@ -118,10 +116,11 @@ usage: hida-opt [OPTIONS]
                         determinism
   --stats-json          emit per-pass statistics (timing, op deltas, analysis
                         + estimator cache hits/misses; under --sweep, the
-                        per-point QoR and aggregated cross-compilation cache
-                        counters; under --explore, those plus the objectives
-                        and the frontier) as one JSON object on stdout; the
-                        human-readable report moves to stderr
+                        per-point QoR and the prefix-sharing counters; under
+                        --explore, those plus the objectives and the
+                        frontier; with --cache-dir, the store's counters) as
+                        one JSON object on stdout; the human-readable report
+                        moves to stderr
   --list-passes         print the pass registry and exit
   --list-workloads      print the known workloads and exit
   --help                print this help and exit";
@@ -245,7 +244,8 @@ struct Args {
     jobs: Option<usize>,
     device: Option<String>,
     cache_dir: Option<String>,
-    cache_limit_mb: Option<u64>,
+    /// `--cache-limit-mb`, in bytes.
+    cache_limit_bytes: Option<u64>,
     deadline_ms: Option<u64>,
     run_budget_ms: Option<u64>,
     inject_faults: Option<String>,
@@ -300,7 +300,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--jobs" => args.jobs = Some(positive(arg, &value()?)?),
             "--device" => args.device = Some(value()?),
             "--cache-dir" => args.cache_dir = Some(value()?),
-            "--cache-limit-mb" => args.cache_limit_mb = Some(positive(arg, &value()?)?),
+            "--cache-limit-mb" => {
+                let mb: u64 = positive(arg, &value()?)?;
+                let bytes = mb.checked_mul(1024 * 1024).ok_or_else(|| {
+                    format!("--cache-limit-mb: {mb} megabytes do not fit in a 64-bit byte count")
+                })?;
+                args.cache_limit_bytes = Some(bytes);
+            }
             "--deadline-ms" => args.deadline_ms = Some(positive(arg, &value()?)?),
             "--run-budget-ms" => args.run_budget_ms = Some(positive(arg, &value()?)?),
             "--inject-faults" => args.inject_faults = Some(value()?),
@@ -353,13 +359,6 @@ fn analysis_cache_json(c: &AnalysisCacheStats) -> Json {
     }
 }
 
-fn shared_cache_json(c: &SharedCacheStats) -> Json {
-    json_object! {
-        "hits": c.hits, "misses": c.misses, "entries": c.entries,
-        "hit_rate": Json::Fixed(c.hit_rate(), 3),
-    }
-}
-
 fn persistent_json(p: &PersistentStoreStats) -> Json {
     json_object! {
         "hits": p.hits, "misses": p.misses, "writes": p.writes, "evictions": p.evictions,
@@ -400,7 +399,6 @@ fn single_json(
         "passes": Json::array(statistics, pass_json),
         "analysis_cache_totals": analysis_cache_json(&PassStatistics::aggregate_cache(statistics)),
         "estimator_cache": Json::option(estimator_cache, analysis_cache_json),
-        "shared_cache": Json::option(cache, |c| shared_cache_json(&c.stats())),
         "persistent_cache": Json::option(persistent.as_ref(), persistent_json),
     }
 }
@@ -437,7 +435,6 @@ fn point_json(index: usize, point: &SweepPointOutcome) -> Json {
             "throughput": Json::Fixed(result.estimate.throughput(), 3),
             "dsp": result.estimate.resources.dsp,
             "bram_18k": result.estimate.resources.bram_18k,
-            "shared_cache": Json::option(result.shared_estimator_cache.as_ref(), shared_cache_json),
         },
         Err(e) => json_fields! {
             "error": e.to_string().as_str(),
@@ -475,7 +472,6 @@ fn batch_json(
     let points = sweep.points.iter().enumerate();
     body.extend(json_fields! {
         "points": Json::array(points, |(i, p)| point_json(i, p)),
-        "shared_cache_totals": Json::option(sweep.shared_cache.as_ref(), shared_cache_json),
         "persistent_cache": Json::option(sweep.persistent_cache.as_ref(), persistent_json),
         "prefix": json_object! {
             "passes_run": sweep.prefix.passes_run,
@@ -529,7 +525,7 @@ struct Wiring {
     /// `--inject-faults`; a plan that arms nothing collapses to `None` so the
     /// zero-cost fast path stays active.
     plan: Option<FaultPlan>,
-    /// The shared estimate cache over `--cache-dir`'s persistent store.
+    /// The handle on `--cache-dir`'s persistent estimate store.
     cache: Option<Arc<SharedEstimateCache>>,
 }
 
@@ -549,12 +545,12 @@ fn wire(args: &Args) -> Result<Wiring, String> {
         Some(dir) => {
             let mut store = EstimateStore::open(dir)
                 .map_err(|e| format!("--cache-dir: cannot open store at '{dir}': {e}"))?;
-            if let Some(mb) = args.cache_limit_mb {
-                store = store.with_limit_bytes(mb * 1024 * 1024);
+            if let Some(bytes) = args.cache_limit_bytes {
+                store = store.with_limit_bytes(bytes);
             }
             Some(Arc::new(SharedEstimateCache::with_store(store)))
         }
-        None if args.cache_limit_mb.is_some() => {
+        None if args.cache_limit_bytes.is_some() => {
             return Err("--cache-limit-mb requires --cache-dir".to_string())
         }
         None => None,
@@ -599,7 +595,7 @@ fn build_point(
 
 /// `--sweep` / `--explore`: every pipeline line of the variants file is an
 /// independent design point of the workload, compiled through the sweep
-/// engine's pool and sharing the cross-compilation estimate cache. An
+/// engine's pool (over `--cache-dir`'s store, when given). An
 /// exploration then reports the Pareto frontier of the compiled points.
 fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
     let flag = format!("--{}", mode.name());
@@ -697,11 +693,7 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
                     result.estimate.resources.lut
                 );
                 if !args.no_timing {
-                    say!(
-                        "  time: {:.4}s, shared cache {}",
-                        point.seconds,
-                        result.shared_estimator_cache.unwrap_or_default()
-                    );
+                    say!("  time: {:.4}s", point.seconds);
                 }
             }
             Err(e) => {
@@ -718,9 +710,6 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
     }
     if !args.no_timing {
         say!("\n{} wall-clock {:.4}s", mode.name(), outcome.wall_seconds);
-        if let Some(cache) = &outcome.shared_cache {
-            say!("cross-compilation estimate cache: {cache}");
-        }
         if let Some(persistent) = &outcome.persistent_cache {
             say!("persistent estimate store: {persistent}");
         }
@@ -895,11 +884,8 @@ fn run_single(args: &Args) -> Result<(), String> {
                 "estimator cache: {} (dataflow + sequential estimates share node estimates)",
                 result.estimator_cache
             );
-            if let Some(cache) = &wiring.cache {
-                say!("shared estimate cache: {}", cache.stats());
-                if let Some(persistent) = cache.persistent_stats() {
-                    say!("persistent estimate store: {persistent}");
-                }
+            if let Some(persistent) = wiring.cache.as_ref().and_then(|c| c.persistent_stats()) {
+                say!("persistent estimate store: {persistent}");
             }
         }
         if args.stats_json {

@@ -49,7 +49,7 @@ pub use hida_sim as sim;
 pub use explore::{ExploreConfig, ExploreOutcome, Explorer, Frontier, FrontierPoint, Objective};
 pub use hida_estimator::device::FpgaDevice;
 pub use hida_estimator::report::DesignEstimate;
-pub use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
+pub use hida_estimator::shared_cache::SharedEstimateCache;
 pub use hida_estimator::store::{EstimateStore, PersistentStoreStats};
 pub use hida_frontend::nn::Model;
 pub use hida_frontend::polybench::PolybenchKernel;
@@ -145,10 +145,6 @@ pub struct CompilationResult {
     /// and on the node results the dataflow and sequential estimates share,
     /// one miss per node estimated.
     pub estimator_cache: AnalysisCacheStats,
-    /// This compilation's traffic against the cross-compilation estimate
-    /// cache, when one was attached with [`Compiler::with_shared_estimates`]
-    /// (e.g. by the [`sweep`] engine). `None` for isolated compilations.
-    pub shared_estimator_cache: Option<SharedCacheStats>,
 }
 
 /// A workload lowered through the pass pipeline but not yet estimated or
@@ -360,20 +356,16 @@ impl Compiler {
         1
     }
 
-    /// Attaches a cross-compilation estimate cache (builder style): per-node
-    /// QoR estimates are shared with every other compilation holding a clone
-    /// of the same `Arc`, keyed by the node model's inputs and the device, so
-    /// a design-space sweep evaluates each distinct set of inputs once. Results are byte-identical with or without the
-    /// cache; [`CompilationResult::shared_estimator_cache`] reports the
+    /// Attaches a cross-compilation estimate cache (builder style). When it
+    /// holds a persistent store, per-node QoR estimates are looked up there
+    /// under the node model's inputs and the device, and what this
+    /// compilation evaluates is saved for the next batch. Results are
+    /// byte-identical with or without the cache; its
+    /// [`persistent_stats`](SharedEstimateCache::persistent_stats) count the
     /// traffic.
     pub fn with_shared_estimates(mut self, cache: Arc<SharedEstimateCache>) -> Self {
         self.shared_estimates = Some(cache);
         self
-    }
-
-    /// The attached cross-compilation estimate cache, if any.
-    pub fn shared_estimates(&self) -> Option<&Arc<SharedEstimateCache>> {
-        self.shared_estimates.as_ref()
     }
 
     /// Enables or disables IR verification (builder style): inter-pass
@@ -501,10 +493,6 @@ impl Compiler {
         let estimate = estimator.estimate_schedule(&ctx, schedule, true);
         let estimate_sequential = estimator.estimate_schedule(&ctx, schedule, false);
         let estimator_cache = estimator.cache_stats();
-        let shared_estimator_cache = self
-            .shared_estimates
-            .as_ref()
-            .map(|_| estimator.shared_cache_stats());
         let hls_cpp = hida_emitter::emit_schedule_with(&ctx, schedule, &mut estimator.analyses());
         Ok(CompilationResult {
             ctx,
@@ -517,7 +505,6 @@ impl Compiler {
             pass_statistics,
             analysis_cache,
             estimator_cache,
-            shared_estimator_cache,
         })
     }
 }

@@ -32,11 +32,12 @@
 //! * A [`JobBudget`] is the pool's width: as many design points compile
 //!   concurrently as the thread total allows, never more than there are
 //!   points.
-//! * A content-addressed [`SharedEstimateCache`] is handed to every point:
-//!   per-node QoR estimates are keyed by the node model's inputs and the
-//!   device, so the 100th ResNet-18 design point evaluates only inputs no
-//!   earlier node had. The per-node model is handed exactly the hashed
-//!   inputs and nothing else.
+//! * A [`SharedEstimateCache`] handed in with [`SweepEngine::with_cache`] is
+//!   attached to every point. Over a persistent store, per-node QoR
+//!   estimates are keyed by the node model's inputs and the device, served
+//!   from what earlier processes published, and what the run evaluates is
+//!   published as one segment when it ends. Without one, every point
+//!   estimates as it would alone.
 //!
 //! Neither kind of sharing shows in the results: every point is
 //! **byte-identical** to a sequential, share-nothing compile of that point
@@ -228,13 +229,15 @@ pub struct SweepOutcome {
     pub budget: JobBudget,
     /// Wall-clock seconds for the whole sweep.
     pub wall_seconds: f64,
-    /// Aggregate traffic of the cross-compilation estimate cache every point
-    /// of the run shared (`Some` for every run).
+    /// Always `None`: there is no in-memory estimate tier to count. Kept
+    /// only because `benchmark/src/run.rs:446` and `:475` (frozen) read it.
+    #[doc(hidden)]
     pub shared_cache: Option<SharedCacheStats>,
-    /// Traffic of the persistent estimate-store tier (`None` unless the
-    /// engine's cache was created with
-    /// [`SharedEstimateCache::with_store`]): nonzero hits mean this sweep
-    /// reused estimates written by an *earlier process*.
+    /// Traffic of the persistent estimate store (`None` unless the engine's
+    /// cache was created with [`SharedEstimateCache::with_store`]): nonzero
+    /// hits mean this sweep reused estimates written by an *earlier
+    /// process*. Hits plus misses are the run's lookups, and every counter
+    /// is the same at any thread total.
     pub persistent_cache: Option<PersistentStoreStats>,
     /// Worker/steal counters of the sweep-level pool.
     pub pool: ParallelStats,
@@ -266,7 +269,7 @@ impl SweepOutcome {
 }
 
 /// Runs a list of independent design points through the compiler, pooled and
-/// sharing per-node estimates across points.
+/// sharing lowered pipeline prefixes between points.
 ///
 /// ```no_run
 /// use hida::{HidaOptions, PolybenchKernel, SweepEngine, SweepPoint, Workload};
@@ -305,7 +308,7 @@ impl Default for SweepEngine {
 
 impl SweepEngine {
     /// Creates an engine with the default thread total (the machine's
-    /// available parallelism) and a fresh estimate cache per run.
+    /// available parallelism) and no estimate cache.
     pub fn new() -> Self {
         SweepEngine {
             total_jobs: None,
@@ -352,12 +355,12 @@ impl SweepEngine {
         self
     }
 
-    /// Reuses an existing cache instead of creating a fresh one per run, so
-    /// consecutive sweeps (e.g. CLI invocations in one process) keep sharing.
-    /// Hand in a cache created with [`SharedEstimateCache::with_store`] to
-    /// also persist estimates across *processes*: the outcome's
-    /// [`persistent_cache`](SweepOutcome::persistent_cache) then reports the
-    /// disk tier's traffic.
+    /// Attaches `cache` to every point of every run (builder style). Hand in
+    /// a cache created with [`SharedEstimateCache::with_store`] to persist
+    /// estimates across runs and *processes*: each run publishes what it
+    /// evaluated when it ends, the next run is served it, and the outcome's
+    /// [`persistent_cache`](SweepOutcome::persistent_cache) reports the
+    /// store's traffic.
     pub fn with_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -385,13 +388,16 @@ impl SweepEngine {
         });
         // One segment per sweep, on disk before the counters are read and
         // before the caller has the outcome.
-        run.cache.flush();
+        let cache = self.cache.as_deref();
+        if let Some(cache) = cache {
+            cache.flush();
+        }
         SweepOutcome {
             points: outcomes,
             budget,
             wall_seconds: start.elapsed().as_secs_f64(),
-            persistent_cache: run.cache.persistent_stats(),
-            shared_cache: Some(run.cache.stats()),
+            persistent_cache: cache.and_then(SharedEstimateCache::persistent_stats),
+            shared_cache: None,
             pool,
             prefix: run.tree.stats(),
         }
@@ -402,17 +408,13 @@ impl SweepEngine {
         JobBudget::for_points(self.total_jobs.unwrap_or_else(default_jobs), num_points)
     }
 
-    /// Sets up what one run over `points` shares: the estimate cache, the
-    /// token carrying the whole-run budget (its clock starts here), the
-    /// prefix tree of the points, and the faults the plan
-    /// arms among the points. Faults go by a seeded shuffle of the *labels*,
-    /// computed before any point runs — which points are afflicted is
-    /// independent of job count and thread scheduling.
+    /// Sets up what one run over `points` shares: the token carrying the
+    /// whole-run budget (its clock starts here), the prefix tree of the
+    /// points, and the faults the plan arms among the points. Faults go by a
+    /// seeded shuffle of the *labels*, computed before any point runs —
+    /// which points are afflicted is independent of job count and thread
+    /// scheduling.
     fn start<'p>(&self, points: &'p [SweepPoint]) -> Run<'p> {
-        let cache = self
-            .cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(SharedEstimateCache::new()));
         let armed = self.fault_plan.as_ref().map_or_else(BTreeMap::new, |plan| {
             let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
             let assigned = plan.assign(&labels).into_iter();
@@ -422,8 +424,7 @@ impl SweepEngine {
         });
         Run {
             points,
-            tree: PrefixTree::plan(points, |point| self.point_compiler(&cache, point)),
-            cache,
+            tree: PrefixTree::plan(points, |point| self.point_compiler(point)),
             token: self
                 .run_budget_ms
                 .map_or_else(CancelToken::new, CancelToken::with_deadline_ms),
@@ -432,12 +433,13 @@ impl SweepEngine {
     }
 
     /// The compiler of `point` under this engine: its verification setting
-    /// and the run's estimate cache.
-    fn point_compiler(&self, cache: &Arc<SharedEstimateCache>, point: &SweepPoint) -> Compiler {
-        point
-            .compiler()
-            .with_verification(self.verification)
-            .with_shared_estimates(Arc::clone(cache))
+    /// and the engine's estimate cache, if it has one.
+    fn point_compiler(&self, point: &SweepPoint) -> Compiler {
+        let compiler = point.compiler().with_verification(self.verification);
+        match &self.cache {
+            Some(cache) => compiler.with_shared_estimates(Arc::clone(cache)),
+            None => compiler,
+        }
     }
 
     /// Takes point `index` of the run to an outcome in one attempt: one
@@ -451,7 +453,7 @@ impl SweepEngine {
         let armed = run.armed.get(&point.label);
         let token = run.token.child(self.deadline_ms);
         let result = isolated(&point.site(), token, armed.cloned(), || {
-            let compiler = self.point_compiler(&run.cache, point);
+            let compiler = self.point_compiler(point);
             // A point with armed faults is a fault domain of its own from the
             // first instruction — it neither lowers a shared checkpoint (its
             // panic or stall would be everyone's) nor starts from one (its
@@ -476,14 +478,12 @@ impl SweepEngine {
     }
 }
 
-/// What one run shares: the points, the estimate cache, the run-level token
-/// carrying the whole-run budget (every point gets a child token chaining
-/// its own deadline below it), the prefix tree the points lower through, and
-/// the faults armed among the points, by the label of the point
-/// they afflict.
+/// What one run shares: the points, the run-level token carrying the
+/// whole-run budget (every point gets a child token chaining its own
+/// deadline below it), the prefix tree the points lower through, and the
+/// faults armed among the points, by the label of the point they afflict.
 struct Run<'p> {
     points: &'p [SweepPoint],
-    cache: Arc<SharedEstimateCache>,
     token: CancelToken,
     tree: PrefixTree,
     armed: BTreeMap<String, PointFaults>,

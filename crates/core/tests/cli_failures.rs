@@ -268,3 +268,38 @@ fn the_retries_flag_is_an_unknown_argument() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown argument '--retries'"), "{stderr}");
 }
+
+/// A `--cache-limit-mb` whose byte count does not fit in 64 bits is a flag
+/// error before any output, not a budget that wraps to a few bytes and
+/// evicts the segment the run just published.
+#[test]
+fn a_cache_limit_past_64_bit_bytes_is_rejected_before_any_output() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cache_limit_overflow");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |mb: &str| {
+        Command::new(BIN)
+            .args(["--workload", "two_mm", "--size", "32", "--no-timing"])
+            .arg("--cache-dir")
+            .arg(&dir)
+            .args(["--cache-limit-mb", mb])
+            .output()
+            .expect("run hida-opt")
+    };
+    // 2^44 MiB is 2^64 bytes, one past the largest.
+    let output = run("17592186044416");
+    assert_eq!(output.status.code(), Some(2));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("--cache-limit-mb: 17592186044416 megabytes do not fit"),
+        "{stderr}"
+    );
+    assert!(!dir.exists(), "the store was opened");
+    // One megabyte less fits, and the run publishes its segment.
+    let output = run("17592186044415");
+    assert!(output.status.success(), "{output:?}");
+    let segments = std::fs::read_dir(&dir).expect("store directory").count();
+    assert_eq!(segments, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

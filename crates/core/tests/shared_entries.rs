@@ -1,15 +1,15 @@
-//! A shared estimate entry is keyed by the node model's inputs, so it is
+//! A stored estimate entry is keyed by the node model's inputs, so it is
 //! served to nodes of other designs, other workloads and other IR shapes
 //! than the one that published it. Sound means nobody can tell: through one
-//! cache warmed by everything this repository compiles, every design's
+//! store warmed by everything this repository compiles, every design's
 //! estimates equal the share-nothing estimator's, names included.
 
 use hida::dataflow_ir::structural::ScheduleOp;
 use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;
 use hida::{
-    Compiler, DesignEstimate, FpgaDevice, HidaOptions, Model, Pipeline, PolybenchKernel,
-    SharedEstimateCache, Workload,
+    Compiler, DesignEstimate, EstimateStore, FpgaDevice, HidaOptions, Model, Pipeline,
+    PolybenchKernel, SharedEstimateCache, Workload,
 };
 use hida_fuzz::{gen_pipeline, gen_workload, FuzzRng};
 use std::sync::Arc;
@@ -102,29 +102,43 @@ fn subjects() -> Vec<Subject> {
 #[test]
 fn every_design_estimates_the_same_through_one_cache_warmed_by_all_the_others() {
     let subjects = subjects();
-    let cache = Arc::new(SharedEstimateCache::new());
-    let through_cache = |subject: &Subject| {
+    let dir = std::env::temp_dir().join(format!("hida_shared_entries_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let store = EstimateStore::open(&dir).expect("open store");
+        Arc::new(SharedEstimateCache::with_store(store))
+    };
+    let through = |cache: &Arc<SharedEstimateCache>, subject: &Subject| {
         let sharing =
-            DataflowEstimator::new(subject.device.clone()).with_shared_cache(Arc::clone(&cache));
+            DataflowEstimator::new(subject.device.clone()).with_shared_cache(Arc::clone(cache));
         let dataflow = sharing.estimate_schedule(&subject.ctx, subject.schedule, true);
         let sequential = sharing.estimate_schedule(&subject.ctx, subject.schedule, false);
         assert_eq!(dataflow, subject.dataflow, "{}: dataflow", subject.what);
         assert_eq!(sequential, subject.sequential, "{}", subject.what);
-        sharing.shared_cache_stats()
     };
-    // Forward, every entry is published by its first asker and served to the
-    // later ones; in reverse everything is a hit, so the first askers are
-    // served from the cache too.
-    let published: u64 = subjects.iter().map(|s| through_cache(s).misses).sum();
-    let forward = cache.stats();
-    assert_eq!(forward.misses, published);
-    assert_eq!(forward.entries, published, "one entry per miss");
-    assert!(forward.hits > forward.misses, "{forward}");
-    for subject in subjects.iter().rev() {
-        let traffic = through_cache(subject);
-        assert_eq!(traffic.misses, 0, "{}", subject.what);
+    // Cold, over a fresh directory: every lookup misses, and the flush
+    // publishes each distinct key once — nodes of different designs share
+    // keys, so there are fewer entries than lookups.
+    let cold = open();
+    for subject in &subjects {
+        through(&cold, subject);
     }
-    let both = cache.stats();
-    assert_eq!(both.entries, forward.entries);
-    assert_eq!(both.hits, forward.hits + forward.hits + forward.misses);
+    cold.flush();
+    let cold = cold.persistent_stats().unwrap();
+    assert_eq!(cold.hits, 0, "{cold}");
+    assert!(0 < cold.writes && cold.writes < cold.misses, "{cold}");
+    // Re-opened, in reverse: every entry is served, mostly to designs that
+    // did not publish it, and nothing is written.
+    let warm = open();
+    for subject in subjects.iter().rev() {
+        through(&warm, subject);
+    }
+    warm.flush();
+    let warm = warm.persistent_stats().unwrap();
+    assert_eq!(
+        (warm.hits, warm.misses, warm.writes),
+        (cold.misses, 0, 0),
+        "{warm}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

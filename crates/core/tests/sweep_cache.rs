@@ -1,13 +1,14 @@
-//! Integration tests for the sweep engine and the cross-compilation estimate
-//! cache: the second point of a sweep must reuse shared estimates, and every
-//! sweep result must be byte-identical to an isolated `Compiler` run of the
-//! same design point — regardless of pool size.
+//! Integration tests for the sweep engine and the estimate store under it:
+//! a second sweep through one store handle must be served entirely by the
+//! store, and every sweep result must be byte-identical to an isolated
+//! `Compiler` run of the same design point — regardless of pool size.
 
 use hida::ir::printer::print_op;
 use hida::{
-    CompilationResult, Compiler, HidaOptions, JobBudget, Model, PolybenchKernel, SweepEngine,
-    SweepPoint, Workload,
+    CompilationResult, Compiler, EstimateStore, HidaOptions, JobBudget, Model, PolybenchKernel,
+    SharedEstimateCache, SweepEngine, SweepPoint, Workload,
 };
+use std::sync::Arc;
 
 fn two_mm(size: i64) -> Workload {
     Workload::PolybenchSized(PolybenchKernel::TwoMm, size)
@@ -48,41 +49,6 @@ fn assert_identical(a: &CompilationResult, b: &CompilationResult, label: &str) {
     );
 }
 
-#[test]
-fn second_point_of_a_two_point_sweep_hits_the_shared_cache() {
-    // Two identical design points, compiled strictly in order (pool of one)
-    // so the hit accounting is deterministic.
-    let points = vec![
-        SweepPoint::new("first", two_mm(32), HidaOptions::polybench()),
-        SweepPoint::new("second", two_mm(32), HidaOptions::polybench()),
-    ];
-    let outcome = SweepEngine::new().with_total_jobs(1).run(&points);
-    assert!(outcome.all_ok());
-
-    let first = outcome.points[0].result.as_ref().unwrap();
-    let second = outcome.points[1].result.as_ref().unwrap();
-    let first_traffic = first.shared_estimator_cache.unwrap();
-    let second_traffic = second.shared_estimator_cache.unwrap();
-    // The first point populates the cache — one entry: 2mm's two products
-    // put the same numbers into the node model, so the second is served the
-    // first's — and the second point is pure hits.
-    assert_eq!(first_traffic.hits, 1, "{first_traffic:?}");
-    assert_eq!(first_traffic.misses, 1, "{first_traffic:?}");
-    assert_eq!(second_traffic.hits, 2, "{second_traffic:?}");
-    assert_eq!(second_traffic.misses, 0, "{second_traffic:?}");
-    let totals = outcome.shared_cache.unwrap();
-    assert_eq!((totals.hits, totals.misses, totals.entries), (3, 1, 1));
-
-    // Byte-identical QoR versus two isolated (share-nothing) compiler runs.
-    for point in &outcome.points {
-        let isolated = Compiler::new(HidaOptions::polybench())
-            .compile(two_mm(32))
-            .unwrap();
-        assert!(isolated.shared_estimator_cache.is_none());
-        assert_identical(point.result.as_ref().unwrap(), &isolated, &point.label);
-    }
-}
-
 /// The reduced Fig. 10 grid on ResNet-18 — parallel factor {1, 256} x tile
 /// size {2, 32} — in the pipeline strings `hida_bench::variants::fig10`
 /// builds.
@@ -120,11 +86,60 @@ fn pooled_sweep_matches_isolated_runs_point_by_point() {
             let isolated = spec.compiler().compile(spec.workload.clone()).unwrap();
             assert_identical(point.result.as_ref().unwrap(), &isolated, &point.label);
         }
-        // Points share estimates whichever worker got there first: 2mm's
-        // duplicated pf8 variant, ResNet-18's repeated layers.
-        let totals = outcome.shared_cache.unwrap();
-        assert!(totals.hits > 0, "{totals:?}");
     }
+}
+
+/// Two sweeps through one engine and one store handle: the first, over a
+/// fresh directory, misses every lookup and publishes each distinct key
+/// once; the second is served entirely by what the first published. Both
+/// runs count the same at one worker and at four.
+#[test]
+fn a_second_sweep_over_one_store_handle_is_served_entirely_by_the_store() {
+    let points = fig10_points();
+    let mut counters = Vec::new();
+    for jobs in [1, 4] {
+        let dir = std::env::temp_dir().join(format!(
+            "hida_sweep_cache_jobs{jobs}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = EstimateStore::open(&dir).expect("open store");
+        let engine = SweepEngine::new()
+            .with_total_jobs(jobs)
+            .with_cache(Arc::new(SharedEstimateCache::with_store(store)));
+        let cold = engine.run(&points);
+        let warm = engine.run(&points);
+        assert!(cold.all_ok() && warm.all_ok());
+        // A handle's counters add up over its runs.
+        let after_cold = cold.persistent_cache.expect("store attached");
+        let after_warm = warm.persistent_cache.expect("store attached");
+        assert_eq!(after_cold.hits, 0, "jobs {jobs}: {after_cold}");
+        assert!(
+            0 < after_cold.writes && after_cold.writes < after_cold.misses,
+            "jobs {jobs}: ResNet-18 repeats its layers: {after_cold}"
+        );
+        let lookups = after_cold.misses;
+        assert_eq!(
+            (after_warm.hits, after_warm.misses, after_warm.writes),
+            (lookups, lookups, after_cold.writes),
+            "jobs {jobs}: the warm run is all hits and writes nothing: {after_warm}"
+        );
+        for (a, b) in cold.points.iter().zip(&warm.points) {
+            assert_identical(
+                a.result.as_ref().unwrap(),
+                b.result.as_ref().unwrap(),
+                &a.label,
+            );
+        }
+        // The store is the only cache there is to count.
+        assert!(cold.shared_cache.is_none() && warm.shared_cache.is_none());
+        counters.push((after_cold, after_warm));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(
+        counters[0], counters[1],
+        "store counters depend on the job count"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@ use crate::latency::{
 };
 use crate::report::DesignEstimate;
 use crate::resource::Resources;
-use crate::shared_cache::{device_fingerprint, inputs_key, SharedCacheStats, SharedEstimateCache};
+use crate::shared_cache::{device_fingerprint, inputs_key, SharedEstimateCache};
 use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::{NodeOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
@@ -41,11 +41,12 @@ use std::sync::Arc;
 /// start with a cold cache and the same device). One estimation runs on the
 /// calling thread.
 ///
-/// For design-space sweeps, [`DataflowEstimator::with_shared_cache`] attaches
-/// a content-addressed [`SharedEstimateCache`]: local misses consult the
-/// shared cache under the [key](crate::shared_cache::inputs_key) of the
-/// node's model inputs before evaluating them, so nodes the model cannot
-/// tell apart are evaluated once *across* independent compilations.
+/// [`DataflowEstimator::with_shared_cache`] attaches a
+/// [`SharedEstimateCache`]; when it holds a persistent store, local misses
+/// look the node up there under the [key](crate::shared_cache::inputs_key)
+/// of its model inputs before evaluating them, so nodes the model cannot
+/// tell apart are evaluated once *across* processes. Without a store the
+/// estimator keys nothing.
 pub struct DataflowEstimator {
     device: FpgaDevice,
     /// Fingerprint of the full device description: half of every cache key.
@@ -55,8 +56,6 @@ pub struct DataflowEstimator {
     baseline: AnalysisCacheStats,
     /// Cross-compilation estimate cache, when one is attached.
     shared: Option<Arc<SharedEstimateCache>>,
-    /// This estimator's own traffic against the shared cache.
-    shared_traffic: RefCell<SharedCacheStats>,
 }
 
 impl Clone for DataflowEstimator {
@@ -74,7 +73,7 @@ impl fmt::Debug for DataflowEstimator {
         f.debug_struct("DataflowEstimator")
             .field("device", &self.device)
             .field("cache", &self.cache_stats())
-            .field("shared", &self.shared.as_ref().map(|c| c.stats()))
+            .field("shared", &self.shared)
             .finish()
     }
 }
@@ -102,7 +101,6 @@ impl DataflowEstimator {
             baseline: analyses.stats().clone(),
             analyses: RefCell::new(analyses),
             shared: None,
-            shared_traffic: RefCell::new(SharedCacheStats::default()),
         }
     }
 
@@ -113,32 +111,16 @@ impl DataflowEstimator {
         self
     }
 
-    /// Attaches a cross-compilation [`SharedEstimateCache`]: when the local
-    /// per-context memoization misses, the key of the node's model inputs is
-    /// looked up in (and evaluated results are published to) the shared
-    /// cache, so equal inputs are evaluated only once across a whole
-    /// design-space sweep. Estimates are unchanged by sharing — the key is
-    /// every input of the per-node model.
+    /// Attaches a cross-compilation [`SharedEstimateCache`]. When it holds
+    /// a persistent store and the local per-context memoization misses, the
+    /// key of the node's model inputs is looked up in the store, and what
+    /// the estimator had to evaluate is saved there, so equal inputs are
+    /// evaluated once across the processes sharing the store's directory.
+    /// Estimates are unchanged by sharing — the key is every input of the
+    /// per-node model.
     pub fn with_shared_cache(mut self, cache: Arc<SharedEstimateCache>) -> Self {
         self.shared = Some(cache);
         self
-    }
-
-    /// The attached cross-compilation cache, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedEstimateCache>> {
-        self.shared.as_ref()
-    }
-
-    /// This estimator's own hit/miss traffic against the attached shared
-    /// cache (all-zero when none is attached). The cache's
-    /// [`SharedEstimateCache::stats`] aggregates over every attached
-    /// estimator instead.
-    pub fn shared_cache_stats(&self) -> SharedCacheStats {
-        let mut stats = *self.shared_traffic.borrow();
-        if let Some(cache) = &self.shared {
-            stats.entries = cache.len() as u64;
-        }
-        stats
     }
 
     /// All-zero: the estimator runs no batch. Kept only because
@@ -179,11 +161,11 @@ impl DataflowEstimator {
     /// The estimate of `op`'s body, memoized per IR generation in the
     /// analysis manager (the device is fixed per estimator, so the (type,
     /// op) key is unambiguous within one instance): gather, then evaluate.
-    /// With a shared cache attached the gathered inputs are keyed and looked
-    /// up in between, and what a miss evaluates is published — without a
-    /// name, which is no input of the key: every estimate leaves here under
-    /// `op`'s own. A miss reads this same manager (the node's profile), so
-    /// it is computed before the manager is borrowed for the result.
+    /// With a store attached the gathered inputs are keyed and looked up in
+    /// between, and what a miss evaluates is saved — without a name, which
+    /// is no input of the key: every estimate leaves here under `op`'s own.
+    /// A miss reads this same manager (the node's profile), so it is
+    /// computed before the manager is borrowed for the result.
     fn body_estimate(&self, ctx: &Context, op: OpId) -> Arc<NodeEstimate> {
         let valid = self
             .analyses
@@ -192,15 +174,13 @@ impl DataflowEstimator {
             .is_some();
         let estimate = (!valid).then(|| {
             let inputs = self.inputs(ctx, op);
-            let Some(cache) = &self.shared else {
+            let Some(store) = self.shared.as_deref().and_then(SharedEstimateCache::store) else {
                 return named(ctx, op, evaluate(&inputs, &self.device));
             };
             let key = inputs_key(&inputs, self.device_key);
-            let served = cache.lookup(key);
-            self.record_shared_traffic(served.is_some());
-            let estimate = served.unwrap_or_else(|| {
+            let estimate = store.load(key).unwrap_or_else(|| {
                 let estimate = evaluate(&inputs, &self.device);
-                cache.publish(key, estimate.clone());
+                store.save(key, &estimate);
                 estimate
             });
             named(ctx, op, estimate)
@@ -210,17 +190,6 @@ impl DataflowEstimator {
             .get_with(ctx, op, "node-estimate", |_, _| {
                 estimate.expect("an entry that is not valid was just computed")
             })
-    }
-
-    /// Folds one lookup into this estimator's local view of the shared-cache
-    /// traffic.
-    fn record_shared_traffic(&self, hit: bool) {
-        let mut traffic = self.shared_traffic.borrow_mut();
-        if hit {
-            traffic.hits += 1;
-        } else {
-            traffic.misses += 1;
-        }
     }
 
     fn graph(&self, ctx: &Context, schedule: ScheduleOp) -> Arc<DataflowGraph> {
@@ -405,6 +374,7 @@ fn schedule_name(ctx: &Context, op: OpId) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::EstimateStore;
     use hida_dataflow_ir::structural::{build_buffer, build_node, build_schedule, NodeOp};
     use hida_dialects::analysis::MemEffect;
     use hida_dialects::arith;
@@ -583,9 +553,21 @@ mod tests {
         assert_eq!(cloned.device().name, est.device().name);
     }
 
+    /// A cache over a store in a fresh directory of its own.
+    fn store_backed(tag: &str) -> (Arc<SharedEstimateCache>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("hida_dataflow_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = EstimateStore::open(&dir).unwrap();
+        (Arc::new(SharedEstimateCache::with_store(store)), dir)
+    }
+
     #[test]
     fn shared_cache_reuses_estimates_across_contexts() {
-        let cache = Arc::new(SharedEstimateCache::new());
+        let (cache, dir) = store_backed("reuse");
+        let traffic = || {
+            let stats = cache.persistent_stats().unwrap();
+            (stats.hits, stats.misses)
+        };
         // Two independent compilations of the same design: separate contexts,
         // different op numbering (the second context builds junk IR first).
         let mut ctx_a = Context::new();
@@ -597,14 +579,15 @@ mod tests {
         let est_a = DataflowEstimator::new(FpgaDevice::zu3eg()).with_shared_cache(cache.clone());
         let est_b = DataflowEstimator::new(FpgaDevice::zu3eg()).with_shared_cache(cache.clone());
         let a = est_a.estimate_schedule(&ctx_a, schedule_a, true);
-        assert_eq!(est_a.shared_cache_stats().hits, 0);
-        assert_eq!(est_a.shared_cache_stats().misses, 2);
+        assert_eq!(traffic(), (0, 2));
+        // Saved entries are served once the batch is flushed.
+        cache.flush();
+        assert_eq!(cache.persistent_stats().unwrap().writes, 2);
 
         let b = est_b.estimate_schedule(&ctx_b, schedule_b, true);
-        // The second compilation's node estimates are pure shared hits, and
+        // The second compilation's node estimates are pure store hits, and
         // the results are bit-identical to an isolated estimation.
-        assert_eq!(est_b.shared_cache_stats().hits, 2);
-        assert_eq!(est_b.shared_cache_stats().misses, 0);
+        assert_eq!(traffic(), (2, 2));
         assert_eq!(a.node_estimates, b.node_estimates);
         assert_eq!(a.interval_cycles, b.interval_cycles);
         let isolated = DataflowEstimator::new(FpgaDevice::zu3eg());
@@ -613,21 +596,20 @@ mod tests {
 
         // A design point where only the first node changed (same buffer
         // shapes: the buffer size is the max of both nodes) re-estimates
-        // exactly that node.
+        // exactly that node: the 2048-element node is served, the
+        // 4096-element one is new.
         let mut ctx_c = Context::new();
         let schedule_c = two_node_schedule(&mut ctx_c, 2000, 2048);
         let est_c = DataflowEstimator::new(FpgaDevice::zu3eg()).with_shared_cache(cache.clone());
         est_c.estimate_schedule(&ctx_c, schedule_c, true);
-        let traffic = est_c.shared_cache_stats();
-        // The 2048-element node is shared; the 4096-element one is new.
-        assert_eq!(traffic.hits, 1, "{traffic:?}");
-        assert_eq!(traffic.misses, 1, "{traffic:?}");
-        assert_eq!(cache.stats().entries, 3);
+        assert_eq!(traffic(), (3, 3));
+        cache.flush();
+        assert_eq!(cache.persistent_stats().unwrap().writes, 3);
 
-        // Clones keep the shared cache but reset local traffic.
-        let cloned = est_c.clone();
-        assert!(cloned.shared_cache().is_some());
-        assert_eq!(cloned.shared_cache_stats().hits, 0);
+        // Clones start with a cold local cache but keep the store.
+        est_c.clone().estimate_schedule(&ctx_c, schedule_c, true);
+        assert_eq!(traffic(), (5, 3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -653,13 +635,16 @@ mod tests {
         let (a, b) = (keys(&ctx_a, schedule_a), keys(&ctx_b, schedule_b));
         assert_eq!(a, b);
         assert_ne!(a[0], a[1], "1024 iterations are not 2048");
-        // What the estimator looks up is what `estimate_key` says.
-        let cache = Arc::new(SharedEstimateCache::new());
+        // What the estimator saves is what `estimate_key` says.
+        let (cache, dir) = store_backed("keys");
         DataflowEstimator::new(FpgaDevice::zu3eg())
             .with_shared_cache(cache.clone())
             .estimate_schedule(&ctx_b, schedule_b, true);
-        assert!(a.iter().all(|&key| cache.lookup(key).is_some()));
-        assert_eq!(cache.len(), 2);
+        cache.flush();
+        let reopened = EstimateStore::open(&dir).unwrap();
+        assert!(a.iter().all(|&key| reopened.load(key).is_some()));
+        assert_eq!(reopened.disk_entries(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //!   unbalanced-path stalls, and external-memory transfer costs,
 //! * [`report`] — the [`DesignEstimate`] summary (throughput,
 //!   DSP efficiency, utilization) reported by every benchmark harness,
-//! * [`shared_cache`] — a content-addressed [`SharedEstimateCache`] shared
-//!   *across* compilations, keyed by the node model's inputs, so a
-//!   design-space sweep evaluates each distinct set of inputs once,
-//! * [`store`] — a persistent, disk-backed tier under the shared cache
+//! * [`shared_cache`] — the estimate key (the node model's inputs and the
+//!   device) and [`SharedEstimateCache`], the handle a batch's estimators
+//!   share on an optional store,
+//! * [`store`] — the one cache of estimates across compilations
 //!   ([`EstimateStore`]): one content-named segment file per batch, published
 //!   atomically, read once per open, with corruption tolerance and
 //!   size-budgeted eviction, so *separate processes*
-//!   (CLI runs, bench invocations, CI steps) share estimate work too.
+//!   (CLI runs, bench invocations, CI steps) share estimate work.
 //!
 //! An estimator reads compute profiles and the dataflow graph from, and
 //! memoizes per-node estimates in, one analysis cache — in a compilation the
@@ -43,5 +43,5 @@ pub use device::FpgaDevice;
 pub use latency::NodeEstimate;
 pub use report::DesignEstimate;
 pub use resource::Resources;
-pub use shared_cache::{SharedCacheStats, SharedEstimateCache};
+pub use shared_cache::SharedEstimateCache;
 pub use store::{EstimateStore, PersistentStoreStats, STORE_VERSION};

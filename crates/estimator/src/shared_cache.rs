@@ -1,4 +1,4 @@
-//! Content-addressed estimate cache shared *across* compilations.
+//! The handle the estimators of a batch share, and the estimate key.
 //!
 //! A design-space sweep compiles dozens of variants of one workload, and most
 //! node bodies put the same numbers into the node model across design points
@@ -7,120 +7,79 @@
 //! that: it is keyed by context identity and mutation generation, both of
 //! which are fresh for every design point.
 //!
-//! [`SharedEstimateCache`] closes the gap. It is a `Sync` map from a
-//! [`Fingerprint`] to [`NodeEstimate`], where the key ([`inputs_key`]) hashes
-//! the [`NodeModelInputs`] a body was [gathered](crate::latency::gather) into
-//! with the [full device description](device_fingerprint) — every field, not
-//! just the device name, so sweeping device parameters (clock, bandwidth)
-//! under one name can never alias. [`crate::latency::evaluate`] takes those
-//! two values and no [`Context`], so the key is the model's whole preimage by
-//! signature: a cache hit returns bit-for-bit the estimate a recomputation
-//! would produce — sharing is an invisible optimization, never a QoR change —
-//! and two bodies share an entry exactly when the model cannot tell them
-//! apart, whatever IR their inputs were read from.
+//! Across compilations, an estimate is keyed ([`inputs_key`]) by the
+//! [`NodeModelInputs`] a body was [gathered](crate::latency::gather) into and
+//! the [full device description](device_fingerprint) — every field, not just
+//! the device name, so sweeping device parameters (clock, bandwidth) under
+//! one name can never alias. [`crate::latency::evaluate`] takes those two
+//! values and no [`Context`], so the key is the model's whole preimage by
+//! signature: an entry served under it is bit-for-bit the estimate a
+//! recomputation would produce, and two bodies share an entry exactly when
+//! the model cannot tell them apart, whatever IR their inputs were read from.
 //!
-//! Estimators attach to a cache with
-//! [`DataflowEstimator::with_shared_cache`]; a sweep engine creates one cache
-//! and hands a clone of the `Arc` to every concurrent compilation.
-//!
-//! With [`SharedEstimateCache::with_store`], the cache additionally layers a
-//! persistent, content-addressed [`EstimateStore`] underneath: in-memory
-//! misses read through to the store's index of its directory, and freshly
-//! computed estimates are queued on the store — so *separate processes*
-//! (consecutive CLI runs, bench invocations, CI steps) pointed at the same
-//! directory share estimate work too. Neither direction touches the file
+//! The one place such entries live is a persistent [`EstimateStore`], so
+//! *separate processes* (consecutive CLI runs, bench invocations, CI steps)
+//! pointed at the same directory share estimate work. A
+//! [`SharedEstimateCache`] is the handle on it that estimators attach to
+//! ([`DataflowEstimator::with_shared_cache`]); without a store it holds
+//! nothing and the estimator keys nothing — keying and looking up costs more
+//! than the evaluation a hit would save. Neither direction touches the file
 //! system per estimate: whoever drives a batch of compilations calls
 //! [`SharedEstimateCache::flush`] once when the batch ends, which publishes
-//! the queue as one segment file, and reads
+//! what the batch computed as one segment file, and reads
 //! [`SharedEstimateCache::persistent_stats`] only after that, so `writes`
-//! counts what is on disk. The in-memory counters count a store hit as a
-//! cache hit, because the caller was served without computing.
+//! counts what is on disk.
 //!
 //! [`DataflowEstimator`]: crate::dataflow::DataflowEstimator
 //! [`DataflowEstimator::with_shared_cache`]: crate::dataflow::DataflowEstimator::with_shared_cache
 
 use crate::device::FpgaDevice;
-use crate::latency::{gather, NodeEstimate, NodeModelInputs};
+use crate::latency::{gather, NodeModelInputs};
 use crate::store::{EstimateStore, PersistentStoreStats};
 use hida_dialects::analysis::profile_body;
 use hida_ir_core::fingerprint::{Fingerprint, StableHasher};
-use hida_ir_core::{lock_recover, Context, OpId};
-use std::collections::HashMap;
+use hida_ir_core::{Context, OpId};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Traffic counters of a [`SharedEstimateCache`] (or of one estimator's view
-/// of it).
+/// Counters of the in-memory estimate tier, which is gone: nothing fills
+/// them. Kept only because `benchmark/src/run.rs:446` and `:475` (frozen)
+/// read them through `hida::SweepOutcome::shared_cache`, which is always
+/// `None`.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
-    /// Estimates served from the shared cache.
     pub hits: u64,
-    /// Estimates that had to be computed (and were then published).
     pub misses: u64,
-    /// Entries currently stored: distinct node model inputs per device.
-    pub entries: u64,
 }
 
-impl SharedCacheStats {
-    /// Fraction of lookups served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
-impl fmt::Display for SharedCacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} hit / {} miss ({:.0}% hit rate, {} entries)",
-            self.hits,
-            self.misses,
-            100.0 * self.hit_rate(),
-            self.entries
-        )
-    }
-}
-
-/// A `Sync` node-estimate cache keyed by the combined inputs-plus-device
-/// [`Fingerprint`] (see [`inputs_key`]), designed to be shared (behind an
-/// `Arc`) by every compilation of a design-space sweep.
-///
-/// All internal locking recovers from mutex poison ([`lock_recover`]): a
-/// worker that panics while holding the map lock cannot wedge later lookups —
-/// entries are only ever inserted whole, so the map is valid even after an
-/// interrupted critical section.
+/// What the estimators of a batch share: an optional persistent
+/// [`EstimateStore`], and nothing else. Attached without a store, it changes
+/// nothing an estimator does.
 #[derive(Default)]
 pub struct SharedEstimateCache {
-    entries: Mutex<HashMap<Fingerprint, NodeEstimate>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Persistent read-through/write-back tier, when attached.
     store: Option<EstimateStore>,
 }
 
 impl SharedEstimateCache {
-    /// Creates an empty, purely in-memory cache.
+    /// A handle on no store: estimators attached to it key nothing and
+    /// evaluate every node, as a lone compile does.
     pub fn new() -> Self {
         SharedEstimateCache::default()
     }
 
-    /// Creates a cache layered over a persistent [`EstimateStore`]: lookups
-    /// that miss in memory read through to disk, and published estimates are
-    /// written back, so separate processes sharing the store's directory
-    /// share estimate work across runs.
+    /// A handle on a persistent [`EstimateStore`]: estimators look each node
+    /// up in it under its key and save what they had to evaluate, so
+    /// separate processes sharing the store's directory share estimate work.
     pub fn with_store(store: EstimateStore) -> Self {
-        SharedEstimateCache {
-            store: Some(store),
-            ..SharedEstimateCache::default()
-        }
+        SharedEstimateCache { store: Some(store) }
     }
 
-    /// Publishes every estimate queued on the persistent store since the last
+    /// The store estimators read and write through, if any.
+    pub(crate) fn store(&self) -> Option<&EstimateStore> {
+        self.store.as_ref()
+    }
+
+    /// Publishes every estimate saved on the persistent store since the last
     /// flush as one segment (see [`EstimateStore::flush`]); a no-op without a
     /// store. Batch drivers call this when the batch ends, before they read
     /// [`persistent_stats`](Self::persistent_stats).
@@ -130,83 +89,16 @@ impl SharedEstimateCache {
         }
     }
 
-    /// Traffic/maintenance counters of the persistent tier (`None` without an
-    /// attached store).
+    /// Traffic/maintenance counters of the persistent store (`None` without
+    /// one).
     pub fn persistent_stats(&self) -> Option<PersistentStoreStats> {
         self.store.as_ref().map(|s| s.stats())
-    }
-
-    /// Looks up the estimate cached under `key`, counting a hit or a miss.
-    /// With a persistent store attached, an in-memory miss reads through to
-    /// the store's index; a store hit is promoted into the in-memory map (and
-    /// counted as a hit — the caller was served without computing).
-    pub fn lookup(&self, key: Fingerprint) -> Option<NodeEstimate> {
-        {
-            let entries = lock_recover(&self.entries);
-            if let Some(estimate) = entries.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(estimate.clone());
-            }
-        }
-        // Read through to the persistent tier outside the map lock: the
-        // store has a lock of its own.
-        if let Some(estimate) = self.store.as_ref().and_then(|store| store.load(key)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            lock_recover(&self.entries)
-                .entry(key)
-                .or_insert_with(|| estimate.clone());
-            return Some(estimate);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Publishes a freshly computed estimate. The first publisher wins; a
-    /// concurrent duplicate is dropped (both computed the same pure function,
-    /// so the values are identical anyway). With a persistent store attached,
-    /// a first publish is also queued for the next [`flush`](Self::flush).
-    pub fn publish(&self, key: Fingerprint, estimate: NodeEstimate) {
-        let inserted = {
-            let mut entries = lock_recover(&self.entries);
-            match entries.entry(key) {
-                std::collections::hash_map::Entry::Occupied(_) => false,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(estimate.clone());
-                    true
-                }
-            }
-        };
-        if inserted {
-            if let Some(store) = &self.store {
-                store.save(key, &estimate);
-            }
-        }
-    }
-
-    /// Number of cached inputs-per-device entries.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.entries).len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime traffic counters across every attached estimator.
-    pub fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
     }
 }
 
 impl fmt::Debug for SharedEstimateCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedEstimateCache")
-            .field("stats", &self.stats())
             .field("persistent", &self.persistent_stats())
             .finish()
     }
@@ -303,69 +195,6 @@ pub fn estimate_key(ctx: &Context, op: OpId, device: Fingerprint) -> Fingerprint
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::Resources;
-
-    fn estimate(name: &str) -> NodeEstimate {
-        NodeEstimate {
-            name: name.to_string(),
-            latency_cycles: 10,
-            ii: 1,
-            resources: Resources::zero(),
-            macs: 5,
-            external_bytes: 0,
-            parallelism: 1,
-        }
-    }
-
-    #[test]
-    fn lookup_publish_round_trip_counts_traffic() {
-        let cache = SharedEstimateCache::new();
-        let key = Fingerprint { hi: 1, lo: 2 };
-        let other = Fingerprint { hi: 1, lo: 3 };
-        assert!(cache.lookup(key).is_none());
-        cache.publish(key, estimate("n"));
-        assert_eq!(cache.lookup(key).unwrap().name, "n");
-        // A different combined key is a distinct entry.
-        assert!(cache.lookup(other).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 1);
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn first_publisher_wins() {
-        let cache = SharedEstimateCache::new();
-        let key = Fingerprint { hi: 7, lo: 7 };
-        cache.publish(key, estimate("first"));
-        cache.publish(key, estimate("second"));
-        assert_eq!(cache.lookup(key).unwrap().name, "first");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn poisoned_lock_recovers_instead_of_wedging_lookups() {
-        hida_ir_core::fault::silence_expected_panics();
-        let cache = std::sync::Arc::new(SharedEstimateCache::new());
-        let key = Fingerprint { hi: 9, lo: 9 };
-        cache.publish(key, estimate("survivor"));
-        // Poison the entries mutex from a panicking worker.
-        let poisoner = std::sync::Arc::clone(&cache);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.entries.lock().unwrap();
-            panic!("injected fault: poison the cache lock");
-        })
-        .join();
-        assert!(cache.entries.is_poisoned());
-        // Lookups and publishes keep working after the poisoning panic.
-        assert_eq!(cache.lookup(key).unwrap().name, "survivor");
-        let key2 = Fingerprint { hi: 9, lo: 10 };
-        cache.publish(key2, estimate("after"));
-        assert_eq!(cache.lookup(key2).unwrap().name, "after");
-        assert_eq!(cache.len(), 2);
-    }
 
     #[test]
     fn device_fingerprints_separate_same_named_configurations() {
@@ -525,18 +354,5 @@ mod tests {
             let key = inputs_key(&base, device_fingerprint(device));
             assert!(keys.insert(key), "{device:?}");
         }
-    }
-
-    #[test]
-    fn stats_render_their_hit_rate() {
-        let stats = SharedCacheStats {
-            hits: 4,
-            misses: 2,
-            entries: 4,
-        };
-        let rendered = stats.to_string();
-        assert!(rendered.contains("4 hit"), "{rendered}");
-        assert!(rendered.contains("67% hit rate"), "{rendered}");
-        assert_eq!(SharedCacheStats::default().hit_rate(), 0.0);
     }
 }

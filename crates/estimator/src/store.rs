@@ -1,11 +1,12 @@
 //! Persistent, content-addressed compilation store for node estimates.
 //!
-//! The in-memory [`SharedEstimateCache`](crate::shared_cache::SharedEstimateCache)
-//! shares per-node QoR estimates *within* one process; this module persists
-//! that cache *across* processes. Consecutive CLI invocations, bench runs and
-//! CI steps compile the same TwoMm/ResNet nodes over and over — with an
-//! [`EstimateStore`] attached, the second process starts warm instead of
-//! recomputing everything.
+//! The one cache of per-node QoR estimates that outlives a compilation.
+//! Consecutive CLI invocations, bench runs and CI steps compile the same
+//! TwoMm/ResNet nodes over and over — with an [`EstimateStore`] attached
+//! (through [`SharedEstimateCache::with_store`]), the second process starts
+//! warm instead of recomputing everything.
+//!
+//! [`SharedEstimateCache::with_store`]: crate::shared_cache::SharedEstimateCache::with_store
 //!
 //! # Layout
 //!
@@ -17,8 +18,8 @@
 //!   c47e...03bd.seg              # named by the 128-bit hash of its bytes
 //! ```
 //!
-//! Entries are keyed by the same combined 128-bit fingerprint the in-memory
-//! cache uses ([`inputs_key`](crate::shared_cache::inputs_key)): the node
+//! Entries are keyed by a combined 128-bit fingerprint
+//! ([`inputs_key`](crate::shared_cache::inputs_key)): the node
 //! model's inputs folded with the full device description — so an entry
 //! written by one process is valid in any other process whose node puts the
 //! same numbers into the model for the same device, and for no other
@@ -49,15 +50,21 @@
 //!   segment; every entry is decoded into an in-memory index (first
 //!   publisher wins, segments in path order, so the index is deterministic).
 //! * [`EstimateStore::load`] — a lookup in that index. No system call.
-//! * [`EstimateStore::save`] — encodes the entry onto an in-memory pending
-//!   buffer and indexes it (read-your-writes). No system call.
-//! * [`EstimateStore::flush`] — sorts the pending entries by key and
-//!   publishes them as **one** segment: tempfile create/write/close +
-//!   `rename`. The batch drivers call it once, when the batch ends; `Drop` is
-//!   the backstop.
+//! * [`EstimateStore::save`] — queues the entry for the next flush. No
+//!   system call, and no `load` sees it yet.
+//! * [`EstimateStore::flush`] — sorts the pending entries by key, drops the
+//!   repeats of a key (equal values: an estimate is a pure function of its
+//!   key), and publishes them as **one** segment: tempfile
+//!   create/write/close and `rename`. Once the segment is published they
+//!   join the index. The batch drivers call it once, when the batch ends;
+//!   `Drop` is the backstop.
 //!
-//! What a handle sees of the directory is fixed at `open`: segments another
-//! handle publishes later become visible at the next `open`.
+//! A handle serves what the directory held at `open` plus what the handle
+//! itself has flushed since; segments another handle publishes later become
+//! visible at the next `open`. An entry is visible at flush, not at save, so
+//! what a batch's lookups find does not depend on how its workers
+//! interleave: in a cold batch every lookup misses, at any `--jobs`, and the
+//! flush writes each distinct key once.
 //!
 //! # Guarantees
 //!
@@ -80,7 +87,7 @@ use crate::latency::NodeEstimate;
 use crate::resource::Resources;
 use hida_ir_core::fingerprint::{Fingerprint, StableHasher};
 use hida_ir_core::lock_recover;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -152,7 +159,8 @@ impl fmt::Display for PersistentStoreStats {
 /// concurrent processes pointed at the same directory: segments are published
 /// by atomic rename and every entry is re-validated when `open` reads it.
 /// A handle serves what the directory held when it was opened plus what it
-/// saved itself; another handle's publishes are seen by the next `open`.
+/// has flushed itself; another handle's publishes are seen by the next
+/// `open`.
 #[derive(Debug)]
 pub struct EstimateStore {
     dir: PathBuf,
@@ -163,11 +171,11 @@ pub struct EstimateStore {
 /// What a handle serves and what it still owes the directory.
 #[derive(Debug, Default)]
 struct State {
-    /// Every entry read at `open` plus every one saved since.
+    /// Every entry read at `open` plus every one flushed since.
     index: HashMap<Fingerprint, NodeEstimate>,
-    /// The encoded entries the next `flush` publishes: everything saved
-    /// since the last one, plus what `open` salvaged from corrupt segments.
-    pending: Vec<(Fingerprint, Vec<u8>)>,
+    /// The entries the next `flush` publishes: everything saved since the
+    /// last one, plus what `open` salvaged from corrupt segments.
+    pending: Vec<(Fingerprint, NodeEstimate)>,
     stats: PersistentStoreStats,
 }
 
@@ -204,8 +212,7 @@ impl EstimateStore {
             if bytes.is_empty() || !entries.0.is_empty() {
                 state.stats.corrupt += 1;
                 let _ = fs::remove_file(&path);
-                let whole = Entries(&bytes).map(|(key, e)| (key, encode_entry(key, &e)));
-                state.pending.extend(whole);
+                state.pending.extend(Entries(&bytes));
             }
         }
         Ok(EstimateStore {
@@ -235,23 +242,22 @@ impl EstimateStore {
         found
     }
 
-    /// Queues `estimate` under `key` for the next [`flush`](Self::flush) and
-    /// serves it from this handle at once. A key the handle already holds is
-    /// left untouched (first publisher wins, matching the in-memory cache).
+    /// Queues `estimate` under `key` for the next [`flush`](Self::flush),
+    /// which makes it visible to [`load`](Self::load). A key the handle
+    /// already serves is left untouched.
     pub fn save(&self, key: Fingerprint, estimate: &NodeEstimate) {
         let state = &mut *lock_recover(&self.state);
-        if let Entry::Vacant(slot) = state.index.entry(key) {
-            slot.insert(estimate.clone());
-            state.pending.push((key, encode_entry(key, estimate)));
+        if !state.index.contains_key(&key) {
+            state.pending.push((key, estimate.clone()));
         }
     }
 
     /// Publishes everything saved since the last flush as one segment, in
-    /// key order (the same batch is the same bytes whatever order the workers
-    /// saved it in), with an atomic tempfile + rename, then enforces the size
-    /// budget. IO failures are swallowed and counted — the store is an
-    /// optimization, never a correctness dependency. Nothing pending, nothing
-    /// done.
+    /// key order and each key once (the same batch is the same bytes whatever
+    /// order the workers saved it in, and however often), with an atomic
+    /// tempfile + rename, then serves the batch and enforces the size budget.
+    /// IO failures are swallowed and counted — the store is an optimization,
+    /// never a correctness dependency. Nothing pending, nothing done.
     pub fn flush(&self) {
         // Held to the end: a handle publishes and evicts one batch at a time.
         let mut state = lock_recover(&self.state);
@@ -260,15 +266,23 @@ impl EstimateStore {
         }
         let mut pending = std::mem::take(&mut state.pending);
         pending.sort_by_key(|(key, _)| *key);
+        pending.dedup_by_key(|(key, _)| *key);
         let entries = pending.len() as u64;
-        let bytes: Vec<u8> = pending.into_iter().flat_map(|(_, entry)| entry).collect();
+        let bytes: Vec<u8> = pending
+            .iter()
+            .flat_map(|(key, estimate)| encode_entry(*key, estimate))
+            .collect();
         // A failed publish (ENOSPC, permission, read-only filesystem) is a
-        // counted, non-fatal degradation, and is not retried.
+        // counted, non-fatal degradation, and is not retried: the batch is
+        // dropped, and its keys miss again.
         let Ok(published) = self.publish(&bytes) else {
             state.stats.write_errors += entries;
             return;
         };
         state.stats.writes += entries;
+        for (key, estimate) in pending {
+            state.index.entry(key).or_insert(estimate);
+        }
         if let Some(limit) = self.limit_bytes {
             state.stats.evictions += self.enforce_budget(limit, &published);
         }
@@ -586,19 +600,22 @@ mod tests {
         let key = Fingerprint { hi: 0xabcd, lo: 42 };
         assert!(store.load(key).is_none());
         store.save(key, &sample_estimate());
-        // Read-your-writes: served from this handle before anything is on disk.
-        assert_eq!(store.load(key).expect("saved entry"), sample_estimate());
+        // Visible at flush, not at save: nothing is served, nothing on disk.
+        assert!(store.load(key).is_none());
         assert!(listing(&dir).is_empty());
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 0));
+        assert_eq!((stats.hits, stats.misses, stats.writes), (0, 2, 0));
 
-        // Visibility is per open: a handle opened before the flush does not
-        // see the entry, one opened after it does — the cross-process path
-        // (same code, different process in CI).
+        // The flush that publishes the entry makes this handle serve it.
+        // Another handle's view is per open: one opened before the flush
+        // does not see the entry, one opened after it does — the
+        // cross-process path (same code, different process in CI).
         let early = EstimateStore::open(&dir).unwrap();
         store.flush();
-        assert_eq!(store.stats().writes, 1);
-        assert_eq!(store.stats().corrupt, 0);
+        assert_eq!(store.load(key).expect("flushed entry"), sample_estimate());
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.writes), (1, 2, 1));
+        assert_eq!(stats.corrupt, 0);
         assert!(early.load(key).is_none());
         let late = EstimateStore::open(&dir).unwrap();
         assert_eq!(late.load(key).unwrap(), sample_estimate());
@@ -613,15 +630,21 @@ mod tests {
 
     #[test]
     fn save_is_first_publisher_wins() {
-        let dir = temp_store_dir("firstwins");
+        let dir = temp_store_dir("repeats");
         let store = EstimateStore::open(&dir).unwrap();
         let key = Fingerprint { hi: 1, lo: 1 };
+        // Two workers of one batch that both missed the key save it twice.
         store.save(key, &sample_estimate());
         store.save(key, &named("second"));
-        assert_eq!(store.load(key).unwrap(), sample_estimate());
         store.flush();
         assert_eq!(store.stats().writes, 1);
         assert_eq!(store.disk_entries(), 1);
+        assert_eq!(store.load(key).unwrap(), sample_estimate());
+        // A key the handle serves is not queued again.
+        store.save(key, &named("third"));
+        store.flush();
+        assert_eq!(store.stats().writes, 1);
+        assert_eq!(store.load(key).unwrap(), sample_estimate());
 
         // The same key in two segments with different payloads: the segment
         // first in path order wins, on every open.
@@ -829,10 +852,10 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.writes, 0);
         assert_eq!(stats.write_errors, 2, "{stats:?}");
-        // The failed batch is not retried, and the handle keeps serving it.
+        // The failed batch is not retried, and its keys miss again.
         store.flush();
         assert_eq!(store.stats().write_errors, 2);
-        assert_eq!(store.load(keys[1]).unwrap(), sample_estimate());
+        assert!(store.load(keys[1]).is_none());
         assert_eq!(store.disk_bytes(), 0);
         let _ = fs::remove_file(&dir);
     }

@@ -4,9 +4,8 @@
 //!
 //! The design points are independent compilations, so they go through the
 //! sweep engine: they compile concurrently (budgeted by [`hida::JobBudget`])
-//! and share per-node QoR estimates through the content-addressed
-//! cross-compilation cache — the results are byte-identical to compiling each
-//! point alone, just sooner.
+//! and lower the passes they have in common once — the results are
+//! byte-identical to compiling each point alone, just sooner.
 //!
 //! Run with `cargo run --release --example design_space_sweep`.
 
@@ -52,14 +51,12 @@ fn main() {
             );
         }
     }
-    if let Some(cache) = &outcome.shared_cache {
-        println!(
-            "\n{} points in {:.3}s ({} concurrent), estimate cache {cache}",
-            outcome.points.len(),
-            outcome.wall_seconds,
-            outcome.budget.pool_jobs
-        );
-    }
+    println!(
+        "\n{} points in {:.3}s ({} concurrent)",
+        outcome.points.len(),
+        outcome.wall_seconds,
+        outcome.budget.pool_jobs
+    );
     println!("\nIA+CA keeps resources proportional to the budget; Naive over-provisions");
     println!("every layer and loses efficiency — the Figure 11 effect.");
 }
