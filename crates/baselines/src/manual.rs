@@ -6,7 +6,6 @@
 //! requested per-node unroll factors exactly as a human would write unroll pragmas,
 //! partitioning the touched arrays accordingly, and estimating the result.
 
-use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::transforms;
@@ -136,8 +135,8 @@ fn apply_manual_factors(
         "manual-factors",
         hida_ir_core::PreservedAnalyses::none().preserve::<ComputeProfile>(),
     );
-    // Held across the attribute edits below, which change nothing it records.
-    let graph = analyses.get::<DataflowGraph>(ctx, schedule.id());
+    // Held across the attribute edits below, which change nothing they record.
+    let (graph, profiles) = parallelize::schedule_profiles(ctx, analyses, schedule);
     // (kpf, cpf) per convolution task in network order; the fully-connected tail is
     // left with a modest unroll.
     let conv_factors = [
@@ -146,14 +145,10 @@ fn apply_manual_factors(
         (config.kpf3, config.cpf3),
     ];
     let mut conv_index = 0_usize;
-    // Profiles and chosen factors by node position.
-    let mut profiles = Vec::with_capacity(graph.nodes().len());
-    let mut chosen: Vec<Option<Vec<i64>>> = Vec::with_capacity(graph.nodes().len());
-    for node in graph.nodes() {
-        let profile = analyses.get::<ComputeProfile>(ctx, node.id());
-        profiles.push(profile.clone());
+    // Chosen factors by node position.
+    let mut chosen = parallelize::NodeFactors::new(&profiles);
+    for (position, (node, profile)) in graph.nodes().iter().zip(&profiles).enumerate() {
         if profile.loop_dims.is_empty() {
-            chosen.push(None);
             continue;
         }
         let is_conv = profile.loop_dims.len() >= 5;
@@ -180,7 +175,7 @@ fn apply_manual_factors(
                 .collect()
         };
         transforms::apply_unroll_factors(ctx, node.id(), &factors)?;
-        chosen.push(Some(factors));
+        chosen.set(position, &factors);
     }
     parallelize::assign_array_partitions(ctx, schedule, &graph, &profiles, &chosen);
     let (_, lie) = analyses.end_pass(ctx);

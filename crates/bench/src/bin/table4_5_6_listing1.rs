@@ -72,15 +72,15 @@ fn main() {
     let connections = parallelize::analyze_connections(&graph, &profiles);
     println!("# Table 4 — node connections of Listing 1");
     println!("source -> target | S-to-T perm | T-to-S perm | S-to-T scale | T-to-S scale");
-    for c in &connections {
+    for c in connections.iter() {
         println!(
             "{} -> {} | {} | {} | {} | {}",
             c.source.name(&ctx),
             c.target.name(&ctx),
-            fmt_perm(&c.s_to_t_perm),
-            fmt_perm(&c.t_to_s_perm),
-            fmt_scale(&c.s_to_t_scale),
-            fmt_scale(&c.t_to_s_scale),
+            fmt_perm(c.s_to_t_perm()),
+            fmt_perm(c.t_to_s_perm()),
+            fmt_scale(c.s_to_t_scale()),
+            fmt_scale(c.t_to_s_scale()),
         );
     }
     print_statistics("construct→lower", pipeline.statistics());

@@ -6,7 +6,7 @@
 //! partitioning is central to HIDA's connection-aware parallelization — Table 6 of
 //! the paper reports the partition factors and bank counts chosen for Listing 1.
 
-use hida_ir_core::{Attribute, Context, OpId};
+use hida_ir_core::{symbol, Attribute, Context, OpId, Symbol};
 
 /// How one dimension of a buffer is split into banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +29,16 @@ impl PartitionFashion {
             PartitionFashion::Cyclic => "cyclic",
             PartitionFashion::Block => "block",
             PartitionFashion::Complete => "complete",
+        }
+    }
+
+    /// [`PartitionFashion::as_str`] as a [`Symbol`], interned once per process.
+    pub fn symbol(self) -> Symbol {
+        match self {
+            PartitionFashion::None => symbol!("none"),
+            PartitionFashion::Cyclic => symbol!("cyclic"),
+            PartitionFashion::Block => symbol!("block"),
+            PartitionFashion::Complete => symbol!("complete"),
         }
     }
 
@@ -132,20 +142,21 @@ pub fn set_array_partition(ctx: &mut Context, buffer_op: OpId, partition: &Array
 
 /// [`set_array_partition`] from the two per-dimension lists of a directive,
 /// for a caller that keeps them in arrays of its own. Both payloads are
-/// interned, so a directive already written anywhere allocates nothing.
+/// interned, so a directive already written anywhere allocates nothing;
+/// the keys and the fashion strings are interned once per process.
 pub fn write_array_partition(
     ctx: &mut Context,
     buffer_op: OpId,
     fashions: &[PartitionFashion],
     factors: &[i64],
 ) {
-    let fashions = fashions.iter().map(|f| f.as_str().into()).collect();
+    let fashions = fashions.iter().map(|f| f.symbol()).collect();
     ctx.set_attr(
         buffer_op,
-        ATTR_PARTITION_FASHIONS,
+        symbol!(ATTR_PARTITION_FASHIONS),
         Attribute::StrArray(fashions),
     );
-    ctx.set_attr(buffer_op, ATTR_PARTITION_FACTORS, factors);
+    ctx.set_attr(buffer_op, symbol!(ATTR_PARTITION_FACTORS), factors);
 }
 
 /// Reads the array-partition directive of a buffer-producing operation, defaulting to
@@ -166,7 +177,7 @@ pub fn get_array_partition(ctx: &Context, buffer_op: OpId, rank: usize) -> Array
 
 /// Sets the memory placement of a buffer-producing operation.
 pub fn set_memory_kind(ctx: &mut Context, buffer_op: OpId, kind: MemoryKind) {
-    ctx.set_attr(buffer_op, ATTR_MEMORY_KIND, kind.as_str());
+    ctx.set_attr(buffer_op, symbol!(ATTR_MEMORY_KIND), kind.as_str());
 }
 
 /// Reads the memory placement of a buffer-producing operation (defaults to BRAM).
@@ -199,6 +210,7 @@ mod tests {
             PartitionFashion::Complete,
         ] {
             assert_eq!(PartitionFashion::parse(f.as_str()), f);
+            assert_eq!(f.symbol().as_str(), f.as_str());
         }
         for k in [
             MemoryKind::Bram,

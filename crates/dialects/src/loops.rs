@@ -6,7 +6,7 @@
 //! "structured control flow" representation HIDA analyses and transforms.
 
 use hida_ir_core::walk::walk_ops_pruned;
-use hida_ir_core::{Attribute, Context, OpBuilder, OpId, Type, ValueId};
+use hida_ir_core::{symbol, Attribute, Context, OpBuilder, OpId, Type, ValueId};
 
 /// Operation name of the affine loop.
 pub const FOR: &str = "affine.for";
@@ -138,7 +138,7 @@ impl ForOp {
 
     /// Sets the unroll factor directive on the loop.
     pub fn set_unroll_factor(self, ctx: &mut Context, factor: i64) {
-        ctx.set_attr(self.0, "unroll_factor", factor.max(1));
+        ctx.set_attr(self.0, symbol!("unroll_factor"), factor.max(1));
     }
 
     /// Returns true when the loop carries a pipeline directive.
@@ -148,8 +148,8 @@ impl ForOp {
 
     /// Annotates the loop with a pipeline directive and target initiation interval.
     pub fn set_pipeline(self, ctx: &mut Context, ii: i64) {
-        ctx.set_attr(self.0, "pipeline", Attribute::Unit);
-        ctx.set_attr(self.0, "pipeline_ii", ii.max(1));
+        ctx.set_attr(self.0, symbol!("pipeline"), Attribute::Unit);
+        ctx.set_attr(self.0, symbol!("pipeline_ii"), ii.max(1));
     }
 
     /// Target initiation interval of a pipelined loop (1 when unset).

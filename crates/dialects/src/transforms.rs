@@ -8,7 +8,7 @@
 
 use crate::linalg;
 use crate::loops::{self, ForOp};
-use hida_ir_core::{Attribute, Context, IrError, IrResult, OpId};
+use hida_ir_core::{symbol, Attribute, Context, IrError, IrResult, OpId, Symbol};
 use std::borrow::Cow;
 
 /// Attribute key holding per-dimension unroll factors on named layers and nodes.
@@ -60,11 +60,12 @@ pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) -> IrR
             pipeline_innermost(ctx, &band, 1);
         }
     }
-    // One array, shared by every op that records it.
-    let recorded = Attribute::from(factors);
-    record_on_layers(ctx, op, ATTR_UNROLL_FACTORS, &recorded);
-    ctx.set_attr(op, ATTR_UNROLL_FACTORS, recorded);
-    ctx.set_attr(op, ATTR_PIPELINE, Attribute::Unit);
+    // One array, shared by every op that records it, under keys interned
+    // once per process.
+    let (key, recorded) = (symbol!(ATTR_UNROLL_FACTORS), Attribute::from(factors));
+    record_on_layers(ctx, op, key, recorded);
+    ctx.set_attr(op, key, recorded);
+    ctx.set_attr(op, symbol!(ATTR_PIPELINE), Attribute::Unit);
     Ok(())
 }
 
@@ -76,17 +77,18 @@ fn first_top_level_loop(ctx: &Context, op: OpId) -> Option<OpId> {
 }
 
 /// Records `value` under `key` on every named layer nested at any depth
-/// below `op`. Walks by index, holding no borrow of the structure it walks:
-/// writing an attribute changes none of it.
-fn record_on_layers(ctx: &mut Context, op: OpId, key: &str, value: &Attribute) {
+/// below `op`, telling a layer by its op name alone. Walks by index, holding
+/// no borrow of the structure it walks: writing an attribute changes none
+/// of it.
+fn record_on_layers(ctx: &mut Context, op: OpId, key: Symbol, value: Attribute) {
     for region in 0..ctx.op(op).regions.len() {
         let region = ctx.op(op).regions[region];
         for block in 0..ctx.region(region).blocks.len() {
             let block = ctx.region(region).blocks[block];
             for nested in 0..ctx.block(block).ops.len() {
                 let nested = ctx.block(block).ops[nested];
-                if linalg::LinalgOp::from_op(ctx, nested).is_some() {
-                    ctx.set_attr(nested, key, *value);
+                if linalg::is_linalg_op_name(ctx.op(nested).name.as_str()) {
+                    ctx.set_attr(nested, key, value);
                 }
                 record_on_layers(ctx, nested, key, value);
             }
@@ -114,9 +116,9 @@ pub fn unroll_factors_of(ctx: &Context, op: OpId, rank: usize) -> Cow<'_, [i64]>
 /// Records per-dimension tile sizes on `op` and on every named layer in its body.
 pub fn apply_tile_sizes(ctx: &mut Context, op: OpId, tile_sizes: &[i64]) {
     // One array, shared by every op that records it.
-    let recorded = Attribute::from(tile_sizes);
-    record_on_layers(ctx, op, ATTR_TILE_SIZES, &recorded);
-    ctx.set_attr(op, ATTR_TILE_SIZES, recorded);
+    let (key, recorded) = (symbol!(ATTR_TILE_SIZES), Attribute::from(tile_sizes));
+    record_on_layers(ctx, op, key, recorded);
+    ctx.set_attr(op, key, recorded);
 }
 
 /// Reads the tile sizes recorded on `op`; `None` when it was never tiled.

@@ -66,6 +66,8 @@ pub struct DataflowGraph {
     edges: Vec<DataflowEdge>,
     /// Every distinct operand of the nodes, in first-use order.
     buffers: Vec<ValueId>,
+    /// Value index → index in `buffers`; [`ABSENT`] for every other value.
+    slot_of: Vec<u32>,
     /// Op index → position in `nodes`; [`ABSENT`] for every other op.
     position: Vec<u32>,
     /// One entry per node, by position.
@@ -116,14 +118,14 @@ impl DataflowGraph {
             nodes: Vec::with_capacity(node_count),
             edges: Vec::new(),
             buffers: Vec::with_capacity(operand_count),
+            slot_of: vec![ABSENT; ctx.arena_sizes().3],
             position: vec![ABSENT; op_indices],
             entries: Vec::with_capacity(node_count),
             peers: Vec::new(),
             ports: Vec::with_capacity(operand_count),
         };
-        // Scratch: value index -> buffer slot, and per port (in `graph.ports`
-        // order) what the node does to the buffer.
-        let mut slot_of = vec![ABSENT; ctx.arena_sizes().3];
+        // Scratch: per port (in `graph.ports` order) what the node does to
+        // the buffer.
         let mut accesses: Vec<Access> = Vec::with_capacity(operand_count);
         for &op in body.iter().filter(is_node) {
             let operation = ctx.op(op);
@@ -135,7 +137,7 @@ impl DataflowGraph {
             let operands = &operation.operands;
             let first_port = graph.ports.len();
             for (index, &operand) in operands.iter().enumerate() {
-                let slot = &mut slot_of[operand.index()];
+                let slot = &mut graph.slot_of[operand.index()];
                 if *slot == ABSENT {
                     *slot = graph.buffers.len() as u32;
                     graph.buffers.push(operand);
@@ -255,10 +257,12 @@ impl DataflowGraph {
         &self.buffers
     }
 
-    /// Index of `buffer` in [`DataflowGraph::buffers`]: a scan of that list,
-    /// for the caller that asks once per buffer, not once per access.
+    /// Index of `buffer` in [`DataflowGraph::buffers`]: an indexed load.
     pub fn buffer_slot(&self, buffer: ValueId) -> Option<usize> {
-        self.buffers.iter().position(|&b| b == buffer)
+        match self.slot_of.get(buffer.index()) {
+            Some(&slot) if slot != ABSENT => Some(slot as usize),
+            _ => None,
+        }
     }
 
     /// Position of `node` in [`DataflowGraph::nodes`] — the index of its
@@ -614,6 +618,16 @@ mod tests {
                 let first = operands.iter().position(|&o| o == operand).unwrap();
                 let arg = args.get(first).copied();
                 assert_eq!(graph.arg_for(node, operand), arg, "{subject}");
+            }
+        }
+        for (slot, &buffer) in graph.buffers().iter().enumerate() {
+            assert_eq!(graph.buffer_slot(buffer), Some(slot), "{subject}");
+        }
+        let body = schedule.body(ctx);
+        for &op in &ctx.block(body).ops {
+            for &value in &ctx.op(op).results {
+                let slot = graph.buffers().iter().position(|&b| b == value);
+                assert_eq!(graph.buffer_slot(value), slot, "{subject}");
             }
         }
     }

@@ -15,6 +15,15 @@
 //!
 //! Finally, array partitions are assigned to every buffer from the unroll factors and
 //! access strides of the nodes touching it (Table 6).
+//!
+//! A Fig. 10 sweep runs this pass once per design point, so it keeps its
+//! books in buffers made once per run and nothing per node or per edge: the
+//! alignment maps of all connections back to back in [`Connections`], the
+//! chosen unroll factors of all nodes in one [`NodeFactors`], and Algorithm
+//! 4's candidates and constraint vectors in one flat vector each, cleared
+//! and refilled node after node. The decisions are written under keys
+//! interned once per process ([`hida_ir_core::symbol!`]), so the attribute
+//! writes hash no string.
 
 use crate::ParallelMode;
 use hida_dataflow_ir::graph::{DataflowEdge, DataflowGraph};
@@ -22,39 +31,118 @@ use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
 use hida_dialects::analysis::{ComputeProfile, ProfileLoopDim};
 use hida_dialects::hls::{self, ArrayPartition, PartitionFashion};
 use hida_dialects::transforms;
-use hida_ir_core::{AnalysisManager, Context, IrResult, ValueId};
+use hida_ir_core::{symbol, AnalysisManager, Context, IrResult, ValueId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A connection between two nodes through a shared buffer, with the loop alignment
-/// maps of §6.5 step (1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Connection {
+/// maps of §6.5 step (1): a view into [`Connections`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Connection<'a> {
     /// Producing node.
     pub source: NodeOp,
     /// Consuming node.
     pub target: NodeOp,
     /// The shared buffer.
     pub buffer: ValueId,
+    s_to_t_perm: &'a [Option<usize>],
+    t_to_s_perm: &'a [Option<usize>],
+    s_to_t_scale: &'a [Option<f64>],
+    t_to_s_scale: &'a [Option<f64>],
+}
+
+impl<'a> Connection<'a> {
     /// For each target loop: the aligned source loop, if any (paper's S-to-T map).
-    pub s_to_t_perm: Vec<Option<usize>>,
+    pub fn s_to_t_perm(&self) -> &'a [Option<usize>] {
+        self.s_to_t_perm
+    }
+
     /// For each source loop: the aligned target loop, if any (paper's T-to-S map).
-    pub t_to_s_perm: Vec<Option<usize>>,
+    pub fn t_to_s_perm(&self) -> &'a [Option<usize>] {
+        self.t_to_s_perm
+    }
+
     /// For each source loop: `stride_source / stride_target` of the aligned dimension.
-    pub s_to_t_scale: Vec<Option<f64>>,
+    pub fn s_to_t_scale(&self) -> &'a [Option<f64>] {
+        self.s_to_t_scale
+    }
+
     /// For each target loop: `stride_target / stride_source` of the aligned dimension.
-    pub t_to_s_scale: Vec<Option<f64>>,
+    pub fn t_to_s_scale(&self) -> &'a [Option<f64>] {
+        self.t_to_s_scale
+    }
+}
+
+/// The connections of a schedule, in edge order, with their alignment maps
+/// back to back: the maps indexed by target loop (S-to-T permutation, T-to-S
+/// scale) in one pair of arrays, those indexed by source loop in another.
+#[derive(Debug, Clone, Default)]
+pub struct Connections {
+    ends: Vec<ConnectionEnds>,
+    s_to_t_perm: Vec<Option<usize>>,
+    t_to_s_scale: Vec<Option<f64>>,
+    t_to_s_perm: Vec<Option<usize>>,
+    s_to_t_scale: Vec<Option<f64>>,
+}
+
+/// One connection's endpoints and where its maps sit in [`Connections`].
+#[derive(Debug, Clone, Copy)]
+struct ConnectionEnds {
+    edge: DataflowEdge,
+    /// Start of the source-loop maps; as many entries as the source has loops.
+    source_at: u32,
+    source_loops: u32,
+    /// Start of the target-loop maps.
+    target_at: u32,
+    target_loops: u32,
+}
+
+impl Connections {
+    /// Number of connections.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the schedule has no connection.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The connection at `index`, in edge order.
+    pub fn get(&self, index: usize) -> Connection<'_> {
+        let ends = &self.ends[index];
+        let span = |at: u32, len: u32| at as usize..(at + len) as usize;
+        let (by_source, by_target) = (
+            span(ends.source_at, ends.source_loops),
+            span(ends.target_at, ends.target_loops),
+        );
+        Connection {
+            source: ends.edge.producer,
+            target: ends.edge.consumer,
+            buffer: ends.edge.buffer,
+            s_to_t_perm: &self.s_to_t_perm[by_target.clone()],
+            t_to_s_perm: &self.t_to_s_perm[by_source.clone()],
+            s_to_t_scale: &self.s_to_t_scale[by_source],
+            t_to_s_scale: &self.t_to_s_scale[by_target],
+        }
+    }
+
+    /// Every connection, in edge order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Connection<'_>> + '_ {
+        (0..self.len()).map(|index| self.get(index))
+    }
 }
 
 /// Per-node analysis record.
-#[derive(Debug, Clone)]
-pub struct NodeInfo {
+#[derive(Debug, Clone, Copy)]
+pub struct NodeInfo<'a> {
     /// The node.
     pub node: NodeOp,
     /// Its position in the schedule ([`DataflowGraph::position`]): the index
     /// of its entry in every per-node table of Algorithm 4.
     pub position: usize,
-    /// Its compute profile, shared with the analysis cache.
-    pub profile: Arc<ComputeProfile>,
+    /// Its compute profile, borrowed from the list the analysis cache filled.
+    pub profile: &'a ComputeProfile,
     /// Number of distinct nodes it shares buffers with.
     pub connections: usize,
 }
@@ -75,73 +163,84 @@ pub fn schedule_profiles(
     (graph, profiles)
 }
 
-/// Derives the loop alignment maps of one dataflow edge from the two endpoint
-/// profiles.
-fn connection_for_edge(
-    graph: &DataflowGraph,
-    edge: &DataflowEdge,
-    source_profile: &ComputeProfile,
-    target_profile: &ComputeProfile,
-) -> Option<Connection> {
-    // The profiles record accesses against the node's block arguments.
-    let source_access = graph
-        .arg_for(edge.producer, edge.buffer)
-        .and_then(|arg| source_profile.access_of(arg))?;
-    let target_access = graph
-        .arg_for(edge.consumer, edge.buffer)
-        .and_then(|arg| target_profile.access_of(arg))?;
-    let num_source_loops = source_profile.loop_dims.len();
-    let num_target_loops = target_profile.loop_dims.len();
-    let mut s_to_t_perm = vec![None; num_target_loops];
-    let mut t_to_s_perm = vec![None; num_source_loops];
-    let mut s_to_t_scale = vec![None; num_source_loops];
-    let mut t_to_s_scale = vec![None; num_target_loops];
-    for (s_dim, t_dim) in source_access
-        .pattern
-        .dims
-        .iter()
-        .zip(target_access.pattern.dims.iter())
-    {
-        if let (Some((s_loop, s_stride)), Some((t_loop, t_stride))) = (s_dim, t_dim) {
-            if *s_loop < num_source_loops && *t_loop < num_target_loops {
-                s_to_t_perm[*t_loop] = Some(*s_loop);
-                t_to_s_perm[*s_loop] = Some(*t_loop);
-                s_to_t_scale[*s_loop] = Some(*s_stride as f64 / *t_stride as f64);
-                t_to_s_scale[*t_loop] = Some(*t_stride as f64 / *s_stride as f64);
+/// Analyzes every producer→consumer connection of a schedule, in edge order;
+/// `profiles` holds the node profiles by node position. An edge joins two
+/// nodes whose profiles both record an access to the buffer, through the
+/// node's block argument for it.
+pub fn analyze_connections(graph: &DataflowGraph, profiles: &[Arc<ComputeProfile>]) -> Connections {
+    let profile_of = |node| &*profiles[graph.position(node).expect("an edge joins nodes")];
+    let access = |node, buffer| {
+        let arg = graph.arg_for(node, buffer)?;
+        profile_of(node).access_of(arg)
+    };
+    // Room for every edge's maps, so each array is allocated once.
+    let (mut by_source, mut by_target) = (0, 0);
+    for edge in graph.edges() {
+        by_source += profile_of(edge.producer).loop_dims.len();
+        by_target += profile_of(edge.consumer).loop_dims.len();
+    }
+    let mut connections = Connections {
+        ends: Vec::with_capacity(graph.edges().len()),
+        s_to_t_perm: Vec::with_capacity(by_target),
+        t_to_s_scale: Vec::with_capacity(by_target),
+        t_to_s_perm: Vec::with_capacity(by_source),
+        s_to_t_scale: Vec::with_capacity(by_source),
+    };
+    for &edge in graph.edges() {
+        let (Some(source_access), Some(target_access)) = (
+            access(edge.producer, edge.buffer),
+            access(edge.consumer, edge.buffer),
+        ) else {
+            continue;
+        };
+        let source_loops = profile_of(edge.producer).loop_dims.len();
+        let target_loops = profile_of(edge.consumer).loop_dims.len();
+        let (source_at, target_at) = (connections.t_to_s_perm.len(), connections.s_to_t_perm.len());
+        connections
+            .t_to_s_perm
+            .resize(source_at + source_loops, None);
+        connections
+            .s_to_t_scale
+            .resize(source_at + source_loops, None);
+        connections
+            .s_to_t_perm
+            .resize(target_at + target_loops, None);
+        connections
+            .t_to_s_scale
+            .resize(target_at + target_loops, None);
+        for (s_dim, t_dim) in source_access
+            .pattern
+            .dims
+            .iter()
+            .zip(target_access.pattern.dims.iter())
+        {
+            if let (Some((s_loop, s_stride)), Some((t_loop, t_stride))) = (s_dim, t_dim) {
+                if *s_loop < source_loops && *t_loop < target_loops {
+                    let (s, t) = (source_at + s_loop, target_at + t_loop);
+                    connections.s_to_t_perm[t] = Some(*s_loop);
+                    connections.t_to_s_perm[s] = Some(*t_loop);
+                    connections.s_to_t_scale[s] = Some(*s_stride as f64 / *t_stride as f64);
+                    connections.t_to_s_scale[t] = Some(*t_stride as f64 / *s_stride as f64);
+                }
             }
         }
+        connections.ends.push(ConnectionEnds {
+            edge,
+            source_at: source_at as u32,
+            source_loops: source_loops as u32,
+            target_at: target_at as u32,
+            target_loops: target_loops as u32,
+        });
     }
-    Some(Connection {
-        source: edge.producer,
-        target: edge.consumer,
-        buffer: edge.buffer,
-        s_to_t_perm,
-        t_to_s_perm,
-        s_to_t_scale,
-        t_to_s_scale,
-    })
-}
-
-/// Analyzes every producer→consumer connection of a schedule, in edge order;
-/// `profiles` holds the node profiles by node position.
-pub fn analyze_connections(
-    graph: &DataflowGraph,
-    profiles: &[Arc<ComputeProfile>],
-) -> Vec<Connection> {
-    let profile_of = |node| &*profiles[graph.position(node).expect("an edge joins nodes")];
-    graph
-        .edges()
-        .iter()
-        .filter_map(|edge| {
-            let (source, target) = (profile_of(edge.producer), profile_of(edge.consumer));
-            connection_for_edge(graph, edge, source, target)
-        })
-        .collect()
+    connections
 }
 
 /// Builds the per-node analysis records and returns them sorted in parallelization
 /// order (step 2: connection count descending, intensity as tie-breaker).
-pub fn analyze_nodes(graph: &DataflowGraph, profiles: &[Arc<ComputeProfile>]) -> Vec<NodeInfo> {
+pub fn analyze_nodes<'a>(
+    graph: &DataflowGraph,
+    profiles: &'a [Arc<ComputeProfile>],
+) -> Vec<NodeInfo<'a>> {
     let mut infos: Vec<NodeInfo> = graph
         .nodes()
         .iter()
@@ -150,7 +249,7 @@ pub fn analyze_nodes(graph: &DataflowGraph, profiles: &[Arc<ComputeProfile>]) ->
         .map(|(position, (&node, profile))| NodeInfo {
             node,
             position,
-            profile: Arc::clone(profile),
+            profile,
             connections: graph.connection_count(node),
         })
         .collect();
@@ -180,14 +279,14 @@ pub fn node_parallel_factors(
 ) -> Vec<i64> {
     let max_intensity = infos
         .iter()
-        .map(|i| budget_intensity(&i.profile))
+        .map(|i| budget_intensity(i.profile))
         .max()
         .unwrap_or(1);
     infos
         .iter()
         .map(|info| {
             if intensity_aware {
-                let scaled = max_parallel_factor as f64 * budget_intensity(&info.profile) as f64
+                let scaled = max_parallel_factor as f64 * budget_intensity(info.profile) as f64
                     / max_intensity.max(1) as f64;
                 round_pow2(scaled).clamp(1, max_parallel_factor)
             } else {
@@ -197,11 +296,21 @@ pub fn node_parallel_factors(
         .collect()
 }
 
+/// The largest power of two the helpers below return: doubling it once more
+/// would overflow `i64`.
+const MAX_POW2: i64 = 1 << 62;
+
+/// The power of two nearest `x` (the upper one on a tie), at least 1 and at
+/// most [`MAX_POW2`].
 fn round_pow2(x: f64) -> i64 {
     if x <= 1.0 {
         return 1;
     }
-    let lower = 1_i64 << (x.log2().floor() as u32);
+    let exponent = x.log2().floor() as u32;
+    if exponent >= MAX_POW2.trailing_zeros() {
+        return MAX_POW2;
+    }
+    let lower = 1_i64 << exponent;
     let upper = lower * 2;
     if (x - lower as f64) < (upper as f64 - x) {
         lower
@@ -210,12 +319,13 @@ fn round_pow2(x: f64) -> i64 {
     }
 }
 
+/// The least power of two not below `x`, at least 1 and at most [`MAX_POW2`].
 fn next_pow2(x: i64) -> i64 {
-    let mut p = 1;
-    while p < x {
-        p *= 2;
+    if x >= MAX_POW2 {
+        MAX_POW2
+    } else {
+        (x.max(1) as u64).next_power_of_two() as i64
     }
-    p
 }
 
 /// Step 4 (Algorithm 4): selects unroll factors for one node.
@@ -228,42 +338,27 @@ fn next_pow2(x: i64) -> i64 {
 /// factor is mutually divisible with its constraints (Algorithm 4 lines 13-18), the
 /// one with the smallest `Score` wins; ties go to the lexicographically smallest
 /// vector. The search is a branch-and-bound over the per-dimension candidates.
+///
+/// The pass runs this search over buffers it keeps from node to node; this
+/// entry flattens `constraints_list` and searches over fresh ones.
 pub fn select_unroll_factors(
     profile: &ComputeProfile,
     parallel_factor: i64,
     constraints_list: &[Vec<Option<i64>>],
 ) -> Vec<i64> {
     let rank = profile.loop_dims.len();
-    if parallel_factor < 1 {
-        // Not even the all-ones vector fits the budget.
-        return vec![1; rank];
-    }
-    let candidates: Vec<Vec<Candidate>> = profile
-        .loop_dims
+    let constraints: Vec<Option<i64>> = constraints_list
         .iter()
-        .enumerate()
-        .map(|(dim, loop_dim)| {
-            dimension_candidates(dim, loop_dim, parallel_factor, constraints_list)
-        })
+        .flat_map(|constraints| (0..rank).map(|dim| constraints.get(dim).copied().flatten()))
         .collect();
-    let mut search = Search {
-        candidates: &candidates,
-        budget: parallel_factor,
-        current: vec![1; rank],
-        best: None,
-        best_factors: vec![1; rank],
-    };
-    search.descend(
-        0,
-        1,
-        Score {
-            latency: 1.0,
-            mismatches: 0.0,
-            max_factor: 1.0,
-            inner_preference: 0.0,
-        },
+    let mut factors = vec![1; rank];
+    UnrollSearch::default().select(
+        &profile.loop_dims,
+        parallel_factor,
+        &constraints,
+        &mut factors,
     );
-    search.best_factors
+    factors
 }
 
 /// One unroll factor a loop dimension may take, with that dimension's term of
@@ -278,87 +373,167 @@ struct Candidate {
     inner_preference: f64,
 }
 
-/// Candidate factors of one dimension in ascending order: the powers of two up
-/// to min(trip, budget) that are mutually divisible with every constraint on
-/// the dimension; reduction dimensions are not unrolled. Factor 1 divides
-/// everything, so the list is never empty.
-fn dimension_candidates(
+/// Algorithm 4's books, kept across the nodes of one run: every buffer is
+/// cleared and refilled per node and keeps its capacity.
+#[derive(Default)]
+struct UnrollSearch {
+    /// The candidates of every dimension back to back in ascending factor
+    /// order; dimension `d` owns `candidates[spans[d]..spans[d + 1]]`.
+    candidates: Vec<Candidate>,
+    spans: Vec<usize>,
+    /// The factors the constraint vectors impose on the dimension at hand.
+    imposed: Vec<i64>,
+    /// The factor vector of the search's current path.
+    current: Vec<i64>,
+}
+
+impl UnrollSearch {
+    /// Writes the unroll factors of a node with `loop_dims` into `factors`
+    /// (one per dimension). `constraints` holds the constraint vectors back
+    /// to back, `loop_dims.len()` entries each.
+    fn select(
+        &mut self,
+        loop_dims: &[ProfileLoopDim],
+        parallel_factor: i64,
+        constraints: &[Option<i64>],
+        factors: &mut [i64],
+    ) {
+        factors.fill(1);
+        let rank = loop_dims.len();
+        if rank == 0 || parallel_factor < 1 {
+            // Nothing to choose, or not even the all-ones vector fits the budget.
+            return;
+        }
+        self.candidates.clear();
+        self.spans.clear();
+        self.spans.push(0);
+        for (dim, loop_dim) in loop_dims.iter().enumerate() {
+            self.imposed.clear();
+            self.imposed.extend(
+                constraints
+                    .chunks_exact(rank)
+                    .filter_map(|vector| vector[dim]),
+            );
+            push_candidates(
+                &mut self.candidates,
+                dim,
+                loop_dim,
+                parallel_factor,
+                &self.imposed,
+            );
+            self.spans.push(self.candidates.len());
+        }
+        self.current.clear();
+        self.current.resize(rank, 1);
+        let mut search = Search {
+            candidates: &self.candidates,
+            spans: &self.spans,
+            budget: parallel_factor,
+            current: &mut self.current,
+            best: None,
+            best_factors: factors,
+        };
+        search.descend(
+            0,
+            1,
+            Score {
+                latency: 1.0,
+                mismatches: 0.0,
+                max_factor: 1.0,
+                inner_preference: 0.0,
+            },
+        );
+    }
+}
+
+/// Appends the candidate factors of dimension `dim` in ascending order: the
+/// powers of two up to min(trip, budget) that are mutually divisible with
+/// every factor in `imposed`; reduction dimensions are not unrolled. A power
+/// of two and a constraint are mutually divisible when the constraint is a
+/// power of two as well, or else when the power divides it, so the
+/// candidates are 1, 2, 4, … up to the largest that passes: candidate `i` of
+/// a dimension is `2^i`, and no dimension has none.
+fn push_candidates(
+    candidates: &mut Vec<Candidate>,
     dim: usize,
     loop_dim: &ProfileLoopDim,
     parallel_factor: i64,
-    constraints_list: &[Vec<Option<i64>>],
-) -> Vec<Candidate> {
+    imposed: &[i64],
+) {
     let trip = loop_dim.trip.max(1);
-    let cap = if loop_dim.reduction {
-        1
+    let mut top = if loop_dim.reduction {
+        0
     } else {
-        next_pow2(trip).min(next_pow2(parallel_factor))
+        next_pow2(trip)
+            .min(next_pow2(parallel_factor))
+            .trailing_zeros()
     };
-    let imposed = || {
-        constraints_list
-            .iter()
-            .filter_map(move |constraints| constraints.get(dim).copied().flatten())
-    };
-    let mut options = Vec::new();
-    let mut factor = 1;
-    while factor <= cap {
-        let divisible = imposed().all(|c| {
-            let c = c.max(1);
-            c % factor == 0 || factor % c == 0
-        });
-        if divisible {
-            options.push(Candidate {
-                factor,
-                iterations: ((trip + factor - 1) / factor) as f64,
-                mismatches: imposed().filter(|&c| c != factor).count() as f64,
-                inner_preference: -((dim + 1) as f64) * (factor as f64).log2(),
-            });
+    for &c in imposed {
+        let c = c.max(1);
+        if c & (c - 1) != 0 {
+            top = top.min(c.trailing_zeros());
         }
-        factor *= 2;
     }
-    options
+    for log2 in 0..=top {
+        let factor = 1_i64 << log2;
+        candidates.push(Candidate {
+            factor,
+            iterations: (((trip - 1) >> log2) + 1) as f64,
+            mismatches: imposed.iter().filter(|&&c| c != factor).count() as f64,
+            inner_preference: -((dim + 1) as f64) * f64::from(log2),
+        });
+    }
 }
 
-/// The depth-first search state of [`select_unroll_factors`].
+/// The depth-first search state of [`UnrollSearch::select`].
 struct Search<'a> {
-    candidates: &'a [Vec<Candidate>],
+    candidates: &'a [Candidate],
+    spans: &'a [usize],
     budget: i64,
-    current: Vec<i64>,
+    current: &'a mut [i64],
     best: Option<Score>,
-    best_factors: Vec<i64>,
+    best_factors: &'a mut [i64],
 }
 
-impl Search<'_> {
+impl<'a> Search<'a> {
+    /// The candidates of dimension `dim`.
+    fn options(&self, dim: usize) -> &'a [Candidate] {
+        let candidates: &'a [Candidate] = self.candidates;
+        &candidates[self.spans[dim]..self.spans[dim + 1]]
+    }
+
     /// Fixes dimension `dim` and everything after it. `product` and `partial`
     /// are the parallelism and the score of the dimensions fixed so far; every
     /// score field accumulates in dimension order.
-    fn descend(&mut self, dim: usize, product: i64, partial: Score) {
-        if dim == self.candidates.len() {
+    fn descend(&mut self, mut dim: usize, product: i64, mut partial: Score) {
+        // A dimension with one candidate (factor 1) has nothing to choose
+        // and nothing to prune: the bound checked before this call folded
+        // it in already, with the incumbent it would be checked against.
+        while dim < self.current.len() && self.options(dim).len() == 1 {
+            partial = partial.extend(&self.options(dim)[0]);
+            dim += 1;
+        }
+        if dim == self.current.len() {
             let better = match &self.best {
                 None => true,
                 Some(best) => {
-                    partial < *best || (partial == *best && self.current < self.best_factors)
+                    partial < *best || (partial == *best && *self.current < *self.best_factors)
                 }
             };
             if better {
                 self.best = Some(partial);
-                self.best_factors.copy_from_slice(&self.current);
+                self.best_factors.copy_from_slice(self.current);
             }
             return;
         }
         // Largest factor first: the first leaf already spends the whole budget.
-        let candidates = self.candidates;
-        for candidate in candidates[dim].iter().rev() {
+        // Candidate `i` is `2^i`, so the ones the budget left admits are a
+        // prefix.
+        let options = self.options(dim);
+        let fits = options.len().min(reach(self.budget / product) + 1);
+        for candidate in options[..fits].iter().rev() {
             let product = product * candidate.factor;
-            if product > self.budget {
-                continue;
-            }
-            let score = Score {
-                latency: partial.latency * candidate.iterations,
-                mismatches: partial.mismatches + candidate.mismatches,
-                max_factor: partial.max_factor.max(candidate.factor as f64),
-                inner_preference: partial.inner_preference + candidate.inner_preference,
-            };
+            let score = partial.extend(candidate);
             let incumbent = self.best.map_or(f64::INFINITY, |best| best.latency);
             if self.latency_bound(dim + 1, self.budget / product, score.latency) > incumbent {
                 continue;
@@ -370,18 +545,23 @@ impl Search<'_> {
 
     /// A lower bound on the latency of every leaf below a node whose fixed
     /// dimensions multiply to `latency`: each dimension from `dim` on takes the
-    /// largest factor the remaining budget `room` admits on its own (a
-    /// dimension nothing fits has no leaf at all). Folded in dimension order
+    /// largest factor the remaining budget `room` admits on its own (factor
+    /// 1 always fits: `room` is at least 1). Folded in dimension order
     /// like the leaf's product, and `f64` multiplication is monotonic, so no
     /// leaf below can compute a smaller value.
     fn latency_bound(&self, dim: usize, room: i64, latency: f64) -> f64 {
-        self.candidates[dim..]
-            .iter()
-            .fold(latency, |bound, options| {
-                let reachable = options.iter().rev().find(|c| c.factor <= room);
-                bound * reachable.map_or(f64::INFINITY, |c| c.iterations)
-            })
+        let reach = reach(room);
+        (dim..self.current.len()).fold(latency, |bound, dim| {
+            let options = self.options(dim);
+            bound * options[reach.min(options.len() - 1)].iterations
+        })
     }
+}
+
+/// The index of the largest candidate a budget of `room` (at least 1)
+/// admits in a dimension that has it: `floor(log2(room))`.
+fn reach(room: i64) -> usize {
+    room.ilog2() as usize
 }
 
 /// Ordering key: lower is better.
@@ -397,6 +577,72 @@ struct Score {
     inner_preference: f64,
 }
 
+impl Score {
+    /// The score with the next dimension fixed to `candidate`.
+    fn extend(self, candidate: &Candidate) -> Score {
+        Score {
+            latency: self.latency * candidate.iterations,
+            mismatches: self.mismatches + candidate.mismatches,
+            max_factor: self.max_factor.max(candidate.factor as f64),
+            inner_preference: self.inner_preference + candidate.inner_preference,
+        }
+    }
+}
+
+/// The unroll factors of every node of a schedule, by node position, back to
+/// back in one vector: one factor per loop dimension of the node's profile.
+/// A node has no entry until its factors are set.
+#[derive(Debug, Clone)]
+pub struct NodeFactors {
+    /// The node at `p` owns `factors[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+    factors: Vec<i64>,
+    is_set: Vec<bool>,
+}
+
+impl NodeFactors {
+    /// Room for the nodes of `profiles` (by node position), none set.
+    pub fn new(profiles: &[Arc<ComputeProfile>]) -> Self {
+        let mut starts = Vec::with_capacity(profiles.len() + 1);
+        starts.push(0);
+        for profile in profiles {
+            starts.push(starts[starts.len() - 1] + profile.loop_dims.len());
+        }
+        NodeFactors {
+            factors: vec![1; starts[profiles.len()]],
+            is_set: vec![false; profiles.len()],
+            starts,
+        }
+    }
+
+    fn span(&self, position: usize) -> Range<usize> {
+        self.starts[position]..self.starts[position + 1]
+    }
+
+    /// The factors of the node at `position`, once set.
+    pub fn get(&self, position: usize) -> Option<&[i64]> {
+        match self.is_set.get(position) {
+            Some(true) => Some(&self.factors[self.span(position)]),
+            _ => None,
+        }
+    }
+
+    /// Sets the factors of the node at `position`.
+    ///
+    /// # Panics
+    /// When `factors` does not have one entry per loop dimension of the node.
+    pub fn set(&mut self, position: usize, factors: &[i64]) {
+        self.entry(position).copy_from_slice(factors);
+    }
+
+    /// The node's entry, to be written in place; it counts as set from now on.
+    fn entry(&mut self, position: usize) -> &mut [i64] {
+        self.is_set[position] = true;
+        let span = self.span(position);
+        &mut self.factors[span]
+    }
+}
+
 /// Runs the full parallelization (steps 1-4 plus array partitioning) over a schedule.
 ///
 /// # Errors
@@ -409,45 +655,45 @@ pub fn parallelize_schedule(
     mode: ParallelMode,
 ) -> IrResult<()> {
     let (graph, profiles) = schedule_profiles(ctx, analyses, schedule);
-    let connections = analyze_connections(&graph, &profiles);
+    // Without connection awareness no node is constrained: the naive
+    // strategy of the Figure 11 ablation is the maximum budget for every
+    // node and no constraint on any.
+    let connections = if mode.connection_aware() {
+        analyze_connections(&graph, &profiles)
+    } else {
+        Connections::default()
+    };
     let incident = IncidentConnections::group(&graph, &connections);
     let infos = analyze_nodes(&graph, &profiles);
     let budgets = node_parallel_factors(&infos, max_parallel_factor, mode.intensity_aware());
 
-    // The unroll factors chosen so far, by node position.
-    let mut chosen: Vec<Option<Vec<i64>>> = vec![None; profiles.len()];
+    let mut chosen = NodeFactors::new(&profiles);
+    let mut search = UnrollSearch::default();
+    let mut constraints = Vec::new();
     for (info, &budget) in infos.iter().zip(&budgets) {
-        let constraints_list = if mode.connection_aware() {
-            constraints_for(
-                info,
-                incident.of(info.position).map(|at| &connections[at]),
+        let loop_dims = &info.profile.loop_dims;
+        constraints.clear();
+        for at in incident.of(info.position) {
+            push_constraints(
+                &mut constraints,
+                info.node,
+                loop_dims.len(),
+                connections.get(at),
                 &graph,
                 &chosen,
-            )
-        } else {
-            Vec::new()
-        };
-        let factors = if mode == ParallelMode::Naive {
-            naive_factors(&info.profile, max_parallel_factor)
-        } else {
-            select_unroll_factors(&info.profile, budget, &constraints_list)
-        };
-        transforms::apply_unroll_factors(ctx, info.node.id(), &factors)?;
-        ctx.set_attr(info.node.id(), "parallel_factor", budget);
-        ctx.set_attr(info.node.id(), "intensity", info.profile.intensity);
-        ctx.set_attr(info.node.id(), "connections", info.connections as i64);
-        chosen[info.position] = Some(factors);
+            );
+        }
+        let factors = chosen.entry(info.position);
+        search.select(loop_dims, budget, &constraints, factors);
+        let node = info.node.id();
+        transforms::apply_unroll_factors(ctx, node, factors)?;
+        ctx.set_attr(node, symbol!("parallel_factor"), budget);
+        ctx.set_attr(node, symbol!("intensity"), info.profile.intensity);
+        ctx.set_attr(node, symbol!("connections"), info.connections as i64);
     }
 
     assign_array_partitions(ctx, schedule, &graph, &profiles, &chosen);
     Ok(())
-}
-
-/// The naive strategy of the Figure 11 ablation: apply the maximum parallel factor to
-/// every node, spreading it evenly over the non-reduction dimensions without any
-/// awareness of constraints or budgets.
-pub fn naive_factors(profile: &ComputeProfile, max_parallel_factor: i64) -> Vec<i64> {
-    select_unroll_factors(profile, max_parallel_factor, &[])
 }
 
 /// For every node, by position, the indices of the connections it is an
@@ -460,11 +706,11 @@ struct IncidentConnections {
 }
 
 impl IncidentConnections {
-    fn group(graph: &DataflowGraph, connections: &[Connection]) -> Self {
+    fn group(graph: &DataflowGraph, connections: &Connections) -> Self {
         let position = |node| graph.position(node).expect("a connection joins nodes");
-        let ends = |c: &Connection| [c.source, c.target].map(position);
+        let ends = |c: &ConnectionEnds| [c.edge.producer, c.edge.consumer].map(position);
         let mut starts = vec![0_u32; graph.nodes().len() + 1];
-        for connection in connections {
+        for connection in &connections.ends {
             for end in ends(connection) {
                 starts[end + 1] += 1;
             }
@@ -474,7 +720,7 @@ impl IncidentConnections {
         }
         let mut grouped = vec![0_u32; 2 * connections.len()];
         let mut next = starts.clone();
-        for (index, connection) in connections.iter().enumerate() {
+        for (index, connection) in connections.ends.iter().enumerate() {
             for end in ends(connection) {
                 grouped[next[end] as usize] = index as u32;
                 next[end] += 1;
@@ -492,52 +738,47 @@ impl IncidentConnections {
     }
 }
 
-/// Builds the constraint vectors for `info` from its connections to nodes that were
-/// already parallelized (Algorithm 4 lines 2-8).
-fn constraints_for<'a>(
-    info: &NodeInfo,
-    connections: impl Iterator<Item = &'a Connection>,
+/// Appends to `constraints` the constraint vector (`rank` entries) that
+/// `connection` puts on `node` when its other endpoint was already
+/// parallelized (Algorithm 4 lines 2-8); nothing otherwise.
+fn push_constraints(
+    constraints: &mut Vec<Option<i64>>,
+    node: NodeOp,
+    rank: usize,
+    connection: Connection<'_>,
     graph: &DataflowGraph,
-    chosen: &[Option<Vec<i64>>],
-) -> Vec<Vec<Option<i64>>> {
-    let (node, rank) = (info.node, info.profile.loop_dims.len());
-    let chosen_of = |peer| graph.position(peer).and_then(|at| chosen[at].as_ref());
-    let mut list = Vec::new();
-    for connection in connections {
-        // Peer already parallelized, `node` is the other endpoint.
-        if connection.target == node {
-            if let Some(peer_factors) = chosen_of(connection.source) {
-                let mut constraints = vec![None; rank];
-                for (source_loop, &target_loop) in connection.t_to_s_perm.iter().enumerate() {
-                    if let (Some(target_loop), Some(scale)) =
-                        (target_loop, connection.s_to_t_scale[source_loop])
-                    {
-                        if target_loop < rank && source_loop < peer_factors.len() {
-                            let value = (peer_factors[source_loop] as f64 * scale).round() as i64;
-                            constraints[target_loop] = Some(value.max(1));
-                        }
-                    }
-                }
-                list.push(constraints);
-            }
-        } else if connection.source == node {
-            if let Some(peer_factors) = chosen_of(connection.target) {
-                let mut constraints = vec![None; rank];
-                for (target_loop, &source_loop) in connection.s_to_t_perm.iter().enumerate() {
-                    if let (Some(source_loop), Some(scale)) =
-                        (source_loop, connection.t_to_s_scale[target_loop])
-                    {
-                        if source_loop < rank && target_loop < peer_factors.len() {
-                            let value = (peer_factors[target_loop] as f64 * scale).round() as i64;
-                            constraints[source_loop] = Some(value.max(1));
-                        }
-                    }
-                }
-                list.push(constraints);
+    chosen: &NodeFactors,
+) {
+    // `node`'s loops, the peer's loops aligned with them, and the scale from
+    // a peer factor to the factor it implies on `node`.
+    let (peer, perm, scale) = if connection.target == node {
+        (
+            connection.source,
+            connection.t_to_s_perm,
+            connection.s_to_t_scale,
+        )
+    } else if connection.source == node {
+        (
+            connection.target,
+            connection.s_to_t_perm,
+            connection.t_to_s_scale,
+        )
+    } else {
+        return;
+    };
+    let Some(peer_factors) = graph.position(peer).and_then(|at| chosen.get(at)) else {
+        return;
+    };
+    let start = constraints.len();
+    constraints.resize(start + rank, None);
+    for (peer_loop, &own_loop) in perm.iter().enumerate() {
+        if let (Some(own_loop), Some(scale)) = (own_loop, scale[peer_loop]) {
+            if own_loop < rank && peer_loop < peer_factors.len() {
+                let value = (peer_factors[peer_loop] as f64 * scale).round() as i64;
+                constraints[start + own_loop] = Some(value.max(1));
             }
         }
     }
-    list
 }
 
 /// Assigns array partitions to every internal buffer of the schedule from the chosen
@@ -549,7 +790,7 @@ pub fn assign_array_partitions(
     schedule: ScheduleOp,
     graph: &DataflowGraph,
     profiles: &[Arc<ComputeProfile>],
-    chosen: &[Option<Vec<i64>>],
+    chosen: &NodeFactors,
 ) {
     /// The dimensions of one partitionable buffer in the flat arrays below.
     struct Run {
@@ -587,7 +828,7 @@ pub fn assign_array_partitions(
     // One pass over the nodes; `max` and `or` commute, so folding node by
     // node equals folding buffer by buffer.
     for (position, &node) in graph.nodes().iter().enumerate() {
-        let Some(unroll) = chosen.get(position).and_then(Option::as_ref) else {
+        let Some(unroll) = chosen.get(position) else {
             continue;
         };
         for port in graph.ports(node) {
@@ -601,7 +842,7 @@ pub fn assign_array_partitions(
             for (dim, pattern) in access.pattern.dims.iter().enumerate() {
                 if let Some((loop_idx, stride)) = pattern {
                     let u = unroll.get(*loop_idx).copied().unwrap_or(1).max(1);
-                    let requirement = next_pow2(u * stride.abs().max(1));
+                    let requirement = next_pow2(u.saturating_mul(stride.abs().max(1)));
                     if dim < run.rank {
                         let dim = run.start + dim;
                         factors[dim] = factors[dim].max(requirement);
@@ -679,22 +920,22 @@ mod tests {
             .iter()
             .find(|c| {
                 c.target == node2
-                    && c.s_to_t_perm.iter().filter(|p| p.is_some()).count() == 2
-                    && c.s_to_t_scale.contains(&Some(0.5))
+                    && c.s_to_t_perm().iter().filter(|p| p.is_some()).count() == 2
+                    && c.s_to_t_scale().contains(&Some(0.5))
             })
             .expect("connection through A");
         // Permutation maps of Table 4.
-        assert_eq!(a_conn.s_to_t_perm, vec![Some(0), None, Some(1)]);
-        assert_eq!(a_conn.t_to_s_perm, vec![Some(0), Some(2)]);
-        assert_eq!(a_conn.s_to_t_scale, vec![Some(0.5), Some(1.0)]);
-        assert_eq!(a_conn.t_to_s_scale, vec![Some(2.0), None, Some(1.0)]);
+        assert_eq!(a_conn.s_to_t_perm(), [Some(0), None, Some(1)]);
+        assert_eq!(a_conn.t_to_s_perm(), [Some(0), Some(2)]);
+        assert_eq!(a_conn.s_to_t_scale(), [Some(0.5), Some(1.0)]);
+        assert_eq!(a_conn.t_to_s_scale(), [Some(2.0), None, Some(1.0)]);
 
         // The Node1 -> Node2 connection through array B.
         let b_conn = connections.iter().find(|c| *c != a_conn).unwrap();
-        assert_eq!(b_conn.s_to_t_perm, vec![None, Some(1), Some(0)]);
-        assert_eq!(b_conn.t_to_s_perm, vec![Some(2), Some(1)]);
-        assert_eq!(b_conn.s_to_t_scale, vec![Some(1.0), Some(1.0)]);
-        assert_eq!(b_conn.t_to_s_scale, vec![None, Some(1.0), Some(1.0)]);
+        assert_eq!(b_conn.s_to_t_perm(), [None, Some(1), Some(0)]);
+        assert_eq!(b_conn.t_to_s_perm(), [Some(2), Some(1)]);
+        assert_eq!(b_conn.s_to_t_scale(), [Some(1.0), Some(1.0)]);
+        assert_eq!(b_conn.t_to_s_scale(), [None, Some(1.0), Some(1.0)]);
     }
 
     #[test]
@@ -1063,7 +1304,10 @@ mod tests {
 
         let (graph, profiles) = schedule_profiles(&ctx, &mut AnalysisManager::new(), schedule);
         assert_eq!(graph.nodes(), [n0, n1, n2]);
-        let chosen = [Some(vec![2, 4]), None, Some(vec![1, 8])];
+        let mut chosen = NodeFactors::new(&profiles);
+        chosen.set(0, &[2, 4]);
+        chosen.set(2, &[1, 8]);
+        assert_eq!(chosen.get(1), None);
         assign_array_partitions(&mut ctx, schedule, &graph, &profiles, &chosen);
 
         use PartitionFashion::{Block, Cyclic, None as Unpartitioned};
@@ -1091,6 +1335,74 @@ mod tests {
             .contains_key(hida_dialects::hls::ATTR_PARTITION_FASHIONS));
     }
 
+    /// A `max-factor` past 2^62 once doubled `next_pow2` into a loop that
+    /// never ended (CA, Naive) or rounded every intensity-aware budget to 1
+    /// (IA+CA, IA). The helpers saturate at 2^62, so such a factor returns
+    /// and unrolls the way 2^40 does, which every loop nest here exhausts.
+    #[test]
+    fn huge_max_factors_unroll_as_2_to_the_40_does() {
+        use crate::{registry, Pipeline};
+        use hida_frontend::nn::{build_model, Model};
+        use hida_frontend::polybench::{build_kernel, PolybenchKernel};
+        use hida_ir_core::OpId;
+
+        type Build = fn(&mut Context, OpId) -> OpId;
+        let subjects: [(&str, Build, &str); 2] = [
+            (
+                "2mm",
+                |ctx, module| {
+                    let kernel = PolybenchKernel::TwoMm;
+                    build_kernel(ctx, module, kernel, kernel.default_size())
+                },
+                "construct,lower",
+            ),
+            (
+                "resnet18",
+                |ctx, module| build_model(ctx, module, Model::ResNet18),
+                "construct,fusion,lower,multi-producer-elim,\
+                 tiling{factor=8,external-threshold-bytes=65536},\
+                 balance{external-threshold-bytes=65536}",
+            ),
+        ];
+        let unroll = |build: Build, prefix: &str, max_factor: i64, mode: &str| {
+            let mut ctx = Context::new();
+            let module = ctx.create_module("m");
+            let func = build(&mut ctx, module);
+            let text = format!("{prefix},parallelize{{max-factor={max_factor},mode={mode}}}");
+            let schedule = Pipeline::parse(&registry(), &text)
+                .unwrap()
+                .run(&mut ctx, func)
+                .unwrap();
+            let factors: Vec<Vec<i64>> = schedule
+                .nodes(&ctx)
+                .into_iter()
+                .map(|node| {
+                    let attr = ctx
+                        .op(node.id())
+                        .attr_int_array(transforms::ATTR_UNROLL_FACTORS);
+                    attr.unwrap().to_vec()
+                })
+                .collect();
+            factors
+        };
+        for (subject, build, prefix) in subjects {
+            for mode in ["IA+CA", "IA", "CA", "Naive"] {
+                let expected = unroll(build, prefix, 1 << 40, mode);
+                assert!(
+                    expected.iter().flatten().any(|&f| f > 1),
+                    "{subject} {mode}"
+                );
+                for max_factor in [(1 << 62) + 1, i64::MAX] {
+                    assert_eq!(
+                        unroll(build, prefix, max_factor, mode),
+                        expected,
+                        "{subject} {mode} max-factor={max_factor}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn round_pow2_behaviour() {
         assert_eq!(round_pow2(0.5), 1);
@@ -1100,5 +1412,12 @@ mod tests {
         assert_eq!(round_pow2(6.1), 8);
         assert_eq!(next_pow2(17), 32);
         assert_eq!(next_pow2(1), 1);
+        // Both saturate at 2^62 instead of overflowing.
+        for x in [MAX_POW2 - 1, MAX_POW2, MAX_POW2 + 1, i64::MAX] {
+            assert_eq!(next_pow2(x), MAX_POW2, "next_pow2({x})");
+            assert_eq!(round_pow2(x as f64), MAX_POW2, "round_pow2({x})");
+        }
+        assert_eq!(next_pow2((1 << 61) + 1), MAX_POW2);
+        assert_eq!(round_pow2(f64::INFINITY), MAX_POW2);
     }
 }

@@ -168,6 +168,17 @@ fn pack_attrs(
     packed
 }
 
+/// `a < b` in string order, settled by the first bytes when they differ —
+/// as they do for most pairs of keys in a run — without a `memcmp` call,
+/// which cost a new key more than the rest of its insertion.
+#[inline]
+fn key_before(a: &str, b: &str) -> bool {
+    match a.as_bytes().first().cmp(&b.as_bytes().first()) {
+        std::cmp::Ordering::Equal => a < b,
+        order => order.is_lt(),
+    }
+}
+
 /// A mapping from old values to new values used while cloning IR.
 ///
 /// Backed by a dense [`EntityMap`], so [`ValueMapping::lookup`] — the innermost
@@ -278,10 +289,12 @@ impl Context {
 
     /// Sets (or replaces) the attribute stored under `key` on `op`. The one
     /// attribute-only mutator: it bumps [`Context::generation`] and leaves
-    /// [`Context::structure`] where it is.
-    pub fn set_attr(&mut self, op: OpId, key: impl AsRef<str>, value: impl Into<Attribute>) {
+    /// [`Context::structure`] where it is. A string key is interned here; a
+    /// [`Symbol`] key (a constant key interned once with
+    /// [`symbol!`](crate::symbol)) is used as it is.
+    pub fn set_attr(&mut self, op: OpId, key: impl Into<Symbol>, value: impl Into<Attribute>) {
         self.generation += 1;
-        self.put_attr(op, Symbol::intern(key.as_ref()), value.into());
+        self.put_attr(op, key.into(), value.into());
     }
 
     /// [`Context::set_attr`] without the generation bump: for the creators
@@ -293,7 +306,7 @@ impl Context {
             *old = value;
             return;
         }
-        let at = run.partition_point(|(k, _)| k.as_str() < key.as_str());
+        let at = run.partition_point(|(k, _)| key_before(k.as_str(), key.as_str()));
         let mut start = span.start as usize;
         if span.range().end != self.attrs.len() {
             // Only the last run can grow in place: move this one there.

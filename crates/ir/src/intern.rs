@@ -102,6 +102,26 @@ impl Interned<str> {
     }
 }
 
+/// The [`Symbol`] of a constant string, interned once per process: the
+/// first evaluation at a use site interns it, every later one is one
+/// acquire load. For the attribute keys and string payloads a pass writes
+/// over and over, where [`Symbol::intern`] would hash and probe each time.
+///
+/// ```
+/// use hida_ir_core::{symbol, Symbol};
+///
+/// const KEY: &str = "unroll_factors";
+/// let key: Symbol = symbol!(KEY);
+/// assert!(key.ptr_eq(Symbol::intern("unroll_factors")));
+/// ```
+#[macro_export]
+macro_rules! symbol {
+    ($text:expr) => {{
+        static SYMBOL: ::std::sync::OnceLock<$crate::Symbol> = ::std::sync::OnceLock::new();
+        *SYMBOL.get_or_init(|| $crate::Symbol::intern($text))
+    }};
+}
+
 impl<T: ?Sized> Clone for Interned<T> {
     fn clone(&self) -> Self {
         *self

@@ -252,6 +252,16 @@ mod tests {
         ctx.set_attr(op, "mid", 3_i64);
         let keys: Vec<&str> = ctx.op(op).attributes().keys().collect();
         assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
+        // Keys that share first bytes, and the empty key, sort as strings.
+        for key in ["pipeline_ii", "p", "partition_fashions", "", "pipeline"] {
+            ctx.set_attr(op, key, 4_i64);
+        }
+        ctx.set_attr(op, "partition_factors", 5_i64);
+        let keys: Vec<&str> = ctx.op(op).attributes().keys().collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 9);
     }
 
     #[test]
