@@ -70,11 +70,21 @@ const CLONE_ALLOCATION_CEILING: u64 = 90;
 /// What releasing the clone may free: the blocks it allocated, no payload.
 const DROP_FREE_CEILING: u64 = 90;
 
+/// Block and region slots of the lowered design, live and dead.
+const ARENA_CEILING: usize = 73;
+
 #[test]
 fn cloning_a_lowered_resnet18_stays_under_the_allocation_ceiling() {
     let lowered = lowered_resnet18();
-    let (ops, _, _, values) = lowered.ctx.arena_sizes();
+    let (ops, blocks, regions, values) = lowered.ctx.arena_sizes();
     assert!(ops >= 150 && values >= 300, "{ops} ops, {values} values");
+    // 23 of each are live. Every merge of two tasks left one more of each
+    // behind while it wrapped the pair into a third task (102 each); the
+    // fused task is the first of the pair now (73).
+    assert!(
+        blocks <= ARENA_CEILING && regions <= ARENA_CEILING,
+        "{blocks} blocks, {regions} regions, ceiling {ARENA_CEILING}"
+    );
 
     let (clone, allocs, frees) = counted(|| lowered.ctx.clone());
     assert_eq!(frees, 0, "a clone frees nothing");

@@ -1,13 +1,15 @@
-//! Task fusion and the `lower` pass after it are the front half of every DNN
-//! compile, and the compute profile both of them query is the analysis they
-//! call most. What one ResNet-18 run of each costs is counted here: pattern
-//! checks, and allocator calls with the verification after each pass. Counts,
-//! so the ceilings hold on any machine: the pattern phase checks each pair of
-//! adjacent tasks once and again only after a merge changed it, a check
-//! borrows the tasks' bodies instead of copying them, and a profile walks its
-//! body once and builds each layer's virtual loop nest once. The allocator
-//! calls are counted on a second compile, after the first one has interned
-//! what the passes write.
+//! `construct`, task fusion and the `lower` pass after them are the front
+//! half of every DNN compile, and the compute profile fusion and lowering
+//! query is the analysis they call most. What one ResNet-18 run of each
+//! costs is counted here: pattern checks, compute profiles, and allocator
+//! calls with the verification after each pass. Counts, so the ceilings hold
+//! on any machine: the pattern phase checks each pair of adjacent tasks once
+//! and again only after a merge changed it, a check borrows the tasks'
+//! bodies instead of copying them, two tasks merge in one move of one body
+//! into the other, the criticality phase computes each task's profile once,
+//! and a profile walks its body once and builds the virtual loop nest of its
+//! dominant layer only. The allocator calls are counted on a second compile,
+//! after the first one has interned what the passes write.
 
 use hida::dataflow_ir::functional::TaskOp;
 use hida::frontend::nn::build_model;
@@ -50,11 +52,21 @@ static GLOBAL: Counting = Counting;
 /// 628 when the pattern phase rescanned from the first pair after every
 /// merge; one sweep makes 122.
 const MATCHES_CEILING: u64 = 150;
-/// 3 696 before the sweep and the one-walk profile, 1 277 after.
-const FUSION_ALLOCATION_CEILING: u64 = 1_500;
+/// 493 while every wrap collected each escaping result's users and tested
+/// them against each wrapped op, and formatted each task's name afresh; 32
+/// after.
+const CONSTRUCT_ALLOCATION_CEILING: u64 = 36;
+/// 3 696 before the sweep and the one-walk profile, 1 275 while a merge
+/// wrapped the two tasks into a third and unwrapped both, 428 after.
+const FUSION_ALLOCATION_CEILING: u64 = 470;
 /// 2 445 while a profile built each layer's loop nest two or three times
-/// and named every loop dimension, 1 109 after.
-const LOWER_ALLOCATION_CEILING: u64 = 1_300;
+/// and named every loop dimension, 1 105 while it built every layer's, 622
+/// with the dominant layer's only and one value map per lowering.
+const LOWER_ALLOCATION_CEILING: u64 = 685;
+/// Compute profiles fusion and lowering compute: one per task the
+/// criticality phase reads (21), per fused task it goes on to read (1) and
+/// per node (20).
+const PROFILES_CEILING: u64 = 42;
 
 /// A pattern that counts its checks and answers as the wrapped one does.
 struct CountingPattern {
@@ -74,8 +86,9 @@ impl FusionPattern for CountingPattern {
 }
 
 /// Allocator calls of `construct`, `fusion` and `lower` (each with its
-/// verification) over a fresh ResNet-18, and the pattern checks of `fusion`.
-fn compile_resnet18() -> [u64; 4] {
+/// verification) over a fresh ResNet-18, the pattern checks of `fusion` and
+/// the compute profiles `fusion` and `lower` compute.
+fn compile_resnet18() -> [u64; 5] {
     let calls = Arc::new(AtomicU64::new(0));
     let patterns = default_fusion_patterns()
         .into_iter()
@@ -109,22 +122,41 @@ fn compile_resnet18() -> [u64; 4] {
     }
     assert!(state.statistics.iter().all(|record| !record.failed));
     hida::ir::verifier::verify(&ctx, module).expect("and the IR is valid");
+    let profiles = state.statistics[1..]
+        .iter()
+        .map(|record| record.cache.misses)
+        .sum();
     [
         allocs[0],
         allocs[1],
         allocs[2],
         calls.load(Ordering::Relaxed),
+        profiles,
     ]
 }
 
 #[test]
 fn fusing_and_lowering_resnet18_stay_under_their_ceilings() {
-    let [_, _, _, warm_matches] = compile_resnet18();
-    let [_, fusion, lower, matches] = compile_resnet18();
+    let [_, _, _, warm_matches, warm_profiles] = compile_resnet18();
+    let [construct, fusion, lower, matches, profiles] = compile_resnet18();
     assert_eq!(matches, warm_matches, "pattern checks are deterministic");
+    assert_eq!(
+        profiles, warm_profiles,
+        "profile computations are deterministic"
+    );
     assert!(
         matches <= MATCHES_CEILING,
         "fusion of ResNet-18 made {matches} pattern checks, ceiling {MATCHES_CEILING}"
+    );
+    assert!(
+        profiles <= PROFILES_CEILING,
+        "fusion and lower of ResNet-18 computed {profiles} compute profiles, \
+         ceiling {PROFILES_CEILING}"
+    );
+    assert!(
+        construct <= CONSTRUCT_ALLOCATION_CEILING,
+        "construct + its verification of ResNet-18 made {construct} allocator calls, \
+         ceiling {CONSTRUCT_ALLOCATION_CEILING}"
     );
     assert!(
         fusion <= FUSION_ALLOCATION_CEILING,

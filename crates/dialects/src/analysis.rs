@@ -8,7 +8,7 @@
 //! layer (PyTorch front-end).
 
 use crate::arith::{classify, OpClass};
-use crate::linalg::{LayerProfile, LinalgOp};
+use crate::linalg::{LayerProfile, LayerWork, LinalgOp};
 use crate::loops::{self, ForOp};
 use crate::memory;
 use hida_ir_core::walk::walk_ops_preorder;
@@ -154,7 +154,8 @@ impl hida_ir_core::analysis::Analysis for ComputeProfile {
     }
 }
 
-/// Extracts the compute profile of the body of `op` (a task, node, or function).
+/// Extracts the compute profile of the body of `op` (a task, node, or function,
+/// or a named layer itself).
 ///
 /// Bodies made of named linalg layers and bodies made of explicit affine loop nests
 /// are both supported; a body mixing the two uses the dominant named layer for the
@@ -166,37 +167,41 @@ impl hida_ir_core::analysis::Analysis for ComputeProfile {
 pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
     let mut profile = ComputeProfile::default();
 
-    // Named layers anywhere in the body, each profiled once.
-    let mut layers: Vec<(OpId, LayerProfile)> = Vec::new();
-    let mut dominant: Option<(i64, usize)> = None;
+    // Named layers anywhere in the body, each weighed once; a named layer on
+    // its own (a compute unit no task wraps) is its own body.
+    let mut layers: Vec<OpId> = Vec::new();
+    let mut dominant: Option<(i64, LinalgOp, OpId)> = None;
     walk_ops_preorder(ctx, op, &mut |ctx, nested| {
-        if nested == op {
-            return;
-        }
         let Some(layer) = LinalgOp::from_op(ctx, nested) else {
             return;
         };
-        let lp = layer.profile(input_shape_of(ctx, nested));
-        let work = 2 * lp.macs + lp.other_ops;
+        let LayerWork {
+            macs,
+            other_ops,
+            weight_params,
+        } = layer.work(input_shape_of(ctx, nested));
+        let work = 2 * macs + other_ops;
         profile.intensity += work;
-        profile.macs += lp.macs;
-        profile.weight_params += lp.weight_params;
-        if dominant.is_none_or(|(w, _)| work > w) {
-            dominant = Some((work, layers.len()));
+        profile.macs += macs;
+        profile.weight_params += weight_params;
+        if dominant.as_ref().is_none_or(|(w, _, _)| work > *w) {
+            dominant = Some((work, layer, nested));
         }
-        layers.push((nested, lp));
+        layers.push(nested);
     });
 
-    if let Some((_, dominant)) = dominant {
-        // Record accesses for every named layer (patterns only for the dominant one).
-        for (i, (nested, lp)) in layers.iter().enumerate() {
-            record_linalg_accesses(ctx, *nested, lp, i == dominant, &mut profile);
+    if let Some((_, layer, dominant)) = dominant {
+        // Only the dominant layer's virtual loop nest is built: its loop
+        // dimensions and access patterns stand for the body's.
+        let mut lp = layer.profile(input_shape_of(ctx, dominant));
+        for &nested in &layers {
+            let patterns = (nested == dominant).then_some(&mut lp);
+            record_linalg_accesses(ctx, nested, patterns, &mut profile);
         }
-        let lp = &mut layers[dominant].1;
-        profile.loop_dims = std::mem::take(&mut lp.loop_dims);
         profile.muls_per_iter = if lp.macs > 0 { 1 } else { 0 };
         profile.adds_per_iter = 1;
         profile.mem_per_iter = 2;
+        profile.loop_dims = lp.loop_dims;
         return profile;
     }
 
@@ -257,11 +262,13 @@ fn input_shape_of(ctx: &Context, op: OpId) -> &'static [i64] {
         .unwrap_or_default()
 }
 
+/// Records the accesses of the named layer `op`: with the access patterns
+/// of `patterns`, the layer's own profile (they move into the accesses), or
+/// as unknown without it.
 fn record_linalg_accesses(
     ctx: &Context,
     op: OpId,
-    lp: &LayerProfile,
-    use_patterns: bool,
+    mut patterns: Option<&mut LayerProfile>,
     profile: &mut ComputeProfile,
 ) {
     let operation = ctx.op(op).payload();
@@ -278,12 +285,11 @@ fn record_linalg_accesses(
         let Some(shape) = ctx.value_type(operand).shape() else {
             continue;
         };
-        let pattern = if use_patterns && i < lp.input_accesses.len() {
-            AccessPattern {
-                dims: lp.input_accesses[i].clone(),
-            }
-        } else {
-            AccessPattern::unknown(shape.len())
+        let pattern = match patterns.as_deref_mut() {
+            Some(lp) if i < lp.input_accesses.len() => AccessPattern {
+                dims: std::mem::take(&mut lp.input_accesses[i]),
+            },
+            _ => AccessPattern::unknown(shape.len()),
         };
         profile.record_access(operand, MemEffect::Read, pattern);
     }
@@ -295,12 +301,11 @@ fn record_linalg_accesses(
     };
     if let Some(out) = output {
         let rank = ctx.value_type(out).shape().map(|s| s.len()).unwrap_or(0);
-        let pattern = if use_patterns {
-            AccessPattern {
-                dims: lp.result_access.clone(),
-            }
-        } else {
-            AccessPattern::unknown(rank)
+        let pattern = match patterns {
+            Some(lp) => AccessPattern {
+                dims: std::mem::take(&mut lp.result_access),
+            },
+            None => AccessPattern::unknown(rank),
         };
         profile.record_access(out, MemEffect::Write, pattern);
     }

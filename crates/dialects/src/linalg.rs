@@ -116,6 +116,17 @@ fn dim(trip: i64, reduction: bool) -> ProfileLoopDim {
 /// and with what stride, or `None` when no single loop drives it.
 pub type DimAccess = Option<(usize, i64)>;
 
+/// The scalar work of a layer for a concrete input shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerWork {
+    /// Multiply-accumulate operations per output sample.
+    pub macs: i64,
+    /// Non-MAC scalar operations per output sample (comparisons, adds).
+    pub other_ops: i64,
+    /// Number of weight parameters held by the layer.
+    pub weight_params: i64,
+}
+
 /// Full virtual-loop-nest profile of a layer for a concrete input shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
@@ -159,195 +170,204 @@ impl LinalgOp {
     /// Panics if the input shape has the wrong rank for the layer kind.
     pub fn output_shape(&self, input_shape: &[i64]) -> Vec<i64> {
         match self {
-            LinalgOp::Conv2d {
-                out_channels,
-                kernel,
-                stride,
-                padding,
-                ..
-            } => {
-                assert_eq!(input_shape.len(), 3, "conv2d expects [C, H, W] input");
-                let h = (input_shape[1] + 2 * padding - kernel) / stride + 1;
-                let w = (input_shape[2] + 2 * padding - kernel) / stride + 1;
-                vec![*out_channels, h.max(1), w.max(1)]
+            LinalgOp::Conv2d { out_channels, .. } => {
+                let (h, w) = self.output_hw(input_shape);
+                vec![*out_channels, h, w]
             }
-            LinalgOp::DepthwiseConv2d {
-                channels,
-                kernel,
-                stride,
-                padding,
-            } => {
-                assert_eq!(
-                    input_shape.len(),
-                    3,
-                    "depthwise conv2d expects [C, H, W] input"
-                );
-                let h = (input_shape[1] + 2 * padding - kernel) / stride + 1;
-                let w = (input_shape[2] + 2 * padding - kernel) / stride + 1;
-                vec![*channels, h.max(1), w.max(1)]
+            LinalgOp::DepthwiseConv2d { channels, .. } => {
+                let (h, w) = self.output_hw(input_shape);
+                vec![*channels, h, w]
             }
             LinalgOp::Linear { out_features, .. } => vec![*out_features],
-            LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => {
-                assert_eq!(input_shape.len(), 3, "pooling expects [C, H, W] input");
-                let h = (input_shape[1] - kernel) / stride + 1;
-                let w = (input_shape[2] - kernel) / stride + 1;
-                vec![input_shape[0], h.max(1), w.max(1)]
+            LinalgOp::MaxPool2d { .. } | LinalgOp::AvgPool2d { .. } => {
+                let (h, w) = self.output_hw(input_shape);
+                vec![input_shape[0], h, w]
             }
             LinalgOp::Relu | LinalgOp::Add => input_shape.to_vec(),
             LinalgOp::Flatten => vec![input_shape.iter().product()],
         }
     }
 
+    /// Output height and width of a convolution or pooling layer.
+    ///
+    /// # Panics
+    /// Panics if the input shape is not `[C, H, W]`, or for any other layer kind.
+    fn output_hw(&self, input_shape: &[i64]) -> (i64, i64) {
+        let (kernel, stride, padding) = match *self {
+            LinalgOp::Conv2d {
+                kernel,
+                stride,
+                padding,
+                ..
+            } => {
+                assert_eq!(input_shape.len(), 3, "conv2d expects [C, H, W] input");
+                (kernel, stride, padding)
+            }
+            LinalgOp::DepthwiseConv2d {
+                kernel,
+                stride,
+                padding,
+                ..
+            } => {
+                assert_eq!(
+                    input_shape.len(),
+                    3,
+                    "depthwise conv2d expects [C, H, W] input"
+                );
+                (kernel, stride, padding)
+            }
+            LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => {
+                assert_eq!(input_shape.len(), 3, "pooling expects [C, H, W] input");
+                (kernel, stride, 0)
+            }
+            _ => unreachable!("only convolutions and pooling have a spatial output"),
+        };
+        let h = (input_shape[1] + 2 * padding - kernel) / stride + 1;
+        let w = (input_shape[2] + 2 * padding - kernel) / stride + 1;
+        (h.max(1), w.max(1))
+    }
+
+    /// The scalar work of the layer for the given input shape: what
+    /// [`LinalgOp::profile`] reports, without building the loop nest.
+    ///
+    /// # Panics
+    /// Panics if the input shape has the wrong rank for the layer kind.
+    pub fn work(&self, input_shape: &[i64]) -> LayerWork {
+        let (macs, other_ops, weight_params) = match *self {
+            LinalgOp::Conv2d {
+                in_channels,
+                out_channels,
+                kernel,
+                ..
+            } => {
+                let (h, w) = self.output_hw(input_shape);
+                (
+                    out_channels * in_channels * h * w * kernel * kernel,
+                    0,
+                    out_channels * in_channels * kernel * kernel,
+                )
+            }
+            LinalgOp::DepthwiseConv2d {
+                channels, kernel, ..
+            } => {
+                let (h, w) = self.output_hw(input_shape);
+                (
+                    channels * h * w * kernel * kernel,
+                    0,
+                    channels * kernel * kernel,
+                )
+            }
+            LinalgOp::Linear {
+                in_features,
+                out_features,
+            } => (in_features * out_features, 0, in_features * out_features),
+            LinalgOp::MaxPool2d { kernel, .. } | LinalgOp::AvgPool2d { kernel, .. } => {
+                let (h, w) = self.output_hw(input_shape);
+                (0, input_shape[0] * h * w * kernel * kernel, 0)
+            }
+            LinalgOp::Relu | LinalgOp::Add => (0, input_shape.iter().product(), 0),
+            LinalgOp::Flatten => (0, 0, 0),
+        };
+        LayerWork {
+            macs,
+            other_ops,
+            weight_params,
+        }
+    }
+
     /// Computes the full virtual-loop-nest profile for the given input shape.
     pub fn profile(&self, input_shape: &[i64]) -> LayerProfile {
         let output_shape = self.output_shape(input_shape);
-        match self {
+        let identity =
+            |rank: usize| -> Vec<DimAccess> { (0..rank).map(|i| Some((i, 1))).collect() };
+        let (loop_dims, input_accesses, result_access) = match self {
             LinalgOp::Conv2d {
                 in_channels,
                 out_channels,
                 kernel,
                 stride,
                 ..
-            } => {
-                let loop_dims = vec![
+            } => (
+                vec![
                     dim(*out_channels, false),   // k: out channels
                     dim(*in_channels, true),     // c: in channels
                     dim(output_shape[1], false), // h
                     dim(output_shape[2], false), // w
                     dim(*kernel, true),          // r
                     dim(*kernel, true),          // s
-                ];
-                LayerProfile {
-                    loop_dims,
-                    // input[c][h*stride + r][w*stride + s]
-                    input_accesses: vec![vec![
-                        Some((1, 1)),
-                        Some((2, *stride)),
-                        Some((3, *stride)),
-                    ]],
-                    // output[k][h][w]
-                    result_access: vec![Some((0, 1)), Some((2, 1)), Some((3, 1))],
-                    macs: out_channels
-                        * in_channels
-                        * output_shape[1]
-                        * output_shape[2]
-                        * kernel
-                        * kernel,
-                    other_ops: 0,
-                    weight_params: out_channels * in_channels * kernel * kernel,
-                    output_shape,
-                }
-            }
+                ],
+                // input[c][h*stride + r][w*stride + s]
+                vec![vec![Some((1, 1)), Some((2, *stride)), Some((3, *stride))]],
+                // output[k][h][w]
+                vec![Some((0, 1)), Some((2, 1)), Some((3, 1))],
+            ),
             LinalgOp::DepthwiseConv2d {
                 channels,
                 kernel,
                 stride,
                 ..
-            } => {
-                let loop_dims = vec![
+            } => (
+                vec![
                     dim(*channels, false),       // c
                     dim(output_shape[1], false), // h
                     dim(output_shape[2], false), // w
                     dim(*kernel, true),          // r
                     dim(*kernel, true),          // s
-                ];
-                LayerProfile {
-                    loop_dims,
-                    input_accesses: vec![vec![
-                        Some((0, 1)),
-                        Some((1, *stride)),
-                        Some((2, *stride)),
-                    ]],
-                    result_access: vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
-                    macs: channels * output_shape[1] * output_shape[2] * kernel * kernel,
-                    other_ops: 0,
-                    weight_params: channels * kernel * kernel,
-                    output_shape,
-                }
-            }
+                ],
+                vec![vec![Some((0, 1)), Some((1, *stride)), Some((2, *stride))]],
+                vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
+            ),
             LinalgOp::Linear {
                 in_features,
                 out_features,
-            } => {
-                let loop_dims = vec![
+            } => (
+                vec![
                     dim(*out_features, false), // o
                     dim(*in_features, true),   // i
-                ];
-                LayerProfile {
-                    loop_dims,
-                    input_accesses: vec![vec![Some((1, 1))]],
-                    result_access: vec![Some((0, 1))],
-                    macs: in_features * out_features,
-                    other_ops: 0,
-                    weight_params: in_features * out_features,
-                    output_shape,
-                }
-            }
-            LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => {
-                let loop_dims = vec![
+                ],
+                vec![vec![Some((1, 1))]],
+                vec![Some((0, 1))],
+            ),
+            LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => (
+                vec![
                     dim(input_shape[0], false),  // c
                     dim(output_shape[1], false), // h
                     dim(output_shape[2], false), // w
                     dim(*kernel, true),          // r
                     dim(*kernel, true),          // s
-                ];
-                let window_ops =
-                    input_shape[0] * output_shape[1] * output_shape[2] * kernel * kernel;
-                LayerProfile {
-                    loop_dims,
-                    input_accesses: vec![vec![
-                        Some((0, 1)),
-                        Some((1, *stride)),
-                        Some((2, *stride)),
-                    ]],
-                    result_access: vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
-                    macs: 0,
-                    other_ops: window_ops,
-                    weight_params: 0,
-                    output_shape,
-                }
-            }
-            LinalgOp::Relu => {
-                let loop_dims = input_shape
-                    .iter()
-                    .map(|&d| dim(d, false))
-                    .collect::<Vec<_>>();
-                let access: Vec<DimAccess> = (0..input_shape.len()).map(|i| Some((i, 1))).collect();
-                LayerProfile {
-                    loop_dims,
-                    input_accesses: vec![access.clone()],
-                    result_access: access,
-                    macs: 0,
-                    other_ops: input_shape.iter().product(),
-                    weight_params: 0,
-                    output_shape,
-                }
-            }
-            LinalgOp::Add => {
-                let loop_dims = input_shape
-                    .iter()
-                    .map(|&d| dim(d, false))
-                    .collect::<Vec<_>>();
-                let access: Vec<DimAccess> = (0..input_shape.len()).map(|i| Some((i, 1))).collect();
-                LayerProfile {
-                    loop_dims,
-                    input_accesses: vec![access.clone(), access.clone()],
-                    result_access: access,
-                    macs: 0,
-                    other_ops: input_shape.iter().product(),
-                    weight_params: 0,
-                    output_shape,
-                }
-            }
-            LinalgOp::Flatten => LayerProfile {
-                loop_dims: vec![dim(input_shape.iter().product(), false)],
-                input_accesses: vec![vec![None; input_shape.len()]],
-                result_access: vec![Some((0, 1))],
-                macs: 0,
-                other_ops: 0,
-                weight_params: 0,
-                output_shape,
-            },
+                ],
+                vec![vec![Some((0, 1)), Some((1, *stride)), Some((2, *stride))]],
+                vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
+            ),
+            LinalgOp::Relu => (
+                input_shape.iter().map(|&d| dim(d, false)).collect(),
+                vec![identity(input_shape.len())],
+                identity(input_shape.len()),
+            ),
+            LinalgOp::Add => (
+                input_shape.iter().map(|&d| dim(d, false)).collect(),
+                vec![identity(input_shape.len()), identity(input_shape.len())],
+                identity(input_shape.len()),
+            ),
+            LinalgOp::Flatten => (
+                vec![dim(input_shape.iter().product(), false)],
+                vec![vec![None; input_shape.len()]],
+                vec![Some((0, 1))],
+            ),
+        };
+        let LayerWork {
+            macs,
+            other_ops,
+            weight_params,
+        } = self.work(input_shape);
+        LayerProfile {
+            loop_dims,
+            input_accesses,
+            result_access,
+            macs,
+            other_ops,
+            weight_params,
+            output_shape,
         }
     }
 

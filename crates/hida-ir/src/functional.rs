@@ -6,7 +6,10 @@
 //! hierarchies without indirection, which keeps task fusion and splitting cheap.
 
 use crate::op_names;
-use hida_ir_core::{BlockId, Context, OpBuilder, OpId, Type, ValueId};
+use hida_ir_core::{symbol, BlockId, Context, OpBuilder, OpId, ValueId};
+
+/// Attribute key of a task's name (a wrapper's, in general).
+pub const TASK_NAME: &str = "task_name";
 
 /// Typed view over a `hida.dispatch` operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,14 +71,14 @@ impl TaskOp {
     /// Human-readable task name (defaults to `task{id}`).
     pub fn name(self, ctx: &Context) -> String {
         ctx.op(self.0)
-            .attr_str("task_name")
+            .attr_str(TASK_NAME)
             .map(str::to_string)
             .unwrap_or_else(|| format!("task{}", self.0.index()))
     }
 
     /// Sets the task name.
     pub fn set_name(self, ctx: &mut Context, name: &str) {
-        ctx.set_attr(self.0, "task_name", name);
+        ctx.set_attr(self.0, symbol!(TASK_NAME), name);
     }
 }
 
@@ -85,13 +88,13 @@ pub fn build_yield(ctx: &mut Context, block: BlockId, operands: Vec<ValueId>) ->
     b.create(op_names::YIELD, operands, vec![], vec![]).0
 }
 
-/// Wraps a contiguous range of operations of a block into a new op with one region
-/// (the `wrap_ops` primitive of Algorithms 1 and 2).
+/// Wraps operations of one block into a new op with one region (the
+/// `wrap_ops` primitive of Algorithms 1 and 2).
 ///
-/// The wrapped ops are moved, in order, into the new op's body. Results of wrapped
-/// ops that are used outside the wrapped set are yielded from the new op and the
-/// external uses are rewired to the wrapper's results. The wrapper is inserted at the
-/// position of the first wrapped op.
+/// The wrapped ops are moved, in order and in one splice, into the new op's
+/// body. Results of wrapped ops that are used outside the wrapped set are
+/// yielded from the new op and the external uses are rewired to the wrapper's
+/// results. The wrapper is inserted at the position of the first wrapped op.
 ///
 /// # Panics
 /// Panics if `ops` is empty or the ops do not all belong to the same block.
@@ -107,47 +110,31 @@ pub fn wrap_ops(ctx: &mut Context, ops: &[OpId], wrapper_name: &str, name_attr: 
     }
     let insert_pos = ctx.block(block).position_of(ops[0]).unwrap();
 
-    // Collect results escaping the wrapped set.
-    let mut escaping: Vec<ValueId> = Vec::new();
-    for &op in ops {
-        for &res in &ctx.op(op).results.clone() {
-            let escapes = ctx
-                .users_of(res)
-                .iter()
-                .any(|&user| !ops.iter().any(|&o| ctx.is_ancestor(o, user)));
-            if escapes {
-                escaping.push(res);
-            }
-        }
-    }
-    let result_types: Vec<Type> = escaping.iter().map(|&v| *ctx.value_type(v)).collect();
-
-    // Create the wrapper op with a body.
     let wrapper = ctx.create_op(hida_ir_core::Operation::new(wrapper_name));
-    ctx.set_attr(wrapper, "task_name", name_attr);
-    let wrapper_results: Vec<ValueId> = result_types
-        .into_iter()
-        .map(|ty| ctx.add_result(wrapper, ty))
-        .collect();
+    ctx.set_attr(wrapper, symbol!(TASK_NAME), name_attr);
     let region = ctx.create_region(wrapper);
     let body = ctx.create_block(region);
     ctx.insert_op(block, insert_pos, wrapper);
+    ctx.move_ops(ops, body, 0);
 
-    // Move the ops into the body (in their original order).
+    // A result escapes when one of its users is not below the wrapper — the
+    // wrapped set is exactly what the wrapper now holds — and those users
+    // read a result of the wrapper instead.
+    let terminator = build_yield(ctx, body, Vec::new());
     for &op in ops {
-        ctx.detach_op(op);
-        ctx.append_op(body, op);
-    }
-    // Yield escaping results.
-    build_yield(ctx, body, escaping.clone());
-    // Rewire external uses.
-    for (old, new) in escaping.iter().zip(&wrapper_results) {
-        let users = ctx.users_of(*old);
-        for user in users {
-            let inside =
-                ops.iter().any(|&o| ctx.is_ancestor(o, user)) || ctx.is_ancestor(wrapper, user);
-            if !inside {
-                ctx.replace_uses_in_op(user, *old, *new);
+        for index in 0..ctx.op(op).results.len() {
+            let old = ctx.op(op).results[index];
+            let mut new = None;
+            loop {
+                let outside = ctx.users(old).find(|&user| !ctx.is_ancestor(wrapper, user));
+                let Some(user) = outside else {
+                    break;
+                };
+                let new = *new.get_or_insert_with(|| {
+                    ctx.add_operand(terminator, old);
+                    ctx.add_result(wrapper, *ctx.value_type(old))
+                });
+                ctx.replace_uses_in_op(user, old, new);
             }
         }
     }
@@ -164,29 +151,26 @@ pub fn unwrap_op(ctx: &mut Context, wrapper: OpId) {
         .parent_block
         .expect("wrapper must be attached");
     let pos = ctx.block(parent_block).position_of(wrapper).unwrap();
-    let body_ops = ctx.body_ops(wrapper);
-    // Find the yield, rewire results.
-    let mut yielded: Vec<ValueId> = Vec::new();
-    for &op in &body_ops {
-        if ctx.op(op).is(op_names::YIELD) {
-            yielded = ctx.op(op).operands.to_vec();
+    let (yields, moved): (Vec<OpId>, Vec<OpId>) = ctx
+        .body_ops(wrapper)
+        .into_iter()
+        .partition(|&op| ctx.op(op).is(op_names::YIELD));
+    // Uses of the wrapper's results read what its (last) yield yields.
+    if let Some(&last) = yields.last() {
+        let count = ctx
+            .op(wrapper)
+            .results
+            .len()
+            .min(ctx.op(last).operands.len());
+        for index in 0..count {
+            let (result, yielded) = (ctx.op(wrapper).results[index], ctx.op(last).operands[index]);
+            ctx.replace_all_uses(result, yielded);
         }
     }
-    let results = ctx.op(wrapper).results.clone();
-    for (res, y) in results.iter().zip(&yielded) {
-        ctx.replace_all_uses(*res, *y);
+    for yield_op in yields {
+        ctx.erase_op(yield_op);
     }
-    // Move non-yield ops out, preserving order.
-    let mut insert_at = pos;
-    for &op in &body_ops {
-        if ctx.op(op).is(op_names::YIELD) {
-            ctx.erase_op(op);
-            continue;
-        }
-        ctx.detach_op(op);
-        ctx.insert_op(parent_block, insert_at, op);
-        insert_at += 1;
-    }
+    ctx.move_ops(&moved, parent_block, pos);
     ctx.erase_op(wrapper);
 }
 
@@ -194,6 +178,7 @@ pub fn unwrap_op(ctx: &mut Context, wrapper: OpId) {
 mod tests {
     use super::*;
     use hida_ir_core::verifier::verify;
+    use hida_ir_core::Type;
 
     fn test_func(ctx: &mut Context) -> OpId {
         let module = ctx.create_module("m");

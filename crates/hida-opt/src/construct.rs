@@ -10,6 +10,7 @@ use hida_dataflow_ir::functional::wrap_ops;
 use hida_dataflow_ir::op_names as hida_ops;
 use hida_dialects::{linalg, loops};
 use hida_ir_core::{Context, IrResult, OpId};
+use std::fmt::Write;
 
 /// Returns true when `op` is a compute unit worth becoming a dataflow task:
 /// an affine loop nest or a named linalg layer.
@@ -81,10 +82,12 @@ fn build_dispatch_in(ctx: &mut Context, owner: OpId) {
     }
     // Wrap each compute unit into its own task first (so the later dispatch wrap
     // keeps whole tasks as its units).
-    let mut tasks = Vec::new();
+    let mut tasks = Vec::with_capacity(taskable.len());
+    let mut name = String::new();
     for (index, op) in taskable.iter().enumerate() {
-        let task = wrap_ops(ctx, &[*op], hida_ops::TASK, &format!("task{index}"));
-        tasks.push(task);
+        name.clear();
+        write!(name, "task{index}").unwrap();
+        tasks.push(wrap_ops(ctx, &[*op], hida_ops::TASK, &name));
     }
     // Then wrap all tasks into one dispatch.
     wrap_ops(ctx, &tasks, hida_ops::DISPATCH, "dispatch0");

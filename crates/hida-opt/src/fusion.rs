@@ -15,11 +15,11 @@
 //! Finally the dispatch/task hierarchy is canonicalized (single-task dispatches and
 //! single-op tasks are simplified).
 
-use hida_dataflow_ir::functional::{unwrap_op, wrap_ops, DispatchOp, TaskOp};
+use hida_dataflow_ir::functional::{unwrap_op, DispatchOp, TaskOp, TASK_NAME};
 use hida_dataflow_ir::op_names as hida_ops;
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::linalg;
-use hida_ir_core::{AnalysisManager, Context, IrResult, OpId};
+use hida_ir_core::{symbol, AnalysisManager, Context, IrResult, OpId, ValueId};
 
 /// A profitable task-fusion pattern: decides whether `task` should be fused with the
 /// adjacent `next` task. `Send + Sync` because pattern sets live inside pass
@@ -103,42 +103,93 @@ pub fn default_fusion_patterns() -> Vec<Box<dyn FusionPattern>> {
 }
 
 /// Computational intensity of a task (total scalar operations), fetched through
-/// the analysis cache so the criticality loop re-queries surviving tasks for
-/// free.
+/// the analysis cache, where lowering finds the profile again.
 pub fn task_intensity(ctx: &Context, analyses: &mut AnalysisManager, task: TaskOp) -> i64 {
     analyses.get::<ComputeProfile>(ctx, task.id()).intensity
 }
 
-/// Drops cached analyses of every op (and enclosing task/func) that consumes a
-/// result of `producer`: fusing rewires those consumers' operands to the fused
-/// task's fresh result values, so their cached profiles reference dead values.
-fn invalidate_consumers(ctx: &Context, analyses: &mut AnalysisManager, producer: TaskOp) {
-    for &result in &ctx.op(producer.id()).results {
-        for user in ctx.users_of(result) {
-            analyses.invalidate_root(user);
-            for ancestor in ctx.ancestors(user) {
-                analyses.invalidate_root(ancestor);
-            }
+/// Fuses two adjacent tasks of the same dispatch into one: `second`'s body
+/// joins `first`'s in one splice, and `first`, renamed `first+second`, is the
+/// fused task. Each result of either task still used outside the pair
+/// becomes a fresh result of the fused task, and its users outside read that
+/// one; the other results drop. Returns the fused task.
+///
+/// What is cached for `first` and for the ops that read the fused task's
+/// results describes the IR before the fusion: the caller drops it.
+pub fn fuse_two_tasks(ctx: &mut Context, first: TaskOp, second: TaskOp) -> TaskOp {
+    let name = match (
+        ctx.op(first.id()).attr_str(TASK_NAME),
+        ctx.op(second.id()).attr_str(TASK_NAME),
+    ) {
+        (Some(a), Some(b)) => [a, "+", b].concat(),
+        _ => format!("{}+{}", first.name(ctx), second.name(ctx)),
+    };
+    let (first_yield, second_yield) = (terminator(ctx, first), terminator(ctx, second));
+    // Each result the pair still returns, with the value its body yields.
+    let mut escaping: Vec<(ValueId, ValueId)> = Vec::new();
+    for index in 0..ctx.op(first.id()).results.len() {
+        let result = ctx.op(first.id()).results[index];
+        let inner = ctx.op(first_yield).operands[index];
+        // Inside the pair, `second` reads the value `first` yields.
+        loop {
+            let inside = ctx
+                .users(result)
+                .find(|&user| ctx.is_ancestor(second.id(), user));
+            let Some(user) = inside else {
+                break;
+            };
+            ctx.replace_uses_in_op(user, result, inner);
+        }
+        if ctx.has_users(result) {
+            escaping.push((result, inner));
         }
     }
+    for index in 0..ctx.op(second.id()).results.len() {
+        let result = ctx.op(second.id()).results[index];
+        if ctx.has_users(result) {
+            escaping.push((result, ctx.op(second_yield).operands[index]));
+        }
+    }
+
+    let mut moved = ctx.body_ops(second.id());
+    moved.retain(|&op| op != second_yield);
+    let body = ctx.body_block(first.id());
+    let at = ctx.block(body).position_of(first_yield).unwrap();
+    ctx.move_ops(&moved, body, at);
+    ctx.erase_op(second.id());
+    ctx.clear_operands(first_yield);
+    let mut results = Vec::with_capacity(escaping.len());
+    for (old, inner) in escaping {
+        let new = ctx.add_result(first.id(), *ctx.value_type(old));
+        ctx.replace_all_uses(old, new);
+        ctx.add_operand(first_yield, inner);
+        results.push(new);
+    }
+    ctx.set_results(first.id(), &results);
+    ctx.set_attr(first.id(), symbol!(TASK_NAME), name.as_str());
+    first
 }
 
-/// Fuses two adjacent tasks of the same dispatch into one new task.
-/// Returns the fused task.
-pub fn fuse_two_tasks(ctx: &mut Context, first: TaskOp, second: TaskOp) -> TaskOp {
-    let name = format!("{}+{}", first.name(ctx), second.name(ctx));
-    let merged = wrap_ops(ctx, &[first.id(), second.id()], hida_ops::TASK, &name);
-    // Flatten: pull the two old tasks' contents directly into the new task so the
-    // result is a single-level task rather than a task of tasks.
-    let inner_tasks: Vec<OpId> = ctx
-        .body_ops(merged)
-        .into_iter()
-        .filter(|&o| ctx.op(o).is(hida_ops::TASK))
-        .collect();
-    for t in inner_tasks {
-        unwrap_op(ctx, t);
-    }
-    TaskOp(merged)
+/// Drops what is cached for the fused task and for every op that reads one
+/// of its results, with the ops around them.
+fn invalidate_fused(ctx: &Context, analyses: &mut AnalysisManager, fused: TaskOp) {
+    let results = &ctx.op(fused.id()).payload().results;
+    analyses.invalidate_roots(|root| {
+        root == fused.id()
+            || results
+                .iter()
+                .any(|&result| ctx.users(result).any(|user| ctx.is_ancestor(root, user)))
+    });
+}
+
+/// The `hida.yield` that ends `task`'s body.
+fn terminator(ctx: &Context, task: TaskOp) -> OpId {
+    body(ctx, task)
+        .iter()
+        .rev()
+        .copied()
+        .find(|&op| ctx.op(op).is(hida_ops::YIELD))
+        .expect("a task ends in its yield")
 }
 
 /// Runs task fusion (Algorithm 2) over every dispatch below `root`.
@@ -183,7 +234,7 @@ fn fuse_patterns(
         let (a, b) = (tasks[i], tasks[i + 1]);
         if patterns.iter().any(|p| p.matches(ctx, a, b)) {
             let merged = fuse_two_tasks(ctx, a, b);
-            invalidate_consumers(ctx, analyses, merged);
+            invalidate_fused(ctx, analyses, merged);
             tasks[i] = merged;
             tasks.remove(i + 1);
             i = i.saturating_sub(1);
@@ -195,16 +246,19 @@ fn fuse_patterns(
 
 /// Criticality-driven re-balancing: repeatedly fuse the two least-critical
 /// adjacent tasks while the result stays below the critical task's intensity.
+/// The task list and the intensities are kept in step with the IR: a merge
+/// computes the fused task's profile, and only when the loop goes on to read
+/// it; no other task changed.
 fn fuse_least_critical(ctx: &mut Context, analyses: &mut AnalysisManager, dispatch: DispatchOp) {
-    loop {
-        let tasks = dispatch.tasks(ctx);
-        if tasks.len() < 3 {
-            break;
-        }
-        let intensities: Vec<i64> = tasks
-            .iter()
-            .map(|&t| task_intensity(ctx, analyses, t))
-            .collect();
+    let mut tasks = dispatch.tasks(ctx);
+    if tasks.len() < 3 {
+        return;
+    }
+    let mut intensities: Vec<i64> = tasks
+        .iter()
+        .map(|&t| task_intensity(ctx, analyses, t))
+        .collect();
+    while tasks.len() >= 3 {
         let critical = intensities.iter().copied().max().unwrap_or(0);
         // Find the adjacent pair with the smallest combined intensity.
         let mut best: Option<(usize, i64)> = None;
@@ -217,7 +271,12 @@ fn fuse_least_critical(ctx: &mut Context, analyses: &mut AnalysisManager, dispat
         match best {
             Some((i, combined)) if combined <= critical => {
                 let merged = fuse_two_tasks(ctx, tasks[i], tasks[i + 1]);
-                invalidate_consumers(ctx, analyses, merged);
+                invalidate_fused(ctx, analyses, merged);
+                tasks.remove(i + 1);
+                intensities.remove(i + 1);
+                if tasks.len() >= 3 {
+                    intensities[i] = task_intensity(ctx, analyses, merged);
+                }
             }
             _ => break,
         }
@@ -236,12 +295,13 @@ pub fn canonicalize(ctx: &mut Context, analyses: &mut AnalysisManager, root: OpI
             .into_iter()
             .filter(|&op| ctx.is_alive(op) && ctx.op(op).is(hida_ops::TASK))
             .find(|&task| {
-                let inner: Vec<OpId> = ctx
-                    .body_ops(task)
-                    .into_iter()
-                    .filter(|&o| !ctx.op(o).is(hida_ops::YIELD))
-                    .collect();
-                inner.len() == 1 && ctx.op(inner[0]).is(hida_ops::TASK)
+                let mut inner = body(ctx, TaskOp(task))
+                    .iter()
+                    .filter(|&&o| !ctx.op(o).is(hida_ops::YIELD));
+                matches!(
+                    (inner.next(), inner.next()),
+                    (Some(&only), None) if ctx.op(only).is(hida_ops::TASK)
+                )
             });
         match candidate {
             Some(task) => {
@@ -251,10 +311,7 @@ pub fn canonicalize(ctx: &mut Context, analyses: &mut AnalysisManager, root: OpI
                     .find(|&o| ctx.op(o).is(hida_ops::TASK))
                     .unwrap();
                 unwrap_op(ctx, inner);
-                analyses.invalidate_root(task);
-                for ancestor in ctx.ancestors(task) {
-                    analyses.invalidate_root(ancestor);
-                }
+                analyses.invalidate_roots(|root| ctx.is_ancestor(root, task));
             }
             None => break,
         }
@@ -272,9 +329,7 @@ pub fn canonicalize(ctx: &mut Context, analyses: &mut AnalysisManager, root: OpI
         if !ctx.is_alive(dispatch) {
             continue;
         }
-        for ancestor in ctx.ancestors(dispatch) {
-            analyses.invalidate_root(ancestor);
-        }
+        analyses.invalidate_roots(|root| root != dispatch && ctx.is_ancestor(root, dispatch));
         for task in DispatchOp(dispatch).tasks(ctx) {
             unwrap_op(ctx, task.id());
         }
@@ -395,7 +450,7 @@ mod tests {
                 let (a, b) = (window[0], window[1]);
                 if patterns.iter().any(|p| p.matches(ctx, a, b)) {
                     let merged = fuse_two_tasks(ctx, a, b);
-                    invalidate_consumers(ctx, analyses, merged);
+                    invalidate_fused(ctx, analyses, merged);
                     changed = true;
                     break;
                 }

@@ -17,10 +17,12 @@ use hida_dataflow_ir::op_names as hida_ops;
 use hida_dataflow_ir::structural::{build_buffer, build_node, NodeOp, ScheduleOp};
 use hida_dialects::analysis::{ComputeProfile, MemEffect};
 use hida_dialects::linalg;
+use hida_ir_core::context::ValueMapping;
+use hida_ir_core::storage::EntityMap;
 use hida_ir_core::{
-    AnalysisManager, Attribute, Context, IrError, IrResult, OpBuilder, OpId, Type, ValueId,
+    symbol, AnalysisManager, Attribute, Context, IrError, IrResult, OpBuilder, OpId, Type, ValueId,
 };
-use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Lowers the Functional dataflow inside `func` to a Structural `hida.schedule`.
 ///
@@ -67,7 +69,7 @@ pub fn lower_to_structural(
 
     // Map every communicated value (alloc result, input tensor, task result) to a
     // structural buffer declared inside the schedule.
-    let mut buffer_of: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut buffer_of: EntityMap<ValueId, ValueId> = EntityMap::new();
     let mut buffer_counter = 0_usize;
     let make_buffer = |ctx: &mut Context, ty: Type, name: &str, counter: &mut usize| -> ValueId {
         let memref_ty = ty.tensor_to_memref();
@@ -112,7 +114,8 @@ pub fn lower_to_structural(
             if !ty.is_tensor() && !ty.is_memref() {
                 continue;
             }
-            let name = format!("{}_out{i}", task_name(ctx, task));
+            let mut name = task_name(ctx, task);
+            write!(name, "_out{i}").unwrap();
             let buffer = make_buffer(ctx, ty, &name, &mut buffer_counter);
             buffer_of.insert(result, buffer);
         }
@@ -120,6 +123,7 @@ pub fn lower_to_structural(
 
     // Lower every task group to a node.
     let mut nodes: Vec<NodeOp> = Vec::with_capacity(task_groups.len());
+    let mut mapping = ValueMapping::new();
     for &task in &task_groups {
         nodes.push(lower_task_to_node(
             ctx,
@@ -127,7 +131,8 @@ pub fn lower_to_structural(
             task,
             schedule_body,
             &buffer_of,
-        )?);
+            &mut mapping,
+        ));
     }
 
     // Clean up the functional ops: output markers, the dispatch/tasks, inputs, allocs.
@@ -188,88 +193,56 @@ fn task_name(ctx: &Context, task: OpId) -> String {
         .unwrap_or_else(|| format!("task{}", task.index()))
 }
 
-/// Lowers one task group (a `hida.task` or a bare loop nest) into a `hida.node`.
+/// Lowers one task group (a `hida.task` or a bare loop nest) into a `hida.node`:
+/// the body is cloned into the node through `mapping`, which this clears
+/// first (one map for every node of a lowering).
 fn lower_task_to_node(
     ctx: &mut Context,
     analyses: &mut AnalysisManager,
     task: OpId,
     schedule_body: hida_ir_core::BlockId,
-    buffer_of: &HashMap<ValueId, ValueId>,
-) -> IrResult<NodeOp> {
+    buffer_of: &EntityMap<ValueId, ValueId>,
+    mapping: &mut ValueMapping,
+) -> NodeOp {
     let profile = analyses.get::<ComputeProfile>(ctx, task);
-    let results = ctx.op(task).results.clone();
-    let yielded = yielded_values(ctx, task);
 
-    // Decide the node operands: every live-in buffer plus one buffer per task result.
+    // Decide the node operands: every live-in buffer plus one buffer per task
+    // result, one operand per buffer with the effects merged. Each live-in
+    // keeps the functional value it reads.
     let mut operands: Vec<(ValueId, MemEffect)> = Vec::new();
-    let mut operand_source: Vec<ValueId> = Vec::new();
-    let push_operand = |value: ValueId,
-                        effect: MemEffect,
-                        operands: &mut Vec<(ValueId, MemEffect)>,
-                        sources: &mut Vec<ValueId>| {
-        if let Some(pos) = sources.iter().position(|&v| v == value) {
-            operands[pos].1 = operands[pos].1.merge(effect);
-        } else {
-            sources.push(value);
-            operands.push((value, effect));
-        }
-    };
-
-    // Live-in accesses recorded by the profile.
+    let mut push_operand =
+        |value: ValueId, effect: MemEffect| match operands.iter_mut().find(|(v, _)| *v == value) {
+            Some(operand) => operand.1 = operand.1.merge(effect),
+            None => operands.push((value, effect)),
+        };
+    let mut live_ins: Vec<(ValueId, ValueId)> = Vec::new();
     for access in &profile.accesses {
         if !ctx.is_live_in(task, access.buffer) {
             continue;
         }
         let mapped = buffer_of
-            .get(&access.buffer)
+            .get(access.buffer)
             .copied()
             .unwrap_or(access.buffer);
-        push_operand(mapped, access.effect, &mut operands, &mut operand_source);
+        push_operand(mapped, access.effect);
+        live_ins.push((access.buffer, mapped));
     }
     // Task results: written by this node.
-    for &result in &results {
-        if let Some(&buffer) = buffer_of.get(&result) {
-            push_operand(buffer, MemEffect::Write, &mut operands, &mut operand_source);
-        }
-    }
-    // Map each operand source (the *functional-level* value) for body rewiring:
-    // live-in accesses keep their original value, results map through `yielded`.
-    let node_name = task_name(ctx, task);
-    // Rebuild operand list keyed by the mapped (buffer) values with original sources.
-    let mut original_of: HashMap<ValueId, ValueId> = HashMap::new();
-    for access in &profile.accesses {
-        if ctx.is_live_in(task, access.buffer) {
-            let mapped = buffer_of
-                .get(&access.buffer)
-                .copied()
-                .unwrap_or(access.buffer);
-            original_of.entry(mapped).or_insert(access.buffer);
+    for &result in &ctx.op(task).results {
+        if let Some(&buffer) = buffer_of.get(result) {
+            push_operand(buffer, MemEffect::Write);
         }
     }
 
+    let node_name = task_name(ctx, task);
     let (node, args) = build_node(ctx, schedule_body, &node_name, &operands);
 
-    // Value mapping for the body clone: functional value -> node block argument.
-    let mut mapping = hida_ir_core::context::ValueMapping::new();
-    for (idx, (buffer_value, _)) in operands.iter().enumerate() {
-        // The live-in functional value this operand came from (if any).
-        if let Some(&orig) = original_of.get(buffer_value) {
-            mapping.map(orig, args[idx]);
-        }
+    // The body clone reads each live-in from the node argument of its buffer.
+    mapping.clear();
+    for (value, mapped) in live_ins {
+        let position = operands.iter().position(|&(v, _)| v == mapped).unwrap();
+        mapping.map(value, args[position]);
     }
-    // Yielded functional values -> block args of the matching result buffers. The
-    // internal values that produced them are redirected to the buffer arguments by
-    // the destination-passing rewrite below.
-    for result in &results {
-        if let Some(&buffer) = buffer_of.get(result) {
-            if let Some(pos) = operands.iter().position(|(v, _)| *v == buffer) {
-                mapping.map(*result, args[pos]);
-            }
-        }
-    }
-    let _ = &yielded;
-
-    // Clone the body ops (skipping the yield) into the node.
     let node_body = node.body(ctx);
     let body_ops: Vec<OpId> = if ctx.op(task).is(hida_ops::TASK) {
         ctx.body_ops(task)
@@ -280,39 +253,30 @@ fn lower_task_to_node(
         vec![task]
     };
     for op in body_ops {
-        let cloned = ctx.clone_op(op, &mut mapping);
+        let cloned = ctx.clone_op(op, mapping);
         ctx.append_op(node_body, cloned);
     }
-    rewrite_layers_to_destination_passing(ctx, node);
-    Ok(node)
-}
-
-/// Returns the values yielded by a task (empty for bare loop nests).
-fn yielded_values(ctx: &Context, task: OpId) -> Vec<ValueId> {
-    ctx.body_ops(task)
-        .into_iter()
-        .find(|&o| ctx.op(o).is(hida_ops::YIELD))
-        .map(|y| ctx.op(y).operands.to_vec())
-        .unwrap_or_default()
+    let write_args = operands
+        .iter()
+        .zip(&args)
+        .filter(|((_, effect), _)| effect.writes())
+        .map(|(_, &arg)| arg);
+    rewrite_layers_to_destination_passing(ctx, node, write_args);
+    node
 }
 
 /// Rewrites named layers inside a node body to destination-passing form: each layer's
 /// tensor result is materialised either into the node argument that carries its
 /// output buffer (when the result leaves the node) or into an in-place/local buffer
-/// (when the result is only consumed inside the node).
-fn rewrite_layers_to_destination_passing(ctx: &mut Context, node: NodeOp) {
+/// (when the result is only consumed inside the node). `write_args` are the
+/// node arguments with a write effect, in order: the destinations of escaping
+/// results.
+fn rewrite_layers_to_destination_passing(
+    ctx: &mut Context,
+    node: NodeOp,
+    mut write_args: impl Iterator<Item = ValueId>,
+) {
     let body = node.body(ctx);
-    let args = node.body_args(ctx);
-    let effects = node.effects(ctx);
-    // Node arguments with write effect, in order — destinations for escaping results.
-    let write_args: Vec<ValueId> = args
-        .iter()
-        .zip(&effects)
-        .filter(|(_, e)| e.writes())
-        .map(|(&a, _)| a)
-        .collect();
-    let mut next_write_arg = 0_usize;
-
     let layer_ops: Vec<OpId> = ctx
         .block(body)
         .ops
@@ -325,14 +289,13 @@ fn rewrite_layers_to_destination_passing(ctx: &mut Context, node: NodeOp) {
             Some(r) => r,
             None => continue,
         };
-        let name = ctx.op(op).name.as_str().to_string();
-        let has_internal_users = ctx.has_users(result);
-        let dest = if !has_internal_users {
+        let layer = ctx.op(op);
+        let elementwise =
+            layer.is(linalg::RELU) || layer.is(linalg::FLATTEN) || layer.is(linalg::ADD);
+        let dest = if !ctx.has_users(result) {
             // Escaping result: write into the next write-effect node argument.
-            let dest = write_args.get(next_write_arg).copied();
-            next_write_arg += 1;
-            dest
-        } else if name == linalg::RELU || name == linalg::FLATTEN || name == linalg::ADD {
+            write_args.next()
+        } else if elementwise {
             // Element-wise: compute in place on the first input.
             ctx.op(op).operands.first().copied()
         } else {
@@ -345,7 +308,7 @@ fn rewrite_layers_to_destination_passing(ctx: &mut Context, node: NodeOp) {
         if let Some(dest) = dest {
             // Append the destination as the final operand and mark the op.
             ctx.add_operand(op, dest);
-            ctx.set_attr(op, "dest_passing", Attribute::Bool(true));
+            ctx.set_attr(op, symbol!("dest_passing"), Attribute::Bool(true));
             // Internal consumers of the tensor result now read the destination buffer.
             ctx.replace_all_uses(result, dest);
         }
@@ -433,6 +396,34 @@ mod tests {
         for node in &nodes {
             for op in ctx.collect_ops(node.id(), linalg::CONV2D) {
                 assert!(ctx.op(op).has_flag("dest_passing"));
+            }
+        }
+    }
+
+    #[test]
+    fn lowering_without_construct_gives_each_named_layer_its_own_node() {
+        for model in [Model::LeNet, Model::ResNet18] {
+            let mut ctx = Context::new();
+            let module = ctx.create_module("m");
+            let func = build_model(&mut ctx, module, model);
+            let layers = ctx
+                .body_ops(func)
+                .into_iter()
+                .filter(|&op| linalg::is_linalg_op_name(ctx.op(op).name.as_str()))
+                .count();
+            // No `construct`: fusion finds no dispatch, and every layer is a
+            // bare compute unit whose node reads what it touches through
+            // its arguments.
+            let mut analyses = AnalysisManager::new();
+            fuse_tasks(&mut ctx, &mut analyses, func, &default_fusion_patterns()).unwrap();
+            let schedule = lower_to_structural(&mut ctx, &mut analyses, func).unwrap();
+            hida_ir_core::verifier::verify(&ctx, module)
+                .unwrap_or_else(|e| panic!("{}: {e}", model.name()));
+            let nodes = schedule.nodes(&ctx);
+            assert_eq!(nodes.len(), layers, "{}", model.name());
+            for node in nodes {
+                assert!(node.effects(&ctx).iter().any(|e| e.reads()));
+                assert!(node.effects(&ctx).iter().any(|e| e.writes()));
             }
         }
     }

@@ -344,10 +344,11 @@ impl AnalysisManager {
         }
     }
 
-    /// Drops every analysis cached for `root`, regardless of type.
-    pub fn invalidate_root(&mut self, root: OpId) {
+    /// Drops every analysis cached for a root `stale` accepts, regardless
+    /// of type: one pass over the cache, whatever the number of roots.
+    pub fn invalidate_roots(&mut self, mut stale: impl FnMut(OpId) -> bool) {
         let before = self.entries.len();
-        self.entries.retain(|&(_, r), _| r != root);
+        self.entries.retain(|&(_, root), _| !stale(root));
         let dropped = (before - self.entries.len()) as u64;
         self.window.invalidations += dropped;
         self.totals.invalidations += dropped;

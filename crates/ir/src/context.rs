@@ -209,6 +209,11 @@ impl ValueMapping {
     pub fn contains(&self, v: ValueId) -> bool {
         self.map.contains(v)
     }
+
+    /// Forgets every mapping, keeping the storage for the next clone.
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
 }
 
 impl Context {
@@ -499,6 +504,23 @@ impl Context {
         vid
     }
 
+    /// Keeps `results`, results of `op`, as its results in this order; a
+    /// result left out is erased and must have no users.
+    pub fn set_results(&mut self, op: OpId, results: &[ValueId]) {
+        self.bump_generation();
+        for index in 0..self.ops[op.index()].results.len() {
+            let former = self.ops[op.index()].results[index];
+            if !results.contains(&former) {
+                self.live_values.remove(former);
+            }
+        }
+        for (index, &result) in results.iter().enumerate() {
+            debug_assert!(self.ops[op.index()].results.contains(&result));
+            self.values[result.index()].def = ValueDef::OpResult { op, index };
+        }
+        self.ops[op.index()].results = IdList::from(results);
+    }
+
     /// Appends a new argument of type `ty` to block `block` and returns its value id.
     pub fn add_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
         self.bump_generation();
@@ -588,6 +610,42 @@ impl Context {
         self.insert_op(block, pos + 1, op);
     }
 
+    /// Moves `ops`, in their order, into `block` at `index` (an index into
+    /// `block` once the moved ops have left it). Each op leaves the block it
+    /// was in: the ops that leave one block drop out of its op list in one
+    /// pass, and arrive in `block` in one insertion — not a search and a
+    /// shift per op.
+    pub fn move_ops(&mut self, ops: &[OpId], block: BlockId, index: usize) {
+        self.bump_generation();
+        // Unlink each run of ops that leave the same block, then drop the
+        // unlinked ops from that block's list.
+        let mut left: Option<BlockId> = None;
+        for &op in ops {
+            let parent = self.ops[op.index()].parent_block.take();
+            if parent != left {
+                self.drop_unlinked(left);
+                left = parent;
+            }
+        }
+        self.drop_unlinked(left);
+        let list = &mut self.blocks[block.index()].ops;
+        list.insert_slice(index.min(list.len()), ops);
+        for &op in ops {
+            self.ops[op.index()].parent_block = Some(block);
+        }
+    }
+
+    /// Drops the ops that no longer name `block` as their parent from its
+    /// op list.
+    fn drop_unlinked(&mut self, block: Option<BlockId>) {
+        if let Some(block) = block {
+            let ops = &self.ops;
+            self.blocks[block.index()]
+                .ops
+                .retain(|op| ops[op.index()].parent_block == Some(block));
+        }
+    }
+
     // ------------------------------------------------------------------
     // Operands and uses
     // ------------------------------------------------------------------
@@ -640,6 +698,17 @@ impl Context {
         users
     }
 
+    /// The live operations using `value` as an operand, in use-list order —
+    /// an op using it twice is listed twice. Borrowed, where
+    /// [`Context::users_of`] collects, sorts and deduplicates.
+    pub fn users(&self, value: ValueId) -> impl Iterator<Item = OpId> + '_ {
+        self.uses
+            .get(value)
+            .into_iter()
+            .flat_map(|list| list.iter().copied())
+            .filter(|&op| self.is_alive(op))
+    }
+
     /// Returns true if `value` has at least one live user.
     pub fn has_users(&self, value: ValueId) -> bool {
         self.uses
@@ -652,23 +721,21 @@ impl Context {
         if old == new {
             return;
         }
-        let users = self.users_of(old);
-        for user in users {
+        // Each rewritten user leaves the use list of `old`.
+        loop {
+            let Some(user) = self.users(old).next() else {
+                return;
+            };
             self.replace_uses_in_op(user, old, new);
         }
     }
 
     /// Replaces uses of `old` with `new` in the operand list of a single operation.
     pub fn replace_uses_in_op(&mut self, op: OpId, old: ValueId, new: ValueId) {
-        let positions: Vec<usize> = self.ops[op.index()]
-            .operands
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v == old)
-            .map(|(i, _)| i)
-            .collect();
-        for pos in positions {
-            self.set_operand(op, pos, new);
+        for pos in 0..self.ops[op.index()].operands.len() {
+            if self.ops[op.index()].operands[pos] == old {
+                self.set_operand(op, pos, new);
+            }
         }
     }
 
@@ -854,11 +921,12 @@ impl Context {
         for &region in &regions {
             let blocks = self.regions[region.index()].blocks.clone();
             for &block in &blocks {
-                let ops = self.blocks[block.index()].ops.clone();
+                // Taken, not copied: a nested op leaves an empty list, with
+                // nothing to search.
+                let ops = std::mem::take(&mut self.blocks[block.index()].ops);
                 for &nested in &ops {
                     self.erase_op(nested);
                 }
-                self.blocks[block.index()].ops = IdList::new();
                 for index in 0..self.blocks[block.index()].args.len() {
                     let arg = self.blocks[block.index()].args[index];
                     self.live_values.remove(arg);
@@ -1036,7 +1104,7 @@ mod tests {
 
     /// Every `pub fn (&mut self, ..)` of `Context`: one call each, doing
     /// something to the fixture.
-    const MUTATORS: [(&str, Mutator); 22] = [
+    const MUTATORS: [(&str, Mutator); 24] = [
         ("op_mut", |ctx, f| {
             ctx.op_mut(f.func);
         }),
@@ -1056,6 +1124,7 @@ mod tests {
         ("add_block_arg", |ctx, f| {
             ctx.add_block_arg(f.body, Type::i32());
         }),
+        ("set_results", |ctx, f| ctx.set_results(f.func, &[])),
         ("set_name_hint", |ctx, f| ctx.set_name_hint(f.c0, "zero")),
         ("create_module", |ctx, _| {
             ctx.create_module("other");
@@ -1069,6 +1138,7 @@ mod tests {
         ("move_op_after", |ctx, f| {
             ctx.move_op_after(f.c0_op, f.c1_op)
         }),
+        ("move_ops", |ctx, f| ctx.move_ops(&[f.c1_op], f.body, 0)),
         ("add_operand", |ctx, f| ctx.add_operand(f.user, f.c1)),
         ("set_operand", |ctx, f| ctx.set_operand(f.user, 0, f.c1)),
         ("clear_operands", |ctx, f| ctx.clear_operands(f.user)),
@@ -1167,6 +1237,66 @@ mod tests {
         ctx.detach_op(c0_op);
         assert_eq!(ctx.block(body).ops, vec![c1_op]);
         assert!(ctx.op(c0_op).parent_block.is_none());
+    }
+
+    #[test]
+    fn move_ops_splices_ops_of_several_blocks_in_order() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let mut blocks = Vec::new();
+        let mut ops = Vec::new();
+        for name in ["f", "g", "h"] {
+            let func = OpBuilder::at_end_of(&mut ctx, module).create_func(name, vec![], vec![]);
+            let body = ctx.body_block(func);
+            blocks.push(body);
+            let built: Vec<OpId> = (0..5)
+                .map(|_| ctx.build_op(body, "test.op", vec![], vec![], vec![]).0)
+                .collect();
+            ops.push(built);
+        }
+        let (f, g, h) = (blocks[0], blocks[1], blocks[2]);
+
+        // Two runs from `f` around one from `g`, into the middle of `h`.
+        let moved = [ops[0][1], ops[0][3], ops[1][0], ops[0][4]];
+        ctx.move_ops(&moved, h, 2);
+        assert_eq!(ctx.block(f).ops, vec![ops[0][0], ops[0][2]]);
+        assert_eq!(ctx.block(g).ops, ops[1][1..].to_vec());
+        let mut expected = ops[2][..2].to_vec();
+        expected.extend(moved);
+        expected.extend(&ops[2][2..]);
+        assert_eq!(ctx.block(h).ops, expected);
+        assert!(moved.iter().all(|&op| ctx.op(op).parent_block == Some(h)));
+
+        // Within one block: the index counts the ops that stay.
+        ctx.move_ops(&[ops[2][4], ops[2][0]], h, 0);
+        assert_eq!(ctx.block(h).ops[..2], [ops[2][4], ops[2][0]]);
+        assert_eq!(ctx.block(h).ops.len(), 9);
+        assert!(ctx.check_parent_links().is_ok());
+    }
+
+    #[test]
+    fn set_results_reorders_results_and_erases_those_left_out() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let body = ctx.body_block(func);
+        let types = vec![Type::i32(), Type::i64(), Type::i32()];
+        let (op, results) = ctx.build_op(body, "test.op", vec![], types, vec![]);
+        ctx.build_op(
+            body,
+            "test.use",
+            vec![results[2], results[1]],
+            vec![],
+            vec![],
+        );
+
+        ctx.set_results(op, &[results[2], results[1]]);
+        assert_eq!(ctx.op(op).results, vec![results[2], results[1]]);
+        assert!(!ctx.is_value_alive(results[0]));
+        for (index, &result) in ctx.op(op).results.iter().enumerate() {
+            assert_eq!(ctx.value(result).def, ValueDef::OpResult { op, index });
+        }
+        crate::verifier::verify(&ctx, module).unwrap();
     }
 
     #[test]

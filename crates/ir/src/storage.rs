@@ -260,6 +260,34 @@ impl<I: EntityId> IdList<I> {
         }
     }
 
+    /// Inserts `ids`, in order, at `index`, shifting the ids behind them
+    /// once.
+    ///
+    /// # Panics
+    /// Panics when `index > len`.
+    pub fn insert_slice(&mut self, index: usize, ids: &[I]) {
+        match &mut self.repr {
+            Repr::Inline { len, ids: inline } => {
+                let n = *len as usize;
+                assert!(index <= n, "insertion index {index} out of range 0..={n}");
+                if n + ids.len() <= INLINE {
+                    inline.copy_within(index..n, index + ids.len());
+                    inline[index..index + ids.len()].copy_from_slice(ids);
+                    *len += ids.len() as u8;
+                } else {
+                    let mut spilled = Vec::with_capacity((n + ids.len()).max(2 * INLINE));
+                    spilled.extend_from_slice(&inline[..index]);
+                    spilled.extend_from_slice(ids);
+                    spilled.extend_from_slice(&inline[index..n]);
+                    self.repr = Repr::Spilled(spilled);
+                }
+            }
+            Repr::Spilled(spilled) => {
+                spilled.splice(index..index, ids.iter().copied());
+            }
+        }
+    }
+
     /// Removes and returns the id at `index`, shifting the ids behind it.
     ///
     /// # Panics

@@ -34,8 +34,8 @@ pub fn verify_except(ctx: &Context, root: OpId, verified: Option<OpId>) -> IrRes
         if Some(op) == verified {
             return false;
         }
-        if let Err(e) = verify_op(ctx, op, verified) {
-            errors.push(e.to_string());
+        if let Err(message) = verify_op(ctx, op, verified) {
+            errors.push(message);
         }
         true
     });
@@ -46,27 +46,29 @@ pub fn verify_except(ctx: &Context, root: OpId, verified: Option<OpId>) -> IrRes
     }
 }
 
-fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> IrResult<()> {
+/// The first thing wrong with `op` alone, as the message the error that
+/// gathers every op's message prefixes once.
+fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> Result<(), String> {
     let operation = ctx.op(op);
     // Result back-links.
     for (i, &res) in operation.results.iter().enumerate() {
         match ctx.value(res).def {
             ValueDef::OpResult { op: def_op, index } if def_op == op && index == i => {}
             _ => {
-                return Err(IrError::verification(format!(
+                return Err(format!(
                     "result {i} of '{}' has an inconsistent definition record",
                     operation.name
-                )))
+                ))
             }
         }
     }
     // Operand visibility.
     for (i, &operand) in operation.operands.iter().enumerate() {
         if !value_visible_at(ctx, operand, op) {
-            return Err(IrError::verification(format!(
+            return Err(format!(
                 "operand {i} of '{}' ({op}) is not visible at its use site",
                 operation.name
-            )));
+            ));
         }
     }
     // Isolation: no live-in SSA values may be referenced inside an isolated op,
@@ -79,11 +81,11 @@ fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> IrResult<()> {
             !(Some(inner) == verified && ctx.op(inner).isolated)
         });
         if !live_ins.is_empty() {
-            return Err(IrError::verification(format!(
+            return Err(format!(
                 "isolated op '{}' ({op}) references {} value(s) defined outside its region",
                 operation.name,
                 live_ins.len()
-            )));
+            ));
         }
     }
     Ok(())
@@ -207,6 +209,32 @@ mod tests {
         break_func(&mut ctx, other);
         let err = verify_except(&ctx, module, Some(trusted)).unwrap_err();
         assert!(err.to_string().contains("not visible"));
+    }
+
+    #[test]
+    fn every_error_of_a_module_is_reported_under_one_prefix() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        for name in ["f", "g"] {
+            let func = OpBuilder::at_end_of(&mut ctx, module).create_func(name, vec![], vec![]);
+            let mut b = OpBuilder::at_end_of(&mut ctx, func);
+            let c = b.create_constant_int(2, Type::i32());
+            let (neg, _) = b.create("arith.negi", vec![c], vec![Type::i32()], vec![]);
+            ctx.move_op_after(ctx.value(c).defining_op().unwrap(), neg);
+        }
+        let message = verify(&ctx, module).unwrap_err().to_string();
+        let errors: Vec<&str> = message
+            .strip_prefix("verification failed: ")
+            .unwrap_or_else(|| panic!("one prefix in front: {message}"))
+            .split("; ")
+            .collect();
+        assert_eq!(errors.len(), 2, "{message}");
+        for error in errors {
+            assert!(
+                error.starts_with("operand 0 of 'arith.negi'") && error.ends_with("use site"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

@@ -67,12 +67,12 @@ proptest! {
     }
 
     /// `IdList` behaves exactly like `Vec` under a random interleaving of
-    /// push / insert / remove / retain — across the inline capacity in
+    /// push / insert / insert_slice / remove / retain — across the inline capacity in
     /// both directions — in content, order, equality and what its
     /// constructors build.
     #[test]
     fn id_list_matches_vec_model(
-        ops in prop::collection::vec((0_u8..10, 0_usize..64, 0_usize..1000), 1..64),
+        ops in prop::collection::vec((0_u8..11, 0_usize..64, 0_usize..1000), 1..64),
     ) {
         let id = ValueId::from_index;
         let mut list: IdList<ValueId> = IdList::new();
@@ -100,6 +100,13 @@ proptest! {
                 9 if at % 8 == 0 => {
                     list = IdList::default();
                     model.clear();
+                }
+                10 => {
+                    // Zero to four ids at once, in place and across the spill.
+                    let ids: Vec<ValueId> = (value..value + value % 5).map(id).collect();
+                    let at = at % (model.len() + 1);
+                    list.insert_slice(at, &ids);
+                    model.splice(at..at, ids);
                 }
                 _ => {}
             }
