@@ -11,10 +11,8 @@
 //! * it cannot compile models with irregular convolutions or high-resolution inputs
 //!   (ZFNet, YOLO).
 
-use hida_dataflow_ir::structural::ScheduleOp;
+use hida_estimator::device::FpgaDevice;
 use hida_frontend::nn::Model;
-use hida_ir_core::{AnalysisManager, Context, IrResult, OpId};
-use hida_opt::{construct, lower, parallelize, ParallelMode};
 
 /// Returns true when the ScaleHLS baseline supports the model (the paper reports no
 /// results for ZFNet and YOLO).
@@ -22,42 +20,63 @@ pub fn supports(model: Model) -> bool {
     !matches!(model, Model::ZfNet | Model::TinyYolo)
 }
 
-/// Compiles `func` with the ScaleHLS-style flow and returns the resulting schedule.
-///
-/// # Errors
-/// Propagates pass failures from the shared pass implementations.
-pub fn compile(ctx: &mut Context, func: OpId, max_parallel_factor: i64) -> IrResult<ScheduleOp> {
-    construct::construct_functional_dataflow(ctx, func)?;
-    // No task fusion, no multi-producer elimination, no balancing, no tiling.
-    let mut analyses = AnalysisManager::new();
-    let schedule = lower::lower_to_structural(ctx, &mut analyses, func)?;
-    // Per-task intensity-aware DSE without connection awareness.
-    parallelize::parallelize_schedule(
-        ctx,
-        &mut analyses,
-        schedule,
-        max_parallel_factor,
-        ParallelMode::IaOnly,
-    )?;
-    Ok(schedule)
+/// The ScaleHLS-style flow as a pass pipeline, sized for `device`: dataflow
+/// legalization and lowering with no task fusion, no multi-producer
+/// elimination, no tiling and no balancing, then per-task intensity-aware DSE
+/// without connection awareness. A compiler given this text builds the
+/// baseline design from the same IR as HIDA's.
+pub fn pipeline(max_parallel_factor: i64, device: &FpgaDevice) -> String {
+    format!(
+        "construct,lower,parallelize{{max-factor={max_parallel_factor},mode=IA,device={}}}",
+        device.name
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hida_dataflow_ir::structural::ScheduleOp;
     use hida_dialects::hls::MemoryKind;
     use hida_estimator::dataflow::DataflowEstimator;
-    use hida_estimator::device::FpgaDevice;
     use hida_frontend::nn::build_model;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
-    use hida_opt::{HidaOptions, Pipeline};
+    use hida_ir_core::{Context, OpId};
+    use hida_opt::{registry, HidaOptions, ParallelMode, Pipeline};
+
+    /// Runs the baseline's pipeline over `func`.
+    fn compile(ctx: &mut Context, func: OpId, max_parallel_factor: i64) -> ScheduleOp {
+        let text = pipeline(max_parallel_factor, &FpgaDevice::zu3eg());
+        let mut pipeline = Pipeline::parse(&registry(), &text).unwrap();
+        pipeline.run(ctx, func).unwrap()
+    }
+
+    #[test]
+    fn the_pipeline_is_ia_only_without_fusion_tiling_or_balancing() {
+        let text = pipeline(64, &FpgaDevice::vu9p_slr());
+        let pipeline = Pipeline::parse(&registry(), &text).unwrap();
+        assert_eq!(
+            pipeline.pass_names(),
+            [
+                "hida-construct-dataflow",
+                "hida-lower-structural",
+                "hida-parallelize"
+            ]
+        );
+        let mode = ParallelMode::IaOnly.label();
+        assert_eq!(
+            pipeline.to_text(),
+            format!(
+                "construct,lower,parallelize{{max-parallel-factor=64,mode={mode},device=vu9p-slr}}"
+            )
+        );
+    }
 
     #[test]
     fn scalehls_keeps_all_intermediates_on_chip() {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
         let func = build_model(&mut ctx, module, Model::LeNet);
-        let schedule = compile(&mut ctx, func, 16).unwrap();
+        let schedule = compile(&mut ctx, func, 16);
         let external = schedule
             .internal_buffers(&ctx)
             .iter()
@@ -70,13 +89,12 @@ mod tests {
 
     #[test]
     fn hida_outperforms_scalehls_on_multi_loop_kernels() {
-        let device = FpgaDevice::zu3eg();
-        let estimator = DataflowEstimator::new(device.clone());
+        let estimator = DataflowEstimator::new(FpgaDevice::zu3eg());
 
         let mut ctx_scale = Context::new();
         let module = ctx_scale.create_module("m");
         let func = build_kernel(&mut ctx_scale, module, PolybenchKernel::Mvt, 64);
-        let scale_schedule = compile(&mut ctx_scale, func, 16).unwrap();
+        let scale_schedule = compile(&mut ctx_scale, func, 16);
         let scale = estimator.estimate_schedule(&ctx_scale, scale_schedule, true);
 
         let mut ctx_hida = Context::new();

@@ -1,48 +1,41 @@
 //! Regenerates Table 7: PolyBench C++ kernels compiled with HIDA vs the ScaleHLS,
 //! SOFF and Vitis-only baselines on the ZU3EG device.
 //!
-//! The independent HIDA compilations (one per kernel) fan out through one
-//! [`SweepEngine`]; the analytic baselines then run sequentially against the
-//! same estimator.
+//! The pipeline-built designs — HIDA's and the ScaleHLS baseline's, one of
+//! each per kernel — are the points of one [`SweepEngine`] run; a point that
+//! fails is reported with its reason after the rows, and the binary exits 1.
+//! The analytic SOFF and Vitis baselines then run sequentially per kernel.
 
-use hida::estimator::dataflow::DataflowEstimator;
 use hida::ir::Context;
 use hida::{FpgaDevice, HidaOptions, PolybenchKernel, SweepEngine, SweepPoint, Workload};
-use hida_bench::{print_throughput_table, Row};
+use hida_bench::{print_throughput_table, scalehls_point, Row};
 
 fn main() {
     let device = FpgaDevice::zu3eg();
-    let estimator = DataflowEstimator::new(device.clone());
     let mut rows = Vec::new();
 
-    // All HIDA design points at once: one per kernel, pooled.
+    // All design points at once: HIDA's per kernel, then ScaleHLS's, pooled.
     let kernels = PolybenchKernel::all();
-    let points: Vec<SweepPoint> = kernels
+    let workload =
+        |kernel: PolybenchKernel| Workload::PolybenchSized(kernel, kernel.default_size());
+    let hida_points = kernels
         .iter()
-        .map(|&kernel| {
-            SweepPoint::new(
-                kernel.name(),
-                Workload::PolybenchSized(kernel, kernel.default_size()),
-                HidaOptions::polybench(),
-            )
-        })
-        .collect();
+        .map(|&kernel| SweepPoint::new(kernel.name(), workload(kernel), HidaOptions::polybench()));
+    let scalehls_points = kernels
+        .iter()
+        .map(|&kernel| scalehls_point(workload(kernel), HidaOptions::polybench(), 16));
+    let points: Vec<SweepPoint> = hida_points.chain(scalehls_points).collect();
     let outcome = SweepEngine::new().run(&points);
+    let (hida, scalehls) = outcome.points.split_at(kernels.len());
 
     println!("# Table 7 — PolyBench kernels on ZU3EG (throughput in samples/s)");
-    for (kernel, point) in kernels.iter().zip(&outcome.points) {
+    for ((kernel, point), baseline) in kernels.iter().zip(hida).zip(scalehls) {
         let kernel = *kernel;
         let n = kernel.default_size();
-        let Ok(result) = &point.result else { continue };
-        let hida_est = &result.estimate;
-
-        // ScaleHLS-style baseline.
-        let mut ctx = Context::new();
-        let module = ctx.create_module("scalehls");
-        let func = hida::frontend::polybench::build_kernel(&mut ctx, module, kernel, n);
-        let scale_schedule =
-            hida::baselines::scalehls::compile(&mut ctx, func, 16).expect("scalehls");
-        let scale_est = estimator.estimate_schedule(&ctx, scale_schedule, true);
+        let (Ok(result), Ok(baseline)) = (&point.result, &baseline.result) else {
+            continue;
+        };
+        let (hida_est, scale_est) = (&result.estimate, &baseline.estimate);
 
         // SOFF-style baseline.
         let mut ctx = Context::new();

@@ -1,46 +1,53 @@
 //! Regenerates Table 8: DNN models compiled with HIDA vs DNNBuilder and ScaleHLS on
 //! one VU9P SLR, reporting throughput and DSP efficiency.
 //!
-//! The independent HIDA compilations (one per model) fan out through one
-//! [`SweepEngine`]. Per-point results equal each model compiled alone — each
-//! model compiles in a context of its own, and the results come back in
-//! declaration order.
+//! The pipeline-built designs — HIDA's per model and the ScaleHLS baseline's
+//! per model it supports — are the points of one [`SweepEngine`] run. Per-point
+//! results equal each design compiled alone — each point compiles in a context
+//! of its own, and the results come back in declaration order. A point that
+//! fails is reported with its reason after the rows, and the binary exits 1.
 
-use hida::estimator::dataflow::DataflowEstimator;
-use hida::ir::Context;
 use hida::{FpgaDevice, HidaOptions, Model, SweepEngine, SweepPoint, Workload};
-use hida_bench::{print_throughput_table, Row};
+use hida_bench::{print_throughput_table, scalehls_point, Row};
 
 fn main() {
     let device = FpgaDevice::vu9p_slr();
-    let estimator = DataflowEstimator::new(device.clone());
     let mut throughput_rows = Vec::new();
     let mut efficiency_rows = Vec::new();
 
-    // All HIDA design points at once: one per model, pooled.
+    // All design points at once: HIDA's per model, then ScaleHLS's for the
+    // models it supports, pooled.
     let models = Model::table8();
-    let points: Vec<SweepPoint> = models
+    let supported: Vec<Model> = models
         .iter()
-        .map(|&model| SweepPoint::new(model.name(), Workload::Model(model), HidaOptions::dnn()))
+        .copied()
+        .filter(|&model| hida::baselines::scalehls::supports(model))
         .collect();
+    let hida_points = models
+        .iter()
+        .map(|&model| SweepPoint::new(model.name(), Workload::Model(model), HidaOptions::dnn()));
+    let scalehls_points = supported
+        .iter()
+        .map(|&model| scalehls_point(Workload::Model(model), HidaOptions::dnn(), 64));
+    let points: Vec<SweepPoint> = hida_points.chain(scalehls_points).collect();
     let outcome = SweepEngine::new().run(&points);
+    let (hida, baselines) = outcome.points.split_at(models.len());
 
     println!("# Table 8 — DNN models on one VU9P SLR");
-    for (model, point) in models.iter().zip(&outcome.points) {
+    for (model, point) in models.iter().zip(hida) {
         let model = *model;
         let Ok(result) = &point.result else { continue };
         let hida_est = &result.estimate;
 
         // ScaleHLS baseline (only for the models it supports).
-        let scalehls = if hida::baselines::scalehls::supports(model) {
-            let mut ctx = Context::new();
-            let module = ctx.create_module("scalehls");
-            let func = hida::frontend::nn::build_model(&mut ctx, module, model);
-            let schedule =
-                hida::baselines::scalehls::compile(&mut ctx, func, 64).expect("scalehls");
-            Some(estimator.estimate_schedule(&ctx, schedule, true))
-        } else {
-            None
+        let baseline = supported
+            .iter()
+            .position(|&m| m == model)
+            .map(|index| &baselines[index].result);
+        let scalehls = match baseline {
+            Some(Ok(baseline)) => Some(&baseline.estimate),
+            Some(Err(_)) => continue,
+            None => None,
         };
 
         // DNNBuilder analytic model (only for the models it supports).

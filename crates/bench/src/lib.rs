@@ -7,11 +7,11 @@
 //! [`hida::SweepEngine`] themselves; this crate holds what they share beyond
 //! that: the pipeline-string builders behind the figure ablations
 //! ([`variants`]), the command line of the figure binaries
-//! ([`full_grid_requested`]), the sweep summary and the report of failed
-//! points ([`print_sweep_summary`], [`report_failures`]) and the table
-//! printer.
+//! ([`full_grid_requested`]), the ScaleHLS baseline's design points
+//! ([`scalehls_point`]), the sweep summary and the report of failed points
+//! ([`print_sweep_summary`], [`report_failures`]) and the table printer.
 
-use hida::{classify_failure, SweepOutcome};
+use hida::{classify_failure, HidaOptions, SweepOutcome, SweepPoint, Workload};
 
 pub mod variants;
 
@@ -32,6 +32,20 @@ pub fn full_grid_requested(args: impl IntoIterator<Item = String>) -> Result<boo
         full = true;
     }
     Ok(full)
+}
+
+/// The ScaleHLS baseline's design point of `workload`, labelled
+/// `scalehls-<workload>`: its flow as a pipeline
+/// ([`hida::baselines::scalehls::pipeline`]) over the same IR as the HIDA
+/// point built from `options`, sized for and estimated on `options.device`.
+pub fn scalehls_point(
+    workload: Workload,
+    options: HidaOptions,
+    max_parallel_factor: i64,
+) -> SweepPoint {
+    let text = hida::baselines::scalehls::pipeline(max_parallel_factor, &options.device);
+    let label = format!("scalehls-{}", workload.name());
+    SweepPoint::new(label, workload, options).with_pipeline(text)
 }
 
 /// Prints the closing summary of a sweep: points, wall-clock and pool width.

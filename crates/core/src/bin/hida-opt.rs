@@ -12,16 +12,16 @@
 //! hida-opt --input examples/two_mm.hir --explore variants.txt
 //! ```
 //!
-//! A single run goes through `Compiler::lower_func` and `Compiler::finish`,
-//! printing the normalized pipeline, per-pass statistics, the schedule and its
-//! QoR in between. `--sweep` and `--explore` share one driver: every line of
-//! the file is a design point for `SweepEngine::run`, and an exploration is
-//! that sweep plus the Pareto frontier of its results (`Explorer::explore`).
+//! Every mode compiles through one driver, `SweepEngine::run`, wired once
+//! from the command line (verification, `--deadline-ms`, `--inject-faults`,
+//! `--cache-dir`). A single run is a one-point run whose outcome is reported
+//! as the normalized pipeline, per-pass statistics, the schedule and its QoR;
+//! under `--sweep` every line of the file is a design point, and an
+//! exploration is that sweep plus the Pareto frontier of its results
+//! (`Explorer::explore`).
 
 use hida::report::Json;
-use hida::sweep::{
-    classify_failure, isolated, SweepEngine, SweepOutcome, SweepPoint, SweepPointOutcome,
-};
+use hida::sweep::{classify_failure, SweepEngine, SweepOutcome, SweepPoint, SweepPointOutcome};
 use hida::{
     json_fields, json_object, EstimateStore, ExploreConfig, Explorer, Frontier, Objective,
     PersistentStoreStats, SharedEstimateCache, Workload,
@@ -30,7 +30,7 @@ use hida_dialects::analysis::ComputeProfile;
 use hida_estimator::device::FpgaDevice;
 use hida_frontend::nn::Model;
 use hida_frontend::polybench::PolybenchKernel;
-use hida_ir_core::fault::{self, CancelToken, FaultPlan};
+use hida_ir_core::fault::{self, FaultPlan};
 use hida_ir_core::pass::PassStatistics;
 use hida_ir_core::{Analysis, AnalysisCacheStats, Context};
 use hida_opt::registry::{registry, registry_listing};
@@ -390,16 +390,15 @@ fn single_json(
     pipeline_text: &str,
     statistics: &[PassStatistics],
     estimator_cache: Option<&AnalysisCacheStats>,
-    cache: Option<&SharedEstimateCache>,
+    persistent: Option<&PersistentStoreStats>,
 ) -> Json {
-    let persistent = cache.and_then(|c| c.persistent_stats());
     json_object! {
         "workload": workload,
         "pipeline": pipeline_text,
         "passes": Json::array(statistics, pass_json),
         "analysis_cache_totals": analysis_cache_json(&PassStatistics::aggregate_cache(statistics)),
         "estimator_cache": Json::option(estimator_cache, analysis_cache_json),
-        "persistent_cache": Json::option(persistent.as_ref(), persistent_json),
+        "persistent_cache": Json::option(persistent, persistent_json),
     }
 }
 
@@ -518,48 +517,56 @@ fn resolve_device(name: &str) -> Result<FpgaDevice, String> {
 /// come before the first line of report output.
 struct Wiring {
     /// `--jobs`, defaulting to the machine's available parallelism: the
-    /// thread total of a batch. A single compilation does not read it.
+    /// thread total of a batch. A single compilation is a batch of one point,
+    /// which compiles on the calling thread at any thread total.
     jobs: usize,
     /// `--device`, overriding every pipeline's own `parallelize` device.
     device: Option<FpgaDevice>,
-    /// `--inject-faults`; a plan that arms nothing collapses to `None` so the
-    /// zero-cost fast path stays active.
-    plan: Option<FaultPlan>,
-    /// The handle on `--cache-dir`'s persistent estimate store.
-    cache: Option<Arc<SharedEstimateCache>>,
+    /// The engine every mode compiles through: `--jobs`, verification,
+    /// `--deadline-ms`, `--run-budget-ms`, `--inject-faults` and
+    /// `--cache-dir`'s persistent estimate store.
+    engine: SweepEngine,
 }
 
 fn wire(args: &Args) -> Result<Wiring, String> {
-    let plan = match &args.inject_faults {
-        Some(spec) => Some(FaultPlan::parse(spec).map_err(|e| format!("--inject-faults: {e}"))?)
-            .filter(|plan| !plan.is_empty()),
-        None => None,
-    };
-    if plan.is_some() {
-        // Injected pass panics unwind by design; keep the default panic hook
-        // from spamming stderr with their backtraces. (A deadline is an
-        // error, not an unwind.)
-        fault::silence_expected_panics();
+    let jobs = args.jobs.unwrap_or_else(hida_ir_core::default_jobs);
+    let mut engine = SweepEngine::new()
+        .with_total_jobs(jobs)
+        .with_verification(!args.no_verify);
+    if let Some(spec) = &args.inject_faults {
+        let plan = FaultPlan::parse(spec).map_err(|e| format!("--inject-faults: {e}"))?;
+        if !plan.is_empty() {
+            // Injected pass panics unwind by design; keep the default panic
+            // hook from spamming stderr with their backtraces. (A deadline is
+            // an error, not an unwind.)
+            fault::silence_expected_panics();
+            engine = engine.with_fault_plan(plan);
+        }
     }
-    let cache = match &args.cache_dir {
+    match &args.cache_dir {
         Some(dir) => {
             let mut store = EstimateStore::open(dir)
                 .map_err(|e| format!("--cache-dir: cannot open store at '{dir}': {e}"))?;
             if let Some(bytes) = args.cache_limit_bytes {
                 store = store.with_limit_bytes(bytes);
             }
-            Some(Arc::new(SharedEstimateCache::with_store(store)))
+            engine = engine.with_cache(Arc::new(SharedEstimateCache::with_store(store)));
         }
         None if args.cache_limit_bytes.is_some() => {
             return Err("--cache-limit-mb requires --cache-dir".to_string())
         }
-        None => None,
-    };
+        None => {}
+    }
+    if let Some(ms) = args.deadline_ms {
+        engine = engine.with_deadline_ms(ms);
+    }
+    if let Some(ms) = args.run_budget_ms {
+        engine = engine.with_run_budget_ms(ms);
+    }
     Ok(Wiring {
-        jobs: args.jobs.unwrap_or_else(hida_ir_core::default_jobs),
+        jobs,
         device: args.device.as_deref().map(resolve_device).transpose()?,
-        plan,
-        cache,
+        engine,
     })
 }
 
@@ -641,22 +648,6 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
         points.push(point);
     }
 
-    let mut engine = SweepEngine::new()
-        .with_total_jobs(wiring.jobs)
-        .with_verification(!args.no_verify);
-    if let Some(ms) = args.deadline_ms {
-        engine = engine.with_deadline_ms(ms);
-    }
-    if let Some(ms) = args.run_budget_ms {
-        engine = engine.with_run_budget_ms(ms);
-    }
-    if let Some(plan) = wiring.plan {
-        engine = engine.with_fault_plan(plan);
-    }
-    if let Some(cache) = wiring.cache {
-        engine = engine.with_cache(cache);
-    }
-
     say!("{}", source.line);
     say!(
         "{}: {} design points from {path}",
@@ -673,9 +664,9 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
     }
 
     let (outcome, frontier) = match mode {
-        Mode::Sweep => (engine.run(&points), None),
+        Mode::Sweep => (wiring.engine.run(&points), None),
         Mode::Explore => {
-            let explorer = Explorer::new(config.clone()).with_engine(engine);
+            let explorer = Explorer::new(config.clone()).with_engine(wiring.engine);
             let explored = explorer.explore(&points)?;
             (explored.sweep, Some(explored.frontier))
         }
@@ -738,9 +729,26 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A single compilation: the workload through one pipeline, reported pass by
-/// pass, then the schedule and its QoR estimate; with `--emit-cpp`, the HLS
-/// C++ it emitted goes to a file.
+/// Prints the per-pass section of a single compilation's report.
+fn say_passes(statistics: &[PassStatistics], no_timing: bool) {
+    say!("\n# Per-pass statistics");
+    for stat in statistics {
+        if no_timing {
+            say!("{}", stable_stat(stat));
+        } else {
+            say!("{stat}");
+        }
+    }
+    if !no_timing {
+        let cache_totals = PassStatistics::aggregate_cache(statistics);
+        say!("analysis cache totals: {cache_totals}");
+    }
+}
+
+/// A single compilation: the workload through one pipeline as a one-point
+/// run of the engine every mode uses, reported pass by pass, then the
+/// schedule and its QoR estimate; with `--emit-cpp`, the HLS C++ it emitted
+/// goes to a file.
 fn run_single(args: &Args) -> Result<(), String> {
     if args.run_budget_ms.is_some() {
         return Err("--run-budget-ms applies to --sweep and --explore".to_string());
@@ -763,148 +771,112 @@ fn run_single(args: &Args) -> Result<(), String> {
         return Err("the pipeline is empty".to_string());
     }
     let pipeline_text = parsed.to_text();
-    let device = &point.options.device;
-    // With --cache-dir, estimation runs against the persistent store.
-    let mut compiler = point.compiler().with_verification(!args.no_verify);
-    if let Some(cache) = &wiring.cache {
-        compiler = compiler.with_shared_estimates(cache.clone());
-    }
 
     say!("{}", source.line);
-    let mut ctx = Context::new();
-    let (module, func) =
-        hida::build_workload(&mut ctx, source.workload).map_err(|e| e.to_string())?;
     // --emit-ir captures the module as the pipeline will see it: the printed
     // text re-parses (with --input) to a structurally identical design.
     if let Some(path) = &args.emit_ir {
+        let mut ctx = Context::new();
+        let (module, _) =
+            hida::build_workload(&mut ctx, source.workload.clone()).map_err(|e| e.to_string())?;
         let text = hida_ir_core::printer::print_op(&ctx, module);
         std::fs::write(path, &text)
             .map_err(|e| format!("--emit-ir: cannot write '{path}': {e}"))?;
         say!("emitted IR: {path}");
     }
-    say!("pipeline: {pipeline_text}");
 
-    // The compilation is one fault domain, exactly like a one-point sweep:
-    // --deadline-ms bounds it, and --inject-faults assigns its faults to the
-    // workload as the run's only label.
-    let token = CancelToken::new().child(args.deadline_ms);
-    let faults = wiring.plan.as_ref().and_then(|plan| {
-        plan.assign(std::slice::from_ref(&source.name))
-            .remove(&source.name)
-            .map(|kind| plan.arm(kind))
-    });
-    let site = format!("workload '{}'", source.name);
-    let cpp = isolated(&site, token, faults, || {
-        let lowered = compiler.lower_func(ctx, module, func);
-        let statistics = match &lowered {
-            Ok(design) => &design.pass_statistics,
-            Err(failure) => &failure.pass_statistics,
-        };
-        say!("\n# Per-pass statistics");
-        for stat in statistics {
-            if args.no_timing {
-                say!("{}", stable_stat(stat));
-            } else {
-                say!("{stat}");
-            }
-        }
-        if !args.no_timing {
-            let cache_totals = PassStatistics::aggregate_cache(statistics);
-            say!("analysis cache totals: {cache_totals}");
-        }
-        // A failing pipeline still reports where (and after how long) it died
-        // — including the machine-readable statistics, with the estimator
-        // section nulled out because estimation never ran.
-        let lowered = match lowered {
-            Ok(design) => design,
-            Err(failure) => {
+    let mut outcome = wiring.engine.run(std::slice::from_ref(&point));
+    let compiled = outcome.points.swap_remove(0);
+    let result = match compiled.result {
+        Ok(result) => result,
+        Err(error) => {
+            // A failing pipeline still reports where (and after how long) it
+            // died — including the machine-readable statistics, with the
+            // estimator section nulled out because estimation never ran. A
+            // point that failed before its first pass or after its last has
+            // no pass to report.
+            let statistics = &compiled.failed_pass_statistics;
+            if !statistics.is_empty() {
+                say!("pipeline: {pipeline_text}");
+                say_passes(statistics, args.no_timing);
                 if args.stats_json {
-                    let stats = &failure.pass_statistics;
-                    println!(
-                        "{}",
-                        single_json(&source.name, &pipeline_text, stats, None, None)
-                    );
+                    let json = single_json(&source.name, &pipeline_text, statistics, None, None);
+                    println!("{json}");
                 }
-                return Err(failure.error);
             }
-        };
+            return Err(error.to_string());
+        }
+    };
+    say!("pipeline: {pipeline_text}");
+    say_passes(&result.pass_statistics, args.no_timing);
 
-        let (ctx, schedule) = (&lowered.ctx, lowered.schedule);
-        say!("\n# Schedule ({} nodes)", schedule.nodes(ctx).len());
-        for node in schedule.nodes(ctx) {
-            let rank = match lowered.analyses.cached::<ComputeProfile>(ctx, node.id()) {
-                Some(profile) => profile.loop_dims.len(),
-                None => ComputeProfile::compute(ctx, node.id()).loop_dims.len(),
-            };
-            say!(
-                "node {:<24} intensity {:<10} parallel factor {:<5} unroll {:?}",
-                node.name(ctx),
-                ctx.op(node.id()).attr_int("intensity").unwrap_or(0),
-                ctx.op(node.id()).attr_int("parallel_factor").unwrap_or(0),
-                hida_dialects::transforms::unroll_factors_of(ctx, node.id(), rank),
-            );
-        }
-        for buffer in schedule.internal_buffers(ctx) {
-            let partition = buffer.partition(ctx);
-            say!(
-                "buffer {:<22} depth {:<3} kind {:<9} partition {:?} ({} banks)",
-                buffer.name(ctx),
-                buffer.depth(ctx),
-                format!("{:?}", buffer.memory_kind(ctx)),
-                partition.factors,
-                partition.bank_count(),
-            );
-        }
+    let (ctx, schedule) = (&result.ctx, result.schedule);
+    say!("\n# Schedule ({} nodes)", schedule.nodes(ctx).len());
+    for node in schedule.nodes(ctx) {
+        let rank = ComputeProfile::compute(ctx, node.id()).loop_dims.len();
+        say!(
+            "node {:<24} intensity {:<10} parallel factor {:<5} unroll {:?}",
+            node.name(ctx),
+            ctx.op(node.id()).attr_int("intensity").unwrap_or(0),
+            ctx.op(node.id()).attr_int("parallel_factor").unwrap_or(0),
+            hida_dialects::transforms::unroll_factors_of(ctx, node.id(), rank),
+        );
+    }
+    for buffer in schedule.internal_buffers(ctx) {
+        let partition = buffer.partition(ctx);
+        say!(
+            "buffer {:<22} depth {:<3} kind {:<9} partition {:?} ({} banks)",
+            buffer.name(ctx),
+            buffer.depth(ctx),
+            format!("{:?}", buffer.memory_kind(ctx)),
+            partition.factors,
+            partition.bank_count(),
+        );
+    }
 
-        let result = compiler.finish(lowered);
-        // One segment per run, on disk before the store's counters are read.
-        if let Some(cache) = &wiring.cache {
-            cache.flush();
-        }
-        let result = result?;
-        let (dataflow, sequential) = (&result.estimate, &result.estimate_sequential);
-        say!("\n# QoR estimate ({})", device.name);
+    let device = &point.options.device;
+    let (dataflow, sequential) = (&result.estimate, &result.estimate_sequential);
+    say!("\n# QoR estimate ({})", device.name);
+    say!(
+        "throughput: {:.3} samples/s (dataflow) vs {:.3} samples/s (sequential)",
+        dataflow.throughput(),
+        sequential.throughput()
+    );
+    say!(
+        "resources:  DSP {} / {}, BRAM-18K {} / {}, LUT {} / {}",
+        dataflow.resources.dsp,
+        device.dsp,
+        dataflow.resources.bram_18k,
+        device.bram_18k,
+        dataflow.resources.lut,
+        device.lut
+    );
+    say!("DSP efficiency: {:.1}%", 100.0 * dataflow.dsp_efficiency());
+    let persistent = outcome.persistent_cache.as_ref();
+    if !args.no_timing {
         say!(
-            "throughput: {:.3} samples/s (dataflow) vs {:.3} samples/s (sequential)",
-            dataflow.throughput(),
-            sequential.throughput()
+            "estimator cache: {} (dataflow + sequential estimates share node estimates)",
+            result.estimator_cache
         );
-        say!(
-            "resources:  DSP {} / {}, BRAM-18K {} / {}, LUT {} / {}",
-            dataflow.resources.dsp,
-            device.dsp,
-            dataflow.resources.bram_18k,
-            device.bram_18k,
-            dataflow.resources.lut,
-            device.lut
+        if let Some(persistent) = persistent {
+            say!("persistent estimate store: {persistent}");
+        }
+    }
+    if args.stats_json {
+        let statistics = &result.pass_statistics;
+        let estimator_cache = Some(&result.estimator_cache);
+        let json = single_json(
+            &source.name,
+            &pipeline_text,
+            statistics,
+            estimator_cache,
+            persistent,
         );
-        say!("DSP efficiency: {:.1}%", 100.0 * dataflow.dsp_efficiency());
-        if !args.no_timing {
-            say!(
-                "estimator cache: {} (dataflow + sequential estimates share node estimates)",
-                result.estimator_cache
-            );
-            if let Some(persistent) = wiring.cache.as_ref().and_then(|c| c.persistent_stats()) {
-                say!("persistent estimate store: {persistent}");
-            }
-        }
-        if args.stats_json {
-            println!(
-                "{}",
-                single_json(
-                    &source.name,
-                    &pipeline_text,
-                    &result.pass_statistics,
-                    Some(&result.estimator_cache),
-                    wiring.cache.as_deref(),
-                )
-            );
-        }
-        Ok(result.hls_cpp)
-    })
-    .map_err(|e| e.to_string())?;
+        println!("{json}");
+    }
     if let Some(path) = &args.emit_cpp {
-        std::fs::write(path, cpp).map_err(|e| format!("--emit-cpp: cannot write '{path}': {e}"))?;
+        std::fs::write(path, &result.hls_cpp)
+            .map_err(|e| format!("--emit-cpp: cannot write '{path}': {e}"))?;
         say!("emitted C++: {path}");
     }
     Ok(())

@@ -73,6 +73,7 @@ use hida_dataflow_ir::structural::ScheduleOp;
 use hida_estimator::dataflow::DataflowEstimator;
 use hida_ir_core::{Context, IrError, IrResult, OpId};
 use std::borrow::Cow;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -148,8 +149,8 @@ pub struct CompilationResult {
 }
 
 /// A workload lowered through the pass pipeline but not yet estimated or
-/// emitted — the output of [`Compiler::lower`] / [`Compiler::lower_func`] and
-/// the input of [`Compiler::finish`].
+/// emitted — the output of [`Compiler::lower`] and the input of
+/// [`Compiler::finish`].
 #[derive(Debug)]
 pub struct LoweredDesign {
     /// The IR context holding the lowered design.
@@ -185,7 +186,7 @@ pub struct LowerFailure {
     /// What stopped the pipeline.
     pub error: IrError,
     /// Per-pass statistics up to and including the failing pass; empty when
-    /// the pipeline text itself did not parse.
+    /// the front end failed or the pipeline text itself did not parse.
     pub pass_statistics: Vec<PassStatistics>,
 }
 
@@ -195,9 +196,25 @@ impl From<LowerFailure> for IrError {
     }
 }
 
+/// A failure before any pass ran: no statistics.
+impl From<IrError> for LowerFailure {
+    fn from(error: IrError) -> LowerFailure {
+        LowerFailure {
+            error,
+            pass_statistics: Vec::new(),
+        }
+    }
+}
+
+impl fmt::Display for LowerFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
 /// Runs `pipeline` from where `checkpoint` stands to its end — the one place
-/// a compilation's passes run. [`Compiler::lower_func`] resumes the empty
-/// checkpoint over the function it was given; a sweep point resumes a fork
+/// a compilation's passes run. [`Compiler::lower`] resumes the empty
+/// checkpoint over the workload's function; a sweep point resumes a fork
 /// of the deepest checkpoint its run shares with other points (see
 /// `docs/ARCHITECTURE.md`, "The prefix tree"). `start` is when the
 /// caller began this lowering: what came before the resume counts into
@@ -391,33 +408,20 @@ impl Compiler {
     }
 
     /// Runs the front end and the pass pipeline only — no QoR estimation, no
-    /// emission: the first half of [`Compiler::compile`]. The returned design
-    /// holds the optimized structural schedule; [`Compiler::finish`] takes it
-    /// the rest of the way, and a caller may read or edit it in between.
+    /// emission: the first half of [`Compiler::compile`]. Assembles the
+    /// compilation's pipeline (explicit text or the options-derived flow,
+    /// verification) and resumes the empty [`Checkpoint`] over the workload's
+    /// function with it. The returned design holds the optimized structural
+    /// schedule; [`Compiler::finish`] takes it the rest of the way, and a
+    /// caller may read or edit it in between.
     ///
     /// # Errors
-    /// Propagates front-end or optimization failures.
-    pub fn lower(&self, workload: Workload) -> IrResult<LoweredDesign> {
+    /// A [`LowerFailure`] carrying a front-end failure or the pipeline text's
+    /// rejection (no pass statistics), or the optimization or inter-pass
+    /// verification error and the statistics of the passes that ran.
+    pub fn lower(&self, workload: Workload) -> Result<LoweredDesign, LowerFailure> {
         let mut ctx = Context::new();
         let (module, func) = build_workload(&mut ctx, workload)?;
-        Ok(self.lower_func(ctx, module, func)?)
-    }
-
-    /// Runs the pass pipeline over an already-constructed function: assembles
-    /// the compilation's pipeline (explicit text or the options-derived flow,
-    /// verification) and resumes the empty [`Checkpoint`] over `func` with
-    /// it. Custom front-ends call this and then [`Compiler::finish`].
-    ///
-    /// # Errors
-    /// A [`LowerFailure`] carrying the pipeline text's rejection (no pass
-    /// statistics), or the optimization or inter-pass verification error
-    /// and the statistics of the passes that ran.
-    pub fn lower_func(
-        &self,
-        ctx: Context,
-        module: OpId,
-        func: OpId,
-    ) -> Result<LoweredDesign, LowerFailure> {
         let start = Instant::now();
         // Chaos-harness site: an armed stall sleeps here, at the very start of
         // the point's compilation, where a per-point deadline will catch it.
@@ -443,10 +447,7 @@ impl Compiler {
         };
         match Pipeline::parse(&registry(), &text) {
             Ok(pipeline) => Ok(pipeline.with_verification(self.verification)),
-            Err(e) => Err(LowerFailure {
-                error: IrError::pass_failed("hida-pipeline", e.to_string()),
-                pass_statistics: Vec::new(),
-            }),
+            Err(e) => Err(IrError::pass_failed("hida-pipeline", e.to_string()).into()),
         }
     }
 

@@ -22,7 +22,7 @@
 //!   is the fault domain: a point with armed faults and every point whose
 //!   shared prefix could not be lowered compile share-nothing, front end to
 //!   emission.
-//! * Each point is one attempt under one fault domain ([`isolated`]): a
+//! * Each point is one attempt under one fault domain (`isolated`): a
 //!   panic, a per-point deadline or the whole-run budget fails that point
 //!   with a structured [`FailureReason`], and the others compile on. The
 //!   pool itself catches nothing — everything a point does that can fail
@@ -44,7 +44,7 @@
 //! alone — the determinism CI enforces.
 
 use crate::prefix::{PrefixStats, PrefixTree};
-use crate::{CompilationResult, Compiler, HidaOptions, Workload};
+use crate::{CompilationResult, Compiler, HidaOptions, PassStatistics, Workload};
 use hida_estimator::shared_cache::{SharedCacheStats, SharedEstimateCache};
 use hida_estimator::store::PersistentStoreStats;
 use hida_ir_core::fault::{self, CancelToken, FaultPlan, PointFaults};
@@ -147,9 +147,9 @@ impl JobBudget {
 /// `faults` are this thread's point context for the duration, and a panic
 /// unwinding out of it comes back as the [`IrError::WorkerPanic`] of `site`
 /// instead of crossing into the caller (an expired token is already an
-/// error: `compile`'s checkpoints return it). Every sweep point runs through
-/// here, and so does `hida-opt`'s single compilation.
-pub fn isolated<T>(
+/// error: `compile`'s checkpoints return it). Every point of every run —
+/// `hida-opt`'s single compilation is a one-point run — goes through here.
+fn isolated<T>(
     site: &str,
     token: CancelToken,
     faults: Option<PointFaults>,
@@ -211,6 +211,11 @@ pub struct SweepPointOutcome {
     pub seconds: f64,
     /// The compilation result, or the error that stopped it.
     pub result: IrResult<CompilationResult>,
+    /// The per-pass statistics of a pipeline that failed, up to and including
+    /// the failing pass (marked `failed`), so a report can still say where
+    /// the point died. Empty when the point compiled, and when it failed
+    /// before its first pass or after its last.
+    pub failed_pass_statistics: Vec<PassStatistics>,
 }
 
 impl SweepPointOutcome {
@@ -447,11 +452,13 @@ impl SweepEngine {
     /// one cancellation token (the per-point deadline chained below the run
     /// budget) and the point's armed faults, holding all of the point's work
     /// that can fail, so panics and cancellations land as structured errors.
+    /// A pipeline that fails hands its statistics to the outcome.
     fn run_point(&self, run: &Run<'_>, index: usize) -> SweepPointOutcome {
         let point = &run.points[index];
         let start = Instant::now();
         let armed = run.armed.get(&point.label);
         let token = run.token.child(self.deadline_ms);
+        let mut failed_pass_statistics = Vec::new();
         let result = isolated(&point.site(), token, armed.cloned(), || {
             let compiler = self.point_compiler(point);
             // A point with armed faults is a fault domain of its own from the
@@ -463,17 +470,24 @@ impl SweepEngine {
                 .is_none()
                 .then(|| run.tree.lower(index, &point.workload))
                 .flatten();
-            let design = match from_tree {
-                Some(lowered) => lowered?,
-                None => compiler.lower(point.workload.clone())?,
+            let lowered = match from_tree {
+                Some(lowered) => lowered,
+                None => compiler.lower(point.workload.clone()),
             };
-            compiler.finish(design)
+            match lowered {
+                Ok(design) => compiler.finish(design),
+                Err(failure) => {
+                    failed_pass_statistics = failure.pass_statistics;
+                    Err(failure.error)
+                }
+            }
         });
         SweepPointOutcome {
             label: point.label.clone(),
             pipeline: point.pipeline_text(),
             seconds: start.elapsed().as_secs_f64(),
             result,
+            failed_pass_statistics,
         }
     }
 }
@@ -492,7 +506,13 @@ struct Run<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PassStatistics, PolybenchKernel};
+    use crate::PolybenchKernel;
+
+    /// The passes a failed point's outcome reports, with their `failed` marks.
+    fn passes_of(point: &SweepPointOutcome) -> Vec<(&'static str, bool)> {
+        let statistics = &point.failed_pass_statistics;
+        statistics.iter().map(|s| (s.pass, s.failed)).collect()
+    }
 
     fn small_points(n: usize) -> Vec<SweepPoint> {
         (0..n)
@@ -590,6 +610,7 @@ mod tests {
         assert_eq!(failed.failure_reason(), Some(FailureReason::Panicked));
         let error = failed.result.as_ref().unwrap_err().to_string();
         assert!(error.contains("injected"), "{error}");
+        assert_eq!(passes_of(failed), [("hida-construct-dataflow", true)]);
         // The surviving points compiled, and their QoR is byte-identical to a
         // fault-free run — isolation, not contamination.
         let clean = SweepEngine::new().with_total_jobs(1).run(&points);
@@ -653,6 +674,16 @@ mod tests {
                 );
                 assert_eq!(error, &alone.unwrap_err());
                 assert_eq!(point.failure_reason(), Some(FailureReason::Failed));
+                // ... with the statistics of the two passes it ran.
+                let alone = spec.compiler().lower(spec.workload.clone()).unwrap_err();
+                assert_eq!(
+                    PassStatistics::without_micros(&point.failed_pass_statistics),
+                    PassStatistics::without_micros(&alone.pass_statistics)
+                );
+                assert_eq!(
+                    passes_of(point),
+                    [("hida-construct-dataflow", false), ("hida-tiling", true)]
+                );
             }
             // The failed checkpoint was lowered once (two passes), never
             // served, and every point then compiled share-nothing.
@@ -711,6 +742,41 @@ mod tests {
         assert_eq!(failed.failure_reason(), Some(FailureReason::TimedOut));
         let detail = failed.result.as_ref().unwrap_err().to_string();
         assert!(detail.contains("deadline"), "{detail}");
+        // Cancelled at the first pass boundary past the stall.
+        assert_eq!(passes_of(failed), [("hida-construct-dataflow", true)]);
+    }
+
+    /// A point whose pipeline fails hands the statistics of the passes it
+    /// ran to its outcome, the failing one last and marked; a point that
+    /// compiled hands none, at any job count.
+    #[test]
+    fn only_a_failed_pipeline_hands_its_statistics_to_the_outcome() {
+        let mut points = small_points(2);
+        points.push(
+            SweepPoint::new(
+                "no-lower",
+                Workload::PolybenchSized(PolybenchKernel::TwoMm, 32),
+                HidaOptions::polybench(),
+            )
+            .with_pipeline("construct,fusion,tiling{factor=4},parallelize{device=zu3eg}"),
+        );
+        for jobs in [1, 4] {
+            let outcome = SweepEngine::new().with_total_jobs(jobs).run(&points);
+            assert_eq!(outcome.failed_labels(), ["no-lower"], "--jobs {jobs}");
+            for compiled in &outcome.points[..2] {
+                assert!(compiled.result.is_ok());
+                assert!(compiled.failed_pass_statistics.is_empty());
+            }
+            assert_eq!(
+                passes_of(&outcome.points[2]),
+                [
+                    ("hida-construct-dataflow", false),
+                    ("hida-task-fusion", false),
+                    ("hida-tiling", true),
+                ],
+                "--jobs {jobs}"
+            );
+        }
     }
 
     #[test]

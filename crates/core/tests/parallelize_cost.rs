@@ -14,7 +14,7 @@
 
 use hida::frontend::nn::build_model;
 use hida::ir::{parse_pipeline, run_passes, AnalysisManager, Context, Pass, RunState};
-use hida::{HidaOptions, Model, ParallelMode};
+use hida::{HidaOptions, Model};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -60,14 +60,14 @@ const PARALLELIZE_ALLOCATION_CEILING: u64 = 55;
 const NAIVE_ALLOCATION_CEILING: u64 = 32;
 
 /// Allocator calls of `parallelize` plus its verification on a fork of the
-/// checkpoint `balance` left for `model` under `options`, counted on the
-/// second of two forks.
-fn parallelize_allocations(model: Model, options: &HidaOptions) -> u64 {
+/// checkpoint `balance` left for `model` under the pipeline `text`, counted
+/// on the second of two forks.
+fn parallelize_allocations(model: Model, text: &str) -> u64 {
     // The pipeline as `Pipeline::parse` builds it, over a run state of this
     // test's own: a debug build re-computes every analysis a pass declared
     // preserved to check the declaration, which is not what is counted here.
     let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-    for invocation in parse_pipeline(&options.pipeline_text()).unwrap() {
+    for invocation in parse_pipeline(text).unwrap() {
         let (_, pass) = hida::registry().create(&invocation).unwrap();
         passes.push(Box::new(pass));
     }
@@ -122,8 +122,9 @@ fn parallelizing_a_forked_resnet18_stays_under_the_allocation_ceiling() {
         max_parallel_factor: 64,
         ..HidaOptions::dnn()
     };
-    assert!(options.pipeline_text().contains("tiling{factor=8,"));
-    let allocs = parallelize_allocations(Model::ResNet18, &options);
+    let text = options.pipeline_text();
+    assert!(text.contains("tiling{factor=8,"));
+    let allocs = parallelize_allocations(Model::ResNet18, &text);
     assert!(
         allocs <= PARALLELIZE_ALLOCATION_CEILING,
         "parallelize + its verification of a forked ResNet-18 made {allocs} allocator \
@@ -133,15 +134,12 @@ fn parallelizing_a_forked_resnet18_stays_under_the_allocation_ceiling() {
 
 #[test]
 fn parallelizing_a_forked_naive_mobilenet_stays_under_the_allocation_ceiling() {
-    // The Fig. 11 point `Naive`-pf256 (tile 16).
-    let options = HidaOptions {
-        mode: ParallelMode::Naive,
-        ..HidaOptions::dnn()
-    };
-    assert!(options
-        .pipeline_text()
-        .contains("max-factor=256,mode=Naive"));
-    let allocs = parallelize_allocations(Model::MobileNetV1, &options);
+    // The Fig. 11 point `Naive`-pf256 (tile 16): the DNN preset's flow in
+    // `Naive` mode.
+    let text = HidaOptions::dnn().pipeline_text();
+    let text = text.replace("mode=IA+CA", "mode=Naive");
+    assert!(text.contains("max-factor=256,mode=Naive"));
+    let allocs = parallelize_allocations(Model::MobileNetV1, &text);
     assert!(
         allocs <= NAIVE_ALLOCATION_CEILING,
         "parallelize + its verification of a forked Naive MobileNet-V1 made {allocs} \

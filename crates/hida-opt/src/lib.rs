@@ -123,12 +123,6 @@ pub struct HidaOptions {
     pub max_parallel_factor: i64,
     /// Spatial tile size applied to large layers (None = untiled).
     pub tile_size: Option<i64>,
-    /// Parallelization strategy.
-    pub mode: ParallelMode,
-    /// Whether task fusion (Algorithm 2) runs.
-    pub enable_fusion: bool,
-    /// Whether multi-producer elimination and data-path balancing run.
-    pub enable_balancing: bool,
     /// Buffers larger than this many bytes are spilled to external memory
     /// (soft FIFO) when tiling is enabled.
     pub external_threshold_bytes: i64,
@@ -143,9 +137,6 @@ impl Default for HidaOptions {
         HidaOptions {
             max_parallel_factor: 32,
             tile_size: Some(8),
-            mode: ParallelMode::IaCa,
-            enable_fusion: true,
-            enable_balancing: true,
             external_threshold_bytes: 64 * 1024,
             device: FpgaDevice::vu9p_slr(),
         }
@@ -160,7 +151,6 @@ impl HidaOptions {
             tile_size: None,
             device: FpgaDevice::zu3eg(),
             external_threshold_bytes: 512 * 1024,
-            ..HidaOptions::default()
         }
     }
 
@@ -175,39 +165,30 @@ impl HidaOptions {
     }
 
     /// Renders these options as a textual pipeline (see [`registry()`]): the single
-    /// source of truth for the standard HIDA-OPT flow. Boolean toggles become
-    /// pipeline membership, scalar knobs become pass options.
+    /// source of truth for the standard HIDA-OPT flow — every pass, with
+    /// IA+CA parallelization — whose scalar knobs become pass options, and
+    /// `tile_size: None` drops the tiling pass. Any other flow (no fusion, no
+    /// balancing, another parallelization mode) is a pipeline string of its
+    /// own.
     ///
     /// The target device is carried *by name*; the pass table accepts only
     /// the catalog devices resolvable through `FpgaDevice::by_name`.
     pub fn pipeline_text(&self) -> String {
-        let mut passes = vec!["construct".to_string()];
-        if self.enable_fusion {
-            passes.push("fusion".to_string());
-        }
-        passes.push("lower".to_string());
-        if self.enable_balancing {
-            passes.push("multi-producer-elim".to_string());
-        }
-        if let Some(tile_size) = self.tile_size {
-            passes.push(format!(
-                "tiling{{factor={tile_size},external-threshold-bytes={}}}",
-                self.external_threshold_bytes
-            ));
-        }
-        if self.enable_balancing {
-            passes.push(format!(
-                "balance{{external-threshold-bytes={}}}",
-                self.external_threshold_bytes
-            ));
-        }
-        passes.push(format!(
-            "parallelize{{max-factor={},mode={},device={}}}",
+        let threshold = self.external_threshold_bytes;
+        let tiling = match self.tile_size {
+            Some(tile_size) => {
+                format!("tiling{{factor={tile_size},external-threshold-bytes={threshold}}},")
+            }
+            None => String::new(),
+        };
+        format!(
+            "construct,fusion,lower,multi-producer-elim,{tiling}\
+             balance{{external-threshold-bytes={threshold}}},\
+             parallelize{{max-factor={},mode={},device={}}}",
             self.max_parallel_factor,
-            self.mode.label(),
+            ParallelMode::IaCa.label(),
             self.device.name
-        ));
-        passes.join(",")
+        )
     }
 }
 
@@ -269,16 +250,19 @@ mod tests {
              balance{external-threshold-bytes=65536},\
              parallelize{max-factor=32,mode=IA+CA,device=vu9p-slr}"
         );
-        // Disabled toggles drop out of the text entirely.
-        let minimal = HidaOptions {
-            enable_fusion: false,
-            enable_balancing: false,
-            tile_size: None,
-            ..HidaOptions::polybench()
-        };
+        // No tile size, no tiling pass.
         assert_eq!(
-            minimal.pipeline_text(),
-            "construct,lower,parallelize{max-factor=16,mode=IA+CA,device=zu3eg}"
+            HidaOptions::polybench().pipeline_text(),
+            "construct,fusion,lower,multi-producer-elim,\
+             balance{external-threshold-bytes=524288},\
+             parallelize{max-factor=16,mode=IA+CA,device=zu3eg}"
+        );
+        assert_eq!(
+            HidaOptions::dnn().pipeline_text(),
+            "construct,fusion,lower,multi-producer-elim,\
+             tiling{factor=16,external-threshold-bytes=65536},\
+             balance{external-threshold-bytes=65536},\
+             parallelize{max-factor=256,mode=IA+CA,device=vu9p-slr}"
         );
     }
 
@@ -295,7 +279,6 @@ mod tests {
     fn default_options_are_sane() {
         let opts = HidaOptions::default();
         assert!(opts.max_parallel_factor > 1);
-        assert!(opts.enable_fusion && opts.enable_balancing);
         assert_eq!(HidaOptions::polybench().device.name, "zu3eg");
         assert_eq!(HidaOptions::dnn().device.name, "vu9p-slr");
     }

@@ -4,9 +4,10 @@
 //! [`Pass`], so the whole flow becomes *data*: a [`Pipeline`] parsed from
 //! text through the pass table ([`mod@crate::registry`]) and run by
 //! [`run_passes`]. [`Pipeline::from_options`] renders [`HidaOptions`] as that
-//! text: option toggles map to pipeline membership (fusion, balancing and
-//! tiling passes are simply absent when disabled) while scalar knobs become
-//! pass-instance options, visible in the recorded [`PassStatistics`].
+//! text: the tiling pass is absent without a tile size, and scalar knobs
+//! become pass-instance options, visible in the recorded [`PassStatistics`].
+//! Any other flow — without fusion or balancing, or with another
+//! parallelization mode — is a pipeline string of its own.
 //!
 //! Passes hand each other the IR and nothing else. Lowering appends the
 //! structural [`ScheduleOp`] to the function body, and every later
@@ -23,12 +24,12 @@
 //! | pass | gated by |
 //! |------|----------|
 //! | [`HidaPass::Construct`] (`hida-construct-dataflow`) | always |
-//! | [`HidaPass::Fusion`] (`hida-task-fusion`) | `enable_fusion` |
+//! | [`HidaPass::Fusion`] (`hida-task-fusion`) | always |
 //! | [`HidaPass::Lower`] (`hida-lower-structural`) | always |
-//! | [`HidaPass::MultiProducerElim`] (`hida-eliminate-multi-producers`) | `enable_balancing` |
+//! | [`HidaPass::MultiProducerElim`] (`hida-eliminate-multi-producers`) | always |
 //! | [`HidaPass::Tiling`] (`hida-tiling`) | `tile_size.is_some()` |
-//! | [`HidaPass::Balance`] (`hida-balance-data-paths`) | `enable_balancing` |
-//! | [`HidaPass::Parallelize`] (`hida-parallelize`) | always |
+//! | [`HidaPass::Balance`] (`hida-balance-data-paths`) | always |
+//! | [`HidaPass::Parallelize`] (`hida-parallelize`) | always (IA+CA) |
 //!
 //! A pipeline runs on the thread that calls it, one pass after the other;
 //! Algorithm 4 itself is a sequential walk in which each node reads the
@@ -403,9 +404,9 @@ impl Pipeline {
 
     /// The standard HIDA-OPT pipeline of `options`: their text
     /// ([`HidaOptions::pipeline_text`]) parsed through the pass table, so
-    /// option-built and string-built pipelines cannot drift apart. Boolean
-    /// options control pipeline membership; scalar options configure the
-    /// individual pass instances.
+    /// option-built and string-built pipelines cannot drift apart. The tile
+    /// size controls the tiling pass's membership; scalar options configure
+    /// the individual pass instances.
     ///
     /// # Panics
     /// When the table rejects the options — a knob below 1, or a device
@@ -523,17 +524,18 @@ mod tests {
             ]
         );
 
-        let minimal = Pipeline::from_options(&HidaOptions {
-            enable_fusion: false,
-            enable_balancing: false,
+        let untiled = Pipeline::from_options(&HidaOptions {
             tile_size: None,
             ..HidaOptions::default()
         });
         assert_eq!(
-            minimal.pass_names(),
+            untiled.pass_names(),
             vec![
                 "hida-construct-dataflow",
+                "hida-task-fusion",
                 "hida-lower-structural",
+                "hida-eliminate-multi-producers",
+                "hida-balance-data-paths",
                 "hida-parallelize",
             ]
         );
@@ -552,17 +554,15 @@ mod tests {
     #[test]
     fn to_text_round_trips_through_parse() {
         let registry = crate::registry::registry();
-        for options in [
+        let presets = [
             HidaOptions::default(),
             HidaOptions::polybench(),
             HidaOptions::dnn(),
-            HidaOptions {
-                enable_fusion: false,
-                mode: ParallelMode::Naive,
-                ..HidaOptions::default()
-            },
-        ] {
-            let pipeline = Pipeline::from_options(&options);
+        ];
+        let texts = presets.map(|options| options.pipeline_text());
+        let naive = "construct,lower,parallelize{mode=Naive}".to_string();
+        for text in texts.into_iter().chain([naive]) {
+            let pipeline = Pipeline::parse(&registry, &text).unwrap();
             let reparsed = Pipeline::parse(&registry, &pipeline.to_text()).unwrap();
             assert_eq!(reparsed.invocations(), pipeline.invocations());
             assert_eq!(reparsed.to_text(), pipeline.to_text());

@@ -11,7 +11,7 @@ use hida_frontend::nn::{build_model, Model};
 use hida_ir_core::fingerprint::StableHasher;
 use hida_ir_core::{Context, OpId};
 use hida_opt::parallelize::partition_of;
-use hida_opt::{HidaOptions, ParallelMode, Pipeline};
+use hida_opt::{registry, HidaOptions, ParallelMode, Pipeline};
 
 const SNAPSHOT: &str = include_str!("snapshots/partitions.snap");
 
@@ -31,8 +31,11 @@ fn snapshot_line(
     let mut ctx = Context::new();
     let module = ctx.create_module("m");
     let func = build(&mut ctx, module);
-    let options = HidaOptions { mode, ..options };
-    let schedule = Pipeline::from_options(&options)
+    // The options' flow with the mode under test.
+    let text = options.pipeline_text();
+    let text = text.replace("mode=IA+CA", &format!("mode={}", mode.label()));
+    let schedule = Pipeline::parse(&registry(), &text)
+        .unwrap()
         .run(&mut ctx, func)
         .unwrap();
     let buffers = schedule.internal_buffers(&ctx);

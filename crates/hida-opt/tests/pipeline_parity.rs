@@ -16,7 +16,7 @@ use hida_frontend::nn::{build_model, Model};
 use hida_frontend::polybench::{build_kernel, PolybenchKernel};
 use hida_ir_core::{Context, OpId};
 use hida_opt::{construct, fusion, lower, parallelize, structural_opt, tiling};
-use hida_opt::{registry, HidaOptions, Pipeline};
+use hida_opt::{registry, HidaOptions, ParallelMode, Pipeline};
 
 /// One comparable snapshot of an optimized schedule.
 #[derive(Debug, PartialEq)]
@@ -75,13 +75,9 @@ fn snapshot(ctx: &Context, schedule: ScheduleOp) -> ScheduleSnapshot {
 fn run_hand_rolled(ctx: &mut Context, func: OpId, options: &HidaOptions) -> ScheduleOp {
     let mut analyses = hida_ir_core::AnalysisManager::new();
     construct::construct_functional_dataflow(ctx, func).unwrap();
-    if options.enable_fusion {
-        fusion::fuse_tasks(ctx, &mut analyses, func, &fusion::default_fusion_patterns()).unwrap();
-    }
+    fusion::fuse_tasks(ctx, &mut analyses, func, &fusion::default_fusion_patterns()).unwrap();
     let schedule = lower::lower_to_structural(ctx, &mut analyses, func).unwrap();
-    if options.enable_balancing {
-        structural_opt::eliminate_multi_producers(ctx, schedule).unwrap();
-    }
+    structural_opt::eliminate_multi_producers(ctx, schedule).unwrap();
     if let Some(tile) = options.tile_size {
         tiling::apply_tiling(
             ctx,
@@ -91,21 +87,19 @@ fn run_hand_rolled(ctx: &mut Context, func: OpId, options: &HidaOptions) -> Sche
             options.external_threshold_bytes,
         );
     }
-    if options.enable_balancing {
-        structural_opt::balance_data_paths(
-            ctx,
-            &mut analyses,
-            schedule,
-            options.external_threshold_bytes,
-        )
-        .unwrap();
-    }
+    structural_opt::balance_data_paths(
+        ctx,
+        &mut analyses,
+        schedule,
+        options.external_threshold_bytes,
+    )
+    .unwrap();
     parallelize::parallelize_schedule(
         ctx,
         &mut analyses,
         schedule,
         options.max_parallel_factor,
-        options.mode,
+        ParallelMode::IaCa,
     )
     .unwrap();
     schedule
@@ -185,17 +179,4 @@ fn twomm_pipeline_matches_hand_rolled_sequence() {
 #[test]
 fn lenet_pipeline_matches_hand_rolled_sequence() {
     assert_parity(TestWorkload::Nn(Model::LeNet), HidaOptions::dnn());
-}
-
-#[test]
-fn parity_holds_with_fusion_and_balancing_disabled() {
-    assert_parity(
-        TestWorkload::Nn(Model::LeNet),
-        HidaOptions {
-            enable_fusion: false,
-            enable_balancing: false,
-            tile_size: None,
-            ..HidaOptions::dnn()
-        },
-    );
 }

@@ -9,9 +9,10 @@
 //! Run with `cargo run --example custom_kernel`.
 
 use hida::dialects::{arith, loops, memory};
+use hida::ir::printer::print_op;
 use hida::ir::{Context, OpBuilder, Type};
 use hida::sim::functional::{interpret_schedule, Memory};
-use hida::{Compiler, FpgaDevice, HidaOptions};
+use hida::{Compiler, FpgaDevice, HidaOptions, Workload};
 
 fn main() {
     const N: i64 = 256;
@@ -55,11 +56,10 @@ fn main() {
         device: FpgaDevice::zu3eg(),
         ..HidaOptions::polybench()
     });
-    let lowered = compiler
-        .lower_func(ctx, module, func)
-        .map_err(|failure| failure.error)
-        .expect("pass pipeline");
-    let result = compiler.finish(lowered).expect("estimation + emission");
+    // The module goes in as its textual IR, which re-parses to the same
+    // design in the compilation's own context.
+    let workload = Workload::text_ir("custom", print_op(&ctx, module));
+    let result = compiler.compile(workload).expect("compilation");
 
     println!("== Custom two-stage kernel ==");
     println!(

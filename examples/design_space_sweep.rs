@@ -17,16 +17,18 @@ fn main() {
     let mut points = Vec::new();
     for mode in modes {
         for pf in factors {
-            let options = HidaOptions {
-                max_parallel_factor: pf,
-                mode,
-                ..HidaOptions::dnn()
-            };
-            points.push(SweepPoint::new(
+            // The DNN flow, with the swept knobs as `parallelize` options.
+            let pipeline = format!(
+                "construct,fusion,lower,multi-producer-elim,tiling{{factor=16}},balance,\
+                 parallelize{{max-factor={pf},mode={}}}",
+                mode.label()
+            );
+            let point = SweepPoint::new(
                 format!("{}-pf{pf}", mode.label()),
                 Workload::Model(Model::MobileNetV1),
-                options,
-            ));
+                HidaOptions::dnn(),
+            );
+            points.push(point.with_pipeline(pipeline));
         }
     }
     let outcome = SweepEngine::new().run(&points);

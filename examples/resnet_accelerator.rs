@@ -5,8 +5,6 @@
 //!
 //! Run with `cargo run --release --example resnet_accelerator`.
 
-use hida::estimator::dataflow::DataflowEstimator;
-use hida::ir::Context;
 use hida::{Compiler, FpgaDevice, Model, Workload};
 
 fn main() {
@@ -32,12 +30,11 @@ fn main() {
     );
 
     println!("\n== ScaleHLS-style baseline ==");
-    let mut ctx = Context::new();
-    let module = ctx.create_module("scalehls");
-    let func = hida::frontend::nn::build_model(&mut ctx, module, Model::ResNet18);
-    let schedule =
-        hida::baselines::scalehls::compile(&mut ctx, func, 64).expect("scalehls compilation");
-    let scale = DataflowEstimator::new(device).estimate_schedule(&ctx, schedule, true);
+    let scale = Compiler::dnn_defaults()
+        .with_pipeline(hida::baselines::scalehls::pipeline(64, &device))
+        .compile(Workload::Model(Model::ResNet18))
+        .expect("scalehls compilation")
+        .estimate;
     println!("throughput     : {:.2} images/s", scale.throughput());
     println!("DSP efficiency : {:.1}%", 100.0 * scale.dsp_efficiency());
     println!(

@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: front-end → HIDA-OPT → estimator → emitter,
 //! exercising the headline claims of the paper at small scale.
 
-use hida::estimator::dataflow::DataflowEstimator;
-use hida::ir::Context;
 use hida::{Compiler, FpgaDevice, HidaOptions, Model, ParallelMode, PolybenchKernel, Workload};
 
 #[test]
@@ -75,11 +73,11 @@ fn hida_beats_the_scalehls_baseline_on_resnet18() {
         .compile(Workload::Model(Model::ResNet18))
         .unwrap();
 
-    let mut ctx = Context::new();
-    let module = ctx.create_module("scalehls");
-    let func = hida::frontend::nn::build_model(&mut ctx, module, Model::ResNet18);
-    let schedule = hida::baselines::scalehls::compile(&mut ctx, func, 64).unwrap();
-    let scale = DataflowEstimator::new(device).estimate_schedule(&ctx, schedule, true);
+    let scale = Compiler::dnn_defaults()
+        .with_pipeline(hida::baselines::scalehls::pipeline(64, &device))
+        .compile(Workload::Model(Model::ResNet18))
+        .unwrap()
+        .estimate;
 
     assert!(
         hida.estimate.speedup_over(&scale) > 1.5,
@@ -100,14 +98,17 @@ fn hida_beats_the_scalehls_baseline_on_resnet18() {
 fn iaca_parallelization_scales_better_than_naive() {
     // Figure 11: at large parallel factors only IA+CA keeps resource growth in check.
     let compile = |mode: ParallelMode| {
-        Compiler::new(HidaOptions {
+        let options = HidaOptions {
             max_parallel_factor: 64,
-            mode,
             ..HidaOptions::dnn()
-        })
-        .compile(Workload::Model(Model::LeNet))
-        .unwrap()
-        .estimate
+        };
+        let text = options.pipeline_text();
+        let text = text.replace("mode=IA+CA", &format!("mode={}", mode.label()));
+        Compiler::new(options)
+            .with_pipeline(text)
+            .compile(Workload::Model(Model::LeNet))
+            .unwrap()
+            .estimate
     };
     let iaca = compile(ParallelMode::IaCa);
     let naive = compile(ParallelMode::Naive);
