@@ -35,6 +35,7 @@ use hida_ir_core::pass::PassStatistics;
 use hida_ir_core::{Analysis, AnalysisCacheStats, Context};
 use hida_opt::registry::{registry, registry_listing};
 use hida_opt::{HidaOptions, Pipeline};
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -341,15 +342,52 @@ fn preset_text(preset: &str) -> Result<String, String> {
 /// `hida-opt --stats-json | jq .` works as documented.
 static REPORT_ON_STDERR: AtomicBool = AtomicBool::new(false);
 
-/// Prints one line of the human-readable report.
+/// Prints one line of the human-readable report, returning from the
+/// enclosing function when it cannot be written.
 macro_rules! say {
     ($($fmt:tt)*) => {
-        if REPORT_ON_STDERR.load(Ordering::Relaxed) {
-            eprintln!($($fmt)*)
-        } else {
-            println!($($fmt)*)
-        }
+        report_line(format_args!($($fmt)*))?
     };
+}
+
+/// Writes one line of the human-readable report: to stdout, or to stderr
+/// under `--stats-json`.
+fn report_line(line: std::fmt::Arguments) -> io::Result<()> {
+    if REPORT_ON_STDERR.load(Ordering::Relaxed) {
+        writeln!(io::stderr(), "{line}")
+    } else {
+        writeln!(io::stdout(), "{line}")
+    }
+}
+
+/// Why a run ends before its report does.
+enum Stop {
+    /// A failure: printed as `error: …`, exit code 1.
+    Failed(String),
+    /// The reader closed the output (`hida-opt … | head`): the run ends
+    /// quietly, exit code 0.
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Failed(message)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(message: &str) -> Self {
+        Stop::Failed(message.to_string())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(error: io::Error) -> Self {
+        match error.kind() {
+            io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Failed(format!("cannot write the report: {error}")),
+        }
+    }
 }
 
 fn analysis_cache_json(c: &AnalysisCacheStats) -> Json {
@@ -604,16 +642,14 @@ fn build_point(
 /// independent design point of the workload, compiled through the sweep
 /// engine's pool (over `--cache-dir`'s store, when given). An
 /// exploration then reports the Pareto frontier of the compiled points.
-fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
+fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), Stop> {
     let flag = format!("--{}", mode.name());
     if args.pipeline.is_some() || args.preset.is_some() {
-        return Err(format!("{flag} is exclusive with --pipeline and --preset"));
+        return Err(format!("{flag} is exclusive with --pipeline and --preset").into());
     }
     for (emits, given) in [("--emit-ir", &args.emit_ir), ("--emit-cpp", &args.emit_cpp)] {
         if given.is_some() {
-            return Err(format!(
-                "{emits} applies to single compilations, not {flag}"
-            ));
+            return Err(format!("{emits} applies to single compilations, not {flag}").into());
         }
     }
     let wiring = wire(args)?;
@@ -638,7 +674,7 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
         _ => ExploreConfig::default(),
     };
     if lines.is_empty() {
-        return Err(format!("{flag}: '{path}' contains no pipeline variants"));
+        return Err(format!("{flag}: '{path}' contains no pipeline variants").into());
     }
     let mut points = Vec::new();
     for (index, (line_no, line)) in lines.iter().enumerate() {
@@ -713,7 +749,11 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
     }
     if args.stats_json {
         let explored = frontier.as_ref().map(|f| (objectives.as_slice(), f));
-        println!("{}", batch_json(mode, &source.name, &outcome, explored));
+        writeln!(
+            io::stdout(),
+            "{}",
+            batch_json(mode, &source.name, &outcome, explored)
+        )?;
     }
     let failed = outcome.failed_labels();
     if !failed.is_empty() {
@@ -722,15 +762,15 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), String> {
             "\nFAILED: {count} of {total} {noun} points ({})",
             failed.join(", ")
         );
-        return Err(format!(
-            "{count} of {total} {noun} points failed (see the report above)"
-        ));
+        return Err(
+            format!("{count} of {total} {noun} points failed (see the report above)").into(),
+        );
     }
     Ok(())
 }
 
 /// Prints the per-pass section of a single compilation's report.
-fn say_passes(statistics: &[PassStatistics], no_timing: bool) {
+fn say_passes(statistics: &[PassStatistics], no_timing: bool) -> Result<(), Stop> {
     say!("\n# Per-pass statistics");
     for stat in statistics {
         if no_timing {
@@ -743,18 +783,19 @@ fn say_passes(statistics: &[PassStatistics], no_timing: bool) {
         let cache_totals = PassStatistics::aggregate_cache(statistics);
         say!("analysis cache totals: {cache_totals}");
     }
+    Ok(())
 }
 
 /// A single compilation: the workload through one pipeline as a one-point
 /// run of the engine every mode uses, reported pass by pass, then the
 /// schedule and its QoR estimate; with `--emit-cpp`, the HLS C++ it emitted
 /// goes to a file.
-fn run_single(args: &Args) -> Result<(), String> {
+fn run_single(args: &Args) -> Result<(), Stop> {
     if args.run_budget_ms.is_some() {
-        return Err("--run-budget-ms applies to --sweep and --explore".to_string());
+        return Err("--run-budget-ms applies to --sweep and --explore".into());
     }
     let pipeline_text = match (&args.pipeline, &args.preset) {
-        (Some(_), Some(_)) => return Err("--pipeline and --preset are exclusive".to_string()),
+        (Some(_), Some(_)) => return Err("--pipeline and --preset are exclusive".into()),
         (Some(text), None) => text.clone(),
         (None, Some(preset)) => preset_text(preset)?,
         (None, None) => preset_text("default")?,
@@ -768,7 +809,7 @@ fn run_single(args: &Args) -> Result<(), String> {
         wiring.device.as_ref(),
     )?;
     if parsed.is_empty() {
-        return Err("the pipeline is empty".to_string());
+        return Err("the pipeline is empty".into());
     }
     let pipeline_text = parsed.to_text();
 
@@ -798,17 +839,17 @@ fn run_single(args: &Args) -> Result<(), String> {
             let statistics = &compiled.failed_pass_statistics;
             if !statistics.is_empty() {
                 say!("pipeline: {pipeline_text}");
-                say_passes(statistics, args.no_timing);
+                say_passes(statistics, args.no_timing)?;
                 if args.stats_json {
                     let json = single_json(&source.name, &pipeline_text, statistics, None, None);
-                    println!("{json}");
+                    writeln!(io::stdout(), "{json}")?;
                 }
             }
-            return Err(error.to_string());
+            return Err(error.to_string().into());
         }
     };
     say!("pipeline: {pipeline_text}");
-    say_passes(&result.pass_statistics, args.no_timing);
+    say_passes(&result.pass_statistics, args.no_timing)?;
 
     let (ctx, schedule) = (&result.ctx, result.schedule);
     say!("\n# Schedule ({} nodes)", schedule.nodes(ctx).len());
@@ -872,7 +913,7 @@ fn run_single(args: &Args) -> Result<(), String> {
             estimator_cache,
             persistent,
         );
-        println!("{json}");
+        writeln!(io::stdout(), "{json}")?;
     }
     if let Some(path) = &args.emit_cpp {
         std::fs::write(path, &result.hls_cpp)
@@ -891,28 +932,25 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.help {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if args.list_passes {
-        print!("{}", registry_listing());
-        return ExitCode::SUCCESS;
-    }
-    if args.list_workloads {
-        println!("{}", workload_listing());
-        return ExitCode::SUCCESS;
-    }
-    REPORT_ON_STDERR.store(args.stats_json, Ordering::Relaxed);
-    let outcome = match (&args.explore, &args.sweep) {
-        (Some(_), Some(_)) => Err("--explore is exclusive with --sweep".to_string()),
-        (Some(path), None) => run_batch(&args, Mode::Explore, path),
-        (None, Some(path)) => run_batch(&args, Mode::Sweep, path),
-        (None, None) => run_single(&args),
+    let mut stdout = io::stdout();
+    let outcome = if args.help {
+        writeln!(stdout, "{USAGE}").map_err(Stop::from)
+    } else if args.list_passes {
+        write!(stdout, "{}", registry_listing()).map_err(Stop::from)
+    } else if args.list_workloads {
+        writeln!(stdout, "{}", workload_listing()).map_err(Stop::from)
+    } else {
+        REPORT_ON_STDERR.store(args.stats_json, Ordering::Relaxed);
+        match (&args.explore, &args.sweep) {
+            (Some(_), Some(_)) => Err("--explore is exclusive with --sweep".into()),
+            (Some(path), None) => run_batch(&args, Mode::Explore, path),
+            (None, Some(path)) => run_batch(&args, Mode::Sweep, path),
+            (None, None) => run_single(&args),
+        }
     };
     match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Ok(()) | Err(Stop::Closed) => ExitCode::SUCCESS,
+        Err(Stop::Failed(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }

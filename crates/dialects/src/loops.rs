@@ -33,7 +33,6 @@ pub fn build_for(
             ("step", Attribute::Int(step)),
             ("loop_name", Attribute::from(name)),
         ],
-        false,
     );
     let iv = builder.context().add_block_arg(body, Type::Index);
     builder.context().set_name_hint(iv, name);

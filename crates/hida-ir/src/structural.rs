@@ -303,7 +303,6 @@ pub fn build_node(
 ) -> (NodeOp, Vec<ValueId>) {
     let mut op = hida_ir_core::Operation::new(op_names::NODE);
     op.operands = operands.iter().map(|(v, _)| *v).collect();
-    op.isolated = true;
     let id = ctx.create_op(op);
     ctx.set_attr(id, "node_name", name);
     ctx.set_attr(
@@ -400,7 +399,6 @@ pub fn build_schedule(builder: &mut OpBuilder<'_>, name: &str) -> (ScheduleOp, B
         vec![],
         vec![],
         vec![("schedule_name", Attribute::from(name))],
-        true,
     );
     (ScheduleOp(op), body)
 }

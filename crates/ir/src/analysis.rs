@@ -212,11 +212,12 @@ pub struct AnalysisManager {
     entries: Entries,
     /// Scope of the currently running pass, when one is active.
     scope: Option<PassScope>,
-    /// Counters since the last [`AnalysisManager::end_pass`] (or forever, when
-    /// used outside a pass pipeline).
-    window: AnalysisCacheStats,
     /// Counters over the manager's whole lifetime.
     totals: AnalysisCacheStats,
+    /// `totals` as they stood when the current pass began (or the last one
+    /// ended, or the manager was forked): a pass's counters are
+    /// `totals.since(&pass_start)`.
+    pass_start: AnalysisCacheStats,
     /// Whether preservation declarations are verified by recomputation at pass
     /// exit. Defaults to on in debug builds.
     check_preserved: bool,
@@ -250,8 +251,8 @@ impl AnalysisManager {
         AnalysisManager {
             entries: Entries::default(),
             scope: None,
-            window: AnalysisCacheStats::default(),
             totals: AnalysisCacheStats::default(),
+            pass_start: AnalysisCacheStats::default(),
             check_preserved: cfg!(debug_assertions),
         }
     }
@@ -338,8 +339,8 @@ impl AnalysisManager {
         AnalysisManager {
             entries,
             scope: None,
-            window: AnalysisCacheStats::default(),
             totals: self.totals.clone(),
+            pass_start: self.totals.clone(),
             check_preserved: self.check_preserved,
         }
     }
@@ -349,9 +350,7 @@ impl AnalysisManager {
     pub fn invalidate_roots(&mut self, mut stale: impl FnMut(OpId) -> bool) {
         let before = self.entries.len();
         self.entries.retain(|&(_, root), _| !stale(root));
-        let dropped = (before - self.entries.len()) as u64;
-        self.window.invalidations += dropped;
-        self.totals.invalidations += dropped;
+        self.totals.invalidations += (before - self.entries.len()) as u64;
     }
 
     /// Number of cached entries (valid or stale).
@@ -373,7 +372,7 @@ impl AnalysisManager {
     /// [`AnalysisManager::end_pass`] treat the declared `preserved` analyses as
     /// valid across generation bumps made by this pass.
     pub fn begin_pass(&mut self, ctx: &Context, pass: &'static str, preserved: PreservedAnalyses) {
-        self.window = AnalysisCacheStats::default();
+        self.pass_start = self.totals.clone();
         self.scope = Some(PassScope {
             pass,
             preserved,
@@ -407,7 +406,6 @@ impl AnalysisManager {
                     })
                     .unwrap_or(false);
             if !preserved_by_pass {
-                self.window.invalidations += 1;
                 self.totals.invalidations += 1;
                 return false;
             }
@@ -419,11 +417,10 @@ impl AnalysisManager {
                 }
             }
             entry.generation = generation;
-            self.window.preserved += 1;
             self.totals.preserved += 1;
             true
         });
-        let stats = std::mem::take(&mut self.window);
+        let stats = self.take_pass_counters();
         if let Some((pass, analysis, root)) = lie {
             self.entries.clear();
             let error = IrError::verification(format!(
@@ -442,20 +439,22 @@ impl AnalysisManager {
         self.scope = None;
         let generation = ctx.generation();
         let ctx_id = ctx.id();
-        let mut dropped = 0_u64;
+        let before = self.entries.len();
         self.entries.retain(|&(_, root), entry| {
-            let keep = entry.ctx_id == ctx_id
+            entry.ctx_id == ctx_id
                 && entry.generation == generation
                 && ctx.is_alive(root)
-                && ctx.op_epoch(root) == entry.epoch;
-            if !keep {
-                dropped += 1;
-            }
-            keep
+                && ctx.op_epoch(root) == entry.epoch
         });
-        self.window.invalidations += dropped;
-        self.totals.invalidations += dropped;
-        std::mem::take(&mut self.window)
+        self.totals.invalidations += (before - self.entries.len()) as u64;
+        self.take_pass_counters()
+    }
+
+    /// The counters since `pass_start`, which moves up to now.
+    fn take_pass_counters(&mut self) -> AnalysisCacheStats {
+        let stats = self.totals.since(&self.pass_start);
+        self.pass_start = self.totals.clone();
+        stats
     }
 
     fn entry_valid(&self, type_id: TypeId, root: OpId, entry: &CacheEntry, ctx: &Context) -> bool {
@@ -493,15 +492,12 @@ impl AnalysisManager {
             .map(|e| self.entry_valid(type_id, root, e, ctx))
             .unwrap_or(false);
         if valid {
-            self.window.hits += 1;
             self.totals.hits += 1;
             return &self.entries[&key].value;
         }
         if self.entries.contains_key(&key) {
-            self.window.invalidations += 1;
             self.totals.invalidations += 1;
         }
-        self.window.misses += 1;
         self.totals.misses += 1;
         let value = compute(ctx, root);
         self.entries.insert(

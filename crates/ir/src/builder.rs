@@ -81,17 +81,16 @@ impl<'a> OpBuilder<'a> {
     }
 
     /// Creates an operation that owns one region with one empty entry block.
-    /// Returns the op id and the entry block id.
+    /// Returns the op id and the entry block id. Whether the region is
+    /// isolated from above follows from the name ([`OpName::is_isolated`]).
     pub fn create_with_body(
         &mut self,
         name: impl Into<OpName>,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: Vec<(&str, Attribute)>,
-        isolated: bool,
     ) -> (OpId, BlockId, Vec<ValueId>) {
         let (id, results) = self.create(name, operands, result_types, attrs);
-        self.ctx.op_mut(id).isolated = isolated;
         let region = self.ctx.create_region(id);
         let block = self.ctx.create_block(region);
         (id, block, results)
@@ -116,7 +115,6 @@ impl<'a> OpBuilder<'a> {
                     Attribute::Array(result_types.into_iter().map(Attribute::TypeAttr).collect()),
                 ),
             ],
-            true,
         );
         for ty in arg_types {
             self.ctx.add_block_arg(block, ty);
@@ -201,10 +199,9 @@ mod tests {
             vec![],
             vec![Type::tensor(vec![2], Type::f32())],
             vec![],
-            false,
         );
         assert_eq!(results.len(), 1);
-        assert!(!ctx.op(task).isolated);
+        assert!(!ctx.op(task).name.is_isolated());
         assert_eq!(ctx.body_block(task), body);
 
         let (node, _, _) = OpBuilder::at_end_of(&mut ctx, module).create_with_body(
@@ -212,9 +209,8 @@ mod tests {
             vec![],
             vec![],
             vec![],
-            true,
         );
-        assert!(ctx.op(node).isolated);
+        assert!(ctx.op(node).name.is_isolated());
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! erasure, cloning) goes through the context so SSA use lists and parent links stay
 //! consistent — the invariants HIDA-OPT relies on when it rewrites dataflow graphs.
 //!
-//! Auxiliary per-entity state (use lists, liveness) is kept in dense, id-indexed
-//! side tables ([`EntityMap`]/[`EntitySet`]) rather than hash maps: entity ids
-//! *are* arena indices, so a probe is a bounds check and an indexed load. Erased
-//! operation slots go onto a free list and are recycled by the next
-//! [`Context::create_op`], keeping long rewrite pipelines from growing the op
-//! arena without bound.
+//! Auxiliary per-entity state (use lists, op liveness) is kept in dense,
+//! id-indexed side tables ([`EntityMap`]/[`EntitySet`]) rather than hash maps:
+//! entity ids *are* arena indices, so a probe is a bounds check and an indexed
+//! load. Liveness is recorded for ops only: a block, region or value is live
+//! when the live op that owns it still lists it. Erased operation slots go
+//! onto a free list and are recycled by the next [`Context::create_op`],
+//! keeping long rewrite pipelines from growing the op arena without bound.
 //!
 //! The attributes of every op share one more arena: each op owns a run of
 //! `(key, value)` pairs in it, sorted by key string. A new key is inserted
@@ -43,12 +44,6 @@ pub struct Context {
     dead_attrs: usize,
     /// Live operations (erased ops keep their arena slot but leave this set).
     live_ops: EntitySet<OpId>,
-    /// Live blocks (blocks nested in erased ops leave this set).
-    live_blocks: EntitySet<BlockId>,
-    /// Live regions (regions nested in erased ops leave this set).
-    live_regions: EntitySet<RegionId>,
-    /// Live values (results and block args of erased structure leave this set).
-    live_values: EntitySet<ValueId>,
     /// Erased op slots available for reuse by [`Context::create_op`].
     free_ops: Vec<OpId>,
     /// Reuse epoch per op slot, bumped at erasure: an `OpId` held across an
@@ -83,9 +78,6 @@ impl Default for Context {
             attrs: Vec::new(),
             dead_attrs: 0,
             live_ops: EntitySet::new(),
-            live_blocks: EntitySet::new(),
-            live_regions: EntitySet::new(),
-            live_values: EntitySet::new(),
             free_ops: Vec::new(),
             op_epochs: Vec::new(),
             uses: EntityMap::new(),
@@ -104,7 +96,7 @@ impl Clone for Context {
     /// `(context id, entity)` must not confuse the copy with the original.
     ///
     /// What is **copied**: the arenas — ops, blocks, regions, values and
-    /// the one attribute arena — the liveness bitmaps, the free list, the
+    /// the one attribute arena — the op liveness bitmap, the free list, the
     /// epochs and the use table, one heap block each, plus, per entity, only
     /// the id lists longer than [`IdList::INLINE`] (an op's operands, results
     /// and regions, a block's arguments and ops, a region's blocks and a
@@ -139,9 +131,6 @@ impl Clone for Context {
             attrs,
             dead_attrs: 0,
             live_ops: self.live_ops.clone(),
-            live_blocks: self.live_blocks.clone(),
-            live_regions: self.live_regions.clone(),
-            live_values: self.live_values.clone(),
             free_ops: self.free_ops.clone(),
             op_epochs: self.op_epochs.clone(),
             uses: self.uses.clone(),
@@ -249,14 +238,14 @@ impl Context {
     /// [`Context::generation`] **except** [`Context::set_attr`]. Two readings
     /// that agree mean no op, region, block or value was created, attached,
     /// moved or erased, no operand list, result list, region list, parent
-    /// link or `isolated` flag was written in between — attributes (and name
-    /// hints) are all that can differ. That is exactly what
+    /// link or op name was written in between — attributes (and name hints)
+    /// are all that can differ. That is exactly what
     /// [`verifier`](crate::verifier) reads, so the pass runner does not walk
     /// the IR again after a pass that left this counter where the last
     /// verification found it (see [`Verified`](crate::pass::Verified)).
     /// [`Context::op_mut`] counts as a structural mutation: the
-    /// [`Operation`] it hands out has public `operands`, `regions`,
-    /// `parent_block` and `isolated` fields.
+    /// [`Operation`] it hands out has public `name`, `operands`, `regions`
+    /// and `parent_block` fields.
     pub fn structure(&self) -> u64 {
         self.structure
     }
@@ -362,39 +351,9 @@ impl Context {
         self.live_ops.contains(id)
     }
 
-    /// Returns true when the block has not been erased with its owner.
-    pub fn is_block_alive(&self, id: BlockId) -> bool {
-        self.live_blocks.contains(id)
-    }
-
-    /// Returns true when the region has not been erased with its owner.
-    pub fn is_region_alive(&self, id: RegionId) -> bool {
-        self.live_regions.contains(id)
-    }
-
-    /// Returns true when the value's defining structure has not been erased.
-    pub fn is_value_alive(&self, id: ValueId) -> bool {
-        self.live_values.contains(id)
-    }
-
     /// Total number of live operations — O(1), tracked by the liveness set.
     pub fn num_live_ops(&self) -> usize {
         self.live_ops.len()
-    }
-
-    /// Total number of live blocks.
-    pub fn num_live_blocks(&self) -> usize {
-        self.live_blocks.len()
-    }
-
-    /// Total number of live regions.
-    pub fn num_live_regions(&self) -> usize {
-        self.live_regions.len()
-    }
-
-    /// Total number of live values.
-    pub fn num_live_values(&self) -> usize {
-        self.live_values.len()
     }
 
     /// Number of erased op slots currently queued for reuse.
@@ -412,9 +371,7 @@ impl Context {
         self.op_epochs.get(id.index()).copied().unwrap_or(0)
     }
 
-    /// Arena sizes `(ops, blocks, regions, values)` including dead slots —
-    /// together with the `num_live_*` counters this exposes the dead-slot
-    /// counts per entity kind.
+    /// Arena sizes `(ops, blocks, regions, values)` including dead slots.
     pub fn arena_sizes(&self) -> (usize, usize, usize, usize) {
         (
             self.ops.len(),
@@ -470,7 +427,6 @@ impl Context {
             blocks: IdList::new(),
             parent_op: Some(parent),
         });
-        self.live_regions.insert(id);
         self.ops[parent.index()].regions.push(id);
         id
     }
@@ -484,7 +440,6 @@ impl Context {
             ops: IdList::new(),
             parent_region: Some(region),
         });
-        self.live_blocks.insert(id);
         self.regions[region.index()].blocks.push(id);
         id
     }
@@ -499,7 +454,6 @@ impl Context {
             ty,
             name_hint: None,
         });
-        self.live_values.insert(vid);
         self.ops[op.index()].results.push(vid);
         vid
     }
@@ -508,12 +462,6 @@ impl Context {
     /// result left out is erased and must have no users.
     pub fn set_results(&mut self, op: OpId, results: &[ValueId]) {
         self.bump_generation();
-        for index in 0..self.ops[op.index()].results.len() {
-            let former = self.ops[op.index()].results[index];
-            if !results.contains(&former) {
-                self.live_values.remove(former);
-            }
-        }
         for (index, &result) in results.iter().enumerate() {
             debug_assert!(self.ops[op.index()].results.contains(&result));
             self.values[result.index()].def = ValueDef::OpResult { op, index };
@@ -531,7 +479,6 @@ impl Context {
             ty,
             name_hint: None,
         });
-        self.live_values.insert(vid);
         self.blocks[block.index()].args.push(vid);
         vid
     }
@@ -544,9 +491,7 @@ impl Context {
 
     /// Convenience: creates a `builtin.module` op with one region and one entry block.
     pub fn create_module(&mut self, name: &str) -> OpId {
-        let mut op = Operation::new(op_names::MODULE);
-        op.isolated = true;
-        let id = self.create_op(op);
+        let id = self.create_op(Operation::new(op_names::MODULE));
         self.put_attr(id, Symbol::intern("sym_name"), name.into());
         let region = self.create_region(id);
         self.create_block(region);
@@ -905,8 +850,8 @@ impl Context {
 
     /// Erases `op`, its results' use records, and everything nested inside it.
     /// The op's arena slot is pushed onto the free list for reuse by a later
-    /// [`Context::create_op`]; its results, regions, blocks and block args are
-    /// marked dead.
+    /// [`Context::create_op`]; its results, regions, blocks and block args die
+    /// with it.
     ///
     /// The caller is responsible for ensuring the results of `op` are no longer used
     /// (the verifier will flag dangling uses otherwise).
@@ -927,19 +872,9 @@ impl Context {
                 for &nested in &ops {
                     self.erase_op(nested);
                 }
-                for index in 0..self.blocks[block.index()].args.len() {
-                    let arg = self.blocks[block.index()].args[index];
-                    self.live_values.remove(arg);
-                }
-                self.live_blocks.remove(block);
             }
-            self.live_regions.remove(region);
         }
         self.clear_operands(op);
-        for index in 0..self.ops[op.index()].results.len() {
-            let result = self.ops[op.index()].results[index];
-            self.live_values.remove(result);
-        }
         self.live_ops.remove(op);
         self.op_epochs[op.index()] = self.op_epochs[op.index()].wrapping_add(1);
         self.free_ops.push(op);
@@ -958,7 +893,6 @@ impl Context {
     pub fn clone_op(&mut self, op: OpId, mapping: &mut ValueMapping) -> OpId {
         let src = &self.ops[op.index()];
         let mut copy = Operation::new(src.name);
-        copy.isolated = src.isolated;
         copy.operands = src.operands.iter().map(|&v| mapping.lookup(v)).collect();
         let src_attrs = src.attrs;
         let src_results = src.results.clone();
@@ -1024,30 +958,34 @@ impl Context {
         (id, results)
     }
 
-    /// Validates that the entity ids stored in the context are internally consistent;
-    /// used by tests and the verifier.
+    /// Validates that the entity ids stored in the context are internally consistent:
+    /// every region a live op lists names that op as its parent, every block such a
+    /// region lists names the region, and every op such a block lists names the
+    /// block. Used by tests and the verifier.
     pub fn check_parent_links(&self) -> IrResult<()> {
-        for (i, block) in self.blocks.iter().enumerate() {
-            if !self.is_block_alive(BlockId::from_index(i)) {
-                continue;
-            }
-            for &op in &block.ops {
-                if self.ops[op.index()].parent_block != Some(BlockId::from_index(i)) {
-                    return Err(IrError::verification(format!(
-                        "op {op} is listed in block bb{i} but has a different parent link"
-                    )));
-                }
-            }
+        fn unlinked(listed: impl std::fmt::Display, owner: impl std::fmt::Display) -> IrResult<()> {
+            Err(IrError::verification(format!(
+                "{listed} is listed in {owner} but has a different parent link"
+            )))
         }
-        for (i, region) in self.regions.iter().enumerate() {
-            if !self.is_region_alive(RegionId::from_index(i)) {
+        for (i, op) in self.ops.iter().enumerate() {
+            let id = OpId::from_index(i);
+            if !self.is_alive(id) {
                 continue;
             }
-            for &block in &region.blocks {
-                if self.blocks[block.index()].parent_region != Some(RegionId::from_index(i)) {
-                    return Err(IrError::verification(format!(
-                        "block {block} is listed in region{i} but has a different parent link"
-                    )));
+            for &region in &op.regions {
+                if self.regions[region.index()].parent_op != Some(id) {
+                    return unlinked(region, id);
+                }
+                for &block in &self.regions[region.index()].blocks {
+                    if self.blocks[block.index()].parent_region != Some(region) {
+                        return unlinked(block, region);
+                    }
+                    for &nested in &self.blocks[block.index()].ops {
+                        if self.ops[nested.index()].parent_block != Some(block) {
+                            return unlinked(nested, block);
+                        }
+                    }
                 }
             }
         }
@@ -1292,7 +1230,6 @@ mod tests {
 
         ctx.set_results(op, &[results[2], results[1]]);
         assert_eq!(ctx.op(op).results, vec![results[2], results[1]]);
-        assert!(!ctx.is_value_alive(results[0]));
         for (index, &result) in ctx.op(op).results.iter().enumerate() {
             assert_eq!(ctx.value(result).def, ValueDef::OpResult { op, index });
         }
@@ -1324,12 +1261,11 @@ mod tests {
         let body = ctx.body_block(func);
         let (add, add_res) =
             ctx.build_op(body, "arith.addi", vec![c0, c0], vec![Type::i32()], vec![]);
-        let values_before = ctx.num_live_values();
-        assert!(ctx.is_value_alive(add_res[0]));
+        let add_res = add_res[0];
+        assert_eq!(ctx.value(add_res).defining_op(), Some(add));
         ctx.erase_op(add);
         assert_eq!(ctx.free_op_slots(), 1);
-        assert!(!ctx.is_value_alive(add_res[0]));
-        assert_eq!(ctx.num_live_values(), values_before - 1);
+        assert!(!ctx.is_alive(add));
 
         // The next create_op takes over the freed slot: same id, no arena growth.
         let (ops_len_before, ..) = ctx.arena_sizes();
@@ -1338,8 +1274,10 @@ mod tests {
         assert!(ctx.is_alive(mul));
         assert_eq!(ctx.free_op_slots(), 0);
         assert_eq!(ctx.arena_sizes().0, ops_len_before);
-        // The recycled op's use records are fresh — exactly one user of c0.
+        // The recycled op's use records are fresh — exactly one user of c0 —
+        // and the erased result is no result of the op in its slot.
         assert_eq!(ctx.users_of(c0), vec![mul]);
+        assert!(!ctx.op(mul).results.contains(&add_res));
     }
 
     #[test]
@@ -1358,18 +1296,61 @@ mod tests {
             vec![Type::i32()],
             vec![],
         );
-        assert!(ctx.is_region_alive(region));
-        assert!(ctx.is_block_alive(inner_block));
-        assert!(ctx.is_value_alive(arg));
+        let inner = ctx.block(inner_block).ops[0];
+        assert_eq!(ctx.value(arg).owner_block(), Some(inner_block));
 
-        let (blocks_live, regions_live) = (ctx.num_live_blocks(), ctx.num_live_regions());
+        // The nested structure dies with its owner: nothing live lists it.
+        let live_before = ctx.num_live_ops();
         ctx.erase_op(wrapper);
-        assert!(!ctx.is_region_alive(region));
-        assert!(!ctx.is_block_alive(inner_block));
-        assert!(!ctx.is_value_alive(arg));
-        assert_eq!(ctx.num_live_blocks(), blocks_live - 1);
-        assert_eq!(ctx.num_live_regions(), regions_live - 1);
+        assert!(!ctx.is_alive(wrapper) && !ctx.is_alive(inner));
+        assert_eq!(ctx.num_live_ops(), live_before - 2);
+        assert!(ctx.block(inner_block).ops.is_empty());
+        assert!(!ctx.block(body).ops.contains(&wrapper));
         assert!(ctx.check_parent_links().is_ok());
+    }
+
+    /// A module of two functions, `f` holding one constant and `g` empty.
+    fn two_funcs(ctx: &mut Context) -> (OpId, OpId, OpId, OpId) {
+        let module = ctx.create_module("m");
+        let f = OpBuilder::at_end_of(ctx, module).create_func("f", vec![], vec![]);
+        let g = OpBuilder::at_end_of(ctx, module).create_func("g", vec![], vec![]);
+        let c = OpBuilder::at_end_of(ctx, f).create_constant_int(0, Type::i32());
+        let constant = ctx.value(c).defining_op().unwrap();
+        crate::verifier::verify(ctx, module).unwrap();
+        (module, f, g, constant)
+    }
+
+    fn rejected_for_its_parent_link(ctx: &Context, module: OpId) -> bool {
+        crate::verifier::verify(ctx, module)
+            .unwrap_err()
+            .to_string()
+            .contains("different parent link")
+    }
+
+    #[test]
+    fn verify_rejects_an_op_listed_in_a_block_it_does_not_name() {
+        let mut ctx = Context::new();
+        let (module, _, g, constant) = two_funcs(&mut ctx);
+        ctx.op_mut(constant).parent_block = Some(ctx.body_block(g));
+        assert!(rejected_for_its_parent_link(&ctx, module));
+    }
+
+    #[test]
+    fn verify_rejects_a_block_listed_in_a_region_it_does_not_name() {
+        let mut ctx = Context::new();
+        let (module, f, g, _) = two_funcs(&mut ctx);
+        let f_body = ctx.body_block(f);
+        ctx.blocks[f_body.index()].parent_region = Some(ctx.op(g).regions[0]);
+        assert!(rejected_for_its_parent_link(&ctx, module));
+    }
+
+    #[test]
+    fn verify_rejects_a_region_listed_in_an_op_it_does_not_name() {
+        let mut ctx = Context::new();
+        let (module, f, g, _) = two_funcs(&mut ctx);
+        let f_region = ctx.op(f).regions[0];
+        ctx.op_mut(g).regions.push(f_region);
+        assert!(rejected_for_its_parent_link(&ctx, module));
     }
 
     #[test]

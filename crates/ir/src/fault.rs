@@ -30,8 +30,8 @@
 //!   zero-cost when no guard is installed anywhere in the process (a single
 //!   relaxed atomic load).
 //! * [`lock_recover`] — poison-tolerant mutex acquisition: a worker that
-//!   panicked while holding a shared lock (pool queues, result slots, the
-//!   shared estimate cache) must not wedge every later lookup.
+//!   panicked while holding a shared lock (the estimate store's state, the
+//!   intern table's growth lock) must not wedge every later lookup.
 
 use crate::error::{IrError, IrResult};
 use std::any::Any;
@@ -44,10 +44,9 @@ use std::time::{Duration, Instant};
 
 /// Acquires a mutex, recovering the guard if a previous holder panicked.
 ///
-/// Every shared `Mutex` in the workspace (pool queues, result slots, the
-/// shared estimate cache, the store's eviction lock) protects data that stays
-/// structurally valid across a panic: entries are inserted whole or not at
-/// all. Recovering from poison is therefore always safe here, and required —
+/// Every shared `Mutex` in the workspace (the estimate store's state, the
+/// intern table's growth lock) protects data that stays structurally valid
+/// across a panic: entries are inserted whole or not at all. Recovering from poison is therefore always safe here, and required —
 /// a panicked worker must not wedge every subsequent lookup.
 pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex

@@ -302,7 +302,10 @@ impl Walker<'_> {
         let ctx = self.ctx;
         let data = ctx.op(op);
         self.hasher.write_str(data.name.as_str());
-        self.hasher.write_u64(data.isolated as u64);
+        // Isolation follows from the name; it is still hashed, so every
+        // fingerprint (and each estimate-store key made from one) keeps its
+        // value.
+        self.hasher.write_u64(data.name.is_isolated() as u64);
 
         // Attribute iteration is in key-string order (each op's run in the
         // attribute arena is kept sorted), so the serialization is canonical.

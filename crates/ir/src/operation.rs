@@ -35,7 +35,22 @@ impl OpName {
     pub fn as_str(&self) -> &'static str {
         self.0.as_str()
     }
+
+    /// Whether the regions of an op of this name are isolated from the
+    /// enclosing scope: values defined outside must be passed in as operands
+    /// (paper §5.2). Functional dataflow ops (`dispatch`/`task`) are
+    /// transparent; Structural ops (`schedule`/`node`), functions and modules
+    /// are isolated. Like an MLIR trait it is a property of the name, so the
+    /// printer does not render it, and the verifier, the structural
+    /// fingerprint and every op built or parsed read this one list.
+    #[inline]
+    pub fn is_isolated(self) -> bool {
+        ISOLATED_OPS.contains(&self.as_str())
+    }
 }
+
+/// The names [`OpName::is_isolated`] accepts.
+const ISOLATED_OPS: [&str; 4] = ["builtin.module", "func.func", "hida.schedule", "hida.node"];
 
 impl fmt::Debug for OpName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -108,12 +123,6 @@ pub struct Operation {
     pub regions: IdList<RegionId>,
     /// Block containing this operation, if attached.
     pub parent_block: Option<BlockId>,
-    /// Whether the operation's regions are isolated from the enclosing context.
-    ///
-    /// Functional dataflow ops (`dispatch`/`task`) are transparent (false); Structural
-    /// ops (`schedule`/`node`) and functions are isolated (true), so values defined
-    /// outside must be passed in as arguments (paper §5.2).
-    pub isolated: bool,
     /// This op's run in the context's attribute arena.
     pub(crate) attrs: AttrSpan,
 }
@@ -127,7 +136,6 @@ impl Operation {
             results: IdList::new(),
             regions: IdList::new(),
             parent_block: None,
-            isolated: false,
             attrs: AttrSpan::default(),
         }
     }
@@ -268,7 +276,7 @@ mod tests {
     fn new_operation_is_detached_and_transparent() {
         let op = Operation::new("hida.task");
         assert!(op.parent_block.is_none());
-        assert!(!op.isolated);
+        assert!(!op.name.is_isolated());
         assert!(op.operands.is_empty());
         assert!(op.results.is_empty());
         assert!(op.regions.is_empty());

@@ -1,4 +1,4 @@
-//! The work-stealing pool behind a sweep.
+//! The pool behind a sweep.
 //!
 //! Threads exist at exactly one level of the compiler: the design points of a
 //! sweep (`hida::sweep`; an exploration is a sweep too) are compiled
@@ -6,17 +6,19 @@
 //! every estimate — runs on the thread that asked for it. This module is the
 //! std-only machinery of that one level:
 //!
-//! * [`run_batch`] — a scoped work-stealing executor: items are partitioned
-//!   into contiguous per-worker queues, idle workers steal from the back of
-//!   their neighbours' queues, and results come back *in item order* so what
-//!   a batch returns is independent of thread scheduling.
-//! * [`ParallelStats`] — the worker-count / steal / imbalance counters of a
-//!   batch, reported as a sweep's `pool`.
+//! * [`run_batch`] — a scoped pool, the caller one of its workers: each
+//!   worker takes the next item index from one shared counter until the
+//!   items run out, and writes its result into that item's slot, so results
+//!   come back *in item order* and what a batch returns is independent of
+//!   thread scheduling. A batch is a few dozen design points of
+//!   milliseconds each; one counter balances that as well as per-worker
+//!   queues with stealing did, with nothing to lock.
+//! * [`ParallelStats`] — the worker-count / imbalance counters of a batch,
+//!   reported as a sweep's `pool`.
 //! * [`default_jobs`] — the pool width used when the caller names none.
 //!
 //! The executor never touches the pass registry or any global state; the only
-//! shared mutable state is the per-worker queues and the result slots, both
-//! behind `std::sync` primitives.
+//! shared mutable state is the item counter and the result slots.
 //!
 //! **Faults.** The pool runs items; it does not isolate them. A sweep point
 //! is its own fault domain (`hida::sweep::isolated` turns a panic or an
@@ -24,10 +26,8 @@
 //! pool returns. One that panics anyway is a bug: its siblings run to the
 //! end, and the panic resumes on the caller after the join.
 
-use crate::fault::lock_recover;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The default worker count for `--jobs`-style knobs: the machine's available
 /// parallelism, falling back to 1 when it cannot be queried. The single
@@ -39,15 +39,17 @@ pub fn default_jobs() -> usize {
 }
 
 /// Counters describing one parallel batch. `max_worker_items` /
-/// `min_worker_items` expose the load imbalance the work-stealing had to
-/// correct.
+/// `min_worker_items` expose how unevenly the items fell to the workers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Number of worker threads used (1 = inline execution).
     pub workers: usize,
     /// Total work items executed.
     pub items: u64,
-    /// Items a worker took from another worker's queue.
+    /// Always 0: no worker takes an item from another, each takes the next
+    /// from the shared counter. Kept because the benchmark harness, whose
+    /// report format stays fixed, still reads it (`benchmark/src/run.rs`,
+    /// `benchmark/src/layers.rs`).
     pub steals: u64,
     /// Items executed by the busiest worker.
     pub max_worker_items: u64,
@@ -79,20 +81,20 @@ impl std::fmt::Display for ParallelStats {
 /// Runs `work` over every item of `items` on up to `jobs` workers, returning
 /// the results **in item order** plus the batch's execution counters.
 ///
-/// Items are partitioned into contiguous chunks, one queue per worker; a worker
-/// that drains its own queue steals from the back of the fullest neighbour.
-/// With `jobs <= 1` (or a single item) everything runs inline on the calling
-/// thread — the bitwise-reproducibility escape hatch — but because results are
-/// always collected by item index, the output is identical either way.
+/// Each worker takes the next unclaimed item index from one shared counter
+/// until none is left; the calling thread is one of the workers. With
+/// `jobs <= 1` (or a single item) everything runs inline on the calling
+/// thread — the bitwise-reproducibility escape hatch — but because results
+/// are always collected by item index, the output is identical either way.
 ///
 /// # Panics
 /// When an item panics: inline, at once; on the pool, after every worker
-/// has joined, with the payload of the first worker (by index) that
-/// panicked.
+/// has finished, with the payload of the first worker (by index, the
+/// caller first) that panicked.
 pub fn run_batch<T, R, F>(jobs: usize, items: &[T], work: F) -> (Vec<R>, ParallelStats)
 where
     T: Sync,
-    R: Send,
+    R: Send + Sync,
     F: Fn(&T) -> R + Sync,
 {
     let workers = jobs.min(items.len()).max(1);
@@ -108,79 +110,66 @@ where
         return (results, stats);
     }
 
-    // Contiguous partition: worker w owns indices [w*chunk, ...).
-    let chunk = items.len().div_ceil(workers);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let start = (w * chunk).min(items.len());
-            let end = ((w + 1) * chunk).min(items.len());
-            Mutex::new((start..end).collect())
-        })
-        .collect();
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let steals = AtomicU64::new(0);
-    let executed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let steals = &steals;
-            let executed = &executed;
-            let work = &work;
-            handles.push(scope.spawn(move || loop {
-                // Own queue first (front), then steal from the back of the
-                // other queues; queues only ever shrink, so one full empty
-                // scan means the batch is drained.
-                let mut next = lock_recover(&queues[me]).pop_front();
-                if next.is_none() {
-                    for other in (0..workers).filter(|&o| o != me) {
-                        if let Some(stolen) = lock_recover(&queues[other]).pop_back() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            next = Some(stolen);
-                            break;
-                        }
-                    }
-                }
-                let Some(index) = next else { break };
-                let result = work(&items[index]);
-                *lock_recover(&slots[index]) = Some(result);
-                executed[me].fetch_add(1, Ordering::Relaxed);
-            }));
-        }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    let counts: Vec<u64> = std::thread::scope(|scope| {
+        let worker = || {
+            let mut executed = 0_u64;
+            loop {
+                // Relaxed: the counter only claims an index; the result
+                // reaches the caller through its slot and the join.
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(index) else {
+                    return executed;
+                };
+                // The counter hands each index out once: the slot is empty.
+                let _ = slots[index].set(work(item));
+                executed += 1;
+            }
+        };
+        // The caller is worker 0: a batch spawns one thread fewer than it
+        // has workers (measured: the thread arenas that held the spawned
+        // workers' allocations then peaked ~1.5 MiB lower on repeated
+        // Fig. 10 sweeps).
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let own = worker();
         // The scope's own implicit join only waits for the closures to
         // return, not for the OS threads to exit. A batch started right
         // after this one would then spawn while these workers still hold
         // their allocator arenas, and the allocator would create new arenas
         // instead of reusing those (measured: twice the arenas and a quarter
-        // more resident memory on PR 13's generational explorer, which ran
-        // its batches back to back). An explicit join waits for the thread
-        // itself — every one of them, before a panic resumes.
+        // more resident memory on a generational explorer that ran its
+        // batches back to back). An explicit join waits for the thread
+        // itself — every one of them, before a panic resumes. (A panic in
+        // the caller's own item leaves through the scope's implicit join.)
+        let mut counts = Vec::with_capacity(workers);
+        counts.push(own);
         let mut first_panic = None;
         for handle in handles {
-            if let Err(payload) = handle.join() {
-                first_panic.get_or_insert(payload);
+            match handle.join() {
+                Ok(executed) => counts.push(executed),
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
             }
         }
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
+        counts
     });
 
     let results: Vec<R> = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .expect("every batch item produces a result")
         })
         .collect();
-    let counts: Vec<u64> = executed.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     let stats = ParallelStats {
         workers,
         items: items.len() as u64,
-        steals: steals.load(Ordering::Relaxed),
+        steals: 0,
         max_worker_items: counts.iter().copied().max().unwrap_or(0),
         min_worker_items: counts.iter().copied().min().unwrap_or(0),
     };
@@ -235,22 +224,27 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_work_is_stolen() {
-        // Worker 0's chunk carries all the heavy items; with enough of them the
-        // other workers must steal. (Spinning on an atomic keeps the heavy items
-        // genuinely slow without sleeping.)
+    fn every_item_runs_once_and_no_worker_steals() {
+        // Heavy items first: a worker busy with one leaves the light ones to
+        // the others. (Spinning keeps the heavy items genuinely slow without
+        // sleeping.)
         let items: Vec<u64> = (0..64).map(|i| if i < 32 { 200_000 } else { 1 }).collect();
-        let (results, stats) = run_batch(4, &items, |&spin| {
+        let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let jobs = 4;
+        let (results, stats) = run_batch(jobs, &(0..items.len()).collect::<Vec<_>>(), |&i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
             let mut acc = 0_u64;
-            for i in 0..spin {
-                acc = acc.wrapping_add(std::hint::black_box(i));
+            for step in 0..items[i] {
+                acc = acc.wrapping_add(std::hint::black_box(step));
             }
-            acc
+            (i, acc)
         });
-        assert_eq!(results.len(), 64);
+        assert!(runs.iter().all(|count| count.load(Ordering::Relaxed) == 1));
+        let order: Vec<usize> = results.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, (0..items.len()).collect::<Vec<_>>());
         assert_eq!(stats.items, 64);
-        // Not asserting steals > 0 (scheduling-dependent), but the counters
-        // must stay internally consistent.
+        assert_eq!(stats.steals, 0);
+        assert!(stats.workers <= jobs);
         assert!(stats.max_worker_items >= stats.min_worker_items);
         assert!(stats.max_worker_items <= stats.items);
     }

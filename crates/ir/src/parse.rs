@@ -288,14 +288,6 @@ impl fmt::Display for IrParseError {
 
 impl Error for IrParseError {}
 
-/// Op names whose regions are isolated from the enclosing scope.
-///
-/// The printer does not render the `isolated` flag — like an MLIR trait it is
-/// a property of the op *name* — so the parser re-derives it from this fixed
-/// set. The structural fingerprint hashes the flag, which makes this table
-/// load-bearing for the `parse(print(ctx)) ≡ ctx` round-trip invariant.
-const ISOLATED_OPS: &[&str] = &["builtin.module", "func.func", "hida.schedule", "hida.node"];
-
 /// Parses the textual form produced by
 /// [`printer::print_op`](crate::printer::print_op) into a fresh [`Context`],
 /// returning the context and the root operation.
@@ -597,7 +589,6 @@ impl<'a> ModuleParser<'a, '_> {
 
         let mut op = Operation::new(name);
         op.operands = operands.into();
-        op.isolated = ISOLATED_OPS.contains(&name);
         let id = self.ctx.create_op(op);
         for (key, value) in attrs {
             self.ctx.put_attr(id, Symbol::intern(&key), value);
@@ -1094,13 +1085,16 @@ mod module_tests {
         let text = print_op(&ctx, module);
         let (parsed_ctx, parsed_root) = parse_module(&text).unwrap();
         assert!(
-            parsed_ctx.op(parsed_root).isolated,
+            parsed_ctx.op(parsed_root).name.is_isolated(),
             "module must be isolated"
         );
         let func = parsed_ctx.body_ops(parsed_root)[0];
-        assert!(parsed_ctx.op(func).isolated, "func must be isolated");
+        assert!(
+            parsed_ctx.op(func).name.is_isolated(),
+            "func must be isolated"
+        );
         let first = parsed_ctx.body_ops(func)[0];
-        assert!(!parsed_ctx.op(first).isolated);
+        assert!(!parsed_ctx.op(first).name.is_isolated());
     }
 
     #[test]

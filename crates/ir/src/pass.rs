@@ -166,9 +166,9 @@ impl fmt::Display for PassStatistics {
 /// attributes (and name hints) of that context has been written since.
 /// [`verifier`] reads parent links, result back-links,
 /// operand visibility — operand lists, value definitions, liveness, op
-/// order — and the `isolated` flag, and no attribute: while the record
-/// holds, walking the subtree again would find what the walk that made the
-/// record found. [`run_passes`] then does not walk after a pass,
+/// order — and op names (which say what is isolated), and no attribute:
+/// while the record holds, walking the subtree again would find what the
+/// walk that made the record found. [`run_passes`] then does not walk after a pass,
 /// and [`verify_except`](crate::verifier::verify_except) may leave the
 /// subtree out. A verifier that reads attributes must not skip by this
 /// record; it keys on [`Context::generation`].
@@ -473,7 +473,7 @@ mod tests {
         assert_eq!(run.verified, None);
         ctx.set_attr(module, "touched", true);
         assert!(verified.holds_for(&ctx));
-        ctx.op_mut(module).isolated = true;
+        ctx.op_mut(module);
         assert!(!verified.holds_for(&ctx));
 
         // With inter-pass verification off there is never one.
@@ -601,8 +601,8 @@ mod tests {
                 let other = ctx.collect_ops(ctx.parent_op(constant).unwrap(), "arith.constant")[1];
                 ctx.add_operand(other, first);
             }),
-            ("flip-isolated", |ctx, constant| {
-                ctx.op_mut(constant).isolated = true;
+            ("rename", |ctx, constant| {
+                ctx.op_mut(constant).name = "test.renamed".into();
             }),
         ];
         for (name, edit) in edits {
@@ -682,7 +682,7 @@ mod tests {
         );
         assert_eq!(after.unwrap(), before);
         // A record that no longer holds for the original is not carried over.
-        ctx.op_mut(module).isolated = true;
+        ctx.op_mut(module);
         assert_eq!(run.fork(&ctx, &ctx.clone()).verified, None);
     }
 

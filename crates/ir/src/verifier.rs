@@ -8,7 +8,8 @@
 //!   defined in an enclosing scope),
 //! * *isolated-from-above* ops (functions, `hida.node`, `hida.schedule`) do not
 //!   reference values defined outside their own regions (paper §5.2),
-//! * erased values are not referenced.
+//! * erased values are not referenced: an operand's defining op is live and
+//!   still lists it as the result at its index.
 
 use crate::context::Context;
 use crate::entities::ValueDef;
@@ -73,12 +74,12 @@ fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> Result<(), Stri
     }
     // Isolation: no live-in SSA values may be referenced inside an isolated op,
     // other than through its own block arguments and operands.
-    if operation.isolated && !operation.regions.is_empty() {
+    if operation.name.is_isolated() && !operation.regions.is_empty() {
         // Not looking below `verified` when that is an isolated op: having
         // passed verification it uses nothing defined outside itself, so
         // nothing below it is a live-in of an op around it.
         let live_ins = ctx.live_ins_where(op, |ctx, inner| {
-            !(Some(inner) == verified && ctx.op(inner).isolated)
+            !(Some(inner) == verified && ctx.op(inner).name.is_isolated())
         });
         if !live_ins.is_empty() {
             return Err(format!(
@@ -96,8 +97,8 @@ fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> Result<(), Stri
 /// (transparent) ancestors.
 fn value_visible_at(ctx: &Context, value: ValueId, user: OpId) -> bool {
     match ctx.value(value).def {
-        ValueDef::OpResult { op: def_op, .. } => {
-            if !ctx.is_alive(def_op) {
+        ValueDef::OpResult { op: def_op, index } => {
+            if !ctx.is_alive(def_op) || ctx.op(def_op).results.get(index) != Some(&value) {
                 return false;
             }
             ctx.dominates(def_op, user) && def_op != user
@@ -163,6 +164,25 @@ mod tests {
     }
 
     #[test]
+    fn rejects_use_of_a_result_its_op_no_longer_lists() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let mut b = OpBuilder::at_end_of(&mut ctx, func);
+        let types = vec![Type::i32(), Type::i64()];
+        let (pair, results) = b.create("test.pair", vec![], types, vec![]);
+        b.create("arith.negi", vec![results[0]], vec![Type::i32()], vec![]);
+        assert!(verify(&ctx, module).is_ok());
+        // The op lives on without the used result.
+        ctx.set_results(pair, &[results[1]]);
+        let err = verify(&ctx, module).unwrap_err();
+        assert!(
+            err.to_string().contains("operand 0 of 'arith.negi'"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn transparent_regions_may_capture_outer_values_but_isolated_may_not() {
         let mut ctx = Context::new();
         let module = ctx.create_module("m");
@@ -171,7 +191,7 @@ mod tests {
         let c = b.create_constant_int(2, Type::i32());
 
         // Transparent task capturing `c` — legal (Functional dataflow semantics).
-        let (task, task_body, _) = b.create_with_body("hida.task", vec![], vec![], vec![], false);
+        let (_, task_body, _) = b.create_with_body("hida.task", vec![], vec![], vec![]);
         OpBuilder::at_block_end(&mut ctx, task_body).create(
             "arith.negi",
             vec![c],
@@ -181,7 +201,18 @@ mod tests {
         assert!(verify(&ctx, module).is_ok());
 
         // Isolated node capturing `c` — illegal (Structural dataflow semantics).
-        ctx.op_mut(task).isolated = true;
+        let (_, node_body, _) = OpBuilder::at_end_of(&mut ctx, func).create_with_body(
+            "hida.node",
+            vec![],
+            vec![],
+            vec![],
+        );
+        OpBuilder::at_block_end(&mut ctx, node_body).create(
+            "arith.negi",
+            vec![c],
+            vec![Type::i32()],
+            vec![],
+        );
         let err = verify(&ctx, module).unwrap_err();
         assert!(err.to_string().contains("isolated"));
     }
@@ -249,7 +280,6 @@ mod tests {
             vec![],
             vec![],
             vec![],
-            false,
         );
         OpBuilder::at_block_end(&mut ctx, inner_body).create(
             "arith.negi",

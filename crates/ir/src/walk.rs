@@ -89,15 +89,10 @@ mod tests {
     fn nested_module(ctx: &mut Context) -> (OpId, OpId, OpId, OpId) {
         let module = ctx.create_module("m");
         let func = OpBuilder::at_end_of(ctx, module).create_func("f", vec![], vec![]);
-        let (outer, outer_body, _) = OpBuilder::at_end_of(ctx, func).create_with_body(
-            "test.outer",
-            vec![],
-            vec![],
-            vec![],
-            false,
-        );
+        let (outer, outer_body, _) =
+            OpBuilder::at_end_of(ctx, func).create_with_body("test.outer", vec![], vec![], vec![]);
         let mut b = OpBuilder::at_block_end(ctx, outer_body);
-        let (inner, _, _) = b.create_with_body("test.inner", vec![], vec![], vec![], false);
+        let (inner, _, _) = b.create_with_body("test.inner", vec![], vec![], vec![]);
         OpBuilder::at_end_of(ctx, inner).create_constant_int(1, Type::i32());
         (module, func, outer, inner)
     }

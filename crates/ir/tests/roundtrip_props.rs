@@ -77,8 +77,9 @@ fn rand_attr(g: &mut Gen, depth: usize) -> Attribute {
     }
 }
 
-/// Op-name pool. The parser re-derives the `isolated` flag from the op name,
-/// so the generator must assign it the same way the real dialects do.
+/// Op-name pool: isolation is a property of the op name
+/// ([`OpName::is_isolated`](hida_ir_core::OpName::is_isolated)), so the
+/// generator gives isolated ops fresh scopes by picking one of these names.
 const ISOLATED_NAMES: &[&str] = &["func.func", "hida.schedule", "hida.node"];
 const PLAIN_NAMES: &[&str] = &[
     "test.alpha",
@@ -103,7 +104,6 @@ fn emit_ops(ctx: &mut Context, g: &mut Gen, block: hida_ir_core::BlockId, depth:
             PLAIN_NAMES[g.below(PLAIN_NAMES.len() as u64) as usize]
         };
         let mut op = Operation::new(name);
-        op.isolated = isolated;
         let attrs: Vec<Attribute> = (0..g.below(4)).map(|_| rand_attr(g, 1)).collect();
         // Operands: reference values already defined in this block.
         let scope: Vec<_> = ctx

@@ -154,10 +154,7 @@ proptest! {
 
         for (kind, pick_op, pick_value) in edits {
             let ops: Vec<OpId> = collect_preorder(edited, module);
-            let values: Vec<ValueId> = (0..edited.arena_sizes().3)
-                .map(ValueId::from_index)
-                .filter(|&v| edited.is_value_alive(v))
-                .collect();
+            let values: Vec<ValueId> = ops.iter().flat_map(|&op| defined_by(edited, op)).collect();
             if values.is_empty() {
                 break; // everything but the module was erased
             }
@@ -213,6 +210,18 @@ proptest! {
     }
 }
 
+/// The values `op` defines: its results, then the arguments of the blocks
+/// of its regions.
+fn defined_by(ctx: &Context, op: OpId) -> Vec<ValueId> {
+    let mut values = ctx.op(op).results.to_vec();
+    for &region in &ctx.op(op).regions {
+        for &block in &ctx.region(region).blocks {
+            values.extend_from_slice(&ctx.block(block).args);
+        }
+    }
+    values
+}
+
 /// Builds a small two-task module exercising attrs of every shared payload
 /// kind, name hints, regions and use lists.
 fn sample_module(ctx: &mut Context) -> hida_ir_core::OpId {
@@ -237,7 +246,6 @@ fn sample_module(ctx: &mut Context) -> hida_ir_core::OpId {
             ),
             ("elem", Type::stream(Type::i1(), 3).into()),
         ],
-        false,
     );
     OpBuilder::at_block_end(ctx, body).create("builtin.yield", vec![], vec![], vec![]);
     ctx.set_name_hint(c0, "lhs");
