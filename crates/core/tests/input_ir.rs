@@ -206,3 +206,61 @@ fn input_flag_exclusivity_is_enforced() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("--emit-ir"));
 }
+
+/// Runs `hida-opt --input` on `text` and returns its stderr, requiring a
+/// plain failure: exit status 1, not a signal.
+fn rejected(name: &str, text: &str) -> String {
+    let path = tmpfile(name, text);
+    let output = run_opt(&["--input", path.to_str().unwrap(), "--no-timing"]);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "{name}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// Nesting past the parser's bound, read on the main thread of `hida-opt`,
+/// is a positioned error; ten thousand nested regions or fifty thousand
+/// nested arrays used to overflow the stack and abort the process.
+#[test]
+fn deep_nesting_is_a_positioned_error() {
+    let max = hida_ir_core::parse::MAX_NESTING;
+    let bound = format!("expected at most {max} nested regions, arrays and types");
+    let regions = format!(
+        "\"builtin.module\"() {{sym_name = \"m\"}}\n{}{{\n{}",
+        "{\n\"t.n\"()\n".repeat(10_000),
+        "}\n".repeat(10_001)
+    );
+    // The `{` one past the bound opens line `2 * (max + 1)`.
+    let stderr = rejected("deep_regions.hir", &regions);
+    let at = format!("line {}, column 1: {bound}, found '{{'", 2 * (max + 1));
+    assert!(stderr.contains(&at), "{stderr}");
+
+    let arrays = format!(
+        "\"builtin.module\"() {{a = {}1{}}}\n{{\n}}\n",
+        "[".repeat(50_000),
+        "]".repeat(50_000)
+    );
+    let stderr = rejected("deep_arrays.hir", &arrays);
+    assert!(stderr.contains(&format!("{bound}, found '['")), "{stderr}");
+}
+
+/// A shape whose size in bits overflows 64-bit arithmetic is rejected where
+/// it is written: compiled, it used to report a design with no BRAM.
+#[test]
+fn overflowing_shapes_are_positioned_errors() {
+    let two_mm = std::fs::read_to_string(example("two_mm.hir")).expect("read two_mm.hir");
+    for shape in ["2147483648x2147483648", "4294967296x4294967296"] {
+        let text = two_mm.replace("memref<96x96xf32>", &format!("memref<{shape}xf32>"));
+        let stderr = rejected(&format!("two_mm_{shape}.hir"), &text);
+        assert!(
+            stderr.contains(&format!(
+                "line 5, column 43: expected a shaped type of at most 2^63-1 bits, \
+                 found 'memref<{shape}xf32>'"
+            )),
+            "{stderr}"
+        );
+    }
+}

@@ -295,6 +295,21 @@ impl Context {
     /// in this crate, right after the [`Context::create_op`] that moved it.
     pub(crate) fn put_attr(&mut self, op: OpId, key: Symbol, value: Attribute) {
         let span = self.ops[op.index()].attrs;
+        // A key after every key of the run that ends the arena — a builder
+        // or the parser adding keys in order — is appended, with nothing to
+        // search or shift.
+        if span.range().end == self.attrs.len()
+            && self.attrs[span.range()]
+                .last()
+                .is_none_or(|(k, _)| key_before(k.as_str(), key.as_str()))
+        {
+            self.attrs.push((key, value));
+            self.ops[op.index()].attrs.len += 1;
+            if 2 * self.dead_attrs > self.attrs.len() {
+                self.compact_attrs();
+            }
+            return;
+        }
         let run = &mut self.attrs[span.range()];
         if let Some((_, old)) = run.iter_mut().find(|(k, _)| k.ptr_eq(key)) {
             *old = value;
@@ -487,6 +502,20 @@ impl Context {
     /// counter: only the printer reads a name hint.
     pub fn set_name_hint(&mut self, value: ValueId, hint: impl AsRef<str>) {
         self.values[value.index()].name_hint = Some(Symbol::intern(hint.as_ref()));
+    }
+
+    /// Makes room for `ops` more operations, with two attributes and half a
+    /// region each, and `values` more values, so that creating them does
+    /// not grow the arenas step by step.
+    pub(crate) fn reserve(&mut self, ops: usize, values: usize) {
+        self.ops.reserve(ops);
+        self.op_epochs.reserve(ops);
+        self.live_ops.reserve_ids(self.ops.len() + ops);
+        self.attrs.reserve(2 * ops);
+        self.regions.reserve(ops / 2);
+        self.blocks.reserve(ops / 2);
+        self.values.reserve(values);
+        self.uses.reserve_ids(self.values.len() + values);
     }
 
     /// Convenience: creates a `builtin.module` op with one region and one entry block.

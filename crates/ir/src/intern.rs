@@ -328,10 +328,20 @@ impl Hasher for KeyHasher {
         }
         let rest = words.remainder();
         if !rest.is_empty() {
-            let mut word = [0_u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
+            // The rest as one little-endian word, zero-padded: folded, not
+            // copied, which would call `memcpy` for a few bytes.
+            self.add(
+                rest.iter()
+                    .rev()
+                    .fold(0, |word, &b| (word << 8) | u64::from(b)),
+            );
         }
+    }
+
+    /// What `write(&[n])` adds — the terminator `str` hashes after its
+    /// bytes — without the slice.
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
     }
 
     fn write_u64(&mut self, n: u64) {

@@ -97,6 +97,11 @@ impl<I: EntityId, T> EntityMap<I, T> {
         }
     }
 
+    /// Makes room for the entities with an index below `ids`.
+    pub(crate) fn reserve_ids(&mut self, ids: usize) {
+        self.slots.reserve(ids.saturating_sub(self.slots.len()));
+    }
+
     /// Number of present entries.
     pub fn len(&self) -> usize {
         self.live
@@ -232,7 +237,14 @@ impl<I: EntityId> IdList<I> {
 
     /// Appends `id`.
     pub fn push(&mut self, id: I) {
-        self.insert(self.len(), id);
+        match &mut self.repr {
+            Repr::Inline { len, ids } if usize::from(*len) < INLINE => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            Repr::Inline { .. } => self.insert(INLINE, id),
+            Repr::Spilled(ids) => ids.push(id),
+        }
     }
 
     /// Inserts `id` at `index`, shifting the ids behind it.
@@ -467,6 +479,12 @@ impl<I: EntityId> EntitySet<I> {
             live: 0,
             _id: PhantomData,
         }
+    }
+
+    /// Makes room for the ids with an index below `ids`.
+    pub(crate) fn reserve_ids(&mut self, ids: usize) {
+        self.words
+            .reserve(ids.div_ceil(64).saturating_sub(self.words.len()));
     }
 
     /// Number of ids in the set.
