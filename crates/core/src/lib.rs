@@ -251,8 +251,9 @@ pub(crate) fn resume(
 /// module and the workload function.
 ///
 /// # Errors
-/// Fails for [`Workload::TextIr`] when the module text does not parse or
-/// contains no `func.func`; builder-based workloads are infallible.
+/// Fails for [`Workload::TextIr`] when the module text does not parse, does
+/// not [verify](hida_ir_core::verifier::verify) or contains no `func.func`;
+/// builder-based workloads are infallible.
 pub fn build_workload(ctx: &mut Context, workload: Workload) -> IrResult<(OpId, OpId)> {
     match workload {
         Workload::Model(model) => {
@@ -279,6 +280,11 @@ pub fn build_workload(ctx: &mut Context, workload: Workload) -> IrResult<(OpId, 
                     ctx.op(module).name
                 )));
             }
+            // Broken input is an error in the input, not in the first pass
+            // that happens to verify after it.
+            hida_ir_core::verifier::verify(ctx, module).map_err(|e| {
+                IrError::InvalidEntity(format!("verifying textual IR '{name}': {e}"))
+            })?;
             let func = ctx
                 .body_ops(module)
                 .into_iter()

@@ -264,3 +264,40 @@ fn overflowing_shapes_are_positioned_errors() {
         );
     }
 }
+
+/// Text that parses but does not verify is rejected as input before any
+/// pass runs: here an `affine.store` uses `%x2`, which the body of a
+/// sibling `affine.for` defines.
+#[test]
+fn input_that_does_not_verify_is_an_input_error() {
+    let text = r#""builtin.module"() {sym_name = "m"}
+{
+  "func.func"() {result_types = [], sym_name = "f"}
+  {
+    %A0 = "memref.alloc"() {name = "A"} : memref<4xf32>
+    "affine.for"() {loop_name = "i", lower_bound = 0, step = 1, upper_bound = 4}
+    {
+    ^bb(%i1: index):
+      %x2 = "affine.load"(%A0, %i1) : f32
+    }
+    "affine.for"() {loop_name = "j", lower_bound = 0, step = 1, upper_bound = 4}
+    {
+    ^bb(%j3: index):
+      "affine.store"(%x2, %A0, %j3)
+    }
+  }
+}
+"#;
+    let stderr = rejected("sibling_use.hir", text);
+    assert!(
+        !stderr.contains("pass 'hida-construct-dataflow'"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains(
+            "verifying textual IR 'sibling_use': verification failed: \
+             operand 0 of 'affine.store' (op6) is not visible at its use site"
+        ),
+        "{stderr}"
+    );
+}

@@ -10,7 +10,9 @@
 use crate::op_names;
 use hida_dialects::analysis::MemEffect;
 use hida_dialects::hls;
-use hida_ir_core::{Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId};
+use hida_ir_core::{
+    walk_ops_preorder, Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId,
+};
 
 /// Typed view over a `hida.buffer` operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -375,11 +377,16 @@ impl ScheduleOp {
     /// any live-in values.
     pub fn external_buffers(self, ctx: &Context) -> Vec<ValueId> {
         let mut out: Vec<ValueId> = ctx.block(self.body(ctx)).args.to_vec();
-        for v in ctx.live_ins(self.0) {
-            if !out.contains(&v) {
-                out.push(v);
+        walk_ops_preorder(ctx, self.0, &mut |ctx, op| {
+            if op == self.0 {
+                return;
             }
-        }
+            for &v in &ctx.op(op).operands {
+                if ctx.is_live_in(self.0, v) && !out.contains(&v) {
+                    out.push(v);
+                }
+            }
+        });
         out
     }
 

@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(graph.edges()[0].consumer, nodes[1]);
         // Node bodies are isolated: loops reference only block arguments.
         for node in nodes {
-            assert!(ctx.live_ins(node.id()).is_empty());
+            hida_ir_core::verifier::verify(&ctx, node.id()).unwrap();
             assert!(!ctx
                 .collect_ops(node.id(), hida_dialects::loops::FOR)
                 .is_empty());

@@ -64,14 +64,17 @@ fn duplicate_buffer_for(
 
     let reads_original = producer.reads(ctx, original);
 
-    // Rewire: the producer and every node it dominates now use the duplicate.
-    for node in schedule.nodes(ctx) {
-        if ctx.dominates(producer.id(), node.id()) {
-            let operands = node.operands(ctx);
-            for (idx, operand) in operands.iter().enumerate() {
-                if *operand == original {
-                    node.replace_operand(ctx, idx, new_value);
-                }
+    // Rewire: the producer and every node it dominates — the nodes from it
+    // on, in the schedule's one block — now use the duplicate.
+    for node in schedule
+        .nodes(ctx)
+        .into_iter()
+        .skip_while(|&node| node != producer)
+    {
+        let operands = node.operands(ctx);
+        for (idx, operand) in operands.iter().enumerate() {
+            if *operand == original {
+                node.replace_operand(ctx, idx, new_value);
             }
         }
     }

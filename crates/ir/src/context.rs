@@ -795,37 +795,6 @@ impl Context {
         out
     }
 
-    /// Returns true if operation `a` dominates operation `b` under region-based SSA
-    /// dominance (single-block regions): `a` dominates `b` when `a == b`, or when the
-    /// ancestor of `b` sharing `a`'s block appears after `a` in that block.
-    pub fn dominates(&self, a: OpId, b: OpId) -> bool {
-        if a == b {
-            return true;
-        }
-        let a_block = match self.ops[a.index()].parent_block {
-            Some(bl) => bl,
-            None => return false,
-        };
-        // Climb b's ancestor chain (including b) until we find an op in a's block.
-        let mut cur = b;
-        loop {
-            match self.ops[cur.index()].parent_block {
-                Some(bl) if bl == a_block => {
-                    let pos_a = self.blocks[bl.index()].position_of(a);
-                    let pos_c = self.blocks[bl.index()].position_of(cur);
-                    return match (pos_a, pos_c) {
-                        (Some(pa), Some(pc)) => pa < pc || cur == a,
-                        _ => false,
-                    };
-                }
-                _ => match self.parent_op(cur) {
-                    Some(parent) => cur = parent,
-                    None => return false,
-                },
-            }
-        }
-    }
-
     /// Returns true if `value` is defined outside the body of `op` (i.e. it is a
     /// live-in of `op`'s regions). Values defined by `op` itself count as live-ins.
     pub fn is_live_in(&self, op: OpId, value: ValueId) -> bool {
@@ -843,34 +812,6 @@ impl Context {
                 }
             }
         }
-    }
-
-    /// Collects the live-in values of `op`: values used (transitively, at any depth)
-    /// inside `op`'s regions but defined outside of them. Order is first-use order.
-    pub fn live_ins(&self, op: OpId) -> Vec<ValueId> {
-        self.live_ins_where(op, |_, _| true)
-    }
-
-    /// [`Context::live_ins`] that looks at the ops nested in an op below `op`
-    /// only where `descend` says so (the op's own operands always count).
-    pub fn live_ins_where(
-        &self,
-        op: OpId,
-        mut descend: impl FnMut(&Context, OpId) -> bool,
-    ) -> Vec<ValueId> {
-        let mut seen = Vec::new();
-        crate::walk::walk_ops_pruned(self, op, &mut |ctx, inner| {
-            if inner == op {
-                return true;
-            }
-            for &operand in &ctx.op(inner).operands {
-                if ctx.is_live_in(op, operand) && !seen.contains(&operand) {
-                    seen.push(operand);
-                }
-            }
-            descend(ctx, inner)
-        });
-        seen
     }
 
     // ------------------------------------------------------------------
@@ -1394,62 +1335,6 @@ mod tests {
             crate::printer::print_op(&ctx, module),
             crate::printer::print_op(&copy, module)
         );
-    }
-
-    #[test]
-    fn dominance_in_nested_regions() {
-        let mut ctx = Context::new();
-        let (_, func, c0, c1) = simple_module(&mut ctx);
-        let c0_op = ctx.value(c0).defining_op().unwrap();
-        let c1_op = ctx.value(c1).defining_op().unwrap();
-        assert!(ctx.dominates(c0_op, c1_op));
-        assert!(!ctx.dominates(c1_op, c0_op));
-        assert!(ctx.dominates(c0_op, c0_op));
-
-        // Nested op: c0 dominates an op inside a region attached after c1.
-        let body = ctx.body_block(func);
-        let (wrapper, _) = ctx.build_op(body, "test.wrapper", vec![], vec![], vec![]);
-        let region = ctx.create_region(wrapper);
-        let inner_block = ctx.create_block(region);
-        let (inner, _) = ctx.build_op(
-            inner_block,
-            "arith.addi",
-            vec![c0, c1],
-            vec![Type::i32()],
-            vec![],
-        );
-        assert!(ctx.dominates(c0_op, inner));
-        assert!(ctx.dominates(c1_op, inner));
-        assert!(!ctx.dominates(inner, c0_op));
-    }
-
-    #[test]
-    fn live_in_analysis() {
-        let mut ctx = Context::new();
-        let (_, func, c0, c1) = simple_module(&mut ctx);
-        let body = ctx.body_block(func);
-        let (wrapper, _) = ctx.build_op(body, "hida.task", vec![], vec![], vec![]);
-        let region = ctx.create_region(wrapper);
-        let inner_block = ctx.create_block(region);
-        let (_, inner_res) = ctx.build_op(
-            inner_block,
-            "arith.addi",
-            vec![c0, c1],
-            vec![Type::i32()],
-            vec![],
-        );
-        ctx.build_op(
-            inner_block,
-            "arith.muli",
-            vec![inner_res[0], c1],
-            vec![Type::i32()],
-            vec![],
-        );
-
-        let live = ctx.live_ins(wrapper);
-        assert_eq!(live, vec![c0, c1]);
-        assert!(ctx.is_live_in(wrapper, c0));
-        assert!(!ctx.is_live_in(wrapper, inner_res[0]));
     }
 
     #[test]

@@ -10,12 +10,30 @@
 //!   reference values defined outside their own regions (paper §5.2),
 //! * erased values are not referenced: an operand's defining op is live and
 //!   still lists it as the result at its index.
+//!
+//! One pre-order walk checks all of it, visiting each op once with O(1) work
+//! per operand. Dominance is read off scope marks: an op is in scope from the
+//! moment the walk passes it until its block ends, a block while the walk is
+//! inside it, and what dominates the root from above is marked before the
+//! walk. Isolation is counted on one stack of the isolated ops around the walk
+//! position: each op and block is marked with the stack depth it is defined
+//! at, and an operand is a live-in of every isolated op on the stack at or
+//! above its definition's depth. The marks live in scratch that outlasts
+//! the verification, so verifying a design of a size seen before allocates
+//! nothing.
 
 use crate::context::Context;
 use crate::entities::ValueDef;
 use crate::error::{IrError, IrResult};
+use crate::fault::lock_recover;
 use crate::ids::{OpId, ValueId};
-use crate::walk::walk_ops_pruned;
+use std::sync::Mutex;
+
+/// The scope marks and isolation stacks of finished verifications, kept
+/// cleared with their capacity; a verification takes one out for its length.
+/// Not per thread: a sweep spawns its workers per batch, and each would
+/// allocate its own again.
+static SCRATCH: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
 
 /// Verifies `root` and everything nested below it.
 pub fn verify(ctx: &Context, root: OpId) -> IrResult<()> {
@@ -30,90 +48,233 @@ pub fn verify(ctx: &Context, root: OpId) -> IrResult<()> {
 /// subtree are checked as `verify` checks them.
 pub fn verify_except(ctx: &Context, root: OpId, verified: Option<OpId>) -> IrResult<()> {
     ctx.check_parent_links()?;
-    let mut errors: Vec<String> = Vec::new();
-    walk_ops_pruned(ctx, root, &mut |ctx, op| {
-        if Some(op) == verified {
-            return false;
+    if Some(root) == verified {
+        return Ok(());
+    }
+    let mut scratch = lock_recover(&SCRATCH).pop().unwrap_or_default();
+    let result = scratch.verify(ctx, root, verified);
+    lock_recover(&SCRATCH).push(scratch);
+    result
+}
+
+/// What a verification marks and counts. Every mark is cleared by the end
+/// of the walk that set it.
+#[derive(Default)]
+struct Scratch {
+    /// Per op: 0 while out of scope, else 1 + the stack depth it is defined at.
+    ops: Vec<u32>,
+    /// Per block: the same, for its arguments.
+    blocks: Vec<u32>,
+    /// Per value: the `clock` when it was last counted as a live-in. Every
+    /// entry of `isolated` stamped below it has counted it.
+    counted_at: Vec<u64>,
+    /// The isolated ops around the walk position whose live-ins are counted.
+    isolated: Vec<Isolated>,
+    /// Pushes onto `isolated` by this scratch so far: the next stamp.
+    clock: u64,
+    /// Each op's problem, with its pre-order position.
+    errors: Vec<(usize, String)>,
+}
+
+/// An isolated op on the stack.
+struct Isolated {
+    op: OpId,
+    /// Its pre-order position, where its message goes.
+    position: usize,
+    /// The `clock` when it was pushed.
+    stamp: u64,
+    /// Distinct values used inside it but defined outside.
+    live_ins: usize,
+}
+
+impl Scratch {
+    /// Walks `root` and returns every op's problem in pre-order, under one
+    /// prefix.
+    fn verify(&mut self, ctx: &Context, root: OpId, verified: Option<OpId>) -> IrResult<()> {
+        let (ops, blocks, _, values) = ctx.arena_sizes();
+        // Cleared marks stay cleared: growing fills with zeros.
+        self.ops.resize(self.ops.len().max(ops), 0);
+        self.blocks.resize(self.blocks.len().max(blocks), 0);
+        self.counted_at.resize(self.counted_at.len().max(values), 0);
+        self.mark_above(ctx, root, 1);
+        let mut walk = Walk {
+            ctx,
+            root,
+            verified,
+            scratch: self,
+            visited: 0,
+        };
+        walk.visit(root, true);
+        self.mark_above(ctx, root, 0);
+        if self.errors.is_empty() {
+            return Ok(());
         }
-        if let Err(message) = verify_op(ctx, op, verified) {
-            errors.push(message);
-        }
-        true
-    });
-    if errors.is_empty() {
-        Ok(())
-    } else {
+        // An isolated op's message is written when its subtree ends.
+        self.errors.sort_unstable_by_key(|&(position, _)| position);
+        let errors: Vec<String> = self.errors.drain(..).map(|(_, error)| error).collect();
         Err(IrError::verification(errors.join("; ")))
     }
+
+    /// Sets the marks of what is in scope at `root` before the walk reaches
+    /// it to `mark`: every block around it, and in each the ops up to the
+    /// one that holds `root`. An op is in scope only as part of a block that
+    /// lists it.
+    fn mark_above(&mut self, ctx: &Context, root: OpId, mark: u32) {
+        let mut holder = root;
+        loop {
+            let Some(block) = ctx.op(holder).parent_block else {
+                return;
+            };
+            self.blocks[block.index()] = mark;
+            let ops = &ctx.block(block).ops;
+            if let Some(at) = ops.iter().position(|&op| op == holder) {
+                for &op in &ops[..=at] {
+                    self.ops[op.index()] = mark;
+                }
+            }
+            match ctx.parent_op(holder) {
+                Some(parent) => holder = parent,
+                None => return,
+            }
+        }
+    }
 }
 
-/// The first thing wrong with `op` alone, as the message the error that
-/// gathers every op's message prefixes once.
-fn verify_op(ctx: &Context, op: OpId, verified: Option<OpId>) -> Result<(), String> {
-    let operation = ctx.op(op);
-    // Result back-links.
-    for (i, &res) in operation.results.iter().enumerate() {
-        match ctx.value(res).def {
-            ValueDef::OpResult { op: def_op, index } if def_op == op && index == i => {}
-            _ => {
-                return Err(format!(
+/// One verification's walk.
+struct Walk<'a> {
+    ctx: &'a Context,
+    root: OpId,
+    verified: Option<OpId>,
+    scratch: &'a mut Scratch,
+    /// Ops visited so far: the pre-order position of the next.
+    visited: usize,
+}
+
+impl Walk<'_> {
+    /// Visits `op` and what it holds. Unless `checking`, the op is below the
+    /// verified subtree: nothing there is reported, but its uses still count
+    /// for the isolated ops around it.
+    fn visit(&mut self, op: OpId, checking: bool) {
+        let ctx = self.ctx;
+        let operation = ctx.op(op).payload();
+        let position = self.visited;
+        self.visited += 1;
+        if op != self.root {
+            self.scratch.ops[op.index()] = self.scratch.isolated.len() as u32 + 1;
+        }
+        let is_verified = Some(op) == self.verified;
+        let checking = checking && !is_verified;
+        // Only the first problem of an op is reported.
+        let mut problem = None;
+        if checking {
+            let inconsistent = operation.results.iter().enumerate().position(|(i, &res)| {
+                !matches!(ctx.value(res).def,
+                    ValueDef::OpResult { op: def_op, index } if def_op == op && index == i)
+            });
+            if let Some(i) = inconsistent {
+                problem = Some(format!(
                     "result {i} of '{}' has an inconsistent definition record",
                     operation.name
-                ))
+                ));
             }
         }
-    }
-    // Operand visibility.
-    for (i, &operand) in operation.operands.iter().enumerate() {
-        if !value_visible_at(ctx, operand, op) {
-            return Err(format!(
-                "operand {i} of '{}' ({op}) is not visible at its use site",
-                operation.name
-            ));
-        }
-    }
-    // Isolation: no live-in SSA values may be referenced inside an isolated op,
-    // other than through its own block arguments and operands.
-    if operation.name.is_isolated() && !operation.regions.is_empty() {
-        // Not looking below `verified` when that is an isolated op: having
-        // passed verification it uses nothing defined outside itself, so
-        // nothing below it is a live-in of an op around it.
-        let live_ins = ctx.live_ins_where(op, |ctx, inner| {
-            !(Some(inner) == verified && ctx.op(inner).name.is_isolated())
-        });
-        if !live_ins.is_empty() {
-            return Err(format!(
-                "isolated op '{}' ({op}) references {} value(s) defined outside its region",
-                operation.name,
-                live_ins.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Returns true if `value` is visible at the location of `user`:
-/// it dominates the user, or it is a block argument of the user's block or one of its
-/// (transparent) ancestors.
-fn value_visible_at(ctx: &Context, value: ValueId, user: OpId) -> bool {
-    match ctx.value(value).def {
-        ValueDef::OpResult { op: def_op, index } => {
-            if !ctx.is_alive(def_op) || ctx.op(def_op).results.get(index) != Some(&value) {
-                return false;
+        for (i, &operand) in operation.operands.iter().enumerate() {
+            let visible = self.use_value(operand, op);
+            if checking && !visible && problem.is_none() {
+                problem = Some(format!(
+                    "operand {i} of '{}' ({op}) is not visible at its use site",
+                    operation.name
+                ));
             }
-            ctx.dominates(def_op, user) && def_op != user
         }
-        ValueDef::BlockArg { block, .. } => {
-            // Visible if the user's block is `block` or nested inside the op owning it.
-            let mut cur = Some(user);
-            while let Some(op) = cur {
-                if ctx.op(op).parent_block == Some(block) {
-                    return true;
+        let isolated = !operation.regions.is_empty() && operation.name.is_isolated();
+        // Having passed verification, an isolated subtree uses nothing
+        // defined outside itself: nothing below it is a live-in around it.
+        if is_verified && isolated {
+            return;
+        }
+        let counted = checking && isolated && problem.is_none();
+        if let Some(problem) = problem {
+            self.scratch.errors.push((position, problem));
+        }
+        if counted {
+            let stamp = self.scratch.clock;
+            self.scratch.clock += 1;
+            self.scratch.isolated.push(Isolated {
+                op,
+                position,
+                stamp,
+                live_ins: 0,
+            });
+        }
+        for &region in &operation.regions {
+            for &block in &ctx.region(region).blocks {
+                self.scratch.blocks[block.index()] = self.scratch.isolated.len() as u32 + 1;
+                let ops = &ctx.block(block).ops;
+                for &nested in ops {
+                    self.visit(nested, checking);
                 }
-                cur = ctx.parent_op(op);
+                for &nested in ops {
+                    self.scratch.ops[nested.index()] = 0;
+                }
+                self.scratch.blocks[block.index()] = 0;
             }
-            false
         }
+        if counted {
+            let entry = self.scratch.isolated.pop().expect("pushed above");
+            if entry.live_ins > 0 {
+                self.scratch.errors.push((
+                    entry.position,
+                    format!(
+                        "isolated op '{}' ({op}) references {} value(s) defined outside its region",
+                        operation.name, entry.live_ins
+                    ),
+                ));
+            }
+        }
+    }
+
+    /// Counts `value`, an operand of `user`, as a live-in of each isolated
+    /// op around `user` that does not hold its definition, and returns
+    /// whether it is visible at `user`.
+    fn use_value(&mut self, value: ValueId, user: OpId) -> bool {
+        let ctx = self.ctx;
+        let scratch = &mut *self.scratch;
+        let (mark, visible) = match ctx.value(value).def {
+            ValueDef::OpResult { op, index } => {
+                let mark = scratch.ops[op.index()];
+                let listed = || ctx.is_alive(op) && ctx.op(op).results.get(index) == Some(&value);
+                (mark, mark != 0 && op != user && listed())
+            }
+            ValueDef::BlockArg { block, .. } => {
+                let mark = scratch.blocks[block.index()];
+                (mark, mark != 0)
+            }
+        };
+        let depth = match mark.checked_sub(1) {
+            Some(depth) => depth as usize,
+            // Not in scope: used before its definition, erased, defined
+            // outside `root` or in a scope that has ended. The isolated ops
+            // holding the definition are still a bottom run of the stack.
+            None => scratch
+                .isolated
+                .iter()
+                .take_while(|entry| !ctx.is_live_in(entry.op, value))
+                .count(),
+        };
+        if depth < scratch.isolated.len() {
+            let counted_at = &mut scratch.counted_at[value.index()];
+            // Entries pushed before the last count were on the stack then
+            // and have counted the value; they sit below the later ones.
+            for entry in scratch.isolated[depth..].iter_mut().rev() {
+                if entry.stamp < *counted_at {
+                    break;
+                }
+                entry.live_ins += 1;
+            }
+            *counted_at = scratch.clock;
+        }
+        visible
     }
 }
 
@@ -266,6 +427,61 @@ mod tests {
                 "{message}"
             );
         }
+    }
+
+    #[test]
+    fn dominance_in_nested_regions() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let mut b = OpBuilder::at_end_of(&mut ctx, func);
+        let c0 = b.create_constant_int(0, Type::i32());
+        let c1 = b.create_constant_int(1, Type::i32());
+        // Nested op: c0 and c1 dominate an op inside a region attached after c1.
+        let (_, inner_block, _) = b.create_with_body("test.wrapper", vec![], vec![], vec![]);
+        let (_, inner) = OpBuilder::at_block_end(&mut ctx, inner_block).create(
+            "arith.addi",
+            vec![c0, c1],
+            vec![Type::i32()],
+            vec![],
+        );
+        assert!(verify(&ctx, module).is_ok());
+
+        // c1 does not dominate c0, and the inner op dominates nothing
+        // outside its region.
+        ctx.add_operand(ctx.value(c0).defining_op().unwrap(), c1);
+        OpBuilder::at_end_of(&mut ctx, func).create("test.use", vec![inner[0]], vec![], vec![]);
+        let err = verify(&ctx, module).unwrap_err().to_string();
+        assert!(err.contains("operand 0 of 'arith.constant'"), "{err}");
+        assert!(err.contains("operand 0 of 'test.use'"), "{err}");
+    }
+
+    #[test]
+    fn live_in_analysis() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let mut b = OpBuilder::at_end_of(&mut ctx, func);
+        let c0 = b.create_constant_int(0, Type::i32());
+        let c1 = b.create_constant_int(1, Type::i32());
+        let (node, inner_block, _) = b.create_with_body("hida.node", vec![], vec![], vec![]);
+        let mut b = OpBuilder::at_block_end(&mut ctx, inner_block);
+        let (_, inner_res) = b.create("arith.addi", vec![c0, c1], vec![Type::i32()], vec![]);
+        b.create(
+            "arith.muli",
+            vec![inner_res[0], c1],
+            vec![Type::i32()],
+            vec![],
+        );
+
+        // Two distinct values come from outside; the inner result does not.
+        let err = verify(&ctx, module).unwrap_err().to_string();
+        assert!(
+            err.ends_with("references 2 value(s) defined outside its region"),
+            "{err}"
+        );
+        assert!(ctx.is_live_in(node, c0));
+        assert!(!ctx.is_live_in(node, inner_res[0]));
     }
 
     #[test]
