@@ -2,7 +2,7 @@
 # Staged tier-1 verification plus lint gate. Run from the repository root.
 #
 #   ./ci.sh            run every stage (the full pre-merge gate)
-#   ./ci.sh <stage>    run one stage: build | test | determinism | cache | persist | dse | fuzz | chaos | bench-smoke
+#   ./ci.sh <stage>    run one stage: build | test | determinism | cache | persist | dse | fuzz | chaos | bench-smoke | lines
 #
 # Mirrors .github/workflows/ci.yml, where each CI job runs exactly one
 # `./ci.sh <stage>` — keeping local runs and CI the same by construction.
@@ -542,6 +542,18 @@ run_bench_smoke() {
   done
 }
 
+# The non-test Rust line count: every `*.rs` under `crates/*/src` and `src/`
+# outside `tests/` directories, each counted up to its first `#[cfg(test)]`.
+# It gates nothing; a simplification reports it before and after.
+run_lines() {
+  echo "==> [lines] non-test Rust lines (crates/*/src and src/, up to each file's first #[cfg(test)])"
+  find crates/*/src src -name '*.rs' -not -path '*/tests/*' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { in_tests = 0 }
+      /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+      !in_tests { lines++ }
+      END { print "    " lines }'
+}
+
 stage="${1:-all}"
 case "${stage}" in
   build) run_build ;;
@@ -553,6 +565,7 @@ case "${stage}" in
   fuzz) run_fuzz ;;
   chaos) run_chaos ;;
   bench-smoke) run_bench_smoke ;;
+  lines) run_lines ;;
   all)
     run_build
     run_test
@@ -563,9 +576,10 @@ case "${stage}" in
     run_fuzz
     run_chaos
     run_bench_smoke
+    run_lines
     ;;
   *)
-    echo "unknown stage '${stage}' (expected build | test | determinism | cache | persist | dse | fuzz | chaos | bench-smoke | all)"
+    echo "unknown stage '${stage}' (expected build | test | determinism | cache | persist | dse | fuzz | chaos | bench-smoke | lines | all)"
     exit 2
     ;;
 esac

@@ -138,14 +138,19 @@ pub struct CompilationResult {
     /// Per-pass statistics recorded by the optimizer's pass pipeline (timing, op
     /// deltas, configured options, analysis cache traffic), in execution order.
     pub pass_statistics: Vec<PassStatistics>,
-    /// Aggregate analysis-cache counters over the whole pipeline: how often the
-    /// optimizer reused a cached profile/graph instead of re-walking the IR.
-    pub analysis_cache: AnalysisCacheStats,
     /// What the QoR estimator added to the counters of the design's analysis
     /// cache: hits on the profiles and the graph the pass pipeline left in it
     /// and on the node results the dataflow and sequential estimates share,
     /// one miss per node estimated.
     pub estimator_cache: AnalysisCacheStats,
+}
+
+impl CompilationResult {
+    /// Aggregate analysis-cache counters over the whole pipeline: how often the
+    /// optimizer reused a cached profile/graph instead of re-walking the IR.
+    pub fn analysis_cache(&self) -> AnalysisCacheStats {
+        PassStatistics::aggregate_cache(&self.pass_statistics)
+    }
 }
 
 /// A workload lowered through the pass pipeline but not yet estimated or
@@ -484,7 +489,6 @@ impl Compiler {
             verified,
             lower_seconds,
         } = lowered;
-        let analysis_cache = PassStatistics::aggregate_cache(&pass_statistics);
         if self.verification {
             let verified = verified.filter(|v| v.holds_for(&ctx)).map(|v| v.root());
             hida_ir_core::verifier::verify_except(&ctx, module, verified)
@@ -510,7 +514,6 @@ impl Compiler {
             hls_cpp,
             compile_seconds: lower_seconds + start.elapsed().as_secs_f64(),
             pass_statistics,
-            analysis_cache,
             estimator_cache,
         })
     }
@@ -600,11 +603,11 @@ mod tests {
         // profiles warmed during lowering, parallelization re-queries them for
         // connection analysis, node sorting and partition assignment.
         assert!(
-            result.analysis_cache.hits >= 2,
+            result.analysis_cache().hits >= 2,
             "expected cross-pass cache hits, got {:?}",
-            result.analysis_cache
+            result.analysis_cache()
         );
-        assert!(result.analysis_cache.misses >= 1);
+        assert!(result.analysis_cache().misses >= 1);
         // The polybench preset may omit tiling; when present it must reuse the
         // node profiles warmed during lowering.
         if let Some(tiling) = result

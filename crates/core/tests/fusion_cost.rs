@@ -57,11 +57,13 @@ const MATCHES_CEILING: u64 = 150;
 /// after.
 const CONSTRUCT_ALLOCATION_CEILING: u64 = 36;
 /// 3 696 before the sweep and the one-walk profile, 1 275 while a merge
-/// wrapped the two tasks into a third and unwrapped both, 428 after.
+/// wrapped the two tasks into a third and unwrapped both, 428 after, 406
+/// since a layer's loop nest no longer allocates its output shape.
 const FUSION_ALLOCATION_CEILING: u64 = 470;
 /// 2 445 while a profile built each layer's loop nest two or three times
 /// and named every loop dimension, 1 105 while it built every layer's, 622
-/// with the dominant layer's only and one value map per lowering.
+/// with the dominant layer's only and one value map per lowering, 601 since
+/// the nest no longer allocates its output shape.
 const LOWER_ALLOCATION_CEILING: u64 = 685;
 /// Compute profiles fusion and lowering compute: one per task the
 /// criticality phase reads (21), per fused task it goes on to read (1) and

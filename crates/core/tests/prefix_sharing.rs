@@ -160,7 +160,7 @@ fn assert_same(
                 PassStatistics::without_micros(&alone.pass_statistics),
                 "{label}: pass statistics"
             );
-            assert_eq!(got.analysis_cache, alone.analysis_cache, "{label}");
+            assert_eq!(got.analysis_cache(), alone.analysis_cache(), "{label}");
         }
         (Err(got), Err(alone)) => assert_eq!(got, alone, "{label}"),
         (got, alone) => panic!(

@@ -13,12 +13,14 @@
 //! `%names` swapped — of the thirteen `polybench-hir` subjects and of every
 //! checked-in `.hir` file. The snapshot was written by the verifier from
 //! before it checked everything in one walk; every later verifier must
-//! reproduce it.
+//! reproduce it. One line has changed since, on purpose: an operand whose
+//! defining op was erased is no longer a live-in of the isolated ops around
+//! its use, so `erased definition` reports the use alone.
 //!
-//! [`oracle`] is that verifier: dominance by block positions, isolation by
-//! walking every isolated op's subtree again. The last test holds the two
-//! equal over the cases, generated modules, lowered designs and random
-//! operand rewrites of both.
+//! [`oracle`] is that verifier, with the same rule for erased definitions:
+//! dominance by block positions, isolation by walking every isolated op's
+//! subtree again. The last test holds the two equal over the cases,
+//! generated modules, lowered designs and random operand rewrites of both.
 
 use hida::{build_workload, Compiler, HidaOptions, Model, PolybenchKernel, Workload};
 use hida_fuzz::{gen_workload, FuzzRng};
@@ -147,7 +149,12 @@ mod oracle {
                 return true;
             }
             for &operand in &ctx.op(inner).operands {
-                if ctx.is_live_in(op, operand) && !seen.contains(&operand) {
+                // An erased definition is a use error only.
+                let defined = match ctx.value(operand).def {
+                    ValueDef::OpResult { op: def_op, .. } => ctx.is_alive(def_op),
+                    ValueDef::BlockArg { .. } => true,
+                };
+                if defined && ctx.is_live_in(op, operand) && !seen.contains(&operand) {
                     seen.push(operand);
                 }
             }

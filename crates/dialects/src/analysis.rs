@@ -170,7 +170,8 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
     // Named layers anywhere in the body, each weighed once; a named layer on
     // its own (a compute unit no task wraps) is its own body.
     let mut layers: Vec<OpId> = Vec::new();
-    let mut dominant: Option<(i64, LinalgOp, OpId)> = None;
+    // The heaviest layer: its work, its MACs, the layer and its op.
+    let mut dominant: Option<(i64, i64, LinalgOp, OpId)> = None;
     walk_ops_preorder(ctx, op, &mut |ctx, nested| {
         let Some(layer) = LinalgOp::from_op(ctx, nested) else {
             return;
@@ -184,13 +185,13 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
         profile.intensity += work;
         profile.macs += macs;
         profile.weight_params += weight_params;
-        if dominant.as_ref().is_none_or(|(w, _, _)| work > *w) {
-            dominant = Some((work, layer, nested));
+        if dominant.as_ref().is_none_or(|(w, ..)| work > *w) {
+            dominant = Some((work, macs, layer, nested));
         }
         layers.push(nested);
     });
 
-    if let Some((_, layer, dominant)) = dominant {
+    if let Some((_, macs, layer, dominant)) = dominant {
         // Only the dominant layer's virtual loop nest is built: its loop
         // dimensions and access patterns stand for the body's.
         let mut lp = layer.profile(input_shape_of(ctx, dominant));
@@ -198,7 +199,7 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
             let patterns = (nested == dominant).then_some(&mut lp);
             record_linalg_accesses(ctx, nested, patterns, &mut profile);
         }
-        profile.muls_per_iter = if lp.macs > 0 { 1 } else { 0 };
+        profile.muls_per_iter = if macs > 0 { 1 } else { 0 };
         profile.adds_per_iter = 1;
         profile.mem_per_iter = 2;
         profile.loop_dims = lp.loop_dims;

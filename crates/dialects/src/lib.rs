@@ -4,19 +4,16 @@
 //! ScaleHLS's directive IR to represent the program payload at both dataflow levels.
 //! This crate provides the equivalent functionality on top of [`hida_ir_core`]:
 //!
-//! * [`affine`] — affine expressions and maps (loop bounds, access functions,
-//!   partition/layout semi-affine maps),
 //! * [`loops`] — `affine.for` loop nests, loop bands, induction variables,
 //! * [`memory`] — `memref.alloc`, `affine.load`/`affine.store`, `memref.copy`,
 //! * [`arith`] — arithmetic payload ops and their hardware cost classes,
 //! * [`linalg`] — named tensor compute ops (convolutions, matmul, pooling, ...)
 //!   used by the PyTorch-style front-end,
 //! * [`hls`] — HLS directive attributes (pipeline, unroll, array partition, tiling),
-//! * [`transforms`] — loop transformations (unroll annotation, tiling, normalization),
+//! * [`transforms`] — loop transformations (unroll and pipeline annotation, tile sizes),
 //! * [`analysis`] — compute-profile extraction (loop dimensions, memory access
 //!   patterns, computational intensity) consumed by HIDA-OPT.
 
-pub mod affine;
 pub mod analysis;
 pub mod arith;
 pub mod hls;
@@ -25,6 +22,5 @@ pub mod loops;
 pub mod memory;
 pub mod transforms;
 
-pub use affine::{AffineExpr, AffineMap};
 pub use analysis::{AccessPattern, BufferAccess, ComputeProfile, MemEffect};
 pub use linalg::LinalgOp;

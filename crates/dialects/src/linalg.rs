@@ -127,7 +127,8 @@ pub struct LayerWork {
     pub weight_params: i64,
 }
 
-/// Full virtual-loop-nest profile of a layer for a concrete input shape.
+/// The virtual loop nest of a layer for a concrete input shape; its work is
+/// [`LinalgOp::work`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Virtual loop dimensions, outermost first.
@@ -136,14 +137,6 @@ pub struct LayerProfile {
     pub input_accesses: Vec<Vec<DimAccess>>,
     /// How each result dimension is indexed.
     pub result_access: Vec<DimAccess>,
-    /// Multiply-accumulate operations per output sample.
-    pub macs: i64,
-    /// Non-MAC scalar operations per output sample (comparisons, adds).
-    pub other_ops: i64,
-    /// Number of weight parameters held by the layer.
-    pub weight_params: i64,
-    /// Shape of the result tensor.
-    pub output_shape: Vec<i64>,
 }
 
 impl LinalgOp {
@@ -227,8 +220,9 @@ impl LinalgOp {
         (h.max(1), w.max(1))
     }
 
-    /// The scalar work of the layer for the given input shape: what
-    /// [`LinalgOp::profile`] reports, without building the loop nest.
+    /// The scalar work of the layer for the given input shape. The trips of
+    /// [`LinalgOp::profile`]'s loop nest multiply to `macs` for convolutions
+    /// and linear layers, and to `other_ops` for pooling, ReLU and addition.
     ///
     /// # Panics
     /// Panics if the input shape has the wrong rank for the layer kind.
@@ -275,70 +269,78 @@ impl LinalgOp {
         }
     }
 
-    /// Computes the full virtual-loop-nest profile for the given input shape.
+    /// Computes the virtual loop nest for the given input shape.
     pub fn profile(&self, input_shape: &[i64]) -> LayerProfile {
-        let output_shape = self.output_shape(input_shape);
         let identity =
             |rank: usize| -> Vec<DimAccess> { (0..rank).map(|i| Some((i, 1))).collect() };
-        let (loop_dims, input_accesses, result_access) = match self {
+        let (loop_dims, input_accesses, result_access) = match *self {
             LinalgOp::Conv2d {
                 in_channels,
                 out_channels,
                 kernel,
                 stride,
                 ..
-            } => (
-                vec![
-                    dim(*out_channels, false),   // k: out channels
-                    dim(*in_channels, true),     // c: in channels
-                    dim(output_shape[1], false), // h
-                    dim(output_shape[2], false), // w
-                    dim(*kernel, true),          // r
-                    dim(*kernel, true),          // s
-                ],
-                // input[c][h*stride + r][w*stride + s]
-                vec![vec![Some((1, 1)), Some((2, *stride)), Some((3, *stride))]],
-                // output[k][h][w]
-                vec![Some((0, 1)), Some((2, 1)), Some((3, 1))],
-            ),
+            } => {
+                let (h, w) = self.output_hw(input_shape);
+                (
+                    vec![
+                        dim(out_channels, false), // k: out channels
+                        dim(in_channels, true),   // c: in channels
+                        dim(h, false),
+                        dim(w, false),
+                        dim(kernel, true), // r
+                        dim(kernel, true), // s
+                    ],
+                    // input[c][h*stride + r][w*stride + s]
+                    vec![vec![Some((1, 1)), Some((2, stride)), Some((3, stride))]],
+                    // output[k][h][w]
+                    vec![Some((0, 1)), Some((2, 1)), Some((3, 1))],
+                )
+            }
             LinalgOp::DepthwiseConv2d {
                 channels,
                 kernel,
                 stride,
                 ..
-            } => (
-                vec![
-                    dim(*channels, false),       // c
-                    dim(output_shape[1], false), // h
-                    dim(output_shape[2], false), // w
-                    dim(*kernel, true),          // r
-                    dim(*kernel, true),          // s
-                ],
-                vec![vec![Some((0, 1)), Some((1, *stride)), Some((2, *stride))]],
-                vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
-            ),
+            } => {
+                let (h, w) = self.output_hw(input_shape);
+                (
+                    vec![
+                        dim(channels, false), // c
+                        dim(h, false),
+                        dim(w, false),
+                        dim(kernel, true), // r
+                        dim(kernel, true), // s
+                    ],
+                    vec![vec![Some((0, 1)), Some((1, stride)), Some((2, stride))]],
+                    vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
+                )
+            }
             LinalgOp::Linear {
                 in_features,
                 out_features,
             } => (
                 vec![
-                    dim(*out_features, false), // o
-                    dim(*in_features, true),   // i
+                    dim(out_features, false), // o
+                    dim(in_features, true),   // i
                 ],
                 vec![vec![Some((1, 1))]],
                 vec![Some((0, 1))],
             ),
-            LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => (
-                vec![
-                    dim(input_shape[0], false),  // c
-                    dim(output_shape[1], false), // h
-                    dim(output_shape[2], false), // w
-                    dim(*kernel, true),          // r
-                    dim(*kernel, true),          // s
-                ],
-                vec![vec![Some((0, 1)), Some((1, *stride)), Some((2, *stride))]],
-                vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
-            ),
+            LinalgOp::MaxPool2d { kernel, stride } | LinalgOp::AvgPool2d { kernel, stride } => {
+                let (h, w) = self.output_hw(input_shape);
+                (
+                    vec![
+                        dim(input_shape[0], false), // c
+                        dim(h, false),
+                        dim(w, false),
+                        dim(kernel, true), // r
+                        dim(kernel, true), // s
+                    ],
+                    vec![vec![Some((0, 1)), Some((1, stride)), Some((2, stride))]],
+                    vec![Some((0, 1)), Some((1, 1)), Some((2, 1))],
+                )
+            }
             LinalgOp::Relu => (
                 input_shape.iter().map(|&d| dim(d, false)).collect(),
                 vec![identity(input_shape.len())],
@@ -355,19 +357,10 @@ impl LinalgOp {
                 vec![Some((0, 1))],
             ),
         };
-        let LayerWork {
-            macs,
-            other_ops,
-            weight_params,
-        } = self.work(input_shape);
         LayerProfile {
             loop_dims,
             input_accesses,
             result_access,
-            macs,
-            other_ops,
-            weight_params,
-            output_shape,
         }
     }
 
@@ -504,9 +497,10 @@ mod tests {
         };
         let out = conv.output_shape(&[3, 32, 32]);
         assert_eq!(out, vec![16, 32, 32]);
+        let work = conv.work(&[3, 32, 32]);
+        assert_eq!(work.macs, 16 * 3 * 32 * 32 * 9);
+        assert_eq!(work.weight_params, 16 * 3 * 9);
         let p = conv.profile(&[3, 32, 32]);
-        assert_eq!(p.macs, 16 * 3 * 32 * 32 * 9);
-        assert_eq!(p.weight_params, 16 * 3 * 9);
         assert_eq!(p.loop_dims.len(), 6);
         assert!(p.loop_dims[1].reduction);
         assert!(!p.loop_dims[0].reduction);
@@ -537,10 +531,10 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        let p = dw.profile(&[32, 28, 28]);
-        assert_eq!(p.output_shape, vec![32, 28, 28]);
-        assert_eq!(p.macs, 32 * 28 * 28 * 9);
-        assert_eq!(p.weight_params, 32 * 9);
+        assert_eq!(dw.output_shape(&[32, 28, 28]), vec![32, 28, 28]);
+        let work = dw.work(&[32, 28, 28]);
+        assert_eq!(work.macs, 32 * 28 * 28 * 9);
+        assert_eq!(work.weight_params, 32 * 9);
     }
 
     #[test]
@@ -550,15 +544,15 @@ mod tests {
             stride: 2,
         };
         assert_eq!(pool.output_shape(&[16, 32, 32]), vec![16, 16, 16]);
-        assert_eq!(pool.profile(&[16, 32, 32]).macs, 0);
+        assert_eq!(pool.work(&[16, 32, 32]).macs, 0);
 
         let fc = LinalgOp::Linear {
             in_features: 256,
             out_features: 10,
         };
         assert_eq!(fc.output_shape(&[256]), vec![10]);
-        assert_eq!(fc.profile(&[256]).macs, 2560);
-        assert_eq!(fc.profile(&[256]).weight_params, 2560);
+        assert_eq!(fc.work(&[256]).macs, 2560);
+        assert_eq!(fc.work(&[256]).weight_params, 2560);
     }
 
     #[test]
@@ -568,7 +562,7 @@ mod tests {
         assert_eq!(LinalgOp::Flatten.output_shape(&[8, 4, 4]), vec![128]);
         let add = LinalgOp::Add.profile(&[8, 4, 4]);
         assert_eq!(add.input_accesses.len(), 2);
-        assert_eq!(add.other_ops, 128);
+        assert_eq!(LinalgOp::Add.work(&[8, 4, 4]).other_ops, 128);
     }
 
     #[test]

@@ -366,16 +366,6 @@ pub fn evaluate(inputs: &NodeModelInputs, device: &FpgaDevice) -> NodeEstimate {
     }
 }
 
-/// Estimates a node given an already-extracted compute profile.
-pub fn estimate_profile(
-    ctx: &Context,
-    op: OpId,
-    profile: &ComputeProfile,
-    device: &FpgaDevice,
-) -> NodeEstimate {
-    named(ctx, op, evaluate(&gather(ctx, op, profile), device))
-}
-
 /// `estimate` under the display name of `op`: what [`evaluate`] leaves out,
 /// and what a shared cache entry — published by a body with equal inputs,
 /// possibly under another name — must have replaced.
@@ -418,6 +408,12 @@ mod tests {
     use hida_dialects::memory::{build_alloc, build_load, build_store};
     use hida_ir_core::{OpBuilder, Type};
 
+    /// The node model over the body of `func`, the way a dataflow estimate
+    /// evaluates a node.
+    fn estimate(ctx: &Context, func: OpId, device: &FpgaDevice) -> NodeEstimate {
+        evaluate(&gather(ctx, func, &profile_body(ctx, func)), device)
+    }
+
     /// A simple vector-add loop nest over a 1024-element buffer.
     fn vector_add(ctx: &mut Context, partition: i64, unroll: i64) -> OpId {
         let module = ctx.create_module("m");
@@ -451,7 +447,7 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx = Context::new();
         let func = vector_add(&mut ctx, 8, 8);
-        let est = estimate_profile(&ctx, func, &profile_body(&ctx, func), &device);
+        let est = estimate(&ctx, func, &device);
         assert_eq!(est.ii, 1);
         assert_eq!(est.parallelism, 8);
         // 1024/8 = 128 pipeline iterations.
@@ -463,10 +459,10 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx_bad = Context::new();
         let bad = vector_add(&mut ctx_bad, 1, 8);
-        let bad_est = estimate_profile(&ctx_bad, bad, &profile_body(&ctx_bad, bad), &device);
+        let bad_est = estimate(&ctx_bad, bad, &device);
         let mut ctx_good = Context::new();
         let good = vector_add(&mut ctx_good, 8, 8);
-        let good_est = estimate_profile(&ctx_good, good, &profile_body(&ctx_good, good), &device);
+        let good_est = estimate(&ctx_good, good, &device);
         assert!(bad_est.ii > good_est.ii);
         assert!(bad_est.latency_cycles > good_est.latency_cycles);
     }
@@ -476,10 +472,10 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx1 = Context::new();
         let f1 = vector_add(&mut ctx1, 1, 1);
-        let e1 = estimate_profile(&ctx1, f1, &profile_body(&ctx1, f1), &device);
+        let e1 = estimate(&ctx1, f1, &device);
         let mut ctx2 = Context::new();
         let f2 = vector_add(&mut ctx2, 16, 16);
-        let e2 = estimate_profile(&ctx2, f2, &profile_body(&ctx2, f2), &device);
+        let e2 = estimate(&ctx2, f2, &device);
         assert!(e2.latency_cycles < e1.latency_cycles);
         assert!(e2.resources.dsp >= e1.resources.dsp);
         assert!(e2.resources.lut > e1.resources.lut);
@@ -516,7 +512,7 @@ mod tests {
         let x = build_load(&mut bld, a, &[ivs[0], ivs[1]]);
         let prod = arith::build_binary(&mut bld, arith::MULF, x, x);
         build_store(&mut bld, prod, c, &[ivs[0], ivs[1]]);
-        let est = estimate_profile(&ctx, func, &profile_body(&ctx, func), &device);
+        let est = estimate(&ctx, func, &device);
         assert_eq!(est.macs, 64 * 64);
         assert!(est.latency_cycles > 0);
     }

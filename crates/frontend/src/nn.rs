@@ -431,6 +431,57 @@ mod tests {
         assert!(macs > 20_000_000 && macs < 30_000_000, "mlp macs = {macs}");
     }
 
+    /// A layer's work has one source, `LinalgOp::work`; the loop nest
+    /// `LinalgOp::profile` builds for the same input must iterate exactly
+    /// that work: the MACs of a convolution or linear layer, the other ops of
+    /// pooling, ReLU and addition.
+    #[test]
+    fn every_layer_loop_nest_iterates_its_work() {
+        let mut kinds = Vec::new();
+        for model in Model::all() {
+            let (ctx, func) = build(model);
+            for &name in linalg::ALL_NAMED_OPS {
+                for op in ctx.collect_ops(func, name) {
+                    let layer = LinalgOp::from_op(&ctx, op).unwrap();
+                    let input = ctx.op(op).operands[0];
+                    let shape = ctx.value_type(input).shape().unwrap();
+                    let work = layer.work(shape);
+                    let expected = match layer {
+                        LinalgOp::Conv2d { .. }
+                        | LinalgOp::DepthwiseConv2d { .. }
+                        | LinalgOp::Linear { .. } => work.macs,
+                        LinalgOp::MaxPool2d { .. }
+                        | LinalgOp::AvgPool2d { .. }
+                        | LinalgOp::Relu
+                        | LinalgOp::Add => work.other_ops,
+                        LinalgOp::Flatten => continue,
+                    };
+                    let trips: i64 = layer
+                        .profile(shape)
+                        .loop_dims
+                        .iter()
+                        .map(|d| d.trip)
+                        .product();
+                    assert_eq!(trips, expected, "{}: {name} {op}", model.name());
+                    if !kinds.contains(&name) {
+                        kinds.push(name);
+                    }
+                }
+            }
+        }
+        for name in [
+            linalg::CONV2D,
+            linalg::DEPTHWISE_CONV2D,
+            linalg::LINEAR,
+            linalg::MAXPOOL2D,
+            linalg::AVGPOOL2D,
+            linalg::RELU,
+            linalg::ADD,
+        ] {
+            assert!(kinds.contains(&name), "no model builds a {name} layer");
+        }
+    }
+
     #[test]
     fn every_model_builds_and_verifies() {
         for model in Model::all() {

@@ -41,8 +41,8 @@ struct NodeEntry {
     /// `peers[preds..preds + pred_count]`: distinct predecessors.
     preds: u32,
     pred_count: u32,
-    /// `peers[succs..succs + succ_count]`: distinct successors.
-    succs: u32,
+    /// Number of distinct successors: the nodes whose predecessors list
+    /// this one.
     succ_count: u32,
     /// `ports[ports..ports + port_count]`.
     ports: u32,
@@ -72,7 +72,7 @@ pub struct DataflowGraph {
     position: Vec<u32>,
     /// One entry per node, by position.
     entries: Vec<NodeEntry>,
-    /// The predecessor and successor lists of all nodes, back to back.
+    /// The predecessor lists of all nodes, back to back.
     peers: Vec<NodeOp>,
     /// The ports of all nodes, back to back, each node's in operand order.
     ports: Vec<NodePort>,
@@ -197,46 +197,45 @@ impl DataflowGraph {
                         consumer: graph.nodes[consumer.node as usize],
                         buffer,
                     });
-                    graph.entries[producer.node as usize].succ_count += 1;
                     graph.entries[consumer.node as usize].pred_count += 1;
                 }
             }
         }
 
-        // Distinct peers in first-edge order. Each node gets room for one
-        // peer per edge; two nodes sharing several buffers leave some unused.
+        // Distinct predecessors in first-edge order. Each node gets room for
+        // one per incoming edge; two nodes sharing several buffers leave some
+        // unused.
         let mut room = 0;
         for entry in &mut graph.entries {
             entry.preds = room;
-            entry.succs = room + entry.pred_count;
-            room = entry.succs + entry.succ_count;
-            (entry.pred_count, entry.succ_count) = (0, 0);
+            room += entry.pred_count;
+            entry.pred_count = 0;
         }
         if let Some(&filler) = graph.nodes.first() {
             graph.peers = vec![filler; room as usize];
         }
         for edge in &graph.edges {
-            let producer = graph.position[edge.producer.0.index()] as usize;
             let consumer = graph.position[edge.consumer.0.index()] as usize;
-            let NodeEntry {
-                succs, succ_count, ..
-            } = &mut graph.entries[producer];
-            add_peer(&mut graph.peers, *succs, succ_count, edge.consumer);
             let NodeEntry {
                 preds, pred_count, ..
             } = &mut graph.entries[consumer];
             add_peer(&mut graph.peers, *preds, pred_count, edge.producer);
         }
 
-        // Edges point forward in program order, so every predecessor's depth
-        // is final when its consumer is reached.
+        // `p` is a distinct predecessor of `c` exactly when `c` is a distinct
+        // successor of `p`, so one pass over the predecessor lists counts the
+        // successors. Edges point forward in program order, so every
+        // predecessor's depth is final when its consumer is reached.
         for node in 0..graph.entries.len() {
-            let depth = graph
-                .predecessors_at(node)
-                .iter()
-                .map(|&pred| graph.entries[graph.position[pred.0.index()] as usize].depth + 1)
-                .max()
-                .unwrap_or(0);
+            let NodeEntry {
+                preds, pred_count, ..
+            } = graph.entries[node];
+            let mut depth = 0;
+            for &pred in &graph.peers[preds as usize..][..pred_count as usize] {
+                let pred = &mut graph.entries[graph.position[pred.0.index()] as usize];
+                pred.succ_count += 1;
+                depth = depth.max(pred.depth + 1);
+            }
             graph.entries[node].depth = depth;
         }
         graph
@@ -278,22 +277,11 @@ impl DataflowGraph {
         self.position(node).map(|position| &self.entries[position])
     }
 
-    fn predecessors_at(&self, position: usize) -> &[NodeOp] {
-        let entry = &self.entries[position];
-        &self.peers[entry.preds as usize..][..entry.pred_count as usize]
-    }
-
-    /// Distinct nodes with an edge from `node`, in first-edge order.
-    pub fn successors(&self, node: NodeOp) -> &[NodeOp] {
-        self.entry(node).map_or(&[], |entry| {
-            &self.peers[entry.succs as usize..][..entry.succ_count as usize]
-        })
-    }
-
     /// Distinct nodes with an edge into `node`, in first-edge order.
     pub fn predecessors(&self, node: NodeOp) -> &[NodeOp] {
-        self.position(node)
-            .map_or(&[], |position| self.predecessors_at(position))
+        self.entry(node).map_or(&[], |entry| {
+            &self.peers[entry.preds as usize..][..entry.pred_count as usize]
+        })
     }
 
     /// Number of distinct nodes `node` is connected to (in either direction) through
@@ -337,24 +325,6 @@ impl DataflowGraph {
             let (d_p, d_c) = (self.depth(edge.producer), self.depth(edge.consumer));
             (d_c > d_p + 1).then(|| (edge, d_c - d_p - 1))
         })
-    }
-
-    /// Reachability from `from` to `to` along the edges.
-    pub fn reaches(&self, from: NodeOp, to: NodeOp) -> bool {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut pending = vec![from];
-        while let Some(node) = pending.pop() {
-            if node == to {
-                return true;
-            }
-            for &next in self.successors(node) {
-                let position = self.position[next.0.index()] as usize;
-                if !std::mem::replace(&mut seen[position], true) {
-                    pending.push(next);
-                }
-            }
-        }
-        false
     }
 }
 
@@ -441,13 +411,14 @@ mod tests {
             ]
         );
         assert_eq!(g.position(nodes[2]), Some(2));
-        assert_eq!(g.successors(nodes[0]), [nodes[1], nodes[2]]);
         // First-edge order: buf3 (n0 -> n2) is first used before buf2 (n1 -> n2).
         assert_eq!(g.predecessors(nodes[2]), [nodes[0], nodes[1]]);
+        assert_eq!(g.predecessors(nodes[1]), [nodes[0]]);
         assert!(g.predecessors(nodes[0]).is_empty());
-        assert!(g.successors(nodes[2]).is_empty());
-        assert!(g.reaches(nodes[0], nodes[2]));
-        assert!(!g.reaches(nodes[2], nodes[0]));
+        // n0 feeds two nodes; n2 feeds none, so its connections are its
+        // predecessors.
+        assert_eq!(g.connection_count(nodes[0]), 2);
+        assert_eq!(g.connection_count(nodes[2]), g.predecessors(nodes[2]).len());
     }
 
     #[test]
@@ -520,8 +491,8 @@ mod tests {
             g.edges().iter().map(ends).collect::<Vec<_>>(),
             [(n0, n1, a), (n0, n2, b), (n0, n1, c)]
         );
-        assert_eq!(g.successors(n0), [n1, n2]);
         assert_eq!(g.predecessors(n1), [n0]);
+        assert_eq!(g.predecessors(n2), [n0]);
         assert_eq!(g.connection_count(n0), 2);
         assert_eq!(g.connection_count(n1), 1);
         assert_eq!(g.buffers(), [a, b, c]);
@@ -604,7 +575,6 @@ mod tests {
                     predecessors.push(edge.producer);
                 }
             }
-            assert_eq!(graph.successors(node), successors, "{subject}");
             assert_eq!(graph.predecessors(node), predecessors, "{subject}");
             assert_eq!(
                 graph.connection_count(node),

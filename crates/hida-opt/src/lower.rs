@@ -389,9 +389,14 @@ mod tests {
         assert!(external >= 1);
         let ping_pong = buffers.iter().filter(|b| b.is_ping_pong(&ctx)).count();
         assert!(ping_pong >= nodes.len() - 1);
-        // The dataflow forms a chain from the first to the last node.
+        // The dataflow forms a chain from the first to the last node: walking
+        // back through predecessors from the last ends at the first.
         let graph = hida_dataflow_ir::graph::DataflowGraph::from_schedule(&ctx, schedule);
-        assert!(graph.reaches(nodes[0], *nodes.last().unwrap()));
+        let mut node = *nodes.last().unwrap();
+        while let Some(&pred) = graph.predecessors(node).first() {
+            node = pred;
+        }
+        assert_eq!(node, nodes[0]);
         // Every layer op inside nodes is in destination-passing form.
         for node in &nodes {
             for op in ctx.collect_ops(node.id(), linalg::CONV2D) {

@@ -20,8 +20,6 @@ pub enum IrError {
         /// Human-readable reason.
         reason: String,
     },
-    /// An operation was used in a context it does not support.
-    UnsupportedOperation(String),
     /// A malformed or missing attribute was encountered.
     InvalidAttribute(String),
     /// A worker panicked; the unwind was isolated and converted (fault
@@ -49,7 +47,6 @@ impl fmt::Display for IrError {
             IrError::PassFailed { pass, reason } => {
                 write!(f, "pass '{pass}' failed: {reason}")
             }
-            IrError::UnsupportedOperation(msg) => write!(f, "unsupported operation: {msg}"),
             IrError::InvalidAttribute(msg) => write!(f, "invalid attribute: {msg}"),
             IrError::WorkerPanic { site, message } => {
                 write!(f, "worker panicked at {site}: {message}")

@@ -125,7 +125,7 @@ impl PassStatistics {
     }
 
     /// Sums the analysis-cache counters of a pass sequence (pipeline reports,
-    /// `--stats-json`, `CompilationResult::analysis_cache`).
+    /// `--stats-json`, `CompilationResult::analysis_cache()`).
     pub fn aggregate_cache(statistics: &[PassStatistics]) -> AnalysisCacheStats {
         let mut totals = AnalysisCacheStats::default();
         for stat in statistics {

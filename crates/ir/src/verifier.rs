@@ -236,7 +236,8 @@ impl Walk<'_> {
 
     /// Counts `value`, an operand of `user`, as a live-in of each isolated
     /// op around `user` that does not hold its definition, and returns
-    /// whether it is visible at `user`.
+    /// whether it is visible at `user`. A value whose defining op was erased
+    /// is defined nowhere, so it is no isolated op's live-in.
     fn use_value(&mut self, value: ValueId, user: OpId) -> bool {
         let ctx = self.ctx;
         let scratch = &mut *self.scratch;
@@ -251,11 +252,14 @@ impl Walk<'_> {
                 (mark, mark != 0)
             }
         };
+        let erased =
+            || matches!(ctx.value(value).def, ValueDef::OpResult { op, .. } if !ctx.is_alive(op));
         let depth = match mark.checked_sub(1) {
             Some(depth) => depth as usize,
-            // Not in scope: used before its definition, erased, defined
-            // outside `root` or in a scope that has ended. The isolated ops
-            // holding the definition are still a bottom run of the stack.
+            None if erased() => scratch.isolated.len(),
+            // Not in scope: used before its definition, defined outside
+            // `root` or in a scope that has ended. The isolated ops holding
+            // the definition are still a bottom run of the stack.
             None => scratch
                 .isolated
                 .iter()

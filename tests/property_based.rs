@@ -1,11 +1,12 @@
-//! Property-based tests over the core data structures and invariants:
-//! affine expression algebra, resource accounting, partition bank counts, the
+//! Property-based tests over the core data structures and invariants: strided
+//! index resolution, resource accounting, partition bank counts, the
 //! parallelizer's constraint handling, and functional equivalence of the dataflow
 //! interpreter under optimization.
 
-use hida::dialects::affine::AffineExpr;
 use hida::dialects::analysis::ProfileLoopDim;
 use hida::dialects::hls::ArrayPartition;
+use hida::dialects::loops::build_loop_nest;
+use hida::dialects::memory::{build_apply, resolve_index, IndexExpr};
 use hida::estimator::resource::{buffer_resources, Resources};
 use hida::opt::parallelize::select_unroll_factors;
 use hida_dialects::analysis::ComputeProfile;
@@ -13,20 +14,33 @@ use hida_dialects::hls::MemoryKind;
 use proptest::prelude::*;
 
 proptest! {
-    /// `as_strided_dim` must agree with direct evaluation for strided expressions.
+    /// An `affine.apply` of `stride * x + offset` resolves to the strided
+    /// loop dimension it stands for, and folds over a constant `x`.
     #[test]
     fn strided_affine_expressions_evaluate_consistently(
         stride in -8_i64..8,
         offset in -64_i64..64,
         value in 0_i64..256,
     ) {
+        use hida::ir::{Context, OpBuilder, Type};
         prop_assume!(stride != 0);
-        let expr = AffineExpr::dim(0).times(stride).plus_const(offset);
-        prop_assert_eq!(expr.eval(&[value]), stride * value + offset);
-        let (dim, s, o) = expr.as_strided_dim().unwrap();
-        prop_assert_eq!(dim, 0);
-        prop_assert_eq!(s, stride);
-        prop_assert_eq!(o, offset);
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let body = ctx.body_block(func);
+        let (loops, ivs, inner) = build_loop_nest(&mut ctx, body, &[(0, 256, "i")]);
+        let mut b = OpBuilder::at_block_end(&mut ctx, inner);
+        let strided = build_apply(&mut b, ivs[0], stride, offset);
+        let constant = b.create_constant_int(value, Type::Index);
+        let folded = build_apply(&mut b, constant, stride, offset);
+        prop_assert_eq!(
+            resolve_index(&ctx, strided),
+            IndexExpr::Strided { loop_op: loops[0], stride, offset }
+        );
+        prop_assert_eq!(
+            resolve_index(&ctx, folded),
+            IndexExpr::Constant(stride * value + offset)
+        );
     }
 
     /// Resource addition is commutative and monotone in every field.
