@@ -46,7 +46,7 @@ pub fn estimate(model: Model, macs_per_sample: i64, device: &FpgaDevice) -> Opti
         (device.ff as f64 * 0.3) as i64,
     );
     Some(DesignEstimate {
-        name: format!("dnnbuilder-{}", model.name()),
+        name: format!("dnnbuilder-{}", model.name()).into(),
         interval_cycles: interval,
         latency_cycles: interval * 2,
         resources,

@@ -115,7 +115,8 @@ pub fn lenet_design_point(config: LenetConfig, device: &FpgaDevice) -> IrResult<
         config.cpf2,
         config.cpf3,
         config.dataflow
-    );
+    )
+    .into();
     Ok(estimate)
 }
 

@@ -7,7 +7,7 @@
 //! partitioning — the behaviour that produces the mixed results of Table 7 (better
 //! than Vitis, usually behind HIDA, occasionally ahead on simple kernels).
 
-use hida_dialects::hls::{set_array_partition, ArrayPartition};
+use hida_dialects::hls::{write_array_partition, ArrayPartition};
 use hida_dialects::loops;
 use hida_dialects::transforms;
 use hida_estimator::dataflow::DataflowEstimator;
@@ -39,7 +39,8 @@ pub fn compile(ctx: &mut Context, func: OpId) -> OpId {
         }
         let mut factors = vec![1_i64; rank];
         factors[rank - 1] = SOFF_UNROLL;
-        set_array_partition(ctx, alloc, &ArrayPartition::cyclic(factors));
+        let partition = ArrayPartition::cyclic(factors);
+        write_array_partition(ctx, alloc, &partition.fashions, &partition.factors);
     }
     func
 }

@@ -27,6 +27,7 @@ use hida::{
     PersistentStoreStats, SharedEstimateCache, Workload,
 };
 use hida_dialects::analysis::ComputeProfile;
+use hida_dialects::transforms;
 use hida_estimator::device::FpgaDevice;
 use hida_frontend::nn::Model;
 use hida_frontend::polybench::PolybenchKernel;
@@ -35,6 +36,7 @@ use hida_ir_core::pass::PassStatistics;
 use hida_ir_core::{Analysis, AnalysisCacheStats, Context};
 use hida_opt::registry::{registry, registry_listing};
 use hida_opt::{HidaOptions, Pipeline};
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -854,13 +856,24 @@ fn run_single(args: &Args) -> Result<(), Stop> {
     let (ctx, schedule) = (&result.ctx, result.schedule);
     say!("\n# Schedule ({} nodes)", schedule.nodes(ctx).len());
     for node in schedule.nodes(ctx) {
-        let rank = ComputeProfile::compute(ctx, node.id()).loop_dims.len();
+        // Every node `parallelize` saw records its factors; only a node
+        // without them needs a profile walk, for the rank of the all-1s.
+        let unroll = match ctx
+            .op(node.id())
+            .attr_int_array(transforms::ATTR_UNROLL_FACTORS)
+        {
+            Some(factors) => Cow::Borrowed(factors),
+            None => {
+                let rank = ComputeProfile::compute(ctx, node.id()).loop_dims.len();
+                transforms::unroll_factors_of(ctx, node.id(), rank)
+            }
+        };
         say!(
             "node {:<24} intensity {:<10} parallel factor {:<5} unroll {:?}",
             node.name(ctx),
             ctx.op(node.id()).attr_int("intensity").unwrap_or(0),
             ctx.op(node.id()).attr_int("parallel_factor").unwrap_or(0),
-            hida_dialects::transforms::unroll_factors_of(ctx, node.id(), rank),
+            unroll,
         );
     }
     for buffer in schedule.internal_buffers(ctx) {

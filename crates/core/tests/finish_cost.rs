@@ -2,8 +2,9 @@
 //! fork of a lowered ResNet-18 the way a sweep point meets it: the estimator
 //! over the forked analysis cache, attached to a store-less estimate cache. A
 //! count, so the ceiling holds on any machine: reading the node model's
-//! inputs off the IR and keying them builds nothing, a cache entry carries
-//! no string, and what is left is the per-node results a caller owns. And
+//! inputs off the IR and keying them builds nothing, an estimate names its
+//! node by the IR's interned symbol, and what is left is the per-node
+//! results a caller owns. And
 //! what every compile pays before its first pass: parsing its pipeline.
 
 use hida::dialects::analysis::ComputeProfile;
@@ -42,12 +43,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// 95 today (98 while a store-less cache was an in-memory map, 882 while the
-/// key was a structural walk of the node's IR and a `BufferInfo` two
-/// vectors); the ceiling is measured x 1.1: room for the design to grow, not
-/// for a per-node or per-buffer allocation to come back into the gather or
-/// the key.
-const FINISH_ALLOCATION_CEILING: u64 = 104;
+/// 33 today (95 while an estimate's name was an owned `String`, copied once
+/// more into each design, 98 while a store-less cache was an in-memory map,
+/// 882 while the key was a structural walk of the node's IR and a
+/// `BufferInfo` two vectors); the ceiling is measured x 1.1: room for the
+/// design to grow, not for a per-node or per-buffer allocation to come back
+/// into the gather, the key or the names.
+const FINISH_ALLOCATION_CEILING: u64 = 36;
 
 #[test]
 fn estimating_a_forked_resnet18_stays_under_the_allocation_ceiling() {

@@ -134,16 +134,12 @@ pub const ATTR_PARTITION_FACTORS: &str = "partition_factors";
 /// Attribute key holding the memory placement.
 pub const ATTR_MEMORY_KIND: &str = "memory_kind";
 
-/// Attaches an array-partition directive to a buffer-producing operation
-/// (`memref.alloc` or `hida.buffer`).
-pub fn set_array_partition(ctx: &mut Context, buffer_op: OpId, partition: &ArrayPartition) {
-    write_array_partition(ctx, buffer_op, &partition.fashions, &partition.factors);
-}
-
-/// [`set_array_partition`] from the two per-dimension lists of a directive,
-/// for a caller that keeps them in arrays of its own. Both payloads are
-/// interned, so a directive already written anywhere allocates nothing;
-/// the keys and the fashion strings are interned once per process.
+/// Attaches an array-partition directive, given as its two per-dimension
+/// lists (an [`ArrayPartition`]'s fields, or arrays a caller keeps of its
+/// own), to a buffer-producing operation (`memref.alloc` or `hida.buffer`).
+/// Both payloads are interned, so a directive already written anywhere
+/// allocates nothing; the keys and the fashion strings are interned once
+/// per process.
 pub fn write_array_partition(
     ctx: &mut Context,
     buffer_op: OpId,
@@ -248,7 +244,7 @@ mod tests {
             fashions: vec![PartitionFashion::Cyclic, PartitionFashion::Block],
             factors: vec![4, 4],
         };
-        set_array_partition(&mut ctx, buf, &p);
+        write_array_partition(&mut ctx, buf, &p.fashions, &p.factors);
         assert_eq!(get_array_partition(&ctx, buf, 2), p);
     }
 

@@ -9,7 +9,7 @@
 
 use crate::device::FpgaDevice;
 use crate::latency::{
-    buffer_depth, buffer_info, evaluate, gather, named, NodeEstimate, NodeModelInputs,
+    buffer_depth, buffer_info, evaluate, gather, node_name, NodeEstimate, NodeModelInputs,
 };
 use crate::report::DesignEstimate;
 use crate::resource::Resources;
@@ -19,7 +19,7 @@ use hida_dataflow_ir::structural::{NodeOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
 use hida_ir_core::analysis::{AnalysisCacheStats, AnalysisManager};
 use hida_ir_core::Fingerprint;
-use hida_ir_core::{Context, OpId, ParallelStats};
+use hida_ir_core::{symbol, Context, OpId, ParallelStats, Symbol, ValueId};
 use std::cell::{RefCell, RefMut};
 use std::fmt;
 use std::sync::Arc;
@@ -78,11 +78,26 @@ impl fmt::Debug for DataflowEstimator {
     }
 }
 
-/// Resources and number of the buffers a schedule declares: the same for its
-/// dataflow estimate and its sequential estimate.
+/// Resources and number of the buffers a design declares: for a schedule,
+/// the same for its dataflow estimate and its sequential estimate.
 struct BufferTotals {
     resources: Resources,
     count: i64,
+}
+
+impl BufferTotals {
+    /// The totals of the buffers behind `values`.
+    fn of(ctx: &Context, values: impl Iterator<Item = ValueId>) -> Self {
+        let mut totals = BufferTotals {
+            resources: Resources::zero(),
+            count: 0,
+        };
+        for value in values {
+            totals.resources += buffer_info(ctx, value).resources();
+            totals.count += 1;
+        }
+        totals
+    }
 }
 
 impl DataflowEstimator {
@@ -149,7 +164,7 @@ impl DataflowEstimator {
 
     /// Estimates one node of a schedule (memoized per IR generation).
     pub fn estimate_node(&self, ctx: &Context, node: NodeOp) -> NodeEstimate {
-        NodeEstimate::clone(&self.body_estimate(ctx, node.id()))
+        *self.body_estimate(ctx, node.id())
     }
 
     /// The node model's inputs, gathered from `op`'s cached compute profile.
@@ -163,7 +178,9 @@ impl DataflowEstimator {
     /// op) key is unambiguous within one instance): gather, then evaluate.
     /// With a store attached the gathered inputs are keyed and looked up in
     /// between, and what a miss evaluates is saved — without a name, which
-    /// is no input of the key: every estimate leaves here under `op`'s own.
+    /// is no input of the key (an entry may come from a body with equal
+    /// inputs under another name): every estimate leaves here under `op`'s
+    /// own.
     /// A miss reads this same manager (the node's profile), so it is
     /// computed before the manager is borrowed for the result.
     fn body_estimate(&self, ctx: &Context, op: OpId) -> Arc<NodeEstimate> {
@@ -174,16 +191,17 @@ impl DataflowEstimator {
             .is_some();
         let estimate = (!valid).then(|| {
             let inputs = self.inputs(ctx, op);
+            let name = node_name(ctx, op);
             let Some(store) = self.shared.as_deref().and_then(SharedEstimateCache::store) else {
-                return named(ctx, op, evaluate(&inputs, &self.device));
+                return evaluate(&inputs, &self.device, name);
             };
             let key = inputs_key(&inputs, self.device_key);
-            let estimate = store.load(key).unwrap_or_else(|| {
-                let estimate = evaluate(&inputs, &self.device);
+            let unnamed = store.load(key).unwrap_or_else(|| {
+                let estimate = evaluate(&inputs, &self.device, symbol!(""));
                 store.save(key, &estimate);
                 estimate
             });
-            named(ctx, op, estimate)
+            NodeEstimate { name, ..unnamed }
         });
         self.analyses
             .borrow_mut()
@@ -209,15 +227,7 @@ impl DataflowEstimator {
             let values = buffers
                 .map(|buffer| buffer.value(ctx))
                 .chain(allocs.into_iter().map(|alloc| ctx.op(alloc).results[0]));
-            let mut totals = BufferTotals {
-                resources: Resources::zero(),
-                count: 0,
-            };
-            for value in values {
-                totals.resources += buffer_info(ctx, value).resources();
-                totals.count += 1;
-            }
-            totals
+            BufferTotals::of(ctx, values)
         });
         (totals.resources, totals.count)
     }
@@ -235,9 +245,7 @@ impl DataflowEstimator {
         let nodes = schedule.nodes(ctx);
         let node_estimates: Vec<NodeEstimate> = nodes
             .iter()
-            // The caller owns its `DesignEstimate`; this is the one copy per
-            // query.
-            .map(|&n| NodeEstimate::clone(&self.body_estimate(ctx, n.id())))
+            .map(|&n| *self.body_estimate(ctx, n.id()))
             .collect();
 
         let (buffer_res, buffer_count) = self.buffer_totals(ctx, schedule);
@@ -278,30 +286,26 @@ impl DataflowEstimator {
     /// Estimates a plain function body (no dataflow structure), e.g. the Vitis-only
     /// baseline or a single fused task.
     pub fn estimate_function(&self, ctx: &Context, func: OpId) -> DesignEstimate {
-        let est = NodeEstimate::clone(&self.body_estimate(ctx, func));
-        let mut buffer_res = Resources::zero();
-        let mut buffer_count = 0;
-        for op in ctx.collect_ops(func, hida_dialects::memory::ALLOC) {
-            let value = ctx.op(op).results[0];
-            buffer_res += buffer_info(ctx, value).resources();
-            buffer_count += 1;
-        }
-        for op in ctx.collect_ops(func, hida_dataflow_ir::op_names::BUFFER) {
-            let value = ctx.op(op).results[0];
-            buffer_res += buffer_info(ctx, value).resources();
-            buffer_count += 1;
-        }
-        let total_res = est.resources + buffer_res;
+        let est = *self.body_estimate(ctx, func);
+        let buffers = [
+            hida_dialects::memory::ALLOC,
+            hida_dataflow_ir::op_names::BUFFER,
+        ]
+        .into_iter()
+        .flat_map(|name| ctx.collect_ops(func, name))
+        .map(|op| ctx.op(op).results[0]);
+        let buffers = BufferTotals::of(ctx, buffers);
+        let total_res = est.resources + buffers.resources;
         let over = total_res.utilization(&self.device).max(1.0);
         let cycles = (est.latency_cycles as f64 * over).ceil() as i64;
         DesignEstimate {
-            name: est.name.clone(),
+            name: est.name,
             interval_cycles: cycles,
             latency_cycles: cycles,
             resources: total_res,
             macs_per_sample: est.macs,
             node_estimates: vec![est],
-            buffer_count,
+            buffer_count: buffers.count,
             clock_mhz: self.device.clock_mhz,
             utilization: total_res.utilization(&self.device),
         }
@@ -364,11 +368,10 @@ impl DataflowEstimator {
     }
 }
 
-fn schedule_name(ctx: &Context, op: OpId) -> String {
+fn schedule_name(ctx: &Context, op: OpId) -> Symbol {
     ctx.op(op)
-        .attr_str("schedule_name")
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("schedule{}", op.index()))
+        .attr_symbol("schedule_name")
+        .unwrap_or_else(|| format!("schedule{}", op.index()).into())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use hida_dataflow_ir::structural::{BufferOp, NodeOp};
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::hls::{self, MemoryKind};
 use hida_dialects::{loops, transforms};
-use hida_ir_core::{Context, OpId, ValueId};
+use hida_ir_core::{Context, OpId, Symbol, ValueId};
 
 /// Physical description of a buffer as seen by one node. A view: the shape
 /// is the type's and the partition factors are the attribute's, so resolving
@@ -121,10 +121,10 @@ pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo<'_> {
 }
 
 /// QoR estimate of one dataflow node (or of any op body treated as a single task).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEstimate {
-    /// Human-readable node name.
-    pub name: String,
+    /// Human-readable node name: the IR's own interned symbol.
+    pub name: Symbol,
     /// Cycles to process one data frame.
     pub latency_cycles: i64,
     /// Pipeline initiation interval achieved by the innermost loop.
@@ -308,9 +308,10 @@ pub fn gather(ctx: &Context, op: OpId, profile: &ComputeProfile) -> NodeModelInp
 
 /// The node model proper: closed-form arithmetic over `inputs` and the
 /// device. It is handed no [`Context`], so an estimate cannot depend on
-/// anything [`gather`] did not put in `inputs`. The `name` is left empty —
-/// it is the one field of a [`NodeEstimate`] that is not an estimate.
-pub fn evaluate(inputs: &NodeModelInputs, device: &FpgaDevice) -> NodeEstimate {
+/// anything [`gather`] did not put in `inputs`. The `name` is passed
+/// through: it is the one field of a [`NodeEstimate`] that is not an
+/// estimate.
+pub fn evaluate(inputs: &NodeModelInputs, device: &FpgaDevice, name: Symbol) -> NodeEstimate {
     let compute_latency = if inputs.pipelined {
         inputs.ii * (inputs.trip_total - 1) + inputs.depth
     } else {
@@ -345,7 +346,7 @@ pub fn evaluate(inputs: &NodeModelInputs, device: &FpgaDevice) -> NodeEstimate {
         };
 
     NodeEstimate {
-        name: String::new(),
+        name,
         latency_cycles: latency.max(1),
         ii: inputs.ii.max(1),
         resources: compute_resources(
@@ -366,22 +367,13 @@ pub fn evaluate(inputs: &NodeModelInputs, device: &FpgaDevice) -> NodeEstimate {
     }
 }
 
-/// `estimate` under the display name of `op`: what [`evaluate`] leaves out,
-/// and what a shared cache entry — published by a body with equal inputs,
-/// possibly under another name — must have replaced.
-pub(crate) fn named(ctx: &Context, op: OpId, mut estimate: NodeEstimate) -> NodeEstimate {
-    estimate.name = node_name(ctx, op);
-    estimate
-}
-
 /// Display name of a node/task/function body, as recorded in its estimate.
-fn node_name(ctx: &Context, op: OpId) -> String {
-    ctx.op(op)
-        .attr_str("node_name")
-        .or_else(|| ctx.op(op).attr_str("task_name"))
-        .or_else(|| ctx.op(op).attr_str("sym_name"))
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("op{}", op.index()))
+pub(crate) fn node_name(ctx: &Context, op: OpId) -> Symbol {
+    let op_ref = ctx.op(op);
+    ["node_name", "task_name", "sym_name"]
+        .into_iter()
+        .find_map(|key| op_ref.attr_symbol(key))
+        .unwrap_or_else(|| format!("op{}", op.index()).into())
 }
 
 fn false_or_float(profile: &ComputeProfile) -> bool {
@@ -411,7 +403,8 @@ mod tests {
     /// The node model over the body of `func`, the way a dataflow estimate
     /// evaluates a node.
     fn estimate(ctx: &Context, func: OpId, device: &FpgaDevice) -> NodeEstimate {
-        evaluate(&gather(ctx, func, &profile_body(ctx, func)), device)
+        let name = node_name(ctx, func);
+        evaluate(&gather(ctx, func, &profile_body(ctx, func)), device, name)
     }
 
     /// A simple vector-add loop nest over a 1024-element buffer.
@@ -429,7 +422,8 @@ mod tests {
         if partition > 1 {
             for buf in [a, b_val, c] {
                 let def = ctx.value(buf).defining_op().unwrap();
-                hls::set_array_partition(ctx, def, &hls::ArrayPartition::cyclic(vec![partition]));
+                let p = hls::ArrayPartition::cyclic(vec![partition]);
+                hls::write_array_partition(ctx, def, &p.fashions, &p.factors);
             }
         }
         let (_loops, ivs, inner) = build_loop_nest(ctx, body, &[(0, 1024, "i")]);

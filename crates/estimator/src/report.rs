@@ -6,12 +6,13 @@
 
 use crate::latency::NodeEstimate;
 use crate::resource::Resources;
+use hida_ir_core::Symbol;
 
 /// Complete QoR summary of one design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignEstimate {
-    /// Design name (schedule or function name).
-    pub name: String,
+    /// Design name (schedule or function name): the IR's own interned symbol.
+    pub name: Symbol,
     /// Cycles between consecutive data frames (initiation interval of the design).
     pub interval_cycles: i64,
     /// Cycles from frame entry to frame exit.
@@ -60,7 +61,7 @@ mod tests {
 
     fn estimate(interval: i64, dsp: i64, macs: i64) -> DesignEstimate {
         DesignEstimate {
-            name: "test".to_string(),
+            name: "test".into(),
             interval_cycles: interval,
             latency_cycles: interval * 2,
             resources: Resources::new(dsp, 10, 1000, 1000),

@@ -12,10 +12,11 @@
 //! the [full device description](device_fingerprint) — every field, not just
 //! the device name, so sweeping device parameters (clock, bandwidth) under
 //! one name can never alias. [`crate::latency::evaluate`] takes those two
-//! values and no [`Context`], so the key is the model's whole preimage by
-//! signature: an entry served under it is bit-for-bit the estimate a
-//! recomputation would produce, and two bodies share an entry exactly when
-//! the model cannot tell them apart, whatever IR their inputs were read from.
+//! values, the name it passes through and no [`Context`], so the key is the
+//! model's whole preimage by signature: an entry served under it is
+//! bit-for-bit the estimate a recomputation would produce, and two bodies
+//! share an entry exactly when the model cannot tell them apart, whatever IR
+//! their inputs were read from.
 //!
 //! The one place such entries live is a persistent [`EstimateStore`], so
 //! *separate processes* (consecutive CLI runs, bench invocations, CI steps)
@@ -138,7 +139,8 @@ pub fn device_fingerprint(device: &FpgaDevice) -> Fingerprint {
 
 /// The cache key of one node model evaluation: every field of `inputs`
 /// folded with a precomputed [`device_fingerprint`] — the whole preimage of
-/// [`evaluate`](crate::latency::evaluate), which is handed nothing else.
+/// [`evaluate`](crate::latency::evaluate), which is handed nothing else
+/// but the name it passes through.
 /// Seventeen words and the device's two; a plain `Fingerprint` again, so a
 /// lookup is one allocation-free map probe.
 pub fn inputs_key(inputs: &NodeModelInputs, device: Fingerprint) -> Fingerprint {

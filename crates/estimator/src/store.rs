@@ -86,7 +86,7 @@
 use crate::latency::NodeEstimate;
 use crate::resource::Resources;
 use hida_ir_core::fingerprint::{Fingerprint, StableHasher};
-use hida_ir_core::lock_recover;
+use hida_ir_core::{lock_recover, Symbol};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -234,7 +234,7 @@ impl EstimateStore {
     /// access. This method never fails.
     pub fn load(&self, key: Fingerprint) -> Option<NodeEstimate> {
         let state = &mut *lock_recover(&self.state);
-        let found = state.index.get(&key).cloned();
+        let found = state.index.get(&key).copied();
         match found {
             Some(_) => state.stats.hits += 1,
             None => state.stats.misses += 1,
@@ -248,7 +248,7 @@ impl EstimateStore {
     pub fn save(&self, key: Fingerprint, estimate: &NodeEstimate) {
         let state = &mut *lock_recover(&self.state);
         if !state.index.contains_key(&key) {
-            state.pending.push((key, estimate.clone()));
+            state.pending.push((key, *estimate));
         }
     }
 
@@ -490,7 +490,7 @@ pub fn encode_estimate(estimate: &NodeEstimate) -> Vec<u8> {
 pub fn decode_estimate(payload: &[u8]) -> Option<NodeEstimate> {
     let mut r = Reader::new(payload);
     let name_len = r.u32()? as usize;
-    let name = String::from_utf8(r.bytes(name_len)?.to_vec()).ok()?;
+    let name = Symbol::intern(std::str::from_utf8(r.bytes(name_len)?).ok()?);
     let mut word = || r.i64();
     let estimate = NodeEstimate {
         name,
@@ -555,7 +555,7 @@ mod tests {
 
     fn sample_estimate() -> NodeEstimate {
         NodeEstimate {
-            name: "conv1".to_string(),
+            name: "conv1".into(),
             latency_cycles: 12_345,
             ii: 3,
             resources: Resources::new(8, 16, 1200, 900),
@@ -567,7 +567,7 @@ mod tests {
 
     fn named(name: &str) -> NodeEstimate {
         NodeEstimate {
-            name: name.to_string(),
+            name: name.into(),
             ..sample_estimate()
         }
     }
@@ -713,7 +713,7 @@ mod tests {
             fs::write(&segment, &bytes[..cut]).unwrap();
             let store = EstimateStore::open(&dir).unwrap();
             for ((key, estimate), &end) in entries.iter().zip(&ends) {
-                let expected = (end <= cut).then(|| estimate.clone());
+                let expected = (end <= cut).then_some(*estimate);
                 assert_eq!(
                     store.load(*key),
                     expected,

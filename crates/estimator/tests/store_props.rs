@@ -31,7 +31,11 @@ fn temp_store_dir(tag: &str) -> PathBuf {
 /// `NAME_PARTS` indices and the nine numeric fields in declaration order.
 fn estimate_from(parts: &[usize], words: &[i64]) -> NodeEstimate {
     NodeEstimate {
-        name: parts.iter().map(|&i| NAME_PARTS[i]).collect(),
+        name: parts
+            .iter()
+            .map(|&i| NAME_PARTS[i])
+            .collect::<String>()
+            .into(),
         latency_cycles: words[0],
         ii: words[1],
         resources: Resources::new(words[2], words[3], words[4], words[5]),

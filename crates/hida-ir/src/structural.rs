@@ -440,7 +440,7 @@ mod tests {
         assert!(!buf.is_ping_pong(&ctx));
 
         let p = hls::ArrayPartition::cyclic(vec![4, 4]);
-        hls::set_array_partition(&mut ctx, buf.0, &p);
+        hls::write_array_partition(&mut ctx, buf.0, &p.fashions, &p.factors);
         assert_eq!(buf.partition(&ctx), p);
         assert_eq!(buf.memory_kind(&ctx), hls::MemoryKind::Bram);
         buf.set_memory_kind(&mut ctx, hls::MemoryKind::External);

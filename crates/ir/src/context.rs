@@ -5,13 +5,14 @@
 //! erasure, cloning) goes through the context so SSA use lists and parent links stay
 //! consistent — the invariants HIDA-OPT relies on when it rewrites dataflow graphs.
 //!
-//! Auxiliary per-entity state (use lists, op liveness) is kept in dense,
-//! id-indexed side tables ([`EntityMap`]/[`EntitySet`]) rather than hash maps:
-//! entity ids *are* arena indices, so a probe is a bounds check and an indexed
-//! load. Liveness is recorded for ops only: a block, region or value is live
-//! when the live op that owns it still lists it. Erased operation slots go
-//! onto a free list and are recycled by the next [`Context::create_op`],
-//! keeping long rewrite pipelines from growing the op arena without bound.
+//! Auxiliary per-entity state (use lists, op epochs) is kept in dense,
+//! id-indexed side tables ([`EntityMap`], plain vectors) rather than hash
+//! maps: entity ids *are* arena indices, so a probe is a bounds check and an
+//! indexed load. Liveness is recorded for ops only, as the parity of the
+//! slot's epoch: a block, region or value is live when the live op that owns
+//! it still lists it. Erased operation slots go onto a free list and are
+//! recycled by the next [`Context::create_op`], keeping long rewrite
+//! pipelines from growing the op arena without bound.
 //!
 //! The attributes of every op share one more arena: each op owns a run of
 //! `(key, value)` pairs in it, sorted by key string. A new key is inserted
@@ -27,7 +28,7 @@ use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::intern::Symbol;
 use crate::op_names;
 use crate::operation::{AttrSpan, OpName, OpRef, Operation};
-use crate::storage::{EntityMap, EntitySet, IdList};
+use crate::storage::{EntityMap, IdList};
 use crate::types::Type;
 
 /// Arena owner of the IR. See the [module documentation](self) for an overview.
@@ -42,13 +43,14 @@ pub struct Context {
     attrs: Vec<(Symbol, Attribute)>,
     /// Slots of `attrs` no op's run covers any more.
     dead_attrs: usize,
-    /// Live operations (erased ops keep their arena slot but leave this set).
-    live_ops: EntitySet<OpId>,
     /// Erased op slots available for reuse by [`Context::create_op`].
     free_ops: Vec<OpId>,
-    /// Reuse epoch per op slot, bumped at erasure: an `OpId` held across an
-    /// erasure can be told apart from the op now occupying the recycled slot
-    /// by comparing epochs (see [`Context::op_epoch`]).
+    /// Reuse epoch per op slot, bumped at erasure and again at reuse, so it
+    /// is even while the slot holds a live op and odd once that op is
+    /// erased: the one record of liveness ([`Context::is_alive`]). An
+    /// `OpId` held across an erasure can be told apart from the op now
+    /// occupying the recycled slot by comparing epochs (see
+    /// [`Context::op_epoch`]).
     op_epochs: Vec<u32>,
     /// Use list: value -> operations currently using it as an operand.
     uses: EntityMap<ValueId, IdList<OpId>>,
@@ -77,7 +79,6 @@ impl Default for Context {
             values: Vec::new(),
             attrs: Vec::new(),
             dead_attrs: 0,
-            live_ops: EntitySet::new(),
             free_ops: Vec::new(),
             op_epochs: Vec::new(),
             uses: EntityMap::new(),
@@ -96,8 +97,8 @@ impl Clone for Context {
     /// `(context id, entity)` must not confuse the copy with the original.
     ///
     /// What is **copied**: the arenas — ops, blocks, regions, values and
-    /// the one attribute arena — the op liveness bitmap, the free list, the
-    /// epochs and the use table, one heap block each, plus, per entity, only
+    /// the one attribute arena — the free list, the epochs and the use
+    /// table, one heap block each, plus, per entity, only
     /// the id lists longer than [`IdList::INLINE`] (an op's operands, results
     /// and regions, a block's arguments and ops, a region's blocks and a
     /// value's users of up to three ids are part of their entity). Values
@@ -130,7 +131,6 @@ impl Clone for Context {
             values: self.values.clone(),
             attrs,
             dead_attrs: 0,
-            live_ops: self.live_ops.clone(),
             free_ops: self.free_ops.clone(),
             op_epochs: self.op_epochs.clone(),
             uses: self.uses.clone(),
@@ -363,12 +363,15 @@ impl Context {
     /// Returns true when the op has not been erased.
     #[inline]
     pub fn is_alive(&self, id: OpId) -> bool {
-        self.live_ops.contains(id)
+        self.op_epochs
+            .get(id.index())
+            .is_some_and(|epoch| epoch % 2 == 0)
     }
 
-    /// Total number of live operations — O(1), tracked by the liveness set.
+    /// Total number of live operations — O(1): every slot not on the free
+    /// list holds one.
     pub fn num_live_ops(&self) -> usize {
-        self.live_ops.len()
+        self.ops.len() - self.free_ops.len()
     }
 
     /// Number of erased op slots currently queued for reuse.
@@ -377,7 +380,8 @@ impl Context {
     }
 
     /// Reuse epoch of an op slot: 0 for a never-erased slot, bumped every time
-    /// the slot's op is erased. Code holding an `OpId` across mutations (e.g.
+    /// the slot's op is erased and every time the slot is reused (even while
+    /// live, odd while erased). Code holding an `OpId` across mutations (e.g.
     /// the analysis cache) records `(id, epoch)` and treats an epoch mismatch
     /// as "the op this id referred to no longer exists" — [`Context::is_alive`]
     /// alone cannot tell a recycled slot from the original op.
@@ -429,8 +433,8 @@ impl Context {
         } else {
             self.dead_attrs += self.ops[id.index()].attrs.len as usize;
             self.ops[id.index()] = op;
+            self.op_epochs[id.index()] = self.op_epochs[id.index()].wrapping_add(1);
         }
-        self.live_ops.insert(id);
         id
     }
 
@@ -510,7 +514,6 @@ impl Context {
     pub(crate) fn reserve(&mut self, ops: usize, values: usize) {
         self.ops.reserve(ops);
         self.op_epochs.reserve(ops);
-        self.live_ops.reserve_ids(self.ops.len() + ops);
         self.attrs.reserve(2 * ops);
         self.regions.reserve(ops / 2);
         self.blocks.reserve(ops / 2);
@@ -845,7 +848,6 @@ impl Context {
             }
         }
         self.clear_operands(op);
-        self.live_ops.remove(op);
         self.op_epochs[op.index()] = self.op_epochs[op.index()].wrapping_add(1);
         self.free_ops.push(op);
     }

@@ -73,7 +73,7 @@ pub use parse::{
     PipelineParseError,
 };
 pub use pass::{run_passes, Pass, PassOption, PassStatistics, RunState, Verified};
-pub use storage::{EntityMap, EntitySet, IdList};
+pub use storage::{EntityMap, IdList};
 pub use types::Type;
 pub use walk::{walk_ops_postorder, walk_ops_preorder, WalkOrder};
 

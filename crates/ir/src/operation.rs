@@ -181,7 +181,17 @@ impl<'a> OpRef<'a> {
 
     /// Returns the string attribute stored under `key`, if present.
     pub fn attr_str(self, key: &str) -> Option<&'static str> {
-        self.attr(key).and_then(Attribute::as_str)
+        self.attr_symbol(key).map(Symbol::as_str)
+    }
+
+    /// Returns the string attribute stored under `key` as its interned
+    /// handle, if present: a name that outlives the context, copied in one
+    /// word.
+    pub fn attr_symbol(self, key: &str) -> Option<Symbol> {
+        match self.attr(key) {
+            Some(&Attribute::Str(symbol)) => Some(symbol),
+            _ => None,
+        }
     }
 
     /// Returns the integer-array attribute stored under `key`, if present.

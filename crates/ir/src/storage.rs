@@ -1,17 +1,17 @@
-//! Dense, id-indexed side-table containers ([`EntityMap`], [`EntitySet`]) and
-//! the inline-then-spill id list ([`IdList`]) entities keep their ids in.
+//! The dense, id-indexed side table ([`EntityMap`]) and the
+//! inline-then-spill id list ([`IdList`]) entities keep their ids in.
 //!
 //! Every IR entity id ([`OpId`], [`BlockId`], [`RegionId`], [`ValueId`]) is a
 //! small dense index into the owning [`Context`](crate::Context)'s arenas, so
 //! auxiliary per-entity state — use lists, value remappings, printer
-//! numberings, fingerprint ordinals, liveness flags — never needs the hashing
-//! and probing of a `HashMap`: a `Vec` keyed by `id.index()` is smaller,
-//! cache-friendly and O(1) without a hash. These two containers package that
-//! pattern so side tables stay typed by their id kind (an `EntityMap<OpId, T>`
-//! cannot be indexed with a `ValueId`).
+//! numberings, fingerprint ordinals — never needs the hashing and probing of
+//! a `HashMap`: a `Vec` keyed by `id.index()` is smaller, cache-friendly and
+//! O(1) without a hash. [`EntityMap`] packages that pattern so side tables
+//! stay typed by their id kind (an `EntityMap<OpId, T>` cannot be indexed
+//! with a `ValueId`).
 //!
-//! Both containers auto-grow on insert, so they can be built up while the
-//! arena itself is still growing (e.g. the use list during IR construction).
+//! The map auto-grows on insert, so it can be built up while the arena
+//! itself is still growing (e.g. the use list during IR construction).
 //!
 //! The id lists an entity owns — an op's operands, results and regions, a
 //! block's arguments and ops, a region's blocks, a value's users — are one
@@ -451,102 +451,6 @@ impl<I: PartialEq> PartialEq<Vec<I>> for IdList<I> {
     }
 }
 
-/// A dense set of entity ids, stored as packed 64-bit bitmap words.
-///
-/// ```
-/// use hida_ir_core::storage::EntitySet;
-/// use hida_ir_core::OpId;
-///
-/// let mut set: EntitySet<OpId> = EntitySet::new();
-/// assert!(set.insert(OpId::from_index(70)));
-/// assert!(!set.insert(OpId::from_index(70)));
-/// assert!(set.contains(OpId::from_index(70)));
-/// assert!(!set.contains(OpId::from_index(7)));
-/// assert_eq!(set.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EntitySet<I> {
-    words: Vec<u64>,
-    live: usize,
-    _id: PhantomData<I>,
-}
-
-impl<I: EntityId> EntitySet<I> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        EntitySet {
-            words: Vec::new(),
-            live: 0,
-            _id: PhantomData,
-        }
-    }
-
-    /// Makes room for the ids with an index below `ids`.
-    pub(crate) fn reserve_ids(&mut self, ids: usize) {
-        self.words
-            .reserve(ids.div_ceil(64).saturating_sub(self.words.len()));
-    }
-
-    /// Number of ids in the set.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Inserts `id`; returns true when it was not present before.
-    pub fn insert(&mut self, id: I) -> bool {
-        let (word, bit) = (id.index() / 64, id.index() % 64);
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let mask = 1_u64 << bit;
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
-        self.live += fresh as usize;
-        fresh
-    }
-
-    /// Removes `id`; returns true when it was present.
-    pub fn remove(&mut self, id: I) -> bool {
-        let (word, bit) = (id.index() / 64, id.index() % 64);
-        let Some(slot) = self.words.get_mut(word) else {
-            return false;
-        };
-        let mask = 1_u64 << bit;
-        let present = *slot & mask != 0;
-        *slot &= !mask;
-        self.live -= present as usize;
-        present
-    }
-
-    /// True when `id` is in the set.
-    #[inline]
-    pub fn contains(&self, id: I) -> bool {
-        self.words
-            .get(id.index() / 64)
-            .is_some_and(|w| w & (1_u64 << (id.index() % 64)) != 0)
-    }
-
-    /// Iterates the ids in the set in index order.
-    pub fn iter(&self) -> impl Iterator<Item = I> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            (0..64)
-                .filter(move |bit| word & (1_u64 << bit) != 0)
-                .map(move |bit| I::from_index(wi * 64 + bit))
-        })
-    }
-
-    /// Removes every id, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.live = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,20 +520,5 @@ mod tests {
         // A short `Vec` is taken in place, a long one as it is.
         assert!(!spilled(&IdList::from(ids[..3].to_vec())));
         assert!(spilled(&IdList::from(ids.clone())));
-    }
-
-    #[test]
-    fn entity_set_across_word_boundaries() {
-        let mut set: EntitySet<BlockId> = EntitySet::new();
-        for index in [0, 63, 64, 65, 200] {
-            assert!(set.insert(BlockId::from_index(index)));
-        }
-        assert_eq!(set.len(), 5);
-        assert!(set.contains(BlockId::from_index(64)));
-        assert!(!set.contains(BlockId::from_index(66)));
-        assert!(set.remove(BlockId::from_index(64)));
-        assert!(!set.remove(BlockId::from_index(64)));
-        let ids: Vec<usize> = set.iter().map(|b: BlockId| b.index()).collect();
-        assert_eq!(ids, vec![0, 63, 65, 200]);
     }
 }

@@ -1,8 +1,8 @@
-//! Property tests for the dense side-table containers, the inline id list and
-//! the intern table: parity with the `std` containers they replaced, plus
+//! Property tests for the dense side table, the inline id list and the
+//! intern table: parity with the `std` containers they replaced, plus
 //! whole-context clone fidelity — a clone and its original share payloads and
-//! never show each other's edits — and free-list slot reuse through the
-//! public `Context` API.
+//! never show each other's edits — and op liveness, free-list slot reuse and
+//! slot epochs through the public `Context` API.
 
 // The std hash containers ARE the reference model here, so the crate-wide
 // dense-table lint does not apply.
@@ -10,9 +10,9 @@
 
 use hida_ir_core::fingerprint::structural_fingerprint;
 use hida_ir_core::printer::print_op;
-use hida_ir_core::storage::{EntityMap, EntitySet, IdList};
+use hida_ir_core::storage::{EntityMap, IdList};
 use hida_ir_core::walk::collect_preorder;
-use hida_ir_core::{Attribute, Context, OpBuilder, OpId, Symbol, Type, ValueId};
+use hida_ir_core::{Attribute, BlockId, Context, OpBuilder, OpId, Symbol, Type, ValueId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -43,27 +43,43 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// `EntitySet` behaves exactly like `HashSet<usize>` under a random
-    /// interleaving of insert / remove / contains.
+    /// Op liveness and slot epochs under a random interleaving of leaf and
+    /// region-op creation (into the function or a live region op), erasure
+    /// (a region op takes its nested ops with it) and clones, edited side
+    /// by side afterwards: every context agrees with its model on
+    /// `is_alive`, `num_live_ops` and `free_op_slots` after every step, a
+    /// creation takes a freed slot whenever one exists, every erase and
+    /// every reuse moves the slot's epoch, and no other step moves any.
     #[test]
-    fn entity_set_matches_hash_set_model(
-        ops in prop::collection::vec((0_u8..3, 0_usize..200), 1..64),
+    fn op_liveness_and_epochs_match_a_model_across_clones(
+        steps in prop::collection::vec((0_u8..6, 0_usize..64, 0_usize..64), 1..80),
     ) {
-        let mut dense: EntitySet<ValueId> = EntitySet::new();
-        let mut model: HashSet<usize> = HashSet::new();
-        for (kind, index) in ops {
-            let id = ValueId::from_index(index);
-            match kind {
-                0 => prop_assert_eq!(dense.insert(id), model.insert(index)),
-                1 => prop_assert_eq!(dense.remove(id), model.remove(&index)),
-                _ => prop_assert_eq!(dense.contains(id), model.contains(&index)),
+        let mut ctx = Context::new();
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(&mut ctx, module).create_func("f", vec![], vec![]);
+        let model = LivenessModel::of(&ctx, func);
+        let mut sides = vec![(ctx, model)];
+        for (kind, pick_side, pick) in steps {
+            let side = pick_side % sides.len();
+            if kind == 5 {
+                if sides.len() < 3 {
+                    let copy = (sides[side].0.clone(), sides[side].1.clone());
+                    copy.1.check(&copy.0);
+                    sides.push(copy);
+                }
+                continue;
             }
-            prop_assert_eq!(dense.len(), model.len());
+            let (ctx, model) = &mut sides[side];
+            match kind {
+                0..=2 => model.create(ctx, pick, kind == 2),
+                _ => model.erase(ctx, pick),
+            }
+            model.check(ctx);
         }
-        let mut expected: Vec<usize> = model.into_iter().collect();
-        expected.sort_unstable();
-        let got: Vec<usize> = dense.iter().map(|id: ValueId| id.index()).collect();
-        prop_assert_eq!(got, expected);
+        // Edits on one side never showed on another.
+        for (ctx, model) in &sides {
+            model.check(ctx);
+        }
     }
 
     /// `IdList` behaves exactly like `Vec` under a random interleaving of
@@ -277,9 +293,9 @@ fn cloned_context_prints_and_fingerprints_identically() {
     assert_eq!(print_op(&copy, module), before);
 }
 
-/// Erasing an op returns its slot to the free list; the next creation reuses
-/// it (same id, no arena growth) and bumps the slot's epoch so stale holders
-/// of the old id can detect the recycling.
+/// Erasing an op returns its slot to the free list and bumps the slot's
+/// epoch; the next creation reuses it (same id, no arena growth) and bumps
+/// the epoch again, so stale holders of the old id can detect the recycling.
 #[test]
 fn erase_then_create_reuses_the_slot_with_a_new_epoch() {
     let mut ctx = Context::new();
@@ -312,7 +328,129 @@ fn erase_then_create_reuses_the_slot_with_a_new_epoch() {
     assert!(ctx.is_alive(reborn));
     assert_eq!(
         ctx.op_epoch(reborn),
-        epoch_before + 1,
-        "the reused slot keeps its bumped epoch until the next erase"
+        epoch_before + 2,
+        "reuse bumps the epoch again"
     );
+}
+
+/// What one context should answer about its op slots, kept beside it.
+#[derive(Clone)]
+struct LivenessModel {
+    /// Per slot: live, and the epoch last read off the context.
+    live: Vec<bool>,
+    epochs: Vec<u32>,
+    /// Per slot: the op whose body the slot's op was created in.
+    parent: Vec<Option<OpId>>,
+    /// Bodies to create into: owner, its epoch when the body was made, and
+    /// the block. A body is usable while its owner is live in that epoch.
+    bodies: Vec<(OpId, u32, BlockId)>,
+    /// The module and the function: never erased.
+    roots: usize,
+}
+
+impl LivenessModel {
+    fn of(ctx: &Context, func: OpId) -> Self {
+        let (slots, ..) = ctx.arena_sizes();
+        LivenessModel {
+            live: vec![true; slots],
+            epochs: (0..slots)
+                .map(|i| ctx.op_epoch(OpId::from_index(i)))
+                .collect(),
+            parent: vec![None; slots],
+            bodies: vec![(func, ctx.op_epoch(func), ctx.body_block(func))],
+            roots: slots,
+        }
+    }
+
+    fn usable_bodies(&self) -> Vec<(OpId, BlockId)> {
+        self.bodies
+            .iter()
+            .filter(|&&(owner, epoch, _)| {
+                self.live[owner.index()] && self.epochs[owner.index()] == epoch
+            })
+            .map(|&(owner, _, block)| (owner, block))
+            .collect()
+    }
+
+    fn create(&mut self, ctx: &mut Context, pick: usize, with_body: bool) {
+        let bodies = self.usable_bodies();
+        let (owner, block) = bodies[pick % bodies.len()];
+        let (op, body) = if with_body {
+            let (op, body, _) = OpBuilder::at_block_end(ctx, block).create_with_body(
+                "test.region",
+                vec![],
+                vec![],
+                vec![],
+            );
+            (op, Some(body))
+        } else {
+            (
+                ctx.build_op(block, "test.leaf", vec![], vec![], vec![]).0,
+                None,
+            )
+        };
+        let slot = op.index();
+        assert!(ctx.is_alive(op));
+        if slot == self.live.len() {
+            assert!(
+                self.live.iter().all(|&live| live),
+                "grew the arena past a free slot"
+            );
+            self.live.push(true);
+            self.epochs.push(ctx.op_epoch(op));
+            self.parent.push(Some(owner));
+        } else {
+            assert!(!self.live[slot], "created over the live op in slot {slot}");
+            assert_ne!(ctx.op_epoch(op), self.epochs[slot], "reuse kept the epoch");
+            self.live[slot] = true;
+            self.epochs[slot] = ctx.op_epoch(op);
+            self.parent[slot] = Some(owner);
+        }
+        if let Some(body) = body {
+            self.bodies.push((op, self.epochs[slot], body));
+        }
+    }
+
+    fn erase(&mut self, ctx: &mut Context, pick: usize) {
+        let candidates: Vec<usize> = (self.roots..self.live.len())
+            .filter(|&s| self.live[s])
+            .collect();
+        if candidates.is_empty() {
+            return;
+        }
+        let victim = candidates[pick % candidates.len()];
+        // The victim and every live op nested in it, at any depth.
+        let mut dying = vec![victim];
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for slot in self.roots..self.live.len() {
+                let nested = self.parent[slot].is_some_and(|p| dying.contains(&p.index()));
+                if self.live[slot] && nested && !dying.contains(&slot) {
+                    dying.push(slot);
+                    grew = true;
+                }
+            }
+        }
+        ctx.erase_op(OpId::from_index(victim));
+        for slot in dying {
+            let op = OpId::from_index(slot);
+            assert!(!ctx.is_alive(op));
+            assert_ne!(ctx.op_epoch(op), self.epochs[slot], "erase kept the epoch");
+            self.live[slot] = false;
+            self.epochs[slot] = ctx.op_epoch(op);
+        }
+    }
+
+    fn check(&self, ctx: &Context) {
+        assert_eq!(ctx.arena_sizes().0, self.live.len());
+        for (slot, (&live, &epoch)) in self.live.iter().zip(&self.epochs).enumerate() {
+            let op = OpId::from_index(slot);
+            assert_eq!(ctx.is_alive(op), live, "liveness of slot {slot}");
+            assert_eq!(ctx.op_epoch(op), epoch, "epoch of slot {slot}");
+        }
+        let live = self.live.iter().filter(|&&live| live).count();
+        assert_eq!(ctx.num_live_ops(), live);
+        assert_eq!(ctx.free_op_slots(), self.live.len() - live);
+    }
 }
