@@ -175,7 +175,7 @@ fn apply_manual_factors(
                 .map(|(i, d)| if i == 0 { 4.clamp(1, d.trip.max(1)) } else { 1 })
                 .collect()
         };
-        transforms::apply_unroll_factors(ctx, node.id(), &factors)?;
+        transforms::apply_unroll_factors(ctx, node.id(), &factors);
         chosen.set(position, &factors);
     }
     parallelize::assign_array_partitions(ctx, schedule, &graph, &profiles, &chosen);

@@ -416,7 +416,7 @@ fn pass_json(stat: &PassStatistics) -> Json {
         "verified": stat.verified,
         "failed": stat.failed,
         "cache": analysis_cache_json(&stat.cache),
-        "options": Json::array(&stat.options, |o| json_object! {
+        "options": Json::array(stat.options.iter(), |o| json_object! {
             "name": o.name.as_str(), "value": o.value.as_str(),
         }),
     }
@@ -524,27 +524,6 @@ fn batch_json(
     ])
 }
 
-/// Renders one pass's statistics without timing or cache counters: only
-/// fields that are byte-stable across runs survive, so `--no-timing` output
-/// can be diffed directly.
-fn stable_stat(stat: &PassStatistics) -> String {
-    let mut out = format!(
-        "{}: ops {} -> {} ({:+})",
-        stat.pass,
-        stat.live_ops_before,
-        stat.live_ops_after,
-        stat.op_delta()
-    );
-    if !stat.options.is_empty() {
-        let rendered: Vec<String> = stat.options.iter().map(|o| o.to_string()).collect();
-        out.push_str(&format!(" [{}]", rendered.join(", ")));
-    }
-    if stat.failed {
-        out.push_str(" FAILED");
-    }
-    out
-}
-
 fn resolve_device(name: &str) -> Result<FpgaDevice, String> {
     FpgaDevice::by_name(name).ok_or_else(|| {
         let known: Vec<String> = FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
@@ -623,10 +602,9 @@ fn build_point(
     let parsed = Pipeline::parse(&registry(), text).map_err(|e| e.to_string())?;
     let sized_for = parsed
         .invocations()
-        .iter()
         .rev()
-        .find(|i| i.name == "parallelize")
-        .and_then(|i| i.options.iter().find(|o| o.name == "device"));
+        .find(|i| i.name.as_str() == "parallelize")
+        .and_then(|i| i.options.iter().find(|o| o.name.as_str() == "device"));
     let device = match (device, sized_for) {
         (Some(device), _) => device.clone(),
         (None, Some(option)) => resolve_device(&option.value)?,
@@ -775,11 +753,7 @@ fn run_batch(args: &Args, mode: Mode, path: &str) -> Result<(), Stop> {
 fn say_passes(statistics: &[PassStatistics], no_timing: bool) -> Result<(), Stop> {
     say!("\n# Per-pass statistics");
     for stat in statistics {
-        if no_timing {
-            say!("{}", stable_stat(stat));
-        } else {
-            say!("{stat}");
-        }
+        say!("{}", stat.line(!no_timing));
     }
     if !no_timing {
         let cache_totals = PassStatistics::aggregate_cache(statistics);

@@ -13,7 +13,7 @@
 
 use hida::dataflow_ir::functional::TaskOp;
 use hida::frontend::nn::build_model;
-use hida::ir::{run_passes, AnalysisManager, Context, Pass, RunState};
+use hida::ir::{run_passes, AnalysisManager, Context, Pass, PassInvocation, RunState};
 use hida::opt::fusion::{default_fusion_patterns, FusionPattern};
 use hida::opt::HidaPass;
 use hida::Model;
@@ -101,11 +101,12 @@ fn compile_resnet18() -> [u64; 5] {
             }) as Box<dyn FusionPattern>
         })
         .collect();
-    let passes: [Box<dyn Pass>; 3] = [
-        Box::new(HidaPass::Construct),
-        Box::new(HidaPass::Fusion { patterns }),
-        Box::new(HidaPass::Lower),
-    ];
+    let passes = [
+        HidaPass::Construct,
+        HidaPass::Fusion { patterns },
+        HidaPass::Lower,
+    ]
+    .map(|pass| (PassInvocation::new(pass.name()), pass));
     // A debug build re-computes every analysis a pass declared preserved to
     // check the declaration, which is not what is counted here.
     let mut state = RunState {

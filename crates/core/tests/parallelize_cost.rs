@@ -66,13 +66,13 @@ fn parallelize_allocations(model: Model, text: &str) -> u64 {
     // The pipeline as `Pipeline::parse` builds it, over a run state of this
     // test's own: a debug build re-computes every analysis a pass declared
     // preserved to check the declaration, which is not what is counted here.
-    let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-    for invocation in parse_pipeline(text).unwrap() {
-        let (_, pass) = hida::registry().create(&invocation).unwrap();
-        passes.push(Box::new(pass));
-    }
+    let passes: Vec<_> = parse_pipeline(text)
+        .unwrap()
+        .iter()
+        .map(|invocation| hida::registry().create(invocation).unwrap())
+        .collect();
     let parallelize = passes.len() - 1;
-    assert_eq!(passes[parallelize].name(), "hida-parallelize");
+    assert_eq!(passes[parallelize].1.name(), "hida-parallelize");
     let mut shared = RunState {
         analyses: AnalysisManager::new().with_consistency_checks(false),
         ..RunState::default()

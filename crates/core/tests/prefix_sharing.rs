@@ -180,7 +180,7 @@ fn paths(points: &[SweepPoint]) -> Vec<(usize, Vec<PassInvocation>)> {
         .filter_map(|point| {
             let pipeline = Pipeline::parse(&registry, &point.pipeline_text()).ok()?;
             let workload = points.iter().position(|p| p.workload == point.workload)?;
-            Some((workload, pipeline.invocations().to_vec()))
+            Some((workload, pipeline.invocations().copied().collect()))
         })
         .collect()
 }

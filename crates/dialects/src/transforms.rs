@@ -45,28 +45,17 @@ pub fn pipeline_innermost(ctx: &mut Context, band: &[ForOp], ii: i64) {
     }
 }
 
-/// Applies unroll factors to the body of `op` (a node, task or function):
-/// explicit loop bands get per-loop directives, named layers get an
-/// `unroll_factors` attribute, and the op itself records the factors for later
-/// inspection by the estimator and the emitter.
-///
-/// # Errors
-/// Returns an error when an explicit band exists and the factor count mismatches.
-pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) -> IrResult<()> {
-    if let Some(outer) = first_top_level_loop(ctx, op) {
-        let band = loops::loop_band(ctx, outer);
-        if band.len() == factors.len() {
-            apply_unroll_to_band(ctx, &band, factors)?;
-            pipeline_innermost(ctx, &band, 1);
-        }
-    }
+/// Records unroll factors on `op` (a node, task or function) and marks it
+/// pipelined: the one record the estimator, the emitter and the reports
+/// read ([`unroll_factors_of`]). Named layers in its body get the same
+/// `unroll_factors` attribute; loop bands get no directive of their own.
+pub fn apply_unroll_factors(ctx: &mut Context, op: OpId, factors: &[i64]) {
     // One array, shared by every op that records it, under keys interned
     // once per process.
     let (key, recorded) = (symbol!(ATTR_UNROLL_FACTORS), Attribute::from(factors));
     record_on_layers(ctx, op, key, recorded);
     ctx.set_attr(op, key, recorded);
     ctx.set_attr(op, symbol!(ATTR_PIPELINE), Attribute::Unit);
-    Ok(())
 }
 
 /// The first `affine.for` directly nested in the body of `op`.
@@ -164,10 +153,11 @@ mod tests {
     fn apply_unroll_factors_handles_bands_and_records_on_op() {
         let mut ctx = Context::new();
         let (func, band) = loop_func(&mut ctx);
-        apply_unroll_factors(&mut ctx, func, &[2, 4]).unwrap();
-        assert_eq!(band[0].unroll_factor(&ctx), 2);
-        assert_eq!(band[1].unroll_factor(&ctx), 4);
-        assert!(band[1].is_pipelined(&ctx));
+        apply_unroll_factors(&mut ctx, func, &[2, 4]);
+        // The op is the one record: its loops carry no copy.
+        assert!(band
+            .iter()
+            .all(|l| l.unroll_factor(&ctx) == 1 && !l.is_pipelined(&ctx)));
         assert_eq!(unroll_factors_of(&ctx, func, 2), vec![2, 4]);
         assert!(ctx.op(func).has_flag(ATTR_PIPELINE));
     }
@@ -197,7 +187,7 @@ mod tests {
             "conv",
         );
         let layer_op = ctx.value(out).defining_op().unwrap();
-        apply_unroll_factors(&mut ctx, func, &[2, 2, 1, 1, 1, 1]).unwrap();
+        apply_unroll_factors(&mut ctx, func, &[2, 2, 1, 1, 1, 1]);
         assert_eq!(
             ctx.op(layer_op).attr_int_array(ATTR_UNROLL_FACTORS),
             Some(&[2_i64, 2, 1, 1, 1, 1][..])

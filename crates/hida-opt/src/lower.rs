@@ -12,6 +12,7 @@
 //!    into the node with every external value rewired to the matching block argument
 //!    and named layers rewritten to destination-passing form.
 
+use crate::pipeline::HidaPass;
 use hida_dataflow_ir::functional::DispatchOp;
 use hida_dataflow_ir::op_names as hida_ops;
 use hida_dataflow_ir::structural::{build_buffer, build_node, NodeOp, ScheduleOp};
@@ -20,7 +21,8 @@ use hida_dialects::linalg;
 use hida_ir_core::context::ValueMapping;
 use hida_ir_core::storage::EntityMap;
 use hida_ir_core::{
-    symbol, AnalysisManager, Attribute, Context, IrError, IrResult, OpBuilder, OpId, Type, ValueId,
+    symbol, AnalysisManager, Attribute, Context, IrError, IrResult, OpBuilder, OpId, Pass, Type,
+    ValueId,
 };
 use std::fmt::Write;
 
@@ -54,7 +56,7 @@ pub fn lower_to_structural(
     };
     if task_groups.is_empty() {
         return Err(IrError::pass_failed(
-            "hida-lower-structural",
+            HidaPass::Lower.name(),
             "function contains no compute operations to lower",
         ));
     }

@@ -686,7 +686,7 @@ pub fn parallelize_schedule(
         let factors = chosen.entry(info.position);
         search.select(loop_dims, budget, &constraints, factors);
         let node = info.node.id();
-        transforms::apply_unroll_factors(ctx, node, factors)?;
+        transforms::apply_unroll_factors(ctx, node, factors);
         ctx.set_attr(node, symbol!("parallel_factor"), budget);
         ctx.set_attr(node, symbol!("intensity"), info.profile.intensity);
         ctx.set_attr(node, symbol!("connections"), info.connections as i64);

@@ -37,15 +37,14 @@
 //! level up, where a sweep compiles independent design points side by side.
 
 use crate::fusion::FusionPattern;
-use crate::registry::{PipelineError, Registry};
+use crate::registry::{PipelineError, Registry, PASSES};
 use crate::{construct, fusion, lower, parallelize, structural_opt, tiling};
 use crate::{HidaOptions, ParallelMode};
 use hida_dataflow_ir::graph::DataflowGraph;
 use hida_dataflow_ir::structural::ScheduleOp;
 use hida_dialects::analysis::ComputeProfile;
-use hida_estimator::device::FpgaDevice;
 use hida_ir_core::analysis::{AnalysisManager, PreservedAnalyses};
-use hida_ir_core::pass::{run_passes, Pass, PassOption, PassStatistics, RunState, Verified};
+use hida_ir_core::pass::{run_passes, Pass, PassStatistics, RunState, Verified};
 use hida_ir_core::{
     parse_pipeline, print_pipeline, Context, IrError, IrResult, OpId, PassInvocation,
 };
@@ -65,8 +64,10 @@ fn produced_schedule(ctx: &Context, func: OpId) -> IrResult<ScheduleOp> {
     schedule_in(ctx, func).ok_or_else(|| {
         IrError::pass_failed(
             "hida-pipeline",
-            "pipeline finished without producing a ScheduleOp \
-             (does it include hida-lower-structural?)",
+            format!(
+                "pipeline finished without producing a ScheduleOp (does it include {}?)",
+                HidaPass::Lower.name()
+            ),
         )
     })
 }
@@ -101,18 +102,15 @@ pub enum HidaPass {
         external_threshold_bytes: i64,
     },
     /// Intensity- and connection-aware parallelization (Algorithm 4); the
-    /// [`ParallelMode`] ablation axis is plain pass configuration.
+    /// [`ParallelMode`] ablation axis is plain pass configuration. The
+    /// device an invocation names is in its options only: Algorithm 4 does
+    /// not read it; `hida-opt` estimates QoR against it when `--device` is
+    /// absent, and a compilation against `HidaOptions::device`.
     Parallelize {
         /// Maximum parallel factor granted to any single node.
         max_parallel_factor: i64,
         /// Parallelization strategy (IA/CA ablation axis).
         mode: ParallelMode,
-        /// The device the invocation names. Algorithm 4 does not read it:
-        /// the name is recorded in the pass's options, so the printed
-        /// pipeline carries it, and `hida-opt` estimates QoR against it when
-        /// `--device` is absent. A compilation estimates against
-        /// `HidaOptions::device`.
-        device: FpgaDevice,
     },
 }
 
@@ -123,55 +121,28 @@ impl HidaPass {
         schedule_in(ctx, func).ok_or_else(|| {
             IrError::pass_failed(
                 self.name(),
-                "no hida.schedule in the function — run hida-lower-structural first",
+                format!(
+                    "no hida.schedule in the function — run {} first",
+                    HidaPass::Lower.name()
+                ),
             )
         })
     }
 }
 
 impl Pass for HidaPass {
+    /// The alias of the pass's entry in the pass table.
     fn name(&self) -> &'static str {
-        match self {
-            HidaPass::Construct => "hida-construct-dataflow",
-            HidaPass::Fusion { .. } => "hida-task-fusion",
-            HidaPass::Lower => "hida-lower-structural",
-            HidaPass::MultiProducerElim => "hida-eliminate-multi-producers",
-            HidaPass::Tiling { .. } => "hida-tiling",
-            HidaPass::Balance { .. } => "hida-balance-data-paths",
-            HidaPass::Parallelize { .. } => "hida-parallelize",
-        }
-    }
-
-    fn options(&self) -> Vec<PassOption> {
-        match self {
-            HidaPass::Construct | HidaPass::Lower | HidaPass::MultiProducerElim => Vec::new(),
-            HidaPass::Fusion { patterns } => {
-                let names: Vec<&str> = patterns.iter().map(|p| p.name()).collect();
-                vec![PassOption::new("patterns", names.join("+"))]
-            }
-            HidaPass::Tiling {
-                tile_size,
-                external_threshold_bytes,
-            } => vec![
-                PassOption::new("tile-size", tile_size),
-                PassOption::new("external-threshold-bytes", external_threshold_bytes),
-            ],
-            HidaPass::Balance {
-                external_threshold_bytes,
-            } => vec![PassOption::new(
-                "external-threshold-bytes",
-                external_threshold_bytes,
-            )],
-            HidaPass::Parallelize {
-                max_parallel_factor,
-                mode,
-                device,
-            } => vec![
-                PassOption::new("max-parallel-factor", max_parallel_factor),
-                PassOption::new("mode", mode.label()),
-                PassOption::new("device", &device.name),
-            ],
-        }
+        let entry = match self {
+            HidaPass::Construct => 0,
+            HidaPass::Fusion { .. } => 1,
+            HidaPass::Lower => 2,
+            HidaPass::MultiProducerElim => 3,
+            HidaPass::Tiling { .. } => 4,
+            HidaPass::Balance { .. } => 5,
+            HidaPass::Parallelize { .. } => 6,
+        };
+        PASSES[entry].alias
     }
 
     fn preserved_analyses(&self) -> PreservedAnalyses {
@@ -244,7 +215,6 @@ impl Pass for HidaPass {
             HidaPass::Parallelize {
                 max_parallel_factor,
                 mode,
-                ..
             } => {
                 let schedule = self.schedule(ctx, root)?;
                 parallelize::parallelize_schedule(
@@ -342,9 +312,10 @@ impl Checkpoint {
 /// its textual form: [`Pipeline::to_text`] prints a string that re-parses to
 /// the identical configuration.
 pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
+    /// Each pass with its normalized invocation, whose options every record
+    /// of the pass shares.
+    passes: Vec<(PassInvocation, HidaPass)>,
     verify_each: bool,
-    invocations: Vec<PassInvocation>,
     /// Analyses and statistics of the most recent [`Pipeline::run`].
     last: RunState,
 }
@@ -376,17 +347,13 @@ impl Pipeline {
     /// Returns structured [`PipelineError`]s: parse errors with position and
     /// expected token, unknown pass names, and per-pass option failures.
     pub fn parse(registry: &Registry, text: &str) -> Result<Pipeline, PipelineError> {
-        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-        let mut invocations = Vec::new();
-        for invocation in parse_pipeline(text)? {
-            let (normalized, pass) = registry.create(&invocation)?;
-            invocations.push(normalized);
-            passes.push(Box::new(pass));
-        }
+        let passes = parse_pipeline(text)?
+            .iter()
+            .map(|invocation| registry.create(invocation))
+            .collect::<Result<_, _>>()?;
         Ok(Pipeline {
             passes,
             verify_each: true,
-            invocations,
             last: RunState::default(),
         })
     }
@@ -394,12 +361,14 @@ impl Pipeline {
     /// Prints the pipeline in the textual syntax; the inverse of
     /// [`Pipeline::parse`].
     pub fn to_text(&self) -> String {
-        print_pipeline(&self.invocations)
+        print_pipeline(self.invocations())
     }
 
-    /// The recorded pass invocations, in execution order.
-    pub fn invocations(&self) -> &[PassInvocation] {
-        &self.invocations
+    /// The normalized pass invocations, in execution order.
+    pub fn invocations(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = &PassInvocation> + ExactSizeIterator {
+        self.passes.iter().map(|(invocation, _)| invocation)
     }
 
     /// The standard HIDA-OPT pipeline of `options`: their text
@@ -443,7 +412,7 @@ impl Pipeline {
 
     /// Names of the pass instances, in execution order.
     pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|pass| pass.name()).collect()
+        self.passes.iter().map(|(_, pass)| pass.name()).collect()
     }
 
     /// Per-pass statistics of the most recent [`Pipeline::run`] — a failed
@@ -501,6 +470,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use hida_frontend::polybench::{build_kernel, PolybenchKernel};
+    use hida_ir_core::PassOption;
 
     fn twomm_func(ctx: &mut Context) -> (OpId, OpId) {
         let module = ctx.create_module("m");
@@ -548,7 +518,7 @@ mod tests {
         let parsed =
             Pipeline::parse(&crate::registry::registry(), &options.pipeline_text()).unwrap();
         assert_eq!(parsed.pass_names(), from_options.pass_names());
-        assert_eq!(parsed.invocations(), from_options.invocations());
+        assert!(parsed.invocations().eq(from_options.invocations()));
     }
 
     #[test]
@@ -564,7 +534,7 @@ mod tests {
         for text in texts.into_iter().chain([naive]) {
             let pipeline = Pipeline::parse(&registry, &text).unwrap();
             let reparsed = Pipeline::parse(&registry, &pipeline.to_text()).unwrap();
-            assert_eq!(reparsed.invocations(), pipeline.invocations());
+            assert!(reparsed.invocations().eq(pipeline.invocations()));
             assert_eq!(reparsed.to_text(), pipeline.to_text());
         }
     }
@@ -765,7 +735,7 @@ mod tests {
         assert!(tiling
             .options
             .iter()
-            .any(|o| o.name == "tile-size" && o.value == "4"));
+            .any(|o| o == &PassOption::new("tile-size", 4)));
         let parallelize = pipeline
             .statistics()
             .iter()
@@ -774,6 +744,6 @@ mod tests {
         assert!(parallelize
             .options
             .iter()
-            .any(|o| o.name == "mode" && o.value == "IA+CA"));
+            .any(|o| o == &PassOption::new("mode", "IA+CA")));
     }
 }

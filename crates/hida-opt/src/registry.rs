@@ -24,7 +24,7 @@ use crate::fusion::{ConvPoolFusion, ElementwiseFusion, FusionPattern};
 use crate::pipeline::HidaPass;
 use crate::ParallelMode;
 use hida_estimator::device::FpgaDevice;
-use hida_ir_core::{Pass, PassInvocation, PassOption, PipelineParseError};
+use hida_ir_core::{Interned, PassInvocation, PassOption, PipelineParseError};
 use std::error::Error;
 use std::fmt::{self, Write as _};
 
@@ -264,45 +264,80 @@ fn fusion_pattern_by_name(name: &str) -> Result<Box<dyn FusionPattern>, String> 
     }
 }
 
-/// The pass `info` names, configured by `options`.
-fn build(info: &PassInfo, options: &Options<'_>) -> Result<HidaPass, String> {
+/// The pass `info` names, configured by `options`, and the options its
+/// normalized invocation reports: each under its reported name, defaults
+/// filled in, valued as the pass reads it.
+fn build(
+    info: &PassInfo,
+    options: &Options<'_>,
+) -> Result<(HidaPass, Interned<[PassOption]>), String> {
     Ok(match info.name {
-        "construct" => HidaPass::Construct,
-        "fusion" => HidaPass::Fusion {
-            patterns: options
-                .value("patterns")
+        "construct" => (HidaPass::Construct, [].into()),
+        "fusion" => {
+            // Each '+'-separated piece names a pattern exactly, so the
+            // value is already the canonical list.
+            let names = options.value("patterns");
+            let patterns = names
                 .split('+')
                 .map(fusion_pattern_by_name)
-                .collect::<Result<_, _>>()?,
-        },
-        "lower" => HidaPass::Lower,
-        "multi-producer-elim" => HidaPass::MultiProducerElim,
-        "tiling" => HidaPass::Tiling {
-            tile_size: options.positive_int("factor")?,
-            external_threshold_bytes: options.positive_int("external-threshold-bytes")?,
-        },
-        "balance" => HidaPass::Balance {
-            external_threshold_bytes: options.positive_int("external-threshold-bytes")?,
-        },
+                .collect::<Result<_, _>>()?;
+            let reported = [PassOption::new("patterns", names)];
+            (HidaPass::Fusion { patterns }, reported.into())
+        }
+        "lower" => (HidaPass::Lower, [].into()),
+        "multi-producer-elim" => (HidaPass::MultiProducerElim, [].into()),
+        "tiling" => {
+            let tile_size = options.positive_int("factor")?;
+            let external_threshold_bytes = options.positive_int("external-threshold-bytes")?;
+            let reported = [
+                PassOption::new("tile-size", tile_size),
+                PassOption::new("external-threshold-bytes", external_threshold_bytes),
+            ];
+            let pass = HidaPass::Tiling {
+                tile_size,
+                external_threshold_bytes,
+            };
+            (pass, reported.into())
+        }
+        "balance" => {
+            let external_threshold_bytes = options.positive_int("external-threshold-bytes")?;
+            let reported = [PassOption::new(
+                "external-threshold-bytes",
+                external_threshold_bytes,
+            )];
+            (
+                HidaPass::Balance {
+                    external_threshold_bytes,
+                },
+                reported.into(),
+            )
+        }
         "parallelize" => {
             let label = options.value("mode");
             let mode = ParallelMode::from_label(label).ok_or_else(|| {
                 format!("option 'mode': unknown mode '{label}' (known: IA+CA, IA, CA, Naive)")
             })?;
-            let name = options.value("device");
-            let device = FpgaDevice::by_name(name).ok_or_else(|| {
+            // A catalog name is its device's name, so it is reported as given.
+            let device = options.value("device");
+            if FpgaDevice::by_name(device).is_none() {
                 let known: Vec<String> =
                     FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
-                format!(
-                    "option 'device': unknown device '{name}' (known: {})",
+                return Err(format!(
+                    "option 'device': unknown device '{device}' (known: {})",
                     known.join(", ")
-                )
-            })?;
-            HidaPass::Parallelize {
-                max_parallel_factor: options.positive_int("max-factor")?,
-                mode,
-                device,
+                ));
             }
+            let max_parallel_factor = options.positive_int("max-factor")?;
+            let reported = [
+                PassOption::new("max-parallel-factor", max_parallel_factor),
+                PassOption::new("mode", mode.label()),
+                PassOption::new("device", device),
+            ];
+            let pass = HidaPass::Parallelize {
+                max_parallel_factor,
+                mode,
+            };
+            (pass, reported.into())
         }
         other => unreachable!("pass '{other}' has a table entry but no constructor"),
     })
@@ -321,10 +356,11 @@ impl Registry {
             .find(|info| info.name == name || info.alias == name)
     }
 
-    /// Instantiates one invocation, returning the pass together with its
-    /// *normalized* invocation: the canonical pass name and the options the
-    /// created instance reports (defaults filled in, aliases resolved), so
-    /// printed pipelines re-parse to the identical configuration.
+    /// Instantiates one invocation, returning its *normalized* invocation
+    /// together with the pass: the canonical pass name and the options the
+    /// created instance reports (defaults filled in, aliases resolved),
+    /// rendered here once, so printed pipelines re-parse to the identical
+    /// configuration.
     ///
     /// # Errors
     /// [`PipelineError::UnknownPass`] for unresolved names,
@@ -336,17 +372,16 @@ impl Registry {
         let info = self
             .get(&invocation.name)
             .ok_or_else(|| PipelineError::UnknownPass {
-                name: invocation.name.clone(),
+                name: invocation.name.to_string(),
                 known: PASSES.iter().map(|info| info.name.to_string()).collect(),
             })?;
-        let pass = Options::new(info, &invocation.options)
+        let (pass, reported) = Options::new(info, &invocation.options)
             .and_then(|options| build(info, &options))
             .map_err(|reason| PipelineError::InvalidOption {
                 pass: info.name.to_string(),
                 reason,
             })?;
-        let normalized = PassInvocation::with_options(info.name, pass.options());
-        Ok((normalized, pass))
+        Ok((PassInvocation::with_options(info.name, reported), pass))
     }
 }
 
@@ -379,7 +414,7 @@ pub fn registry_listing() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hida_ir_core::parse_pipeline;
+    use hida_ir_core::{parse_pipeline, Pass};
 
     const FLOW: [&str; 7] = [
         "construct",
@@ -426,7 +461,7 @@ mod tests {
                 let (normalized, pass) = registry()
                     .create(&PassInvocation::new(spelling))
                     .unwrap_or_else(|e| panic!("{spelling}: {e}"));
-                assert_eq!(normalized.name, info.name);
+                assert_eq!(normalized.name.as_str(), info.name);
                 assert_eq!(pass.name(), info.alias);
             }
         }
@@ -454,10 +489,10 @@ mod tests {
         let (normalized, _) = registry()
             .create(&PassInvocation::new("hida-parallelize"))
             .unwrap();
-        assert_eq!(normalized.name, "parallelize");
+        assert_eq!(normalized.name.as_str(), "parallelize");
         assert_eq!(
-            normalized.options,
-            vec![
+            normalized.options[..],
+            [
                 PassOption::new("max-parallel-factor", 32),
                 PassOption::new("mode", "IA+CA"),
                 PassOption::new("device", "vu9p-slr"),
@@ -470,15 +505,15 @@ mod tests {
         let (normalized, pass) = registry()
             .create(&PassInvocation::with_options(
                 "hida-tiling",
-                vec![PassOption::new("factor", 4)],
+                [PassOption::new("factor", 4)],
             ))
             .unwrap();
-        assert_eq!(normalized.name, "tiling");
+        assert_eq!(normalized.name.as_str(), "tiling");
         assert_eq!(pass.name(), "hida-tiling");
         // The instance reports its canonical option names with defaults applied.
         assert_eq!(
-            normalized.options,
-            vec![
+            normalized.options[..],
+            [
                 PassOption::new("tile-size", 4),
                 PassOption::new("external-threshold-bytes", 65536),
             ]
@@ -498,7 +533,7 @@ mod tests {
         let (normalized, _) = registry()
             .create(&PassInvocation::with_options(
                 "parallelize",
-                vec![
+                [
                     PassOption::new("max-factor", 8),
                     PassOption::new("mode", "naive"),
                     PassOption::new("device", "zu3eg"),
@@ -506,8 +541,8 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(
-            normalized.options,
-            vec![
+            normalized.options[..],
+            [
                 PassOption::new("max-parallel-factor", 8),
                 PassOption::new("mode", "Naive"),
                 PassOption::new("device", "zu3eg"),
@@ -578,18 +613,18 @@ mod tests {
         let (normalized, _) = registry()
             .create(&PassInvocation::with_options(
                 "fusion",
-                vec![PassOption::new("patterns", "conv-pool-fusion")],
+                [PassOption::new("patterns", "conv-pool-fusion")],
             ))
             .unwrap();
         assert_eq!(
-            normalized.options,
-            vec![PassOption::new("patterns", "conv-pool-fusion")]
+            normalized.options[..],
+            [PassOption::new("patterns", "conv-pool-fusion")]
         );
         // Without the option, the table's default is the default pattern set.
         let (normalized, _) = registry().create(&PassInvocation::new("fusion")).unwrap();
         let patterns = crate::fusion::default_fusion_patterns();
         let defaults: Vec<&str> = patterns.iter().map(|p| p.name()).collect();
-        assert_eq!(normalized.options[0].value, defaults.join("+"));
+        assert_eq!(normalized.options[0].value.as_str(), defaults.join("+"));
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn acceptance_pipeline_parses_and_round_trips() {
     let pipeline = Pipeline::parse(&registry(), text).unwrap();
     assert_eq!(pipeline.len(), 7);
     let reparsed = Pipeline::parse(&registry(), &pipeline.to_text()).unwrap();
-    assert_eq!(reparsed.invocations(), pipeline.invocations());
+    assert!(reparsed.invocations().eq(pipeline.invocations()));
     assert_eq!(reparsed.to_text(), pipeline.to_text());
 }
 
@@ -116,7 +116,7 @@ proptest! {
                     .iter()
                     .take(i % (values.len() + 1))
                     .enumerate()
-                    .map(|(j, v)| PassOption::new(format!("opt{j}"), v))
+                    .map(|(j, v)| PassOption::new(&format!("opt{j}"), v))
                     .collect();
                 PassInvocation::with_options(PASS_POOL[idx], options)
             })
@@ -159,7 +159,7 @@ proptest! {
         let registry = registry();
         let pipeline = Pipeline::parse(&registry, &rendered.join(",")).unwrap();
         let reparsed = Pipeline::parse(&registry, &pipeline.to_text()).unwrap();
-        prop_assert_eq!(reparsed.invocations(), pipeline.invocations());
+        prop_assert!(reparsed.invocations().eq(pipeline.invocations()));
         prop_assert_eq!(reparsed.to_text(), pipeline.to_text());
         prop_assert_eq!(reparsed.pass_names(), pipeline.pass_names());
     }

@@ -42,29 +42,31 @@ use std::error::Error;
 use std::fmt;
 use std::hash::BuildHasherDefault;
 
-/// One parsed pass invocation: a pass name plus its textual options.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One parsed pass invocation: a pass name plus its options, all interned,
+/// so an invocation is two words to copy and the rendering it holds is
+/// shared by whatever records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PassInvocation {
     /// Pass name as written in the pipeline text (e.g. `"tiling"`).
-    pub name: String,
+    pub name: Symbol,
     /// Options in written order (e.g. `factor=4`).
-    pub options: Vec<PassOption>,
+    pub options: Interned<[PassOption]>,
 }
 
 impl PassInvocation {
     /// An invocation without options.
-    pub fn new(name: impl Into<String>) -> Self {
-        PassInvocation {
-            name: name.into(),
-            options: Vec::new(),
-        }
+    pub fn new(name: impl Into<Symbol>) -> Self {
+        PassInvocation::with_options(name, [])
     }
 
     /// An invocation with explicit options.
-    pub fn with_options(name: impl Into<String>, options: Vec<PassOption>) -> Self {
+    pub fn with_options(
+        name: impl Into<Symbol>,
+        options: impl Into<Interned<[PassOption]>>,
+    ) -> Self {
         PassInvocation {
             name: name.into(),
-            options,
+            options: options.into(),
         }
     }
 }
@@ -243,18 +245,18 @@ impl Scanner<'_> {
     }
 
     /// Consumes a run of name characters; errors when none are present.
-    fn name(&mut self, expected: &str) -> Result<String, PipelineParseError> {
+    fn name(&mut self, expected: &str) -> Result<Symbol, PipelineParseError> {
         self.cur.skip_whitespace();
         let name = self.cur.take_while(is_name_byte);
         if name.is_empty() {
             return Err(self.error(expected));
         }
-        Ok(name.to_string())
+        Ok(Symbol::intern(name))
     }
 
     /// Consumes a run of value characters — everything but the structural
     /// characters of the grammar — trimmed; errors when empty.
-    fn value(&mut self) -> Result<String, PipelineParseError> {
+    fn value(&mut self) -> Result<Symbol, PipelineParseError> {
         self.cur.skip_whitespace();
         let start = self.cur.pos;
         let raw = self
@@ -264,7 +266,7 @@ impl Scanner<'_> {
         if raw.is_empty() {
             return Err(PipelineParseError::new(start, "option value", self.found()));
         }
-        Ok(raw.to_string())
+        Ok(Symbol::intern(raw))
     }
 
     /// Consumes `byte` or errors.
@@ -302,22 +304,24 @@ pub fn parse_pipeline(text: &str) -> Result<Vec<PassInvocation>, PipelineParseEr
     if scanner.at_end() {
         return Ok(passes);
     }
+    // One buffer for every pass's options; each list is interned from it.
+    let mut options = Vec::new();
     loop {
         let name = scanner.name("pass name")?;
-        let mut options = Vec::new();
+        options.clear();
         if scanner.eat(b'{') {
             loop {
                 let key = scanner.name("option name")?;
                 scanner.expect(b'=')?;
                 let value = scanner.value()?;
-                options.push(PassOption::new(key, value));
+                options.push(PassOption { name: key, value });
                 if !scanner.eat(b',') {
                     break;
                 }
             }
             scanner.expect(b'}')?;
         }
-        passes.push(PassInvocation::with_options(name, options));
+        passes.push(PassInvocation::with_options(name, options.as_slice()));
         if scanner.at_end() {
             return Ok(passes);
         }
@@ -329,8 +333,8 @@ pub fn parse_pipeline(text: &str) -> Result<Vec<PassInvocation>, PipelineParseEr
 
 /// Prints pass invocations in the textual pipeline syntax; the inverse of
 /// [`parse_pipeline`].
-pub fn print_pipeline(passes: &[PassInvocation]) -> String {
-    let rendered: Vec<String> = passes.iter().map(|p| p.to_string()).collect();
+pub fn print_pipeline<'a>(passes: impl IntoIterator<Item = &'a PassInvocation>) -> String {
+    let rendered: Vec<String> = passes.into_iter().map(|p| p.to_string()).collect();
     rendered.join(",")
 }
 
@@ -1136,8 +1140,8 @@ mod tests {
     fn option_values_may_contain_plus_and_dots() {
         let passes = parse_pipeline("parallelize{mode=IA+CA,device=vu9p-slr}").unwrap();
         assert_eq!(
-            passes[0].options,
-            vec![opt("mode", "IA+CA"), opt("device", "vu9p-slr")]
+            passes[0].options[..],
+            [opt("mode", "IA+CA"), opt("device", "vu9p-slr")]
         );
     }
 

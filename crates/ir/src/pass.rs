@@ -15,7 +15,9 @@ use crate::context::Context;
 use crate::error::{IrError, IrResult};
 use crate::fault;
 use crate::ids::OpId;
+use crate::intern::{intern_by_content, Interned, Symbol};
 use crate::par::ParallelStats;
+use crate::parse::PassInvocation;
 use crate::verifier;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,20 +25,21 @@ use std::time::Instant;
 
 /// One configured option of a pass instance (`name = value`), recorded into the
 /// pass's [`PassStatistics`] so pipeline reports show the exact configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Both halves are interned, so an option is two words and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PassOption {
     /// Option name (e.g. `"tile-size"`).
-    pub name: String,
+    pub name: Symbol,
     /// Rendered option value (e.g. `"8"`).
-    pub value: String,
+    pub value: Symbol,
 }
 
 impl PassOption {
     /// Creates an option from any displayable value.
-    pub fn new(name: impl Into<String>, value: impl fmt::Display) -> Self {
+    pub fn new(name: &str, value: impl fmt::Display) -> Self {
         PassOption {
-            name: name.into(),
-            value: value.to_string(),
+            name: Symbol::intern(name),
+            value: Symbol::from(value.to_string()),
         }
     }
 }
@@ -47,6 +50,8 @@ impl fmt::Display for PassOption {
     }
 }
 
+intern_by_content!([PassOption]);
+
 /// A transformation or analysis applied to the IR rooted at an op.
 ///
 /// Passes are `Send + Sync` so one configured pipeline can be shared by the
@@ -55,11 +60,6 @@ impl fmt::Display for PassOption {
 pub trait Pass: Send + Sync {
     /// Unique, human-readable pass name (e.g. `"hida-task-fusion"`).
     fn name(&self) -> &'static str;
-
-    /// The instance's configured options, recorded into its statistics.
-    fn options(&self) -> Vec<PassOption> {
-        Vec::new()
-    }
 
     /// The analyses this pass provably does not invalidate. The runner
     /// keeps the declared entries alive across the pass's generation bumps
@@ -103,8 +103,9 @@ pub struct PassStatistics {
     /// `benchmark/src/layers.rs:278` (frozen) reads it.
     #[doc(hidden)]
     pub parallel: Option<ParallelStats>,
-    /// The pass instance's configured options.
-    pub options: Vec<PassOption>,
+    /// The pass instance's configured options: the list its invocation
+    /// holds, shared by every record of every run.
+    pub options: Interned<[PassOption]>,
 }
 
 impl PassStatistics {
@@ -133,30 +134,41 @@ impl PassStatistics {
         }
         totals
     }
+
+    /// The record as one report line. `timing` adds what varies from run to
+    /// run — `micros` and the analysis cache counters; without it the line
+    /// is byte-stable.
+    pub fn line(&self, timing: bool) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            write!(f, "{}: ", self.pass)?;
+            if timing {
+                write!(f, "{} us, ", self.micros)?;
+            }
+            write!(
+                f,
+                "ops {} -> {} ({:+})",
+                self.live_ops_before,
+                self.live_ops_after,
+                self.op_delta()
+            )?;
+            if timing && (self.cache.total_queries() > 0 || self.cache.preserved > 0) {
+                write!(f, ", analyses {}", self.cache)?;
+            }
+            if !self.options.is_empty() {
+                let rendered: Vec<String> = self.options.iter().map(|o| o.to_string()).collect();
+                write!(f, " [{}]", rendered.join(", "))?;
+            }
+            if self.failed {
+                write!(f, " FAILED")?;
+            }
+            Ok(())
+        })
+    }
 }
 
 impl fmt::Display for PassStatistics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} us, ops {} -> {} ({:+})",
-            self.pass,
-            self.micros,
-            self.live_ops_before,
-            self.live_ops_after,
-            self.op_delta()
-        )?;
-        if self.cache.total_queries() > 0 || self.cache.preserved > 0 {
-            write!(f, ", analyses {}", self.cache)?;
-        }
-        if !self.options.is_empty() {
-            let rendered: Vec<String> = self.options.iter().map(|o| o.to_string()).collect();
-            write!(f, " [{}]", rendered.join(", "))?;
-        }
-        if self.failed {
-            write!(f, " FAILED")?;
-        }
-        Ok(())
+        write!(f, "{}", self.line(true))
     }
 }
 
@@ -242,15 +254,16 @@ impl RunState {
 
 /// Runs `passes` in order over `run`, a state the caller holds — a fresh one,
 /// or one an earlier call left off where `passes` begins — and appends their
-/// statistics to it. Its [`AnalysisManager`] is threaded through every pass,
-/// so cached analyses survive from pass to pass and per-pass cache traffic
-/// lands in [`PassStatistics`]. With `verify`, the IR below `root` is
-/// verified after every pass.
+/// statistics to it. Each pass comes with the invocation that configured it,
+/// whose options its records share. Its [`AnalysisManager`] is threaded
+/// through every pass, so cached analyses survive from pass to pass and
+/// per-pass cache traffic lands in [`PassStatistics`]. With `verify`, the IR
+/// below `root` is verified after every pass.
 ///
 /// # Errors
 /// Propagates the first pass failure or inter-pass verification failure.
-pub fn run_passes(
-    passes: &[Box<dyn Pass>],
+pub fn run_passes<P: Pass>(
+    passes: &[(PassInvocation, P)],
     verify: bool,
     ctx: &mut Context,
     root: OpId,
@@ -261,7 +274,7 @@ pub fn run_passes(
         statistics,
         verified: last_verified,
     } = run;
-    for pass in passes {
+    for (invocation, pass) in passes {
         // The previous pass's record; trusted below only if this pass is
         // verified too, and gone whatever this pass turns out to be.
         let trusted = last_verified.take();
@@ -299,8 +312,7 @@ pub fn run_passes(
         });
         let micros = start.elapsed().as_micros();
         // Even a failing pass leaves a statistics record, so pipeline
-        // reports show where and after how long a run died. One record per
-        // pass: it owns the only copy of the options.
+        // reports show where and after how long a run died.
         let record = |verified: bool, failed: bool, cache: AnalysisCacheStats| PassStatistics {
             pass: name,
             micros,
@@ -310,7 +322,7 @@ pub fn run_passes(
             failed,
             cache,
             parallel: None,
-            options: pass.options(),
+            options: invocation.options,
         };
         if let Err(error) = result {
             let cache = analyses.abort_pass(ctx);
@@ -348,6 +360,33 @@ mod tests {
     use crate::builder::OpBuilder;
     use crate::types::Type;
 
+    type Stages = Vec<(PassInvocation, Box<dyn Pass>)>;
+
+    /// Each pass with an invocation of its name and no options.
+    fn stages(passes: Vec<Box<dyn Pass>>) -> Stages {
+        passes
+            .into_iter()
+            .map(|pass| (PassInvocation::new(pass.name()), pass))
+            .collect()
+    }
+
+    impl Pass for Box<dyn Pass> {
+        fn name(&self) -> &'static str {
+            (**self).name()
+        }
+        fn preserved_analyses(&self) -> PreservedAnalyses {
+            (**self).preserved_analyses()
+        }
+        fn run(
+            &self,
+            ctx: &mut Context,
+            root: OpId,
+            analyses: &mut AnalysisManager,
+        ) -> IrResult<()> {
+            (**self).run(ctx, root, analyses)
+        }
+    }
+
     struct CountConstantsPass {
         expected: usize,
     }
@@ -355,9 +394,6 @@ mod tests {
     impl Pass for CountConstantsPass {
         fn name(&self) -> &'static str {
             "count-constants"
-        }
-        fn options(&self) -> Vec<PassOption> {
-            vec![PassOption::new("expected", self.expected)]
         }
         fn run(
             &self,
@@ -400,7 +436,7 @@ mod tests {
     /// verification, the way a pipeline run does, and returns the outcome
     /// with the state it left.
     fn run_all(
-        passes: &[Box<dyn Pass>],
+        passes: &[(PassInvocation, Box<dyn Pass>)],
         ctx: &mut Context,
         root: OpId,
     ) -> (IrResult<()>, RunState) {
@@ -423,11 +459,11 @@ mod tests {
     fn pipeline_runs_passes_in_order_and_records_statistics() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(CountConstantsPass { expected: 3 }),
             Box::new(EraseConstantsPass),
             Box::new(CountConstantsPass { expected: 0 }),
-        ];
+        ]);
         let (result, run) = run_all(&passes, &mut ctx, module);
         result.unwrap();
         let stats = &run.statistics;
@@ -448,10 +484,10 @@ mod tests {
     fn the_run_state_records_the_last_pass_verification_and_nothing_older() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(EraseConstantsPass),
             Box::new(CountConstantsPass { expected: 0 }),
-        ];
+        ]);
 
         // After the verifying pass the record names the root and holds…
         let mut run = RunState::default();
@@ -534,7 +570,7 @@ mod tests {
         run: &mut RunState,
     ) -> (Option<Verified>, IrResult<Option<Verified>>) {
         let before = run.verified;
-        let result = run_passes(&[pass], verify, ctx, module, run);
+        let result = run_passes(&stages(vec![pass]), verify, ctx, module, run);
         (before, result.map(|()| run.verified))
     }
 
@@ -648,7 +684,14 @@ mod tests {
         // Verification off: no record, before or after.
         let (mut ctx, module, mut run) = verified_module(2);
         let annotate_pass = EditPass::boxed("annotate", annotate);
-        run_passes(&[annotate_pass], false, &mut ctx, module, &mut run).unwrap();
+        run_passes(
+            &stages(vec![annotate_pass]),
+            false,
+            &mut ctx,
+            module,
+            &mut run,
+        )
+        .unwrap();
         assert_eq!(run.verified, None);
         assert!(!run.statistics.last().unwrap().verified);
 
@@ -690,10 +733,10 @@ mod tests {
     fn pipeline_aborts_on_pass_failure() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(CountConstantsPass { expected: 99 }),
             Box::new(EraseConstantsPass),
-        ];
+        ]);
         let err = run_all(&passes, &mut ctx, module).0.unwrap_err();
         assert!(matches!(err, IrError::PassFailed { .. }));
         // The failing pipeline never reached the erase pass.
@@ -723,7 +766,7 @@ mod tests {
                 Ok(())
             }
         }
-        let passes: Vec<Box<dyn Pass>> = vec![Box::new(BreakIrPass)];
+        let passes = stages(vec![Box::new(BreakIrPass)]);
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 1);
         assert!(run_all(&passes, &mut ctx, module).0.is_err());
@@ -753,7 +796,7 @@ mod tests {
                 preserved: 2,
             },
             parallel: None,
-            options: vec![PassOption::new("tile-size", 8)],
+            options: [PassOption::new("tile-size", 8)].into(),
         };
         let rendered = stats.to_string();
         assert!(rendered.contains("hida-tiling"));
@@ -762,17 +805,22 @@ mod tests {
         assert!(rendered.contains("3 hit / 1 miss"));
         assert!(!rendered.contains("FAILED"));
         assert_eq!(stats.op_delta(), 4);
+        // Without timing: no micros, no cache counters, the rest as it was.
+        assert_eq!(
+            stats.line(false).to_string(),
+            "hida-tiling: ops 10 -> 14 (+4) [tile-size=8]"
+        );
     }
 
     #[test]
     fn failing_pass_still_records_statistics() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(EraseConstantsPass),
             Box::new(CountConstantsPass { expected: 99 }),
             Box::new(EraseConstantsPass),
-        ];
+        ]);
         let (result, run) = run_all(&passes, &mut ctx, module);
         assert!(result.is_err());
         // The aborting pass leaves a (failed) record; the never-run third pass
@@ -841,11 +889,11 @@ mod tests {
     fn declared_preservation_keeps_analyses_alive_across_a_mutating_pass() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(QueryCountPass),
             Box::new(AnnotatePass),
             Box::new(QueryCountPass),
-        ];
+        ]);
         let (result, run) = run_all(&passes, &mut ctx, module);
         result.unwrap();
         let stats = &run.statistics;
@@ -862,11 +910,11 @@ mod tests {
     fn undeclared_mutation_forces_recomputation() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 3);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(QueryCountPass),
             Box::new(EraseConstantsPass), // preserves nothing
             Box::new(QueryCountPass),
-        ];
+        ]);
         let (result, run) = run_all(&passes, &mut ctx, module);
         result.unwrap();
         let stats = &run.statistics;
@@ -877,14 +925,14 @@ mod tests {
 
     /// The preservation pipeline of the two tests above, which both hits and
     /// invalidates the cache.
-    fn query_annotate_erase_query() -> Vec<Box<dyn Pass>> {
-        vec![
+    fn query_annotate_erase_query() -> Stages {
+        stages(vec![
             Box::new(QueryCountPass),
             Box::new(AnnotatePass),
             Box::new(QueryCountPass),
             Box::new(EraseConstantsPass),
             Box::new(QueryCountPass),
-        ]
+        ])
     }
 
     #[test]
@@ -939,10 +987,10 @@ mod tests {
     fn run_range_appends_to_the_statistics_it_is_given() {
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(EraseConstantsPass),
             Box::new(CountConstantsPass { expected: 99 }),
-        ];
+        ]);
         let mut run = RunState::default();
         run_passes(&passes[..1], true, &mut ctx, module, &mut run).unwrap();
         assert!(run_passes(&passes[1..], true, &mut ctx, module, &mut run).is_err());
@@ -970,10 +1018,10 @@ mod tests {
         }
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 1);
-        let passes: Vec<Box<dyn Pass>> = vec![
+        let passes = stages(vec![
             Box::new(PanicPass),
             Box::new(CountConstantsPass { expected: 1 }),
-        ];
+        ]);
         let (result, run) = run_all(&passes, &mut ctx, module);
         let err = result.unwrap_err();
         match &err {
@@ -999,7 +1047,7 @@ mod tests {
         let _guard = crate::fault::install_point(token, Some(faults));
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 1);
-        let passes: Vec<Box<dyn Pass>> = vec![Box::new(CountConstantsPass { expected: 1 })];
+        let passes = stages(vec![Box::new(CountConstantsPass { expected: 1 })]);
         let err = run_all(&passes, &mut ctx, module).0.unwrap_err();
         assert!(
             matches!(&err, IrError::WorkerPanic { message, .. } if message.contains("injected")),
@@ -1014,7 +1062,7 @@ mod tests {
         let _guard = crate::fault::install_point(token, None);
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let passes: Vec<Box<dyn Pass>> = vec![Box::new(EraseConstantsPass)];
+        let passes = stages(vec![Box::new(EraseConstantsPass)]);
         let err = run_all(&passes, &mut ctx, module).0.unwrap_err();
         assert!(
             matches!(&err, IrError::Cancelled { .. }),
@@ -1050,7 +1098,7 @@ mod tests {
         }
         let mut ctx = Context::new();
         let module = module_with_constants(&mut ctx, 2);
-        let passes: Vec<Box<dyn Pass>> = vec![Box::new(QueryCountPass), Box::new(LyingPass)];
+        let passes = stages(vec![Box::new(QueryCountPass), Box::new(LyingPass)]);
         let mut run = RunState::default();
         let result = run_passes(&passes, false, &mut ctx, module, &mut run);
         let message = result.unwrap_err().to_string();
