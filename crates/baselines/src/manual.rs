@@ -98,7 +98,7 @@ pub fn lenet_design_point(config: LenetConfig, device: &FpgaDevice) -> IrResult<
     let schedule = lower::lower_to_structural(&mut ctx, &mut analyses, func)?;
     apply_manual_factors(&mut ctx, &mut analyses, schedule, config)?;
     let estimator = DataflowEstimator::new(device.clone());
-    let mut estimate = estimator.estimate_schedule(&ctx, schedule, config.dataflow);
+    let mut estimate = estimator.estimate(&ctx, schedule.id(), config.dataflow);
     // Batched execution: the pipeline amortizes per-frame latency over the batch.
     if config.batch > 1 && config.dataflow {
         estimate.interval_cycles = (estimate.interval_cycles as f64

@@ -95,7 +95,7 @@ mod tests {
         let module = ctx_scale.create_module("m");
         let func = build_kernel(&mut ctx_scale, module, PolybenchKernel::Mvt, 64);
         let scale_schedule = compile(&mut ctx_scale, func, 16);
-        let scale = estimator.estimate_schedule(&ctx_scale, scale_schedule, true);
+        let scale = estimator.estimate(&ctx_scale, scale_schedule.id(), true);
 
         let mut ctx_hida = Context::new();
         let module = ctx_hida.create_module("m");
@@ -103,7 +103,7 @@ mod tests {
         let hida_schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx_hida, func)
             .unwrap();
-        let hida = estimator.estimate_schedule(&ctx_hida, hida_schedule, true);
+        let hida = estimator.estimate(&ctx_hida, hida_schedule.id(), true);
 
         assert!(
             hida.throughput() >= scale.throughput() * 0.99,

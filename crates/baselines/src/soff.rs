@@ -48,7 +48,7 @@ pub fn compile(ctx: &mut Context, func: OpId) -> OpId {
 /// Compiles and estimates `func` as a SOFF-style sequential design.
 pub fn estimate(ctx: &mut Context, func: OpId, device: &FpgaDevice) -> DesignEstimate {
     compile(ctx, func);
-    DataflowEstimator::new(device.clone()).estimate_function(ctx, func)
+    DataflowEstimator::new(device.clone()).estimate(ctx, func, false)
 }
 
 #[cfg(test)]

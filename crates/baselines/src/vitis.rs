@@ -24,7 +24,7 @@ pub fn compile(ctx: &mut Context, func: OpId) -> OpId {
 /// Compiles and estimates `func` as a sequential Vitis-only design.
 pub fn estimate(ctx: &mut Context, func: OpId, device: &FpgaDevice) -> DesignEstimate {
     compile(ctx, func);
-    DataflowEstimator::new(device.clone()).estimate_function(ctx, func)
+    DataflowEstimator::new(device.clone()).estimate(ctx, func, false)
 }
 
 #[cfg(test)]
@@ -63,7 +63,7 @@ mod tests {
         let schedule = Pipeline::from_options(&HidaOptions::polybench())
             .run(&mut ctx_h, func_h)
             .unwrap();
-        let hida = DataflowEstimator::new(device).estimate_schedule(&ctx_h, schedule, true);
+        let hida = DataflowEstimator::new(device).estimate(&ctx_h, schedule.id(), true);
 
         // Table 7 reports 1.2x-195x: HIDA must be at least several times faster.
         assert!(

@@ -501,8 +501,8 @@ impl Compiler {
             Some(cache) => estimator.with_shared_cache(cache.clone()),
             None => estimator,
         };
-        let estimate = estimator.estimate_schedule(&ctx, schedule, true);
-        let estimate_sequential = estimator.estimate_schedule(&ctx, schedule, false);
+        let estimate = estimator.estimate(&ctx, schedule.id(), true);
+        let estimate_sequential = estimator.estimate(&ctx, schedule.id(), false);
         let estimator_cache = estimator.cache_stats();
         let hls_cpp = hida_emitter::emit_schedule_with(&ctx, schedule, &mut estimator.analyses());
         Ok(CompilationResult {

@@ -38,8 +38,8 @@ fn compile_equals_the_standalone_estimator_and_emitter_on_the_same_ir() {
             let lowered = compiler.lower(workload.clone()).expect(&what);
             let (ctx, schedule) = (&lowered.ctx, lowered.schedule);
             let standalone = DataflowEstimator::new(compiler.options().device.clone());
-            let dataflow = standalone.estimate_schedule(ctx, schedule, true);
-            let sequential = standalone.estimate_schedule(ctx, schedule, false);
+            let dataflow = standalone.estimate(ctx, schedule.id(), true);
+            let sequential = standalone.estimate(ctx, schedule.id(), false);
             let cpp = emit_schedule(ctx, schedule);
 
             let compiled = compiler.finish(lowered).expect(&what);

@@ -28,8 +28,8 @@ impl Subject {
     fn new(what: String, ctx: Context, schedule: ScheduleOp, device: FpgaDevice) -> Subject {
         let alone = DataflowEstimator::new(device.clone());
         Subject {
-            dataflow: alone.estimate_schedule(&ctx, schedule, true),
-            sequential: alone.estimate_schedule(&ctx, schedule, false),
+            dataflow: alone.estimate(&ctx, schedule.id(), true),
+            sequential: alone.estimate(&ctx, schedule.id(), false),
             what,
             ctx,
             schedule,
@@ -111,8 +111,8 @@ fn every_design_estimates_the_same_through_one_cache_warmed_by_all_the_others() 
     let through = |cache: &Arc<SharedEstimateCache>, subject: &Subject| {
         let sharing =
             DataflowEstimator::new(subject.device.clone()).with_shared_cache(Arc::clone(cache));
-        let dataflow = sharing.estimate_schedule(&subject.ctx, subject.schedule, true);
-        let sequential = sharing.estimate_schedule(&subject.ctx, subject.schedule, false);
+        let dataflow = sharing.estimate(&subject.ctx, subject.schedule.id(), true);
+        let sequential = sharing.estimate(&subject.ctx, subject.schedule.id(), false);
         assert_eq!(dataflow, subject.dataflow, "{}: dataflow", subject.what);
         assert_eq!(sequential, subject.sequential, "{}", subject.what);
     };

@@ -11,7 +11,7 @@ use crate::arith::{classify, OpClass};
 use crate::linalg::{LayerProfile, LayerWork, LinalgOp};
 use crate::loops::{self, ForOp};
 use crate::memory;
-use hida_ir_core::walk::walk_ops_preorder;
+use hida_ir_core::walk::walk_ops_pruned;
 use hida_ir_core::{Context, OpId, ValueId};
 
 /// Memory effect of a node on one buffer (paper §5.2: nodes carry explicit I/O
@@ -155,7 +155,8 @@ impl hida_ir_core::analysis::Analysis for ComputeProfile {
 }
 
 /// Extracts the compute profile of the body of `op` (a task, node, or function,
-/// or a named layer itself).
+/// or a named layer itself). The profile is of `op`'s own level: a schedule
+/// nested in it is a level of its own, whose work the walks do not enter.
 ///
 /// Bodies made of named linalg layers and bodies made of explicit affine loop nests
 /// are both supported; a body mixing the two uses the dominant named layer for the
@@ -172,9 +173,14 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
     let mut layers: Vec<OpId> = Vec::new();
     // The heaviest layer: its work, its MACs, the layer and its op.
     let mut dominant: Option<(i64, i64, LinalgOp, OpId)> = None;
-    walk_ops_preorder(ctx, op, &mut |ctx, nested| {
+    walk_ops_pruned(ctx, op, &mut |ctx, nested| {
+        // An isolated op below `op` (the schedule a node holds) is a level
+        // of its own.
+        if nested != op && ctx.op(nested).name.is_isolated() {
+            return false;
+        }
         let Some(layer) = LinalgOp::from_op(ctx, nested) else {
-            return;
+            return true;
         };
         let LayerWork {
             macs,
@@ -189,6 +195,7 @@ pub fn profile_body(ctx: &Context, op: OpId) -> ComputeProfile {
             dominant = Some((work, macs, layer, nested));
         }
         layers.push(nested);
+        true
     });
 
     if let Some((_, macs, layer, dominant)) = dominant {
@@ -360,8 +367,9 @@ fn accumulate_region(
                 record_memory_access(ctx, nested, band, profile);
             }
             OpClass::Other => {
-                // Regions of non-loop ops (e.g. nothing expected here) still count.
-                if !operation.regions.is_empty() {
+                // Regions of non-loop ops (e.g. nothing expected here) still
+                // count, unless they are a level of their own.
+                if !operation.regions.is_empty() && !operation.name.is_isolated() {
                     accumulate_region(ctx, nested, multiplier, band, profile);
                 }
             }

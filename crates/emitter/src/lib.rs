@@ -9,7 +9,9 @@
 //!   `#pragma HLS interface` declarations,
 //! * buffer declarations with `#pragma HLS array_partition` and
 //!   `#pragma HLS stream` directives (ping-pong depth),
-//! * a top function instantiating the nodes inside a `#pragma HLS dataflow` region.
+//! * a top function instantiating the nodes inside a `#pragma HLS dataflow` region,
+//!   and for a node that holds a schedule a function that is such a region of
+//!   that schedule (in the loops around it), after the functions of its nodes.
 //!
 //! Downstream, AMD Vitis HLS would turn this C++ into RTL; this reproduction stops at
 //! the generated source.
@@ -25,7 +27,7 @@
 //! * Every line is one `put!` of pieces: text, numbers (trip counts,
 //!   dimensions, factors, value indexes, written digit by digit), indents
 //!   and a type's C++ spelling.
-//! * Names go through a table filled by one walk over the schedule body: each
+//! * Names go through a table filled by one walk over the schedule bodies: each
 //!   node's and buffer's C++ identifier is written once (`push_name` copies
 //!   the runs between the characters it replaces), and every use after that —
 //!   a buffer's comment, declarator and pragmas, a node's function and its
@@ -41,6 +43,7 @@ use hida_dataflow_ir::op_names;
 use hida_dataflow_ir::structural::{BufferOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::hls::{self, MemoryKind, PartitionFashion};
+use hida_dialects::loops::{self, ForOp};
 use hida_dialects::transforms;
 use hida_ir_core::analysis::AnalysisManager;
 use hida_ir_core::{Attribute, Context, OpId, Type, ValueId};
@@ -91,32 +94,55 @@ impl Scratch {
         out.clear();
         out.push_str(BANNER);
         out.push_str("#include <ap_int.h>\n#include <hls_stream.h>\n#include <cstring>\n\n");
-        for named in names.nodes() {
-            let profile = analyses.get::<ComputeProfile>(ctx, named.op);
-            emit_node_function(ctx, named.op, names.name(named), &profile, out);
+        for named in names.ops.iter() {
+            let name = names.name(named);
+            match named.kind {
+                Kind::Buffer => {}
+                Kind::Leaf => {
+                    let profile = analyses.get::<ComputeProfile>(ctx, named.op);
+                    emit_node_function(ctx, named.op, name, &profile, out);
+                }
+                Kind::Holds(inner) => {
+                    emit_composed_function(ctx, named.op, name, inner, names, out)
+                }
+            }
         }
         emit_top_function(ctx, schedule, names, out);
     }
 }
 
-/// The C++ identifiers of one schedule's nodes and buffers.
+/// The C++ identifiers of one schedule's nodes and buffers, and of those of
+/// the schedules its nodes hold.
 #[derive(Default)]
 struct Names {
     /// The identifiers, back to back.
     text: String,
-    /// The nodes and buffers of the schedule body, in program order.
+    /// The nodes and buffers of the schedule bodies, in program order — the
+    /// entries of a schedule a node holds right before that node's.
     ops: Vec<Named>,
     /// Each buffer with its position in `ops`, ordered by op id: what a
     /// node call's operands resolve through.
     buffers: Vec<(OpId, u32)>,
 }
 
-/// A node or a buffer and where its identifier lies in [`Names::text`].
+/// A node or a buffer, the schedule it is in, and where its identifier lies
+/// in [`Names::text`].
 struct Named {
     op: OpId,
-    is_node: bool,
+    schedule: OpId,
+    kind: Kind,
     start: u32,
     end: u32,
+}
+
+/// What a [`Named`] op is.
+#[derive(Clone, Copy)]
+enum Kind {
+    Buffer,
+    /// A node the node model's loop nest stands for.
+    Leaf,
+    /// A node that holds a schedule ([`ScheduleOp::within`]).
+    Holds(ScheduleOp),
 }
 
 impl Names {
@@ -126,41 +152,52 @@ impl Names {
         self.text.clear();
         self.ops.clear();
         self.buffers.clear();
+        self.fill_level(ctx, schedule);
+        self.buffers.sort_unstable();
+    }
+
+    /// One schedule body; a node that holds a schedule has it walked first.
+    fn fill_level(&mut self, ctx: &Context, schedule: ScheduleOp) {
         for &op in ctx.block(schedule.body(ctx)).ops.iter() {
-            let start = self.text.len() as u32;
-            let is_node = match ctx.op(op).name.as_str() {
-                op_names::NODE => {
-                    push_op_name(&mut self.text, ctx, op, "node_name", "node");
-                    true
-                }
+            let kind = match ctx.op(op).name.as_str() {
+                op_names::NODE => match ScheduleOp::within(ctx, op).next() {
+                    Some(inner) => {
+                        self.fill_level(ctx, inner);
+                        Kind::Holds(inner)
+                    }
+                    None => Kind::Leaf,
+                },
                 op_names::BUFFER => {
                     self.buffers.push((op, self.ops.len() as u32));
-                    push_buffer_name(&mut self.text, ctx, op);
-                    false
+                    Kind::Buffer
                 }
                 _ => continue,
             };
+            let start = self.text.len() as u32;
+            match kind {
+                Kind::Buffer => push_buffer_name(&mut self.text, ctx, op),
+                _ => push_op_name(&mut self.text, ctx, op, "node_name", "node"),
+            }
             let end = self.text.len() as u32;
             self.ops.push(Named {
                 op,
-                is_node,
+                schedule: schedule.id(),
+                kind,
                 start,
                 end,
             });
         }
-        self.buffers.sort_unstable();
     }
 
     fn name(&self, named: &Named) -> &str {
         &self.text[named.start as usize..named.end as usize]
     }
 
-    fn nodes(&self) -> impl Iterator<Item = &Named> {
-        self.ops.iter().filter(|named| named.is_node)
-    }
-
-    fn buffers_in_order(&self) -> impl Iterator<Item = &Named> {
-        self.ops.iter().filter(|named| !named.is_node)
+    /// The buffers (`nodes` false) or the nodes of `schedule`, in order.
+    fn of(&self, schedule: ScheduleOp, nodes: bool) -> impl Iterator<Item = &Named> {
+        self.ops.iter().filter(move |named| {
+            named.schedule == schedule.id() && !matches!(named.kind, Kind::Buffer) == nodes
+        })
     }
 
     /// The identifier of buffer `op`, when it is one of this schedule's.
@@ -223,6 +260,7 @@ impl Piece for usize {
 }
 
 /// Two spaces per level.
+#[derive(Clone, Copy)]
 struct Indent(usize);
 
 impl Piece for Indent {
@@ -295,15 +333,8 @@ fn push_buffer_name(out: &mut String, ctx: &Context, buffer: OpId) {
     push_op_name(out, ctx, buffer, "buffer_name", "buf");
 }
 
-/// A node's function: its arguments, then the loop nest skeleton from its
-/// profile and unroll factors.
-fn emit_node_function(
-    ctx: &Context,
-    node: OpId,
-    name: &str,
-    profile: &ComputeProfile,
-    out: &mut String,
-) {
+/// The opening of a node's function: `arg<i>` for its operand `i`.
+fn emit_node_signature(ctx: &Context, node: OpId, name: &str, out: &mut String) {
     put!(out, "void ", name, "(");
     for (i, &operand) in ctx.op(node).operands.iter().enumerate() {
         if i > 0 {
@@ -313,23 +344,50 @@ fn emit_node_function(
         put!(out, CppType(ty), " arg", i, Dims(ty));
     }
     out.push_str(") {\n#pragma HLS inline off\n");
+}
+
+/// A node's function: its arguments, then the loop nest skeleton from its
+/// profile and unroll factors.
+fn emit_node_function(
+    ctx: &Context,
+    node: OpId,
+    name: &str,
+    profile: &ComputeProfile,
+    out: &mut String,
+) {
+    emit_node_signature(ctx, node, name, out);
 
     let depth = profile.loop_dims.len();
     let unroll = transforms::unroll_factors_of(ctx, node, depth);
     for (i, dim) in profile.loop_dims.iter().enumerate() {
-        let indent = || Indent(i + 1);
-        put!(out, indent(), "for (int i", i, " = 0; i", i);
-        put!(out, " < ", dim.trip, "; ++i", i, ") {\n");
+        open_for(out, i, dim.trip);
         let factor = unroll.get(i).copied().unwrap_or(1);
         if factor > 1 {
-            put!(out, indent(), "#pragma HLS unroll factor=", factor, "\n");
+            put!(
+                out,
+                Indent(i + 1),
+                "#pragma HLS unroll factor=",
+                factor,
+                "\n"
+            );
         }
         if i + 1 == depth {
-            put!(out, indent(), "#pragma HLS pipeline II=1\n");
+            put!(out, Indent(i + 1), "#pragma HLS pipeline II=1\n");
         }
     }
     put!(out, Indent(depth + 1), "// compute body (", profile.macs);
     out.push_str(" MACs per frame)\n");
+    close_function(out, depth);
+}
+
+/// Opens loop `i` of a function body, whose own body is one level deeper.
+fn open_for(out: &mut String, i: usize, trip: i64) {
+    put!(out, Indent(i + 1), "for (int i", i, " = 0; i", i);
+    put!(out, " < ", trip, "; ++i", i, ") {\n");
+}
+
+/// Closes `depth` loops and the function around them.
+fn close_function(out: &mut String, depth: usize) {
     for i in (0..depth).rev() {
         put!(out, Indent(i + 1), "}\n");
     }
@@ -342,15 +400,56 @@ fn emit_top_function(ctx: &Context, schedule: ScheduleOp, names: &Names, out: &m
         Some(name) => push_name(out, name),
         None => out.push_str("design"),
     }
-    out.push_str("_top() {\n#pragma HLS dataflow\n");
+    out.push_str("_top() {\n");
+    emit_dataflow_region(ctx, schedule, names, 0, out);
+    out.push_str("}\n");
+}
 
-    // Buffer declarations.
-    for named in names.buffers_in_order() {
-        emit_buffer(ctx, BufferOp(named.op), names.name(named), out);
+/// The function of a node that holds `schedule`: the schedule's dataflow
+/// region inside the `affine.for` loops around it.
+fn emit_composed_function(
+    ctx: &Context,
+    node: OpId,
+    name: &str,
+    schedule: ScheduleOp,
+    names: &Names,
+    out: &mut String,
+) {
+    emit_node_signature(ctx, node, name, out);
+    let depth = open_loops(ctx, schedule.id(), node, out);
+    emit_dataflow_region(ctx, schedule, names, depth, out);
+    close_function(out, depth);
+}
+
+/// Opens the `affine.for` loops between `node` and `op`, outermost first;
+/// returns how many.
+fn open_loops(ctx: &Context, op: OpId, node: OpId, out: &mut String) -> usize {
+    let Some(parent) = ctx.parent_op(op).filter(|&parent| parent != node) else {
+        return 0;
+    };
+    let depth = open_loops(ctx, parent, node, out);
+    if !ctx.op(parent).is(loops::FOR) {
+        return depth;
     }
-    // Node instantiations.
-    for named in names.nodes() {
-        put!(out, "  ", names.name(named), "(");
+    open_for(out, depth, ForOp(parent).trip_count(ctx));
+    depth + 1
+}
+
+/// A `#pragma HLS dataflow` region of `schedule` inside `depth` loops: its
+/// buffers declared, then its nodes called.
+fn emit_dataflow_region(
+    ctx: &Context,
+    schedule: ScheduleOp,
+    names: &Names,
+    depth: usize,
+    out: &mut String,
+) {
+    put!(out, Indent(depth), "#pragma HLS dataflow\n");
+    for named in names.of(schedule, false) {
+        emit_buffer(ctx, BufferOp(named.op), names.name(named), depth, out);
+    }
+    for named in names.of(schedule, true) {
+        put!(out, Indent(depth + 1), names.name(named), "(");
         for (i, &operand) in ctx.op(named.op).operands.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -359,30 +458,49 @@ fn emit_top_function(ctx: &Context, schedule: ScheduleOp, names: &Names, out: &m
         }
         out.push_str(");\n");
     }
-    out.push_str("}\n");
 }
 
 fn push_value_name(out: &mut String, ctx: &Context, names: &Names, value: ValueId) {
-    match ctx.value(value).defining_op() {
-        Some(op) => match names.buffer(op) {
+    if let Some(op) = ctx.value(value).defining_op() {
+        return match names.buffer(op) {
             Some(name) => out.push_str(name),
             // A buffer from outside the schedule.
             None if ctx.op(op).is(op_names::BUFFER) => push_buffer_name(out, ctx, op),
             None => put!(out, "v", value.index()),
-        },
-        None => put!(out, "arg", value.index()),
+        };
+    }
+    // A body argument of a nested schedule is the operand it mirrors; one of
+    // the node that holds the schedule is that node function's parameter.
+    let block = ctx.value(value).owner_block().map(|block| ctx.block(block));
+    let owner = block
+        .and_then(|block| block.parent_region)
+        .and_then(|region| ctx.region(region).parent_op);
+    let at = block.and_then(|block| block.args.iter().position(|&arg| arg == value));
+    let Some((owner, at)) = owner.zip(at) else {
+        return put!(out, "arg", value.index());
+    };
+    match ctx.op(owner).operands.get(at) {
+        Some(&operand) if ctx.op(owner).is(op_names::SCHEDULE) => {
+            push_value_name(out, ctx, names, operand)
+        }
+        _ if ctx.op(owner).is(op_names::NODE) => put!(out, "arg", at),
+        _ => put!(out, "arg", value.index()),
     }
 }
 
-fn emit_buffer(ctx: &Context, buffer: BufferOp, name: &str, out: &mut String) {
+/// A buffer's declaration and directives inside `depth` loops.
+fn emit_buffer(ctx: &Context, buffer: BufferOp, name: &str, depth: usize, out: &mut String) {
     let ty = ctx.value_type(buffer.value(ctx));
-    let declare =
-        |out: &mut String| put!(out, "  static ", CppType(ty), " ", name, Dims(ty), ";\n");
+    let (inner, pragma) = (Indent(depth + 1), Indent(depth));
+    let declare = |out: &mut String| {
+        put!(out, inner, "static ", CppType(ty), " ", name);
+        put!(out, Dims(ty), ";\n");
+    };
     if buffer.memory_kind(ctx) == MemoryKind::External {
-        put!(out, "  // ", name);
+        put!(out, inner, "// ", name);
         out.push_str(": soft FIFO in external memory (AXI master)\n");
         declare(out);
-        put!(out, "#pragma HLS interface m_axi port=", name);
+        put!(out, pragma, "#pragma HLS interface m_axi port=", name);
         out.push_str(" bundle=gmem\n");
         return;
     }
@@ -400,15 +518,15 @@ fn emit_buffer(ctx: &Context, buffer: BufferOp, name: &str, out: &mut String) {
     for (dim, (fashion, &factor)) in fashions.iter().zip(factors).enumerate() {
         let fashion = PartitionFashion::parse(fashion);
         if factor > 1 && fashion != PartitionFashion::None {
-            put!(out, "#pragma HLS array_partition variable=", name);
+            put!(out, pragma, "#pragma HLS array_partition variable=", name);
             put!(out, " ", fashion.as_str(), " factor=", factor);
             put!(out, " dim=", dim + 1, "\n");
         }
     }
-    let depth = buffer.depth(ctx);
-    if depth >= 2 {
-        put!(out, "#pragma HLS stream variable=", name);
-        put!(out, " depth=", depth, "\n");
+    let stages = buffer.depth(ctx);
+    if stages >= 2 {
+        put!(out, pragma, "#pragma HLS stream variable=", name);
+        put!(out, " depth=", stages, "\n");
     }
 }
 

@@ -1,4 +1,4 @@
-//! Schedule-level dataflow throughput estimation.
+//! Dataflow throughput estimation, one rule for every level of the hierarchy.
 //!
 //! A well-formed HIDA dataflow executes its nodes in a coarse-grained pipeline: with
 //! ping-pong buffers between stages, a new data frame can enter the design every
@@ -15,16 +15,20 @@ use crate::report::DesignEstimate;
 use crate::resource::Resources;
 use crate::shared_cache::{device_fingerprint, inputs_key, SharedEstimateCache};
 use hida_dataflow_ir::graph::DataflowGraph;
+use hida_dataflow_ir::op_names;
 use hida_dataflow_ir::structural::{NodeOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
+use hida_dialects::loops::{self, ForOp};
+use hida_dialects::memory;
 use hida_ir_core::analysis::{AnalysisCacheStats, AnalysisManager};
+use hida_ir_core::walk::walk_ops_pruned;
 use hida_ir_core::Fingerprint;
-use hida_ir_core::{symbol, Context, OpId, ParallelStats, Symbol, ValueId};
+use hida_ir_core::{symbol, Context, OpId, ParallelStats, Symbol};
 use std::cell::{RefCell, RefMut};
 use std::fmt;
 use std::sync::Arc;
 
-/// Estimates complete designs (schedules or plain functions) on a target device.
+/// Estimates designs (functions, schedules and nodes, at any depth) on a target device.
 ///
 /// Everything the estimator derives from the IR goes through one
 /// [`AnalysisManager`]: compute profiles, the schedule's dataflow graph, its
@@ -75,28 +79,6 @@ impl fmt::Debug for DataflowEstimator {
             .field("cache", &self.cache_stats())
             .field("shared", &self.shared)
             .finish()
-    }
-}
-
-/// Resources and number of the buffers a design declares: for a schedule,
-/// the same for its dataflow estimate and its sequential estimate.
-struct BufferTotals {
-    resources: Resources,
-    count: i64,
-}
-
-impl BufferTotals {
-    /// The totals of the buffers behind `values`.
-    fn of(ctx: &Context, values: impl Iterator<Item = ValueId>) -> Self {
-        let mut totals = BufferTotals {
-            resources: Resources::zero(),
-            count: 0,
-        };
-        for value in values {
-            totals.resources += buffer_info(ctx, value).resources();
-            totals.count += 1;
-        }
-        totals
     }
 }
 
@@ -162,9 +144,10 @@ impl DataflowEstimator {
         self.analyses.borrow_mut()
     }
 
-    /// Estimates one node of a schedule (memoized per IR generation).
+    /// Estimates one node of a schedule as a stage of its dataflow (a leaf's is
+    /// memoized per IR generation).
     pub fn estimate_node(&self, ctx: &Context, node: NodeOp) -> NodeEstimate {
-        *self.body_estimate(ctx, node.id())
+        self.node(ctx, node.id(), true)
     }
 
     /// The node model's inputs, gathered from `op`'s cached compute profile.
@@ -216,98 +199,108 @@ impl DataflowEstimator {
             .get::<DataflowGraph>(ctx, schedule.id())
     }
 
-    /// Buffer resources of `schedule`: every buffer declared in it, and the
-    /// `memref.alloc`s nested anywhere inside (baseline flows keep full
-    /// intermediate arrays on chip this way).
-    fn buffer_totals(&self, ctx: &Context, schedule: ScheduleOp) -> (Resources, i64) {
+    /// Resources and number of the buffers `op`'s own level charges: the
+    /// `hida.buffer`s and `memref.alloc`s (baseline flows keep whole arrays on
+    /// chip) below it that no nested schedule holds.
+    fn buffer_totals(&self, ctx: &Context, op: OpId) -> (Resources, i64) {
         let mut analyses = self.analyses.borrow_mut();
-        let totals = analyses.get_with(ctx, schedule.id(), "buffer-totals", |ctx, op| {
-            let buffers = schedule.internal_buffers(ctx).into_iter();
-            let allocs = ctx.collect_ops(op, hida_dialects::memory::ALLOC);
-            let values = buffers
-                .map(|buffer| buffer.value(ctx))
-                .chain(allocs.into_iter().map(|alloc| ctx.op(alloc).results[0]));
-            BufferTotals::of(ctx, values)
-        });
-        (totals.resources, totals.count)
+        *analyses.get_with(ctx, op, "buffer-totals", |ctx, op| {
+            let mut totals = (Resources::zero(), 0);
+            walk_ops_pruned(ctx, op, &mut |ctx, nested| {
+                let operation = ctx.op(nested);
+                if nested != op && (operation.is(op_names::BUFFER) || operation.is(memory::ALLOC)) {
+                    totals.0 += buffer_info(ctx, operation.results[0]).resources();
+                    totals.1 += 1;
+                }
+                nested == op || !operation.is(op_names::SCHEDULE)
+            });
+            totals
+        })
     }
 
-    /// Estimates a structural dataflow schedule.
-    ///
-    /// When `dataflow_enabled` is false the nodes execute sequentially (the paper's
-    /// "w/o df" configurations); otherwise the schedule is a coarse-grained pipeline.
+    /// Estimates one level of a design — a function, a schedule or a node —
+    /// by one rule at any depth. A schedule combines its nodes: a
+    /// coarse-grained pipeline, or with `dataflow` false (the paper's
+    /// "w/o df") one node after the other. A function or node whose body
+    /// holds no schedule is one node. One that holds a schedule costs its
+    /// interval `I` once per trip `T` of the `affine.for`s around it, plus
+    /// fill and drain: `I·T + (L − I)`. Each level charges its own buffers;
+    /// an over-subscribed design is slowed down once, at the level asked for.
+    pub fn estimate(&self, ctx: &Context, op: OpId, dataflow: bool) -> DesignEstimate {
+        let mut design = self.level(ctx, op, dataflow);
+        // A design demanding more BRAM/DSP/LUT than the device provides must
+        // serialise or time-multiplex the excess, so its rate degrades with the
+        // over-subscription (this limits ScaleHLS-style all-on-chip designs
+        // and the Naive mode at large parallel factors).
+        let over = design.utilization;
+        if over > 1.0 {
+            design.interval_cycles = (design.interval_cycles as f64 * over).ceil() as i64;
+            design.latency_cycles = (design.latency_cycles as f64 * over).ceil() as i64;
+        }
+        design
+    }
+
+    /// [`DataflowEstimator::estimate`] of `schedule`. Kept only because
+    /// `benchmark/src/layers.rs:241` (frozen) calls it.
+    #[doc(hidden)]
     pub fn estimate_schedule(
         &self,
         ctx: &Context,
         schedule: ScheduleOp,
-        dataflow_enabled: bool,
+        dataflow: bool,
     ) -> DesignEstimate {
-        let nodes = schedule.nodes(ctx);
-        let node_estimates: Vec<NodeEstimate> = nodes
-            .iter()
-            .map(|&n| *self.body_estimate(ctx, n.id()))
-            .collect();
+        self.estimate(ctx, schedule.id(), dataflow)
+    }
 
-        let (buffer_res, buffer_count) = self.buffer_totals(ctx, schedule);
-        let compute_res: Resources = node_estimates.iter().map(|e| e.resources).sum();
-        let total_res = compute_res + buffer_res;
-        let total_macs: i64 = node_estimates.iter().map(|e| e.macs).sum();
-
-        let (mut interval, mut latency) = if dataflow_enabled {
-            self.pipeline_timing(ctx, schedule, &node_estimates)
-        } else {
-            let total: i64 = node_estimates.iter().map(|e| e.latency_cycles).sum();
-            (total.max(1), total.max(1))
+    /// [`DataflowEstimator::estimate`] without the over-subscription divisor.
+    fn level(&self, ctx: &Context, op: OpId, dataflow: bool) -> DesignEstimate {
+        let schedule = ScheduleOp::try_from_op(ctx, op);
+        let estimates: Vec<_> = match schedule {
+            Some(s) => s
+                .nodes(ctx)
+                .iter()
+                .map(|n| self.node(ctx, n.id(), dataflow))
+                .collect(),
+            None => vec![self.node(ctx, op, dataflow)],
         };
-        // Over-subscribed designs cannot sustain their nominal parallelism: a design
-        // demanding more BRAM/DSP/LUT than the device provides must serialise or
-        // time-multiplex the excess, so the achieved rate degrades proportionally to
-        // the over-subscription (this is what limits ScaleHLS-style all-on-chip
-        // designs and the Naive parallelization mode at large parallel factors).
-        let over = total_res.utilization(&self.device);
-        if over > 1.0 {
-            interval = (interval as f64 * over).ceil() as i64;
-            latency = (latency as f64 * over).ceil() as i64;
-        }
-
+        let (interval_cycles, latency_cycles) = self.timing(ctx, schedule, &estimates, dataflow);
+        let (buffers, buffer_count) = self.buffer_totals(ctx, op);
+        let resources = estimates.iter().map(|e| e.resources).sum::<Resources>() + buffers;
         DesignEstimate {
-            name: schedule_name(ctx, schedule.id()),
-            interval_cycles: interval,
-            latency_cycles: latency,
-            resources: total_res,
-            macs_per_sample: total_macs,
-            node_estimates,
+            name: schedule.map_or_else(|| estimates[0].name, |_| schedule_name(ctx, op)),
+            interval_cycles,
+            latency_cycles,
+            resources,
+            macs_per_sample: estimates.iter().map(|e| e.macs).sum(),
+            node_estimates: estimates,
             buffer_count,
             clock_mhz: self.device.clock_mhz,
-            utilization: total_res.utilization(&self.device),
+            utilization: resources.utilization(&self.device),
         }
     }
 
-    /// Estimates a plain function body (no dataflow structure), e.g. the Vitis-only
-    /// baseline or a single fused task.
-    pub fn estimate_function(&self, ctx: &Context, func: OpId) -> DesignEstimate {
-        let est = *self.body_estimate(ctx, func);
-        let buffers = [
-            hida_dialects::memory::ALLOC,
-            hida_dataflow_ir::op_names::BUFFER,
-        ]
-        .into_iter()
-        .flat_map(|name| ctx.collect_ops(func, name))
-        .map(|op| ctx.op(op).results[0]);
-        let buffers = BufferTotals::of(ctx, buffers);
-        let total_res = est.resources + buffers.resources;
-        let over = total_res.utilization(&self.device).max(1.0);
-        let cycles = (est.latency_cycles as f64 * over).ceil() as i64;
-        DesignEstimate {
-            name: est.name,
-            interval_cycles: cycles,
-            latency_cycles: cycles,
-            resources: total_res,
-            macs_per_sample: est.macs,
-            node_estimates: vec![est],
-            buffer_count: buffers.count,
-            clock_mhz: self.device.clock_mhz,
-            utilization: total_res.utilization(&self.device),
+    /// Node (or function) `op` as one stage: the node model over a leaf's
+    /// body, or the schedule it holds composed (never saved to the store: its
+    /// key would not be the node model's inputs).
+    fn node(&self, ctx: &Context, op: OpId, dataflow: bool) -> NodeEstimate {
+        let Some(inner) = ScheduleOp::within(ctx, op).next() else {
+            return *self.body_estimate(ctx, op);
+        };
+        let trips: i64 = std::iter::successors(ctx.parent_op(inner.id()), |&p| ctx.parent_op(p))
+            .take_while(|&p| p != op)
+            .filter(|&p| ctx.op(p).is(loops::FOR))
+            .map(|p| ForOp(p).trip_count(ctx).max(1))
+            .product();
+        let level = self.level(ctx, inner.id(), dataflow);
+        let nodes = &level.node_estimates;
+        NodeEstimate {
+            name: node_name(ctx, op),
+            latency_cycles: level.interval_cycles * (trips - 1) + level.latency_cycles,
+            ii: nodes.iter().map(|e| e.ii).max().unwrap_or(1),
+            resources: level.resources,
+            macs: level.macs_per_sample * trips,
+            external_bytes: nodes.iter().map(|e| e.external_bytes).sum::<i64>() * trips,
+            parallelism: nodes.iter().map(|e| e.parallelism).sum(),
         }
     }
 
@@ -330,17 +323,20 @@ impl DataflowEstimator {
         stall
     }
 
-    /// Computes the pipeline interval and end-to-end latency of a dataflow schedule,
-    /// accounting for unbalanced-path stalls. `estimates` go by node position.
-    fn pipeline_timing(
+    /// The interval and end-to-end latency of a level whose stages have
+    /// `estimates` (by node position): a schedule's as a pipeline, accounting
+    /// for unbalanced-path stalls, or else one stage after the other.
+    fn timing(
         &self,
         ctx: &Context,
-        schedule: ScheduleOp,
+        schedule: Option<ScheduleOp>,
         estimates: &[NodeEstimate],
+        dataflow: bool,
     ) -> (i64, i64) {
-        if estimates.is_empty() {
-            return (1, 1);
-        }
+        let total: i64 = estimates.iter().map(|e| e.latency_cycles).sum();
+        let Some(schedule) = schedule.filter(|_| dataflow && !estimates.is_empty()) else {
+            return (total.max(1), total.max(1));
+        };
         let graph = self.graph(ctx, schedule);
         let stall = Self::stall_factors(ctx, &graph);
         let interval = estimates
@@ -383,7 +379,7 @@ mod tests {
     use hida_dialects::arith;
     use hida_dialects::loops::build_loop_nest;
     use hida_dialects::memory::{build_load, build_store};
-    use hida_ir_core::{OpBuilder, Type, ValueId};
+    use hida_ir_core::{BlockId, OpBuilder, Operation, Type, ValueId};
 
     /// Adds a simple compute body (elementwise copy with one multiply) to a node,
     /// iterating `n` elements of its first two args.
@@ -436,8 +432,8 @@ mod tests {
         let est = DataflowEstimator::new(FpgaDevice::zu3eg());
         let mut ctx = Context::new();
         let schedule = two_node_schedule(&mut ctx, 1000, 4000);
-        let df = est.estimate_schedule(&ctx, schedule, true);
-        let seq = est.estimate_schedule(&ctx, schedule, false);
+        let df = est.estimate(&ctx, schedule.id(), true);
+        let seq = est.estimate(&ctx, schedule.id(), false);
         assert!(df.interval_cycles < seq.interval_cycles);
         // Sequential interval equals the sum; dataflow equals (roughly) the max.
         let lats: Vec<i64> = df.node_estimates.iter().map(|e| e.latency_cycles).collect();
@@ -453,7 +449,7 @@ mod tests {
         let est = DataflowEstimator::new(FpgaDevice::zu3eg());
         let mut ctx = Context::new();
         let schedule = two_node_schedule(&mut ctx, 4096, 4096);
-        let d = est.estimate_schedule(&ctx, schedule, true);
+        let d = est.estimate(&ctx, schedule.id(), true);
         assert_eq!(d.buffer_count, 3);
         assert!(d.resources.bram_18k > 0);
         assert!(d.utilization > 0.0);
@@ -511,7 +507,7 @@ mod tests {
                 ],
             );
             fill_node_body(&mut ctx, n2, 1024);
-            let d = est.estimate_schedule(&ctx, schedule, true);
+            let d = est.estimate(&ctx, schedule.id(), true);
             d.interval_cycles
         };
         let shallow = build(1);
@@ -527,7 +523,7 @@ mod tests {
         let est = DataflowEstimator::new(FpgaDevice::zu3eg());
         let mut ctx = Context::new();
         let schedule = two_node_schedule(&mut ctx, 1024, 2048);
-        let first = est.estimate_schedule(&ctx, schedule, true);
+        let first = est.estimate(&ctx, schedule.id(), true);
         let after_first = est.cache_stats();
         // 2 node estimates + 1 dataflow graph were computed.
         assert!(after_first.misses >= 3, "{after_first:?}");
@@ -535,8 +531,8 @@ mod tests {
 
         // The sequential variant and a repeat of the dataflow estimate recompute
         // nothing: the IR did not change.
-        let sequential = est.estimate_schedule(&ctx, schedule, false);
-        let second = est.estimate_schedule(&ctx, schedule, true);
+        let sequential = est.estimate(&ctx, schedule.id(), false);
+        let second = est.estimate(&ctx, schedule.id(), true);
         let after_repeats = est.cache_stats();
         assert!(after_repeats.hits >= 4, "{after_repeats:?}");
         assert_eq!(after_repeats.misses, after_first.misses);
@@ -546,7 +542,7 @@ mod tests {
         // Mutating the IR invalidates the memoized estimates.
         let node = schedule.nodes(&ctx)[0];
         fill_node_body(&mut ctx, node, 16);
-        let third = est.estimate_schedule(&ctx, schedule, true);
+        let third = est.estimate(&ctx, schedule.id(), true);
         assert!(est.cache_stats().misses > after_repeats.misses);
         assert!(third.node_estimates[0].latency_cycles >= first.node_estimates[0].latency_cycles);
 
@@ -581,20 +577,20 @@ mod tests {
 
         let est_a = DataflowEstimator::new(FpgaDevice::zu3eg()).with_shared_cache(cache.clone());
         let est_b = DataflowEstimator::new(FpgaDevice::zu3eg()).with_shared_cache(cache.clone());
-        let a = est_a.estimate_schedule(&ctx_a, schedule_a, true);
+        let a = est_a.estimate(&ctx_a, schedule_a.id(), true);
         assert_eq!(traffic(), (0, 2));
         // Saved entries are served once the batch is flushed.
         cache.flush();
         assert_eq!(cache.persistent_stats().unwrap().writes, 2);
 
-        let b = est_b.estimate_schedule(&ctx_b, schedule_b, true);
+        let b = est_b.estimate(&ctx_b, schedule_b.id(), true);
         // The second compilation's node estimates are pure store hits, and
         // the results are bit-identical to an isolated estimation.
         assert_eq!(traffic(), (2, 2));
         assert_eq!(a.node_estimates, b.node_estimates);
         assert_eq!(a.interval_cycles, b.interval_cycles);
         let isolated = DataflowEstimator::new(FpgaDevice::zu3eg());
-        let reference = isolated.estimate_schedule(&ctx_b, schedule_b, true);
+        let reference = isolated.estimate(&ctx_b, schedule_b.id(), true);
         assert_eq!(reference, b);
 
         // A design point where only the first node changed (same buffer
@@ -604,13 +600,13 @@ mod tests {
         let mut ctx_c = Context::new();
         let schedule_c = two_node_schedule(&mut ctx_c, 2000, 2048);
         let est_c = DataflowEstimator::new(FpgaDevice::zu3eg()).with_shared_cache(cache.clone());
-        est_c.estimate_schedule(&ctx_c, schedule_c, true);
+        est_c.estimate(&ctx_c, schedule_c.id(), true);
         assert_eq!(traffic(), (3, 3));
         cache.flush();
         assert_eq!(cache.persistent_stats().unwrap().writes, 3);
 
         // Clones start with a cold local cache but keep the store.
-        est_c.clone().estimate_schedule(&ctx_c, schedule_c, true);
+        est_c.clone().estimate(&ctx_c, schedule_c.id(), true);
         assert_eq!(traffic(), (5, 3));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -642,7 +638,7 @@ mod tests {
         let (cache, dir) = store_backed("keys");
         DataflowEstimator::new(FpgaDevice::zu3eg())
             .with_shared_cache(cache.clone())
-            .estimate_schedule(&ctx_b, schedule_b, true);
+            .estimate(&ctx_b, schedule_b.id(), true);
         cache.flush();
         let reopened = EstimateStore::open(&dir).unwrap();
         assert!(a.iter().all(|&key| reopened.load(key).is_some()));
@@ -650,6 +646,161 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A `hida.schedule` appended to `block` that takes `operands` in: its
+    /// body has one argument per operand.
+    fn inner_schedule(
+        ctx: &mut Context,
+        block: BlockId,
+        name: &str,
+        operands: &[ValueId],
+    ) -> (ScheduleOp, BlockId, Vec<ValueId>) {
+        let mut op = Operation::new(op_names::SCHEDULE);
+        op.operands = operands.iter().copied().collect();
+        let id = ctx.create_op(op);
+        ctx.set_attr(id, "schedule_name", name);
+        let region = ctx.create_region(id);
+        let body = ctx.create_block(region);
+        let args = operands
+            .iter()
+            .map(|&value| {
+                let ty = *ctx.value_type(value);
+                ctx.add_block_arg(body, ty)
+            })
+            .collect();
+        ctx.append_op(block, id);
+        (ScheduleOp(id), body, args)
+    }
+
+    /// A schedule over two 1024-element f32 ping-pong buffers with one node
+    /// `n` that reads the first and writes the second; the node comes back
+    /// with its body arguments, its body empty.
+    fn one_node_design(ctx: &mut Context) -> (ScheduleOp, NodeOp, Vec<ValueId>) {
+        let module = ctx.create_module("m");
+        let func = OpBuilder::at_end_of(ctx, module).create_func("f", vec![], vec![]);
+        let (schedule, body) = build_schedule(&mut OpBuilder::at_end_of(ctx, func), "top");
+        let mut buffer = |name: &str| {
+            let ty = Type::memref(vec![1024], Type::f32());
+            build_buffer(&mut OpBuilder::at_block_end(ctx, body), ty, 2, name).1
+        };
+        let (input, output) = (buffer("in"), buffer("out"));
+        let (node, args) = build_node(
+            ctx,
+            body,
+            "n",
+            &[(input, MemEffect::Read), (output, MemEffect::Write)],
+        );
+        (schedule, node, args)
+    }
+
+    /// Node `n` holds, inside a 4-trip loop, a schedule of two stages of
+    /// 1000 and 4000 elements joined by a buffer, and the first stage keeps
+    /// an 8192-element f32 array to itself.
+    #[test]
+    fn a_node_holding_a_schedule_costs_its_interval_per_trip_plus_fill_and_drain() {
+        let est = DataflowEstimator::new(FpgaDevice::zu3eg());
+        let mut ctx = Context::new();
+        let (top, node, args) = one_node_design(&mut ctx);
+        let node_body = node.body(&ctx);
+        let (_, _, around) = build_loop_nest(&mut ctx, node_body, &[(0, 4, "t")]);
+        let (inner, body, inner_args) = inner_schedule(&mut ctx, around, "stages", &args);
+        let mid = {
+            let ty = Type::memref(vec![1024], Type::f32());
+            build_buffer(&mut OpBuilder::at_block_end(&mut ctx, body), ty, 2, "mid").1
+        };
+        let (n0, _) = build_node(
+            &mut ctx,
+            body,
+            "n0",
+            &[(inner_args[0], MemEffect::Read), (mid, MemEffect::Write)],
+        );
+        fill_node_body(&mut ctx, n0, 1000);
+        let (n1, _) = build_node(
+            &mut ctx,
+            body,
+            "n1",
+            &[(mid, MemEffect::Read), (inner_args[1], MemEffect::Write)],
+        );
+        fill_node_body(&mut ctx, n1, 4000);
+        let array = Type::memref(vec![8192], Type::f32());
+        let n0_body = n0.body(&ctx);
+        hida_dialects::memory::build_alloc(
+            &mut OpBuilder::at_block_end(&mut ctx, n0_body),
+            array,
+            "scratch",
+        );
+
+        let (l0, l1) = (
+            est.estimate_node(&ctx, n0).latency_cycles,
+            est.estimate_node(&ctx, n1).latency_cycles,
+        );
+        assert!(l0 < l1);
+        let stages = est.estimate(&ctx, inner.id(), true);
+        assert_eq!(
+            (stages.interval_cycles, stages.latency_cycles),
+            (l1, l0 + l1)
+        );
+
+        // I·T + (L − I) with I = l1, L = l0 + l1, T = 4.
+        let design = est.estimate(&ctx, top.id(), true);
+        let composed = design.node_estimates[0];
+        assert_eq!(composed.name, Symbol::intern("n"));
+        assert_eq!(composed.latency_cycles, 4 * l1 + l0);
+        assert_eq!(composed.macs, 4 * (1000 + 4000));
+        assert_eq!(composed.parallelism, 2);
+        assert_eq!(design.interval_cycles, composed.latency_cycles);
+        assert_eq!(design.macs_per_sample, 20_000);
+        // Without dataflow the stages run back to back on each trip.
+        let sequential = est.estimate(&ctx, top.id(), false);
+        assert_eq!(sequential.node_estimates[0].latency_cycles, 4 * (l0 + l1));
+
+        // Each buffer once, at its own level: a 1024-element f32 ping-pong
+        // buffer is 2 BRAM18K a stage, 4 in all; the 262144-bit array is 15.
+        assert_eq!(
+            (stages.buffer_count, stages.resources.bram_18k),
+            (2, 4 + 15)
+        );
+        assert_eq!(composed.resources, stages.resources);
+        assert_eq!(
+            (design.buffer_count, design.resources.bram_18k),
+            (2, 4 + 4 + 4 + 15)
+        );
+        let alone = est.estimate(&ctx, node.id(), true);
+        assert_eq!((alone.buffer_count, alone.resources.bram_18k), (0, 4 + 15));
+    }
+
+    #[test]
+    fn a_one_node_schedule_at_trip_one_estimates_as_the_node_flattened() {
+        let est = DataflowEstimator::new(FpgaDevice::zu3eg());
+        let mut flat = Context::new();
+        let (flat_top, flat_node, _) = one_node_design(&mut flat);
+        fill_node_body(&mut flat, flat_node, 3000);
+        let mut nested = Context::new();
+        let (top, node, args) = one_node_design(&mut nested);
+        let node_body = node.body(&nested);
+        let (_, body, inner_args) = inner_schedule(&mut nested, node_body, "only", &args);
+        let (inner_node, _) = build_node(
+            &mut nested,
+            body,
+            "inner",
+            &[
+                (inner_args[0], MemEffect::Read),
+                (inner_args[1], MemEffect::Write),
+            ],
+        );
+        fill_node_body(&mut nested, inner_node, 3000);
+        for dataflow in [true, false] {
+            for (flat_op, nested_op) in [(flat_top.id(), top.id()), (flat_node.id(), node.id())] {
+                assert_eq!(
+                    est.estimate(&nested, nested_op, dataflow),
+                    est.estimate(&flat, flat_op, dataflow),
+                    "dataflow {dataflow}"
+                );
+            }
+        }
+    }
+
+    /// The estimate of a function whose body holds no schedule: one node,
+    /// its allocs charged at its level.
     #[test]
     fn estimate_function_includes_on_chip_allocs() {
         let est = DataflowEstimator::new(FpgaDevice::zu3eg());
@@ -665,7 +816,7 @@ mod tests {
         let mut b = OpBuilder::at_block_end(&mut ctx, inner);
         let x = build_load(&mut b, a, &[ivs[0]]);
         build_store(&mut b, x, a, &[ivs[0]]);
-        let d = est.estimate_function(&ctx, func);
+        let d = est.estimate(&ctx, func, false);
         assert_eq!(d.buffer_count, 1);
         assert!(d.resources.bram_18k >= 14); // 32 KiB of f32 data in 18 Kb blocks.
         assert_eq!(d.interval_cycles, d.latency_cycles);

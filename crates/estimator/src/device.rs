@@ -4,6 +4,18 @@
 //! * AMD-Xilinx ZU3EG — the PolyBench C++ kernel platform (§7.1).
 //! * One super logic region (SLR) of an AMD-Xilinx VU9P — the DNN platform (§7.2).
 
+/// The catalog, in ascending size order: each device's name and the
+/// constructor that builds it under that name.
+const CATALOG: [(&str, Build); 3] = [
+    (PYNQ_Z2, FpgaDevice::pynq_z2),
+    (ZU3EG, FpgaDevice::zu3eg),
+    (VU9P_SLR, FpgaDevice::vu9p_slr),
+];
+const PYNQ_Z2: &str = "pynq-z2";
+const ZU3EG: &str = "zu3eg";
+const VU9P_SLR: &str = "vu9p-slr";
+type Build = fn() -> FpgaDevice;
+
 /// Static description of an FPGA target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
@@ -33,7 +45,7 @@ impl FpgaDevice {
     /// AMD PYNQ-Z2 board (Zynq-7020), used for the LeNet case study.
     pub fn pynq_z2() -> Self {
         FpgaDevice {
-            name: "pynq-z2".to_string(),
+            name: PYNQ_Z2.to_string(),
             dsp: 220,
             bram_18k: 280,
             uram: 0,
@@ -49,7 +61,7 @@ impl FpgaDevice {
     /// AMD-Xilinx ZU3EG, used for the PolyBench kernels (Table 7).
     pub fn zu3eg() -> Self {
         FpgaDevice {
-            name: "zu3eg".to_string(),
+            name: ZU3EG.to_string(),
             dsp: 360,
             bram_18k: 432,
             uram: 0,
@@ -66,7 +78,7 @@ impl FpgaDevice {
     /// (Table 8). The paper constrains resources to match DNNBuilder.
     pub fn vu9p_slr() -> Self {
         FpgaDevice {
-            name: "vu9p-slr".to_string(),
+            name: VU9P_SLR.to_string(),
             dsp: 2_280,
             bram_18k: 1_440,
             uram: 320,
@@ -81,17 +93,23 @@ impl FpgaDevice {
 
     /// Every device in the catalog, in ascending size order.
     pub fn catalog() -> Vec<FpgaDevice> {
-        vec![
-            FpgaDevice::pynq_z2(),
-            FpgaDevice::zu3eg(),
-            FpgaDevice::vu9p_slr(),
-        ]
+        CATALOG.iter().map(|(_, build)| build()).collect()
+    }
+
+    /// The names of the catalog's devices, in the catalog's order: what the
+    /// textual pipeline syntax's `device=` option accepts. Builds nothing.
+    pub fn catalog_names() -> impl Iterator<Item = &'static str> {
+        CATALOG.iter().map(|&(name, _)| name)
     }
 
     /// Looks a catalog device up by its name (`"pynq-z2"`, `"zu3eg"`,
-    /// `"vu9p-slr"`), as used by the textual pipeline syntax's `device=` option.
+    /// `"vu9p-slr"`): the name is matched first, and only the device it
+    /// names is built.
     pub fn by_name(name: &str) -> Option<FpgaDevice> {
-        FpgaDevice::catalog().into_iter().find(|d| d.name == name)
+        CATALOG
+            .iter()
+            .find(|&&(known, _)| known == name)
+            .map(|(_, build)| build())
     }
 }
 
@@ -117,6 +135,8 @@ mod tests {
             assert_eq!(FpgaDevice::by_name(&device.name), Some(device.clone()));
         }
         assert_eq!(FpgaDevice::by_name("unknown-board"), None);
+        let names: Vec<String> = FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
+        assert!(FpgaDevice::catalog_names().eq(names.iter().map(String::as_str)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::device::FpgaDevice;
 use crate::resource::{buffer_resources, compute_resources, Resources};
-use hida_dataflow_ir::structural::{BufferOp, NodeOp};
+use hida_dataflow_ir::structural::{BufferOp, NodeOp, ScheduleOp};
 use hida_dialects::analysis::ComputeProfile;
 use hida_dialects::hls::{self, MemoryKind};
 use hida_dialects::{loops, transforms};
@@ -64,8 +64,10 @@ impl BufferInfo<'_> {
     }
 }
 
-/// The value a buffer-like SSA value stands for: a node body argument
-/// resolves to the node operand it mirrors, anything else is itself.
+/// The value a buffer-like SSA value stands for: a body argument of a node
+/// or of a nested schedule resolves to the operand it mirrors (the two ops
+/// are isolated, so a buffer crosses each as an operand), anything else is
+/// itself.
 fn resolve_buffer(ctx: &Context, value: ValueId) -> ValueId {
     let Some(block) = ctx.value(value).owner_block() else {
         return value;
@@ -74,15 +76,18 @@ fn resolve_buffer(ctx: &Context, value: ValueId) -> ValueId {
         .block(block)
         .parent_region
         .and_then(|r| ctx.region(r).parent_op)
-        .and_then(|owner| NodeOp::try_from_op(ctx, owner));
-    let Some(node) = owner else { return value };
+        .filter(|&owner| {
+            NodeOp::try_from_op(ctx, owner).is_some()
+                || ScheduleOp::try_from_op(ctx, owner).is_some()
+        });
+    let Some(owner) = owner else { return value };
     let idx = ctx
         .block(block)
         .args
         .iter()
         .position(|&a| a == value)
         .unwrap_or(0);
-    match ctx.op(node.id()).operands.get(idx) {
+    match ctx.op(owner).operands.get(idx) {
         Some(&operand) => resolve_buffer(ctx, operand),
         None => value,
     }
@@ -99,7 +104,8 @@ pub fn buffer_depth(ctx: &Context, value: ValueId) -> i64 {
 
 /// Resolves the physical description of a buffer-like SSA value: a `hida.buffer`
 /// result, a `memref.alloc` result, any other value (an external interface), or a
-/// node body argument (resolved through the node operand it mirrors).
+/// body argument of a node or of a nested schedule (resolved through the
+/// operand it mirrors).
 pub fn buffer_info(ctx: &Context, value: ValueId) -> BufferInfo<'_> {
     let value = resolve_buffer(ctx, value);
     let ty = ctx.value_type(value);

@@ -32,7 +32,7 @@ pub fn design_bound(
     device: &FpgaDevice,
     _cache: Option<&SharedEstimateCache>,
 ) -> DesignBound {
-    let estimate = DataflowEstimator::new(device.clone()).estimate_schedule(ctx, schedule, true);
+    let estimate = DataflowEstimator::new(device.clone()).estimate(ctx, schedule.id(), true);
     DesignBound {
         interval_lb: estimate.interval_cycles,
         resources: estimate.resources,
@@ -96,7 +96,7 @@ mod tests {
         let device = FpgaDevice::zu3eg();
         let mut ctx = Context::new();
         let schedule = two_node_schedule(&mut ctx, 1024, 4096);
-        let exact = DataflowEstimator::new(device.clone()).estimate_schedule(&ctx, schedule, true);
+        let exact = DataflowEstimator::new(device.clone()).estimate(&ctx, schedule.id(), true);
 
         // The bound is the estimate itself: as tight as a bound gets.
         let bound = design_bound(&ctx, schedule, &device, None);

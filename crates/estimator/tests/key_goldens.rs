@@ -168,10 +168,10 @@ fn estimate_all(cache: &Arc<SharedEstimateCache>) -> (BTreeSet<hida_ir_core::Fin
         }
         let served = DataflowEstimator::new(design.device.clone())
             .with_shared_cache(Arc::clone(cache))
-            .estimate_schedule(&design.ctx, design.schedule, true);
-        let computed = DataflowEstimator::new(design.device.clone()).estimate_schedule(
+            .estimate(&design.ctx, design.schedule.id(), true);
+        let computed = DataflowEstimator::new(design.device.clone()).estimate(
             &design.ctx,
-            design.schedule,
+            design.schedule.id(),
             true,
         );
         assert_eq!(served, computed);

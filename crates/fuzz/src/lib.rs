@@ -484,7 +484,7 @@ pub fn run_case(seed: u64) -> Result<CaseReport, CaseFailure> {
 
     // 5. Interval model: timed simulation vs analytic estimate.
     let estimator = DataflowEstimator::new(FpgaDevice::zu3eg());
-    let analytic = estimator.estimate_schedule(&parsed_ctx, schedule, true);
+    let analytic = estimator.estimate(&parsed_ctx, schedule.id(), true);
     let trace = simulate_pipeline(&parsed_ctx, schedule, &estimator, 8, true);
     if analytic.interval_cycles > 0 && trace.steady_interval > 0 {
         let ratio = trace.steady_interval as f64 / analytic.interval_cycles as f64;

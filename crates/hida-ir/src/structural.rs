@@ -11,7 +11,7 @@ use crate::op_names;
 use hida_dialects::analysis::MemEffect;
 use hida_dialects::hls;
 use hida_ir_core::{
-    walk_ops_preorder, Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId,
+    preorder_below, walk_ops_preorder, Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId,
 };
 
 /// Typed view over a `hida.buffer` operation.
@@ -342,6 +342,15 @@ impl ScheduleOp {
         } else {
             None
         }
+    }
+
+    /// The schedules of `op` — a function, or a node that holds a schedule —
+    /// outermost first: every `hida.schedule` below `op` in pre-order, so a
+    /// schedule comes before the ones nested in its nodes. The first is the
+    /// one lowering appends to a function, and the one a node's cost and
+    /// emission are made of; a leaf node yields none. Allocates nothing.
+    pub fn within(ctx: &Context, op: OpId) -> impl Iterator<Item = ScheduleOp> + '_ {
+        preorder_below(ctx, op).filter_map(|op| ScheduleOp::try_from_op(ctx, op))
     }
 
     /// The underlying operation id.

@@ -221,8 +221,8 @@ mod tests {
         }
         // The design is estimable and faster with dataflow than without.
         let est = DataflowEstimator::new(FpgaDevice::zu3eg());
-        let with_df = est.estimate_schedule(&ctx, schedule, true);
-        let without_df = est.estimate_schedule(&ctx, schedule, false);
+        let with_df = est.estimate(&ctx, schedule.id(), true);
+        let without_df = est.estimate(&ctx, schedule.id(), false);
         assert!(with_df.throughput() > without_df.throughput());
     }
 

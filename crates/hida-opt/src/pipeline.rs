@@ -49,23 +49,16 @@ use hida_ir_core::{
     parse_pipeline, print_pipeline, Context, IrError, IrResult, OpId, PassInvocation,
 };
 
-/// The schedule lowering built in `func`: the last `hida.schedule` of its
-/// body, where [`lower::lower_to_structural`] appends it.
-fn schedule_in(ctx: &Context, func: OpId) -> Option<ScheduleOp> {
-    ctx.block(ctx.body_block(func))
-        .ops
-        .iter()
-        .rev()
-        .find_map(|&op| ScheduleOp::try_from_op(ctx, op))
-}
-
-/// The schedule a finished run left in `func`.
-fn produced_schedule(ctx: &Context, func: OpId) -> IrResult<ScheduleOp> {
-    schedule_in(ctx, func).ok_or_else(|| {
+/// The schedule the structural passes work on and a run produces: the
+/// outermost of `func`'s ([`ScheduleOp::within`]), where lowering appends
+/// it — or the failure of `pass` (a structural pass, or `hida-pipeline` at
+/// the end of a run) when there is none.
+fn lowered(ctx: &Context, func: OpId, pass: &str) -> IrResult<ScheduleOp> {
+    ScheduleOp::within(ctx, func).next().ok_or_else(|| {
         IrError::pass_failed(
-            "hida-pipeline",
+            pass,
             format!(
-                "pipeline finished without producing a ScheduleOp (does it include {}?)",
+                "no hida.schedule in the function — run {} first",
                 HidaPass::Lower.name()
             ),
         )
@@ -112,22 +105,6 @@ pub enum HidaPass {
         /// Parallelization strategy (IA/CA ablation axis).
         mode: ParallelMode,
     },
-}
-
-impl HidaPass {
-    /// The schedule a structural pass works on, or a diagnostic naming the
-    /// pass when lowering has not run yet.
-    fn schedule(&self, ctx: &Context, func: OpId) -> IrResult<ScheduleOp> {
-        schedule_in(ctx, func).ok_or_else(|| {
-            IrError::pass_failed(
-                self.name(),
-                format!(
-                    "no hida.schedule in the function — run {} first",
-                    HidaPass::Lower.name()
-                ),
-            )
-        })
-    }
 }
 
 impl Pass for HidaPass {
@@ -184,14 +161,14 @@ impl Pass for HidaPass {
             HidaPass::Fusion { patterns } => fusion::fuse_tasks(ctx, analyses, root, patterns),
             HidaPass::Lower => lower::lower_to_structural(ctx, analyses, root).map(drop),
             HidaPass::MultiProducerElim => {
-                let schedule = self.schedule(ctx, root)?;
+                let schedule = lowered(ctx, root, self.name())?;
                 structural_opt::eliminate_multi_producers(ctx, schedule)
             }
             HidaPass::Tiling {
                 tile_size,
                 external_threshold_bytes,
             } => {
-                let schedule = self.schedule(ctx, root)?;
+                let schedule = lowered(ctx, root, self.name())?;
                 tiling::apply_tiling(
                     ctx,
                     analyses,
@@ -204,7 +181,7 @@ impl Pass for HidaPass {
             HidaPass::Balance {
                 external_threshold_bytes,
             } => {
-                let schedule = self.schedule(ctx, root)?;
+                let schedule = lowered(ctx, root, self.name())?;
                 structural_opt::balance_data_paths(
                     ctx,
                     analyses,
@@ -216,7 +193,7 @@ impl Pass for HidaPass {
                 max_parallel_factor,
                 mode,
             } => {
-                let schedule = self.schedule(ctx, root)?;
+                let schedule = lowered(ctx, root, self.name())?;
                 parallelize::parallelize_schedule(
                     ctx,
                     analyses,
@@ -282,7 +259,7 @@ impl Checkpoint {
     /// # Errors
     /// Fails when none of them lowered the function.
     pub fn schedule(&self) -> IrResult<ScheduleOp> {
-        produced_schedule(&self.ctx, self.func)
+        lowered(&self.ctx, self.func, "hida-pipeline")
     }
 
     /// The post-pass verification of the last pass run, when it ran and
@@ -442,7 +419,7 @@ impl Pipeline {
     pub fn run(&mut self, ctx: &mut Context, func: OpId) -> IrResult<ScheduleOp> {
         self.last = RunState::default();
         run_passes(&self.passes, self.verify_each, ctx, func, &mut self.last)?;
-        produced_schedule(ctx, func)
+        lowered(ctx, func, "hida-pipeline")
     }
 
     /// Continues `checkpoint` with this pipeline's passes, from the first one
@@ -635,9 +612,10 @@ mod tests {
         let pipeline = Pipeline::parse(&crate::registry::registry(), "construct").unwrap();
         pipeline.resume(&mut checkpoint, 1).unwrap();
         let message = checkpoint.schedule().unwrap_err().to_string();
-        assert!(
-            message.contains("without producing a ScheduleOp"),
-            "{message}"
+        assert_eq!(
+            message,
+            "pass 'hida-pipeline' failed: no hida.schedule in the function — \
+             run hida-lower-structural first"
         );
     }
 
@@ -706,7 +684,7 @@ mod tests {
         )
         .unwrap();
         let schedule = pipeline.run(&mut ctx, func).unwrap();
-        assert_eq!(schedule_in(&ctx, func), Some(schedule));
+        assert!(ScheduleOp::within(&ctx, func).eq([schedule]));
         assert_eq!(schedule.nodes(&ctx).len(), 2);
         // Both tilings tile the one schedule: each adds its tile buffers.
         let live_ops: Vec<usize> = pipeline

@@ -319,9 +319,8 @@ fn build(
             })?;
             // A catalog name is its device's name, so it is reported as given.
             let device = options.value("device");
-            if FpgaDevice::by_name(device).is_none() {
-                let known: Vec<String> =
-                    FpgaDevice::catalog().into_iter().map(|d| d.name).collect();
+            if !FpgaDevice::catalog_names().any(|known| known == device) {
+                let known: Vec<&str> = FpgaDevice::catalog_names().collect();
                 return Err(format!(
                     "option 'device': unknown device '{device}' (known: {})",
                     known.join(", ")

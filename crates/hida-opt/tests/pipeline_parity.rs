@@ -106,7 +106,7 @@ fn run_hand_rolled(ctx: &mut Context, func: OpId, options: &HidaOptions) -> Sche
 }
 
 fn estimate(ctx: &Context, schedule: ScheduleOp, options: &HidaOptions) -> DesignEstimate {
-    DataflowEstimator::new(options.device.clone()).estimate_schedule(ctx, schedule, true)
+    DataflowEstimator::new(options.device.clone()).estimate(ctx, schedule.id(), true)
 }
 
 enum TestWorkload {

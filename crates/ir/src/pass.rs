@@ -35,11 +35,21 @@ pub struct PassOption {
 }
 
 impl PassOption {
-    /// Creates an option from any displayable value.
+    /// Creates an option from any displayable value, rendered into a stack
+    /// buffer and interned from there: a value seen before allocates nothing
+    /// (one longer than the buffer is rendered into a `String`).
     pub fn new(name: &str, value: impl fmt::Display) -> Self {
+        let mut stack = [0_u8; 64];
+        let mut cursor = std::io::Cursor::new(&mut stack[..]);
+        let fits = std::io::Write::write_fmt(&mut cursor, format_args!("{value}")).is_ok();
+        let len = cursor.position() as usize;
+        let value = match std::str::from_utf8(&stack[..len]) {
+            Ok(rendered) if fits => Symbol::intern(rendered),
+            _ => Symbol::from(value.to_string()),
+        };
         PassOption {
             name: Symbol::intern(name),
-            value: Symbol::from(value.to_string()),
+            value,
         }
     }
 }
@@ -778,6 +788,21 @@ mod tests {
         let result = run_passes(&passes, false, &mut ctx2, module2, &mut run);
         assert!(result.is_ok());
         assert!(!run.statistics[0].verified);
+    }
+
+    #[test]
+    fn option_values_render_whole_at_any_length() {
+        for value in [
+            "IA+CA".to_string(),
+            "9".repeat(64),
+            "x".repeat(65),
+            "é".repeat(40),
+        ] {
+            let option = PassOption::new("key", &value);
+            assert_eq!(option.value.as_str(), value);
+            assert!(option.value.ptr_eq(Symbol::intern(&value)));
+        }
+        assert_eq!(PassOption::new("n", -12).to_string(), "n=-12");
     }
 
     #[test]

@@ -139,7 +139,7 @@ mod tests {
     fn dataflow_simulation_matches_the_analytic_interval_model() {
         let (ctx, schedule) = optimized(PolybenchKernel::ThreeMm);
         let estimator = DataflowEstimator::new(FpgaDevice::zu3eg());
-        let analytic = estimator.estimate_schedule(&ctx, schedule, true);
+        let analytic = estimator.estimate(&ctx, schedule.id(), true);
         let trace = simulate_pipeline(&ctx, schedule, &estimator, 8, true);
         // Steady-state interval must match the analytic critical-node interval within
         // a small tolerance (the analytic model adds stall factors conservatively).
