@@ -141,7 +141,7 @@ enum Kind {
     Buffer,
     /// A node the node model's loop nest stands for.
     Leaf,
-    /// A node that holds a schedule ([`ScheduleOp::within`]).
+    /// A node that holds a schedule ([`ScheduleOp::first_within`]).
     Holds(ScheduleOp),
 }
 
@@ -160,7 +160,7 @@ impl Names {
     fn fill_level(&mut self, ctx: &Context, schedule: ScheduleOp) {
         for &op in ctx.block(schedule.body(ctx)).ops.iter() {
             let kind = match ctx.op(op).name.as_str() {
-                op_names::NODE => match ScheduleOp::within(ctx, op).next() {
+                op_names::NODE => match ScheduleOp::first_within(ctx, op) {
                     Some(inner) => {
                         self.fill_level(ctx, inner);
                         Kind::Holds(inner)

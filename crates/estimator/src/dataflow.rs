@@ -158,7 +158,8 @@ impl DataflowEstimator {
 
     /// The estimate of `op`'s body, memoized per IR generation in the
     /// analysis manager (the device is fixed per estimator, so the (type,
-    /// op) key is unambiguous within one instance): gather, then evaluate.
+    /// op) key is unambiguous within one instance): gather, then evaluate —
+    /// unless `valid`, the manager holding a valid one already.
     /// With a store attached the gathered inputs are keyed and looked up in
     /// between, and what a miss evaluates is saved — without a name, which
     /// is no input of the key (an entry may come from a body with equal
@@ -166,12 +167,7 @@ impl DataflowEstimator {
     /// own.
     /// A miss reads this same manager (the node's profile), so it is
     /// computed before the manager is borrowed for the result.
-    fn body_estimate(&self, ctx: &Context, op: OpId) -> Arc<NodeEstimate> {
-        let valid = self
-            .analyses
-            .borrow()
-            .cached_any::<NodeEstimate>(ctx, op)
-            .is_some();
+    fn body_estimate(&self, ctx: &Context, op: OpId, valid: bool) -> Arc<NodeEstimate> {
         let estimate = (!valid).then(|| {
             let inputs = self.inputs(ctx, op);
             let name = node_name(ctx, op);
@@ -280,11 +276,18 @@ impl DataflowEstimator {
     }
 
     /// Node (or function) `op` as one stage: the node model over a leaf's
-    /// body, or the schedule it holds composed (never saved to the store: its
-    /// key would not be the node model's inputs).
+    /// body, or the schedule it holds composed (never memoized nor saved to
+    /// the store: its key would not be the node model's inputs), so a valid
+    /// memoized estimate is a leaf's, found without looking for a schedule.
     fn node(&self, ctx: &Context, op: OpId, dataflow: bool) -> NodeEstimate {
-        let Some(inner) = ScheduleOp::within(ctx, op).next() else {
-            return *self.body_estimate(ctx, op);
+        let leaf = self
+            .analyses
+            .borrow()
+            .cached_any::<NodeEstimate>(ctx, op)
+            .is_some();
+        let inner = (!leaf).then(|| ScheduleOp::first_within(ctx, op));
+        let Some(inner) = inner.flatten() else {
+            return *self.body_estimate(ctx, op, leaf);
         };
         let trips: i64 = std::iter::successors(ctx.parent_op(inner.id()), |&p| ctx.parent_op(p))
             .take_while(|&p| p != op)

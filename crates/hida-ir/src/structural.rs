@@ -10,8 +10,10 @@
 use crate::op_names;
 use hida_dialects::analysis::MemEffect;
 use hida_dialects::hls;
+use hida_dialects::loops;
+use hida_ir_core::walk::walk_ops_pruned;
 use hida_ir_core::{
-    preorder_below, walk_ops_preorder, Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId,
+    walk_ops_preorder, Attribute, BlockId, Context, OpBuilder, OpId, Type, ValueId,
 };
 
 /// Typed view over a `hida.buffer` operation.
@@ -344,13 +346,21 @@ impl ScheduleOp {
         }
     }
 
-    /// The schedules of `op` — a function, or a node that holds a schedule —
-    /// outermost first: every `hida.schedule` below `op` in pre-order, so a
-    /// schedule comes before the ones nested in its nodes. The first is the
-    /// one lowering appends to a function, and the one a node's cost and
-    /// emission are made of; a leaf node yields none. Allocates nothing.
-    pub fn within(ctx: &Context, op: OpId) -> impl Iterator<Item = ScheduleOp> + '_ {
-        preorder_below(ctx, op).filter_map(|op| ScheduleOp::try_from_op(ctx, op))
+    /// The schedule `op` — a function, or a node that holds a schedule — is
+    /// made of: the first `hida.schedule` in its body, directly or inside
+    /// `affine.for` loops there, the only places one can sit (the verifier
+    /// holds a node to one). It is the one lowering appends to a function;
+    /// a leaf node has none. Allocates nothing, and descends into no other op.
+    pub fn first_within(ctx: &Context, op: OpId) -> Option<ScheduleOp> {
+        let mut found = None;
+        walk_ops_pruned(ctx, op, &mut |ctx, nested| {
+            if nested == op {
+                return true;
+            }
+            found = found.or_else(|| ScheduleOp::try_from_op(ctx, nested));
+            found.is_none() && ctx.op(nested).is(loops::FOR)
+        });
+        found
     }
 
     /// The underlying operation id.

@@ -50,11 +50,11 @@ use hida_ir_core::{
 };
 
 /// The schedule the structural passes work on and a run produces: the
-/// outermost of `func`'s ([`ScheduleOp::within`]), where lowering appends
+/// one `func` is made of ([`ScheduleOp::first_within`]), where lowering appends
 /// it — or the failure of `pass` (a structural pass, or `hida-pipeline` at
 /// the end of a run) when there is none.
 fn lowered(ctx: &Context, func: OpId, pass: &str) -> IrResult<ScheduleOp> {
-    ScheduleOp::within(ctx, func).next().ok_or_else(|| {
+    ScheduleOp::first_within(ctx, func).ok_or_else(|| {
         IrError::pass_failed(
             pass,
             format!(
@@ -684,7 +684,10 @@ mod tests {
         )
         .unwrap();
         let schedule = pipeline.run(&mut ctx, func).unwrap();
-        assert!(ScheduleOp::within(&ctx, func).eq([schedule]));
+        assert_eq!(
+            ctx.collect_ops(func, hida_dataflow_ir::op_names::SCHEDULE),
+            [schedule.id()]
+        );
         assert_eq!(schedule.nodes(&ctx).len(), 2);
         // Both tilings tile the one schedule: each adds its tile buffers.
         let live_ops: Vec<usize> = pipeline

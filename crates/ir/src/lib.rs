@@ -75,7 +75,7 @@ pub use parse::{
 pub use pass::{run_passes, Pass, PassOption, PassStatistics, RunState, Verified};
 pub use storage::{EntityMap, IdList};
 pub use types::Type;
-pub use walk::{preorder_below, walk_ops_postorder, walk_ops_preorder, WalkOrder};
+pub use walk::{walk_ops_postorder, walk_ops_preorder, WalkOrder};
 
 /// Well-known operation names used across the workspace.
 ///

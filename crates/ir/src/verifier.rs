@@ -9,7 +9,9 @@
 //! * *isolated-from-above* ops (functions, `hida.node`, `hida.schedule`) do not
 //!   reference values defined outside their own regions (paper §5.2),
 //! * erased values are not referenced: an operand's defining op is live and
-//!   still lists it as the result at its index.
+//!   still lists it as the result at its index,
+//! * a `hida.schedule` inside a `hida.node` is all the node holds: alone in
+//!   its body, or alone in a perfect `affine.for` nest there.
 //!
 //! One pre-order walk checks all of it, visiting each op once with O(1) work
 //! per operand. Dominance is read off scope marks: an op is in scope from the
@@ -187,6 +189,14 @@ impl Walk<'_> {
                 ));
             }
         }
+        if checking && problem.is_none() && operation.name == SCHEDULE {
+            problem = misplaced(ctx, op).map(|node| {
+                format!(
+                    "'{SCHEDULE}' ({op}) is not alone in '{NODE}' ({node}): \
+                     a node holds one schedule and nothing beside it"
+                )
+            });
+        }
         let isolated = !operation.regions.is_empty() && operation.name.is_isolated();
         // Having passed verification, an isolated subtree uses nothing
         // defined outside itself: nothing below it is a live-in around it.
@@ -279,6 +289,29 @@ impl Walk<'_> {
             *counted_at = scratch.clock;
         }
         visible
+    }
+}
+
+const SCHEDULE: &str = "hida.schedule";
+const NODE: &str = "hida.node";
+const LOOP: &str = "affine.for";
+
+/// The node `schedule` sits in, when it is not all that node is made of:
+/// alone in the node's body, or alone in a perfect `affine.for` nest there.
+/// A node that holds a schedule is costed and emitted as that schedule, so
+/// a second schedule or compute beside it would be dropped.
+fn misplaced(ctx: &Context, schedule: OpId) -> Option<OpId> {
+    let mut alone = true;
+    let mut op = schedule;
+    loop {
+        alone &= ctx.block(ctx.op(op).parent_block?).ops.len() == 1;
+        let parent = ctx.parent_op(op)?;
+        let name = ctx.op(parent).name;
+        if name.is_isolated() {
+            return (name == NODE && !alone).then_some(parent);
+        }
+        alone &= name == LOOP;
+        op = parent;
     }
 }
 

@@ -5,7 +5,7 @@
 //! while task fusion (Algorithm 2) walks pre-order ("top-down").
 
 use crate::context::Context;
-use crate::ids::{BlockId, OpId};
+use crate::ids::OpId;
 
 /// Traversal order for [`walk_ops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,49 +66,6 @@ pub fn walk_ops_postorder(ctx: &Context, root: OpId, visit: &mut dyn FnMut(&Cont
     walk_ops(ctx, root, WalkOrder::PostOrder, visit);
 }
 
-/// The ops nested below `root` (not `root` itself), in pre-order, one step at
-/// a time and without allocating: a step goes to the first op nested in the
-/// current one, else to the op after it — or after the nearest of its
-/// ancestors below `root` that has one. A caller that stops early (a `find`)
-/// walks no further than what it read.
-pub fn preorder_below(ctx: &Context, root: OpId) -> impl Iterator<Item = OpId> + '_ {
-    let first_in = move |op| blocks_of(ctx, op).find_map(|block| first_op(ctx, block));
-    std::iter::successors(first_in(root), move |&op| {
-        first_in(op).or_else(|| next_outside(ctx, root, op))
-    })
-}
-
-/// The blocks of `op`'s regions, in order.
-fn blocks_of(ctx: &Context, op: OpId) -> impl Iterator<Item = BlockId> + '_ {
-    let regions = ctx.op(op).payload().regions.iter();
-    regions.flat_map(move |&region| ctx.region(region).blocks.iter().copied())
-}
-
-fn first_op(ctx: &Context, block: BlockId) -> Option<OpId> {
-    ctx.block(block).ops.first().copied()
-}
-
-/// The op after `op` in pre-order that is not nested in it, while still below
-/// `root`.
-fn next_outside(ctx: &Context, root: OpId, mut op: OpId) -> Option<OpId> {
-    while op != root {
-        let block_id = ctx.op(op).parent_block?;
-        let block = ctx.block(block_id);
-        if let Some(&next) = block.ops.get(block.position_of(op)? + 1) {
-            return Some(next);
-        }
-        let parent = ctx.region(block.parent_region?).parent_op?;
-        let mut later = blocks_of(ctx, parent)
-            .skip_while(|&b| b != block_id)
-            .skip(1);
-        if let Some(next) = later.find_map(|block| first_op(ctx, block)) {
-            return Some(next);
-        }
-        op = parent;
-    }
-    None
-}
-
 /// Collects every op visited by a pre-order walk, including `root`.
 pub fn collect_preorder(ctx: &Context, root: OpId) -> Vec<OpId> {
     let mut out = Vec::new();
@@ -150,25 +107,6 @@ mod tests {
         assert!(pos(func) < pos(outer));
         assert!(pos(outer) < pos(inner));
         assert_eq!(order.len(), 5); // module, func, outer, inner, constant
-    }
-
-    #[test]
-    fn preorder_below_steps_like_the_recursive_walk() {
-        let mut ctx = Context::new();
-        let (module, func, outer, _) = nested_module(&mut ctx);
-        // A second region with two blocks, and an op after `outer`: every
-        // way a step can leave a block.
-        let region = ctx.create_region(outer);
-        for value in [2, 3] {
-            let block = ctx.create_block(region);
-            OpBuilder::at_block_end(&mut ctx, block).create_constant_int(value, Type::i32());
-        }
-        OpBuilder::at_end_of(&mut ctx, func).create_constant_int(4, Type::i32());
-        for root in collect_preorder(&ctx, module) {
-            let walked = collect_preorder(&ctx, root);
-            assert!(preorder_below(&ctx, root).eq(walked[1..].iter().copied()));
-        }
-        assert_eq!(preorder_below(&ctx, module).count(), 7);
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! estimator and the emitter.
 
 use hida::dataflow_ir::graph::DataflowGraph;
-use hida::dataflow_ir::structural::{NodeOp, ScheduleOp};
+use hida::dataflow_ir::op_names;
+use hida::dataflow_ir::structural::{build_schedule, NodeOp, ScheduleOp};
 use hida::estimator::dataflow::DataflowEstimator;
-use hida::ir::{parse_module, printer::print_op, structural_fingerprint, verifier, Context, OpId};
+use hida::ir::{
+    parse_module, printer::print_op, structural_fingerprint, verifier, Context, OpBuilder, OpId,
+    Type,
+};
 use hida::{Checkpoint, FpgaDevice};
 
 const TEXT: &str = include_str!("../examples/nested.hir");
@@ -22,13 +26,15 @@ fn parsed() -> (Context, OpId, OpId) {
 
 /// The top schedule, the `tiled` node and the schedule it holds.
 fn levels(ctx: &Context, func: OpId) -> (ScheduleOp, NodeOp, ScheduleOp) {
-    let schedules: Vec<ScheduleOp> = ScheduleOp::within(ctx, func).collect();
+    let schedules = ctx.collect_ops(func, op_names::SCHEDULE);
     let [top, inner] = schedules[..] else {
         panic!("two schedules, outermost first: {schedules:?}")
     };
+    let (top, inner) = (ScheduleOp(top), ScheduleOp(inner));
     let tiled = top.nodes(ctx)[1];
     assert_eq!(tiled.name(ctx), "tiled");
-    assert_eq!(ScheduleOp::within(ctx, tiled.id()).next(), Some(inner));
+    assert_eq!(ScheduleOp::first_within(ctx, func), Some(top));
+    assert_eq!(ScheduleOp::first_within(ctx, tiled.id()), Some(inner));
     (top, tiled, inner)
 }
 
@@ -70,7 +76,7 @@ fn the_fingerprint_survives_a_round_trip_and_tells_the_levels_apart() {
     let mut flat = ctx.clone();
     flatten(&mut flat, func);
     verifier::verify(&flat, module).expect("the flattened design verifies");
-    assert_eq!(ScheduleOp::within(&flat, func).count(), 1);
+    assert_eq!(flat.collect_ops(func, op_names::SCHEDULE).len(), 1);
     assert_ne!(structural_fingerprint(&flat, module), fingerprint);
 }
 
@@ -142,9 +148,13 @@ fn the_tiled_node_costs_its_schedule_four_times_over() {
     assert_eq!((design.buffer_count, stages.buffer_count), (3, 2));
     assert_eq!(stages.resources.bram_18k, 2 * 4);
     assert_eq!(design.resources.bram_18k, 3 * 16 + 2 * 4);
-    // The function is the one node that holds the top schedule, once.
+    // The function is the one node that holds the top schedule, once: one
+    // call runs one frame through it, so its interval is the schedule's
+    // latency, not the schedule's pipelined interval.
     let whole = estimator.estimate(&ctx, func, true);
     assert_eq!(whole.latency_cycles, design.latency_cycles);
+    assert_eq!(whole.interval_cycles, design.latency_cycles);
+    assert!(whole.interval_cycles > design.interval_cycles);
     assert_eq!(whole.resources, design.resources);
 }
 
@@ -154,4 +164,36 @@ fn the_nested_example_emits_the_golden_cpp() {
     let (top, _, _) = levels(&ctx, func);
     let cpp = hida::emitter::emit_schedule(&ctx, top);
     assert_eq!(cpp, include_str!("golden/nested.cpp"));
+}
+
+/// A node that holds a schedule is made of it alone, so the verifier
+/// rejects what the estimator and the emitter would drop: compute beside
+/// the schedule, or a second schedule in the node.
+#[test]
+fn a_node_holds_its_schedule_and_nothing_beside_it() {
+    let (ctx, module, func) = parsed();
+    let (_, tiled, inner) = levels(&ctx, func);
+    let loop_body = ctx.op(inner.id()).parent_block.unwrap();
+
+    let mut beside = ctx.clone();
+    OpBuilder::at_block_end(&mut beside, loop_body).create_constant_int(1, Type::i32());
+    assert_eq!(
+        verifier::verify(&beside, module).unwrap_err().to_string(),
+        format!(
+            "verification failed: 'hida.schedule' ({}) is not alone in 'hida.node' ({}): \
+             a node holds one schedule and nothing beside it",
+            inner.id(),
+            tiled.id()
+        )
+    );
+
+    let mut second = ctx.clone();
+    let (extra, _) = build_schedule(&mut OpBuilder::at_end_of(&mut second, tiled.id()), "extra");
+    let error = verifier::verify(&second, module).unwrap_err().to_string();
+    for schedule in [inner.id(), extra.id()] {
+        assert!(
+            error.contains(&format!("'hida.schedule' ({schedule}) is not alone")),
+            "{error}"
+        );
+    }
 }
