@@ -51,9 +51,10 @@ struct Node {
     checkpoint: Option<OnceLock<Option<Checkpoint>>>,
 }
 
-/// A point on the tree: the pipeline it parsed to, and the node its path
-/// ends at.
+/// A point on the tree: the compiler that assembled it (the point compiles
+/// with it too), the pipeline it parsed to, and the node its path ends at.
 struct Planned {
+    compiler: Compiler,
     pipeline: Pipeline,
     leaf: usize,
 }
@@ -86,9 +87,13 @@ impl PrefixTree {
         points: &[SweepPoint],
         compiler_of: impl Fn(&SweepPoint) -> Compiler,
     ) -> PrefixTree {
-        let pipelines: Vec<Option<Pipeline>> = points
+        let assembled: Vec<Option<(Compiler, Pipeline)>> = points
             .iter()
-            .map(|point| compiler_of(point).assemble().ok())
+            .map(|point| {
+                let compiler = compiler_of(point);
+                let pipeline = compiler.assemble().ok()?;
+                Some((compiler, pipeline))
+            })
             .collect();
 
         let mut nodes: Vec<Node> = Vec::new();
@@ -104,8 +109,8 @@ impl PrefixTree {
         let mut roots: HashMap<&Workload, usize> = HashMap::new();
         let mut edges: HashMap<(usize, &PassInvocation), usize> = HashMap::new();
         let mut leaves = Vec::with_capacity(points.len());
-        for (point, pipeline) in points.iter().zip(&pipelines) {
-            leaves.push(pipeline.as_ref().map(|pipeline| {
+        for (point, assembled) in points.iter().zip(&assembled) {
+            leaves.push(assembled.as_ref().map(|(_, pipeline)| {
                 let mut at = *roots
                     .entry(&point.workload)
                     .or_insert_with(|| grow(None, 0, &mut nodes));
@@ -133,13 +138,15 @@ impl PrefixTree {
             }
         }
 
-        let planned = pipelines.into_iter().zip(leaves);
+        let planned = assembled.into_iter().zip(leaves);
         PrefixTree {
             nodes,
             planned: planned
-                .map(|(pipeline, leaf)| {
+                .map(|(assembled, leaf)| {
+                    let (compiler, pipeline) = assembled?;
                     Some(Planned {
-                        pipeline: pipeline?,
+                        compiler,
+                        pipeline,
                         leaf: leaf?,
                     })
                 })
@@ -148,6 +155,13 @@ impl PrefixTree {
             records: AtomicUsize::new(0),
             checkpoints: AtomicUsize::new(0),
         }
+    }
+
+    /// The compiler point `index` was planned with; `None` off the tree.
+    pub(crate) fn compiler(&self, index: usize) -> Option<&Compiler> {
+        self.planned[index]
+            .as_ref()
+            .map(|planned| &planned.compiler)
     }
 
     /// Lowers point `index` from the deepest checkpoint on its path (from its

@@ -5,13 +5,14 @@
 //! sum, not any single compile, is what users wait for. This module makes the
 //! whole sweep the unit of optimization:
 //!
-//! * [`SweepEngine`] fans [`SweepPoint`]s out over a work-stealing pool
-//!   ([`hida_ir_core::par::run_batch`]) — the one level of the
-//!   compiler that starts threads; each point compiles on the worker that
-//!   picked it up. Each design point ends up with a
-//!   [`Context`](hida_ir_core::Context) of its own, so the only coordination
-//!   past lowering is the result slot per point — results come back in
-//!   declaration order regardless of scheduling.
+//! * [`SweepEngine`] fans [`SweepPoint`]s out over the pool
+//!   ([`hida_ir_core::par::run_batch`]: the caller plus helper threads
+//!   parked between batches) — the one level of the compiler that runs
+//!   threads; each point compiles on the worker that picked it up. Each
+//!   design point ends up with a [`Context`](hida_ir_core::Context) of its
+//!   own, so the only coordination past lowering is the result slot per
+//!   point — results come back in declaration order regardless of
+//!   scheduling.
 //! * The points are variants of each other, identical above the pass they
 //!   differ in, and a run lowers each distinct pipeline prefix once: a prefix
 //!   tree planned from every point's `(workload, normalized pass
@@ -460,7 +461,16 @@ impl SweepEngine {
         let token = run.token.child(self.deadline_ms);
         let mut failed_pass_statistics = Vec::new();
         let result = isolated(&point.site(), token, armed.cloned(), || {
-            let compiler = self.point_compiler(point);
+            // The compiler the tree planned the point with; one of its own
+            // for a point off the tree.
+            let own;
+            let compiler = match run.tree.compiler(index) {
+                Some(compiler) => compiler,
+                None => {
+                    own = self.point_compiler(point);
+                    &own
+                }
+            };
             // A point with armed faults is a fault domain of its own from the
             // first instruction — it neither lowers a shared checkpoint (its
             // panic or stall would be everyone's) nor starts from one (its

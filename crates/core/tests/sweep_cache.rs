@@ -89,6 +89,28 @@ fn pooled_sweep_matches_isolated_runs_point_by_point() {
     }
 }
 
+/// Two pooled sweeps back to back in one process: the second runs on the
+/// helper threads the first parked, through a prefix tree of its own, and
+/// both equal a one-worker run point for point.
+#[test]
+fn back_to_back_pooled_sweeps_equal_a_one_worker_run() {
+    let points = fig10_points();
+    let reference = SweepEngine::new().with_total_jobs(1).run(&points);
+    assert!(reference.all_ok(), "{:?}", reference.failed_labels());
+    for sweep in 0..2 {
+        let pooled = SweepEngine::new().with_total_jobs(2).run(&points);
+        assert!(pooled.all_ok(), "{:?}", pooled.failed_labels());
+        assert_eq!(pooled.pool.workers, 2);
+        assert_eq!(pooled.points.len(), reference.points.len());
+        for (point, alone) in pooled.points.iter().zip(&reference.points) {
+            let label = format!("sweep {sweep}: {}", point.label);
+            assert_eq!(point.label, alone.label);
+            let (point, alone) = (point.result.as_ref(), alone.result.as_ref());
+            assert_identical(point.unwrap(), alone.unwrap(), &label);
+        }
+    }
+}
+
 /// Two sweeps through one engine and one store handle: the first, over a
 /// fresh directory, misses every lookup and publishes each distinct key
 /// once; the second is served entirely by what the first published. Both

@@ -6,28 +6,45 @@
 //! every estimate — runs on the thread that asked for it. This module is the
 //! std-only machinery of that one level:
 //!
-//! * [`run_batch`] — a scoped pool, the caller one of its workers: each
-//!   worker takes the next item index from one shared counter until the
-//!   items run out, and writes its result into that item's slot, so results
-//!   come back *in item order* and what a batch returns is independent of
-//!   thread scheduling. A batch is a few dozen design points of
-//!   milliseconds each; one counter balances that as well as per-worker
-//!   queues with stealing did, with nothing to lock.
+//! * [`run_batch`] — a pool whose caller is one of its workers: each worker
+//!   takes the next item index from one shared counter until the items run
+//!   out, and writes its result into that item's slot, so results come back
+//!   *in item order* and what a batch returns is independent of thread
+//!   scheduling. A batch is a few dozen design points of milliseconds each;
+//!   one counter balances that as well as per-worker queues with stealing
+//!   did, with nothing to lock.
 //! * [`ParallelStats`] — the worker-count / imbalance counters of a batch,
 //!   reported as a sweep's `pool`.
 //! * [`default_jobs`] — the pool width used when the caller names none.
 //!
-//! The executor never touches the pass registry or any global state; the only
-//! shared mutable state is the item counter and the result slots.
+//! **Parked helpers.** The workers besides the caller are helper threads
+//! that outlive the batch. The process keeps a set of them, created on first
+//! use and never more than `default_jobs() − 1`; between batches each sleeps
+//! on its own mailbox. A batch claims the idle ones it needs, lends each its
+//! worker loop, waits until every one has reported done and parks them
+//! again, so a sweep after the first starts no thread and its workers reuse
+//! the allocator arenas they already hold. A batch that finds fewer idle
+//! helpers than it needs — another batch holds them, it was started inside
+//! an item, or it is wider than the cap — spawns scoped threads for the rest.
+//! Nothing waits on another batch.
+//!
+//! The executor never touches the pass registry or any global state but the
+//! set of parked helpers; within a batch the only shared mutable state is
+//! the item counter and the result slots.
 //!
 //! **Faults.** The pool runs items; it does not isolate them. A sweep point
 //! is its own fault domain (`hida::sweep::isolated` turns a panic or an
 //! expired deadline into the point's error), so an item that reaches the
 //! pool returns. One that panics anyway is a bug: its siblings run to the
-//! end, and the panic resumes on the caller after the join.
+//! end, and the panic resumes on the caller once every worker is done. A
+//! helper catches the panic, hands its payload back and stays parked for the
+//! next batch.
 
+use crate::fault::lock_recover;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock, PoisonError};
+use std::thread::Result as ThreadResult;
 
 /// The default worker count for `--jobs`-style knobs: the machine's available
 /// parallelism, falling back to 1 when it cannot be queried. The single
@@ -82,10 +99,11 @@ impl std::fmt::Display for ParallelStats {
 /// the results **in item order** plus the batch's execution counters.
 ///
 /// Each worker takes the next unclaimed item index from one shared counter
-/// until none is left; the calling thread is one of the workers. With
-/// `jobs <= 1` (or a single item) everything runs inline on the calling
-/// thread — the bitwise-reproducibility escape hatch — but because results
-/// are always collected by item index, the output is identical either way.
+/// until none is left; the calling thread is worker 0, parked helpers (or,
+/// when too few are idle, scoped threads) are the others. With `jobs <= 1`
+/// (or a single item) everything runs inline on the calling thread — the
+/// bitwise-reproducibility escape hatch — but because results are always
+/// collected by item index, the output is identical either way.
 ///
 /// # Panics
 /// When an item panics: inline, at once; on the pool, after every worker
@@ -97,27 +115,192 @@ where
     R: Send + Sync,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = jobs.min(items.len()).max(1);
-    if workers == 1 {
-        let results = items.iter().map(work).collect();
-        let stats = ParallelStats {
-            workers: 1,
-            items: items.len() as u64,
-            steals: 0,
-            max_worker_items: items.len() as u64,
-            min_worker_items: items.len() as u64,
-        };
-        return (results, stats);
+    POOL.run_batch(jobs, items, work)
+}
+
+/// The process's parked helpers: at most `default_jobs() − 1`, since the
+/// caller of a batch is a worker too.
+static POOL: LazyLock<Pool> = LazyLock::new(|| Pool::new(default_jobs().saturating_sub(1)));
+
+/// A batch's worker loop as lent to a helper: it returns how many items it
+/// ran. The lifetime is erased; see the `SAFETY` comment in
+/// [`Pool::run_batch`].
+type Job = &'static (dyn Fn() -> u64 + Sync);
+
+/// What a helper's mailbox holds.
+enum Mail {
+    /// Parked, or done and collected.
+    Idle,
+    /// Lent a job, which it is running or about to run.
+    Job(Job),
+    /// The job returned (its item count) or panicked (its payload).
+    Done(ThreadResult<u64>),
+}
+
+/// One parked helper thread, reached through its mailbox.
+struct Helper {
+    mail: Mutex<Mail>,
+    /// Signals a change of `mail`. At most one side waits at a time: the
+    /// helper while there is no job, the batch while there is one.
+    signal: Condvar,
+}
+
+impl Helper {
+    /// Starts a helper thread that serves its mailbox until the process
+    /// ends; `None` when the system refuses a thread.
+    fn spawn() -> Option<Arc<Helper>> {
+        let helper = Arc::new(Helper {
+            mail: Mutex::new(Mail::Idle),
+            signal: Condvar::new(),
+        });
+        let served = Arc::clone(&helper);
+        std::thread::Builder::new()
+            .spawn(move || served.serve())
+            .ok()?;
+        Some(helper)
     }
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
-    let counts: Vec<u64> = std::thread::scope(|scope| {
+    fn serve(&self) {
+        loop {
+            // The job is not touched once it has returned or unwound.
+            let outcome = catch_unwind(AssertUnwindSafe(self.next_job()));
+            *lock_recover(&self.mail) = Mail::Done(outcome);
+            self.signal.notify_one();
+        }
+    }
+
+    /// Sleeps until a batch lends this helper a job.
+    fn next_job(&self) -> Job {
+        let mail = lock_recover(&self.mail);
+        let wait = self.signal.wait_while(mail, |m| !matches!(m, Mail::Job(_)));
+        match *wait.unwrap_or_else(PoisonError::into_inner) {
+            Mail::Job(job) => job,
+            _ => unreachable!("the wait ends on a job"),
+        }
+    }
+
+    fn lend(&self, job: Job) {
+        *lock_recover(&self.mail) = Mail::Job(job);
+        self.signal.notify_one();
+    }
+
+    /// Waits until the lent job is done, and collects its outcome.
+    fn collect(&self) -> ThreadResult<u64> {
+        let mail = lock_recover(&self.mail);
+        let wait = self
+            .signal
+            .wait_while(mail, |m| !matches!(m, Mail::Done(_)));
+        match std::mem::replace(
+            &mut *wait.unwrap_or_else(PoisonError::into_inner),
+            Mail::Idle,
+        ) {
+            Mail::Done(outcome) => outcome,
+            _ => unreachable!("the wait ends on an outcome"),
+        }
+    }
+}
+
+/// A set of parked helpers.
+struct Pool {
+    /// The most helpers this pool ever starts.
+    cap: usize,
+    parked: Mutex<Parked>,
+}
+
+struct Parked {
+    idle: Vec<Arc<Helper>>,
+    /// Helpers started so far, idle or lent.
+    started: usize,
+}
+
+/// The helpers one batch has lent its job to. Dropping it waits until every
+/// one of them has reported done — on the caller's panic path too — and
+/// parks them again.
+struct Lent<'p> {
+    pool: &'p Pool,
+    helpers: Vec<Arc<Helper>>,
+}
+
+impl Lent<'_> {
+    /// Waits for every helper and parks it again; the outcomes of their
+    /// jobs, by worker index.
+    fn join(&mut self) -> Vec<ThreadResult<u64>> {
+        let helpers = std::mem::take(&mut self.helpers);
+        let outcomes = helpers.iter().map(|helper| helper.collect()).collect();
+        lock_recover(&self.pool.parked).idle.extend(helpers);
+        outcomes
+    }
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        if !self.helpers.is_empty() {
+            self.join();
+        }
+    }
+}
+
+impl Pool {
+    const fn new(cap: usize) -> Pool {
+        Pool {
+            cap,
+            parked: Mutex::new(Parked {
+                idle: Vec::new(),
+                started: 0,
+            }),
+        }
+    }
+
+    /// Lends `job` to up to `wanted` helpers: idle ones first, then new
+    /// ones while the pool is below its cap.
+    fn lend(&self, wanted: usize, job: Job) -> Lent<'_> {
+        let mut parked = lock_recover(&self.parked);
+        let keep = parked.idle.len().saturating_sub(wanted);
+        let mut helpers = parked.idle.split_off(keep);
+        while helpers.len() < wanted && parked.started < self.cap {
+            let Some(helper) = Helper::spawn() else {
+                break;
+            };
+            parked.started += 1;
+            helpers.push(helper);
+        }
+        drop(parked);
+        for helper in &helpers {
+            helper.lend(job);
+        }
+        Lent {
+            pool: self,
+            helpers,
+        }
+    }
+
+    fn run_batch<T, R, F>(&self, jobs: usize, items: &[T], work: F) -> (Vec<R>, ParallelStats)
+    where
+        T: Sync,
+        R: Send + Sync,
+        F: Fn(&T) -> R + Sync,
+    {
+        let workers = jobs.min(items.len()).max(1);
+        if workers == 1 {
+            let results = items.iter().map(work).collect();
+            let stats = ParallelStats {
+                workers: 1,
+                items: items.len() as u64,
+                steals: 0,
+                max_worker_items: items.len() as u64,
+                min_worker_items: items.len() as u64,
+            };
+            return (results, stats);
+        }
+
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
         let worker = || {
             let mut executed = 0_u64;
             loop {
                 // Relaxed: the counter only claims an index; the result
-                // reaches the caller through its slot and the join.
+                // reaches the caller through its slot and the helper's
+                // mailbox (or the thread's join).
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(index) else {
                     return executed;
@@ -127,53 +310,61 @@ where
                 executed += 1;
             }
         };
-        // The caller is worker 0: a batch spawns one thread fewer than it
-        // has workers (measured: the thread arenas that held the spawned
-        // workers' allocations then peaked ~1.5 MiB lower on repeated
-        // Fig. 10 sweeps).
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
-        let own = worker();
-        // The scope's own implicit join only waits for the closures to
-        // return, not for the OS threads to exit. A batch started right
-        // after this one would then spawn while these workers still hold
-        // their allocator arenas, and the allocator would create new arenas
-        // instead of reusing those (measured: twice the arenas and a quarter
-        // more resident memory on a generational explorer that ran its
-        // batches back to back). An explicit join waits for the thread
-        // itself — every one of them, before a panic resumes. (A panic in
-        // the caller's own item leaves through the scope's implicit join.)
-        let mut counts = Vec::with_capacity(workers);
-        counts.push(own);
-        let mut first_panic = None;
-        for handle in handles {
-            match handle.join() {
+        let job: &(dyn Fn() -> u64 + Sync + '_) = &worker;
+        // SAFETY: only the lifetime changes. The helpers use `job` — and
+        // through it `items`, `work`, `next` and `slots` — until they report
+        // done, and nothing here returns or unwinds before that: `Lent::join`
+        // waits for every helper on the way out, and `Lent`'s `Drop` performs
+        // the same wait when the caller's own items panic. Both run inside
+        // the scope below, while everything `job` borrows is still alive.
+        let job: Job = unsafe { std::mem::transmute::<&(dyn Fn() -> u64 + Sync + '_), Job>(job) };
+        let counts: Vec<u64> = std::thread::scope(|scope| {
+            // The caller is worker 0 and the helpers 1..; a batch short of
+            // idle helpers spawns the rest.
+            let mut lent = self.lend(workers - 1, job);
+            let spawned: Vec<_> = (1 + lent.helpers.len()..workers)
+                .map(|_| scope.spawn(worker))
+                .collect();
+            let own = worker();
+            let mut counts = Vec::with_capacity(workers);
+            counts.push(own);
+            let mut first_panic = None;
+            let mut record = |outcome: ThreadResult<u64>| match outcome {
                 Ok(executed) => counts.push(executed),
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
+            };
+            lent.join().into_iter().for_each(&mut record);
+            // An explicit join waits for a spawned thread itself, not only
+            // for its closure (the scope's implicit join): a batch started
+            // right after this one would otherwise spawn while these threads
+            // still hold their allocator arenas, and get fresh arenas instead
+            // of reusing those. (A panic in the caller's own item leaves
+            // through the scope's implicit join.)
+            spawned.into_iter().for_each(|handle| record(handle.join()));
+            if let Some(payload) = first_panic {
+                std::panic::resume_unwind(payload);
             }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        counts
-    });
+            counts
+        });
 
-    let results: Vec<R> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("every batch item produces a result")
-        })
-        .collect();
-    let stats = ParallelStats {
-        workers,
-        items: items.len() as u64,
-        steals: 0,
-        max_worker_items: counts.iter().copied().max().unwrap_or(0),
-        min_worker_items: counts.iter().copied().min().unwrap_or(0),
-    };
-    (results, stats)
+        let results: Vec<R> = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("every batch item produces a result")
+            })
+            .collect();
+        let stats = ParallelStats {
+            workers,
+            items: items.len() as u64,
+            steals: 0,
+            max_worker_items: counts.iter().copied().max().unwrap_or(0),
+            min_worker_items: counts.iter().copied().min().unwrap_or(0),
+        };
+        (results, stats)
+    }
 }
 
 #[cfg(test)]
@@ -182,7 +373,10 @@ mod tests {
     use crate::context::Context;
     use crate::fault::error_from_panic;
     use crate::IrError;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     /// Checkpoints hold a `Context` that every worker forking them reads.
     #[test]
@@ -269,5 +463,118 @@ mod tests {
                 "--jobs {jobs}"
             );
         }
+    }
+
+    /// The thread ids of a two-item batch on `pool`, one item per worker.
+    fn two_workers(pool: &Pool) -> Vec<ThreadId> {
+        // Each item waits for the other, so they run on two workers.
+        let meet = Barrier::new(2);
+        let (ids, stats) = pool.run_batch(2, &[0, 1], |_| {
+            meet.wait();
+            std::thread::current().id()
+        });
+        assert_eq!((stats.workers, stats.imbalance()), (2, 0));
+        ids
+    }
+
+    #[test]
+    fn four_threads_run_batches_at_once_and_each_gets_item_order() {
+        let items: Vec<u64> = (0..40).collect();
+        std::thread::scope(|scope| {
+            for thread in 0..4_u64 {
+                let items = &items;
+                scope.spawn(move || {
+                    for round in 0..25 {
+                        let jobs = 2 + (round + thread as usize) % 3;
+                        let (results, stats) = run_batch(jobs, items, |&x| x * 100 + thread);
+                        let expected: Vec<u64> = items.iter().map(|x| x * 100 + thread).collect();
+                        assert_eq!(results, expected);
+                        assert_eq!(stats.workers, jobs);
+                    }
+                });
+            }
+        });
+        assert_eq!(POOL.cap, default_jobs() - 1);
+        assert!(lock_recover(&POOL.parked).started <= POOL.cap);
+    }
+
+    #[test]
+    fn a_second_batch_starts_no_thread() {
+        static POOL: Pool = Pool::new(1);
+        let caller = std::thread::current().id();
+        let first = two_workers(&POOL);
+        let second = two_workers(&POOL);
+        assert!(first.contains(&caller) && second.contains(&caller));
+        // Thread ids are never reused: the same one is the same thread.
+        assert_eq!(
+            first.iter().find(|&&id| id != caller),
+            second.iter().find(|&&id| id != caller)
+        );
+        assert_eq!(lock_recover(&POOL.parked).started, 1);
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_caller_and_the_helper_runs_the_next_batch() {
+        static POOL: Pool = Pool::new(1);
+        crate::fault::silence_expected_panics();
+        let caller = std::thread::current().id();
+        let meet = Barrier::new(2);
+        let helper = Mutex::new(None);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            POOL.run_batch(2, &[0, 1], |_| {
+                meet.wait();
+                if std::thread::current().id() != caller {
+                    *helper.lock().unwrap() = Some(std::thread::current().id());
+                    panic!("injected fault: on the helper");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the helper's fault must propagate");
+        assert!(matches!(error_from_panic("batch", payload),
+            IrError::WorkerPanic { message, .. } if message.contains("on the helper")));
+        let helper = helper
+            .into_inner()
+            .unwrap()
+            .expect("one item ran on the helper");
+        assert!(two_workers(&POOL).contains(&helper));
+        assert_eq!(lock_recover(&POOL.parked).started, 1);
+    }
+
+    #[test]
+    fn a_caller_panic_returns_only_after_the_helpers_finish() {
+        static POOL: Pool = Pool::new(1);
+        crate::fault::silence_expected_panics();
+        let caller = std::thread::current().id();
+        let meet = Barrier::new(2);
+        let panicking = AtomicBool::new(false);
+        let written = [AtomicBool::new(false), AtomicBool::new(false)];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            POOL.run_batch(2, &[0, 1], |&i| {
+                meet.wait();
+                if std::thread::current().id() == caller {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("injected fault: on the caller");
+                }
+                // Still busy after the caller's item has begun to unwind.
+                while !panicking.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                written[i].store(true, Ordering::SeqCst);
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(written.iter().any(|w| w.load(Ordering::SeqCst)));
+        assert_eq!(lock_recover(&POOL.parked).idle.len(), 1);
+    }
+
+    #[test]
+    fn a_batch_started_inside_an_item_completes() {
+        let outer: Vec<u64> = (1..=6).collect();
+        let inner: Vec<u64> = (1..=10).collect();
+        let (sums, _) = run_batch(2, &outer, |&x| {
+            run_batch(2, &inner, |&y| x * y).0.iter().sum::<u64>()
+        });
+        assert_eq!(sums, outer.iter().map(|x| x * 55).collect::<Vec<_>>());
     }
 }

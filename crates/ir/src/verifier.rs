@@ -33,8 +33,9 @@ use std::sync::Mutex;
 
 /// The scope marks and isolation stacks of finished verifications, kept
 /// cleared with their capacity; a verification takes one out for its length.
-/// Not per thread: a sweep spawns its workers per batch, and each would
-/// allocate its own again.
+/// Not per thread: the pool's parked helpers live on, but a batch short of
+/// idle helpers spawns scoped threads and callers verify on threads of their
+/// own, and each of those would allocate its own again.
 static SCRATCH: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
 
 /// Verifies `root` and everything nested below it.
